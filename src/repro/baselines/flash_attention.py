@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.core.jit import KernelTraits, get_kernel
 from repro.core.kernels import HeadConfig, run_mapping
-from repro.core.scheduler import SchedulePlan, WorkItem
+from repro.core.scheduler import MergeEntry, SchedulePlan, WorkItem
 from repro.core.variant import VANILLA, AttentionVariant
 from repro.gpu.cost import KernelCostModel, TileCost
 from repro.gpu.executor import PersistentKernelExecutor, SimReport
@@ -113,6 +113,21 @@ class FlashAttentionBaseline:
                             slot += 1
         return items, sched_q_tile, kv_tile, num_splits
 
+    @staticmethod
+    def _merge_entries(items: List[WorkItem]) -> List[MergeEntry]:
+        """Split-K reduction entries: one per tile, slots in ascending KV."""
+        merges: dict = {}
+        for w in items:
+            if w.partial_slot >= 0:
+                merges.setdefault((w.group, w.q_tile, w.kv_head), []).append(w)
+        return [
+            MergeEntry(
+                0, key[0], ws[0].q_start, ws[0].q_rows, key[2],
+                tuple(w.partial_slot for w in sorted(ws, key=lambda x: x.kv_start)),
+            )
+            for key, ws in merges.items()
+        ]
+
     def run(
         self,
         mapping: AttentionMapping,
@@ -132,16 +147,14 @@ class FlashAttentionBaseline:
         items, sched_q_tile, kv_tile, num_splits = self._build_items(mapping, decode)
         from repro.core.simulate import item_cost_arrays, simulate_grid
 
-        item_arr = np.asarray(
-            [
-                (w.mapping_idx, w.group, w.q_tile, w.q_start, w.q_rows,
-                 w.kv_start, w.kv_stop, w.kv_head, w.partial_slot)
-                for w in items
-            ],
-            dtype=np.int64,
-        ).reshape(len(items), 9)
+        n_partials = sum(1 for w in items if w.partial_slot >= 0)
+        # One grid: every block is a "queue" entry of a single launch.
+        plan = SchedulePlan.from_queues(
+            [items], self._merge_entries(items) if compute else [],
+            n_partials, sched_q_tile, kv_tile,
+        )
         costs = item_cost_arrays(
-            item_arr, mapping, self.heads, kv_tile, self.kv_dtype, sched_q_tile,
+            plan.items, mapping, self.heads, kv_tile, self.kv_dtype, sched_q_tile,
             fuse_head_groups=True,
             uses_tensor_cores=sched_q_tile * self.heads.group_size >= 16,
             sparse_gather=sparse_gather,
@@ -154,7 +167,6 @@ class FlashAttentionBaseline:
             d = self.heads.head_dim
             g = self.heads.group_size
             rows = sched_q_tile * g
-            n_partials = sum(1 for w in items if w.partial_slot >= 0)
             red = TileCost(
                 flops=4.0 * rows * d,
                 padded_flops=4.0 * rows * d,
@@ -176,28 +188,10 @@ class FlashAttentionBaseline:
                 backend="fa2",
             )
             kernel = get_kernel(self.variant, traits)
-            n_slots = max(sum(1 for w in items if w.partial_slot >= 0), 1)
+            n_slots = max(n_partials, 1)
             rows_eff = sched_q_tile * self.heads.group_size
             partial_o = np.zeros((n_slots, rows_eff, self.heads.head_dim), dtype=np.float32)
             partial_lse = np.full((n_slots, rows_eff), -np.inf, dtype=np.float32)
-            from repro.core.scheduler import MergeEntry
-
-            merges: dict = {}
-            for w in items:
-                if w.partial_slot >= 0:
-                    merges.setdefault((w.group, w.q_tile, w.kv_head), []).append(w)
-            merge_entries = [
-                MergeEntry(
-                    0, key[0], ws[0].q_start, ws[0].q_rows, key[2],
-                    tuple(w.partial_slot for w in sorted(ws, key=lambda x: x.kv_start)),
-                )
-                for key, ws in merges.items()
-            ]
-            plan = SchedulePlan(
-                cta_queues=[items], merges=merge_entries,
-                num_partial_slots=n_slots, q_tile_size=sched_q_tile,
-                kv_chunk_size=kv_tile,
-            )
             run_mapping(
                 q, k_pool, v_pool, mapping, plan, kernel, self.heads,
                 self.variant.bind_params({}), 1.0 / np.sqrt(self.heads.head_dim),

@@ -16,14 +16,17 @@ Tiles whose KV fits one chunk bypass the workspace and write straight to the
 final output (the *writethrough* optimization, Appendix D.2).
 
 The scheduler runs on CPU once per generation step; the plan is reusable
-across layers with the same sequence lengths (§3.3.1).
+across layers with the same sequence lengths (§3.3.1).  It is built as the
+index arrays the workspace holds (:class:`SchedulePlan`), never as objects.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, fields
+from functools import cached_property
+from operator import attrgetter
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,6 +37,18 @@ from repro.sparse.bsr import ceil_div
 #: is weighted by the relative byte volume of a KV token vs a query row.
 DEFAULT_ALPHA = 1.0
 DEFAULT_BETA = 2.0
+
+#: Columns of the work-item table (``int64[n, ITEM_FIELDS]``, in
+#: :class:`WorkItem` field order): what the planner emits, the workspace holds
+#: and the cost simulation reads.
+ITEM_FIELDS = 9
+COL_MAPPING, COL_GROUP, COL_QTILE, COL_QSTART, COL_QROWS = 0, 1, 2, 3, 4
+COL_KVSTART, COL_KVSTOP, COL_KVHEAD, COL_SLOT = 5, 6, 7, 8
+#: Columns of the merge table (``int64[m, MERGE_FIELDS]``) and the item
+#: columns of the split tile they are copied from.
+MERGE_FIELDS = 5
+MERGE_MAPPING, MERGE_GROUP, MERGE_QSTART, MERGE_QROWS, MERGE_KVHEAD = range(5)
+MERGE_FROM_ITEM = [COL_MAPPING, COL_GROUP, COL_QSTART, COL_QROWS, COL_KVHEAD]
 
 
 @dataclass(frozen=True)
@@ -71,29 +86,194 @@ class MergeEntry:
     slots: Tuple[int, ...]
 
 
-@dataclass
-class SchedulePlan:
-    """The full plan for one kernel launch of one mapping."""
+_item_row = attrgetter(*(f.name for f in fields(WorkItem)))
+_merge_row = attrgetter("mapping_idx", "group", "q_start", "q_rows", "kv_head")
 
-    cta_queues: List[List[WorkItem]]
-    merges: List[MergeEntry]
+
+@dataclass(eq=False)
+class SchedulePlan:
+    """The plan for one kernel launch of one mapping: the index tables
+    ``BatchAttentionWrapper.plan`` copies into the workspace (App. D.1).
+
+    * ``items`` — one ``COL_*`` row per work item, ordered by CTA and, within
+      a CTA, by assignment rank (the order the CTA drains them);
+    * ``cta_indptr`` — CTA ``c`` owns rows ``cta_indptr[c]:cta_indptr[c+1]``;
+    * ``merge_meta`` / ``merge_indptr`` / ``merge_slots`` — CSR: merge ``i``
+      (a ``MERGE_*`` row) contracts partial slots
+      ``merge_slots[merge_indptr[i]:merge_indptr[i+1]]``, ascending in KV.
+
+    ``cta_queues`` and ``merges`` are object views of the tables, built on
+    first use, for inspection and the per-item numeric path only.
+    """
+
+    items: np.ndarray
+    cta_indptr: np.ndarray
+    merge_meta: np.ndarray
+    merge_indptr: np.ndarray
+    merge_slots: np.ndarray
     num_partial_slots: int
     q_tile_size: int
     kv_chunk_size: int
 
+    @classmethod
+    def from_queues(
+        cls,
+        cta_queues: Sequence[Sequence[WorkItem]],
+        merges: Sequence[MergeEntry],
+        num_partial_slots: int,
+        q_tile_size: int,
+        kv_chunk_size: int,
+    ) -> "SchedulePlan":
+        """Serialize object queues into the tables (baselines and tests)."""
+        rows = [_item_row(w) for q in cta_queues for w in q]
+        return cls(
+            items=np.array(rows, dtype=np.int64).reshape(len(rows), ITEM_FIELDS),
+            cta_indptr=_indptr([len(q) for q in cta_queues]),
+            merge_meta=np.array(
+                [_merge_row(m) for m in merges], dtype=np.int64
+            ).reshape(len(merges), MERGE_FIELDS),
+            merge_indptr=_indptr([len(m.slots) for m in merges]),
+            merge_slots=np.array([s for m in merges for s in m.slots], dtype=np.int64),
+            num_partial_slots=num_partial_slots,
+            q_tile_size=q_tile_size,
+            kv_chunk_size=kv_chunk_size,
+        )
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SchedulePlan) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name))
+            for f in fields(SchedulePlan)
+        )
+
+    @cached_property
+    def cta_queues(self) -> List[List[WorkItem]]:
+        rows, ptr = self.items.tolist(), self.cta_indptr.tolist()
+        return [[WorkItem(*r) for r in rows[a:b]] for a, b in zip(ptr, ptr[1:])]
+
+    @cached_property
+    def merges(self) -> List[MergeEntry]:
+        slots, ptr = self.merge_slots.tolist(), self.merge_indptr.tolist()
+        return [
+            MergeEntry(*m, tuple(slots[a:b]))
+            for m, a, b in zip(self.merge_meta.tolist(), ptr, ptr[1:])
+        ]
+
     @property
     def num_work_items(self) -> int:
-        return sum(len(q) for q in self.cta_queues)
+        return len(self.items)
+
+    @property
+    def cta_of_item(self) -> np.ndarray:
+        """Owning CTA of each ``items`` row."""
+        return np.repeat(np.arange(self.cta_indptr.size - 1), np.diff(self.cta_indptr))
 
     @property
     def load_balance(self) -> float:
         """Mean/max of per-CTA modelled cost (1.0 = perfect balance)."""
-        costs = [
-            sum(DEFAULT_ALPHA * w.q_rows + DEFAULT_BETA * w.kv_len for w in q)
-            for q in self.cta_queues
-        ]
-        mx = max(costs) if costs else 0.0
-        return (sum(costs) / (len(costs) * mx)) if mx > 0 else 1.0
+        it = self.items
+        num_ctas = self.cta_indptr.size - 1
+        cost = DEFAULT_ALPHA * it[:, COL_QROWS] + DEFAULT_BETA * (
+            it[:, COL_KVSTOP] - it[:, COL_KVSTART]
+        )
+        # Integer-valued float sums: exact in any summation order.
+        per_cta = np.bincount(self.cta_of_item, weights=cost, minlength=num_ctas)
+        mx = float(per_cta.max(initial=0.0))
+        return float(per_cta.sum()) / (num_ctas * mx) if mx > 0 else 1.0
+
+
+def _indptr(counts) -> np.ndarray:
+    """CSR row pointer ``[0, c0, c0+c1, ...]`` of per-row ``counts``."""
+    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr
+
+
+def _assign_ctas(inc_q: np.ndarray, inc_kv: np.ndarray, num_ctas: int) -> np.ndarray:
+    """Steps 6-13: the CTA of each item under the min-cost priority queue,
+    items given in rank order by their cost terms ``α·l_q`` and ``β·l_kv``.
+
+    While untouched CTAs remain at cost 0.0 the heap pops them in index
+    order, so the leading items go to CTAs ``0..`` directly — up to the first
+    item whose own cost is not positive (its CTA would be popped again).  Only
+    the tail runs through the heap, with the sum associated as
+    ``(cost + α·l_q) + β·l_kv`` so ties break as they always have.
+    """
+    n = inc_q.size
+    head = min(n, num_ctas)
+    first = inc_q[:head] + inc_kv[:head]
+    nonpos = np.flatnonzero(~(first > 0))
+    if nonpos.size:
+        head = int(nonpos[0]) + 1
+    cta = np.empty(n, dtype=np.int64)
+    cta[:head] = np.arange(head)
+    if head < n:
+        heap = list(zip(first[:head].tolist(), range(head)))
+        heap += [(0.0, c) for c in range(head, num_ctas)]
+        heapq.heapify(heap)
+        tail = []
+        for a, b in zip(inc_q[head:].tolist(), inc_kv[head:].tolist()):
+            cost, c = heap[0]
+            heapq.heapreplace(heap, ((cost + a) + b, c))
+            tail.append(c)
+        cta[head:] = tail
+    return cta
+
+
+def _build_plan(
+    qo_lens: np.ndarray,
+    kv_lens: np.ndarray,
+    q_tile_size: int,
+    num_ctas: int,
+    num_kv_heads: int,
+    mapping_idx: int,
+    l_kv: int,
+    assign: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
+) -> SchedulePlan:
+    """Steps 4-13 over arrays, for KV chunks of at most ``l_kv``.
+
+    Items are enumerated ``group → q_tile → kv_head → chunk``; a split tile
+    takes consecutive partial slots in that order, so ``merge_slots`` is an
+    ``arange`` cut by ``merge_indptr``.  ``assign(table)`` returns ``(order,
+    cta)``: the enumerated rows in rank order and the CTA of each rank.
+    """
+    # One row per (group, q_tile, kv_head), already in item-table layout.
+    per_group = np.where(qo_lens > 0, -(-qo_lens // q_tile_size), 0) * num_kv_heads
+    group = np.repeat(np.arange(qo_lens.size), per_group)
+    within = np.arange(group.size) - np.repeat(np.cumsum(per_group) - per_group, per_group)
+    tiles = np.empty((group.size, ITEM_FIELDS), dtype=np.int64)
+    tiles[:, COL_MAPPING] = mapping_idx
+    tiles[:, COL_GROUP] = group
+    tiles[:, COL_QTILE], tiles[:, COL_KVHEAD] = np.divmod(within, num_kv_heads)
+    q_start = tiles[:, COL_QTILE] * q_tile_size
+    tiles[:, COL_QSTART] = q_start
+    tiles[:, COL_QROWS] = np.minimum(q_tile_size, qo_lens[group] - q_start)
+    lkv = kv_lens[group]
+    n_chunks = np.maximum(-(-lkv // l_kv), 1)
+
+    # Expand each row into its KV chunks; only split tiles get partial slots.
+    row = np.repeat(np.arange(group.size), n_chunks)
+    table = tiles[row]
+    kv_start = (np.arange(row.size) - np.repeat(np.cumsum(n_chunks) - n_chunks, n_chunks)) * l_kv
+    table[:, COL_KVSTART] = kv_start
+    table[:, COL_KVSTOP] = np.minimum(kv_start + l_kv, lkv[row])
+    split_tile = n_chunks > 1
+    split = split_tile[row]
+    table[:, COL_SLOT] = np.where(split, np.cumsum(split) - 1, -1)
+    merge_indptr = _indptr(n_chunks[split_tile])
+    n_slots = int(merge_indptr[-1])
+
+    # Lay the rows out per CTA; queue order within a CTA is rank order.
+    order, cta = assign(table)
+    return SchedulePlan(
+        items=table[order[np.argsort(cta, kind="stable")]],
+        cta_indptr=_indptr(np.bincount(cta, minlength=num_ctas)),
+        merge_meta=tiles[split_tile][:, MERGE_FROM_ITEM],
+        merge_indptr=merge_indptr,
+        merge_slots=np.arange(n_slots, dtype=np.int64),
+        num_partial_slots=n_slots,
+        q_tile_size=q_tile_size,
+        kv_chunk_size=l_kv,
+    )
 
 
 def plan_schedule(
@@ -147,85 +327,33 @@ def plan_schedule(
         raise ValueError("q_tile_size, num_ctas and num_kv_heads must be positive")
 
     # Step 3: maximum KV chunk size L_kv from total tile-KV work over CTAs.
-    n_tiles_per_group = np.where(qo_lens > 0, -(-qo_lens // q_tile_size), 0)
-    total_tile_kv = int((n_tiles_per_group * kv_lens).sum()) * num_kv_heads
+    n_tiles = np.where(qo_lens > 0, -(-qo_lens // q_tile_size), 0)
+    total_tile_kv = int((n_tiles * kv_lens).sum()) * num_kv_heads
     if split_kv and total_tile_kv > 0:
         l_kv = max(ceil_div(total_tile_kv, num_ctas), min_kv_chunk)
         l_kv = ceil_div(l_kv, chunk_granularity) * chunk_granularity
     else:
         l_kv = max(int(kv_lens.max(initial=0)), 1)
 
-    if q_pos_offset is None:
-        q_pos_offset = kv_lens - qo_lens
-    else:
-        q_pos_offset = np.asarray(q_pos_offset, dtype=np.int64)
-    if kv_pos_offset is None:
-        kv_pos_offset = np.zeros(qo_lens.size, dtype=np.int64)
-    else:
-        kv_pos_offset = np.asarray(kv_pos_offset, dtype=np.int64)
+    def longest_first(table: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        # Step 5 (stable: ties broken by creation order), weighing the KV
+        # positions an item actually computes over.
+        weights = table[:, COL_KVSTOP] - table[:, COL_KVSTART]
+        if causal:
+            group = table[:, COL_GROUP]
+            q_off = kv_lens - qo_lens if q_pos_offset is None else np.asarray(q_pos_offset)
+            kv_off = 0 if kv_pos_offset is None else np.asarray(kv_pos_offset)[group]
+            # One past the KV index the tile's last query row sees.
+            vis_end = q_off[group] + table[:, COL_QSTART] + table[:, COL_QROWS] - kv_off
+            weights = np.clip(vis_end - table[:, COL_KVSTART], 0, weights)
+        order = np.argsort(-weights, kind="stable")
+        return order, _assign_ctas(
+            alpha * table[order, COL_QROWS], beta * weights[order], num_ctas
+        )
 
-    def visible_kv(w: WorkItem) -> int:
-        """KV positions the item actually computes over (causal-aware)."""
-        if not causal:
-            return w.kv_len
-        last_q_pos = int(q_pos_offset[w.group]) + w.q_start + w.q_rows - 1
-        vis_end = last_q_pos - int(kv_pos_offset[w.group]) + 1
-        return int(np.clip(vis_end - w.kv_start, 0, w.kv_len))
-
-    # Step 4: enumerate work items, assigning partial slots to split tiles.
-    items: List[WorkItem] = []
-    merges: List[MergeEntry] = []
-    next_slot = 0
-    for g in range(qo_lens.size):
-        lq, lkv = int(qo_lens[g]), int(kv_lens[g])
-        if lq == 0:
-            continue
-        n_tiles = ceil_div(lq, q_tile_size)
-        n_chunks = max(ceil_div(lkv, l_kv), 1)
-        for t in range(n_tiles):
-            q_start = t * q_tile_size
-            q_rows = min(q_tile_size, lq - q_start)
-            for h in range(num_kv_heads):
-                if n_chunks == 1 or lkv == 0:
-                    items.append(
-                        WorkItem(mapping_idx, g, t, q_start, q_rows, 0, lkv, h, -1)
-                    )
-                    continue
-                slots = []
-                for c in range(n_chunks):
-                    k0 = c * l_kv
-                    k1 = min(k0 + l_kv, lkv)
-                    items.append(
-                        WorkItem(
-                            mapping_idx, g, t, q_start, q_rows, k0, k1, h, next_slot
-                        )
-                    )
-                    slots.append(next_slot)
-                    next_slot += 1
-                merges.append(
-                    MergeEntry(mapping_idx, g, q_start, q_rows, h, tuple(slots))
-                )
-
-    # Step 5: longest-first order (stable: ties broken by creation order).
-    weights = [visible_kv(w) for w in items]
-    order = sorted(range(len(items)), key=lambda i: (-weights[i], i))
-
-    # Steps 6-13: min-cost priority queue over CTAs.
-    queues: List[List[WorkItem]] = [[] for _ in range(num_ctas)]
-    heap: List[Tuple[float, int]] = [(0.0, c) for c in range(num_ctas)]
-    heapq.heapify(heap)
-    for i in order:
-        w = items[i]
-        current_cost, c = heapq.heappop(heap)
-        queues[c].append(w)
-        heapq.heappush(heap, (current_cost + alpha * w.q_rows + beta * weights[i], c))
-
-    return SchedulePlan(
-        cta_queues=queues,
-        merges=merges,
-        num_partial_slots=next_slot,
-        q_tile_size=q_tile_size,
-        kv_chunk_size=l_kv,
+    return _build_plan(
+        qo_lens, kv_lens, q_tile_size, num_ctas, num_kv_heads, mapping_idx, l_kv,
+        longest_first,
     )
 
 
@@ -286,23 +414,13 @@ def plan_unbalanced(
     """
     qo_lens = np.asarray(qo_lens, dtype=np.int64)
     kv_lens = np.asarray(kv_lens, dtype=np.int64)
-    items: List[WorkItem] = []
-    for g in range(qo_lens.size):
-        lq, lkv = int(qo_lens[g]), int(kv_lens[g])
-        if lq == 0:
-            continue
-        for t in range(ceil_div(lq, q_tile_size)):
-            q_start = t * q_tile_size
-            q_rows = min(q_tile_size, lq - q_start)
-            for h in range(num_kv_heads):
-                items.append(WorkItem(mapping_idx, g, t, q_start, q_rows, 0, lkv, h, -1))
-    queues: List[List[WorkItem]] = [[] for _ in range(num_ctas)]
-    for i, w in enumerate(items):
-        queues[i % num_ctas].append(w)
-    return SchedulePlan(
-        cta_queues=queues,
-        merges=[],
-        num_partial_slots=0,
-        q_tile_size=q_tile_size,
-        kv_chunk_size=max(int(kv_lens.max(initial=0)), 1),
+    l_kv = max(int(kv_lens.max(initial=0)), 1)  # no tile ever splits
+
+    def round_robin(table: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        rank = np.arange(len(table))
+        return rank, rank % num_ctas
+
+    return _build_plan(
+        qo_lens, kv_lens, q_tile_size, num_ctas, num_kv_heads, mapping_idx, l_kv,
+        round_robin,
     )

@@ -18,14 +18,11 @@ from typing import Tuple
 import numpy as np
 
 from repro.core.kernels import PARTIAL_ITEMSIZE, Q_ITEMSIZE, HeadConfig
+from repro.core.scheduler import COL_GROUP, COL_KVSTART, COL_KVSTOP, COL_QROWS, COL_QSTART, COL_SLOT
 from repro.gpu.cost import TRANSACTION_BYTES, KernelCostModel
 from repro.gpu.executor import PersistentKernelExecutor, SimReport
 from repro.sparse.layout import AttentionMapping
 from repro.utils.dtypes import StorageDType
-
-# Column indices of the serialized work-item table (wrapper._write_plan).
-COL_MAPPING, COL_GROUP, COL_QTILE, COL_QSTART, COL_QROWS = 0, 1, 2, 3, 4
-COL_KVSTART, COL_KVSTOP, COL_KVHEAD, COL_SLOT = 5, 6, 7, 8
 
 
 def _causal_processed(

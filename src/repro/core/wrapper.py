@@ -29,9 +29,10 @@ from repro.core.kernels import (
     run_mapping,
 )
 from repro.core.scheduler import (
-    MergeEntry,
+    ITEM_FIELDS,
+    MERGE_FIELDS,
+    MERGE_QROWS,
     SchedulePlan,
-    WorkItem,
     plan_schedule,
     plan_signature,
 )
@@ -49,9 +50,6 @@ from repro.core.state import merge_states
 from repro.utils.dtypes import StorageDType
 
 _wrapper_counter = itertools.count()
-
-_ITEM_FIELDS = 9  # mapping, group, q_tile, q_start, q_rows, kv_start, kv_stop, kv_head, slot
-_MERGE_FIELDS = 5  # mapping, group, q_start, q_rows, kv_head
 
 
 class BatchAttentionWrapper:
@@ -157,6 +155,8 @@ class BatchAttentionWrapper:
 
         # Queries tile over rows; GQA fuses g rows per query (Appendix A).
         self._sched_q_tile = max(self.q_tile // g_eff, 1)
+        #: The head dimension the scheduler enumerates (fused GQA → KV heads).
+        self._sched_heads = heads.num_kv_heads if fuse_head_groups else heads.num_qo_heads
         self._max_rows_eff = self._sched_q_tile * g_eff
 
         self._max_batch_size = max_batch_size
@@ -191,20 +191,17 @@ class BatchAttentionWrapper:
             self._max_batch_size = batch_size
         if self._max_total_qo is None:
             self._max_total_qo = total_qo
-        heads_dim = (
-            self.heads.num_kv_heads if self.fuse_head_groups else self.heads.num_qo_heads
-        )
         max_tiles = (
             self._max_batch_size + ceil_div(self._max_total_qo, self._sched_q_tile)
-        ) * heads_dim
+        ) * self._sched_heads
         # Split-KV produces at most 2·#CTA partial outputs (Appendix D.3).
         max_slots = 2 * self.num_ctas
         max_items = max_tiles + max_slots
         ws = self.workspace
         ws.allocate_section(self._section("counts"), 8 * 8)
-        ws.allocate_section(self._section("work_items"), max_items * _ITEM_FIELDS * 8)
+        ws.allocate_section(self._section("work_items"), max_items * ITEM_FIELDS * 8)
         ws.allocate_section(self._section("cta_indptr"), (self.num_ctas + 1) * 8)
-        ws.allocate_section(self._section("merge_meta"), max_slots * _MERGE_FIELDS * 8)
+        ws.allocate_section(self._section("merge_meta"), max_slots * MERGE_FIELDS * 8)
         ws.allocate_section(self._section("merge_indptr"), (max_slots + 1) * 8)
         ws.allocate_section(self._section("merge_slots"), max_slots * 8)
         d = self.heads.head_dim
@@ -231,38 +228,24 @@ class BatchAttentionWrapper:
         Called once per generation step; not capturable by CUDAGraph (it is
         host code), exactly as in Listing 1.
         """
-        heads_dim = (
-            self.heads.num_kv_heads if self.fuse_head_groups else self.heads.num_qo_heads
+        sched_args = (
+            mapping.qo_lens, mapping.kv.kv_lens, self._sched_q_tile, self.num_ctas
+        )
+        sched_kwargs = dict(
+            num_kv_heads=self._sched_heads,
+            chunk_granularity=self.kv_tile,
+            split_kv=self.split_kv,
+            causal=mapping.causal,
+            q_pos_offset=mapping.q_pos_offset,
+            kv_pos_offset=mapping.kv_pos_offset,
         )
         cache = self.plan_cache
         plan = None
         if cache is not None:
-            key = plan_signature(
-                mapping.qo_lens,
-                mapping.kv.kv_lens,
-                self._sched_q_tile,
-                self.num_ctas,
-                num_kv_heads=heads_dim,
-                chunk_granularity=self.kv_tile,
-                split_kv=self.split_kv,
-                causal=mapping.causal,
-                q_pos_offset=mapping.q_pos_offset,
-                kv_pos_offset=mapping.kv_pos_offset,
-            )
+            key = plan_signature(*sched_args, **sched_kwargs)
             plan = cache.get(key)
         if plan is None:
-            plan = plan_schedule(
-                mapping.qo_lens,
-                mapping.kv.kv_lens,
-                self._sched_q_tile,
-                self.num_ctas,
-                num_kv_heads=heads_dim,
-                chunk_granularity=self.kv_tile,
-                split_kv=self.split_kv,
-                causal=mapping.causal,
-                q_pos_offset=mapping.q_pos_offset,
-                kv_pos_offset=mapping.kv_pos_offset,
-            )
+            plan = plan_schedule(*sched_args, **sched_kwargs)
             if cache is not None:
                 cache.put(key, plan)
         self._ensure_sections(mapping.num_groups, mapping.total_qo)
@@ -273,7 +256,7 @@ class BatchAttentionWrapper:
                 f"max_batch_size/max_total_qo (Appendix D.3)"
             )
         item_capacity = self.workspace.section(self._section("work_items")).nbytes // (
-            _ITEM_FIELDS * 8
+            ITEM_FIELDS * 8
         )
         if plan.num_work_items > item_capacity:
             raise ValueError(
@@ -291,83 +274,35 @@ class BatchAttentionWrapper:
         return plan
 
     def _write_plan(self, plan: SchedulePlan) -> None:
-        items: List[WorkItem] = [w for q in plan.cta_queues for w in q]
-        cta_indptr = np.zeros(self.num_ctas + 1, dtype=np.int64)
-        np.cumsum([len(q) for q in plan.cta_queues], out=cta_indptr[1:])
-        item_arr = np.asarray(
+        """Copy the plan tables into their fixed-offset sections."""
+        counts = np.array(
             [
-                (
-                    w.mapping_idx, w.group, w.q_tile, w.q_start, w.q_rows,
-                    w.kv_start, w.kv_stop, w.kv_head, w.partial_slot,
-                )
-                for w in items
-            ],
-            dtype=np.int64,
-        ).reshape(len(items), _ITEM_FIELDS)
-        merge_meta = np.asarray(
-            [
-                (m.mapping_idx, m.group, m.q_start, m.q_rows, m.kv_head)
-                for m in plan.merges
-            ],
-            dtype=np.int64,
-        ).reshape(len(plan.merges), _MERGE_FIELDS)
-        merge_indptr = np.zeros(len(plan.merges) + 1, dtype=np.int64)
-        np.cumsum([len(m.slots) for m in plan.merges], out=merge_indptr[1:])
-        merge_slots = np.asarray(
-            [s for m in plan.merges for s in m.slots], dtype=np.int64
-        )
-        counts = np.asarray(
-            [
-                len(items), len(plan.merges), merge_slots.size,
-                plan.num_partial_slots, plan.q_tile_size, plan.kv_chunk_size,
-                0, 0,
+                plan.num_work_items, len(plan.merge_meta), plan.merge_slots.size,
+                plan.num_partial_slots, plan.q_tile_size, plan.kv_chunk_size, 0, 0,
             ],
             dtype=np.int64,
         )
         ws = self.workspace
         ws.write(self._section("counts"), counts)
-        if item_arr.size:
-            ws.write(self._section("work_items"), item_arr)
-        ws.write(self._section("cta_indptr"), cta_indptr)
-        if merge_meta.size:
-            ws.write(self._section("merge_meta"), merge_meta)
-        ws.write(self._section("merge_indptr"), merge_indptr)
-        if merge_slots.size:
-            ws.write(self._section("merge_slots"), merge_slots)
+        ws.write(self._section("work_items"), plan.items)
+        ws.write(self._section("cta_indptr"), plan.cta_indptr)
+        ws.write(self._section("merge_meta"), plan.merge_meta)
+        ws.write(self._section("merge_indptr"), plan.merge_indptr)
+        ws.write(self._section("merge_slots"), plan.merge_slots)
 
     def _read_plan(self) -> SchedulePlan:
-        """Reconstruct the plan from workspace contents (the kernel's view)."""
-        ws = self.workspace
-        counts = ws.read(self._section("counts"), np.int64, 8)
-        n_items, n_merges, n_slots, n_partial, q_tile_size, kv_chunk = (
-            int(counts[0]), int(counts[1]), int(counts[2]), int(counts[3]),
-            int(counts[4]), int(counts[5]),
-        )
-        item_arr = ws.read(
-            self._section("work_items"), np.int64, n_items * _ITEM_FIELDS
-        ).reshape(n_items, _ITEM_FIELDS)
-        cta_indptr = ws.read(self._section("cta_indptr"), np.int64, self.num_ctas + 1)
-        queues: List[List[WorkItem]] = []
-        for c in range(self.num_ctas):
-            queues.append(
-                [WorkItem(*row) for row in item_arr[cta_indptr[c] : cta_indptr[c + 1]]]
-            )
-        merge_meta = ws.read(
-            self._section("merge_meta"), np.int64, n_merges * _MERGE_FIELDS
-        ).reshape(n_merges, _MERGE_FIELDS)
-        merge_indptr = ws.read(self._section("merge_indptr"), np.int64, n_merges + 1)
-        merge_slots = ws.read(self._section("merge_slots"), np.int64, n_slots)
-        merges = [
-            MergeEntry(
-                int(merge_meta[i, 0]), int(merge_meta[i, 1]), int(merge_meta[i, 2]),
-                int(merge_meta[i, 3]), int(merge_meta[i, 4]),
-                tuple(int(s) for s in merge_slots[merge_indptr[i] : merge_indptr[i + 1]]),
-            )
-            for i in range(n_merges)
-        ]
+        """The plan as the workspace holds it (the kernel's view)."""
+
+        def read(section: str, count: int) -> np.ndarray:
+            return self.workspace.read(self._section(section), np.int64, count)
+
+        n_items, n_merges, n_slots, n_partial, q_tile_size, kv_chunk = read("counts", 6).tolist()
         return SchedulePlan(
-            cta_queues=queues,
-            merges=merges,
+            items=read("work_items", n_items * ITEM_FIELDS).reshape(n_items, ITEM_FIELDS),
+            cta_indptr=read("cta_indptr", self.num_ctas + 1),
+            merge_meta=read("merge_meta", n_merges * MERGE_FIELDS).reshape(n_merges, MERGE_FIELDS),
+            merge_indptr=read("merge_indptr", n_merges + 1),
+            merge_slots=read("merge_slots", n_slots),
             num_partial_slots=n_partial,
             q_tile_size=q_tile_size,
             kv_chunk_size=kv_chunk,
@@ -387,30 +322,20 @@ class BatchAttentionWrapper:
             simulate_queues,
         )
 
-        ws = self.workspace
-        counts = ws.read(self._section("counts"), np.int64, 8)
-        n_items, n_merges = int(counts[0]), int(counts[1])
-        item_arr = ws.read(
-            self._section("work_items"), np.int64, n_items * _ITEM_FIELDS
-        ).reshape(n_items, _ITEM_FIELDS)
-        cta_indptr = ws.read(self._section("cta_indptr"), np.int64, self.num_ctas + 1)
-        cta_of_item = np.repeat(np.arange(self.num_ctas), np.diff(cta_indptr))
+        plan = self._read_plan()
         g_eff = self.heads.group_size if self.fuse_head_groups else 1
         compute_share = min(1.0, self.gpu.num_sms / self.num_ctas)
         costs = item_cost_arrays(
-            item_arr, self._mapping, self.heads, self.kv_tile, self.kv_dtype,
-            int(counts[4]), self.fuse_head_groups, self.traits.uses_tensor_cores,
+            plan.items, self._mapping, self.heads, self.kv_tile, self.kv_dtype,
+            plan.q_tile_size, self.fuse_head_groups, self.traits.uses_tensor_cores,
             self.sparse_gather, self.executor.cost_model, compute_share,
             self.compute_penalty,
         )
-        report = simulate_queues(self.executor, costs, cta_of_item, self.num_ctas)
+        report = simulate_queues(self.executor, costs, plan.cta_of_item, self.num_ctas)
+        n_merges = len(plan.merge_meta)
         if n_merges:
-            merge_meta = ws.read(
-                self._section("merge_meta"), np.int64, n_merges * _MERGE_FIELDS
-            ).reshape(n_merges, _MERGE_FIELDS)
-            merge_indptr = ws.read(self._section("merge_indptr"), np.int64, n_merges + 1)
             mcosts = merge_cost_arrays(
-                np.diff(merge_indptr), merge_meta[:, 3] * g_eff,
+                np.diff(plan.merge_indptr), plan.merge_meta[:, MERGE_QROWS] * g_eff,
                 self.heads.head_dim, self.executor.cost_model, compute_share,
             )
             merge_cta = np.arange(n_merges) % self.num_ctas

@@ -28,7 +28,7 @@ from typing import Dict, Hashable, Optional, Tuple
 
 
 class PlanCache:
-    """Bounded FIFO memo of :class:`repro.core.SchedulePlan` objects.
+    """Bounded LRU memo of :class:`repro.core.SchedulePlan` objects.
 
     Parameters
     ----------

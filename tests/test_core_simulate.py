@@ -1,5 +1,7 @@
 """Pins the vectorized cost simulation to the per-item reference path."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,9 @@ def both_paths(heads, kv_lens, qo_lens, **kwargs):
     """Run the slow (per-item) and fast (vectorized) paths; return reports."""
     page_size = kwargs.pop("page_size", 16)
     causal = kwargs.pop("causal", True)
+    offsets = {k: kwargs.pop(k) for k in ("q_pos_offset", "kv_pos_offset") if k in kwargs}
     mapping, slots = make_paged_mapping(kv_lens, qo_lens, page_size, causal)
+    mapping = dataclasses.replace(mapping, **offsets)
     ws = WorkspaceBuffer(1 << 28)
     w = BatchAttentionWrapper(
         VANILLA, heads, ws, avg_qo_len=float(np.mean(qo_lens)), **kwargs
@@ -43,6 +47,15 @@ class TestEquivalence:
 
     def test_prefill_causal(self):
         slow, fast = both_paths(HeadConfig(4, 4, 16), [130, 64], [130, 64])
+        assert_reports_equal(slow, fast)
+
+    def test_causal_chunked_prefill_with_offsets(self):
+        """Mid-prompt chunks: queries sit inside the KV, not at its end, and
+        one group's KV starts past position 0 (a cascade suffix)."""
+        slow, fast = both_paths(
+            HeadConfig(4, 2, 16), [700, 200, 300], [130, 48, 64],
+            q_pos_offset=[100, 512 + 72, 0], kv_pos_offset=[0, 512, 0],
+        )
         assert_reports_equal(slow, fast)
 
     def test_non_causal(self):

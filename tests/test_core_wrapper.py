@@ -182,6 +182,28 @@ class TestLifecycle:
         w.plan(m)
         assert w.plan_count == 2
 
+    @pytest.mark.parametrize(
+        "kv_lens, qo_lens",
+        [([5000, 64, 300], [1, 1, 1]), ([700, 90], [130, 64]), ([64], [1])],
+        ids=["split-decode", "prefill-tiles", "single-item"],
+    )
+    def test_plan_round_trips_through_workspace(self, kv_lens, qo_lens):
+        """What the kernel reads back is the plan ``plan()`` returned, table
+        for table — including after a larger plan occupied the sections."""
+        heads = HeadConfig(4, 2, 16)
+        w = BatchAttentionWrapper(
+            VANILLA, heads, WorkspaceBuffer(1 << 26), avg_qo_len=1,
+            max_batch_size=64, max_total_qo=4096,
+        )
+        big, _ = make_paged_mapping([9000] * 8, [1] * 8, 16)
+        w.plan(big)
+        mapping, _ = make_paged_mapping(kv_lens, qo_lens, 16)
+        plan = w.plan(mapping)
+        seen = w._read_plan()
+        assert seen == plan
+        assert seen.cta_queues == plan.cta_queues and seen.merges == plan.merges
+        assert seen.items is not plan.items  # a copy out of the buffer
+
 
 class TestComposableWrapper:
     def test_matches_single_format(self, rng):
