@@ -95,14 +95,27 @@ def _cmd_serve(args) -> int:
     heads = HeadConfig(model.num_qo_heads, model.num_kv_heads, model.head_dim)
     if args.recover:
         return _serve_recover(args, model, heads)
-    if args.prefix_cache:
-        return _serve_prefix(args, model)
-    if args.overload:
-        return _serve_overload(args, model)
-    if args.disagg:
-        return _serve_disagg(args, model)
-    if args.tp > 1 or args.dp > 1 or args.fail_replica is not None:
-        return _serve_cluster(args, model)
+    features = [
+        flag if value is True else f"{flag} {value}" for flag, value in (
+            ("--disagg", args.disagg), ("--prefix-cache", args.prefix_cache),
+            ("--overload", args.overload), ("--fail-replica", args.fail_replica),
+        ) if value not in (None, False)
+    ]
+    if features or args.tp > 1 or args.dp is not None:
+        for flag in ("chaos", "crash", "journal"):
+            if getattr(args, flag):
+                print(f"serve: --{flag} drives the single-engine path and "
+                      f"cannot be combined with {(features + ['--tp/--dp'])[0]}",
+                      file=sys.stderr)
+                return 2
+        try:
+            return _serve_cluster(args, model, features)
+        except ValueError as exc:
+            # Flags that cannot be honoured together (a role split that
+            # contradicts --dp, a router that cannot serve role pools, a
+            # tp that does not divide the heads) are refused, not dropped.
+            print(f"serve: {exc}", file=sys.stderr)
+            return 2
     requests = sharegpt_workload(args.requests, args.rate, seed=args.seed)
     if args.crash:
         return _serve_crash(args, model, heads, requests)
@@ -159,111 +172,183 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _serve_cluster(args, model) -> int:
-    """The ``serve --tp N --dp M`` pass: run the workload on a simulated
-    multi-GPU cluster, verify token-exactness against a single-GPU
-    reference run, and report cluster/replica/link utilization.  With
-    ``--fail-replica`` the run also kills (or drains) replica 0 mid-run
-    and recovers it through the failover pipeline: heartbeat detection,
-    live KV migration to a healthy replica over priced links, and a
-    token-exact takeover resume."""
-    from repro.cluster import (
-        ClusterConfig,
-        ClusterEngine,
-        FailoverConfig,
-        ReplicaFailure,
-        expected_tokens,
-    )
-    from repro.gpu import H100_80G
-    from repro.serving import EngineConfig, sharegpt_workload
+#: ``serve`` report sections, printed when the section's first key is in
+#: :meth:`ClusterMetrics.summary` — each feature's keys exist only when
+#: the feature ran, so the sections compose the way the features do.
+_SERVE_SECTIONS = (
+    ("latency", ("cluster_p50_ttft", "cluster_p95_ttft", "cluster_p99_ttft",
+                 "cluster_p50_itl", "cluster_p95_itl", "cluster_p99_itl")),
+    ("links", ("link_bytes", "link_utilization", "link_degradations")),
+    ("handoff", ("handoff_requests", "handoff_pages", "handoff_bytes",
+                 "handoff_chunks", "handoff_retries", "handoff_pages_skipped",
+                 "link_handoff_bytes", "handoff_transfer_s")),
+    ("failover", ("failover_detect_s", "failover_recovery_s",
+                  "failover_transitions", "failover_inflight_migrated",
+                  "failover_fallbacks")),
+    ("migration", ("migration_pages", "migration_chunks", "migration_bytes",
+                   "migration_retries", "link_migration_bytes")),
+    ("prefix", ("cluster_radix_hit_tokens", "cluster_radix_hit_prompts",
+                "cluster_cascade_steps", "cluster_cascade_bytes_saved")),
+    ("front door", ("overload_offered", "overload_admitted",
+                    "overload_rejected", "overload_retries",
+                    "overload_dropped", "overload_timeouts",
+                    "overload_reroutes")),
+    ("breakers", ("breaker_open_total", "breaker_half_open_total",
+                  "breaker_close_total")),
+    ("brownout", ("brownout_engaged", "brownout_annealed",
+                  "brownout_peak_level", "brownout_final_level")),
+    ("hedging", ("hedged_prefills", "hedge_wins")),
+    ("slo", ("slo_attainment",)),
+)
 
+
+def _print_arm(title: str, cm) -> None:
+    """One cluster run: the makespan line, a line per replica, then every
+    report section its summary has keys for."""
+    s = cm.summary()
+    print(
+        f"  {title}: {s['cluster_total_time'] * 1e3:.1f} ms makespan, "
+        f"{s['cluster_throughput_tok_s']:.0f} tok/s, "
+        f"{int(s['cluster_output_tokens'])} tokens, "
+        f"{int(s['cluster_preemptions'])} preemptions"
+    )
+    for i in range(cm.dp):
+        print(
+            f"    replica {i} : {int(s[f'replica{i}_requests']):3d} requests, "
+            f"{s[f'replica{i}_total_time'] * 1e3:8.1f} ms, "
+            f"{s[f'replica{i}_throughput_tok_s']:7.0f} tok/s, "
+            f"{s[f'replica{i}_utilization']:6.1%} of makespan"
+        )
+    for label, keys in _SERVE_SECTIONS:
+        if keys[0] in s:
+            print(f"    {label:<10}: " + " ".join(
+                f"{key.removeprefix('cluster_')}={_fmt_metric(key, s.get(key, 0.0))}"
+                for key in keys
+            ))
+
+
+def _fmt_metric(key: str, value: float) -> str:
+    if key.endswith(("_s", "_ttft", "_itl")):
+        return f"{value * 1e3:.2f}ms"
+    return str(int(value)) if float(value).is_integer() else f"{value:.3f}"
+
+
+def _serve_cluster(args, model, features) -> int:
+    """The one cluster ``serve`` path.
+
+    The flags build one workload, one :class:`ClusterConfig` and the
+    engine's keyword arguments, so ``--tp/--dp``, ``--disagg``,
+    ``--prefix-cache``, ``--overload`` and ``--fail-replica`` compose.  It
+    runs the single-GPU token oracle, the requested cluster, and one
+    *control arm* — the same trace with every requested feature off (or,
+    with no feature requested, at dp=1) — then prints each report section
+    whose keys :meth:`ClusterMetrics.summary` emitted.  Exit code 0 means
+    every stream of both arms matched the oracle.
+    """
+    import dataclasses
+
+    from repro.cluster import (
+        BreakerConfig, ClusterConfig, ClusterEngine, FailoverConfig,
+        ReplicaFailure, expected_tokens, parse_roles,
+    )
+    from repro.faults import FaultPlan
+    from repro.gpu import H100_80G
+    from repro.serving import (
+        EngineConfig, bursty_workload, mixed_disagg_workload,
+        shared_prefix_workload, sharegpt_workload,
+    )
+    from repro.serving.overload import (
+        OverloadConfig, overload_token_divergence, slo_attainment,
+    )
+
+    dp = args.dp or 1
+    if args.disagg:
+        dp = sum(len(pool) for pool in parse_roles(args.disagg, args.dp))
     failure = None
     if args.fail_replica is not None:
         step, _, mode = str(args.fail_replica).partition(":")
         failure = ReplicaFailure(int(step), mode or "crash")
 
-    requests = sharegpt_workload(args.requests, args.rate, seed=args.seed)
-    cfg = ClusterConfig(
-        tp=args.tp, dp=args.dp, topology=args.topology, router=args.router,
-        engine=EngineConfig(max_running=256, policy=args.policy),
+    # The workload is the one the leading feature is about; the engine
+    # template takes every requested feature's settings.
+    engine = dict(max_running=256, policy=args.policy)
+    if args.overload or args.prefix_cache or args.disagg:
+        engine.update(chunked_prefill=True, composable=True)
+    overload = None
+    if args.overload:
+        dp = max(dp, 2)
+        requests = bursty_workload(
+            args.requests, args.rate, seed=args.seed, tenants=args.tenants,
+            burst=args.burst, burst_len=0.25, burst_every=0.6,
+        )
+        kind = f"bursty ({args.tenants} tenants, {args.burst:g}x bursts)"
+        engine.update(max_running=16, prefill_chunk_size=256)
+        overload = OverloadConfig(
+            tenants=args.tenants, admit_rate=24.0, burst_capacity=8.0,
+            max_client_retries=5, retry_budget=2.0, retry_base=0.08,
+            seed=args.seed, slo_ttft=0.4, engage_after=25, anneal_after=60,
+            brownout_clamp=32,
+            breaker=BreakerConfig(fail_threshold=3, cooldown=0.25,
+                                  probe_successes=2, pressure_threshold=0.5),
+        )
+    elif args.prefix_cache:
+        requests = shared_prefix_workload(args.requests, args.rate, seed=args.seed)
+        kind = "shared-prefix"
+    elif args.disagg:
+        requests = mixed_disagg_workload(args.requests, args.rate, seed=args.seed)
+        kind = "mixed long-prompt/chatty"
+    else:
+        requests = sharegpt_workload(args.requests, args.rate, seed=args.seed)
+        kind = "ShareGPT-like"
+
+    # ``plain`` is the cluster with every feature off; ``cfg`` turns the
+    # requested ones on.
+    plain = ClusterConfig(
+        tp=args.tp, dp=dp, topology=args.topology, router=args.router,
+        engine=EngineConfig(**engine),
         checkpoint_every=args.checkpoint_every,
-        failover=FailoverConfig() if failure is not None else None,
+    )
+    cfg = dataclasses.replace(
+        plain, roles=args.disagg, overload=overload,
+        engine=dataclasses.replace(plain.engine, prefix_cache=args.prefix_cache),
+        failover=FailoverConfig() if failure else None,
     )
     cluster = ClusterEngine(
         model, H100_80G, cfg, trace=bool(args.trace),
-        replica_failures={0: failure} if failure is not None else None,
+        replica_failures={0: failure} if failure else None,
+        fault_plan=(
+            FaultPlan(seed=args.seed, timeout_rate=0.08) if overload else None
+        ),
     )
     print(
-        f"{args.requests} ShareGPT-like requests at {args.rate} req/s, "
-        f"{model.name} on a {args.tp * args.dp}-GPU H100 cluster "
-        f"(tp={args.tp}, dp={args.dp}, {args.topology} topology, "
-        f"{args.router} router)"
+        f"{len(requests)} {kind} requests at {args.rate} req/s, {model.name} "
+        f"on a {args.tp * dp}-GPU H100 cluster (tp={args.tp}, dp={dp}, "
+        f"{args.topology} topology, {cluster.router.name} router"
+        + "".join(f", {flag}" for flag in features) + ")"
     )
-    if failure is not None:
-        print(
-            f"  failover  : replica 0 scripted to {failure.mode} at engine "
-            f"step {failure.step} (heartbeat detection + live KV migration)"
-        )
-    reference = cluster.run_reference(requests)
+
+    # The oracle has every feature off: caching, disaggregation, failover
+    # and admission control are timing-only (brownout clamps cut a stream
+    # to an exact prefix, which overload_token_divergence accepts).
+    control = ClusterEngine(
+        model, H100_80G, plain if features else dataclasses.replace(plain, dp=1)
+    )
+    oracle = expected_tokens(control.run_reference(requests))
     cm = cluster.run(requests)
-    s = cm.summary()
-    print(
-        f"  cluster   : {s['cluster_total_time'] * 1e3:8.1f} ms makespan, "
-        f"{s['cluster_throughput_tok_s']:7.0f} tok/s, "
-        f"{int(s['cluster_output_tokens'])} tokens, "
-        f"{int(s['cluster_preemptions'])} preemptions"
-    )
-    print(
-        f"  latency   : p50_ttft={s['cluster_p50_ttft'] * 1e3:.2f}ms "
-        f"p95_ttft={s['cluster_p95_ttft'] * 1e3:.2f}ms "
-        f"p99_ttft={s['cluster_p99_ttft'] * 1e3:.2f}ms | "
-        f"p50_itl={s['cluster_p50_itl'] * 1e3:.2f}ms "
-        f"p95_itl={s['cluster_p95_itl'] * 1e3:.2f}ms "
-        f"p99_itl={s['cluster_p99_itl'] * 1e3:.2f}ms"
-    )
-    for i in range(args.dp):
-        print(
-            f"  replica {i} : {int(s[f'replica{i}_requests']):3d} requests, "
-            f"{s[f'replica{i}_total_time'] * 1e3:8.1f} ms, "
-            f"{s[f'replica{i}_throughput_tok_s']:7.0f} tok/s, "
-            f"{s[f'replica{i}_utilization']:6.1%} of makespan"
-        )
-    if "link_utilization" in s:
-        print(
-            f"  interconnect: {s['link_bytes'] / 1e9:.2f} GB on the wire, "
-            f"{s['link_utilization']:.1%} busy "
-            f"({cluster.topology.link.name}, "
-            f"{int(s['link_degradations'])} degradation windows)"
-        )
-    if failure is not None:
-        print(
-            f"  failover  : detected in {s['failover_detect_s'] * 1e3:.1f} ms, "
-            f"recovered in {s['failover_recovery_s'] * 1e3:.1f} ms "
-            f"({int(s['failover_transitions'])} health transitions, "
-            f"{int(s['failover_inflight_migrated'])} in-flight streams "
-            f"carried over, {int(s['failover_fallbacks'])} fallbacks)"
-        )
-        print(
-            f"  migration : migration_pages={int(s['migration_pages'])} in "
-            f"{int(s['migration_chunks'])} chunks, "
-            f"{s['migration_bytes'] / 1e6:.2f} MB wire "
-            f"({int(s['migration_retries'])} link retries, "
-            f"link_migration_bytes={int(s.get('link_migration_bytes', 0))})"
-        )
-    if args.dp > 1:
-        base = ClusterEngine(
-            model, H100_80G,
-            ClusterConfig(
-                tp=args.tp, dp=1, topology=args.topology, router=args.router,
-                engine=EngineConfig(max_running=256, policy=args.policy),
-            ),
-        ).run(requests)
-        speedup = (
-            cm.throughput_tokens_per_s() / base.throughput_tokens_per_s()
-            if base.throughput_tokens_per_s() > 0 else float("nan")
-        )
-        print(f"  dp_speedup={speedup:.2f} (vs dp=1 at tp={args.tp})")
-    divergent, compared = cm.token_divergence(expected_tokens(reference))
+    _print_arm("run", cm)
+    divergent, compared = overload_token_divergence(cm, oracle)
+    if features or dp > 1:
+        base = control.run(requests)
+        _print_arm(f"control arm ({'features off' if features else 'dp=1'})", base)
+        if overload is not None:
+            _, met = slo_attainment(base, len(requests), overload.slo_ttft)
+            print(f"    slo       : slo_attainment={met:.3f}")
+        if not features:
+            speedup = cm.throughput_tokens_per_s() / base.throughput_tokens_per_s()
+            print(f"  dp_speedup={speedup:.2f} (vs dp=1 at tp={args.tp})")
+        base_divergent, base_compared = base.token_divergence(oracle)
+        divergent += base_divergent
+        compared += base_compared
     print(
         f"  token_divergence={divergent} "
         f"({compared} streams compared vs single-GPU reference)"
@@ -273,278 +358,13 @@ def _serve_cluster(args, model) -> int:
 
         write_cluster_trace(
             args.trace, cluster.trace_processes(),
-            metadata={"model": model.name, "tp": args.tp, "dp": args.dp,
-                      "topology": args.topology, "router": args.router,
+            metadata={"model": model.name, "tp": args.tp, "dp": dp,
+                      "topology": args.topology, "router": cluster.router.name,
                       "requests": args.requests, "rate": args.rate},
         )
         print(f"  cluster trace → {args.trace} "
-              f"({args.dp} replica process rows, shared simulated clock)")
+              f"({dp} replica process rows, shared simulated clock)")
     return 0 if divergent == 0 else 1
-
-
-def _serve_disagg(args, model) -> int:
-    """The ``serve --disagg prefill=N,decode=M`` pass: split the dp pool
-    into dedicated prefill and decode replicas, run a mixed long-prompt +
-    chatty workload, ship every finished prompt's live KV pages to its
-    paired decode replica over priced ``handoff`` links, and verify the
-    resumed streams token-exact against a single-GPU reference run."""
-    from repro.cluster import (
-        ClusterConfig,
-        ClusterEngine,
-        expected_tokens,
-        parse_roles,
-    )
-    from repro.gpu import H100_80G
-    from repro.serving import EngineConfig, mixed_disagg_workload
-
-    counts = {}
-    for part in str(args.disagg).split(","):
-        key, _, value = part.partition("=")
-        counts[key.strip()] = int(value) if value else 0
-    dp = sum(counts.values())
-    prefill_ids, decode_ids = parse_roles(args.disagg, dp)
-
-    requests = mixed_disagg_workload(args.requests, args.rate, seed=args.seed)
-    long_prompts = sum(1 for r in requests if r.prompt_len >= 512)
-    engine_cfg = EngineConfig(
-        max_running=256, policy=args.policy,
-        chunked_prefill=True, composable=True,
-    )
-    cfg = ClusterConfig(
-        tp=args.tp, dp=dp, topology=args.topology, roles=args.disagg,
-        engine=engine_cfg,
-    )
-    cluster = ClusterEngine(model, H100_80G, cfg)
-    print(
-        f"{len(requests)} mixed requests ({long_prompts} long-prompt, "
-        f"{len(requests) - long_prompts} chatty) at {args.rate} req/s, "
-        f"{model.name} on a {args.tp * dp}-GPU H100 cluster "
-        f"(disaggregated: prefill={list(prefill_ids)}, "
-        f"decode={list(decode_ids)}, {args.topology} topology)"
-    )
-    reference = cluster.run_reference(requests)
-    cm = cluster.run(requests)
-    s = cm.summary()
-    print(
-        f"  cluster   : {s['cluster_total_time'] * 1e3:8.1f} ms makespan, "
-        f"{s['cluster_throughput_tok_s']:7.0f} tok/s, "
-        f"{int(s['cluster_output_tokens'])} tokens"
-    )
-    for i in range(dp):
-        role = "prefill" if i in prefill_ids else "decode"
-        print(
-            f"  replica {i} : {role:>7s}, "
-            f"{int(s[f'replica{i}_requests']):3d} requests, "
-            f"{s[f'replica{i}_total_time'] * 1e3:8.1f} ms, "
-            f"{s[f'replica{i}_throughput_tok_s']:7.0f} tok/s"
-        )
-    print(
-        f"  handoff   : handoff_requests={int(s['handoff_requests'])} "
-        f"handoff_pages={int(s['handoff_pages'])} "
-        f"handoff_bytes={int(s['handoff_bytes'])} "
-        f"handoff_chunks={int(s['handoff_chunks'])} "
-        f"handoff_retries={int(s['handoff_retries'])} "
-        f"handoff_pages_skipped={int(s['handoff_pages_skipped'])}"
-    )
-    print(
-        f"  interconnect: "
-        f"link_handoff_bytes={int(s.get('link_handoff_bytes', 0))} "
-        f"({s['handoff_transfer_s'] * 1e3:.2f} ms on the wire, "
-        f"{cluster.topology.link.name})"
-    )
-    print(
-        f"  ttft      : p50_ttft={s['cluster_p50_ttft'] * 1e3:.2f}ms "
-        f"p95_ttft={s['cluster_p95_ttft'] * 1e3:.2f}ms "
-        f"p99_ttft={s['cluster_p99_ttft'] * 1e3:.2f}ms"
-    )
-    print(
-        f"  itl       : p50_itl={s['cluster_p50_itl'] * 1e3:.2f}ms "
-        f"p95_itl={s['cluster_p95_itl'] * 1e3:.2f}ms "
-        f"p99_itl={s['cluster_p99_itl'] * 1e3:.2f}ms"
-    )
-    divergent, compared = cm.token_divergence(expected_tokens(reference))
-    print(
-        f"  token_divergence={divergent} "
-        f"({compared} streams compared vs single-GPU reference)"
-    )
-    ok = divergent == 0 and int(s["handoff_requests"]) > 0
-    return 0 if ok else 1
-
-
-def _serve_overload(args, model) -> int:
-    """The ``serve --overload`` pass: drive a bursty multi-tenant workload
-    at a multiple of cluster capacity through the overload-hardened front
-    door (per-tenant token buckets + client retries), per-replica circuit
-    breakers, hedged prefill and the SLO-driven brownout ladder — then run
-    the *same trace* without the overload layer and report the SLO
-    attainment delta.  Accepted streams are verified token-exact against
-    an uncontended single-GPU reference (brownout-clamped streams must be
-    exact prefixes)."""
-    from repro.cluster import ClusterConfig, ClusterEngine, expected_tokens
-    from repro.cluster.router import BreakerConfig
-    from repro.faults import FaultPlan
-    from repro.gpu import H100_80G
-    from repro.serving import EngineConfig, bursty_workload
-    from repro.serving.overload import (
-        OverloadConfig,
-        overload_token_divergence,
-        slo_attainment,
-    )
-
-    dp = max(args.dp, 2)
-    requests = bursty_workload(
-        args.requests, args.rate, seed=args.seed, tenants=args.tenants,
-        burst=args.burst, burst_len=0.25, burst_every=0.6,
-    )
-    offered = len(requests)
-    span = requests[-1].arrival if requests else 0.0
-    engine_cfg = EngineConfig(
-        max_running=16, chunked_prefill=True, composable=True,
-        prefill_chunk_size=256, policy=args.policy,
-    )
-    overload = OverloadConfig(
-        tenants=args.tenants, admit_rate=24.0, burst_capacity=8.0,
-        max_client_retries=5, retry_budget=2.0, retry_base=0.08,
-        seed=args.seed, slo_ttft=0.4, engage_after=25, anneal_after=60,
-        brownout_clamp=32,
-        breaker=BreakerConfig(fail_threshold=3, cooldown=0.25,
-                              probe_successes=2, pressure_threshold=0.5),
-    )
-    print(
-        f"{offered} bursty requests ({args.tenants} tenants, {args.burst:g}x "
-        f"bursts) in {span:.2f} s, {model.name} on a dp={dp} H100 cluster "
-        f"({args.router} router, overload front door armed)"
-    )
-
-    cluster = ClusterEngine(
-        model, H100_80G,
-        ClusterConfig(dp=dp, topology=args.topology, router=args.router,
-                      engine=engine_cfg, overload=overload),
-        fault_plan=FaultPlan(seed=args.seed, timeout_rate=0.08),
-    )
-    reference = cluster.run_reference(requests)
-    cm = cluster.run(requests)
-    s = cm.summary()
-
-    # Same trace, no overload layer: the control arm for the SLO delta.
-    baseline = ClusterEngine(
-        model, H100_80G,
-        ClusterConfig(dp=dp, topology=args.topology, router=args.router,
-                      engine=engine_cfg),
-    ).run(requests)
-    base_met, base_frac = slo_attainment(baseline, offered, overload.slo_ttft)
-
-    print(
-        f"  front door: overload_offered={int(s['overload_offered'])} "
-        f"overload_admitted={int(s['overload_admitted'])} "
-        f"overload_rejected={int(s['overload_rejected'])} "
-        f"overload_retries={int(s['overload_retries'])} "
-        f"overload_dropped={int(s['overload_dropped'])}"
-    )
-    print(
-        f"  breakers  : breaker_open_total={int(s['breaker_open_total'])} "
-        f"breaker_half_open_total={int(s['breaker_half_open_total'])} "
-        f"breaker_close_total={int(s['breaker_close_total'])} "
-        f"(timeouts={int(s['overload_timeouts'])}, "
-        f"reroutes={int(s['overload_reroutes'])})"
-    )
-    print(
-        f"  brownout  : brownout_engaged={int(s['brownout_engaged'])} "
-        f"brownout_annealed={int(s['brownout_annealed'])} "
-        f"peak_level={int(s['brownout_peak_level'])} "
-        f"final_level={int(s['brownout_final_level'])}"
-    )
-    print(
-        f"  hedging   : hedged_prefills={int(s['hedged_prefills'])} "
-        f"hedge_wins={int(s['hedge_wins'])}"
-    )
-    print(
-        f"  slo_attainment={s['slo_attainment']:.3f} "
-        f"(baseline {base_frac:.3f} without the overload layer, "
-        f"TTFT <= {overload.slo_ttft:g} s, drops count as misses)"
-    )
-    divergent, compared = overload_token_divergence(
-        cm, expected_tokens(reference)
-    )
-    print(
-        f"  token_divergence={divergent} "
-        f"({compared} accepted streams compared vs uncontended reference)"
-    )
-    return 0 if divergent == 0 else 1
-
-
-def _serve_prefix(args, model) -> int:
-    """The ``serve --prefix-cache`` pass: serve a shared-prefix workload
-    cold (no cache) and warm (radix prefix cache + cascade attention),
-    verify both against the single-GPU token oracle, and report the
-    prefill work the cache removed."""
-    import dataclasses
-
-    from repro.cluster import ClusterConfig, ClusterEngine, expected_tokens
-    from repro.gpu import H100_80G
-    from repro.serving import EngineConfig, shared_prefix_workload
-
-    requests = shared_prefix_workload(args.requests, args.rate, seed=args.seed)
-    shared = sum(r.prefix_len for r in requests)
-    total = sum(r.prompt_len for r in requests)
-    warm_engine = EngineConfig(
-        max_running=256, policy=args.policy, chunked_prefill=True,
-        prefix_cache=True, composable=True,
-    )
-    cfg = ClusterConfig(
-        tp=args.tp, dp=args.dp, topology=args.topology, router=args.router,
-        engine=warm_engine, checkpoint_every=args.checkpoint_every,
-    )
-    print(
-        f"{args.requests} shared-prefix requests at {args.rate} req/s "
-        f"({shared / total:.0%} of prompt tokens shared), {model.name} on a "
-        f"{args.tp * args.dp}-GPU H100 cluster (tp={args.tp}, dp={args.dp}, "
-        f"{args.router} router)"
-    )
-    cold_cfg = dataclasses.replace(
-        cfg,
-        engine=dataclasses.replace(warm_engine, prefix_cache=False, composable=False),
-    )
-    cold_cluster = ClusterEngine.from_config(cold_cfg, model=model, gpu=H100_80G)
-    # The oracle is the cold-cache single-GPU run: the warm cluster must
-    # reproduce its tokens exactly for caching to be timing-only.
-    oracle = expected_tokens(cold_cluster.run_reference(requests))
-    cold = cold_cluster.run(requests)
-    warm = ClusterEngine.from_config(cfg, model=model, gpu=H100_80G).run(requests)
-    cs, ws = cold.summary(), warm.summary()
-
-    hit = int(ws.get("cluster_radix_hit_tokens", 0))
-    flops_saved = model.num_layers * model.layer_gemm_flops(hit)
-    bytes_saved = ws.get("cluster_cascade_bytes_saved", 0.0)
-    print(
-        f"  cold   : {cs['cluster_total_time'] * 1e3:8.1f} ms makespan, "
-        f"{cs['cluster_throughput_tok_s']:7.0f} tok/s, "
-        f"{total} prompt tokens prefilled"
-    )
-    print(
-        f"  warm   : {ws['cluster_total_time'] * 1e3:8.1f} ms makespan, "
-        f"{ws['cluster_throughput_tok_s']:7.0f} tok/s, "
-        f"{total - hit} prompt tokens prefilled"
-    )
-    print(
-        f"  radix_hit_tokens={hit} "
-        f"({hit / total:.0%} of prompt tokens served from cache)"
-    )
-    print(
-        f"  prefill_flops_saved={flops_saved:.3e} "
-        f"cascade_hbm_bytes_saved={bytes_saved:.3e} "
-        f"cascade_steps={int(ws.get('cluster_cascade_steps', 0))}"
-    )
-    cold_div, cold_cmp = cold.token_divergence(oracle)
-    warm_div, warm_cmp = warm.token_divergence(oracle)
-    divergent = cold_div + warm_div
-    print(
-        f"  token_divergence={divergent} "
-        f"(cold {cold_div}/{cold_cmp}, warm {warm_div}/{warm_cmp} streams "
-        f"vs cold single-GPU reference)"
-    )
-    ok = divergent == 0 and hit > 0
-    return 0 if ok else 1
 
 
 def _serve_chaos(args, model, heads, requests) -> int:
@@ -731,7 +551,7 @@ def _serve_recover(args, model, heads) -> int:
         # another: the KV cache is sharded by tp and the request subset by
         # dp, so a shape change would silently corrupt the resumed run.
         recovered = RecoveryManager(
-            store, expected_world={"tp": args.tp, "dp": args.dp}
+            store, expected_world={"tp": args.tp, "dp": args.dp or 1}
         ).recover()
     except NoSnapshotError as exc:
         print(f"nothing to recover: {exc}", file=sys.stderr)
@@ -836,9 +656,10 @@ def main(argv=None) -> int:
         "token-exactness check against a single-GPU reference run",
     )
     serve.add_argument(
-        "--dp", type=int, default=1, metavar="M",
-        help="data-parallel replicas behind the cluster router; dp > 1 "
-        "also reports the throughput speedup over a dp=1 run",
+        "--dp", type=int, default=None, metavar="M",
+        help="data-parallel replicas behind the cluster router (default 1, "
+        "or the --disagg pool sizes); with no other cluster feature the "
+        "control arm is a dp=1 run and the dp_speedup over it is reported",
     )
     serve.add_argument(
         "--topology", default="nvlink", choices=sorted(TOPOLOGY_PRESETS),

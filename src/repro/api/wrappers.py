@@ -14,9 +14,7 @@ construct once with a workspace buffer, ``plan`` per generation step on
 the CPU, ``run`` any number of times per plan.  The two paged wrappers
 share one plan path (:func:`_paged_kv_mapping`): the KV-pool page count is
 inferred from the page-table indices at ``plan`` time and validated
-against the K/V pools passed to ``run``.  The old explicit
-``pool_num_pages`` argument (deprecated since the API redesign) has been
-removed; passing it raises ``TypeError`` with a migration hint.
+against the K/V pools passed to ``run``.
 
 Every wrapper accepts an optional :class:`repro.obs.StepTracer`; when
 attached, each ``run`` records a :class:`repro.obs.KernelRecord` so
@@ -85,24 +83,6 @@ class _WrapperBase:
         self._planned = False
         self._min_pool_pages: Optional[int] = None
 
-    def _reject_pool_num_pages(self, extra_args: tuple, kwargs: dict) -> None:
-        """The explicit ``pool_num_pages`` plan argument was deprecated in
-        the API redesign and is now removed; raise with a migration hint
-        whether it arrives positionally or by keyword."""
-        if extra_args or "pool_num_pages" in kwargs:
-            raise TypeError(
-                f"{type(self).__name__}.plan() no longer accepts "
-                f"pool_num_pages: the pool size is inferred from the "
-                f"page-table indices at plan() time and validated against "
-                f"the K/V pools passed to run(). Drop the argument."
-            )
-        if kwargs:
-            unexpected = next(iter(kwargs))
-            raise TypeError(
-                f"{type(self).__name__}.plan() got an unexpected keyword "
-                f"argument {unexpected!r}"
-            )
-
     def _require_plan(self) -> None:
         if not self._planned:
             raise RuntimeError(
@@ -170,13 +150,11 @@ class BatchDecodeWithPagedKVCacheWrapper(_WrapperBase):
         kv_indptr: np.ndarray,
         kv_indices: np.ndarray,
         last_page_len: np.ndarray,
-        *args,
+        *,
         params: Optional[dict] = None,
         sm_scale: Optional[float] = None,
-        **kwargs,
     ) -> None:
         """Stage the decode schedule for the current page table."""
-        self._reject_pool_num_pages(args, kwargs)
         kv_indices = np.asarray(kv_indices, dtype=np.int64)
         batch = np.asarray(kv_indptr).size - 1
         mapping = _paged_kv_mapping(
@@ -247,13 +225,11 @@ class BatchPrefillWithPagedKVCacheWrapper(_WrapperBase):
         kv_indptr: np.ndarray,
         kv_indices: np.ndarray,
         last_page_len: np.ndarray,
-        *args,
+        *,
         causal: bool = True,
         params: Optional[dict] = None,
         sm_scale: Optional[float] = None,
-        **kwargs,
     ) -> None:
-        self._reject_pool_num_pages(args, kwargs)
         kv_indices = np.asarray(kv_indices, dtype=np.int64)
         mapping = _paged_kv_mapping(
             self.page_size, qo_indptr, kv_indptr, kv_indices, last_page_len,

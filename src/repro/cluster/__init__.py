@@ -21,8 +21,10 @@ Layered exactly like a real serving stack:
   ``dp`` replicas on a shared simulated clock, token-exact against the
   single-GPU engine.
 * :mod:`repro.cluster.failover` — heartbeat failure detection, the
-  per-replica health state machine, live KV migration over priced
-  links, and token-exact takeover.
+  per-replica health state machine, the chunked checksummed KV transfer
+  (live migration over priced links), and token-exact takeover.
+* :mod:`repro.cluster.lifecycle` — the validated-edge state machine the
+  health states and the router's circuit breakers share.
 * :mod:`repro.cluster.disagg` — disaggregated prefill/decode serving:
   role pools, live KV handoff over priced ``kind="handoff"`` links, and
   token-exact decode-side stream resumption.

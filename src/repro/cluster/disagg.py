@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cluster.failover import FailoverConfig, KVMigrator, _canonical, _chunk_sha
+from repro.cluster.failover import FailoverConfig, KVMigrator
 
 __all__ = [
     "DisaggCoordinator",
@@ -49,7 +49,9 @@ __all__ = [
 ]
 
 
-def parse_roles(roles, dp: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+def parse_roles(
+    roles, dp: Optional[int] = None
+) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """Normalize a role spec into ``(prefill_ids, decode_ids)``.
 
     Accepted spellings::
@@ -60,7 +62,8 @@ def parse_roles(roles, dp: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
 
     Size counts assign the first ``n_prefill`` replicas to the prefill
     pool and the rest to decode.  The pools must be disjoint, non-empty,
-    and together cover exactly ``range(dp)``.
+    and together cover exactly ``range(dp)``; ``dp=None`` takes the
+    cluster size from the pools themselves.
     """
     if isinstance(roles, str):
         spec: Dict[str, object] = {}
@@ -85,6 +88,8 @@ def parse_roles(roles, dp: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     if isinstance(pf, int) and isinstance(dc, int):
         if pf < 1 or dc < 1:
             raise ValueError("each role pool needs at least one replica")
+        if dp is None:
+            dp = pf + dc
         if pf + dc != dp:
             raise ValueError(
                 f"roles assign {pf}+{dc} replicas but the cluster has dp={dp}"
@@ -100,6 +105,8 @@ def parse_roles(roles, dp: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
             raise ValueError(
                 f"roles overlap: {sorted(set(prefill) & set(decode))}"
             )
+        if dp is None:
+            dp = len(prefill) + len(decode)
         if set(prefill) | set(decode) != set(range(dp)):
             raise ValueError(
                 f"roles must cover every replica in range({dp}) exactly"
@@ -240,13 +247,11 @@ class DisaggCoordinator:
 
     One instance per cluster run.  :meth:`ship` walks the handoffs in
     deterministic ``(t_ready, rid, gen)`` order and sends each through
-    the :class:`~repro.cluster.failover.KVMigrator` chunk protocol with
-    ``kind="handoff"`` — a control chunk (the handoff descriptor JSON)
-    followed by page chunks of up to ``config.chunk_pages`` exported
-    page rows, each priced on the topology and sha256-verified by the
-    receiver.  Link faults retry with exponential backoff (wasted
-    attempts still charge the link); tampered chunks are refused with
-    :class:`~repro.cluster.failover.MigrationChecksumError`.
+    :meth:`KVMigrator.transfer <repro.cluster.failover.KVMigrator.transfer>`
+    with ``kind="handoff"``: the handoff descriptor is the control chunk,
+    the exported page rows (minus any prefix the decode replica already
+    holds) are the page chunks, and link faults, backoff and checksum
+    refusal behave exactly as they do for a snapshot migration.
     """
 
     def __init__(
@@ -256,11 +261,8 @@ class DisaggCoordinator:
         fault_plan=None,
         prefix_caching: bool = False,
     ):
-        self.topology = topology
-        self.config = config or FailoverConfig()
-        self.fault_plan = fault_plan
         self.prefix_caching = prefix_caching
-        self._migrator = KVMigrator(topology, self.config, fault_plan)
+        self._migrator = KVMigrator(topology, config, fault_plan)
         #: ``(target, prefix_group)`` pairs whose prefix pages already
         #: shipped — later handoffs of the group skip that head slice.
         self._shipped_prefixes: set = set()
@@ -274,7 +276,6 @@ class DisaggCoordinator:
         """Transfer ``handoffs`` in deterministic order; returns the
         imports grouped by decode replica.  ``corrupt_handoffs`` is a
         test hook tampering the named handoff indices in flight."""
-        cfg = self.config
         corrupt = frozenset(int(i) for i in corrupt_handoffs)
         ordered = sorted(handoffs, key=lambda h: (h.t_ready, h.rid, h.gen))
         imports: Dict[int, List[HandoffImport]] = {}
@@ -304,44 +305,21 @@ class DisaggCoordinator:
                 "first_token_time": h.t_ready,
                 "pages": list(rows["pages"]), "pages_skipped": skipped,
             }
-            payload = _canonical(descriptor)
-            now = float(h.t_ready)
-            data, dt, retries = self._migrator._send(
-                payload, _chunk_sha(payload), float(len(payload)), now,
-                f"handoff rid={h.rid} gen={h.gen} control",
-                tampered=hi in corrupt, kind="handoff",
+            _, _, sent = self._migrator.transfer(
+                descriptor, rows, h.page_kv_bytes, h.t_ready, "handoff",
+                h.source, h.target, corrupt_control=hi in corrupt,
             )
-            now += dt
-            report.wire_bytes += float(len(payload))
-            report.retries += retries
-            report.chunks += 1
-            pages = list(rows["pages"])
-            for ci, lo in enumerate(range(0, len(pages), cfg.chunk_pages)):
-                chunk = {
-                    k: list(v)[lo:lo + cfg.chunk_pages]
-                    for k, v in rows.items()
-                }
-                cpayload = _canonical(chunk)
-                n_pages = len(chunk["pages"])
-                _, dt, retries = self._migrator._send(
-                    cpayload, _chunk_sha(cpayload),
-                    float(n_pages) * h.page_kv_bytes, now,
-                    f"handoff rid={h.rid} gen={h.gen} "
-                    f"page chunk {ci} ({n_pages} pages)",
-                    tampered=False, kind="handoff",
-                )
-                now += dt
-                report.wire_bytes += float(n_pages) * h.page_kv_bytes
-                report.retries += retries
-                report.chunks += 1
-                report.pages += n_pages
             report.requests += 1
+            report.pages += sent.pages
+            report.wire_bytes += sent.wire_bytes
+            report.chunks += sent.chunks
+            report.retries += sent.retries
             report.pages_skipped += skipped
-            report.seconds += now - float(h.t_ready)
+            report.seconds += sent.seconds
             imports.setdefault(h.target, []).append(
                 HandoffImport(
                     rid=h.rid, gen=h.gen, arrival=h.arrival,
-                    first_token_time=h.t_ready, t_available=now,
+                    first_token_time=h.t_ready, t_available=sent.t_end,
                     tok0=h.tok0, context_len=h.context_len,
                     remaining=h.remaining,
                 )

@@ -18,14 +18,9 @@ every stream against a reference run's tokens).
 Fault injection composes with the existing layers: ``link_faults``
 install bandwidth-derating windows on the shared topology (steps priced
 inside a window slow down), and ``replica_failures`` script replica
-deaths (or drains).  Without :attr:`ClusterConfig.failover` a crashed
-replica heals itself in place through the PR-4 checkpoint/journal path
-(:class:`~repro.serving.checkpoint.CrashHarness`); with failover
-configured the cluster runs the full
-:mod:`repro.cluster.failover` pipeline instead — heartbeat timeout
-detection, live KV migration to a healthy host over priced topology
-links, and a token-exact takeover resume.  Either way the cluster
-completes with ``token_divergence=0``.
+deaths (or drains); :meth:`ClusterEngine._run_replica` recovers them in
+place or through the :mod:`repro.cluster.failover` pipeline.  Either way
+the cluster completes with ``token_divergence=0``.
 """
 
 from __future__ import annotations
@@ -33,6 +28,8 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.cluster.failover import (
     FailoverConfig,
@@ -43,8 +40,6 @@ from repro.cluster.failover import (
     inflight_units,
     DEFAULT_UNHEALTHY_PRESSURE,
 )
-import numpy as np
-
 from repro.cluster.router import (
     BreakerConfig,
     CircuitBreaker,
@@ -288,18 +283,13 @@ class ClusterEngine:
     :class:`~repro.cluster.failover.ReplicaFailure` (or a sequence of
     them) scripting a crash or drain at an engine step; seeded-random
     replica deaths come from ``fault_plan``'s ``replica`` site (one draw
-    per replica per run).  With :attr:`ClusterConfig.failover` set,
-    failures go through detection → KV migration → takeover; without
-    it, crashes recover in place via
-    :class:`~repro.serving.checkpoint.CrashHarness` (drains then raise —
-    a drain *is* a migration).  ``fault_plan``'s ``link`` site injects
-    transfer faults into migrations.  ``health_schedule`` feeds known
+    per replica per run); how a failed replica recovers is
+    :meth:`_run_replica`'s business (without
+    :attr:`ClusterConfig.failover` a drain raises — a drain *is* a
+    migration).  ``fault_plan``'s ``link`` site injects transfer faults
+    into migrations and handoffs.  ``health_schedule`` feeds known
     unhealthy windows into the routing pass (skip, backpressure, and
     hold-at-the-door when everything is down).
-
-    ``replica_crashes`` — the pre-failover spelling of scripted crashes —
-    was removed after its deprecation window; passing it raises
-    :class:`TypeError` with the ``replica_failures`` migration hint.
 
     With :attr:`ClusterConfig.roles` set the cluster runs *disaggregated*:
     prefill-pool replicas run prompts only and hand the finished KV off to
@@ -315,7 +305,6 @@ class ClusterEngine:
         backend_factory=None,
         trace: bool = False,
         link_faults: Sequence[Tuple[float, float, float]] = (),
-        replica_crashes: Optional[Dict[int, Sequence[Tuple[int, str]]]] = None,
         replica_failures: Optional[Dict[int, object]] = None,
         fault_plan=None,
         health_schedule=None,
@@ -362,21 +351,15 @@ class ClusterEngine:
             )
         #: rid → paired decode replica (populated by route() in disagg mode).
         self._decode_assignments: Dict[int, int] = {}
-        # Disagg side tables _make_engine reads, so the plain, crash-harness
-        # and failover-takeover construction paths all get role wiring for
-        # free; empty dicts on colocated runs.
+        # Disagg side tables _make_engine reads, so every life of a replica
+        # (first run, in-place restore, failover takeover) gets its role
+        # wiring; empty dicts on colocated runs.
         self._engine_roles: Dict[int, str] = {}
         self._engine_sinks: Dict[int, object] = {}
         self._engine_imports: Dict[int, dict] = {}
         self._disagg_report = None
         #: Test hook: handoff indices (in ship order) to tamper in flight.
         self._corrupt_handoffs: Sequence[int] = ()
-        if replica_crashes is not None:
-            raise TypeError(
-                "replica_crashes= was removed (deprecated since the "
-                "failover release); pass replica_failures={replica: "
-                "[ReplicaFailure(step, 'crash', phase), ...]} instead"
-            )
         #: Normalized ``{replica: [ReplicaFailure, ...]}``.
         self.replica_failures: Dict[int, List[ReplicaFailure]] = {}
         for r, fs in (replica_failures or {}).items():
@@ -459,8 +442,7 @@ class ClusterEngine:
         engine.dp_world = self.config.dp
         engine.dp_rank = replica
         if self._engine_roles:
-            # Disagg wiring rides the side tables so every construction
-            # path — plain, crash harness, failover takeover — gets the
+            # Disagg wiring rides the side tables so every life gets the
             # replica's role, sink and imports without special-casing.
             engine.role = self._engine_roles.get(replica)
             engine.handoff_sink = self._engine_sinks.get(replica)
@@ -700,20 +682,13 @@ class ClusterEngine:
         # Token work routed to each replica — the controller's load
         # signal for picking migration targets.  Disagg splits each
         # request's work across its prefill/decode pair.
-        if self.roles is not None:
-            assigned_tokens = [0.0] * cfg.dp
-            for lst in per_replica:
-                for r in lst:
-                    assigned_tokens[
-                        self._decode_assignments[r.rid]
-                    ] += float(r.output_len * r.n)
-            for i, lst in enumerate(per_replica):
-                assigned_tokens[i] += float(sum(r.prompt_len for r in lst))
-        else:
-            assigned_tokens = [
-                float(sum(r.prompt_len + r.output_len * r.n for r in lst))
-                for lst in per_replica
-            ]
+        assigned_tokens = [0.0] * cfg.dp
+        for i, lst in enumerate(per_replica):
+            for r in lst:
+                assigned_tokens[i] += float(r.prompt_len)
+                assigned_tokens[
+                    self._decode_assignments.get(r.rid, i)
+                ] += float(r.output_len * r.n)
         failing = frozenset(failures)
         replica_metrics: List[object] = [None] * cfg.dp
         if self.roles is None:
@@ -762,44 +737,113 @@ class ClusterEngine:
         failing: frozenset,
         crash_reports: Optional[List[object]],
     ):
-        """One replica through whichever pipeline its failure script needs:
-        failover, in-place crash harness, or a plain run."""
+        """Build replica ``i``'s engine and run it to completion.
+
+        A replica is a loop of engine *lives*: the first runs the routed
+        requests, and each :class:`EngineCrash` (a scripted crash or
+        drain) ends a life and starts the next with ``resume`` from the
+        latest checkpoint (:class:`RecoveryManager`, journal replay
+        included).  Configurations differ only in *how* that state is
+        recovered: in place, or — with :attr:`ClusterConfig.failover` —
+        after heartbeat-timeout detection and live KV migration to a
+        healthy host over priced links, so that the next life is the
+        token-exact takeover.
+        """
+        from repro.kvcache.paged import PagedKVCache
         from repro.serving.checkpoint import (
             CheckpointConfig,
             CheckpointStore,
-            CrashHarness,
+            CrashReport,
+            EngineCrash,
+            RecoveryManager,
         )
 
         cfg = self.config
         tracer = self.tracers[i] if self.tracers is not None else None
-        script = failures.get(i)
-        if script and controller is not None:
-            return self._run_with_failover(
-                i, per_replica, script[0], controller, assigned_tokens,
-                failing,
-            )
-        if script:
-            store = CheckpointStore()
-            every = cfg.checkpoint_every if cfg.checkpoint_every > 0 else 4
-            ckpt = CheckpointConfig(every_steps=every)
-
-            def factory(i=i, tracer=tracer, ckpt=ckpt, store=store):
-                return self._make_engine(i, tracer, ckpt, store)
-
-            report = CrashHarness(
-                factory, per_replica[i], store,
-                crash_script=[(f.step, f.phase) for f in script],
-            ).run()
-            crash_reports[i] = report
-            return report.metrics
+        script = {(f.step, f.phase): f for f in failures.get(i, ())}
+        # The checkpoint cadence rule: a replica scripted to die snapshots
+        # every 4 steps unless the config asks for its own cadence.
+        every = cfg.checkpoint_every
+        if every <= 0 and script:
+            every = 4
         ckpt = store = None
-        if cfg.checkpoint_every > 0:
-            ckpt = CheckpointConfig(every_steps=cfg.checkpoint_every)
+        if every > 0:
+            ckpt = CheckpointConfig(every_steps=every)
             store = CheckpointStore()
-        engine = self._make_engine(i, tracer, ckpt, store)
-        if controller is not None:
-            engine.track_pressure = True
-        return engine.run(per_replica[i])
+        remaining = set(script)
+        heartbeats: List[float] = []
+        crash_phases: List[str] = []
+        recovered = resume_at = rejoin = None
+        while True:
+            engine = self._make_engine(i, tracer, ckpt, store)
+            if controller is not None:
+                engine.track_pressure = True
+            if remaining:
+                engine._crash_script = set(remaining)
+                if controller is not None:
+                    engine.heartbeat = heartbeats.append
+            try:
+                if recovered is None:
+                    metrics = engine.run(per_replica[i])
+                else:
+                    metrics = engine.resume(recovered, at_time=resume_at)
+                break
+            except EngineCrash as crash:
+                key = (crash.step_index, crash.phase)
+                crash_phases.append(crash.phase)
+                remaining.discard(key)
+                recovered = RecoveryManager(
+                    store, requests=per_replica[i]
+                ).recover()
+                if controller is None:
+                    continue
+                # Failover.  The heartbeat trail feeds the detector
+                # (back-dated, so detection timestamps are polling-
+                # independent); the snapshot migrates to the least-loaded
+                # healthy host.  No healthy target, or migration retries
+                # exhausted → the same recovery, in place.
+                t_dead = controller.observe_failure(
+                    i, heartbeats, crash.t, script[key].mode
+                )
+                host = i
+                resume_at = t_dead + controller.config.rejoin_delay
+                target = controller.pick_target(i, assigned_tokens, exclude=failing)
+                if target is None:
+                    controller.note_fallback(i, t_dead, "no healthy migration target")
+                else:
+                    try:
+                        snap, mreport = controller.migrate(
+                            recovered.snapshot, t_dead, source=i, target=target
+                        )
+                    except MigrationError as exc:
+                        controller.note_fallback(i, t_dead, str(exc))
+                    else:
+                        cache = PagedKVCache.from_state(snap["cache"])
+                        recovered = dataclasses.replace(
+                            recovered, snapshot=snap, cache=cache,
+                            corrupt_pages=cache.find_corrupted(),
+                        )
+                        host = target
+                        resume_at = mreport.t_end
+                resume_at = max(resume_at, float(recovered.snapshot["t"]))
+                # The takeover life keeps the dead replica's dp_rank (the
+                # snapshot's world check) and its tracer — the resume gap
+                # and migration events render on replica i's trace row.
+                rejoin = (
+                    i, host, crash.t, t_dead, resume_at,
+                    inflight_units(recovered.snapshot),
+                )
+        if rejoin is not None:
+            controller.note_recovery(*rejoin)
+        if crash_reports is not None and script:
+            stats = metrics.fault_stats or {}
+            crash_reports[i] = CrashReport(
+                crashes=len(crash_phases), recoveries=len(crash_phases),
+                crash_phases=crash_phases, metrics=metrics,
+                token_divergence=int(stats.get("recover_token_divergence", 0)),
+                compared=int(stats.get("recover_replayed_tokens", 0)),
+            )
+        return metrics
 
     def _run_disagg_waves(
         self,
@@ -894,83 +938,6 @@ class ClusterEngine:
                 failing | prefill_set, crash_reports,
             )
         return per_replica
-
-    def _run_with_failover(
-        self,
-        i: int,
-        per_replica: List[list],
-        failure: ReplicaFailure,
-        controller: FailoverController,
-        assigned_tokens: List[float],
-        failing: frozenset,
-    ):
-        """One replica through the full failover pipeline.
-
-        The replica runs under a checkpoint cadence with a scripted
-        failure; its heartbeat trail feeds the detector (back-dated, so
-        detection timestamps are polling-independent); its latest
-        snapshot is recovered, migrated to the least-loaded healthy host
-        (chunked + checksummed + priced on the topology), and resumed
-        there token-exactly.  No healthy target, or migration retries
-        exhausted → in-place fallback through the same recovery path.
-        """
-        from repro.kvcache.paged import PagedKVCache
-        from repro.serving.checkpoint import (
-            CheckpointConfig,
-            CheckpointStore,
-            EngineCrash,
-            RecoveryManager,
-        )
-
-        cfg = self.config
-        tracer = self.tracers[i] if self.tracers is not None else None
-        store = CheckpointStore()
-        every = cfg.checkpoint_every if cfg.checkpoint_every > 0 else 4
-        ckpt = CheckpointConfig(every_steps=every)
-        engine = self._make_engine(i, tracer, ckpt, store)
-        engine.track_pressure = True
-        heartbeats: List[float] = []
-        engine.heartbeat = heartbeats.append
-        engine._crash_script = {(failure.step, failure.phase)}
-        try:
-            return engine.run(per_replica[i])
-        except EngineCrash as crash:
-            t_fail = crash.t
-
-        t_dead = controller.observe_failure(i, heartbeats, t_fail, failure.mode)
-        recovered = RecoveryManager(store, requests=per_replica[i]).recover()
-        host = i
-        resume_at = t_dead + controller.config.rejoin_delay
-        target = controller.pick_target(i, assigned_tokens, exclude=failing)
-        if target is None:
-            controller.note_fallback(i, t_dead, "no healthy migration target")
-        else:
-            try:
-                snap, mreport = controller.migrate(
-                    recovered.snapshot, t_dead, source=i, target=target
-                )
-            except MigrationError as exc:
-                controller.note_fallback(i, t_dead, str(exc))
-            else:
-                cache = PagedKVCache.from_state(snap["cache"])
-                recovered = dataclasses.replace(
-                    recovered, snapshot=snap, cache=cache,
-                    corrupt_pages=cache.find_corrupted(),
-                )
-                host = target
-                resume_at = mreport.t_end
-        resume_at = max(resume_at, float(recovered.snapshot["t"]))
-        # The takeover engine carries the dead replica's dp_rank (the
-        # snapshot's world check) and its tracer — the resume gap and
-        # migration events render on replica i's trace row.
-        takeover = self._make_engine(i, tracer, ckpt, store)
-        takeover.track_pressure = True
-        metrics = takeover.resume(recovered, tracer=tracer, at_time=resume_at)
-        controller.note_recovery(
-            i, host, t_fail, t_dead, resume_at,
-            inflight_units(recovered.snapshot),
-        )
-        return metrics
 
     def run_reference(self, requests):
         """The single-GPU token oracle: tp=1, dp=1, same rids, no topology.

@@ -19,22 +19,14 @@ Three pieces compose into replica failover:
   and every transition timestamped for the trace.
 
 * **Live KV migration** — :class:`KVMigrator` ships a dead (or drained)
-  replica's latest checkpoint snapshot to a healthy host.  The wire
-  format is the PR-4 snapshot schema itself: one *control chunk* (the
-  snapshot with the per-page arrays stripped) plus page chunks of up to
-  ``chunk_pages`` live pages, each exported through
-  :meth:`~repro.kvcache.paged.PagedKVCache.export_pages` and priced as
-  that many modeled KV-page bytes of :func:`p2p_send` traffic on the
-  cluster :class:`~repro.cluster.topology.Topology` (traffic kind
-  ``"migration"`` — it shows up in ``link_migration_*`` stats).  Every
-  chunk carries a sha256 over its canonical JSON; an injected link
-  fault (fault plan site ``"link"``) aborts the transfer mid-flight and
-  is retried with exponential backoff up to ``max_retries`` times
-  (exhaustion raises :class:`MigrationError`), while a checksum
-  mismatch on a received chunk is *refused outright*
-  (:class:`MigrationChecksumError`, a
-  :class:`~repro.serving.checkpoint.SnapshotVerificationError`) — a
-  corrupt page table must never be imported.
+  replica's latest checkpoint snapshot to a healthy host over the
+  cluster :class:`~repro.cluster.topology.Topology` with the chunked,
+  checksummed, retried wire protocol of :meth:`KVMigrator.transfer`
+  (traffic kind ``"migration"`` — it shows up in ``link_migration_*``
+  stats).  Link-fault retries exhausted raise :class:`MigrationError`;
+  a checksum mismatch is *refused outright*
+  (:class:`MigrationChecksumError`) — a corrupt page table must never
+  be imported.
 
 * **Takeover** — the cluster engine rebuilds the dead replica's state
   from the migrated snapshot on the target host
@@ -52,9 +44,8 @@ the :class:`~repro.cluster.router.LoadTracker`, and — when *every*
 replica is down — hold arrivals at the front door until the first
 replica rejoins, never silently dropping them.
 
-This machinery is the substrate for disaggregated prefill/decode
-(ROADMAP): shipping KV pages between replicas as priced, checksummed
-``p2p_send`` traffic is exactly the prefill→decode handoff.
+The same :meth:`KVMigrator.transfer` carries the disaggregated
+prefill→decode handoff (:mod:`repro.cluster.disagg`).
 """
 
 from __future__ import annotations
@@ -69,6 +60,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cluster.collectives import p2p_send
+from repro.cluster.lifecycle import IllegalTransitionError, Lifecycle, Transition
 from repro.cluster.topology import Topology
 from repro.serving.checkpoint import SnapshotVerificationError
 
@@ -95,27 +87,14 @@ HEALTH_STATES: Tuple[str, ...] = (
     "healthy", "suspected", "dead", "draining", "recovering", "rejoined",
 )
 
-#: Legal state-machine edges; anything else raises
-#: :class:`IllegalTransitionError` (e.g. dead → healthy without passing
-#: through recovery).
-_LEGAL_TRANSITIONS: Dict[str, frozenset] = {
-    "healthy": frozenset({"suspected", "draining"}),
-    "suspected": frozenset({"healthy", "dead", "draining"}),
-    "draining": frozenset({"dead"}),
-    "dead": frozenset({"recovering"}),
-    "recovering": frozenset({"rejoined"}),
-    "rejoined": frozenset({"suspected", "draining"}),
-}
+#: One timestamped health-state edge for a replica.
+HealthTransition = Transition
 
 #: Synthetic backlog (seconds of work) the routing pass charges an
 #: unhealthy replica in the :class:`~repro.cluster.router.LoadTracker`,
 #: so load-sensitive policies steer around it even before the hard
 #: health mask applies.
 DEFAULT_UNHEALTHY_PRESSURE = 60.0
-
-
-class IllegalTransitionError(ValueError):
-    """A health-state transition outside the legal state machine."""
 
 
 class MigrationError(RuntimeError):
@@ -197,43 +176,25 @@ class FailoverConfig:
             raise ValueError("max_retries must be >= 0")
 
 
-@dataclass(frozen=True)
-class HealthTransition:
-    """One timestamped health-state edge for a replica."""
-
-    t: float
-    replica: int
-    frm: str
-    to: str
-    detail: str = ""
-
-
-class ReplicaHealth:
+class ReplicaHealth(Lifecycle):
     """One replica's health state machine with a transition log."""
 
-    def __init__(self, replica: int):
-        self.replica = replica
-        self.state = "healthy"
-        self.last_heartbeat = 0.0
-        self.transitions: List[HealthTransition] = []
+    #: Anything else raises :class:`IllegalTransitionError` (e.g. dead →
+    #: healthy without passing through recovery).
+    edges = {
+        "healthy": frozenset({"suspected", "draining"}),
+        "suspected": frozenset({"healthy", "dead", "draining"}),
+        "draining": frozenset({"dead"}),
+        "dead": frozenset({"recovering"}),
+        "recovering": frozenset({"rejoined"}),
+        "rejoined": frozenset({"suspected", "draining"}),
+    }
+    initial = "healthy"
+    noun = "health"
 
-    def to(self, state: str, t: float, detail: str = "") -> HealthTransition:
-        if state not in HEALTH_STATES:
-            raise IllegalTransitionError(
-                f"unknown health state {state!r}; expected one of {HEALTH_STATES}"
-            )
-        if state not in _LEGAL_TRANSITIONS[self.state]:
-            raise IllegalTransitionError(
-                f"replica {self.replica}: illegal transition "
-                f"{self.state} -> {state}"
-            )
-        tr = HealthTransition(
-            t=float(t), replica=self.replica, frm=self.state, to=state,
-            detail=detail,
-        )
-        self.state = state
-        self.transitions.append(tr)
-        return tr
+    def __init__(self, replica: int):
+        super().__init__(replica)
+        self.last_heartbeat = 0.0
 
     def heartbeat(self, t: float) -> Optional[HealthTransition]:
         """Record a heartbeat; a suspected replica flaps back to healthy."""
@@ -365,17 +326,10 @@ class HealthSchedule:
 # -- live KV migration ---------------------------------------------------------
 
 
-def _canonical(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True)
-
-
-def _chunk_sha(payload: str) -> str:
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
 @dataclass
 class MigrationReport:
-    """Accounting for one snapshot migration."""
+    """Accounting for one chunked transfer (a snapshot migration or a
+    prefill→decode handoff)."""
 
     source: int
     target: int
@@ -393,17 +347,11 @@ class MigrationReport:
 
 
 class KVMigrator:
-    """Ship a replica snapshot over the topology, chunked and checksummed.
+    """Ship KV pages over the topology, chunked and checksummed.
 
-    The wire format splits the PR-4 snapshot into a *control chunk* (the
-    snapshot JSON with the cache's per-page ``refcount``/``version``/
-    ``stamp`` arrays stripped) and *page chunks* of up to
-    ``config.chunk_pages`` live pages each, produced by
-    :meth:`PagedKVCache.export_pages` on a cache rebuilt from the
-    snapshot.  Each chunk is priced on the topology as ``"migration"``
-    :func:`p2p_send` traffic — page chunks at the modeled KV bytes of
-    their pages (fp16 K+V), the control chunk at its JSON size — and
-    carries a sha256 the receiver verifies before reassembly.
+    :meth:`transfer` is the wire protocol; snapshot migration
+    (:meth:`migrate`) and the disaggregated prefill→decode handoff
+    (:meth:`repro.cluster.disagg.DisaggCoordinator.ship`) are its callers.
     """
 
     def __init__(
@@ -418,54 +366,98 @@ class KVMigrator:
         #: consulted once per transfer attempt.
         self.fault_plan = fault_plan
 
-    def _link_faulted(self) -> bool:
-        plan = self.fault_plan
-        return plan is not None and plan.armed("link") and plan.fire("link")
+    def transfer(
+        self,
+        control: dict,
+        rows: dict,
+        page_kv_bytes: float,
+        t: float,
+        kind: str,
+        source: int,
+        target: int,
+        corrupt_control: bool = False,
+        corrupt_chunks: Sequence[int] = (),
+    ) -> Tuple[dict, dict, MigrationReport]:
+        """Send a *control chunk* (the ``control`` dict) and then *page
+        chunks* of up to ``config.chunk_pages``
+        :meth:`PagedKVCache.export_pages` ``rows`` from ``source`` to
+        ``target`` starting at time ``t``; returns ``(received_control,
+        received_rows, report)``.
 
-    def _send(
-        self, payload: str, checksum: str, wire_bytes: float, t: float,
-        what: str, tampered: bool, kind: str = "migration",
-    ) -> Tuple[str, float, int]:
-        """One chunk through the retry loop; returns
-        ``(received_payload, elapsed_seconds, retries)``.
-
-        ``kind`` names the traffic class charged on the topology
-        (``"migration"`` for failover, ``"handoff"`` for disaggregated
-        prefill→decode shipping), so each flow gets its own
-        ``link_<kind>_*`` accounting.
+        Each chunk is priced on the topology as :func:`p2p_send` traffic
+        of class ``kind`` (``"migration"`` or ``"handoff"``, so each flow
+        gets its own ``link_<kind>_*`` accounting) — page chunks at the
+        modeled KV bytes of their pages (fp16 K+V), the control chunk at
+        its JSON size — and carries a sha256 over its canonical JSON.  An
+        injected link fault aborts the attempt mid-flight — still real
+        link traffic — and is retried after ``backoff_base *
+        backoff_factor ** attempt`` seconds, up to ``max_retries`` times
+        (then :class:`MigrationError`); a chunk whose received bytes fail
+        their sha256 is refused outright (:class:`MigrationChecksumError`).
+        ``corrupt_control`` / ``corrupt_chunks`` are test hooks tampering
+        the control chunk or the named page-chunk indices in flight.
         """
         cfg = self.config
-        arr = np.frombuffer(payload.encode("utf-8"), dtype=np.uint8)
-        elapsed = 0.0
+        plan = self.fault_plan
+        corrupt = frozenset(int(i) for i in corrupt_chunks)
+        # (what, body, priced bytes or None for the JSON size, tampered)
+        chunks = [("control chunk", control, None, corrupt_control)]
+        for ci, lo in enumerate(range(0, len(rows["pages"]), cfg.chunk_pages)):
+            part = {k: list(v)[lo:lo + cfg.chunk_pages] for k, v in rows.items()}
+            n = len(part["pages"])
+            chunks.append((
+                f"page chunk {ci} ({n} pages)", part,
+                float(n) * page_kv_bytes, ci in corrupt,
+            ))
+        now = float(t)
+        wire = 0.0
         retries = 0
-        for attempt in range(cfg.max_retries + 1):
-            faulted = self._link_faulted()
-            received, cost = p2p_send(
-                arr, self.topology, t=t + elapsed,
-                kind=kind, wire_bytes=wire_bytes,
-            )
-            elapsed += cost
-            if faulted:
-                # Transfer aborted mid-flight: the wasted attempt is still
-                # real link traffic; back off exponentially and retry.
+        received = []
+        for what, body, nbytes, tampered in chunks:
+            payload = json.dumps(body, sort_keys=True)
+            raw = payload.encode("utf-8")
+            checksum = hashlib.sha256(raw).hexdigest()
+            if nbytes is None:
+                nbytes = float(len(payload))
+            arr = np.frombuffer(raw, dtype=np.uint8)
+            elapsed = 0.0
+            for attempt in range(cfg.max_retries + 1):
+                faulted = (
+                    plan is not None and plan.armed("link") and plan.fire("link")
+                )
+                got, cost = p2p_send(
+                    arr, self.topology, t=now + elapsed,
+                    kind=kind, wire_bytes=nbytes,
+                )
+                elapsed += cost
+                if not faulted:
+                    break
                 retries += 1
                 if attempt >= cfg.max_retries:
                     raise MigrationError(
-                        f"{kind} {what}: link faulted on all "
-                        f"{cfg.max_retries + 1} transfer attempts"
+                        f"{kind} {source}->{target} {what}: link faulted on "
+                        f"all {cfg.max_retries + 1} transfer attempts"
                     )
                 elapsed += cfg.backoff_base * cfg.backoff_factor ** attempt
-                continue
-            data = received.tobytes().decode("utf-8")
+            data = got.tobytes().decode("utf-8")
             if tampered:
                 data = "\x00" + data[1:]
-            if _chunk_sha(data) != checksum:
+            if hashlib.sha256(data.encode("utf-8")).hexdigest() != checksum:
                 raise MigrationChecksumError(
-                    f"{kind} {what}: received payload fails its sha256; "
-                    f"refusing to import an unverifiable page table"
+                    f"{kind} {source}->{target} {what}: received payload "
+                    f"fails its sha256; refusing to import an unverifiable "
+                    f"page table"
                 )
-            return data, elapsed, retries
-        raise AssertionError("unreachable")  # pragma: no cover
+            received.append(json.loads(data))
+            now += elapsed
+            wire += nbytes
+        got_rows = {k: [x for c in received[1:] for x in c[k]] for k in rows}
+        report = MigrationReport(
+            source=source, target=target, pages=len(got_rows["pages"]),
+            wire_bytes=wire, chunks=len(chunks), retries=retries,
+            seconds=now - float(t), t_start=float(t), t_end=now,
+        )
+        return received[0], got_rows, report
 
     def migrate(
         self,
@@ -477,79 +469,33 @@ class KVMigrator:
     ) -> Tuple[dict, MigrationReport]:
         """Ship ``snapshot`` from ``source`` to ``target`` at time ``t``.
 
-        Returns ``(received_snapshot, report)``.  ``corrupt_chunks`` is a
-        test hook tampering the named page-chunk indices in flight, which
-        must surface as :class:`MigrationChecksumError`.
+        The control chunk is the PR-4 snapshot minus the cache's per-page
+        ``refcount``/``version``/``stamp`` arrays — it still carries
+        geometry, the free list, sequence page tables, queues, metrics,
+        RNG streams; the arrays travel as the live pages' rows and are
+        spliced back on arrival.  Returns ``(received_snapshot, report)``.
         """
         from repro.kvcache.paged import PagedKVCache
 
-        cfg = self.config
-        cache_state = snapshot["cache"]
-        cache = PagedKVCache.from_state(cache_state)
-        live = cache.used_pages()
-        page_bytes = cache.page_kv_bytes
-        corrupt = frozenset(int(i) for i in corrupt_chunks)
-
-        # Control chunk: the snapshot minus the per-page arrays (those
-        # travel in the page chunks) — still carries geometry, the free
-        # list, sequence page tables, queues, metrics, RNG streams.
-        control_cache = dict(cache_state)
-        control_cache["refcount"] = []
-        control_cache["page_version"] = []
-        control_cache["page_stamp"] = []
-        control_snap = dict(snapshot)
-        control_snap["cache"] = control_cache
-        control_payload = _canonical(control_snap)
-
-        now = float(t)
-        total_wire = 0.0
-        total_retries = 0
-        data, dt, retries = self._send(
-            control_payload, _chunk_sha(control_payload),
-            float(len(control_payload)), now, "control chunk", tampered=False,
+        cache = PagedKVCache.from_state(snapshot["cache"])
+        control = dict(snapshot)
+        control["cache"] = dict(
+            snapshot["cache"], refcount=[], page_version=[], page_stamp=[]
         )
-        received_snap = json.loads(data)
-        now += dt
-        total_wire += float(len(control_payload))
-        total_retries += retries
-
-        # Page chunks: live page rows in fixed id order, priced at the
-        # modeled KV bytes they stand for.
-        num_chunks = 1
-        refcount = [0] * cache.num_pages
-        version = [0] * cache.num_pages
-        stamp = [0] * cache.num_pages
-        for ci, lo in enumerate(range(0, len(live), cfg.chunk_pages)):
-            rows = cache.export_pages(live[lo:lo + cfg.chunk_pages])
-            payload = _canonical(rows)
-            data, dt, retries = self._send(
-                payload, _chunk_sha(payload),
-                float(len(rows["pages"])) * page_bytes, now,
-                f"page chunk {ci} ({len(rows['pages'])} pages)",
-                tampered=ci in corrupt,
-            )
-            now += dt
-            total_wire += float(len(rows["pages"])) * page_bytes
-            total_retries += retries
-            num_chunks += 1
-            got = json.loads(data)
-            for p, rc, ver, st in zip(
-                got["pages"], got["refcount"], got["version"], got["stamp"]
-            ):
-                refcount[p] = rc
-                version[p] = ver
-                stamp[p] = st
-
-        received_snap["cache"]["refcount"] = refcount
-        received_snap["cache"]["page_version"] = version
-        received_snap["cache"]["page_stamp"] = stamp
-        report = MigrationReport(
-            source=source, target=target, pages=len(live),
-            wire_bytes=total_wire, chunks=num_chunks,
-            retries=total_retries, seconds=now - float(t),
-            t_start=float(t), t_end=now,
+        received, rows, report = self.transfer(
+            control, cache.export_pages(cache.used_pages()),
+            cache.page_kv_bytes, t, "migration", source, target,
+            corrupt_chunks=corrupt_chunks,
         )
-        return received_snap, report
+        for key, col in (
+            ("refcount", "refcount"), ("page_version", "version"),
+            ("page_stamp", "stamp"),
+        ):
+            full = [0] * cache.num_pages
+            for p, value in zip(rows["pages"], rows[col]):
+                full[p] = value
+            received["cache"][key] = full
+        return received, report
 
 
 # -- failover orchestration ----------------------------------------------------

@@ -34,10 +34,13 @@ breakers into the routing health mask (see
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
+
+from repro.cluster.lifecycle import IllegalTransitionError, Lifecycle, Transition
 
 __all__ = [
     "BREAKER_STATES",
@@ -438,29 +441,10 @@ def get_routing_policy(name: str) -> RoutingPolicy:
 #: Breaker states in lifecycle order.
 BREAKER_STATES: Tuple[str, ...] = ("closed", "open", "half-open")
 
-#: Legal breaker edges; anything else raises
-#: :class:`IllegalBreakerTransition` (the same edge-validation idiom as
-#: ``ReplicaHealth.to()`` in :mod:`repro.cluster.failover`).
-_BREAKER_TRANSITIONS: Dict[str, frozenset] = {
-    "closed": frozenset({"open"}),
-    "open": frozenset({"half-open"}),
-    "half-open": frozenset({"open", "closed"}),
-}
-
-
-class IllegalBreakerTransition(ValueError):
-    """A breaker transition outside the legal state machine."""
-
-
-@dataclass(frozen=True)
-class BreakerTransition:
-    """One timestamped breaker edge for a replica."""
-
-    t: float
-    replica: int
-    frm: str
-    to: str
-    detail: str = ""
+#: The breaker's edge record and illegal-edge error are the shared
+#: :mod:`repro.cluster.lifecycle` ones under their historical names.
+BreakerTransition = Transition
+IllegalBreakerTransition = IllegalTransitionError
 
 
 @dataclass
@@ -494,7 +478,7 @@ class BreakerConfig:
             raise ValueError("timeout_penalty must be >= 0")
 
 
-class CircuitBreaker:
+class CircuitBreaker(Lifecycle):
     """Per-replica closed → open → half-open breaker on the simulated clock.
 
     Strikes (:meth:`record_failure`: seeded dispatch timeouts, estimated
@@ -503,46 +487,32 @@ class CircuitBreaker:
     ``cooldown`` seconds, then half-opens and admits probe dispatches; a
     failed probe re-opens it (re-arming the cooldown), while
     ``probe_successes`` consecutive clean probes close it again.  All
-    edges go through the validated, timestamped :meth:`to` — illegal
-    transitions raise instead of silently corrupting the lifecycle.
+    edges go through the validated, timestamped :meth:`Lifecycle.to`.
     """
 
+    edges = {
+        "closed": frozenset({"open"}),
+        "open": frozenset({"half-open"}),
+        "half-open": frozenset({"open", "closed"}),
+    }
+    initial = "closed"
+    noun = "breaker"
+
     def __init__(self, replica: int, config: Optional[BreakerConfig] = None):
-        self.replica = int(replica)
+        super().__init__(replica)
         self.config = config if config is not None else BreakerConfig()
-        self.state = "closed"
         self.strikes = 0
         self.probes_ok = 0
         self.opened_at: Optional[float] = None
-        self.transitions: List[BreakerTransition] = []
-        self.open_count = 0
-        self.half_open_count = 0
-        self.close_count = 0
 
-    def to(self, state: str, t: float, detail: str = "") -> BreakerTransition:
-        """Validated, timestamped edge (the ``ReplicaHealth.to`` idiom)."""
-        if state not in BREAKER_STATES:
-            raise IllegalBreakerTransition(
-                f"unknown breaker state {state!r}; expected one of {BREAKER_STATES}"
-            )
-        if state not in _BREAKER_TRANSITIONS[self.state]:
-            raise IllegalBreakerTransition(
-                f"replica {self.replica}: illegal breaker transition "
-                f"{self.state} -> {state}"
-            )
-        tr = BreakerTransition(
-            t=float(t), replica=self.replica, frm=self.state, to=state,
-            detail=detail,
-        )
-        self.state = state
-        self.transitions.append(tr)
-        if state == "open":
-            self.open_count += 1
-        elif state == "half-open":
-            self.half_open_count += 1
-        else:
-            self.close_count += 1
-        return tr
+    @property
+    def counts(self) -> Counter:
+        """Edges taken so far, keyed by the state entered."""
+        return Counter(tr.to for tr in self.transitions)
+
+    open_count = property(lambda self: self.counts["open"])
+    half_open_count = property(lambda self: self.counts["half-open"])
+    close_count = property(lambda self: self.counts["closed"])
 
     def tick(self, t: float) -> None:
         """Open → half-open once the cooldown has elapsed."""

@@ -63,14 +63,7 @@ from repro.obs.events import FaultEvent
 from repro.obs.tracer import StepTracer
 from repro.serving.admission import AdmissionController
 from repro.serving.backends import AttentionBackend
-from repro.serving.batching import (
-    BatchFormer,
-    PartialPrefill,
-    RunState,
-    Stream,
-    TOKEN_VOCAB,
-    token_id,
-)
+from repro.serving.batching import BatchFormer, RunState
 from repro.serving.checkpoint import (
     CheckpointConfig,
     Checkpointer,
@@ -85,12 +78,6 @@ from repro.serving.model import ModelConfig
 from repro.serving.plan_cache import PlanCache
 from repro.serving.policy import SchedulerPolicy, get_policy
 from repro.serving.workload import Request
-
-# Back-compat aliases for the pre-pipeline module layout.
-_TOKEN_VOCAB = TOKEN_VOCAB
-_token = token_id
-_Stream = Stream
-_PartialPrefill = PartialPrefill
 
 
 @dataclass
@@ -242,7 +229,6 @@ class ServingEngine:
         self._taint = False
         self._deadlines_active = False
         self._cache: Optional[PagedKVCache] = None
-        self._prefix_registry: dict = {}
         self.heads = _shard_heads(model, self.config.tensor_parallel)
         if backend.heads != self.heads:
             raise ValueError(
@@ -518,7 +504,6 @@ class ServingEngine:
             from repro.kvcache.radix import RadixTree
 
             state.radix = RadixTree(cache)
-        self._prefix_registry = state.prefix_registry  # back-compat alias
         admission = AdmissionController(self, state)
         self._wire_checkpoint(state, admission, t=0.0, genesis=True)
         return self._serve(state, admission, t=0.0, pc_before=pc_before)
@@ -608,7 +593,6 @@ class ServingEngine:
         metrics = ServingMetrics.from_state(snap["metrics"])
         state = RunState.from_state(snap["run_state"], requests, cache, metrics)
         metrics.recover_resumed += len(state.streams) + len(state.preempted)
-        self._prefix_registry = state.prefix_registry
         admission = AdmissionController(self, state)
         admission.prefill_retries = {
             int(k): int(v) for k, v in snap["prefill_retries"].items()

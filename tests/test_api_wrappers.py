@@ -240,7 +240,8 @@ class TestPoolInference:
     def test_explicit_pool_num_pages_removed(self, rng):
         cache, seqs, layout, last = build_cache([40], rng)
         w = BatchDecodeWithPagedKVCacheWrapper(WorkspaceBuffer(1 << 26), 4, 2, 32, 16)
-        with pytest.raises(TypeError, match="pool_num_pages"):
+        # The old 4th positional slot must not silently rebind.
+        with pytest.raises(TypeError, match="positional"):
             w.plan(layout.indptr, layout.indices, last, cache.num_pages)
         # The inferred path computes the same answer the old one did.
         w.plan(layout.indptr, layout.indices, last)

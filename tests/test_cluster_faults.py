@@ -97,41 +97,6 @@ def test_replica_crash_recovers_token_exact():
     assert s["cluster_recoveries"] == 2.0
 
 
-def test_replica_crashes_alias_is_removed():
-    """The deprecated ``replica_crashes=`` spelling now fails fast with a
-    TypeError that spells out the ``replica_failures=`` migration instead
-    of warning and translating."""
-    cfg = ClusterConfig(dp=2, router="round-robin",
-                        engine=EngineConfig(max_running=64),
-                        checkpoint_every=3)
-    with pytest.raises(TypeError, match="replica_failures="):
-        ClusterEngine(
-            MODEL, H100_80G, cfg,
-            replica_crashes={0: [(3, "boundary")]},
-        )
-    # The removal hint names the replacement shape, not just the kwarg.
-    with pytest.raises(TypeError, match="ReplicaFailure"):
-        ClusterEngine(
-            MODEL, H100_80G, cfg,
-            replica_crashes={0: [(3, "boundary")]},
-        )
-
-
-def test_replica_failures_and_crashes_together_is_an_error():
-    """Passing both the modern and the removed spelling raises the same
-    removal TypeError — the removed kwarg never merges into (or silently
-    shadows) the modern failure script."""
-    cfg = ClusterConfig(dp=2, router="round-robin",
-                        engine=EngineConfig(max_running=64),
-                        checkpoint_every=3)
-    with pytest.raises(TypeError, match="removed"):
-        ClusterEngine(
-            MODEL, H100_80G, cfg,
-            replica_failures={0: ReplicaFailure(3, "crash", "boundary")},
-            replica_crashes={1: [(5, "boundary")]},
-        )
-
-
 def test_snapshots_carry_the_world_shape():
     store = CheckpointStore()
     _engine(store).run(sharegpt_workload(4, rate=50.0, seed=1))
