@@ -82,19 +82,46 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+def _single_engine(args, model, backend_factory=None, **kwargs):
+    """The engine of every single-engine ``serve`` pass (``kwargs`` reach the
+    :class:`ServingEngine` constructor: tracer, fault plan, checkpointing)."""
+    from repro.serving import EngineConfig, ServingEngine
+
+    cfg = EngineConfig(max_running=256, policy=args.policy, tensor_parallel=args.tp)
+    return ServingEngine.from_config(cfg, model=model, backend_factory=backend_factory, **kwargs)
+
+
+def _write_trace(args, tracer, model, noun, note=None, table=True, **metadata) -> None:
+    """Write a traced pass's chrome trace and say where it went (``note``
+    defaults to the embedded fault-event count); with ``table``, also the
+    ``--trace-csv`` step log and the summary table."""
+    from repro.obs import summary_table, write_chrome_trace, write_csv
+
+    write_chrome_trace(
+        args.trace, tracer.events,
+        metadata={"model": model.name, "backend": "flashinfer",
+                  "requests": args.requests, "rate": args.rate, **metadata},
+        fault_events=tracer.fault_events,
+    )
+    note = note or f"{len(tracer.fault_events)} fault events embedded"
+    lead = "\n  " if table else "    "
+    print(f"{lead}{noun} → {args.trace} ({note})")
+    if table:
+        if args.trace_csv:
+            write_csv(args.trace_csv, tracer.events)
+            print(f"  {'step log':<{len(noun)}} → {args.trace_csv}")
+        print("\n" + summary_table(tracer) + "\n")
+
+
 def _cmd_serve(args) -> int:
-    from repro.core import HeadConfig
-    from repro.gpu import H100_80G
     from repro.serving import (
-        CheckpointConfig, DirectoryStore, EngineConfig, FlashInferBackend,
-        LLAMA_3_1_8B, ServingEngine, TritonBackend, TRTLLMBackend,
-        sharegpt_workload,
+        CheckpointConfig, DirectoryStore, FlashInferBackend, LLAMA_3_1_8B,
+        TritonBackend, TRTLLMBackend, sharegpt_workload,
     )
 
     model = LLAMA_3_1_8B
-    heads = HeadConfig(model.num_qo_heads, model.num_kv_heads, model.head_dim)
     if args.recover:
-        return _serve_recover(args, model, heads)
+        return _serve_recover(args, model)
     features = [
         flag if value is True else f"{flag} {value}" for flag, value in (
             ("--disagg", args.disagg), ("--prefix-cache", args.prefix_cache),
@@ -118,10 +145,9 @@ def _cmd_serve(args) -> int:
             return 2
     requests = sharegpt_workload(args.requests, args.rate, seed=args.seed)
     if args.crash:
-        return _serve_crash(args, model, heads, requests)
+        return _serve_crash(args, model, requests)
     print(f"{args.requests} ShareGPT-like requests at {args.rate} req/s, {model.name} on H100")
     for make in (FlashInferBackend, TritonBackend, TRTLLMBackend):
-        backend = make(heads, H100_80G)
         # The FlashInfer run (the system under test) carries the tracer —
         # unless --chaos is on, in which case the chaos run below gets it.
         tracer = None
@@ -136,14 +162,12 @@ def _cmd_serve(args) -> int:
             ckpt = CheckpointConfig(every_steps=args.checkpoint_every)
             if args.journal:
                 store = DirectoryStore(args.journal)
-        engine = ServingEngine(
-            model, backend, H100_80G,
-            EngineConfig(max_running=256, policy=args.policy), tracer=tracer,
-            checkpoint=ckpt, checkpoint_store=store,
+        engine = _single_engine(
+            args, model, make, tracer=tracer, checkpoint=ckpt, checkpoint_store=store
         )
         s = engine.run(requests).summary()
         print(
-            f"  {backend.name:>10s}: ITL {s['median_itl'] * 1e3:6.2f} ms, "
+            f"  {engine.backend.name:>10s}: ITL {s['median_itl'] * 1e3:6.2f} ms, "
             f"TTFT {s['median_ttft'] * 1e3:6.1f} ms, "
             f"P99 TTFT {s['p99_ttft'] * 1e3:5.0f} ms"
         )
@@ -154,21 +178,11 @@ def _cmd_serve(args) -> int:
                 + (f" → {args.journal}" if args.journal else " (in memory)")
             )
         if tracer is not None:
-            from repro.obs import summary_table, write_chrome_trace, write_csv
-
-            write_chrome_trace(
-                args.trace, tracer.events,
-                metadata={"model": model.name, "backend": backend.name,
-                          "requests": args.requests, "rate": args.rate},
-            )
-            print(f"\n  step trace → {args.trace} (load in chrome://tracing or Perfetto)")
-            if args.trace_csv:
-                write_csv(args.trace_csv, tracer.events)
-                print(f"  step log   → {args.trace_csv}")
-            print("\n" + summary_table(tracer) + "\n")
+            _write_trace(args, tracer, model, "step trace",
+                         "load in chrome://tracing or Perfetto")
 
     if args.chaos:
-        return _serve_chaos(args, model, heads, requests)
+        return _serve_chaos(args, model, requests)
     return 0
 
 
@@ -257,9 +271,7 @@ def _serve_cluster(args, model, features) -> int:
         EngineConfig, bursty_workload, mixed_disagg_workload,
         shared_prefix_workload, sharegpt_workload,
     )
-    from repro.serving.overload import (
-        OverloadConfig, overload_token_divergence, slo_attainment,
-    )
+    from repro.serving.overload import OverloadConfig, slo_attainment
 
     dp = args.dp or 1
     if args.disagg:
@@ -329,14 +341,14 @@ def _serve_cluster(args, model, features) -> int:
 
     # The oracle has every feature off: caching, disaggregation, failover
     # and admission control are timing-only (brownout clamps cut a stream
-    # to an exact prefix, which overload_token_divergence accepts).
+    # to an exact prefix, which token_divergence accepts).
     control = ClusterEngine(
         model, H100_80G, plain if features else dataclasses.replace(plain, dp=1)
     )
     oracle = expected_tokens(control.run_reference(requests))
     cm = cluster.run(requests)
     _print_arm("run", cm)
-    divergent, compared = overload_token_divergence(cm, oracle)
+    divergent, compared = cm.token_divergence(oracle)
     if features or dp > 1:
         base = control.run(requests)
         _print_arm(f"control arm ({'features off' if features else 'dp=1'})", base)
@@ -367,28 +379,22 @@ def _serve_cluster(args, model, features) -> int:
     return 0 if divergent == 0 else 1
 
 
-def _serve_chaos(args, model, heads, requests) -> int:
+def _serve_chaos(args, model, requests) -> int:
     """The ``serve --chaos`` pass: a no-fault resilience baseline, then a
     seeded chaos run, and a token-exactness comparison between the two."""
     from repro.faults import ResilienceConfig, chaos_plan
-    from repro.gpu import H100_80G
-    from repro.serving import EngineConfig, FlashInferBackend, ServingEngine
 
     resil = ResilienceConfig(deadline=args.deadline, max_retries=args.max_retries)
-    cfg = EngineConfig(max_running=256, policy=args.policy)
-
-    baseline = ServingEngine(
-        model, FlashInferBackend(heads, H100_80G), H100_80G, cfg, resilience=resil
-    ).run(requests)
+    baseline = _single_engine(args, model, resilience=resil).run(requests)
 
     tracer = None
     if args.trace:
         from repro.obs import StepTracer
 
         tracer = StepTracer()
-    chaos = ServingEngine(
-        model, FlashInferBackend(heads, H100_80G), H100_80G, cfg,
-        tracer=tracer, fault_plan=chaos_plan(args.chaos_seed), resilience=resil,
+    chaos = _single_engine(
+        args, model, tracer=tracer, fault_plan=chaos_plan(args.chaos_seed),
+        resilience=resil,
     ).run(requests)
 
     s = chaos.summary()
@@ -416,46 +422,28 @@ def _serve_chaos(args, model, heads, requests) -> int:
         f"({len(compared)} streams compared, {chaos.sheds} shed)"
     )
     if tracer is not None:
-        from repro.obs import summary_table, write_chrome_trace, write_csv
-
-        write_chrome_trace(
-            args.trace, tracer.events,
-            metadata={"model": model.name, "backend": "flashinfer",
-                      "requests": args.requests, "rate": args.rate,
-                      "chaos_seed": args.chaos_seed},
-            fault_events=tracer.fault_events,
-        )
-        print(f"\n  chaos trace → {args.trace} "
-              f"({len(tracer.fault_events)} fault events embedded)")
-        if args.trace_csv:
-            write_csv(args.trace_csv, tracer.events)
-            print(f"  step log    → {args.trace_csv}")
-        print("\n" + summary_table(tracer) + "\n")
+        _write_trace(args, tracer, model, "chaos trace", chaos_seed=args.chaos_seed)
     return 0 if divergent == 0 else 1
 
 
-def _serve_crash(args, model, heads, requests) -> int:
+def _serve_crash(args, model, requests) -> int:
     """The ``serve --crash N`` pass: an uninterrupted baseline, then a
     kill/restore campaign (scripted deaths, plus seeded-random ones under
     ``--crash-rate``) recovered via snapshot + journal replay, and a
     token-exactness comparison between the two."""
     from repro.faults import ResilienceConfig, chaos_plan
-    from repro.gpu import H100_80G
     from repro.serving import (
         CheckpointConfig, CheckpointStore, CrashHarness, DirectoryStore,
-        EngineConfig, FlashInferBackend, ServingEngine,
     )
 
     resil = ResilienceConfig(deadline=args.deadline, max_retries=args.max_retries)
-    cfg = EngineConfig(max_running=256, policy=args.policy)
     every = args.checkpoint_every if args.checkpoint_every > 0 else 4
 
     # Uninterrupted baseline: same workload, same fault seed (when --chaos),
     # no deaths.  Every surviving stream must match it byte for byte.
-    baseline = ServingEngine(
-        model, FlashInferBackend(heads, H100_80G), H100_80G, cfg,
+    baseline = _single_engine(
+        args, model, resilience=resil,
         fault_plan=chaos_plan(args.chaos_seed) if args.chaos else None,
-        resilience=resil,
     ).run(requests)
     expected = {(t.req_id, t.gen_index): t.tokens for t in baseline.traces}
 
@@ -478,9 +466,8 @@ def _serve_crash(args, model, heads, requests) -> int:
         tracer = StepTracer()
 
     def factory():
-        return ServingEngine(
-            model, FlashInferBackend(heads, H100_80G), H100_80G, cfg,
-            tracer=tracer, fault_plan=shared_plan, resilience=resil,
+        return _single_engine(
+            args, model, tracer=tracer, fault_plan=shared_plan, resilience=resil,
             checkpoint=CheckpointConfig(every_steps=every),
             checkpoint_store=store,
         )
@@ -514,30 +501,19 @@ def _serve_crash(args, model, heads, requests) -> int:
     if args.journal:
         print(f"    journal + snapshots → {args.journal}")
     if tracer is not None:
-        from repro.obs import write_chrome_trace
-
-        write_chrome_trace(
-            args.trace, tracer.events,
-            metadata={"model": model.name, "backend": "flashinfer",
-                      "requests": args.requests, "rate": args.rate,
-                      "crashes": report.crashes},
-            fault_events=tracer.fault_events,
-        )
-        print(f"    recovery trace → {args.trace} "
-              f"({len(tracer.fault_events)} fault events embedded)")
+        _write_trace(args, tracer, model, "recovery trace", table=False,
+                     crashes=report.crashes)
     ok = report.token_divergence == 0 and report.crashes >= args.crash
     return 0 if ok else 1
 
 
-def _serve_recover(args, model, heads) -> int:
+def _serve_recover(args, model) -> int:
     """The ``serve --recover`` cold start: open the journal directory from
     a previous (killed) ``serve --checkpoint-every N --journal DIR`` run,
     load and verify the latest snapshot, and resume it to completion."""
     from repro.faults import FaultPlan
-    from repro.gpu import H100_80G
     from repro.serving import (
-        CheckpointConfig, DirectoryStore, EngineConfig, FlashInferBackend,
-        NoSnapshotError, RecoveryManager, ServingEngine,
+        CheckpointConfig, DirectoryStore, NoSnapshotError, RecoveryManager,
         SnapshotIntegrityError, SnapshotVerificationError, WorldMismatchError,
     )
 
@@ -579,17 +555,10 @@ def _serve_recover(args, model, heads) -> int:
         plan.disarm("crash")
     every = args.checkpoint_every if args.checkpoint_every > 0 else 4
     # Rebuild the engine at the snapshot's cluster shape: sharded heads
-    # for tp > 1, and the dp coordinates the replica ran at.
-    if args.tp > 1:
-        from repro.cluster import plan_tp_sharding
-
-        heads = plan_tp_sharding(model, args.tp).shard_heads
+    # for tp > 1 (``from_config``), and the dp coordinates the replica ran at.
     snap_world = snap.get("world") or {"tp": 1, "dp": 1, "replica": 0}
-    engine = ServingEngine(
-        model, FlashInferBackend(heads, H100_80G), H100_80G,
-        EngineConfig(max_running=256, policy=args.policy,
-                     tensor_parallel=args.tp),
-        fault_plan=plan,
+    engine = _single_engine(
+        args, model, fault_plan=plan,
         checkpoint=CheckpointConfig(every_steps=every), checkpoint_store=store,
     )
     engine.dp_world = int(snap_world["dp"])

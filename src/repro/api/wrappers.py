@@ -11,10 +11,10 @@ directly.
 
 All wrappers share the plan/run discipline of paper §3.4 (Listing 1):
 construct once with a workspace buffer, ``plan`` per generation step on
-the CPU, ``run`` any number of times per plan.  The two paged wrappers
-share one plan path (:func:`_paged_kv_mapping`): the KV-pool page count is
-inferred from the page-table indices at ``plan`` time and validated
-against the K/V pools passed to ``run``.
+the CPU, ``run`` any number of times per plan.  The one plan/run surface
+is :class:`repro.core.wrapper.BatchAttentionWrapper`; each class here is a
+*lowering* onto it: a ``plan`` that turns the library's page-table triple
+or ragged indptrs into an :class:`AttentionMapping`, plus task defaults.
 
 Every wrapper accepts an optional :class:`repro.obs.StepTracer`; when
 attached, each ``run`` records a :class:`repro.obs.KernelRecord` so
@@ -24,7 +24,8 @@ steps.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+import functools
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -41,73 +42,81 @@ from repro.sparse.layout import AttentionMapping, BlockSparseKV
 from repro.utils.dtypes import StorageDType
 
 
-def _paged_kv_mapping(
-    page_size: int,
-    qo_indptr: np.ndarray,
-    kv_indptr: np.ndarray,
-    kv_indices: np.ndarray,
-    last_page_len: np.ndarray,
-    causal: bool,
-) -> AttentionMapping:
-    """Shared plan path of the paged wrappers: lower the FlashInfer page-table
-    triple ``(kv_indptr, kv_indices, last_page_len)`` to an
-    :class:`AttentionMapping`.
-
-    The pool bound is inferred from the largest referenced page index (the
-    K/V pools handed to ``run()`` are validated against it).
-    """
-    kv_indptr = np.asarray(kv_indptr, dtype=np.int64)
-    kv_indices = np.asarray(kv_indices, dtype=np.int64)
-    last_page_len = np.asarray(last_page_len, dtype=np.int64)
-    pages_per_seq = np.diff(kv_indptr)
-    kv_lens = np.where(
-        pages_per_seq > 0,
-        (pages_per_seq - 1) * page_size + last_page_len,
-        0,
-    )
-    pool_num_pages = int(kv_indices.max()) + 1 if kv_indices.size else 1
-    kv = BlockSparseKV(page_size, pool_num_pages, kv_indptr, kv_indices, kv_lens)
-    return AttentionMapping(
-        np.asarray(qo_indptr, dtype=np.int64), kv, causal=causal
-    )
-
-
 class _WrapperBase:
-    """Shared plan/run state machine for the public wrappers."""
+    """What the public wrappers share: the inner :class:`BatchAttentionWrapper`
+    (its planned mapping is the one record of planned state and of the pool
+    bound), the page-table lowering, ``run`` and ``last_report``.  A subclass
+    overrides the paged-prefill constructor only where its task fixes an argument."""
 
-    #: Set by subclasses; used for error messages and kernel records.
-    _phase = "batch"
+    #: Set by subclasses; labels the kernel records.
+    _phase = "prefill"
+    #: Paged KV gathers rows through the page table; ragged KV is contiguous.
+    _sparse_gather = True
 
-    def __init__(self, tracer: Optional[StepTracer] = None):
+    def __init__(
+        self,
+        workspace: WorkspaceBuffer,
+        num_qo_heads: int,
+        num_kv_heads: int,
+        head_dim: int,
+        page_size: int,
+        gpu: GPUSpec = A100_40G,
+        variant: AttentionVariant = VANILLA,
+        kv_dtype: StorageDType = StorageDType.FP16,
+        avg_qo_len: float = 512.0,
+        max_batch_size: Optional[int] = None,
+        max_total_qo: Optional[int] = None,
+        tracer: Optional[StepTracer] = None,
+        plan_cache=None,
+    ):
         self.tracer = tracer
-        self._planned = False
-        self._min_pool_pages: Optional[int] = None
+        self.page_size = page_size
+        self.heads = HeadConfig(num_qo_heads, num_kv_heads, head_dim)
+        self._inner = BatchAttentionWrapper(
+            variant, self.heads, workspace, gpu, avg_qo_len=avg_qo_len, kv_dtype=kv_dtype,
+            sparse_gather=self._sparse_gather, max_batch_size=max_batch_size,
+            max_total_qo=max_total_qo, plan_cache=plan_cache,
+        )
 
-    def _require_plan(self) -> None:
-        if not self._planned:
+    def _plan(self, qo_indptr, kv_indptr, kv_indices, last_page_len, causal, params, sm_scale):
+        """Lower the page-table triple ``(kv_indptr, kv_indices, last_page_len)`` to an
+        :class:`AttentionMapping` and plan it; the pool bound is the largest page index."""
+        kv_indices = np.asarray(kv_indices, dtype=np.int64)
+        n_pages = np.diff(kv_indptr)
+        kv_lens = np.where(n_pages > 0, (n_pages - 1) * self.page_size + last_page_len, 0)
+        pool_num_pages = int(kv_indices.max()) + 1 if kv_indices.size else 0
+        kv = BlockSparseKV(self.page_size, pool_num_pages, kv_indptr, kv_indices, kv_lens)
+        self._inner.plan(
+            AttentionMapping(qo_indptr, kv, causal=causal), params=params, sm_scale=sm_scale
+        )
+
+    def run(self, q: np.ndarray, k_pool: np.ndarray, v_pool: np.ndarray, return_lse: bool = False):
+        """Attention under the current plan: ``q`` is packed ``(total_qo, H_qo,
+        D)`` (one row per request for decode); ``k_pool``/``v_pool`` are the
+        page pools — for the ragged wrapper, the packed ``(total_kv, H_kv, D)``
+        tensors."""
+        name = type(self).__name__
+        mapping = self._inner._mapping
+        if mapping is None:
             raise RuntimeError(
-                f"{type(self).__name__}.run() called before plan(); call "
-                f"{type(self).__name__}.plan(...) with the current page "
-                f"table/indptrs first (§3.4 plan/run discipline)"
+                f"{name}.run() called before plan(); call {name}.plan(...) with the "
+                f"current page table/indptrs first (§3.4 plan/run discipline)"
             )
-
-    def _check_pool(self, pool: Optional[np.ndarray], page_size: int) -> None:
-        if pool is None or self._min_pool_pages is None:
-            return
-        have = int(np.shape(pool)[0]) // page_size
-        if have < self._min_pool_pages:
+        have = int(np.shape(k_pool)[0]) // self.page_size
+        if have < mapping.kv.pool_blocks:
             raise ValueError(
-                f"{type(self).__name__}: K/V pool holds {have} pages of "
-                f"{page_size} slots but the planned page table references "
-                f"page {self._min_pool_pages - 1}; pass the pool the page "
-                f"table was built from"
+                f"{name}: K/V pool holds {have} pages of {self.page_size} slots but the "
+                f"planned page table references page {mapping.kv.pool_blocks - 1}; "
+                f"pass the pool the page table was built from"
             )
+        out, lse, report = self._inner.run(q, k_pool, v_pool)
+        if self.tracer is not None:
+            self.tracer.record_kernel(KernelRecord.from_report(name, self._phase, report))
+        return (out, lse) if return_lse else out
 
-    def _record(self, report: Optional[SimReport]) -> None:
-        if self.tracer is not None and report is not None:
-            self.tracer.record_kernel(
-                KernelRecord.from_report(type(self).__name__, self._phase, report)
-            )
+    @property
+    def last_report(self) -> Optional[SimReport]:
+        return self._inner.last_report
 
 
 class BatchDecodeWithPagedKVCacheWrapper(_WrapperBase):
@@ -134,16 +143,12 @@ class BatchDecodeWithPagedKVCacheWrapper(_WrapperBase):
         tracer: Optional[StepTracer] = None,
         plan_cache=None,
     ):
-        super().__init__(tracer)
-        self.page_size = page_size
-        self.heads = HeadConfig(num_qo_heads, num_kv_heads, head_dim)
-        self._inner = BatchAttentionWrapper(
-            variant, self.heads, workspace, gpu,
-            avg_qo_len=1.0, kv_dtype=kv_dtype,
-            max_batch_size=max_batch_size,
-            max_total_qo=max_batch_size,
+        # One query row per request: the row bound is the batch bound.
+        super().__init__(
+            workspace, num_qo_heads, num_kv_heads, head_dim, page_size, gpu, variant, kv_dtype,
+            avg_qo_len=1.0, max_batch_size=max_batch_size, max_total_qo=max_batch_size,
+            tracer=tracer, plan_cache=plan_cache,
         )
-        self._inner.plan_cache = plan_cache
 
     def plan(
         self,
@@ -155,33 +160,8 @@ class BatchDecodeWithPagedKVCacheWrapper(_WrapperBase):
         sm_scale: Optional[float] = None,
     ) -> None:
         """Stage the decode schedule for the current page table."""
-        kv_indices = np.asarray(kv_indices, dtype=np.int64)
-        batch = np.asarray(kv_indptr).size - 1
-        mapping = _paged_kv_mapping(
-            self.page_size, np.arange(batch + 1, dtype=np.int64),
-            kv_indptr, kv_indices, last_page_len, causal=True,
-        )
-        self._min_pool_pages = int(kv_indices.max()) + 1 if kv_indices.size else 0
-        self._inner.plan(mapping, params=params, sm_scale=sm_scale)
-        self._planned = True
-
-    def run(
-        self,
-        q: np.ndarray,
-        k_pool: np.ndarray,
-        v_pool: np.ndarray,
-        return_lse: bool = False,
-    ):
-        """Compute decode attention: ``q`` is ``(batch, H_qo, D)``."""
-        self._require_plan()
-        self._check_pool(k_pool, self.page_size)
-        out, lse, report = self._inner.run(q, k_pool, v_pool)
-        self._record(report)
-        return (out, lse) if return_lse else out
-
-    @property
-    def last_report(self) -> Optional[SimReport]:
-        return self._inner.last_report
+        qo_indptr = np.arange(np.asarray(kv_indptr).size)  # one query row each
+        self._plan(qo_indptr, kv_indptr, kv_indices, last_page_len, True, params, sm_scale)
 
 
 class BatchPrefillWithPagedKVCacheWrapper(_WrapperBase):
@@ -190,34 +170,6 @@ class BatchPrefillWithPagedKVCacheWrapper(_WrapperBase):
     Mirrors ``flashinfer.prefill.BatchPrefillWithPagedKVCacheWrapper``:
     queries are packed per ``qo_indptr``; KV comes from the page pool.
     """
-
-    _phase = "prefill"
-
-    def __init__(
-        self,
-        workspace: WorkspaceBuffer,
-        num_qo_heads: int,
-        num_kv_heads: int,
-        head_dim: int,
-        page_size: int,
-        gpu: GPUSpec = A100_40G,
-        variant: AttentionVariant = VANILLA,
-        kv_dtype: StorageDType = StorageDType.FP16,
-        avg_qo_len: float = 512.0,
-        max_batch_size: Optional[int] = None,
-        max_total_qo: Optional[int] = None,
-        tracer: Optional[StepTracer] = None,
-        plan_cache=None,
-    ):
-        super().__init__(tracer)
-        self.page_size = page_size
-        self.heads = HeadConfig(num_qo_heads, num_kv_heads, head_dim)
-        self._inner = BatchAttentionWrapper(
-            variant, self.heads, workspace, gpu,
-            avg_qo_len=avg_qo_len, kv_dtype=kv_dtype,
-            max_batch_size=max_batch_size, max_total_qo=max_total_qo,
-        )
-        self._inner.plan_cache = plan_cache
 
     def plan(
         self,
@@ -230,25 +182,7 @@ class BatchPrefillWithPagedKVCacheWrapper(_WrapperBase):
         params: Optional[dict] = None,
         sm_scale: Optional[float] = None,
     ) -> None:
-        kv_indices = np.asarray(kv_indices, dtype=np.int64)
-        mapping = _paged_kv_mapping(
-            self.page_size, qo_indptr, kv_indptr, kv_indices, last_page_len,
-            causal=causal,
-        )
-        self._min_pool_pages = int(kv_indices.max()) + 1 if kv_indices.size else 0
-        self._inner.plan(mapping, params=params, sm_scale=sm_scale)
-        self._planned = True
-
-    def run(self, q, k_pool, v_pool, return_lse: bool = False):
-        self._require_plan()
-        self._check_pool(k_pool, self.page_size)
-        out, lse, report = self._inner.run(q, k_pool, v_pool)
-        self._record(report)
-        return (out, lse) if return_lse else out
-
-    @property
-    def last_report(self) -> Optional[SimReport]:
-        return self._inner.last_report
+        self._plan(qo_indptr, kv_indptr, kv_indices, last_page_len, causal, params, sm_scale)
 
 
 class BatchPrefillWithRaggedKVCacheWrapper(_WrapperBase):
@@ -260,7 +194,7 @@ class BatchPrefillWithRaggedKVCacheWrapper(_WrapperBase):
     contiguous (TMA-eligible on Hopper).
     """
 
-    _phase = "prefill"
+    _sparse_gather = False
 
     def __init__(
         self,
@@ -277,14 +211,11 @@ class BatchPrefillWithRaggedKVCacheWrapper(_WrapperBase):
         tracer: Optional[StepTracer] = None,
         plan_cache=None,
     ):
-        super().__init__(tracer)
-        self.heads = HeadConfig(num_qo_heads, num_kv_heads, head_dim)
-        self._inner = BatchAttentionWrapper(
-            variant, self.heads, workspace, gpu,
-            avg_qo_len=avg_qo_len, kv_dtype=kv_dtype, sparse_gather=False,
-            max_batch_size=max_batch_size, max_total_qo=max_total_qo,
+        # Contiguous rows = a degenerate block-sparse layout with B_c = 1.
+        super().__init__(
+            workspace, num_qo_heads, num_kv_heads, head_dim, 1, gpu, variant, kv_dtype,
+            avg_qo_len, max_batch_size, max_total_qo, tracer, plan_cache,
         )
-        self._inner.plan_cache = plan_cache
 
     def plan(
         self,
@@ -296,95 +227,30 @@ class BatchPrefillWithRaggedKVCacheWrapper(_WrapperBase):
     ) -> None:
         """Ragged layout: request ``i`` owns KV rows
         ``[kv_indptr[i], kv_indptr[i+1])`` of the packed K/V tensors."""
-        kv_indptr = np.asarray(kv_indptr, dtype=np.int64)
-        kv_lens = np.diff(kv_indptr)
-        total_kv = int(kv_indptr[-1])
-        # Contiguous rows = a degenerate block-sparse layout with B_c = 1
-        # and identity gather.
-        indices = np.arange(total_kv, dtype=np.int64)
-        kv = BlockSparseKV(1, max(total_kv, 1), kv_indptr, indices, kv_lens)
-        mapping = AttentionMapping(
-            np.asarray(qo_indptr, dtype=np.int64), kv, causal=causal
-        )
-        self._min_pool_pages = total_kv
-        self._inner.plan(mapping, params=params, sm_scale=sm_scale)
-        self._planned = True
-
-    def run(self, q, k, v, return_lse: bool = False):
-        self._require_plan()
-        self._check_pool(k, 1)
-        out, lse, report = self._inner.run(q, k, v)
-        self._record(report)
-        return (out, lse) if return_lse else out
-
-    @property
-    def last_report(self) -> Optional[SimReport]:
-        return self._inner.last_report
+        n_kv = np.diff(kv_indptr)
+        # Identity page table: "page" ``j`` is row ``j``, every page full.
+        self._plan(qo_indptr, kv_indptr, np.arange(n_kv.sum()), n_kv > 0, causal, params, sm_scale)
 
 
 # -- single-request helpers (flashinfer.single_* equivalents) -----------------
 
-#: Module-level workspace reuse for the single-request helpers, keyed by
-#: power-of-two size class.  The old behaviour allocated a fresh ≥64 MB
-#: buffer on *every* call; steady-state single-request traffic now touches
-#: one cached buffer per size class.
-_WORKSPACE_CACHE: Dict[int, WorkspaceBuffer] = {}
-#: Cached single-prefill wrappers keyed by (variant, gpu, geometry, bounds);
-#: wrapper workspace sections are append-only, so reusing the wrapper (not
-#: just the buffer) is what makes repeat calls allocation-free.
-_SINGLE_WRAPPER_CACHE: Dict[tuple, BatchPrefillWithRaggedKVCacheWrapper] = {}
 
-
-def _workspace_size_class(nbytes: int) -> int:
-    return 1 << max(26, int(nbytes - 1).bit_length())  # ≥ 64 MB
-
-
-def _cached_workspace(nbytes: int) -> WorkspaceBuffer:
-    size_class = _workspace_size_class(nbytes)
-    ws = _WORKSPACE_CACHE.get(size_class)
-    if ws is None:
-        ws = WorkspaceBuffer(size_class)
-        _WORKSPACE_CACHE[size_class] = ws
-    return ws
+@functools.lru_cache(maxsize=None)
+def _single_prefill_wrapper(
+    variant: AttentionVariant, gpu: GPUSpec,
+    num_qo_heads: int, num_kv_heads: int, head_dim: int, qo_cap: int,
+) -> BatchPrefillWithRaggedKVCacheWrapper:
+    """One geometry's single-request wrapper, memoised with its own 64 MB workspace:
+    sections are sized by head geometry and ``qo_cap``, never by KV length."""
+    return BatchPrefillWithRaggedKVCacheWrapper(
+        WorkspaceBuffer(64 * 1024 * 1024), num_qo_heads, num_kv_heads, head_dim, gpu=gpu,
+        variant=variant, avg_qo_len=float(qo_cap), max_batch_size=1, max_total_qo=qo_cap,
+    )
 
 
 def clear_workspace_cache() -> None:
-    """Drop the cached single-request workspaces/wrappers (tests, memory)."""
-    _WORKSPACE_CACHE.clear()
-    _SINGLE_WRAPPER_CACHE.clear()
-
-
-def _single_prefill_wrapper(
-    n_q: int, n_kv: int, num_qo_heads: int, num_kv_heads: int, head_dim: int,
-    variant: AttentionVariant, gpu: GPUSpec,
-) -> BatchPrefillWithRaggedKVCacheWrapper:
-    ws = _cached_workspace(max(64 * 1024 * 1024, n_kv * 1024))
-    # Round the query bound up to a power of two so all calls in the same
-    # band share one wrapper (and its fixed-offset workspace sections).
-    qo_cap = 1 << max(10, int(max(n_q, 1) - 1).bit_length())
-    key = (
-        variant, gpu, num_qo_heads, num_kv_heads, head_dim,
-        ws.buffer_id, qo_cap,
-    )
-    w = _SINGLE_WRAPPER_CACHE.get(key)
-    if w is None:
-        try:
-            w = BatchPrefillWithRaggedKVCacheWrapper(
-                ws, num_qo_heads, num_kv_heads, head_dim, gpu=gpu,
-                variant=variant, avg_qo_len=float(qo_cap),
-                max_batch_size=1, max_total_qo=qo_cap,
-            )
-        except MemoryError:
-            # Cached buffer exhausted by other geometries: fall back to a
-            # dedicated (uncached) workspace for this wrapper.
-            w = BatchPrefillWithRaggedKVCacheWrapper(
-                WorkspaceBuffer(_workspace_size_class(max(64 * 1024 * 1024, n_kv * 1024))),
-                num_qo_heads, num_kv_heads, head_dim, gpu=gpu,
-                variant=variant, avg_qo_len=float(qo_cap),
-                max_batch_size=1, max_total_qo=qo_cap,
-            )
-        _SINGLE_WRAPPER_CACHE[key] = w
-    return w
+    """Drop the cached single-request wrappers and workspaces (tests, memory)."""
+    _single_prefill_wrapper.cache_clear()
 
 
 def single_prefill_with_kv_cache(
@@ -400,9 +266,10 @@ def single_prefill_with_kv_cache(
 ) -> np.ndarray:
     """One-shot prefill attention for a single request (no paging)."""
     n_q, n_kv = q.shape[0], k.shape[0]
-    w = _single_prefill_wrapper(
-        n_q, n_kv, q.shape[1], k.shape[1], q.shape[2], variant, gpu
-    )
+    # Round the query bound up to a power of two so all calls in the same
+    # band share one wrapper (and its fixed-offset workspace sections).
+    qo_cap = 1 << max(10, int(max(n_q, 1) - 1).bit_length())
+    w = _single_prefill_wrapper(variant, gpu, q.shape[1], k.shape[1], q.shape[2], qo_cap)
     w.tracer = tracer
     w.plan(np.array([0, n_q]), np.array([0, n_kv]), causal=causal,
            params=params, sm_scale=sm_scale)

@@ -178,7 +178,11 @@ class ClusterMetrics:
 
         Returns ``(divergent, compared)``; divergent must be 0 for any
         healthy cluster, whatever the tp/dp/router/topology — and after
-        replica crash recovery.
+        replica crash recovery.  A stream clamped by brownout rung 3
+        (``outcome_reason == "brownout-clamp"``, which only an installed
+        brownout controller sets) must equal the exact *prefix* of its
+        reference tokens: the clamp shortens a stream, it never changes a
+        token.
         """
         divergent = compared = 0
         for requests, metrics in zip(self.replica_requests, self.replicas):
@@ -192,6 +196,8 @@ class ClusterMetrics:
                 if want is None:
                     continue
                 compared += 1
+                if tr.outcome_reason == "brownout-clamp":
+                    want = want[: len(tr.tokens)]
                 if tr.tokens != want:
                     divergent += 1
         return divergent, compared

@@ -52,6 +52,22 @@ from repro.utils.dtypes import StorageDType
 _wrapper_counter = itertools.count()
 
 
+def _num_query_rows(q: Optional[np.ndarray], compute: bool, planned_rows: int) -> int:
+    """Rows of the output a ``run`` produces: ``q``'s, or — for a cost-only
+    run, where ``q`` may be ``None`` — the rows the planned mapping covers."""
+    if q is not None:
+        return q.shape[0]
+    if compute:
+        raise ValueError("compute=True requires q/k_pool/v_pool tensors")
+    return planned_rows
+
+
+def _apply_output_transform(kernel: CompiledKernel, out: np.ndarray, rows: np.ndarray, params):
+    """The variant's output transform over ``rows`` of ``out``, head by head."""
+    for h in range(out.shape[1]):
+        out[rows, h, :] = kernel.output_transform(out[rows, h, :], rows, h, params)
+
+
 class BatchAttentionWrapper:
     """Plan/run attention for one block-sparse format.
 
@@ -81,6 +97,12 @@ class BatchAttentionWrapper:
         Restrict the persistent grid to this many SMs, leaving the rest
         for horizontally fused kernels running in other streams
         (Appendix E / Nanoflow-style overlap).
+    executor:
+        The simulated device to launch on.  It carries the per-run state —
+        ``fault_injector`` and ``plan_cache`` — so an owner that builds
+        several wrappers on one executor (a serving backend) attaches either
+        once, before or after building them.  Default: a private executor
+        over ``cost_model``; ``plan_cache``, when given, is attached to it.
     """
 
     def __init__(
@@ -103,6 +125,8 @@ class BatchAttentionWrapper:
         kv_tile: Optional[int] = None,
         split_kv: bool = True,
         sm_limit: Optional[int] = None,
+        executor: Optional[PersistentKernelExecutor] = None,
+        plan_cache=None,
     ):
         self.variant = variant
         self.heads = heads
@@ -165,7 +189,9 @@ class BatchAttentionWrapper:
         self._mapping: Optional[AttentionMapping] = None
         self._params = variant.bind_params({}) if not variant.params else None
         self._sm_scale: float = 1.0 / float(np.sqrt(heads.head_dim))
-        self.executor = PersistentKernelExecutor(gpu, cost_model)
+        self.executor = executor or PersistentKernelExecutor(gpu, cost_model)
+        if plan_cache is not None:
+            self.plan_cache = plan_cache
         self.last_report: Optional[SimReport] = None
         self.plan_count = 0
         #: Optional duck-typed :class:`repro.faults.OutputGuard`; when set,
@@ -173,11 +199,18 @@ class BatchAttentionWrapper:
         #: (raising ``NumericalFault`` on NaN/Inf).  ``None`` costs one
         #: attribute check.
         self.output_guard = None
-        #: Optional duck-typed :class:`repro.serving.PlanCache`; when set,
-        #: :meth:`plan` consults it before recomputing the CPU schedule.
-        #: The signature captures every scheduler input, so a hit returns a
-        #: plan identical to the one it replaces (§3.3.1).
-        self.plan_cache = None
+
+    @property
+    def plan_cache(self):
+        """Optional duck-typed :class:`repro.serving.PlanCache`, held by the
+        executor; when set, :meth:`plan` consults it before recomputing the
+        CPU schedule.  The signature captures every scheduler input, so a
+        hit returns a plan identical to the one it replaces (§3.3.1)."""
+        return self.executor.plan_cache
+
+    @plan_cache.setter
+    def plan_cache(self, cache) -> None:
+        self.executor.plan_cache = cache
 
     # -- workspace layout ---------------------------------------------------
 
@@ -268,8 +301,9 @@ class BatchAttentionWrapper:
         self._write_plan(plan)
         self._mapping = mapping
         self._params = self.variant.bind_params(params)
-        if sm_scale is not None:
-            self._sm_scale = float(sm_scale)
+        self._sm_scale = (
+            1.0 / float(np.sqrt(self.heads.head_dim)) if sm_scale is None else float(sm_scale)
+        )
         self.plan_count += 1
         return plan
 
@@ -374,16 +408,8 @@ class BatchAttentionWrapper:
         if self._mapping is None:
             raise RuntimeError("run() before plan()")
         mapping = self._mapping
-        if q is None:
-            if compute:
-                raise ValueError("compute=True requires q/k_pool/v_pool tensors")
-            total_q = (
-                int((mapping.q_row_starts + mapping.qo_lens).max())
-                if mapping.num_groups
-                else 0
-            )
-        else:
-            total_q = q.shape[0]
+        planned = int((mapping.q_row_starts + mapping.qo_lens).max()) if mapping.num_groups else 0
+        total_q = _num_query_rows(q, compute, planned)
         if compute and out is None:
             out = np.zeros((total_q, self.heads.num_qo_heads, self.heads.head_dim))
         if compute and lse is None:
@@ -434,11 +460,7 @@ class BatchAttentionWrapper:
             for g in range(mapping.num_groups):
                 s = int(mapping.q_row_starts[g])
                 covered[s : s + int(mapping.qo_lens[g])] = True
-            rows = np.nonzero(covered)[0]
-            for h in range(self.heads.num_qo_heads):
-                out[rows, h, :] = self.kernel.output_transform(
-                    out[rows, h, :], rows, h, self._params
-                )
+            _apply_output_transform(self.kernel, out, np.nonzero(covered)[0], self._params)
         return out, lse, report
 
 
@@ -466,8 +488,6 @@ class ComposableAttentionWrapper:
         self.wrappers: List[BatchAttentionWrapper] = []
         self._format: Optional[ComposableFormat] = None
         self.last_report: Optional[SimReport] = None
-        #: Shared plan memo, propagated to each per-format wrapper.
-        self.plan_cache = None
 
     def plan(
         self,
@@ -499,7 +519,6 @@ class ComposableAttentionWrapper:
                         **self._kwargs,
                     )
                 )
-                self.wrappers[-1].plan_cache = self.plan_cache
         for w, m in zip(self.wrappers, formats):
             w.plan(m, params=params, sm_scale=sm_scale)
         self._format = formats
@@ -514,23 +533,15 @@ class ComposableAttentionWrapper:
         """Run every format and contract their states into the final output."""
         if self._format is None:
             raise RuntimeError("run() before plan()")
-        if q is None:
-            if compute:
-                raise ValueError("compute=True requires q/k_pool/v_pool tensors")
-            total_q = self._format.total_qo
-        else:
-            total_q = q.shape[0]
+        total_q = _num_query_rows(q, compute, self._format.total_qo)
         h, d = self.heads.num_qo_heads, self.heads.head_dim
         acc_o = np.zeros((total_q, h, d)) if compute else None
         acc_lse = np.full((total_q, h), -np.inf) if compute else None
         report: Optional[SimReport] = None
         merge_traffic = 0.0
         for i, w in enumerate(self.wrappers):
-            o_f = np.zeros((total_q, h, d)) if compute else None
-            lse_f = np.full((total_q, h), -np.inf) if compute else None
-            _, _, rep = w.run(
-                q, k_pool, v_pool, out=o_f, lse=lse_f, compute=compute,
-                apply_output_transform=False,
+            o_f, lse_f, rep = w.run(
+                q, k_pool, v_pool, compute=compute, apply_output_transform=False
             )
             report = rep if report is None else report.combine(rep)
             if compute:
@@ -542,27 +553,18 @@ class ComposableAttentionWrapper:
                 # Cross-format contraction traffic: read two states, write one.
                 covered = int(np.sum(w._mapping.qo_lens)) if w._mapping else 0
                 merge_traffic += 3.0 * covered * h * (d + 1) * PARTIAL_ITEMSIZE
+        first = self.wrappers[0] if self.wrappers else None
         if merge_traffic and report is not None:
-            merge_cost = TileCost(
-                flops=0.0, padded_flops=0.0,
-                bytes_read=merge_traffic * 2 / 3, bytes_written=merge_traffic / 3,
-                uses_tensor_cores=False,
-            )
-            exe = self.wrappers[0].executor
-            n = self.wrappers[0].num_ctas
+            # The contraction is spread evenly over the first format's grid.
+            n = first.num_ctas
             per = TileCost(
                 flops=0.0, padded_flops=0.0,
-                bytes_read=merge_cost.bytes_read / n,
-                bytes_written=merge_cost.bytes_written / n,
+                bytes_read=merge_traffic * 2 / 3 / n,
+                bytes_written=merge_traffic / 3 / n,
                 uses_tensor_cores=False,
             )
-            report = report.combine(exe.run_persistent([[per] for _ in range(n)]))
-        out = acc_o
-        if compute:
-            out_fn = self.wrappers[0].kernel.output_transform
-            if out_fn is not None:
-                rows = np.arange(total_q)
-                for hh in range(h):
-                    out[:, hh, :] = out_fn(out[:, hh, :], rows, hh, self.wrappers[0]._params)
+            report = report.combine(first.executor.run_persistent([[per] for _ in range(n)]))
+        if compute and first.kernel.output_transform is not None:
+            _apply_output_transform(first.kernel, acc_o, np.arange(total_q), first._params)
         self.last_report = report
-        return out, report
+        return acc_o, report

@@ -117,6 +117,11 @@ class PersistentKernelExecutor:
     #: consulted once per simulated launch.  ``None`` (the default) keeps
     #: the launch paths exactly as before — a single attribute check.
     fault_injector = None
+    #: Optional plan memo (duck-typed :class:`repro.serving.PlanCache`).  The
+    #: executor never reads it: it rides here because the executor is the one
+    #: object every wrapper of a serving backend shares, so the backend
+    #: attaches per-run state (this and :attr:`fault_injector`) in one place.
+    plan_cache = None
 
     def __init__(
         self,

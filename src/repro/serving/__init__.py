@@ -41,7 +41,6 @@ from repro.serving.overload import (
     OverloadConfig,
     OverloadReport,
     TokenBucket,
-    overload_token_divergence,
     slo_attainment,
 )
 from repro.serving.plan_cache import PlanCache
@@ -121,7 +120,6 @@ __all__ = [
     "OverloadConfig",
     "OverloadReport",
     "TokenBucket",
-    "overload_token_divergence",
     "slo_attainment",
     "OperatingPoint",
     "find_max_rate",

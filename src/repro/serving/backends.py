@@ -30,7 +30,7 @@ from repro.core.kernels import HeadConfig
 from repro.core.variant import VANILLA
 from repro.core.wrapper import BatchAttentionWrapper, ComposableAttentionWrapper
 from repro.gpu.cost import KernelCostModel
-from repro.gpu.executor import SimReport
+from repro.gpu.executor import PersistentKernelExecutor, SimReport
 from repro.gpu.spec import GPUSpec
 from repro.gpu.workspace import WorkspaceBuffer
 from repro.sparse.composable import ComposableFormat
@@ -59,23 +59,16 @@ class AttentionBackend:
     #: :meth:`pop_kernel_reports`.  Off by default — the untraced step loop
     #: pays nothing.
     collect_kernel_reports: bool = False
-    #: Attached fault plan (see :meth:`set_fault_injector`); ``None`` keeps
-    #: every simulated launch exactly as before.
-    fault_injector = None
-    #: Attached :class:`repro.serving.plan_cache.PlanCache`; ``None`` means
-    #: every wrapper ``plan()`` recomputes its schedule from scratch.
-    plan_cache = None
 
     def set_fault_injector(self, injector) -> None:
         """Attach (or detach, with ``None``) a duck-typed
-        :class:`repro.faults.FaultPlan`; backends thread it into their
-        simulated-kernel executors so launches can fail or straggle."""
-        self.fault_injector = injector
+        :class:`repro.faults.FaultPlan` to the backend's simulated-kernel
+        executor, so launches can fail or straggle."""
 
     def set_plan_cache(self, cache) -> None:
-        """Attach (or detach, with ``None``) a plan cache; backends that own
-        wrappers thread it into each wrapper's ``plan_cache`` slot."""
-        self.plan_cache = cache
+        """Attach (or detach, with ``None``) a plan cache for the backend's
+        wrappers to consult in ``plan()``; a backend without wrappers
+        ignores it."""
 
     def attention_time(
         self, formats: "ComposableFormat | AttentionMapping", decode: bool
@@ -128,7 +121,12 @@ class FlashInferBackend(AttentionBackend):
         self.heads = heads
         self.gpu = gpu
         self.composable = composable
-        self._bounds = {"max_batch_size": max_batch_size, "max_total_qo": max_total_qo}
+        #: The one simulated device every wrapper of this backend launches on: it carries
+        #: the per-run state (fault injector, plan cache), so a wrapper built later sees it.
+        self._executor = PersistentKernelExecutor(gpu)
+        self._wrapper_kwargs = dict(
+            executor=self._executor, max_batch_size=max_batch_size, max_total_qo=max_total_qo
+        )
         self.characteristics = BackendCharacteristics(
             gemm_efficiency=0.85,
             allreduce_efficiency=1.0,
@@ -140,21 +138,10 @@ class FlashInferBackend(AttentionBackend):
         self._composable_wrappers: Dict[str, ComposableAttentionWrapper] = {}
 
     def set_fault_injector(self, injector) -> None:
-        self.fault_injector = injector
-        for w in self._wrappers.values():
-            w.executor.fault_injector = injector
-        for cw in self._composable_wrappers.values():
-            for sub in cw.wrappers:
-                sub.executor.fault_injector = injector
+        self._executor.fault_injector = injector
 
     def set_plan_cache(self, cache) -> None:
-        self.plan_cache = cache
-        for w in self._wrappers.values():
-            w.plan_cache = cache
-        for cw in self._composable_wrappers.values():
-            cw.plan_cache = cache
-            for sub in cw.wrappers:
-                sub.plan_cache = cache
+        self._executor.plan_cache = cache
 
     def _single_wrapper(self, decode: bool) -> BatchAttentionWrapper:
         key = "decode" if decode else "prefill"
@@ -166,10 +153,8 @@ class FlashInferBackend(AttentionBackend):
                 self.gpu,
                 avg_qo_len=1.0 if decode else 512.0,
                 name=f"fi_{key}",
-                **self._bounds,
+                **self._wrapper_kwargs,
             )
-            self._wrappers[key].executor.fault_injector = self.fault_injector
-            self._wrappers[key].plan_cache = self.plan_cache
         return self._wrappers[key]
 
     def attention_time(self, formats, decode: bool) -> float:
@@ -185,9 +170,8 @@ class FlashInferBackend(AttentionBackend):
         cw = self._composable_wrappers.get(key)
         if cw is None:
             cw = ComposableAttentionWrapper(
-                VANILLA, self.heads, self._workspace, self.gpu, **self._bounds
+                VANILLA, self.heads, self._workspace, self.gpu, **self._wrapper_kwargs
             )
-            cw.plan_cache = self.plan_cache
             self._composable_wrappers[key] = cw
         cw.plan(formats)
         _, report = cw.run(None, compute=False)
@@ -228,7 +212,6 @@ class TritonBackend(AttentionBackend):
         self._fa = FlashAttentionBaseline(heads, gpu, version="fa2", cost_model=cost)
 
     def set_fault_injector(self, injector) -> None:
-        self.fault_injector = injector
         self._fa.executor.fault_injector = injector
 
     def attention_time(self, formats, decode: bool) -> float:
@@ -263,11 +246,9 @@ class TRTLLMBackend(AttentionBackend):
         self._inner = FlashInferBackend(heads, gpu, workspace_bytes)
 
     def set_fault_injector(self, injector) -> None:
-        self.fault_injector = injector
         self._inner.set_fault_injector(injector)
 
     def set_plan_cache(self, cache) -> None:
-        self.plan_cache = cache
         self._inner.set_plan_cache(cache)
 
     def attention_time(self, formats, decode: bool) -> float:

@@ -32,9 +32,9 @@ Four pieces compose into graceful saturation:
 
 * **Token exactness** — rid-keyed token ids make every re-arrival,
   re-dispatch and hedge token-exact by construction;
-  :func:`overload_token_divergence` is the prefix-aware check that also
-  covers brownout-clamped streams (a clamp shortens a stream, it never
-  changes a token).
+  :meth:`repro.cluster.ClusterMetrics.token_divergence` holds a
+  brownout-clamped stream to the exact prefix of its reference (a clamp
+  shortens a stream, it never changes a token).
 
 Everything here is consulted only when
 :attr:`repro.cluster.ClusterConfig.overload` is set; ``overload=None``
@@ -57,7 +57,6 @@ __all__ = [
     "OverloadConfig",
     "OverloadReport",
     "TokenBucket",
-    "overload_token_divergence",
     "slo_attainment",
 ]
 
@@ -518,39 +517,3 @@ def slo_attainment(
                 met += 1
     frac = met / offered_streams if offered_streams > 0 else 0.0
     return met, frac
-
-
-def overload_token_divergence(
-    cluster_metrics, expected: Dict[Tuple[int, int], list]
-) -> Tuple[int, int]:
-    """Prefix-aware token-exactness check for overload runs.
-
-    Identical to :meth:`repro.cluster.ClusterMetrics.token_divergence`
-    except streams clamped by brownout rung 3 (``outcome_reason ==
-    "brownout-clamp"``) must equal the exact *prefix* of the reference
-    tokens: the clamp shortens a stream, it never changes a token.
-    """
-    divergent = compared = 0
-    for requests, metrics in zip(
-        cluster_metrics.replica_requests, cluster_metrics.replicas
-    ):
-        for tr in metrics.traces:
-            if tr.tokens is None or tr.req_id < 0:
-                continue
-            rid = requests[tr.req_id].rid
-            if rid is None:
-                continue
-            want = expected.get((rid, tr.gen_index))
-            if want is None:
-                continue
-            compared += 1
-            if tr.outcome_reason == "brownout-clamp":
-                ok = (
-                    len(tr.tokens) <= len(want)
-                    and tr.tokens == want[: len(tr.tokens)]
-                )
-            else:
-                ok = tr.tokens == want
-            if not ok:
-                divergent += 1
-    return divergent, compared

@@ -139,6 +139,34 @@ class TestSingleRequest:
         np.testing.assert_allclose(out, fp16(v), atol=1e-6)
 
 
+class TestSmScaleNotSticky:
+    """``sm_scale=None`` means ``1/sqrt(head_dim)`` on every plan, also on a
+    wrapper whose previous plan used a custom scale."""
+
+    def test_single_prefill_custom_then_default(self, rng):
+        q = rng.standard_normal((20, 4, 32))
+        k = rng.standard_normal((20, 2, 32))
+        v = rng.standard_normal((20, 2, 32))
+        single_prefill_with_kv_cache(q, k, v, sm_scale=0.01)
+        out = single_prefill_with_kv_cache(q, k, v)  # same memoised wrapper
+        ref = reference_attention(q, fp16(k), fp16(v), causal=True)
+        np.testing.assert_allclose(out, ref, atol=1e-6)
+
+    def test_reused_decode_wrapper_custom_then_default(self, rng):
+        cache, seqs, layout, last = build_cache([40, 111], rng)
+        w = BatchDecodeWithPagedKVCacheWrapper(WorkspaceBuffer(1 << 26), 4, 2, 32, 16)
+        q = rng.standard_normal((2, 4, 32))
+        w.plan(layout.indptr, layout.indices, last, sm_scale=0.01)
+        scaled = w.run(q, cache.k_pool, cache.v_pool)
+        w.plan(layout.indptr, layout.indices, last)
+        out = w.run(q, cache.k_pool, cache.v_pool)
+        for r, sid in enumerate(seqs):
+            k, v = cache.gather(sid)
+            ref = reference_attention(q[r : r + 1], fp16(k), fp16(v), causal=True)
+            np.testing.assert_allclose(out[r : r + 1], ref, atol=1e-6)
+        assert np.abs(scaled - out).max() > 1e-3  # the custom scale did apply
+
+
 class TestMergeOps:
     def test_merge_state_pair(self, rng):
         d = 8
@@ -332,8 +360,9 @@ class TestWrapperParity:
 
 
 class TestWorkspaceCache:
-    """single_prefill_with_kv_cache reuses one module-level workspace per
-    size class instead of allocating a fresh ≥64 MB buffer every call."""
+    """single_prefill_with_kv_cache reuses one memoised wrapper (and its
+    workspace) per geometry instead of allocating a fresh ≥64 MB buffer
+    every call."""
 
     def setup_method(self):
         from repro.api import clear_workspace_cache
@@ -342,48 +371,68 @@ class TestWorkspaceCache:
 
     teardown_method = setup_method
 
-    def test_repeat_calls_share_one_workspace(self, rng):
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Counts of wrappers constructed and workspaces allocated by the
+        single-request helpers."""
         import repro.api.wrappers as wmod
 
+        counts = {"wrappers": 0, "workspaces": 0}
+
+        class CountingWrapper(wmod.BatchPrefillWithRaggedKVCacheWrapper):
+            def __init__(self, *args, **kwargs):
+                counts["wrappers"] += 1
+                super().__init__(*args, **kwargs)
+
+        class CountingWorkspace(wmod.WorkspaceBuffer):
+            def __init__(self, nbytes):
+                counts["workspaces"] += 1
+                super().__init__(nbytes)
+
+        monkeypatch.setattr(wmod, "BatchPrefillWithRaggedKVCacheWrapper", CountingWrapper)
+        monkeypatch.setattr(wmod, "WorkspaceBuffer", CountingWorkspace)
+        return counts
+
+    def test_repeat_calls_share_one_workspace(self, rng, built):
         q = rng.standard_normal((20, 4, 32))
         k = rng.standard_normal((20, 2, 32))
         v = rng.standard_normal((20, 2, 32))
         single_prefill_with_kv_cache(q, k, v)
-        assert len(wmod._WORKSPACE_CACHE) == 1
-        assert len(wmod._SINGLE_WRAPPER_CACHE) == 1
-        wrapper = next(iter(wmod._SINGLE_WRAPPER_CACHE.values()))
+        assert built == {"wrappers": 1, "workspaces": 1}
 
         q2 = rng.standard_normal((31, 4, 32))
         k2 = rng.standard_normal((64, 2, 32))
         v2 = rng.standard_normal((64, 2, 32))
         out = single_prefill_with_kv_cache(q2, k2, v2)
-        # Same size class + geometry → same buffer, same wrapper object.
-        assert len(wmod._WORKSPACE_CACHE) == 1
-        assert next(iter(wmod._SINGLE_WRAPPER_CACHE.values())) is wrapper
+        # Same geometry → nothing new is constructed or allocated.
+        assert built == {"wrappers": 1, "workspaces": 1}
         ref = reference_attention(q2, fp16(k2), fp16(v2), causal=True)
         np.testing.assert_allclose(out, ref, atol=1e-6)
 
-    def test_distinct_geometries_get_distinct_wrappers(self, rng):
-        import repro.api.wrappers as wmod
+    def test_distinct_geometries_get_distinct_wrappers(self, rng, built):
+        from repro.api import clear_workspace_cache
 
-        single_prefill_with_kv_cache(
-            rng.standard_normal((8, 4, 32)), rng.standard_normal((8, 2, 32)),
-            rng.standard_normal((8, 2, 32)))
-        single_prefill_with_kv_cache(
-            rng.standard_normal((8, 2, 16)), rng.standard_normal((8, 2, 16)),
-            rng.standard_normal((8, 2, 16)))
-        assert len(wmod._SINGLE_WRAPPER_CACHE) == 2
-        assert len(wmod._WORKSPACE_CACHE) == 1  # both fit the 64 MB class
+        def call(heads_qo, dim):
+            single_prefill_with_kv_cache(
+                rng.standard_normal((8, heads_qo, dim)),
+                rng.standard_normal((8, 2, dim)), rng.standard_normal((8, 2, dim)))
 
-    def test_single_decode_uses_cache(self, rng):
-        import repro.api.wrappers as wmod
+        call(4, 32)
+        call(2, 16)
+        assert built["wrappers"] == 2
+        # clear_workspace_cache() forgets both: each geometry is rebuilt.
+        clear_workspace_cache()
+        call(4, 32)
+        call(2, 16)
+        assert built["wrappers"] == 4
 
+    def test_single_decode_uses_cache(self, rng, built):
         q = rng.standard_normal((4, 32))
         k = rng.standard_normal((77, 2, 32))
         v = rng.standard_normal((77, 2, 32))
         out1 = single_decode_with_kv_cache(q, k, v)
         out2 = single_decode_with_kv_cache(q, k, v)
-        assert len(wmod._WORKSPACE_CACHE) == 1
+        assert built == {"wrappers": 1, "workspaces": 1}
         np.testing.assert_allclose(out1, out2, atol=0)
 
     def test_tracer_records_standalone_kernel(self, rng):

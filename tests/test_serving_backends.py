@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import make_paged_mapping
+from conftest import make_paged_mapping, make_shared_prefix_mapping
 from repro.core import HeadConfig
 from repro.gpu import A100_40G, H100_80G
 from repro.serving import FlashInferBackend, TritonBackend, TRTLLMBackend
@@ -43,6 +43,66 @@ class TestFlashInferBackend:
         m2, _ = make_paged_mapping([512] * 4, [1] * 4, 16)
         be.attention_time(ComposableFormat.single(m2), decode=True)
         assert be._composable_wrappers["decode_1"] is cw
+
+
+class CountingInjector:
+    """Duck-typed fault plan that never fires and counts its consultations."""
+
+    straggler_factor = 1.0
+
+    def __init__(self):
+        self.consulted = 0
+
+    def fire(self, site):
+        self.consulted += 1
+        return False
+
+
+class TestPerRunStateAttach:
+    """State attached to a fresh backend — before any wrapper exists, as
+    ``ServingEngine`` does — must reach the cascade stack built later."""
+
+    @staticmethod
+    def cascade_formats():
+        from repro.sparse import decompose_shared_prefix
+
+        mapping, _, clusters = make_shared_prefix_mapping(2, 3, 64, 48)
+        return decompose_shared_prefix(mapping, clusters)
+
+    def test_injector_reaches_composable_stack_on_first_step(self):
+        be = FlashInferBackend(HEADS, H100_80G, composable=True)
+        inj = CountingInjector()
+        be.set_fault_injector(inj)
+        formats = self.cascade_formats()
+        be.attention_time(formats, decode=True)
+        first = inj.consulted
+        assert first > 0
+        be.attention_time(formats, decode=True)
+        assert inj.consulted == 2 * first
+
+    def test_plan_cache_reaches_composable_stack_on_first_step(self):
+        from repro.serving import PlanCache
+
+        be = FlashInferBackend(HEADS, H100_80G, composable=True)
+        cache = PlanCache()
+        be.set_plan_cache(cache)
+        formats = self.cascade_formats()
+        be.attention_time(formats, decode=True)
+        assert (cache.hits, cache.misses) == (0, len(formats))
+        be.attention_time(formats, decode=True)
+        assert (cache.hits, cache.misses) == (len(formats), len(formats))
+
+    def test_detach_reaches_existing_wrappers(self):
+        be = TRTLLMBackend(HEADS, H100_80G)
+        inj = CountingInjector()
+        m, _ = make_paged_mapping([256] * 4, [1] * 4, 16)
+        be.set_fault_injector(inj)
+        be.attention_time(m, decode=True)
+        seen = inj.consulted
+        assert seen > 0
+        be.set_fault_injector(None)
+        be.attention_time(m, decode=True)
+        assert inj.consulted == seen
 
 
 class TestBackendOrdering:

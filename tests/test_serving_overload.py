@@ -32,7 +32,7 @@ from repro.serving import (
     bursty_workload,
     sharegpt_workload,
 )
-from repro.serving.overload import overload_token_divergence, slo_attainment
+from repro.serving.overload import slo_attainment
 
 MODEL = LLAMA_3_1_8B
 
@@ -305,9 +305,7 @@ class TestClusterOverloadScenario:
 
     def test_accepted_streams_are_token_exact(self, scenario):
         requests, reference, cm, _, _ = scenario
-        divergent, compared = overload_token_divergence(
-            cm, expected_tokens(reference)
-        )
+        divergent, compared = cm.token_divergence(expected_tokens(reference))
         assert divergent == 0
         assert compared > 0
         # At least one compared stream was brownout-clamped (the prefix
@@ -357,6 +355,33 @@ class TestClusterOverloadScenario:
     def test_hedging_issued_hedges(self, scenario):
         _, _, cm, _, _ = scenario
         assert cm.summary()["hedged_prefills"] > 0
+
+
+class TestClampedStreamDivergence:
+    """``ClusterMetrics.token_divergence`` holds a brownout-clamped stream
+    to the exact prefix of its reference, every other stream to all of it."""
+
+    @staticmethod
+    def divergence(tokens, reason):
+        from repro.cluster.engine import ClusterMetrics
+        from repro.serving import Request, RequestTrace, ServingMetrics
+
+        trace = RequestTrace(0.0, 0.1, req_id=0, tokens=tokens, outcome_reason=reason)
+        cm = ClusterMetrics(
+            tp=1, dp=1, router="round-robin", topology=None,
+            replicas=[ServingMetrics(traces=[trace])],
+            replica_requests=[[Request(0.0, 8, 4, rid=7)]], assignments=[0],
+        )
+        return cm.token_divergence({(7, 0): [5, 6, 7, 8]})
+
+    def test_clamped_exact_prefix_is_not_divergent(self):
+        assert self.divergence([5, 6], "brownout-clamp") == (0, 1)
+
+    def test_clamped_stream_with_a_wrong_token_is_divergent(self):
+        assert self.divergence([5, 9], "brownout-clamp") == (1, 1)
+
+    def test_unclamped_short_stream_is_divergent(self):
+        assert self.divergence([5, 6], "") == (1, 1)
 
 
 class TestOverloadDisabled:
