@@ -165,7 +165,8 @@ class SchedulePlan:
     @property
     def cta_of_item(self) -> np.ndarray:
         """Owning CTA of each ``items`` row."""
-        return np.repeat(np.arange(self.cta_indptr.size - 1), np.diff(self.cta_indptr))
+        ptr = self.cta_indptr
+        return np.repeat(np.arange(ptr.size - 1), ptr[1:] - ptr[:-1])
 
     @property
     def load_balance(self) -> float:

@@ -186,17 +186,9 @@ def simulate_queues(
     if costs.serial.size:
         np.add.at(serial, cta_of_item, costs.serial)
         np.add.at(mem, cta_of_item, costs.mem)
-    if executor.fault_injector is not None:
-        executor._consult_injector(serial, mem)
-    finish = executor._drain(serial, mem, max(1, -(-num_ctas // executor.spec.num_sms)))
-    makespan = float(finish.max(initial=0.0)) + executor.spec.kernel_dispatch_overhead
-    return SimReport(
-        makespan=makespan,
-        total_flops=float(costs.flops.sum()),
-        total_bytes=float(costs.traffic.sum()),
-        num_tiles=int(costs.serial.size),
-        num_ctas=num_ctas,
-        per_cta_time=finish.tolist(),
+    return executor.run_streams(
+        serial, mem, float(costs.flops.sum()), float(costs.traffic.sum()),
+        int(costs.serial.size),
     )
 
 

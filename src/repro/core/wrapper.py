@@ -369,7 +369,8 @@ class BatchAttentionWrapper:
         n_merges = len(plan.merge_meta)
         if n_merges:
             mcosts = merge_cost_arrays(
-                np.diff(plan.merge_indptr), plan.merge_meta[:, MERGE_QROWS] * g_eff,
+                plan.merge_indptr[1:] - plan.merge_indptr[:-1],
+                plan.merge_meta[:, MERGE_QROWS] * g_eff,
                 self.heads.head_dim, self.executor.cost_model, compute_share,
             )
             merge_cta = np.arange(n_merges) % self.num_ctas
@@ -555,7 +556,8 @@ class ComposableAttentionWrapper:
                 merge_traffic += 3.0 * covered * h * (d + 1) * PARTIAL_ITEMSIZE
         first = self.wrappers[0] if self.wrappers else None
         if merge_traffic and report is not None:
-            # The contraction is spread evenly over the first format's grid.
+            # The contraction is spread evenly over the first format's grid:
+            # every CTA holds the same tile, so price it once.
             n = first.num_ctas
             per = TileCost(
                 flops=0.0, padded_flops=0.0,
@@ -563,7 +565,15 @@ class ComposableAttentionWrapper:
                 bytes_written=merge_traffic / 3 / n,
                 uses_tensor_cores=False,
             )
-            report = report.combine(first.executor.run_persistent([[per] for _ in range(n)]))
+            serial, mem = first.executor._streams(
+                per, min(1.0, first.executor.spec.num_sms / n)
+            )
+            report = report.combine(
+                first.executor.run_streams(
+                    np.full(n, serial), np.full(n, mem),
+                    0.0, n * (per.bytes_read + per.bytes_written), n,
+                )
+            )
         if compute and first.kernel.output_transform is not None:
             _apply_output_transform(first.kernel, acc_o, np.arange(total_q), first._params)
         self.last_report = report

@@ -1,4 +1,4 @@
-"""Simulated kernel execution: event-driven roofline with shared bandwidth.
+"""Simulated kernel execution: a roofline with shared bandwidth.
 
 Each work tile contributes two concurrent streams (the software-pipelined
 roofline assumption):
@@ -16,10 +16,12 @@ roofline assumption):
 Two launch disciplines are modelled:
 
 * **persistent kernels** (FlashInfer §3.3.1): fixed grid, CTA ``i`` drains
-  queue ``i``; per-CTA work is aggregated (the pipeline overlaps tiles).
+  queue ``i``; per-CTA work is aggregated (the pipeline overlaps tiles) and
+  every CTA starts at t=0, so finish times have a closed form (``_drain``).
 * **grid launches** (the FlashAttention-library baseline): one block per
   tile, dispatched in submission order to free SM slots — wave
-  quantization and tail imbalance appear naturally.
+  quantization and tail imbalance appear naturally (an event loop,
+  ``_drain_dynamic``).
 
 Reported utilizations (the quantities of paper Figure 8) divide useful
 FLOPs / traffic by makespan and the device peak.
@@ -175,13 +177,26 @@ class PersistentKernelExecutor:
 
     # -- launch disciplines ----------------------------------------------------
 
+    def run_streams(
+        self, serial: np.ndarray, mem: np.ndarray,
+        total_flops: float, total_bytes: float, num_tiles: int,
+    ) -> SimReport:
+        """Fixed-grid persistent kernel from per-CTA streams: CTA ``i`` holds
+        ``serial[i]`` seconds and ``mem[i]`` effective bytes (a straggler
+        fault stretches them in place); the totals are reported as given."""
+        n = serial.size
+        if self.fault_injector is not None:
+            self._consult_injector(serial, mem)
+        finish = self._drain(serial, mem, max(1, -(-n // self.spec.num_sms)))
+        makespan = float(finish.max(initial=0.0)) + self.spec.kernel_dispatch_overhead
+        return SimReport(makespan, total_flops, total_bytes, num_tiles, n, finish.tolist())
+
     def run_persistent(self, cta_queues: Sequence[Sequence[TileCost]]) -> SimReport:
         """Fixed-grid persistent kernel: CTA ``i`` drains ``cta_queues[i]``."""
         n = len(cta_queues)
         if n == 0:
             return SimReport(self.spec.kernel_dispatch_overhead, 0.0, 0.0, 0, 0, [])
         compute_share = min(1.0, self.spec.num_sms / n)
-        resident = max(1, -(-n // self.spec.num_sms))
         serial = np.zeros(n)
         mem = np.zeros(n)
         total_flops = total_bytes = 0.0
@@ -194,18 +209,7 @@ class PersistentKernelExecutor:
                 total_flops += cost.flops
                 total_bytes += cost.bytes_read + cost.bytes_written
                 num_tiles += 1
-        if self.fault_injector is not None:
-            self._consult_injector(serial, mem)
-        finish = self._drain(serial, mem, resident)
-        makespan = float(finish.max()) + self.spec.kernel_dispatch_overhead
-        return SimReport(
-            makespan=makespan,
-            total_flops=total_flops,
-            total_bytes=total_bytes,
-            num_tiles=num_tiles,
-            num_ctas=n,
-            per_cta_time=finish.tolist(),
-        )
+        return self.run_streams(serial, mem, total_flops, total_bytes, num_tiles)
 
     def run_grid(self, block_costs: Sequence[TileCost], ctas_per_sm: int = 1) -> SimReport:
         """One thread block per tile, dispatched in order to free SM slots."""
@@ -242,42 +246,32 @@ class PersistentKernelExecutor:
     def _drain(self, serial: np.ndarray, mem: np.ndarray, resident: int) -> np.ndarray:
         """All jobs start at t=0; return per-job finish times.
 
-        Serial streams progress at rate 1; memory streams share the device
-        bandwidth (equal split among jobs with bytes remaining, capped per
-        CTA).  A job finishes when both streams drain.
+        A serial stream runs at rate 1 whatever memory does, so job ``i``'s
+        serial side ends at ``serial[i]``.  Memory streams share the device
+        bandwidth equally under the per-CTA cap: sort the bytes ascending,
+        ``a_0 <= ... <= a_{n-1}``; while ``n - j`` streams still hold bytes
+        each drains at ``bw_j = min(cap, peak / (n - j))``, so the ``j``-th
+        smallest completes at ``T_j = sum_{k<=j} (a_k - a_{k-1}) / bw_k``
+        (``a_{-1} = 0``) and a job finishes at ``max(serial, T)``.
+
+        A stream ``<= _EPS`` is absent: as zero bytes it sorts first with a
+        zero-length segment, so it takes no bandwidth share, and a job with
+        neither stream finishes at 0.0.  Equal byte counts have a zero
+        segment between them, hence bit-equal finish times, and the result
+        does not depend on the order of the jobs.
         """
         n = serial.size
-        rem_s = serial.astype(np.float64).copy()
-        rem_m = mem.astype(np.float64).copy()
-        finish = np.zeros(n)
-        cap = self._cta_bw_cap(resident)
-        peak = self.spec.peak_bandwidth_bytes
-        t = 0.0
-        active = (rem_s > _EPS) | (rem_m > _EPS)
-        while active.any():
-            mem_active = active & (rem_m > _EPS)
-            n_mem = int(mem_active.sum())
-            bw = min(cap, peak / n_mem) if n_mem else 0.0
-            # Next stream completion.
-            dt = np.inf
-            s_live = active & (rem_s > _EPS)
-            if s_live.any():
-                dt = min(dt, float(rem_s[s_live].min()))
-            if n_mem and bw > 0:
-                dt = min(dt, float(rem_m[mem_active].min()) / bw)
-            if not np.isfinite(dt):
-                break
-            dt = max(dt, _EPS)
-            t += dt
-            rem_s[s_live] -= dt
-            if n_mem:
-                rem_m[mem_active] -= bw * dt
-            np.clip(rem_s, 0.0, None, out=rem_s)
-            np.clip(rem_m, 0.0, None, out=rem_m)
-            done = active & (rem_s <= _EPS) & (rem_m <= _EPS)
-            finish[done] = t
-            active &= ~done
-        return finish
+        a = np.where(mem > _EPS, mem, 0.0)
+        order = a.argsort(kind="stable")
+        a = a[order]
+        segment = a.copy()
+        segment[1:] -= a[:-1]
+        bw = np.minimum(
+            self._cta_bw_cap(resident), self.spec.peak_bandwidth_bytes / np.arange(n, 0, -1)
+        )
+        finish = np.empty(n)
+        finish[order] = (segment / bw).cumsum()
+        return np.maximum(finish, np.where(serial > _EPS, serial, 0.0))
 
     def _drain_dynamic(
         self, streams: Sequence[Tuple[float, float]], slots: int, resident: int

@@ -14,7 +14,7 @@ for the unique suffixes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -48,7 +48,8 @@ class BlockSparseKV:
         kv_lens = np.asarray(kv_lens, dtype=np.int64)
         if indptr.ndim != 1 or indptr.size < 1 or indptr[0] != 0:
             raise ValueError("indptr must be 1-D, non-empty, starting at 0")
-        if np.any(np.diff(indptr) < 0):
+        nblocks = indptr[1:] - indptr[:-1]
+        if np.any(nblocks < 0):
             raise ValueError("indptr must be non-decreasing")
         if indptr[-1] != indices.size:
             raise ValueError(f"indptr[-1] ({indptr[-1]}) != len(indices) ({indices.size})")
@@ -56,7 +57,6 @@ class BlockSparseKV:
             raise ValueError("block indices out of pool range")
         if kv_lens.shape != (indptr.size - 1,):
             raise ValueError(f"kv_lens must have shape ({indptr.size - 1},)")
-        nblocks = np.diff(indptr)
         expected = np.where(kv_lens > 0, -(-kv_lens // block_size), 0)
         if np.any(expected != nblocks):
             bad = int(np.nonzero(expected != nblocks)[0][0])
@@ -157,6 +157,9 @@ class AttentionMapping:
         tensor sets these explicitly.
     label:
         Human-readable tag for diagnostics ("batch", "prefix", "suffix"...).
+    qo_lens:
+        Query rows per group, ``qo_indptr[1:] - qo_indptr[:-1]``; derived
+        once at construction (``qo_indptr`` is not mutated afterwards).
     """
 
     qo_indptr: np.ndarray
@@ -167,12 +170,14 @@ class AttentionMapping:
     block_row_size: Optional[int] = None
     q_row_starts: Optional[np.ndarray] = None
     label: str = "batch"
+    qo_lens: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.qo_indptr = np.asarray(self.qo_indptr, dtype=np.int64)
         if self.qo_indptr.ndim != 1 or self.qo_indptr.size < 1 or self.qo_indptr[0] != 0:
             raise ValueError("qo_indptr must be 1-D starting at 0")
-        if np.any(np.diff(self.qo_indptr) < 0):
+        self.qo_lens = self.qo_indptr[1:] - self.qo_indptr[:-1]
+        if np.any(self.qo_lens < 0):
             raise ValueError("qo_indptr must be non-decreasing")
         n = self.num_groups
         if self.kv.num_groups != n:
@@ -207,10 +212,6 @@ class AttentionMapping:
     @property
     def total_qo(self) -> int:
         return int(self.qo_indptr[-1])
-
-    @property
-    def qo_lens(self) -> np.ndarray:
-        return np.diff(self.qo_indptr)
 
     def __repr__(self) -> str:
         return (
