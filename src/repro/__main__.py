@@ -516,6 +516,7 @@ def _serve_recover(args, model) -> int:
         CheckpointConfig, DirectoryStore, NoSnapshotError, RecoveryManager,
         SnapshotIntegrityError, SnapshotVerificationError, WorldMismatchError,
     )
+    from repro.serving.checkpoint import snapshot_world
 
     if not args.journal:
         print("serve --recover needs --journal DIR (the directory the "
@@ -556,7 +557,7 @@ def _serve_recover(args, model) -> int:
     every = args.checkpoint_every if args.checkpoint_every > 0 else 4
     # Rebuild the engine at the snapshot's cluster shape: sharded heads
     # for tp > 1 (``from_config``), and the dp coordinates the replica ran at.
-    snap_world = snap.get("world") or {"tp": 1, "dp": 1, "replica": 0}
+    snap_world = snapshot_world(snap)
     engine = _single_engine(
         args, model, fault_plan=plan,
         checkpoint=CheckpointConfig(every_steps=every), checkpoint_store=store,

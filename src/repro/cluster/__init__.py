@@ -1,4 +1,4 @@
-"""Multi-GPU cluster simulation: topology, collectives, TP, DP routing.
+"""Multi-GPU cluster simulation: topology, p2p transfer, TP, DP routing.
 
 Layered exactly like a real serving stack:
 
@@ -7,19 +7,16 @@ Layered exactly like a real serving stack:
   cost formulas, time-windowed degradation, and traffic accounting.
   The single source of truth for link constants (``repro.distributed``
   and ``repro.serving.model`` import theirs from here).
-* :mod:`repro.cluster.collectives` — simulated ``all_reduce`` /
-  ``all_gather`` / ``reduce_scatter`` / ``p2p_send`` returning exact
-  numerics plus the topology-priced cost, including attention-state
-  reduction via the associative merge operator.
+* :mod:`repro.cluster.collectives` — simulated ``p2p_send``: a bitwise
+  copy plus the topology-priced cost, charged per traffic kind.
 * :mod:`repro.cluster.router` — pluggable data-parallel routing
   policies (round-robin, least-loaded, power-of-two, session-affinity,
-  cache-aware) with the same registry/entry-point pattern as scheduler
-  policies.
+  cache-aware) with the same registry pattern as scheduler policies.
 * :mod:`repro.cluster.tp` — tensor-parallel head sharding and the
   per-layer all-reduce interconnect charged to the topology.
 * :mod:`repro.cluster.engine` — the :class:`ClusterEngine` running
-  ``dp`` replicas on a shared simulated clock, token-exact against the
-  single-GPU engine.
+  ``dp`` replicas stage by stage on a shared simulated time axis,
+  token-exact against the single-GPU engine.
 * :mod:`repro.cluster.failover` — heartbeat failure detection, the
   per-replica health state machine, the chunked checksummed KV transfer
   (live migration over priced links), and token-exact takeover.
@@ -39,13 +36,7 @@ from __future__ import annotations
 
 import importlib
 
-from repro.cluster.collectives import (
-    all_gather,
-    all_reduce,
-    all_reduce_states,
-    p2p_send,
-    reduce_scatter,
-)
+from repro.cluster.collectives import p2p_send
 from repro.cluster.router import (
     BREAKER_STATES,
     BreakerConfig,
@@ -88,7 +79,6 @@ _LAZY = {
     "expected_tokens": "engine",
     "TPInterconnect": "tp",
     "TPSharding": "tp",
-    "make_tp_engine": "tp",
     "plan_tp_sharding": "tp",
     "FailoverConfig": "failover",
     "FailoverController": "failover",
@@ -123,11 +113,7 @@ __all__ = [
     "Link",
     "LinkDegradation",
     "Topology",
-    "all_gather",
-    "all_reduce",
-    "all_reduce_states",
     "p2p_send",
-    "reduce_scatter",
     "BREAKER_STATES",
     "BreakerConfig",
     "BreakerTransition",

@@ -1,140 +1,25 @@
-"""Simulated collectives: exact numerics plus topology-priced cost.
+"""Simulated point-to-point send: exact bytes plus topology-priced cost.
 
-Each collective takes the per-rank shards, computes the mathematically
-exact result (a deterministic rank-order fold, so every rank observes the
-identical array — the simulated analog of NCCL's deterministic reduction
-order), and returns ``(result, cost_seconds)`` where the cost comes from
-the :class:`~repro.cluster.topology.Topology` ring model.  With
-``topology=None`` the numerics run free (cost 0.0) — useful for pure
-algebra tests.
-
-``all_reduce_states`` composes *attention states* with the paper's ``⊕``
-operator (:func:`repro.core.state.merge_states`): the cross-device
-reduction of ring/sequence-parallel attention is exactly the associative
-merge the on-device split-KV scheduler already uses, so distributing the
-reduction cannot change the result beyond fold-order roundoff — and the
-fold order here is fixed (rank 0..g−1), making it deterministic too.
-
-Every priced collective is charged to the topology's per-kind traffic
-counters, which is where cluster-level link-utilization metrics come from.
+:func:`p2p_send` hands the receiver a bitwise copy of the array and
+returns ``(received, cost_seconds)``, the cost coming from the
+:class:`~repro.cluster.topology.Topology` link model (``topology=None``
+sends for free).  Every priced send is charged to the topology's
+per-kind traffic counters, which is where the ``link_<kind>_*`` stats of
+KV migration and prefill→decode handoff come from.  Tensor-parallel
+all-reduces are priced, not executed:
+:class:`~repro.cluster.tp.TPInterconnect` charges
+:meth:`Topology.all_reduce_time` per layer.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.state import AttentionState, merge_states
 from repro.cluster.topology import Topology
 
-__all__ = [
-    "all_gather",
-    "all_reduce",
-    "all_reduce_states",
-    "p2p_send",
-    "reduce_scatter",
-]
-
-
-def _as_arrays(shards: Sequence[np.ndarray]) -> List[np.ndarray]:
-    if not shards:
-        raise ValueError("collective over zero ranks")
-    arrays = [np.asarray(s, dtype=np.float64) for s in shards]
-    shape = arrays[0].shape
-    for i, a in enumerate(arrays[1:], start=1):
-        if a.shape != shape:
-            raise ValueError(
-                f"rank {i} shard shape {a.shape} != rank 0 shape {shape}"
-            )
-    return arrays
-
-
-def _reduce(arrays: List[np.ndarray], op: str) -> np.ndarray:
-    """Deterministic rank-order fold (rank 0 first, always)."""
-    acc = arrays[0].copy()
-    for a in arrays[1:]:
-        if op == "sum":
-            acc += a
-        elif op == "max":
-            np.maximum(acc, a, out=acc)
-        else:
-            raise ValueError(f"unknown reduce op {op!r} (use 'sum' or 'max')")
-    return acc
-
-
-def all_reduce(
-    shards: Sequence[np.ndarray],
-    topology: Optional[Topology] = None,
-    op: str = "sum",
-    efficiency: float = 1.0,
-    t: float = 0.0,
-) -> Tuple[np.ndarray, float]:
-    """Reduce the per-rank arrays; every rank ends with the same result.
-
-    Returns ``(reduced, cost_seconds)``.
-    """
-    arrays = _as_arrays(shards)
-    result = _reduce(arrays, op)
-    cost = 0.0
-    if topology is not None and len(arrays) > 1:
-        nbytes = float(result.nbytes)
-        cost = topology.all_reduce_time(nbytes, len(arrays), efficiency, t)
-        topology.charge(
-            "all_reduce", topology.all_reduce_wire_bytes(nbytes, len(arrays)), cost
-        )
-    return result, cost
-
-
-def all_gather(
-    shards: Sequence[np.ndarray],
-    topology: Optional[Topology] = None,
-    axis: int = 0,
-    efficiency: float = 1.0,
-    t: float = 0.0,
-) -> Tuple[np.ndarray, float]:
-    """Concatenate the per-rank shards along ``axis`` (rank order).
-
-    Returns ``(gathered, cost_seconds)``; the gathered array is what every
-    rank holds afterwards.
-    """
-    if not shards:
-        raise ValueError("collective over zero ranks")
-    arrays = [np.asarray(s, dtype=np.float64) for s in shards]
-    gathered = np.concatenate(arrays, axis=axis)
-    cost = 0.0
-    if topology is not None and len(arrays) > 1:
-        g = len(arrays)
-        nbytes = float(gathered.nbytes)
-        cost = topology.all_gather_time(nbytes, g, efficiency, t)
-        topology.charge("all_gather", (g - 1) * nbytes, cost)
-    return gathered, cost
-
-
-def reduce_scatter(
-    shards: Sequence[np.ndarray],
-    topology: Optional[Topology] = None,
-    axis: int = 0,
-    op: str = "sum",
-    efficiency: float = 1.0,
-    t: float = 0.0,
-) -> Tuple[List[np.ndarray], float]:
-    """Reduce the per-rank arrays, scattering slice ``r`` to rank ``r``.
-
-    Slices follow :func:`numpy.array_split` (near-equal, rank order), so
-    ``all_gather(reduce_scatter(x))`` reconstructs ``all_reduce(x)``.
-    Returns ``(per_rank_slices, cost_seconds)``.
-    """
-    arrays = _as_arrays(shards)
-    total = _reduce(arrays, op)
-    pieces = np.array_split(total, len(arrays), axis=axis)
-    cost = 0.0
-    if topology is not None and len(arrays) > 1:
-        g = len(arrays)
-        nbytes = float(total.nbytes)
-        cost = topology.reduce_scatter_time(nbytes, g, efficiency, t)
-        topology.charge("reduce_scatter", (g - 1) * nbytes, cost)
-    return pieces, cost
+__all__ = ["p2p_send"]
 
 
 def p2p_send(
@@ -162,32 +47,3 @@ def p2p_send(
         cost = topology.p2p_time(nbytes, efficiency, t)
         topology.charge(kind, nbytes, cost)
     return received, cost
-
-
-def all_reduce_states(
-    states: Sequence[AttentionState],
-    topology: Optional[Topology] = None,
-    efficiency: float = 1.0,
-    t: float = 0.0,
-) -> Tuple[AttentionState, float]:
-    """``⊕``-reduce per-rank attention states (rank-order fold).
-
-    The payload priced on the wire is each state's ``(O, LSE)`` pair —
-    what ring attention actually exchanges when merging remote partials.
-    """
-    if not states:
-        raise ValueError("collective over zero ranks")
-    o, lse = states[0].o, states[0].lse
-    for s in states[1:]:
-        o, lse = merge_states(o, lse, s.o, s.lse)
-    result = AttentionState(o, lse)
-    cost = 0.0
-    if topology is not None and len(states) > 1:
-        nbytes = float(result.o.nbytes + result.lse.nbytes)
-        cost = topology.all_reduce_time(nbytes, len(states), efficiency, t)
-        topology.charge(
-            "all_reduce_states",
-            topology.all_reduce_wire_bytes(nbytes, len(states)),
-            cost,
-        )
-    return result, cost

@@ -143,10 +143,6 @@ class KVHandoff:
     #: ``page_rows`` — the slice a prefix-cache hit lets us skip.
     prefix_pages: int = 0
 
-    @property
-    def page_count(self) -> int:
-        return len(self.page_rows["pages"])
-
 
 @dataclass
 class HandoffImport:

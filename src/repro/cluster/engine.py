@@ -31,6 +31,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.cluster.disagg import (
+    DisaggCoordinator,
+    DisaggReport,
+    HandoffSink,
+    parse_roles,
+)
 from repro.cluster.failover import (
     FailoverConfig,
     FailoverController,
@@ -48,6 +54,13 @@ from repro.cluster.router import (
 )
 from repro.cluster.topology import Topology
 from repro.cluster.tp import TPInterconnect, plan_tp_sharding
+from repro.kvcache.paged import PagedKVCache
+from repro.serving.checkpoint import (
+    CheckpointConfig,
+    CheckpointStore,
+    CrashReport,
+    run_lives,
+)
 
 __all__ = [
     "ClusterConfig",
@@ -301,6 +314,37 @@ class ClusterEngine:
     prefill-pool replicas run prompts only and hand the finished KV off to
     paired decode-pool replicas over priced ``kind="handoff"`` links (see
     :mod:`repro.cluster.disagg`), token-exact vs the colocated reference.
+
+    **Evaluation order.**  A run is a DAG — ``route → prefill pool → wire
+    → decode pool`` (colocated: ``route → replicas``) — and :meth:`run`
+    evaluates it in that order, one replica at a time (:meth:`_stages`).
+    That is exact, not an approximation of an interleaved event loop,
+    because nothing flows against the arrows:
+
+    * :meth:`route` is a pre-pass over the fluid
+      :class:`~repro.cluster.router.LoadTracker`, the health schedule and
+      the breakers; it reads no engine state, so every request list is
+      fixed before any engine runs.
+    * A replica reads its own request list (a decode replica: its
+      imports) and writes its own metrics, sink and tracer.  Replicas of
+      one stage share only the topology's additive traffic counters and
+      static degradation windows, so without seeded cluster faults their
+      order cannot change a trace (``tests/test_cluster_stages.py``).
+    * :meth:`~repro.cluster.failover.KVMigrator.transfer` prices each
+      migration and handoff at its own start time on links that keep no
+      occupancy: concurrent transfers never slow each other, so pricing
+      them after the sending stage has finished loses nothing.
+    * A handoff carries the prefill-side first-token time and becomes a
+      decode-side arrival at its wire ``t_end``: TTFT is decided inside
+      the prefill stage and the decode pool cannot reach back into it.
+    * The cluster fault sites (``replica``, ``link``, ``timeout``) draw
+      from per-site RNG streams in evaluation order — route, then each
+      stage's replicas by id, the handoffs shipped between stages — so
+      that order is part of the model.
+
+    Link occupancy shared by concurrent transfers, takeover compute
+    contending with the target's own steps, and routing on live engine
+    state *would* need interleaving; none is modelled (see ROADMAP).
     """
 
     def __init__(
@@ -337,8 +381,6 @@ class ClusterEngine:
         #: ``None`` for the colocated cluster.
         self.roles: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]] = None
         if cfg.roles is not None:
-            from repro.cluster.disagg import parse_roles
-
             self.roles = parse_roles(cfg.roles, cfg.dp)
             if cfg.router == "round-robin":
                 # The colocated default router is meaningless under role
@@ -359,8 +401,15 @@ class ClusterEngine:
         self._decode_assignments: Dict[int, int] = {}
         # Disagg side tables _make_engine reads, so every life of a replica
         # (first run, in-place restore, failover takeover) gets its role
-        # wiring; empty dicts on colocated runs.
+        # wiring; empty dicts on colocated runs.  Sinks and imports are
+        # per-run state, rebuilt by run().
         self._engine_roles: Dict[int, str] = {}
+        if self.roles is not None:
+            self._engine_roles = {
+                i: role
+                for role, ids in zip(("prefill", "decode"), self.roles)
+                for i in ids
+            }
         self._engine_sinks: Dict[int, object] = {}
         self._engine_imports: Dict[int, dict] = {}
         self._disagg_report = None
@@ -657,6 +706,14 @@ class ClusterEngine:
                     failures[r] = [ReplicaFailure(step, "crash", "boundary")]
         return failures
 
+    def _stages(self) -> List[Sequence[int]]:
+        """Replica ids grouped in causal evaluation order (see the class
+        docstring): one stage when colocated, the prefill pool then the
+        decode pool when disaggregated."""
+        if self.roles is None:
+            return [range(self.config.dp)]
+        return list(self.roles)
+
     def run(self, requests) -> ClusterMetrics:
         """Serve the workload across the cluster; returns cluster metrics."""
         cfg = self.config
@@ -695,19 +752,28 @@ class ClusterEngine:
                 assigned_tokens[
                     self._decode_assignments.get(r.rid, i)
                 ] += float(r.output_len * r.n)
+        self._engine_imports = {}
+        prefix_on = self._engine_config().prefix_cache
+        self._engine_sinks = {
+            i: HandoffSink(i, self._decode_assignments, prefix_caching=prefix_on)
+            for i, role in self._engine_roles.items()
+            if role == "prefill"
+        }
         failing = frozenset(failures)
+        everyone = frozenset(range(cfg.dp))
         replica_metrics: List[object] = [None] * cfg.dp
-        if self.roles is None:
-            for i in range(cfg.dp):
+        for k, stage in enumerate(self._stages()):
+            if k:
+                self._ship_handoffs(per_replica)
+            # A failing replica never migrates onto another stage's pool
+            # (a prefill replica must not take over decode work, or vice
+            # versa), nor onto a replica that is itself scripted to fail.
+            exclude = failing | everyone.difference(stage)
+            for i in stage:
                 replica_metrics[i] = self._run_replica(
                     i, per_replica, failures, controller, assigned_tokens,
-                    failing, crash_reports,
+                    exclude, crash_reports,
                 )
-        else:
-            per_replica = self._run_disagg_waves(
-                per_replica, failures, controller, assigned_tokens,
-                failing, crash_reports, replica_metrics,
-            )
         failover_report = None
         if controller is not None:
             controller.report.held_requests = self._held_requests
@@ -740,30 +806,21 @@ class ClusterEngine:
         failures: Dict[int, List[ReplicaFailure]],
         controller: Optional[FailoverController],
         assigned_tokens: List[float],
-        failing: frozenset,
+        exclude: frozenset,
         crash_reports: Optional[List[object]],
     ):
         """Build replica ``i``'s engine and run it to completion.
 
-        A replica is a loop of engine *lives*: the first runs the routed
-        requests, and each :class:`EngineCrash` (a scripted crash or
-        drain) ends a life and starts the next with ``resume`` from the
-        latest checkpoint (:class:`RecoveryManager`, journal replay
-        included).  Configurations differ only in *how* that state is
-        recovered: in place, or — with :attr:`ClusterConfig.failover` —
+        A replica is a loop of engine *lives*
+        (:func:`repro.serving.checkpoint.run_lives`): the first runs the
+        routed requests, and each :class:`EngineCrash` (a scripted crash
+        or drain) ends a life and starts the next with ``resume`` from the
+        latest checkpoint.  Configurations differ only in *how* that state
+        is recovered: in place, or — with :attr:`ClusterConfig.failover` —
         after heartbeat-timeout detection and live KV migration to a
-        healthy host over priced links, so that the next life is the
-        token-exact takeover.
+        healthy host outside ``exclude`` over priced links, so that the
+        next life is the token-exact takeover.
         """
-        from repro.kvcache.paged import PagedKVCache
-        from repro.serving.checkpoint import (
-            CheckpointConfig,
-            CheckpointStore,
-            CrashReport,
-            EngineCrash,
-            RecoveryManager,
-        )
-
         cfg = self.config
         tracer = self.tracers[i] if self.tracers is not None else None
         script = {(f.step, f.phase): f for f in failures.get(i, ())}
@@ -776,142 +833,90 @@ class ClusterEngine:
         if every > 0:
             ckpt = CheckpointConfig(every_steps=every)
             store = CheckpointStore()
-        remaining = set(script)
         heartbeats: List[float] = []
-        crash_phases: List[str] = []
-        recovered = resume_at = rejoin = None
-        while True:
+        rejoin = None
+
+        def make_engine():
             engine = self._make_engine(i, tracer, ckpt, store)
             if controller is not None:
                 engine.track_pressure = True
-            if remaining:
-                engine._crash_script = set(remaining)
-                if controller is not None:
+                if script:
                     engine.heartbeat = heartbeats.append
-            try:
-                if recovered is None:
-                    metrics = engine.run(per_replica[i])
+            return engine
+
+        def fail_over(crash, recovered):
+            # The heartbeat trail feeds the detector (back-dated, so
+            # detection timestamps are polling-independent); the snapshot
+            # migrates to the least-loaded healthy host.  No healthy
+            # target, or migration retries exhausted → the same recovery,
+            # in place.
+            nonlocal rejoin
+            t_dead = controller.observe_failure(
+                i, heartbeats, crash.t,
+                script[(crash.step_index, crash.phase)].mode,
+            )
+            host = i
+            resume_at = t_dead + controller.config.rejoin_delay
+            target = controller.pick_target(i, assigned_tokens, exclude=exclude)
+            if target is None:
+                controller.note_fallback(i, t_dead, "no healthy migration target")
+            else:
+                try:
+                    snap, mreport = controller.migrate(
+                        recovered.snapshot, t_dead, source=i, target=target
+                    )
+                except MigrationError as exc:
+                    controller.note_fallback(i, t_dead, str(exc))
                 else:
-                    metrics = engine.resume(recovered, at_time=resume_at)
-                break
-            except EngineCrash as crash:
-                key = (crash.step_index, crash.phase)
-                crash_phases.append(crash.phase)
-                remaining.discard(key)
-                recovered = RecoveryManager(
-                    store, requests=per_replica[i]
-                ).recover()
-                if controller is None:
-                    continue
-                # Failover.  The heartbeat trail feeds the detector
-                # (back-dated, so detection timestamps are polling-
-                # independent); the snapshot migrates to the least-loaded
-                # healthy host.  No healthy target, or migration retries
-                # exhausted → the same recovery, in place.
-                t_dead = controller.observe_failure(
-                    i, heartbeats, crash.t, script[key].mode
-                )
-                host = i
-                resume_at = t_dead + controller.config.rejoin_delay
-                target = controller.pick_target(i, assigned_tokens, exclude=failing)
-                if target is None:
-                    controller.note_fallback(i, t_dead, "no healthy migration target")
-                else:
-                    try:
-                        snap, mreport = controller.migrate(
-                            recovered.snapshot, t_dead, source=i, target=target
-                        )
-                    except MigrationError as exc:
-                        controller.note_fallback(i, t_dead, str(exc))
-                    else:
-                        cache = PagedKVCache.from_state(snap["cache"])
-                        recovered = dataclasses.replace(
-                            recovered, snapshot=snap, cache=cache,
-                            corrupt_pages=cache.find_corrupted(),
-                        )
-                        host = target
-                        resume_at = mreport.t_end
-                resume_at = max(resume_at, float(recovered.snapshot["t"]))
-                # The takeover life keeps the dead replica's dp_rank (the
-                # snapshot's world check) and its tracer — the resume gap
-                # and migration events render on replica i's trace row.
-                rejoin = (
-                    i, host, crash.t, t_dead, resume_at,
-                    inflight_units(recovered.snapshot),
-                )
+                    cache = PagedKVCache.from_state(snap["cache"])
+                    recovered = dataclasses.replace(
+                        recovered, snapshot=snap, cache=cache,
+                        corrupt_pages=cache.find_corrupted(),
+                    )
+                    host = target
+                    resume_at = mreport.t_end
+            resume_at = max(resume_at, float(recovered.snapshot["t"]))
+            # The takeover life keeps the dead replica's dp_rank (the
+            # snapshot's world check) and its tracer — the resume gap
+            # and migration events render on replica i's trace row.
+            rejoin = (
+                i, host, crash.t, t_dead, resume_at,
+                inflight_units(recovered.snapshot),
+            )
+            return recovered, resume_at
+
+        metrics, crash_phases = run_lives(
+            make_engine, per_replica[i], store, script=script,
+            on_crash=fail_over if controller is not None else None,
+        )
         if rejoin is not None:
             controller.note_recovery(*rejoin)
         if crash_reports is not None and script:
-            stats = metrics.fault_stats or {}
-            crash_reports[i] = CrashReport(
-                crashes=len(crash_phases), recoveries=len(crash_phases),
-                crash_phases=crash_phases, metrics=metrics,
-                token_divergence=int(stats.get("recover_token_divergence", 0)),
-                compared=int(stats.get("recover_replayed_tokens", 0)),
-            )
+            crash_reports[i] = CrashReport.from_lives(metrics, crash_phases)
         return metrics
 
-    def _run_disagg_waves(
-        self,
-        per_replica: List[list],
-        failures: Dict[int, List[ReplicaFailure]],
-        controller: Optional[FailoverController],
-        assigned_tokens: List[float],
-        failing: frozenset,
-        crash_reports: Optional[List[object]],
-        replica_metrics: List[object],
-    ) -> List[list]:
-        """The disaggregated run: prefill wave → KV shipping → decode wave.
+    def _ship_handoffs(self, per_replica: List[list]) -> None:
+        """The wire between the prefill and the decode stage.
 
-        Wave 1 runs every prefill-pool replica; each finished prompt lands
-        in its replica's :class:`~repro.cluster.disagg.HandoffSink` instead
-        of decoding locally (a failover takeover or crash-harness restore
-        re-fires into the *same* sink, whose ``(rid, gen)`` keying dedups
-        the re-executed spawns — a dying prefill replica's in-flight
-        handoffs are recomputed, never lost).  The coordinator then ships
-        every handoff over the topology as priced ``kind="handoff"``
-        chunks.  Wave 2 rebuilds each decode replica's request list —
-        arrival clamped to when its last handoff chunk cleared the wire —
-        and runs the decode pool, which absorbs the imports and resumes
-        each stream token-exactly.  Returns the updated ``per_replica``
-        (decode lists replace the empty routed ones, so trace/req_id →
-        rid mapping stays correct for the divergence check).
+        Each prompt the prefill stage finished sits in its replica's
+        :class:`~repro.cluster.disagg.HandoffSink` (a failover takeover or
+        in-place restore re-fires into the *same* sink, whose ``(rid,
+        gen)`` keying dedups the re-executed spawns — a dying prefill
+        replica's in-flight handoffs are recomputed, never lost).  The
+        coordinator ships every handoff over the topology as priced
+        ``kind="handoff"`` chunks, and each decode replica's entry of
+        ``per_replica`` becomes its imported requests — arrival clamped to
+        when the last handoff chunk cleared the wire — replacing the empty
+        routed list, so trace ``req_id`` → rid mapping stays correct for
+        the divergence check.
         """
-        from repro.cluster.disagg import (
-            DisaggCoordinator,
-            DisaggReport,
-            HandoffSink,
-        )
-
-        cfg = self.config
         prefill_ids, decode_ids = self.roles
-        ecfg = self._engine_config()
-        prefix_on = bool(ecfg.prefix_cache or ecfg.prefix_caching)
-        self._engine_roles = {}
-        self._engine_sinks = {}
-        self._engine_imports = {}
-        for i in prefill_ids:
-            self._engine_roles[i] = "prefill"
-            self._engine_sinks[i] = HandoffSink(
-                i, self._decode_assignments, prefix_caching=prefix_on
-            )
-        for i in decode_ids:
-            self._engine_roles[i] = "decode"
-        prefill_set = frozenset(prefill_ids)
-        decode_set = frozenset(decode_ids)
-        for i in prefill_ids:
-            # A failing prefill replica must never migrate onto a decode
-            # replica (and vice versa): exclude the other pool.
-            replica_metrics[i] = self._run_replica(
-                i, per_replica, failures, controller, assigned_tokens,
-                failing | decode_set, crash_reports,
-            )
         report = DisaggReport(
             prefill_replicas=prefill_ids, decode_replicas=decode_ids
         )
         coordinator = DisaggCoordinator(
-            self.topology, cfg.failover, self.fault_plan,
-            prefix_caching=prefix_on,
+            self.topology, self.config.failover, self.fault_plan,
+            prefix_caching=self._engine_config().prefix_cache,
         )
         handoffs = []
         for i in prefill_ids:
@@ -938,12 +943,6 @@ class ClusterEngine:
                 idx: sorted(by_rid[q.rid], key=lambda x: x.gen)
                 for idx, q in enumerate(reqs)
             }
-        for i in decode_ids:
-            replica_metrics[i] = self._run_replica(
-                i, per_replica, failures, controller, assigned_tokens,
-                failing | prefill_set, crash_reports,
-            )
-        return per_replica
 
     def run_reference(self, requests):
         """The single-GPU token oracle: tp=1, dp=1, same rids, no topology.

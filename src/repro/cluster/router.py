@@ -2,11 +2,8 @@
 
 A :class:`RoutingPolicy` picks which replica serves each arriving
 request.  Policies are looked up by name through a registry with the
-same contract as :mod:`repro.serving.policy` — built-ins plus an entry
-point group (``repro.routing_policies``) for third-party packages::
-
-    [project.entry-points."repro.routing_policies"]
-    my-router = mypkg.routing:MyPolicy
+same contract as :mod:`repro.serving.policy`: the built-ins plus
+whatever :func:`register_routing_policy` (a class decorator) adds.
 
 Routing is *timing-only*: token ids are a pure function of the request's
 cluster-global id (``Request.rid``), so any policy — however bad — is
@@ -60,8 +57,6 @@ __all__ = [
     "get_routing_policy",
     "register_routing_policy",
 ]
-
-_ENTRY_POINT_GROUP = "repro.routing_policies"
 
 
 class LoadTracker:
@@ -368,7 +363,6 @@ class DisaggPolicy(RoutingPolicy):
 
 
 _POLICIES: Dict[str, Type[RoutingPolicy]] = {}
-_ENTRY_POINTS_LOADED = False
 _BUILTIN_NAMES = (
     "round-robin", "least-loaded", "power-of-two", "session-affinity",
     "cache-aware", "disagg",
@@ -390,35 +384,8 @@ for _cls in (
     register_routing_policy(_cls)
 
 
-def _load_entry_point_policies() -> None:
-    """Best-effort discovery of third-party routers (once per process);
-    built-ins cannot be shadowed and broken plugins are skipped."""
-    global _ENTRY_POINTS_LOADED
-    if _ENTRY_POINTS_LOADED:
-        return
-    _ENTRY_POINTS_LOADED = True
-    try:
-        from importlib.metadata import entry_points
-    except ImportError:  # pragma: no cover - python < 3.8
-        return
-    try:
-        eps = entry_points(group=_ENTRY_POINT_GROUP)
-    except TypeError:  # pragma: no cover - python < 3.10 API
-        eps = entry_points().get(_ENTRY_POINT_GROUP, [])
-    except Exception:  # pragma: no cover - corrupt metadata
-        return
-    for ep in eps:
-        try:
-            cls = ep.load()
-        except Exception:  # pragma: no cover - broken plugin
-            continue
-        if isinstance(cls, type) and issubclass(cls, RoutingPolicy):
-            _POLICIES.setdefault(cls.name, cls)
-
-
 def available_routing_policies() -> tuple:
     """Registered router names, built-ins first."""
-    _load_entry_point_policies()
     return tuple(
         sorted(_POLICIES, key=lambda n: (n not in _BUILTIN_NAMES, n))
     )
@@ -426,7 +393,6 @@ def available_routing_policies() -> tuple:
 
 def get_routing_policy(name: str) -> RoutingPolicy:
     """Instantiate the routing policy registered under ``name``."""
-    _load_entry_point_policies()
     try:
         return _POLICIES[name]()
     except KeyError:

@@ -19,9 +19,8 @@ What this module adds:
   cluster :class:`~repro.cluster.topology.Topology` (ring formula,
   degradation-aware) instead of the flat NVLink-bus constants, and
   charges the wire traffic to the topology's utilization counters.
-  Timing-only: token ids never depend on it.
-* :func:`make_tp_engine` — one-call construction of a sharded
-  :class:`~repro.serving.engine.ServingEngine` wired to a topology.
+  Timing-only: token ids never depend on it.  Engines take one through
+  ``ServingEngine.from_config(..., interconnect=...)``.
 
 Token-exactness invariant: sharding heads and charging all-reduces moves
 *time*, never token values — tokens are a pure function of (request id,
@@ -32,14 +31,12 @@ by construction, and the tests assert it end to end.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.cluster.topology import Topology
 
 __all__ = [
     "TPInterconnect",
     "TPSharding",
-    "make_tp_engine",
     "plan_tp_sharding",
 ]
 
@@ -129,32 +126,3 @@ class TPInterconnect:
             count * self.topology.all_reduce_wire_bytes(nbytes, self.tp),
             count * self.topology.all_reduce_time(nbytes, self.tp, efficiency, t),
         )
-
-
-def make_tp_engine(
-    model,
-    gpu,
-    config=None,
-    topology: Optional[Topology] = None,
-    backend_factory=None,
-    **engine_kwargs,
-):
-    """Build a tensor-parallel :class:`ServingEngine` on a topology.
-
-    ``config.tensor_parallel`` sets the shard count (validated through
-    :func:`plan_tp_sharding`); ``backend_factory(heads, gpu)`` builds the
-    attention backend from the per-shard head config (default:
-    :class:`~repro.serving.backends.FlashInferBackend`).  Extra keyword
-    arguments pass through to the engine (``tracer=``, ``checkpoint=``…).
-    """
-    from repro.serving.engine import EngineConfig, ServingEngine
-
-    cfg = config if config is not None else EngineConfig()
-    plan_tp_sharding(model, cfg.tensor_parallel)  # validate divisibility up front
-    interconnect = None
-    if topology is not None and cfg.tensor_parallel > 1:
-        interconnect = TPInterconnect(topology, model, cfg.tensor_parallel)
-    return ServingEngine.from_config(
-        cfg, model=model, gpu=gpu, backend_factory=backend_factory,
-        interconnect=interconnect, **engine_kwargs,
-    )

@@ -6,7 +6,7 @@ thousands of cost-only steps (``compute=False``) where only the simulated
 GPU report matters — this module computes identical
 :class:`~repro.gpu.cost.TileCost` aggregates with NumPy over the *serialized
 plan arrays* (the same arrays the workspace holds), typically two orders of
-magnitude faster.  ``tests/test_simulate.py`` pins the equivalence against
+magnitude faster.  ``tests/test_core_simulate.py`` pins the equivalence against
 the per-item path.
 """
 

@@ -347,7 +347,7 @@ class BatchAttentionWrapper:
     def _simulate_fast(self) -> SimReport:
         """Cost-only execution: vectorized over the serialized plan arrays.
 
-        Equivalent to the per-item path (pinned by ``tests/test_simulate``)
+        Equivalent to the per-item path (pinned by ``tests/test_core_simulate.py``)
         but ~100× faster — used by benchmarks and the serving engine.
         """
         from repro.core.simulate import (

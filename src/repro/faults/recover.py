@@ -159,9 +159,8 @@ class KVScrubber:
 
         A stream holding one is truncated to its last verified page
         boundary and re-prefills the rest (recompute) through the
-        preemption machinery; cached prefixes are evicted; partial
-        prefills restart.  Per-stream retries are bounded; exceeding the
-        bound sheds the stream.
+        preemption machinery; partial prefills restart.  Per-stream
+        retries are bounded; exceeding the bound sheds the stream.
         """
         eng, st, adm = self.engine, self.state, self.admission
         cache, requests = st.cache, st.requests
@@ -172,10 +171,6 @@ class KVScrubber:
         resil = eng.resilience
         eng._count("checksum_failures", len(bad))
         eng._fault_event("corrupt", "detected", t, detail=f"pages {bad}")
-        for group, (pages, _length) in list(st.prefix_registry.items()):
-            if bad_set.intersection(pages):
-                cache.release_pages(pages)
-                del st.prefix_registry[group]
         for pp in [p for p in st.prefilling if bad_set.intersection(cache.seq_pages(p.seq_id))]:
             st.prefilling.remove(pp)
             cache.free_seq(pp.seq_id)

@@ -126,10 +126,7 @@ class AdmissionController:
                     stream.deadline = eng._deadline_for(req)
                 if record:
                     trace.tokens = [imp.tok0]
-                    if eng._journal is not None:
-                        eng._journal.token(idx, imp.gen, 0, imp.tok0, t)
-                    if eng._replay is not None:
-                        eng._replay.check(idx, imp.gen, 0, imp.tok0, t)
+                    eng._emit_token(idx, imp.gen, 0, imp.tok0, t)
                 st.streams.append(stream)
 
     def pressure_mean(self, t_end: float) -> float:
@@ -268,9 +265,6 @@ class AdmissionController:
 
     # -- shedding -------------------------------------------------------------
 
-    def deadline_for(self, req: Request) -> Optional[float]:
-        return self.engine._deadline_for(req)
-
     def shed_queued(self, req: Request, idx: int, gen: int, t: float, reason: str) -> None:
         """Shed a generation that never produced a token."""
         trace = RequestTrace(
@@ -278,10 +272,7 @@ class AdmissionController:
             req_id=idx, gen_index=gen, outcome_reason=reason,
         )
         self.state.metrics.shed(trace)
-        self.engine._count("sheds")
-        self.engine._fault_event(reason, "shed", t, req_id=idx, detail=f"gen {gen}")
-        if self.engine._journal is not None:
-            self.engine._journal.shed(idx, gen, reason, t)
+        self.engine._note_shed(idx, gen, reason, t)
 
     def shed_request(self, req: Request, idx: int, t: float, reason: str) -> None:
         """Shed every not-yet-spawned generation of one request."""
@@ -291,10 +282,7 @@ class AdmissionController:
     def shed_stream(self, s: Stream, t: float, reason: str) -> None:
         s.trace.outcome_reason = reason
         self.state.metrics.shed(s.trace)
-        self.engine._count("sheds")
-        self.engine._fault_event(reason, "shed", t, req_id=s.req_idx, detail=f"gen {s.gen_index}")
-        if self.engine._journal is not None:
-            self.engine._journal.shed(s.req_idx, s.gen_index, reason, t)
+        self.engine._note_shed(s.req_idx, s.gen_index, reason, t)
 
     def shed_expired(self, t: float) -> None:
         """Deterministic deadline shedding: drop every unit of work whose
@@ -303,7 +291,7 @@ class AdmissionController:
         requests, cache = st.requests, st.cache
 
         def expired(req: Request) -> bool:
-            dl = self.deadline_for(req)
+            dl = self.engine._deadline_for(req)
             return dl is not None and t > dl
 
         for idx in [i for i in st.prefill_queue if expired(requests[i])]:

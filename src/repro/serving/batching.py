@@ -14,11 +14,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.kvcache.paged import PagedKVCache, TransientAllocFault
+from repro.kvcache.paged import OutOfPagesError, PagedKVCache, TransientAllocFault
 from repro.kvcache.radix import RadixTree
 from repro.serving.metrics import RequestTrace, ServingMetrics
 from repro.serving.workload import Request
@@ -158,8 +158,6 @@ class RunState:
     streams: List[Stream] = field(default_factory=list)
     prefilling: Deque[PartialPrefill] = field(default_factory=deque)
     preempted: Deque[Stream] = field(default_factory=deque)
-    #: prefix_group → (cached pages, cached token count), page-aligned.
-    prefix_registry: Dict[int, tuple] = field(default_factory=dict)
     #: Automatic longest-prefix cache over prompt token ids
     #: (``EngineConfig.prefix_cache``); ``None`` when the feature is off.
     radix: Optional[RadixTree] = None
@@ -183,10 +181,6 @@ class RunState:
             "streams": [s.to_state() for s in self.streams],
             "prefilling": [pp.to_state() for pp in self.prefilling],
             "preempted": [s.to_state() for s in self.preempted],
-            "prefix_registry": {
-                str(group): {"pages": list(pages), "length": length}
-                for group, (pages, length) in self.prefix_registry.items()
-            },
         }
         if self.radix is not None:
             state["radix"] = self.radix.export_state()
@@ -205,10 +199,6 @@ class RunState:
             PartialPrefill.from_state(pp) for pp in state["prefilling"]
         )
         rs.preempted = deque(Stream.from_state(s) for s in state["preempted"])
-        rs.prefix_registry = {
-            int(group): ([int(p) for p in entry["pages"]], int(entry["length"]))
-            for group, entry in state["prefix_registry"].items()
-        }
         if state.get("radix") is not None:
             # The restored cache's refcounts already include the tree's
             # holds, so the rebuild takes no new page references.
@@ -272,38 +262,6 @@ class BatchFormer:
 
     # -- prefix caching -------------------------------------------------------
 
-    def _cached_prefix(self, req: Request):
-        """Cached (pages, token count) usable by ``req``, if any.
-
-        The reusable length is capped below the full prompt — the last
-        token's logits must always be computed fresh.
-        """
-        cfg = self.engine.config
-        if not (cfg.prefix_caching and req.prefix_group is not None):
-            return None
-        entry = self.state.prefix_registry.get(req.prefix_group)
-        if entry is None:
-            return None
-        pages, cached_len = entry
-        usable = min(cached_len, ((req.prompt_len - 1) // cfg.page_size) * cfg.page_size)
-        if usable <= 0:
-            return None
-        return pages[: usable // cfg.page_size], usable
-
-    def _register_prefix(self, req: Request, cache: PagedKVCache, seq_id: int) -> None:
-        """Cache a freshly prefilled request's shared-prefix pages."""
-        cfg = self.engine.config
-        if not (cfg.prefix_caching and req.prefix_group is not None):
-            return
-        if req.prefix_group in self.state.prefix_registry:
-            return
-        aligned = (req.prefix_len // cfg.page_size) * cfg.page_size
-        if aligned < cfg.page_size:
-            return
-        pages = cache.seq_pages(seq_id)[: aligned // cfg.page_size]
-        cache.retain_pages(pages)
-        self.state.prefix_registry[req.prefix_group] = (pages, aligned)
-
     def _prompt_tokens(self, idx: int, length: int) -> List[int]:
         """The first ``length`` prompt token ids of request ``idx``."""
         req = self.state.requests[idx]
@@ -311,23 +269,6 @@ class BatchFormer:
         group = req.prefix_group
         plen = req.prefix_len
         return [prompt_token_id(group, plen, rid, pos) for pos in range(length)]
-
-    def _radix_prefix(self, req: Request, idx: int):
-        """Longest radix-cached prefix usable by ``req``, if any.
-
-        Like :meth:`_cached_prefix`, the reusable length is capped below
-        the full prompt so the last token's logits are always computed.
-        """
-        st, cfg = self.state, self.engine.config
-        if st.radix is None:
-            return None
-        cap = ((req.prompt_len - 1) // cfg.page_size) * cfg.page_size
-        if cap <= 0:
-            return None
-        matched, pages = st.radix.match_prefix(self._prompt_tokens(idx, cap))
-        if matched <= 0:
-            return None
-        return pages, matched
 
     def _radix_insert(self, idx: int, seq_id: int) -> None:
         """Register a fully prefilled prompt's whole pages in the tree."""
@@ -346,26 +287,27 @@ class BatchFormer:
             st.radix.evict_until(pages_needed)
 
     def _start_prefill_seq(self, cache: PagedKVCache, idx: int):
-        """Create a sequence for request ``idx``, reusing cached prefix pages.
+        """Create a sequence for request ``idx``, reusing the longest
+        radix-cached prefix of its prompt.
 
-        Returns ``(seq_id, tokens_to_prefill)``.
+        Returns ``(seq_id, tokens_to_prefill)``.  The reusable length is
+        capped below the full prompt — the last token's logits must always
+        be computed fresh.
         """
-        req = self.state.requests[idx]
-        hit = self._radix_prefix(req, idx)
-        radix_hit = hit is not None
-        if hit is None:
-            hit = self._cached_prefix(req)
-        if hit is None:
+        st, eng = self.state, self.engine
+        req = st.requests[idx]
+        page = eng.config.page_size
+        cap = ((req.prompt_len - 1) // page) * page
+        cached = 0
+        if st.radix is not None and cap > 0:
+            cached, pages = st.radix.match_prefix(self._prompt_tokens(idx, cap))
+        if cached <= 0:
             return cache.new_seq(), req.prompt_len
-        pages, cached = hit
         sid = cache.new_seq(shared_pages=pages, shared_len=cached)
-        eng = self.engine
         eng._step_prefix_hits += 1
-        if radix_hit:
-            eng._step_radix_hit_tokens += cached
-            m = self.state.metrics
-            m.radix_hit_tokens += cached
-            m.radix_hit_prompts += 1
+        eng._step_radix_hit_tokens += cached
+        st.metrics.radix_hit_tokens += cached
+        st.metrics.radix_hit_prompts += 1
         return sid, req.prompt_len - cached
 
     # -- forming --------------------------------------------------------------
@@ -407,7 +349,6 @@ class BatchFormer:
                 cache.free_seq(sid)
                 self.admission.requeue_prompt(idx, t)
                 continue
-            self._register_prefix(requests[idx], cache, sid)
             self._radix_insert(idx, sid)
             ok_batch.append(idx)
             seqs.append(sid)
@@ -480,7 +421,6 @@ class BatchFormer:
             budget -= chunk
             pp.filled += chunk
             if pp.filled == requests[pp.req_idx].prompt_len:
-                self._register_prefix(requests[pp.req_idx], cache, pp.seq_id)
                 self._radix_insert(pp.req_idx, pp.seq_id)
                 prefilling.popleft()
             else:
@@ -610,8 +550,6 @@ class BatchFormer:
         pages freed) and later re-prefilled from scratch; without it a
         full pool would abort the whole serving run mid-flight.
         """
-        from repro.kvcache.paged import OutOfPagesError
-
         st = self.state
         cache, streams, preempted = st.cache, st.streams, st.preempted
 
@@ -641,10 +579,6 @@ class BatchFormer:
             victim.resume_len = cache.seq_len(victim.seq_id)
             cache.free_seq(victim.seq_id)
             victim.seq_id = -1
-            if preempted is None:
-                raise OutOfPagesError(
-                    f"pool exhausted and preemption unavailable ({cache._stats_brief()})"
-                )
             preempted.append(victim)
             st.metrics.preemptions += 1
 

@@ -25,9 +25,11 @@ memory.  This module adds the durability layer:
   time survive the round-trip (version ≠ stamp) and are healed by the
   engine's own scrub/recompute path on the next step — unless that path
   is unavailable, in which case recovery *refuses* to resume.
-* :class:`CrashHarness` — a kill/restore loop around an engine factory:
-  run until an :class:`~repro.faults.EngineCrash` fires, recover, resume,
-  repeat; reports crash phases and token divergence.
+* :func:`run_lives` — the one kill/restore loop around an engine
+  factory: run until an :class:`~repro.faults.EngineCrash` fires,
+  recover, resume, repeat.  :class:`CrashHarness` adds a token-divergence
+  count on top; the cluster engine passes its failover branch in as the
+  ``on_crash`` hook.
 
 Why replay is token-exact: all engine randomness lives in the fault
 plan's site streams (captured and rewound by the snapshot — except the
@@ -58,7 +60,7 @@ from repro.serving.metrics import ServingMetrics
 from repro.serving.workload import Request
 
 #: Bump when the snapshot schema changes; recovery refuses other versions.
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
 class CheckpointError(RuntimeError):
@@ -86,8 +88,42 @@ class WorldMismatchError(CheckpointError):
 
 
 #: Cluster shape assumed for snapshots written before the ``world`` field
-#: existed: a single-GPU engine.
-_DEFAULT_WORLD = {"tp": 1, "dp": 1, "replica": 0}
+#: existed: a single-GPU, colocated (no disaggregated ``role``) engine.
+_DEFAULT_WORLD = {"tp": 1, "dp": 1, "replica": 0, "role": None}
+
+
+def snapshot_world(snapshot: dict) -> Dict[str, object]:
+    """The cluster shape ``snapshot`` was taken under, every axis present."""
+    return {**_DEFAULT_WORLD, **(snapshot.get("world") or {})}
+
+
+def check_world(
+    snapshot_id: str, snap_world: Dict[str, object], expected: Dict[str, object]
+) -> None:
+    """Refuse a snapshot whose cluster shape differs from ``expected`` on
+    any axis ``expected`` names (a subset of ``tp``/``dp``/``replica``/
+    ``role``); raises :class:`WorldMismatchError`."""
+
+    def norm(key, value):
+        # "role" (disaggregated pools) is a string or None; the shape
+        # axes are ints.
+        if key == "role":
+            return None if value is None else str(value)
+        return int(value)
+
+    pairs = {k: (norm(k, snap_world[k]), norm(k, v)) for k, v in expected.items()}
+    mismatched = {k: ab for k, ab in pairs.items() if ab[0] != ab[1]}
+    if mismatched:
+        detail = ", ".join(
+            f"{k}: snapshot has {a}, recovering cluster has {b}"
+            for k, (a, b) in sorted(mismatched.items())
+        )
+        raise WorldMismatchError(
+            f"snapshot {snapshot_id} was taken in a different cluster shape "
+            f"({detail}); its per-shard KV page tables do not fit "
+            f"this partitioning — recover with the matching "
+            f"--tp/--dp or start the run fresh"
+        )
 
 
 @dataclass
@@ -132,9 +168,6 @@ class CheckpointStore:
         self._snapshots[sid] = (_sha(payload), payload)
         self._order.append(sid)
         return sid
-
-    def snapshot_ids(self) -> List[str]:
-        return list(self._order)
 
     def latest_snapshot_id(self) -> Optional[str]:
         return self._order[-1] if self._order else None
@@ -403,34 +436,7 @@ class RecoveryManager:
                 f"this build reads version {SNAPSHOT_VERSION}"
             )
         if self.expected_world is not None:
-            snap_world = snap.get("world") or _DEFAULT_WORLD
-
-            def norm(key, value):
-                # "role" (disaggregated pools) is a string; the shape
-                # axes are ints.  Missing keys fall back to the
-                # single-GPU default (role absent → colocated, None).
-                return str(value) if key == "role" else int(value)
-
-            mismatched = {
-                k: (
-                    norm(k, snap_world.get(k, _DEFAULT_WORLD.get(k))),
-                    norm(k, v),
-                )
-                for k, v in self.expected_world.items()
-                if norm(k, snap_world.get(k, _DEFAULT_WORLD.get(k)))
-                != norm(k, v)
-            }
-            if mismatched:
-                detail = ", ".join(
-                    f"{k}: snapshot has {a}, recovering cluster has {b}"
-                    for k, (a, b) in sorted(mismatched.items())
-                )
-                raise WorldMismatchError(
-                    f"snapshot {sid} was taken in a different cluster shape "
-                    f"({detail}); its per-shard KV page tables do not fit "
-                    f"this partitioning — recover with the matching "
-                    f"--tp/--dp or start the run fresh"
-                )
+            check_world(sid, snapshot_world(snap), self.expected_world)
         if self.requests is not None:
             requests = sorted(self.requests, key=lambda r: r.arrival)
             if len(requests) != len(snap["requests"]):
@@ -481,7 +487,7 @@ class RecoveryManager:
 
 @dataclass
 class CrashReport:
-    """Outcome of one :class:`CrashHarness` kill/restore campaign."""
+    """Outcome of one kill/restore campaign (:func:`run_lives`)."""
 
     crashes: int
     recoveries: int
@@ -492,90 +498,102 @@ class CrashReport:
     token_divergence: int
     compared: int
 
-
-class CrashHarness:
-    """Run an engine until it dies, recover, resume — until completion.
-
-    ``engine_factory`` builds one fresh engine per process "life", wired
-    to the shared ``store`` (and, for seeded-random crashes, sharing one
-    :class:`~repro.faults.FaultPlan` object across lives so the ``crash``
-    RNG stream stays advanced past already-fired crashes).
-
-    ``crash_script`` is a set of ``(step_index, phase)`` kills injected
-    deterministically via the engine's scripted crash hook; fired entries
-    are consumed so recovery cannot re-trip them.  Seeded-random crashes
-    from the fault plan's ``crash`` site compose freely with the script.
-    """
-
-    def __init__(
-        self,
-        engine_factory: Callable[[], object],
-        requests: Sequence[Request],
-        store: CheckpointStore,
-        crash_script: Sequence[Tuple[int, str]] = (),
-        max_crashes: int = 25,
+    @classmethod
+    def from_lives(
+        cls,
+        metrics: ServingMetrics,
+        crash_phases: List[str],
         expected_tokens: Optional[Dict[Tuple[int, int], List[int]]] = None,
-    ):
-        self.engine_factory = engine_factory
-        self.requests = list(requests)
-        self.store = store
-        self.crash_script = set(crash_script)
-        self.max_crashes = max_crashes
-        self.expected_tokens = expected_tokens
+    ) -> "CrashReport":
+        """Report what :func:`run_lives` returned; every crash it survived
+        was recovered from.  ``expected_tokens`` maps ``(req_id,
+        gen_index)`` to the tokens a finished stream must carry."""
+        if expected_tokens is not None:
+            checked = [
+                t.tokens == expected_tokens[(t.req_id, t.gen_index)]
+                for t in metrics.traces
+                if (t.req_id, t.gen_index) in expected_tokens
+            ]
+            compared, divergence = len(checked), checked.count(False)
+        else:
+            stats = metrics.fault_stats or {}
+            compared = int(stats.get("recover_replayed_tokens", 0))
+            divergence = int(stats.get("recover_token_divergence", 0))
+        return cls(
+            crashes=len(crash_phases), recoveries=len(crash_phases),
+            crash_phases=crash_phases, metrics=metrics,
+            token_divergence=divergence, compared=compared,
+        )
 
-    def run(self) -> CrashReport:
-        remaining = set(self.crash_script)
-        crash_phases: List[str] = []
-        recoveries = 0
-        engine = self.engine_factory()
+
+def run_lives(
+    make_engine: Callable[[], object],
+    requests: Sequence[Request],
+    store: CheckpointStore,
+    script: Sequence[Tuple[int, str]] = (),
+    on_crash: Optional[Callable] = None,
+    max_crashes: int = 25,
+) -> Tuple[ServingMetrics, List[str]]:
+    """The one engine life loop: run → crash → recover → resume, to completion.
+
+    ``make_engine`` builds one fresh engine per process "life", wired to
+    the shared ``store`` (and, for seeded-random crashes, sharing one
+    :class:`~repro.faults.FaultPlan` object across lives so the ``crash``
+    RNG stream stays advanced past already-fired crashes).  The first life
+    runs ``requests``; each :class:`~repro.faults.EngineCrash` ends a life
+    and the next resumes from the store's latest snapshot
+    (:class:`RecoveryManager`, journal replay included).
+
+    ``script`` is a set of ``(step_index, phase)`` kills injected through
+    the engine's scripted crash hook; fired entries are consumed so
+    recovery cannot re-trip them.  ``on_crash(crash, recovered) ->
+    (recovered, at_time)`` may relocate or delay the resume (the cluster
+    failover path); without it the next life resumes in place at the
+    snapshot's time.  More than ``max_crashes`` crashes is a kill/restore
+    livelock and raises.  Returns ``(metrics, crash_phases)``.
+    """
+    remaining = set(script)
+    crash_phases: List[str] = []
+    recovered = at_time = None
+    while True:
+        engine = make_engine()
         if remaining:
             engine._crash_script = set(remaining)
-        recovered = None
-        while True:
-            try:
-                if recovered is None:
-                    metrics = engine.run(self.requests)
-                else:
-                    metrics = engine.resume(recovered)
-                break
-            except EngineCrash as exc:
-                crash_phases.append(exc.phase)
-                remaining.discard((exc.step_index, exc.phase))
-                if len(crash_phases) > self.max_crashes:
-                    raise RuntimeError(
-                        f"kill/restore livelock: {len(crash_phases)} crashes "
-                        f"exceeded max_crashes={self.max_crashes}"
-                    ) from exc
-                recovered = RecoveryManager(
-                    self.store, requests=self.requests
-                ).recover()
-                recoveries += 1
-                engine = self.engine_factory()
-                if remaining:
-                    engine._crash_script = set(remaining)
+        try:
+            if recovered is None:
+                return engine.run(requests), crash_phases
+            return engine.resume(recovered, at_time=at_time), crash_phases
+        except EngineCrash as crash:
+            crash_phases.append(crash.phase)
+            remaining.discard((crash.step_index, crash.phase))
+            if len(crash_phases) > max_crashes:
+                raise RuntimeError(
+                    f"kill/restore livelock: {len(crash_phases)} crashes "
+                    f"exceeded max_crashes={max_crashes}"
+                ) from crash
+            recovered = RecoveryManager(store, requests=requests).recover()
+            if on_crash is not None:
+                recovered, at_time = on_crash(crash, recovered)
 
-        compared = 0
-        divergence = 0
-        if self.expected_tokens is not None:
-            for trace in metrics.traces:
-                key = (trace.req_id, trace.gen_index)
-                if key in self.expected_tokens:
-                    compared += 1
-                    if trace.tokens != self.expected_tokens[key]:
-                        divergence += 1
-        elif metrics.fault_stats is not None:
-            compared = int(metrics.fault_stats.get("recover_replayed_tokens", 0))
-            divergence = int(
-                metrics.fault_stats.get("recover_token_divergence", 0)
-            )
-        return CrashReport(
-            crashes=len(crash_phases),
-            recoveries=recoveries,
-            crash_phases=crash_phases,
-            metrics=metrics,
-            token_divergence=divergence,
-            compared=compared,
+
+@dataclass
+class CrashHarness:
+    """:func:`run_lives` over an ``engine_factory``, reported as a
+    :class:`CrashReport` (against ``expected_tokens`` when given)."""
+
+    engine_factory: Callable[[], object]
+    requests: Sequence[Request]
+    store: CheckpointStore
+    crash_script: Sequence[Tuple[int, str]] = ()
+    max_crashes: int = 25
+    expected_tokens: Optional[Dict[Tuple[int, int], List[int]]] = None
+
+    def run(self) -> CrashReport:
+        metrics, crash_phases = run_lives(
+            self.engine_factory, list(self.requests), self.store,
+            script=self.crash_script, max_crashes=self.max_crashes,
         )
+        return CrashReport.from_lives(metrics, crash_phases, self.expected_tokens)
 
 
 __all__ = [
@@ -596,4 +614,7 @@ __all__ = [
     "SnapshotVerificationError",
     "WorldMismatchError",
     "build_snapshot",
+    "check_world",
+    "run_lives",
+    "snapshot_world",
 ]

@@ -16,8 +16,10 @@ separation of *planning* from *execution* (§3.4)::
 * :class:`~repro.serving.batching.BatchFormer` — turns admitted work into
   one :class:`~repro.serving.batching.StepPlan` per step (prefill chunks,
   decode set, resume set, page-table deltas).
-* :class:`~repro.serving.plan_cache.PlanCache` — memoizes the wrapper's
-  CPU ``plan()`` across layers and steps (the plan/run split, §3.3.1).
+* :class:`~repro.serving.plan_cache.PlanCache` — one CPU ``plan()`` per
+  step stands for every layer's launch (the plan/run split, §3.3.1);
+  the memo across *steps* rarely hits (measured 0.02–0.08 — a step's
+  page tables almost always differ from the last one's).
 * :class:`~repro.serving.executor.StepExecutor` — prices the plan through
   the backend; owns kernel fault-retry and degrade hooks.
 * :class:`~repro.serving.executor.Postprocessor` — token recording,
@@ -70,7 +72,8 @@ from repro.serving.checkpoint import (
     CheckpointStore,
     Journal,
     RecoveredState,
-    WorldMismatchError,
+    check_world,
+    snapshot_world,
 )
 from repro.serving.executor import Postprocessor, StepExecutor
 from repro.serving.metrics import ServingMetrics
@@ -96,22 +99,18 @@ class EngineConfig:
     #: bounding the ITL spikes long prompts otherwise cause (§5.4).
     chunked_prefill: bool = False
     prefill_chunk_size: int = 512
-    #: Radix-style cross-request prefix caching: requests declaring a
-    #: shared ``prefix_group`` reuse the group's cached prompt pages and
-    #: prefill only their unique suffix (§5.4, RadixAttention).
-    prefix_caching: bool = False
     #: Automatic longest-prefix caching over prompt *token ids* via the
-    #: :class:`repro.kvcache.radix.RadixTree`: on admission the longest
-    #: cached page-aligned prefix is looked up and skipped; on prefill
-    #: completion the prompt's whole pages are inserted, with LRU eviction
-    #: under pool pressure.  Needs no ``prefix_group`` annotation to find
-    #: sharing, and combines with ``composable`` to serve shared prefixes
-    #: through the multi-level cascade (§3.1.2).
+    #: :class:`repro.kvcache.radix.RadixTree` (§5.4, RadixAttention): on
+    #: admission the longest cached page-aligned prefix is looked up and
+    #: skipped; on prefill completion the prompt's whole pages are
+    #: inserted, with LRU eviction under pool pressure.  Needs no
+    #: ``prefix_group`` annotation to find sharing (a declared group only
+    #: shapes the prompt's token ids), and combines with ``composable`` to
+    #: serve shared prefixes through the multi-level cascade (§3.1.2).
     prefix_cache: bool = False
     #: Scheduling-policy name (see :mod:`repro.serving.policy`): ``fcfs``
     #: (the default, token-exact with the classic engine), ``priority``,
-    #: ``sla-aware``, or any name registered via ``register_policy`` / the
-    #: ``repro.serving_policies`` entry-point group.
+    #: ``sla-aware``, or any name registered via ``register_policy``.
     policy: str = "fcfs"
     #: Memoize wrapper ``plan()`` results across layers and steps (the
     #: plan/run split, §3.3.1/§3.4).  Never changes simulated results —
@@ -313,6 +312,21 @@ class ServingEngine:
                 )
             )
 
+    def _emit_token(self, idx: int, gen: int, pos: int, tok: int, t: float) -> None:
+        """One recorded token leaves the engine: write-ahead-journal it and
+        check it against the replay window of the crash being recovered."""
+        if self._journal is not None:
+            self._journal.token(idx, gen, pos, tok, t)
+        if self._replay is not None:
+            self._replay.check(idx, gen, pos, tok, t)
+
+    def _note_shed(self, idx: int, gen: int, reason: str, t: float) -> None:
+        """Account one shed generation: counter, fault event, journal."""
+        self._count("sheds")
+        self._fault_event(reason, "shed", t, req_id=idx, detail=f"gen {gen}")
+        if self._journal is not None:
+            self._journal.shed(idx, gen, reason, t)
+
     def _deadline_for(self, req: Request) -> Optional[float]:
         rel = req.deadline if req.deadline is not None else self.resilience.deadline
         return None if rel is None else req.arrival + rel
@@ -481,11 +495,6 @@ class ServingEngine:
         self._crash_armed = self._crash_script is not None or (
             resil_on and plan is not None and plan.armed("crash")
         )
-        pc = self.plan_cache
-        pc_before = None
-        if pc is not None:
-            pc.bind(cfg.page_size, cfg.num_pool_pages)
-            pc_before = (pc.hits, pc.misses)
         cache = PagedKVCache(
             cfg.num_pool_pages, cfg.page_size, self.heads.num_kv_heads,
             self.heads.head_dim, materialize=False,
@@ -506,7 +515,7 @@ class ServingEngine:
             state.radix = RadixTree(cache)
         admission = AdmissionController(self, state)
         self._wire_checkpoint(state, admission, t=0.0, genesis=True)
-        return self._serve(state, admission, t=0.0, pc_before=pc_before)
+        return self._serve(state, admission, t=0.0)
 
     def resume(
         self,
@@ -537,24 +546,15 @@ class ServingEngine:
                 "resilience feature (construct the engine with checkpoint= "
                 "or resilience=)"
             )
-        cfg = self.config
         resil = self.resilience
         plan = self.fault_plan
         snap = recovered.snapshot
         # Refuse a snapshot from a different cluster shape: its per-shard
-        # KV page tables don't fit this head partitioning (pre-world
-        # snapshots count as the single-GPU shape).
-        snap_world = snap.get("world") or {"tp": 1, "dp": 1, "replica": 0}
-        normalized = {
-            k: (str(v) if k == "role" else int(v))
-            for k, v in snap_world.items()
-        }
-        if normalized != self.world:
-            raise WorldMismatchError(
-                f"snapshot {recovered.snapshot_id} was taken under world "
-                f"{snap_world} but this engine is world {self.world}; "
-                f"resuming would corrupt the per-shard KV layout"
-            )
+        # KV page tables don't fit this head partitioning.
+        check_world(
+            recovered.snapshot_id, snapshot_world(snap),
+            {"role": None, **self.world},
+        )
         self._tracer = tracer if tracer is not None else self.tracer
         self.backend.collect_kernel_reports = (
             self._tracer is not None and self._tracer.capture_kernels
@@ -582,11 +582,6 @@ class ServingEngine:
         self._crash_armed = self._crash_script is not None or (
             plan is not None and plan.armed("crash")
         )
-        pc = self.plan_cache
-        pc_before = None
-        if pc is not None:
-            pc.bind(cfg.page_size, cfg.num_pool_pages)
-            pc_before = (pc.hits, pc.misses)
         cache = recovered.cache
         cache.fault_injector = plan
         self._cache = cache
@@ -614,9 +609,9 @@ class ServingEngine:
         self._wire_checkpoint(state, admission, t, genesis=False)
         if self._journal is not None:
             self._journal.recover(recovered.snapshot_id, t)
-        return self._serve(state, admission, t, pc_before)
+        return self._serve(state, admission, t)
 
-    def _serve(self, state, admission, t: float, pc_before) -> ServingMetrics:
+    def _serve(self, state, admission, t: float) -> ServingMetrics:
         """The step loop plus end-of-run accounting, shared by
         :meth:`run` (fresh state) and :meth:`resume` (restored state)."""
         cfg = self.config
@@ -625,6 +620,10 @@ class ServingEngine:
         requests = state.requests
         cache = state.cache
         pc = self.plan_cache
+        pc_before = None
+        if pc is not None:
+            pc.bind(cfg.page_size, cfg.num_pool_pages)
+            pc_before = (pc.hits, pc.misses)
         former = BatchFormer(self, state, admission)
         executor = StepExecutor(self, state)
         post = Postprocessor(self, state, executor)

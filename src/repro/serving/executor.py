@@ -281,10 +281,7 @@ class Postprocessor:
         if eng._taint and s.seq_id >= 0 and self.state.cache.seq_is_corrupt(s.seq_id):
             tok += TOKEN_VOCAB  # decoded from corrupted KV, undetected
         s.trace.tokens.append(tok)
-        if eng._journal is not None:
-            eng._journal.token(s.req_idx, s.gen_index, pos, tok, t)
-        if eng._replay is not None:
-            eng._replay.check(s.req_idx, s.gen_index, pos, tok, t)
+        eng._emit_token(s.req_idx, s.gen_index, pos, tok, t)
 
     def _spawn_stream(
         self, req: Request, idx: int, gen: int, seq_id: int, t: float
@@ -308,10 +305,7 @@ class Postprocessor:
             if eng.resilience.record_tokens:
                 tok0 = token_id(self._rid(idx), gen, 0)
                 trace.tokens = [tok0]
-                if eng._journal is not None:
-                    eng._journal.token(idx, gen, 0, tok0, t)
-                if eng._replay is not None:
-                    eng._replay.check(idx, gen, 0, tok0, t)
+                eng._emit_token(idx, gen, 0, tok0, t)
         if eng.handoff_sink is not None and stream.remaining > 0:
             # Disaggregated prefill replica: the finished prompt's live KV
             # leaves for a decode replica instead of decoding here.  The

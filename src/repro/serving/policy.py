@@ -8,15 +8,9 @@ change the tokens a stream produces — token ids are a pure function of
 (request, generation, position) — so any policy is token-exact per
 stream by construction.
 
-Policies are looked up by name through a registry.  Third-party packages
-can contribute policies without touching this module by declaring an
-entry point in the ``repro.serving_policies`` group::
-
-    [project.entry-points."repro.serving_policies"]
-    shortest-first = mypkg.policies:ShortestFirstPolicy
-
-or programmatically via :func:`register_policy` (which doubles as a class
-decorator).
+Policies are looked up by name through a registry; other code adds one
+without touching this module via :func:`register_policy` (which doubles
+as a class decorator).
 """
 
 from __future__ import annotations
@@ -24,8 +18,6 @@ from __future__ import annotations
 from typing import Deque, Dict, Optional, Sequence, Type
 
 from repro.serving.workload import Request
-
-_ENTRY_POINT_GROUP = "repro.serving_policies"
 
 
 class SchedulerPolicy:
@@ -102,7 +94,6 @@ class SLAAwarePolicy(SchedulerPolicy):
 
 
 _POLICIES: Dict[str, Type[SchedulerPolicy]] = {}
-_ENTRY_POINTS_LOADED = False
 
 
 def register_policy(cls: Type[SchedulerPolicy]) -> Type[SchedulerPolicy]:
@@ -117,44 +108,13 @@ for _cls in (FCFSPolicy, PriorityPolicy, SLAAwarePolicy):
     register_policy(_cls)
 
 
-def _load_entry_point_policies() -> None:
-    """Best-effort discovery of third-party policies (once per process).
-
-    Built-in names cannot be shadowed; a broken distribution must not
-    break engine construction, so all metadata errors are swallowed.
-    """
-    global _ENTRY_POINTS_LOADED
-    if _ENTRY_POINTS_LOADED:
-        return
-    _ENTRY_POINTS_LOADED = True
-    try:
-        from importlib.metadata import entry_points
-    except ImportError:  # pragma: no cover - python < 3.8
-        return
-    try:
-        eps = entry_points(group=_ENTRY_POINT_GROUP)
-    except TypeError:  # pragma: no cover - python < 3.10 API
-        eps = entry_points().get(_ENTRY_POINT_GROUP, [])
-    except Exception:  # pragma: no cover - corrupt metadata
-        return
-    for ep in eps:
-        try:
-            cls = ep.load()
-        except Exception:  # pragma: no cover - broken plugin
-            continue
-        if isinstance(cls, type) and issubclass(cls, SchedulerPolicy):
-            _POLICIES.setdefault(cls.name, cls)
-
-
 def available_policies() -> tuple:
     """Registered policy names, built-ins first."""
-    _load_entry_point_policies()
     return tuple(sorted(_POLICIES, key=lambda n: (n not in ("fcfs", "priority", "sla-aware"), n)))
 
 
 def get_policy(name: str) -> SchedulerPolicy:
     """Instantiate the policy registered under ``name``."""
-    _load_entry_point_policies()
     try:
         return _POLICIES[name]()
     except KeyError:

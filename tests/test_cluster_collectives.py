@@ -1,72 +1,12 @@
-"""Simulated collectives: exact numerics, cost charging, ring parity."""
+"""The surviving collective, ``p2p_send``: bitwise copy, cost charging,
+degraded-window pricing; plus ring-attention shard-strategy parity."""
 
 import numpy as np
 import pytest
 
-from repro.cluster.collectives import (
-    all_gather,
-    all_reduce,
-    all_reduce_states,
-    p2p_send,
-    reduce_scatter,
-)
-from repro.cluster.topology import TOPOLOGY_PRESETS, Topology
+from repro.cluster.collectives import p2p_send
+from repro.cluster.topology import Topology
 from repro.core import HeadConfig
-from repro.core.state import AttentionState, merge_all
-
-
-def _shards(world, shape=(6, 8), seed=0):
-    rng = np.random.default_rng(seed)
-    return [rng.standard_normal(shape) for _ in range(world)]
-
-
-@pytest.mark.parametrize("preset", sorted(TOPOLOGY_PRESETS))
-@pytest.mark.parametrize("world", [2, 3, 4])
-def test_all_reduce_exact_on_every_topology(preset, world):
-    topo = Topology.preset(preset, world=world)
-    shards = _shards(world)
-    result, cost = all_reduce(shards, topo)
-    # Deterministic rank-order fold: bit-identical to the sequential sum.
-    expected = shards[0].copy()
-    for s in shards[1:]:
-        expected = expected + s
-    np.testing.assert_array_equal(result, expected)
-    assert cost > 0.0
-    assert cost == pytest.approx(
-        topo.all_reduce_time(float(result.nbytes), world)
-    )
-
-
-def test_all_reduce_max_and_validation():
-    shards = _shards(3)
-    result, _ = all_reduce(shards, op="max")
-    np.testing.assert_array_equal(result, np.maximum.reduce(shards))
-    with pytest.raises(ValueError, match="unknown reduce op"):
-        all_reduce(shards, op="mean")
-    with pytest.raises(ValueError, match="zero ranks"):
-        all_reduce([])
-    with pytest.raises(ValueError, match="shape"):
-        all_reduce([np.zeros((2, 2)), np.zeros((3, 2))])
-
-
-def test_all_reduce_without_topology_is_free():
-    result, cost = all_reduce(_shards(4))
-    assert cost == 0.0
-    assert result.shape == (6, 8)
-
-
-def test_reduce_scatter_then_all_gather_reconstructs_all_reduce():
-    topo = Topology.preset("nvlink", world=4)
-    shards = _shards(4, shape=(10, 4))
-    reduced, _ = all_reduce(shards)
-    pieces, rs_cost = reduce_scatter(shards, topo)
-    assert len(pieces) == 4
-    gathered, ag_cost = all_gather(pieces, topo)
-    np.testing.assert_array_equal(gathered, reduced)
-    # Both halves together cost what one all-reduce costs.
-    assert rs_cost + ag_cost == pytest.approx(
-        topo.all_reduce_time(float(reduced.nbytes), 4), rel=1e-6
-    )
 
 
 def test_p2p_send_is_bitwise_and_charged():
@@ -79,48 +19,15 @@ def test_p2p_send_is_bitwise_and_charged():
     assert topo.traffic_bytes["p2p"] == pytest.approx(float(a.nbytes))
 
 
-@pytest.mark.parametrize("preset", sorted(TOPOLOGY_PRESETS))
-def test_all_reduce_states_matches_merge_all(preset):
-    rng = np.random.default_rng(2)
-    states = [
-        AttentionState(
-            rng.standard_normal((4, 8, 64)), rng.standard_normal((4, 8))
-        )
-        for _ in range(4)
-    ]
-    topo = Topology.preset(preset, world=4)
-    merged, cost = all_reduce_states(states, topo)
-    expected = merge_all(states)
-    # Same rank-order fold as merge_all: bit-identical, not just close.
-    np.testing.assert_array_equal(merged.o, expected.o)
-    np.testing.assert_array_equal(merged.lse, expected.lse)
-    assert cost > 0.0
-    assert "all_reduce_states" in topo.traffic_bytes
-
-
-def test_collective_charging_accumulates_per_kind():
-    topo = Topology.preset("nvlink", world=3)
-    shards = _shards(3)
-    all_reduce(shards, topo)
-    all_reduce(shards, topo)
-    all_gather(shards, topo)
-    stats = topo.link_stats()
-    assert stats["link_all_reduce_bytes"] == pytest.approx(
-        2 * topo.all_reduce_wire_bytes(float(shards[0].nbytes), 3)
-    )
-    assert stats["link_all_gather_bytes"] > 0.0
-    assert topo.total_busy_seconds > 0.0
-
-
 def test_degraded_window_raises_collective_cost():
     topo = Topology.preset("nvlink", world=4)
-    shards = _shards(4, shape=(256, 256))
-    _, healthy = all_reduce(shards, topo, t=0.0)
+    a = np.random.default_rng(0).standard_normal((256, 256))
+    _, healthy = p2p_send(a, topo, t=0.0)
     topo.degrade(10.0, 20.0, factor=0.1)
-    result, degraded = all_reduce(shards, topo, t=15.0)
+    received, degraded = p2p_send(a, topo, t=15.0)
     assert degraded > healthy
-    # Degradation moves time only; numerics are untouched.
-    np.testing.assert_array_equal(result, all_reduce(shards)[0])
+    # Degradation moves time only; the bytes are untouched.
+    np.testing.assert_array_equal(received, a)
 
 
 def test_zigzag_and_contiguous_ring_attention_agree():

@@ -31,7 +31,7 @@ def _cluster(dp=2, failover=None, **kwargs):
     return ClusterEngine(
         MODEL, H100_80G,
         ClusterConfig(dp=dp, router="least-loaded",
-                      engine=EngineConfig(max_running=64),
+                      engine=EngineConfig(max_running=64, num_pool_pages=2048),
                       failover=failover),
         **kwargs,
     )

@@ -36,7 +36,8 @@ def _engine(store=None, tensor_parallel=1, every=2):
     )
     return ServingEngine(
         MODEL, FlashInferBackend(heads, H100_80G), H100_80G,
-        EngineConfig(max_running=64, tensor_parallel=tensor_parallel),
+        EngineConfig(max_running=64, tensor_parallel=tensor_parallel,
+                     num_pool_pages=2048),
         checkpoint=CheckpointConfig(every_steps=every),
         checkpoint_store=store,
     )
@@ -78,7 +79,7 @@ def test_replica_crash_recovers_token_exact():
     cluster = ClusterEngine(
         MODEL, H100_80G,
         ClusterConfig(dp=2, router="round-robin",
-                      engine=EngineConfig(max_running=64),
+                      engine=EngineConfig(max_running=64, num_pool_pages=2048),
                       checkpoint_every=3),
         replica_failures={0: [ReplicaFailure(3, "crash", "boundary"),
                               ReplicaFailure(7, "crash", "mid-step")]},

@@ -130,7 +130,7 @@ class TestEngineFeatureInterplay:
         heads = HC(model.num_qo_heads, model.num_kv_heads, model.head_dim)
         cfg = EngineConfig(
             num_pool_pages=1 << 12, chunked_prefill=True, prefill_chunk_size=256,
-            prefix_caching=True, composable=True, max_running=64,
+            prefix_cache=True, composable=True, max_running=64,
         )
         be = FlashInferBackend(heads, H100_80G, composable=True)
         reqs = [

@@ -83,26 +83,6 @@ class TestRegistry:
         with pytest.raises(ValueError, match="policy"):
             make_engine(policy="bogus")
 
-    def test_entry_point_discovery(self, monkeypatch):
-        import importlib.metadata as md
-
-        class FakeEntryPoint:
-            def load(self):
-                return ShortestFirstPolicy
-
-        def fake_entry_points(group=None):
-            assert group == policy_mod._ENTRY_POINT_GROUP
-            return [FakeEntryPoint()]
-
-        monkeypatch.setattr(policy_mod, "_ENTRY_POINTS_LOADED", False)
-        monkeypatch.setattr(md, "entry_points", fake_entry_points)
-        try:
-            assert "shortest-first" in available_policies()
-            assert isinstance(get_policy("shortest-first"), ShortestFirstPolicy)
-        finally:
-            policy_mod._POLICIES.pop(ShortestFirstPolicy.name, None)
-            policy_mod._ENTRY_POINTS_LOADED = True
-
 
 class TestQueueOrdering:
     def test_fcfs_is_a_no_op(self):

@@ -18,7 +18,7 @@ HEADS = HeadConfig(MODEL.num_qo_heads, MODEL.num_kv_heads, MODEL.head_dim)
 
 def engine(prefix_caching, chunked=False):
     cfg = EngineConfig(
-        num_pool_pages=1 << 14, prefix_caching=prefix_caching,
+        num_pool_pages=1 << 14, prefix_cache=prefix_caching,
         chunked_prefill=chunked, prefill_chunk_size=2048,
     )
     return ServingEngine(MODEL, FlashInferBackend(HEADS, H100_80G), H100_80G, cfg)
@@ -86,4 +86,9 @@ class TestPrefixReuse:
 
     def test_caching_off_by_default(self):
         cfg = EngineConfig()
-        assert cfg.prefix_caching is False
+        assert cfg.prefix_cache is False
+
+    def test_the_prefix_group_registry_flag_is_gone(self):
+        """One prefix-reuse mechanism: the radix tree (``prefix_cache``)."""
+        with pytest.raises(TypeError, match="prefix_caching"):
+            EngineConfig(prefix_caching=True)
