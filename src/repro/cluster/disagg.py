@@ -133,14 +133,14 @@ class KVHandoff:
     context_len: int
     #: Remaining output tokens the decode replica must produce.
     remaining: int
-    #: :meth:`PagedKVCache.export_pages` rows for the sequence's pages.
-    page_rows: dict
+    #: The sequence's page ids (:meth:`PagedKVCache.export_pages`).
+    pages: List[int]
     #: Modeled fp16 K+V bytes per page on the source cache.
     page_kv_bytes: float
     #: Declared shared-prefix group (prefix-skip dedup key), or ``None``.
     prefix_group: Optional[int] = None
     #: Whole pages of the declared shared prefix at the head of
-    #: ``page_rows`` — the slice a prefix-cache hit lets us skip.
+    #: ``pages`` — the slice a prefix-cache hit lets us skip.
     prefix_pages: int = 0
 
 
@@ -189,8 +189,7 @@ class HandoffSink:
         from repro.serving.batching import token_id
 
         rid = idx if req.rid is None else req.rid
-        pages = cache.seq_pages(seq_id)
-        rows = cache.export_pages(pages)
+        pages = cache.export_pages(cache.seq_pages(seq_id))
         trace = stream.trace
         tok0 = (
             trace.tokens[0] if trace.tokens else token_id(rid, gen, 0)
@@ -205,7 +204,7 @@ class HandoffSink:
             context_len=cache.seq_len(seq_id),
             # Carries any brownout clamp the prefill replica applied.
             remaining=stream.remaining,
-            page_rows=rows, page_kv_bytes=float(cache.page_kv_bytes),
+            pages=pages, page_kv_bytes=float(cache.page_kv_bytes),
             prefix_group=req.prefix_group, prefix_pages=prefix_pages,
         )
 
@@ -245,7 +244,7 @@ class DisaggCoordinator:
     deterministic ``(t_ready, rid, gen)`` order and sends each through
     :meth:`KVMigrator.transfer <repro.cluster.failover.KVMigrator.transfer>`
     with ``kind="handoff"``: the handoff descriptor is the control chunk,
-    the exported page rows (minus any prefix the decode replica already
+    the exported page ids (minus any prefix the decode replica already
     holds) are the page chunks, and link faults, backoff and checksum
     refusal behave exactly as they do for a snapshot migration.
     """
@@ -276,7 +275,7 @@ class DisaggCoordinator:
         ordered = sorted(handoffs, key=lambda h: (h.t_ready, h.rid, h.gen))
         imports: Dict[int, List[HandoffImport]] = {}
         for hi, h in enumerate(ordered):
-            rows = h.page_rows
+            pages = h.pages
             skipped = 0
             if (
                 self.prefix_caching
@@ -288,9 +287,7 @@ class DisaggCoordinator:
                     # The decode replica's radix tree already holds the
                     # group's prefix pages: ship only the suffix.
                     skipped = h.prefix_pages
-                    rows = {
-                        k: list(v)[h.prefix_pages:] for k, v in rows.items()
-                    }
+                    pages = pages[skipped:]
                 else:
                     self._shipped_prefixes.add(key)
             descriptor = {
@@ -299,10 +296,10 @@ class DisaggCoordinator:
                 "tok0": h.tok0, "context_len": h.context_len,
                 "remaining": h.remaining, "arrival": h.arrival,
                 "first_token_time": h.t_ready,
-                "pages": list(rows["pages"]), "pages_skipped": skipped,
+                "pages": pages, "pages_skipped": skipped,
             }
             _, _, sent = self._migrator.transfer(
-                descriptor, rows, h.page_kv_bytes, h.t_ready, "handoff",
+                descriptor, pages, h.page_kv_bytes, h.t_ready, "handoff",
                 h.source, h.target, corrupt_control=hi in corrupt,
             )
             report.requests += 1

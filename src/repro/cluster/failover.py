@@ -369,7 +369,7 @@ class KVMigrator:
     def transfer(
         self,
         control: dict,
-        rows: dict,
+        pages: Sequence[int],
         page_kv_bytes: float,
         t: float,
         kind: str,
@@ -377,12 +377,12 @@ class KVMigrator:
         target: int,
         corrupt_control: bool = False,
         corrupt_chunks: Sequence[int] = (),
-    ) -> Tuple[dict, dict, MigrationReport]:
+    ) -> Tuple[dict, List[int], MigrationReport]:
         """Send a *control chunk* (the ``control`` dict) and then *page
-        chunks* of up to ``config.chunk_pages``
-        :meth:`PagedKVCache.export_pages` ``rows`` from ``source`` to
+        chunks* of up to ``config.chunk_pages`` of the
+        :meth:`PagedKVCache.export_pages` ids ``pages`` from ``source`` to
         ``target`` starting at time ``t``; returns ``(received_control,
-        received_rows, report)``.
+        received_pages, report)``.
 
         Each chunk is priced on the topology as :func:`p2p_send` traffic
         of class ``kind`` (``"migration"`` or ``"handoff"``, so each flow
@@ -402,12 +402,11 @@ class KVMigrator:
         corrupt = frozenset(int(i) for i in corrupt_chunks)
         # (what, body, priced bytes or None for the JSON size, tampered)
         chunks = [("control chunk", control, None, corrupt_control)]
-        for ci, lo in enumerate(range(0, len(rows["pages"]), cfg.chunk_pages)):
-            part = {k: list(v)[lo:lo + cfg.chunk_pages] for k, v in rows.items()}
-            n = len(part["pages"])
+        for ci, lo in enumerate(range(0, len(pages), cfg.chunk_pages)):
+            part = list(pages[lo:lo + cfg.chunk_pages])
             chunks.append((
-                f"page chunk {ci} ({n} pages)", part,
-                float(n) * page_kv_bytes, ci in corrupt,
+                f"page chunk {ci} ({len(part)} pages)", part,
+                float(len(part)) * page_kv_bytes, ci in corrupt,
             ))
         now = float(t)
         wire = 0.0
@@ -451,13 +450,13 @@ class KVMigrator:
             received.append(json.loads(data))
             now += elapsed
             wire += nbytes
-        got_rows = {k: [x for c in received[1:] for x in c[k]] for k in rows}
+        got_pages = [p for part in received[1:] for p in part]
         report = MigrationReport(
-            source=source, target=target, pages=len(got_rows["pages"]),
+            source=source, target=target, pages=len(got_pages),
             wire_bytes=wire, chunks=len(chunks), retries=retries,
             seconds=now - float(t), t_start=float(t), t_end=now,
         )
-        return received[0], got_rows, report
+        return received[0], got_pages, report
 
     def migrate(
         self,
@@ -467,34 +466,19 @@ class KVMigrator:
         target: int,
         corrupt_chunks: Sequence[int] = (),
     ) -> Tuple[dict, MigrationReport]:
-        """Ship ``snapshot`` from ``source`` to ``target`` at time ``t``.
-
-        The control chunk is the PR-4 snapshot minus the cache's per-page
-        ``refcount``/``version``/``stamp`` arrays — it still carries
-        geometry, the free list, sequence page tables, queues, metrics,
-        RNG streams; the arrays travel as the live pages' rows and are
-        spliced back on arrival.  Returns ``(received_snapshot, report)``.
+        """Ship ``snapshot`` from ``source`` to ``target`` at time ``t``:
+        the snapshot itself is the control chunk (its page table names
+        live pages only), the live page ids are the page chunks.  Returns
+        ``(received_snapshot, report)``.
         """
         from repro.kvcache.paged import PagedKVCache
 
         cache = PagedKVCache.from_state(snapshot["cache"])
-        control = dict(snapshot)
-        control["cache"] = dict(
-            snapshot["cache"], refcount=[], page_version=[], page_stamp=[]
-        )
-        received, rows, report = self.transfer(
-            control, cache.export_pages(cache.used_pages()),
+        received, _, report = self.transfer(
+            snapshot, cache.export_pages(cache.used_pages()),
             cache.page_kv_bytes, t, "migration", source, target,
             corrupt_chunks=corrupt_chunks,
         )
-        for key, col in (
-            ("refcount", "refcount"), ("page_version", "version"),
-            ("page_stamp", "stamp"),
-        ):
-            full = [0] * cache.num_pages
-            for p, value in zip(rows["pages"], rows[col]):
-                full[p] = value
-            received["cache"][key] = full
         return received, report
 
 

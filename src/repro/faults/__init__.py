@@ -7,8 +7,8 @@ Three layers, mirroring how production engines harden themselves:
    kernel failures, straggler CTAs, KV-page corruption, transient
    page-allocation failures, numeric output corruption.
 2. **Detection** (:mod:`~repro.faults.inject`): :class:`OutputGuard`
-   ``isfinite`` sampling on wrapper outputs, write-versioned per-page
-   checksums in :class:`repro.kvcache.PagedKVCache`, and the engine's
+   ``isfinite`` sampling on wrapper outputs, per-page checksum
+   mismatches in :class:`repro.kvcache.PagedKVCache`, and the engine's
    simulated-clock step watchdog.
 3. **Recovery** (:mod:`~repro.faults.recover`):
    :class:`ResilienceConfig` — bounded retry-with-recompute from the last

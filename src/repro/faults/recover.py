@@ -157,10 +157,12 @@ class KVScrubber:
     def scrub(self, t: float) -> None:
         """Detect corrupted pages and roll their owners back.
 
-        A stream holding one is truncated to its last verified page
-        boundary and re-prefills the rest (recompute) through the
-        preemption machinery; partial prefills restart.  Per-stream
-        retries are bounded; exceeding the bound sheds the stream.
+        The radix tree forgets every cached chunk backed by one (and the
+        chunks below it), so no later prompt can match it.  A stream
+        holding one is truncated to its last verified page boundary and
+        re-prefills the rest (recompute) through the preemption
+        machinery; partial prefills restart.  Per-stream retries are
+        bounded; exceeding the bound sheds the stream.
         """
         eng, st, adm = self.engine, self.state, self.admission
         cache, requests = st.cache, st.requests
@@ -171,6 +173,13 @@ class KVScrubber:
         resil = eng.resilience
         eng._count("checksum_failures", len(bad))
         eng._fault_event("corrupt", "detected", t, detail=f"pages {bad}")
+        if st.radix is not None:
+            dropped = st.radix.drop_pages(bad_set)
+            if dropped:
+                eng._fault_event(
+                    "corrupt", "evicted", t,
+                    detail=f"radix tree dropped {dropped} cached pages",
+                )
         for pp in [p for p in st.prefilling if bad_set.intersection(cache.seq_pages(p.seq_id))]:
             st.prefilling.remove(pp)
             cache.free_seq(pp.seq_id)

@@ -13,7 +13,7 @@ last_page_len)`` triple of the paper, wrapped as
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Iterator, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -66,11 +66,15 @@ class PagedKVCache:
         Shape of each slot's K and V entries.
     checksums:
         Verify per-page integrity on :meth:`gather`/:meth:`layout`
-        (raising :class:`KVCorruptionError` on mismatch).  The underlying
-        write-versioned checksum bookkeeping is always maintained — two
-        O(1) array writes per page write — so detection can also be driven
-        externally via :meth:`find_corrupted`; this flag only gates the
-        export-time verification.
+        (raising :class:`KVCorruptionError` on mismatch).  The set of
+        pages whose checksum no longer matches is always maintained, so
+        detection can also be driven externally via
+        :meth:`find_corrupted`; this flag only gates the export-time
+        verification.
+
+    All bookkeeping is proportional to the *live* pages, never to the
+    pool: like the exported ``indptr``/``indices``, it names the pages that
+    exist and nothing else.
     """
 
     #: Optional fault injector (duck-typed :class:`repro.faults.FaultPlan`):
@@ -104,29 +108,30 @@ class PagedKVCache:
             # without backing storage (append/gather are unavailable).
             self.k_pool = None
             self.v_pool = None
-        self._free: List[int] = list(range(num_pages - 1, -1, -1))
-        self._refcount = np.zeros(num_pages, dtype=np.int64)
+        # Free pages are ``_recycled`` (freed, reused LIFO) followed by the
+        # never-allocated ids ``_fresh, _fresh + 1, ...`` in ascending order.
+        self._fresh = 0
+        self._recycled: List[int] = []
+        self._refcount: Dict[int, int] = {}  # live pages only
         self._seqs: Dict[int, _SeqState] = {}
         self._next_seq_id = 0
         self.checksums = checksums
-        # Write-versioned integrity state: every page write bumps the
-        # version and re-stamps the checksum; corruption bumps the version
-        # *without* re-stamping, so version != stamp ⇔ corrupted.
-        self._page_version = np.zeros(num_pages, dtype=np.int64)
-        self._page_stamp = np.zeros(num_pages, dtype=np.int64)
+        # Pages whose checksum no longer matches their content: corruption
+        # adds a page, a write (which re-stamps) or reallocation removes it.
+        self._corrupt: Set[int] = set()
 
     # -- pool accounting -----------------------------------------------------
 
     @property
     def num_free_pages(self) -> int:
-        return len(self._free)
+        return self.num_pages - len(self._refcount)
 
     @property
     def num_used_pages(self) -> int:
-        return self.num_pages - len(self._free)
+        return len(self._refcount)
 
     def page_refcount(self, page: int) -> int:
-        return int(self._refcount[page])
+        return self._refcount.get(page, 0)
 
     def _stats_brief(self) -> str:
         per_seq = sorted(
@@ -154,12 +159,12 @@ class PagedKVCache:
             "num_seqs": len(per_seq),
             "seq_pages": per_seq,
             "max_seq_pages": max(per_seq.values(), default=0),
-            "shared_pages": int((self._refcount > 1).sum()),
+            "shared_pages": sum(1 for c in self._refcount.values() if c > 1),
             "corrupted_pages": len(self.find_corrupted()),
         }
 
     def _alloc_page(self, inject: bool = False) -> int:
-        if not self._free:
+        if not self.num_free_pages:
             raise OutOfPagesError(
                 f"KV-cache pool exhausted: {self._stats_brief()}"
             )
@@ -168,34 +173,39 @@ class PagedKVCache:
                 f"injected transient page-allocation failure "
                 f"({self._stats_brief()})"
             )
-        page = self._free.pop()
+        if self._recycled:
+            page = self._recycled.pop()
+        else:
+            page = self._fresh
+            self._fresh += 1
         self._refcount[page] = 1
-        if self._page_version[page] != self._page_stamp[page]:
+        if page in self._corrupt:
             # A freed corrupted page must not poison its next owner.
             if self.materialized:
                 slot0 = page * self.page_size
                 self.k_pool[slot0 : slot0 + self.page_size] = 0.0
                 self.v_pool[slot0 : slot0 + self.page_size] = 0.0
-            self._page_version[page] = self._page_stamp[page] = 0
+            self._corrupt.discard(page)
         return page
 
     def _touch_page(self, page: int) -> None:
-        """Record a write: bump the version and re-stamp the checksum."""
-        v = self._page_version[page] + 1
-        self._page_version[page] = v
-        self._page_stamp[page] = v
+        """Record a write: the page's checksum is re-stamped."""
+        self._corrupt.discard(page)
 
     def _release_page(self, page: int) -> None:
-        self._refcount[page] -= 1
-        if self._refcount[page] == 0:
-            self._free.append(page)
-        elif self._refcount[page] < 0:
+        count = self._refcount.get(page, 0) - 1
+        if count < 0:
             raise AssertionError(f"page {page} refcount underflow")
+        if count:
+            self._refcount[page] = count
+        else:
+            del self._refcount[page]
+            self._recycled.append(page)
 
     def retain_pages(self, pages: Sequence[int]) -> None:
         """Add an external reference to ``pages`` (used by the radix cache)."""
         for p in pages:
-            if self._refcount[p] <= 0:
+            if p not in self._refcount:
                 raise ValueError(f"page {p} is not live")
             self._refcount[p] += 1
 
@@ -223,7 +233,7 @@ class PagedKVCache:
         st.pages = list(shared_pages)
         st.length = shared_len
         for p in st.pages:
-            if self._refcount[p] <= 0:
+            if p not in self._refcount:
                 raise ValueError(f"shared page {p} is not live")
             self._refcount[p] += 1
         self._seqs[seq_id] = st
@@ -268,6 +278,31 @@ class PagedKVCache:
 
     # -- data path -------------------------------------------------------------
 
+    def _grow(self, st: _SeqState, n: int) -> Iterator[Tuple[int, int, int]]:
+        """Grow ``st`` by ``n`` tokens, yielding one ``(page, offset, take)``
+        span per page touched: a page is allocated on a page boundary, a
+        shared partial last page is unshared first (copy-on-write), and the
+        span counts as written once the consumer resumes the generator."""
+        while n > 0:
+            offset = st.length % self.page_size
+            if offset == 0:
+                st.pages.append(self._alloc_page(inject=True))
+            elif self._refcount[st.pages[-1]] > 1:
+                # Copy-on-write: unshare the partial page before writing.
+                shared = st.pages[-1]
+                st.pages[-1] = self._alloc_page(inject=True)
+                if self.materialized:
+                    s0, d0 = shared * self.page_size, st.pages[-1] * self.page_size
+                    self.k_pool[d0 : d0 + offset] = self.k_pool[s0 : s0 + offset]
+                    self.v_pool[d0 : d0 + offset] = self.v_pool[s0 : s0 + offset]
+                self._release_page(shared)
+            page = st.pages[-1]
+            take = min(n, self.page_size - offset)
+            yield page, offset, take
+            self._touch_page(page)
+            st.length += take
+            n -= take
+
     def append(self, seq_id: int, k: np.ndarray, v: np.ndarray) -> None:
         """Append new K/V entries ``(n, num_kv_heads, head_dim)`` to a sequence.
 
@@ -284,30 +319,11 @@ class PagedKVCache:
             )
         if not self.materialized:
             raise RuntimeError("append() requires a materialized cache")
-        st = self._state(seq_id)
-        n = k.shape[0]
         written = 0
-        while written < n:
-            offset = st.length % self.page_size
-            if offset == 0:
-                st.pages.append(self._alloc_page(inject=True))
-            else:
-                page = st.pages[-1]
-                if self._refcount[page] > 1:
-                    # Copy-on-write: unshare the partial page before writing.
-                    new_page = self._alloc_page(inject=True)
-                    s0, d0 = page * self.page_size, new_page * self.page_size
-                    self.k_pool[d0 : d0 + offset] = self.k_pool[s0 : s0 + offset]
-                    self.v_pool[d0 : d0 + offset] = self.v_pool[s0 : s0 + offset]
-                    self._release_page(page)
-                    st.pages[-1] = new_page
-            page = st.pages[-1]
-            take = min(n - written, self.page_size - st.length % self.page_size)
-            slot0 = page * self.page_size + st.length % self.page_size
+        for page, offset, take in self._grow(self._state(seq_id), k.shape[0]):
+            slot0 = page * self.page_size + offset
             self.k_pool[slot0 : slot0 + take] = k[written : written + take]
             self.v_pool[slot0 : slot0 + take] = v[written : written + take]
-            self._touch_page(page)
-            st.length += take
             written += take
 
     def extend(self, seq_id: int, n_tokens: int) -> None:
@@ -319,26 +335,8 @@ class PagedKVCache:
         """
         if n_tokens < 0:
             raise ValueError("n_tokens must be non-negative")
-        st = self._state(seq_id)
-        remaining = n_tokens
-        while remaining > 0:
-            offset = st.length % self.page_size
-            if offset == 0:
-                st.pages.append(self._alloc_page(inject=True))
-            else:
-                page = st.pages[-1]
-                if self._refcount[page] > 1:
-                    new_page = self._alloc_page(inject=True)
-                    if self.materialized:
-                        s0, d0 = page * self.page_size, new_page * self.page_size
-                        self.k_pool[d0 : d0 + offset] = self.k_pool[s0 : s0 + offset]
-                        self.v_pool[d0 : d0 + offset] = self.v_pool[s0 : s0 + offset]
-                    self._release_page(page)
-                    st.pages[-1] = new_page
-            take = min(remaining, self.page_size - st.length % self.page_size)
-            self._touch_page(st.pages[-1])
-            st.length += take
-            remaining -= take
+        for _ in self._grow(self._state(seq_id), n_tokens):
+            pass
 
     def truncate(self, seq_id: int, new_len: int) -> None:
         """Roll a sequence back to ``new_len`` tokens, freeing tail pages.
@@ -362,37 +360,33 @@ class PagedKVCache:
     def corrupt_page(self, page: int) -> None:
         """Silently corrupt a live page (fault-plan ``corrupt`` site).
 
-        Bumps the page's write version without re-stamping its checksum;
+        The page's content changes without its checksum being re-stamped;
         in materialized mode the page's K/V slots are also overwritten
         with NaN so numeric guards can observe the damage.
         """
-        if self._refcount[page] <= 0:
+        if page not in self._refcount:
             raise ValueError(f"page {page} is not live")
-        self._page_version[page] += 1
+        self._corrupt.add(page)
         if self.materialized:
             slot0 = page * self.page_size
             self.k_pool[slot0 : slot0 + self.page_size] = np.nan
             self.v_pool[slot0 : slot0 + self.page_size] = np.nan
 
     def page_is_corrupt(self, page: int) -> bool:
-        return bool(self._page_version[page] != self._page_stamp[page])
+        return page in self._corrupt
 
     def seq_is_corrupt(self, seq_id: int) -> bool:
         """True if any page of ``seq_id`` fails its checksum."""
         st = self._state(seq_id)
-        if not st.pages:
-            return False
-        idx = np.asarray(st.pages, dtype=np.int64)
-        return bool((self._page_version[idx] != self._page_stamp[idx]).any())
+        return bool(self._corrupt) and not self._corrupt.isdisjoint(st.pages)
 
     def find_corrupted(self) -> List[int]:
         """All live pages whose checksum no longer matches."""
-        bad = (self._refcount > 0) & (self._page_version != self._page_stamp)
-        return np.nonzero(bad)[0].tolist()
+        return sorted(p for p in self._corrupt if p in self._refcount)
 
     def used_pages(self) -> List[int]:
-        """All live (refcount > 0) page ids."""
-        return np.nonzero(self._refcount > 0)[0].tolist()
+        """All live (refcount > 0) page ids, ascending."""
+        return sorted(self._refcount)
 
     @property
     def page_kv_bytes(self) -> int:
@@ -402,33 +396,24 @@ class PagedKVCache:
         × 2 tensors (K and V) × 2 bytes."""
         return 2 * 2 * self.page_size * self.num_kv_heads * self.head_dim
 
-    def export_pages(self, pages: Sequence[int]) -> dict:
-        """Partial page-level export: one row per requested page id
-        (refcount + write-versioned checksum pair).  The migration wire
-        format ships live pages in chunks of these rows; the receiver
-        splices them back into a stripped :meth:`export_state` control
-        record before :meth:`from_state`."""
+    def export_pages(self, pages: Sequence[int]) -> List[int]:
+        """The validated ids of ``pages`` — what a KV transfer (snapshot
+        migration, prefill→decode handoff) puts into its page chunks."""
         idx = [int(p) for p in pages]
         for p in idx:
             if not 0 <= p < self.num_pages:
                 raise ValueError(f"page {p} outside [0, {self.num_pages})")
-        return {
-            "pages": idx,
-            "refcount": [int(self._refcount[p]) for p in idx],
-            "version": [int(self._page_version[p]) for p in idx],
-            "stamp": [int(self._page_stamp[p]) for p in idx],
-        }
+        return idx
 
     def _verify_pages(self, pages: Sequence[int], context: str) -> None:
-        if not pages:
+        if not self._corrupt:
             return
-        idx = np.asarray(pages, dtype=np.int64)
-        bad = idx[self._page_version[idx] != self._page_stamp[idx]]
-        if bad.size:
+        bad = [p for p in pages if p in self._corrupt]
+        if bad:
             raise KVCorruptionError(
                 f"KV page checksum mismatch on {context}: "
-                f"pages {bad.tolist()} were modified outside append/extend",
-                pages=bad.tolist(),
+                f"pages {bad} were modified outside append/extend",
+                pages=bad,
             )
 
     def seq_len(self, seq_id: int) -> int:
@@ -459,12 +444,13 @@ class PagedKVCache:
     def export_state(self) -> dict:
         """Serializable snapshot of the full page-table state.
 
-        Captures geometry, the free list, per-page refcounts and
-        write-versioned checksums (version/stamp pairs — so corruption
-        present at snapshot time survives the round-trip and is re-detected
-        after restore), every sequence's page list and length, and the K/V
-        pools when materialized.  :meth:`from_state` rebuilds an identical
-        cache.
+        Captures geometry and the bookkeeping exactly as it is kept — the
+        first never-allocated page id, the recycled free pages in reuse
+        order, the live pages' refcounts, the pages whose checksum no
+        longer matches (so corruption present at snapshot time survives
+        the round-trip and is re-detected after restore) — plus every
+        sequence's page list and length, and the K/V pools when
+        materialized.  :meth:`from_state` rebuilds an identical cache.
         """
         state = {
             "num_pages": self.num_pages,
@@ -473,10 +459,10 @@ class PagedKVCache:
             "head_dim": self.head_dim,
             "materialized": self.materialized,
             "checksums": self.checksums,
-            "free": list(self._free),
-            "refcount": self._refcount.tolist(),
-            "page_version": self._page_version.tolist(),
-            "page_stamp": self._page_stamp.tolist(),
+            "fresh": self._fresh,
+            "recycled": list(self._recycled),
+            "refcount": {str(p): c for p, c in self._refcount.items()},
+            "corrupt": sorted(self._corrupt),
             "next_seq_id": self._next_seq_id,
             "seqs": {
                 str(sid): {"pages": list(st.pages), "length": st.length}
@@ -490,7 +476,11 @@ class PagedKVCache:
 
     @classmethod
     def from_state(cls, state: dict) -> "PagedKVCache":
-        """Rebuild a cache from :meth:`export_state` output."""
+        """Rebuild a cache from :meth:`export_state` output.
+
+        The state may come from disk, so a page table that contradicts
+        itself is refused with :class:`ValueError`.
+        """
         cache = cls(
             num_pages=int(state["num_pages"]),
             page_size=int(state["page_size"]),
@@ -499,16 +489,26 @@ class PagedKVCache:
             materialize=bool(state["materialized"]),
             checksums=bool(state["checksums"]),
         )
-        cache._free = [int(p) for p in state["free"]]
-        cache._refcount = np.asarray(state["refcount"], dtype=np.int64)
-        cache._page_version = np.asarray(state["page_version"], dtype=np.int64)
-        cache._page_stamp = np.asarray(state["page_stamp"], dtype=np.int64)
+        cache._fresh = int(state["fresh"])
+        cache._recycled = [int(p) for p in state["recycled"]]
+        cache._refcount = {int(p): int(c) for p, c in state["refcount"].items()}
+        cache._corrupt = {int(p) for p in state["corrupt"]}
         cache._next_seq_id = int(state["next_seq_id"])
         for sid, seq in state["seqs"].items():
             st = _SeqState()
             st.pages = [int(p) for p in seq["pages"]]
             st.length = int(seq["length"])
             cache._seqs[int(sid)] = st
+        live = cache._refcount.keys()
+        if not 0 <= cache._fresh <= cache.num_pages:
+            raise ValueError(f"fresh={cache._fresh} outside the {cache.num_pages}-page pool")
+        if any(not 0 <= p < cache._fresh for p in live):
+            raise ValueError(f"a live page lies outside [0, fresh={cache._fresh})")
+        if not live.isdisjoint(cache._recycled):
+            raise ValueError("a page is both live and on the recycled free list")
+        for sid, st in cache._seqs.items():
+            if not live >= set(st.pages):
+                raise ValueError(f"sequence {sid} names a page that is not live")
         if cache.materialized:
             cache.k_pool = np.asarray(state["k_pool"], dtype=np.float32)
             cache.v_pool = np.asarray(state["v_pool"], dtype=np.float32)

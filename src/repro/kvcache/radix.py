@@ -13,7 +13,7 @@ so shared prefixes stay live while cached.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
 from repro.kvcache.paged import PagedKVCache
 
@@ -166,12 +166,38 @@ class RadixTree:
             leaf = self._lru_leaf()
             if leaf is None:
                 break
-            self.cache.release_pages(leaf.pages)
-            released += len(leaf.pages)
-            self._num_cached_pages -= len(leaf.pages)
-            assert leaf.parent is not None
-            del leaf.parent.children[leaf.tokens[0]]
+            released += self._drop(leaf)
         return released
+
+    def _drop(self, node: _Node) -> int:
+        """Detach ``node`` and its subtree, releasing the tree's reference
+        on every page they hold; returns the number of pages dropped."""
+        assert node.parent is not None
+        del node.parent.children[node.tokens[0]]
+        dropped = 0
+        stack = [node]
+        while stack:
+            n = stack.pop()
+            stack.extend(n.children.values())
+            self.cache.release_pages(n.pages)
+            dropped += len(n.pages)
+        self._num_cached_pages -= dropped
+        return dropped
+
+    def drop_pages(self, pages: AbstractSet[int]) -> int:
+        """Forget every node holding one of ``pages``, together with its
+        subtree — a chunk is only reachable through its ancestors, so
+        nothing below a lost page can be matched again.  Returns the number
+        of pages the tree stopped referencing."""
+        dropped = 0
+        stack = list(self._root.children.values())
+        while stack:
+            n = stack.pop()
+            if pages.isdisjoint(n.pages):
+                stack.extend(n.children.values())
+            else:
+                dropped += self._drop(n)
+        return dropped
 
     def _lru_leaf(self) -> Optional[_Node]:
         best: Optional[_Node] = None
@@ -213,11 +239,8 @@ class RadixTree:
             if leaf is None:
                 break
             before = self.cache.num_free_pages
-            self.cache.release_pages(leaf.pages)
+            self._drop(leaf)
             freed += self.cache.num_free_pages - before
-            self._num_cached_pages -= len(leaf.pages)
-            assert leaf.parent is not None
-            del leaf.parent.children[leaf.tokens[0]]
         return freed
 
     # -- snapshot / restore ---------------------------------------------------

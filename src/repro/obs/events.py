@@ -151,8 +151,8 @@ class StepEvent:
 #: engine resumed from one, a journaled token was re-emitted identically
 #: on replay, or it was not.
 FAULT_ACTIONS: Tuple[str, ...] = (
-    "injected", "detected", "retry", "shed", "degraded", "annealed", "flagged",
-    "committed", "restored", "replayed", "diverged",
+    "injected", "detected", "evicted", "retry", "shed", "degraded", "annealed",
+    "flagged", "committed", "restored", "replayed", "diverged",
 )
 
 

@@ -9,7 +9,7 @@ memory.  This module adds the durability layer:
   the full :class:`~repro.serving.batching.RunState` (queues, live
   streams, partial prefills, the preempted deque), the
   :class:`~repro.kvcache.PagedKVCache` page tables *with* their
-  write-versioned checksums, the fault plan's per-site RNG streams, the
+  checksum-mismatch set, the fault plan's per-site RNG streams, the
   degrade state machine, accumulated :class:`ServingMetrics` and the
   engine's step/event counters — everything :meth:`ServingEngine.resume`
   needs to continue the exact trajectory.
@@ -60,7 +60,7 @@ from repro.serving.metrics import ServingMetrics
 from repro.serving.workload import Request
 
 #: Bump when the snapshot schema changes; recovery refuses other versions.
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 
 class CheckpointError(RuntimeError):
@@ -87,14 +87,10 @@ class WorldMismatchError(CheckpointError):
     corrupt attention — so recovery refuses instead."""
 
 
-#: Cluster shape assumed for snapshots written before the ``world`` field
-#: existed: a single-GPU, colocated (no disaggregated ``role``) engine.
-_DEFAULT_WORLD = {"tp": 1, "dp": 1, "replica": 0, "role": None}
-
-
 def snapshot_world(snapshot: dict) -> Dict[str, object]:
-    """The cluster shape ``snapshot`` was taken under, every axis present."""
-    return {**_DEFAULT_WORLD, **(snapshot.get("world") or {})}
+    """The cluster shape ``snapshot`` was taken under, every axis present
+    (a colocated engine stamps no ``role``)."""
+    return {"role": None, **snapshot["world"]}
 
 
 def check_world(
@@ -404,8 +400,7 @@ class RecoveryManager:
     ``expected_world`` declares the cluster shape doing the recovering
     (any subset of ``{"tp", "dp", "replica"}``); a snapshot taken under a
     different shape raises :class:`WorldMismatchError` before any state is
-    rebuilt.  Snapshots from before the field existed count as the
-    single-GPU shape ``tp=1, dp=1, replica=0``.
+    rebuilt.
     """
 
     def __init__(
@@ -448,7 +443,7 @@ class RecoveryManager:
             requests = [Request(**r) for r in snap["requests"]]
 
         # KV verification through the existing checksum machinery: rebuild
-        # the page tables, then ask which live pages fail version == stamp.
+        # the page tables, then ask which live pages fail their checksum.
         cache = PagedKVCache.from_state(snap["cache"])
         corrupt = cache.find_corrupted()
         if corrupt and not (self.allow_recompute and cache.checksums):

@@ -286,8 +286,7 @@ class ServingEngine:
         """Cluster shape this engine runs in (stamped into snapshots).
 
         Under disaggregated serving the replica's pool rides along as a
-        ``role`` key; colocated worlds omit it, keeping pre-disagg
-        snapshots compatible.
+        ``role`` key; colocated worlds omit it.
         """
         world: Dict[str, object] = {
             "tp": self.config.tensor_parallel,
@@ -562,7 +561,7 @@ class ServingEngine:
         self._event_index = int(snap["event_index"])
         self._steps_done = int(snap["steps_done"])
         self._step_prefix_hits = int(snap["step_prefix_hits"])
-        self._step_radix_hit_tokens = int(snap.get("step_radix_hit_tokens", 0))
+        self._step_radix_hit_tokens = int(snap["step_radix_hit_tokens"])
         self._step_cascade_levels = 0
         requests = recovered.requests  # snapshot order is arrival-sorted
         self._degrade = DegradeController(resil.degrade_after, resil.anneal_after)

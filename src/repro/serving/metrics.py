@@ -278,12 +278,10 @@ class ServingMetrics:
             recover_resumed=int(state["recover_resumed"]),
         )
         m.shed_traces = [RequestTrace.from_state(t) for t in state["shed_traces"]]
-        m.radix_hit_tokens = int(state.get("radix_hit_tokens", 0))
-        m.radix_hit_prompts = int(state.get("radix_hit_prompts", 0))
-        m.cascade_steps = int(state.get("cascade_steps", 0))
-        m.cascade_bytes_saved = float(state.get("cascade_bytes_saved", 0.0))
-        m.admission_pressure = float(state.get("admission_pressure", 0.0))
-        m.admission_pressure_mean = float(
-            state.get("admission_pressure_mean", 0.0)
-        )
+        m.radix_hit_tokens = int(state["radix_hit_tokens"])
+        m.radix_hit_prompts = int(state["radix_hit_prompts"])
+        m.cascade_steps = int(state["cascade_steps"])
+        m.cascade_bytes_saved = float(state["cascade_bytes_saved"])
+        m.admission_pressure = float(state["admission_pressure"])
+        m.admission_pressure_mean = float(state["admission_pressure_mean"])
         return m

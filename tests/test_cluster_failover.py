@@ -31,7 +31,7 @@ def _cluster(dp=2, failover=None, **kwargs):
     return ClusterEngine(
         MODEL, H100_80G,
         ClusterConfig(dp=dp, router="least-loaded",
-                      engine=EngineConfig(max_running=64, num_pool_pages=2048),
+                      engine=EngineConfig(max_running=64),
                       failover=failover),
         **kwargs,
     )
@@ -150,8 +150,8 @@ def test_migration_ships_live_pages_chunked_and_priced():
     assert rebuilt.find_corrupted() == []
     assert rebuilt.used_pages() == live
     assert received["cache"]["refcount"] == snap["cache"]["refcount"]
-    assert received["cache"]["page_version"] == snap["cache"]["page_version"]
-    assert received["cache"]["page_stamp"] == snap["cache"]["page_stamp"]
+    assert received["cache"]["corrupt"] == snap["cache"]["corrupt"]
+    assert received["cache"]["recycled"] == snap["cache"]["recycled"]
 
 
 def test_migration_retries_link_faults_with_backoff():

@@ -1,8 +1,6 @@
 """Cluster fault injection: link degradation, replica crash recovery,
 and the checkpoint world-shape guard."""
 
-import json
-
 import pytest
 
 from repro.cluster import (
@@ -36,8 +34,7 @@ def _engine(store=None, tensor_parallel=1, every=2):
     )
     return ServingEngine(
         MODEL, FlashInferBackend(heads, H100_80G), H100_80G,
-        EngineConfig(max_running=64, tensor_parallel=tensor_parallel,
-                     num_pool_pages=2048),
+        EngineConfig(max_running=64, tensor_parallel=tensor_parallel),
         checkpoint=CheckpointConfig(every_steps=every),
         checkpoint_store=store,
     )
@@ -79,7 +76,7 @@ def test_replica_crash_recovers_token_exact():
     cluster = ClusterEngine(
         MODEL, H100_80G,
         ClusterConfig(dp=2, router="round-robin",
-                      engine=EngineConfig(max_running=64, num_pool_pages=2048),
+                      engine=EngineConfig(max_running=64),
                       checkpoint_every=3),
         replica_failures={0: [ReplicaFailure(3, "crash", "boundary"),
                               ReplicaFailure(7, "crash", "mid-step")]},
@@ -131,17 +128,3 @@ def test_resume_refuses_a_mismatched_engine_shape():
     # when the recovery manager was not told what shape to expect.
     with pytest.raises(WorldMismatchError, match="tp"):
         _engine(store, tensor_parallel=2).resume(recovered)
-
-
-def test_pre_world_snapshots_default_to_single_gpu_shape():
-    store = CheckpointStore()
-    _engine(store).run(sharegpt_workload(4, rate=50.0, seed=1))
-    snap = store.load_snapshot(store.latest_snapshot_id())
-    del snap["world"]  # a snapshot from before the field existed
-    store.put_snapshot(json.dumps(snap))
-    recovered = RecoveryManager(
-        store, expected_world={"tp": 1, "dp": 1}
-    ).recover()
-    assert "world" not in recovered.snapshot
-    with pytest.raises(WorldMismatchError, match="snapshot has 1"):
-        RecoveryManager(store, expected_world={"tp": 2}).recover()

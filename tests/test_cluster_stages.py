@@ -118,12 +118,12 @@ def test_replica_order_within_a_stage_is_immaterial(shape, monkeypatch):
 # -- the one life loop -----------------------------------------------------------
 
 KILLS = ((3, "boundary"), (7, "mid-step"))
-SMALL = EngineConfig(max_running=64, num_pool_pages=2048)
+ENGINE_CFG = EngineConfig(max_running=64)
 
 
 def _dp1(script):
     return ClusterEngine.from_config(
-        ClusterConfig(dp=1, engine=SMALL),
+        ClusterConfig(dp=1, engine=ENGINE_CFG),
         replica_failures={
             0: [ReplicaFailure(step, "crash", phase) for step, phase in script]
         },
@@ -135,7 +135,7 @@ def test_harness_and_cluster_replica_share_one_life_loop():
     store = CheckpointStore()
     harness = CrashHarness(
         lambda: ServingEngine.from_config(
-            SMALL, resilience=ResilienceConfig(),
+            ENGINE_CFG, resilience=ResilienceConfig(),
             # The cadence a scripted cluster replica defaults to.
             checkpoint=CheckpointConfig(every_steps=4), checkpoint_store=store,
         ),

@@ -21,7 +21,7 @@ from repro.kvcache import PagedKVCache
 from repro.serving import EngineConfig, LLAMA_3_1_8B, sharegpt_workload
 
 
-def _page_rows():
+def _page_ids():
     cache = PagedKVCache(64, 16, 2, 8, materialize=True, checksums=True)
     rng = np.random.default_rng(0)
     for _ in range(3):
@@ -32,9 +32,9 @@ def _page_rows():
 
 
 def _ship(kind, monkeypatch, **tamper):
-    """Ship the same rows as ``kind``; returns what each ``p2p_send``
+    """Ship the same pages as ``kind``; returns what each ``p2p_send``
     attempt was charged, the report, and the topology's link stats."""
-    rows, page_bytes = _page_rows()
+    pages, page_bytes = _page_ids()
     sends = []
 
     def recording(array, topology, **kw):
@@ -49,11 +49,11 @@ def _ship(kind, monkeypatch, **tamper):
         fault_plan=FaultPlan(schedules={"link": (0, 1)}),
     )
     control, got, report = mig.transfer(
-        {"what": "descriptor", "n": 3}, rows, page_bytes, 0.5, kind, 0, 1,
+        {"what": "descriptor", "n": 3}, pages, page_bytes, 0.5, kind, 0, 1,
         **tamper,
     )
     assert control == {"what": "descriptor", "n": 3}
-    assert got == rows
+    assert got == pages
     return sends, report, topo.link_stats()
 
 
@@ -90,8 +90,7 @@ def test_life_loop_recovers_in_place_and_fills_the_crash_report():
         LLAMA_3_1_8B, H100_80G,
         # No cadence configured: a scripted replica snapshots every 4
         # steps, an unscripted one not at all.
-        ClusterConfig(dp=2, engine=EngineConfig(max_running=64,
-                                                num_pool_pages=2048)),
+        ClusterConfig(dp=2, engine=EngineConfig(max_running=64)),
     )
     per_replica, _ = cluster.route(requests)
     failures = {0: [ReplicaFailure(3, "crash", "boundary"),

@@ -1,5 +1,7 @@
 """Tests for the paged KV cache (page table, refcounts, COW)."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -241,3 +243,56 @@ class TestStructureOnlyMode:
         assert np.array_equal(layout.kv_lens, [10, 11])
         c.truncate(b, 3)
         assert c.seq_len(b) == 3
+
+
+class TestLiveOnlyState:
+    """The bookkeeping and its snapshot name live pages only."""
+
+    @staticmethod
+    def _fifty_ops(c):
+        seqs = [c.new_seq() for _ in range(5)]
+        for i in range(40):
+            c.extend(seqs[i % 5], 7 + 3 * i)
+        seqs.append(c.fork_seq(seqs[1]))
+        c.truncate(seqs[3], 20)
+        c.free_seq(seqs[0])
+        c.corrupt_page(c.seq_pages(seqs[2])[1])
+        c.extend(seqs[4], 100)
+
+    def test_snapshot_size_is_independent_of_pool_size(self):
+        big = PagedKVCache(1 << 24, 16, 8, 128, materialize=False)
+        small = PagedKVCache(256, 16, 8, 128, materialize=False)
+        self._fifty_ops(big)
+        self._fifty_ops(small)
+        sizes = [len(json.dumps(c.export_state())) for c in (big, small)]
+        assert sizes[0] - sizes[1] == len(str(1 << 24)) - len(str(256))
+
+    def test_round_trip_keeps_the_reuse_order_of_freed_pages(self):
+        c = PagedKVCache(16, 4, 2, 8, materialize=False)
+        a, b, keep = c.new_seq(), c.new_seq(), c.new_seq()
+        for s in (a, keep, b):
+            c.extend(s, 8)
+        c.free_seq(b)  # pages 4, 5 ...
+        c.free_seq(a)  # ... then 0, 1: reused 1, 0, 5, 4, then fresh 6
+        restored = PagedKVCache.from_state(json.loads(json.dumps(c.export_state())))
+        for cache in (c, restored):
+            s = cache.new_seq()
+            cache.extend(s, 20)
+            assert cache.seq_pages(s) == [1, 0, 5, 4, 6]
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda st: st["refcount"].update({"9": 1}), "fresh"),
+        (lambda st: st["recycled"].append(0), "recycled"),
+        (lambda st: st["seqs"]["0"]["pages"].append(3), "not live"),
+    ])
+    def test_from_state_rejects_an_inconsistent_page_table(self, edit, match):
+        c = PagedKVCache(16, 4, 2, 8, materialize=False)
+        a, b = c.new_seq(), c.new_seq()
+        c.extend(a, 8)
+        c.extend(b, 8)
+        c.free_seq(b)  # live {0, 1}, recycled [2, 3], fresh 4
+        state = json.loads(json.dumps(c.export_state()))
+        PagedKVCache.from_state(state)
+        edit(state)
+        with pytest.raises(ValueError, match=match):
+            PagedKVCache.from_state(state)

@@ -122,6 +122,27 @@ class TestEviction:
         _, tree = setup_cache()
         assert tree.evict(5) == 0
 
+    def test_drop_pages_forgets_the_node_and_everything_below_it(self):
+        cache, tree = setup_cache()
+        shared = [1, 2, 3, 4, 5, 6, 7, 8]
+        a = fill_seq(cache, shared + [10, 11, 12, 13])
+        b = cache.new_seq(cache.seq_pages(a)[:2], 8)
+        cache.extend(b, 4)
+        tree.insert(shared + [10, 11, 12, 13], cache.seq_pages(a))
+        tree.insert(shared + [20, 21, 22, 23], cache.seq_pages(b))
+        pages_a, pages_b = cache.seq_pages(a), cache.seq_pages(b)
+        cache.free_seq(a)
+        cache.free_seq(b)
+        assert tree.num_cached_pages == cache.num_used_pages == 4
+        # A page of one leaf: only that leaf goes.
+        assert tree.drop_pages({pages_b[2]}) == 1
+        assert tree.match_prefix(shared + [20, 21, 22, 23])[0] == 8
+        assert tree.match_prefix(shared + [10, 11, 12, 13])[0] == 12
+        # A page of the shared chunk: the chunk and the leaf under it go.
+        assert tree.drop_pages({pages_a[1]}) == 3
+        assert tree.match_prefix(shared + [10, 11, 12, 13]) == (0, [])
+        assert tree.num_cached_pages == cache.num_used_pages == 0
+
 
 class TestAccounting:
     def test_num_cached_pages(self):

@@ -29,6 +29,7 @@ from repro.serving import (
     SnapshotIntegrityError,
     SnapshotVerificationError,
 )
+from repro.serving.checkpoint import SNAPSHOT_VERSION, CheckpointError
 
 MODEL = LLAMA_3_1_8B
 HEADS = HeadConfig(MODEL.num_qo_heads, MODEL.num_kv_heads, MODEL.head_dim)
@@ -224,6 +225,19 @@ class TestColdStart:
         with pytest.raises(SnapshotIntegrityError):
             RecoveryManager(store).recover()
 
+    def test_recover_refuses_an_older_snapshot_schema(self):
+        """A snapshot written by an earlier build is refused by its version
+        — so no reader of a version-3 field needs a default for one that
+        "was added later"."""
+        store = CheckpointStore()
+        crash_mid_run(store, workload())
+        snap = store.load_snapshot(store.latest_snapshot_id())
+        assert snap["version"] == SNAPSHOT_VERSION == 3
+        snap["version"] = 2
+        store.put_snapshot(json.dumps(snap, sort_keys=True))
+        with pytest.raises(CheckpointError, match="version 2.*version 3"):
+            RecoveryManager(store).recover()
+
     def test_recover_rejects_wrong_request_count(self):
         reqs = workload()
         store = CheckpointStore()
@@ -239,12 +253,12 @@ class TestVerificationRefusal:
         return store.load_snapshot(store.latest_snapshot_id())
 
     def _with_corrupt_page(self, snap):
-        """Mark one live KV page corrupt (version bumped past its stamp),
+        """Mark one live KV page corrupt (its checksum no longer matches),
         exactly what an undetected in-flight corruption looks like."""
         snap = json.loads(json.dumps(snap))
-        live = [i for i, rc in enumerate(snap["cache"]["refcount"]) if rc > 0]
+        live = sorted(int(p) for p in snap["cache"]["refcount"])
         assert live, "crash left no live pages; pick an earlier crash step"
-        snap["cache"]["page_version"][live[0]] += 1
+        snap["cache"]["corrupt"].append(live[0])
         return snap, live[0]
 
     def test_refuses_when_checksums_were_disabled(self):

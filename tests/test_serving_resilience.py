@@ -254,3 +254,42 @@ class TestWatchdog:
         resil = ResilienceConfig(step_budget=10.0)
         m = engine(resilience=resil).run(small_workload(4))
         assert m.fault_stats["watchdog_flags"] == 0
+
+
+class TestRadixCorruption:
+    def test_corrupt_page_held_only_by_the_radix_tree_is_evicted(self, monkeypatch):
+        """A cached prefix page goes bad while no stream holds it: the
+        scrub must make the tree forget it, or the next matching prompt
+        shares the page and the run dies on its checksum."""
+        from repro.faults.recover import KVScrubber
+        from repro.obs import StepTracer
+
+        cfg = EngineConfig(prefix_cache=True, chunked_prefill=True, num_pool_pages=512)
+        reqs = [
+            Request(t, prompt_len=256, output_len=4, prefix_group=1, prefix_len=192)
+            for t in (0.0, 0.5, 1.0)
+        ]
+        baseline = engine(cfg, resilience=ResilienceConfig()).run(reqs)
+        caches = []
+
+        def corrupt_once_idle(self, t):
+            st = self.state
+            if not caches and not st.streams and not st.prefilling:
+                page = st.cache.used_pages()[0]  # first page of the prefix
+                assert st.cache.page_refcount(page) == 1
+                st.cache.corrupt_page(page)
+                caches.append(st.cache)
+
+        monkeypatch.setattr(KVScrubber, "inject", corrupt_once_idle)
+        tracer = StepTracer()
+        metrics = engine(cfg, resilience=ResilienceConfig(), tracer=tracer).run(reqs)
+
+        assert len(metrics.traces) == 3
+        assert tokens_by_stream(metrics) == tokens_by_stream(baseline)
+        assert caches[0].find_corrupted() == []
+        assert metrics.fault_stats["checksum_failures"] == 1
+        evicted = [e for e in tracer.fault_events if e.action == "evicted"]
+        assert [e.site for e in evicted] == ["corrupt"]
+        # The second request re-inserted the prefix; the third one hits it.
+        assert metrics.prefix_stats["radix_hit_prompts"] == 1
+        assert metrics.prefix_stats["radix_hit_tokens"] == 192
