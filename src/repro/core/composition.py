@@ -25,15 +25,26 @@ def contract_entry(
     partial_lse: np.ndarray,
     use_softmax: bool = True,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Contract one merge entry's slots into a final ``(o, lse)`` tile.
+    """Contract one merge entry's slots into a final ``(o, lse)`` tile."""
+    return contract_slots(entry.slots, partial_o, partial_lse, use_softmax)
+
+
+def contract_slots(
+    slots: Sequence,
+    partial_o: np.ndarray,
+    partial_lse: np.ndarray,
+    use_softmax: bool = True,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Contract the states held in ``slots`` into a final ``(o, lse)`` tile.
 
     ``partial_o``: ``(slots, rows, head_dim)``; ``partial_lse``:
     ``(slots, rows)``.  Slots are merged left-to-right in the planned
     (ascending ``kv_start``) order — ``⊕`` is associative so the result is
-    exact, and the fixed order makes it bit-deterministic.
+    exact, and the fixed order makes it bit-deterministic.  Each element of
+    ``slots`` is one slot index, or an index array holding that step's slot
+    of several tiles (the heads of one query tile) folded as a stack.
     """
-    slots = entry.slots
-    if not slots:
+    if not len(slots):
         raise ValueError("merge entry with no slots")
     o = partial_o[slots[0]]
     lse = partial_lse[slots[0]]

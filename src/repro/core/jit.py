@@ -52,8 +52,9 @@ class KernelTraits:
         return self.q_tile > 1
 
 
-#: A compiled work-item kernel: (q, k, v, q_pos, kv_pos, q_head, kv_head,
-#: params, sm_scale, causal, kv_tile) -> (o, lse)
+#: A compiled tile kernel: (q, k, v, q_pos, kv_pos, q_head, kv_head, params,
+#: sm_scale, causal, kv_tile) -> (o, lse), with a leading head axis on
+#: q/k/v/q_head/kv_head and on both results (see ``core/template.py``).
 KernelFn = Callable[..., Tuple[np.ndarray, np.ndarray]]
 
 

@@ -1,15 +1,19 @@
 """Plan execution: numeric kernels plus cost accounting.
 
-``run_mapping`` drains a :class:`~repro.core.scheduler.SchedulePlan` for one
-:class:`~repro.sparse.AttentionMapping`: every work item gathers its KV
-chunk from the pool (the scattered-global-to-contiguous-shared move of
-§3.2.1), invokes the JIT kernel to produce a partial attention state, and
-writes either straight to the final output (writethrough) or to a workspace
-partial slot.  Alongside the numerics it builds per-CTA
-:class:`~repro.gpu.cost.TileCost` queues for the simulated GPU; the two are
-kept in lockstep so a benchmark can skip the numerics (``compute=False``)
-and still obtain exact traffic/FLOP accounting at paper-scale problem
-sizes.
+``run_mapping`` executes a :class:`~repro.core.scheduler.SchedulePlan` for one
+:class:`~repro.sparse.AttentionMapping`, one (query tile, KV chunk) at a time
+for every head scheduled on it — the KV head is a grid dimension in
+FlashInfer (§3.2.3), here the batch axis of one JIT call: the chunk is
+gathered from the pool (the scattered-global-to-contiguous-shared move of
+§3.2.1) and rounded through storage precision once, the kernel produces the
+heads' partial attention states, and each is written either straight to the
+final output (writethrough) or to its workspace partial slot; the contraction
+folds the heads of a split tile the same way.  The per-item path this
+replaced is kept as the oracle in ``tests/reference_kernels.py``.  Alongside
+the numerics ``run_mapping`` builds per-CTA :class:`~repro.gpu.cost.TileCost`
+queues for the simulated GPU, so a benchmark can skip the numerics
+(``compute=False``) and still obtain exact traffic/FLOP accounting at
+paper-scale problem sizes.
 
 ``reference_attention`` is the O(n²) dense safe-softmax oracle used by the
 test suite.
@@ -18,13 +22,27 @@ test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.composition import contract_entry, contraction_cost
+from repro.core.composition import contract_slots, contraction_cost
 from repro.core.jit import CompiledKernel
-from repro.core.scheduler import SchedulePlan, WorkItem
+from repro.core.scheduler import (
+    COL_GROUP,
+    COL_KVHEAD,
+    COL_KVSTART,
+    COL_KVSTOP,
+    COL_QROWS,
+    COL_QSTART,
+    COL_SLOT,
+    MERGE_GROUP,
+    MERGE_KVHEAD,
+    MERGE_QROWS,
+    MERGE_QSTART,
+    SchedulePlan,
+    WorkItem,
+)
 from repro.gpu.cost import TileCost
 from repro.sparse.bsr import ceil_div
 from repro.sparse.layout import AttentionMapping
@@ -235,138 +253,97 @@ def run_mapping(
     g = heads.group_size
     d = heads.head_dim
     g_eff = g if fuse_head_groups else 1
-    cost_queues: List[List[TileCost]] = []
-
-    for queue in plan.cta_queues:
-        costs: List[TileCost] = []
-        for item in queue:
-            costs.append(
-                work_item_cost(
-                    item,
-                    mapping,
-                    heads,
-                    kv_tile,
-                    kv_dtype,
-                    plan.q_tile_size,
-                    fuse_head_groups,
-                    uses_tensor_cores,
-                    sparse_gather,
-                    compute_penalty,
-                )
+    cost_queues = [
+        [
+            work_item_cost(
+                item, mapping, heads, kv_tile, kv_dtype, plan.q_tile_size,
+                fuse_head_groups, uses_tensor_cores, sparse_gather, compute_penalty,
             )
-            if compute:
-                _execute_item(
-                    item, q, k_pool, v_pool, mapping, kernel, heads, params,
-                    sm_scale, kv_tile, out, lse, partial_o, partial_lse,
-                    kv_dtype, fuse_head_groups,
-                )
-        cost_queues.append(costs)
+            for item in queue
+        ]
+        for queue in plan.cta_queues
+    ]
+    merge_costs = [
+        contraction_cost(entry, entry.q_rows * g_eff, d, PARTIAL_ITEMSIZE)
+        for entry in plan.merges
+    ]
+    if not compute:
+        return cost_queues, merge_costs
 
-    merge_costs: List[TileCost] = []
-    for entry in plan.merges:
-        rows = entry.q_rows * g_eff
-        merge_costs.append(contraction_cost(entry, rows, d, PARTIAL_ITEMSIZE))
-        if compute:
-            _execute_merge(
-                entry, mapping, heads, out, lse, partial_o, partial_lse,
-                fuse_head_groups, kernel.variant.use_softmax,
-            )
+    def query_heads(sched: np.ndarray) -> np.ndarray:
+        # (heads, g_eff): a fused KV head's GQA group, or the query head itself.
+        return sched[:, None] * g_eff + np.arange(g_eff)
+
+    def write_heads(o, s, group, q_start, head_ids) -> None:
+        # Unfuse per-head tiles into the packed layout.
+        start = int(mapping.q_row_starts[group]) + q_start
+        rows = slice(start, start + o.shape[1] // g_eff)
+        out[rows, head_ids.ravel()] = regroup_heads(o, g_eff)
+        lse[rows, head_ids.ravel()] = regroup_heads(s, g_eff)
+
+    # The attention kernel, once per (query tile, KV chunk) for every head
+    # scheduled on it — the split and the writethrough heads of a chunk apart,
+    # should a hand-built plan mix them.  Which CTA drains an item never enters
+    # the numerics: items write disjoint rows or slots, the merge order is planned.
+    items = plan.items
+    tile_cols = [COL_GROUP, COL_QSTART, COL_QROWS, COL_KVSTART, COL_KVSTOP]
+    tile_keys = np.column_stack([items[:, tile_cols], items[:, COL_SLOT] >= 0])
+    for key, rows in _tiles(tile_keys, items[:, COL_KVHEAD]):
+        group, q_start, q_rows, kv_start, kv_stop, split = key
+        sched, slot = items[rows, COL_KVHEAD], items[rows, COL_SLOT]
+        head_ids = query_heads(sched)
+        kv_heads = sched if fuse_head_groups else sched // g
+        # Query tiles with GQA head-group fusion: (query, head) row-major.
+        row0 = int(mapping.q_row_starts[group]) + q_start
+        q_tile = regroup_heads(q[row0 : row0 + q_rows][:, head_ids.ravel()], g_eff)
+        q_pos = int(mapping.q_pos_offset[group]) + q_start + np.arange(q_rows)
+        # Gather the KV chunk (scattered global → contiguous "shared" memory)
+        # and round it through storage precision, once for all its heads.
+        kv_slots = mapping.kv.slot_indices(group, kv_start, kv_stop)[:, None]
+        k_chunk = round_to_storage(k_pool[kv_slots, kv_heads], kv_dtype)
+        v_chunk = round_to_storage(v_pool[kv_slots, kv_heads], kv_dtype)
+        kv_pos = int(mapping.kv_pos_offset[group]) + np.arange(kv_start, kv_stop)
+
+        o, s = kernel.fn(
+            q_tile, k_chunk.transpose(1, 0, 2), v_chunk.transpose(1, 0, 2),
+            np.repeat(q_pos, g_eff), kv_pos, np.tile(head_ids, (1, q_rows)), kv_heads,
+            params, sm_scale, mapping.causal, kv_tile,
+        )
+        if split:
+            partial_o[slot, : q_rows * g_eff] = o
+            partial_lse[slot, : q_rows * g_eff] = s
+        else:
+            write_heads(o, s, group, q_start, head_ids)
+
+    # The contraction kernel: one left-to-right fold per (group, query tile)
+    # over the stacked heads, in the planned (ascending KV) slot order.
+    meta, indptr = plan.merge_meta, plan.merge_indptr
+    merge_keys = np.column_stack(
+        [meta[:, [MERGE_GROUP, MERGE_QSTART, MERGE_QROWS]], indptr[1:] - indptr[:-1]]
+    )
+    for (group, q_start, q_rows, n), rows in _tiles(merge_keys, meta[:, MERGE_KVHEAD]):
+        slots = plan.merge_slots[indptr[rows, None] + np.arange(n)]
+        o, s = contract_slots(
+            slots.T, partial_o[:, : q_rows * g_eff], partial_lse[:, : q_rows * g_eff],
+            kernel.variant.use_softmax,
+        )
+        write_heads(o, s, group, q_start, query_heads(meta[rows, MERGE_KVHEAD]))
     return cost_queues, merge_costs
 
 
-def _item_rows(
-    item: WorkItem,
-    mapping: AttentionMapping,
-    heads: HeadConfig,
-    fuse_head_groups: bool,
-) -> Tuple[int, int, np.ndarray, np.ndarray, int]:
-    """Resolve a work item's absolute query rows, head set and positions.
-
-    Returns ``(abs_row_start, n_heads, q_pos, q_head_ids, kv_head)`` where
-    the item covers query heads ``q_head_ids`` (fused GQA group or a single
-    head) of rows ``[abs_row_start, abs_row_start + q_rows)``.
-    """
-    g = heads.group_size
-    abs_start = int(mapping.q_row_starts[item.group]) + item.q_start
-    q_pos = int(mapping.q_pos_offset[item.group]) + item.q_start + np.arange(item.q_rows)
-    if fuse_head_groups:
-        kv_head = item.kv_head
-        head_ids = np.arange(kv_head * g, (kv_head + 1) * g)
-    else:
-        qh = item.kv_head  # scheduling dimension enumerates query heads
-        kv_head = qh // g
-        head_ids = np.asarray([qh])
-    return abs_start, len(head_ids), q_pos, head_ids, kv_head
+def _tiles(keys: np.ndarray, head: np.ndarray) -> Iterator[Tuple[List[int], np.ndarray]]:
+    """Group the rows of a plan table by ``keys`` (``int64[n, k]``): yields
+    each distinct key with the indices of its rows, ordered by ``head``."""
+    order = np.lexsort((head, *keys.T[::-1]))
+    keys = keys[order]
+    starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)][: len(order)])
+    for a, b in zip(starts, [*starts[1:], len(order)]):
+        yield keys[a].tolist(), order[a:b]
 
 
-def _execute_item(
-    item, q, k_pool, v_pool, mapping, kernel, heads, params, sm_scale,
-    kv_tile, out, lse, partial_o, partial_lse, kv_dtype, fuse_head_groups,
-) -> None:
-    abs_start, n_heads, q_pos, head_ids, kv_head = _item_rows(
-        item, mapping, heads, fuse_head_groups
-    )
-    d = heads.head_dim
-    rows_eff = item.q_rows * n_heads
-
-    # Query tile with GQA head-group fusion: (query, head) row-major.
-    q_tile = q[abs_start : abs_start + item.q_rows][:, head_ids, :].reshape(rows_eff, d)
-    q_pos_rows = np.repeat(q_pos, n_heads)
-    q_head_rows = np.tile(head_ids, item.q_rows)
-
-    # Gather the KV chunk (scattered global → contiguous "shared" memory).
-    slots = mapping.kv.slot_indices(item.group, item.kv_start, item.kv_stop)
-    k_chunk = round_to_storage(k_pool[slots, kv_head, :], kv_dtype)
-    v_chunk = round_to_storage(v_pool[slots, kv_head, :], kv_dtype)
-    kv_pos = int(mapping.kv_pos_offset[item.group]) + np.arange(item.kv_start, item.kv_stop)
-
-    o_tile, lse_tile = kernel.fn(
-        q_tile, k_chunk, v_chunk, q_pos_rows, kv_pos, q_head_rows, kv_head,
-        params, sm_scale, mapping.causal, kv_tile,
-    )
-
-    if item.partial_slot >= 0:
-        partial_o[item.partial_slot, :rows_eff, :] = o_tile
-        partial_lse[item.partial_slot, :rows_eff] = lse_tile
-    else:
-        _scatter_output(out, lse, o_tile, lse_tile, abs_start, item.q_rows, head_ids)
-
-
-def _execute_merge(
-    entry, mapping, heads, out, lse, partial_o, partial_lse,
-    fuse_head_groups, use_softmax,
-) -> None:
-    g = heads.group_size
-    d = heads.head_dim
-    abs_start = int(mapping.q_row_starts[entry.group]) + entry.q_start
-    if fuse_head_groups:
-        head_ids = np.arange(entry.kv_head * g, (entry.kv_head + 1) * g)
-    else:
-        head_ids = np.asarray([entry.kv_head])
-    rows_eff = entry.q_rows * len(head_ids)
-    o_tile, lse_tile = contract_entry(
-        entry,
-        partial_o[:, :rows_eff, :],
-        partial_lse[:, :rows_eff],
-        use_softmax,
-    )
-    _scatter_output(out, lse, o_tile, lse_tile, abs_start, entry.q_rows, head_ids)
-
-
-def _scatter_output(
-    out: np.ndarray,
-    lse: np.ndarray,
-    o_tile: np.ndarray,
-    lse_tile: np.ndarray,
-    abs_start: int,
-    q_rows: int,
-    head_ids: np.ndarray,
-) -> None:
-    """Unfuse a (query, head)-row-major tile back into packed layout."""
-    d = out.shape[-1]
-    n_heads = len(head_ids)
-    o = o_tile.reshape(q_rows, n_heads, d)
-    s = lse_tile.reshape(q_rows, n_heads)
-    idx = slice(abs_start, abs_start + q_rows)
-    out[idx, head_ids, :] = o
-    lse[idx, head_ids] = s
+def regroup_heads(x: np.ndarray, g_eff: int) -> np.ndarray:
+    """``(a, b·g_eff, ...)`` → ``(b, a·g_eff, ...)``: packed ``(query, head)``
+    rows to one ``(query, group member)``-row-major tile per scheduled head
+    (GQA head-group fusion, App. A) and — it is its own inverse — back."""
+    a, b, rest = x.shape[0], x.shape[1] // g_eff, x.shape[2:]
+    return np.swapaxes(x.reshape(a, b, g_eff, *rest), 0, 1).reshape(b, a * g_eff, *rest)

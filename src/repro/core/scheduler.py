@@ -103,7 +103,7 @@ class SchedulePlan:
       ``merge_slots[merge_indptr[i]:merge_indptr[i+1]]``, ascending in KV.
 
     ``cta_queues`` and ``merges`` are object views of the tables, built on
-    first use, for inspection and the per-item numeric path only.
+    first use, for inspection and the per-item cost model only.
     """
 
     items: np.ndarray

@@ -1,7 +1,7 @@
 """Vectorized cost-only plan simulation.
 
-``run_mapping`` walks work items in Python because the numeric kernels need
-per-item tensor slices.  Benchmarks and the serving engine, however, run
+``run_mapping`` prices work items one by one in Python next to the numeric
+kernels it launches.  Benchmarks and the serving engine, however, run
 thousands of cost-only steps (``compute=False``) where only the simulated
 GPU report matters — this module computes identical
 :class:`~repro.gpu.cost.TileCost` aggregates with NumPy over the *serialized

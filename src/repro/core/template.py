@@ -7,13 +7,16 @@ functor expressions into the template (hooks for undeclared functors are
 removed entirely — specialization, not branching), compiles the result with
 ``compile()``/``exec`` and caches it.
 
-The generated function processes one **work item** — a query tile against a
-KV chunk, for one KV head — using the FlashAttention-2 loop structure:
-an online-softmax sweep over KV tiles with running ``(m, d, acc)``
-renormalization, returning the partial attention state ``(O, LSE)`` for the
-chunk (§2.2: the canonical kernel output).  For ``use_softmax=False``
-variants the sweep degenerates to masked weighted accumulation and states
-compose by addition.
+The generated function processes one query tile against one KV chunk for
+**every head scheduled on it at once** — the head is the leading (batch)
+axis of each operand, as it is a grid dimension in FlashInfer (§3.2.3) —
+using the FlashAttention-2 loop structure: an online-softmax sweep over KV
+tiles with running ``(m, d, acc)`` renormalization, returning the partial
+attention state ``(O, LSE)`` for the chunk (§2.2: the canonical kernel
+output).  For ``use_softmax=False`` variants the sweep degenerates to masked
+weighted accumulation and states compose by addition.  Q/K/V transform
+functors keep their 2-D tile contract: when one is declared it is applied
+head by head, otherwise no per-head code is rendered at all.
 """
 
 from __future__ import annotations
@@ -26,37 +29,39 @@ MODULE_TEMPLATE = '''\
 
 def {kernel_name}(q, k, v, q_pos, kv_pos, q_head, kv_head, params,
                   sm_scale, causal, kv_tile):
-    """Attention work-item kernel specialized for variant {variant_name!r}.
+    """Attention tile kernel specialized for variant {variant_name!r}.
 
-    Processes one query tile against one gathered KV chunk for one KV head
-    and returns the partial attention state ``(o, lse)``.
+    Processes one query tile against one gathered KV chunk for a stack of
+    heads and returns their partial attention states ``(o, lse)``.
 
-    q : (rows, head_dim) float — query tile (may fuse GQA head groups)
-    k, v : (kv_len, head_dim) float — gathered KV chunk (contiguous)
-    q_pos / kv_pos : int64 absolute positions; q_head : (rows,) int64;
-    kv_head : int; params : bound variant parameters; sm_scale : float;
-    causal : bool; kv_tile : int — inner tile size of the online sweep.
+    q : (heads, rows, head_dim) float — query tile (rows may fuse GQA groups)
+    k, v : (heads, kv_len, head_dim) float — gathered KV chunk per head
+    q_pos : (rows,) / kv_pos : (kv_len,) int64 absolute positions;
+    q_head : (heads, rows) int64; kv_head : (heads,) int64;
+    params : bound variant parameters; sm_scale : float; causal : bool;
+    kv_tile : int — inner tile size of the online sweep.
     """
-    rows, head_dim = q.shape
-    kv_len = k.shape[0]
+    heads, rows, head_dim = q.shape
+    kv_len = k.shape[1]
     q = np.asarray(q, dtype=np.float64)
 {apply_query_transform}
-    m = np.full(rows, -np.inf)
-    d = np.zeros(rows)
-    acc = np.zeros((rows, head_dim))
+    m = np.full((heads, rows), -np.inf)
+    d = np.zeros((heads, rows))
+    acc = np.zeros((heads, rows, head_dim))
     q_pos_col = q_pos[:, None]
-    q_head_col = q_head[:, None]
+    q_head_col = q_head[:, :, None]
+    kv_head_col = kv_head[:, None, None]
     for t0 in range(0, kv_len, kv_tile):
         t1 = min(t0 + kv_tile, kv_len)
-        kt = np.asarray(k[t0:t1], dtype=np.float64)
-        vt = np.asarray(v[t0:t1], dtype=np.float64)
+        kt = np.asarray(k[:, t0:t1], dtype=np.float64, order="C")
+        vt = np.asarray(v[:, t0:t1], dtype=np.float64, order="C")
         kv_pos_t = kv_pos[t0:t1]
 {apply_key_transform}
 {apply_value_transform}
-        logits = (q @ kt.T) * sm_scale
+        logits = (q @ kt.transpose(0, 2, 1)) * sm_scale
         kv_pos_row = kv_pos_t[None, :]
 {apply_logits_transform}
-        keep = np.ones((rows, t1 - t0), dtype=bool)
+        keep = np.ones((heads, rows, t1 - t0), dtype=bool)
         if causal:
             keep &= q_pos_col >= kv_pos_row
 {apply_logits_mask}
@@ -66,18 +71,18 @@ def {kernel_name}(q, k, v, q_pos, kv_pos, q_head, kv_head, params,
 
 SOFTMAX_ACCUMULATE = '''\
         logits = np.where(keep, logits, -np.inf)
-        m_new = np.maximum(m, logits.max(axis=1) if logits.size else -np.inf)
+        m_new = np.maximum(m, logits.max(axis=-1) if logits.size else -np.inf)
         m_safe = np.where(np.isneginf(m_new), 0.0, m_new)
-        p = np.exp(logits - m_safe[:, None])
+        p = np.exp(logits - m_safe[..., None])
         rescale = np.exp(np.where(np.isneginf(m), -np.inf, m - m_safe))
-        d = d * rescale + p.sum(axis=1)
-        acc = acc * rescale[:, None] + p @ vt
+        d = d * rescale + p.sum(axis=-1)
+        acc = acc * rescale[..., None] + p @ vt
         m = m_new
 '''
 
 SOFTMAX_FINALIZE = '''\
     denom = np.where(d == 0.0, 1.0, d)
-    o = acc / denom[:, None]
+    o = acc / denom[..., None]
     with np.errstate(divide="ignore"):
         lse = np.where(d == 0.0, -np.inf, m + np.log(denom))
     return o, lse
@@ -89,31 +94,38 @@ SUM_ACCUMULATE = '''\
 '''
 
 SUM_FINALIZE = '''\
-    return acc, np.zeros(rows)
+    return acc, np.zeros((heads, rows))
 '''
 
+#: ``functor -> (helper definition, line applying it in the kernel body)``.
+#: Q/K/V transforms see one head's 2-D tile and that head's index — per-row
+#: query heads, one ``int`` KV head — so they loop over the head axis; the
+#: logits functors broadcast over it.
 _HELPER_TEMPLATES = {
     "query_transform": (
         "def _query_transform(q, q_pos, head, params):\n    return ({expr})\n",
-        "    q = np.asarray(_query_transform(q, q_pos, q_head, params), dtype=np.float64)",
+        "    q = np.stack([np.asarray(_query_transform(q[h], q_pos, q_head[h], params),"
+        " dtype=np.float64) for h in range(heads)])",
     ),
     "key_transform": (
         "def _key_transform(k, kv_pos, head, params):\n    return ({expr})\n",
-        "        kt = np.asarray(_key_transform(kt, kv_pos_t, kv_head, params), dtype=np.float64)",
+        "        kt = np.stack([np.asarray(_key_transform(kt[h], kv_pos_t, kh, params),"
+        " dtype=np.float64) for h, kh in enumerate(kv_head.tolist())])",
     ),
     "value_transform": (
         "def _value_transform(v, kv_pos, head, params):\n    return ({expr})\n",
-        "        vt = np.asarray(_value_transform(vt, kv_pos_t, kv_head, params), dtype=np.float64)",
+        "        vt = np.stack([np.asarray(_value_transform(vt[h], kv_pos_t, kh, params),"
+        " dtype=np.float64) for h, kh in enumerate(kv_head.tolist())])",
     ),
     "logits_transform": (
         "def _logits_transform(logits, q_pos, kv_pos, q_head, kv_head, params):\n"
         "    return ({expr})\n",
         "        logits = _logits_transform(logits, q_pos_col, kv_pos_row, "
-        "q_head_col, kv_head, params)",
+        "q_head_col, kv_head_col, params)",
     ),
     "logits_mask": (
         "def _logits_mask(q_pos, kv_pos, q_head, kv_head, params):\n    return ({expr})\n",
-        "        keep &= _logits_mask(q_pos_col, kv_pos_row, q_head_col, kv_head, params)",
+        "        keep &= _logits_mask(q_pos_col, kv_pos_row, q_head_col, kv_head_col, params)",
     ),
 }
 

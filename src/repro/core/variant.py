@@ -11,15 +11,26 @@ vectorized analog of FlashInfer's per-element CUDA functors — same
 semantics, array-at-a-time for NumPy efficiency).  Bound names:
 
 ========================  =====================================================
-``q``, ``k``, ``v``       the tile being transformed, shape ``(rows, head_dim)``
-``logits``                score tile ``(q_rows, kv_len)`` (after ``sm_scale``)
+``q``, ``k``, ``v``       the tile being transformed, always 2-D
+                          ``(rows, head_dim)``: one head's tile at a time
+``logits``                score tiles ``(heads, q_rows, kv_len)`` (after
+                          ``sm_scale``) — every head of the tile at once
 ``o``                     output tile ``(q_rows, head_dim)``
 ``q_pos`` / ``kv_pos``    absolute positions, ``(q_rows, 1)`` / ``(1, kv_len)``
                           in logits functors, 1-D in q/k/v/o transforms
-``q_head`` / ``kv_head``  head indices (ints)
+``head``                  q/k/v/o transforms: the tile's head — an ``int`` for
+                          ``k``/``v``/``o``, a ``(rows,)`` array for ``q``
+                          (a fused GQA tile carries one query head per row)
+``q_head`` / ``kv_head``  logits functors: ``(heads, q_rows, 1)`` /
+                          ``(heads, 1, 1)`` index arrays that broadcast
+                          against ``logits`` (``params.slopes[q_head]``)
 ``params``                namespace of declared parameters
 ``np``                    NumPy
 ========================  =====================================================
+
+``q_rows`` counts the rows of a fused tile (``rows · g`` under GQA head-group
+fusion).  A mask that does not depend on the head may return ``(q_rows,
+kv_len)``; it broadcasts over the head axis.
 
 ``logits_mask`` returns a boolean tile (``True`` = keep) combined with the
 structural causal mask; masked scores become ``-inf`` before softmax (or 0

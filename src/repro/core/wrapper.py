@@ -402,6 +402,8 @@ class BatchAttentionWrapper:
         Returns ``(out, lse, report)``.  ``out``/``lse`` rows not covered by
         this wrapper's mapping are left untouched (``lse`` stays ``-inf``),
         so composable formats can ``⊕``-merge several wrappers' results.
+        ``out`` defaults to a float32 array (a supplied one keeps its
+        dtype); ``lse`` is float64.
 
         ``q`` may be ``None`` for cost-only runs (``compute=False``) — the
         simulated-GPU report is produced without touching any tensor data.
@@ -412,7 +414,11 @@ class BatchAttentionWrapper:
         planned = int((mapping.q_row_starts + mapping.qo_lens).max()) if mapping.num_groups else 0
         total_q = _num_query_rows(q, compute, planned)
         if compute and out is None:
-            out = np.zeros((total_q, self.heads.num_qo_heads, self.heads.head_dim))
+            # Staged in float32: the compute precision DESIGN.md states and
+            # what the split-KV partials already are (App. D.3).
+            out = np.zeros(
+                (total_q, self.heads.num_qo_heads, self.heads.head_dim), dtype=np.float32
+            )
         if compute and lse is None:
             lse = np.full((total_q, self.heads.num_qo_heads), -np.inf)
 
@@ -457,11 +463,10 @@ class BatchAttentionWrapper:
                 self.output_guard.check(out, self.name)
 
         if compute and apply_output_transform and self.kernel.output_transform is not None:
-            covered = np.zeros(total_q, dtype=bool)
-            for g in range(mapping.num_groups):
-                s = int(mapping.q_row_starts[g])
-                covered[s : s + int(mapping.qo_lens[g])] = True
-            _apply_output_transform(self.kernel, out, np.nonzero(covered)[0], self._params)
+            lens = mapping.qo_lens
+            within = np.arange(mapping.total_qo) - np.repeat(mapping.qo_indptr[:-1], lens)
+            covered = np.unique(np.repeat(mapping.q_row_starts, lens) + within)
+            _apply_output_transform(self.kernel, out, covered, self._params)
         return out, lse, report
 
 

@@ -28,7 +28,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core.jit import KernelTraits, get_kernel
-from repro.core.kernels import HeadConfig
+from repro.core.kernels import HeadConfig, regroup_heads
 from repro.core.state import merge_states
 from repro.core.tiles import select_kv_tile, select_q_tile
 from repro.core.variant import VANILLA, AttentionVariant
@@ -225,30 +225,25 @@ class RingAttention:
         q_pos = q_pos0 + np.arange(n_q)
         kv_pos = kv_pos0 + np.arange(n_kv)
 
-        o = np.zeros((n_q, self.heads.num_qo_heads, d))
-        lse = np.full((n_q, self.heads.num_qo_heads), -np.inf)
-        costs = []
         kr = round_to_storage(k_shard, StorageDType.FP16)
         vr = round_to_storage(v_shard, StorageDType.FP16)
-        for kh in range(h_kv):
-            head_ids = np.arange(kh * g, (kh + 1) * g)
-            q_flat = q_shard[:, head_ids, :].reshape(n_q * g, d)
-            o_t, lse_t = self._kernel.fn(
-                q_flat, kr[:, kh], vr[:, kh],
-                np.repeat(q_pos, g), kv_pos, np.tile(head_ids, n_q), kh,
-                params, sm_scale, causal, self._traits.kv_tile,
+        # One call for every KV head, its GQA group fused into the rows.
+        o_t, lse_t = self._kernel.fn(
+            regroup_heads(q_shard, g), kr.swapaxes(0, 1), vr.swapaxes(0, 1),
+            np.repeat(q_pos, g), kv_pos,
+            np.tile(np.arange(h_kv * g).reshape(h_kv, g), (1, n_q)), np.arange(h_kv),
+            params, sm_scale, causal, self._traits.kv_tile,
+        )
+        o, lse = regroup_heads(o_t, g), regroup_heads(lse_t, g)
+        costs = [
+            TileCost(
+                flops=4.0 * d * n_q * g * n_kv,
+                padded_flops=4.0 * d * n_q * g * n_kv,
+                bytes_read=float(n_kv * d * 2 * self.kv_itemsize
+                                 + n_q * g * d * self.kv_itemsize),
+                bytes_written=float(n_q * g * (d + 1) * 4),
             )
-            o[:, head_ids, :] = o_t.reshape(n_q, g, d)
-            lse[:, head_ids] = lse_t.reshape(n_q, g)
-            costs.append(
-                TileCost(
-                    flops=4.0 * d * n_q * g * n_kv,
-                    padded_flops=4.0 * d * n_q * g * n_kv,
-                    bytes_read=float(n_kv * d * 2 * self.kv_itemsize
-                                     + n_q * g * d * self.kv_itemsize),
-                    bytes_written=float(n_q * g * (d + 1) * 4),
-                )
-            )
+        ] * h_kv
         return o, lse, costs
 
     def _time_costs(self, costs: List[TileCost]) -> float:

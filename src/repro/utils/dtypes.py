@@ -18,7 +18,6 @@ FP8_E4M3_MAX = 448.0
 
 _E4M3_MANTISSA_BITS = 3
 _E4M3_MIN_NORMAL_EXP = -6  # smallest normal exponent
-_E4M3_MIN_SUBNORMAL = 2.0**-9  # 2^-6 * 2^-3
 
 
 class StorageDType(enum.Enum):
@@ -37,28 +36,30 @@ class StorageDType(enum.Enum):
 def quantize_fp8(x: np.ndarray) -> np.ndarray:
     """Round ``x`` to the nearest fp8 e4m3 value (returned as float32).
 
-    Saturates to ±``FP8_E4M3_MAX``; flushes values below the smallest
-    subnormal to zero.  This emulates storing a tensor in fp8 without an
+    Saturates to ±``FP8_E4M3_MAX`` (±inf included; NaN stays NaN); flushes
+    values below the smallest subnormal to a zero that keeps the input's
+    sign (``copysign``: ``-1e-9`` and ``-0.0`` both give ``-0.0``, which
+    compares equal to 0).  This emulates storing a tensor in fp8 without an
     actual 8-bit container: the value grid is exact, the bytes are not.
+
+    Every step — a power-of-two ulp, ``rint`` of an exactly scaled value —
+    is exact in the input's own float dtype, so float32 is not widened;
+    anything else is computed in float64 (rounding float64 to float32 first
+    would double-round near ties).
     """
-    x = np.asarray(x, dtype=np.float64)
-    sign = np.sign(x)
-    mag = np.abs(x)
-    out = np.zeros_like(mag)
-
-    normal = mag >= 2.0**_E4M3_MIN_NORMAL_EXP
-    if np.any(normal):
-        m = mag[normal]
-        exp = np.floor(np.log2(m))
-        scale = 2.0 ** (exp - _E4M3_MANTISSA_BITS)
-        out_n = np.rint(m / scale) * scale
-        out[normal] = out_n
-    subnormal = (~normal) & (mag > 0)
-    if np.any(subnormal):
-        out[subnormal] = np.rint(mag[subnormal] / _E4M3_MIN_SUBNORMAL) * _E4M3_MIN_SUBNORMAL
-
-    out = np.minimum(out, FP8_E4M3_MAX)
-    return (sign * out).astype(np.float32)
+    x = np.asarray(x)
+    if x.dtype != np.float32:
+        x = x.astype(np.float64, copy=False)
+    mag = np.abs(x, out=np.empty_like(x))
+    np.minimum(mag, FP8_E4M3_MAX, out=mag)  # the maximum is on the grid
+    # |x| = m·2^e with m in [0.5, 1): the binade's ulp is 2^(e-1-3), and
+    # below the smallest normal exponent the subnormal grid's 2^(-6-3).
+    exp = np.maximum(np.frexp(mag)[1] - 1, _E4M3_MIN_NORMAL_EXP) - _E4M3_MANTISSA_BITS
+    ulp = np.ldexp(x.dtype.type(1), exp)
+    mag /= ulp
+    np.rint(mag, out=mag)
+    mag *= ulp
+    return np.copysign(mag, x, out=mag).astype(np.float32, copy=False)
 
 
 def dequantize_fp8(x: np.ndarray, scale: float = 1.0) -> np.ndarray:

@@ -72,6 +72,22 @@ class TestTemplateSpecialization:
         assert "q * 2" in src
         assert "def _logits_mask" in src
 
+    def test_vanilla_kernel_has_no_functor_hook_and_no_per_head_loop(self):
+        """Undeclared functors cost nothing: the head axis is handled by
+        batched array operations, and the head-by-head application exists
+        only inside a declared Q/K/V transform's own line."""
+        src = get_kernel(VANILLA, KernelTraits(head_dim=16)).source
+        for hook in ("_query_transform", "_key_transform", "_value_transform",
+                     "_logits_transform", "_logits_mask"):
+            assert hook not in src
+        assert "range(heads)" not in src and "enumerate(" not in src and "np.stack" not in src
+        loops = [line.strip() for line in src.splitlines() if line.strip().startswith("for ")]
+        assert loops == ["for t0 in range(0, kv_len, kv_tile):"]
+
+    def test_per_head_loop_rendered_only_for_the_declared_transform(self):
+        src = render_kernel_source("k", "v", None, "k * 2", None, "logits + 1", None, True)
+        assert src.count("enumerate(kv_head.tolist())") == 1 and "range(heads)" not in src
+
     def test_no_softmax_epilogue(self):
         src = render_kernel_source("k", "v", None, None, None, None, None, False)
         assert "np.where(keep, logits, 0.0)" in src
@@ -144,15 +160,19 @@ class TestKernelTraits:
 
 
 class TestGeneratedKernelNumerics:
-    def _run(self, variant, q, k, v, causal=True, kv_tile=7, sm_scale=0.25, params=None):
+    def _run(self, variant, q, k, v, causal=True, kv_tile=7, sm_scale=0.25, params=None,
+             q_pos=None):
+        """One head through the ``(heads, rows, d)`` calling convention."""
         kern = get_kernel(variant, KernelTraits(head_dim=q.shape[1]))
         n_q, n_kv = q.shape[0], k.shape[0]
-        return kern.fn(
-            q, k, v,
-            np.arange(n_kv - n_q, n_kv), np.arange(n_kv),
-            np.zeros(n_q, dtype=np.int64), 0,
+        o, lse = kern.fn(
+            q[None], k[None], v[None],
+            np.arange(n_kv - n_q, n_kv) if q_pos is None else q_pos, np.arange(n_kv),
+            np.zeros((1, n_q), dtype=np.int64), np.zeros(1, dtype=np.int64),
             variant.bind_params(params), sm_scale, causal, kv_tile,
         )
+        assert o.shape == (1, n_q, q.shape[1]) and lse.shape == (1, n_q)
+        return o[0], lse[0]
 
     def test_matches_dense_softmax(self, rng):
         q = rng.standard_normal((5, 8))
@@ -192,14 +212,11 @@ class TestGeneratedKernelNumerics:
 
     def test_fully_masked_rows_safe(self, rng):
         # Causal with queries placed before every key.
-        kern = get_kernel(VANILLA, KernelTraits(head_dim=4))
         q = rng.standard_normal((2, 4))
         k = rng.standard_normal((3, 4))
         v = rng.standard_normal((3, 4))
-        o, lse = kern.fn(
-            q, k, v,
-            np.array([-5, -4]), np.arange(3), np.zeros(2, dtype=np.int64), 0,
-            VANILLA.bind_params(), 1.0, True, 2,
+        o, lse = self._run(
+            VANILLA, q, k, v, kv_tile=2, sm_scale=1.0, q_pos=np.array([-5, -4])
         )
         assert np.allclose(o, 0.0)
         assert np.all(np.isneginf(lse))
@@ -215,6 +232,50 @@ class TestGeneratedKernelNumerics:
         assert np.allclose(lse, 0.0)
 
 
+class TestFunctorContract:
+    """What a user-written functor is handed, whatever the kernel batches."""
+
+    def test_transforms_see_one_2d_tile_and_logits_functors_broadcast(self, rng):
+        from conftest import make_paged_mapping
+        from repro import BatchAttentionWrapper, WorkspaceBuffer
+        from repro.core import HeadConfig
+
+        seen = {"query": [], "key": [], "value": [], "logits": [], "mask": []}
+
+        def record(kind, tile, *rest):
+            seen[kind].append(rest)
+            return tile
+
+        variant = AttentionVariant(
+            name="recording",
+            params=(ParamDecl("rec", default=record),),
+            query_transform="params.rec('query', q, q.ndim, q_pos, head)",
+            key_transform="params.rec('key', k, k.ndim, kv_pos, head)",
+            value_transform="params.rec('value', v, v.ndim, kv_pos, head)",
+            logits_transform="params.rec('logits', logits, q_pos, kv_pos, q_head, kv_head)",
+            logits_mask="params.rec('mask', q_pos >= kv_pos, q_pos, kv_pos, q_head, kv_head)",
+        )
+        heads = HeadConfig(4, 2, 8)
+        mapping, slots = make_paged_mapping([40, 9], [1, 9], 4)
+        w = BatchAttentionWrapper(variant, heads, WorkspaceBuffer(1 << 24), avg_qo_len=4)
+        w.plan(mapping)
+        w.run(rng.standard_normal((10, 4, 8)), rng.standard_normal((slots, 2, 8)),
+              rng.standard_normal((slots, 2, 8)))
+
+        assert all(seen.values())
+        for ndim, kv_pos, head in seen["key"] + seen["value"]:
+            assert ndim == 2 and kv_pos.ndim == 1 and type(head) is int and head in (0, 1)
+        for ndim, q_pos, head in seen["query"]:
+            # Fused GQA rows: one position and one query head per row.
+            assert ndim == 2 and q_pos.ndim == 1 and head.shape == q_pos.shape
+            assert set((head // 2).tolist()) in ({0}, {1})
+        for q_pos, kv_pos, q_head, kv_head in seen["logits"] + seen["mask"]:
+            n_heads, rows = q_head.shape[:2]
+            assert q_pos.shape == (rows, 1) and kv_pos.shape == (1, kv_pos.size)
+            assert q_head.shape == (n_heads, rows, 1) and kv_head.shape == (n_heads, 1, 1)
+            assert n_heads == 2 and np.array_equal(q_head // 2, kv_head + 0 * q_head)
+
+
 class TestComposeVariants:
     def test_masks_and_together(self, rng):
         from repro.core import compose_variants
@@ -228,9 +289,11 @@ class TestComposeVariants:
         k = rng.standard_normal((16, 8))
         v = rng.standard_normal((16, 8))
         o, _ = kern.fn(
-            q, k, v, np.array([15]), np.arange(16), np.zeros(1, dtype=np.int64), 0,
+            q[None], k[None], v[None], np.array([15]), np.arange(16),
+            np.zeros((1, 1), dtype=np.int64), np.zeros(1, dtype=np.int64),
             c.bind_params(), 1.0, True, 16,
         )
+        o = o[0]
         # Reference: window of 8 AND even positions.
         keep = ((15 - np.arange(16)) < 8) & (np.arange(16) % 2 == 0)
         s = np.where(keep, q @ k.T, -np.inf)[0]

@@ -24,6 +24,23 @@ class TestQuantizeFP8:
         assert quantize_fp8(np.array(1e6)) == FP8_E4M3_MAX
         assert quantize_fp8(np.array(-1e6)) == -FP8_E4M3_MAX
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_infinity_saturates(self, dtype):
+        """``log2(inf)`` used to turn ±inf into ``inf / inf`` = NaN."""
+        q = quantize_fp8(np.array([np.inf, -np.inf], dtype=dtype))
+        assert np.array_equal(q, [FP8_E4M3_MAX, -FP8_E4M3_MAX])
+
+    def test_nan_stays_nan(self):
+        q = quantize_fp8(np.array([np.nan, 1.0], dtype=np.float32))
+        assert np.isnan(q[0]) and q[1] == 1.0
+
+    def test_flushed_negative_is_a_zero_with_the_inputs_sign(self):
+        """``copysign``: every negative input that flushes — ``-0.0`` too —
+        gives ``-0.0``, which compares equal to 0."""
+        q = quantize_fp8(np.array([-1e-9, -0.0, 1e-9, 0.0]))
+        assert np.array_equal(q, np.zeros(4))
+        assert np.array_equal(np.signbit(q), [True, True, False, False])
+
     def test_flush_to_zero_below_subnormal(self):
         tiny = 2.0**-12
         assert quantize_fp8(np.array(tiny)) == 0.0
