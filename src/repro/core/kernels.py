@@ -5,8 +5,9 @@
 for every head scheduled on it — the KV head is a grid dimension in
 FlashInfer (§3.2.3), here the batch axis of one JIT call: the chunk is
 gathered from the pool (the scattered-global-to-contiguous-shared move of
-§3.2.1) and rounded through storage precision once, the kernel produces the
-heads' partial attention states, and each is written either straight to the
+§3.2.1) and rounded through storage precision once for all the query tiles
+that read it, the kernel produces the heads' partial attention states over the
+KV tiles the causal mask lets some row see, and each is written either to the
 final output (writethrough) or to its workspace partial slot; the contraction
 folds the heads of a split tile the same way.  The per-item path this
 replaced is kept as the oracle in ``tests/reference_kernels.py``.  Alongside
@@ -283,13 +284,17 @@ def run_mapping(
 
     # The attention kernel, once per (query tile, KV chunk) for every head
     # scheduled on it — the split and the writethrough heads of a chunk apart,
-    # should a hand-built plan mix them.  Which CTA drains an item never enters
+    # should a hand-built plan mix them — KV-chunk-major, so that the query
+    # tiles of a chunk follow one another.  Which CTA drains an item never enters
     # the numerics: items write disjoint rows or slots, the merge order is planned.
     items = plan.items
-    tile_cols = [COL_GROUP, COL_QSTART, COL_QROWS, COL_KVSTART, COL_KVSTOP]
-    tile_keys = np.column_stack([items[:, tile_cols], items[:, COL_SLOT] >= 0])
+    tile_keys = np.column_stack([
+        items[:, [COL_GROUP, COL_KVSTART, COL_KVSTOP]], items[:, COL_SLOT] >= 0,
+        items[:, [COL_QSTART, COL_QROWS]],
+    ])
+    chunk = None  # (group, kv_start, kv_stop, heads) held in k_chunk / v_chunk
     for key, rows in _tiles(tile_keys, items[:, COL_KVHEAD]):
-        group, q_start, q_rows, kv_start, kv_stop, split = key
+        group, kv_start, kv_stop, split, q_start, q_rows = key
         sched, slot = items[rows, COL_KVHEAD], items[rows, COL_SLOT]
         head_ids = query_heads(sched)
         kv_heads = sched if fuse_head_groups else sched // g
@@ -298,11 +303,15 @@ def run_mapping(
         q_tile = regroup_heads(q[row0 : row0 + q_rows][:, head_ids.ravel()], g_eff)
         q_pos = int(mapping.q_pos_offset[group]) + q_start + np.arange(q_rows)
         # Gather the KV chunk (scattered global → contiguous "shared" memory)
-        # and round it through storage precision, once for all its heads.
-        kv_slots = mapping.kv.slot_indices(group, kv_start, kv_stop)[:, None]
-        k_chunk = round_to_storage(k_pool[kv_slots, kv_heads], kv_dtype)
-        v_chunk = round_to_storage(v_pool[kv_slots, kv_heads], kv_dtype)
-        kv_pos = int(mapping.kv_pos_offset[group]) + np.arange(kv_start, kv_stop)
+        # and round it through storage precision, once for all its heads and
+        # all the query tiles that read it.
+        wanted = (group, kv_start, kv_stop, kv_heads.tolist())
+        if chunk != wanted:
+            chunk = wanted
+            kv_slots = mapping.kv.slot_indices(group, kv_start, kv_stop)[:, None]
+            k_chunk = round_to_storage(k_pool[kv_slots, kv_heads], kv_dtype)
+            v_chunk = round_to_storage(v_pool[kv_slots, kv_heads], kv_dtype)
+            kv_pos = int(mapping.kv_pos_offset[group]) + np.arange(kv_start, kv_stop)
 
         o, s = kernel.fn(
             q_tile, k_chunk.transpose(1, 0, 2), v_chunk.transpose(1, 0, 2),

@@ -36,13 +36,18 @@ def {kernel_name}(q, k, v, q_pos, kv_pos, q_head, kv_head, params,
 
     q : (heads, rows, head_dim) float — query tile (rows may fuse GQA groups)
     k, v : (heads, kv_len, head_dim) float — gathered KV chunk per head
-    q_pos : (rows,) / kv_pos : (kv_len,) int64 absolute positions;
-    q_head : (heads, rows) int64; kv_head : (heads,) int64;
+    q_pos : (rows,) / kv_pos : (kv_len,) int64 absolute positions, kv_pos
+    ascending; q_head : (heads, rows) int64; kv_head : (heads,) int64;
     params : bound variant parameters; sm_scale : float; causal : bool;
-    kv_tile : int — inner tile size of the online sweep.
+    kv_tile : int — inner tile size of the online sweep.  Under ``causal``
+    the sweep ends with the last KV tile some row can see: whole tiles only,
+    so every tile it does visit keeps its length and its operands.
     """
     heads, rows, head_dim = q.shape
     kv_len = k.shape[1]
+    if causal and rows:
+        visible = int(np.count_nonzero(kv_pos <= q_pos.max()))
+        kv_len = min(kv_len, -(-visible // kv_tile) * kv_tile)
     q = np.asarray(q, dtype=np.float64)
 {apply_query_transform}
     m = np.full((heads, rows), -np.inf)

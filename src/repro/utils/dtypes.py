@@ -68,12 +68,36 @@ def dequantize_fp8(x: np.ndarray, scale: float = 1.0) -> np.ndarray:
 
 
 def round_to_storage(x: np.ndarray, dtype: StorageDType) -> np.ndarray:
-    """Round ``x`` through storage precision ``dtype``, returning float32."""
+    """Round ``x`` through storage precision ``dtype``, returning float32.
+
+    fp16 is IEEE round-to-nearest-even with ``|x| ≥ 65520 → ±inf``, silently
+    (as e4m3 saturates silently).  NumPy's half conversion is scalar code, so
+    float32 input is rounded on its bit view — add ``0xFFF`` plus bit 13, clear
+    the low 13 bits; ``x`` is not written — and only the lanes with magnitude
+    bits outside ``[2^-14, 2^15)`` (fp16 subnormals and zero, the binade that
+    may round to inf, inf, NaN) go through ``astype``, as does any other input
+    dtype (float64 → float32 → fp16 would round twice).
+    """
     x = np.asarray(x)
     if dtype is StorageDType.FP32:
         return x.astype(np.float32)
     if dtype is StorageDType.FP16:
-        return x.astype(np.float16).astype(np.float32)
+        with np.errstate(over="ignore"):
+            if x.dtype != np.float32:
+                return x.astype(np.float16).astype(np.float32)
+            bits = x.view(np.uint32)
+            mag = bits & np.uint32(0x7FFFFFFF)
+            mag -= np.uint32(0x38800000)
+            exceptional = mag >= np.uint32(0x47000000 - 0x38800000)
+            rounded = np.right_shift(bits, np.uint32(13), out=np.empty(x.shape, np.uint32))
+            rounded &= np.uint32(1)
+            rounded += np.uint32(0xFFF)
+            rounded += bits
+            rounded &= np.uint32(0xFFFFE000)
+            out = rounded.view(np.float32)
+            if exceptional.any():
+                out[exceptional] = x[exceptional].astype(np.float16)
+            return out
     if dtype is StorageDType.FP8_E4M3:
         return quantize_fp8(x)
     raise ValueError(f"unknown storage dtype: {dtype!r}")

@@ -66,6 +66,20 @@ def make_shared_prefix_mapping(
     return mapping, c * page_size, clusters
 
 
+def priced_kv_columns(mapping, items, kv_tile):
+    """``processed`` of the cost model for every row of a plan's item table:
+    the leading KV columns of the item's chunk a causal launch is priced for
+    (whole KV tiles up to the last one some row of the item can see)."""
+    from repro.core.scheduler import COL_GROUP, COL_KVSTART, COL_KVSTOP, COL_QROWS, COL_QSTART
+    from repro.core.simulate import _causal_processed
+
+    group = items[:, COL_GROUP]
+    lo = (mapping.q_pos_offset[group] + items[:, COL_QSTART]
+          - mapping.kv_pos_offset[group] - items[:, COL_KVSTART] + 1)
+    chunk = items[:, COL_KVSTOP] - items[:, COL_KVSTART]
+    return _causal_processed(lo, items[:, COL_QROWS], chunk, kv_tile)[1].astype(np.int64)
+
+
 def fp16(x):
     """Round through fp16 storage (what the engine does to K/V)."""
     return round_to_storage(np.asarray(x), StorageDType.FP16).astype(np.float64)

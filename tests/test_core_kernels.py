@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_paged_mapping
+from conftest import make_paged_mapping, priced_kv_columns
 from repro.core import HeadConfig, reference_attention, work_item_cost
 from repro.core.scheduler import WorkItem
 from repro.utils.dtypes import StorageDType
@@ -170,3 +170,99 @@ class TestKVReuseFactor:
         logical_kv = 64 * 32 * 2 * 2
         q_bytes = 64 * 32 * 2
         assert c.bytes_read == pytest.approx(logical_kv / 4 + q_bytes)
+
+
+class TestNumericsTouchOnlyWhatTheLaunchIsPricedFor:
+    """A causal launch is priced for ``processed`` KV columns per item — the
+    KV tiles some row of the item can see (``core/simulate``).  The numerics
+    read nothing else: NaN everywhere outside the priced columns changes no
+    output (it used to reach ``out`` as ``0·NaN`` from hidden tiles, which is
+    what ``PagedKVCache.corrupt_page`` writes), NaN inside them still does."""
+
+    HEADS, Q_TILE, KV_TILE = HeadConfig(4, 2, 8), 4, 8
+    #: Ragged prefill, ``qo_len > kv_len`` included (its first rows see nothing).
+    GROUPS = [(14, 75), (9, 9), (14, 7), (1, 40), (6, 23)]
+
+    def _problem(self, fuse, num_ctas):
+        from repro.core import plan_schedule
+
+        qo, kv = (list(col) for col in zip(*self.GROUPS))
+        mapping, slots = make_paged_mapping(kv, qo, page_size=4)
+        plan = plan_schedule(
+            qo, kv, self.Q_TILE, num_ctas,
+            num_kv_heads=self.HEADS.num_kv_heads if fuse else self.HEADS.num_qo_heads,
+            min_kv_chunk=8, chunk_granularity=self.KV_TILE, causal=True,
+        )
+        rng = np.random.default_rng(11)
+        q = rng.standard_normal((sum(qo), 4, 8))
+        k, v = rng.standard_normal((2, slots, 2, 8)).astype(np.float32)
+        return mapping, plan, q, k, v
+
+    def _run(self, mapping, plan, q, k, v, fuse):
+        from repro.core import VANILLA, KernelTraits, get_kernel, run_mapping
+
+        n, slots = len(q), max(plan.num_partial_slots, 1)
+        rows_eff = self.Q_TILE * (self.HEADS.group_size if fuse else 1)
+        out, lse = np.zeros((n, 4, 8)), np.full((n, 4), -np.inf)
+        run_mapping(
+            q, k, v, mapping, plan,
+            get_kernel(VANILLA, KernelTraits(head_dim=8, q_tile=self.Q_TILE, kv_tile=self.KV_TILE)),
+            self.HEADS, VANILLA.bind_params(), 0.3, self.KV_TILE, out, lse,
+            np.zeros((slots, rows_eff, 8), dtype=np.float32),
+            np.full((slots, rows_eff), -np.inf, dtype=np.float32),
+            fuse_head_groups=fuse,
+        )
+        return out, lse
+
+    def _tiles(self, mapping, plan):
+        """``(output rows, priced pool slots)`` of every query tile."""
+        from repro.core.scheduler import COL_GROUP, COL_KVSTART, COL_QROWS, COL_QSTART
+
+        it, processed = plan.items, priced_kv_columns(mapping, plan.items, self.KV_TILE)
+        for group, q_start, q_rows in np.unique(it[:, [COL_GROUP, COL_QSTART, COL_QROWS]], axis=0):
+            sel = (it[:, COL_GROUP] == group) & (it[:, COL_QSTART] == q_start)
+            priced = [mapping.kv.slot_indices(group, a, a + n)
+                      for a, n in zip(it[sel, COL_KVSTART], processed[sel])]
+            row0 = int(mapping.q_row_starts[group]) + q_start
+            yield slice(row0, row0 + q_rows), np.unique(np.concatenate(priced)).astype(np.int64)
+
+    @pytest.mark.parametrize("fuse", [True, False])
+    @pytest.mark.parametrize("num_ctas", [1, 64])
+    def test_nan_outside_the_priced_columns_changes_nothing(self, fuse, num_ctas):
+        from repro.core.scheduler import COL_KVSTART, COL_KVSTOP, COL_SLOT
+
+        mapping, plan, q, k, v = self._problem(fuse, num_ctas)
+        it, processed = plan.items, priced_kv_columns(mapping, plan.items, self.KV_TILE)
+        assert (it[:, COL_SLOT] >= 0).any() == (num_ctas == 64)  # split plan / writethrough plan
+        assert (processed == 0).any()  # whole items above the diagonal …
+        chunk = it[:, COL_KVSTOP] - it[:, COL_KVSTART]
+        assert ((processed > 0) & (processed < chunk)).any()  # … and hidden tails of chunks
+        clean_out, clean_lse = self._run(mapping, plan, q, k, v, fuse)
+        assert np.isfinite(clean_out).all()
+        for rows, priced in self._tiles(mapping, plan):
+            kp, vp = np.full_like(k, np.nan), np.full_like(v, np.nan)
+            kp[priced], vp[priced] = k[priced], v[priced]
+            out, lse = self._run(mapping, plan, q, kp, vp, fuse)
+            assert np.array_equal(out[rows], clean_out[rows])
+            assert np.array_equal(lse[rows], clean_lse[rows])
+
+    @pytest.mark.parametrize("fuse", [True, False])
+    def test_nan_inside_a_priced_diagonal_tile_still_reaches_its_rows(self, fuse):
+        """Rows 0-3 of group 0 sit at positions 61-64 and are priced for KV
+        ``[0, 72)``: slot 71 is hidden from all four, but its tile is swept
+        and masked, so a NaN there is the output's NaN (``OutputGuard``'s)."""
+        mapping, plan, q, k, v = self._problem(fuse, 1)
+        rows, priced = next(iter(self._tiles(mapping, plan)))
+        assert rows == slice(0, 4) and priced.max() == mapping.kv.slot_indices(0, 71, 72)[0]
+        v[priced.max()] = np.nan
+        out, _ = self._run(mapping, plan, q, k, v, fuse)
+        assert np.isnan(out[rows]).all() and np.isfinite(out[14:]).all()
+
+    def test_ring_shard_wholly_in_the_future_is_the_merge_identity(self, rng):
+        from repro.distributed import RingAttention
+
+        ring = RingAttention(2, self.HEADS)
+        q = rng.standard_normal((5, 4, 8))
+        future = np.full((40, 2, 8), np.nan)
+        o, lse, _ = ring._pair_partial(q, future, future, 10, 15, True, 0.3, None)
+        assert np.array_equal(o, np.zeros((5, 4, 8))) and np.isneginf(lse).all()

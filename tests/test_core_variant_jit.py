@@ -83,6 +83,9 @@ class TestTemplateSpecialization:
         assert "range(heads)" not in src and "enumerate(" not in src and "np.stack" not in src
         loops = [line.strip() for line in src.splitlines() if line.strip().startswith("for ")]
         assert loops == ["for t0 in range(0, kv_len, kv_tile):"]
+        # The causal loop bound is computed once, ahead of the sweep.
+        assert src.count("if causal") == 2
+        assert src.index("if causal and rows:") < src.index("for t0")
 
     def test_per_head_loop_rendered_only_for_the_declared_transform(self):
         src = render_kernel_source("k", "v", None, "k * 2", None, "logits + 1", None, True)
@@ -222,6 +225,48 @@ class TestGeneratedKernelNumerics:
         assert np.all(np.isneginf(lse))
         assert not np.any(np.isnan(o))
 
+    @pytest.mark.parametrize("use_softmax", [True, False])
+    def test_causal_sweep_ends_with_the_last_tile_a_row_can_see(self, rng, use_softmax):
+        """Rows at positions 3-5 over 29 keys, tiles of 4: tiles 0 and 1 are
+        swept (position 7 is hidden but shares a tile with 4 and 5), tiles 2-7
+        are never read — NaN there is invisible, NaN at 7 is not."""
+        variant = VANILLA if use_softmax else AttentionVariant(name="linear", use_softmax=False)
+        q = rng.standard_normal((3, 8))
+        k = rng.standard_normal((29, 8))
+        v = rng.standard_normal((29, 8))
+        run = lambda k, v: self._run(  # noqa: E731
+            variant, q, k, v, kv_tile=4, sm_scale=1.0, q_pos=np.array([3, 4, 5]))
+        o, lse = run(k, v)
+        s = np.where(np.arange(3, 6)[:, None] >= np.arange(29), q @ k.T, -np.inf)
+        if use_softmax:
+            p = np.exp(s - s.max(axis=1, keepdims=True))
+            assert np.allclose(o, (p / p.sum(axis=1, keepdims=True)) @ v)
+            assert np.allclose(lse, np.log(np.exp(s).sum(axis=1)))
+        else:
+            assert np.allclose(o, np.where(np.isneginf(s), 0.0, s) @ v)
+        k2, v2 = k.copy(), v.copy()
+        k2[8:], v2[8:] = np.nan, np.nan
+        o2, lse2 = run(k2, v2)
+        assert np.array_equal(o2, o) and np.array_equal(lse2, lse)
+        v2[7] = np.nan
+        assert np.isnan(run(k2, v2)[0]).all()
+
+    @pytest.mark.parametrize("use_softmax", [True, False])
+    def test_fully_hidden_chunk_is_the_identity_state_whatever_it_holds(self, use_softmax):
+        """``processed = 0``: nothing is swept, ``o = 0`` and ``lse = -inf``
+        (0 for a sum variant) — the identity of the merge."""
+        from repro.core.state import merge_states
+
+        variant = VANILLA if use_softmax else AttentionVariant(name="linear", use_softmax=False)
+        nan = np.full((6, 4), np.nan)
+        o, lse = self._run(variant, np.ones((2, 4)), nan, nan, kv_tile=2, q_pos=np.array([-5, -4]))
+        assert np.array_equal(o, np.zeros((2, 4)))
+        assert np.array_equal(lse, np.full(2, -np.inf if use_softmax else 0.0))
+        if use_softmax:
+            other = (np.arange(8.0).reshape(2, 4), np.array([0.5, -1.0]))
+            merged = merge_states(*other, o, lse)
+            assert np.array_equal(merged[0], other[0]) and np.array_equal(merged[1], other[1])
+
     def test_no_softmax_sum_semantics(self, rng):
         v_spec = AttentionVariant(name="linear", use_softmax=False)
         q = rng.standard_normal((3, 8))
@@ -274,6 +319,42 @@ class TestFunctorContract:
             assert q_pos.shape == (rows, 1) and kv_pos.shape == (1, kv_pos.size)
             assert q_head.shape == (n_heads, rows, 1) and kv_head.shape == (n_heads, 1, 1)
             assert n_heads == 2 and np.array_equal(q_head // 2, kv_head + 0 * q_head)
+
+
+    def test_logits_mask_sees_exactly_the_tiles_at_or_below_the_diagonal(self, rng):
+        """One mask call per swept KV tile of a (query tile, KV chunk): their
+        number is the cost model's ``Σ ⌈processed / kv_tile⌉`` and no call sees
+        a tile that every row of the query tile is ahead of."""
+        from conftest import make_paged_mapping, priced_kv_columns
+        from repro import BatchAttentionWrapper, WorkspaceBuffer
+        from repro.core import HeadConfig
+        from repro.core.scheduler import COL_KVHEAD, COL_QSTART
+
+        seen = []
+
+        def record(keep, q_pos, kv_pos):
+            seen.append((int(q_pos.max()), int(kv_pos.min()), kv_pos.size))
+            return keep
+
+        variant = AttentionVariant(
+            name="recording_mask",
+            params=(ParamDecl("rec", default=record),),
+            logits_mask="params.rec(q_pos >= kv_pos, q_pos, kv_pos)",
+        )
+        mapping, slots = make_paged_mapping([300, 40, 7], [200, 40, 14], 4)
+        w = BatchAttentionWrapper(variant, HeadConfig(4, 2, 8), WorkspaceBuffer(1 << 26),
+                                  avg_qo_len=64)
+        plan = w.plan(mapping)
+        w.run(rng.standard_normal((254, 4, 8)), rng.standard_normal((slots, 2, 8)),
+              rng.standard_normal((slots, 2, 8)))
+
+        one_head = plan.items[plan.items[:, COL_KVHEAD] == 0]
+        processed = priced_kv_columns(mapping, one_head, w.kv_tile)
+        # Hidden chunks and many query tiles, or the count proves nothing.
+        assert (processed == 0).any() and len(np.unique(one_head[:, COL_QSTART])) > 3
+        assert len(seen) == int(np.ceil(processed / w.kv_tile).sum())
+        assert sum(n for _, _, n in seen) == int(processed.sum())
+        assert all(kv_lo <= q_hi for q_hi, kv_lo, _ in seen)
 
 
 class TestComposeVariants:

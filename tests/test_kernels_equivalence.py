@@ -3,11 +3,14 @@
 ``tests/reference_kernels.py`` holds the numeric path as it was before
 ``run_mapping`` executed by tile: the 2-D kernel template, one gather, one
 storage rounding and one JIT call per ``(tile, chunk, KV head)``, CTA queue by
-CTA queue, and the ``log2``/``floor`` fp8 quantiser.  ``out``, ``lse`` and both
-workspace partials must be identical — not close: nothing in the batched path
-(the head axis of the GEMMs, the stacked ``⊕`` fold, executing by tile instead
-of by CTA) is allowed to change an operation's operands or order.  Hypothesis
-runs derandomized, so tier-1 sees a fixed sample.
+CTA queue, every KV tile of a chunk swept and the hidden ones masked, the
+``log2``/``floor`` fp8 quantiser and ``astype`` as the fp16 rounding.  ``out``,
+``lse`` and both workspace partials must be identical — not close: nothing in
+the batched path (the head axis of the GEMMs, the stacked ``⊕`` fold, executing
+KV-chunk-major instead of by CTA, ending the causal sweep at the last tile a
+row can see, rounding fp16 on the bit view) is allowed to change an
+operation's operands or order.  Hypothesis runs derandomized, so tier-1 sees a
+fixed sample.
 """
 
 import numpy as np
@@ -30,7 +33,7 @@ from repro.core import (
     plan_schedule,
     run_mapping,
 )
-from repro.utils.dtypes import StorageDType, quantize_fp8
+from repro.utils.dtypes import StorageDType, quantize_fp8, round_to_storage
 from repro.variants import (
     alibi_slopes,
     make_alibi,
@@ -73,12 +76,19 @@ VARIANTS = {
     ),
 }
 
-#: Ragged groups ``(qo_len, kv_len)``: zero-length groups, decode rows and
-#: prefill long enough for several query tiles of 4 rows.
+#: Ragged groups ``(qo_len, kv_len)``: zero-length groups, decode rows,
+#: prefill long enough for several query tiles of 4 rows and groups with more
+#: queries than KV (their first rows see nothing) — and in every example one
+#: group of four query tiles over a KV long enough to split, so that several
+#: query tiles share one gathered chunk and, under ``causal``, the early ones
+#: end their sweep before it does.
 GROUPS = st.lists(
-    st.tuples(st.sampled_from([0, 1, 1, 3, 9, 14]), st.sampled_from([0, 1, 7, 23, 40, 75])),
-    min_size=1, max_size=5,
-)
+    st.one_of(
+        st.tuples(st.sampled_from([0, 1, 1, 3, 9, 14]), st.sampled_from([0, 1, 7, 23, 40, 75])),
+        st.sampled_from([(14, 7), (9, 3), (3, 1), (14, 9)]),
+    ),
+    min_size=1, max_size=4,
+).map(lambda groups: groups + [(14, 75)])
 
 
 def _problem(groups, variant_name, kv_dtype, causal, fuse, num_ctas, seed):
@@ -164,7 +174,7 @@ class TestRunMappingBitIdentical:
     @pytest.mark.parametrize("fuse", [True, False])
     def test_every_variant_with_multi_tile_prefill_and_merges(self, variant_name, fuse):
         """One fixed shape per variant that provably takes every branch."""
-        p = _problem([(14, 75), (0, 23), (1, 40), (3, 0), (9, 9)], variant_name,
+        p = _problem([(14, 75), (0, 23), (1, 40), (3, 0), (9, 9), (14, 7)], variant_name,
                      StorageDType.FP16, True, fuse, 64, seed=3)
         plan = p["plan"]
         assert len(plan.merge_meta) and (plan.items[:, 8] < 0).any()  # split and writethrough
@@ -235,6 +245,43 @@ class TestWrapperDefaultOutput:
             1.0 / np.sqrt(D), w.kv_tile, *bufs, kv_dtype=kv_dtype,
         )
         assert np.array_equal(out64, bufs[0]) and np.array_equal(lse64, bufs[1])
+
+
+class TestRoundToStorageFP16Equivalence:
+    """The bit-view rounding against ``astype`` itself (the oracle's)."""
+
+    @staticmethod
+    def assert_bitwise(x):
+        new = round_to_storage(x, StorageDType.FP16)
+        old = ref.round_to_storage(x, StorageDType.FP16)
+        assert new.dtype == old.dtype == np.float32 and new.shape == old.shape
+        nan = np.isnan(old)
+        assert np.array_equal(np.isnan(new), nan)
+        assert np.array_equal(new.view(np.uint32)[~nan], old.view(np.uint32)[~nan])  # ±0 apart
+
+    def test_every_251st_float32_bit_pattern(self):
+        bits = np.arange(0, 2**32, 251, dtype=np.uint64).astype(np.uint32)
+        x = np.concatenate([bits.view(np.float32), np.float32([np.inf, -np.inf, 0.0, -0.0])])
+        assert x.size > 17_000_000 and np.isnan(x).any()
+        self.assert_bitwise(x)
+
+    def test_every_fp16_value_its_float32_neighbours_and_both_ties(self):
+        h = np.arange(2**16, dtype=np.uint16).view(np.float16)
+        h = h[np.isfinite(h)]
+        assert h.size == 63_488
+        f = h.astype(np.float32)
+        # Midpoints to the fp16 neighbours; ±65504's outer one is ±65520 (to 2^16), not inf.
+        ties = []
+        for toward in (np.inf, -np.inf):
+            with np.errstate(over="ignore"):
+                near = np.nextafter(h, np.float16(toward)).astype(np.float32)
+            ties.append((f + np.where(np.isinf(near), np.sign(f) * 65536, near)) / 2)
+        assert 65520.0 in ties[0] and -65520.0 in ties[1] and np.float32(2.0**-25) in ties[0]
+        x = np.concatenate([f, np.nextafter(f, np.float32(np.inf)),
+                            np.nextafter(f, np.float32(-np.inf)), *ties])
+        assert np.array_equal(round_to_storage(f, StorageDType.FP16), f)  # the grid is fixed
+        self.assert_bitwise(x)
+        self.assert_bitwise(x.reshape(5, -1, 4)[:, ::3, 1:])  # a strided view
 
 
 class TestQuantizeFP8Equivalence:

@@ -1,5 +1,7 @@
 """Tests for storage dtype emulation (fp16 / fp8 e4m3)."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -100,6 +102,42 @@ class TestRoundToStorage:
         x = np.array([1.0 + 2.0**-12])
         r = round_to_storage(x, StorageDType.FP16)
         assert r[0] == np.float16(x[0])
+
+    def test_fp16_overflow_is_inf_without_a_warning(self):
+        """``|x| ≥ 65520 → ±inf`` is fp16's defined result; ``astype`` used to
+        raise ``RuntimeWarning: overflow encountered in cast`` from in here."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for dtype in (np.float32, np.float64):
+                x = np.array([1e6, -65520.0, 65519.0, -1e30, np.inf, 3.0], dtype=dtype)
+                r = round_to_storage(x, StorageDType.FP16)
+                assert np.array_equal(r, [np.inf, -np.inf, 65504.0, -np.inf, np.inf, 3.0])
+            assert np.isnan(round_to_storage(np.float32([np.nan, 1.0]), StorageDType.FP16)[0])
+
+    def test_fp16_of_float64_rounds_once(self):
+        """Through float32 first, ``1 + 2^-11 + 2^-30`` lands on the tie and
+        goes to even (1.0); rounded once it is above the tie."""
+        x = np.array([1.0 + 2.0**-11 + 2.0**-30])
+        assert x.astype(np.float32).astype(np.float16)[0] == 1.0
+        r = round_to_storage(x, StorageDType.FP16)
+        assert r.dtype == np.float32 and r[0] == np.float32(1.0 + 2.0**-10)
+
+    def test_fp16_does_not_write_its_input(self):
+        x = np.random.default_rng(0).standard_normal((4, 6)).astype(np.float32) * 1e-4
+        x[0, 0], x[1, 1] = 1e9, np.nan
+        before = x.copy()
+        r = round_to_storage(x, StorageDType.FP16)
+        assert np.array_equal(x, before, equal_nan=True) and not np.shares_memory(r, x)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64])
+    def test_fp16_keeps_shape_for_views_scalars_and_empty_arrays(self, dtype):
+        base = (np.arange(60).reshape(3, 4, 5) * 1.001 + 2.0**-20).astype(dtype)
+        for x in (base[:, ::2, 1:4], base.T, base[1, 2, 3], dtype(70000), base[:0], base[..., 4:4]):
+            r = round_to_storage(x, StorageDType.FP16)
+            assert isinstance(r, np.ndarray) and r.dtype == np.float32
+            assert r.shape == np.shape(x)
+            with np.errstate(over="ignore"):
+                assert np.array_equal(r, np.asarray(x).astype(np.float16).astype(np.float32))
 
     def test_fp8_matches_quantize(self):
         x = np.linspace(-10, 10, 31)
