@@ -15,7 +15,16 @@ from __future__ import annotations
 
 from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.kvcache.paged import PagedKVCache
+
+
+def _as_labels(tokens: Sequence[int]) -> Tuple[int, ...]:
+    """``tokens`` (array or sequence) as a tuple of Python ``int``s, at C
+    speed.  Not ``np.int64``: labels go into every engine snapshot through
+    :meth:`RadixTree.export_state` and ``json.dumps`` rejects NumPy scalars."""
+    return tuple(np.asarray(tokens, dtype=np.int64).tolist())
 
 
 class _Node:
@@ -24,7 +33,10 @@ class _Node:
     def __init__(self, tokens: Tuple[int, ...], pages: List[int], parent: Optional["_Node"]):
         self.tokens = tokens  # page-aligned token chunk labelling the edge in
         self.pages = pages  # pages backing this chunk (len = len(tokens)/page_size)
-        self.children: Dict[int, "_Node"] = {}  # keyed by first token of child chunk
+        # Keyed by the first *page* of the child chunk: the tree only splits
+        # on pages, so a first-token key would let one prompt shadow every
+        # other that starts with the same token (BOS) but differs in page 0.
+        self.children: Dict[Tuple[int, ...], "_Node"] = {}
         self.parent = parent
         self.last_used = 0
 
@@ -50,44 +62,40 @@ class RadixTree:
     def num_cached_pages(self) -> int:
         return self._num_cached_pages
 
+    def _walk(self, tokens: Tuple[int, ...]) -> Tuple[_Node, int, List[int]]:
+        """Descend along ``tokens`` while whole cached pages match, touching
+        the path for LRU; a node matched in part is split at the last
+        matching page, so a hit always ends on a node.  Returns the node
+        reached, the number of tokens matched and the pages backing them."""
+        page = self.page_size
+        node, pos, matched = self._root, 0, []
+        self._clock += 1
+        while True:
+            child = node.children.get(tokens[pos : pos + page])
+            if child is None:
+                return node, pos, matched
+            chunk = child.tokens
+            m = len(chunk)
+            if tokens[pos : pos + m] != chunk:
+                # Some page of ``chunk`` differs or ``tokens`` ends inside it
+                # (which stops this scan); the key lookup matched the first.
+                m = page
+                while tokens[pos + m : pos + m + page] == chunk[m : m + page]:
+                    m += page
+                self._split(child, m)
+                child = child.parent
+            child.last_used = self._clock
+            matched.extend(child.pages)
+            pos += m
+            node = child
+
     def match_prefix(self, tokens: Sequence[int]) -> Tuple[int, List[int]]:
         """Longest cached prefix of ``tokens``.
 
         Returns ``(matched_len, pages)`` where ``matched_len`` is a multiple
         of ``page_size``.  Touches matched nodes for LRU.
         """
-        tokens = tuple(int(t) for t in tokens)
-        node = self._root
-        matched: List[int] = []
-        pos = 0
-        self._clock += 1
-        while pos < len(tokens):
-            child = node.children.get(tokens[pos])
-            if child is None:
-                break
-            chunk = child.tokens
-            if tokens[pos : pos + len(chunk)] != chunk:
-                # Partial chunk match: pages are whole-chunk, cannot split a
-                # hit below chunk granularity without re-splitting the node;
-                # count only whole matching pages of this chunk.
-                m = 0
-                while (
-                    m + self.page_size <= len(chunk)
-                    and tokens[pos + m : pos + m + self.page_size]
-                    == chunk[m : m + self.page_size]
-                ):
-                    m += self.page_size
-                if m:
-                    self._split(child, m)
-                    child = node.children[tokens[pos]]
-                    matched.extend(child.pages)
-                    pos += m
-                    child.last_used = self._clock
-                break
-            matched.extend(child.pages)
-            pos += len(chunk)
-            child.last_used = self._clock
-            node = child
+        _, pos, matched = self._walk(_as_labels(tokens))
         return pos, matched
 
     def insert(self, tokens: Sequence[int], pages: Sequence[int]) -> int:
@@ -98,45 +106,18 @@ class RadixTree:
         pages only.  Returns the number of *new* pages cached (the rest were
         already present).  The tree takes its own reference on new pages.
         """
-        tokens = tuple(int(t) for t in tokens)
+        tokens = _as_labels(tokens)
         usable = min(len(tokens) // self.page_size, len(pages))
         tokens = tokens[: usable * self.page_size]
-        pages = list(pages[:usable])
-        node = self._root
-        pos = 0
-        page_pos = 0
-        self._clock += 1
-        while pos < len(tokens):
-            child = node.children.get(tokens[pos])
-            if child is None:
-                chunk = tokens[pos:]
-                new_pages = pages[page_pos:]
-                self.cache.retain_pages(new_pages)
-                leaf = _Node(chunk, new_pages, node)
-                leaf.last_used = self._clock
-                node.children[tokens[pos]] = leaf
-                self._num_cached_pages += len(new_pages)
-                return len(new_pages)
-            chunk = child.tokens
-            m = 0
-            while (
-                m + self.page_size <= len(chunk)
-                and m + self.page_size <= len(tokens) - pos
-                and tokens[pos + m : pos + m + self.page_size] == chunk[m : m + self.page_size]
-            ):
-                m += self.page_size
-            if m < len(chunk):
-                if m == 0:
-                    # Same first token but different first page: collision on
-                    # the child key; nothing sharable at page granularity.
-                    return 0
-                self._split(child, m)
-                child = node.children[tokens[pos]]
-            child.last_used = self._clock
-            pos += m
-            page_pos += m // self.page_size
-            node = child
-        return 0
+        node, pos, matched = self._walk(tokens)
+        new_pages = list(pages[len(matched) : usable])
+        if new_pages:
+            self.cache.retain_pages(new_pages)
+            leaf = _Node(tokens[pos:], new_pages, node)
+            leaf.last_used = self._clock
+            node.children[tokens[pos : pos + self.page_size]] = leaf
+            self._num_cached_pages += len(new_pages)
+        return len(new_pages)
 
     def _split(self, node: _Node, token_offset: int) -> None:
         """Split ``node`` so its first ``token_offset`` tokens become a parent."""
@@ -149,8 +130,8 @@ class RadixTree:
         node.tokens = node.tokens[token_offset:]
         node.pages = node.pages[npages:]
         node.parent = upper
-        upper.children[node.tokens[0]] = node
-        parent.children[upper.tokens[0]] = upper
+        upper.children[node.tokens[: self.page_size]] = node
+        parent.children[upper.tokens[: self.page_size]] = upper
 
     # -- eviction ------------------------------------------------------------
 
@@ -173,7 +154,7 @@ class RadixTree:
         """Detach ``node`` and its subtree, releasing the tree's reference
         on every page they hold; returns the number of pages dropped."""
         assert node.parent is not None
-        del node.parent.children[node.tokens[0]]
+        del node.parent.children[node.tokens[: self.page_size]]
         dropped = 0
         stack = [node]
         while stack:
@@ -283,7 +264,7 @@ class RadixTree:
                 tree._num_cached_pages += len(node.pages)
             for cs in ns["children"]:
                 child = build(cs, node)
-                node.children[child.tokens[0]] = child
+                node.children[child.tokens[: tree.page_size]] = child
             return node
 
         tree._root = build(state["root"], None)

@@ -49,10 +49,12 @@ def token_id(req_idx: int, gen_index: int, pos: int) -> int:
     return (h & 0x7FFFFFFF) % TOKEN_VOCAB
 
 
-def prompt_token_id(
-    prefix_group: Optional[int], prefix_len: int, rid: int, pos: int
-) -> int:
-    """Deterministic stand-in for a *prompt* token id.
+def prompt_token_ids(
+    prefix_group: Optional[int], prefix_len: int, rid: int, length: int
+) -> np.ndarray:
+    """Deterministic stand-in for a request's first ``length`` *prompt*
+    token ids, as one int64 array (the hash stays inside int64 for ``rid``
+    and ``prefix_group`` below 2**31 and ``length`` up to 2**24).
 
     Positions inside a request's declared shared prefix hash on the
     ``prefix_group`` alone, so every member of a group (on any replica)
@@ -60,10 +62,11 @@ def prompt_token_id(
     discovers.  Suffix positions hash on the request's cluster-global id,
     so no two requests ever alias beyond their declared shared prefix.
     """
-    if prefix_group is not None and pos < prefix_len:
-        h = prefix_group * 7878787 + pos * 2654435761 + 970181
-    else:
-        h = rid * 1000003 + pos * 2654435761 + 615241
+    shared = min(prefix_len, length) if prefix_group is not None else 0
+    h = np.arange(length, dtype=np.int64) * 2654435761
+    h[shared:] += rid * 1000003 + 615241
+    if shared:
+        h[:shared] += prefix_group * 7878787 + 970181
     return (h & 0x7FFFFFFF) % TOKEN_VOCAB
 
 
@@ -262,23 +265,19 @@ class BatchFormer:
 
     # -- prefix caching -------------------------------------------------------
 
-    def _prompt_tokens(self, idx: int, length: int) -> List[int]:
+    def _prompt_tokens(self, idx: int, length: int) -> np.ndarray:
         """The first ``length`` prompt token ids of request ``idx``."""
         req = self.state.requests[idx]
         rid = idx if req.rid is None else req.rid
-        group = req.prefix_group
-        plen = req.prefix_len
-        return [prompt_token_id(group, plen, rid, pos) for pos in range(length)]
+        return prompt_token_ids(req.prefix_group, req.prefix_len, rid, length)
 
     def _radix_insert(self, idx: int, seq_id: int) -> None:
         """Register a fully prefilled prompt's whole pages in the tree."""
         st = self.state
         if st.radix is None:
             return
-        req = st.requests[idx]
-        st.radix.insert(
-            self._prompt_tokens(idx, req.prompt_len), st.cache.seq_pages(seq_id)
-        )
+        tokens = self._prompt_tokens(idx, st.requests[idx].prompt_len)
+        st.radix.insert(tokens, st.cache.seq_pages(seq_id))
 
     def _reclaim(self, pages_needed: int) -> None:
         """Evict radix-cached pages before live work has to be preempted."""

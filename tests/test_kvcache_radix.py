@@ -1,7 +1,17 @@
 """Tests for the radix-tree prefix cache."""
 
+import importlib.util
+import json
+import sys
+from pathlib import Path
 
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from reference_radix import TwoWalkRadixTree
 from repro.kvcache import PagedKVCache, RadixTree
+from repro.serving.batching import prompt_token_ids
 
 
 def setup_cache(num_pages=32, page_size=4):
@@ -152,3 +162,118 @@ class TestAccounting:
         assert tree.num_cached_pages == 3
         assert tree.insert(list(range(12)), cache.seq_pages(a)) == 0  # no dupes
         assert tree.num_cached_pages == 3
+
+
+class TestFirstPageKeying:
+    """Children are keyed by their first *page*: the tree splits on pages,
+    so a first-token key let one prompt shadow every other prompt that
+    starts with the same token (every real tokenizer's BOS)."""
+
+    def test_same_first_token_different_first_page_both_cached(self):
+        cache, tree = setup_cache()
+        first, second = [5, 1, 2, 3, 4, 4, 4, 4], [5, 9, 9, 9, 4, 4, 4, 4]
+        a, b = fill_seq(cache, first), fill_seq(cache, second)
+        assert tree.insert(first, cache.seq_pages(a)) == 2
+        assert tree.insert(second, cache.seq_pages(b)) == 2  # was 0, forever
+        assert tree.match_prefix(second) == (8, cache.seq_pages(b))
+        assert tree.match_prefix(first) == (8, cache.seq_pages(a))
+        # ... and through a snapshot, split and eviction of one of the two.
+        rebuilt = RadixTree.from_state(cache, json.loads(json.dumps(tree.export_state())))
+        assert rebuilt.match_prefix(second[:4] + [0] * 4) == (4, cache.seq_pages(b)[:1])
+        assert rebuilt.match_prefix(first) == (8, cache.seq_pages(a))
+        assert rebuilt.evict(1) == 1  # LRU leaf: the tail split off ``second``
+        assert rebuilt.match_prefix(second)[0] == 4
+        assert rebuilt.match_prefix(first)[0] == 8
+
+    def test_benchmark_prompts_key_alike_by_token_and_by_page(self):
+        """Why no ``prefix_fleet`` number moved with the key: in its loads,
+        prompts with an equal first token always have an equal first page
+        (the four groups start on four different tokens, and members of a
+        group share their whole first page)."""
+        path = Path(__file__).parents[1] / "benchmarks" / "e2e" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("e2e_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = workloads  # its dataclasses look themselves up
+        try:
+            spec.loader.exec_module(workloads)
+        finally:
+            del sys.modules[spec.name]
+        for seed in range(10):
+            for part in range(workloads.PARTS):
+                first_pages = {}
+                for rid, r in enumerate(workloads.serving_load("prefix_fleet", seed, part)):
+                    page = tuple(prompt_token_ids(r.prefix_group, r.prefix_len, rid, 16).tolist())
+                    first_pages.setdefault(page[0], set()).add(page)
+                assert len(first_pages) == 4
+                assert all(len(pages) == 1 for pages in first_pages.values())
+
+
+# -- lists and int64 arrays are the same input; the old walks are the oracle -------
+
+_PAGE = 4
+#: Page ids 0 and 2 (1 and 3) start on the same token.  A prompt is a cut of
+#: one of two stems plus a short random tail, so op sequences are full of
+#: long shared prefixes, mid-chunk divergences and same-first-token collisions.
+_PAGES = {i: [i % 2, i, i + 1, 7] for i in range(4)}
+_STEMS = ((0, 1, 2, 3, 2, 1), (2, 1, 2, 3, 0, 0))
+_prompt = st.tuples(
+    st.sampled_from(_STEMS), st.integers(0, 6),
+    st.lists(st.sampled_from(sorted(_PAGES)), max_size=2),
+).map(lambda p: [t for i in (*p[0][: p[1]], *p[2]) for t in _PAGES[i]]).filter(bool)
+_op = st.one_of(
+    st.tuples(st.just("insert"), _prompt, st.integers(0, 3)),
+    st.tuples(st.just("match_prefix"), _prompt, st.integers(0, 3)),
+    st.tuples(st.just("evict_until"), st.integers(0, 24)),
+    st.tuples(st.just("drop_pages"), st.sets(st.integers(0, 23), max_size=3)),
+)
+
+
+def _replay(ops, as_input, tree_cls=RadixTree):
+    """Run ``ops`` on a fresh tree, handing it tokens through ``as_input``;
+    returns every return value, the final refcounts and the tree."""
+    cache = PagedKVCache(24, _PAGE, 1, 4)
+    tree = tree_cls(cache)
+    out = []
+    for op in ops:
+        if op[0] == "insert":
+            tokens = op[1] + [9] * op[2]  # a ragged tail is never cached
+            matched, pages = tree.match_prefix(as_input(tokens))
+            need = -(-len(tokens) // _PAGE) - len(pages)
+            if need > cache.num_free_pages:
+                tree.evict_until(need)
+            if need > cache.num_free_pages:
+                continue
+            sid = cache.new_seq(shared_pages=pages, shared_len=matched)
+            cache.extend(sid, len(tokens) - matched)
+            out.append((matched, pages, tree.insert(as_input(tokens), cache.seq_pages(sid))))
+            cache.free_seq(sid)
+        elif op[0] == "match_prefix":
+            out.append(tree.match_prefix(as_input(op[1] + [9] * op[2])))
+        else:
+            out.append(getattr(tree, op[0])(op[1]))
+    refcounts = [cache.page_refcount(p) for p in range(cache.num_pages)]
+    return out, refcounts, tree
+
+
+class TestInputsAndOracle:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.lists(_op, min_size=1, max_size=24))
+    def test_lists_arrays_and_the_old_walks_build_the_same_tree(self, ops):
+        out_l, ref_l, tree_l = _replay(ops, list)
+        out_a, ref_a, tree_a = _replay(ops, lambda t: np.asarray(t, dtype=np.int64))
+        assert out_a == out_l
+        assert ref_a == ref_l
+        state = tree_a.export_state()
+        assert state == tree_l.export_state()
+        # ... and the same as the predecessor's two per-page walks: return
+        # values, refcounts, split points and LRU clocks.
+        out_o, ref_o, tree_o = _replay(ops, list, TwoWalkRadixTree)
+        assert (out_o, ref_o, tree_o.export_state()) == (out_l, ref_l, state)
+        # The snapshot trap: array-fed labels must still be Python ints.
+        assert len(json.dumps(state)) == len(json.dumps(tree_l.export_state()))
+        rebuilt = RadixTree.from_state(tree_a.cache, json.loads(json.dumps(state)))
+        for op in ops:
+            if op[0] in ("insert", "match_prefix"):
+                tokens = op[1] + [9] * op[2]
+                # ``match_prefix`` may split a node, so compare on copies' answers only.
+                assert rebuilt.match_prefix(tokens) == tree_l.match_prefix(tokens)

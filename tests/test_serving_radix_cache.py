@@ -7,7 +7,10 @@ byte-identical to a cold-cache run, across eviction pressure, crash
 recovery, and the cluster's cache-aware router.
 """
 
-import pytest
+import json
+import sys
+import types
+from pathlib import Path
 
 from repro.core import HeadConfig
 from repro.faults import ResilienceConfig
@@ -24,6 +27,8 @@ from repro.serving import (
     ServingEngine,
     shared_prefix_workload,
 )
+from repro.serving.batching import BatchFormer, RunState
+from repro.serving.metrics import ServingMetrics
 
 MODEL = LLAMA_3_1_8B
 HEADS = HeadConfig(MODEL.num_qo_heads, MODEL.num_kv_heads, MODEL.head_dim)
@@ -247,6 +252,88 @@ class TestCrashRecovery:
         assert report.compared == len(expected)
         # The recovered lives kept serving from the cache.
         assert report.metrics.radix_hit_tokens > 0
+
+
+class TestPrefixPathDoesNoPerTokenPython:
+    """A structural guard, not a stopwatch: the Python-level calls made by
+    matching and then inserting a prompt do not depend on its length."""
+
+    @staticmethod
+    def _calls(prefix):
+        cfg = EngineConfig(prefix_cache=True)
+        cache = PagedKVCache(1 << 13, cfg.page_size, 8, 128, materialize=False)
+        reqs = [Request(0.0, prefix + 64, 4, prefix_group=1, prefix_len=prefix)] * 2
+        state = RunState(requests=reqs, cache=cache, metrics=ServingMetrics(),
+                         radix=RadixTree(cache))
+        eng = types.SimpleNamespace(config=cfg, _step_prefix_hits=0, _step_radix_hit_tokens=0)
+        former = BatchFormer(eng, state, admission=None)
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            calls += event == "call"
+
+        for idx in (0, 1):  # cold (a miss, then a leaf), then measured warm
+            calls = 0
+            sys.setprofile(count)
+            try:
+                sid, todo = former._start_prefill_seq(cache, idx)
+            finally:
+                sys.setprofile(None)
+            cache.extend(sid, todo)
+            sys.setprofile(count)
+            try:
+                former._radix_insert(idx, sid)
+            finally:
+                sys.setprofile(None)
+        assert todo == 64 and state.metrics.radix_hit_tokens == prefix
+        return calls
+
+    def test_call_count_is_small_and_constant_in_prompt_length(self):
+        short = self._calls(4096)
+        assert short <= 60  # one call per token was > 8 000
+        assert self._calls(32768) == short
+
+
+class TestGoldenRun:
+    """``golden_prefix_cache_run.json`` was written by the commit before
+    prompts became arrays and first-page keys: hits, cascade steps and
+    every simulated instant of a shared-prefix run, plain and resumed from
+    a mid-run snapshot, as exact floats."""
+
+    CFG = EngineConfig(max_running=64, chunked_prefill=True, prefix_cache=True,
+                       composable=True)
+
+    @staticmethod
+    def _fields(m):
+        return {
+            "radix_hit_tokens": m.radix_hit_tokens,
+            "radix_hit_prompts": m.radix_hit_prompts,
+            "cascade_steps": m.cascade_steps,
+            "total_time": m.total_time,
+            "first_token_time": [t.first_token_time for t in m.traces],
+        }
+
+    def test_plain_and_resumed_runs_equal_the_golden(self):
+        golden = json.loads(
+            (Path(__file__).parent / "golden_prefix_cache_run.json").read_text())
+        reqs = shared_prefix_workload(24, 60.0, seed=0, num_groups=3)
+        plain = ServingEngine.from_config(self.CFG).run(reqs)
+        assert self._fields(plain) == golden["run"]
+
+        resil = ResilienceConfig()
+        base = ServingEngine.from_config(self.CFG, resilience=resil).run(reqs)
+        store = CheckpointStore()
+        report = CrashHarness(
+            lambda: ServingEngine.from_config(
+                self.CFG, checkpoint=CheckpointConfig(every_steps=4),
+                checkpoint_store=store, resilience=resil),
+            reqs, store, crash_script=[(30, "mid-step")],
+            expected_tokens=tokens_by_stream(base),
+        ).run()
+        assert (report.crashes, report.recoveries) == (1, 1)
+        assert report.token_divergence == 0 and report.compared == 24
+        assert self._fields(report.metrics) == golden["resumed"]
 
 
 # -- the cluster path ---------------------------------------------------------
