@@ -12,8 +12,8 @@ import pytest
 from conftest import emit_table, make_paged_mapping
 from repro import A100_40G, BatchAttentionWrapper, WorkspaceBuffer
 from repro.core import HeadConfig, VANILLA
-from repro.core.composition import contraction_cost
-from repro.core.scheduler import MergeEntry
+from repro.core.scheduler import COL_QROWS, COL_SLOT
+from repro.core.simulate import merge_cost_arrays
 
 HEADS = HeadConfig(32, 8, 128)
 
@@ -29,24 +29,16 @@ def run_experiment():
 
     # Emulate "no writethrough": every work item routes through a partial
     # slot and gets a (possibly single-slot) merge entry.
-    items = [item for q in plan.cta_queues for item in q]
-    n_direct = sum(1 for item in items if item.partial_slot < 0)
-    g = HEADS.group_size
-    extra_partial_bytes = 0.0
-    extra_merges = []
-    for item in items:
-        if item.partial_slot < 0:
-            rows = item.q_rows * g
-            extra_partial_bytes += rows * (HEADS.head_dim + 1) * 4
-            extra_merges.append(
-                MergeEntry(0, item.group, item.q_start, item.q_rows, item.kv_head, (0,))
-            )
-    merge_time = sum(
-        w.executor.cost_model.tile_time(
-            contraction_cost(m, m.q_rows * g, HEADS.head_dim)
-        )
-        for m in extra_merges
-    ) / w.num_ctas
+    direct = plan.items[plan.items[:, COL_SLOT] < 0]
+    n_direct = len(direct)
+    rows = direct[:, COL_QROWS] * HEADS.group_size
+    extra_partial_bytes = float((rows * (HEADS.head_dim + 1) * 4).sum())
+    cm = w.executor.cost_model
+    extra = merge_cost_arrays(np.ones(n_direct), rows, HEADS.head_dim, cm, 1.0)
+    # One CTA's roofline time per single-slot merge (KernelCostModel.tile_time).
+    compute = extra.flops / cm.spec.sm_cuda_core_flops
+    memory = extra.traffic / cm.spec.sm_bandwidth
+    merge_time = sum((np.maximum(compute, memory) + cm.tile_latency).tolist()) / w.num_ctas
     without_wt_makespan = with_wt.makespan + merge_time
     without_partial_slots = plan.num_partial_slots + n_direct
 

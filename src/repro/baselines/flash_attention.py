@@ -197,7 +197,7 @@ class FlashAttentionBaseline:
                 self.variant.bind_params({}), 1.0 / np.sqrt(self.heads.head_dim),
                 kv_tile, out, lse, partial_o, partial_lse,
                 kv_dtype=self.kv_dtype, fuse_head_groups=True,
-                sparse_gather=sparse_gather, compute=True,
+                sparse_gather=sparse_gather,
             )
         self.last_report = report
         return out, report

@@ -11,9 +11,9 @@ from repro.core.scheduler import (
     plan_signature,
     plan_unbalanced,
 )
-from repro.core.composition import contract_entry, contraction_cost, distribute_merges
+from repro.core.composition import contract_entry
 from repro.core.tiles import select_kv_tile, select_q_tile, select_tiles
-from repro.core.kernels import HeadConfig, reference_attention, run_mapping, work_item_cost
+from repro.core.kernels import HeadConfig, reference_attention, run_mapping
 from repro.core.wrapper import BatchAttentionWrapper, ComposableAttentionWrapper
 
 __all__ = [
@@ -37,15 +37,12 @@ __all__ = [
     "plan_signature",
     "plan_unbalanced",
     "contract_entry",
-    "contraction_cost",
-    "distribute_merges",
     "select_kv_tile",
     "select_q_tile",
     "select_tiles",
     "HeadConfig",
     "reference_attention",
     "run_mapping",
-    "work_item_cost",
     "BatchAttentionWrapper",
     "ComposableAttentionWrapper",
 ]

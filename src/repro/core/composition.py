@@ -4,19 +4,18 @@ Split-KV tiles produce partial attention states in the workspace; this
 kernel contracts each tile's states with ``⊕`` in the planned order —
 variable-length aggregation, deterministic for identical sequence lengths
 (§3.3.1).  Like the attention kernel it is persistent: merge entries are
-distributed over the same fixed CTA grid, and its memory traffic is
-accounted with the same cost model.
+distributed round-robin over the same fixed CTA grid, and its memory traffic
+is priced by the same cost model (``core/simulate.merge_cost_arrays``).
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from repro.core.scheduler import MergeEntry
 from repro.core.state import merge_states, merge_states_sum
-from repro.gpu.cost import TileCost
 
 
 def contract_entry(
@@ -54,38 +53,3 @@ def contract_slots(
         else:
             o = merge_states_sum(o, partial_o[s])
     return o, lse
-
-
-def contraction_cost(
-    entry: MergeEntry, rows: int, head_dim: int, partial_itemsize: int = 4
-) -> TileCost:
-    """Memory footprint of contracting one merge entry.
-
-    Reads every slot's ``rows × (head_dim + 1)`` partial state, writes one
-    final tile.  Contraction is bandwidth-bound (a handful of FLOPs per
-    element), so ``flops`` counts the exp/log/FMA work only loosely.
-    """
-    n = len(entry.slots)
-    state_bytes = rows * (head_dim + 1) * partial_itemsize
-    return TileCost(
-        flops=4.0 * n * rows * head_dim,
-        padded_flops=4.0 * n * rows * head_dim,
-        bytes_read=float(n * state_bytes),
-        bytes_written=float(rows * head_dim * partial_itemsize),
-        uses_tensor_cores=False,
-    )
-
-
-def distribute_merges(
-    merges: Sequence[MergeEntry], num_ctas: int
-) -> List[List[int]]:
-    """Round-robin merge entries over the persistent CTA grid.
-
-    Entries are tiny and near-uniform (≤ 2·#CTA of them exist, Appendix
-    D.3), so round-robin is adequate; determinism comes from the fixed
-    order within each queue.
-    """
-    queues: List[List[int]] = [[] for _ in range(num_ctas)]
-    for i in range(len(merges)):
-        queues[i % num_ctas].append(i)
-    return queues

@@ -10,11 +10,9 @@ that read it, the kernel produces the heads' partial attention states over the
 KV tiles the causal mask lets some row see, and each is written either to the
 final output (writethrough) or to its workspace partial slot; the contraction
 folds the heads of a split tile the same way.  The per-item path this
-replaced is kept as the oracle in ``tests/reference_kernels.py``.  Alongside
-the numerics ``run_mapping`` builds per-CTA :class:`~repro.gpu.cost.TileCost`
-queues for the simulated GPU, so a benchmark can skip the numerics
-(``compute=False``) and still obtain exact traffic/FLOP accounting at
-paper-scale problem sizes.
+replaced is kept as the oracle in ``tests/reference_kernels.py``.  The launch
+is priced elsewhere: :mod:`repro.core.simulate` charges every launch, computed
+or cost-only, from the plan arrays.
 
 ``reference_attention`` is the O(n²) dense safe-softmax oracle used by the
 test suite.
@@ -27,7 +25,7 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.composition import contract_slots, contraction_cost
+from repro.core.composition import contract_slots
 from repro.core.jit import CompiledKernel
 from repro.core.scheduler import (
     COL_GROUP,
@@ -42,10 +40,8 @@ from repro.core.scheduler import (
     MERGE_QROWS,
     MERGE_QSTART,
     SchedulePlan,
-    WorkItem,
 )
 from repro.gpu.cost import TileCost
-from repro.sparse.bsr import ceil_div
 from repro.sparse.layout import AttentionMapping
 from repro.utils.dtypes import StorageDType, round_to_storage
 
@@ -131,95 +127,6 @@ def sampled_isfinite(out: np.ndarray, sample_stride: int = 1) -> bool:
     return bool(np.isfinite(sample).all())
 
 
-def kv_reuse_factor(item: WorkItem, mapping: AttentionMapping, q_tile_size: int) -> int:
-    """Number of query tiles in the item's group that read its KV chunk.
-
-    Causal groups: tiles whose last query position reaches the chunk's
-    first KV position.  Non-causal groups: every tile.
-    """
-    lq = int(mapping.qo_lens[item.group])
-    n_tiles = ceil_div(lq, q_tile_size) if lq else 1
-    if not mapping.causal:
-        return max(n_tiles, 1)
-    first_row = (
-        int(mapping.kv_pos_offset[item.group]) + item.kv_start
-        - int(mapping.q_pos_offset[item.group])
-    )
-    first_row = min(max(first_row, 0), max(lq - 1, 0))
-    return max(n_tiles - first_row // q_tile_size, 1)
-
-
-def work_item_cost(
-    item: WorkItem,
-    mapping: AttentionMapping,
-    heads: HeadConfig,
-    kv_tile: int,
-    kv_dtype: StorageDType,
-    q_tile_size: int,
-    fuse_head_groups: bool,
-    uses_tensor_cores: bool,
-    sparse_gather: bool,
-    compute_penalty: float = 1.0,
-) -> TileCost:
-    """Roofline footprint of one work item.
-
-    Models causal skipping (KV tiles entirely above the diagonal are never
-    loaded or computed), tile padding waste, GQA head-group fusion (KV
-    loaded once per KV head rather than once per query head), and the
-    transaction efficiency of sparse gathers.
-    """
-    g_eff = heads.group_size if fuse_head_groups else 1
-    d = heads.head_dim
-    chunk = item.kv_len
-    q_pos0 = int(mapping.q_pos_offset[item.group]) + item.q_start
-    kv_pos0 = int(mapping.kv_pos_offset[item.group]) + item.kv_start
-
-    if mapping.causal and chunk > 0:
-        counts = np.clip(
-            (q_pos0 + np.arange(item.q_rows)) - kv_pos0 + 1, 0, chunk
-        )
-        useful_cols = int(counts.sum())
-        max_count = int(counts.max())
-        processed = min(chunk, ceil_div(max_count, kv_tile) * kv_tile) if max_count else 0
-    else:
-        useful_cols = item.q_rows * chunk
-        processed = chunk
-
-    flops = 4.0 * d * useful_cols * g_eff
-    padded_rows = q_tile_size * g_eff
-    padded_flops = 4.0 * d * padded_rows * processed * compute_penalty
-
-    # A KV chunk is re-read by every later query tile of its group; the
-    # re-reads hit L2 (the working set is a few MB), so only 1/reuse of the
-    # logical KV traffic goes to HBM.  Decode (one tile per group) has
-    # reuse 1.  This is what makes prefill compute-bound in practice.
-    reuse = kv_reuse_factor(item, mapping, q_tile_size)
-    kv_bytes = processed * d * 2 * kv_dtype.itemsize / reuse
-    q_bytes = item.q_rows * g_eff * d * Q_ITEMSIZE
-    if item.partial_slot >= 0:
-        out_bytes = item.q_rows * g_eff * (d + 1) * PARTIAL_ITEMSIZE
-    else:
-        out_bytes = item.q_rows * g_eff * d * Q_ITEMSIZE
-
-    if sparse_gather and processed > 0:
-        bc = mapping.kv.block_size
-        run_bytes = float(min(bc, processed) * d * kv_dtype.itemsize)
-        segments = 2 * ceil_div(processed, bc)
-    else:
-        run_bytes = 0.0
-        segments = 0
-
-    return TileCost(
-        flops=flops,
-        padded_flops=padded_flops,
-        bytes_read=float(kv_bytes + q_bytes),
-        bytes_written=float(out_bytes),
-        contiguous_run_bytes=run_bytes,
-        n_gather_segments=segments,
-        uses_tensor_cores=uses_tensor_cores,
-    )
-
-
 def run_mapping(
     q: np.ndarray,
     k_pool: np.ndarray,
@@ -239,37 +146,25 @@ def run_mapping(
     fuse_head_groups: bool = True,
     sparse_gather: bool = True,
     uses_tensor_cores: bool = True,
-    compute: bool = True,
     compute_penalty: float = 1.0,
 ) -> Tuple[List[List[TileCost]], List[TileCost]]:
-    """Execute one mapping's plan: numerics into ``out``/``lse``, costs out.
+    """Execute one mapping's plan: numerics into ``out``/``lse``.
 
     ``out`` (``(total_q, H_qo, D)``) and ``lse`` (``(total_q, H_qo)``) are
     written only at rows/heads this mapping covers.  Split tiles go through
     ``partial_o``/``partial_lse`` (``(slots, max_rows, D)`` / ``(slots,
     max_rows)``) and are contracted per the plan's merge entries.
 
-    Returns ``(cta_cost_queues, merge_costs)`` for the simulated GPU.
+    Returns ``(cta_cost_queues, merge_costs)``, the plan's footprint as
+    :class:`~repro.gpu.cost.TileCost` objects.  Nothing in the library reads
+    it — the wrapper prices the launch itself — but the benchmark's
+    ``core.kernels`` probe does; the return value goes when the probe is
+    unpinned (ROADMAP item 1(b)).
     """
+    from repro.core.simulate import plan_tile_costs  # it imports this module
+
     g = heads.group_size
-    d = heads.head_dim
     g_eff = g if fuse_head_groups else 1
-    cost_queues = [
-        [
-            work_item_cost(
-                item, mapping, heads, kv_tile, kv_dtype, plan.q_tile_size,
-                fuse_head_groups, uses_tensor_cores, sparse_gather, compute_penalty,
-            )
-            for item in queue
-        ]
-        for queue in plan.cta_queues
-    ]
-    merge_costs = [
-        contraction_cost(entry, entry.q_rows * g_eff, d, PARTIAL_ITEMSIZE)
-        for entry in plan.merges
-    ]
-    if not compute:
-        return cost_queues, merge_costs
 
     def query_heads(sched: np.ndarray) -> np.ndarray:
         # (heads, g_eff): a fused KV head's GQA group, or the query head itself.
@@ -337,7 +232,10 @@ def run_mapping(
             kernel.variant.use_softmax,
         )
         write_heads(o, s, group, q_start, query_heads(meta[rows, MERGE_KVHEAD]))
-    return cost_queues, merge_costs
+    return plan_tile_costs(
+        plan, mapping, heads, kv_tile, kv_dtype, fuse_head_groups,
+        uses_tensor_cores, sparse_gather, compute_penalty,
+    )
 
 
 def _tiles(keys: np.ndarray, head: np.ndarray) -> Iterator[Tuple[List[int], np.ndarray]]:

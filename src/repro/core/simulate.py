@@ -1,25 +1,35 @@
-"""Vectorized cost-only plan simulation.
+"""The cost model: every launch is priced from the serialized plan arrays.
 
-``run_mapping`` prices work items one by one in Python next to the numeric
-kernels it launches.  Benchmarks and the serving engine, however, run
-thousands of cost-only steps (``compute=False``) where only the simulated
-GPU report matters — this module computes identical
-:class:`~repro.gpu.cost.TileCost` aggregates with NumPy over the *serialized
-plan arrays* (the same arrays the workspace holds), typically two orders of
-magnitude faster.  ``tests/test_core_simulate.py`` pins the equivalence against
-the per-item path.
+A plan's work items and merges are priced with NumPy over the same tables
+the workspace holds — one column per :class:`~repro.gpu.cost.TileCost` field
+(``item_footprints`` / ``merge_footprints``), then the executor's stream
+conversion (``item_cost_arrays`` / ``merge_cost_arrays``) and the
+shared-bandwidth drain.  ``BatchAttentionWrapper.run`` prices a launch here
+whether or not it also computes numerics.  The per-object model this replaced
+(one ``TileCost`` per work item, priced through ``run_persistent``) is the
+oracle in ``tests/reference_costs.py``; ``tests/test_costs_equivalence.py``
+pins this module to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.core.kernels import PARTIAL_ITEMSIZE, Q_ITEMSIZE, HeadConfig
-from repro.core.scheduler import COL_GROUP, COL_KVSTART, COL_KVSTOP, COL_QROWS, COL_QSTART, COL_SLOT
-from repro.gpu.cost import TRANSACTION_BYTES, KernelCostModel
+from repro.core.scheduler import (
+    COL_GROUP,
+    COL_KVSTART,
+    COL_KVSTOP,
+    COL_QROWS,
+    COL_QSTART,
+    COL_SLOT,
+    MERGE_QROWS,
+    SchedulePlan,
+)
+from repro.gpu.cost import TRANSACTION_BYTES, KernelCostModel, TileCost
 from repro.gpu.executor import PersistentKernelExecutor, SimReport
 from repro.sparse.layout import AttentionMapping
 from repro.utils.dtypes import StorageDType
@@ -60,7 +70,20 @@ class PlanCostArrays:
     traffic: np.ndarray  # logical bytes (read+written) per item
 
 
-def item_cost_arrays(
+@dataclass
+class ItemFootprints:
+    """The hardware-independent footprint of a plan's work items: one column
+    per :class:`~repro.gpu.cost.TileCost` field, one entry per item."""
+
+    flops: np.ndarray  # useful FLOPs
+    padded: np.ndarray  # executed FLOPs, tile padding included
+    bytes_read: np.ndarray  # KV (after L2 reuse) + query bytes
+    out_bytes: np.ndarray  # final tile, or the partial state of a split one
+    run_bytes: np.ndarray  # contiguous run of a sparse gather, where segments > 0
+    segments: np.ndarray  # gather segments; 0 for dense loads and unseen chunks
+
+
+def item_footprints(
     item_arr: np.ndarray,
     mapping: AttentionMapping,
     heads: HeadConfig,
@@ -68,17 +91,16 @@ def item_cost_arrays(
     kv_dtype: StorageDType,
     q_tile_size: int,
     fuse_head_groups: bool,
-    uses_tensor_cores: bool,
     sparse_gather: bool,
-    cost_model: KernelCostModel,
-    compute_share: float,
     compute_penalty: float = 1.0,
-) -> PlanCostArrays:
-    """Vectorized equivalent of :func:`repro.core.kernels.work_item_cost`
-    followed by the executor's stream conversion."""
-    if item_arr.size == 0:
-        z = np.zeros(0)
-        return PlanCostArrays(z, z, z, z)
+) -> ItemFootprints:
+    """Roofline footprint of every work item.
+
+    Models causal skipping (KV tiles entirely above the diagonal are never
+    loaded or computed), tile padding waste, GQA head-group fusion (KV
+    loaded once per KV head rather than once per query head), and the
+    run length and segment count of sparse gathers.
+    """
     g_eff = heads.group_size if fuse_head_groups else 1
     d = heads.head_dim
     group = item_arr[:, COL_GROUP]
@@ -97,8 +119,11 @@ def item_cost_arrays(
     flops = 4.0 * d * useful_cols * g_eff
     padded = 4.0 * d * (q_tile_size * g_eff) * processed * compute_penalty
 
-    # KV re-reads across a group's query tiles hit L2; only the first read
-    # pays HBM traffic (see kernels.kv_reuse_factor).
+    # A KV chunk is re-read by every later query tile of its group (causal:
+    # the tiles whose last query position reaches the chunk's first KV
+    # position); the re-reads hit L2 (the working set is a few MB), so only
+    # 1/reuse of the logical KV traffic goes to HBM.  Decode (one tile per
+    # group) has reuse 1.  This is what makes prefill compute-bound in practice.
     lq = mapping.qo_lens[group].astype(np.float64)
     n_tiles = np.maximum(np.ceil(lq / q_tile_size), 1.0)
     if mapping.causal:
@@ -118,17 +143,44 @@ def item_cost_arrays(
         rows * g_eff * (d + 1) * PARTIAL_ITEMSIZE,
         rows * g_eff * d * Q_ITEMSIZE,
     )
-    bytes_read = kv_bytes + q_bytes
 
     if sparse_gather:
         bc = mapping.kv.block_size
         run_bytes = np.minimum(bc, np.maximum(processed, 1.0)) * d * kv_dtype.itemsize
-        waste = np.ceil(run_bytes / TRANSACTION_BYTES) * TRANSACTION_BYTES / run_bytes
-        eff_read = np.where(processed > 0, bytes_read * waste, bytes_read)
         segments = np.where(processed > 0, 2.0 * np.ceil(processed / bc), 0.0)
     else:
-        eff_read = bytes_read
-        segments = np.zeros_like(bytes_read)
+        run_bytes = segments = np.zeros_like(q_bytes)
+    return ItemFootprints(flops, padded, kv_bytes + q_bytes, out_bytes, run_bytes, segments)
+
+
+def item_cost_arrays(
+    item_arr: np.ndarray,
+    mapping: AttentionMapping,
+    heads: HeadConfig,
+    kv_tile: int,
+    kv_dtype: StorageDType,
+    q_tile_size: int,
+    fuse_head_groups: bool,
+    uses_tensor_cores: bool,
+    sparse_gather: bool,
+    cost_model: KernelCostModel,
+    compute_share: float,
+    compute_penalty: float = 1.0,
+) -> PlanCostArrays:
+    """:func:`item_footprints` followed by the executor's stream conversion
+    (transaction-quantized gathers, the compute roof, per-tile latencies)."""
+    if item_arr.size == 0:
+        z = np.zeros(0)
+        return PlanCostArrays(z, z, z, z)
+    fp = item_footprints(
+        item_arr, mapping, heads, kv_tile, kv_dtype, q_tile_size,
+        fuse_head_groups, sparse_gather, compute_penalty,
+    )
+    if sparse_gather:
+        waste = np.ceil(fp.run_bytes / TRANSACTION_BYTES) * TRANSACTION_BYTES / fp.run_bytes
+        eff_read = np.where(fp.segments > 0, fp.bytes_read * waste, fp.bytes_read)
+    else:
+        eff_read = fp.bytes_read
 
     spec = cost_model.spec
     roof = (
@@ -137,17 +189,30 @@ def item_cost_arrays(
         else spec.sm_cuda_core_flops
     ) * compute_share
     serial = (
-        padded / roof
-        + segments * cost_model.gather_issue_overhead
+        fp.padded / roof
+        + fp.segments * cost_model.gather_issue_overhead
         + cost_model.tile_latency
     )
-    mem = (eff_read + out_bytes) / cost_model.mem_efficiency
+    mem = (eff_read + fp.out_bytes) / cost_model.mem_efficiency
     return PlanCostArrays(
         serial=serial,
         mem=mem,
-        flops=flops,
-        traffic=bytes_read + out_bytes,
+        flops=fp.flops,
+        traffic=fp.bytes_read + fp.out_bytes,
     )
+
+
+def merge_footprints(
+    n_slots_per_merge: np.ndarray, rows_eff: np.ndarray, head_dim: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(flops, bytes_read, bytes_written)`` of contracting each merge entry:
+    it reads every slot's ``rows × (head_dim + 1)`` partial state and writes
+    one final tile.  Contraction is bandwidth-bound (a handful of FLOPs per
+    element), so ``flops`` counts the exp/log/FMA work only loosely."""
+    n = n_slots_per_merge.astype(np.float64)
+    r = rows_eff.astype(np.float64)
+    state_bytes = r * (head_dim + 1) * PARTIAL_ITEMSIZE
+    return 4.0 * n * r * head_dim, n * state_bytes, r * head_dim * PARTIAL_ITEMSIZE
 
 
 def merge_cost_arrays(
@@ -161,17 +226,48 @@ def merge_cost_arrays(
     if n_slots_per_merge.size == 0:
         z = np.zeros(0)
         return PlanCostArrays(z, z, z, z)
-    n = n_slots_per_merge.astype(np.float64)
-    r = rows_eff.astype(np.float64)
-    state_bytes = r * (head_dim + 1) * PARTIAL_ITEMSIZE
-    flops = 4.0 * n * r * head_dim
-    bytes_read = n * state_bytes
-    bytes_written = r * head_dim * PARTIAL_ITEMSIZE
-    spec = cost_model.spec
-    roof = spec.sm_cuda_core_flops * compute_share
+    flops, bytes_read, bytes_written = merge_footprints(n_slots_per_merge, rows_eff, head_dim)
+    roof = cost_model.spec.sm_cuda_core_flops * compute_share
     serial = flops / roof + cost_model.tile_latency
     mem = (bytes_read + bytes_written) / cost_model.mem_efficiency
     return PlanCostArrays(serial, mem, flops, bytes_read + bytes_written)
+
+
+def plan_tile_costs(
+    plan: SchedulePlan,
+    mapping: AttentionMapping,
+    heads: HeadConfig,
+    kv_tile: int,
+    kv_dtype: StorageDType,
+    fuse_head_groups: bool,
+    uses_tensor_cores: bool,
+    sparse_gather: bool,
+    compute_penalty: float = 1.0,
+) -> Tuple[List[List[TileCost]], List[TileCost]]:
+    """The footprint columns as objects: ``(per-CTA TileCost queues, one
+    TileCost per merge)`` — the return value of ``run_mapping``, which only
+    the benchmark's probe still reads."""
+    fp = item_footprints(
+        plan.items, mapping, heads, kv_tile, kv_dtype, plan.q_tile_size,
+        fuse_head_groups, sparse_gather, compute_penalty,
+    )
+    columns = (
+        fp.flops, fp.padded, fp.bytes_read, fp.out_bytes,
+        np.where(fp.segments > 0, fp.run_bytes, 0.0), fp.segments.astype(np.int64),
+    )
+    costs = [
+        TileCost(*row, uses_tensor_cores) for row in zip(*(c.tolist() for c in columns))
+    ]
+    ptr = plan.cta_indptr.tolist()
+    g_eff = heads.group_size if fuse_head_groups else 1
+    merges = merge_footprints(
+        plan.merge_indptr[1:] - plan.merge_indptr[:-1],
+        plan.merge_meta[:, MERGE_QROWS] * g_eff, heads.head_dim,
+    )
+    return [costs[a:b] for a, b in zip(ptr, ptr[1:])], [
+        TileCost(f, f, r, w, uses_tensor_cores=False)
+        for f, r, w in zip(*(c.tolist() for c in merges))
+    ]
 
 
 def simulate_queues(

@@ -17,6 +17,12 @@ output).  For ``use_softmax=False`` variants the sweep degenerates to masked
 weighted accumulation and states compose by addition.  Q/K/V transform
 functors keep their 2-D tile contract: when one is declared it is applied
 head by head, otherwise no per-head code is rendered at all.
+
+A KV tile that the mask hides from every row leaves the running state as it
+was (``p = 0``, ``rescale`` is 1, or 0 while ``d`` and ``acc`` are still
+zero; the sum form adds ``0 @ vt``), so a kernel with a ``logits_mask``
+functor tests for it as soon as the mask is known and moves on — what
+skipping an empty block of the sparse format is in FlashInfer (§3.1).
 """
 
 from __future__ import annotations
@@ -41,7 +47,9 @@ def {kernel_name}(q, k, v, q_pos, kv_pos, q_head, kv_head, params,
     params : bound variant parameters; sm_scale : float; causal : bool;
     kv_tile : int — inner tile size of the online sweep.  Under ``causal``
     the sweep ends with the last KV tile some row can see: whole tiles only,
-    so every tile it does visit keeps its length and its operands.
+    so every tile it does visit keeps its length and its operands.  The mask
+    never sees ``k``, so it is evaluated first; a variant with a mask functor
+    skips — before any load, transform or product — each tile it hides whole.
     """
     heads, rows, head_dim = q.shape
     kv_len = k.shape[1]
@@ -58,18 +66,18 @@ def {kernel_name}(q, k, v, q_pos, kv_pos, q_head, kv_head, params,
     kv_head_col = kv_head[:, None, None]
     for t0 in range(0, kv_len, kv_tile):
         t1 = min(t0 + kv_tile, kv_len)
-        kt = np.asarray(k[:, t0:t1], dtype=np.float64, order="C")
-        vt = np.asarray(v[:, t0:t1], dtype=np.float64, order="C")
         kv_pos_t = kv_pos[t0:t1]
-{apply_key_transform}
-{apply_value_transform}
-        logits = (q @ kt.transpose(0, 2, 1)) * sm_scale
         kv_pos_row = kv_pos_t[None, :]
-{apply_logits_transform}
         keep = np.ones((heads, rows, t1 - t0), dtype=bool)
         if causal:
             keep &= q_pos_col >= kv_pos_row
 {apply_logits_mask}
+        kt = np.asarray(k[:, t0:t1], dtype=np.float64, order="C")
+        vt = np.asarray(v[:, t0:t1], dtype=np.float64, order="C")
+{apply_key_transform}
+{apply_value_transform}
+        logits = (q @ kt.transpose(0, 2, 1)) * sm_scale
+{apply_logits_transform}
 {accumulate}
 {finalize}
 '''
@@ -130,7 +138,9 @@ _HELPER_TEMPLATES = {
     ),
     "logits_mask": (
         "def _logits_mask(q_pos, kv_pos, q_head, kv_head, params):\n    return ({expr})\n",
-        "        keep &= _logits_mask(q_pos_col, kv_pos_row, q_head_col, kv_head_col, params)",
+        "        keep &= _logits_mask(q_pos_col, kv_pos_row, q_head_col, kv_head_col, params)\n"
+        "        if not keep.any():\n"
+        "            continue",
     ),
 }
 

@@ -21,7 +21,6 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.composition import distribute_merges
 from repro.core.jit import CompiledKernel, KernelTraits, get_kernel
 from repro.core.kernels import (
     PARTIAL_ITEMSIZE,
@@ -345,10 +344,9 @@ class BatchAttentionWrapper:
     # -- run -------------------------------------------------------------------
 
     def _simulate_fast(self) -> SimReport:
-        """Cost-only execution: vectorized over the serialized plan arrays.
-
-        Equivalent to the per-item path (pinned by ``tests/test_core_simulate.py``)
-        but ~100× faster — used by benchmarks and the serving engine.
+        """Price the planned launch — attention kernel, then contraction
+        kernel — from the serialized plan arrays, numerics or not.  Pinned to
+        the per-object model of ``tests/reference_costs.py``.
         """
         from repro.core.simulate import (
             item_cost_arrays,
@@ -414,8 +412,8 @@ class BatchAttentionWrapper:
         planned = int((mapping.q_row_starts + mapping.qo_lens).max()) if mapping.num_groups else 0
         total_q = _num_query_rows(q, compute, planned)
         if compute and out is None:
-            # Staged in float32: the compute precision DESIGN.md states and
-            # what the split-KV partials already are (App. D.3).
+            # Staged in float32 (the kernel computes in float64): what the
+            # split-KV partials already are (App. D.3).
             out = np.zeros(
                 (total_q, self.heads.num_qo_heads, self.heads.head_dim), dtype=np.float32
             )
@@ -431,25 +429,17 @@ class BatchAttentionWrapper:
         ].reshape(self._max_slots, self._max_rows_eff)
 
         def launch() -> SimReport:
-            if not compute:
-                report = self._simulate_fast()
-            else:
-                plan = self._read_plan()
-                cost_queues, merge_costs = run_mapping(
-                    q, k_pool, v_pool, mapping, plan, self.kernel, self.heads,
+            if compute:
+                run_mapping(
+                    q, k_pool, v_pool, mapping, self._read_plan(), self.kernel, self.heads,
                     self._params, self._sm_scale, self.kv_tile, out, lse,
                     partial_o, partial_lse, kv_dtype=self.kv_dtype,
                     fuse_head_groups=self.fuse_head_groups,
                     sparse_gather=self.sparse_gather,
                     uses_tensor_cores=self.traits.uses_tensor_cores,
-                    compute=True, compute_penalty=self.compute_penalty,
+                    compute_penalty=self.compute_penalty,
                 )
-                report = self.executor.run_persistent(cost_queues)
-                if merge_costs:
-                    merge_queues = distribute_merges(plan.merges, self.num_ctas)
-                    cost_by_cta = [[merge_costs[i] for i in q_] for q_ in merge_queues]
-                    report = report.combine(self.executor.run_persistent(cost_by_cta))
-            self.last_report = report
+            report = self.last_report = self._simulate_fast()
             return report
 
         launch.current_signature = self._signature  # type: ignore[attr-defined]

@@ -10,11 +10,28 @@ bandwidth.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from typing import Tuple
+
 import numpy as np
 
 from repro.core.variant import AttentionVariant, ParamDecl
 
 DEFAULT_ROPE_THETA = 10000.0
+
+
+@lru_cache(maxsize=64)
+def _angle_table(pos: bytes, half: int, theta: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(cos, sin)`` of ``pos · theta^(-2i/d)``, ``(n, half)`` each,
+    for the float64 position vector whose bytes are ``pos``.  The heads of a
+    tile rotate by the same positions, so all but the first reuse the table;
+    a kernel passes at most a tile of positions at a time, which bounds an
+    entry at ``2 × 128 × 64`` float64 and the cache at 8 MB."""
+    freqs = theta ** (-np.arange(half, dtype=np.float64) * 2.0 / (2 * half))
+    ang = np.frombuffer(pos, dtype=np.float64)[:, None] * freqs[None, :]
+    cos, sin = np.cos(ang), np.sin(ang)
+    cos.flags.writeable = sin.flags.writeable = False
+    return cos, sin
 
 
 def apply_rope(x: np.ndarray, pos: np.ndarray, theta: float = DEFAULT_ROPE_THETA) -> np.ndarray:
@@ -28,9 +45,7 @@ def apply_rope(x: np.ndarray, pos: np.ndarray, theta: float = DEFAULT_ROPE_THETA
     if d % 2 != 0:
         raise ValueError(f"head_dim must be even for RoPE, got {d}")
     half = d // 2
-    freqs = theta ** (-np.arange(half, dtype=np.float64) * 2.0 / d)
-    ang = np.asarray(pos, dtype=np.float64)[:, None] * freqs[None, :]
-    cos, sin = np.cos(ang), np.sin(ang)
+    cos, sin = _angle_table(np.ascontiguousarray(pos, dtype=np.float64).tobytes(), half, theta)
     xr = x.reshape(n, half, 2)
     out = np.empty_like(xr)
     out[..., 0] = xr[..., 0] * cos - xr[..., 1] * sin

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +17,21 @@ from repro.utils.dtypes import StorageDType, round_to_storage
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+def benchmark_workloads():
+    """``benchmarks/e2e/workloads.py`` as a module (the harness is not a
+    package): the generated loads of the benchmark, for tests that pin a
+    property of exactly those inputs."""
+    path = Path(__file__).parents[1] / "benchmarks" / "e2e" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("e2e_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look themselves up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
 
 
 def make_paged_mapping(kv_lens, qo_lens, page_size=16, causal=True):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import contract_entry, contraction_cost, distribute_merges
+from reference_costs import contraction_cost, distribute_merges
+from repro.core import contract_entry
 from repro.core.scheduler import MergeEntry
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import make_paged_mapping, priced_kv_columns
-from repro.core import HeadConfig, reference_attention, work_item_cost
+from reference_costs import kv_reuse_factor, work_item_cost
+from repro.core import HeadConfig, reference_attention
 from repro.core.scheduler import WorkItem
 from repro.utils.dtypes import StorageDType
 
@@ -136,27 +137,19 @@ class TestKVReuseFactor:
         return WorkItem(0, group, 0, 0, 1, kv_start, kv_stop, 0, -1)
 
     def test_decode_reuse_is_one(self):
-        from repro.core.kernels import kv_reuse_factor
-
         mapping, _ = make_paged_mapping([1024], [1], 16)
         assert kv_reuse_factor(self._item(0, 1024), mapping, 16) == 1
 
     def test_prefill_first_chunk_read_by_all_tiles(self):
-        from repro.core.kernels import kv_reuse_factor
-
         mapping, _ = make_paged_mapping([256], [256], 16)
         # 256 queries, tile 64 → 4 tiles; the first KV chunk is visible to all.
         assert kv_reuse_factor(self._item(0, 64), mapping, 64) == 4
 
     def test_prefill_last_chunk_read_once(self):
-        from repro.core.kernels import kv_reuse_factor
-
         mapping, _ = make_paged_mapping([256], [256], 16)
         assert kv_reuse_factor(self._item(200, 256), mapping, 64) == 1
 
     def test_non_causal_every_tile(self):
-        from repro.core.kernels import kv_reuse_factor
-
         mapping, _ = make_paged_mapping([256], [256], 16, causal=False)
         assert kv_reuse_factor(self._item(200, 256), mapping, 64) == 4
 

@@ -1,4 +1,6 @@
-"""Pins the vectorized cost simulation to the per-item reference path."""
+"""Pins the vectorized cost simulation to the per-object reference model
+(``tests/reference_costs.py``) on named cases; the swept strategy and the
+``TileCost`` fields are in ``tests/test_costs_equivalence.py``."""
 
 import dataclasses
 
@@ -8,35 +10,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_paged_mapping
+from reference_costs import reference_report
 from repro import BatchAttentionWrapper, WorkspaceBuffer
 from repro.core import HeadConfig, VANILLA
 from repro.utils.dtypes import StorageDType
 
 
 def both_paths(heads, kv_lens, qo_lens, **kwargs):
-    """Run the slow (per-item) and fast (vectorized) paths; return reports."""
+    """Price one plan with the per-object reference (slow) and from the plan
+    arrays (fast, what ``run`` reports with or without numerics)."""
     page_size = kwargs.pop("page_size", 16)
     causal = kwargs.pop("causal", True)
     offsets = {k: kwargs.pop(k) for k in ("q_pos_offset", "kv_pos_offset") if k in kwargs}
-    mapping, slots = make_paged_mapping(kv_lens, qo_lens, page_size, causal)
+    mapping, _ = make_paged_mapping(kv_lens, qo_lens, page_size, causal)
     mapping = dataclasses.replace(mapping, **offsets)
     ws = WorkspaceBuffer(1 << 28)
     w = BatchAttentionWrapper(
         VANILLA, heads, ws, avg_qo_len=float(np.mean(qo_lens)), **kwargs
     )
-    w.plan(mapping)
-    total_q = mapping.total_qo
-    q = np.zeros((total_q, heads.num_qo_heads, heads.head_dim))
-    kp = np.zeros((slots, heads.num_kv_heads, heads.head_dim))
-    _, _, slow = w.run(q, kp, kp, compute=True)
+    slow = reference_report(w, w.plan(mapping))
     _, _, fast = w.run(None, compute=False)
     return slow, fast
 
 
 def assert_reports_equal(slow, fast):
-    assert fast.makespan == pytest.approx(slow.makespan, rel=1e-9)
-    assert fast.total_flops == pytest.approx(slow.total_flops, rel=1e-9)
-    assert fast.total_bytes == pytest.approx(slow.total_bytes, rel=1e-9)
+    assert fast.makespan == pytest.approx(slow.makespan, rel=1e-12)
+    assert fast.total_flops == pytest.approx(slow.total_flops, rel=1e-12)
+    assert fast.total_bytes == pytest.approx(slow.total_bytes, rel=1e-12)
     assert fast.num_tiles == slow.num_tiles
 
 

@@ -357,6 +357,156 @@ class TestFunctorContract:
         assert all(kv_lo <= q_hi for q_hi, kv_lo, _ in seen)
 
 
+class TestHiddenTilesAreSkipped:
+    """A kernel with a ``logits_mask`` functor evaluates the mask before it
+    loads a KV tile and skips the tile when no row can see a column of it.
+    The skip is exact: ``out``, ``lse`` and both partial buffers equal the
+    oracle's (``tests/reference_kernels.py`` sweeps every tile and masks),
+    and the key transform runs on the tiles with a visible column only."""
+
+    H_QO, H_KV, D, Q_TILE, KV_TILE = 4, 2, 8, 4, 8
+
+    @staticmethod
+    def _counting(mask_variant):
+        """``mask_variant`` with a key transform that reports each tile."""
+        from repro.core import compose_variants
+
+        counter = AttentionVariant(
+            name="counting",
+            params=(ParamDecl("seen"),),
+            key_transform="params.seen(k, kv_pos, head)",
+            use_softmax=mask_variant.use_softmax,
+        )
+        return compose_variants(f"counted_{mask_variant.name}", mask_variant, counter)
+
+    def _run_both(self, mask_variant, groups, visible, causal=True, num_ctas=64):
+        """Run the plan through ``run_mapping`` and through the oracle;
+        ``visible(q_pos, kv_pos)`` is the dense mask the variant declares.
+        Returns ``(plan, buffers, number of tiles with a visible column)``."""
+        import reference_kernels as ref
+        from conftest import make_paged_mapping
+        from repro.core import HeadConfig, plan_schedule, run_mapping
+        from repro.core.scheduler import (
+            COL_GROUP, COL_KVSTART, COL_KVSTOP, COL_QROWS, COL_QSTART,
+        )
+
+        heads = HeadConfig(self.H_QO, self.H_KV, self.D)
+        qo, kv = (list(col) for col in zip(*groups))
+        mapping, slots = make_paged_mapping(kv, qo, page_size=4, causal=causal)
+        plan = plan_schedule(
+            qo, kv, self.Q_TILE, num_ctas, num_kv_heads=self.H_KV, min_kv_chunk=8,
+            chunk_granularity=self.KV_TILE, causal=causal,
+        )
+        rng = np.random.default_rng(5)
+        q = rng.standard_normal((sum(qo), self.H_QO, self.D))
+        k_pool, v_pool = rng.standard_normal((2, slots, self.H_KV, self.D)).astype(np.float32)
+        variant = self._counting(mask_variant)
+        n_slots, rows_eff = max(plan.num_partial_slots, 1), self.Q_TILE * heads.group_size
+
+        def run(execute, kernel):
+            # Stale partials: a hidden split chunk must still write its slot.
+            bufs = (
+                np.zeros((sum(qo), self.H_QO, self.D)), np.full((sum(qo), self.H_QO), -np.inf),
+                np.full((n_slots, rows_eff, self.D), 7.0, dtype=np.float32),
+                np.full((n_slots, rows_eff), 3.0, dtype=np.float32),
+            )
+            tiles = []
+            params = variant.bind_params({"seen": lambda k, kv_pos, head: tiles.append(1) or k})
+            execute(q, k_pool, v_pool, mapping, plan, kernel, heads, params, 0.3,
+                    self.KV_TILE, *bufs)
+            return bufs, len(tiles)
+
+        kernel = get_kernel(variant, KernelTraits(head_dim=self.D, q_tile=4, kv_tile=self.KV_TILE))
+        new, transformed = run(run_mapping, kernel)
+        old, swept = run(ref.reference_run_mapping, variant)
+        for name, a, b in zip(("out", "lse", "partial_o", "partial_lse"), new, old):
+            assert np.array_equal(a, b), name
+
+        with_a_visible_column = tiles_visited = 0
+        for row in plan.items:
+            q_pos = (mapping.q_pos_offset[row[COL_GROUP]] + row[COL_QSTART]
+                     + np.arange(row[COL_QROWS]))[:, None]
+            for t0 in range(row[COL_KVSTART], row[COL_KVSTOP], self.KV_TILE):
+                kv_pos = np.arange(t0, min(t0 + self.KV_TILE, row[COL_KVSTOP]))[None, :]
+                seen = visible(q_pos, kv_pos)
+                if causal:
+                    seen = seen & (q_pos >= kv_pos)
+                with_a_visible_column += bool(seen.any())
+                tiles_visited += 1
+        assert transformed == with_a_visible_column
+        assert swept == tiles_visited
+        return plan, new, with_a_visible_column, tiles_visited
+
+    @pytest.mark.parametrize("times_the_window", [4, 16])
+    def test_sliding_window_over_a_multiple_of_the_window(self, times_the_window):
+        from repro.variants import make_sliding_window
+
+        window = 8
+        plan, (out, lse, _, _), seen, visited = self._run_both(
+            make_sliding_window(window),
+            [(1, window * times_the_window), (6, window * times_the_window), (1, 5)],
+            lambda q_pos, kv_pos: (q_pos - kv_pos) < window,
+        )
+        assert len(plan.merge_meta)  # the long KVs split: whole chunks are hidden
+        assert seen < visited / 2
+        assert np.isfinite(lse).all() and np.abs(out).min() > 0
+
+    def test_attention_sinks_keep_the_first_and_the_last_tiles(self):
+        from repro.variants import make_attention_sink
+
+        _, (out, lse, _, _), seen, visited = self._run_both(
+            make_attention_sink(2, 6), [(1, 96), (3, 64)],
+            lambda q_pos, kv_pos: (kv_pos < 2) | ((q_pos - kv_pos) < 6),
+        )
+        assert seen < visited / 2
+        assert np.isfinite(lse).all()
+
+    def test_tree_mask_hides_the_other_branch(self):
+        from repro.variants import make_tree_attention, tree_attention_mask
+
+        # Two chains of 12 draft tokens over a 16-token context: branch B
+        # (nodes 12-23) sees the context and itself, never branch A's tiles.
+        parents = [-1, *range(11), -1, *range(12, 23)]
+        mask = tree_attention_mask(parents, 16)
+        _, (_, lse, _, _), seen, visited = self._run_both(
+            make_tree_attention(parents, 16), [(24, 40)],
+            lambda q_pos, kv_pos: mask[q_pos - 16, kv_pos], causal=False,
+        )
+        assert seen < visited
+        assert np.isfinite(lse).all()
+
+    @pytest.mark.parametrize("use_softmax", [True, False])
+    def test_a_mask_that_hides_everything(self, use_softmax):
+        variant = AttentionVariant(
+            name="blind", logits_mask="(q_pos < 0) & (kv_pos < 0)", use_softmax=use_softmax
+        )
+        plan, (out, lse, _, partial_lse), seen, _ = self._run_both(
+            variant, [(1, 64), (5, 20)], lambda q_pos, kv_pos: (q_pos < 0) & (kv_pos < 0),
+        )
+        assert seen == 0 and len(plan.merge_meta)
+        assert np.array_equal(out, np.zeros_like(out))
+        assert np.array_equal(lse, np.full_like(lse, -np.inf if use_softmax else 0.0))
+        written = partial_lse[: plan.num_partial_slots, : self.H_QO // self.H_KV]
+        assert np.array_equal(written, np.full_like(written, -np.inf if use_softmax else 0.0))
+
+    def test_sum_variant_under_a_window(self):
+        variant = AttentionVariant(
+            name="linear_window", logits_mask="(q_pos - kv_pos) < 8", use_softmax=False
+        )
+        _, (out, _, _, _), seen, visited = self._run_both(
+            variant, [(1, 96), (6, 40)], lambda q_pos, kv_pos: (q_pos - kv_pos) < 8,
+        )
+        assert seen < visited / 2 and np.abs(out).min() > 0
+
+    def test_the_test_is_rendered_only_with_a_mask_functor(self):
+        from repro.variants import make_logits_softcap, make_sliding_window
+
+        traits = KernelTraits(head_dim=16)
+        assert "keep.any()" in get_kernel(make_sliding_window(4), traits).source
+        for unmasked in (VANILLA, make_logits_softcap(3.0)):
+            assert "keep.any()" not in get_kernel(unmasked, traits).source
+
+
 class TestComposeVariants:
     def test_masks_and_together(self, rng):
         from repro.core import compose_variants

@@ -205,6 +205,60 @@ class TestLifecycle:
         assert seen.items is not plan.items  # a copy out of the buffer
 
 
+class TestNoPerItemPythonOnTheComputePath:
+    """A structural guard, not a stopwatch: the Python-level calls ``run``
+    makes outside the JIT kernel function do not depend on how many work items
+    the plan has.  A decode batch planned with 8 KV heads has 4x the items of
+    the same batch with 2, and the same (query tile, KV chunk) launches."""
+
+    KV_LENS = [33, 128, 7, 255, 64, 90]
+
+    def _calls(self, num_kv_heads, rng):
+        """``(calls by code object, work items)`` of one ``run(compute=True)``."""
+        import sys
+        from collections import Counter
+
+        heads = HeadConfig(2 * num_kv_heads, num_kv_heads, 16)
+        mapping, slots = make_paged_mapping(self.KV_LENS, [1] * len(self.KV_LENS))
+        w = BatchAttentionWrapper(
+            VANILLA, heads, WorkspaceBuffer(1 << 26), avg_qo_len=1.0, split_kv=False
+        )
+        plan = w.plan(mapping)
+        q = rng.standard_normal((len(self.KV_LENS), heads.num_qo_heads, 16))
+        pool = rng.standard_normal((slots, num_kv_heads, 16))
+        calls, kernel, in_kernel = Counter(), w.kernel.fn.__code__, 0
+
+        def profile(frame, event, arg):
+            nonlocal in_kernel
+            if event == "call":
+                if in_kernel or frame.f_code is kernel:
+                    in_kernel += 1
+                else:
+                    calls[frame.f_code] += 1
+            elif event == "return" and in_kernel:
+                in_kernel -= 1
+
+        sys.setprofile(profile)
+        try:
+            w.run(q, pool, pool)
+        finally:
+            sys.setprofile(None)
+        return calls, plan.num_work_items
+
+    def test_call_count_is_the_same_for_four_times_the_work_items(self, rng):
+        from repro.gpu.cost import TileCost
+
+        few, n_few = self._calls(2, rng)
+        many, n_many = self._calls(8, rng)
+        assert n_many == 4 * n_few == 8 * len(self.KV_LENS)
+        # What is still built per item is the value run_mapping returns for
+        # the benchmark's probe (ROADMAP item 1(b)): one TileCost each.
+        returned = {TileCost.__init__.__code__, TileCost.__post_init__.__code__}
+        for code in returned:
+            assert (few.pop(code), many.pop(code)) == (n_few, n_many)
+        assert few == many and sum(few.values()) > 50
+
+
 class TestComposableWrapper:
     def test_matches_single_format(self, rng):
         heads = HeadConfig(4, 2, 16)

@@ -1,14 +1,12 @@
 """Tests for the radix-tree prefix cache."""
 
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import benchmark_workloads
 from reference_radix import TwoWalkRadixTree
 from repro.kvcache import PagedKVCache, RadixTree
 from repro.serving.batching import prompt_token_ids
@@ -190,14 +188,7 @@ class TestFirstPageKeying:
         prompts with an equal first token always have an equal first page
         (the four groups start on four different tokens, and members of a
         group share their whole first page)."""
-        path = Path(__file__).parents[1] / "benchmarks" / "e2e" / "workloads.py"
-        spec = importlib.util.spec_from_file_location("e2e_workloads", path)
-        workloads = importlib.util.module_from_spec(spec)
-        sys.modules[spec.name] = workloads  # its dataclasses look themselves up
-        try:
-            spec.loader.exec_module(workloads)
-        finally:
-            del sys.modules[spec.name]
+        workloads = benchmark_workloads()
         for seed in range(10):
             for part in range(workloads.PARTS):
                 first_pages = {}

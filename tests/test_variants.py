@@ -224,3 +224,77 @@ class TestFusedRoPE:
             q, k, v, np.arange(48), np.arange(48), causal=True, rope_theta=500.0
         )
         np.testing.assert_allclose(out, ref, atol=1e-8)
+
+
+def _rope_inline(x, pos, theta):
+    """``apply_rope`` as it was before the angle table was memoised."""
+    x = np.asarray(x, dtype=np.float64)
+    n, d = x.shape
+    half = d // 2
+    freqs = theta ** (-np.arange(half, dtype=np.float64) * 2.0 / d)
+    ang = np.asarray(pos, dtype=np.float64)[:, None] * freqs[None, :]
+    cos, sin = np.cos(ang), np.sin(ang)
+    xr = x.reshape(n, half, 2)
+    out = np.empty_like(xr)
+    out[..., 0] = xr[..., 0] * cos - xr[..., 1] * sin
+    out[..., 1] = xr[..., 0] * sin + xr[..., 1] * cos
+    return out.reshape(n, d)
+
+
+class TestRoPEAngleMemo:
+    """The ``(cos, sin)`` table is memoised per position vector — the heads of
+    a KV tile share it — and every value is the inline formula's bit for bit."""
+
+    POSITIONS = {
+        "int64": np.arange(40, 104),
+        "float64": np.arange(64, dtype=np.float64),
+        "negative": np.arange(-70, -6),
+        "non_integer": np.linspace(0.25, 97.5, 64),
+        "large": (1 << 20) + np.arange(64),
+        "non_contiguous": np.arange(128)[::2],
+        "int32": np.arange(64, dtype=np.int32),
+    }
+
+    @pytest.mark.parametrize("theta", [10000.0, 500.0])
+    @pytest.mark.parametrize("d", [2, 64, 128])
+    @pytest.mark.parametrize("kind", sorted(POSITIONS))
+    def test_bitwise_equal_to_the_inline_formula(self, rng, kind, d, theta):
+        pos = self.POSITIONS[kind]
+        x = rng.standard_normal((pos.size, d))
+        for _ in range(2):  # the miss, then the hit
+            assert np.array_equal(apply_rope(x, pos, theta), _rope_inline(x, pos, theta))
+
+    def test_heads_of_a_tile_share_one_table(self, rng):
+        from repro.variants.rope import _angle_table
+
+        _angle_table.cache_clear()
+        pos = np.arange(300, 364)
+        for _ in range(8):
+            apply_rope(rng.standard_normal((64, 16)), pos)
+        info = _angle_table.cache_info()
+        assert (info.misses, info.hits) == (1, 7)
+
+    def test_cached_tables_are_read_only(self):
+        from repro.variants.rope import _angle_table
+
+        for table in _angle_table(np.arange(4.0).tobytes(), 8, 10000.0):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 2.0
+
+    def test_cache_is_bounded(self, rng):
+        from repro.variants.rope import _angle_table
+
+        x = rng.standard_normal((3, 4))
+        for start in range(1000):
+            apply_rope(x, np.arange(start, start + 3))
+        assert _angle_table.cache_info().currsize <= 64
+
+    def test_thetas_and_head_dims_do_not_collide(self, rng):
+        pos = np.arange(16)
+        x = rng.standard_normal((16, 8))
+        a, b = apply_rope(x, pos, 10000.0), apply_rope(x, pos, 500.0)
+        assert not np.array_equal(a, b)
+        assert np.array_equal(apply_rope(x, pos, 10000.0), a)
+        wide = rng.standard_normal((16, 16))
+        assert np.array_equal(apply_rope(wide, pos), _rope_inline(wide, pos, 10000.0))
