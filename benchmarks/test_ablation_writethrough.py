@@ -12,8 +12,8 @@ import pytest
 from conftest import emit_table, make_paged_mapping
 from repro import A100_40G, BatchAttentionWrapper, WorkspaceBuffer
 from repro.core import HeadConfig, VANILLA
-from repro.core.scheduler import COL_QROWS, COL_SLOT
-from repro.core.simulate import merge_cost_arrays
+from repro.core.scheduler import COL_QROWS, COL_SLOT, MERGE_QROWS
+from repro.core.simulate import merge_cost_arrays, simulate_queues
 
 HEADS = HeadConfig(32, 8, 128)
 
@@ -28,18 +28,32 @@ def run_experiment():
     _, _, with_wt = w.run(None, compute=False)
 
     # Emulate "no writethrough": every work item routes through a partial
-    # slot and gets a (possibly single-slot) merge entry.
+    # slot and gets a (possibly single-slot) merge entry, so the contraction
+    # launch also folds the rows of every direct tile.
     direct = plan.items[plan.items[:, COL_SLOT] < 0]
     n_direct = len(direct)
     rows = direct[:, COL_QROWS] * HEADS.group_size
     extra_partial_bytes = float((rows * (HEADS.head_dim + 1) * 4).sum())
-    cm = w.executor.cost_model
-    extra = merge_cost_arrays(np.ones(n_direct), rows, HEADS.head_dim, cm, 1.0)
-    # One CTA's roofline time per single-slot merge (KernelCostModel.tile_time).
-    compute = extra.flops / cm.spec.sm_cuda_core_flops
-    memory = extra.traffic / cm.spec.sm_bandwidth
-    merge_time = sum((np.maximum(compute, memory) + cm.tile_latency).tolist()) / w.num_ctas
-    without_wt_makespan = with_wt.makespan + merge_time
+    merge_slots = np.diff(plan.merge_indptr)
+    merge_rows = plan.merge_meta[:, MERGE_QROWS] * HEADS.group_size
+
+    def contraction_makespan(n_slots, rows_eff):
+        costs = merge_cost_arrays(
+            n_slots, rows_eff, HEADS.head_dim, w.executor.cost_model,
+            min(1.0, A100_40G.num_sms / w.num_ctas), w.num_ctas,
+        )
+        return simulate_queues(
+            w.executor, costs, np.arange(costs.serial.size), w.num_ctas
+        ).makespan
+
+    without_wt_makespan = (
+        with_wt.makespan
+        - contraction_makespan(merge_slots, merge_rows)
+        + contraction_makespan(
+            np.concatenate([merge_slots, np.ones(n_direct)]),
+            np.concatenate([merge_rows, rows]),
+        )
+    )
     without_partial_slots = plan.num_partial_slots + n_direct
 
     return [

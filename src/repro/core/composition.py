@@ -3,9 +3,12 @@
 Split-KV tiles produce partial attention states in the workspace; this
 kernel contracts each tile's states with ``⊕`` in the planned order —
 variable-length aggregation, deterministic for identical sequence lengths
-(§3.3.1).  Like the attention kernel it is persistent: merge entries are
-distributed round-robin over the same fixed CTA grid, and its memory traffic
-is priced by the same cost model (``core/simulate.merge_cost_arrays``).
+(§3.3.1).  Like the attention kernel it is persistent on the same fixed CTA
+grid, but its unit of work is a (query row, query head) pair, not a merge
+entry: the launch's pairs are cut into contiguous blocks of ``⌈P/#CTA⌉``, one
+per CTA, so one long split tile is contracted by many CTAs
+(``core/simulate.merge_cost_arrays`` prices it).  Each pair's fold is
+independent of the others', so the blocking changes no output bit.
 """
 
 from __future__ import annotations

@@ -3,12 +3,15 @@
 A plan's work items and merges are priced with NumPy over the same tables
 the workspace holds — one column per :class:`~repro.gpu.cost.TileCost` field
 (``item_footprints`` / ``merge_footprints``), then the executor's stream
-conversion (``item_cost_arrays`` / ``merge_cost_arrays``) and the
-shared-bandwidth drain.  ``BatchAttentionWrapper.run`` prices a launch here
-whether or not it also computes numerics.  The per-object model this replaced
-(one ``TileCost`` per work item, priced through ``run_persistent``) is the
-oracle in ``tests/reference_costs.py``; ``tests/test_costs_equivalence.py``
-pins this module to it.
+conversion and the shared-bandwidth drain.  The attention kernel's streams
+(``item_cost_arrays``) are one per work item, on the CTA the planner gave it;
+the contraction kernel's (``merge_cost_arrays``) are one per CTA, each a
+contiguous block of the launch's (query row, query head) pairs, however the
+pairs fall into merge entries.  ``BatchAttentionWrapper.run`` prices a launch
+here whether or not it also computes numerics.  The per-object model this
+replaced (one ``TileCost`` per work item and per block of pairs, priced
+through ``run_persistent``) is the oracle in ``tests/reference_costs.py``;
+``tests/test_costs_equivalence.py`` pins this module to it.
 """
 
 from __future__ import annotations
@@ -203,16 +206,19 @@ def item_cost_arrays(
 
 
 def merge_footprints(
-    n_slots_per_merge: np.ndarray, rows_eff: np.ndarray, head_dim: int
+    states: np.ndarray, rows: np.ndarray, head_dim: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(flops, bytes_read, bytes_written)`` of contracting each merge entry:
-    it reads every slot's ``rows × (head_dim + 1)`` partial state and writes
-    one final tile.  Contraction is bandwidth-bound (a handful of FLOPs per
-    element), so ``flops`` counts the exp/log/FMA work only loosely."""
-    n = n_slots_per_merge.astype(np.float64)
-    r = rows_eff.astype(np.float64)
-    state_bytes = r * (head_dim + 1) * PARTIAL_ITEMSIZE
-    return 4.0 * n * r * head_dim, n * state_bytes, r * head_dim * PARTIAL_ITEMSIZE
+    """``(flops, bytes_read, bytes_written)`` of contracting ``states``
+    partial-state rows (``head_dim + 1`` floats each) into ``rows`` final
+    rows — a merge entry of ``n`` slots over ``r`` rows is ``(n·r, r)``.
+    Contraction is bandwidth-bound (a handful of FLOPs per element), so
+    ``flops`` counts the exp/log/FMA work only loosely.  Every value is an
+    integer, so sums of footprints are exact in any order."""
+    return (
+        states * (4.0 * head_dim),
+        states * float((head_dim + 1) * PARTIAL_ITEMSIZE),
+        rows * float(head_dim * PARTIAL_ITEMSIZE),
+    )
 
 
 def merge_cost_arrays(
@@ -221,16 +227,44 @@ def merge_cost_arrays(
     head_dim: int,
     cost_model: KernelCostModel,
     compute_share: float,
+    num_ctas: int,
 ) -> PlanCostArrays:
-    """Vectorized contraction-kernel costs (one entry per merge)."""
-    if n_slots_per_merge.size == 0:
+    """Contraction-kernel costs, one entry per CTA that holds work.
+
+    The contraction runs like FlashInfer's variable-length merge-states
+    kernel: persistent over (query row, query head) pairs, not over merge
+    entries.  Entry ``i`` contributes ``rows_eff[i]`` pairs, each folding the
+    entry's ``n_slots_per_merge[i]`` states.  The launch's ``P`` pairs, in
+    entry order, are cut into contiguous blocks of ``⌈P / num_ctas⌉``; block
+    ``c`` runs on CTA ``c`` and pays its pairs' share of
+    :func:`merge_footprints` plus one ``tile_latency``, so the launch's flop
+    and byte totals are those of its entries.  O(entries + CTAs): the block
+    boundaries are located in the entry columns, never expanded per pair.
+    """
+    # Counts in float64: every value below is an integer far under 2**53, so
+    # the arithmetic stays exact.
+    n = np.asarray(n_slots_per_merge, dtype=np.float64)
+    rows = np.asarray(rows_eff, dtype=np.float64)
+    pair_end = rows.cumsum()
+    total = int(pair_end[-1]) if pair_end.size else 0
+    if total == 0:
         z = np.zeros(0)
         return PlanCostArrays(z, z, z, z)
-    flops, bytes_read, bytes_written = merge_footprints(n_slots_per_merge, rows_eff, head_dim)
-    roof = cost_model.spec.sm_cuda_core_flops * compute_share
-    serial = flops / roof + cost_model.tile_latency
-    mem = (bytes_read + bytes_written) / cost_model.mem_efficiency
-    return PlanCostArrays(serial, mem, flops, bytes_read + bytes_written)
+    block = -(-total // num_ctas)
+    bounds = np.arange(0.0, total + block, block)
+    bounds[-1] = total  # only the last boundary can overshoot
+    # States folded by the pairs before each boundary: the entries ending
+    # at or before it, then its share of the entry it falls in (the launch's
+    # end falls in the last entry).
+    entry = pair_end.searchsorted(bounds, side="right")
+    entry[-1] = n.size - 1
+    states_before = (n * rows).cumsum()[entry] - (pair_end[entry] - bounds) * n[entry]
+    flops, bytes_read, bytes_written = merge_footprints(
+        states_before[1:] - states_before[:-1], bounds[1:] - bounds[:-1], head_dim
+    )
+    traffic = bytes_read + bytes_written
+    serial = flops / (cost_model.spec.sm_cuda_core_flops * compute_share) + cost_model.tile_latency
+    return PlanCostArrays(serial, traffic / cost_model.mem_efficiency, flops, traffic)
 
 
 def plan_tile_costs(
@@ -260,9 +294,9 @@ def plan_tile_costs(
     ]
     ptr = plan.cta_indptr.tolist()
     g_eff = heads.group_size if fuse_head_groups else 1
+    rows = plan.merge_meta[:, MERGE_QROWS] * g_eff
     merges = merge_footprints(
-        plan.merge_indptr[1:] - plan.merge_indptr[:-1],
-        plan.merge_meta[:, MERGE_QROWS] * g_eff, heads.head_dim,
+        (plan.merge_indptr[1:] - plan.merge_indptr[:-1]) * rows, rows, heads.head_dim
     )
     return [costs[a:b] for a, b in zip(ptr, ptr[1:])], [
         TileCost(f, f, r, w, uses_tensor_cores=False)
@@ -276,12 +310,13 @@ def simulate_queues(
     cta_of_item: np.ndarray,
     num_ctas: int,
 ) -> SimReport:
-    """Aggregate per-item streams to CTAs and run the shared-bandwidth drain."""
-    serial = np.zeros(num_ctas)
-    mem = np.zeros(num_ctas)
+    """Aggregate per-item streams to CTAs and run the shared-bandwidth drain.
+    ``bincount`` adds each CTA's items in item order, as ``+=`` would."""
     if costs.serial.size:
-        np.add.at(serial, cta_of_item, costs.serial)
-        np.add.at(mem, cta_of_item, costs.mem)
+        serial = np.bincount(cta_of_item, costs.serial, minlength=num_ctas)
+        mem = np.bincount(cta_of_item, costs.mem, minlength=num_ctas)
+    else:
+        serial, mem = np.zeros(num_ctas), np.zeros(num_ctas)
     return executor.run_streams(
         serial, mem, float(costs.flops.sum()), float(costs.traffic.sum()),
         int(costs.serial.size),

@@ -21,6 +21,8 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
+# Looked up per call as module attributes, so the benchmark's span wrappers see them.
+from repro.core import simulate
 from repro.core.jit import CompiledKernel, KernelTraits, get_kernel
 from repro.core.kernels import (
     PARTIAL_ITEMSIZE,
@@ -37,7 +39,7 @@ from repro.core.scheduler import (
 )
 from repro.core.tiles import ctas_per_sm, select_kv_tile, select_q_tile
 from repro.core.variant import AttentionVariant
-from repro.gpu.cost import KernelCostModel, TileCost
+from repro.gpu.cost import KernelCostModel
 from repro.gpu.cudagraph import CudaGraph
 from repro.gpu.executor import PersistentKernelExecutor, SimReport
 from repro.gpu.spec import A100_40G, GPUSpec
@@ -193,6 +195,11 @@ class BatchAttentionWrapper:
             self.plan_cache = plan_cache
         self.last_report: Optional[SimReport] = None
         self.plan_count = 0
+        #: Contraction entries ``(n_slots, rows_eff)`` this launch's
+        #: contraction kernel runs after its own merge entries: the
+        #: cross-format ``⊕`` of a composable stack whose last format this is
+        #: (set by :meth:`ComposableAttentionWrapper.plan`).
+        self.stack_merges: Optional[Tuple[np.ndarray, np.ndarray]] = None
         #: Optional duck-typed :class:`repro.faults.OutputGuard`; when set,
         #: every compute-path :meth:`run` checks its output through it
         #: (raising ``NumericalFault`` on NaN/Inf).  ``None`` costs one
@@ -347,33 +354,36 @@ class BatchAttentionWrapper:
         """Price the planned launch — attention kernel, then contraction
         kernel — from the serialized plan arrays, numerics or not.  Pinned to
         the per-object model of ``tests/reference_costs.py``.
-        """
-        from repro.core.simulate import (
-            item_cost_arrays,
-            merge_cost_arrays,
-            simulate_queues,
-        )
 
+        Contraction entry ``i`` folds ``n_slots[i]`` states into each of its
+        ``rows_eff[i]`` (query row, query head) pairs — the plan's merge
+        entries, then :attr:`stack_merges` — and the pairs are dealt over
+        the CTAs in contiguous blocks (``core/simulate.merge_cost_arrays``).
+        """
         plan = self._read_plan()
         g_eff = self.heads.group_size if self.fuse_head_groups else 1
         compute_share = min(1.0, self.gpu.num_sms / self.num_ctas)
-        costs = item_cost_arrays(
+        costs = simulate.item_cost_arrays(
             plan.items, self._mapping, self.heads, self.kv_tile, self.kv_dtype,
             plan.q_tile_size, self.fuse_head_groups, self.traits.uses_tensor_cores,
             self.sparse_gather, self.executor.cost_model, compute_share,
             self.compute_penalty,
         )
-        report = simulate_queues(self.executor, costs, plan.cta_of_item, self.num_ctas)
-        n_merges = len(plan.merge_meta)
-        if n_merges:
-            mcosts = merge_cost_arrays(
-                plan.merge_indptr[1:] - plan.merge_indptr[:-1],
-                plan.merge_meta[:, MERGE_QROWS] * g_eff,
-                self.heads.head_dim, self.executor.cost_model, compute_share,
+        report = simulate.simulate_queues(self.executor, costs, plan.cta_of_item, self.num_ctas)
+        n_slots = plan.merge_indptr[1:] - plan.merge_indptr[:-1]
+        rows_eff = plan.merge_meta[:, MERGE_QROWS] * g_eff
+        if self.stack_merges is not None:
+            n_slots = np.concatenate([n_slots, self.stack_merges[0]])
+            rows_eff = np.concatenate([rows_eff, self.stack_merges[1]])
+        if n_slots.size:
+            mcosts = simulate.merge_cost_arrays(
+                n_slots, rows_eff, self.heads.head_dim, self.executor.cost_model,
+                compute_share, self.num_ctas,
             )
-            merge_cta = np.arange(n_merges) % self.num_ctas
             report = report.combine(
-                simulate_queues(self.executor, mcosts, merge_cta, self.num_ctas)
+                simulate.simulate_queues(
+                    self.executor, mcosts, np.arange(mcosts.serial.size), self.num_ctas
+                )
             )
         return report
 
@@ -517,6 +527,13 @@ class ComposableAttentionWrapper:
                 )
         for w, m in zip(self.wrappers, formats):
             w.plan(m, params=params, sm_scale=sm_scale)
+        # The cross-format ⊕ runs in the last format's contraction launch:
+        # each later format's covered (row, head) pairs fold 2 states.
+        h = self.heads.num_qo_heads
+        pairs = np.array([m.qo_lens.sum() * h for m in formats.mappings[1:]], dtype=np.int64)
+        pairs = pairs[pairs > 0]
+        if self.wrappers:
+            self.wrappers[-1].stack_merges = (np.full(pairs.size, 2), pairs) if pairs.size else None
         self._format = formats
 
     def run(
@@ -534,8 +551,7 @@ class ComposableAttentionWrapper:
         acc_o = np.zeros((total_q, h, d)) if compute else None
         acc_lse = np.full((total_q, h), -np.inf) if compute else None
         report: Optional[SimReport] = None
-        merge_traffic = 0.0
-        for i, w in enumerate(self.wrappers):
+        for w in self.wrappers:
             o_f, lse_f, rep = w.run(
                 q, k_pool, v_pool, compute=compute, apply_output_transform=False
             )
@@ -545,30 +561,7 @@ class ComposableAttentionWrapper:
                     acc_o, acc_lse = merge_states(acc_o, acc_lse, o_f, lse_f)
                 else:
                     acc_o = acc_o + o_f
-            if i > 0:
-                # Cross-format contraction traffic: read two states, write one.
-                covered = int(np.sum(w._mapping.qo_lens)) if w._mapping else 0
-                merge_traffic += 3.0 * covered * h * (d + 1) * PARTIAL_ITEMSIZE
         first = self.wrappers[0] if self.wrappers else None
-        if merge_traffic and report is not None:
-            # The contraction is spread evenly over the first format's grid:
-            # every CTA holds the same tile, so price it once.
-            n = first.num_ctas
-            per = TileCost(
-                flops=0.0, padded_flops=0.0,
-                bytes_read=merge_traffic * 2 / 3 / n,
-                bytes_written=merge_traffic / 3 / n,
-                uses_tensor_cores=False,
-            )
-            serial, mem = first.executor._streams(
-                per, min(1.0, first.executor.spec.num_sms / n)
-            )
-            report = report.combine(
-                first.executor.run_streams(
-                    np.full(n, serial), np.full(n, mem),
-                    0.0, n * (per.bytes_read + per.bytes_written), n,
-                )
-            )
         if compute and first.kernel.output_transform is not None:
             _apply_output_transform(first.kernel, acc_o, np.arange(total_q), first._params)
         self.last_report = report

@@ -30,7 +30,7 @@ FLOPs / traffic by makespan and the device peak.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -134,6 +134,9 @@ class PersistentKernelExecutor:
         self.spec = spec
         self.cost_model = cost_model if cost_model is not None else KernelCostModel(spec)
         self.single_sm_bw_fraction = single_sm_bw_fraction
+        #: ``_drain``'s per-stream rate vectors by ``(streams, per-CTA cap)``:
+        #: a wrapper launches on one fixed grid every step.
+        self._rates: Dict[Tuple[int, float], np.ndarray] = {}
 
     # -- fault injection ------------------------------------------------------
 
@@ -266,9 +269,12 @@ class PersistentKernelExecutor:
         a = a[order]
         segment = a.copy()
         segment[1:] -= a[:-1]
-        bw = np.minimum(
-            self._cta_bw_cap(resident), self.spec.peak_bandwidth_bytes / np.arange(n, 0, -1)
-        )
+        cap = self._cta_bw_cap(resident)
+        bw = self._rates.get((n, cap))
+        if bw is None:
+            bw = np.minimum(cap, self.spec.peak_bandwidth_bytes / np.arange(n, 0, -1))
+            bw.flags.writeable = False
+            self._rates[n, cap] = bw
         finish = np.empty(n)
         finish[order] = (segment / bw).cumsum()
         return np.maximum(finish, np.where(serial > _EPS, serial, 0.0))

@@ -4,10 +4,12 @@ Until the compute path was priced from the plan arrays like every other
 launch, ``run_mapping`` built one ``TileCost`` per work item
 (``work_item_cost`` → ``kv_reuse_factor``) and per merge entry
 (``contraction_cost``), and ``BatchAttentionWrapper.run(compute=True)`` drained
-them through ``PersistentKernelExecutor.run_persistent``, the merges dealt
-round-robin by ``distribute_merges``.  The four functions below are that code,
-moved here verbatim; ``reference_tile_costs`` and ``reference_report`` are the
-two loops that called them.  ``tests/test_costs_equivalence.py`` pins
+them through ``PersistentKernelExecutor.run_persistent``.  The first three
+functions below are that code, moved here verbatim.  The contraction launch
+is dealt one (query row, query head) pair at a time: ``distribute_merges``
+cuts the pairs into contiguous per-CTA blocks and ``block_cost`` prices a
+block as one tile.  ``reference_tile_costs`` and ``reference_report`` are
+the loops that call them.  ``tests/test_costs_equivalence.py`` pins
 ``run_mapping``'s return value and ``_simulate_fast``'s report to them.
 """
 
@@ -135,19 +137,31 @@ def contraction_cost(
     )
 
 
-def distribute_merges(
-    merges: Sequence[MergeEntry], num_ctas: int
-) -> List[List[int]]:
-    """Round-robin merge entries over the persistent CTA grid.
+def distribute_merges(rows_per_entry: Sequence[int], num_ctas: int) -> List[List[int]]:
+    """Deal the contraction's (query row, query head) pairs over the
+    persistent CTA grid, one pair at a time.
 
-    Entries are tiny and near-uniform (≤ 2·#CTA of them exist, Appendix
-    D.3), so round-robin is adequate; determinism comes from the fixed
-    order within each queue.
+    Entry ``i`` contributes ``rows_per_entry[i]`` pairs.  The launch's ``P``
+    pairs, in entry order, are cut into contiguous blocks of ⌈P/#CTA⌉, one
+    per CTA, so a long split tile is contracted by many CTAs instead of one.
+    Returns, per CTA, the merge index of each pair it holds.
     """
-    queues: List[List[int]] = [[] for _ in range(num_ctas)]
-    for i in range(len(merges)):
-        queues[i % num_ctas].append(i)
-    return queues
+    pairs = [i for i, rows in enumerate(rows_per_entry) for _ in range(rows)]
+    block = -(-len(pairs) // num_ctas) or 1
+    return [pairs[c * block:(c + 1) * block] for c in range(num_ctas)]
+
+
+def block_cost(merges: Sequence[MergeEntry], pairs: Sequence[int], head_dim: int) -> TileCost:
+    """One CTA's contraction work: the sum of one-row ``contraction_cost``
+    of the entry of each pair it holds, as one tile (one ``tile_latency``)."""
+    costs = [contraction_cost(merges[i], 1, head_dim, PARTIAL_ITEMSIZE) for i in pairs]
+    return TileCost(
+        flops=sum(c.flops for c in costs),
+        padded_flops=sum(c.padded_flops for c in costs),
+        bytes_read=sum(c.bytes_read for c in costs),
+        bytes_written=sum(c.bytes_written for c in costs),
+        uses_tensor_cores=False,
+    )
 
 
 def reference_tile_costs(wrapper, plan: SchedulePlan) -> Tuple[List[List[TileCost]], List[TileCost]]:
@@ -177,11 +191,24 @@ def reference_tile_costs(wrapper, plan: SchedulePlan) -> Tuple[List[List[TileCos
 def reference_report(wrapper, plan: SchedulePlan) -> SimReport:
     """The launch as ``BatchAttentionWrapper.run(compute=True)`` priced it:
     the attention kernel's queues, then the contraction kernel's, each
-    through ``run_persistent`` (one injector consultation per launch)."""
-    cost_queues, merge_costs = reference_tile_costs(wrapper, plan)
+    through ``run_persistent`` (one injector consultation per launch).  The
+    contraction runs the plan's merge entries, then a composable stack's
+    cross-format ``⊕`` entries (``wrapper.stack_merges``) when this wrapper
+    is the stack's last format."""
+    cost_queues, _ = reference_tile_costs(wrapper, plan)
     report = wrapper.executor.run_persistent(cost_queues)
-    if merge_costs:
-        merge_queues = distribute_merges(plan.merges, wrapper.num_ctas)
-        cost_by_cta = [[merge_costs[i] for i in q_] for q_ in merge_queues]
+    g_eff = wrapper.heads.group_size if wrapper.fuse_head_groups else 1
+    merges = list(plan.merges)
+    rows = [m.q_rows * g_eff for m in merges]
+    if wrapper.stack_merges is not None:
+        for n, pairs in zip(*wrapper.stack_merges):
+            merges.append(MergeEntry(0, 0, 0, int(pairs), 0, tuple(range(int(n)))))
+            rows.append(int(pairs))
+    if merges:
+        pair_queues = distribute_merges(rows, wrapper.num_ctas)
+        cost_by_cta = [
+            [block_cost(merges, pairs, wrapper.heads.head_dim)] if pairs else []
+            for pairs in pair_queues
+        ]
         report = report.combine(wrapper.executor.run_persistent(cost_by_cta))
     return report

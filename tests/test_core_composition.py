@@ -65,10 +65,11 @@ class TestContractionCost:
 
 
 class TestDistribute:
-    def test_round_robin(self):
-        merges = [MergeEntry(0, 0, 0, 1, 0, (0, 1))] * 5
-        queues = distribute_merges(merges, 2)
-        assert queues == [[0, 2, 4], [1, 3]]
+    def test_contiguous_pair_blocks(self):
+        assert distribute_merges([1] * 5, 2) == [[0, 1, 2], [3, 4]]
+
+    def test_long_entry_spans_ctas(self):
+        assert distribute_merges([6, 1], 4) == [[0, 0], [0, 0], [0, 0], [1]]
 
     def test_empty(self):
         assert distribute_merges([], 3) == [[], [], []]

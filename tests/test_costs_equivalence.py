@@ -10,11 +10,17 @@ returns agree within 1e-12 relative; on the 18 plans of the benchmark's
 ``kernel_batch`` workload at seed 0 ``makespan`` and ``per_cta_time`` agree
 bit for bit, which is what holds its ``sim_*`` cells still.  (``total_bytes``
 is a pairwise ``ndarray.sum`` there and a sequential Python sum in the
-reference: the last ulp may differ on a prefill plan.)  Hypothesis runs
-derandomized, so tier-1 sees a fixed sample.
+reference: the last ulp may differ on a prefill plan.)  The contraction launch
+is also priced over random merge tables, where it must move exactly its
+entries' footprints, hold at most ⌈P/#CTA⌉ (query row, query head) pairs on a
+CTA and equal the pair-by-pair deal of ``distribute_merges`` bit for bit.  A
+composable stack's cross-format ⊕ is part of its last format's contraction
+launch, in the oracle as in the library.  Hypothesis runs derandomized, so
+tier-1 sees a fixed sample.
 """
 
 import dataclasses
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -23,7 +29,13 @@ from hypothesis import strategies as st
 
 import repro.core.wrapper as wrapper_module
 from conftest import benchmark_workloads, make_paged_mapping
-from reference_costs import reference_report, reference_tile_costs
+from reference_costs import (
+    block_cost,
+    contraction_cost,
+    distribute_merges,
+    reference_report,
+    reference_tile_costs,
+)
 from repro import (
     A100_40G,
     AttentionMapping,
@@ -34,7 +46,10 @@ from repro import (
     WorkspaceBuffer,
     decompose_shared_prefix,
 )
-from repro.core import VANILLA, HeadConfig
+from repro.core import VANILLA, HeadConfig, MergeEntry
+from repro.core.scheduler import MERGE_QROWS
+from repro.core.simulate import merge_cost_arrays, merge_footprints, simulate_queues
+from repro.gpu.executor import PersistentKernelExecutor
 from repro.sparse import PrefixCluster
 from repro.utils.dtypes import StorageDType
 
@@ -160,6 +175,13 @@ def _kernel_batch_wrappers(case, page):
     """The planned wrappers of one ``kernel_batch`` call, built as
     ``benchmarks/e2e/kernel_batch.py`` builds them (head geometry, device,
     page size, shared prefix by ``fork_seq``) over a pool with no tensor data."""
+    planned = _kernel_batch_call(case, page)
+    return planned.wrappers if isinstance(planned, ComposableAttentionWrapper) else [planned]
+
+
+def _kernel_batch_call(case, page):
+    """The planned wrapper of one ``kernel_batch`` call: the composable
+    stack of a shared-prefix case, else one batch wrapper."""
     heads = HeadConfig(32, 8, 128)
     own = sum(-(-(n - case.prefix_len) // page) for n in case.kv_lens)
     cache = PagedKVCache(case.prefix_len // page + own + 8, page, 1, 1)
@@ -176,14 +198,14 @@ def _kernel_batch_wrappers(case, page):
         cluster = PrefixCluster(tuple(range(len(seqs))), case.prefix_len)
         stack = ComposableAttentionWrapper(VANILLA, heads, workspace, H100_80G)
         stack.plan(decompose_shared_prefix(mapping, [cluster]))
-        return stack.wrappers
+        return stack
     w = BatchAttentionWrapper(
         VANILLA, heads, workspace, H100_80G,
         avg_qo_len=float(np.mean(case.qo_lens)),
         kv_dtype=StorageDType.FP8_E4M3 if case.precision == "fp8" else StorageDType.FP16,
     )
     w.plan(mapping)
-    return [w]
+    return w
 
 
 def test_kernel_batch_plans_of_seed_0_price_bit_for_bit():
@@ -193,3 +215,117 @@ def test_kernel_batch_plans_of_seed_0_price_bit_for_bit():
     for case in cases:
         for w in _kernel_batch_wrappers(case, workloads.KERNEL_PAGE):
             _assert_launches_match(w, bitwise=True)
+
+
+#: Merge tables ``(slots, rows)``: one-pair entries, long split tiles among
+#: short ones, fewer pairs than CTAs and many more.
+MERGE_TABLES = st.lists(
+    st.tuples(st.integers(1, 24), st.sampled_from([1, 1, 3, 4, 16, 48, 129, 512])),
+    min_size=1, max_size=40,
+)
+
+
+def _contraction(executor, n_slots, rows, head_dim, num_ctas):
+    """``(cost arrays, report)`` of one contraction launch on ``num_ctas``."""
+    costs = merge_cost_arrays(
+        n_slots, rows, head_dim, executor.cost_model,
+        min(1.0, executor.spec.num_sms / num_ctas), num_ctas,
+    )
+    return costs, simulate_queues(executor, costs, np.arange(costs.serial.size), num_ctas)
+
+
+@FIXED
+@given(
+    table=MERGE_TABLES,
+    num_ctas=st.sampled_from([1, 2, 7, 108, 264]),
+    head_dim=st.sampled_from([64, 128]),
+    gpu=st.sampled_from([A100_40G, H100_80G]),
+)
+def test_contraction_is_dealt_over_row_head_pairs(table, num_ctas, head_dim, gpu):
+    n_slots, rows = (np.array(col, dtype=np.int64) for col in zip(*table))
+    executor = PersistentKernelExecutor(gpu)
+    costs, report = _contraction(executor, n_slots, rows, head_dim, num_ctas)
+
+    # The launch moves what its entries move, exactly.
+    flops, bytes_read, bytes_written = merge_footprints(n_slots * rows, rows, head_dim)
+    assert costs.flops.sum() == flops.sum() == report.total_flops
+    assert costs.traffic.sum() == (bytes_read + bytes_written).sum() == report.total_bytes
+
+    # No CTA holds more than ⌈P/#CTA⌉ pairs: with one slot per pair, a
+    # block's flops count its pairs.
+    total = int(rows.sum())
+    ones, _ = _contraction(executor, np.ones_like(n_slots), rows, head_dim, num_ctas)
+    held = ones.flops / (4.0 * head_dim)
+    assert held.sum() == total and held.size <= num_ctas
+    assert held.max() <= -(-total // num_ctas)
+
+    # The same launch dealt one pair at a time, bit for bit.
+    merges = [MergeEntry(0, 0, 0, int(r), 0, tuple(range(n))) for n, r in table]
+    queues = distribute_merges(rows.tolist(), num_ctas)
+    assert max(len(pairs) for pairs in queues) == held.max()
+    oracle = executor.run_persistent(
+        [[block_cost(merges, pairs, head_dim)] if pairs else [] for pairs in queues]
+    )
+    assert report == oracle
+
+
+@FIXED
+@given(
+    slots=st.lists(st.integers(1, 24), min_size=1, max_size=64),
+    num_ctas=st.sampled_from([64, 108, 264]),
+)
+def test_single_pair_entries_price_as_one_entry_per_cta(slots, num_ctas):
+    """With P ≤ #CTA one-pair entries every block is one entry on the CTA the
+    per-entry assignment gave it, so the launch prices exactly as before."""
+    executor = PersistentKernelExecutor(H100_80G)
+    merges = [MergeEntry(0, 0, 0, 1, 0, tuple(range(n))) for n in slots]
+    per_entry = executor.run_persistent(
+        [[contraction_cost(m, 1, 128)] for m in merges] + [[]] * (num_ctas - len(merges))
+    )
+    _, report = _contraction(executor, np.array(slots), np.ones(len(slots)), 128, num_ctas)
+    assert report == per_entry
+
+
+def test_shared_prefix_contraction_is_spread_over_the_grid():
+    """12 decode queries over a 1 008-token shared prefix on H100, 32/8 heads,
+    d=128: the prefix format is one group of 12 queries × 4 fused GQA rows,
+    its KV split into 16 slots per KV head.  One CTA per merge entry put its
+    contraction on 8 of 264 CTAs, at 6.52 µs longer than its 4.15 µs
+    attention launch."""
+    case = SimpleNamespace(
+        prefix_len=1008, kv_lens=[1024 + 5 * i for i in range(12)], qo_lens=[1] * 12
+    )
+    prefix = _kernel_batch_wrappers(case, 16)[0]
+    assert set(np.diff(prefix._read_plan().merge_indptr)) == {16}
+    _, (attention, contraction) = _launches(prefix.executor, prefix._simulate_fast)
+    assert contraction.makespan <= 3e-6
+    assert contraction.makespan < attention.makespan
+
+
+def test_cross_format_merge_rides_in_the_last_contraction_launch():
+    """The same shared-prefix call: the stack's ⊕ is no launch of its own.
+    The suffix format's contraction also folds the prefix state into each
+    of its 12 × 32 covered (query row, query head) pairs, 2 states per pair,
+    after its own split tiles, and the stack's report is the four launches
+    of its two formats."""
+    case = SimpleNamespace(
+        prefix_len=1008, kv_lens=[1024 + 5 * i for i in range(12)], qo_lens=[1] * 12
+    )
+    stack = _kernel_batch_call(case, 16)
+    prefix, suffix = stack.wrappers
+    assert prefix.stack_merges is None
+    assert [col.tolist() for col in suffix.stack_merges] == [[2], [12 * 32]]
+
+    plan = suffix._read_plan()
+    own_slots = np.diff(plan.merge_indptr)
+    own_rows = plan.merge_meta[:, MERGE_QROWS] * 4
+    assert own_slots.size  # the two longest suffixes split
+    flops, bytes_read, bytes_written = merge_footprints(
+        np.append(own_slots * own_rows, 2 * 384), np.append(own_rows, 384), 128
+    )
+    _, (_, contraction) = _launches(suffix.executor, suffix._simulate_fast)
+    assert contraction.total_flops == flops.sum()
+    assert contraction.total_bytes == (bytes_read + bytes_written).sum()
+
+    _, report = stack.run(None, compute=False)
+    assert report == prefix._simulate_fast().combine(suffix._simulate_fast())

@@ -296,10 +296,14 @@ class TestPrefixPathDoesNoPerTokenPython:
 
 
 class TestGoldenRun:
-    """``golden_prefix_cache_run.json`` was written by the commit before
-    prompts became arrays and first-page keys: hits, cascade steps and
+    """``golden_prefix_cache_run.json`` holds the hits, cascade steps and
     every simulated instant of a shared-prefix run, plain and resumed from
-    a mid-run snapshot, as exact floats."""
+    a mid-run snapshot, as exact floats.  The hit counts were written by the
+    commit before prompts became arrays and first-page keys; the simulated
+    instants and cascade steps were rewritten, hits unchanged, when the
+    contraction kernel became row-parallel, every split launch got shorter
+    and a cascade step's cross-format ⊕ stopped costing a launch of its
+    own."""
 
     CFG = EngineConfig(max_running=64, chunked_prefill=True, prefix_cache=True,
                        composable=True)
