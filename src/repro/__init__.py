@@ -40,7 +40,6 @@ from repro.sparse import (
     BSRMatrix,
     BlockSparseKV,
     ComposableFormat,
-    RaggedTensor,
     decompose_shared_prefix,
 )
 from repro.kvcache import PagedKVCache, RadixTree
@@ -68,7 +67,6 @@ __all__ = [
     "BSRMatrix",
     "BlockSparseKV",
     "ComposableFormat",
-    "RaggedTensor",
     "decompose_shared_prefix",
     "PagedKVCache",
     "RadixTree",

@@ -2,8 +2,6 @@
 
 * :class:`FlashAttentionBaseline` — the open-source FA2/FA3 library:
   fixed tile sizes, grid launches, uniform flash-decoding splits (§4.2).
-* :func:`naive_attention` / :func:`naive_attention_report` — quadratic-IO
-  attention (pre-FlashAttention).
 * :mod:`repro.baselines.pipelines` — unfused RoPE→attention pipelines and
   the original StreamingLLM implementation's overheads (§4.3).
 
@@ -18,7 +16,6 @@ from repro.baselines.flash_attention import (
     FA3_PREFILL_TILE,
     FlashAttentionBaseline,
 )
-from repro.baselines.naive import naive_attention, naive_attention_report
 from repro.baselines.pipelines import (
     StreamingStepCost,
     rope_kernel_report,
@@ -32,8 +29,6 @@ __all__ = [
     "FA3_DECODE_TILE",
     "FA3_PREFILL_TILE",
     "FlashAttentionBaseline",
-    "naive_attention",
-    "naive_attention_report",
     "StreamingStepCost",
     "rope_kernel_report",
     "unfused_rope_attention",

@@ -274,8 +274,8 @@ class ClusterMetrics:
         if self.failover is not None:
             # Failover/migration counters, only on failover-enabled runs.
             out.update(self.failover.summary())
-            for i, p in enumerate(self.failover.admission_pressure):
-                out[f"replica{i}_admission_pressure"] = float(p)
+            for i, m in enumerate(self.replicas):
+                out[f"replica{i}_admission_pressure"] = float(m.admission_pressure)
         if self.overload is not None:
             # Front-door/breaker/brownout/SLO counters, only on overload runs.
             out.update(self.overload.summary())
@@ -506,7 +506,7 @@ class ClusterEngine:
             from repro.serving.overload import BrownoutController
 
             engine.track_pressure = True
-            engine.brownout = BrownoutController.from_config(self.config.overload)
+            engine.brownout = BrownoutController(self.config.overload)
             # Last engine built for a replica owns its brownout stats (a
             # failover takeover replaces the dead replica's controller).
             self._brownouts[replica] = engine.brownout
@@ -774,13 +774,7 @@ class ClusterEngine:
                     i, per_replica, failures, controller, assigned_tokens,
                     exclude, crash_reports,
                 )
-        failover_report = None
-        if controller is not None:
-            controller.report.held_requests = self._held_requests
-            controller.report.admission_pressure = [
-                m.admission_pressure for m in replica_metrics
-            ]
-            failover_report = controller.finish()
+        failover_report = controller.finish() if controller is not None else None
         cm = ClusterMetrics(
             tp=cfg.tp, dp=cfg.dp, router=self.router.name,
             topology=self.topology, replicas=replica_metrics,

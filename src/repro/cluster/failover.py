@@ -503,11 +503,6 @@ class FailoverReport:
     #: In-flight units of work (streams + partial prefills + preempted)
     #: carried through migration.
     inflight_migrated: int = 0
-    #: Arrivals held at the front door because every replica was
-    #: unhealthy (queued, never dropped).
-    held_requests: int = 0
-    #: Per-replica peak admission saturation, filled by the cluster run.
-    admission_pressure: List[float] = field(default_factory=list)
 
     def summary(self) -> Dict[str, float]:
         return {
@@ -518,7 +513,6 @@ class FailoverReport:
             "failover_detect_s": float(self.detect_seconds),
             "failover_recovery_s": float(self.recovery_seconds),
             "failover_inflight_migrated": float(self.inflight_migrated),
-            "failover_held_requests": float(self.held_requests),
             "failover_migrations": float(len(self.migrations)),
             "migration_pages": float(sum(m.pages for m in self.migrations)),
             "migration_bytes": float(sum(m.wire_bytes for m in self.migrations)),

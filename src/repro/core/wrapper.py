@@ -116,7 +116,6 @@ class BatchAttentionWrapper:
         kv_dtype: StorageDType = StorageDType.FP16,
         fuse_head_groups: bool = True,
         sparse_gather: bool = True,
-        causal_hint: bool = True,
         max_batch_size: Optional[int] = None,
         max_total_qo: Optional[int] = None,
         cost_model: Optional[KernelCostModel] = None,

@@ -341,8 +341,9 @@ class PagedKVCache:
     def truncate(self, seq_id: int, new_len: int) -> None:
         """Roll a sequence back to ``new_len`` tokens, freeing tail pages.
 
-        Speculative decoding appends draft K/V optimistically and truncates
-        on rejection; pages that become entirely unused are released.
+        Batching drops the partial growth of a failed allocation and KV
+        scrubbing cuts a sequence before its first corrupt page; pages that
+        become entirely unused are released.
         """
         st = self._state(seq_id)
         if not 0 <= new_len <= st.length:

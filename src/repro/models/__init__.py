@@ -1,17 +1,9 @@
 """Numerically real models served through the attention engine."""
 
 from repro.models.transformer import GenerationSession, TinyConfig, TinyTransformer
-from repro.models.speculative import (
-    SpeculativeStats,
-    ngram_draft,
-    speculative_generate,
-)
 
 __all__ = [
     "GenerationSession",
     "TinyConfig",
     "TinyTransformer",
-    "SpeculativeStats",
-    "ngram_draft",
-    "speculative_generate",
 ]

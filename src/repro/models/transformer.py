@@ -275,25 +275,6 @@ class GenerationSession:
         out, _, _ = wrapper.run(q, cache.k_pool, cache.v_pool)
         return out
 
-    def truncate(self, sid: int, new_len: int) -> None:
-        """Roll a sequence's KV back to ``new_len`` tokens in every layer
-        (speculative-decoding rejection)."""
-        for layer_cache, layer_sid in zip(self.cache, self.seqs[sid]):
-            layer_cache.truncate(layer_sid, new_len)
-        self.lengths[sid] = new_len
-
-    def step_all_positions(
-        self, seq_ids: Sequence[int], token_lists: Sequence[Sequence[int]]
-    ) -> List[np.ndarray]:
-        """Like :meth:`step`, but return logits at *every* fed position:
-        one ``(len(tokens_i), vocab)`` array per sequence.  This is the
-        verification call of speculative decoding."""
-        h, qo_lens = self._forward(seq_ids, token_lists)
-        h = _rms_norm(h, self.model.weights["final_norm"], self.model.config.rms_eps)
-        logits = h @ self.model.weights["lm_head"]
-        bounds = np.concatenate([[0], np.cumsum(qo_lens)])
-        return [logits[bounds[i] : bounds[i + 1]] for i in range(len(seq_ids))]
-
     def step(self, seq_ids: Sequence[int], token_lists: Sequence[Sequence[int]]) -> np.ndarray:
         """Feed ``token_lists[i]`` to sequence ``seq_ids[i]``; return the
         last-position logits per sequence ``(batch, vocab)``.

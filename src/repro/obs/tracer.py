@@ -17,7 +17,7 @@ allocates no event objects.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.obs.events import STEP_COMPONENTS, FaultEvent, KernelRecord, StepEvent
 
@@ -184,10 +184,6 @@ class StepTracer:
 
     # -- summaries ------------------------------------------------------------
 
-    def component_totals(self) -> Dict[str, float]:
-        """Total seconds per step component over the traced run."""
-        return dict(self.component_time)
-
     def counters(self) -> Dict[str, float]:
         """Flat counter dict, suitable for merging into a metrics summary."""
         out: Dict[str, float] = {
@@ -229,8 +225,3 @@ class StepTracer:
         if self.busy_time <= 0:
             return {c: 0.0 for c in self.component_time}
         return {c: s / self.busy_time for c, s in self.component_time.items()}
-
-
-def null_safe(tracer: Optional[StepTracer]) -> bool:
-    """True when tracing is active (helper for call sites)."""
-    return tracer is not None

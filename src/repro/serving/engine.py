@@ -356,7 +356,7 @@ class ServingEngine:
             requests = state.requests
             for idx in [
                 i for i in state.prefill_queue
-                if requests[i].priority < bo.shed_priority_below
+                if requests[i].priority < bo.config.shed_priority_below
             ]:
                 state.prefill_queue.remove(idx)
                 admission.shed_request(requests[idx], idx, t, "brownout")

@@ -285,35 +285,15 @@ class BrownoutController:
         level 4   + shed lowest priority tier    (drop queued priority < threshold)
 
     :meth:`observe` is fed one admission-saturation sample per engine
-    step; ``engage_after`` consecutive samples at/above ``enter`` climb a
-    rung, ``anneal_after`` consecutive samples at/below ``exit`` descend
-    one, and the band between holds — the same dwell-count hysteresis
-    that keeps the degrade controller from flapping.
+    step; ``engage_after`` consecutive samples at/above ``brownout_enter``
+    climb a rung, ``anneal_after`` consecutive samples at/below
+    ``brownout_exit`` descend one, and the band between holds — the same
+    dwell-count hysteresis that keeps the degrade controller from
+    flapping.  Every knob is read from the :class:`OverloadConfig`.
     """
 
-    def __init__(
-        self,
-        enter: float = 0.9,
-        exit: float = 0.6,
-        engage_after: int = 2,
-        anneal_after: int = 6,
-        chunk_size: int = 128,
-        clamp_tokens: int = 32,
-        shed_priority_below: int = 1,
-    ):
-        if not 0.0 <= exit < enter:
-            raise ValueError("need 0 <= exit < enter saturation thresholds")
-        if engage_after < 1 or anneal_after < 1:
-            raise ValueError("engage_after and anneal_after must be >= 1")
-        if chunk_size < 1 or clamp_tokens < 1:
-            raise ValueError("chunk_size and clamp_tokens must be >= 1")
-        self.enter = float(enter)
-        self.exit = float(exit)
-        self.engage_after = int(engage_after)
-        self.anneal_after = int(anneal_after)
-        self.chunk_size = int(chunk_size)
-        self.clamp_tokens = int(clamp_tokens)
-        self.shed_priority_below = int(shed_priority_below)
+    def __init__(self, config: OverloadConfig):
+        self.config = config
         self.level = 0
         self.peak_level = 0
         self.engage_events = 0
@@ -323,35 +303,24 @@ class BrownoutController:
         #: ``(t, from_level, to_level)`` rung changes, timestamped.
         self.transitions: List[Tuple[float, int, int]] = []
 
-    @classmethod
-    def from_config(cls, cfg: OverloadConfig) -> "BrownoutController":
-        return cls(
-            enter=cfg.brownout_enter,
-            exit=cfg.brownout_exit,
-            engage_after=cfg.engage_after,
-            anneal_after=cfg.anneal_after,
-            chunk_size=cfg.brownout_chunk,
-            clamp_tokens=cfg.brownout_clamp,
-            shed_priority_below=cfg.shed_priority_below,
-        )
-
     def observe(self, sat: float, t: float) -> int:
         """Feed one step's admission saturation; returns +1 on engaging a
         rung, -1 on annealing one, 0 otherwise."""
-        if sat >= self.enter:
+        cfg = self.config
+        if sat >= cfg.brownout_enter:
             self._hot += 1
             self._cool = 0
-            if self._hot >= self.engage_after and self.level < len(BROWNOUT_LADDER):
+            if self._hot >= cfg.engage_after and self.level < len(BROWNOUT_LADDER):
                 self._hot = 0
                 self.level += 1
                 self.peak_level = max(self.peak_level, self.level)
                 self.engage_events += 1
                 self.transitions.append((float(t), self.level - 1, self.level))
                 return 1
-        elif sat <= self.exit:
+        elif sat <= cfg.brownout_exit:
             self._cool += 1
             self._hot = 0
-            if self._cool >= self.anneal_after and self.level > 0:
+            if self._cool >= cfg.anneal_after and self.level > 0:
                 self._cool = 0
                 self.level -= 1
                 self.anneal_events += 1
@@ -369,7 +338,7 @@ class BrownoutController:
 
     def chunk_budget(self, default: int) -> int:
         """Effective prefill chunk budget under the current rung."""
-        return min(default, self.chunk_size) if self.level >= 1 else default
+        return min(default, self.config.brownout_chunk) if self.level >= 1 else default
 
     @property
     def cascade_disabled(self) -> bool:
@@ -378,7 +347,7 @@ class BrownoutController:
     @property
     def token_clamp(self) -> Optional[int]:
         """Total output tokens per stream while rung 3 is engaged."""
-        return self.clamp_tokens if self.level >= 3 else None
+        return self.config.brownout_clamp if self.level >= 3 else None
 
     @property
     def shed_active(self) -> bool:

@@ -4,12 +4,11 @@ FlashInfer's central observation (paper §3.1) is that the many KV-cache
 layouts used in LLM serving — page tables, radix trees, tree-attention masks,
 importance masks — are all instances of one structure: a block-sparse row
 (BSR) matrix whose rows are query positions and whose columns are KV-cache
-slots.  This subpackage provides that structure plus the ragged tensors used
-for query/output packing, the kernel-facing gather layouts, and the
-composable multi-format decomposition used for shared prefixes.
+slots.  This subpackage provides that structure plus the kernel-facing
+gather layouts and the composable multi-format decomposition used for
+shared prefixes.
 """
 
-from repro.sparse.ragged import RaggedTensor
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.bsr import BSRMatrix
 from repro.sparse.layout import AttentionMapping, BlockSparseKV
@@ -31,7 +30,6 @@ from repro.sparse.composable import (
 from repro.sparse.quest import PageSummaryStore, quest_mapping, select_pages
 
 __all__ = [
-    "RaggedTensor",
     "CSRMatrix",
     "BSRMatrix",
     "AttentionMapping",

@@ -7,8 +7,6 @@ from conftest import fp16, make_paged_mapping
 from repro import A100_40G
 from repro.baselines import (
     FlashAttentionBaseline,
-    naive_attention,
-    naive_attention_report,
     rope_kernel_report,
     unfused_streaming_step,
 )
@@ -83,24 +81,6 @@ class TestSchedulingCharacter:
         _, rep = fa2.run(mapping, decode=True)
         # Useful flops are a tiny fraction of a 128-row tile's padded work.
         assert rep.flops_utilization(A100_40G) < 0.05
-
-
-class TestNaive:
-    def test_numerics_exact(self, rng):
-        q = rng.standard_normal((8, 4, 16))
-        k = rng.standard_normal((8, 4, 16))
-        v = rng.standard_normal((8, 4, 16))
-        np.testing.assert_allclose(
-            naive_attention(q, k, v, causal=True),
-            reference_attention(q, k, v, causal=True),
-        )
-
-    def test_quadratic_traffic_dominates_at_long_context(self):
-        heads = HeadConfig(8, 8, 64)
-        short = naive_attention_report(128, 128, heads)
-        long = naive_attention_report(4096, 4096, heads)
-        # Logits traffic is quadratic: 32× length → ~1024× bytes.
-        assert long.total_bytes > 500 * short.total_bytes
 
 
 class TestUnfusedPipelines:

@@ -388,7 +388,6 @@ def test_all_replicas_unhealthy_holds_arrivals_never_drops():
     assert s["cluster_requests"] == 10.0
     assert s["cluster_sheds"] == 0.0
     assert s["cluster_held_requests"] > 0
-    assert s["failover_held_requests"] == s["cluster_held_requests"]
     # Held arrivals were clamped to the first rejoin inside the window.
     held_arrivals = [
         r.arrival for lst in cm.replica_requests for r in lst

@@ -193,6 +193,115 @@ class TestExtend:
         assert c.seq_pages(b)[:2] == pages_before[:2]
 
 
+class TestCacheTruncation:
+    def test_truncate_frees_pages(self):
+        cache = PagedKVCache(16, 4, 1, 4)
+        sid = cache.new_seq()
+        cache.extend(sid, 14)
+        used = cache.num_used_pages
+        cache.truncate(sid, 5)
+        assert cache.seq_len(sid) == 5
+        assert cache.num_used_pages == 2
+        assert cache.num_used_pages < used
+
+    def test_truncate_then_extend(self):
+        cache = PagedKVCache(16, 4, 1, 4)
+        sid = cache.new_seq()
+        cache.extend(sid, 10)
+        cache.truncate(sid, 3)
+        cache.extend(sid, 6)
+        assert cache.seq_len(sid) == 9
+
+    def test_truncate_bounds(self):
+        cache = PagedKVCache(16, 4, 1, 4)
+        sid = cache.new_seq()
+        cache.extend(sid, 4)
+        with pytest.raises(ValueError):
+            cache.truncate(sid, 5)
+        with pytest.raises(ValueError):
+            cache.truncate(sid, -1)
+
+    def test_truncate_shared_page_keeps_fork_intact(self):
+        """Rolling back one fork must not disturb its sibling, even when the
+        cut lands inside a page the two still share."""
+        c = make_cache()
+        root = c.new_seq()
+        k, v = kv(9)  # two full pages (shared by a fork) + one partial
+        c.append(root, k, v)
+        fork = c.fork_seq(root)
+        c.append(fork, *kv(3, seed=1))
+        c.truncate(fork, 9)  # reject the fork's extension
+        assert np.allclose(c.gather(fork)[0], k)
+        c.truncate(fork, 5)  # cut inside the second shared page
+        c.append(fork, *kv(2, seed=2))  # must copy that page before writing
+        k_new, v_new = kv(1, seed=3)
+        c.append(root, k_new, v_new)
+        gk, gv = c.gather(root)
+        assert np.allclose(gk, np.concatenate([k, k_new]))
+        assert np.allclose(gv, np.concatenate([v, v_new]))
+        assert c.seq_pages(root)[0] == c.seq_pages(fork)[0]
+        assert c.seq_pages(root)[1] != c.seq_pages(fork)[1]
+
+    def test_truncate_to_zero_releases_every_page(self):
+        c = make_cache()
+        s = c.new_seq()
+        c.extend(s, 10)
+        c.truncate(s, 0)
+        assert c.seq_len(s) == 0
+        assert c.seq_pages(s) == []
+        assert c.num_used_pages == 0
+
+    def test_truncate_at_current_length_is_a_noop(self):
+        c = make_cache()
+        s = c.new_seq()
+        k, v = kv(7)
+        c.append(s, k, v)
+        pages = c.seq_pages(s)
+        c.truncate(s, 7)
+        assert c.seq_pages(s) == pages
+        assert np.allclose(c.gather(s)[0], k)
+
+    def test_truncate_on_page_boundary_keeps_whole_pages(self):
+        c = make_cache()
+        s = c.new_seq()
+        c.extend(s, 11)
+        pages = c.seq_pages(s)
+        c.truncate(s, 8)
+        assert c.seq_pages(s) == pages[:2]
+        assert c.num_used_pages == 2
+
+    def test_truncate_keeps_prefix_data(self):
+        c = make_cache()
+        s = c.new_seq()
+        k, v = kv(10)
+        c.append(s, k, v)
+        c.truncate(s, 6)
+        gk, gv = c.gather(s)
+        assert np.allclose(gk, k[:6]) and np.allclose(gv, v[:6])
+        k2, v2 = kv(3, seed=5)
+        c.append(s, k2, v2)  # overwrites the rolled-back slots
+        gk, gv = c.gather(s)
+        assert np.allclose(gk, np.concatenate([k[:6], k2]))
+        assert np.allclose(gv, np.concatenate([v[:6], v2]))
+
+    def test_truncated_pages_serve_other_sequences(self):
+        c = make_cache(num_pages=3)
+        a = c.new_seq()
+        c.extend(a, 12)  # the whole pool
+        b = c.new_seq()
+        with pytest.raises(OutOfPagesError):
+            c.extend(b, 1)
+        c.truncate(a, 4)
+        c.extend(b, 8)
+        assert c.num_free_pages == 0
+        assert set(c.seq_pages(a)).isdisjoint(c.seq_pages(b))
+
+    def test_truncate_unknown_seq(self):
+        c = make_cache()
+        with pytest.raises(KeyError):
+            c.truncate(99, 0)
+
+
 class TestLayoutExport:
     def test_layout_matches_pages(self):
         c = make_cache()

@@ -133,9 +133,10 @@ class TestFrontDoor:
 
 class TestBrownoutController:
     def controller(self, **kw):
-        base = dict(enter=0.9, exit=0.6, engage_after=2, anneal_after=3)
+        base = dict(brownout_enter=0.9, brownout_exit=0.6, engage_after=2,
+                    anneal_after=3)
         base.update(kw)
-        return BrownoutController(**base)
+        return BrownoutController(OverloadConfig(**base))
 
     def test_ladder_engages_rung_by_rung_with_dwell(self):
         bo = self.controller()
@@ -186,17 +187,19 @@ class TestBrownoutController:
         assert clone.level == bo.level
         assert clone.export_state() == bo.export_state()
 
-    def test_from_config_carries_the_knobs(self):
-        bo = BrownoutController.from_config(
-            OverloadConfig(brownout_chunk=64, brownout_clamp=16,
-                           engage_after=5, anneal_after=7)
-        )
-        assert bo.chunk_size == 64 and bo.clamp_tokens == 16
-        assert bo.engage_after == 5 and bo.anneal_after == 7
+    def test_config_carries_the_knobs(self):
+        bo = self.controller(brownout_chunk=64, brownout_clamp=16,
+                             engage_after=5, anneal_after=7)
+        assert [bo.observe(2.0, t=float(t)) for t in range(5)] == [0, 0, 0, 0, 1]
+        assert bo.chunk_budget(512) == 64
+        for t in range(10):
+            bo.observe(2.0, t=5.0 + t)
+        assert bo.level == 3 and bo.token_clamp == 16
+        assert [bo.observe(0.1, t=20.0 + t) for t in range(7)] == [0] * 6 + [-1]
 
     def test_validates(self):
         with pytest.raises(ValueError):
-            BrownoutController(enter=0.5, exit=0.5)
+            self.controller(brownout_enter=0.5, brownout_exit=0.5)
 
 
 class TestCircuitBreaker:

@@ -34,6 +34,49 @@ class TestCSR:
         with pytest.raises(ValueError, match="data"):
             CSRMatrix((1, 3), np.array([0, 2]), np.array([0, 1]), data=np.ones(3))
 
+    def test_indptr_must_start_at_zero(self):
+        with pytest.raises(ValueError, match="start at 0"):
+            CSRMatrix((1, 3), np.array([1, 2]), np.array([0, 1]))
+
+    def test_indptr_must_cover_indices(self):
+        with pytest.raises(ValueError, match="indptr\\[-1\\]"):
+            CSRMatrix((1, 3), np.array([0, 1]), np.array([0, 1]))
+
+    def test_indptr_length_must_match_rows(self):
+        with pytest.raises(ValueError, match="indptr must have shape"):
+            CSRMatrix((3, 3), np.array([0, 1]), np.array([0]))
+
+    def test_negative_column_rejected(self):
+        with pytest.raises(ValueError, match="out of range"):
+            CSRMatrix((1, 3), np.array([0, 1]), np.array([-1]))
+
+    def test_from_dense_mask_rejects_non_2d(self):
+        with pytest.raises(ValueError, match="2-D"):
+            CSRMatrix.from_dense_mask(np.ones(4, dtype=bool))
+
+    def test_all_empty_rows(self):
+        csr = CSRMatrix((3, 5), np.zeros(4, dtype=np.int64), np.array([], dtype=np.int64))
+        assert csr.nnz == 0
+        assert all(csr.row_indices(i).size == 0 for i in range(3))
+        assert not csr.to_dense_mask().any()
+
+    def test_row_indices_are_views(self):
+        csr = CSRMatrix.from_dense_mask(np.eye(3, dtype=bool))
+        assert np.shares_memory(csr.row_indices(1), csr.indices)
+
+    @given(st.lists(st.integers(0, 7), min_size=1, max_size=10), st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_row_lengths_round_trip(self, lengths, seed):
+        """Rows of any length (empty ones included) survive dense → CSR →
+        dense, and ``indptr`` is the prefix sum of the row lengths."""
+        rng = np.random.default_rng(seed)
+        mask = np.zeros((len(lengths), 8), dtype=bool)
+        for i, n in enumerate(lengths):
+            mask[i, rng.choice(8, size=n, replace=False)] = True
+        csr = CSRMatrix.from_dense_mask(mask)
+        assert np.array_equal(np.diff(csr.indptr), lengths)
+        assert np.array_equal(csr.to_dense_mask(), mask)
+
 
 class TestBSRGeometry:
     def test_full_blocks(self):
