@@ -220,6 +220,25 @@ def _assign_ctas(inc_q: np.ndarray, inc_kv: np.ndarray, num_ctas: int) -> np.nda
     return cta
 
 
+def _break_even_chunk(
+    tiles: np.ndarray,
+    kv_lens: np.ndarray,
+    l_kv: int,
+    break_even_kv: int,
+    granularity: int,
+    num_ctas: int,
+) -> int:
+    """Step 3's release: ``l_kv`` raised by ``granularity`` steps to the
+    first step at or past ``break_even_kv``, or to the first whose items —
+    ``tiles[g]`` tiles of group ``g``, each cut into its KV chunks — fit
+    ``num_ctas``.  All candidate steps are counted in one pass."""
+    steps = l_kv + granularity * np.arange(ceil_div(break_even_kv - l_kv, granularity) + 1)
+    chunks = np.maximum(-(-kv_lens // steps[:, None]), 1)
+    fits = chunks @ tiles <= num_ctas
+    fits[-1] = True
+    return int(steps[fits.argmax()])
+
+
 def _build_plan(
     qo_lens: np.ndarray,
     kv_lens: np.ndarray,
@@ -292,6 +311,7 @@ def plan_schedule(
     causal: bool = False,
     q_pos_offset: Optional[Sequence[int]] = None,
     kv_pos_offset: Optional[Sequence[int]] = None,
+    break_even_kv: int = 0,
 ) -> SchedulePlan:
     """Algorithm 1: balanced assignment of attention work to CTAs.
 
@@ -319,6 +339,15 @@ def plan_schedule(
         its query tile (a prefill tile near the top of the triangle does a
         fraction of the last tile's work).  Offsets default to the
         decode/prefill convention (queries are the trailing positions).
+    break_even_kv:
+        The KV length whose bytes equal what one more split costs: the
+        partial state ``(O, LSE)`` of the largest tile, written in fp32 by
+        the attention kernel and read back by the contraction (App. D.3).
+        Algorithm 1 prices a split as free; a positive value raises its
+        ``L_kv`` in ``chunk_granularity`` steps until it reaches this length
+        or the items fit one wave (``items ≤ num_ctas``), whichever comes
+        first — a split below break-even is kept only where it feeds a CTA
+        that would otherwise sit idle.  0 is Algorithm 1 as written.
     """
     qo_lens = np.asarray(qo_lens, dtype=np.int64)
     kv_lens = np.asarray(kv_lens, dtype=np.int64)
@@ -333,6 +362,11 @@ def plan_schedule(
     if split_kv and total_tile_kv > 0:
         l_kv = max(ceil_div(total_tile_kv, num_ctas), min_kv_chunk)
         l_kv = ceil_div(l_kv, chunk_granularity) * chunk_granularity
+        if l_kv < break_even_kv:
+            l_kv = _break_even_chunk(
+                n_tiles * num_kv_heads, kv_lens, l_kv, break_even_kv,
+                chunk_granularity, num_ctas,
+            )
     else:
         l_kv = max(int(kv_lens.max(initial=0)), 1)
 
@@ -373,6 +407,7 @@ def plan_signature(
     causal: bool = False,
     q_pos_offset: Optional[Sequence[int]] = None,
     kv_pos_offset: Optional[Sequence[int]] = None,
+    break_even_kv: int = 0,
 ) -> Tuple:
     """Hashable key over every :func:`plan_schedule` input.
 
@@ -394,7 +429,7 @@ def plan_signature(
         _bytes(qo_lens), _bytes(kv_lens), int(q_tile_size), int(num_ctas),
         int(num_kv_heads), int(mapping_idx), float(alpha), float(beta),
         int(min_kv_chunk), int(chunk_granularity), bool(split_kv), bool(causal),
-        _bytes(q_pos_offset), _bytes(kv_pos_offset),
+        _bytes(q_pos_offset), _bytes(kv_pos_offset), int(break_even_kv),
     )
 
 

@@ -63,6 +63,14 @@ def _num_query_rows(q: Optional[np.ndarray], compute: bool, planned_rows: int) -
     return planned_rows
 
 
+def break_even_kv_len(rows: int, head_dim: int, kv_dtype: StorageDType) -> int:
+    """KV tokens whose K and V bytes equal what one more split of a
+    ``rows``-row tile moves: its fp32 partial state ``(O, LSE)``, written by
+    the attention kernel and read back by the contraction (App. D.3)."""
+    split_bytes = 2 * rows * (head_dim + 1) * PARTIAL_ITEMSIZE
+    return ceil_div(split_bytes, 2 * head_dim * kv_dtype.itemsize)
+
+
 def _apply_output_transform(kernel: CompiledKernel, out: np.ndarray, rows: np.ndarray, params):
     """The variant's output transform over ``rows`` of ``out``, head by head."""
     for h in range(out.shape[1]):
@@ -269,6 +277,9 @@ class BatchAttentionWrapper:
         sched_args = (
             mapping.qo_lens, mapping.kv.kv_lens, self._sched_q_tile, self.num_ctas
         )
+        # The largest tile's fused rows price one more split.
+        g_eff = self.heads.group_size if self.fuse_head_groups else 1
+        rows = min(self._sched_q_tile, int(mapping.qo_lens.max(initial=0))) * g_eff
         sched_kwargs = dict(
             num_kv_heads=self._sched_heads,
             chunk_granularity=self.kv_tile,
@@ -276,6 +287,7 @@ class BatchAttentionWrapper:
             causal=mapping.causal,
             q_pos_offset=mapping.q_pos_offset,
             kv_pos_offset=mapping.kv_pos_offset,
+            break_even_kv=break_even_kv_len(rows, self.heads.head_dim, self.kv_dtype),
         )
         cache = self.plan_cache
         plan = None

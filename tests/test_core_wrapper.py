@@ -2,12 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_scheduler
 from conftest import fp16, make_paged_mapping, make_shared_prefix_mapping
 from repro import BatchAttentionWrapper, ComposableAttentionWrapper, WorkspaceBuffer
 from repro.core import HeadConfig, VANILLA, reference_attention
+from repro.core.wrapper import break_even_kv_len
+from repro.gpu import H100_80G
 from repro.sparse import decompose_shared_prefix
 from repro.utils.dtypes import StorageDType
+from test_scheduler_equivalence import assert_same_plan
 
 
 def run_and_check(heads, kv_lens, qo_lens, rng, page_size=16, causal=True,
@@ -82,8 +88,6 @@ class TestCorrectness:
         )
 
     def test_fa3_backend(self, rng):
-        from repro.gpu import H100_80G
-
         run_and_check(HeadConfig(4, 2, 16), [64, 300], [64, 300], rng, gpu=H100_80G,
                       atol=1e-5)
 
@@ -356,3 +360,76 @@ class TestComposableExtras:
         g.replay()
         # The per-wrapper reports reflect the longer suffix KV.
         assert cw.wrappers[1].last_report.makespan > 0
+
+
+
+class TestBreakEvenSplit:
+    """``plan`` raises Algorithm 1's ``L_kv`` toward the KV length one more
+    split costs (its fp32 partial state, written and read back), unless the
+    shorter split feeds a CTA that would otherwise sit idle.  Llama-3.1-8B
+    heads on H100, as in the benchmark's ``kernel_batch``."""
+
+    HEADS = HeadConfig(32, 8, 128)
+
+    def _wrapper(self, avg_qo_len, kv_dtype=StorageDType.FP16):
+        return BatchAttentionWrapper(
+            VANILLA, self.HEADS, WorkspaceBuffer(1 << 26), H100_80G,
+            avg_qo_len=avg_qo_len, kv_dtype=kv_dtype,
+        )
+
+    @staticmethod
+    def _algorithm_1(w, mapping):
+        return reference_scheduler.plan_schedule(
+            mapping.qo_lens, mapping.kv.kv_lens, w._sched_q_tile, w.num_ctas,
+            num_kv_heads=w._sched_heads, chunk_granularity=w.kv_tile,
+            causal=mapping.causal,
+        )
+
+    def test_break_even_lengths(self):
+        assert break_even_kv_len(128, 128, StorageDType.FP16) == 258
+        assert break_even_kv_len(128, 128, StorageDType.FP8_E4M3) == 516
+        assert break_even_kv_len(4, 128, StorageDType.FP16) == 9
+        assert break_even_kv_len(0, 128, StorageDType.FP16) == 0
+
+    @given(st.lists(st.integers(1, 8000), min_size=1, max_size=48),
+           st.sampled_from([StorageDType.FP16, StorageDType.FP8_E4M3]))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_decode_plans_are_algorithm_1(self, kv_lens, kv_dtype):
+        """4 fused rows break even at a handful of tokens, under the 64-token
+        floor: a decode batch plans exactly as Algorithm 1 does."""
+        w = self._wrapper(1.0, kv_dtype)
+        mapping, _ = make_paged_mapping(kv_lens, [1] * len(kv_lens))
+        assert_same_plan(w.plan(mapping), self._algorithm_1(w, mapping))
+
+    def test_short_prefill_is_one_launch(self, rng):
+        lens = [64, 100, 128, 150, 170, 192]
+        _, _, report, w = run_and_check(self.HEADS, lens, lens, rng, gpu=H100_80G)
+        plan = w._read_plan()
+        assert w._sched_q_tile * self.HEADS.group_size == 128
+        assert self._algorithm_1(w, w._mapping).num_partial_slots > 0
+        assert plan.num_partial_slots == 0 and plan.num_work_items <= w.num_ctas
+        # One launch: no contraction report was combined into it.
+        assert report.num_tiles == plan.num_work_items
+        assert len(report.per_cta_time) == w.num_ctas
+
+    def test_long_prefill_chunk_keeps_algorithm_1(self):
+        w = self._wrapper(1024.0)
+        mapping, _ = make_paged_mapping([4096], [1024])
+        plan = w.plan(mapping)
+        assert_same_plan(plan, self._algorithm_1(w, mapping))
+        assert plan.num_partial_slots > 0
+
+    def test_cascade_prefix_still_fills_the_grid(self):
+        """One group of 12 decode queries (48 fused rows) over a 1 008-token
+        shared prefix is 8 tiles, one per KV head: its split below
+        break-even is what keeps the grid busy."""
+        mapping, _, clusters = make_shared_prefix_mapping(1, 12, 1008, 16)
+        comp = decompose_shared_prefix(mapping, clusters)
+        cw = ComposableAttentionWrapper(VANILLA, self.HEADS, WorkspaceBuffer(1 << 27), H100_80G)
+        cw.plan(comp)
+        w, prefix = cw.wrappers[0], comp.mappings[0]
+        assert (prefix.num_groups, int(prefix.qo_lens[0]), int(prefix.kv.kv_lens[0])) == (1, 12, 1008)
+        plan = w._read_plan()
+        assert_same_plan(plan, self._algorithm_1(w, prefix))
+        assert plan.kv_chunk_size < break_even_kv_len(48, 128, StorageDType.FP16) == 97
+        assert plan.num_partial_slots == -(-1008 // plan.kv_chunk_size) * self.HEADS.num_kv_heads

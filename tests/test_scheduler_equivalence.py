@@ -120,6 +120,54 @@ class TestPlanSchedule:
         both([4, 1], [0, 0], 16, 4, num_kv_heads=3, causal=True)
 
 
+class TestBreakEvenRelease:
+    """``break_even_kv`` raises Algorithm 1's ``L_kv``; everything else about
+    the plan is still Algorithm 1, at the raised chunk."""
+
+    def test_zero_is_algorithm_1(self):
+        qo, kv = [64, 100, 128, 150, 170, 192], [64, 100, 128, 150, 170, 192]
+        new = plan_schedule(qo, kv, 32, 264, num_kv_heads=8, causal=True, break_even_kv=0)
+        assert_same_plan(new, ref.plan_schedule(qo, kv, 32, 264, num_kv_heads=8, causal=True))
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 400), st.integers(0, 3000)),
+                 min_size=1, max_size=12),
+        Q_TILES, st.sampled_from([3, 16, 64, 132, 264]), HEADS,
+        st.sampled_from([16, 32, 64, 128]), st.integers(1, 1200), st.booleans(),
+    )
+    @FIXED
+    def test_release_rule(self, groups, q_tile, num_ctas, heads, granularity,
+                          break_even, causal):
+        qo, kv = (list(col) for col in zip(*groups))
+        kw = dict(num_kv_heads=heads, chunk_granularity=granularity, causal=causal)
+        alg1 = ref.plan_schedule(qo, kv, q_tile, num_ctas, **kw)
+        new = plan_schedule(qo, kv, q_tile, num_ctas, break_even_kv=break_even, **kw)
+        chunk = new.kv_chunk_size
+        # Algorithm 1 at the raised chunk, table for table.
+        assert_same_plan(new, ref.plan_schedule(qo, kv, q_tile, num_ctas,
+                                                min_kv_chunk=chunk, **kw))
+        if not any(q and k for q, k in groups):  # nothing to split: Algorithm 1's l_kv
+            assert chunk == alg1.kv_chunk_size
+            return
+        assert chunk >= alg1.kv_chunk_size
+        assert chunk % granularity == 0
+        if chunk < break_even:
+            assert new.num_work_items <= num_ctas
+        if chunk > alg1.kv_chunk_size:
+            shorter = ref.plan_schedule(qo, kv, q_tile, num_ctas,
+                                        min_kv_chunk=chunk - granularity, **kw)
+            assert chunk - granularity < break_even
+            assert shorter.num_work_items > num_ctas
+
+    def test_the_rule_moves_a_short_prefill(self):
+        """The property above is not vacuous: a short prefill on a full grid
+        is released at one wave, below break-even."""
+        qo = kv = [64, 100, 128, 150, 170, 192]
+        plan = plan_schedule(qo, kv, 32, 264, num_kv_heads=8, causal=True, break_even_kv=258)
+        assert ref.plan_schedule(qo, kv, 32, 264, num_kv_heads=8, causal=True).num_partial_slots
+        assert (plan.kv_chunk_size, plan.num_partial_slots, plan.num_work_items) == (192, 0, 216)
+
+
 class TestPlanUnbalanced:
     @given(st.lists(st.tuples(st.integers(0, 300), st.integers(0, 3000)),
                     min_size=0, max_size=12),

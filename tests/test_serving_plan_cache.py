@@ -4,7 +4,7 @@ import pytest
 
 from conftest import SMALL_HEADS, make_paged_mapping
 from repro.core import VANILLA, BatchAttentionWrapper, HeadConfig
-from repro.gpu import H100_80G, WorkspaceBuffer
+from repro.gpu import H100_80G, PersistentKernelExecutor, WorkspaceBuffer
 from repro.serving import (
     EngineConfig,
     FlashInferBackend,
@@ -13,6 +13,7 @@ from repro.serving import (
     Request,
     ServingEngine,
 )
+from repro.utils.dtypes import StorageDType
 
 MODEL = LLAMA_3_1_8B
 HEADS = HeadConfig(MODEL.num_qo_heads, MODEL.num_kv_heads, MODEL.head_dim)
@@ -123,6 +124,25 @@ class TestWrapperDeterminism:
         assert (pc.hits, pc.misses) == (1, 1)
         fresh_plan = self._wrapper().plan(mapping)
         assert hit_plan == fresh_plan
+
+    def test_kv_storage_precision_does_not_collide(self):
+        """A backend's wrappers share one cache through their executor.  At
+        128 fused rows an fp8 split breaks even at twice the KV tokens of an
+        fp16 one (516 vs 258), so the same lengths plan two chunk sizes."""
+        executor = PersistentKernelExecutor(H100_80G)
+        executor.plan_cache = pc = PlanCache()
+        fp16, fp8 = (
+            BatchAttentionWrapper(VANILLA, HEADS, WorkspaceBuffer(1 << 27), H100_80G,
+                                  avg_qo_len=32.0, kv_dtype=dtype, executor=executor)
+            for dtype in (StorageDType.FP16, StorageDType.FP8_E4M3)
+        )
+        # Everything else of the plan key is equal: only the break-even differs.
+        assert (fp16._sched_q_tile, fp16.num_ctas, fp16.kv_tile) == (
+            fp8._sched_q_tile, fp8.num_ctas, fp8.kv_tile) == (32, 264, 64)
+        mapping, _ = make_paged_mapping([100] * 30 + [1000] * 4, [32] * 34, 16)
+        chunks = (fp16.plan(mapping).kv_chunk_size, fp8.plan(mapping).kv_chunk_size)
+        assert (pc.hits, pc.misses) == (0, 2)
+        assert chunks == (320, 576)
 
     def test_distinct_shapes_do_not_collide(self):
         m1, _ = make_paged_mapping([128, 300], [1, 1], 16)
