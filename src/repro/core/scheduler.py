@@ -239,6 +239,36 @@ def _break_even_chunk(
     return int(steps[fits.argmax()])
 
 
+def _tile_rows(
+    qo_lens: np.ndarray, q_tile_size: int, num_kv_heads: int, mapping_idx: int
+) -> np.ndarray:
+    """One item-table row per ``(group, q_tile, kv_head)``, in that order,
+    with the query columns filled; the KV and slot columns are left unset."""
+    per_group = np.where(qo_lens > 0, -(-qo_lens // q_tile_size), 0) * num_kv_heads
+    group = np.repeat(np.arange(qo_lens.size), per_group)
+    within = np.arange(group.size) - np.repeat(np.cumsum(per_group) - per_group, per_group)
+    tiles = np.empty((group.size, ITEM_FIELDS), dtype=np.int64)
+    tiles[:, COL_MAPPING] = mapping_idx
+    tiles[:, COL_GROUP] = group
+    tiles[:, COL_QTILE], tiles[:, COL_KVHEAD] = np.divmod(within, num_kv_heads)
+    q_start = tiles[:, COL_QTILE] * q_tile_size
+    tiles[:, COL_QSTART] = q_start
+    tiles[:, COL_QROWS] = np.minimum(q_tile_size, qo_lens[group] - q_start)
+    return tiles
+
+
+def whole_kv_tiles(qo_lens: Sequence[int], kv_lens: Sequence[int], q_tile_size: int) -> np.ndarray:
+    """The items of an unsplit plan for one KV head: one row per ``(group,
+    q_tile)``, over the group's whole KV, written through.  Every KV head
+    of a tile has the same footprint, so these price an unsplit launch."""
+    kv_lens = np.asarray(kv_lens, dtype=np.int64)
+    tiles = _tile_rows(np.asarray(qo_lens, dtype=np.int64), q_tile_size, 1, 0)
+    tiles[:, COL_KVSTART] = 0
+    tiles[:, COL_KVSTOP] = kv_lens[tiles[:, COL_GROUP]]
+    tiles[:, COL_SLOT] = -1
+    return tiles
+
+
 def _build_plan(
     qo_lens: np.ndarray,
     kv_lens: np.ndarray,
@@ -256,17 +286,8 @@ def _build_plan(
     ``arange`` cut by ``merge_indptr``.  ``assign(table)`` returns ``(order,
     cta)``: the enumerated rows in rank order and the CTA of each rank.
     """
-    # One row per (group, q_tile, kv_head), already in item-table layout.
-    per_group = np.where(qo_lens > 0, -(-qo_lens // q_tile_size), 0) * num_kv_heads
-    group = np.repeat(np.arange(qo_lens.size), per_group)
-    within = np.arange(group.size) - np.repeat(np.cumsum(per_group) - per_group, per_group)
-    tiles = np.empty((group.size, ITEM_FIELDS), dtype=np.int64)
-    tiles[:, COL_MAPPING] = mapping_idx
-    tiles[:, COL_GROUP] = group
-    tiles[:, COL_QTILE], tiles[:, COL_KVHEAD] = np.divmod(within, num_kv_heads)
-    q_start = tiles[:, COL_QTILE] * q_tile_size
-    tiles[:, COL_QSTART] = q_start
-    tiles[:, COL_QROWS] = np.minimum(q_tile_size, qo_lens[group] - q_start)
+    tiles = _tile_rows(qo_lens, q_tile_size, num_kv_heads, mapping_idx)
+    group = tiles[:, COL_GROUP]
     lkv = kv_lens[group]
     n_chunks = np.maximum(-(-lkv // l_kv), 1)
 

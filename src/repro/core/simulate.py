@@ -16,6 +16,7 @@ through ``run_persistent``) is the oracle in ``tests/reference_costs.py``;
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -51,13 +52,15 @@ def _causal_processed(
     r = rows.astype(np.float64)
     lo = lo.astype(np.float64)
     c = chunk.astype(np.float64)
-    a = np.clip(-lo, 0.0, r)  # rows with zero visible columns
-    b = np.clip(c - lo, 0.0, r)  # rows below the saturated region
+    # np.minimum/np.maximum rather than np.clip: the same values, a third of
+    # the call overhead on the short arrays of a plan.
+    a = np.minimum(np.maximum(-lo, 0.0), r)  # rows with zero visible columns
+    b = np.minimum(np.maximum(c - lo, 0.0), r)  # rows below the saturated region
     mid = np.maximum(b - a, 0.0)
     # Sum of (lo + i) for i in [a, b):
     mid_sum = mid * lo + (a + b - 1.0) * mid / 2.0
     useful = mid_sum + (r - b) * c
-    max_count = np.clip(lo + r - 1.0, 0.0, c)
+    max_count = np.minimum(np.maximum(lo + r - 1.0, 0.0), c)
     processed = np.minimum(c, np.ceil(max_count / kv_tile) * kv_tile)
     processed[max_count <= 0] = 0.0
     return useful, processed
@@ -104,23 +107,27 @@ def item_footprints(
     loaded once per KV head rather than once per query head), and the
     run length and segment count of sparse gathers.
     """
+    # Every product of counts below is an integer far under 2**53, so folding
+    # the constants first changes no bit of any column.
     g_eff = heads.group_size if fuse_head_groups else 1
-    d = heads.head_dim
+    d, itemsize = heads.head_dim, kv_dtype.itemsize
     group = item_arr[:, COL_GROUP]
     rows = item_arr[:, COL_QROWS].astype(np.float64)
     chunk = (item_arr[:, COL_KVSTOP] - item_arr[:, COL_KVSTART]).astype(np.float64)
-    q_pos0 = mapping.q_pos_offset[group] + item_arr[:, COL_QSTART]
-    kv_pos0 = mapping.kv_pos_offset[group] + item_arr[:, COL_KVSTART]
 
     if mapping.causal:
+        q_pos0 = mapping.q_pos_offset[group] + item_arr[:, COL_QSTART]
+        kv_pos0 = mapping.kv_pos_offset[group] + item_arr[:, COL_KVSTART]
         lo = (q_pos0 - kv_pos0 + 1).astype(np.float64)
         useful_cols, processed = _causal_processed(lo, rows, chunk, kv_tile)
     else:
         useful_cols = rows * chunk
         processed = chunk
 
-    flops = 4.0 * d * useful_cols * g_eff
-    padded = 4.0 * d * (q_tile_size * g_eff) * processed * compute_penalty
+    flops = useful_cols * (4.0 * d * g_eff)
+    padded = 4.0 * d * (q_tile_size * g_eff) * processed
+    if compute_penalty != 1.0:
+        padded = padded * compute_penalty
 
     # A KV chunk is re-read by every later query tile of its group (causal:
     # the tiles whose last query position reaches the chunk's first KV
@@ -130,30 +137,97 @@ def item_footprints(
     lq = mapping.qo_lens[group].astype(np.float64)
     n_tiles = np.maximum(np.ceil(lq / q_tile_size), 1.0)
     if mapping.causal:
-        first_row = (
-            mapping.kv_pos_offset[group] + item_arr[:, COL_KVSTART]
-            - mapping.q_pos_offset[group]
-        ).astype(np.float64)
-        first_row = np.clip(first_row, 0.0, np.maximum(lq - 1.0, 0.0))
+        # The item's first KV position, as a row of its group's queries.
+        first_row = (item_arr[:, COL_QSTART] + 1) - lo
+        first_row = np.minimum(np.maximum(first_row, 0.0), np.maximum(lq - 1.0, 0.0))
         reuse = np.maximum(n_tiles - np.floor(first_row / q_tile_size), 1.0)
     else:
         reuse = n_tiles
-    kv_bytes = processed * d * 2 * kv_dtype.itemsize / reuse
-    q_bytes = rows * g_eff * d * Q_ITEMSIZE
-    is_partial = item_arr[:, COL_SLOT] >= 0
-    out_bytes = np.where(
-        is_partial,
-        rows * g_eff * (d + 1) * PARTIAL_ITEMSIZE,
-        rows * g_eff * d * Q_ITEMSIZE,
+    kv_bytes = processed * (2 * d * itemsize) / reuse
+    q_bytes = rows * (g_eff * d * Q_ITEMSIZE)
+    partial = item_arr[:, COL_SLOT] >= 0
+    out_bytes = rows * np.where(
+        partial, g_eff * (d + 1) * PARTIAL_ITEMSIZE, g_eff * d * Q_ITEMSIZE
     )
 
     if sparse_gather:
         bc = mapping.kv.block_size
-        run_bytes = np.minimum(bc, np.maximum(processed, 1.0)) * d * kv_dtype.itemsize
-        segments = np.where(processed > 0, 2.0 * np.ceil(processed / bc), 0.0)
+        run_bytes = np.minimum(bc, np.maximum(processed, 1.0)) * (d * itemsize)
+        segments = 2.0 * np.ceil(processed / bc)  # 0 where nothing is processed
     else:
         run_bytes = segments = np.zeros_like(q_bytes)
     return ItemFootprints(flops, padded, kv_bytes + q_bytes, out_bytes, run_bytes, segments)
+
+
+@functools.lru_cache(maxsize=64)
+def _worst_gather_waste(block: int, token_bytes: int) -> float:
+    """The largest transaction waste :func:`item_cost_arrays` charges a
+    gather whose contiguous runs are 1 to ``block`` tokens long."""
+    return max(
+        -(-k * token_bytes // TRANSACTION_BYTES) * TRANSACTION_BYTES / (k * token_bytes)
+        for k in range(1, block + 1)
+    )
+
+
+def _compute_roof(cost_model: KernelCostModel, uses_tensor_cores: bool, compute_share: float) -> float:
+    """FLOP/s one CTA's serial stream computes at."""
+    spec = cost_model.spec
+    return (
+        spec.sm_fp16_flops * cost_model.mma_efficiency
+        if uses_tensor_cores
+        else spec.sm_cuda_core_flops
+    ) * compute_share
+
+
+def unsplit_bounds(
+    q_tiles: np.ndarray,
+    mapping: AttentionMapping,
+    heads: HeadConfig,
+    kv_dtype: StorageDType,
+    q_tile_size: int,
+    fuse_head_groups: bool,
+    uses_tensor_cores: bool,
+    sparse_gather: bool,
+    cost_model: KernelCostModel,
+    compute_share: float,
+    compute_penalty: float = 1.0,
+) -> Tuple[float, float]:
+    """``(longest, total)`` of the unsplit plan for one KV head — group ``g``
+    cut into ``q_tiles[g]`` query tiles, each over the group's whole KV
+    (``scheduler.whole_kv_tiles``) — from the lengths alone: a lower bound on
+    its longest serial stream and an upper bound on the sum of its mem
+    streams, as :func:`item_cost_arrays` prices them.  A tile computes over
+    at least the KV columns its last query row sees and loads at most all of
+    them, with the L2 reuse of its group (every tile's KV starts at the
+    group's first), and gathers with no more transaction waste than a run
+    of up to one block has.  O(groups), no item table."""
+    g_eff = heads.group_size if fuse_head_groups else 1
+    d, itemsize = heads.head_dim, kv_dtype.itemsize
+    qo, kv = mapping.qo_lens, mapping.kv.kv_lens
+    seen, kv_cols = kv, float(q_tiles @ kv)
+    if mapping.causal:
+        # One past the last KV column of the group's last query row.
+        last = mapping.q_pos_offset + qo - mapping.kv_pos_offset
+        seen = np.minimum(last, kv)
+    seen = max(float(seen.max(where=q_tiles > 0, initial=0)), 0.0)
+    if q_tiles.max(initial=0) > 1:  # later query tiles re-read the KV from L2
+        reuse = np.maximum(q_tiles, 1)
+        if mapping.causal:  # counted from the first row that sees the first KV column
+            reuse = np.maximum(reuse - np.maximum(qo - last, 0) // q_tile_size, 1)
+        kv_cols = float(q_tiles @ (kv / reuse))
+    longest = (
+        4.0 * d * (q_tile_size * g_eff) * seen * compute_penalty
+        / _compute_roof(cost_model, uses_tensor_cores, compute_share)
+        + cost_model.tile_latency
+    )
+    waste = 1.0
+    if sparse_gather:
+        block = mapping.kv.block_size
+        longest += 2.0 * -(-seen // block) * cost_model.gather_issue_overhead
+        waste = _worst_gather_waste(block, d * itemsize)
+    q_bytes = float(qo.sum()) * (g_eff * d * Q_ITEMSIZE)  # read once, written once
+    kv_bytes = kv_cols * (2 * d * itemsize)
+    return longest, ((kv_bytes + q_bytes) * waste + q_bytes) / cost_model.mem_efficiency
 
 
 def item_cost_arrays(
@@ -185,14 +259,8 @@ def item_cost_arrays(
     else:
         eff_read = fp.bytes_read
 
-    spec = cost_model.spec
-    roof = (
-        spec.sm_fp16_flops * cost_model.mma_efficiency
-        if uses_tensor_cores
-        else spec.sm_cuda_core_flops
-    ) * compute_share
     serial = (
-        fp.padded / roof
+        fp.padded / _compute_roof(cost_model, uses_tensor_cores, compute_share)
         + fp.segments * cost_model.gather_issue_overhead
         + cost_model.tile_latency
     )

@@ -37,6 +37,11 @@ structural causal mask; masked scores become ``-inf`` before softmax (or 0
 weight for non-softmax variants).  Setting ``use_softmax=False`` switches
 the whole pipeline — including partial-state composition — to plain
 summation (FlashSigmoid support).
+
+A mask the planner can see: ``look_back`` names the parameter ``w`` for
+which the variant's mask hides every ``kv_pos <= q_pos - w`` (FlashInfer's
+``window_left``).  The kernel never reads it; the wrapper plans and prices
+only the KV that some query row can see.
 """
 
 from __future__ import annotations
@@ -72,7 +77,8 @@ class AttentionVariant:
     """Declarative attention-variant specification.
 
     Any functor left ``None`` is compiled out of the kernel.  The spec is
-    hashable; the JIT cache is keyed on it together with the kernel traits.
+    hashable; the JIT cache is keyed on it together with the kernel traits
+    (not on ``look_back``, which changes the plan, never the kernel).
     """
 
     name: str
@@ -84,6 +90,7 @@ class AttentionVariant:
     logits_mask: Optional[str] = None
     output_transform: Optional[str] = None
     use_softmax: bool = True
+    look_back: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not self.name.isidentifier():
@@ -93,6 +100,10 @@ class AttentionVariant:
             if p.name in seen:
                 raise ValueError(f"duplicate parameter {p.name!r}")
             seen.add(p.name)
+        if self.look_back is not None and self.look_back not in seen:
+            raise ValueError(
+                f"variant {self.name!r}: look_back names no parameter: {self.look_back!r}"
+            )
         for functor, allowed in _FUNCTOR_VARS.items():
             src = getattr(self, functor)
             if src is None:
@@ -149,8 +160,9 @@ def compose_variants(name: str, a: AttentionVariant, b: AttentionVariant) -> Att
     """Combine two variants into one kernel (e.g. soft-cap + sliding window).
 
     Rules: parameters merge (names must not collide); ``logits_mask``
-    expressions AND together; every other functor may be supplied by at
-    most one side; ``use_softmax`` must agree.
+    expressions AND together, so a side's ``look_back`` bound still holds;
+    every other functor, and ``look_back``, may be supplied by at most one
+    side; ``use_softmax`` must agree.
     """
     if a.use_softmax != b.use_softmax:
         raise ValueError("cannot compose variants with different use_softmax")
@@ -181,4 +193,5 @@ def compose_variants(name: str, a: AttentionVariant, b: AttentionVariant) -> Att
         logits_mask=mask,
         output_transform=pick("output_transform"),
         use_softmax=a.use_softmax,
+        look_back=pick("look_back"),
     )

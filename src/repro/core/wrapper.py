@@ -36,6 +36,7 @@ from repro.core.scheduler import (
     SchedulePlan,
     plan_schedule,
     plan_signature,
+    whole_kv_tiles,
 )
 from repro.core.tiles import ctas_per_sm, select_kv_tile, select_q_tile
 from repro.core.variant import AttentionVariant
@@ -51,6 +52,9 @@ from repro.core.state import merge_states
 from repro.utils.dtypes import StorageDType
 
 _wrapper_counter = itertools.count()
+#: Seconds below any modelled launch time and far above the rounding of one:
+#: a plan is rejected on a bound only when the bound clears its price by this.
+_PRICE_SLACK = 1e-12
 
 
 def _num_query_rows(q: Optional[np.ndarray], compute: bool, planned_rows: int) -> int:
@@ -184,6 +188,8 @@ class BatchAttentionWrapper:
             self.num_ctas = sm_limit * occ
         else:
             self.num_ctas = gpu.num_sms * occ
+        #: Each CTA's share of its SM's compute when the grid oversubscribes it.
+        self._compute_share = min(1.0, gpu.num_sms / self.num_ctas)
 
         # Queries tile over rows; GQA fuses g rows per query (Appendix A).
         self._sched_q_tile = max(self.q_tile // g_eff, 1)
@@ -272,22 +278,16 @@ class BatchAttentionWrapper:
         """Run the CPU scheduler and stage the plan into the workspace.
 
         Called once per generation step; not capturable by CUDAGraph (it is
-        host code), exactly as in Listing 1.
+        host code), exactly as in Listing 1.  Two decisions come before
+        Algorithm 1: a variant with a ``look_back`` bound plans only the KV
+        pages some query row can see, and a batch whose unsplit tiles fit one
+        wave is planned unsplit when no split plan could be faster
+        (:meth:`_one_launch_wins`).  Both are inputs of the plan signature.
         """
-        sched_args = (
-            mapping.qo_lens, mapping.kv.kv_lens, self._sched_q_tile, self.num_ctas
-        )
-        # The largest tile's fused rows price one more split.
-        g_eff = self.heads.group_size if self.fuse_head_groups else 1
-        rows = min(self._sched_q_tile, int(mapping.qo_lens.max(initial=0))) * g_eff
-        sched_kwargs = dict(
-            num_kv_heads=self._sched_heads,
-            chunk_granularity=self.kv_tile,
-            split_kv=self.split_kv,
-            causal=mapping.causal,
-            q_pos_offset=mapping.q_pos_offset,
-            kv_pos_offset=mapping.kv_pos_offset,
-            break_even_kv=break_even_kv_len(rows, self.heads.head_dim, self.kv_dtype),
+        bound = self.variant.bind_params(params)
+        mapping = self._visible_kv(mapping, bound)
+        sched_args, sched_kwargs = self._schedule_inputs(
+            mapping, self.split_kv and not self._one_launch_wins(mapping)
         )
         cache = self.plan_cache
         plan = None
@@ -317,12 +317,78 @@ class BatchAttentionWrapper:
             )
         self._write_plan(plan)
         self._mapping = mapping
-        self._params = self.variant.bind_params(params)
+        self._params = bound
         self._sm_scale = (
             1.0 / float(np.sqrt(self.heads.head_dim)) if sm_scale is None else float(sm_scale)
         )
         self.plan_count += 1
         return plan
+
+    def _visible_kv(self, mapping: AttentionMapping, params) -> AttentionMapping:
+        """``mapping`` without the whole leading KV pages of each group that
+        the variant's ``look_back`` bound hides from every query row of the
+        group (its first row sees the most: ``kv_pos > q_pos - bound``)."""
+        if self.variant.look_back is None:
+            return mapping
+        bound = int(getattr(params, self.variant.look_back))
+        hidden = mapping.q_pos_offset - bound + 1 - mapping.kv_pos_offset
+        pages = np.clip(hidden, 0, mapping.kv.kv_lens) // mapping.kv.block_size
+        return mapping.drop_leading_blocks(pages) if pages.any() else mapping
+
+    def _schedule_inputs(self, mapping: AttentionMapping, split_kv: bool) -> Tuple[tuple, dict]:
+        """``(args, kwargs)`` of :func:`plan_schedule` for ``mapping``."""
+        # The largest tile's fused rows price one more split.
+        g_eff = self.heads.group_size if self.fuse_head_groups else 1
+        rows = min(self._sched_q_tile, int(mapping.qo_lens.max(initial=0))) * g_eff
+        args = (mapping.qo_lens, mapping.kv.kv_lens, self._sched_q_tile, self.num_ctas)
+        return args, dict(
+            num_kv_heads=self._sched_heads,
+            chunk_granularity=self.kv_tile,
+            split_kv=split_kv,
+            causal=mapping.causal,
+            q_pos_offset=mapping.q_pos_offset,
+            kv_pos_offset=mapping.kv_pos_offset,
+            break_even_kv=break_even_kv_len(rows, self.heads.head_dim, self.kv_dtype),
+        )
+
+    def _one_launch_wins(self, mapping: AttentionMapping) -> bool:
+        """Whether the unsplit plan is no slower than any split plan can be.
+
+        Asked only when its items fit one wave.  A split plan moves at least
+        the unsplit plan's effective bytes, at best at peak bandwidth, and
+        pays a contraction launch as well — unless this format contracts
+        anyway, for a stack's cross-format ``⊕`` (:attr:`stack_merges`).  The
+        unsplit attention launch is priced as :meth:`_simulate_fast` would,
+        one row per (group, query tile) standing for its KV heads, whose costs
+        are equal.  Before that, its longest serial stream and its bytes are
+        bounded from the lengths alone, which settles nearly every batch that
+        loses in a quarter of the host time pricing takes.  Nothing is
+        launched, so no fault is consulted.
+        """
+        qo = mapping.qo_lens
+        q_tiles = -(-qo // self._sched_q_tile)
+        heads = self._sched_heads
+        items = int(q_tiles.sum()) * heads
+        if not 0 < items <= self.num_ctas:
+            return False
+        spec = self.executor.spec
+        dispatch = spec.kernel_dispatch_overhead
+        contractions = 0 if self.stack_merges is not None else 1
+        longest, mem_bound = simulate.unsplit_bounds(
+            q_tiles, mapping, self.heads, self.kv_dtype, self._sched_q_tile,
+            self.fuse_head_groups, self.traits.uses_tensor_cores, self.sparse_gather,
+            self.executor.cost_model, self._compute_share, self.compute_penalty,
+        )
+        bytes_time = heads * mem_bound / spec.peak_bandwidth_bytes
+        if longest > bytes_time + contractions * dispatch + _PRICE_SLACK:
+            return False
+        tiles = whole_kv_tiles(qo, mapping.kv.kv_lens, self._sched_q_tile)
+        costs = self._item_costs(tiles, mapping, self._sched_q_tile)
+        serial, mem = np.zeros(self.num_ctas), np.zeros(self.num_ctas)
+        serial[:items] = np.repeat(costs.serial, heads)
+        mem[:items] = np.repeat(costs.mem, heads)
+        floor = mem.sum() / spec.peak_bandwidth_bytes + (1 + contractions) * dispatch
+        return self.executor.launch_time(serial, mem) <= floor
 
     def _write_plan(self, plan: SchedulePlan) -> None:
         """Copy the plan tables into their fixed-offset sections."""
@@ -373,13 +439,7 @@ class BatchAttentionWrapper:
         """
         plan = self._read_plan()
         g_eff = self.heads.group_size if self.fuse_head_groups else 1
-        compute_share = min(1.0, self.gpu.num_sms / self.num_ctas)
-        costs = simulate.item_cost_arrays(
-            plan.items, self._mapping, self.heads, self.kv_tile, self.kv_dtype,
-            plan.q_tile_size, self.fuse_head_groups, self.traits.uses_tensor_cores,
-            self.sparse_gather, self.executor.cost_model, compute_share,
-            self.compute_penalty,
-        )
+        costs = self._item_costs(plan.items, self._mapping, plan.q_tile_size)
         report = simulate.simulate_queues(self.executor, costs, plan.cta_of_item, self.num_ctas)
         n_slots = plan.merge_indptr[1:] - plan.merge_indptr[:-1]
         rows_eff = plan.merge_meta[:, MERGE_QROWS] * g_eff
@@ -389,7 +449,7 @@ class BatchAttentionWrapper:
         if n_slots.size:
             mcosts = simulate.merge_cost_arrays(
                 n_slots, rows_eff, self.heads.head_dim, self.executor.cost_model,
-                compute_share, self.num_ctas,
+                self._compute_share, self.num_ctas,
             )
             report = report.combine(
                 simulate.simulate_queues(
@@ -397,6 +457,16 @@ class BatchAttentionWrapper:
                 )
             )
         return report
+
+    def _item_costs(
+        self, items: np.ndarray, mapping: AttentionMapping, q_tile_size: int
+    ) -> simulate.PlanCostArrays:
+        """The attention kernel's cost streams of ``items`` on this launch."""
+        return simulate.item_cost_arrays(
+            items, mapping, self.heads, self.kv_tile, self.kv_dtype, q_tile_size,
+            self.fuse_head_groups, self.traits.uses_tensor_cores, self.sparse_gather,
+            self.executor.cost_model, self._compute_share, self.compute_penalty,
+        )
 
     def _signature(self) -> Tuple:
         """Launch-time arguments CUDAGraph freezes."""
@@ -536,15 +606,16 @@ class ComposableAttentionWrapper:
                         **self._kwargs,
                     )
                 )
-        for w, m in zip(self.wrappers, formats):
-            w.plan(m, params=params, sm_scale=sm_scale)
         # The cross-format ⊕ runs in the last format's contraction launch:
-        # each later format's covered (row, head) pairs fold 2 states.
+        # each later format's covered (row, head) pairs fold 2 states.  Set
+        # before planning: it decides whether that format contracts anyway.
         h = self.heads.num_qo_heads
         pairs = np.array([m.qo_lens.sum() * h for m in formats.mappings[1:]], dtype=np.int64)
         pairs = pairs[pairs > 0]
         if self.wrappers:
             self.wrappers[-1].stack_merges = (np.full(pairs.size, 2), pairs) if pairs.size else None
+        for w, m in zip(self.wrappers, formats):
+            w.plan(m, params=params, sm_scale=sm_scale)
         self._format = formats
 
     def run(

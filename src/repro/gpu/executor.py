@@ -187,12 +187,22 @@ class PersistentKernelExecutor:
         """Fixed-grid persistent kernel from per-CTA streams: CTA ``i`` holds
         ``serial[i]`` seconds and ``mem[i]`` effective bytes (a straggler
         fault stretches them in place); the totals are reported as given."""
-        n = serial.size
         if self.fault_injector is not None:
             self._consult_injector(serial, mem)
-        finish = self._drain(serial, mem, max(1, -(-n // self.spec.num_sms)))
+        finish = self._finish_times(serial, mem)
         makespan = float(finish.max(initial=0.0)) + self.spec.kernel_dispatch_overhead
-        return SimReport(makespan, total_flops, total_bytes, num_tiles, n, finish.tolist())
+        return SimReport(makespan, total_flops, total_bytes, num_tiles, serial.size,
+                         finish.tolist())
+
+    def launch_time(self, serial: np.ndarray, mem: np.ndarray) -> float:
+        """The makespan :meth:`run_streams` reports for these per-CTA streams
+        when no fault fires — a price for planning, so no fault is consulted."""
+        finish = self._finish_times(serial, mem)
+        return float(finish.max(initial=0.0)) + self.spec.kernel_dispatch_overhead
+
+    def _finish_times(self, serial: np.ndarray, mem: np.ndarray) -> np.ndarray:
+        """Per-CTA finish times of a persistent grid of ``serial.size`` CTAs."""
+        return self._drain(serial, mem, max(1, -(-serial.size // self.spec.num_sms)))
 
     def run_persistent(self, cta_queues: Sequence[Sequence[TileCost]]) -> SimReport:
         """Fixed-grid persistent kernel: CTA ``i`` drains ``cta_queues[i]``."""

@@ -172,29 +172,7 @@ def decompose_shared_prefix(
     )
 
     # -- suffix format: one group per request, prefix blocks removed -------
-    s_indptr = [0]
-    s_indices: List[int] = []
-    s_kv_lens = kv.kv_lens - prefix_lens
-    for r in range(n_req):
-        skip = int(prefix_lens[r]) // bc
-        blocks = kv.group_blocks(r)[skip:]
-        s_indices.extend(blocks.tolist())
-        s_indptr.append(s_indptr[-1] + blocks.size)
-    suffix_mapping = AttentionMapping(
-        qo_indptr=mapping.qo_indptr.copy(),
-        kv=BlockSparseKV(
-            bc,
-            kv.pool_blocks,
-            np.asarray(s_indptr, dtype=np.int64),
-            np.asarray(s_indices, dtype=np.int64),
-            s_kv_lens,
-        ),
-        causal=mapping.causal,
-        q_pos_offset=mapping.q_pos_offset.copy(),
-        kv_pos_offset=mapping.kv_pos_offset + prefix_lens,
-        block_row_size=mapping.block_row_size,
-        label="suffix",
-    )
+    suffix_mapping = mapping.drop_leading_blocks(prefix_lens // bc, label="suffix")
     return ComposableFormat([prefix_mapping, suffix_mapping])
 
 

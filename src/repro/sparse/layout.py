@@ -97,6 +97,21 @@ class BlockSparseKV:
         slots = (blocks[:, None] * bc + np.arange(bc)[None, :]).reshape(-1)
         return slots[start - b0 * bc : stop - b0 * bc]
 
+    def drop_leading_blocks(self, blocks: np.ndarray) -> "BlockSparseKV":
+        """The same gather without the first ``blocks[g]`` blocks of each
+        group ``g`` (at most all of them; no KV moves)."""
+        blocks = np.asarray(blocks, dtype=np.int64)
+        nblocks = self.indptr[1:] - self.indptr[:-1]
+        if blocks.shape != nblocks.shape or np.any((blocks < 0) | (blocks > nblocks)):
+            raise ValueError("blocks must give 0..len(group) leading blocks per group")
+        kept = np.arange(self.indices.size) >= np.repeat(self.indptr[:-1] + blocks, nblocks)
+        indptr = self.indptr.copy()
+        indptr[1:] -= blocks.cumsum()
+        return BlockSparseKV(
+            self.block_size, self.pool_blocks, indptr, self.indices[kept],
+            np.maximum(self.kv_lens - blocks * self.block_size, 0),
+        )
+
     @classmethod
     def from_slot_lists(
         cls, slot_lists: Sequence[np.ndarray], block_size: int, pool_blocks: int
@@ -212,6 +227,25 @@ class AttentionMapping:
     @property
     def total_qo(self) -> int:
         return int(self.qo_indptr[-1])
+
+    def drop_leading_blocks(
+        self, blocks: np.ndarray, label: Optional[str] = None
+    ) -> "AttentionMapping":
+        """This mapping without the first ``blocks[g]`` KV blocks of each
+        group ``g``: ``kv_pos_offset`` advances past them, so every KV slot
+        that remains keeps its absolute position (a shared prefix peeled
+        into its own format, or KV a sliding window hides)."""
+        blocks = np.asarray(blocks, dtype=np.int64)
+        return AttentionMapping(
+            qo_indptr=self.qo_indptr,
+            kv=self.kv.drop_leading_blocks(blocks),
+            causal=self.causal,
+            q_pos_offset=self.q_pos_offset,
+            kv_pos_offset=self.kv_pos_offset + blocks * self.kv.block_size,
+            block_row_size=self.block_row_size,
+            q_row_starts=self.q_row_starts,
+            label=self.label if label is None else label,
+        )
 
     def __repr__(self) -> str:
         return (

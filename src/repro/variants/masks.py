@@ -18,7 +18,8 @@ def make_sliding_window(window: int) -> AttentionVariant:
 
     Combined with the structural causal mask by the kernel; a key at
     position ``p_k`` is visible from query position ``p_q`` iff
-    ``p_q - p_k < window``.
+    ``p_q - p_k < window``.  The window is the variant's ``look_back``, so
+    the wrapper neither plans nor gathers the KV pages it hides.
     """
     if window <= 0:
         raise ValueError("window must be positive")
@@ -26,6 +27,7 @@ def make_sliding_window(window: int) -> AttentionVariant:
         name="sliding_window",
         params=(ParamDecl("window", default=window),),
         logits_mask="(q_pos - kv_pos) < params.window",
+        look_back="window",
     )
 
 
@@ -33,7 +35,8 @@ def make_attention_sink(num_sinks: int, window: int) -> AttentionVariant:
     """StreamingLLM visibility: the first ``num_sinks`` positions plus a
     recent window (Xiao et al. 2023).  Used when the full KV is retained;
     the rolling-cache deployment instead evicts KV (see
-    :mod:`repro.kvcache.streaming`)."""
+    :mod:`repro.kvcache.streaming`).  The sinks keep the oldest positions
+    visible, so the variant declares no ``look_back``."""
     if num_sinks < 0 or window <= 0:
         raise ValueError("num_sinks must be >= 0 and window > 0")
     return AttentionVariant(

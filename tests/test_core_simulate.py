@@ -106,3 +106,48 @@ class TestEquivalence:
         kv = [b for _, b in lens]
         slow, fast = both_paths(HeadConfig(4, 2, 16), kv, qo, causal=causal)
         assert_reports_equal(slow, fast)
+
+
+class TestUnsplitBounds:
+    """``simulate.unsplit_bounds`` screens the one-launch rule from the lengths
+    alone: its serial bound never exceeds the longest stream the unsplit plan
+    is priced with, its byte bound never falls below their sum."""
+
+    @given(
+        st.lists(
+            # (qo_len, kv_len, KV position of the group's first slot, how far
+            # the queries sit before the end of the KV)
+            st.tuples(st.integers(0, 300), st.integers(0, 3000), st.integers(0, 512),
+                      st.integers(0, 3000)),
+            min_size=1, max_size=12,
+        ),
+        st.sampled_from([HeadConfig(32, 8, 128), HeadConfig(4, 2, 16), HeadConfig(8, 8, 64)]),
+        st.sampled_from([StorageDType.FP16, StorageDType.FP8_E4M3]),
+        st.sampled_from([1, 16, 64]), st.booleans(), st.booleans(), st.booleans(),
+    )
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_bounds_hold(self, groups, heads, kv_dtype, page, causal, sparse, fuse):
+        from repro.core import simulate
+        from repro.core.scheduler import whole_kv_tiles
+        from repro.gpu import H100_80G
+
+        qo, kv = [g[0] for g in groups], [g[1] for g in groups]
+        mapping, _ = make_paged_mapping(kv, qo, page, causal)
+        mapping = dataclasses.replace(
+            mapping,
+            kv_pos_offset=np.array([g[2] for g in groups]),
+            q_pos_offset=np.array([g[2] + max(g[1] - g[0] - g[3], 0) for g in groups]),
+        )
+        w = BatchAttentionWrapper(
+            VANILLA, heads, WorkspaceBuffer(1 << 20), H100_80G, avg_qo_len=float(max(qo)) or 1.0,
+            kv_dtype=kv_dtype, sparse_gather=sparse, fuse_head_groups=fuse,
+        )
+        tiles = whole_kv_tiles(mapping.qo_lens, mapping.kv.kv_lens, w._sched_q_tile)
+        costs = w._item_costs(tiles, mapping, w._sched_q_tile)
+        longest, total = simulate.unsplit_bounds(
+            -(-mapping.qo_lens // w._sched_q_tile), mapping, heads, kv_dtype, w._sched_q_tile,
+            fuse, w.traits.uses_tensor_cores, sparse, w.executor.cost_model,
+            w._compute_share, w.compute_penalty,
+        )
+        assert longest <= costs.serial.max(initial=0.0) * (1 + 1e-12) or not tiles.size
+        assert total >= costs.mem.sum() * (1 - 1e-12)

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 import reference_scheduler
 from conftest import fp16, make_paged_mapping, make_shared_prefix_mapping
 from repro import BatchAttentionWrapper, ComposableAttentionWrapper, WorkspaceBuffer
-from repro.core import HeadConfig, VANILLA, reference_attention
+from repro.core import HeadConfig, VANILLA, plan_schedule, reference_attention
+from repro.core.scheduler import whole_kv_tiles
 from repro.core.wrapper import break_even_kv_len
 from repro.gpu import H100_80G
 from repro.sparse import decompose_shared_prefix
@@ -41,6 +42,37 @@ def run_and_check(heads, kv_lens, qo_lens, rng, page_size=16, causal=True,
         ref = reference_attention(q[s0:s1], kr, vr, causal=causal)
         np.testing.assert_allclose(out[s0:s1], ref, atol=atol)
     return out, lse, report, w
+
+
+def exact_one_launch(w, mapping):
+    """The one-launch rule without the bound that screens it: the unsplit
+    attention launch priced in full against what any split plan must cost."""
+    tiles = whole_kv_tiles(mapping.qo_lens, mapping.kv.kv_lens, w._sched_q_tile)
+    items = len(tiles) * w._sched_heads
+    if not 0 < items <= w.num_ctas:
+        return False
+    costs = w._item_costs(tiles, mapping, w._sched_q_tile)
+    serial, mem = np.zeros(w.num_ctas), np.zeros(w.num_ctas)
+    serial[:items] = np.repeat(costs.serial, w._sched_heads)
+    mem[:items] = np.repeat(costs.mem, w._sched_heads)
+    spec = w.executor.spec
+    launches = 1 if w.stack_merges is not None else 2
+    floor = mem.sum() / spec.peak_bandwidth_bytes + launches * spec.kernel_dispatch_overhead
+    return w.executor.launch_time(serial, mem) <= floor
+
+
+@st.composite
+def decode_and_prefill_batches(draw):
+    """``(qo_lens, kv_lens)``: decode batches within one wave and past it,
+    uniform to ragged, or up to six short prefills."""
+    n = draw(st.integers(1, 40))
+    base = draw(st.integers(1, 1500))
+    spread = draw(st.sampled_from([0, 16, 128, 2000]))
+    kv = [base + draw(st.integers(0, spread)) for _ in range(n)]
+    if draw(st.booleans()):
+        return [1] * n, kv
+    kv = kv[:6]
+    return [min(k, draw(st.integers(1, 300))) for k in kv], kv
 
 
 class TestCorrectness:
@@ -391,15 +423,29 @@ class TestBreakEvenSplit:
         assert break_even_kv_len(4, 128, StorageDType.FP16) == 9
         assert break_even_kv_len(0, 128, StorageDType.FP16) == 0
 
-    @given(st.lists(st.integers(1, 8000), min_size=1, max_size=48),
-           st.sampled_from([StorageDType.FP16, StorageDType.FP8_E4M3]))
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    def test_decode_plans_are_algorithm_1(self, kv_lens, kv_dtype):
-        """4 fused rows break even at a handful of tokens, under the 64-token
-        floor: a decode batch plans exactly as Algorithm 1 does."""
-        w = self._wrapper(1.0, kv_dtype)
+    def test_uniform_decode_is_one_launch(self):
+        """12 decodes of 258 tokens are 96 tiles, one wave, that saturate HBM
+        unsplit: Algorithm 1's split only adds a contraction launch."""
+        w = self._wrapper(1.0)
+        mapping, _ = make_paged_mapping([258] * 12, [1] * 12)
+        plan = w.plan(mapping)
+        assert (plan.num_work_items, plan.num_partial_slots) == (96, 0)
+        _, _, report = w.run(None, compute=False)
+        assert report.num_tiles == 96 and len(report.per_cta_time) == w.num_ctas
+        assert self._algorithm_1(w, mapping).num_partial_slots > 0
+        args, kwargs = w._schedule_inputs(mapping, True)
+        w._write_plan(plan_schedule(*args, **kwargs))
+        assert report.makespan < w._simulate_fast().makespan
+
+    def test_zipf_tail_keeps_algorithm_1(self):
+        """A 2 002-token tail would leave its CTA draining long after the
+        others: the decode batch plans exactly as Algorithm 1 does."""
+        w = self._wrapper(1.0)
+        kv_lens = [2002, 412, 270, 201, 160, 133, 114, 100, 89, 80, 73, 67]
         mapping, _ = make_paged_mapping(kv_lens, [1] * len(kv_lens))
-        assert_same_plan(w.plan(mapping), self._algorithm_1(w, mapping))
+        plan = w.plan(mapping)
+        assert_same_plan(plan, self._algorithm_1(w, mapping))
+        assert plan.num_partial_slots > 0
 
     def test_short_prefill_is_one_launch(self, rng):
         lens = [64, 100, 128, 150, 170, 192]
@@ -418,6 +464,34 @@ class TestBreakEvenSplit:
         plan = w.plan(mapping)
         assert_same_plan(plan, self._algorithm_1(w, mapping))
         assert plan.num_partial_slots > 0
+
+    @given(decode_and_prefill_batches(),
+           st.sampled_from([StorageDType.FP16, StorageDType.FP8_E4M3]), st.booleans())
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_never_slower_than_algorithm_1(self, batch, kv_dtype, stacked):
+        """The chosen plan is priced no higher than Algorithm 1's with the
+        break-even release, and differs from it only by being unsplit; the
+        bound that screens the rule never changes its answer."""
+        qo, kv = batch
+        w = BatchAttentionWrapper(
+            VANILLA, self.HEADS, WorkspaceBuffer(1 << 27), H100_80G,
+            avg_qo_len=float(np.mean(qo)), kv_dtype=kv_dtype,
+            max_batch_size=64, max_total_qo=2048,
+        )
+        if stacked:  # a composable stack's last format: its contraction runs anyway
+            w.stack_merges = (np.array([2]), np.array([sum(qo) * self.HEADS.num_qo_heads]))
+        mapping, _ = make_paged_mapping(kv, qo)
+        chosen = w.plan(mapping)
+        unsplit = exact_one_launch(w, mapping)
+        assert w._one_launch_wins(mapping) == unsplit
+        args, kwargs = w._schedule_inputs(mapping, True)
+        algorithm_1 = plan_schedule(*args, **kwargs)
+        if chosen != algorithm_1:
+            assert unsplit and chosen.num_partial_slots == 0
+            assert chosen.kv_chunk_size == max(kv)
+        price = w._simulate_fast().makespan
+        w._write_plan(algorithm_1)
+        assert price <= w._simulate_fast().makespan
 
     def test_cascade_prefix_still_fills_the_grid(self):
         """One group of 12 decode queries (48 fused rows) over a 1 008-token

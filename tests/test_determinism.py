@@ -64,22 +64,45 @@ class TestKernelDeterminism:
         b, _, _ = w.run(q, kp, vp)
         assert np.array_equal(a, b)
 
-    def test_batch_order_invariance_of_per_request_results(self, rng):
-        """A request's output must not depend on its batch neighbours."""
-        kv_lens = [500, 1200]
-        mapping, slots = make_paged_mapping(kv_lens, [1, 1])
-        q = rng.standard_normal((2, 4, 16))
-        kp = rng.standard_normal((slots, 2, 16))
-        vp = rng.standard_normal((slots, 2, 16))
+    @staticmethod
+    def _decode(order, kv_lens, q, k, v):
+        """Decode requests ``order`` (indices into ``kv_lens``/``q``/``k``/
+        ``v``) as one batch, each request's KV in its own pages; returns the
+        output rows in ``order``."""
+        lens = [kv_lens[r] for r in order]
+        mapping, slots = make_paged_mapping(lens, [1] * len(lens))
+        k_pool, v_pool = np.zeros((2, slots, HEADS.num_kv_heads, HEADS.head_dim))
+        for g, r in enumerate(order):
+            at = mapping.kv.slot_indices(g)
+            k_pool[at], v_pool[at] = k[r], v[r]
         w = BatchAttentionWrapper(VANILLA, HEADS, WorkspaceBuffer(1 << 27), avg_qo_len=1)
         w.plan(mapping)
-        both, _, _ = w.run(q, kp, vp)
+        return w.run(q[order], k_pool, v_pool)[0]
 
-        solo_map, _ = make_paged_mapping([500], [1])
-        w2 = BatchAttentionWrapper(VANILLA, HEADS, WorkspaceBuffer(1 << 27), avg_qo_len=1)
-        w2.plan(solo_map)
-        solo, _, _ = w2.run(q[:1], kp, vp)
-        np.testing.assert_allclose(both[0], solo[0], atol=1e-12)
+    def test_batch_order_invariance_of_per_request_results(self, rng):
+        """A permuted batch gives every request its output bit for bit: the
+        plan cuts each request's KV the same way wherever it sits."""
+        kv_lens = [500, 1200, 64, 900, 31]
+        q = rng.standard_normal((len(kv_lens), 4, 16))
+        k = [rng.standard_normal((n, 2, 16)) for n in kv_lens]
+        v = [rng.standard_normal((n, 2, 16)) for n in kv_lens]
+        order = [0, 1, 2, 3, 4]
+        permuted = [3, 0, 4, 2, 1]
+        both = self._decode(order, kv_lens, q, k, v)
+        again = self._decode(permuted, kv_lens, q, k, v)
+        assert np.array_equal(both[permuted], again)
+
+    def test_neighbours_move_a_request_by_rounding_only(self, rng):
+        """Beside a 1 200-token neighbour a request's KV may be cut
+        differently (or not at all) than alone: the fp32 partial states move
+        its output by rounding, never by more."""
+        kv_lens = [500, 1200]
+        q = rng.standard_normal((2, 4, 16))
+        k = [rng.standard_normal((n, 2, 16)) for n in kv_lens]
+        v = [rng.standard_normal((n, 2, 16)) for n in kv_lens]
+        both = self._decode([0, 1], kv_lens, q, k, v)
+        solo = self._decode([0], kv_lens, q, k, v)
+        np.testing.assert_allclose(both[0], solo[0], atol=1e-6)
 
 
 class TestSimulationDeterminism:

@@ -2,9 +2,10 @@
 
 import pytest
 
-from conftest import SMALL_HEADS, make_paged_mapping
-from repro.core import VANILLA, BatchAttentionWrapper, HeadConfig
+from conftest import SMALL_HEADS, make_paged_mapping, make_shared_prefix_mapping
+from repro.core import VANILLA, BatchAttentionWrapper, ComposableAttentionWrapper, HeadConfig
 from repro.gpu import H100_80G, PersistentKernelExecutor, WorkspaceBuffer
+from repro.sparse import decompose_shared_prefix
 from repro.serving import (
     EngineConfig,
     FlashInferBackend,
@@ -143,6 +144,29 @@ class TestWrapperDeterminism:
         chunks = (fp16.plan(mapping).kv_chunk_size, fp8.plan(mapping).kv_chunk_size)
         assert (pc.hits, pc.misses) == (0, 2)
         assert chunks == (320, 576)
+
+    def test_stack_format_and_dense_wrapper_do_not_collide(self):
+        """Whether a plan splits is decided before the lookup and is part of
+        the key.  Twelve 200-token suffixes of a cascade stack are one launch
+        for a dense wrapper, but the stack's last format contracts anyway
+        (its cross-format ⊕), so there a split costs no extra launch."""
+        pc = PlanCache()
+        mapping, _, clusters = make_shared_prefix_mapping(1, 12, 256, 200)
+        stack = decompose_shared_prefix(mapping, clusters)
+        suffix = stack.mappings[-1]
+        dense = BatchAttentionWrapper(VANILLA, HEADS, WorkspaceBuffer(1 << 27), H100_80G,
+                                      avg_qo_len=1.0, plan_cache=pc)
+        cw = ComposableAttentionWrapper(VANILLA, HEADS, WorkspaceBuffer(1 << 27), H100_80G,
+                                        plan_cache=pc)
+        unsplit = dense.plan(suffix)
+        cw.plan(stack)
+        last = cw.wrappers[-1]
+        assert (last._sched_q_tile, last.num_ctas, last.kv_tile) == (
+            dense._sched_q_tile, dense.num_ctas, dense.kv_tile)
+        assert last._mapping is suffix
+        split = last._read_plan()
+        assert pc.misses == 3 and pc.hits == 0  # dense, prefix, suffix
+        assert unsplit.num_partial_slots == 0 < split.num_partial_slots
 
     def test_distinct_shapes_do_not_collide(self):
         m1, _ = make_paged_mapping([128, 300], [1, 1], 16)

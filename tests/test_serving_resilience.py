@@ -94,6 +94,41 @@ class TestTokenExactness:
         for t in chaotic.traces:
             assert len(t.tokens) == reqs[t.req_id].output_len
 
+    def test_planning_never_consults_the_fault_plan(self, monkeypatch):
+        """``plan`` prices an unsplit launch it may never make: it draws from
+        no fault site, so every kernel consultation is a launch ``run``
+        priced, and a chaos run with one-launch plans in it stays
+        token-exact."""
+        from repro.core import BatchAttentionWrapper
+        from repro.faults import FAULT_SITES
+        from repro.gpu import PersistentKernelExecutor
+
+        fault_plan = stressful_plan(7)
+        launches, one_launch = [], []
+        plan, run_streams = BatchAttentionWrapper.plan, PersistentKernelExecutor.run_streams
+
+        def checked_plan(self, mapping, *args, **kwargs):
+            drawn = [fault_plan.consultations(site) for site in FAULT_SITES]
+            chosen = plan(self, mapping, *args, **kwargs)
+            assert [fault_plan.consultations(site) for site in FAULT_SITES] == drawn
+            one_launch.append(chosen.num_partial_slots == 0 and self._one_launch_wins(self._mapping))
+            return chosen
+
+        def counted_run_streams(self, *args):
+            launches.append(self.fault_injector is fault_plan)
+            return run_streams(self, *args)
+
+        monkeypatch.setattr(BatchAttentionWrapper, "plan", checked_plan)
+        monkeypatch.setattr(PersistentKernelExecutor, "run_streams", counted_run_streams)
+        # Near-equal lengths: decode batches whose unsplit tiles fill one wave.
+        reqs = [Request(i * 0.0005, 240 + 8 * (i % 3), 24) for i in range(16)]
+        chaotic = engine(fault_plan=fault_plan, resilience=ResilienceConfig()).run(reqs)
+        assert fault_plan.consultations("kernel") == sum(launches)
+        assert fault_plan.injected["kernel"] > 0 and sum(one_launch) > 0
+        expected = tokens_by_stream(engine(resilience=ResilienceConfig()).run(reqs))
+        for key, toks in tokens_by_stream(chaotic).items():
+            assert toks == expected.get(key, toks), f"stream {key} diverged"
+
     def test_chaos_is_deterministic(self):
         reqs = small_workload()
         a = engine(fault_plan=stressful_plan(5)).run(reqs)

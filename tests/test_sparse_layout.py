@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sparse import AttentionMapping, BlockSparseKV, kv_from_page_table
 from repro.sparse.conversions import bsr_from_page_table, mapping_from_bsr
@@ -91,6 +93,53 @@ class TestAttentionMapping:
         m = AttentionMapping(np.array([0, 3, 4]), kv)
         assert np.array_equal(m.qo_lens, [3, 1])
         assert m.total_qo == 4
+
+
+def drop_blocks_per_group(kv, blocks):
+    """The per-group loop that built a shared-prefix suffix format."""
+    indptr, indices = [0], []
+    for g in range(kv.num_groups):
+        kept = kv.group_blocks(g)[blocks[g]:]
+        indices.extend(kept.tolist())
+        indptr.append(indptr[-1] + kept.size)
+    lens = np.maximum(kv.kv_lens - np.asarray(blocks) * kv.block_size, 0)
+    return BlockSparseKV(kv.block_size, kv.pool_blocks, np.asarray(indptr), np.asarray(indices), lens)
+
+
+class TestDropLeadingBlocks:
+    @given(st.lists(st.tuples(st.integers(0, 70), st.integers(0, 8)), min_size=1, max_size=12),
+           st.sampled_from([1, 4, 16]), st.data())
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_equals_the_per_group_loop(self, groups, block, data):
+        lens = [n for n, _ in groups]
+        pages = [-(-n // block) for n in lens]
+        pool = sum(pages) + 3
+        order = data.draw(st.permutations(range(pool)))
+        starts = np.cumsum([0] + pages)
+        kv = kv_from_page_table(
+            [np.asarray(order[a:b]) for a, b in zip(starts, starts[1:])], lens, block, pool
+        )
+        blocks = [min(drop, p) for (_, drop), p in zip(groups, pages)]
+        indptr = kv.indptr.copy()
+        got, want = kv.drop_leading_blocks(blocks), drop_blocks_per_group(kv, blocks)
+        for name in ("indptr", "indices", "kv_lens"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert np.array_equal(kv.indptr, indptr)  # the source is not touched
+        mapping = AttentionMapping(np.arange(len(lens) + 1), kv, causal=True)
+        trimmed = mapping.drop_leading_blocks(blocks, label="suffix")
+        assert trimmed.label == "suffix"
+        assert np.array_equal(trimmed.kv_pos_offset, np.asarray(blocks) * block)
+        assert np.array_equal(trimmed.q_pos_offset, mapping.q_pos_offset)
+        for g, n in enumerate(blocks):
+            # Every slot left keeps its absolute position.
+            assert np.array_equal(trimmed.kv.slot_indices(g), kv.slot_indices(g)[n * block:])
+
+    def test_more_blocks_than_a_group_has_is_rejected(self):
+        kv = kv_from_page_table([np.arange(2)], [8], 4, 2)
+        with pytest.raises(ValueError, match="leading blocks"):
+            kv.drop_leading_blocks([3])
+        with pytest.raises(ValueError, match="leading blocks"):
+            kv.drop_leading_blocks([-1])
 
 
 class TestBSRBridge:

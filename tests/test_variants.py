@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from conftest import fp16, make_paged_mapping
-from repro import BatchAttentionWrapper, WorkspaceBuffer
-from repro.core import HeadConfig
+from conftest import fp16, make_paged_mapping, make_shared_prefix_mapping
+from repro import BatchAttentionWrapper, ComposableAttentionWrapper, WorkspaceBuffer
+from repro.core import AttentionVariant, HeadConfig, ParamDecl, compose_variants
 from repro.baselines import unfused_rope_attention
+from repro.gpu import H100_80G
+from repro.sparse import decompose_shared_prefix
 from repro.variants import (
     alibi_slopes,
     apply_rope,
@@ -88,6 +90,99 @@ class TestSlidingWindow:
     def test_invalid_window(self):
         with pytest.raises(ValueError):
             make_sliding_window(0)
+
+
+class TestWindowPlansOnlyVisibleKV:
+    """The window is the variant's ``look_back`` bound: the wrapper drops the
+    leading KV pages no query row can see before Algorithm 1, the cost model
+    and the gather see them."""
+
+    def _swa_softcap_rope(self):  # the benchmark's ``decode_jit`` variant
+        return compose_variants(
+            "swa_softcap_rope",
+            compose_variants("swa_softcap", make_sliding_window(512), make_logits_softcap(30.0)),
+            make_fused_rope(),
+        )
+
+    def _planned(self, variant, kv_len, params=None):
+        mapping, _ = make_paged_mapping([kv_len], [1], page_size=16)
+        w = BatchAttentionWrapper(variant, HeadConfig(32, 8, 128), WorkspaceBuffer(1 << 27),
+                                  H100_80G, avg_qo_len=1.0)
+        w.plan(mapping, params=params)
+        return w
+
+    def test_decode_cost_is_flat_past_the_window(self):
+        makespans = []
+        for kv_len in (512, 2048, 8192):
+            w = self._planned(self._swa_softcap_rope(), kv_len)
+            assert w._mapping.kv.kv_lens.tolist() == [512]
+            makespans.append(w.run(None, compute=False)[2].makespan)
+        assert makespans[0] == makespans[1] == makespans[2]
+
+    @pytest.mark.parametrize("kv_len", [512, 2048, 8192])
+    def test_matches_the_dense_oracle(self, rng, kv_len):
+        q, k, v, out = run_variant(self._swa_softcap_rope(), rng, kv_len=kv_len, qo_len=1,
+                                   page_size=16)
+        ref = dense_reference(
+            q, k, v, transform=lambda s, h, qp, kp: 30.0 * np.tanh(s / 30.0),
+            mask_fn=lambda qp, kp: (qp - kp) < 512, qx=apply_rope, kx=apply_rope,
+        )
+        np.testing.assert_allclose(out, ref, atol=1e-6)
+
+    def test_the_bound_is_the_planned_value(self):
+        w = self._planned(self._swa_softcap_rope(), 2048, params={"window": 256})
+        assert w._mapping.kv.kv_lens.tolist() == [256]
+        assert w._mapping.kv_pos_offset.tolist() == [1792]
+        # Whole pages only: the page holding the window's first position stays.
+        partial = self._planned(self._swa_softcap_rope(), 2050)
+        assert partial._mapping.kv.kv_lens.tolist() == [514]
+
+    def test_attention_sink_declares_no_bound(self, rng):
+        sink = make_attention_sink(4, 64)
+        assert sink.look_back is None
+        q, k, v, out = run_variant(sink, rng, kv_len=1000, qo_len=1,
+                                   heads=HeadConfig(2, 2, 16), page_size=16)
+        ref = dense_reference(q, k, v, mask_fn=lambda qp, kp: (kp < 4) | ((qp - kp) < 64))
+        np.testing.assert_allclose(out, ref, atol=1e-6)
+        windowed = dense_reference(q, k, v, mask_fn=lambda qp, kp: (qp - kp) < 64)
+        assert np.abs(out - windowed).max() > 1e-3  # the sinks are attended
+
+    def test_composing_a_window_keeps_its_bound(self, rng):
+        even = AttentionVariant(name="even_only", logits_mask="(kv_pos % 2) == 0")
+        for composed in (compose_variants("win_even", make_sliding_window(64), even),
+                         compose_variants("even_win", even, make_sliding_window(64))):
+            assert composed.look_back == "window"
+            q, k, v, out = run_variant(composed, rng, kv_len=1000, qo_len=1,
+                                       heads=HeadConfig(2, 2, 16), page_size=16)
+            ref = dense_reference(
+                q, k, v, mask_fn=lambda qp, kp: ((qp - kp) < 64) & ((kp % 2) == 0)
+            )
+            np.testing.assert_allclose(out, ref, atol=1e-6)
+        other = AttentionVariant(name="other", params=(ParamDecl("w", 4),),
+                                 logits_mask="(q_pos - kv_pos) < params.w", look_back="w")
+        with pytest.raises(ValueError, match="look_back"):
+            compose_variants("two_windows", make_sliding_window(8), other)
+        with pytest.raises(ValueError, match="look_back"):
+            AttentionVariant(name="unbound", look_back="window")
+
+    def test_cascade_whose_window_ends_in_the_suffix(self, rng):
+        """Every query's window starts past the shared prefix, so the prefix
+        format's groups keep no KV at all, and the stack still equals the
+        dense reference."""
+        mapping, slots, clusters = make_shared_prefix_mapping(2, 3, 256, 200)
+        stack = decompose_shared_prefix(mapping, clusters)
+        q = rng.standard_normal((mapping.total_qo, 4, 16))
+        kp = rng.standard_normal((slots, 4, 16))
+        vp = rng.standard_normal((slots, 4, 16))
+        cw = ComposableAttentionWrapper(make_sliding_window(128), HEADS, WorkspaceBuffer(1 << 27))
+        cw.plan(stack)
+        out, _ = cw.run(q, kp, vp)
+        assert cw.wrappers[0]._mapping.kv.kv_lens.tolist() == [0, 0]
+        for r in range(mapping.num_groups):
+            at = mapping.kv.slot_indices(r)
+            ref = dense_reference(q[r:r + 1], fp16(kp[at]), fp16(vp[at]),
+                                  mask_fn=lambda qp, kp_: (qp - kp_) < 128)
+            np.testing.assert_allclose(out[r:r + 1], ref, atol=1e-6)
 
 
 class TestSoftcap:
