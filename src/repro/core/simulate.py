@@ -7,8 +7,10 @@ conversion and the shared-bandwidth drain.  The attention kernel's streams
 (``item_cost_arrays``) are one per work item, on the CTA the planner gave it;
 the contraction kernel's (``merge_cost_arrays``) are one per CTA, each a
 contiguous block of the launch's (query row, query head) pairs, however the
-pairs fall into merge entries.  ``BatchAttentionWrapper.run`` prices a launch
-here whether or not it also computes numerics.  The per-object model this
+pairs fall into merge entries; a composable stack of several formats runs
+one contraction launch for all of them (``stack_merge_entries``).
+``BatchAttentionWrapper.run`` prices a launch here whether or not it also
+computes numerics.  The per-object model this
 replaced (one ``TileCost`` per work item and per block of pairs, priced
 through ``run_persistent``) is the oracle in ``tests/reference_costs.py``;
 ``tests/test_costs_equivalence.py`` pins this module to it.
@@ -18,13 +20,14 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.kernels import PARTIAL_ITEMSIZE, Q_ITEMSIZE, HeadConfig
 from repro.core.scheduler import (
     COL_GROUP,
+    COL_KVHEAD,
     COL_KVSTART,
     COL_KVSTOP,
     COL_QROWS,
@@ -99,13 +102,17 @@ def item_footprints(
     fuse_head_groups: bool,
     sparse_gather: bool,
     compute_penalty: float = 1.0,
+    stacked: bool = False,
 ) -> ItemFootprints:
     """Roofline footprint of every work item.
 
     Models causal skipping (KV tiles entirely above the diagonal are never
     loaded or computed), tile padding waste, GQA head-group fusion (KV
     loaded once per KV head rather than once per query head), and the
-    run length and segment count of sparse gathers.
+    run length and segment count of sparse gathers.  A tile writes its
+    final fp16 rows, or its fp32 state ``(O, LSE)`` when it is split or
+    ``stacked`` — a format of a composable stack, whose states the stack's
+    one contraction folds.
     """
     # Every product of counts below is an integer far under 2**53, so folding
     # the constants first changes no bit of any column.
@@ -145,10 +152,11 @@ def item_footprints(
         reuse = n_tiles
     kv_bytes = processed * (2 * d * itemsize) / reuse
     q_bytes = rows * (g_eff * d * Q_ITEMSIZE)
-    partial = item_arr[:, COL_SLOT] >= 0
-    out_bytes = rows * np.where(
-        partial, g_eff * (d + 1) * PARTIAL_ITEMSIZE, g_eff * d * Q_ITEMSIZE
-    )
+    state = g_eff * (d + 1) * PARTIAL_ITEMSIZE
+    if stacked:
+        out_bytes = rows * state
+    else:
+        out_bytes = rows * np.where(item_arr[:, COL_SLOT] >= 0, state, g_eff * d * Q_ITEMSIZE)
 
     if sparse_gather:
         bc = mapping.kv.block_size
@@ -191,6 +199,7 @@ def unsplit_bounds(
     cost_model: KernelCostModel,
     compute_share: float,
     compute_penalty: float = 1.0,
+    stacked: bool = False,
 ) -> Tuple[float, float]:
     """``(longest, total)`` of the unsplit plan for one KV head — group ``g``
     cut into ``q_tiles[g]`` query tiles, each over the group's whole KV
@@ -200,7 +209,8 @@ def unsplit_bounds(
     at least the KV columns its last query row sees and loads at most all of
     them, with the L2 reuse of its group (every tile's KV starts at the
     group's first), and gathers with no more transaction waste than a run
-    of up to one block has.  O(groups), no item table."""
+    of up to one block has, and writes what :func:`item_footprints` says a
+    ``stacked`` tile writes.  O(groups), no item table."""
     g_eff = heads.group_size if fuse_head_groups else 1
     d, itemsize = heads.head_dim, kv_dtype.itemsize
     qo, kv = mapping.qo_lens, mapping.kv.kv_lens
@@ -225,9 +235,10 @@ def unsplit_bounds(
         block = mapping.kv.block_size
         longest += 2.0 * -(-seen // block) * cost_model.gather_issue_overhead
         waste = _worst_gather_waste(block, d * itemsize)
-    q_bytes = float(qo.sum()) * (g_eff * d * Q_ITEMSIZE)  # read once, written once
+    q_bytes = float(qo.sum()) * (g_eff * d * Q_ITEMSIZE)
+    out_bytes = float(qo.sum()) * (g_eff * (d + 1) * PARTIAL_ITEMSIZE) if stacked else q_bytes
     kv_bytes = kv_cols * (2 * d * itemsize)
-    return longest, ((kv_bytes + q_bytes) * waste + q_bytes) / cost_model.mem_efficiency
+    return longest, ((kv_bytes + q_bytes) * waste + out_bytes) / cost_model.mem_efficiency
 
 
 def item_cost_arrays(
@@ -243,6 +254,7 @@ def item_cost_arrays(
     cost_model: KernelCostModel,
     compute_share: float,
     compute_penalty: float = 1.0,
+    stacked: bool = False,
 ) -> PlanCostArrays:
     """:func:`item_footprints` followed by the executor's stream conversion
     (transaction-quantized gathers, the compute roof, per-tile latencies)."""
@@ -251,7 +263,7 @@ def item_cost_arrays(
         return PlanCostArrays(z, z, z, z)
     fp = item_footprints(
         item_arr, mapping, heads, kv_tile, kv_dtype, q_tile_size,
-        fuse_head_groups, sparse_gather, compute_penalty,
+        fuse_head_groups, sparse_gather, compute_penalty, stacked,
     )
     if sparse_gather:
         waste = np.ceil(fp.run_bytes / TRANSACTION_BYTES) * TRANSACTION_BYTES / fp.run_bytes
@@ -333,6 +345,39 @@ def merge_cost_arrays(
     traffic = bytes_read + bytes_written
     serial = flops / (cost_model.spec.sm_cuda_core_flops * compute_share) + cost_model.tile_latency
     return PlanCostArrays(serial, traffic / cost_model.mem_efficiency, flops, traffic)
+
+
+def stack_merge_entries(
+    formats: Sequence[Tuple[np.ndarray, AttentionMapping]], sched_heads: int, g_eff: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Contraction entries ``(n_slots, rows_eff)`` of a composable stack's one
+    contraction launch, from each format's ``(work items, mapping)``.
+
+    Every (query row, query head) pair some format covers folds each state
+    any format wrote for it — one per work item over its row and scheduler
+    head, so a split tile's slots and an unsplit tile's state alike — and is
+    written once.  Pairs are in row order, a scheduler head's ``g_eff`` query
+    heads side by side; neighbouring pairs that fold equally many states
+    share an entry, which :func:`merge_cost_arrays` prices exactly as one
+    entry per pair (its footprints are integers).
+    """
+    rows = max((int((m.q_row_starts + m.qo_lens).max(initial=0)) for _, m in formats), default=0)
+    size = (rows + 1) * sched_heads
+    edges = np.zeros(size, dtype=np.int64)  # +1 where an item's rows start, -1 past their end
+    for items, m in formats:
+        first = m.q_row_starts[items[:, COL_GROUP]] + items[:, COL_QSTART]
+        head = items[:, COL_KVHEAD]
+        edges += np.bincount(first * sched_heads + head, minlength=size)
+        edges -= np.bincount((first + items[:, COL_QROWS]) * sched_heads + head, minlength=size)
+    states = edges.reshape(rows + 1, sched_heads).cumsum(axis=0)[:-1].ravel()
+    states = states[states > 0]
+    # Runs of equal counts, without np.diff's prepend/append copies.
+    first_of_run = np.ones(states.size, dtype=bool)
+    np.not_equal(states[1:], states[:-1], out=first_of_run[1:])
+    starts = np.flatnonzero(first_of_run)
+    ends = np.empty_like(starts)
+    ends[:-1], ends[-1:] = starts[1:], states.size
+    return states[starts], (ends - starts) * g_eff
 
 
 def plan_tile_costs(

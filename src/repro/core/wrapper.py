@@ -11,7 +11,9 @@ data without changing any launch argument.
 :class:`ComposableAttentionWrapper` stacks one wrapper per format
 (§3.1.2 / §3.4: "FlashInfer creates multiple attention wrappers, each with
 distinct block sizes"), merges the per-format partial states with ``⊕`` and
-applies the variant's output transform once at the end.
+applies the variant's output transform once at the end.  A stack of several
+formats runs one contraction launch, its last format's, which folds every
+state any format wrote.
 """
 
 from __future__ import annotations
@@ -208,10 +210,12 @@ class BatchAttentionWrapper:
             self.plan_cache = plan_cache
         self.last_report: Optional[SimReport] = None
         self.plan_count = 0
-        #: Contraction entries ``(n_slots, rows_eff)`` this launch's
-        #: contraction kernel runs after its own merge entries: the
-        #: cross-format ``⊕`` of a composable stack whose last format this is
-        #: (set by :meth:`ComposableAttentionWrapper.plan`).
+        #: ``None``, or this wrapper is a format of a composable stack of
+        #: several (set by :meth:`ComposableAttentionWrapper.plan`): every
+        #: tile writes its fp32 state, and the contraction launch runs these
+        #: entries ``(n_slots, rows_eff)`` instead of the plan's merge
+        #: entries — the stack's, folding every format's states, on its last
+        #: format; none, so no launch, on the others.
         self.stack_merges: Optional[Tuple[np.ndarray, np.ndarray]] = None
         #: Optional duck-typed :class:`repro.faults.OutputGuard`; when set,
         #: every compute-path :meth:`run` checks its output through it
@@ -356,9 +360,9 @@ class BatchAttentionWrapper:
 
         Asked only when its items fit one wave.  A split plan moves at least
         the unsplit plan's effective bytes, at best at peak bandwidth, and
-        pays a contraction launch as well — unless this format contracts
-        anyway, for a stack's cross-format ``⊕`` (:attr:`stack_merges`).  The
-        unsplit attention launch is priced as :meth:`_simulate_fast` would,
+        pays a contraction launch as well — unless this format is part of a
+        stack, whose one contraction launch runs anyway (:attr:`stack_merges`).
+        The unsplit attention launch is priced as :meth:`_simulate_fast` would,
         one row per (group, query tile) standing for its KV heads, whose costs
         are equal.  Before that, its longest serial stream and its bytes are
         bounded from the lengths alone, which settles nearly every batch that
@@ -373,11 +377,12 @@ class BatchAttentionWrapper:
             return False
         spec = self.executor.spec
         dispatch = spec.kernel_dispatch_overhead
-        contractions = 0 if self.stack_merges is not None else 1
+        stacked = self.stack_merges is not None
+        contractions = 0 if stacked else 1
         longest, mem_bound = simulate.unsplit_bounds(
             q_tiles, mapping, self.heads, self.kv_dtype, self._sched_q_tile,
             self.fuse_head_groups, self.traits.uses_tensor_cores, self.sparse_gather,
-            self.executor.cost_model, self._compute_share, self.compute_penalty,
+            self.executor.cost_model, self._compute_share, self.compute_penalty, stacked,
         )
         bytes_time = heads * mem_bound / spec.peak_bandwidth_bytes
         if longest > bytes_time + contractions * dispatch + _PRICE_SLACK:
@@ -434,18 +439,18 @@ class BatchAttentionWrapper:
 
         Contraction entry ``i`` folds ``n_slots[i]`` states into each of its
         ``rows_eff[i]`` (query row, query head) pairs — the plan's merge
-        entries, then :attr:`stack_merges` — and the pairs are dealt over
-        the CTAs in contiguous blocks (``core/simulate.merge_cost_arrays``).
+        entries, or :attr:`stack_merges` in a stack — and the pairs are dealt
+        over the CTAs in contiguous blocks (``core/simulate.merge_cost_arrays``).
         """
         plan = self._read_plan()
-        g_eff = self.heads.group_size if self.fuse_head_groups else 1
         costs = self._item_costs(plan.items, self._mapping, plan.q_tile_size)
         report = simulate.simulate_queues(self.executor, costs, plan.cta_of_item, self.num_ctas)
-        n_slots = plan.merge_indptr[1:] - plan.merge_indptr[:-1]
-        rows_eff = plan.merge_meta[:, MERGE_QROWS] * g_eff
-        if self.stack_merges is not None:
-            n_slots = np.concatenate([n_slots, self.stack_merges[0]])
-            rows_eff = np.concatenate([rows_eff, self.stack_merges[1]])
+        if self.stack_merges is None:
+            g_eff = self.heads.group_size if self.fuse_head_groups else 1
+            n_slots = plan.merge_indptr[1:] - plan.merge_indptr[:-1]
+            rows_eff = plan.merge_meta[:, MERGE_QROWS] * g_eff
+        else:
+            n_slots, rows_eff = self.stack_merges
         if n_slots.size:
             mcosts = simulate.merge_cost_arrays(
                 n_slots, rows_eff, self.heads.head_dim, self.executor.cost_model,
@@ -466,6 +471,7 @@ class BatchAttentionWrapper:
             items, mapping, self.heads, self.kv_tile, self.kv_dtype, q_tile_size,
             self.fuse_head_groups, self.traits.uses_tensor_cores, self.sparse_gather,
             self.executor.cost_model, self._compute_share, self.compute_penalty,
+            self.stack_merges is not None,
         )
 
     def _signature(self) -> Tuple:
@@ -556,7 +562,12 @@ class ComposableAttentionWrapper:
 
     One :class:`BatchAttentionWrapper` per format, each with its own block
     sizes; ``run`` merges the per-format partial states and applies the
-    variant's output transform once.
+    variant's output transform once.  A stack of several formats is priced
+    as each format's attention launch, then one contraction launch — the
+    last format's — that folds, per (query row, query head) pair, every
+    state any format wrote for it and writes the row once.  The numerics
+    fold in the same order as before (each format's split slots, then
+    ``⊕``), so only the price is the stack's.
     """
 
     def __init__(
@@ -606,16 +617,19 @@ class ComposableAttentionWrapper:
                         **self._kwargs,
                     )
                 )
-        # The cross-format ⊕ runs in the last format's contraction launch:
-        # each later format's covered (row, head) pairs fold 2 states.  Set
-        # before planning: it decides whether that format contracts anyway.
-        h = self.heads.num_qo_heads
-        pairs = np.array([m.qo_lens.sum() * h for m in formats.mappings[1:]], dtype=np.int64)
-        pairs = pairs[pairs > 0]
-        if self.wrappers:
-            self.wrappers[-1].stack_merges = (np.full(pairs.size, 2), pairs) if pairs.size else None
-        for w, m in zip(self.wrappers, formats):
-            w.plan(m, params=params, sm_scale=sm_scale)
+        # Mark every format of a stack before planning it, so the one-launch
+        # rule counts no contraction launch of its own; then hand the last
+        # format the contraction entries of the whole stack.
+        stacked = len(self.wrappers) > 1
+        for w in self.wrappers:
+            w.stack_merges = (np.zeros(0, np.int64), np.zeros(0, np.int64)) if stacked else None
+        plans = [w.plan(m, params=params, sm_scale=sm_scale) for w, m in zip(self.wrappers, formats)]
+        if stacked:
+            last = self.wrappers[-1]
+            last.stack_merges = simulate.stack_merge_entries(
+                [(p.items, w._mapping) for p, w in zip(plans, self.wrappers)],
+                last._sched_heads, last.heads.group_size if last.fuse_head_groups else 1,
+            )
         self._format = formats
 
     def run(

@@ -9,8 +9,11 @@ functions below are that code, moved here verbatim.  The contraction launch
 is dealt one (query row, query head) pair at a time: ``distribute_merges``
 cuts the pairs into contiguous per-CTA blocks and ``block_cost`` prices a
 block as one tile.  ``reference_tile_costs`` and ``reference_report`` are
-the loops that call them.  ``tests/test_costs_equivalence.py`` pins
-``run_mapping``'s return value and ``_simulate_fast``'s report to them.
+the loops that call them, and ``reference_stack_report`` prices a composable
+stack of several formats: every format's attention launch, its tiles writing
+fp32 states, then one contraction launch that counts, pair by pair, the
+states every format wrote.  ``tests/test_costs_equivalence.py`` pins
+``run_mapping``'s return value and the library's reports to them.
 """
 
 from __future__ import annotations
@@ -57,13 +60,15 @@ def work_item_cost(
     uses_tensor_cores: bool,
     sparse_gather: bool,
     compute_penalty: float = 1.0,
+    stacked: bool = False,
 ) -> TileCost:
     """Roofline footprint of one work item.
 
     Models causal skipping (KV tiles entirely above the diagonal are never
     loaded or computed), tile padding waste, GQA head-group fusion (KV
     loaded once per KV head rather than once per query head), and the
-    transaction efficiency of sparse gathers.
+    transaction efficiency of sparse gathers.  A split or ``stacked`` tile
+    writes its fp32 state, any other its final fp16 rows.
     """
     g_eff = heads.group_size if fuse_head_groups else 1
     d = heads.head_dim
@@ -93,7 +98,7 @@ def work_item_cost(
     reuse = kv_reuse_factor(item, mapping, q_tile_size)
     kv_bytes = processed * d * 2 * kv_dtype.itemsize / reuse
     q_bytes = item.q_rows * g_eff * d * Q_ITEMSIZE
-    if item.partial_slot >= 0:
+    if item.partial_slot >= 0 or stacked:
         out_bytes = item.q_rows * g_eff * (d + 1) * PARTIAL_ITEMSIZE
     else:
         out_bytes = item.q_rows * g_eff * d * Q_ITEMSIZE
@@ -164,7 +169,9 @@ def block_cost(merges: Sequence[MergeEntry], pairs: Sequence[int], head_dim: int
     )
 
 
-def reference_tile_costs(wrapper, plan: SchedulePlan) -> Tuple[List[List[TileCost]], List[TileCost]]:
+def reference_tile_costs(
+    wrapper, plan: SchedulePlan, stacked: bool = False
+) -> Tuple[List[List[TileCost]], List[TileCost]]:
     """``(per-CTA cost queues, merge costs)`` of ``plan`` under ``wrapper``'s
     planned mapping, one object at a time — what ``run_mapping`` returned."""
     heads = wrapper.heads
@@ -175,7 +182,7 @@ def reference_tile_costs(wrapper, plan: SchedulePlan) -> Tuple[List[List[TileCos
                 item, wrapper._mapping, heads, wrapper.kv_tile, wrapper.kv_dtype,
                 plan.q_tile_size, wrapper.fuse_head_groups,
                 wrapper.traits.uses_tensor_cores, wrapper.sparse_gather,
-                wrapper.compute_penalty,
+                wrapper.compute_penalty, stacked,
             )
             for item in queue
         ]
@@ -188,27 +195,61 @@ def reference_tile_costs(wrapper, plan: SchedulePlan) -> Tuple[List[List[TileCos
     return cost_queues, merge_costs
 
 
+def _contraction_report(wrapper, merges: List[MergeEntry], rows: List[int]) -> SimReport:
+    """The contraction launch of ``merges`` (entry ``i`` over ``rows[i]``
+    pairs) on ``wrapper``'s grid, dealt one pair at a time."""
+    pair_queues = distribute_merges(rows, wrapper.num_ctas)
+    return wrapper.executor.run_persistent(
+        [[block_cost(merges, pairs, wrapper.heads.head_dim)] if pairs else [] for pairs in pair_queues]
+    )
+
+
 def reference_report(wrapper, plan: SchedulePlan) -> SimReport:
     """The launch as ``BatchAttentionWrapper.run(compute=True)`` priced it:
-    the attention kernel's queues, then the contraction kernel's, each
-    through ``run_persistent`` (one injector consultation per launch).  The
-    contraction runs the plan's merge entries, then a composable stack's
-    cross-format ``⊕`` entries (``wrapper.stack_merges``) when this wrapper
-    is the stack's last format."""
+    the attention kernel's queues, then the contraction kernel's over the
+    plan's merge entries, each through ``run_persistent`` (one injector
+    consultation per launch).  A plain wrapper, not a format of a stack."""
+    assert wrapper.stack_merges is None, "price a stack with reference_stack_report"
     cost_queues, _ = reference_tile_costs(wrapper, plan)
     report = wrapper.executor.run_persistent(cost_queues)
     g_eff = wrapper.heads.group_size if wrapper.fuse_head_groups else 1
     merges = list(plan.merges)
-    rows = [m.q_rows * g_eff for m in merges]
-    if wrapper.stack_merges is not None:
-        for n, pairs in zip(*wrapper.stack_merges):
-            merges.append(MergeEntry(0, 0, 0, int(pairs), 0, tuple(range(int(n)))))
-            rows.append(int(pairs))
     if merges:
-        pair_queues = distribute_merges(rows, wrapper.num_ctas)
-        cost_by_cta = [
-            [block_cost(merges, pairs, wrapper.heads.head_dim)] if pairs else []
-            for pairs in pair_queues
-        ]
-        report = report.combine(wrapper.executor.run_persistent(cost_by_cta))
+        rows = [m.q_rows * g_eff for m in merges]
+        report = report.combine(_contraction_report(wrapper, merges, rows))
+    return report
+
+
+def reference_stack_report(stack) -> SimReport:
+    """A planned ``ComposableAttentionWrapper`` priced one object at a time.
+
+    One format is a plain wrapper.  Several are each format's attention
+    launch, every tile writing its fp32 state ``(O, LSE)``, then one
+    contraction launch on the last format's grid: each (query row, query
+    head) pair, in row order, reads every state any format's work items
+    wrote for it and writes its row once.  Reports combine as ``run``
+    combines them: each format's in turn, the last with the contraction."""
+    if len(stack.wrappers) == 1:
+        w, = stack.wrappers
+        return reference_report(w, w._read_plan())
+    states = {}
+    reports = []
+    for w in stack.wrappers:
+        plan = w._read_plan()
+        cost_queues, _ = reference_tile_costs(w, plan, stacked=True)
+        reports.append(w.executor.run_persistent(cost_queues))
+        g_eff = w.heads.group_size if w.fuse_head_groups else 1
+        for queue in plan.cta_queues:
+            for item in queue:
+                first = int(w._mapping.q_row_starts[item.group]) + item.q_start
+                for row in range(first, first + item.q_rows):
+                    for head in range(item.kv_head * g_eff, (item.kv_head + 1) * g_eff):
+                        states[row, head] = states.get((row, head), 0) + 1
+    merges = [MergeEntry(0, 0, 0, 1, 0, tuple(range(states[p]))) for p in sorted(states)]
+    if merges:
+        last = stack.wrappers[-1]
+        reports[-1] = reports[-1].combine(_contraction_report(last, merges, [1] * len(merges)))
+    report = reports[0]
+    for r in reports[1:]:
+        report = report.combine(r)
     return report

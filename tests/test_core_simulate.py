@@ -124,9 +124,10 @@ class TestUnsplitBounds:
         st.sampled_from([HeadConfig(32, 8, 128), HeadConfig(4, 2, 16), HeadConfig(8, 8, 64)]),
         st.sampled_from([StorageDType.FP16, StorageDType.FP8_E4M3]),
         st.sampled_from([1, 16, 64]), st.booleans(), st.booleans(), st.booleans(),
+        st.booleans(),
     )
     @settings(max_examples=120, deadline=None, derandomize=True)
-    def test_bounds_hold(self, groups, heads, kv_dtype, page, causal, sparse, fuse):
+    def test_bounds_hold(self, groups, heads, kv_dtype, page, causal, sparse, fuse, stacked):
         from repro.core import simulate
         from repro.core.scheduler import whole_kv_tiles
         from repro.gpu import H100_80G
@@ -142,12 +143,14 @@ class TestUnsplitBounds:
             VANILLA, heads, WorkspaceBuffer(1 << 20), H100_80G, avg_qo_len=float(max(qo)) or 1.0,
             kv_dtype=kv_dtype, sparse_gather=sparse, fuse_head_groups=fuse,
         )
+        if stacked:  # a format of a composable stack: every tile writes its fp32 state
+            w.stack_merges = (np.zeros(0, np.int64), np.zeros(0, np.int64))
         tiles = whole_kv_tiles(mapping.qo_lens, mapping.kv.kv_lens, w._sched_q_tile)
         costs = w._item_costs(tiles, mapping, w._sched_q_tile)
         longest, total = simulate.unsplit_bounds(
             -(-mapping.qo_lens // w._sched_q_tile), mapping, heads, kv_dtype, w._sched_q_tile,
             fuse, w.traits.uses_tensor_cores, sparse, w.executor.cost_model,
-            w._compute_share, w.compute_penalty,
+            w._compute_share, w.compute_penalty, stacked,
         )
         assert longest <= costs.serial.max(initial=0.0) * (1 + 1e-12) or not tiles.size
         assert total >= costs.mem.sum() * (1 - 1e-12)

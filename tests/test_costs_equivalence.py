@@ -14,9 +14,10 @@ reference: the last ulp may differ on a prefill plan.)  The contraction launch
 is also priced over random merge tables, where it must move exactly its
 entries' footprints, hold at most ⌈P/#CTA⌉ (query row, query head) pairs on a
 CTA and equal the pair-by-pair deal of ``distribute_merges`` bit for bit.  A
-composable stack's cross-format ⊕ is part of its last format's contraction
-launch, in the oracle as in the library.  Hypothesis runs derandomized, so
-tier-1 sees a fixed sample.
+composable stack of several formats is their attention launches and one
+contraction, priced against ``reference_stack_report``, which counts each
+(query row, query head) pair's states item by item.  Hypothesis runs
+derandomized, so tier-1 sees a fixed sample.
 """
 
 import dataclasses
@@ -28,12 +29,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.wrapper as wrapper_module
-from conftest import benchmark_workloads, make_paged_mapping
+from conftest import benchmark_workloads, kv_from_page_table, make_paged_mapping
 from reference_costs import (
     block_cost,
     contraction_cost,
     distribute_merges,
     reference_report,
+    reference_stack_report,
     reference_tile_costs,
 )
 from repro import (
@@ -47,10 +49,15 @@ from repro import (
     decompose_shared_prefix,
 )
 from repro.core import VANILLA, HeadConfig, MergeEntry
-from repro.core.scheduler import MERGE_QROWS
-from repro.core.simulate import merge_cost_arrays, merge_footprints, simulate_queues
+from repro.core.scheduler import COL_GROUP, COL_KVHEAD, COL_QROWS, ITEM_FIELDS
+from repro.core.simulate import (
+    merge_cost_arrays,
+    merge_footprints,
+    simulate_queues,
+    stack_merge_entries,
+)
 from repro.gpu.executor import PersistentKernelExecutor
-from repro.sparse import PrefixCluster
+from repro.sparse import PrefixCluster, decompose_multi_level
 from repro.utils.dtypes import StorageDType
 
 FIXED = settings(max_examples=60, deadline=None, derandomize=True)
@@ -81,6 +88,36 @@ def _launches(executor, price):
         return price(), seen
     finally:
         del executor.run_streams
+
+
+def _stack_launches(price):
+    """``price()``'s result and the report of every launch it submits on any
+    executor (the formats of a stack may each own one)."""
+    seen, real = [], PersistentKernelExecutor.run_streams
+
+    def spy(self, *args):
+        seen.append(real(self, *args))
+        return seen[-1]
+
+    with mock.patch.object(PersistentKernelExecutor, "run_streams", spy):
+        return price(), seen
+
+
+def _assert_stack_matches(stack, bitwise=False):
+    """Price a planned stack both ways: one launch per format plus one
+    contraction, each equal to the oracle's."""
+    slow, slow_launches = _stack_launches(lambda: reference_stack_report(stack))
+    (_, fast), fast_launches = _stack_launches(lambda: stack.run(None, compute=False))
+    assert len(fast_launches) == len(slow_launches) == len(stack.wrappers) + 1
+    for new, old in zip(fast_launches + [fast], slow_launches + [slow]):
+        assert (new.num_tiles, new.num_ctas) == (old.num_tiles, old.num_ctas)
+        if bitwise:
+            assert (new.makespan, new.total_flops) == (old.makespan, old.total_flops)
+            assert new.per_cta_time == old.per_cta_time
+        for field in ("makespan", "total_flops", "total_bytes"):
+            np.testing.assert_allclose(
+                getattr(new, field), getattr(old, field), rtol=RTOL, atol=0.0, err_msg=field
+            )
 
 
 def _assert_launches_match(w, bitwise=False):
@@ -171,17 +208,11 @@ def test_plan_arrays_price_like_the_per_object_model(
         _assert_tile_costs_match(new, old)
 
 
-def _kernel_batch_wrappers(case, page):
-    """The planned wrappers of one ``kernel_batch`` call, built as
-    ``benchmarks/e2e/kernel_batch.py`` builds them (head geometry, device,
-    page size, shared prefix by ``fork_seq``) over a pool with no tensor data."""
-    planned = _kernel_batch_call(case, page)
-    return planned.wrappers if isinstance(planned, ComposableAttentionWrapper) else [planned]
-
-
 def _kernel_batch_call(case, page):
-    """The planned wrapper of one ``kernel_batch`` call: the composable
-    stack of a shared-prefix case, else one batch wrapper."""
+    """The planned wrapper of one ``kernel_batch`` call, built as
+    ``benchmarks/e2e/kernel_batch.py`` builds it (head geometry, device, page
+    size, shared prefix by ``fork_seq``) over a pool with no tensor data: the
+    composable stack of a shared-prefix case, else one batch wrapper."""
     heads = HeadConfig(32, 8, 128)
     own = sum(-(-(n - case.prefix_len) // page) for n in case.kv_lens)
     cache = PagedKVCache(case.prefix_len // page + own + 8, page, 1, 1)
@@ -213,8 +244,11 @@ def test_kernel_batch_plans_of_seed_0_price_bit_for_bit():
     cases = [c for part in range(workloads.PARTS) for c in workloads.kernel_load(0, part)]
     assert len(cases) == 18
     for case in cases:
-        for w in _kernel_batch_wrappers(case, workloads.KERNEL_PAGE):
-            _assert_launches_match(w, bitwise=True)
+        planned = _kernel_batch_call(case, workloads.KERNEL_PAGE)
+        if isinstance(planned, ComposableAttentionWrapper):
+            _assert_stack_matches(planned, bitwise=True)
+        else:
+            _assert_launches_match(planned, bitwise=True)
 
 
 #: Merge tables ``(slots, rows)``: one-pair entries, long split tiles among
@@ -286,46 +320,161 @@ def test_single_pair_entries_price_as_one_entry_per_cta(slots, num_ctas):
     assert report == per_entry
 
 
+#: The shared-prefix call of ``kernel_batch``: 12 decode queries over a
+#: 1 008-token shared prefix, H100, 32/8 heads, d=128.
+CASCADE = SimpleNamespace(
+    prefix_len=1008, kv_lens=[1024 + 5 * i for i in range(12)], qo_lens=[1] * 12
+)
+
+
 def test_shared_prefix_contraction_is_spread_over_the_grid():
-    """12 decode queries over a 1 008-token shared prefix on H100, 32/8 heads,
-    d=128: the prefix format is one group of 12 queries × 4 fused GQA rows,
-    its KV split into 16 slots per KV head.  One CTA per merge entry put its
-    contraction on 8 of 264 CTAs, at 6.52 µs longer than its 4.15 µs
-    attention launch."""
-    case = SimpleNamespace(
-        prefix_len=1008, kv_lens=[1024 + 5 * i for i in range(12)], qo_lens=[1] * 12
-    )
-    prefix = _kernel_batch_wrappers(case, 16)[0]
+    """The prefix format is one group of 12 queries × 4 fused GQA rows, its
+    KV split into 16 slots per KV head.  One CTA per merge entry put the
+    contraction of those slots on 8 of 264 CTAs, at 6.52 µs longer than
+    their 4.15 µs attention launch; the stack's one contraction, which also
+    folds the suffix's states, deals its pairs over the grid."""
+    prefix, suffix = _kernel_batch_call(CASCADE, 16).wrappers
     assert set(np.diff(prefix._read_plan().merge_indptr)) == {16}
-    _, (attention, contraction) = _launches(prefix.executor, prefix._simulate_fast)
-    assert contraction.makespan <= 3e-6
-    assert contraction.makespan < attention.makespan
-
-
-def test_cross_format_merge_rides_in_the_last_contraction_launch():
-    """The same shared-prefix call: the stack's ⊕ is no launch of its own.
-    The suffix format's contraction also folds the prefix state into each
-    of its 12 × 32 covered (query row, query head) pairs, 2 states per pair,
-    after its own split tiles, and the stack's report is the four launches
-    of its two formats."""
-    case = SimpleNamespace(
-        prefix_len=1008, kv_lens=[1024 + 5 * i for i in range(12)], qo_lens=[1] * 12
-    )
-    stack = _kernel_batch_call(case, 16)
-    prefix, suffix = stack.wrappers
-    assert prefix.stack_merges is None
-    assert [col.tolist() for col in suffix.stack_merges] == [[2], [12 * 32]]
-
-    plan = suffix._read_plan()
-    own_slots = np.diff(plan.merge_indptr)
-    own_rows = plan.merge_meta[:, MERGE_QROWS] * 4
-    assert own_slots.size  # the two longest suffixes split
-    flops, bytes_read, bytes_written = merge_footprints(
-        np.append(own_slots * own_rows, 2 * 384), np.append(own_rows, 384), 128
-    )
     _, (_, contraction) = _launches(suffix.executor, suffix._simulate_fast)
+    assert contraction.makespan <= 3e-6
+    assert contraction.makespan < prefix._simulate_fast().makespan
+
+
+def test_a_stack_is_its_attention_launches_and_one_contraction():
+    """The shared-prefix call is three launches: each format's attention
+    launch, then the suffix format's contraction.  It reads each of the
+    12 × 32 (query row, query head) pairs' 16 prefix states and one or two
+    suffix states once, and writes the row once.  Launch for launch, bit
+    for bit, it is the oracle's."""
+    stack = _kernel_batch_call(CASCADE, 16)
+    prefix, suffix = stack.wrappers
+    assert [col.size for col in prefix.stack_merges] == [0, 0]
+    own = np.bincount(suffix._read_plan().items[:, COL_GROUP], minlength=12) // 8
+    assert set(own.tolist()) == {1, 2}  # the two longest suffixes split
+    states = np.repeat(16 + own, 32)
+    n_slots, pairs = suffix.stack_merges
+    assert (int(pairs.sum()), int((n_slots * pairs).sum())) == (384, states.sum())
+
+    flops, bytes_read, bytes_written = merge_footprints(states, np.ones(384), 128)
+    (_, report), launches = _stack_launches(lambda: stack.run(None, compute=False))
+    assert [r.num_tiles for r in launches[:2]] == [
+        w._read_plan().num_work_items for w in stack.wrappers
+    ]
+    contraction = launches[2]
     assert contraction.total_flops == flops.sum()
     assert contraction.total_bytes == (bytes_read + bytes_written).sum()
+    assert report.makespan == launches[0].makespan + (launches[1].makespan + contraction.makespan)
+    _assert_stack_matches(stack, bitwise=True)
 
+
+@st.composite
+def shared_prefix_stacks(draw, query_lens=(1,)):
+    """``(format stack, head geometry, device)``: one to three clusters of
+    two to six requests over a whole-page shared prefix, up to twelve
+    requests of their own, as a prefix + suffix stack or a two-level one."""
+    page = draw(st.sampled_from([1, 16]))
+    pages, kv_lens, clusters, c = [], [], [], 0
+    for _ in range(draw(st.integers(1, 3))):
+        prefix = draw(st.integers(1, 40)) * 16
+        shared = np.arange(c, c + prefix // page)
+        c += shared.size
+        members = []
+        for _ in range(draw(st.integers(2, 6))):
+            own = -(-draw(st.integers(1, 400)) // page)
+            pages.append(np.concatenate([shared, np.arange(c, c + own)]))
+            c += own
+            kv_lens.append(prefix + own * page)
+            members.append(len(kv_lens) - 1)
+        clusters.append(PrefixCluster(tuple(members), prefix))
+    for _ in range(draw(st.integers(0, 12))):
+        own = -(-draw(st.integers(1, 1500)) // page)
+        pages.append(np.arange(c, c + own))
+        c += own
+        kv_lens.append(own * page)
+    qo = [min(draw(st.sampled_from(query_lens)), n) for n in kv_lens]
+    mapping = AttentionMapping(
+        np.concatenate([[0], np.cumsum(qo)]).astype(np.int64),
+        kv_from_page_table(pages, kv_lens, page, c), causal=True,
+    )
+    inner = [cl for cl in clusters if cl.prefix_len > 16]
+    if inner and draw(st.booleans()):  # every cluster shares its first page, then the rest
+        outer = [PrefixCluster(cl.requests, 16) for cl in inner]
+        formats = decompose_multi_level(mapping, [outer, inner])
+    else:
+        formats = decompose_shared_prefix(mapping, clusters)
+    heads = draw(st.sampled_from([HeadConfig(4, 2, 16), HeadConfig(32, 8, 128)]))
+    return formats, heads, draw(st.sampled_from([A100_40G, H100_80G]))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(shared_prefix_stacks(query_lens=(1, 1, 3, 17)))
+def test_random_stacks_price_like_the_oracle(drawn):
+    formats, heads, gpu = drawn
+    stack = ComposableAttentionWrapper(VANILLA, heads, WorkspaceBuffer(1 << 27), gpu)
+    stack.plan(formats)
+    _assert_stack_matches(stack)
+
+
+@FIXED
+@given(
+    groups=GROUPS,
+    heads=st.sampled_from([HeadConfig(4, 2, 8), HeadConfig(32, 8, 128)]),
+    gpu=st.sampled_from([A100_40G, H100_80G]),
+)
+def test_a_one_format_stack_prices_like_a_batch_wrapper(groups, heads, gpu):
+    qo, kv = (np.array(col) for col in zip(*groups))
+    mapping, _ = make_paged_mapping(kv, qo)
+    stack = ComposableAttentionWrapper(VANILLA, heads, WorkspaceBuffer(1 << 26), gpu)
+    stack.plan(mapping)
+    w = BatchAttentionWrapper(
+        VANILLA, heads, WorkspaceBuffer(1 << 26), gpu,
+        avg_qo_len=float(np.mean(qo)) if qo.size else 1.0,
+    )
+    w.plan(mapping)
+    assert stack.wrappers[0].stack_merges is None
+    (_, report), launches = _stack_launches(lambda: stack.run(None, compute=False))
+    _, _, plain = w.run(None, compute=False)
+    assert report == plain
+    assert len(launches) == 1 + bool(w._read_plan().merge_meta.size)
+
+
+def _one_state_per_pair(mapping, sched_heads):
+    """A work-item table writing one state per (row, scheduler head) the
+    mapping covers: what a format hands a later ``⊕`` once it has merged
+    its own states."""
+    group = np.repeat(np.arange(mapping.num_groups), sched_heads)
+    items = np.zeros((group.size, ITEM_FIELDS), dtype=np.int64)
+    items[:, COL_GROUP] = group
+    items[:, COL_QROWS] = mapping.qo_lens[group]
+    items[:, COL_KVHEAD] = np.tile(np.arange(sched_heads), mapping.num_groups)
+    return items
+
+
+def _priced_format_by_format(stack):
+    """The stack's formats priced standalone, each with a contraction launch
+    of its own: its attention launch, then a contraction of its own states,
+    the last format's also folding each earlier format's merged state."""
+    total = 0.0
+    for w in stack.wrappers:
+        formats = [(w._read_plan().items, w._mapping)]
+        if w is stack.wrappers[-1]:
+            formats += [
+                (_one_state_per_pair(v._mapping, v._sched_heads), v._mapping)
+                for v in stack.wrappers[:-1]
+            ]
+        own = stack_merge_entries(formats, w._sched_heads, w.heads.group_size)
+        with mock.patch.object(w, "stack_merges", own):
+            total += w._simulate_fast().makespan
+    return total
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(shared_prefix_stacks())
+def test_one_contraction_never_costs_more_than_one_per_format(drawn):
+    """Over random decode stacks, folding every format's states in one
+    launch is never priced above contracting format by format."""
+    formats, heads, gpu = drawn
+    stack = ComposableAttentionWrapper(VANILLA, heads, WorkspaceBuffer(1 << 27), gpu)
+    stack.plan(formats)
     _, report = stack.run(None, compute=False)
-    assert report == prefix._simulate_fast().combine(suffix._simulate_fast())
+    assert report.makespan <= _priced_format_by_format(stack)

@@ -44,6 +44,31 @@ class TestFlashInferBackend:
         be.attention_time(ComposableFormat.single(m2), decode=True)
         assert be._composable_wrappers["decode_1"] is cw
 
+    def test_traced_records_of_a_cascade_step_add_up(self):
+        """One record per format of a cascade step.  They sum to the step's
+        makespan, flops and bytes.  Every format but the last records its
+        attention launch alone; the last also carries the stack's one
+        contraction."""
+        from repro.sparse import decompose_shared_prefix
+
+        be = FlashInferBackend(HEADS, H100_80G, composable=True)
+        be.collect_kernel_reports = True
+        mapping, _, clusters = make_shared_prefix_mapping(2, 6, 1008, 40)
+        makespan = be.attention_time(decompose_shared_prefix(mapping, clusters), decode=True)
+        records = be.pop_kernel_reports()
+        cw = be._composable_wrappers["decode_2"]
+        assert [name for name, _ in records] == [w.name for w in cw.wrappers]
+        reports = [report for _, report in records]
+        assert sum(r.makespan for r in reports) == makespan
+        assert sum(r.total_flops for r in reports) == cw.last_report.total_flops
+        assert sum(r.total_bytes for r in reports) == cw.last_report.total_bytes
+        for w, r in zip(cw.wrappers, reports):
+            items = w._read_plan().num_work_items
+            if w is cw.wrappers[-1]:
+                assert r.num_tiles > items and r.per_cta_time == []  # two launches combined
+            else:
+                assert r.num_tiles == items and len(r.per_cta_time) == w.num_ctas
+
 
 class CountingInjector:
     """Duck-typed fault plan that never fires and counts its consultations."""

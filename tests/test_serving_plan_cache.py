@@ -148,8 +148,9 @@ class TestWrapperDeterminism:
     def test_stack_format_and_dense_wrapper_do_not_collide(self):
         """Whether a plan splits is decided before the lookup and is part of
         the key.  Twelve 200-token suffixes of a cascade stack are one launch
-        for a dense wrapper, but the stack's last format contracts anyway
-        (its cross-format ⊕), so there a split costs no extra launch."""
+        for a dense wrapper, but the stack contracts anyway (one contraction
+        launch folds every format's states), so there a split costs no extra
+        launch."""
         pc = PlanCache()
         mapping, _, clusters = make_shared_prefix_mapping(1, 12, 256, 200)
         stack = decompose_shared_prefix(mapping, clusters)

@@ -303,8 +303,11 @@ class TestGoldenRun:
     instants and cascade steps were rewritten, hits unchanged, when the
     contraction kernel became row-parallel, every split launch got shorter
     and a cascade step's cross-format ⊕ stopped costing a launch of its
-    own; and again, hits and cascade steps unchanged, when Algorithm 1
-    stopped splitting KV below break-even (four late TTFTs −18 µs)."""
+    own; again, hits and cascade steps unchanged, when Algorithm 1
+    stopped splitting KV below break-even (four late TTFTs −18 µs); and
+    again, hits unchanged, when a cascade step became one contraction
+    launch for all its formats (run 0.741 → 0.733 s, 105 → 106 cascade
+    steps)."""
 
     CFG = EngineConfig(max_running=64, chunked_prefill=True, prefix_cache=True,
                        composable=True)
