@@ -358,16 +358,14 @@ class BatchAttentionWrapper:
     def _one_launch_wins(self, mapping: AttentionMapping) -> bool:
         """Whether the unsplit plan is no slower than any split plan can be.
 
-        Asked only when its items fit one wave.  A split plan moves at least
-        the unsplit plan's effective bytes, at best at peak bandwidth, and
-        pays a contraction launch as well — unless this format is part of a
-        stack, whose one contraction launch runs anyway (:attr:`stack_merges`).
-        The unsplit attention launch is priced as :meth:`_simulate_fast` would,
-        one row per (group, query tile) standing for its KV heads, whose costs
-        are equal.  Before that, its longest serial stream and its bytes are
-        bounded from the lengths alone, which settles nearly every batch that
-        loses in a quarter of the host time pricing takes.  Nothing is
-        launched, so no fault is consulted.
+        Asked only when its items fit one wave, and answered against
+        :meth:`_split_floor`.  The unsplit attention launch is priced as
+        :meth:`_simulate_fast` would, one row per (group, query tile)
+        standing for its KV heads, whose costs are equal.  Before that, its
+        longest serial stream and its bytes are bounded from the lengths
+        alone, which settles nearly every batch that loses in a quarter of
+        the host time pricing takes.  Nothing is launched, so no fault is
+        consulted.
         """
         qo = mapping.qo_lens
         q_tiles = -(-qo // self._sched_q_tile)
@@ -375,25 +373,39 @@ class BatchAttentionWrapper:
         items = int(q_tiles.sum()) * heads
         if not 0 < items <= self.num_ctas:
             return False
-        spec = self.executor.spec
-        dispatch = spec.kernel_dispatch_overhead
-        stacked = self.stack_merges is not None
-        contractions = 0 if stacked else 1
+        peak = self.executor.spec.peak_bandwidth_bytes
         longest, mem_bound = simulate.unsplit_bounds(
             q_tiles, mapping, self.heads, self.kv_dtype, self._sched_q_tile,
             self.fuse_head_groups, self.traits.uses_tensor_cores, self.sparse_gather,
-            self.executor.cost_model, self._compute_share, self.compute_penalty, stacked,
+            self.executor.cost_model, self._compute_share, self.compute_penalty,
+            self.stack_merges is not None,
         )
-        bytes_time = heads * mem_bound / spec.peak_bandwidth_bytes
-        if longest > bytes_time + contractions * dispatch + _PRICE_SLACK:
+        # The launch takes at least its longest stream and its dispatch.
+        least = longest + self.executor.spec.kernel_dispatch_overhead
+        if least > self._split_floor(heads * mem_bound / peak) + _PRICE_SLACK:
             return False
         tiles = whole_kv_tiles(qo, mapping.kv.kv_lens, self._sched_q_tile)
         costs = self._item_costs(tiles, mapping, self._sched_q_tile)
         serial, mem = np.zeros(self.num_ctas), np.zeros(self.num_ctas)
         serial[:items] = np.repeat(costs.serial, heads)
         mem[:items] = np.repeat(costs.mem, heads)
-        floor = mem.sum() / spec.peak_bandwidth_bytes + (1 + contractions) * dispatch
-        return self.executor.launch_time(serial, mem) <= floor
+        return self.executor.launch_time(serial, mem) <= self._split_floor(mem.sum() / peak)
+
+    def _split_floor(self, bytes_time: float) -> float:
+        """The least a split plan moving ``bytes_time`` seconds of bytes at
+        peak bandwidth can cost: its attention launch, then a contraction
+        launch doing at least one tile, which hides up to its dispatch behind
+        the attention launch on a PDL device (``PersistentKernelExecutor.
+        follow``).  A format of a stack counts no contraction: the stack's
+        one contraction launch runs anyway (:attr:`stack_merges`)."""
+        spec = self.executor.spec
+        dispatch = spec.kernel_dispatch_overhead
+        if self.stack_merges is not None:
+            return dispatch + bytes_time
+        tile = self.executor.cost_model.tile_latency
+        if spec.supports_pdl:
+            return dispatch + max(bytes_time, dispatch) + tile
+        return 2 * dispatch + bytes_time + tile
 
     def _write_plan(self, plan: SchedulePlan) -> None:
         """Copy the plan tables into their fixed-offset sections."""
@@ -456,11 +468,10 @@ class BatchAttentionWrapper:
                 n_slots, rows_eff, self.heads.head_dim, self.executor.cost_model,
                 self._compute_share, self.num_ctas,
             )
-            report = report.combine(
-                simulate.simulate_queues(
-                    self.executor, mcosts, np.arange(mcosts.serial.size), self.num_ctas
-                )
+            contraction = simulate.simulate_queues(
+                self.executor, mcosts, np.arange(mcosts.serial.size), self.num_ctas
             )
+            report = report.then(self.executor.follow(report, contraction))
         return report
 
     def _item_costs(
@@ -565,9 +576,10 @@ class ComposableAttentionWrapper:
     variant's output transform once.  A stack of several formats is priced
     as each format's attention launch, then one contraction launch — the
     last format's — that folds, per (query row, query head) pair, every
-    state any format wrote for it and writes the row once.  The numerics
-    fold in the same order as before (each format's split slots, then
-    ``⊕``), so only the price is the stack's.
+    state any format wrote for it and writes the row once.  Each launch
+    depends on the one before it (``PersistentKernelExecutor.follow``).
+    The numerics fold in the same order as before (each format's split
+    slots, then ``⊕``), so only the price is the stack's.
     """
 
     def __init__(
@@ -586,6 +598,9 @@ class ComposableAttentionWrapper:
         self.wrappers: List[BatchAttentionWrapper] = []
         self._format: Optional[ComposableFormat] = None
         self.last_report: Optional[SimReport] = None
+        #: The last ``run``'s report of each format as it ran in the stack,
+        #: each after the one before it: they add up to :attr:`last_report`.
+        self.format_reports: List[SimReport] = []
 
     def plan(
         self,
@@ -647,11 +662,15 @@ class ComposableAttentionWrapper:
         acc_o = np.zeros((total_q, h, d)) if compute else None
         acc_lse = np.full((total_q, h), -np.inf) if compute else None
         report: Optional[SimReport] = None
+        self.format_reports = []
         for w in self.wrappers:
             o_f, lse_f, rep = w.run(
                 q, k_pool, v_pool, compute=compute, apply_output_transform=False
             )
-            report = rep if report is None else report.combine(rep)
+            if report is not None:
+                rep = w.executor.follow(report, rep)
+            self.format_reports.append(rep)
+            report = rep if report is None else report.then(rep)
             if compute:
                 if self.variant.use_softmax:
                     acc_o, acc_lse = merge_states(acc_o, acc_lse, o_f, lse_f)

@@ -23,6 +23,12 @@ Two launch disciplines are modelled:
   quantization and tail imbalance appear naturally (an event loop,
   ``_drain_dynamic``).
 
+Each launch pays ``kernel_dispatch_overhead`` once.  The launches of one
+attention call — attention, contraction, one attention launch per format of
+a composable stack — are chained by :meth:`PersistentKernelExecutor.follow`:
+on a device with programmatic dependent launch a dependent launch dispatches
+while its predecessor runs, elsewhere after it ends.
+
 Reported utilizations (the quantities of paper Figure 8) divide useful
 FLOPs / traffic by makespan and the device peak.
 """
@@ -55,21 +61,37 @@ class KernelFault(RuntimeError):
     """
 
 
-@dataclass
+@dataclass(eq=False)
 class SimReport:
-    """Outcome of one simulated kernel execution."""
+    """Outcome of one simulated kernel execution, or of the launches of one
+    call added up by :meth:`then`."""
 
     makespan: float
     total_flops: float
     total_bytes: float
     num_tiles: int
     num_ctas: int
-    per_cta_time: List[float]
+    #: Busy seconds of each CTA: the drain's float64 array for a persistent
+    #: launch (no list is built on the pricing path), a list elsewhere.
+    per_cta_time: Sequence[float]
+    #: Seconds the report's last persistent launch runs, its dispatch
+    #: excluded: what a dependent launch can hide its own dispatch behind
+    #: (:meth:`PersistentKernelExecutor.follow`).  0.0 hides nothing.
+    drain: float = 0.0
+
+    def __eq__(self, other: object) -> bool:
+        """Field by field, the per-CTA times by value whichever sequence holds them."""
+        if not isinstance(other, SimReport):
+            return NotImplemented
+        scalars = ("makespan", "total_flops", "total_bytes", "num_tiles", "num_ctas", "drain")
+        return all(getattr(self, f) == getattr(other, f) for f in scalars) and np.array_equal(
+            self.per_cta_time, other.per_cta_time
+        )
 
     @property
     def balance(self) -> float:
         """Mean CTA busy time / max CTA busy time (1.0 = perfectly balanced)."""
-        busy = list(self.per_cta_time)
+        busy = np.asarray(self.per_cta_time, dtype=np.float64).tolist()
         if not busy or max(busy) == 0:
             return 1.0
         return sum(busy) / (len(busy) * max(busy))
@@ -88,14 +110,31 @@ class SimReport:
         return self.achieved_flops() / spec.peak_fp16_flops
 
     def combine(self, other: "SimReport") -> "SimReport":
-        """Sequential composition of two kernel executions."""
+        """Sequential composition of two kernel executions on different
+        grids, whose per-CTA times do not line up: the result has none."""
+        return self._followed_by(other, [])
+
+    def then(self, other: "SimReport") -> "SimReport":
+        """``other`` run after this one within one call, as one report:
+        makespans add, and so does each CTA's busy time — CTA ``i`` of each
+        launch to CTA ``i`` of the call, a smaller grid adding nothing past
+        its end."""
+        wide, narrow = np.asarray(self.per_cta_time), np.asarray(other.per_cta_time)
+        if wide.size < narrow.size:
+            wide, narrow = narrow, wide
+        busy = wide.astype(np.float64)  # a copy: the launches keep their own
+        busy[: narrow.size] += narrow
+        return self._followed_by(other, busy)
+
+    def _followed_by(self, other: "SimReport", per_cta_time: Sequence[float]) -> "SimReport":
         return SimReport(
             makespan=self.makespan + other.makespan,
             total_flops=self.total_flops + other.total_flops,
             total_bytes=self.total_bytes + other.total_bytes,
             num_tiles=self.num_tiles + other.num_tiles,
             num_ctas=max(self.num_ctas, other.num_ctas),
-            per_cta_time=[],
+            per_cta_time=per_cta_time,
+            drain=other.drain,
         )
 
     def to_dict(self) -> dict:
@@ -190,9 +229,26 @@ class PersistentKernelExecutor:
         if self.fault_injector is not None:
             self._consult_injector(serial, mem)
         finish = self._finish_times(serial, mem)
-        makespan = float(finish.max(initial=0.0)) + self.spec.kernel_dispatch_overhead
-        return SimReport(makespan, total_flops, total_bytes, num_tiles, serial.size,
-                         finish.tolist())
+        drain = float(finish.max(initial=0.0))
+        return SimReport(drain + self.spec.kernel_dispatch_overhead, total_flops, total_bytes,
+                         num_tiles, serial.size, finish, drain)
+
+    def follow(self, prev: SimReport, launch: SimReport) -> SimReport:
+        """``launch`` as it runs when it depends on ``prev`` within one
+        attention call: its makespan counts only the dispatch it cannot hide.
+
+        With programmatic dependent launch (:attr:`GPUSpec.supports_pdl`) a
+        launch begins its dispatch when ``prev``'s last launch begins
+        running, so it starts running at ``max(end of prev, start of prev +
+        dispatch)``: ``min(prev.drain, dispatch)`` of its dispatch overlaps
+        ``prev``.  Elsewhere it begins its dispatch when ``prev`` ends, and
+        ``launch`` is returned as it is — ``prev.then(launch)`` is the plain
+        sum.  Nothing is launched here, so no fault is consulted."""
+        if not self.spec.supports_pdl:
+            return launch
+        hidden = min(prev.drain, self.spec.kernel_dispatch_overhead)
+        return SimReport(launch.makespan - hidden, launch.total_flops, launch.total_bytes,
+                         launch.num_tiles, launch.num_ctas, launch.per_cta_time, launch.drain)
 
     def launch_time(self, serial: np.ndarray, mem: np.ndarray) -> float:
         """The makespan :meth:`run_streams` reports for these per-CTA streams

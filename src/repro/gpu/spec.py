@@ -41,6 +41,12 @@ class GPUSpec:
     supports_tma:
         Hopper's Tensor Memory Accelerator: usable only for contiguous
         (dense) KV loads; sparse gathers fall back to async copies (§3.2.1).
+    supports_pdl:
+        Programmatic dependent launch (compute capability 9.0, FlashInfer's
+        ``enable_pdl``): a kernel that depends on the one before it begins
+        its dispatch while that one still runs, so within one attention
+        call a dependent launch hides up to one ``kernel_dispatch_overhead``
+        behind its predecessor (``PersistentKernelExecutor.follow``).
     """
 
     name: str
@@ -53,6 +59,7 @@ class GPUSpec:
     kernel_launch_overhead: float = 5e-6
     kernel_dispatch_overhead: float = 1.5e-6
     supports_tma: bool = False
+    supports_pdl: bool = False
 
     @property
     def sm_bandwidth(self) -> float:
@@ -77,6 +84,7 @@ A100_40G = GPUSpec(
     shared_mem_per_sm=164 * 1024,
     registers_per_sm=65536,
     supports_tma=False,
+    supports_pdl=False,
 )
 
 H100_80G = GPUSpec(
@@ -88,4 +96,5 @@ H100_80G = GPUSpec(
     shared_mem_per_sm=228 * 1024,
     registers_per_sm=65536,
     supports_tma=True,
+    supports_pdl=True,
 )

@@ -176,10 +176,10 @@ class FlashInferBackend(AttentionBackend):
         cw.plan(formats)
         _, report = cw.run(None, compute=False)
         if self.collect_kernel_reports:
-            # Per-format visibility: one record per stacked wrapper rather
-            # than only the ⊕-combined report.
-            for sub in cw.wrappers:
-                self._record_kernel(sub.name, sub.last_report)
+            # Per-format visibility: one record per stacked wrapper, as it ran
+            # in the stack, rather than only the ⊕-combined report.
+            for sub, rep in zip(cw.wrappers, cw.format_reports):
+                self._record_kernel(sub.name, rep)
         return report.makespan
 
 

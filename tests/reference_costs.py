@@ -12,8 +12,10 @@ block as one tile.  ``reference_tile_costs`` and ``reference_report`` are
 the loops that call them, and ``reference_stack_report`` prices a composable
 stack of several formats: every format's attention launch, its tiles writing
 fp32 states, then one contraction launch that counts, pair by pair, the
-states every format wrote.  ``tests/test_costs_equivalence.py`` pins
-``run_mapping``'s return value and the library's reports to them.
+states every format wrote.  ``reference_chain`` times the launches of one
+call from explicit start instants, where the library adds each launch's
+makespan less the dispatch it hides.  ``tests/test_costs_equivalence.py``
+pins ``run_mapping``'s return value and the library's reports to them.
 """
 
 from __future__ import annotations
@@ -204,20 +206,49 @@ def _contraction_report(wrapper, merges: List[MergeEntry], rows: List[int]) -> S
     )
 
 
+def reference_chain(spec, launches: Sequence[SimReport]) -> SimReport:
+    """The launches of one attention call, each depending on the one before
+    it, timed with explicit instants.  A launch begins its dispatch when its
+    predecessor begins running on a device with programmatic dependent
+    launch (``spec.supports_pdl``), and when its predecessor ends elsewhere.
+    It begins running once its dispatch is done and its predecessor has
+    ended, and runs until its busiest CTA finishes.  The call ends with its
+    last launch; CTA ``i``'s busy time is summed over the launches whose
+    grid has a CTA ``i``."""
+    dispatch = spec.kernel_dispatch_overhead
+    dispatch_at = end = 0.0
+    busy = [0.0] * max(len(r.per_cta_time) for r in launches)
+    for launch in launches:
+        start = max(dispatch_at + dispatch, end)
+        end = start + max(launch.per_cta_time, default=0.0)
+        dispatch_at = start if spec.supports_pdl else end
+        for cta, t in enumerate(launch.per_cta_time):
+            busy[cta] += t
+    return SimReport(
+        makespan=end,
+        total_flops=sum(r.total_flops for r in launches),
+        total_bytes=sum(r.total_bytes for r in launches),
+        num_tiles=sum(r.num_tiles for r in launches),
+        num_ctas=max(r.num_ctas for r in launches),
+        per_cta_time=busy,
+    )
+
+
 def reference_report(wrapper, plan: SchedulePlan) -> SimReport:
     """The launch as ``BatchAttentionWrapper.run(compute=True)`` priced it:
     the attention kernel's queues, then the contraction kernel's over the
     plan's merge entries, each through ``run_persistent`` (one injector
-    consultation per launch).  A plain wrapper, not a format of a stack."""
+    consultation per launch), chained by ``reference_chain``.  A plain
+    wrapper, not a format of a stack."""
     assert wrapper.stack_merges is None, "price a stack with reference_stack_report"
     cost_queues, _ = reference_tile_costs(wrapper, plan)
-    report = wrapper.executor.run_persistent(cost_queues)
+    launches = [wrapper.executor.run_persistent(cost_queues)]
     g_eff = wrapper.heads.group_size if wrapper.fuse_head_groups else 1
     merges = list(plan.merges)
     if merges:
         rows = [m.q_rows * g_eff for m in merges]
-        report = report.combine(_contraction_report(wrapper, merges, rows))
-    return report
+        launches.append(_contraction_report(wrapper, merges, rows))
+    return reference_chain(wrapper.executor.spec, launches)
 
 
 def reference_stack_report(stack) -> SimReport:
@@ -227,8 +258,8 @@ def reference_stack_report(stack) -> SimReport:
     launch, every tile writing its fp32 state ``(O, LSE)``, then one
     contraction launch on the last format's grid: each (query row, query
     head) pair, in row order, reads every state any format's work items
-    wrote for it and writes its row once.  Reports combine as ``run``
-    combines them: each format's in turn, the last with the contraction."""
+    wrote for it and writes its row once.  The launches chain in that order
+    (``reference_chain``)."""
     if len(stack.wrappers) == 1:
         w, = stack.wrappers
         return reference_report(w, w._read_plan())
@@ -246,10 +277,7 @@ def reference_stack_report(stack) -> SimReport:
                     for head in range(item.kv_head * g_eff, (item.kv_head + 1) * g_eff):
                         states[row, head] = states.get((row, head), 0) + 1
     merges = [MergeEntry(0, 0, 0, 1, 0, tuple(range(states[p]))) for p in sorted(states)]
+    last = stack.wrappers[-1]
     if merges:
-        last = stack.wrappers[-1]
-        reports[-1] = reports[-1].combine(_contraction_report(last, merges, [1] * len(merges)))
-    report = reports[0]
-    for r in reports[1:]:
-        report = report.combine(r)
-    return report
+        reports.append(_contraction_report(last, merges, [1] * len(merges)))
+    return reference_chain(last.executor.spec, reports)

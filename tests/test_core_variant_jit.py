@@ -327,7 +327,7 @@ class TestFunctorContract:
         a tile that every row of the query tile is ahead of."""
         from conftest import make_paged_mapping, priced_kv_columns
         from repro import BatchAttentionWrapper, WorkspaceBuffer
-        from repro.core import HeadConfig
+        from repro.core import HeadConfig, plan_schedule
         from repro.core.scheduler import COL_KVHEAD, COL_QSTART
 
         seen = []
@@ -344,7 +344,12 @@ class TestFunctorContract:
         mapping, slots = make_paged_mapping([300, 40, 7], [200, 40, 14], 4)
         w = BatchAttentionWrapper(variant, HeadConfig(4, 2, 8), WorkspaceBuffer(1 << 26),
                                   avg_qo_len=64)
-        plan = w.plan(mapping)
+        w.plan(mapping)
+        # The split plan, whatever the one-launch rule picks: its chunks are
+        # what puts hidden KV and many query tiles under the mask.
+        args, kwargs = w._schedule_inputs(mapping, True)
+        plan = plan_schedule(*args, **kwargs)
+        w._write_plan(plan)
         w.run(rng.standard_normal((254, 4, 8)), rng.standard_normal((slots, 2, 8)),
               rng.standard_normal((slots, 2, 8)))
 

@@ -1,5 +1,6 @@
 """Tests for the simulated GPU: cost model and event-driven executor."""
 
+import numpy as np
 import pytest
 
 from repro.gpu import A100_40G, H100_80G, KernelCostModel, PersistentKernelExecutor, TileCost
@@ -26,6 +27,9 @@ class TestSpec:
 
     def test_tma_flags(self):
         assert H100_80G.supports_tma and not A100_40G.supports_tma
+
+    def test_pdl_flags(self):
+        assert H100_80G.supports_pdl and not A100_40G.supports_pdl
 
 
 class TestCostModel:
@@ -158,6 +162,61 @@ class TestGridExecutor:
         c = a.combine(b)
         assert c.makespan == pytest.approx(a.makespan + b.makespan)
         assert c.total_flops == 2e8
+
+
+class TestChainedLaunches:
+    """``follow`` + ``then``: the launches of one call, each depending on the
+    one before it.  Without PDL they add; with it a launch dispatches while
+    its predecessor runs and pays only the dispatch that outlasts it."""
+
+    @staticmethod
+    def launch(exe, bytes_per_cta, ctas=8):
+        return exe.run_persistent([[mem_tile(bytes_per_cta)] for _ in range(ctas)])
+
+    @staticmethod
+    def chain(exe, launches):
+        report = launches[0]
+        for launch in launches[1:]:
+            report = report.then(exe.follow(report, launch))
+        return report
+
+    def test_a100_chain_is_the_plain_sum_bit_for_bit(self):
+        exe = PersistentKernelExecutor(A100_40G)
+        launches = [self.launch(exe, b) for b in (3e6, 1e3, 7e5)]
+        chained = self.chain(exe, launches)
+        combined = launches[0].combine(launches[1]).combine(launches[2])
+        assert chained.makespan == combined.makespan
+        assert (chained.total_flops, chained.total_bytes) == (
+            combined.total_flops, combined.total_bytes)
+
+    def test_h100_pays_one_dispatch_behind_long_predecessors(self):
+        exe = PersistentKernelExecutor(H100_80G)
+        dispatch = H100_80G.kernel_dispatch_overhead
+        launches = [self.launch(exe, b) for b in (3e6, 2e6, 1e6)]
+        assert all(r.drain >= dispatch for r in launches)
+        chained = self.chain(exe, launches)
+        assert chained.makespan == pytest.approx(sum(r.drain for r in launches) + dispatch)
+        assert chained.drain == launches[-1].drain
+
+    def test_a_short_predecessor_leaves_the_rest_of_the_dispatch_visible(self):
+        exe = PersistentKernelExecutor(H100_80G)
+        dispatch = H100_80G.kernel_dispatch_overhead
+        short, tail = self.launch(exe, 1e3), self.launch(exe, 1e6)
+        assert short.drain < dispatch
+        followed = exe.follow(short, tail)
+        assert followed.makespan == pytest.approx(tail.makespan - short.drain)
+        assert short.then(followed).makespan == pytest.approx(
+            dispatch + short.drain + (dispatch - short.drain) + tail.drain)
+
+    def test_busy_time_adds_per_cta(self):
+        exe = PersistentKernelExecutor(H100_80G)
+        a = exe.run_persistent([[mem_tile(1e6)], [mem_tile(3e6)], []])
+        b = exe.run_persistent([[mem_tile(2e6)], [], [mem_tile(1e6)]])
+        chained = a.then(exe.follow(a, b))
+        np.testing.assert_array_equal(
+            chained.per_cta_time, np.add(a.per_cta_time, b.per_cta_time))
+        assert 0.0 < chained.balance < 1.0
+        assert a.combine(b).per_cta_time == []  # different grids: no per-CTA view
 
 
 class TestMemEfficiency:

@@ -45,10 +45,12 @@ class TestFlashInferBackend:
         assert be._composable_wrappers["decode_1"] is cw
 
     def test_traced_records_of_a_cascade_step_add_up(self):
-        """One record per format of a cascade step.  They sum to the step's
-        makespan, flops and bytes.  Every format but the last records its
+        """One record per format of a cascade step, as it ran in the stack.
+        They sum to the step's makespan, flops and bytes: on H100 a format's
+        record counts only the dispatch its first launch did not hide behind
+        the format before it.  Every format but the last records its
         attention launch alone; the last also carries the stack's one
-        contraction."""
+        contraction, and each CTA's busy time over both launches."""
         from repro.sparse import decompose_shared_prefix
 
         be = FlashInferBackend(HEADS, H100_80G, composable=True)
@@ -62,12 +64,14 @@ class TestFlashInferBackend:
         assert sum(r.makespan for r in reports) == makespan
         assert sum(r.total_flops for r in reports) == cw.last_report.total_flops
         assert sum(r.total_bytes for r in reports) == cw.last_report.total_bytes
+        assert sum(r.makespan for r in reports) < sum(w.last_report.makespan for w in cw.wrappers)
         for w, r in zip(cw.wrappers, reports):
             items = w._read_plan().num_work_items
+            assert len(r.per_cta_time) == w.num_ctas
             if w is cw.wrappers[-1]:
-                assert r.num_tiles > items and r.per_cta_time == []  # two launches combined
+                assert r.num_tiles > items  # attention and contraction
             else:
-                assert r.num_tiles == items and len(r.per_cta_time) == w.num_ctas
+                assert r.num_tiles == items
 
 
 class CountingInjector:

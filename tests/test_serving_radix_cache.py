@@ -307,7 +307,9 @@ class TestGoldenRun:
     stopped splitting KV below break-even (four late TTFTs −18 µs); and
     again, hits unchanged, when a cascade step became one contraction
     launch for all its formats (run 0.741 → 0.733 s, 105 → 106 cascade
-    steps)."""
+    steps); and again, hits unchanged, when a dependent launch began its
+    dispatch while the one before it ran on H100 (run 0.733 → 0.732 s,
+    106 → 108 cascade steps)."""
 
     CFG = EngineConfig(max_running=64, chunked_prefill=True, prefix_cache=True,
                        composable=True)
