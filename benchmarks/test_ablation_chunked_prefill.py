@@ -25,7 +25,7 @@ MODEL = LLAMA_3_1_8B
 HEADS = HeadConfig(MODEL.num_qo_heads, MODEL.num_kv_heads, MODEL.head_dim)
 
 
-def run_config(chunked, chunk_size):
+def run_config(chunked, chunk_size=512):
     reqs = [Request(0.0, 64, 300)] + [
         Request(0.2 + 0.4 * i, 16384, 8) for i in range(3)
     ]
@@ -46,7 +46,7 @@ def run_config(chunked, chunk_size):
 
 def run_experiment():
     rows = []
-    worst, med, ttft = run_config(False, 0)
+    worst, med, ttft = run_config(False)
     rows.append(("unchunked", worst, med, ttft))
     for chunk in (512, 1024, 4096):
         worst, med, ttft = run_config(True, chunk)

@@ -593,6 +593,17 @@ def _cmd_figures(args) -> int:
     return 0
 
 
+def _number(kind, low, strict=False):
+    """An argparse type: a ``kind`` value at least ``low`` (above it if ``strict``)."""
+    def parse(text):
+        value = kind(text)
+        if not (value > low if strict else value >= low):  # nan fails both
+            raise argparse.ArgumentTypeError(f"must be {'>' if strict else '>='} {low}, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # "invalid int value" for unparsable text
+    return parse
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -616,17 +627,17 @@ def main(argv=None) -> int:
     from repro.serving.policy import available_policies
 
     serve = sub.add_parser("serve", help="compare serving backends")
-    serve.add_argument("--requests", type=int, default=40)
-    serve.add_argument("--rate", type=float, default=60.0)
-    serve.add_argument("--seed", type=int, default=0)
+    serve.add_argument("--requests", type=_number(int, 1), default=40)
+    serve.add_argument("--rate", type=_number(float, 0, strict=True), default=60.0)
+    serve.add_argument("--seed", type=_number(int, 0), default=0)
     serve.add_argument(
-        "--tp", type=int, default=1, metavar="N",
+        "--tp", type=_number(int, 1), default=1, metavar="N",
         help="tensor-parallel shards per replica (must divide the model's "
         "query heads); tp > 1 switches serve to the cluster path with a "
         "token-exactness check against a single-GPU reference run",
     )
     serve.add_argument(
-        "--dp", type=int, default=None, metavar="M",
+        "--dp", type=_number(int, 1), default=None, metavar="M",
         help="data-parallel replicas behind the cluster router (default 1, "
         "or the --disagg pool sizes); with no other cluster feature the "
         "control arm is a dp=1 run and the dp_speedup over it is reported",
@@ -670,7 +681,7 @@ def main(argv=None) -> int:
         "failures, stragglers) and verify token-exact recovery",
     )
     serve.add_argument(
-        "--chaos-seed", type=int, default=7, dest="chaos_seed",
+        "--chaos-seed", type=_number(int, 0), default=7, dest="chaos_seed",
         help="seed for the chaos fault plan (default: 7)",
     )
     serve.add_argument(
@@ -724,7 +735,7 @@ def main(argv=None) -> int:
     serve.add_argument(
         "--tenants", type=int, default=4,
         help="tenant count for --overload: per-tenant token buckets at the "
-        "front door, weighted-fair admission (default: 4)",
+        "front door, each an equal share of the admission rate (default: 4)",
     )
     serve.add_argument(
         "--burst", type=float, default=3.0,

@@ -41,6 +41,7 @@ from repro.cluster.failover import (
     FailoverConfig,
     FailoverController,
     MigrationError,
+    REJOIN_DELAY,
     ReplicaFailure,
     clamp_arrival,
     inflight_units,
@@ -96,7 +97,9 @@ def expected_tokens(reference) -> Dict[Tuple[int, int], list]:
 
 @dataclass
 class ClusterConfig:
-    """Cluster shape and policy knobs."""
+    """Cluster shape and policy knobs.  Only a field a program sets or a
+    test needs stays a field (``tests/test_knobs.py``); the rest are
+    constants.  Every replica records token ids for divergence checks."""
 
     #: Tensor-parallel shards per replica (must divide the model's QO heads).
     tp: int = 1
@@ -106,14 +109,9 @@ class ClusterConfig:
     topology: str = "nvlink"
     #: Routing policy name (:func:`repro.cluster.router.get_routing_policy`).
     router: str = "round-robin"
-    #: Seed for router randomness (power-of-two probing).
-    router_seed: int = 0
     #: Per-replica engine template; ``tensor_parallel`` is overridden by
     #: :attr:`tp`.  ``None`` uses :class:`EngineConfig` defaults.
     engine: Optional[object] = None
-    #: Record deterministic token ids on every replica (turns on the
-    #: resilience layer's token recording; required for divergence checks).
-    record_tokens: bool = True
     #: Snapshot cadence for replicas (0 = off unless a replica has a crash
     #: script, which forces a default cadence of 4).
     checkpoint_every: int = 0
@@ -285,6 +283,15 @@ class ClusterMetrics:
             out.update(self.disagg.summary())
         out.update(self.topology.link_stats(makespan=makespan))
         return out
+
+
+#: Arrival penalty charged to a request re-dispatched after a seeded
+#: dispatch timeout (the client's perceived timeout plus resend).
+TIMEOUT_PENALTY = 0.02
+#: Quantile of observed dispatch waits that sets the hedging delay.
+HEDGE_QUANTILE = 0.9
+#: Dispatches observed before hedging activates.
+HEDGE_MIN_SAMPLES = 8
 
 
 class ClusterEngine:
@@ -486,11 +493,10 @@ class ClusterEngine:
             if cfg.tensor_parallel > 1
             else None
         )
-        resilience = ResilienceConfig() if self.config.record_tokens else None
         engine = ServingEngine.from_config(
             cfg, model=self.model, gpu=self.gpu,
             backend_factory=self.backend_factory,
-            tracer=tracer, resilience=resilience,
+            tracer=tracer, resilience=ResilienceConfig(),
             checkpoint=checkpoint, checkpoint_store=store,
             interconnect=interconnect,
         )
@@ -552,7 +558,7 @@ class ClusterEngine:
         self._breakers = breakers
         disagg = self.roles is not None
         self._decode_assignments = {}
-        self.router.reset(cfg.dp, cfg.router_seed)
+        self.router.reset(cfg.dp)
         tracker = LoadTracker(cfg.dp, self._nominal_service_rate())
         schedule = self.health_schedule
         plan = self.fault_plan
@@ -632,7 +638,6 @@ class ClusterEngine:
         for one routed request; returns the (possibly re-timed) request
         and its final replica.  Deterministic, and token-exact by
         construction: only arrivals shift, never rids."""
-        overload = self.config.overload
         bcfg = breakers[choice].config
         dp = self.config.dp
         t = r.arrival
@@ -657,7 +662,7 @@ class ClusterEngine:
             breakers[choice].record_failure(t, "timeout")
             alts = alternates(choice)
             if alts:
-                t = t + bcfg.timeout_penalty
+                t = t + TIMEOUT_PENALTY
                 r = clamp_arrival(r, t)
                 choice = min(alts, key=lambda j: (loads[j], j))
                 report.reroutes += 1
@@ -673,12 +678,8 @@ class ClusterEngine:
         # the quantile delay and keep whichever copy starts first.  The
         # loser is cancelled before doing any work (zero cost), so exactly
         # one replica ever prefills this rid — token-exact either way.
-        if (
-            overload.hedge
-            and len(waits) >= overload.hedge_min_samples
-            and est_wait > 0
-        ):
-            delay = float(np.quantile(waits, overload.hedge_quantile))
+        if len(waits) >= HEDGE_MIN_SAMPLES and est_wait > 0:
+            delay = float(np.quantile(waits, HEDGE_QUANTILE))
             if est_wait > delay:
                 alts = alternates(choice)
                 if alts:
@@ -850,7 +851,7 @@ class ClusterEngine:
                 script[(crash.step_index, crash.phase)].mode,
             )
             host = i
-            resume_at = t_dead + controller.config.rejoin_delay
+            resume_at = t_dead + REJOIN_DELAY
             target = controller.pick_target(i, assigned_tokens, exclude=exclude)
             if target is None:
                 controller.note_fallback(i, t_dead, "no healthy migration target")

@@ -6,8 +6,8 @@ Three pieces compose into replica failover:
 * **Health detection** — :class:`FailureDetector` runs a heartbeat
   timeout per replica on the simulated clock.  Replica engines call a
   per-step heartbeat hook; a replica that misses
-  ``suspect_after`` consecutive heartbeat intervals is *suspected*
-  (the router stops sending it new work) and after ``dead_after``
+  :data:`SUSPECT_AFTER` consecutive heartbeat intervals is *suspected*
+  (the router stops sending it new work) and after :data:`DEAD_AFTER`
   intervals it is declared *dead*.  Every replica walks the state
   machine::
 
@@ -141,35 +141,16 @@ class ReplicaFailure:
 
 @dataclass
 class FailoverConfig:
-    """Detection and migration knobs for cluster failover."""
+    """Migration knobs for cluster failover.  Only a field a program sets
+    or a test needs stays a field (``tests/test_knobs.py``); the rest are
+    constants."""
 
-    #: Nominal gap between replica heartbeats (each executed engine step
-    #: emits one; steps are a few ms, so 5 ms spans ~1-2 steps).
-    heartbeat_interval: float = 0.005
-    #: Missed intervals before a replica is *suspected* (routing stops).
-    suspect_after: int = 2
-    #: Missed intervals before a replica is declared *dead* (migration
-    #: starts).  Must exceed ``suspect_after``.
-    dead_after: int = 4
-    #: Dead → rejoined delay when no migration happens (in-place restart).
-    rejoin_delay: float = 0.05
     #: Live KV pages per migration chunk.
     chunk_pages: int = 64
     #: Bounded retry budget per chunk under injected link faults.
     max_retries: int = 4
-    #: Exponential backoff after a failed chunk transfer:
-    #: ``backoff_base * backoff_factor ** attempt`` seconds.
-    backoff_base: float = 0.002
-    backoff_factor: float = 2.0
 
     def __post_init__(self):
-        if self.heartbeat_interval <= 0:
-            raise ValueError("heartbeat_interval must be positive")
-        if not 0 < self.suspect_after < self.dead_after:
-            raise ValueError(
-                f"need 0 < suspect_after < dead_after, got "
-                f"{self.suspect_after}/{self.dead_after}"
-            )
         if self.chunk_pages < 1:
             raise ValueError("chunk_pages must be >= 1")
         if self.max_retries < 0:
@@ -204,21 +185,29 @@ class ReplicaHealth(Lifecycle):
         return None
 
 
+#: Nominal gap between replica heartbeats (each executed engine step emits
+#: one; steps are a few ms, so 5 ms spans ~1-2 steps).
+HEARTBEAT_INTERVAL = 0.005
+#: Missed intervals before a replica is *suspected* (routing stops).
+SUSPECT_AFTER = 2
+#: Missed intervals before a replica is declared *dead* (migration starts).
+DEAD_AFTER = 4
+
+
 class FailureDetector:
     """Heartbeat-timeout failure detection on the simulated clock.
 
     Deterministic: a replica whose last heartbeat was at ``t_hb`` is
-    suspected at exactly ``t_hb + suspect_after * heartbeat_interval``
-    and declared dead at ``t_hb + dead_after * heartbeat_interval`` —
+    suspected at exactly ``t_hb + SUSPECT_AFTER * HEARTBEAT_INTERVAL``
+    and declared dead at ``t_hb + DEAD_AFTER * HEARTBEAT_INTERVAL`` —
     :meth:`advance` back-dates the transitions to those deadlines no
     matter when it is called, so detection timestamps do not depend on
     polling cadence.
     """
 
-    def __init__(self, num_replicas: int, config: Optional[FailoverConfig] = None):
+    def __init__(self, num_replicas: int):
         if num_replicas < 1:
             raise ValueError("num_replicas must be >= 1")
-        self.config = config or FailoverConfig()
         self.replicas = [ReplicaHealth(i) for i in range(num_replicas)]
 
     def heartbeat(self, replica: int, t: float) -> None:
@@ -233,22 +222,21 @@ class FailureDetector:
         cluster engine monitors only replicas with a failure in flight;
         an idle replica with no heartbeats yet must not time out).
         """
-        cfg = self.config
         fired: List[HealthTransition] = []
         idx = range(len(self.replicas)) if replicas is None else replicas
         for i in idx:
             h = self.replicas[i]
-            t_suspect = h.last_heartbeat + cfg.suspect_after * cfg.heartbeat_interval
-            t_dead = h.last_heartbeat + cfg.dead_after * cfg.heartbeat_interval
+            t_suspect = h.last_heartbeat + SUSPECT_AFTER * HEARTBEAT_INTERVAL
+            t_dead = h.last_heartbeat + DEAD_AFTER * HEARTBEAT_INTERVAL
             if h.state in ("healthy", "rejoined") and t > t_suspect:
                 fired.append(h.to(
                     "suspected", t_suspect,
-                    f"{cfg.suspect_after} heartbeat intervals missed",
+                    f"{SUSPECT_AFTER} heartbeat intervals missed",
                 ))
             if h.state == "suspected" and t > t_dead:
                 fired.append(h.to(
                     "dead", t_dead,
-                    f"{cfg.dead_after} heartbeat intervals missed",
+                    f"{DEAD_AFTER} heartbeat intervals missed",
                 ))
         return fired
 
@@ -346,6 +334,12 @@ class MigrationReport:
     t_end: float
 
 
+#: Exponential backoff after a failed chunk transfer:
+#: ``BACKOFF_BASE * BACKOFF_FACTOR ** attempt`` seconds.
+BACKOFF_BASE = 0.002
+BACKOFF_FACTOR = 2.0
+
+
 class KVMigrator:
     """Ship KV pages over the topology, chunked and checksummed.
 
@@ -390,8 +384,8 @@ class KVMigrator:
         modeled KV bytes of their pages (fp16 K+V), the control chunk at
         its JSON size — and carries a sha256 over its canonical JSON.  An
         injected link fault aborts the attempt mid-flight — still real
-        link traffic — and is retried after ``backoff_base *
-        backoff_factor ** attempt`` seconds, up to ``max_retries`` times
+        link traffic — and is retried after ``BACKOFF_BASE *
+        BACKOFF_FACTOR ** attempt`` seconds, up to ``max_retries`` times
         (then :class:`MigrationError`); a chunk whose received bytes fail
         their sha256 is refused outright (:class:`MigrationChecksumError`).
         ``corrupt_control`` / ``corrupt_chunks`` are test hooks tampering
@@ -437,7 +431,7 @@ class KVMigrator:
                         f"{kind} {source}->{target} {what}: link faulted on "
                         f"all {cfg.max_retries + 1} transfer attempts"
                     )
-                elapsed += cfg.backoff_base * cfg.backoff_factor ** attempt
+                elapsed += BACKOFF_BASE * BACKOFF_FACTOR ** attempt
             data = got.tobytes().decode("utf-8")
             if tampered:
                 data = "\x00" + data[1:]
@@ -521,6 +515,10 @@ class FailoverReport:
         }
 
 
+#: Dead → rejoined delay when no migration happens (in-place restart).
+REJOIN_DELAY = 0.05
+
+
 class FailoverController:
     """Drives detection → migration → takeover for one cluster run.
 
@@ -541,7 +539,7 @@ class FailoverController:
     ):
         self.config = config
         self.num_replicas = num_replicas
-        self.detector = FailureDetector(num_replicas, config)
+        self.detector = FailureDetector(num_replicas)
         self.migrator = KVMigrator(topology, config, fault_plan=fault_plan)
         self.tracers = tracers
         self.report = FailoverReport()
@@ -567,7 +565,6 @@ class FailoverController:
         Crashes pay the full heartbeat-timeout detection delay; drains
         are planned, so the replica goes draining → dead at ``t_fail``.
         """
-        cfg = self.config
         h = self.detector.replicas[replica]
         if mode == "drain":
             h.to("draining", t_fail, "planned drain: handing off KV")
@@ -576,7 +573,7 @@ class FailoverController:
         else:
             for t in heartbeats:
                 self.detector.heartbeat(replica, t)
-            horizon = t_fail + (cfg.dead_after + 1) * cfg.heartbeat_interval
+            horizon = t_fail + (DEAD_AFTER + 1) * HEARTBEAT_INTERVAL
             self.detector.advance(horizon, replicas=[replica])
             if h.state != "dead":  # pragma: no cover - detector invariant
                 raise RuntimeError(
@@ -635,7 +632,7 @@ class FailoverController:
         h = self.detector.replicas[replica]
         where = "in place" if host == replica else f"on replica {host}"
         h.to("recovering", t_dead, f"takeover {where}")
-        t_rejoin = max(resume_at, t_dead + self.config.rejoin_delay)
+        t_rejoin = max(resume_at, t_dead + REJOIN_DELAY)
         h.to("rejoined", t_rejoin, "serving resumed")
         self.report.recovery_seconds += resume_at - t_fail
         self.report.inflight_migrated += inflight

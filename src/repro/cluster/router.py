@@ -18,8 +18,8 @@ front-end router can actually observe — queue depths it assigned, not
 per-step engine internals.
 
 All randomness (power-of-two-choices probing) comes from a policy-owned
-seeded generator reset at the start of every run, keeping cluster runs
-reproducible end to end.
+generator re-seeded with 0 at the start of every run, keeping cluster
+runs reproducible end to end.
 
 :class:`CircuitBreaker` is the router-side overload guard: a per-replica
 closed → open → half-open state machine on the simulated clock, tripped
@@ -109,8 +109,8 @@ class LoadTracker:
 class RoutingPolicy:
     """Base class: pick a replica for one arriving request.
 
-    ``reset`` is called once per cluster run with the replica count and a
-    seed; ``choose`` once per request in arrival order.  ``loads`` is the
+    ``reset`` is called once per cluster run with the replica count;
+    ``choose`` once per request in arrival order.  ``loads`` is the
     tracker's current outstanding-work estimate per replica.
 
     The cluster calls :meth:`route`, which wraps ``choose`` with health
@@ -123,7 +123,7 @@ class RoutingPolicy:
     #: Registry key; subclasses must override.
     name: str = "base"
 
-    def reset(self, num_replicas: int, seed: int = 0) -> None:
+    def reset(self, num_replicas: int) -> None:
         self.num_replicas = num_replicas
 
     def choose(self, req, t: float, loads: Sequence[float]) -> int:
@@ -166,8 +166,8 @@ class RoundRobinPolicy(RoutingPolicy):
 
     name = "round-robin"
 
-    def reset(self, num_replicas: int, seed: int = 0) -> None:
-        super().reset(num_replicas, seed)
+    def reset(self, num_replicas: int) -> None:
+        super().reset(num_replicas)
         self._next = 0
 
     def choose(self, req, t, loads) -> int:
@@ -193,9 +193,9 @@ class PowerOfTwoPolicy(RoutingPolicy):
 
     name = "power-of-two"
 
-    def reset(self, num_replicas: int, seed: int = 0) -> None:
-        super().reset(num_replicas, seed)
-        self._rng = np.random.default_rng(seed)
+    def reset(self, num_replicas: int) -> None:
+        super().reset(num_replicas)
+        self._rng = np.random.default_rng(0)
 
     def choose(self, req, t, loads) -> int:
         if self.num_replicas == 1:
@@ -261,8 +261,8 @@ class CacheAwarePolicy(RoutingPolicy):
 
     name = "cache-aware"
 
-    def reset(self, num_replicas: int, seed: int = 0) -> None:
-        super().reset(num_replicas, seed)
+    def reset(self, num_replicas: int) -> None:
+        super().reset(num_replicas)
         #: Per replica: prefix_group → cached prefix length (tokens), the
         #: router's model of that replica's radix tree contents.
         self._cached: List[Dict[int, int]] = [{} for _ in range(num_replicas)]
@@ -303,8 +303,8 @@ class DisaggPolicy(RoutingPolicy):
 
     name = "disagg"
 
-    def reset(self, num_replicas: int, seed: int = 0) -> None:
-        super().reset(num_replicas, seed)
+    def reset(self, num_replicas: int) -> None:
+        super().reset(num_replicas)
         if getattr(self, "prefill_pool", None) is None:
             self.prefill_pool: Optional[Tuple[int, ...]] = None
             self.decode_pool: Optional[Tuple[int, ...]] = None
@@ -415,7 +415,8 @@ IllegalBreakerTransition = IllegalTransitionError
 
 @dataclass
 class BreakerConfig:
-    """Per-replica circuit-breaker knobs."""
+    """Per-replica circuit-breaker knobs.  Only a field a program sets or
+    a test needs stays a field (``tests/test_knobs.py``)."""
 
     #: Failure strikes (dispatch timeouts, sustained pressure) before a
     #: closed breaker opens.
@@ -427,9 +428,6 @@ class BreakerConfig:
     #: Estimated backlog (seconds of queued work at the nominal service
     #: rate) at/above which a dispatch counts as a pressure strike.
     pressure_threshold: float = 0.75
-    #: Arrival penalty charged to a request re-dispatched after a seeded
-    #: timeout (the client's perceived timeout plus resend).
-    timeout_penalty: float = 0.02
 
     def __post_init__(self) -> None:
         if self.fail_threshold < 1:
@@ -440,8 +438,6 @@ class BreakerConfig:
             raise ValueError("probe_successes must be >= 1")
         if self.pressure_threshold <= 0:
             raise ValueError("pressure_threshold must be positive")
-        if self.timeout_penalty < 0:
-            raise ValueError("timeout_penalty must be >= 0")
 
 
 class CircuitBreaker(Lifecycle):

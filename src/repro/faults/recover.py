@@ -9,7 +9,7 @@ the detection layer is load-bearing.
 
 :class:`DegradeController` is the graceful-degradation state machine::
 
-        consecutive kernel faults >= degrade_after
+        consecutive kernel faults >= DEGRADE_AFTER
       PRIMARY ────────────────────────────────────────▶ DEGRADED
    (FlashInfer)  ◀──────────────────────────────────  (dense baseline)
         anneal_after consecutive clean degraded steps
@@ -23,59 +23,50 @@ from typing import Optional
 
 @dataclass
 class ResilienceConfig:
-    """Detection and recovery knobs for :class:`repro.serving.ServingEngine`."""
+    """Detection and recovery knobs for :class:`repro.serving.ServingEngine`.
+
+    Only a field a program sets or a test needs stays a field
+    (``tests/test_knobs.py``); the rest are constants.  A resilient engine
+    always records token ids and sheds queued work when capacity-blocked.
+    """
 
     #: Per-stream bound on recompute retries (checksum rollbacks and
     #: transient-alloc re-queues); exceeding it sheds the stream.
     max_retries: int = 3
-    #: Per-step bound on kernel-launch retries before the step falls back
-    #: to the degraded backend.
-    max_kernel_retries: int = 3
     #: Default relative deadline (seconds after arrival) applied to
     #: requests that do not carry their own; ``None`` disables shedding
     #: on time.
     deadline: Optional[float] = None
-    #: Shed the youngest queued work instead of raising
-    #: :class:`~repro.kvcache.OutOfPagesError` when capacity-blocked.
-    shed_on_overload: bool = True
     #: Verify KV page checksums at the top of every engine step and roll
     #: corrupted sequences back to their last verified page.
     checksums: bool = True
     #: Simulated-clock watchdog: flag steps longer than this budget
     #: (seconds); ``None`` disables the watchdog.
     step_budget: Optional[float] = None
-    #: Consecutive kernel faults that trip degradation to the dense
-    #: baseline backend.
-    degrade_after: int = 3
     #: Consecutive clean degraded steps before annealing back to the
     #: primary backend.
     anneal_after: int = 8
-    #: Simulated seconds charged per failed kernel launch (the retry is
-    #: not free: the host observes the fault and re-dispatches).
-    fault_latency: float = 200e-6
-    #: Record the deterministic per-stream token ids on each
-    #: :class:`~repro.serving.RequestTrace` (needed by token-exactness
-    #: checks; one list append per token when enabled).
-    record_tokens: bool = True
 
     def __post_init__(self) -> None:
-        if self.max_retries < 0 or self.max_kernel_retries < 0:
-            raise ValueError("retry bounds must be non-negative")
+        if self.max_retries < 0:
+            raise ValueError("max_retries must be non-negative")
         if self.deadline is not None and self.deadline <= 0:
             raise ValueError("deadline must be positive")
         if self.step_budget is not None and self.step_budget <= 0:
             raise ValueError("step_budget must be positive")
-        if self.degrade_after < 1 or self.anneal_after < 1:
-            raise ValueError("degrade_after and anneal_after must be >= 1")
-        if self.fault_latency < 0:
-            raise ValueError("fault_latency must be non-negative")
+        if self.anneal_after < 1:
+            raise ValueError("anneal_after must be >= 1")
+
+
+#: Consecutive kernel faults that trip degradation to the dense baseline
+#: backend.
+DEGRADE_AFTER = 3
 
 
 class DegradeController:
     """Tracks the PRIMARY ↔ DEGRADED backend state across engine steps."""
 
-    def __init__(self, degrade_after: int, anneal_after: int):
-        self.degrade_after = degrade_after
+    def __init__(self, anneal_after: int):
         self.anneal_after = anneal_after
         self.degraded = False
         self._fault_strikes = 0
@@ -86,7 +77,7 @@ class DegradeController:
     def on_kernel_fault(self) -> bool:
         """Record one kernel fault; returns True if this trips degradation."""
         self._fault_strikes += 1
-        if not self.degraded and self._fault_strikes >= self.degrade_after:
+        if not self.degraded and self._fault_strikes >= DEGRADE_AFTER:
             self.degraded = True
             self._clean_streak = 0
             self.degrade_events += 1

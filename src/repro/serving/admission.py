@@ -87,7 +87,7 @@ class AdmissionController:
         eng = self.engine
         st = self.state
         imports = eng._handoff_imports
-        record = eng._degrade is not None and eng.resilience.record_tokens
+        record = eng._degrade is not None
         for idx in list(st.prefill_queue):
             imps = imports.get(idx)
             if imps is None:
@@ -155,19 +155,19 @@ class AdmissionController:
         idle prefixes must never block admission (the batch former evicts
         them on demand before extending).
         """
-        st, cfg = self.state, self.engine.config
-        need = -(-tokens // cfg.page_size) + len(st.streams)
+        st = self.state
+        need = -(-tokens // st.cache.page_size) + len(st.streams)
         free = st.cache.num_free_pages
         if free < need and st.radix is not None:
             free += st.radix.evictable_pages()
         return free >= need
 
     def fits_resume(self, s: Stream) -> bool:
-        st, cfg = self.state, self.engine.config
+        st = self.state
         if s.seq_id >= 0:
             # Partial rollback: only the truncated tail needs pages.
             need = (
-                -(-s.resume_len // cfg.page_size)
+                -(-s.resume_len // st.cache.page_size)
                 - len(st.cache.seq_pages(s.seq_id))
                 + len(st.streams)
             )

@@ -103,21 +103,21 @@ class AttentionBackend:
         return ch.launches_per_layer * num_layers * gpu.kernel_launch_overhead
 
 
+#: Workspace the serving wrappers plan into (bytes).
+WORKSPACE_BYTES = 512 * 1024 * 1024
+#: Planning caps of the serving wrappers: the largest batch and total query
+#: length their buffers are sized for.
+MAX_BATCH_SIZE = 1024
+MAX_TOTAL_QO = 65536
+
+
 class FlashInferBackend(AttentionBackend):
     """SGLang/MLC + FlashInfer: the system under test."""
 
     name = "flashinfer"
     supports_composable = True
 
-    def __init__(
-        self,
-        heads: HeadConfig,
-        gpu: GPUSpec,
-        workspace_bytes: int = 512 * 1024 * 1024,
-        composable: bool = False,
-        max_batch_size: int = 1024,
-        max_total_qo: int = 65536,
-    ):
+    def __init__(self, heads: HeadConfig, gpu: GPUSpec, composable: bool = False):
         self.heads = heads
         self.gpu = gpu
         self.composable = composable
@@ -125,7 +125,7 @@ class FlashInferBackend(AttentionBackend):
         #: the per-run state (fault injector, plan cache), so a wrapper built later sees it.
         self._executor = PersistentKernelExecutor(gpu)
         self._wrapper_kwargs = dict(
-            executor=self._executor, max_batch_size=max_batch_size, max_total_qo=max_total_qo
+            executor=self._executor, max_batch_size=MAX_BATCH_SIZE, max_total_qo=MAX_TOTAL_QO
         )
         self.characteristics = BackendCharacteristics(
             gemm_efficiency=0.85,
@@ -133,7 +133,7 @@ class FlashInferBackend(AttentionBackend):
             launches_per_layer=4,
             uses_cudagraph=True,
         )
-        self._workspace = WorkspaceBuffer(workspace_bytes)
+        self._workspace = WorkspaceBuffer(WORKSPACE_BYTES)
         self._wrappers: Dict[str, BatchAttentionWrapper] = {}
         self._composable_wrappers: Dict[str, ComposableAttentionWrapper] = {}
 
@@ -234,7 +234,7 @@ class TRTLLMBackend(AttentionBackend):
 
     name = "trtllm"
 
-    def __init__(self, heads: HeadConfig, gpu: GPUSpec, workspace_bytes: int = 512 * 1024 * 1024):
+    def __init__(self, heads: HeadConfig, gpu: GPUSpec):
         self.heads = heads
         self.gpu = gpu
         self.characteristics = BackendCharacteristics(
@@ -243,7 +243,7 @@ class TRTLLMBackend(AttentionBackend):
             launches_per_layer=2,
             uses_cudagraph=True,
         )
-        self._inner = FlashInferBackend(heads, gpu, workspace_bytes)
+        self._inner = FlashInferBackend(heads, gpu)
 
     def set_fault_injector(self, injector) -> None:
         self._inner.set_fault_injector(injector)

@@ -295,7 +295,7 @@ class BatchFormer:
         """
         st, eng = self.state, self.engine
         req = st.requests[idx]
-        page = eng.config.page_size
+        page = cache.page_size
         cap = ((req.prompt_len - 1) // page) * page
         cached = 0
         if st.radix is not None and cap > 0:
@@ -328,7 +328,7 @@ class BatchFormer:
             if imports and prefill_queue[0] in imports:
                 break  # handed-off prompt: absorbed, never compute-prefilled
             nxt = requests[prefill_queue[0]].prompt_len
-            need = -(-nxt // cfg.page_size)
+            need = -(-nxt // cache.page_size)
             if batch and need > pages_left:
                 break
             idx = prefill_queue.popleft()
@@ -341,7 +341,7 @@ class BatchFormer:
         qo_lens: List[int] = []
         for idx in batch:
             sid, new_tokens = self._start_prefill_seq(cache, idx)
-            self._reclaim(-(-new_tokens // cfg.page_size) + len(streams))
+            self._reclaim(-(-new_tokens // cache.page_size) + len(streams))
             try:
                 cache.extend(sid, new_tokens)
             except TransientAllocFault:
@@ -402,11 +402,11 @@ class BatchFormer:
             remaining = requests[pp.req_idx].prompt_len - pp.filled
             chunk = min(budget, remaining)
             # Admission control: leave decode headroom (one page/stream).
-            need = -(-chunk // cfg.page_size) + 1
+            need = -(-chunk // cache.page_size) + 1
             self._reclaim(need + len(streams))
             headroom = cache.num_free_pages - len(streams)
             if need > headroom:
-                chunk = max((headroom - 1) * cfg.page_size, 0)
+                chunk = max((headroom - 1) * cache.page_size, 0)
                 if chunk == 0:
                     break
             pre_len = cache.seq_len(pp.seq_id)
@@ -502,7 +502,7 @@ class BatchFormer:
             sid = stream.seq_id if stream.seq_id >= 0 else cache.new_seq()
             kept = cache.seq_len(sid)
             recompute = stream.resume_len - kept
-            self._reclaim(-(-recompute // cfg.page_size) + len(streams))
+            self._reclaim(-(-recompute // cache.page_size) + len(streams))
             try:
                 cache.extend(sid, recompute)
             except TransientAllocFault:
@@ -664,8 +664,9 @@ class BatchFormer:
 
     def _fork_clusters(self) -> List[PrefixCluster]:
         """Consecutive streams of the same request share its prompt pages."""
-        cfg, st = self.engine.config, self.state
+        st = self.state
         streams, requests = st.streams, st.requests
+        page = st.cache.page_size
         clusters: List[PrefixCluster] = []
         i = 0
         while i < len(streams):
@@ -674,8 +675,8 @@ class BatchFormer:
                 j += 1
             if j > i:
                 prompt = requests[streams[i].req_idx].prompt_len
-                aligned = (prompt // cfg.page_size) * cfg.page_size
-                if aligned >= cfg.page_size:
+                aligned = (prompt // page) * page
+                if aligned >= page:
                     clusters.append(PrefixCluster(tuple(range(i, j + 1)), aligned))
             i = j + 1
         return clusters

@@ -128,14 +128,14 @@ class CheckpointConfig:
 
     ``every_steps <= 0`` disables the subsystem entirely — the engine then
     takes the exact pre-checkpoint code paths (no journal writes, no
-    snapshot copies, a single ``is None`` guard per hook).
+    snapshot copies, a single ``is None`` guard per hook).  A checkpointed
+    run always journals.  Only a field a program sets or a test needs
+    stays a field (``tests/test_knobs.py``).
     """
 
     #: Snapshot cadence in executed engine steps (a genesis snapshot is
     #: always taken before step 0 so recovery never lacks a base).
     every_steps: int = 0
-    #: Write the admission/token/finish journal between snapshots.
-    journal: bool = True
 
 
 # -- stores --------------------------------------------------------------------

@@ -83,17 +83,20 @@ from repro.serving.policy import SchedulerPolicy, get_policy
 from repro.serving.workload import Request
 
 
+#: Tokens per KV page of the engine's pool.
+PAGE_SIZE = 16
+
+
 @dataclass
 class EngineConfig:
-    """Engine policy knobs."""
+    """Engine policy knobs.  Only a field a program sets or a test needs
+    stays a field (``tests/test_knobs.py``); the rest are constants."""
 
-    page_size: int = 16
     max_running: int = 128  # concurrent decode streams
     max_prefill_tokens: int = 8192  # token budget per prefill batch
     tensor_parallel: int = 1
     num_pool_pages: int = 1 << 16
     composable: bool = False  # composable formats for fork groups (§4.4)
-    scheduler_overhead: float = 30e-6  # host batching/sampling per step
     #: Sarathi-serve-style chunked prefill: prompts are prefilled in
     #: ``prefill_chunk_size``-token chunks piggybacked onto decode steps,
     #: bounding the ITL spikes long prompts otherwise cause (§5.4).
@@ -116,7 +119,12 @@ class EngineConfig:
     #: plan/run split, §3.3.1/§3.4).  Never changes simulated results —
     #: a hit returns a plan identical to the one it replaces.
     plan_cache: bool = True
-    plan_cache_entries: int = 1024
+
+    def __post_init__(self) -> None:
+        for name in ("max_running", "max_prefill_tokens", "tensor_parallel",
+                     "num_pool_pages", "prefill_chunk_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 def _shard_heads(model: ModelConfig, tensor_parallel: int) -> HeadConfig:
@@ -171,7 +179,7 @@ class ServingEngine:
         #: Checkpoint cadence; attaching one (with ``every_steps > 0``)
         #: also implies a default :class:`ResilienceConfig` — crash
         #: recovery is a resilience feature (journaled tokens come from
-        #: ``record_tokens``, KV healing from the checksum scrub path).
+        #: its token recording, KV healing from the checksum scrub path).
         if checkpoint is not None and checkpoint.every_steps <= 0:
             checkpoint = None
         self.checkpoint = checkpoint
@@ -240,10 +248,7 @@ class ServingEngine:
         #: mirrors plan-once/run-per-layer (§3.3.1): each plan lookup
         #: stands for one plan plus ``num_layers - 1`` replayed launches.
         self.plan_cache: Optional[PlanCache] = (
-            PlanCache(
-                capacity=self.config.plan_cache_entries,
-                replay_factor=model.num_layers,
-            )
+            PlanCache(replay_factor=model.num_layers)
             if self.config.plan_cache
             else None
         )
@@ -446,8 +451,7 @@ class ServingEngine:
         ckpt.admission = admission
         ckpt._last_step = self._steps_done
         self._ckpt = ckpt
-        if self.checkpoint.journal:
-            self._journal = Journal(self, self.checkpoint_store)
+        self._journal = Journal(self, self.checkpoint_store)
         if genesis:
             # Step-0 snapshot: recovery always has a base, even for a
             # crash before the first periodic snapshot lands.
@@ -479,7 +483,7 @@ class ServingEngine:
         requests = sorted(requests, key=lambda r: r.arrival)
         resil_on = resil is not None
         if resil_on:
-            self._degrade = DegradeController(resil.degrade_after, resil.anneal_after)
+            self._degrade = DegradeController(resil.anneal_after)
             self._fault_counters = {}
             self._taint = plan is not None and not resil.checksums
             self._deadlines_active = resil.deadline is not None or any(
@@ -495,7 +499,7 @@ class ServingEngine:
             resil_on and plan is not None and plan.armed("crash")
         )
         cache = PagedKVCache(
-            cfg.num_pool_pages, cfg.page_size, self.heads.num_kv_heads,
+            cfg.num_pool_pages, PAGE_SIZE, self.heads.num_kv_heads,
             self.heads.head_dim, materialize=False,
             checksums=resil_on and resil.checksums,
         )
@@ -564,7 +568,7 @@ class ServingEngine:
         self._step_radix_hit_tokens = int(snap["step_radix_hit_tokens"])
         self._step_cascade_levels = 0
         requests = recovered.requests  # snapshot order is arrival-sorted
-        self._degrade = DegradeController(resil.degrade_after, resil.anneal_after)
+        self._degrade = DegradeController(resil.anneal_after)
         if snap["degrade"] is not None:
             self._degrade.import_state(snap["degrade"])
         self._fault_counters = {
@@ -621,7 +625,7 @@ class ServingEngine:
         pc = self.plan_cache
         pc_before = None
         if pc is not None:
-            pc.bind(cfg.page_size, cfg.num_pool_pages)
+            pc.bind(cache.page_size, cfg.num_pool_pages)
             pc_before = (pc.hits, pc.misses)
         former = BatchFormer(self, state, admission)
         executor = StepExecutor(self, state)
@@ -664,7 +668,7 @@ class ServingEngine:
             elif not cfg.chunked_prefill and state.streams:
                 step = former.form_decode(t)
             elif state.preempted or state.prefill_queue:
-                if self._degrade is not None and resil.shed_on_overload:
+                if self._degrade is not None:
                     admission.shed_overload(t)
                     continue
                 # Capacity-blocked with nothing running to free pages.

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
+from repro.faults.recover import DEGRADE_AFTER
 from repro.gpu.executor import KernelFault
 from repro.obs.events import KernelRecord, StepEvent
 from repro.serving.batching import (
@@ -25,6 +26,15 @@ from repro.serving.batching import (
 )
 from repro.serving.metrics import RequestTrace
 from repro.serving.workload import Request
+
+#: Host batching and sampling time charged to every step (seconds).
+SCHEDULER_OVERHEAD = 30e-6
+#: Kernel-launch retries within one step before it falls back to the
+#: degraded backend.
+MAX_KERNEL_RETRIES = 3
+#: Simulated seconds charged per failed kernel launch (the retry is not
+#: free: the host observes the fault and re-dispatches).
+FAULT_LATENCY = 200e-6
 
 
 class StepExecutor:
@@ -86,7 +96,7 @@ class StepExecutor:
             m.num_layers * layer
             + m.lm_head_time(num_tokens, eng.gpu, ch.gemm_efficiency, cfg.tensor_parallel)
             + eng.backend.step_overhead(m.num_layers, eng.gpu)
-            + cfg.scheduler_overhead
+            + SCHEDULER_OVERHEAD
         )
         if self.fault_penalty:
             total += self.fault_penalty  # host-observed kernel retries
@@ -100,9 +110,7 @@ class StepExecutor:
         eng = self.engine
         m, cfg = eng.model, eng.config
         ch = eng.backend.characteristics
-        overhead = (
-            eng.backend.step_overhead(m.num_layers, eng.gpu) + cfg.scheduler_overhead
-        )
+        overhead = eng.backend.step_overhead(m.num_layers, eng.gpu) + SCHEDULER_OVERHEAD
         if self.fault_penalty:
             overhead += self.fault_penalty
         return {
@@ -141,7 +149,6 @@ class StepExecutor:
         eng = self.engine
         if eng._degrade is None:
             return eng.backend.attention_time(formats, decode)
-        resil = eng.resilience
         ctrl = eng._degrade
         self.fault_penalty = 0.0
         self.step_backend = eng.backend
@@ -170,15 +177,15 @@ class StepExecutor:
                 break
             except KernelFault as exc:
                 faults += 1
-                self.fault_penalty += resil.fault_latency
+                self.fault_penalty += FAULT_LATENCY
                 eng._count("kernel_faults")
                 eng._fault_event("kernel", "injected", t, detail=str(exc)[:120])
                 if ctrl.on_kernel_fault():
                     eng._fault_event(
                         "degrade", "degraded", t,
-                        detail=f"{ctrl.degrade_after} kernel-fault strikes",
+                        detail=f"{DEGRADE_AFTER} kernel-fault strikes",
                     )
-                elif faults > resil.max_kernel_retries and ctrl.force_degrade():
+                elif faults > MAX_KERNEL_RETRIES and ctrl.force_degrade():
                     eng._fault_event(
                         "degrade", "degraded", t,
                         detail="per-step kernel retry budget exhausted",
@@ -254,7 +261,7 @@ class Postprocessor:
         """One decoded token per live stream; finish exhausted streams."""
         eng, st = self.engine, self.state
         finished: List[Stream] = []
-        record = eng._degrade is not None and eng.resilience.record_tokens
+        record = eng._degrade is not None
         for s in st.streams:
             if skip_spawned and s.trace.first_token_time == t:
                 continue  # spawned this step; first decode token comes next
@@ -302,10 +309,9 @@ class Postprocessor:
             trace.gen_index = gen
             stream.gen_index = gen
             stream.deadline = eng._deadline_for(req)
-            if eng.resilience.record_tokens:
-                tok0 = token_id(self._rid(idx), gen, 0)
-                trace.tokens = [tok0]
-                eng._emit_token(idx, gen, 0, tok0, t)
+            tok0 = token_id(self._rid(idx), gen, 0)
+            trace.tokens = [tok0]
+            eng._emit_token(idx, gen, 0, tok0, t)
         if eng.handoff_sink is not None and stream.remaining > 0:
             # Disaggregated prefill replica: the finished prompt's live KV
             # leaves for a decode replica instead of decoding here.  The

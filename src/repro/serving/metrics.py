@@ -32,8 +32,8 @@ class RequestTrace:
     #: :attr:`outcome_reason` (``deadline`` / ``overload`` / ``retries``).
     outcome: str = "ok"
     outcome_reason: str = ""
-    #: Deterministic token ids, recorded only when the engine runs with
-    #: ``ResilienceConfig.record_tokens`` (token-exactness checks).
+    #: Deterministic token ids, recorded only when the engine runs with a
+    #: ``ResilienceConfig`` (token-exactness checks).
     tokens: Optional[List[int]] = None
 
     @property

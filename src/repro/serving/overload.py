@@ -7,8 +7,7 @@ Four pieces compose into graceful saturation:
 * **Tenant-aware front door** — :class:`FrontDoor` walks the
   arrival-sorted, rid-stamped workload through per-tenant
   :class:`TokenBucket` rate limiters whose refill rates split
-  :attr:`OverloadConfig.admit_rate` in proportion to
-  ``tenant_weights`` (weighted-fair admission).  A rejected request
+  :attr:`OverloadConfig.admit_rate` into equal shares.  A rejected request
   re-arrives through a deterministic seeded client-retry model
   (exponential backoff + jitter keyed by ``SeedSequence([seed, rid,
   attempt])``, so the schedule is independent of processing order),
@@ -63,20 +62,19 @@ __all__ = [
 
 @dataclass
 class OverloadConfig:
-    """Front-door, retry, hedging, breaker and brownout knobs."""
+    """Front-door, retry, breaker and brownout knobs.  Only a field a
+    program sets or a test needs stays a field (``tests/test_knobs.py``);
+    the rest are constants.  Hedged prefill is always on."""
 
     #: Tenants behind the front door; untagged requests (``Request.tenant
     #: is None``) hash deterministically to ``rid % tenants``.
     tenants: int = 4
-    #: Aggregate sustained admission rate (requests/s), split across the
-    #: per-tenant token buckets in proportion to :attr:`tenant_weights`
-    #: (weighted-fair shares).
+    #: Aggregate sustained admission rate (requests/s), split into equal
+    #: per-tenant token-bucket shares.
     admit_rate: float = 100.0
     #: Per-tenant bucket depth: requests of burst absorbed at full rate
     #: before the bucket starts rejecting.
     burst_capacity: float = 8.0
-    #: One positive weight per tenant (``None`` = equal shares).
-    tenant_weights: Optional[Sequence[float]] = None
     # -- client retry model (what rejected requests do next) --------------
     #: First-retry backoff in seconds; attempt ``k`` waits
     #: ``retry_base * retry_factor**k * (1 + retry_jitter * u)`` with
@@ -95,27 +93,13 @@ class OverloadConfig:
     # -- SLO + brownout ladder --------------------------------------------
     #: TTFT target scored by :func:`slo_attainment`.
     slo_ttft: float = 0.2
-    #: Admission saturation at/above which a step counts toward engaging
-    #: the next brownout rung; at/below :attr:`brownout_exit` it counts
-    #: toward annealing one rung.  The band between holds (hysteresis).
-    brownout_enter: float = 0.9
-    brownout_exit: float = 0.6
     #: Consecutive hot steps to climb one rung / cool steps to descend.
     engage_after: int = 2
     anneal_after: int = 6
-    #: Rung-1 prefill chunk size (tokens) replacing the engine's
-    #: configured ``prefill_chunk_size`` while engaged.
-    brownout_chunk: int = 128
     #: Rung-3 ``max_new_tokens`` clamp (total output tokens per stream).
     brownout_clamp: int = 32
     #: Rung 4 sheds queued requests with ``priority <`` this threshold.
     shed_priority_below: int = 1
-    # -- hedged prefill ----------------------------------------------------
-    hedge: bool = True
-    #: Quantile of observed dispatch waits that sets the hedging delay.
-    hedge_quantile: float = 0.9
-    #: Dispatches observed before hedging activates.
-    hedge_min_samples: int = 8
     #: Optional :class:`repro.cluster.router.BreakerConfig` (held as an
     #: opaque object so this module stays cluster-free); ``None`` uses the
     #: breaker defaults.
@@ -136,16 +120,10 @@ class OverloadConfig:
             raise ValueError("seed must be >= 0")
         if self.slo_ttft <= 0:
             raise ValueError("slo_ttft must be positive")
-        if not 0.0 <= self.brownout_exit < self.brownout_enter:
-            raise ValueError("need 0 <= brownout_exit < brownout_enter")
         if self.engage_after < 1 or self.anneal_after < 1:
             raise ValueError("engage_after and anneal_after must be >= 1")
-        if self.brownout_chunk < 1 or self.brownout_clamp < 1:
-            raise ValueError("brownout_chunk and brownout_clamp must be >= 1")
-        if not 0.0 < self.hedge_quantile < 1.0:
-            raise ValueError("hedge_quantile must be in (0, 1)")
-        if self.hedge_min_samples < 1:
-            raise ValueError("hedge_min_samples must be >= 1")
+        if self.brownout_clamp < 1:
+            raise ValueError("brownout_clamp must be >= 1")
 
 
 class TokenBucket:
@@ -205,20 +183,9 @@ class FrontDoor:
 
     def admit(self, reqs: Sequence) -> Tuple[list, "OverloadReport"]:
         cfg = self.config
-        weights = (
-            [float(w) for w in cfg.tenant_weights]
-            if cfg.tenant_weights is not None
-            else [1.0] * cfg.tenants
-        )
-        if len(weights) != cfg.tenants or any(w <= 0 for w in weights):
-            raise ValueError(
-                f"tenant_weights needs one positive weight per tenant "
-                f"(got {len(weights)} for {cfg.tenants} tenants)"
-            )
-        total_w = sum(weights)
         buckets = [
-            TokenBucket(cfg.admit_rate * w / total_w, cfg.burst_capacity)
-            for w in weights
+            TokenBucket(cfg.admit_rate / cfg.tenants, cfg.burst_capacity)
+            for _ in range(cfg.tenants)
         ]
         report = OverloadReport(
             tenants=cfg.tenants,
@@ -285,12 +252,22 @@ class BrownoutController:
         level 4   + shed lowest priority tier    (drop queued priority < threshold)
 
     :meth:`observe` is fed one admission-saturation sample per engine
-    step; ``engage_after`` consecutive samples at/above ``brownout_enter``
+    step; ``engage_after`` consecutive samples at/above :attr:`ENTER`
     climb a rung, ``anneal_after`` consecutive samples at/below
-    ``brownout_exit`` descend one, and the band between holds — the same
+    :attr:`EXIT` descend one, and the band between holds — the same
     dwell-count hysteresis that keeps the degrade controller from
-    flapping.  Every knob is read from the :class:`OverloadConfig`.
+    flapping.  The dwell counts and the rung-3 clamp are read from the
+    :class:`OverloadConfig`.
     """
+
+    #: Admission saturation at/above which a step counts toward engaging
+    #: the next rung; at/below :attr:`EXIT` it counts toward annealing one.
+    #: The band between holds (hysteresis).
+    ENTER = 0.9
+    EXIT = 0.6
+    #: Rung-1 prefill chunk size (tokens) replacing the engine's
+    #: configured ``prefill_chunk_size`` while engaged.
+    CHUNK = 128
 
     def __init__(self, config: OverloadConfig):
         self.config = config
@@ -307,7 +284,7 @@ class BrownoutController:
         """Feed one step's admission saturation; returns +1 on engaging a
         rung, -1 on annealing one, 0 otherwise."""
         cfg = self.config
-        if sat >= cfg.brownout_enter:
+        if sat >= self.ENTER:
             self._hot += 1
             self._cool = 0
             if self._hot >= cfg.engage_after and self.level < len(BROWNOUT_LADDER):
@@ -317,7 +294,7 @@ class BrownoutController:
                 self.engage_events += 1
                 self.transitions.append((float(t), self.level - 1, self.level))
                 return 1
-        elif sat <= cfg.brownout_exit:
+        elif sat <= self.EXIT:
             self._cool += 1
             self._hot = 0
             if self._cool >= cfg.anneal_after and self.level > 0:
@@ -338,7 +315,7 @@ class BrownoutController:
 
     def chunk_budget(self, default: int) -> int:
         """Effective prefill chunk budget under the current rung."""
-        return min(default, self.config.brownout_chunk) if self.level >= 1 else default
+        return min(default, self.CHUNK) if self.level >= 1 else default
 
     @property
     def cascade_disabled(self) -> bool:

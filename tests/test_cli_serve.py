@@ -74,3 +74,12 @@ def test_serve_rejects_flags_it_cannot_honour(capsys):
     rc = main(["serve", "--disagg", "prefill=2", "--requests", "4"])
     assert rc == 2
     assert "prefill" in capsys.readouterr().err
+    # Out-of-range numbers are refused by the argument parser, not answered
+    # with a traceback, ``nan`` latencies or a silently resized cluster.
+    for flags in (["--tp", "0"], ["--tp", "-2"], ["--dp", "0"], ["--rate", "0"],
+                  ["--requests", "0"], ["--seed", "-1"],
+                  ["--chaos", "--chaos-seed", "-1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", *flags])
+        assert exc.value.code == 2
+        assert f"argument {flags[-2]}:" in capsys.readouterr().err

@@ -66,15 +66,15 @@ def test_health_state_machine_rejects_illegal_edges():
 
 
 def test_detector_backdates_timeouts_deterministically():
-    cfg = FailoverConfig(heartbeat_interval=0.01, suspect_after=2, dead_after=4)
-    det = FailureDetector(2, cfg)
+    # 5 ms heartbeats: suspected after 2 missed intervals, dead after 4.
+    det = FailureDetector(2)
     det.heartbeat(0, 0.05)
     det.heartbeat(1, 0.05)
     # Poll far past both deadlines: the transitions are stamped at the
     # exact deadlines, not the polling time.
     fired = det.advance(10.0, replicas=[0])
     assert [(tr.to, tr.t) for tr in fired] == [
-        ("suspected", pytest.approx(0.07)), ("dead", pytest.approx(0.09)),
+        ("suspected", pytest.approx(0.06)), ("dead", pytest.approx(0.07)),
     ]
     assert det.state(0) == "dead"
     # Replica 1 was not in the monitored subset: still healthy.
@@ -83,22 +83,21 @@ def test_detector_backdates_timeouts_deterministically():
 
 
 def test_detector_heartbeat_flaps_suspected_back_to_healthy():
-    cfg = FailoverConfig(heartbeat_interval=0.01, suspect_after=2, dead_after=4)
-    det = FailureDetector(1, cfg)
+    det = FailureDetector(1)
     det.heartbeat(0, 0.01)
-    det.advance(0.035, replicas=[0])  # past suspect, before dead
+    det.advance(0.025, replicas=[0])  # past suspect (0.02), before dead (0.03)
     assert det.state(0) == "suspected"
-    det.heartbeat(0, 0.036)  # late heartbeat arrives
+    det.heartbeat(0, 0.026)  # late heartbeat arrives
     assert det.state(0) == "healthy"
     trs = det.transitions()
     assert [tr.to for tr in trs] == ["suspected", "healthy"]
 
 
 def test_failover_config_validation():
-    with pytest.raises(ValueError, match="suspect_after"):
-        FailoverConfig(suspect_after=4, dead_after=2)
-    with pytest.raises(ValueError, match="heartbeat_interval"):
-        FailoverConfig(heartbeat_interval=0.0)
+    with pytest.raises(ValueError, match="chunk_pages"):
+        FailoverConfig(chunk_pages=0)
+    with pytest.raises(ValueError, match="max_retries"):
+        FailoverConfig(max_retries=-1)
     with pytest.raises(ValueError, match="step"):
         ReplicaFailure(-1)
     with pytest.raises(ValueError, match="mode"):
@@ -157,7 +156,7 @@ def test_migration_ships_live_pages_chunked_and_priced():
 def test_migration_retries_link_faults_with_backoff():
     snap, cache = _snapshot_with_live_pages()
     topo = Topology.preset("nvlink", world=2)
-    cfg = FailoverConfig(chunk_pages=64, backoff_base=0.002, backoff_factor=2.0)
+    cfg = FailoverConfig(chunk_pages=64)
     # Fault the first two transfer attempts (the control chunk twice).
     plan = FaultPlan(schedules={"link": [0, 1]})
     mig = KVMigrator(topo, cfg, fault_plan=plan)

@@ -65,11 +65,11 @@ def test_power_of_two_is_seed_deterministic():
     choices = []
     for _ in range(2):
         p = PowerOfTwoPolicy()
-        p.reset(4, seed=42)
+        p.reset(4)
         choices.append([p.choose(_req(), 0.0, [3.0, 1.0, 2.0, 0.5]) for _ in range(16)])
     assert choices[0] == choices[1]
     p = PowerOfTwoPolicy()
-    p.reset(1, seed=0)
+    p.reset(1)
     assert p.choose(_req(), 0.0, [1.0]) == 0
 
 

@@ -241,7 +241,7 @@ class TestDegradeController:
     def _controller(self):
         from repro.faults.recover import DegradeController
 
-        return DegradeController(degrade_after=3, anneal_after=2)
+        return DegradeController(anneal_after=2)
 
     def test_degrade_and_anneal_cycle(self):
         dc = self._controller()
@@ -300,7 +300,7 @@ class TestDegradeController:
         for _ in range(3):
             dc.on_kernel_fault()
         dc.on_clean_step()
-        other = DegradeController(degrade_after=3, anneal_after=2)
+        other = DegradeController(anneal_after=2)
         other.import_state(dc.export_state())
         # The clone continues the exact trajectory: one more clean step
         # completes the anneal on both.

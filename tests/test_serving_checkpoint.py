@@ -352,15 +352,6 @@ class TestJournal:
         assert len(by_type["complete"]) == 1
         assert metrics.summary()["ckpt_journal_records"] == len(recs)
 
-    def test_journal_can_be_disabled_independently(self):
-        store = CheckpointStore()
-        engine(
-            checkpoint=CheckpointConfig(every_steps=4, journal=False),
-            checkpoint_store=store,
-        ).run(workload())
-        assert store.journal_records() == []
-        assert store.latest_snapshot_id() is not None
-
     def test_tampered_journal_surfaces_as_divergence(self):
         """The replay guard is a real check: corrupt one journaled token
         and the resumed run reports exactly one divergence."""

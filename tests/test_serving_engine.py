@@ -31,6 +31,16 @@ def small_engine(backend=None, **cfg_kwargs):
     return ServingEngine(MODEL, be, H100_80G, cfg)
 
 
+@pytest.mark.parametrize("field", [
+    "max_running", "max_prefill_tokens", "tensor_parallel", "num_pool_pages",
+    "prefill_chunk_size",
+])
+def test_config_refuses_values_below_one(field):
+    # Each used to hang the step loop or divide by zero mid-run.
+    with pytest.raises(ValueError, match=field):
+        EngineConfig(**{field: 0})
+
+
 class TestBasicServing:
     def test_all_requests_complete(self):
         eng = small_engine()

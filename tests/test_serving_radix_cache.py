@@ -28,6 +28,7 @@ from repro.serving import (
     shared_prefix_workload,
 )
 from repro.serving.batching import BatchFormer, RunState
+from repro.serving.engine import PAGE_SIZE
 from repro.serving.metrics import ServingMetrics
 
 MODEL = LLAMA_3_1_8B
@@ -261,7 +262,7 @@ class TestPrefixPathDoesNoPerTokenPython:
     @staticmethod
     def _calls(prefix):
         cfg = EngineConfig(prefix_cache=True)
-        cache = PagedKVCache(1 << 13, cfg.page_size, 8, 128, materialize=False)
+        cache = PagedKVCache(1 << 13, PAGE_SIZE, 8, 128, materialize=False)
         reqs = [Request(0.0, prefix + 64, 4, prefix_group=1, prefix_len=prefix)] * 2
         state = RunState(requests=reqs, cache=cache, metrics=ServingMetrics(),
                          radix=RadixTree(cache))

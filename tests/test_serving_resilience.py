@@ -10,7 +10,6 @@ import pytest
 from repro.core import HeadConfig
 from repro.faults import FaultPlan, ResilienceConfig
 from repro.gpu import H100_80G
-from repro.kvcache import OutOfPagesError
 from repro.serving import (
     EngineConfig,
     FlashInferBackend,
@@ -241,19 +240,13 @@ class TestOverload:
         assert m.sheds == 1
         assert m.shed_traces[0].outcome_reason == "overload"
 
-    def test_overload_raise_preserved_when_shedding_disabled(self):
-        cfg = EngineConfig(max_running=64, num_pool_pages=30)
-        resil = ResilienceConfig(shed_on_overload=False)
-        with pytest.raises(OutOfPagesError, match="num_pool_pages"):
-            engine(cfg, resilience=resil).run([Request(0.0, 640, 10)])
-
 
 class TestDegradation:
     def test_consecutive_kernel_faults_degrade_then_anneal(self):
         # Three scheduled back-to-back kernel faults trip degradation
-        # (degrade_after=3); the run is long enough to anneal back.
+        # (DEGRADE_AFTER = 3); the run is long enough to anneal back.
         plan = FaultPlan(seed=0, schedules={"kernel": [5, 6, 7]})
-        resil = ResilienceConfig(degrade_after=3, anneal_after=4)
+        resil = ResilienceConfig(anneal_after=4)
         m = engine(fault_plan=plan, resilience=resil).run(small_workload())
         stats = m.fault_stats
         assert stats["kernel_faults"] == 3
@@ -269,7 +262,7 @@ class TestDegradation:
 
         tracer = StepTracer()
         plan = FaultPlan(seed=0, schedules={"kernel": [5, 6, 7]})
-        resil = ResilienceConfig(degrade_after=3, anneal_after=4)
+        resil = ResilienceConfig(anneal_after=4)
         engine(fault_plan=plan, resilience=resil,
                tracer=tracer).run(small_workload())
         degraded = [e for e in tracer.events if e.degraded]
