@@ -383,6 +383,7 @@ def _serve_chaos(args, model, requests) -> int:
     """The ``serve --chaos`` pass: a no-fault resilience baseline, then a
     seeded chaos run, and a token-exactness comparison between the two."""
     from repro.faults import ResilienceConfig, chaos_plan
+    from repro.serving import expected_tokens
 
     resil = ResilienceConfig(deadline=args.deadline, max_retries=args.max_retries)
     baseline = _single_engine(args, model, resilience=resil).run(requests)
@@ -398,13 +399,7 @@ def _serve_chaos(args, model, requests) -> int:
     ).run(requests)
 
     s = chaos.summary()
-    expected = {(t.req_id, t.gen_index): t.tokens for t in baseline.traces}
-    compared = [
-        t for t in chaos.traces if (t.req_id, t.gen_index) in expected
-    ]
-    divergent = sum(
-        1 for t in compared if t.tokens != expected[(t.req_id, t.gen_index)]
-    )
+    divergent, compared = chaos.token_divergence(expected_tokens(baseline))
     print(f"\n  chaos (seed {args.chaos_seed}):")
     print(
         f"    faults_injected={int(s['faults_injected'])} "
@@ -419,7 +414,7 @@ def _serve_chaos(args, model, requests) -> int:
     )
     print(
         f"    token_divergence={divergent} "
-        f"({len(compared)} streams compared, {chaos.sheds} shed)"
+        f"({compared} streams compared, {chaos.sheds} shed)"
     )
     if tracer is not None:
         _write_trace(args, tracer, model, "chaos trace", chaos_seed=args.chaos_seed)
@@ -433,7 +428,8 @@ def _serve_crash(args, model, requests) -> int:
     token-exactness comparison between the two."""
     from repro.faults import ResilienceConfig, chaos_plan
     from repro.serving import (
-        CheckpointConfig, CheckpointStore, CrashHarness, DirectoryStore,
+        CheckpointConfig, CheckpointStore, CrashReport, DirectoryStore,
+        expected_tokens, run_lives,
     )
 
     resil = ResilienceConfig(deadline=args.deadline, max_retries=args.max_retries)
@@ -445,7 +441,6 @@ def _serve_crash(args, model, requests) -> int:
         args, model, resilience=resil,
         fault_plan=chaos_plan(args.chaos_seed) if args.chaos else None,
     ).run(requests)
-    expected = {(t.req_id, t.gen_index): t.tokens for t in baseline.traces}
 
     store = DirectoryStore(args.journal) if args.journal else CheckpointStore()
     # One fault plan shared across process "lives" keeps the crash RNG
@@ -476,9 +471,8 @@ def _serve_crash(args, model, requests) -> int:
     script = [
         (3 + 4 * k, "mid-step" if k % 2 else "boundary") for k in range(args.crash)
     ]
-    report = CrashHarness(
-        factory, requests, store, crash_script=script, expected_tokens=expected
-    ).run()
+    metrics, crash_phases = run_lives(factory, requests, store, script=script)
+    report = CrashReport.from_lives(metrics, crash_phases, expected_tokens(baseline))
 
     s = report.metrics.summary()
     phases = ", ".join(
@@ -622,9 +616,9 @@ def main(argv=None) -> int:
     gen.add_argument("--top-k", type=int, default=8, dest="top_k")
     gen.add_argument("--seed", type=int, default=0)
 
-    from repro.cluster.router import available_routing_policies
+    from repro.cluster.router import ROUTING_POLICIES
     from repro.cluster.topology import TOPOLOGY_PRESETS
-    from repro.serving.policy import available_policies
+    from repro.serving.policy import POLICIES
 
     serve = sub.add_parser("serve", help="compare serving backends")
     serve.add_argument("--requests", type=_number(int, 1), default=40)
@@ -649,13 +643,13 @@ def main(argv=None) -> int:
     )
     serve.add_argument(
         "--router", default="round-robin",
-        help="routing policy for dp > 1; registered: "
-        f"{', '.join(available_routing_policies())} (default: round-robin)",
+        help="routing policy for dp > 1, one of: "
+        f"{', '.join(ROUTING_POLICIES)} (default: round-robin)",
     )
     serve.add_argument(
         "--policy", default="fcfs",
-        help="scheduling policy for the admitted prefill queue; registered: "
-        f"{', '.join(available_policies())} "
+        help="scheduling policy for the admitted prefill queue, one of: "
+        f"{', '.join(POLICIES)} "
         "(default: fcfs, token-exact with the classic engine)",
     )
     serve.add_argument(

@@ -11,7 +11,7 @@ Layered exactly like a real serving stack:
   copy plus the topology-priced cost, charged per traffic kind.
 * :mod:`repro.cluster.router` — pluggable data-parallel routing
   policies (round-robin, least-loaded, power-of-two, session-affinity,
-  cache-aware) with the same registry pattern as scheduler policies.
+  cache-aware), looked up by name like the scheduler policies.
 * :mod:`repro.cluster.tp` — tensor-parallel head sharding and the
   per-layer all-reduce interconnect charged to the topology.
 * :mod:`repro.cluster.engine` — the :class:`ClusterEngine` running
@@ -39,6 +39,7 @@ import importlib
 from repro.cluster.collectives import p2p_send
 from repro.cluster.router import (
     BREAKER_STATES,
+    ROUTING_POLICIES,
     BreakerConfig,
     BreakerTransition,
     CacheAwarePolicy,
@@ -51,9 +52,7 @@ from repro.cluster.router import (
     RoundRobinPolicy,
     RoutingPolicy,
     SessionAffinityPolicy,
-    available_routing_policies,
     get_routing_policy,
-    register_routing_policy,
 )
 from repro.cluster.topology import (
     ALLREDUCE_LATENCY,
@@ -127,9 +126,8 @@ __all__ = [
     "SessionAffinityPolicy",
     "CacheAwarePolicy",
     "DisaggPolicy",
-    "available_routing_policies",
+    "ROUTING_POLICIES",
     "get_routing_policy",
-    "register_routing_policy",
     *sorted(_LAZY),
 ]
 

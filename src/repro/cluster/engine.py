@@ -62,6 +62,7 @@ from repro.serving.checkpoint import (
     CrashReport,
     run_lives,
 )
+from repro.serving.metrics import expected_tokens
 
 __all__ = [
     "ClusterConfig",
@@ -82,17 +83,6 @@ def assign_rids(requests) -> list:
     """
     ordered = sorted(requests, key=lambda r: r.arrival)
     return [dataclasses.replace(r, rid=i) for i, r in enumerate(ordered)]
-
-
-def expected_tokens(reference) -> Dict[Tuple[int, int], list]:
-    """Token oracle from a reference run over :func:`assign_rids` output:
-    ``{(rid, gen_index): tokens}`` (reference ``req_id`` == rid because
-    the reference serves the full sorted list)."""
-    return {
-        (t.req_id, t.gen_index): t.tokens
-        for t in reference.traces
-        if t.tokens is not None and t.req_id >= 0
-    }
 
 
 @dataclass
@@ -185,32 +175,15 @@ class ClusterMetrics:
     def token_divergence(
         self, expected: Dict[Tuple[int, int], list]
     ) -> Tuple[int, int]:
-        """Compare every completed stream against the token oracle.
-
-        Returns ``(divergent, compared)``; divergent must be 0 for any
-        healthy cluster, whatever the tp/dp/router/topology — and after
-        replica crash recovery.  A stream clamped by brownout rung 3
-        (``outcome_reason == "brownout-clamp"``, which only an installed
-        brownout controller sets) must equal the exact *prefix* of its
-        reference tokens: the clamp shortens a stream, it never changes a
-        token.
-        """
+        """``(divergent, compared)`` over every replica's completed streams
+        (:meth:`ServingMetrics.token_divergence`, keyed by rid); divergent
+        must be 0 for any healthy cluster, whatever the tp/dp/router/
+        topology — and after replica crash recovery."""
         divergent = compared = 0
         for requests, metrics in zip(self.replica_requests, self.replicas):
-            for tr in metrics.traces:
-                if tr.tokens is None or tr.req_id < 0:
-                    continue
-                rid = requests[tr.req_id].rid
-                if rid is None:
-                    continue
-                want = expected.get((rid, tr.gen_index))
-                if want is None:
-                    continue
-                compared += 1
-                if tr.outcome_reason == "brownout-clamp":
-                    want = want[: len(tr.tokens)]
-                if tr.tokens != want:
-                    divergent += 1
+            d, n = metrics.token_divergence(expected, [r.rid for r in requests])
+            divergent += d
+            compared += n
         return divergent, compared
 
     def summary(self) -> Dict[str, float]:
@@ -511,7 +484,6 @@ class ClusterEngine:
         if self.config.overload is not None:
             from repro.serving.overload import BrownoutController
 
-            engine.track_pressure = True
             engine.brownout = BrownoutController(self.config.overload)
             # Last engine built for a replica owns its brownout stats (a
             # failover takeover replaces the dead replica's controller).
@@ -833,10 +805,8 @@ class ClusterEngine:
 
         def make_engine():
             engine = self._make_engine(i, tracer, ckpt, store)
-            if controller is not None:
-                engine.track_pressure = True
-                if script:
-                    engine.heartbeat = heartbeats.append
+            if controller is not None and script:
+                engine.heartbeat = heartbeats.append
             return engine
 
         def fail_over(crash, recovered):

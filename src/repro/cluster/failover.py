@@ -38,11 +38,13 @@ Three pieces compose into replica failover:
   greps for.
 
 :class:`HealthSchedule` is the router-facing view: known unhealthy
-windows per replica (from drains, scripted failures, or tests) that the
-cluster's routing pass consults to skip unhealthy replicas, pressure
-the :class:`~repro.cluster.router.LoadTracker`, and — when *every*
-replica is down — hold arrivals at the front door until the first
-replica rejoins, never silently dropping them.
+windows per replica that the cluster's routing pass consults to skip
+unhealthy replicas, pressure the
+:class:`~repro.cluster.router.LoadTracker`, and — when *every* replica
+is down — hold arrivals at the front door until the first replica
+rejoins, never silently dropping them.  Only tests construct one
+(``ClusterEngine(health_schedule=...)``); drains and scripted failures go through
+:class:`FailoverController` instead.
 
 The same :meth:`KVMigrator.transfer` carries the disaggregated
 prefill→decode handoff (:mod:`repro.cluster.disagg`).
@@ -259,8 +261,9 @@ class HealthSchedule:
     The front-door view of health: the cluster's routing pass (which
     walks the workload's arrival timeline before replicas execute)
     consults :meth:`mask` to avoid placing work on replicas that are
-    known to be down in a window — scripted failures, planned drains.
-    ``t_end=inf`` marks a replica that never comes back.
+    known to be down in a window.  Only tests build one; drains and
+    scripted failures never feed it.  ``t_end=inf`` marks a replica that
+    never comes back.
     """
 
     def __init__(self, num_replicas: int):

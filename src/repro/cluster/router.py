@@ -1,9 +1,8 @@
 """Data-parallel request routing: pluggable policies + a load model.
 
 A :class:`RoutingPolicy` picks which replica serves each arriving
-request.  Policies are looked up by name through a registry with the
-same contract as :mod:`repro.serving.policy`: the built-ins plus
-whatever :func:`register_routing_policy` (a class decorator) adds.
+request.  Policies are looked up by name in :data:`ROUTING_POLICIES`,
+the same way :mod:`repro.serving.policy` looks up scheduling policies.
 
 Routing is *timing-only*: token ids are a pure function of the request's
 cluster-global id (``Request.rid``), so any policy — however bad — is
@@ -50,12 +49,11 @@ __all__ = [
     "LeastLoadedPolicy",
     "LoadTracker",
     "PowerOfTwoPolicy",
+    "ROUTING_POLICIES",
     "RoundRobinPolicy",
     "RoutingPolicy",
     "SessionAffinityPolicy",
-    "available_routing_policies",
     "get_routing_policy",
-    "register_routing_policy",
 ]
 
 
@@ -120,7 +118,7 @@ class RoutingPolicy:
     keep the rebinding deterministic per key.
     """
 
-    #: Registry key; subclasses must override.
+    #: Key in :data:`ROUTING_POLICIES`; subclasses override it.
     name: str = "base"
 
     def reset(self, num_replicas: int) -> None:
@@ -362,43 +360,23 @@ class DisaggPolicy(RoutingPolicy):
         return self._best(self.decode_pool, loads, healthy)
 
 
-_POLICIES: Dict[str, Type[RoutingPolicy]] = {}
-_BUILTIN_NAMES = (
-    "round-robin", "least-loaded", "power-of-two", "session-affinity",
-    "cache-aware", "disagg",
-)
-
-
-def register_routing_policy(cls: Type[RoutingPolicy]) -> Type[RoutingPolicy]:
-    """Register a policy class under ``cls.name`` (usable as a decorator)."""
-    if not getattr(cls, "name", None) or cls.name == "base":
-        raise ValueError(f"{cls.__name__} must define a non-default 'name'")
-    _POLICIES[cls.name] = cls
-    return cls
-
-
-for _cls in (
-    RoundRobinPolicy, LeastLoadedPolicy, PowerOfTwoPolicy,
-    SessionAffinityPolicy, CacheAwarePolicy, DisaggPolicy,
-):
-    register_routing_policy(_cls)
-
-
-def available_routing_policies() -> tuple:
-    """Registered router names, built-ins first."""
-    return tuple(
-        sorted(_POLICIES, key=lambda n: (n not in _BUILTIN_NAMES, n))
+#: Routing policy classes by name (alphabetical: the CLI help lists them).
+ROUTING_POLICIES: Dict[str, Type[RoutingPolicy]] = {
+    cls.name: cls for cls in (
+        CacheAwarePolicy, DisaggPolicy, LeastLoadedPolicy, PowerOfTwoPolicy,
+        RoundRobinPolicy, SessionAffinityPolicy,
     )
+}
 
 
 def get_routing_policy(name: str) -> RoutingPolicy:
-    """Instantiate the routing policy registered under ``name``."""
+    """Instantiate the routing policy named ``name``."""
     try:
-        return _POLICIES[name]()
+        return ROUTING_POLICIES[name]()
     except KeyError:
         raise ValueError(
             f"unknown routing policy {name!r}; available: "
-            f"{', '.join(available_routing_policies())}"
+            f"{', '.join(ROUTING_POLICIES)}"
         ) from None
 
 

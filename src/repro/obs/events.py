@@ -7,7 +7,7 @@ overhead — and about how individual kernels behave inside each step
 
 * :class:`StepEvent` — one engine step (prefill / decode / mixed /
   resume / idle) with its wall-clock interval, token counts, the
-  per-component time breakdown the engine assembled in ``_step_time``,
+  per-component time breakdown of ``StepExecutor._step_terms``,
   KV-pool occupancy, and preemption/prefix-cache counters.
 * :class:`KernelRecord` — one simulated kernel execution (a
   :class:`~repro.gpu.executor.SimReport` plus identity), captured from
@@ -26,7 +26,7 @@ from repro.gpu.executor import SimReport
 
 #: Component keys of a step's time breakdown, in display order.  The sum
 #: of these components equals the step duration exactly (they are the
-#: terms of ``ServingEngine._step_time``).
+#: terms of ``StepExecutor._step_terms``, regrouped).
 STEP_COMPONENTS: Tuple[str, ...] = (
     "attention", "gemm", "allreduce", "lm_head", "overhead",
 )

@@ -21,7 +21,6 @@ from repro.serving.checkpoint import (
     CheckpointConfig,
     CheckpointStore,
     Checkpointer,
-    CrashHarness,
     CrashReport,
     DirectoryStore,
     NoSnapshotError,
@@ -30,10 +29,11 @@ from repro.serving.checkpoint import (
     SnapshotIntegrityError,
     SnapshotVerificationError,
     WorldMismatchError,
+    run_lives,
 )
 from repro.serving.engine import EngineConfig, ServingEngine
 from repro.serving.executor import Postprocessor, StepExecutor
-from repro.serving.metrics import RequestTrace, ServingMetrics
+from repro.serving.metrics import RequestTrace, ServingMetrics, expected_tokens
 from repro.serving.overload import (
     BROWNOUT_LADDER,
     BrownoutController,
@@ -48,10 +48,9 @@ from repro.serving.policy import (
     FCFSPolicy,
     PriorityPolicy,
     SchedulerPolicy,
+    POLICIES,
     SLAAwarePolicy,
-    available_policies,
     get_policy,
-    register_policy,
 )
 from repro.serving.tuning import OperatingPoint, find_max_rate
 from repro.serving.model import (
@@ -89,7 +88,6 @@ __all__ = [
     "CheckpointConfig",
     "CheckpointStore",
     "Checkpointer",
-    "CrashHarness",
     "CrashReport",
     "DirectoryStore",
     "NoSnapshotError",
@@ -98,6 +96,7 @@ __all__ = [
     "SnapshotIntegrityError",
     "SnapshotVerificationError",
     "WorldMismatchError",
+    "run_lives",
     "AdmissionController",
     "BatchFormer",
     "RunState",
@@ -109,11 +108,11 @@ __all__ = [
     "FCFSPolicy",
     "PriorityPolicy",
     "SLAAwarePolicy",
-    "register_policy",
+    "POLICIES",
     "get_policy",
-    "available_policies",
     "RequestTrace",
     "ServingMetrics",
+    "expected_tokens",
     "BROWNOUT_LADDER",
     "BrownoutController",
     "FrontDoor",

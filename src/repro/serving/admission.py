@@ -53,21 +53,19 @@ class AdmissionController:
             st.waiting.popleft()
             if eng._journal is not None:
                 eng._journal.admit(idx, t)
-        if eng.track_pressure:
-            # Overload backpressure signal for the cluster router: peak
-            # saturation of the concurrency gate (admitted + running over
-            # max_running).  >= 1.0 means arrivals are queueing at the door.
-            sat = (len(st.streams) + len(st.prefill_queue)) / cfg.max_running
-            if sat > st.metrics.admission_pressure:
-                st.metrics.admission_pressure = sat
-            if self._pressure_t is None:
-                self._pressure_t0 = self._pressure_t = t
-            else:
-                self._pressure_integral += self._pressure_sat * max(
-                    t - self._pressure_t, 0.0
-                )
-                self._pressure_t = t
-            self._pressure_sat = sat
+        # Peak saturation of the concurrency gate (admitted + running over
+        # max_running); >= 1.0 means arrivals are queueing at the door.
+        sat = (len(st.streams) + len(st.prefill_queue)) / cfg.max_running
+        if sat > st.metrics.admission_pressure:
+            st.metrics.admission_pressure = sat
+        if self._pressure_t is None:
+            self._pressure_t0 = self._pressure_t = t
+        else:
+            self._pressure_integral += self._pressure_sat * max(
+                t - self._pressure_t, 0.0
+            )
+            self._pressure_t = t
+        self._pressure_sat = sat
 
     def absorb_handoffs(self, t: float) -> None:
         """Turn admitted handed-off requests into live decode streams.

@@ -78,23 +78,15 @@ class Stream:
         "gen_index", "retries", "deadline",
     )
 
-    def __init__(
-        self,
-        req_idx: int,
-        seq_id: int,
-        remaining: int,
-        trace: RequestTrace,
-        gen_index: int = 0,
-        deadline: Optional[float] = None,
-    ):
+    def __init__(self, req_idx: int, seq_id: int, remaining: int, trace: RequestTrace):
         self.req_idx = req_idx
         self.seq_id = seq_id  # -1 while preempted with all pages freed
         self.remaining = remaining
         self.trace = trace
         self.resume_len = 0  # KV length to recompute after preemption
-        self.gen_index = gen_index
+        self.gen_index = 0
         self.retries = 0  # recompute retries consumed (rollback/alloc)
-        self.deadline = deadline  # absolute shed time, or None
+        self.deadline: Optional[float] = None  # absolute shed time
 
     def to_state(self) -> dict:
         """Serializable form for engine checkpointing (carries its trace:
@@ -117,11 +109,11 @@ class Stream:
             seq_id=int(state["seq_id"]),
             remaining=int(state["remaining"]),
             trace=RequestTrace.from_state(state["trace"]),
-            gen_index=int(state["gen_index"]),
-            deadline=state["deadline"],
         )
         s.resume_len = int(state["resume_len"])
+        s.gen_index = int(state["gen_index"])
         s.retries = int(state["retries"])
+        s.deadline = state["deadline"]
         return s
 
 
@@ -370,7 +362,16 @@ class BatchFormer:
     def form_mixed(self, t: float) -> Optional[StepPlan]:
         """One chunked-prefill step: all decode streams plus up to
         ``prefill_chunk_size`` prompt tokens piggybacked (Sarathi-serve)."""
-        eng, cfg, st = self.engine, self.engine.config, self.state
+        return self._form_step(t, self.engine._chunk_budget(), "mixed")
+
+    def form_decode(self, t: float) -> Optional[StepPlan]:
+        """Advance every live decode stream by one token."""
+        return self._form_step(t, 0, "decode")
+
+    def _form_step(self, t: float, budget: int, kind: str) -> Optional[StepPlan]:
+        """Every live stream extended by one token (alloc faults preempt),
+        then up to ``budget`` prompt tokens of chunked prefill behind them."""
+        eng, st = self.engine, self.state
         requests, prefill_queue, prefilling, cache, streams = (
             st.requests, st.prefill_queue, st.prefilling, st.cache, st.streams,
         )
@@ -385,7 +386,6 @@ class BatchFormer:
         for s in alloc_failed:
             self._preempt_alloc_failed(s, t)
 
-        budget = eng._chunk_budget()  # config size, shrunk under brownout
         segments: List[tuple] = []  # (PartialPrefill, chunk)
         while budget > 0:
             if not prefilling:
@@ -428,53 +428,20 @@ class BatchFormer:
         if eng._degrade is not None and not streams and not segments:
             return None
         seq_ids = [s.seq_id for s in streams] + [pp.seq_id for pp, _ in segments]
-        qo_lens = [1] * len(streams) + [chunk for _, chunk in segments]
-        mapping = AttentionMapping(
-            np.concatenate([[0], np.cumsum(qo_lens)]).astype(np.int64),
-            cache.layout(seq_ids),
-            causal=True,
-        )
+        # One query row per stream, then every row of each prefill chunk.
+        qo_indptr = np.arange(len(seq_ids) + 1, dtype=np.int64)
+        if segments:
+            qo_indptr[len(streams) + 1:] += np.cumsum([chunk - 1 for _, chunk in segments])
+        mapping = AttentionMapping(qo_indptr, cache.layout(seq_ids), causal=True)
         formats: object = mapping
         cascade = self._compose_formats(mapping)
         if cascade is not None:
             formats = cascade
         return StepPlan(
-            kind="mixed", formats=formats, mapping=mapping, decode=not segments,
+            kind=kind, formats=formats, mapping=mapping, decode=not segments,
             num_prefill_tokens=sum(chunk for _, chunk in segments),
             num_decode_tokens=len(streams), seq_ids=seq_ids,
             preempt_before=preempt_before, chunks=segments,
-        )
-
-    def form_decode(self, t: float) -> Optional[StepPlan]:
-        """Advance every live decode stream by one token."""
-        eng, st = self.engine, self.state
-        cache, streams = st.cache, st.streams
-        preempt_before = st.metrics.preemptions
-        self._ensure_decode_capacity()
-        alloc_failed: List[Stream] = []
-        for s in streams:
-            try:
-                cache.extend(s.seq_id, 1)
-            except TransientAllocFault:
-                alloc_failed.append(s)
-        for s in alloc_failed:
-            self._preempt_alloc_failed(s, t)
-        if eng._degrade is not None and not streams:
-            return None
-        seq_ids = [s.seq_id for s in streams]
-        mapping = AttentionMapping(
-            np.arange(len(streams) + 1, dtype=np.int64),
-            cache.layout(seq_ids),
-            causal=True,
-        )
-        formats: object = mapping
-        cascade = self._compose_formats(mapping)
-        if cascade is not None:
-            formats = cascade
-        return StepPlan(
-            kind="decode", formats=formats, mapping=mapping, decode=True,
-            num_prefill_tokens=0, num_decode_tokens=len(streams),
-            seq_ids=seq_ids, preempt_before=preempt_before,
         )
 
     def form_resume(self, t: float) -> Optional[StepPlan]:

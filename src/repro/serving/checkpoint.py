@@ -27,9 +27,9 @@ memory.  This module adds the durability layer:
   is unavailable, in which case recovery *refuses* to resume.
 * :func:`run_lives` — the one kill/restore loop around an engine
   factory: run until an :class:`~repro.faults.EngineCrash` fires,
-  recover, resume, repeat.  :class:`CrashHarness` adds a token-divergence
-  count on top; the cluster engine passes its failover branch in as the
-  ``on_crash`` hook.
+  recover, resume, repeat; :meth:`CrashReport.from_lives` reports it.
+  The cluster engine passes its failover branch in as the ``on_crash``
+  hook.
 
 Why replay is token-exact: all engine randomness lives in the fault
 plan's site streams (captured and rewound by the snapshot — except the
@@ -504,12 +504,7 @@ class CrashReport:
         was recovered from.  ``expected_tokens`` maps ``(req_id,
         gen_index)`` to the tokens a finished stream must carry."""
         if expected_tokens is not None:
-            checked = [
-                t.tokens == expected_tokens[(t.req_id, t.gen_index)]
-                for t in metrics.traces
-                if (t.req_id, t.gen_index) in expected_tokens
-            ]
-            compared, divergence = len(checked), checked.count(False)
+            divergence, compared = metrics.token_divergence(expected_tokens)
         else:
             stats = metrics.fault_stats or {}
             compared = int(stats.get("recover_replayed_tokens", 0))
@@ -571,33 +566,12 @@ def run_lives(
                 recovered, at_time = on_crash(crash, recovered)
 
 
-@dataclass
-class CrashHarness:
-    """:func:`run_lives` over an ``engine_factory``, reported as a
-    :class:`CrashReport` (against ``expected_tokens`` when given)."""
-
-    engine_factory: Callable[[], object]
-    requests: Sequence[Request]
-    store: CheckpointStore
-    crash_script: Sequence[Tuple[int, str]] = ()
-    max_crashes: int = 25
-    expected_tokens: Optional[Dict[Tuple[int, int], List[int]]] = None
-
-    def run(self) -> CrashReport:
-        metrics, crash_phases = run_lives(
-            self.engine_factory, list(self.requests), self.store,
-            script=self.crash_script, max_crashes=self.max_crashes,
-        )
-        return CrashReport.from_lives(metrics, crash_phases, self.expected_tokens)
-
-
 __all__ = [
     "SNAPSHOT_VERSION",
     "CheckpointConfig",
     "CheckpointError",
     "CheckpointStore",
     "Checkpointer",
-    "CrashHarness",
     "CrashReport",
     "DirectoryStore",
     "Journal",

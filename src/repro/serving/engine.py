@@ -113,7 +113,7 @@ class EngineConfig:
     prefix_cache: bool = False
     #: Scheduling-policy name (see :mod:`repro.serving.policy`): ``fcfs``
     #: (the default, token-exact with the classic engine), ``priority``,
-    #: ``sla-aware``, or any name registered via ``register_policy``.
+    #: ``sla-aware`` (:data:`repro.serving.policy.POLICIES`).
     policy: str = "fcfs"
     #: Memoize wrapper ``plan()`` results across layers and steps (the
     #: plan/run split, §3.3.1/§3.4).  Never changes simulated results —
@@ -191,10 +191,6 @@ class ServingEngine:
         #: by the cluster failover layer; fired after each executed step.
         #: ``None`` (the default) keeps the step loop untouched.
         self.heartbeat = None
-        #: Record peak admission saturation into the run's metrics (set by
-        #: the cluster engine on failover runs; plain runs skip the write
-        #: so their summaries stay byte-identical).
-        self.track_pressure = False
         #: Optional :class:`repro.serving.overload.BrownoutController`,
         #: installed by the cluster engine on overload runs.  When set, the
         #: step loop feeds it one admission-saturation sample per step and
@@ -223,9 +219,9 @@ class ServingEngine:
         self._ckpt: Optional[Checkpointer] = None
         self._journal: Optional[Journal] = None
         self._replay = None
-        #: Scripted kills ``{(step_index, phase)}`` installed by a
-        #: :class:`~repro.serving.checkpoint.CrashHarness`; fired entries
-        #: are consumed so recovery cannot re-trip them.
+        #: Scripted kills ``{(step_index, phase)}`` installed by
+        #: :func:`~repro.serving.checkpoint.run_lives`; fired entries are
+        #: consumed so recovery cannot re-trip them.
         self._crash_script: Optional[set] = None
         self._crash_armed = False
         # Run-scoped resilience state.  ``_degrade is None`` ⇔ plain run:
@@ -708,8 +704,7 @@ class ServingEngine:
             if self._ckpt is not None and step is not None:
                 self._ckpt.on_step_end(t)
         metrics.total_time = t
-        if self.track_pressure:
-            metrics.admission_pressure_mean = admission.pressure_mean(t)
+        metrics.admission_pressure_mean = admission.pressure_mean(t)
         if self._journal is not None:
             self._journal.complete(t)
         if pc is not None:

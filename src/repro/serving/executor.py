@@ -83,46 +83,47 @@ class StepExecutor:
             )
         return ic.allreduce_per_layer(num_tokens, ch.allreduce_efficiency, t)
 
-    def _step_time(self, attn_per_layer: float, num_tokens: int, t: float = 0.0) -> float:
+    def _step_terms(
+        self, attn_per_layer: float, num_tokens: int, t: float
+    ) -> Tuple[float, float, float, float, float]:
+        """Per-layer attention, GEMM and all-reduce time, then the LM head
+        and the backend's per-step overhead: the terms of one step."""
         eng = self.engine
         m, cfg = eng.model, eng.config
         ch = eng.backend.characteristics
-        layer = (
-            attn_per_layer
-            + m.layer_nonattn_time(num_tokens, eng.gpu, ch.gemm_efficiency, cfg.tensor_parallel)
-            + self._allreduce_per_layer(num_tokens, t)
+        return (
+            attn_per_layer,
+            m.layer_nonattn_time(num_tokens, eng.gpu, ch.gemm_efficiency, cfg.tensor_parallel),
+            self._allreduce_per_layer(num_tokens, t),
+            m.lm_head_time(num_tokens, eng.gpu, ch.gemm_efficiency, cfg.tensor_parallel),
+            eng.backend.step_overhead(m.num_layers, eng.gpu),
+        )
+
+    def _step_time(self, attn_per_layer: float, num_tokens: int, t: float) -> float:
+        attn, gemm, allreduce, lm_head, overhead = self._step_terms(
+            attn_per_layer, num_tokens, t
         )
         total = (
-            m.num_layers * layer
-            + m.lm_head_time(num_tokens, eng.gpu, ch.gemm_efficiency, cfg.tensor_parallel)
-            + eng.backend.step_overhead(m.num_layers, eng.gpu)
-            + SCHEDULER_OVERHEAD
+            self.engine.model.num_layers * (attn + gemm + allreduce)
+            + lm_head + overhead + SCHEDULER_OVERHEAD
         )
         if self.fault_penalty:
             total += self.fault_penalty  # host-observed kernel retries
         return total
 
-    def _step_components(
-        self, attn_per_layer: float, num_tokens: int, t: float = 0.0
-    ) -> dict:
+    def _step_components(self, attn_per_layer: float, num_tokens: int, t: float) -> dict:
         """The terms of :meth:`_step_time` itemized for tracing; the values
-        sum to the step duration (same arithmetic, regrouped)."""
-        eng = self.engine
-        m, cfg = eng.model, eng.config
-        ch = eng.backend.characteristics
-        overhead = eng.backend.step_overhead(m.num_layers, eng.gpu) + SCHEDULER_OVERHEAD
-        if self.fault_penalty:
-            overhead += self.fault_penalty
+        sum to the step duration (same terms, regrouped)."""
+        attn, gemm, allreduce, lm_head, overhead = self._step_terms(
+            attn_per_layer, num_tokens, t
+        )
+        layers = self.engine.model.num_layers
         return {
-            "attention": m.num_layers * attn_per_layer,
-            "gemm": m.num_layers * m.layer_nonattn_time(
-                num_tokens, eng.gpu, ch.gemm_efficiency, cfg.tensor_parallel
-            ),
-            "allreduce": m.num_layers * self._allreduce_per_layer(num_tokens, t),
-            "lm_head": m.lm_head_time(
-                num_tokens, eng.gpu, ch.gemm_efficiency, cfg.tensor_parallel
-            ),
-            "overhead": overhead,
+            "attention": layers * attn,
+            "gemm": layers * gemm,
+            "allreduce": layers * allreduce,
+            "lm_head": lm_head,
+            "overhead": overhead + SCHEDULER_OVERHEAD + self.fault_penalty,
         }
 
     # -- attention with retry / degradation ------------------------------------
@@ -294,8 +295,11 @@ class Postprocessor:
         self, req: Request, idx: int, gen: int, seq_id: int, t: float
     ) -> None:
         eng = self.engine
-        trace = RequestTrace(arrival=req.arrival, first_token_time=t)
+        trace = RequestTrace(
+            arrival=req.arrival, first_token_time=t, req_id=idx, gen_index=gen
+        )
         stream = Stream(idx, seq_id, req.output_len - 1, trace)
+        stream.gen_index = gen
         if eng.brownout is not None:
             clamp = eng.brownout.token_clamp
             if clamp is not None and stream.remaining > clamp - 1:
@@ -305,9 +309,6 @@ class Postprocessor:
                 stream.remaining = clamp - 1
                 trace.outcome_reason = "brownout-clamp"
         if eng._degrade is not None:
-            trace.req_id = idx
-            trace.gen_index = gen
-            stream.gen_index = gen
             stream.deadline = eng._deadline_for(req)
             tok0 = token_id(self._rid(idx), gen, 0)
             trace.tokens = [tok0]

@@ -11,7 +11,7 @@ same accessors are provided here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -118,15 +118,13 @@ class ServingMetrics:
     #: ``cascade_hbm_bytes_saved``, …); attached by the engine at end of run
     #: when ``EngineConfig.prefix_cache`` is on.
     prefix_stats: Optional[Dict[str, float]] = None
-    #: Peak admission saturation ((admitted + running) / max_running) —
-    #: the overload-backpressure signal cluster failover feeds back into
-    #: routing.  Written only when ``engine.track_pressure`` is set, so
-    #: plain-run summaries stay byte-identical.
+    #: Peak admission saturation ((admitted + running) / max_running): a
+    #: report value (:meth:`summary`, and per replica on failover runs);
+    #: nothing priced or routed reads it.
     admission_pressure: float = 0.0
     #: Time-weighted mean admission saturation over the run — sustained
-    #: overload, where :attr:`admission_pressure` is a single spike; the
-    #: breaker/brownout layer keys off this distinction.  Written (with
-    #: the same guard) only when ``engine.track_pressure`` is set.
+    #: overload, where :attr:`admission_pressure` is a single spike.  A
+    #: report value only, like :attr:`admission_pressure`.
     admission_pressure_mean: float = 0.0
 
     def add(self, trace: RequestTrace) -> None:
@@ -178,6 +176,40 @@ class ServingMetrics:
 
     def throughput_tokens_per_s(self) -> float:
         return self.total_output_tokens / self.total_time if self.total_time > 0 else 0.0
+
+    def token_divergence(
+        self,
+        expected: Dict[Tuple[int, int], List[int]],
+        rids: Optional[Sequence[Optional[int]]] = None,
+    ) -> Tuple[int, int]:
+        """Compare every completed stream against the token oracle
+        ``expected`` (:func:`expected_tokens` of a reference run).
+
+        Returns ``(divergent, compared)``.  A stream is keyed by
+        ``(req_id, gen_index)``, or by ``(rids[req_id], gen_index)`` when
+        the run served cluster-routed requests (a ``None`` rid is
+        skipped).  Streams without recorded tokens and keys the oracle
+        lacks are skipped.  A stream clamped by brownout rung 3
+        (``outcome_reason == "brownout-clamp"``) must equal the exact
+        *prefix* of its reference tokens: the clamp shortens a stream, it
+        never changes a token.
+        """
+        divergent = compared = 0
+        for tr in self.traces:
+            if tr.tokens is None or tr.req_id < 0:
+                continue
+            key = tr.req_id if rids is None else rids[tr.req_id]
+            if key is None:
+                continue
+            want = expected.get((key, tr.gen_index))
+            if want is None:
+                continue
+            compared += 1
+            if tr.outcome_reason == "brownout-clamp":
+                want = want[: len(tr.tokens)]
+            if tr.tokens != want:
+                divergent += 1
+        return divergent, compared
 
     def summary(self) -> Dict[str, float]:
         out = {
@@ -285,3 +317,15 @@ class ServingMetrics:
         m.admission_pressure = float(state["admission_pressure"])
         m.admission_pressure_mean = float(state["admission_pressure_mean"])
         return m
+
+
+def expected_tokens(reference: ServingMetrics) -> Dict[Tuple[int, int], List[int]]:
+    """The token oracle of a reference run: ``{(req_id, gen_index): tokens}``
+    over every completed stream that recorded its tokens.  A reference
+    run over :func:`repro.cluster.assign_rids` output keys by rid, since
+    its ``req_id`` is the index in the full arrival-sorted list."""
+    return {
+        (t.req_id, t.gen_index): t.tokens
+        for t in reference.traces
+        if t.tokens is not None and t.req_id >= 0
+    }

@@ -8,9 +8,7 @@ change the tokens a stream produces — token ids are a pure function of
 (request, generation, position) — so any policy is token-exact per
 stream by construction.
 
-Policies are looked up by name through a registry; other code adds one
-without touching this module via :func:`register_policy` (which doubles
-as a class decorator).
+Policies are looked up by name in :data:`POLICIES`.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ class SchedulerPolicy:
     unchanged queue are no-ops.
     """
 
-    #: Registry key; subclasses must override.
+    #: Key in :data:`POLICIES`; subclasses override it.
     name: str = "base"
 
     def order(
@@ -93,32 +91,18 @@ class SLAAwarePolicy(SchedulerPolicy):
         self._sort(queue, key=key)
 
 
-_POLICIES: Dict[str, Type[SchedulerPolicy]] = {}
-
-
-def register_policy(cls: Type[SchedulerPolicy]) -> Type[SchedulerPolicy]:
-    """Register a policy class under ``cls.name`` (usable as a decorator)."""
-    if not getattr(cls, "name", None) or cls.name == "base":
-        raise ValueError(f"{cls.__name__} must define a non-default 'name'")
-    _POLICIES[cls.name] = cls
-    return cls
-
-
-for _cls in (FCFSPolicy, PriorityPolicy, SLAAwarePolicy):
-    register_policy(_cls)
-
-
-def available_policies() -> tuple:
-    """Registered policy names, built-ins first."""
-    return tuple(sorted(_POLICIES, key=lambda n: (n not in ("fcfs", "priority", "sla-aware"), n)))
+#: Scheduling policy classes by name (alphabetical: the CLI help lists them).
+POLICIES: Dict[str, Type[SchedulerPolicy]] = {
+    cls.name: cls for cls in (FCFSPolicy, PriorityPolicy, SLAAwarePolicy)
+}
 
 
 def get_policy(name: str) -> SchedulerPolicy:
-    """Instantiate the policy registered under ``name``."""
+    """Instantiate the policy named ``name``."""
     try:
-        return _POLICIES[name]()
+        return POLICIES[name]()
     except KeyError:
         raise ValueError(
             f"unknown scheduling policy {name!r}; available: "
-            f"{', '.join(available_policies())}"
+            f"{', '.join(POLICIES)}"
         ) from None

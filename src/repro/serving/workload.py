@@ -103,23 +103,14 @@ def sharegpt_workload(
     ]
 
 
-def variable_workload(
-    num_requests: int,
-    rate: float,
-    seed: SeedLike = 0,
-    n: int = 1,
-    lo: int = 512,
-    hi: int = 2048,
-) -> List[Request]:
-    """The §4.1 synthetic workload: lengths uniform in [512, 2048]."""
+def variable_workload(num_requests: int, rate: float, seed: SeedLike = 0) -> List[Request]:
+    """The §4.1 synthetic workload: prompt lengths uniform in [512, 2048],
+    outputs a quarter of that range."""
     rng = new_rng(seed)
     arrivals = poisson_arrivals(num_requests, rate, rng)
-    prompts = rng.integers(lo, hi + 1, size=num_requests)
-    outputs = rng.integers(lo // 4, hi // 4 + 1, size=num_requests)
-    return [
-        Request(float(a), int(p), int(o), n=n)
-        for a, p, o in zip(arrivals, prompts, outputs)
-    ]
+    prompts = rng.integers(512, 2049, size=num_requests)
+    outputs = rng.integers(128, 513, size=num_requests)
+    return [Request(float(a), int(p), int(o)) for a, p, o in zip(arrivals, prompts, outputs)]
 
 
 def shared_prefix_workload(
@@ -128,16 +119,13 @@ def shared_prefix_workload(
     seed: SeedLike = 0,
     num_groups: int = 3,
     prefix_len: int = 2048,
-    suffix_lo: int = 32,
-    suffix_hi: int = 256,
-    output_lo: int = 8,
-    output_hi: int = 64,
 ) -> List[Request]:
     """Many-users-few-system-prompts workload (the radix-cache target).
 
     Every request draws one of ``num_groups`` shared system prompts of
-    ``prefix_len`` tokens, followed by a short per-user suffix — with the
-    defaults well over 70% of all prompt tokens are shared-prefix tokens,
+    ``prefix_len`` tokens, followed by a per-user suffix of 32-256 tokens,
+    and decodes 8-64 tokens — with the defaults well over 70% of all
+    prompt tokens are shared-prefix tokens,
     the regime where prefix caching plus cascade attention pays off.
     """
     if num_groups <= 0 or prefix_len <= 0:
@@ -145,8 +133,8 @@ def shared_prefix_workload(
     rng = new_rng(seed)
     arrivals = poisson_arrivals(num_requests, rate, rng)
     groups = rng.integers(0, num_groups, size=num_requests)
-    suffixes = rng.integers(suffix_lo, suffix_hi + 1, size=num_requests)
-    outputs = rng.integers(output_lo, output_hi + 1, size=num_requests)
+    suffixes = rng.integers(32, 257, size=num_requests)
+    outputs = rng.integers(8, 65, size=num_requests)
     return [
         Request(
             float(a), prefix_len + int(s), int(o),
@@ -177,15 +165,13 @@ def bursty_workload(
     burst: float = 3.0,
     burst_len: float = 0.25,
     burst_every: float = 1.5,
-    period: float = 2.0,
-    amplitude: float = 0.4,
     premium_tenants: int = 1,
 ) -> List[Request]:
     """Bursty/diurnal tenant-tagged arrivals (the overload substrate).
 
     An inhomogeneous Poisson process generated by thinning: the base
     ``rate`` is modulated by a sinusoidal "diurnal" factor
-    ``1 + amplitude * sin(2*pi*t / period)`` and multiplied by ``burst``
+    ``1 + 0.4 * sin(2*pi*t / 2 s)`` and multiplied by ``burst``
     inside seeded burst windows (gaps between windows ~ Exp(burst_every),
     each ``burst_len`` seconds long) — sustained saturation with quiet
     lulls in between, exactly the shape breakers and brownout need to
@@ -198,11 +184,12 @@ def bursty_workload(
         raise ValueError("rate must be positive")
     if tenants < 1 or not 0 <= premium_tenants <= tenants:
         raise ValueError("need tenants >= 1 and 0 <= premium_tenants <= tenants")
-    if burst < 1.0 or not 0.0 <= amplitude < 1.0:
-        raise ValueError("need burst >= 1 and 0 <= amplitude < 1")
-    if burst_len <= 0 or burst_every <= 0 or period <= 0:
-        raise ValueError("burst_len, burst_every and period must be positive")
+    if burst < 1.0:
+        raise ValueError("need burst >= 1")
+    if burst_len <= 0 or burst_every <= 0:
+        raise ValueError("burst_len and burst_every must be positive")
     rng = new_rng(seed)
+    amplitude, period = 0.4, 2.0
     lam_max = rate * (1.0 + amplitude) * burst
     out: List[Request] = []
     t = 0.0
@@ -238,21 +225,14 @@ def mixed_disagg_workload(
     num_requests: int,
     rate: float,
     seed: SeedLike = 0,
-    chatty_fraction: float = 0.75,
-    long_prompt_lo: int = 2048,
-    long_prompt_hi: int = 4096,
-    long_output_lo: int = 8,
-    long_output_hi: int = 32,
-    chatty_prompt_lo: int = 32,
     chatty_prompt_hi: int = 128,
-    chatty_output_lo: int = 32,
-    chatty_output_hi: int = 128,
 ) -> List[Request]:
     """Mixed long-prompt + chatty workload (the disaggregation target).
 
     Two interleaved request classes on one Poisson arrival process: rare
-    long-prompt summarization jobs (huge prefill, tiny decode) and a
-    majority of chatty sessions (tiny prefill, long decode).  Colocated,
+    long-prompt summarization jobs (2048-4096 prompt tokens, 8-32 output
+    tokens) and a 75% majority of chatty sessions (32-``chatty_prompt_hi``
+    prompt tokens, 32-128 output tokens).  Colocated,
     each long prefill step blocks every chatty stream sharing its replica
     — the ITL spikes DistServe-style prefill/decode disaggregation
     removes.  Class membership is recoverable from the lengths alone: a
@@ -260,24 +240,22 @@ def mixed_disagg_workload(
     "long", anything below is "chatty" (the generators' ranges keep a
     wide gap around the threshold).
     """
-    if not 0.0 < chatty_fraction < 1.0:
-        raise ValueError("chatty_fraction must be in (0, 1)")
-    if not chatty_prompt_hi < MIXED_LONG_PROMPT_THRESHOLD <= long_prompt_lo:
+    if not chatty_prompt_hi < MIXED_LONG_PROMPT_THRESHOLD:
         raise ValueError(
             "class prompt ranges must straddle MIXED_LONG_PROMPT_THRESHOLD "
             "so per-class metrics stay recoverable from the lengths"
         )
     rng = new_rng(seed)
     arrivals = poisson_arrivals(num_requests, rate, rng)
-    chatty = rng.random(num_requests) < chatty_fraction
+    chatty = rng.random(num_requests) < 0.75
     out: List[Request] = []
     for a, is_chatty in zip(arrivals, chatty):
         if is_chatty:
-            prompt = int(rng.integers(chatty_prompt_lo, chatty_prompt_hi + 1))
-            output = int(rng.integers(chatty_output_lo, chatty_output_hi + 1))
+            prompt = int(rng.integers(32, chatty_prompt_hi + 1))
+            output = int(rng.integers(32, 129))
         else:
-            prompt = int(rng.integers(long_prompt_lo, long_prompt_hi + 1))
-            output = int(rng.integers(long_output_lo, long_output_hi + 1))
+            prompt = int(rng.integers(2048, 4097))
+            output = int(rng.integers(8, 33))
         out.append(Request(float(a), prompt, output))
     return out
 
@@ -296,11 +274,11 @@ def uniform_lengths(
 
 
 def zipf_lengths(
-    batch_size: int, mean: int, seed: SeedLike = 0, a: float = 2.0, min_len: int = 16
+    batch_size: int, mean: int, seed: SeedLike = 0, a: float = 2.0
 ) -> np.ndarray:
-    """Zipf-distributed lengths rescaled to the requested mean (§4.2:
-    "skewed (Zipf distribution with average length 1024)")."""
+    """Zipf-distributed lengths rescaled to the requested mean, at least 16
+    (§4.2: "skewed (Zipf distribution with average length 1024)")."""
     rng = new_rng(seed)
     x = rng.zipf(a, size=batch_size).astype(np.float64)
     x = x / x.mean() * mean
-    return np.maximum(np.rint(x), min_len).astype(np.int64)
+    return np.maximum(np.rint(x), 16).astype(np.int64)

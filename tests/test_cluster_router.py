@@ -11,12 +11,11 @@ from repro.cluster.router import (
     LeastLoadedPolicy,
     LoadTracker,
     PowerOfTwoPolicy,
+    ROUTING_POLICIES,
     RoundRobinPolicy,
     RoutingPolicy,
     SessionAffinityPolicy,
-    available_routing_policies,
     get_routing_policy,
-    register_routing_policy,
 )
 from repro.gpu import H100_80G
 from repro.serving import EngineConfig, LLAMA_3_1_8B, Request, sharegpt_workload
@@ -143,38 +142,29 @@ def test_load_tracker_pressure_backpressures_loads():
     assert lt.loads() == [50.0, 0.0]
 
 
-def test_registry_contract():
-    names = available_routing_policies()
-    assert names[:6] == ("cache-aware", "disagg", "least-loaded",
-                         "power-of-two", "round-robin", "session-affinity")
+def test_policy_table():
+    assert tuple(ROUTING_POLICIES) == ("cache-aware", "disagg", "least-loaded",
+                                       "power-of-two", "round-robin", "session-affinity")
     assert isinstance(get_routing_policy("round-robin"), RoundRobinPolicy)
-    with pytest.raises(ValueError, match="unknown routing policy"):
+    with pytest.raises(ValueError, match="unknown routing policy.*round-robin"):
         get_routing_policy("nope")
-    with pytest.raises(ValueError, match="non-default"):
-        register_routing_policy(RoutingPolicy)
 
 
-def test_register_custom_policy():
+def test_custom_policy_routes_the_cluster(monkeypatch):
     class AlwaysZero(RoutingPolicy):
         name = "test-always-zero"
 
         def choose(self, req, t, loads):
             return 0
 
-    try:
-        register_routing_policy(AlwaysZero)
-        assert isinstance(get_routing_policy("test-always-zero"), AlwaysZero)
-        cm = ClusterEngine(
-            MODEL, H100_80G,
-            ClusterConfig(dp=2, router="test-always-zero",
-                          engine=EngineConfig(max_running=64)),
-        ).run(sharegpt_workload(6, rate=50.0, seed=2))
-        assert len(cm.replica_requests[0]) == 6
-        assert len(cm.replica_requests[1]) == 0
-    finally:
-        from repro.cluster import router
-
-        router._POLICIES.pop("test-always-zero", None)
+    monkeypatch.setitem(ROUTING_POLICIES, AlwaysZero.name, AlwaysZero)
+    cm = ClusterEngine(
+        MODEL, H100_80G,
+        ClusterConfig(dp=2, router="test-always-zero",
+                      engine=EngineConfig(max_running=64)),
+    ).run(sharegpt_workload(6, rate=50.0, seed=2))
+    assert len(cm.replica_requests[0]) == 6
+    assert len(cm.replica_requests[1]) == 0
 
 
 def test_routing_splits_workload_and_keeps_arrival_order():

@@ -5,8 +5,8 @@ The first two tests pin the model that makes sequential evaluation exact:
 TTFT is decided inside the prefill stage and the decode pool cannot reach
 back into it.  The third pins that replicas of one stage are independent
 of each other.  The last two pin ``run_lives`` as the single life loop
-under both ``CrashHarness`` and ``ClusterEngine._run_replica``, livelock
-guard included.
+of a single engine and of ``ClusterEngine._run_replica``, livelock guard
+included.
 """
 
 import pytest
@@ -23,10 +23,11 @@ from repro.faults import ResilienceConfig
 from repro.serving import (
     CheckpointConfig,
     CheckpointStore,
-    CrashHarness,
+    CrashReport,
     EngineConfig,
     ServingEngine,
     mixed_disagg_workload,
+    run_lives,
     sharegpt_workload,
 )
 
@@ -130,17 +131,17 @@ def _dp1(script):
     )
 
 
-def test_harness_and_cluster_replica_share_one_life_loop():
+def test_engine_and_cluster_replica_share_one_life_loop():
     requests = sharegpt_workload(4, rate=120.0, seed=6)
     store = CheckpointStore()
-    harness = CrashHarness(
+    harness = CrashReport.from_lives(*run_lives(
         lambda: ServingEngine.from_config(
             ENGINE_CFG, resilience=ResilienceConfig(),
             # The cadence a scripted cluster replica defaults to.
             checkpoint=CheckpointConfig(every_steps=4), checkpoint_store=store,
         ),
-        assign_rids(requests), store, crash_script=KILLS,
-    ).run()
+        assign_rids(requests), store, script=KILLS,
+    ))
     cm = _dp1(KILLS).run(requests)
     cluster = cm.crash_reports[0]
     assert cluster.crash_phases == harness.crash_phases == ["boundary", "mid-step"]

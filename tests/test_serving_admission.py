@@ -53,8 +53,9 @@ def make_stream(state, req_idx, deadline=None, live=True):
     seq_id = state.cache.new_seq() if live else -1
     trace = RequestTrace(arrival=0.0, first_token_time=0.0,
                          req_id=req_idx, gen_index=0, tokens=[])
-    return Stream(req_idx, seq_id, remaining=4, trace=trace,
-                  deadline=deadline)
+    stream = Stream(req_idx, seq_id, remaining=4, trace=trace)
+    stream.deadline = deadline
+    return stream
 
 
 def shed_reasons(state):
@@ -215,7 +216,6 @@ class TestAdmissionPressureMean:
     def test_held_left_integration_distinguishes_spike_from_sustained(self):
         reqs = [Request(0.0, 32, 4)]
         adm, state = make_controller(reqs)
-        adm.engine.track_pressure = True
         state.waiting.clear()
         # Sustained half-saturation for 1 s, then a quarter for 2 s.
         state.prefill_queue.extend(range(32))  # 32 / max_running=64
@@ -238,13 +238,12 @@ class TestAdmissionPressureMean:
         adm, _ = make_controller([Request(0.0, 32, 4)])
         assert adm.pressure_mean(t_end=5.0) == 0.0
 
-    def test_engine_run_reports_the_mean_when_tracking(self):
+    def test_engine_run_reports_the_mean(self):
         reqs = [Request(i * 0.001, 64, 8) for i in range(6)]
         engine = ServingEngine(
             MODEL, FlashInferBackend(HEADS, H100_80G), H100_80G,
             EngineConfig(max_running=4),
         )
-        engine.track_pressure = True
         metrics = engine.run(reqs)
         assert 0.0 < metrics.admission_pressure_mean <= metrics.admission_pressure
         assert metrics.summary()["admission_pressure_mean"] == pytest.approx(

@@ -17,7 +17,7 @@ from repro.gpu import H100_80G
 from repro.serving import (
     CheckpointConfig,
     CheckpointStore,
-    CrashHarness,
+    CrashReport,
     DirectoryStore,
     EngineConfig,
     FlashInferBackend,
@@ -28,6 +28,8 @@ from repro.serving import (
     ServingEngine,
     SnapshotIntegrityError,
     SnapshotVerificationError,
+    expected_tokens,
+    run_lives,
 )
 from repro.serving.checkpoint import SNAPSHOT_VERSION, CheckpointError
 
@@ -52,8 +54,9 @@ def workload(n=8):
     ]
 
 
-def tokens_by_stream(metrics):
-    return {(t.req_id, t.gen_index): t.tokens for t in metrics.traces}
+def kill_restore(factory, reqs, store, script, expected=None):
+    metrics, phases = run_lives(factory, reqs, store, script=script)
+    return CrashReport.from_lives(metrics, phases, expected)
 
 
 def stressful_plan(seed, crash_rate=0.0):
@@ -84,7 +87,7 @@ class TestKillRestore:
     def test_scripted_kills_recover_token_exact(self):
         reqs = workload()
         baseline = engine(resilience=ResilienceConfig()).run(reqs)
-        expected = tokens_by_stream(baseline)
+        expected = expected_tokens(baseline)
 
         store = CheckpointStore()
 
@@ -95,9 +98,7 @@ class TestKillRestore:
                 resilience=ResilienceConfig(),
             )
 
-        report = CrashHarness(
-            factory, reqs, store, crash_script=SCRIPT, expected_tokens=expected
-        ).run()
+        report = kill_restore(factory, reqs, store, SCRIPT, expected)
         assert report.crashes == len(SCRIPT)
         assert report.recoveries == len(SCRIPT)
         assert "mid-step" in report.crash_phases
@@ -117,7 +118,7 @@ class TestKillRestore:
         baseline = engine(
             fault_plan=stressful_plan(7), resilience=ResilienceConfig()
         ).run(reqs)
-        expected = tokens_by_stream(baseline)
+        expected = expected_tokens(baseline)
 
         store = CheckpointStore()
         # One plan shared across lives keeps the crash stream advanced
@@ -132,9 +133,7 @@ class TestKillRestore:
                 fault_plan=shared,
             )
 
-        report = CrashHarness(
-            factory, reqs, store, crash_script=SCRIPT, expected_tokens=expected
-        ).run()
+        report = kill_restore(factory, reqs, store, SCRIPT, expected)
         assert report.crashes >= len(SCRIPT)
         assert report.token_divergence == 0
         assert report.compared > 0
@@ -153,10 +152,9 @@ class TestKillRestore:
                 checkpoint_store=store,
             )
 
-        report = CrashHarness(
-            factory, reqs, store, crash_script=((1, "boundary"),),
-            expected_tokens=tokens_by_stream(baseline),
-        ).run()
+        report = kill_restore(
+            factory, reqs, store, ((1, "boundary"),), expected_tokens(baseline)
+        )
         assert report.crashes == 1
         assert report.token_divergence == 0
 
@@ -180,11 +178,11 @@ class TestKillRestore:
                     checkpoint_store=store,
                 )
 
-            return CrashHarness(factory, reqs, store, crash_script=SCRIPT).run()
+            return kill_restore(factory, reqs, store, SCRIPT)
 
         a, b = campaign(), campaign()
         assert a.crash_phases == b.crash_phases
-        assert tokens_by_stream(a.metrics) == tokens_by_stream(b.metrics)
+        assert expected_tokens(a.metrics) == expected_tokens(b.metrics)
         assert a.metrics.summary() == b.metrics.summary()
 
 
@@ -208,7 +206,7 @@ class TestColdStart:
             checkpoint=CheckpointConfig(every_steps=4), checkpoint_store=store
         )
         metrics = eng.resume(recovered)
-        assert tokens_by_stream(metrics) == tokens_by_stream(baseline)
+        assert expected_tokens(metrics) == expected_tokens(baseline)
         stats = metrics.fault_stats
         assert stats["recover_token_divergence"] == 0
         assert stats["recover_replayed_tokens"] > 0
@@ -291,7 +289,7 @@ class TestVerificationRefusal:
             checkpoint=CheckpointConfig(every_steps=4), checkpoint_store=store
         )
         metrics = eng.resume(recovered)
-        assert tokens_by_stream(metrics) == tokens_by_stream(baseline)
+        assert expected_tokens(metrics) == expected_tokens(baseline)
 
 
 class TestDisabledIsFree:
@@ -317,7 +315,7 @@ class TestDisabledIsFree:
             checkpoint=CheckpointConfig(every_steps=0),
         ).run(reqs)
         assert a.summary() == b.summary()
-        assert tokens_by_stream(a) == tokens_by_stream(b)
+        assert expected_tokens(a) == expected_tokens(b)
 
     def test_checkpointing_on_does_not_perturb_the_trajectory(self):
         """Snapshots observe the engine; they never advance its clock or
@@ -325,7 +323,7 @@ class TestDisabledIsFree:
         reqs = workload()
         a = engine(resilience=ResilienceConfig()).run(reqs)
         b = engine(checkpoint=CheckpointConfig(every_steps=2)).run(reqs)
-        assert tokens_by_stream(a) == tokens_by_stream(b)
+        assert expected_tokens(a) == expected_tokens(b)
         sa, sb = a.summary(), b.summary()
         for key in ("median_itl", "median_ttft", "p99_ttft", "throughput_tok_s"):
             assert sa[key] == sb[key]
@@ -398,9 +396,7 @@ class TestRecoveryMetrics:
                 checkpoint_store=store,
             )
 
-        report = CrashHarness(
-            factory, reqs, store, crash_script=((7, "boundary"),)
-        ).run()
+        report = kill_restore(factory, reqs, store, ((7, "boundary"),))
         s = report.metrics.summary()
         assert s["recover_resumed"] > 0
         assert s["recover_resumed"] == report.metrics.recover_resumed

@@ -131,6 +131,11 @@ class TestParallelGeneration:
         m = eng.run(tiny_requests(2, output=5, n_parallel=3))
         assert len(m.traces) == 6  # one trace per stream
 
+    def test_plain_run_stamps_every_trace_identity(self):
+        m = small_engine().run(tiny_requests(2, output=5, n_parallel=3))
+        ids = sorted((t.req_id, t.gen_index) for t in m.traces)
+        assert ids == [(r, g) for r in range(2) for g in range(3)]
+
     def test_composable_matches_token_counts(self):
         be = FlashInferBackend(HEADS, H100_80G, composable=True)
         eng = small_engine(be, composable=True)

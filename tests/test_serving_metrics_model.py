@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from repro.gpu import A100_40G, H100_80G
-from repro.serving import LLAMA_3_1_8B, LLAMA_3_1_70B, VICUNA_13B, RequestTrace, ServingMetrics
+from repro.serving import (
+    LLAMA_3_1_8B,
+    LLAMA_3_1_70B,
+    VICUNA_13B,
+    RequestTrace,
+    ServingMetrics,
+    expected_tokens,
+)
 
 
 class TestMetrics:
@@ -38,6 +45,37 @@ class TestMetrics:
         s = m.summary()
         for key in ("median_ttft", "p99_ttft", "median_itl", "p99_itl"):
             assert key in s
+
+
+#: The token oracle's reference: stream (0, 0) and, for rid-keyed runs, 7.
+REFERENCE = {(0, 0): [5, 6, 7, 8], (7, 0): [5, 6, 7, 8]}
+
+
+@pytest.mark.parametrize("tokens, reason, req_id, rids, expect", [
+    ([5, 6, 7, 8], "", 0, None, (0, 1)),                   # equal tokens
+    ([5, 6, 9, 8], "", 0, None, (1, 1)),                   # one token off
+    ([5, 6], "brownout-clamp", 0, None, (0, 1)),           # clamped exact prefix
+    ([5, 9], "brownout-clamp", 0, None, (1, 1)),           # clamped wrong prefix
+    ([5, 6, 7, 8, 9], "", 0, None, (1, 1)),                # longer than the reference
+    ([5, 6, 7, 8], "", 3, None, (0, 0)),                   # key the oracle lacks
+    (None, "", 0, None, (0, 0)),                           # no tokens recorded
+    ([5, 6, 7, 8], "", 0, [7], (0, 1)),                    # keyed by rid
+    ([5, 6, 7, 8], "", 0, [None], (0, 0)),                 # no rid
+], ids=["equal", "one-off", "clamped-prefix", "clamped-wrong", "longer",
+        "missing-key", "no-tokens", "rid", "no-rid"])
+def test_token_divergence(tokens, reason, req_id, rids, expect):
+    m = ServingMetrics(traces=[RequestTrace(
+        0.0, 0.1, req_id=req_id, tokens=tokens, outcome_reason=reason)])
+    assert m.token_divergence(REFERENCE, rids) == expect
+
+
+def test_expected_tokens_keeps_identified_streams_with_tokens():
+    ref = ServingMetrics(traces=[
+        RequestTrace(0.0, 0.1, req_id=0, gen_index=1, tokens=[1, 2]),
+        RequestTrace(0.0, 0.1, req_id=1, tokens=None),
+        RequestTrace(0.0, 0.1, tokens=[3]),  # req_id -1: no identity
+    ])
+    assert expected_tokens(ref) == {(0, 1): [1, 2]}
 
 
 class TestModelConfigs:

@@ -1,10 +1,9 @@
-"""Tests for pluggable scheduling policies (registry, ordering, exactness)."""
+"""Tests for pluggable scheduling policies (lookup, ordering, exactness)."""
 
 from collections import deque
 
 import pytest
 
-import repro.serving.policy as policy_mod
 from repro.core import HeadConfig
 from repro.faults import ResilienceConfig
 from repro.gpu import H100_80G
@@ -13,14 +12,14 @@ from repro.serving import (
     FCFSPolicy,
     FlashInferBackend,
     LLAMA_3_1_8B,
+    POLICIES,
     PriorityPolicy,
     Request,
     SchedulerPolicy,
     ServingEngine,
     SLAAwarePolicy,
-    available_policies,
+    expected_tokens,
     get_policy,
-    register_policy,
 )
 
 MODEL = LLAMA_3_1_8B
@@ -37,10 +36,8 @@ class ShortestFirstPolicy(SchedulerPolicy):
 
 
 @pytest.fixture
-def shortest_first():
-    register_policy(ShortestFirstPolicy)
-    yield
-    policy_mod._POLICIES.pop(ShortestFirstPolicy.name, None)
+def shortest_first(monkeypatch):
+    monkeypatch.setitem(POLICIES, ShortestFirstPolicy.name, ShortestFirstPolicy)
 
 
 def make_engine(policy="fcfs", resilience=None, **cfg_kwargs):
@@ -53,10 +50,9 @@ def make_engine(policy="fcfs", resilience=None, **cfg_kwargs):
     )
 
 
-class TestRegistry:
+class TestLookup:
     def test_builtins_available(self):
-        names = available_policies()
-        assert ("fcfs", "priority", "sla-aware") == names[:3]
+        assert tuple(POLICIES) == ("fcfs", "priority", "sla-aware")
 
     def test_get_policy_instantiates(self):
         assert isinstance(get_policy("fcfs"), FCFSPolicy)
@@ -66,18 +62,6 @@ class TestRegistry:
     def test_unknown_name_lists_available(self):
         with pytest.raises(ValueError, match="fcfs"):
             get_policy("does-not-exist")
-
-    def test_register_rejects_default_name(self):
-        class Nameless(SchedulerPolicy):
-            pass
-
-        with pytest.raises(ValueError, match="name"):
-            register_policy(Nameless)
-
-    def test_register_and_engine_construction(self, shortest_first):
-        assert "shortest-first" in available_policies()
-        eng = make_engine(policy="shortest-first")
-        assert isinstance(eng._policy, ShortestFirstPolicy)
 
     def test_unknown_policy_rejected_at_engine_construction(self):
         with pytest.raises(ValueError, match="policy"):
@@ -128,9 +112,6 @@ class TestEngineOrdering:
     def _ttft(self, metrics):
         return {t.req_id: t.ttft for t in metrics.traces}
 
-    def _tokens(self, metrics):
-        return {(t.req_id, t.gen_index): t.tokens for t in metrics.traces}
-
     def test_shortest_first_reorders_but_stays_token_exact(self, shortest_first):
         resil = ResilienceConfig()
         fcfs = make_engine("fcfs", resilience=resil).run(self._reqs())
@@ -140,7 +121,7 @@ class TestEngineOrdering:
         assert self._ttft(sjf)[1] < self._ttft(sjf)[0]
         # Token ids are a pure function of (request, generation, position):
         # every stream decodes the same tokens under either order.
-        assert self._tokens(sjf) == self._tokens(fcfs)
+        assert expected_tokens(sjf) == expected_tokens(fcfs)
 
     def test_priority_preempts_queue_order(self):
         reqs = [Request(0.0, 2048, 6), Request(0.0, 2048, 6, priority=10)]
@@ -149,7 +130,7 @@ class TestEngineOrdering:
         prio = make_engine("priority", resilience=resil).run(reqs)
         assert self._ttft(fcfs)[0] < self._ttft(fcfs)[1]
         assert self._ttft(prio)[1] < self._ttft(prio)[0]
-        assert self._tokens(prio) == self._tokens(fcfs)
+        assert expected_tokens(prio) == expected_tokens(fcfs)
 
     def test_fcfs_default_matches_explicit(self):
         reqs = self._reqs()

@@ -19,12 +19,14 @@ from repro.kvcache import PagedKVCache, RadixTree
 from repro.serving import (
     CheckpointConfig,
     CheckpointStore,
-    CrashHarness,
+    CrashReport,
     EngineConfig,
     FlashInferBackend,
     LLAMA_3_1_8B,
     Request,
     ServingEngine,
+    expected_tokens,
+    run_lives,
     shared_prefix_workload,
 )
 from repro.serving.batching import BatchFormer, RunState
@@ -55,11 +57,6 @@ def shared_requests(n=6, prefix=4096, suffix=64, out=4, gap=0.4, group=7):
     ]
 
 
-def tokens_by_stream(metrics):
-    return {
-        (t.req_id, t.gen_index): t.tokens
-        for t in metrics.traces if t.tokens is not None
-    }
 
 
 # -- RadixTree under pool pressure --------------------------------------------
@@ -173,8 +170,8 @@ class TestEngineRadixCache:
         reqs = shared_requests(n=8)
         cold = engine(prefix_cache=False, resilience=ResilienceConfig()).run(reqs)
         warm = engine(resilience=ResilienceConfig()).run(reqs)
-        expected = tokens_by_stream(cold)
-        got = tokens_by_stream(warm)
+        expected = expected_tokens(cold)
+        got = expected_tokens(warm)
         assert got.keys() == expected.keys()
         assert all(got[k] == expected[k] for k in expected)
         assert warm.radix_hit_tokens > 0
@@ -187,7 +184,7 @@ class TestEngineRadixCache:
         warm = engine(
             chunked=True, composable=True, resilience=ResilienceConfig()
         ).run(reqs)
-        assert tokens_by_stream(warm) == tokens_by_stream(cold)
+        assert expected_tokens(warm) == expected_tokens(cold)
         assert warm.radix_hit_tokens > 0
         assert warm.cascade_steps > 0
         assert warm.cascade_bytes_saved > 0
@@ -215,7 +212,7 @@ class TestEngineRadixCache:
         warm = engine(
             pool_pages=1 << 11, resilience=ResilienceConfig()
         ).run(reqs)
-        assert tokens_by_stream(warm) == tokens_by_stream(cold)
+        assert expected_tokens(warm) == expected_tokens(cold)
         assert warm.radix_hit_tokens > 0
 
     def test_off_by_default(self):
@@ -231,7 +228,7 @@ class TestCrashRecovery:
         the resumed run keeps hitting the cache and stays token-exact."""
         reqs = shared_requests(n=8, prefix=2048, suffix=64, gap=0.2)
         baseline = engine(resilience=ResilienceConfig()).run(reqs)
-        expected = tokens_by_stream(baseline)
+        expected = expected_tokens(baseline)
         assert baseline.radix_hit_tokens > 0
 
         store = CheckpointStore()
@@ -244,9 +241,8 @@ class TestCrashRecovery:
             )
 
         script = [(3, "boundary"), (7, "mid-step")]
-        report = CrashHarness(
-            factory, reqs, store, crash_script=script, expected_tokens=expected
-        ).run()
+        metrics, phases = run_lives(factory, reqs, store, script=script)
+        report = CrashReport.from_lives(metrics, phases, expected)
         assert report.crashes == len(script)
         assert report.recoveries == len(script)
         assert report.token_divergence == 0
@@ -335,13 +331,13 @@ class TestGoldenRun:
         resil = ResilienceConfig()
         base = ServingEngine.from_config(self.CFG, resilience=resil).run(reqs)
         store = CheckpointStore()
-        report = CrashHarness(
+        metrics, phases = run_lives(
             lambda: ServingEngine.from_config(
                 self.CFG, checkpoint=CheckpointConfig(every_steps=4),
                 checkpoint_store=store, resilience=resil),
-            reqs, store, crash_script=[(30, "mid-step")],
-            expected_tokens=tokens_by_stream(base),
-        ).run()
+            reqs, store, script=[(30, "mid-step")],
+        )
+        report = CrashReport.from_lives(metrics, phases, expected_tokens(base))
         assert (report.crashes, report.recoveries) == (1, 1)
         assert report.token_divergence == 0 and report.compared == 24
         assert self._fields(report.metrics) == golden["resumed"]
@@ -376,7 +372,7 @@ class TestCacheAwareRouting:
         assert all(len(chosen) <= 2 for chosen in by_group.values())
 
     def test_cluster_prefix_cache_token_exact(self):
-        from repro.cluster import ClusterConfig, ClusterEngine, expected_tokens
+        from repro.cluster import ClusterConfig, ClusterEngine
 
         reqs = shared_prefix_workload(16, rate=40.0, num_groups=2,
                                       prefix_len=2048)

@@ -16,6 +16,7 @@ from repro.serving import (
     LLAMA_3_1_8B,
     Request,
     ServingEngine,
+    expected_tokens,
 )
 
 MODEL = LLAMA_3_1_8B
@@ -37,8 +38,6 @@ def small_workload(n=10):
     ]
 
 
-def tokens_by_stream(metrics):
-    return {(t.req_id, t.gen_index): t.tokens for t in metrics.traces}
 
 
 def stressful_plan(seed):
@@ -64,9 +63,9 @@ class TestTokenExactness:
 
         stats = chaotic.fault_stats
         assert stats["faults_injected"] > 0
-        expected = tokens_by_stream(baseline)
+        expected = expected_tokens(baseline)
         compared = 0
-        for key, toks in tokens_by_stream(chaotic).items():
+        for key, toks in expected_tokens(chaotic).items():
             if key in expected:
                 assert toks == expected[key], f"stream {key} diverged"
                 compared += 1
@@ -124,8 +123,8 @@ class TestTokenExactness:
         chaotic = engine(fault_plan=fault_plan, resilience=ResilienceConfig()).run(reqs)
         assert fault_plan.consultations("kernel") == sum(launches)
         assert fault_plan.injected["kernel"] > 0 and sum(one_launch) > 0
-        expected = tokens_by_stream(engine(resilience=ResilienceConfig()).run(reqs))
-        for key, toks in tokens_by_stream(chaotic).items():
+        expected = expected_tokens(engine(resilience=ResilienceConfig()).run(reqs))
+        for key, toks in expected_tokens(chaotic).items():
             assert toks == expected.get(key, toks), f"stream {key} diverged"
 
     def test_chaos_is_deterministic(self):
@@ -133,7 +132,7 @@ class TestTokenExactness:
         a = engine(fault_plan=stressful_plan(5)).run(reqs)
         b = engine(fault_plan=stressful_plan(5)).run(reqs)
         assert a.summary() == b.summary()
-        assert tokens_by_stream(a) == tokens_by_stream(b)
+        assert expected_tokens(a) == expected_tokens(b)
 
     def test_detection_off_is_a_load_bearing_negative_control(self):
         """With checksums disabled, injected corruption reaches decoded
@@ -146,10 +145,10 @@ class TestTokenExactness:
             resilience=ResilienceConfig(checksums=False),
         ).run(reqs)
         assert plan.injected["corrupt"] > 0
-        expected = tokens_by_stream(baseline)
+        expected = expected_tokens(baseline)
         divergent = sum(
             toks != expected[key]
-            for key, toks in tokens_by_stream(tainted).items()
+            for key, toks in expected_tokens(tainted).items()
             if key in expected
         )
         assert divergent > 0
@@ -255,7 +254,7 @@ class TestDegradation:
         assert stats["anneal_events"] == 1
         # Degradation changed the backend, not the tokens.
         baseline = engine(resilience=ResilienceConfig()).run(small_workload())
-        assert tokens_by_stream(m) == tokens_by_stream(baseline)
+        assert expected_tokens(m) == expected_tokens(baseline)
 
     def test_degraded_steps_marked_in_trace(self):
         from repro.obs import StepTracer
@@ -313,7 +312,7 @@ class TestRadixCorruption:
         metrics = engine(cfg, resilience=ResilienceConfig(), tracer=tracer).run(reqs)
 
         assert len(metrics.traces) == 3
-        assert tokens_by_stream(metrics) == tokens_by_stream(baseline)
+        assert expected_tokens(metrics) == expected_tokens(baseline)
         assert caches[0].find_corrupted() == []
         assert metrics.fault_stats["checksum_failures"] == 1
         evicted = [e for e in tracer.fault_events if e.action == "evicted"]
