@@ -43,7 +43,7 @@ def run_experiment():
             min(1.0, A100_40G.num_sms / w.num_ctas), w.num_ctas,
         )
         return simulate_queues(
-            w.executor, costs, np.arange(costs.serial.size), w.num_ctas
+            w.executor.run_streams, costs, np.arange(costs.serial.size), w.num_ctas
         ).makespan
 
     without_wt_makespan = (

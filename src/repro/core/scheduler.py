@@ -220,6 +220,12 @@ def _assign_ctas(inc_q: np.ndarray, inc_kv: np.ndarray, num_ctas: int) -> np.nda
     return cta
 
 
+def break_even_step(l_kv: int, break_even_kv: int, granularity: int) -> int:
+    """The first step ``l_kv + k·granularity`` at or past ``break_even_kv >
+    l_kv``: where Step 3's release ends unless it stops early."""
+    return l_kv + granularity * ceil_div(break_even_kv - l_kv, granularity)
+
+
 def _break_even_chunk(
     tiles: np.ndarray,
     kv_lens: np.ndarray,
@@ -228,11 +234,11 @@ def _break_even_chunk(
     granularity: int,
     num_ctas: int,
 ) -> int:
-    """Step 3's release: ``l_kv`` raised by ``granularity`` steps to the
-    first step at or past ``break_even_kv``, or to the first whose items —
-    ``tiles[g]`` tiles of group ``g``, each cut into its KV chunks — fit
-    ``num_ctas``.  All candidate steps are counted in one pass."""
-    steps = l_kv + granularity * np.arange(ceil_div(break_even_kv - l_kv, granularity) + 1)
+    """Step 3's release: ``l_kv`` raised by ``granularity`` steps to
+    :func:`break_even_step`, or to the first step whose items — ``tiles[g]``
+    tiles of group ``g``, each cut into its KV chunks — fit ``num_ctas``.
+    All candidate steps are counted in one pass."""
+    steps = np.arange(l_kv, break_even_step(l_kv, break_even_kv, granularity) + 1, granularity)
     chunks = np.maximum(-(-kv_lens // steps[:, None]), 1)
     fits = chunks @ tiles <= num_ctas
     fits[-1] = True
@@ -366,9 +372,13 @@ def plan_schedule(
         the attention kernel and read back by the contraction (App. D.3).
         Algorithm 1 prices a split as free; a positive value raises its
         ``L_kv`` in ``chunk_granularity`` steps until it reaches this length
-        or the items fit one wave (``items ≤ num_ctas``), whichever comes
-        first — a split below break-even is kept only where it feeds a CTA
-        that would otherwise sit idle.  0 is Algorithm 1 as written.
+        (:func:`break_even_step`) or the items fit one wave (``items ≤
+        num_ctas``), whichever comes first — a split below break-even is
+        kept only where it feeds a CTA that would otherwise sit idle.  A
+        format of a composable stack prices that early stop against
+        ``min_kv_chunk = break_even_step(...)``
+        (``BatchAttentionWrapper._priced_release``).  0 is Algorithm 1 as
+        written.
     """
     qo_lens = np.asarray(qo_lens, dtype=np.int64)
     kv_lens = np.asarray(kv_lens, dtype=np.int64)

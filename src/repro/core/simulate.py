@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -200,6 +200,7 @@ def unsplit_bounds(
     compute_share: float,
     compute_penalty: float = 1.0,
     stacked: bool = False,
+    max_chunk: float = np.inf,
 ) -> Tuple[float, float]:
     """``(longest, total)`` of the unsplit plan for one KV head — group ``g``
     cut into ``q_tiles[g]`` query tiles, each over the group's whole KV
@@ -210,7 +211,12 @@ def unsplit_bounds(
     them, with the L2 reuse of its group (every tile's KV starts at the
     group's first), and gathers with no more transaction waste than a run
     of up to one block has, and writes what :func:`item_footprints` says a
-    ``stacked`` tile writes.  O(groups), no item table."""
+    ``stacked`` tile writes.  O(groups), no item table.
+
+    With a finite ``max_chunk``, ``longest`` bounds instead the longest
+    serial stream of a plan whose KV chunks are at most that long: the first
+    chunk of the group whose last query row sees the most KV is one of its
+    items.  ``total`` stays the unsplit plan's."""
     g_eff = heads.group_size if fuse_head_groups else 1
     d, itemsize = heads.head_dim, kv_dtype.itemsize
     qo, kv = mapping.qo_lens, mapping.kv.kv_lens
@@ -219,7 +225,7 @@ def unsplit_bounds(
         # One past the last KV column of the group's last query row.
         last = mapping.q_pos_offset + qo - mapping.kv_pos_offset
         seen = np.minimum(last, kv)
-    seen = max(float(seen.max(where=q_tiles > 0, initial=0)), 0.0)
+    seen = min(max(float(seen.max(where=q_tiles > 0, initial=0)), 0.0), max_chunk)
     if q_tiles.max(initial=0) > 1:  # later query tiles re-read the KV from L2
         reuse = np.maximum(q_tiles, 1)
         if mapping.causal:  # counted from the first row that sees the first KV column
@@ -418,19 +424,21 @@ def plan_tile_costs(
 
 
 def simulate_queues(
-    executor: PersistentKernelExecutor,
+    launch: Callable[..., SimReport],
     costs: PlanCostArrays,
     cta_of_item: np.ndarray,
     num_ctas: int,
 ) -> SimReport:
-    """Aggregate per-item streams to CTAs and run the shared-bandwidth drain.
+    """Aggregate per-item streams to CTAs and run the shared-bandwidth drain
+    through ``launch`` — an executor's ``run_streams``, or its
+    ``price_streams`` to price a plan without consulting a fault injector.
     ``bincount`` adds each CTA's items in item order, as ``+=`` would."""
     if costs.serial.size:
         serial = np.bincount(cta_of_item, costs.serial, minlength=num_ctas)
         mem = np.bincount(cta_of_item, costs.mem, minlength=num_ctas)
     else:
         serial, mem = np.zeros(num_ctas), np.zeros(num_ctas)
-    return executor.run_streams(
+    return launch(
         serial, mem, float(costs.flops.sum()), float(costs.traffic.sum()),
         int(costs.serial.size),
     )

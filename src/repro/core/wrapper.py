@@ -19,7 +19,7 @@ state any format wrote.
 from __future__ import annotations
 
 import itertools
-from typing import List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from repro.core.scheduler import (
     MERGE_FIELDS,
     MERGE_QROWS,
     SchedulePlan,
+    break_even_step,
     plan_schedule,
     plan_signature,
     whole_kv_tiles,
@@ -227,8 +228,10 @@ class BatchAttentionWrapper:
     def plan_cache(self):
         """Optional duck-typed :class:`repro.serving.PlanCache`, held by the
         executor; when set, :meth:`plan` consults it before recomputing the
-        CPU schedule.  The signature captures every scheduler input, so a
-        hit returns a plan identical to the one it replaces (§3.3.1)."""
+        CPU schedule.  The key is the signature of every scheduler input and
+        whether this wrapper is a format of a stack (which prices Step 3's
+        early stop), so a hit returns a plan identical to the one it
+        replaces (§3.3.1)."""
         return self.executor.plan_cache
 
     @plan_cache.setter
@@ -287,19 +290,25 @@ class BatchAttentionWrapper:
         pages some query row can see, and a batch whose unsplit tiles fit one
         wave is planned unsplit when no split plan could be faster
         (:meth:`_one_launch_wins`).  Both are inputs of the plan signature.
+        One comes after it: a format of a stack prices Step 3's early stop
+        below break-even (:meth:`_priced_release`), so the plan cache keys
+        on whether this wrapper is one.
         """
         bound = self.variant.bind_params(params)
         mapping = self._visible_kv(mapping, bound)
         sched_args, sched_kwargs = self._schedule_inputs(
             mapping, self.split_kv and not self._one_launch_wins(mapping)
         )
+        stacked = self.stack_merges is not None
         cache = self.plan_cache
         plan = None
         if cache is not None:
-            key = plan_signature(*sched_args, **sched_kwargs)
+            key = (plan_signature(*sched_args, **sched_kwargs), stacked)
             plan = cache.get(key)
         if plan is None:
             plan = plan_schedule(*sched_args, **sched_kwargs)
+            if stacked:
+                plan = self._priced_release(plan, mapping, sched_args, sched_kwargs)
             if cache is not None:
                 cache.put(key, plan)
         self._ensure_sections(mapping.num_groups, mapping.total_qo)
@@ -374,12 +383,7 @@ class BatchAttentionWrapper:
         if not 0 < items <= self.num_ctas:
             return False
         peak = self.executor.spec.peak_bandwidth_bytes
-        longest, mem_bound = simulate.unsplit_bounds(
-            q_tiles, mapping, self.heads, self.kv_dtype, self._sched_q_tile,
-            self.fuse_head_groups, self.traits.uses_tensor_cores, self.sparse_gather,
-            self.executor.cost_model, self._compute_share, self.compute_penalty,
-            self.stack_merges is not None,
-        )
+        longest, mem_bound = self._bounds(q_tiles, mapping)
         # The launch takes at least its longest stream and its dispatch.
         least = longest + self.executor.spec.kernel_dispatch_overhead
         if least > self._split_floor(heads * mem_bound / peak) + _PRICE_SLACK:
@@ -389,7 +393,55 @@ class BatchAttentionWrapper:
         serial, mem = np.zeros(self.num_ctas), np.zeros(self.num_ctas)
         serial[:items] = np.repeat(costs.serial, heads)
         mem[:items] = np.repeat(costs.mem, heads)
-        return self.executor.launch_time(serial, mem) <= self._split_floor(mem.sum() / peak)
+        unsplit = self.executor.price_streams(serial, mem).makespan
+        return unsplit <= self._split_floor(mem.sum() / peak)
+
+    def _bounds(self, q_tiles: np.ndarray, mapping: AttentionMapping, max_chunk: float = np.inf):
+        """:func:`simulate.unsplit_bounds` of ``mapping`` on this launch."""
+        return simulate.unsplit_bounds(
+            q_tiles, mapping, self.heads, self.kv_dtype, self._sched_q_tile,
+            self.fuse_head_groups, self.traits.uses_tensor_cores, self.sparse_gather,
+            self.executor.cost_model, self._compute_share, self.compute_penalty,
+            self.stack_merges is not None, max_chunk,
+        )
+
+    def _priced_release(
+        self, plan: SchedulePlan, mapping: AttentionMapping, sched_args: tuple, sched_kwargs: dict
+    ) -> SchedulePlan:
+        """``plan``, or the plan at Step 3's :func:`break_even_step` when
+        that is cheaper for this format of a stack.
+
+        Step 3 stops raising ``L_kv`` below break-even once the items fit one
+        wave, taking the shorter split to feed an otherwise idle CTA.  In a
+        stack every tile writes an fp32 state the one contraction reads back,
+        and a bandwidth-bound launch gains nothing from more CTAs, so both
+        plans are priced as their attention launch, then the contraction of
+        the states they write (:meth:`_price`); the release's wins a tie.
+        As in :meth:`_one_launch_wins`, a bound from the lengths alone comes
+        first: the step plan costs at least its longest stream, a dispatch
+        and one contraction tile, and where that is dearer than the
+        release's price it is neither built nor priced.
+        """
+        break_even = sched_kwargs["break_even_kv"]
+        if not plan.num_partial_slots or plan.kv_chunk_size >= break_even:
+            return plan
+        g_eff = self.heads.group_size if self.fuse_head_groups else 1
+
+        def price(p: SchedulePlan) -> float:
+            merges = simulate.stack_merge_entries([(p.items, mapping)], self._sched_heads, g_eff)
+            return self._price(p, mapping, merges, self.executor.price_streams).makespan
+
+        release = price(plan)
+        step = break_even_step(plan.kv_chunk_size, break_even, sched_kwargs["chunk_granularity"])
+        longest, _ = self._bounds(-(-mapping.qo_lens // self._sched_q_tile), mapping, step)
+        least = (
+            longest + self.executor.spec.kernel_dispatch_overhead
+            + self.executor.cost_model.tile_latency
+        )
+        if least > release + _PRICE_SLACK:
+            return plan
+        full = plan_schedule(*sched_args, **dict(sched_kwargs, min_kv_chunk=step))
+        return full if price(full) < release else plan
 
     def _split_floor(self, bytes_time: float) -> float:
         """The least a split plan moving ``bytes_time`` seconds of bytes at
@@ -455,21 +507,35 @@ class BatchAttentionWrapper:
         over the CTAs in contiguous blocks (``core/simulate.merge_cost_arrays``).
         """
         plan = self._read_plan()
-        costs = self._item_costs(plan.items, self._mapping, plan.q_tile_size)
-        report = simulate.simulate_queues(self.executor, costs, plan.cta_of_item, self.num_ctas)
-        if self.stack_merges is None:
+        merges = self.stack_merges
+        if merges is None:
             g_eff = self.heads.group_size if self.fuse_head_groups else 1
-            n_slots = plan.merge_indptr[1:] - plan.merge_indptr[:-1]
-            rows_eff = plan.merge_meta[:, MERGE_QROWS] * g_eff
-        else:
-            n_slots, rows_eff = self.stack_merges
+            merges = (
+                plan.merge_indptr[1:] - plan.merge_indptr[:-1],
+                plan.merge_meta[:, MERGE_QROWS] * g_eff,
+            )
+        return self._price(plan, self._mapping, merges, self.executor.run_streams)
+
+    def _price(
+        self,
+        plan: SchedulePlan,
+        mapping: AttentionMapping,
+        merges: Tuple[np.ndarray, np.ndarray],
+        launch: Callable[..., SimReport],
+    ) -> SimReport:
+        """``plan``'s attention launch, then the contraction launch of
+        ``merges = (n_slots, rows_eff)`` where there are any, each drained by
+        ``launch`` (the executor's ``run_streams``, or ``price_streams``)."""
+        costs = self._item_costs(plan.items, mapping, plan.q_tile_size)
+        report = simulate.simulate_queues(launch, costs, plan.cta_of_item, self.num_ctas)
+        n_slots, rows_eff = merges
         if n_slots.size:
             mcosts = simulate.merge_cost_arrays(
                 n_slots, rows_eff, self.heads.head_dim, self.executor.cost_model,
                 self._compute_share, self.num_ctas,
             )
             contraction = simulate.simulate_queues(
-                self.executor, mcosts, np.arange(mcosts.serial.size), self.num_ctas
+                launch, mcosts, np.arange(mcosts.serial.size), self.num_ctas
             )
             report = report.then(self.executor.follow(report, contraction))
         return report

@@ -228,6 +228,14 @@ class PersistentKernelExecutor:
         fault stretches them in place); the totals are reported as given."""
         if self.fault_injector is not None:
             self._consult_injector(serial, mem)
+        return self.price_streams(serial, mem, total_flops, total_bytes, num_tiles)
+
+    def price_streams(
+        self, serial: np.ndarray, mem: np.ndarray,
+        total_flops: float = 0.0, total_bytes: float = 0.0, num_tiles: int = 0,
+    ) -> SimReport:
+        """The report :meth:`run_streams` gives these streams when no fault
+        fires — a price for planning, so no fault is consulted."""
         finish = self._finish_times(serial, mem)
         drain = float(finish.max(initial=0.0))
         return SimReport(drain + self.spec.kernel_dispatch_overhead, total_flops, total_bytes,
@@ -249,12 +257,6 @@ class PersistentKernelExecutor:
         hidden = min(prev.drain, self.spec.kernel_dispatch_overhead)
         return SimReport(launch.makespan - hidden, launch.total_flops, launch.total_bytes,
                          launch.num_tiles, launch.num_ctas, launch.per_cta_time, launch.drain)
-
-    def launch_time(self, serial: np.ndarray, mem: np.ndarray) -> float:
-        """The makespan :meth:`run_streams` reports for these per-CTA streams
-        when no fault fires — a price for planning, so no fault is consulted."""
-        finish = self._finish_times(serial, mem)
-        return float(finish.max(initial=0.0)) + self.spec.kernel_dispatch_overhead
 
     def _finish_times(self, serial: np.ndarray, mem: np.ndarray) -> np.ndarray:
         """Per-CTA finish times of a persistent grid of ``serial.size`` CTAs."""

@@ -111,7 +111,9 @@ class TestEquivalence:
 class TestUnsplitBounds:
     """``simulate.unsplit_bounds`` screens the one-launch rule from the lengths
     alone: its serial bound never exceeds the longest stream the unsplit plan
-    is priced with, its byte bound never falls below their sum."""
+    is priced with, its byte bound never falls below their sum.  Capped at a
+    plan's KV chunk, the serial bound never exceeds that plan's longest
+    stream (the screen of a stacked format's priced release)."""
 
     @given(
         st.lists(
@@ -124,12 +126,13 @@ class TestUnsplitBounds:
         st.sampled_from([HeadConfig(32, 8, 128), HeadConfig(4, 2, 16), HeadConfig(8, 8, 64)]),
         st.sampled_from([StorageDType.FP16, StorageDType.FP8_E4M3]),
         st.sampled_from([1, 16, 64]), st.booleans(), st.booleans(), st.booleans(),
-        st.booleans(),
+        st.booleans(), st.sampled_from([64, 192, 320]),
     )
     @settings(max_examples=120, deadline=None, derandomize=True)
-    def test_bounds_hold(self, groups, heads, kv_dtype, page, causal, sparse, fuse, stacked):
+    def test_bounds_hold(self, groups, heads, kv_dtype, page, causal, sparse, fuse, stacked,
+                         chunk):
         from repro.core import simulate
-        from repro.core.scheduler import whole_kv_tiles
+        from repro.core.scheduler import plan_schedule, whole_kv_tiles
         from repro.gpu import H100_80G
 
         qo, kv = [g[0] for g in groups], [g[1] for g in groups]
@@ -154,3 +157,15 @@ class TestUnsplitBounds:
         )
         assert longest <= costs.serial.max(initial=0.0) * (1 + 1e-12) or not tiles.size
         assert total >= costs.mem.sum() * (1 - 1e-12)
+
+        plan = plan_schedule(
+            mapping.qo_lens, mapping.kv.kv_lens, w._sched_q_tile, w.num_ctas,
+            min_kv_chunk=chunk, chunk_granularity=w.kv_tile,
+        )
+        costs = w._item_costs(plan.items, mapping, w._sched_q_tile)
+        longest, _ = simulate.unsplit_bounds(
+            -(-mapping.qo_lens // w._sched_q_tile), mapping, heads, kv_dtype, w._sched_q_tile,
+            fuse, w.traits.uses_tensor_cores, sparse, w.executor.cost_model,
+            w._compute_share, w.compute_penalty, stacked, plan.kv_chunk_size,
+        )
+        assert longest <= costs.serial.max(initial=0.0) * (1 + 1e-12) or not plan.items.size

@@ -9,7 +9,7 @@ import reference_scheduler
 from conftest import fp16, make_paged_mapping, make_shared_prefix_mapping
 from repro import BatchAttentionWrapper, ComposableAttentionWrapper, WorkspaceBuffer
 from repro.core import HeadConfig, VANILLA, plan_schedule, reference_attention, simulate
-from repro.core.scheduler import whole_kv_tiles
+from repro.core.scheduler import break_even_step, plan_signature, whole_kv_tiles
 from repro.core.wrapper import break_even_kv_len
 from repro.gpu import A100_40G, H100_80G
 from repro.sparse import decompose_shared_prefix
@@ -69,7 +69,32 @@ def exact_one_launch(w, mapping):
         floor = dispatch + max(attention, dispatch) + w.executor.cost_model.tile_latency
     else:
         floor = 2 * dispatch + attention + w.executor.cost_model.tile_latency
-    return w.executor.launch_time(serial, mem) <= floor
+    return w.executor.price_streams(serial, mem).makespan <= floor
+
+
+def stack_price(w, plan, mapping):
+    """``plan``'s makespan as ``w.run`` reports it; for a format of a stack,
+    with the stack's one contraction over the states ``plan`` writes alone
+    (no other format covers a row).  Leaves ``plan`` staged in ``w``."""
+    w._write_plan(plan)
+    if w.stack_merges is not None:
+        w.stack_merges = simulate.stack_merge_entries(
+            [(plan.items, mapping)], w._sched_heads, w.heads.group_size
+        )
+    return w._simulate_fast().makespan
+
+
+def release_candidates(w, mapping):
+    """The plans a format of a stack chooses between: Algorithm 1 with the
+    break-even release and, where that stopped below ``L*`` with a split,
+    the plan at the first KV-tile step at or past ``L*``."""
+    args, kwargs = w._schedule_inputs(mapping, w.split_kv and not w._one_launch_wins(mapping))
+    release = plan_schedule(*args, **kwargs)
+    l_star = kwargs["break_even_kv"]
+    if not release.num_partial_slots or release.kv_chunk_size >= l_star:
+        return [release]
+    step = break_even_step(release.kv_chunk_size, l_star, w.kv_tile)
+    return [release, plan_schedule(*args, **dict(kwargs, min_kv_chunk=step))]
 
 
 @st.composite
@@ -507,9 +532,11 @@ class TestBreakEvenSplit:
     @settings(max_examples=80, deadline=None, derandomize=True)
     def test_never_slower_than_algorithm_1(self, gpu, batch, kv_dtype, stacked):
         """The chosen plan is priced no higher than Algorithm 1's with the
-        break-even release, and differs from it only by being unsplit; the
-        bound that screens the rule never changes its answer.  On A100 the
-        contraction pays its whole dispatch, on H100 it may hide it."""
+        break-even release, and differs from it only by being unsplit or,
+        for a format of a stack, by the chunk size of Step 3's priced early
+        stop; the bound that screens the one-launch rule never changes its
+        answer.  On A100 the contraction pays its whole dispatch, on H100 it
+        may hide it."""
         qo, kv = batch
         w = BatchAttentionWrapper(
             VANILLA, self.HEADS, WorkspaceBuffer(1 << 27), gpu,
@@ -525,23 +552,22 @@ class TestBreakEvenSplit:
         args, kwargs = w._schedule_inputs(mapping, True)
         algorithm_1 = plan_schedule(*args, **kwargs)
         if chosen != algorithm_1:
-            assert unsplit and chosen.num_partial_slots == 0
-            assert chosen.kv_chunk_size == max(kv)
+            if unsplit:
+                assert chosen.num_partial_slots == 0
+                assert chosen.kv_chunk_size == max(kv)
+            else:
+                assert stacked and chosen == release_candidates(w, mapping)[-1]
+                assert algorithm_1.kv_chunk_size < kwargs["break_even_kv"] <= chosen.kv_chunk_size
 
-        def price(plan):
-            w._write_plan(plan)
-            if stacked:  # the stack's one contraction, where no other format covers a row
-                w.stack_merges = simulate.stack_merge_entries(
-                    [(plan.items, mapping)], w._sched_heads, self.HEADS.group_size
-                )
-            return w._simulate_fast().makespan
+        assert stack_price(w, chosen, mapping) <= stack_price(w, algorithm_1, mapping)
 
-        assert price(chosen) <= price(algorithm_1)
-
-    def test_cascade_prefix_still_fills_the_grid(self):
+    def test_cascade_prefix_splits_at_break_even(self):
         """One group of 12 decode queries (48 fused rows) over a 1 008-token
-        shared prefix is 8 tiles, one per KV head: its split below
-        break-even is what keeps the grid busy."""
+        shared prefix is 8 tiles, one per KV head.  Algorithm 1 cuts them
+        into 64-token chunks, which fit one wave, below the 97-token
+        break-even; but in a stack every tile writes an fp32 state the
+        contraction reads back, and the 128-token plan's 8 states per
+        (row, head) pair price below the 64-token plan's 16."""
         mapping, _, clusters = make_shared_prefix_mapping(1, 12, 1008, 16)
         comp = decompose_shared_prefix(mapping, clusters)
         cw = ComposableAttentionWrapper(VANILLA, self.HEADS, WorkspaceBuffer(1 << 27), H100_80G)
@@ -549,6 +575,84 @@ class TestBreakEvenSplit:
         w, prefix = cw.wrappers[0], comp.mappings[0]
         assert (prefix.num_groups, int(prefix.qo_lens[0]), int(prefix.kv.kv_lens[0])) == (1, 12, 1008)
         plan = w._read_plan()
-        assert_same_plan(plan, self._algorithm_1(w, prefix))
-        assert plan.kv_chunk_size < break_even_kv_len(48, 128, StorageDType.FP16) == 97
-        assert plan.num_partial_slots == -(-1008 // plan.kv_chunk_size) * self.HEADS.num_kv_heads
+        release, full = release_candidates(w, prefix)
+        assert_same_plan(release, self._algorithm_1(w, prefix))
+        assert release.kv_chunk_size == 64 < break_even_kv_len(48, 128, StorageDType.FP16) == 97
+        assert_same_plan(plan, full)
+        assert plan.kv_chunk_size == 128
+        assert plan.num_partial_slots == 8 * self.HEADS.num_kv_heads
+        assert stack_price(w, plan, prefix) < stack_price(w, release, prefix)
+
+    def test_plan_cache_keeps_stacked_and_plain_plans_apart(self):
+        """A plain wrapper and a format of a stack with equal scheduler
+        inputs share one executor's plan cache: each gets its own plan,
+        whichever plans first."""
+        from repro.gpu.executor import PersistentKernelExecutor
+        from repro.serving import PlanCache
+
+        mapping, _, clusters = make_shared_prefix_mapping(1, 12, 1008, 16)
+        comp = decompose_shared_prefix(mapping, clusters)
+        prefix = comp.mappings[0]
+        for stack_first in (True, False):
+            executor = PersistentKernelExecutor(H100_80G)
+            executor.plan_cache = PlanCache()
+            cw = ComposableAttentionWrapper(
+                VANILLA, self.HEADS, WorkspaceBuffer(1 << 27), H100_80G, executor=executor
+            )
+            plain = BatchAttentionWrapper(
+                VANILLA, self.HEADS, WorkspaceBuffer(1 << 27), H100_80G, avg_qo_len=12.0,
+                executor=executor,
+            )
+            steps = [lambda: cw.plan(comp), lambda: plain.plan(prefix)]
+            for step in steps if stack_first else steps[::-1]:
+                step()
+            stacked = cw.wrappers[0]
+            signatures = [
+                plan_signature(*args, **kwargs)
+                for args, kwargs in (w._schedule_inputs(prefix, True) for w in (stacked, plain))
+            ]
+            assert signatures[0] == signatures[1]
+            assert len(executor.plan_cache) == 3  # the stack's two formats and the plain plan
+            assert stacked._read_plan().kv_chunk_size == 128
+            assert_same_plan(plain._read_plan(), self._algorithm_1(plain, prefix))
+            assert plain._read_plan().kv_chunk_size == 64
+
+    @pytest.mark.parametrize("gpu", [A100_40G, H100_80G], ids=["A100", "H100"])
+    @given(
+        clusters=st.integers(1, 2), members=st.integers(2, 12),
+        prefix_pages=st.integers(2, 64), suffix=st.integers(1, 80),
+        queries=st.sampled_from([1, 1, 4, 16]),
+        kv_dtype=st.sampled_from([StorageDType.FP16, StorageDType.FP8_E4M3]),
+    )
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_a_stack_never_chooses_the_dearer_release(
+        self, gpu, clusters, members, prefix_pages, suffix, queries, kv_dtype
+    ):
+        """Over decode and prefill prefix + suffix stacks, each format's plan
+        is one of its candidates and prices no higher than either, and the
+        stack's output stays within 1e-6 of the dense oracle."""
+        from repro.utils.dtypes import round_to_storage
+
+        heads = HeadConfig(8, 2, 32)
+        mapping, slots, cl = make_shared_prefix_mapping(
+            clusters, members, 16 * prefix_pages, suffix, qo_per_stream=min(queries, suffix)
+        )
+        rng = np.random.default_rng(prefix_pages)
+        q = rng.standard_normal((mapping.total_qo, 8, 32))
+        k_pool, v_pool = rng.standard_normal((2, slots, 2, 32))
+        cw = ComposableAttentionWrapper(
+            VANILLA, heads, WorkspaceBuffer(1 << 27), gpu, kv_dtype=kv_dtype
+        )
+        cw.plan(decompose_shared_prefix(mapping, cl))
+        out, _ = cw.run(q, k_pool, v_pool)
+        for r in range(mapping.num_groups):
+            sl = mapping.kv.slot_indices(r)
+            k, v = (round_to_storage(p[sl], kv_dtype).astype(np.float64) for p in (k_pool, v_pool))
+            s0, s1 = mapping.qo_indptr[r], mapping.qo_indptr[r + 1]
+            np.testing.assert_allclose(out[s0:s1], reference_attention(q[s0:s1], k, v, causal=True),
+                                       atol=1e-6)
+        for w in cw.wrappers:
+            chosen, fmt = w._read_plan(), w._mapping
+            candidates = release_candidates(w, fmt)
+            assert any(chosen == c for c in candidates)
+            assert stack_price(w, chosen, fmt) <= min(stack_price(w, c, fmt) for c in candidates)

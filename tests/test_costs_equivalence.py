@@ -269,7 +269,7 @@ def _contraction(executor, n_slots, rows, head_dim, num_ctas):
         n_slots, rows, head_dim, executor.cost_model,
         min(1.0, executor.spec.num_sms / num_ctas), num_ctas,
     )
-    return costs, simulate_queues(executor, costs, np.arange(costs.serial.size), num_ctas)
+    return costs, simulate_queues(executor.run_streams, costs, np.arange(costs.serial.size), num_ctas)
 
 
 @FIXED
@@ -333,12 +333,14 @@ CASCADE = SimpleNamespace(
 
 def test_shared_prefix_contraction_is_spread_over_the_grid():
     """The prefix format is one group of 12 queries × 4 fused GQA rows, its
-    KV split into 16 slots per KV head.  One CTA per merge entry put the
-    contraction of those slots on 8 of 264 CTAs, at 6.52 µs longer than
-    their 4.15 µs attention launch; the stack's one contraction, which also
-    folds the suffix's states, deals its pairs over the grid."""
+    KV split into 8 slots per KV head: 128-token chunks, the first KV-tile
+    step past its 97-token break-even, price below Algorithm 1's 64-token
+    ones in the stack.  One CTA per merge entry put the contraction of 16
+    such slots on 8 of 264 CTAs, at 6.52 µs longer than their 4.15 µs
+    attention launch; the stack's one contraction, which also folds the
+    suffix's states, deals its pairs over the grid."""
     prefix, suffix = _kernel_batch_call(CASCADE, 16).wrappers
-    assert set(np.diff(prefix._read_plan().merge_indptr)) == {16}
+    assert set(np.diff(prefix._read_plan().merge_indptr)) == {8}
     _, (_, contraction) = _launches(suffix.executor, suffix._simulate_fast)
     assert contraction.makespan <= 3e-6
     assert contraction.makespan < prefix._simulate_fast().makespan
@@ -347,7 +349,7 @@ def test_shared_prefix_contraction_is_spread_over_the_grid():
 def test_a_stack_is_its_attention_launches_and_one_contraction():
     """The shared-prefix call is three launches: each format's attention
     launch, then the suffix format's contraction.  It reads each of the
-    12 × 32 (query row, query head) pairs' 16 prefix states and one or two
+    12 × 32 (query row, query head) pairs' 8 prefix states and one or two
     suffix states once, and writes the row once.  Launch for launch, bit
     for bit, it is the oracle's."""
     stack = _kernel_batch_call(CASCADE, 16)
@@ -355,7 +357,7 @@ def test_a_stack_is_its_attention_launches_and_one_contraction():
     assert [col.size for col in prefix.stack_merges] == [0, 0]
     own = np.bincount(suffix._read_plan().items[:, COL_GROUP], minlength=12) // 8
     assert set(own.tolist()) == {1, 2}  # the two longest suffixes split
-    states = np.repeat(16 + own, 32)
+    states = np.repeat(8 + own, 32)
     n_slots, pairs = suffix.stack_merges
     assert (int(pairs.sum()), int((n_slots * pairs).sum())) == (384, states.sum())
 

@@ -122,7 +122,7 @@ class TestPersistentExecutor:
         assert rep.total_flops == 11.0
         assert rep.num_tiles == 2
 
-    def test_launch_time_is_the_fault_free_makespan_and_draws_no_fault(self):
+    def test_price_streams_is_the_fault_free_report_and_draws_no_fault(self):
         import numpy as np
 
         from repro.faults import FaultPlan
@@ -130,9 +130,10 @@ class TestPersistentExecutor:
         rng = np.random.default_rng(3)
         serial, mem = rng.random(264) * 1e-6, rng.random(264) * 1e6
         exe = PersistentKernelExecutor(H100_80G)
-        want = exe.run_streams(serial.copy(), mem.copy(), 0.0, 0.0, 264).makespan
+        want = exe.run_streams(serial.copy(), mem.copy(), 1.0, 2.0, 264)
         exe.fault_injector = FaultPlan(schedules={"kernel": [0], "straggler": [0]})
-        assert exe.launch_time(serial, mem) == want
+        assert exe.price_streams(serial, mem, 1.0, 2.0, 264) == want
+        assert exe.price_streams(serial, mem).makespan == want.makespan
         assert exe.fault_injector.consultations("kernel") == 0
 
 
