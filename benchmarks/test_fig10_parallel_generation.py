@@ -21,11 +21,9 @@ import numpy as np
 import pytest
 
 from conftest import emit_table
-from repro.core import HeadConfig
 from repro.gpu import H100_80G
 from repro.serving import (
     EngineConfig,
-    FlashInferBackend,
     LLAMA_3_1_8B,
     LLAMA_3_1_70B,
     ServingEngine,
@@ -53,20 +51,16 @@ def agent_workload(n_req, rate, seed, n):
 def run_experiment():
     rows = []
     for model, tp in ((LLAMA_3_1_8B, 1), (LLAMA_3_1_70B, 4)):
-        heads = HeadConfig(
-            model.num_qo_heads // tp, max(model.num_kv_heads // tp, 1), model.head_dim
-        )
         for n in N_VALUES:
             requests = agent_workload(NUM_REQUESTS, RATE, 3, n)
             summaries = {}
             for composable in (False, True):
-                backend = FlashInferBackend(heads, H100_80G, composable=composable)
-                engine = ServingEngine(
-                    model, backend, H100_80G,
+                engine = ServingEngine.from_config(
                     EngineConfig(
                         max_running=1024, composable=composable,
                         num_pool_pages=1 << 18, tensor_parallel=tp,
                     ),
+                    model=model, gpu=H100_80G,
                 )
                 summaries[composable] = engine.run(requests).summary()
             d_itl = 1 - summaries[True]["median_itl"] / summaries[False]["median_itl"]

@@ -14,7 +14,6 @@ non-attention kernels/allreduce), especially for 70B.
 import pytest
 
 from conftest import emit_table
-from repro.core import HeadConfig
 from repro.gpu import H100_80G
 from repro.serving import (
     EngineConfig,
@@ -42,19 +41,15 @@ BACKENDS = [FlashInferBackend, TritonBackend, TRTLLMBackend]
 def run_experiment():
     rows = []
     for model, tp, wname, factory in CONFIGS:
-        heads = HeadConfig(
-            model.num_qo_heads // tp, max(model.num_kv_heads // tp, 1), model.head_dim
-        )
         requests = factory()
         for make in BACKENDS:
-            backend = make(heads, H100_80G)
-            engine = ServingEngine(
-                model, backend, H100_80G,
+            engine = ServingEngine.from_config(
                 EngineConfig(max_running=512, tensor_parallel=tp),
+                model=model, gpu=H100_80G, backend_factory=make,
             )
             s = engine.run(requests).summary()
             rows.append(
-                (model.name, wname, backend.name,
+                (model.name, wname, engine.backend.name,
                  s["median_itl"] * 1e3, s["median_ttft"] * 1e3, s["p99_ttft"] * 1e3)
             )
     return rows

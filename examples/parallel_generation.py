@@ -28,7 +28,7 @@ def main() -> None:
         requests = sharegpt_workload(num_requests=24, rate=16.0, seed=1, n=n)
         itl = {}
         for composable in (False, True):
-            backend = FlashInferBackend(heads, H100_80G, composable=composable)
+            backend = FlashInferBackend(heads, H100_80G)
             engine = ServingEngine(
                 model, backend, H100_80G,
                 EngineConfig(max_running=1024, composable=composable),

@@ -505,6 +505,7 @@ def _serve_recover(args, model) -> int:
     """The ``serve --recover`` cold start: open the journal directory from
     a previous (killed) ``serve --checkpoint-every N --journal DIR`` run,
     load and verify the latest snapshot, and resume it to completion."""
+    from repro.cluster.tp import plan_tp_sharding
     from repro.faults import FaultPlan
     from repro.serving import (
         CheckpointConfig, DirectoryStore, NoSnapshotError, RecoveryManager,
@@ -515,6 +516,11 @@ def _serve_recover(args, model) -> int:
     if not args.journal:
         print("serve --recover needs --journal DIR (the directory the "
               "crashed run was journaling to)", file=sys.stderr)
+        return 2
+    try:
+        plan_tp_sharding(model, args.tp)
+    except ValueError as exc:
+        print(f"serve: {exc}", file=sys.stderr)
         return 2
     store = DirectoryStore(args.journal)
     try:

@@ -26,7 +26,7 @@ import numpy as np
 from repro.core.jit import KernelTraits, get_kernel
 from repro.core.kernels import HeadConfig, run_mapping
 from repro.core.scheduler import MergeEntry, SchedulePlan, WorkItem
-from repro.core.variant import VANILLA, AttentionVariant
+from repro.core.variant import VANILLA
 from repro.gpu.cost import KernelCostModel, TileCost
 from repro.gpu.executor import PersistentKernelExecutor, SimReport
 from repro.gpu.spec import A100_40G, GPUSpec
@@ -39,6 +39,8 @@ FA2_PREFILL_TILE = (128, 64)
 FA3_PREFILL_TILE = (128, 128)
 FA2_DECODE_TILE = (128, 64)  # decode reuses the prefill kernel (suboptimal)
 FA3_DECODE_TILE = (64, 128)
+#: The library's KV storage precision in every comparison here.
+KV_DTYPE = StorageDType.FP16
 
 
 class FlashAttentionBaseline:
@@ -49,8 +51,6 @@ class FlashAttentionBaseline:
         heads: HeadConfig,
         gpu: GPUSpec = A100_40G,
         version: str = "fa2",
-        kv_dtype: StorageDType = StorageDType.FP16,
-        variant: AttentionVariant = VANILLA,
         cost_model: Optional[KernelCostModel] = None,
     ):
         if version not in ("fa2", "fa3"):
@@ -58,8 +58,6 @@ class FlashAttentionBaseline:
         self.heads = heads
         self.gpu = gpu
         self.version = version
-        self.kv_dtype = kv_dtype
-        self.variant = variant
         self.executor = PersistentKernelExecutor(gpu, cost_model)
         self.last_report: Optional[SimReport] = None
 
@@ -154,7 +152,7 @@ class FlashAttentionBaseline:
             n_partials, sched_q_tile, kv_tile,
         )
         costs = item_cost_arrays(
-            plan.items, mapping, self.heads, kv_tile, self.kv_dtype, sched_q_tile,
+            plan.items, mapping, self.heads, kv_tile, KV_DTYPE, sched_q_tile,
             fuse_head_groups=True,
             uses_tensor_cores=sched_q_tile * self.heads.group_size >= 16,
             sparse_gather=sparse_gather,
@@ -184,19 +182,19 @@ class FlashAttentionBaseline:
             lse = np.full((q.shape[0], self.heads.num_qo_heads), -np.inf)
             traits = KernelTraits(
                 head_dim=self.heads.head_dim, q_tile=max(sched_q_tile, 1),
-                kv_tile=kv_tile, is_sparse=sparse_gather, kv_dtype=self.kv_dtype,
+                kv_tile=kv_tile, is_sparse=sparse_gather, kv_dtype=KV_DTYPE,
                 backend="fa2",
             )
-            kernel = get_kernel(self.variant, traits)
+            kernel = get_kernel(VANILLA, traits)
             n_slots = max(n_partials, 1)
             rows_eff = sched_q_tile * self.heads.group_size
             partial_o = np.zeros((n_slots, rows_eff, self.heads.head_dim), dtype=np.float32)
             partial_lse = np.full((n_slots, rows_eff), -np.inf, dtype=np.float32)
             run_mapping(
                 q, k_pool, v_pool, mapping, plan, kernel, self.heads,
-                self.variant.bind_params({}), 1.0 / np.sqrt(self.heads.head_dim),
+                VANILLA.bind_params({}), 1.0 / np.sqrt(self.heads.head_dim),
                 kv_tile, out, lse, partial_o, partial_lse,
-                kv_dtype=self.kv_dtype, fuse_head_groups=True,
+                kv_dtype=KV_DTYPE, fuse_head_groups=True,
                 sparse_gather=sparse_gather,
             )
         self.last_report = report

@@ -37,7 +37,6 @@ def rope_kernel_report(
     num_heads: int,
     head_dim: int,
     gpu: GPUSpec = A100_40G,
-    itemsize: int = _Q_ITEMSIZE,
 ) -> SimReport:
     """Cost of a standalone RoPE kernel over ``n_tokens`` per-head rows.
 
@@ -47,7 +46,7 @@ def rope_kernel_report(
     exe = PersistentKernelExecutor(gpu)
     total = n_tokens * num_heads
     per_sm = ceil_div_f(total, gpu.num_sms)
-    bytes_per_row = head_dim * itemsize
+    bytes_per_row = head_dim * _Q_ITEMSIZE
     tile = TileCost(
         flops=6.0 * per_sm * head_dim,
         padded_flops=6.0 * per_sm * head_dim,
@@ -131,7 +130,6 @@ def unfused_rope_attention(
     q_pos: np.ndarray,
     kv_pos: np.ndarray,
     causal: bool = True,
-    sm_scale: Optional[float] = None,
     rope_theta: float = 10000.0,
 ) -> np.ndarray:
     """Numeric oracle for the unfused pipeline: rotate, then attend.
@@ -146,5 +144,5 @@ def unfused_rope_attention(
     q_rot = np.stack([apply_rope(q[:, h], q_pos, rope_theta) for h in range(h_q)], axis=1)
     k_rot = np.stack([apply_rope(k[:, h], kv_pos, rope_theta) for h in range(h_kv)], axis=1)
     return reference_attention(
-        q_rot, k_rot, v, causal=causal, sm_scale=sm_scale, q_pos=q_pos, kv_pos=kv_pos
+        q_rot, k_rot, v, causal=causal, q_pos=q_pos, kv_pos=kv_pos
     )

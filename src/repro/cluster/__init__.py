@@ -84,7 +84,6 @@ _LAZY = {
     "FailoverReport": "failover",
     "FailureDetector": "failover",
     "HEALTH_STATES": "failover",
-    "HealthSchedule": "failover",
     "HealthTransition": "failover",
     "IllegalTransitionError": "failover",
     "KVMigrator": "failover",

@@ -15,11 +15,12 @@ replica serving any subset of the workload emits exactly the tokens the
 single-GPU run would (:meth:`ClusterMetrics.token_divergence` checks
 every stream against a reference run's tokens).
 
-Fault injection composes with the existing layers: ``link_faults``
-install bandwidth-derating windows on the shared topology (steps priced
-inside a window slow down), and ``replica_failures`` script replica
-deaths (or drains); :meth:`ClusterEngine._run_replica` recovers them in
-place or through the :mod:`repro.cluster.failover` pipeline.  Either way
+Fault injection composes with the existing layers:
+:meth:`~repro.cluster.topology.Topology.degrade` windows on the shared
+topology slow the steps priced inside them, and ``replica_failures``
+script replica deaths (or drains); :meth:`ClusterEngine._run_replica`
+recovers them in place or through the :mod:`repro.cluster.failover`
+pipeline.  Either way
 the cluster completes with ``token_divergence=0``.
 """
 
@@ -144,9 +145,6 @@ class ClusterMetrics:
     #: :class:`~repro.cluster.failover.FailoverReport` when the run had
     #: failover configured; ``None`` otherwise (summaries unchanged).
     failover: Optional[object] = None
-    #: Arrivals held at the front door because every replica was
-    #: unhealthy (queued until the first rejoin, never dropped).
-    held_requests: int = 0
     #: :class:`~repro.serving.overload.OverloadReport` when the run had
     #: the overload layer configured; ``None`` otherwise (summaries
     #: unchanged).
@@ -240,8 +238,6 @@ class ClusterMetrics:
             out["cluster_recoveries"] = float(
                 sum(r.recoveries for r in self.crash_reports if r is not None)
             )
-        if self.held_requests:
-            out["cluster_held_requests"] = float(self.held_requests)
         if self.failover is not None:
             # Failover/migration counters, only on failover-enabled runs.
             out.update(self.failover.summary())
@@ -270,13 +266,10 @@ HEDGE_MIN_SAMPLES = 8
 class ClusterEngine:
     """Route a workload across ``dp`` tensor-parallel serving replicas.
 
-    ``backend_factory(heads, gpu)`` builds each replica's attention
-    backend from the per-shard head config (default FlashInfer).
-    ``trace=True`` attaches one :class:`~repro.obs.StepTracer` per
-    replica (:meth:`trace_processes` feeds
-    :func:`repro.obs.write_cluster_trace`).  ``link_faults`` is a
-    sequence of ``(t_start, t_end, factor)`` bandwidth deratings on the
-    shared topology.
+    Each replica serves through a FlashInfer backend over its per-shard
+    head config.  ``trace=True`` attaches one
+    :class:`~repro.obs.StepTracer` per replica (:meth:`trace_processes`
+    feeds :func:`repro.obs.write_cluster_trace`).
 
     ``replica_failures`` maps replica index → a
     :class:`~repro.cluster.failover.ReplicaFailure` (or a sequence of
@@ -286,9 +279,7 @@ class ClusterEngine:
     :meth:`_run_replica`'s business (without
     :attr:`ClusterConfig.failover` a drain raises — a drain *is* a
     migration).  ``fault_plan``'s ``link`` site injects transfer faults
-    into migrations and handoffs.  ``health_schedule`` feeds known
-    unhealthy windows into the routing pass (skip, backpressure, and
-    hold-at-the-door when everything is down).
+    into migrations and handoffs.
 
     With :attr:`ClusterConfig.roles` set the cluster runs *disaggregated*:
     prefill-pool replicas run prompts only and hand the finished KV off to
@@ -302,9 +293,9 @@ class ClusterEngine:
     because nothing flows against the arrows:
 
     * :meth:`route` is a pre-pass over the fluid
-      :class:`~repro.cluster.router.LoadTracker`, the health schedule and
-      the breakers; it reads no engine state, so every request list is
-      fixed before any engine runs.
+      :class:`~repro.cluster.router.LoadTracker` and the breakers; it
+      reads no engine state, so every request list is fixed before any
+      engine runs.
     * A replica reads its own request list (a decode replica: its
       imports) and writes its own metrics, sink and tracer.  Replicas of
       one stage share only the topology's additive traffic counters and
@@ -332,12 +323,9 @@ class ClusterEngine:
         model,
         gpu,
         config: Optional[ClusterConfig] = None,
-        backend_factory=None,
         trace: bool = False,
-        link_faults: Sequence[Tuple[float, float, float]] = (),
         replica_failures: Optional[Dict[int, object]] = None,
         fault_plan=None,
-        health_schedule=None,
     ):
         self.model = model
         self.gpu = gpu
@@ -348,15 +336,8 @@ class ClusterEngine:
         #: Validated head sharding (raises on non-divisible tp up front).
         self.sharding = plan_tp_sharding(model, cfg.tp)
         self.topology = Topology.preset(cfg.topology, world=cfg.tp * cfg.dp)
-        for t0, t1, factor in link_faults:
-            self.topology.degrade(t0, t1, factor)
         #: Resolved routing policy (raises on an unknown name).
         self.router = get_routing_policy(cfg.router)
-        if backend_factory is None:
-            from repro.serving.backends import FlashInferBackend
-
-            backend_factory = FlashInferBackend
-        self.backend_factory = backend_factory
         #: Disaggregated role partition ``(prefill_ids, decode_ids)``, or
         #: ``None`` for the colocated cluster.
         self.roles: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]] = None
@@ -404,10 +385,6 @@ class ClusterEngine:
         #: Cluster-level :class:`~repro.faults.FaultPlan` (``replica`` and
         #: ``link`` sites); independent of any per-engine chaos plan.
         self.fault_plan = fault_plan
-        #: Optional :class:`~repro.cluster.failover.HealthSchedule` the
-        #: routing pass consults.
-        self.health_schedule = health_schedule
-        self._held_requests = 0
         # Overload-layer state, populated by route()/run() when
         # ``config.overload`` is set; None/empty otherwise.
         self._overload_report = None
@@ -468,7 +445,6 @@ class ClusterEngine:
         )
         engine = ServingEngine.from_config(
             cfg, model=self.model, gpu=self.gpu,
-            backend_factory=self.backend_factory,
             tracer=tracer, resilience=ResilienceConfig(),
             checkpoint=checkpoint, checkpoint_store=store,
             interconnect=interconnect,
@@ -497,17 +473,14 @@ class ClusterEngine:
 
         Returns ``(per_replica_requests, assignments)``; each replica list
         stays arrival-sorted (routing walks the global arrival order).
-        With a ``health_schedule``, the pass skips replicas that are down
-        at a request's arrival (backpressuring them in the load tracker),
-        and when *every* replica is down it holds the arrival at the
-        front door until the first rejoin — queued, never dropped.
 
         With :attr:`ClusterConfig.overload` set, the workload first passes
         the tenant-aware :class:`~repro.serving.overload.FrontDoor`
         (rate-limit + seeded client retries), per-replica
-        :class:`~repro.cluster.router.CircuitBreaker` masks fold into the
-        health mask, seeded dispatch timeouts strike breakers and
-        re-dispatch, and slow dispatches hedge onto a second replica —
+        :class:`~repro.cluster.router.CircuitBreaker` masks steer routing
+        (backpressuring open replicas in the load tracker), seeded
+        dispatch timeouts strike breakers and re-dispatch, and slow
+        dispatches hedge onto a second replica —
         every re-arrival via ``clamp_arrival`` (rid unchanged, so tokens
         are unchanged by construction).
         """
@@ -532,36 +505,21 @@ class ClusterEngine:
         self._decode_assignments = {}
         self.router.reset(cfg.dp)
         tracker = LoadTracker(cfg.dp, self._nominal_service_rate())
-        schedule = self.health_schedule
         plan = self.fault_plan
         timeout_armed = (
             breakers is not None and plan is not None and plan.armed("timeout")
         )
         per_replica: List[list] = [[] for _ in range(cfg.dp)]
         assignments: List[int] = []
-        held = 0
         waits: List[float] = []  # estimated dispatch waits (hedge history)
         for r in reqs:
             healthy = None
-            if schedule is not None:
-                healthy = schedule.mask(r.arrival)
-                if not any(healthy):
-                    # All replicas down: hold the request until the first
-                    # one rejoins (rid unchanged, so tokens are unchanged).
-                    t_rejoin, who = schedule.next_recovery(r.arrival)
-                    if who is not None:
-                        r = clamp_arrival(r, t_rejoin)
-                        healthy = schedule.mask(r.arrival)
-                        held += 1
             if breakers is not None:
                 allow = [b.allow(r.arrival) for b in breakers]
-                if healthy is not None:
-                    allow = [h and a for h, a in zip(healthy, allow)]
                 if any(allow):
                     healthy = allow
-                # else: every breaker open too — keep the schedule mask
-                # (possibly None) so the request is still placed; a breaker
-                # never drops work, it only steers it.
+                # else: every breaker open — no mask, so the request is
+                # still placed; a breaker never drops work, it only steers it.
             if healthy is not None:
                 for j in range(cfg.dp):
                     tracker.set_pressure(
@@ -593,9 +551,8 @@ class ClusterEngine:
                 tracker.assign(pair, float(r.output_len * r.n))
             else:
                 tracker.assign(choice, r.prompt_len + r.output_len * r.n)
-        self._held_requests = held
-        if held or breakers is not None:
-            # Clamped arrivals (holds, retries, timeouts, hedges) can land
+        if breakers is not None:
+            # Clamped arrivals (retries, timeouts, hedges) can land
             # past later requests routed to the same replica; engines
             # expect arrival-sorted input.
             for lst in per_replica:
@@ -753,7 +710,6 @@ class ClusterEngine:
             topology=self.topology, replicas=replica_metrics,
             replica_requests=per_replica, assignments=assignments,
             crash_reports=crash_reports, failover=failover_report,
-            held_requests=self._held_requests,
             overload=self._overload_report,
             disagg=self._disagg_report,
         )
@@ -920,9 +876,7 @@ class ClusterEngine:
 
         cfg = dataclasses.replace(self._engine_config(), tensor_parallel=1)
         engine = ServingEngine.from_config(
-            cfg, model=self.model, gpu=self.gpu,
-            backend_factory=self.backend_factory,
-            resilience=ResilienceConfig(),
+            cfg, model=self.model, gpu=self.gpu, resilience=ResilienceConfig(),
         )
         return engine.run(assign_rids(requests))
 

@@ -37,14 +37,7 @@ Three pieces compose into replica failover:
   token-exact by construction — the acceptance check the CI smoke job
   greps for.
 
-:class:`HealthSchedule` is the router-facing view: known unhealthy
-windows per replica that the cluster's routing pass consults to skip
-unhealthy replicas, pressure the
-:class:`~repro.cluster.router.LoadTracker`, and — when *every* replica
-is down — hold arrivals at the front door until the first replica
-rejoins, never silently dropping them.  Only tests construct one
-(``ClusterEngine(health_schedule=...)``); drains and scripted failures go through
-:class:`FailoverController` instead.
+:class:`FailoverController` runs the three for scripted failures and drains.
 
 The same :meth:`KVMigrator.transfer` carries the disaggregated
 prefill→decode handoff (:mod:`repro.cluster.disagg`).
@@ -55,7 +48,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -73,7 +65,6 @@ __all__ = [
     "FailoverReport",
     "FailureDetector",
     "HEALTH_STATES",
-    "HealthSchedule",
     "HealthTransition",
     "IllegalTransitionError",
     "KVMigrator",
@@ -245,73 +236,11 @@ class FailureDetector:
     def state(self, replica: int) -> str:
         return self.replicas[replica].state
 
-    def healthy_mask(self) -> List[bool]:
-        return [h.state in ("healthy", "rejoined") for h in self.replicas]
-
     def transitions(self) -> List[HealthTransition]:
         """All transitions across replicas, time-ordered (ties → replica id)."""
         out = [tr for h in self.replicas for tr in h.transitions]
         out.sort(key=lambda tr: (tr.t, tr.replica))
         return out
-
-
-class HealthSchedule:
-    """Known per-replica unhealthy windows for the routing pass.
-
-    The front-door view of health: the cluster's routing pass (which
-    walks the workload's arrival timeline before replicas execute)
-    consults :meth:`mask` to avoid placing work on replicas that are
-    known to be down in a window.  Only tests build one; drains and
-    scripted failures never feed it.  ``t_end=inf`` marks a replica that
-    never comes back.
-    """
-
-    def __init__(self, num_replicas: int):
-        if num_replicas < 1:
-            raise ValueError("num_replicas must be >= 1")
-        self.num_replicas = num_replicas
-        self._windows: List[List[Tuple[float, float]]] = [
-            [] for _ in range(num_replicas)
-        ]
-
-    def add_window(
-        self, replica: int, t_start: float, t_end: float = math.inf
-    ) -> "HealthSchedule":
-        if not 0 <= replica < self.num_replicas:
-            raise ValueError(f"replica {replica} outside [0, {self.num_replicas})")
-        if t_end <= t_start:
-            raise ValueError(f"empty unhealthy window [{t_start}, {t_end})")
-        self._windows[replica].append((float(t_start), float(t_end)))
-        return self
-
-    def healthy_at(self, replica: int, t: float) -> bool:
-        return not any(t0 <= t < t1 for t0, t1 in self._windows[replica])
-
-    def mask(self, t: float) -> List[bool]:
-        return [self.healthy_at(r, t) for r in range(self.num_replicas)]
-
-    def _recovery_time(self, replica: int, t: float) -> float:
-        """Earliest time >= ``t`` at which ``replica`` is healthy (may be
-        inf).  Windows can overlap, so walk past each covering window."""
-        t_ok = t
-        for _ in range(len(self._windows[replica]) + 1):
-            covering = [
-                t1 for t0, t1 in self._windows[replica] if t0 <= t_ok < t1
-            ]
-            if not covering:
-                return t_ok
-            t_ok = max(covering)
-        return t_ok
-
-    def next_recovery(self, t: float) -> Tuple[float, Optional[int]]:
-        """``(t_rejoin, replica)`` for the first replica healthy at or
-        after ``t`` (ties → lowest id); ``(inf, None)`` if none ever is."""
-        best_t, best_r = math.inf, None
-        for r in range(self.num_replicas):
-            t_r = self._recovery_time(r, t)
-            if t_r < best_t:
-                best_t, best_r = t_r, r
-        return best_t, best_r
 
 
 # -- live KV migration ---------------------------------------------------------

@@ -9,8 +9,6 @@ complex twice and serializes against every other transfer).  Collective
 costs use the standard ring algorithms:
 
 * all-reduce:      ``2(g−1)`` rounds, each moving ``bytes/g`` per rank
-* all-gather:      ``(g−1)`` rounds of ``bytes/g``
-* reduce-scatter:  ``(g−1)`` rounds of ``bytes/g``
 * p2p:             one transfer of ``bytes``
 
 so an NVLink ring all-reduce costs ``2(g−1)/g · bytes/bw + 2(g−1)·lat``,
@@ -55,12 +53,6 @@ class Link:
     name: str
     bandwidth: float  # bytes/s, per direction
     latency: float  # seconds per hop
-
-    def transfer_time(self, nbytes: float, efficiency: float = 1.0) -> float:
-        """Time for one point-to-point transfer over this link."""
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
-        return self.latency + nbytes / (self.bandwidth * efficiency)
 
 
 #: NVLink-class neighbour link (ring attention shard transfers, ring
@@ -180,9 +172,9 @@ class Topology:
             raise ValueError(f"group_size {g} outside [1, world={self.world}]")
         return g
 
-    def p2p_time(self, nbytes: float, efficiency: float = 1.0, t: float = 0.0) -> float:
+    def p2p_time(self, nbytes: float, t: float = 0.0) -> float:
         """One point-to-point transfer (a ring-attention shard hop)."""
-        return self._round_time(float(nbytes), 1, efficiency, t)
+        return self._round_time(float(nbytes), 1, 1.0, t)
 
     def all_reduce_time(
         self, nbytes: float, group_size: Optional[int] = None,
@@ -193,26 +185,6 @@ class Topology:
         if g <= 1:
             return 0.0
         return 2 * (g - 1) * self._round_time(nbytes / g, g, efficiency, t)
-
-    def all_gather_time(
-        self, nbytes: float, group_size: Optional[int] = None,
-        efficiency: float = 1.0, t: float = 0.0,
-    ) -> float:
-        """Ring all-gather; ``nbytes`` is the total gathered payload."""
-        g = self._group(group_size)
-        if g <= 1:
-            return 0.0
-        return (g - 1) * self._round_time(nbytes / g, g, efficiency, t)
-
-    def reduce_scatter_time(
-        self, nbytes: float, group_size: Optional[int] = None,
-        efficiency: float = 1.0, t: float = 0.0,
-    ) -> float:
-        """Ring reduce-scatter; ``nbytes`` is the full (pre-scatter) payload."""
-        g = self._group(group_size)
-        if g <= 1:
-            return 0.0
-        return (g - 1) * self._round_time(nbytes / g, g, efficiency, t)
 
     @staticmethod
     def all_reduce_wire_bytes(nbytes: float, group_size: int) -> float:

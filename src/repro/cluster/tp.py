@@ -53,10 +53,6 @@ class TPSharding:
     #: model's KV-head count, the GQA over-sharding case).
     kv_replication: int
 
-    def kv_bytes_per_token(self, head_dim: int, itemsize: int = 2) -> float:
-        """Per-shard KV bytes for one cached token (K and V)."""
-        return 2.0 * self.shard_heads.num_kv_heads * head_dim * itemsize
-
 
 def plan_tp_sharding(model, tp: int) -> TPSharding:
     """Validate and describe the head sharding for ``tp`` shards.

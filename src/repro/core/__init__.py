@@ -1,6 +1,6 @@
 """FlashInfer's core: attention states, JIT kernels, scheduler, wrappers."""
 
-from repro.core.state import AttentionState, merge_all, merge_states, merge_states_sum
+from repro.core.state import AttentionState, merge_states, merge_states_sum
 from repro.core.variant import VANILLA, AttentionVariant, ParamDecl, compose_variants
 from repro.core.jit import CompiledKernel, KernelTraits, cache_info, clear_cache, get_kernel
 from repro.core.scheduler import (
@@ -12,13 +12,12 @@ from repro.core.scheduler import (
     plan_unbalanced,
 )
 from repro.core.composition import contract_entry
-from repro.core.tiles import select_kv_tile, select_q_tile, select_tiles
+from repro.core.tiles import select_kv_tile, select_q_tile
 from repro.core.kernels import HeadConfig, reference_attention, run_mapping
 from repro.core.wrapper import BatchAttentionWrapper, ComposableAttentionWrapper
 
 __all__ = [
     "AttentionState",
-    "merge_all",
     "merge_states",
     "merge_states_sum",
     "VANILLA",
@@ -39,7 +38,6 @@ __all__ = [
     "contract_entry",
     "select_kv_tile",
     "select_q_tile",
-    "select_tiles",
     "HeadConfig",
     "reference_attention",
     "run_mapping",

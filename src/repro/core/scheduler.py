@@ -470,7 +470,6 @@ def plan_unbalanced(
     q_tile_size: int,
     num_ctas: int,
     num_kv_heads: int = 1,
-    mapping_idx: int = 0,
 ) -> SchedulePlan:
     """Baseline scheduler: one whole-KV work item per tile, dealt in order.
 
@@ -488,6 +487,5 @@ def plan_unbalanced(
         return rank, rank % num_ctas
 
     return _build_plan(
-        qo_lens, kv_lens, q_tile_size, num_ctas, num_kv_heads, mapping_idx, l_kv,
-        round_robin,
+        qo_lens, kv_lens, q_tile_size, num_ctas, num_kv_heads, 0, l_kv, round_robin,
     )

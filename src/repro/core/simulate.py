@@ -447,10 +447,9 @@ def simulate_queues(
 def simulate_grid(
     executor: PersistentKernelExecutor,
     costs: PlanCostArrays,
-    ctas_per_sm: int = 1,
 ) -> SimReport:
     """Grid-launch simulation from cost arrays (baseline path)."""
-    slots = executor.spec.num_sms * max(1, ctas_per_sm)
+    slots = executor.spec.num_sms
     serial, mem = costs.serial, costs.mem
     if executor.fault_injector is not None:
         serial, mem = serial.copy(), mem.copy()
@@ -458,7 +457,6 @@ def simulate_grid(
     makespan, slot_busy = executor._drain_dynamic(
         list(zip(serial.tolist(), mem.tolist())),
         slots,
-        max(1, ctas_per_sm),
     )
     return SimReport(
         makespan=makespan + executor.spec.kernel_dispatch_overhead,

@@ -23,7 +23,7 @@ addition; see :func:`merge_states_sum`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -45,14 +45,6 @@ class AttentionState:
             raise ValueError(
                 f"o batch shape {self.o.shape[:-1]} != lse shape {self.lse.shape}"
             )
-
-    @classmethod
-    def identity(cls, batch_shape: Tuple[int, ...], head_dim: int) -> "AttentionState":
-        """The ``⊕`` identity: zero output, ``-inf`` scale."""
-        return cls(
-            o=np.zeros(batch_shape + (head_dim,), dtype=np.float64),
-            lse=np.full(batch_shape, -np.inf, dtype=np.float64),
-        )
 
     def merge(self, other: "AttentionState") -> "AttentionState":
         """``self ⊕ other`` (associative, commutative, numerically safe)."""
@@ -101,16 +93,3 @@ def merge_states_sum(o_a: np.ndarray, o_b: np.ndarray) -> np.ndarray:
     """Composition for variants without softmax: plain output addition."""
     return np.asarray(o_a, dtype=np.float64) + np.asarray(o_b, dtype=np.float64)
 
-
-def merge_all(states: Iterable[AttentionState]) -> AttentionState:
-    """Left fold of ``⊕`` over an iterable of states (order-insensitive up to
-    floating-point roundoff, but the fold order is the deterministic
-    contraction order the scheduler plans)."""
-    it = iter(states)
-    try:
-        acc = next(it)
-    except StopIteration:
-        raise ValueError("merge_all of no states (identity needs a shape)") from None
-    for s in it:
-        acc = acc.merge(s)
-    return acc

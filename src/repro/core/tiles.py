@@ -17,8 +17,6 @@ needs at least 16 rows, §3.2.3); FA3 tensor-core tiles must be multiples of
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
-
 import numpy as np
 
 from repro.gpu.spec import GPUSpec
@@ -33,11 +31,6 @@ FA3_Q_TILE_CANDIDATES = (1, 64, 128)
 #: a 128-thread CTA, plus a fixed base for pointers and softmax state.
 _THREADS_PER_CTA = 128
 _BASE_REGS_PER_THREAD = 48
-
-
-def fused_query_length(avg_qo_len: float, group_size: int, fuse: bool = True) -> float:
-    """Effective per-tile row count after GQA head-group fusion (App. A)."""
-    return avg_qo_len * group_size if fuse else avg_qo_len
 
 
 def select_q_tile(avg_fused_qo_len: float, backend: str = "fa2") -> int:
@@ -100,19 +93,3 @@ def select_kv_tile(
         return KV_TILE_CANDIDATES[0]
     return best[1]
 
-
-def select_tiles(
-    qo_lens: Sequence[int],
-    group_size: int,
-    head_dim: int,
-    kv_dtype: StorageDType,
-    spec: GPUSpec,
-    backend: str = "fa2",
-    fuse_head_groups: bool = True,
-) -> Tuple[int, int]:
-    """The full §3.2.2 heuristic: ``(q_tile, kv_tile)`` for a batch."""
-    qo_lens = np.asarray(qo_lens, dtype=np.float64)
-    avg = float(qo_lens.mean()) if qo_lens.size else 1.0
-    q_tile = select_q_tile(fused_query_length(avg, group_size, fuse_head_groups), backend)
-    kv_tile = select_kv_tile(q_tile, head_dim, kv_dtype, spec)
-    return q_tile, kv_tile

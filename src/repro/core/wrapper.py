@@ -564,18 +564,15 @@ class BatchAttentionWrapper:
         q: Optional[np.ndarray],
         k_pool: Optional[np.ndarray] = None,
         v_pool: Optional[np.ndarray] = None,
-        out: Optional[np.ndarray] = None,
-        lse: Optional[np.ndarray] = None,
         compute: bool = True,
         apply_output_transform: bool = True,
     ) -> Tuple[np.ndarray, np.ndarray, SimReport]:
         """Execute the attention + contraction kernels under the cached plan.
 
         Returns ``(out, lse, report)``.  ``out``/``lse`` rows not covered by
-        this wrapper's mapping are left untouched (``lse`` stays ``-inf``),
-        so composable formats can ``⊕``-merge several wrappers' results.
-        ``out`` defaults to a float32 array (a supplied one keeps its
-        dtype); ``lse`` is float64.
+        this wrapper's mapping stay zero / ``-inf``, so composable formats
+        can ``⊕``-merge several wrappers' results.  ``out`` is float32 and
+        ``lse`` float64.
 
         ``q`` may be ``None`` for cost-only runs (``compute=False``) — the
         simulated-GPU report is produced without touching any tensor data.
@@ -585,13 +582,13 @@ class BatchAttentionWrapper:
         mapping = self._mapping
         planned = int((mapping.q_row_starts + mapping.qo_lens).max()) if mapping.num_groups else 0
         total_q = _num_query_rows(q, compute, planned)
-        if compute and out is None:
+        out = lse = None
+        if compute:
             # Staged in float32 (the kernel computes in float64): what the
             # split-KV partials already are (App. D.3).
             out = np.zeros(
                 (total_q, self.heads.num_qo_heads, self.heads.head_dim), dtype=np.float32
             )
-        if compute and lse is None:
             lse = np.full((total_q, self.heads.num_qo_heads), -np.inf)
 
         d = self.heads.head_dim

@@ -18,6 +18,10 @@ from repro.gpu.spec import GPUSpec
 
 _BAR = "█"
 _BAR_WIDTH = 40
+#: Rows of CTAs a plan-load histogram folds the grid into.
+LOAD_BUCKETS = 16
+#: Work items :func:`format_plan` lists before it elides the rest.
+PLAN_ROWS = 12
 
 
 def format_report(report: SimReport, spec: Optional[GPUSpec] = None) -> str:
@@ -39,7 +43,7 @@ def format_report(report: SimReport, spec: Optional[GPUSpec] = None) -> str:
     return "\n".join(lines)
 
 
-def format_plan_load(plan: SchedulePlan, buckets: int = 16) -> str:
+def format_plan_load(plan: SchedulePlan) -> str:
     """ASCII histogram of the *modelled* per-CTA cost of a plan
     (Algorithm 1's α·l_q + β·l_kv weights)."""
     from repro.core.scheduler import DEFAULT_ALPHA, DEFAULT_BETA
@@ -54,7 +58,7 @@ def format_plan_load(plan: SchedulePlan, buckets: int = 16) -> str:
     if costs.size == 0 or costs.max() <= 0:
         return "(empty plan)"
     lines = []
-    group = max(1, -(-costs.size // buckets))
+    group = max(1, -(-costs.size // LOAD_BUCKETS))
     peak = costs.max()
     for start in range(0, costs.size, group):
         seg = costs[start : start + group]
@@ -62,27 +66,6 @@ def format_plan_load(plan: SchedulePlan, buckets: int = 16) -> str:
         lines.append(
             f"CTA {start:4d}-{min(start + group, costs.size) - 1:4d} "
             f"|{bar:<{_BAR_WIDTH}}| cost {seg.mean():10.0f}"
-        )
-    return "\n".join(lines)
-
-
-def format_cta_load(report: SimReport, buckets: int = 16) -> str:
-    """ASCII histogram of per-CTA busy time (load-balance at a glance)."""
-    busy = np.asarray(report.per_cta_time, dtype=np.float64)
-    if busy.size == 0:
-        return "(per-CTA times unavailable — combined report; see format_plan_load)"
-    peak = busy.max()
-    if peak <= 0:
-        return "(all CTAs idle)"
-    lines = []
-    group = max(1, -(-busy.size // buckets))
-    for start in range(0, busy.size, group):
-        seg = busy[start : start + group]
-        frac = float(seg.mean()) / peak
-        bar = _BAR * max(int(round(frac * _BAR_WIDTH)), 0)
-        lines.append(
-            f"CTA {start:4d}-{min(start + group, busy.size) - 1:4d} "
-            f"|{bar:<{_BAR_WIDTH}}| {seg.mean() * 1e6:8.2f} µs"
         )
     return "\n".join(lines)
 
@@ -121,7 +104,7 @@ def format_step_events(events, max_rows: int = 20) -> str:
     return "\n".join(rows)
 
 
-def format_plan(plan: SchedulePlan, max_rows: int = 12) -> str:
+def format_plan(plan: SchedulePlan) -> str:
     """Tabular view of a schedule plan: chunking, splits, merge fan-in."""
     items = [w for q in plan.cta_queues for w in q]
     n_split = sum(1 for w in items if w.partial_slot >= 0)
@@ -137,10 +120,10 @@ def format_plan(plan: SchedulePlan, max_rows: int = 12) -> str:
     rows = ["  cta  group  qtile  q_rows  kv_range          slot"]
     shown = 0
     for cta, queue in enumerate(plan.cta_queues):
-        if shown >= max_rows:
+        if shown >= PLAN_ROWS:
             break
         for w in queue:
-            if shown >= max_rows:
+            if shown >= PLAN_ROWS:
                 break
             slot = "write" if w.partial_slot < 0 else f"p{w.partial_slot}"
             rows.append(

@@ -24,7 +24,7 @@ from repro.gpu.spec import GPUSpec, A100_40G, H100_80G
 from repro.gpu.cost import TileCost, KernelCostModel
 from repro.gpu.executor import KernelFault, PersistentKernelExecutor, SimReport
 from repro.gpu.workspace import WorkspaceBuffer, WorkspaceSection
-from repro.gpu.cudagraph import CudaGraph, CudaGraphPool, GraphCaptureError, batch_size_bucket
+from repro.gpu.cudagraph import CudaGraph, GraphCaptureError
 
 __all__ = [
     "GPUSpec",
@@ -38,7 +38,5 @@ __all__ = [
     "WorkspaceBuffer",
     "WorkspaceSection",
     "CudaGraph",
-    "CudaGraphPool",
     "GraphCaptureError",
-    "batch_size_bucket",
 ]

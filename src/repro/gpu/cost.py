@@ -111,23 +111,3 @@ class KernelCostModel:
         run = cost.contiguous_run_bytes
         waste = (-(-run // TRANSACTION_BYTES) * TRANSACTION_BYTES) / run
         return cost.bytes_read * waste
-
-    def tile_time(self, cost: TileCost, resource_share: float = 1.0) -> float:
-        """Roofline time for one tile on one CTA.
-
-        ``resource_share`` is the fraction of one SM's compute and
-        fair-share bandwidth this CTA owns (0.5 when two CTAs are resident
-        per SM) — total device throughput never exceeds the peak.
-        """
-        if not 0.0 < resource_share <= 1.0:
-            raise ValueError(f"resource_share must be in (0, 1], got {resource_share}")
-        roof = (
-            self.spec.sm_fp16_flops * self.mma_efficiency
-            if cost.uses_tensor_cores
-            else self.spec.sm_cuda_core_flops
-        ) * resource_share
-        compute = cost.padded_flops / roof
-        mem_bytes = self.effective_bytes_read(cost) + cost.bytes_written
-        memory = mem_bytes / (self.spec.sm_bandwidth * resource_share)
-        gather = cost.n_gather_segments * self.gather_issue_overhead
-        return max(compute, memory) + gather + self.tile_latency

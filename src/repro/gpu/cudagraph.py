@@ -24,19 +24,6 @@ class GraphCaptureError(RuntimeError):
     silently compute garbage; we fail loudly)."""
 
 
-def batch_size_bucket(batch_size: int) -> int:
-    """Round a batch size up to the next power of two.
-
-    CUDAGraphs freeze shapes, so serving frameworks capture one graph per
-    batch-size bucket and pad smaller batches into it (Listing 1:
-    "Kernels with different average query length and composable format
-    configurations are compiled and captured in different CUDAGraphs").
-    """
-    if batch_size <= 0:
-        raise ValueError("batch_size must be positive")
-    return 1 << (batch_size - 1).bit_length()
-
-
 @dataclass
 class _CapturedLaunch:
     fn: Callable[[], Any]
@@ -137,41 +124,3 @@ class CudaGraph:
         self.replay_count += 1
         return results
 
-
-class CudaGraphPool:
-    """One captured graph per configuration bucket (Listing 1's
-    ``select_graph``).
-
-    Serving frameworks capture graphs ahead of time for every task
-    configuration they expect — batch-size buckets, composable-format
-    layouts — and select the matching graph each generation step.
-    """
-
-    def __init__(self) -> None:
-        self._graphs: dict = {}
-
-    def capture(self, key, fn: Callable[[], Any]) -> CudaGraph:
-        """Capture ``fn``'s launches into a new graph stored under ``key``."""
-        if key in self._graphs:
-            raise GraphCaptureError(f"graph for key {key!r} already captured")
-        graph = CudaGraph()
-        with graph.capture():
-            fn()
-        self._graphs[key] = graph
-        return graph
-
-    def select(self, key) -> CudaGraph:
-        """The runtime's ``select_graph``: exact-key lookup."""
-        try:
-            return self._graphs[key]
-        except KeyError:
-            raise KeyError(
-                f"no captured graph for configuration {key!r}; "
-                f"captured: {sorted(map(repr, self._graphs))}"
-            ) from None
-
-    def __contains__(self, key) -> bool:
-        return key in self._graphs
-
-    def __len__(self) -> int:
-        return len(self._graphs)

@@ -168,11 +168,9 @@ class PersistentKernelExecutor:
         self,
         spec: GPUSpec,
         cost_model: Optional[KernelCostModel] = None,
-        single_sm_bw_fraction: float = SINGLE_SM_BANDWIDTH_FRACTION,
     ):
         self.spec = spec
         self.cost_model = cost_model if cost_model is not None else KernelCostModel(spec)
-        self.single_sm_bw_fraction = single_sm_bw_fraction
         #: ``_drain``'s per-stream rate vectors by ``(streams, per-CTA cap)``:
         #: a wrapper launches on one fixed grid every step.
         self._rates: Dict[Tuple[int, float], np.ndarray] = {}
@@ -282,15 +280,13 @@ class PersistentKernelExecutor:
                 num_tiles += 1
         return self.run_streams(serial, mem, total_flops, total_bytes, num_tiles)
 
-    def run_grid(self, block_costs: Sequence[TileCost], ctas_per_sm: int = 1) -> SimReport:
-        """One thread block per tile, dispatched in order to free SM slots."""
+    def run_grid(self, block_costs: Sequence[TileCost]) -> SimReport:
+        """One thread block per tile, dispatched in order to free SMs."""
         blocks = list(block_costs)
         if not blocks:
             return SimReport(self.spec.kernel_dispatch_overhead, 0.0, 0.0, 0, 0, [])
-        slots = self.spec.num_sms * max(1, ctas_per_sm)
-        compute_share = min(1.0, self.spec.num_sms / slots)
-        resident = max(1, ctas_per_sm)
-        streams = [self._streams(c, compute_share) for c in blocks]
+        slots = self.spec.num_sms
+        streams = [self._streams(c, 1.0) for c in blocks]
         if self.fault_injector is not None:
             s_arr = np.asarray([s for s, _ in streams])
             m_arr = np.asarray([m for _, m in streams])
@@ -299,7 +295,7 @@ class PersistentKernelExecutor:
         total_flops = sum(c.flops for c in blocks)
         total_bytes = sum(c.bytes_read + c.bytes_written for c in blocks)
 
-        makespan, slot_busy = self._drain_dynamic(streams, slots, resident)
+        makespan, slot_busy = self._drain_dynamic(streams, slots)
         return SimReport(
             makespan=makespan + self.spec.kernel_dispatch_overhead,
             total_flops=total_flops,
@@ -312,7 +308,7 @@ class PersistentKernelExecutor:
     # -- the shared-bandwidth drains --------------------------------------------
 
     def _cta_bw_cap(self, resident: int) -> float:
-        return self.spec.peak_bandwidth_bytes * self.single_sm_bw_fraction / resident
+        return self.spec.peak_bandwidth_bytes * SINGLE_SM_BANDWIDTH_FRACTION / resident
 
     def _drain(self, serial: np.ndarray, mem: np.ndarray, resident: int) -> np.ndarray:
         """All jobs start at t=0; return per-job finish times.
@@ -348,10 +344,10 @@ class PersistentKernelExecutor:
         return np.maximum(finish, np.where(serial > _EPS, serial, 0.0))
 
     def _drain_dynamic(
-        self, streams: Sequence[Tuple[float, float]], slots: int, resident: int
+        self, streams: Sequence[Tuple[float, float]], slots: int
     ) -> Tuple[float, List[float]]:
         """Blocks start when a slot frees (submission order)."""
-        cap = self._cta_bw_cap(resident)
+        cap = self._cta_bw_cap(1)
         peak = self.spec.peak_bandwidth_bytes
         pending = list(reversed(streams))  # pop() takes the next block
         run_s = np.zeros(slots)

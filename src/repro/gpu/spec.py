@@ -62,11 +62,6 @@ class GPUSpec:
     supports_pdl: bool = False
 
     @property
-    def sm_bandwidth(self) -> float:
-        """Fair-share HBM bandwidth per SM (bytes/s)."""
-        return self.peak_bandwidth_bytes / self.num_sms
-
-    @property
     def sm_fp16_flops(self) -> float:
         return self.peak_fp16_flops / self.num_sms
 

@@ -18,6 +18,9 @@ from typing import Dict, Optional
 
 import numpy as np
 
+#: Byte alignment of every section's offset.
+SECTION_ALIGNMENT = 256
+
 
 @dataclass
 class WorkspaceSection:
@@ -58,7 +61,7 @@ class WorkspaceBuffer:
     def section(self, name: str) -> Optional[WorkspaceSection]:
         return self._sections.get(name)
 
-    def allocate_section(self, name: str, nbytes: int, alignment: int = 256) -> WorkspaceSection:
+    def allocate_section(self, name: str, nbytes: int) -> WorkspaceSection:
         """Create (or validate) a section of at least ``nbytes``.
 
         Idempotent: a repeat request that fits the existing section returns
@@ -73,7 +76,7 @@ class WorkspaceBuffer:
                     f"on the first plan call (Appendix D.3)."
                 )
             return existing
-        offset = -(-self._cursor // alignment) * alignment
+        offset = -(-self._cursor // SECTION_ALIGNMENT) * SECTION_ALIGNMENT
         if offset + nbytes > self.nbytes:
             raise MemoryError(
                 f"workspace exhausted: need {nbytes} bytes for {name!r}, "
@@ -111,7 +114,3 @@ class WorkspaceBuffer:
         if nbytes > sec.nbytes:
             raise ValueError(f"read of {nbytes} B exceeds section {name!r}")
         return self.buffer[sec.offset : sec.offset + nbytes].view(dtype).copy()
-
-    @property
-    def bytes_allocated(self) -> int:
-        return self._cursor

@@ -148,21 +148,6 @@ class PagedKVCache:
             f"sequences{largest}"
         )
 
-    def pool_stats(self) -> Dict[str, object]:
-        """Pool state snapshot for diagnostics and error messages."""
-        per_seq = {sid: len(st.pages) for sid, st in self._seqs.items()}
-        return {
-            "num_pages": self.num_pages,
-            "page_size": self.page_size,
-            "free_pages": self.num_free_pages,
-            "used_pages": self.num_used_pages,
-            "num_seqs": len(per_seq),
-            "seq_pages": per_seq,
-            "max_seq_pages": max(per_seq.values(), default=0),
-            "shared_pages": sum(1 for c in self._refcount.values() if c > 1),
-            "corrupted_pages": len(self.find_corrupted()),
-        }
-
     def _alloc_page(self, inject: bool = False) -> int:
         if not self.num_free_pages:
             raise OutOfPagesError(
@@ -372,9 +357,6 @@ class PagedKVCache:
             slot0 = page * self.page_size
             self.k_pool[slot0 : slot0 + self.page_size] = np.nan
             self.v_pool[slot0 : slot0 + self.page_size] = np.nan
-
-    def page_is_corrupt(self, page: int) -> bool:
-        return page in self._corrupt
 
     def seq_is_corrupt(self, seq_id: int) -> bool:
         """True if any page of ``seq_id`` fails its checksum."""

@@ -135,21 +135,6 @@ class RadixTree:
 
     # -- eviction ------------------------------------------------------------
 
-    def evict(self, num_pages: int) -> int:
-        """Evict up to ``num_pages`` pages from LRU leaves.
-
-        Returns the number of pages actually released.  Pages still
-        referenced by live sequences remain allocated in the pool (the tree
-        merely drops its own reference).
-        """
-        released = 0
-        while released < num_pages:
-            leaf = self._lru_leaf()
-            if leaf is None:
-                break
-            released += self._drop(leaf)
-        return released
-
     def _drop(self, node: _Node) -> int:
         """Detach ``node`` and its subtree, releasing the tree's reference
         on every page they hold; returns the number of pages dropped."""

@@ -22,7 +22,7 @@ import numpy as np
 from repro.core.kernels import HeadConfig
 from repro.core.variant import VANILLA
 from repro.core.wrapper import BatchAttentionWrapper
-from repro.gpu.spec import A100_40G, GPUSpec
+from repro.gpu.spec import A100_40G
 from repro.gpu.workspace import WorkspaceBuffer
 from repro.kvcache.paged import PagedKVCache
 from repro.sparse.layout import AttentionMapping
@@ -185,6 +185,13 @@ class TinyTransformer:
         return out
 
 
+#: Per-layer paged KV pool of a :class:`GenerationSession`: pages, tokens
+#: per page, and the wrapper batch bound.
+SESSION_PAGES = 512
+SESSION_PAGE_SIZE = 8
+SESSION_MAX_BATCH = 16
+
+
 class GenerationSession:
     """Batched paged-cache generation through the attention engine.
 
@@ -193,25 +200,18 @@ class GenerationSession:
     serving integration of paper §3.4.
     """
 
-    def __init__(
-        self,
-        model: TinyTransformer,
-        num_pages: int = 512,
-        page_size: int = 8,
-        gpu: GPUSpec = A100_40G,
-        max_batch_size: int = 16,
-    ):
+    def __init__(self, model: TinyTransformer):
         self.model = model
         c = model.config
         self.cache = [
-            PagedKVCache(num_pages, page_size, c.num_kv_heads, c.head_dim)
+            PagedKVCache(SESSION_PAGES, SESSION_PAGE_SIZE, c.num_kv_heads, c.head_dim)
             for _ in range(c.num_layers)
         ]
         ws = WorkspaceBuffer(128 * 1024 * 1024)
         # fp32 storage keeps the engine bit-comparable to the dense oracle.
         common = dict(
-            gpu=gpu, kv_dtype=StorageDType.FP32,
-            max_batch_size=max_batch_size, max_total_qo=max_batch_size * 4096,
+            gpu=A100_40G, kv_dtype=StorageDType.FP32,
+            max_batch_size=SESSION_MAX_BATCH, max_total_qo=SESSION_MAX_BATCH * 4096,
         )
         # One (prefill, decode) wrapper pair per distinct layer variant:
         # full-causal layers share a pair; sliding-window layers get their

@@ -19,7 +19,6 @@ from repro.obs.events import (
     FaultEvent,
     KernelRecord,
     StepEvent,
-    validate_event,
 )
 from repro.obs.export import (
     summary_table,
@@ -39,7 +38,6 @@ __all__ = [
     "FaultEvent",
     "KernelRecord",
     "StepEvent",
-    "validate_event",
     "RollingHistogram",
     "StepTracer",
     "summary_table",

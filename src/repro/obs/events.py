@@ -183,13 +183,3 @@ class FaultEvent:
             "detail": self.detail,
         }
 
-
-def validate_event(event: StepEvent) -> None:
-    """Sanity-check an event against the schema (used by tests/exporters)."""
-    if event.kind not in STEP_KINDS:
-        raise ValueError(f"unknown step kind {event.kind!r}; expected one of {STEP_KINDS}")
-    if event.t_end < event.t_start:
-        raise ValueError(f"event {event.index}: t_end {event.t_end} < t_start {event.t_start}")
-    unknown = set(event.breakdown) - set(STEP_COMPONENTS)
-    if unknown:
-        raise ValueError(f"event {event.index}: unknown breakdown components {sorted(unknown)}")

@@ -5,9 +5,8 @@ A :class:`StepTracer` is handed to :class:`repro.serving.engine.ServingEngine`
 :class:`~repro.obs.events.StepEvent` per engine step plus any
 :class:`~repro.obs.events.KernelRecord` the attention backend surfaces.
 It simultaneously folds every event into rolling counters and log-scale
-latency histograms, so a long run can be summarized without retaining
-gigabytes of events (``keep_events=False`` drops the event list entirely
-and keeps only the rolling state).
+latency histograms, so a run can be summarized without walking its
+events.
 
 The engine guarantees *zero* tracing overhead when no tracer is
 installed: the step loop performs a single ``is None`` check and
@@ -22,20 +21,24 @@ from typing import Dict, List
 from repro.obs.events import STEP_COMPONENTS, FaultEvent, KernelRecord, StepEvent
 
 
+#: Range of a :class:`RollingHistogram` in seconds, and its bins per decade.
+HIST_LO = 1e-6
+HIST_HI = 10.0
+BINS_PER_DECADE = 4
+
+
 class RollingHistogram:
     """Fixed-bin log-scale histogram of positive durations (seconds).
 
-    Bins are half-open decades split ``bins_per_decade`` ways between
-    ``lo`` and ``hi``; under/overflow land in the edge bins.  O(1) per
-    observation, O(bins) memory — suitable for million-step runs.
+    Bins are half-open decades split :data:`BINS_PER_DECADE` ways between
+    :data:`HIST_LO` and :data:`HIST_HI`; under/overflow land in the edge
+    bins.  O(1) per observation, O(bins) memory — suitable for
+    million-step runs.
     """
 
-    def __init__(self, lo: float = 1e-6, hi: float = 10.0, bins_per_decade: int = 4):
-        self.lo = lo
-        self.hi = hi
-        self.bins_per_decade = bins_per_decade
-        decades = math.log10(hi / lo)
-        self.num_bins = int(math.ceil(decades * bins_per_decade)) + 2  # ±overflow
+    def __init__(self):
+        decades = math.log10(HIST_HI / HIST_LO)
+        self.num_bins = int(math.ceil(decades * BINS_PER_DECADE)) + 2  # ±overflow
         self.counts = [0] * self.num_bins
         self.total = 0
         self.sum = 0.0
@@ -43,11 +46,11 @@ class RollingHistogram:
         self.max = 0.0
 
     def _bin(self, value: float) -> int:
-        if value < self.lo:
+        if value < HIST_LO:
             return 0
-        if value >= self.hi:
+        if value >= HIST_HI:
             return self.num_bins - 1
-        return 1 + int(math.log10(value / self.lo) * self.bins_per_decade)
+        return 1 + int(math.log10(value / HIST_LO) * BINS_PER_DECADE)
 
     def add(self, value: float) -> None:
         if value <= 0:
@@ -60,9 +63,9 @@ class RollingHistogram:
 
     def bin_edges(self) -> List[float]:
         """Upper edge of each bin (the first bin's lower edge is 0)."""
-        edges = [self.lo]
+        edges = [HIST_LO]
         for i in range(1, self.num_bins - 1):
-            edges.append(self.lo * 10 ** (i / self.bins_per_decade))
+            edges.append(HIST_LO * 10 ** (i / BINS_PER_DECADE))
         edges.append(math.inf)
         return edges
 
@@ -93,15 +96,13 @@ class StepTracer:
         Also capture per-kernel :class:`SimReport` records from the
         attention backend (one or more per step).  Costs a few list
         allocations per step; switch off for very long runs.
-    keep_events:
-        Retain the full event list (needed by the Chrome-trace and CSV
-        exporters).  With ``False`` only rolling counters/histograms are
-        kept.
+
+    The full event list is kept (the Chrome-trace and CSV exporters read
+    it) beside the rolling counters and histograms.
     """
 
-    def __init__(self, capture_kernels: bool = True, keep_events: bool = True):
+    def __init__(self, capture_kernels: bool = True):
         self.capture_kernels = capture_kernels
-        self.keep_events = keep_events
         self.events: List[StepEvent] = []
         self.kernels: List[KernelRecord] = []  #: standalone wrapper records
         # -- rolling state ----------------------------------------------------
@@ -136,8 +137,7 @@ class StepTracer:
 
     def on_step(self, event: StepEvent) -> None:
         """Fold one step event into the rolling state (and retain it)."""
-        if self.keep_events:
-            self.events.append(event)
+        self.events.append(event)
         self.steps_by_kind[event.kind] = self.steps_by_kind.get(event.kind, 0) + 1
         dur = event.duration
         if event.kind == "idle":
@@ -163,9 +163,8 @@ class StepTracer:
             self.total_degraded_steps += 1
 
     def on_fault(self, event: FaultEvent) -> None:
-        """Fold one fault/recovery event (kept when ``keep_events``)."""
-        if self.keep_events:
-            self.fault_events.append(event)
+        """Fold one fault/recovery event (and retain it)."""
+        self.fault_events.append(event)
         key = f"{event.site}:{event.action}"
         self.fault_counts[key] = self.fault_counts.get(key, 0) + 1
 

@@ -65,7 +65,6 @@ from repro.serving.workload import (
     bursty_workload,
     constant_lengths,
     mixed_disagg_workload,
-    mtbench_workload,
     poisson_arrivals,
     sharegpt_workload,
     shared_prefix_workload,
@@ -131,7 +130,6 @@ __all__ = [
     "bursty_workload",
     "constant_lengths",
     "mixed_disagg_workload",
-    "mtbench_workload",
     "poisson_arrivals",
     "sharegpt_workload",
     "shared_prefix_workload",

@@ -117,10 +117,9 @@ class FlashInferBackend(AttentionBackend):
     name = "flashinfer"
     supports_composable = True
 
-    def __init__(self, heads: HeadConfig, gpu: GPUSpec, composable: bool = False):
+    def __init__(self, heads: HeadConfig, gpu: GPUSpec):
         self.heads = heads
         self.gpu = gpu
-        self.composable = composable
         #: The one simulated device every wrapper of this backend launches on: it carries
         #: the per-run state (fault injector, plan cache), so a wrapper built later sees it.
         self._executor = PersistentKernelExecutor(gpu)

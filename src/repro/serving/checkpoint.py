@@ -516,13 +516,17 @@ class CrashReport:
         )
 
 
+#: Crashes one :func:`run_lives` loop survives before it calls the run a
+#: kill/restore livelock.
+MAX_CRASHES = 25
+
+
 def run_lives(
     make_engine: Callable[[], object],
     requests: Sequence[Request],
     store: CheckpointStore,
     script: Sequence[Tuple[int, str]] = (),
     on_crash: Optional[Callable] = None,
-    max_crashes: int = 25,
 ) -> Tuple[ServingMetrics, List[str]]:
     """The one engine life loop: run → crash → recover → resume, to completion.
 
@@ -539,8 +543,8 @@ def run_lives(
     recovery cannot re-trip them.  ``on_crash(crash, recovered) ->
     (recovered, at_time)`` may relocate or delay the resume (the cluster
     failover path); without it the next life resumes in place at the
-    snapshot's time.  More than ``max_crashes`` crashes is a kill/restore
-    livelock and raises.  Returns ``(metrics, crash_phases)``.
+    snapshot's time.  More than :data:`MAX_CRASHES` crashes is a
+    kill/restore livelock and raises.  Returns ``(metrics, crash_phases)``.
     """
     remaining = set(script)
     crash_phases: List[str] = []
@@ -556,10 +560,10 @@ def run_lives(
         except EngineCrash as crash:
             crash_phases.append(crash.phase)
             remaining.discard((crash.step_index, crash.phase))
-            if len(crash_phases) > max_crashes:
+            if len(crash_phases) > MAX_CRASHES:
                 raise RuntimeError(
                     f"kill/restore livelock: {len(crash_phases)} crashes "
-                    f"exceeded max_crashes={max_crashes}"
+                    f"exceeded MAX_CRASHES={MAX_CRASHES}"
                 ) from crash
             recovered = RecoveryManager(store, requests=requests).recover()
             if on_crash is not None:

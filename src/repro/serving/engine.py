@@ -55,7 +55,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
-from repro.core.kernels import HeadConfig
+from repro.cluster.tp import plan_tp_sharding
 from repro.faults.inject import EngineCrash
 from repro.faults.plan import FaultPlan
 from repro.faults.recover import DegradeController, KVScrubber, ResilienceConfig
@@ -125,17 +125,6 @@ class EngineConfig:
                      "num_pool_pages", "prefill_chunk_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-
-
-def _shard_heads(model: ModelConfig, tensor_parallel: int) -> HeadConfig:
-    """Per-shard head partitioning under tensor parallelism."""
-    return HeadConfig(
-        model.num_qo_heads // tensor_parallel
-        if model.num_qo_heads % tensor_parallel == 0
-        else model.num_qo_heads,
-        max(model.num_kv_heads // tensor_parallel, 1),
-        model.head_dim,
-    )
 
 
 class ServingEngine:
@@ -232,7 +221,7 @@ class ServingEngine:
         self._taint = False
         self._deadlines_active = False
         self._cache: Optional[PagedKVCache] = None
-        self.heads = _shard_heads(model, self.config.tensor_parallel)
+        self.heads = plan_tp_sharding(model, self.config.tensor_parallel).shard_heads
         if backend.heads != self.heads:
             raise ValueError(
                 f"backend heads {backend.heads} != engine shard heads {self.heads}; "
@@ -277,7 +266,7 @@ class ServingEngine:
         model = model if model is not None else LLAMA_3_1_8B
         gpu = gpu if gpu is not None else H100_80G
         factory = backend_factory if backend_factory is not None else FlashInferBackend
-        heads = _shard_heads(model, cfg.tensor_parallel)
+        heads = plan_tp_sharding(model, cfg.tensor_parallel).shard_heads
         return cls(model, factory(heads, gpu), gpu, cfg, **kwargs)
 
     # -- shared hooks (used by every pipeline layer) ----------------------------
@@ -519,7 +508,6 @@ class ServingEngine:
     def resume(
         self,
         recovered: RecoveredState,
-        tracer: Optional[StepTracer] = None,
         at_time: Optional[float] = None,
     ) -> ServingMetrics:
         """Continue a crashed run from a recovered snapshot, token-exactly.
@@ -554,7 +542,7 @@ class ServingEngine:
             recovered.snapshot_id, snapshot_world(snap),
             {"role": None, **self.world},
         )
-        self._tracer = tracer if tracer is not None else self.tracer
+        self._tracer = self.tracer
         self.backend.collect_kernel_reports = (
             self._tracer is not None and self._tracer.capture_kernels
         )

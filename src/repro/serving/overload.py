@@ -142,14 +142,14 @@ class TokenBucket:
         self.tokens = float(capacity)
         self._t = 0.0
 
-    def allow(self, t: float, cost: float = 1.0) -> bool:
-        """Admit a ``cost``-token request at time ``t``?"""
+    def allow(self, t: float) -> bool:
+        """Admit a one-token request at time ``t``?"""
         dt = max(t - self._t, 0.0)
         if dt:
             self.tokens = min(self.capacity, self.tokens + dt * self.rate)
         self._t = max(self._t, t)
-        if self.tokens >= cost:
-            self.tokens -= cost
+        if self.tokens >= 1.0:
+            self.tokens -= 1.0
             return True
         return False
 

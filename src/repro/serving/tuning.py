@@ -16,6 +16,9 @@ from repro.serving.metrics import ServingMetrics
 #: Run a workload at a request rate, returning its metrics.
 RunAtRate = Callable[[float], ServingMetrics]
 
+#: The paper's default SLO: P99 TTFT under 200 ms (§4.1).
+P99_TTFT_LIMIT = 0.2
+
 
 @dataclass(frozen=True)
 class OperatingPoint:
@@ -31,7 +34,6 @@ class OperatingPoint:
 
 def find_max_rate(
     run_at_rate: RunAtRate,
-    p99_ttft_limit: float = 0.2,
     lo: float = 1.0,
     hi: float = 512.0,
     tolerance: float = 0.1,
@@ -40,7 +42,8 @@ def find_max_rate(
 ) -> OperatingPoint:
     """Largest request rate satisfying a latency constraint.
 
-    The default constraint is the paper's (P99 TTFT under the limit); pass
+    The default constraint is the paper's (P99 TTFT under
+    :data:`P99_TTFT_LIMIT`); pass
     ``constraint`` for custom SLOs (e.g. combined TTFT + ITL).  Assumes
     the constraint is monotone in the rate (queueing), which holds for the
     simulated engine.  ``tolerance`` is relative on the rate.  If even
@@ -50,7 +53,7 @@ def find_max_rate(
     if lo <= 0 or hi <= lo:
         raise ValueError("need 0 < lo < hi")
     if constraint is None:
-        constraint = lambda m: m.p99_ttft() <= p99_ttft_limit
+        constraint = lambda m: m.p99_ttft() <= P99_TTFT_LIMIT
 
     lo_metrics = run_at_rate(lo)
     if not constraint(lo_metrics):

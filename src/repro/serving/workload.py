@@ -2,15 +2,13 @@
 
 The paper's end-to-end experiments use the ShareGPT dataset and a synthetic
 "Variable" workload (§4.1); kernel experiments use constant / uniform /
-Zipf-skewed length distributions (§4.2); the StreamingLLM study uses
-MT-Bench conversations (§4.3).  The real datasets only contribute *length
-distributions* to the experiments, so we substitute synthetic marginals
-(documented in DESIGN.md):
+Zipf-skewed length distributions (§4.2).  The real datasets only
+contribute *length distributions* to the experiments, so we substitute
+synthetic marginals (documented in DESIGN.md):
 
 * ShareGPT-like — log-normal prompt and output lengths fit to the commonly
   reported ShareGPT statistics (mean prompt ≈ 160, mean output ≈ 330).
 * Variable — prompt lengths uniform in [512, 2048] as stated in §4.1.
-* MT-Bench-like — short conversational prompts with moderate outputs.
 """
 
 from __future__ import annotations
@@ -142,19 +140,6 @@ def shared_prefix_workload(
         )
         for a, g, s, o in zip(arrivals, groups, suffixes, outputs)
     ]
-
-
-def mtbench_workload(
-    num_requests: int,
-    rate: float,
-    seed: SeedLike = 0,
-) -> List[Request]:
-    """MT-Bench-like conversational lengths (§4.3)."""
-    rng = new_rng(seed)
-    arrivals = poisson_arrivals(num_requests, rate, rng)
-    prompts = rng.integers(40, 500, size=num_requests)
-    outputs = rng.integers(100, 400, size=num_requests)
-    return [Request(float(a), int(p), int(o)) for a, p, o in zip(arrivals, prompts, outputs)]
 
 
 def bursty_workload(

@@ -9,14 +9,9 @@ gather layouts and the composable multi-format decomposition used for
 shared prefixes.
 """
 
-from repro.sparse.csr import CSRMatrix
 from repro.sparse.bsr import BSRMatrix
 from repro.sparse.layout import AttentionMapping, BlockSparseKV
 from repro.sparse.conversions import (
-    bsr_from_dense_mask,
-    bsr_from_page_table,
-    bsr_to_dense_mask,
-    csr_to_bsr,
     kv_from_page_table,
     mapping_from_bsr,
 )
@@ -30,14 +25,9 @@ from repro.sparse.composable import (
 from repro.sparse.quest import PageSummaryStore, quest_mapping, select_pages
 
 __all__ = [
-    "CSRMatrix",
     "BSRMatrix",
     "AttentionMapping",
     "BlockSparseKV",
-    "bsr_from_dense_mask",
-    "bsr_from_page_table",
-    "bsr_to_dense_mask",
-    "csr_to_bsr",
     "kv_from_page_table",
     "mapping_from_bsr",
     "ComposableFormat",

@@ -125,36 +125,6 @@ class BSRMatrix:
         br = self.block_size[0]
         return i * br, min((i + 1) * br, self.shape[0])
 
-    def row_blocks(self, i: int) -> np.ndarray:
-        """Column-block ids of block row ``i`` in gather order."""
-        return self.indices[self.indptr[i] : self.indptr[i + 1]]
-
-    def row_kv_indices(self, i: int) -> np.ndarray:
-        """Element column indices gathered by block row ``i``.
-
-        Concatenates each non-zero block's slot range; the final block is
-        trimmed to ``row_kv_lens[i]``.  This is exactly the gather the kernel
-        performs from global memory into contiguous shared memory (§3.2.1).
-        """
-        bc = self.block_size[1]
-        blocks = self.row_blocks(i)
-        if blocks.size == 0:
-            return np.empty(0, dtype=np.int64)
-        cols = (blocks[:, None] * bc + np.arange(bc)[None, :]).reshape(-1)
-        return cols[: self.row_kv_lens[i]]
-
-    # -- dense round-trip ---------------------------------------------------
-
-    def to_dense_mask(self) -> np.ndarray:
-        """Boolean dense mask (all rows in a block row share structure)."""
-        mask = np.zeros(self.shape, dtype=bool)
-        for i in range(self.n_block_rows):
-            r0, r1 = self.block_row_rows(i)
-            cols = self.row_kv_indices(i)
-            cols = cols[cols < self.shape[1]]
-            mask[r0:r1, cols] = True
-        return mask
-
     @classmethod
     def from_dense_mask(
         cls, mask: np.ndarray, block_size: Tuple[int, int]

@@ -62,10 +62,15 @@ class ComposableFormat:
         return len(self.mappings)
 
 
+#: Whole KV blocks a prefix must span to get a format of its own.
+MIN_PREFIX_BLOCKS = 1
+#: Groups a detected shared prefix must span.
+MIN_CLUSTER_SIZE = 2
+
+
 def decompose_shared_prefix(
     mapping: AttentionMapping,
     clusters: Sequence[PrefixCluster],
-    min_prefix_blocks: int = 1,
 ) -> ComposableFormat:
     """Split a batch mapping into prefix + suffix formats.
 
@@ -77,7 +82,7 @@ def decompose_shared_prefix(
         Shared-prefix clusters.  Prefix lengths are rounded *down* to the KV
         block size (only whole blocks can be shared without data movement);
         clusters whose aligned prefix is shorter than
-        ``min_prefix_blocks`` blocks are left in the suffix format.
+        :data:`MIN_PREFIX_BLOCKS` blocks are left in the suffix format.
     Returns
     -------
     A two-format stack ``[prefix, suffix]`` (prefix omitted if no cluster
@@ -94,7 +99,7 @@ def decompose_shared_prefix(
     live_clusters: List[Tuple[PrefixCluster, int]] = []
     for cl in clusters:
         aligned = (cl.prefix_len // bc) * bc
-        if aligned < min_prefix_blocks * bc or len(cl.requests) < 2:
+        if aligned < MIN_PREFIX_BLOCKS * bc or len(cl.requests) < 2:
             continue
         for r in cl.requests:
             if not 0 <= r < n_req:
@@ -179,7 +184,6 @@ def decompose_shared_prefix(
 def decompose_multi_level(
     mapping: AttentionMapping,
     levels: Sequence[Sequence[PrefixCluster]],
-    min_prefix_blocks: int = 1,
 ) -> ComposableFormat:
     """Multi-level shared-prefix decomposition (paper §5.1: "multi-level,
     multiple-prefix decoding with unified page table management").
@@ -210,7 +214,7 @@ def decompose_multi_level(
                     f"extend past the {int(peels[0])} tokens peeled by outer levels"
                 )
             rel_clusters.append(PrefixCluster(cl.requests, rel))
-        comp = decompose_shared_prefix(current, rel_clusters, min_prefix_blocks)
+        comp = decompose_shared_prefix(current, rel_clusters)
         if len(comp) == 1:
             continue
         prefix_fmt, suffix_fmt = comp.mappings
@@ -222,9 +226,7 @@ def decompose_multi_level(
     return ComposableFormat(formats)
 
 
-def detect_shared_prefixes(
-    kv: BlockSparseKV, min_prefix_blocks: int = 1, min_cluster_size: int = 2
-) -> List[PrefixCluster]:
+def detect_shared_prefixes(kv: BlockSparseKV) -> List[PrefixCluster]:
     """Find runs of consecutive groups sharing leading KV blocks.
 
     A lightweight stand-in for the radix-tree knowledge a serving framework
@@ -245,19 +247,19 @@ def detect_shared_prefixes(
         run_common = base.size
         while run_end + 1 < n:
             c = common(base, kv.group_blocks(run_end + 1))
-            if min(run_common, c) < min_prefix_blocks:
+            if min(run_common, c) < MIN_PREFIX_BLOCKS:
                 break
             run_common = min(run_common, c)
             run_end += 1
         size = run_end - r + 1
-        if size >= min_cluster_size and run_common >= min_prefix_blocks:
+        if size >= MIN_CLUSTER_SIZE and run_common >= MIN_PREFIX_BLOCKS:
             # The shared prefix cannot extend past any member's full KV
             # (a query must keep at least its own last token in the suffix
             # when causal); prefix_len in tokens, block-aligned.
             max_pref = min(int(kv.kv_lens[g]) for g in range(r, run_end + 1))
             prefix_len = min(run_common * kv.block_size, max_pref)
             prefix_len = (prefix_len // kv.block_size) * kv.block_size
-            if prefix_len >= min_prefix_blocks * kv.block_size:
+            if prefix_len >= MIN_PREFIX_BLOCKS * kv.block_size:
                 clusters.append(PrefixCluster(tuple(range(r, run_end + 1)), prefix_len))
             r = run_end + 1
         else:

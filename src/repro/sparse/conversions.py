@@ -1,18 +1,18 @@
 """Conversions between KV-cache structures and sparse formats.
 
 These functions realize the paper's unification claim (§3.1.1, Figure 2):
-page tables, dense masks and CSR structures all lower to the same BSR /
-block-sparse gather representation consumed by the kernels.
+page tables and BSR masks (:meth:`BSRMatrix.from_dense_mask` lowers a
+dense one) all lower to the same block-sparse gather representation
+consumed by the kernels.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.sparse.bsr import BSRMatrix, ceil_div
-from repro.sparse.csr import CSRMatrix
 from repro.sparse.layout import AttentionMapping, BlockSparseKV
 
 
@@ -45,46 +45,6 @@ def kv_from_page_table(
     return BlockSparseKV(
         page_size, pool_pages, indptr, np.asarray(indices, dtype=np.int64), kv_lens
     )
-
-
-def bsr_from_page_table(
-    page_lists: Sequence[np.ndarray],
-    kv_lens: Sequence[int],
-    page_size: int,
-    pool_pages: int,
-    queries_per_request: int,
-) -> BSRMatrix:
-    """Render a page table as the BSR matrix of paper Figure 2.
-
-    Rows are queries (``queries_per_request`` per request, the ``B_r``),
-    columns are all pool slots; non-zero blocks mark the pages each request's
-    queries attend to.
-    """
-    kv = kv_from_page_table(page_lists, kv_lens, page_size, pool_pages)
-    n_req = kv.num_groups
-    shape = (n_req * queries_per_request, pool_pages * page_size)
-    return BSRMatrix(
-        shape,
-        (queries_per_request, page_size),
-        kv.indptr,
-        kv.indices,
-        kv.kv_lens,
-    )
-
-
-def bsr_from_dense_mask(mask: np.ndarray, block_size: Tuple[int, int]) -> BSRMatrix:
-    """Alias for :meth:`BSRMatrix.from_dense_mask`."""
-    return BSRMatrix.from_dense_mask(mask, block_size)
-
-
-def bsr_to_dense_mask(bsr: BSRMatrix) -> np.ndarray:
-    """Alias for :meth:`BSRMatrix.to_dense_mask`."""
-    return bsr.to_dense_mask()
-
-
-def csr_to_bsr(csr: CSRMatrix, block_size: Tuple[int, int]) -> BSRMatrix:
-    """Regroup CSR structure into BSR blocks (must be exactly representable)."""
-    return BSRMatrix.from_dense_mask(csr.to_dense_mask(), block_size)
 
 
 def mapping_from_bsr(bsr: BSRMatrix, causal: bool = False) -> AttentionMapping:

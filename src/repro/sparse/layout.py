@@ -15,7 +15,7 @@ for the unique suffixes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -111,29 +111,6 @@ class BlockSparseKV:
             self.block_size, self.pool_blocks, indptr, self.indices[kept],
             np.maximum(self.kv_lens - blocks * self.block_size, 0),
         )
-
-    @classmethod
-    def from_slot_lists(
-        cls, slot_lists: Sequence[np.ndarray], block_size: int, pool_blocks: int
-    ) -> "BlockSparseKV":
-        """Build from explicit per-group slot lists (must be block-aligned)."""
-        indices: List[int] = []
-        indptr = np.zeros(len(slot_lists) + 1, dtype=np.int64)
-        kv_lens = np.zeros(len(slot_lists), dtype=np.int64)
-        for g, slots in enumerate(slot_lists):
-            slots = np.asarray(slots, dtype=np.int64)
-            kv_lens[g] = slots.size
-            nblocks = ceil_div(int(slots.size), block_size) if slots.size else 0
-            for b in range(nblocks):
-                seg = slots[b * block_size : (b + 1) * block_size]
-                base = seg[0]
-                if base % block_size != 0:
-                    raise ValueError(f"group {g} block {b} not aligned to block_size")
-                if not np.array_equal(seg, base + np.arange(seg.size)):
-                    raise ValueError(f"group {g} block {b} slots not contiguous")
-                indices.append(int(base // block_size))
-            indptr[g + 1] = indptr[g] + nblocks
-        return cls(block_size, pool_blocks, indptr, np.asarray(indices, dtype=np.int64), kv_lens)
 
     def __repr__(self) -> str:
         return (

@@ -86,25 +86,30 @@ class PageSummaryStore:
         return contrib.sum(axis=(1, 2))
 
 
+#: Leading (attention-sink) and trailing (most recent) pages every
+#: request keeps whatever their score.
+NUM_SINK_PAGES = 1
+NUM_RECENT_PAGES = 1
+
+
 def select_pages(
     q: np.ndarray,
     pages: np.ndarray,
     store: PageSummaryStore,
     page_budget: int,
-    num_sink_pages: int = 1,
-    num_recent_pages: int = 1,
 ) -> np.ndarray:
     """Indices (into ``pages``) of the pages one request attends this step.
 
-    Always keeps the first ``num_sink_pages`` and last ``num_recent_pages``
-    pages; fills the remaining budget with the highest-bound pages.
+    Always keeps the first :data:`NUM_SINK_PAGES` and last
+    :data:`NUM_RECENT_PAGES` pages; fills the remaining budget with the
+    highest-bound pages.
     Returned indices are sorted (gather order = position order).
     """
     n = len(pages)
     if page_budget >= n:
         return np.arange(n)
-    keep = set(range(min(num_sink_pages, n)))
-    keep.update(range(max(n - num_recent_pages, 0), n))
+    keep = set(range(min(NUM_SINK_PAGES, n)))
+    keep.update(range(max(n - NUM_RECENT_PAGES, 0), n))
     free = page_budget - len(keep)
     if free > 0:
         candidates = np.asarray([i for i in range(n) if i not in keep])
@@ -119,8 +124,6 @@ def quest_mapping(
     q: np.ndarray,
     store: PageSummaryStore,
     page_budget: int,
-    num_sink_pages: int = 1,
-    num_recent_pages: int = 1,
 ) -> AttentionMapping:
     """Prune a decode layout to each request's top-``page_budget`` pages.
 
@@ -139,8 +142,7 @@ def quest_mapping(
     for r in range(batch):
         pages = kv.group_blocks(r)
         total = int(kv.kv_lens[r])
-        sel = select_pages(q[r], pages, store, page_budget,
-                           num_sink_pages, num_recent_pages)
+        sel = select_pages(q[r], pages, store, page_budget)
         chosen = pages[sel]
         # Only the final (most recent) page may be partial.
         last_valid = total - (len(pages) - 1) * bc

@@ -8,7 +8,7 @@ from repro.utils.dtypes import (
     round_to_storage,
 )
 from repro.utils.rng import new_rng
-from repro.utils.validation import check_2d, check_3d, check_positive
+from repro.utils.validation import check_positive
 
 __all__ = [
     "FP8_E4M3_MAX",
@@ -17,7 +17,5 @@ __all__ = [
     "quantize_fp8",
     "round_to_storage",
     "new_rng",
-    "check_2d",
-    "check_3d",
     "check_positive",
 ]

@@ -5,22 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def check_2d(x: np.ndarray, name: str) -> np.ndarray:
-    """Require a 2-D array; return it as ``np.ndarray``."""
-    x = np.asarray(x)
-    if x.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {x.shape}")
-    return x
-
-
-def check_3d(x: np.ndarray, name: str) -> np.ndarray:
-    """Require a 3-D array (tokens, heads, head_dim); return it."""
-    x = np.asarray(x)
-    if x.ndim != 3:
-        raise ValueError(f"{name} must be 3-D (tokens, heads, head_dim), got shape {x.shape}")
-    return x
-
-
 def check_positive(value: int, name: str) -> int:
     """Require a strictly positive integer."""
     if not isinstance(value, (int, np.integer)) or value <= 0:

@@ -164,6 +164,10 @@ class TestSmScaleNotSticky:
             k, v = cache.gather(sid)
             ref = reference_attention(q[r : r + 1], fp16(k), fp16(v), causal=True)
             np.testing.assert_allclose(out[r : r + 1], ref, atol=1e-6)
+            ref = reference_attention(
+                q[r : r + 1], fp16(k), fp16(v), causal=True, sm_scale=0.01
+            )
+            np.testing.assert_allclose(scaled[r : r + 1], ref, atol=1e-6)
         assert np.abs(scaled - out).max() > 1e-3  # the custom scale did apply
 
 

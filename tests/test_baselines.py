@@ -84,6 +84,12 @@ class TestSchedulingCharacter:
 
 
 class TestUnfusedPipelines:
+    def test_rope_kernel_reads_and_writes_every_row_once(self):
+        # 108 rows over A100's 108 SMs: one fp16 row each way per SM.
+        rep = rope_kernel_report(54, 2, 128, A100_40G)
+        assert rep.total_bytes == 2 * 108 * 128 * 2
+        assert rep.num_ctas == A100_40G.num_sms
+
     def test_rope_kernel_is_bandwidth_bound(self):
         rep = rope_kernel_report(100_000, 8, 128, A100_40G)
         assert rep.achieved_bandwidth() > 0.5 * A100_40G.peak_bandwidth_bytes

@@ -83,3 +83,37 @@ def test_serve_rejects_flags_it_cannot_honour(capsys):
             main(["serve", *flags])
         assert exc.value.code == 2
         assert f"argument {flags[-2]}:" in capsys.readouterr().err
+
+
+def test_serve_recover_refuses_a_non_dividing_tp(capsys, tmp_path):
+    # The engine would serve tp=3 with unsharded attention; the cold start
+    # refuses it before opening the journal, in one stderr line.
+    rc = main(["serve", "--recover", "--journal", str(tmp_path), "--tp", "3"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "tensor_parallel=3 must divide" in err
+
+
+def test_serve_chaos_prints_what_ci_greps(capsys):
+    # CI's chaos-smoke row at half the requests: faults fire, and the
+    # recovered run is token-exact against the fault-free one.
+    rc = main(["serve", "--requests", "8", "--rate", "80", "--chaos", "--chaos-seed", "7"])
+    out = capsys.readouterr().out
+    assert rc == 0, out
+    assert re.search(r"faults_injected=[1-9]", out)
+    assert re.search(r"token_divergence=0 ", out)
+
+
+def test_serve_crash_journal_then_recover(capsys, tmp_path):
+    # CI's crash-recovery-smoke row at half the requests, then a cold
+    # start of the journal it leaves behind.
+    journal = str(tmp_path / "ckpt")
+    rc = main(["serve", "--requests", "8", "--rate", "80", "--chaos", "--chaos-seed", "7",
+               "--crash", "3", "--checkpoint-every", "4", "--journal", journal])
+    out = capsys.readouterr().out
+    assert rc == 0, out
+    for pattern in (r"crashes=[3-9]", r"mid-step", r"token_divergence=0 "):
+        assert re.search(pattern, out), f"{pattern!r} not in:\n{out}"
+    assert main(["serve", "--recover", "--journal", journal]) == 0
+    assert "divergence=0" in capsys.readouterr().out

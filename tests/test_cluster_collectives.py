@@ -1,12 +1,11 @@
 """The surviving collective, ``p2p_send``: bitwise copy, cost charging,
-degraded-window pricing; plus ring-attention shard-strategy parity."""
+degraded-window pricing."""
 
 import numpy as np
 import pytest
 
 from repro.cluster.collectives import p2p_send
 from repro.cluster.topology import Topology
-from repro.core import HeadConfig
 
 
 def test_p2p_send_is_bitwise_and_charged():
@@ -30,24 +29,17 @@ def test_degraded_window_raises_collective_cost():
     np.testing.assert_array_equal(received, a)
 
 
-def test_zigzag_and_contiguous_ring_attention_agree():
-    # The zigzag shard strategy re-partitions causal work across devices;
-    # it must not change the attention output, only the balance.
-    from repro.distributed.ring import RingAttention
+def test_p2p_send_without_topology_is_free():
+    a = np.arange(12.0).reshape(3, 4)
+    received, cost = p2p_send(a)
+    np.testing.assert_array_equal(received, a)
+    assert cost == 0.0
 
-    heads = HeadConfig(4, 4, 64)
-    rng = np.random.default_rng(3)
-    n = 256
-    q = rng.standard_normal((n, 4, 64))
-    k = rng.standard_normal((n, 4, 64))
-    v = rng.standard_normal((n, 4, 64))
-    out = {}
-    reports = {}
-    for strategy in ("contiguous", "zigzag"):
-        ring = RingAttention(4, heads, shard_strategy=strategy)
-        out[strategy], reports[strategy] = ring.run(q, k, v, causal=True)
-    np.testing.assert_allclose(out["zigzag"], out["contiguous"], rtol=1e-10)
-    # Zigzag exists to balance causal work: the per-step critical path
-    # (max over devices) must never be worse than contiguous sharding.
-    assert reports["zigzag"].compute_time <= reports["contiguous"].compute_time
-    assert reports["contiguous"].skipped_pairs > 0
+
+def test_wire_bytes_price_the_modeled_payload_under_its_kind():
+    # Migration ships page-table metadata but pays for the KV it stands for.
+    topo = Topology.preset("nvlink", world=2)
+    meta = np.zeros(16, dtype=np.uint8)
+    _, cost = p2p_send(meta, topo, t=0.0, kind="migration", wire_bytes=64e6)
+    assert cost == pytest.approx(topo.p2p_time(64e6))
+    assert topo.traffic_bytes == {"migration": pytest.approx(64e6)}

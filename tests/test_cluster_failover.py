@@ -9,7 +9,6 @@ from repro.cluster import (
     ClusterEngine,
     FailoverConfig,
     FailureDetector,
-    HealthSchedule,
     IllegalTransitionError,
     KVMigrator,
     MigrationChecksumError,
@@ -79,7 +78,16 @@ def test_detector_backdates_timeouts_deterministically():
     assert det.state(0) == "dead"
     # Replica 1 was not in the monitored subset: still healthy.
     assert det.state(1) == "healthy"
-    assert det.healthy_mask() == [False, True]
+
+
+def test_detector_without_a_subset_sweeps_every_replica():
+    det = FailureDetector(3)
+    det.heartbeat(0, 0.05)
+    det.heartbeat(1, 0.0)
+    det.heartbeat(2, 0.05)
+    fired = det.advance(0.055)  # only replica 1 is past its deadlines
+    assert [(tr.replica, tr.to) for tr in fired] == [(1, "suspected"), (1, "dead")]
+    assert [det.state(i) for i in range(3)] == ["healthy", "dead", "healthy"]
 
 
 def test_detector_heartbeat_flaps_suspected_back_to_healthy():
@@ -102,17 +110,6 @@ def test_failover_config_validation():
         ReplicaFailure(-1)
     with pytest.raises(ValueError, match="mode"):
         ReplicaFailure(3, "explode")
-
-
-def test_health_schedule_windows_and_recovery():
-    sched = HealthSchedule(2).add_window(0, 1.0, 2.0).add_window(1, 1.5, 3.0)
-    assert sched.mask(0.5) == [True, True]
-    assert sched.mask(1.6) == [False, False]
-    assert sched.mask(2.5) == [True, False]
-    # First replica healthy at/after an all-down instant is replica 0 at 2.0.
-    assert sched.next_recovery(1.6) == (2.0, 0)
-    with pytest.raises(ValueError, match="empty unhealthy window"):
-        sched.add_window(0, 5.0, 5.0)
 
 
 # -- live KV migration ---------------------------------------------------------
@@ -364,51 +361,3 @@ def test_seeded_replica_site_draws_deterministically():
     cm = cluster.run(requests)
     assert cm.token_divergence(expected_tokens(reference)) == (0, 12)
     assert cm.summary()["failover_crashes"] >= 1.0
-
-
-# -- routing under unhealthy replicas ------------------------------------------
-
-
-def test_all_replicas_unhealthy_holds_arrivals_never_drops():
-    requests = sharegpt_workload(10, rate=200.0, seed=4)
-    # Both replicas down over a window covering the middle arrivals;
-    # replica 1 rejoins first.
-    sched = (
-        HealthSchedule(2)
-        .add_window(0, 0.0, 0.30)
-        .add_window(1, 0.01, 0.20)
-    )
-    cluster = _cluster(failover=FailoverConfig(), health_schedule=sched)
-    reference = cluster.run_reference(requests)
-    cm = cluster.run(requests)
-    # Nothing dropped: every stream completes, token-exactly.
-    assert cm.token_divergence(expected_tokens(reference)) == (0, 10)
-    s = cm.summary()
-    assert s["cluster_requests"] == 10.0
-    assert s["cluster_sheds"] == 0.0
-    assert s["cluster_held_requests"] > 0
-    # Held arrivals were clamped to the first rejoin inside the window.
-    held_arrivals = [
-        r.arrival for lst in cm.replica_requests for r in lst
-    ]
-    assert all(a >= 0.0 for a in held_arrivals)
-    for lst in cm.replica_requests:
-        assert [r.arrival for r in lst] == sorted(r.arrival for r in lst)
-
-
-def test_unhealthy_window_steers_routing_and_backpressure():
-    requests = sharegpt_workload(12, rate=300.0, seed=2)
-    sched = HealthSchedule(2).add_window(0, 0.0, 10.0)  # replica 0 down all run
-    cluster = _cluster(health_schedule=sched)
-    per_replica, assignments = cluster.route(requests)
-    assert all(a == 1 for a in assignments)
-    assert len(per_replica[0]) == 0
-
-
-def test_health_schedule_without_failover_still_routes_token_exact():
-    requests = sharegpt_workload(10, rate=120.0, seed=8)
-    sched = HealthSchedule(2).add_window(0, 0.0, 0.05)
-    cluster = _cluster(health_schedule=sched)
-    reference = cluster.run_reference(requests)
-    cm = cluster.run(requests)
-    assert cm.token_divergence(expected_tokens(reference)) == (0, 10)

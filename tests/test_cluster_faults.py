@@ -40,14 +40,21 @@ def _engine(store=None, tensor_parallel=1, every=2):
     )
 
 
+def _degraded(cfg, *windows):
+    """A cluster whose topology derates the link over each
+    ``(t_start, t_end, factor)`` window."""
+    engine = ClusterEngine(MODEL, H100_80G, cfg)
+    for t0, t1, factor in windows:
+        engine.topology.degrade(t0, t1, factor)
+    return engine
+
+
 def test_link_degradation_slows_the_cluster():
     requests = sharegpt_workload(6, rate=60.0, seed=3)
     cfg = ClusterConfig(tp=2, engine=EngineConfig(max_running=64))
     healthy = ClusterEngine(MODEL, H100_80G, cfg).run(requests)
     # Derate the interconnect to 10% for the entire run window.
-    degraded = ClusterEngine(
-        MODEL, H100_80G, cfg, link_faults=((0.0, 1e6, 0.1),)
-    ).run(requests)
+    degraded = _degraded(cfg, (0.0, 1e6, 0.1)).run(requests)
     assert degraded.total_time > healthy.total_time
     assert degraded.summary()["link_degradations"] == 1.0
 
@@ -57,15 +64,12 @@ def test_link_degradation_window_only_slows_covered_steps():
     cfg = ClusterConfig(tp=2, engine=EngineConfig(max_running=64))
     healthy = ClusterEngine(MODEL, H100_80G, cfg).run(requests)
     # A window entirely after the run changes nothing.
-    after = ClusterEngine(
-        MODEL, H100_80G, cfg,
-        link_faults=((healthy.total_time + 1.0, healthy.total_time + 2.0, 0.1),),
+    after = _degraded(
+        cfg, (healthy.total_time + 1.0, healthy.total_time + 2.0, 0.1)
     ).run(requests)
     assert after.total_time == pytest.approx(healthy.total_time)
     # Degradation moves time only: tokens stay identical.
-    degraded = ClusterEngine(
-        MODEL, H100_80G, cfg, link_faults=((0.0, 1e6, 0.1),)
-    ).run(requests)
+    degraded = _degraded(cfg, (0.0, 1e6, 0.1)).run(requests)
     healthy_tokens = [t.tokens for m in healthy.replicas for t in m.traces]
     degraded_tokens = [t.tokens for m in degraded.replicas for t in m.traces]
     assert healthy_tokens == degraded_tokens

@@ -232,3 +232,26 @@ def test_cluster_summary_shape():
     merged = cm.merged
     assert len(merged.traces) == 6
     assert merged.total_time == pytest.approx(cm.total_time)
+
+
+def test_route_with_every_breaker_open_still_places_work(monkeypatch):
+    # A breaker steers work, never drops it: with every breaker open the
+    # routing pass falls back to the unmasked policy and places every
+    # request the front door admitted, each exactly once.
+    from repro.cluster.router import CircuitBreaker
+    from repro.serving.overload import OverloadConfig
+
+    requests = sharegpt_workload(12, rate=120.0, seed=5)
+    cfg = ClusterConfig(
+        dp=3, router="least-loaded", engine=EngineConfig(max_running=64),
+        overload=OverloadConfig(admit_rate=1000.0, burst_capacity=64.0),
+    )
+    closed, _ = ClusterEngine(MODEL, H100_80G, cfg).route(requests)
+    monkeypatch.setattr(CircuitBreaker, "allow", lambda self, t: False)
+    cluster = ClusterEngine(MODEL, H100_80G, cfg)
+    per_replica, assignments = cluster.route(requests)
+    placed = sorted(r.rid for reqs in per_replica for r in reqs)
+    assert placed == sorted(r.rid for reqs in closed for r in reqs)
+    assert len(placed) == len(set(placed)) == len(assignments) == 12
+    for reqs in per_replica:
+        assert [r.arrival for r in reqs] == sorted(r.arrival for r in reqs)

@@ -156,7 +156,7 @@ def test_engine_and_cluster_replica_share_one_life_loop():
 
 
 def test_cluster_replica_inherits_the_livelock_guard():
-    # 26 scripted kills against the life loop's max_crashes of 25.
+    # 26 scripted kills against the life loop's MAX_CRASHES of 25.
     script = [(k, phase) for k in range(1, 14) for phase in ("boundary", "mid-step")]
     with pytest.raises(RuntimeError, match="kill/restore livelock"):
         _dp1(script).run(sharegpt_workload(4, rate=120.0, seed=6))

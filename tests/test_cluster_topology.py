@@ -26,14 +26,13 @@ def test_presets_construct_and_unknown_rejected():
         Topology("bad", world=0, link=NVLINK_P2P)
 
 
-def test_link_transfer_time_is_latency_plus_bytes_over_bandwidth():
-    link = Link("test", bandwidth=100e9, latency=1e-6)
-    assert link.transfer_time(0) == pytest.approx(1e-6)
-    assert link.transfer_time(100e9) == pytest.approx(1.0 + 1e-6)
-    # Efficiency derates the bandwidth, not the latency.
-    assert link.transfer_time(100e9, efficiency=0.5) == pytest.approx(2.0 + 1e-6)
-    with pytest.raises(ValueError):
-        link.transfer_time(-1)
+def test_p2p_time_is_latency_plus_bytes_over_bandwidth():
+    topo = Topology("test", world=2, link=Link("test", bandwidth=100e9, latency=1e-6))
+    assert topo.p2p_time(0) == pytest.approx(1e-6)
+    assert topo.p2p_time(100e9) == pytest.approx(1.0 + 1e-6)
+    # A derating window slows the bandwidth, not the latency.
+    topo.degrade(1.0, 2.0, factor=0.5)
+    assert topo.p2p_time(100e9, t=1.5) == pytest.approx(2.0 + 1e-6)
 
 
 @pytest.mark.parametrize("preset", sorted(TOPOLOGY_PRESETS))
@@ -47,9 +46,7 @@ def test_all_reduce_cost_monotone_in_world_size(preset):
 
 
 @pytest.mark.parametrize("preset", sorted(TOPOLOGY_PRESETS))
-@pytest.mark.parametrize(
-    "collective", ["all_reduce_time", "all_gather_time", "reduce_scatter_time", "p2p_time"]
-)
+@pytest.mark.parametrize("collective", ["all_reduce_time", "p2p_time"])
 def test_collective_cost_monotone_in_message_bytes(preset, collective):
     topo = Topology.preset(preset, world=4)
     fn = getattr(topo, collective)
@@ -86,23 +83,12 @@ def test_pcie_host_bridge_serializes_and_double_hops():
     assert pcie.all_reduce_time(nbytes) > nvlink.all_reduce_time(nbytes)
 
 
-def test_reduce_scatter_and_all_gather_are_half_an_all_reduce():
-    topo = Topology.preset("nvlink", world=8)
-    nbytes = 32 * MB
-    assert topo.all_gather_time(nbytes) == pytest.approx(
-        topo.reduce_scatter_time(nbytes)
-    )
-    assert topo.all_reduce_time(nbytes) == pytest.approx(
-        topo.all_gather_time(nbytes) + topo.reduce_scatter_time(nbytes)
-    )
-
-
 def test_group_size_validation():
     topo = Topology.preset("nvlink", world=4)
     with pytest.raises(ValueError, match="group_size"):
         topo.all_reduce_time(MB, group_size=5)
     with pytest.raises(ValueError, match="group_size"):
-        topo.all_gather_time(MB, group_size=0)
+        topo.all_reduce_time(MB, group_size=0)
 
 
 def test_degradation_window_slows_only_inside_the_window():
@@ -151,3 +137,29 @@ def test_constant_unification_keeps_legacy_values():
     assert ring_bw == DEFAULT_LINK_BANDWIDTH == 200e9
     assert NVLINK_ALLREDUCE_BW == 300e9
     assert ALLREDUCE_LATENCY == 8e-6
+
+
+def test_overlapping_degradation_windows_compound_only_where_they_overlap():
+    topo = Topology("test", world=2, link=Link("test", bandwidth=100e9, latency=0.0))
+    topo.degrade(1.0, 3.0, factor=0.5)
+    topo.degrade(2.0, 4.0, factor=0.5)
+    factors = [topo.bandwidth_factor(t) for t in (0.5, 1.5, 2.5, 3.5, 4.0)]
+    assert factors == pytest.approx([1.0, 0.5, 0.25, 0.5, 1.0])
+    # A transfer is priced at the factor of its start time.
+    assert topo.p2p_time(100e9, t=2.5) == pytest.approx(4.0)
+    assert topo.p2p_time(100e9, t=3.5) == pytest.approx(2.0)
+    assert len(topo.degradations) == 2
+
+
+def test_pcie_p2p_pays_the_bridge_twice():
+    # One transfer over the host bridge: two hops of latency, one payload.
+    topo = Topology.preset("pcie", world=2)
+    nbytes = 8 * MB
+    expected = 2 * PCIE_HOST.latency + nbytes / PCIE_HOST.bandwidth
+    assert topo.p2p_time(nbytes) == pytest.approx(expected)
+
+
+def test_all_reduce_wire_bytes_count_every_ring_round():
+    # 2(g-1) rounds, each moving g chunks of nbytes/g; one rank moves nothing.
+    assert Topology.all_reduce_wire_bytes(MB, 1) == 0.0
+    assert Topology.all_reduce_wire_bytes(MB, 4) == 6 * MB

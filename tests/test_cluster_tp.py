@@ -11,7 +11,7 @@ from repro.cluster import (
     plan_tp_sharding,
 )
 from repro.gpu import H100_80G
-from repro.serving import EngineConfig, LLAMA_3_1_8B, sharegpt_workload
+from repro.serving import EngineConfig, LLAMA_3_1_8B, VICUNA_13B, sharegpt_workload
 
 MODEL = LLAMA_3_1_8B
 
@@ -25,10 +25,8 @@ def test_plan_tp_sharding_shapes():
     plan4 = plan_tp_sharding(MODEL, 4)
     assert plan4.shard_heads.num_qo_heads == 8
     assert plan4.shard_heads.num_kv_heads == 2
-    # Per-shard KV bytes shrink with tp — the capacity win TP buys.
-    assert plan4.kv_bytes_per_token(MODEL.head_dim) == pytest.approx(
-        plan.kv_bytes_per_token(MODEL.head_dim) / 2
-    )
+    # Per-shard KV heads shrink with tp — the capacity win TP buys.
+    assert plan4.shard_heads.num_kv_heads * 2 == plan.shard_heads.num_kv_heads
 
 
 def test_plan_tp_sharding_gqa_over_sharding_replicates_kv():
@@ -38,6 +36,31 @@ def test_plan_tp_sharding_gqa_over_sharding_replicates_kv():
     assert plan.shard_heads.num_qo_heads == 2
     assert plan.shard_heads.num_kv_heads == 1
     assert plan.kv_replication == 2
+
+
+def test_plan_tp_sharding_at_the_kv_head_count_replicates_nothing():
+    # tp equal to the 8 KV heads: one KV head per shard, none copied.
+    plan = plan_tp_sharding(MODEL, 8)
+    assert (plan.shard_heads.num_qo_heads, plan.shard_heads.num_kv_heads) == (4, 1)
+    assert plan.kv_replication == 1
+
+
+def test_plan_tp_sharding_one_query_head_per_shard():
+    # tp equal to the 32 QO heads: every KV head is held by 4 shards.
+    plan = plan_tp_sharding(MODEL, 32)
+    assert (plan.shard_heads.num_qo_heads, plan.shard_heads.num_kv_heads) == (1, 1)
+    assert plan.kv_replication == 4
+    with pytest.raises(ValueError, match="must divide"):
+        plan_tp_sharding(MODEL, 64)
+
+
+def test_plan_tp_sharding_of_an_mha_model():
+    # Vicuna-13B has 40 QO and 40 KV heads: tp splits both alike.
+    plan = plan_tp_sharding(VICUNA_13B, 4)
+    assert (plan.shard_heads.num_qo_heads, plan.shard_heads.num_kv_heads) == (10, 10)
+    assert plan.kv_replication == 1
+    with pytest.raises(ValueError, match="num_qo_heads=40"):
+        plan_tp_sharding(VICUNA_13B, 3)
 
 
 def test_plan_tp_sharding_validation():

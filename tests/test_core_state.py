@@ -1,11 +1,18 @@
 """Tests for attention states and the ⊕ operator (paper §2.2)."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import AttentionState, merge_all, merge_states, merge_states_sum
+from repro.core import AttentionState, merge_states, merge_states_sum
+
+
+def empty_state(batch_shape, head_dim):
+    """The state over no keys: zero output, ``-inf`` LSE (the ⊕ identity)."""
+    return AttentionState(np.zeros(batch_shape + (head_dim,)), np.full(batch_shape, -np.inf))
 
 
 def state_of(q, k, v):
@@ -31,7 +38,7 @@ class TestMergeCorrectness:
 
     def test_identity_element(self, rng):
         st_ = AttentionState(rng.standard_normal((3, 8)), rng.standard_normal(3))
-        ident = AttentionState.identity((3,), 8)
+        ident = empty_state((3,), 8)
         merged = st_.merge(ident)
         assert np.allclose(merged.o, st_.o)
         assert np.allclose(merged.lse, st_.lse)
@@ -39,7 +46,7 @@ class TestMergeCorrectness:
         assert np.allclose(merged2.o, st_.o)
 
     def test_both_empty(self):
-        a = AttentionState.identity((2,), 4)
+        a = empty_state((2,), 4)
         m = a.merge(a)
         assert np.all(np.isneginf(m.lse))
         assert np.allclose(m.o, 0.0)
@@ -95,14 +102,14 @@ class TestAlgebraicProperties:
 
     @given(finite_states)
     @settings(max_examples=50, deadline=None)
-    def test_merge_all_order_insensitive(self, seed):
+    def test_fold_order_insensitive(self, seed):
         rng = np.random.default_rng(seed)
         states = [
             AttentionState(rng.standard_normal((2, 4)), rng.uniform(-3, 3, 2))
             for _ in range(4)
         ]
-        a = merge_all(states)
-        b = merge_all(list(reversed(states)))
+        a = reduce(AttentionState.merge, states)
+        b = reduce(AttentionState.merge, reversed(states))
         assert np.allclose(a.o, b.o)
         assert np.allclose(a.lse, b.lse)
 
@@ -111,10 +118,6 @@ class TestValidation:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="batch shape"):
             AttentionState(np.zeros((2, 4)), np.zeros(3))
-
-    def test_merge_all_empty(self):
-        with pytest.raises(ValueError):
-            merge_all([])
 
     def test_matmul_operator(self, rng):
         a = AttentionState(rng.standard_normal((1, 4)), np.zeros(1))

@@ -1,10 +1,17 @@
 """Tests for tile-size heuristics and occupancy (paper §3.2.2)."""
 
 
-from repro.core import select_kv_tile, select_q_tile, select_tiles
-from repro.core.tiles import ctas_per_sm, fused_query_length, regs_per_thread, smem_bytes
-from repro.gpu import A100_40G, H100_80G
+from repro.core import VANILLA, BatchAttentionWrapper, HeadConfig, select_kv_tile, select_q_tile
+from repro.core.tiles import ctas_per_sm, regs_per_thread, smem_bytes
+from repro.gpu import A100_40G, H100_80G, WorkspaceBuffer
 from repro.utils.dtypes import StorageDType
+
+
+def wrapper(heads, avg_qo_len, **kw):
+    """The §3.2.2 heuristic as the wrapper applies it at construction."""
+    return BatchAttentionWrapper(
+        VANILLA, heads, WorkspaceBuffer(1 << 20), A100_40G, avg_qo_len=avg_qo_len, **kw
+    )
 
 
 class TestQTileSelection:
@@ -28,11 +35,10 @@ class TestQTileSelection:
 
     def test_gqa_fusion_lifts_decode_tile(self):
         # Paper Appendix A: group size fuses into the row dimension.
-        assert fused_query_length(1.0, 8) == 8.0
-        assert select_q_tile(fused_query_length(1.0, 8)) == 16
+        assert wrapper(HeadConfig(32, 4, 128), 1.0).q_tile == 16
 
     def test_fusion_disabled(self):
-        assert fused_query_length(1.0, 8, fuse=False) == 1.0
+        assert wrapper(HeadConfig(32, 4, 128), 1.0, fuse_head_groups=False).q_tile == 1
 
 
 class TestOccupancy:
@@ -68,23 +74,9 @@ class TestKVTileSelection:
         assert ctas_per_sm(64, kv_tile, 128, StorageDType.FP16, A100_40G) >= 1
 
     def test_full_heuristic(self):
-        q_tile, kv_tile = select_tiles(
-            [1] * 16, group_size=4, head_dim=128,
-            kv_dtype=StorageDType.FP16, spec=A100_40G,
-        )
-        assert q_tile == 16  # fused decode length 4 → tile 16
-        assert kv_tile in (32, 64, 128)
+        w = wrapper(HeadConfig(16, 4, 128), 1.0)
+        assert w.q_tile == 16  # fused decode length 4 → tile 16
+        assert w.kv_tile == select_kv_tile(16, 128, StorageDType.FP16, A100_40G)
 
     def test_prefill_heuristic_picks_large_tile(self):
-        q_tile, _ = select_tiles(
-            [1024] * 16, group_size=1, head_dim=128,
-            kv_dtype=StorageDType.FP16, spec=A100_40G,
-        )
-        assert q_tile == 128
-
-    def test_empty_batch(self):
-        q_tile, _ = select_tiles(
-            [], group_size=1, head_dim=128,
-            kv_dtype=StorageDType.FP16, spec=A100_40G,
-        )
-        assert q_tile == 1
+        assert wrapper(HeadConfig(16, 16, 128), 1024.0).q_tile == 128

@@ -143,10 +143,8 @@ class TestCacheIntegrity:
     def test_corruption_detected(self, rng):
         cache, sid = self.make(rng)
         page = cache.seq_pages(sid)[1]
-        assert not cache.page_is_corrupt(page)
         assert not cache.seq_is_corrupt(sid)
         cache.corrupt_page(page)
-        assert cache.page_is_corrupt(page)
         assert cache.seq_is_corrupt(sid)
         assert cache.find_corrupted() == [page]
         with pytest.raises(KVCorruptionError) as exc:
@@ -169,7 +167,7 @@ class TestCacheIntegrity:
         # Appending writes through the partial last page, re-stamping it.
         cache.append(sid, rng.standard_normal((1, 1, 8)),
                      rng.standard_normal((1, 1, 8)))
-        assert not cache.page_is_corrupt(page)
+        assert page not in cache.find_corrupted()
 
     def test_realloc_sanitizes_freed_corrupted_page(self, rng):
         cache, sid = self.make(rng, num_pages=3)
@@ -194,17 +192,6 @@ class TestCacheIntegrity:
         assert cache.num_free_pages == free_before + 1
         cache.truncate(sid, 0)
         assert cache.seq_pages(sid) == []
-
-    def test_pool_stats(self, rng):
-        cache, sid = self.make(rng)
-        stats = cache.pool_stats()
-        assert stats["num_pages"] == 16
-        assert stats["used_pages"] == 3
-        assert stats["free_pages"] == 13
-        assert stats["seq_pages"] == {sid: 3}
-        assert stats["corrupted_pages"] == 0
-        cache.corrupt_page(cache.seq_pages(sid)[0])
-        assert cache.pool_stats()["corrupted_pages"] == 1
 
     def test_exhaustion_message_carries_pool_state(self, rng):
         cache = PagedKVCache(2, 4, 1, 8)

@@ -32,10 +32,13 @@ class TestSections:
         b = WorkspaceBuffer(1024).allocate_section("x", 8)
         assert a.address != b.address
 
-    def test_bytes_allocated(self):
-        ws = WorkspaceBuffer(4096)
+    def test_exhaustion_counts_alignment_padding(self):
+        # 100 + 300 bytes fit 512, but the second section starts at 256.
+        ws = WorkspaceBuffer(512)
         ws.allocate_section("a", 100)
-        assert ws.bytes_allocated == 100
+        with pytest.raises(MemoryError, match="256 available"):
+            ws.allocate_section("b", 300)
+        assert ws.allocate_section("b", 256).offset == 256
 
     def test_empty_buffer_rejected(self):
         with pytest.raises(ValueError):

@@ -224,7 +224,7 @@ class TestRunMappingBitIdentical:
 
 class TestWrapperDefaultOutput:
     @pytest.mark.parametrize("kv_dtype", list(StorageDType))
-    def test_default_out_is_float32_and_supplied_out_keeps_its_dtype(self, rng, kv_dtype):
+    def test_out_is_float32_of_the_float64_kernel(self, rng, kv_dtype):
         mapping, slots = make_paged_mapping([70, 9, 33], [1, 9, 1], page_size=4)
         q = rng.standard_normal((11, H_QO, D))
         kp = rng.standard_normal((slots, H_KV, D)).astype(np.float32)
@@ -232,19 +232,17 @@ class TestWrapperDefaultOutput:
         w = BatchAttentionWrapper(VANILLA, HEADS, WorkspaceBuffer(1 << 24), kv_dtype=kv_dtype,
                                   avg_qo_len=4)
         plan = w.plan(mapping)
-        out32, lse32, _ = w.run(q, kp, vp)
-        out64, lse64, _ = w.run(q, kp, vp, out=np.zeros((11, H_QO, D)))
-        assert out32.dtype == np.float32 and out64.dtype == np.float64
-        assert lse32.dtype == lse64.dtype == np.float64
-        assert np.array_equal(out32, out64.astype(np.float32))
-        assert np.array_equal(lse32, lse64)
+        out32, lse64, _ = w.run(q, kp, vp)
+        assert out32.dtype == np.float32 and lse64.dtype == np.float64
 
         bufs = _buffers(dict(q=q, plan=plan, rows_eff=plan.q_tile_size * HEADS.group_size))
         ref.reference_run_mapping(
             q, kp, vp, mapping, plan, VANILLA, HEADS, VANILLA.bind_params(),
             1.0 / np.sqrt(D), w.kv_tile, *bufs, kv_dtype=kv_dtype,
         )
-        assert np.array_equal(out64, bufs[0]) and np.array_equal(lse64, bufs[1])
+        assert bufs[0].dtype == np.float64
+        assert np.array_equal(out32, bufs[0].astype(np.float32))
+        assert np.array_equal(lse64, bufs[1])
 
 
 class TestRoundToStorageFP16Equivalence:

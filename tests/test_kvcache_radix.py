@@ -104,8 +104,7 @@ class TestEviction:
         a = fill_seq(cache, range(8))
         tree.insert(list(range(8)), cache.seq_pages(a))
         cache.free_seq(a)
-        released = tree.evict(2)
-        assert released == 2
+        assert tree.evict_until(cache.num_pages) == 2
         assert cache.num_used_pages == 0
         assert tree.num_cached_pages == 0
 
@@ -115,8 +114,10 @@ class TestEviction:
         tree.insert([1, 2, 3, 4], cache.seq_pages(a))
         b = fill_seq(cache, [9, 9, 9, 9])
         tree.insert([9, 9, 9, 9], cache.seq_pages(b))
+        cache.free_seq(a)
+        cache.free_seq(b)
         tree.match_prefix([1, 2, 3, 4])  # touch a → b becomes LRU
-        tree.evict(1)
+        assert tree.evict_until(cache.num_free_pages + 1) == 1
         assert tree.match_prefix([1, 2, 3, 4])[0] == 4
         assert tree.match_prefix([9, 9, 9, 9])[0] == 0
 
@@ -124,11 +125,12 @@ class TestEviction:
         cache, tree = setup_cache()
         a = fill_seq(cache, range(4))
         tree.insert(list(range(4)), cache.seq_pages(a))
-        assert tree.evict(100) == 1
+        cache.free_seq(a)
+        assert tree.evict_until(10**6) == 1  # stops once the tree is empty
 
     def test_evict_empty_tree(self):
         _, tree = setup_cache()
-        assert tree.evict(5) == 0
+        assert tree.evict_until(10**6) == 0
 
     def test_drop_pages_forgets_the_node_and_everything_below_it(self):
         cache, tree = setup_cache()
@@ -179,7 +181,10 @@ class TestFirstPageKeying:
         rebuilt = RadixTree.from_state(cache, json.loads(json.dumps(tree.export_state())))
         assert rebuilt.match_prefix(second[:4] + [0] * 4) == (4, cache.seq_pages(b)[:1])
         assert rebuilt.match_prefix(first) == (8, cache.seq_pages(a))
-        assert rebuilt.evict(1) == 1  # LRU leaf: the tail split off ``second``
+        cache.free_seq(a)
+        cache.free_seq(b)
+        # LRU leaf: the tail split off ``second``.
+        assert rebuilt.evict_until(cache.num_free_pages + 1) == 1
         assert rebuilt.match_prefix(second)[0] == 4
         assert rebuilt.match_prefix(first)[0] == 8
 

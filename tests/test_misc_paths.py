@@ -1,8 +1,7 @@
 """Coverage for less-travelled paths: no-split wrappers, unbalanced plans,
-batched streaming caches, grid occupancy, engine feature interplay."""
+batched streaming caches, engine feature interplay."""
 
 import numpy as np
-import pytest
 
 from conftest import fp16, make_paged_mapping
 from repro import BatchAttentionWrapper, WorkspaceBuffer
@@ -85,18 +84,6 @@ class TestStreamingBatch:
             np.testing.assert_allclose(out[s : s + 1], ref, atol=1e-6)
 
 
-class TestGridOccupancy:
-    def test_two_ctas_per_sm_shares_resources(self):
-        from repro.gpu import A100_40G, PersistentKernelExecutor, TileCost
-
-        exe = PersistentKernelExecutor(A100_40G)
-        blocks = [TileCost(flops=1e9, padded_flops=1e9)] * A100_40G.num_sms * 2
-        one = exe.run_grid(blocks, ctas_per_sm=1)
-        two = exe.run_grid(blocks, ctas_per_sm=2)
-        # Two resident CTAs split the SM: same total compute throughput.
-        assert two.makespan == pytest.approx(one.makespan, rel=0.05)
-
-
 class TestRaggedGQA:
     def test_ragged_wrapper_with_group_size_4(self, rng):
         from repro.api import BatchPrefillWithRaggedKVCacheWrapper
@@ -132,7 +119,7 @@ class TestEngineFeatureInterplay:
             num_pool_pages=1 << 12, chunked_prefill=True, prefill_chunk_size=256,
             prefix_cache=True, composable=True, max_running=64,
         )
-        be = FlashInferBackend(heads, H100_80G, composable=True)
+        be = FlashInferBackend(heads, H100_80G)
         reqs = [
             Request(i * 0.05, 512, 6, n=2, prefix_group=1, prefix_len=448)
             for i in range(4)

@@ -171,14 +171,13 @@ class TestBreakEvenRelease:
 class TestPlanUnbalanced:
     @given(st.lists(st.tuples(st.integers(0, 300), st.integers(0, 3000)),
                     min_size=0, max_size=12),
-           Q_TILES, NUM_CTAS, HEADS, st.integers(0, 3))
+           Q_TILES, NUM_CTAS, HEADS)
     @FIXED
-    def test_round_robin(self, groups, q_tile, num_ctas, heads, mapping_idx):
+    def test_round_robin(self, groups, q_tile, num_ctas, heads):
         qo, kv = ([g[0] for g in groups], [g[1] for g in groups])
-        kw = dict(num_kv_heads=heads, mapping_idx=mapping_idx)
         assert_same_plan(
-            plan_unbalanced(qo, kv, q_tile, num_ctas, **kw),
-            ref.plan_unbalanced(qo, kv, q_tile, num_ctas, **kw),
+            plan_unbalanced(qo, kv, q_tile, num_ctas, num_kv_heads=heads),
+            ref.plan_unbalanced(qo, kv, q_tile, num_ctas, num_kv_heads=heads),
         )
 
 

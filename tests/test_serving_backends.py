@@ -36,13 +36,29 @@ class TestFlashInferBackend:
     def test_composable_wrapper_cached_per_format_count(self):
         from repro.sparse import ComposableFormat
 
-        be = FlashInferBackend(HEADS, H100_80G, composable=True)
+        be = FlashInferBackend(HEADS, H100_80G)
         m1, _ = make_paged_mapping([256] * 4, [1] * 4, 16)
         be.attention_time(ComposableFormat.single(m1), decode=True)
         cw = be._composable_wrappers["decode_1"]
         m2, _ = make_paged_mapping([512] * 4, [1] * 4, 16)
         be.attention_time(ComposableFormat.single(m2), decode=True)
         assert be._composable_wrappers["decode_1"] is cw
+
+    def test_each_phase_and_format_count_gets_its_own_stack(self):
+        """Listing 1's ``select_graph``: one wrapper stack (one CUDAGraph) per
+        task configuration, selected by phase and format count."""
+        from repro.sparse import ComposableFormat, decompose_shared_prefix
+
+        be = FlashInferBackend(HEADS, H100_80G)
+        mapping, _, clusters = make_shared_prefix_mapping(2, 3, 64, 48)
+        two = decompose_shared_prefix(mapping, clusters)
+        one = ComposableFormat.single(mapping)
+        for formats, decode in ((two, True), (one, True), (two, False), (two, True)):
+            be.attention_time(formats, decode=decode)
+        stacks = be._composable_wrappers
+        assert sorted(stacks) == ["decode_1", "decode_2", "prefill_2"]
+        assert len({id(cw) for cw in stacks.values()}) == 3
+        assert [len(stacks[k].wrappers) for k in sorted(stacks)] == [1, 2, 2]
 
     def test_traced_records_of_a_cascade_step_add_up(self):
         """One record per format of a cascade step, as it ran in the stack.
@@ -53,7 +69,7 @@ class TestFlashInferBackend:
         contraction, and each CTA's busy time over both launches."""
         from repro.sparse import decompose_shared_prefix
 
-        be = FlashInferBackend(HEADS, H100_80G, composable=True)
+        be = FlashInferBackend(HEADS, H100_80G)
         be.collect_kernel_reports = True
         mapping, _, clusters = make_shared_prefix_mapping(2, 6, 1008, 40)
         makespan = be.attention_time(decompose_shared_prefix(mapping, clusters), decode=True)
@@ -99,7 +115,7 @@ class TestPerRunStateAttach:
         return decompose_shared_prefix(mapping, clusters)
 
     def test_injector_reaches_composable_stack_on_first_step(self):
-        be = FlashInferBackend(HEADS, H100_80G, composable=True)
+        be = FlashInferBackend(HEADS, H100_80G)
         inj = CountingInjector()
         be.set_fault_injector(inj)
         formats = self.cascade_formats()
@@ -112,7 +128,7 @@ class TestPerRunStateAttach:
     def test_plan_cache_reaches_composable_stack_on_first_step(self):
         from repro.serving import PlanCache
 
-        be = FlashInferBackend(HEADS, H100_80G, composable=True)
+        be = FlashInferBackend(HEADS, H100_80G)
         cache = PlanCache()
         be.set_plan_cache(cache)
         formats = self.cascade_formats()

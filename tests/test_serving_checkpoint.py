@@ -211,6 +211,42 @@ class TestColdStart:
         assert stats["recover_token_divergence"] == 0
         assert stats["recover_replayed_tokens"] > 0
 
+    def test_resume_traces_into_the_engines_own_tracer(self):
+        from repro.obs import StepTracer
+
+        reqs = workload()
+        store = CheckpointStore()
+        crash_mid_run(store, reqs)
+        recovered = RecoveryManager(store, requests=reqs).recover()
+        tracer = StepTracer()
+        eng = engine(
+            checkpoint=CheckpointConfig(every_steps=4), checkpoint_store=store,
+            tracer=tracer,
+        )
+        metrics = eng.resume(recovered)
+        assert tracer.num_steps > 0
+        assert tracer.events[0].index == recovered.snapshot["event_index"]
+        assert "recover:restored" in tracer.fault_counts
+        assert sum(len(t.tokens) for t in metrics.traces) == sum(
+            r.output_len * r.n for r in reqs
+        )
+
+    def test_life_loop_gives_up_past_max_crashes(self):
+        from repro.serving.checkpoint import MAX_CRASHES
+
+        reqs = workload()
+        store = CheckpointStore()
+        kills = [(k, phase) for k in range(1, 14) for phase in ("boundary", "mid-step")]
+        assert len(kills) == MAX_CRASHES + 1
+
+        def factory():
+            return engine(
+                checkpoint=CheckpointConfig(every_steps=4), checkpoint_store=store
+            )
+
+        with pytest.raises(RuntimeError, match=f"exceeded MAX_CRASHES={MAX_CRASHES}"):
+            run_lives(factory, reqs, store, script=kills)
+
     def test_recover_with_no_snapshot_refuses(self):
         with pytest.raises(NoSnapshotError):
             RecoveryManager(CheckpointStore()).recover()

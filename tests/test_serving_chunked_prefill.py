@@ -16,7 +16,7 @@ HEADS = HeadConfig(MODEL.num_qo_heads, MODEL.num_kv_heads, MODEL.head_dim)
 
 
 def engine(chunked, chunk_size=512, composable=False):
-    be = FlashInferBackend(HEADS, H100_80G, composable=composable)
+    be = FlashInferBackend(HEADS, H100_80G)
     cfg = EngineConfig(
         num_pool_pages=1 << 14, chunked_prefill=chunked,
         prefill_chunk_size=chunk_size, composable=composable,

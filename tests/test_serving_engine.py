@@ -89,6 +89,31 @@ class TestBasicServing:
         assert len(m.traces) == 4
 
 
+class TestTensorParallelHeads:
+    """The engine shards heads by the cluster's one rule, ``plan_tp_sharding``."""
+
+    def test_non_dividing_tp_is_refused_naming_the_heads(self):
+        # tp=3 used to keep all 32 QO heads while the GEMMs divided by 3.
+        with pytest.raises(ValueError, match="num_qo_heads=32"):
+            ServingEngine.from_config(EngineConfig(tensor_parallel=3))
+        be = FlashInferBackend(HeadConfig(32, 2, 128), H100_80G)
+        with pytest.raises(ValueError, match="num_qo_heads=32"):
+            ServingEngine(MODEL, be, H100_80G, EngineConfig(tensor_parallel=3))
+
+    def test_from_config_defaults_to_llama_8b_on_h100(self):
+        engine = ServingEngine.from_config()
+        assert engine.model is MODEL and engine.gpu is H100_80G
+        assert engine.heads == HEADS
+        assert isinstance(engine.backend, FlashInferBackend)
+
+    @pytest.mark.parametrize("tp", [1, 2, 4, 8, 16, 32])
+    def test_every_valid_tp_keeps_its_shard(self, tp):
+        engine = ServingEngine.from_config(EngineConfig(tensor_parallel=tp))
+        heads = HeadConfig(32 // tp, max(8 // tp, 1), 128)
+        assert engine.heads == heads
+        assert engine.backend.heads == heads
+
+
 class TestBackends:
     def test_backend_head_mismatch_rejected(self):
         be = FlashInferBackend(HeadConfig(8, 8, 64), H100_80G)
@@ -137,7 +162,7 @@ class TestParallelGeneration:
         assert ids == [(r, g) for r in range(2) for g in range(3)]
 
     def test_composable_matches_token_counts(self):
-        be = FlashInferBackend(HEADS, H100_80G, composable=True)
+        be = FlashInferBackend(HEADS, H100_80G)
         eng = small_engine(be, composable=True)
         m = eng.run(tiny_requests(2, prompt=64, output=6, n_parallel=4))
         assert len(m.traces) == 8
@@ -149,7 +174,7 @@ class TestParallelGeneration:
             FlashInferBackend(HEADS, H100_80G), composable=False
         ).run(reqs)
         comp = small_engine(
-            FlashInferBackend(HEADS, H100_80G, composable=True), composable=True
+            FlashInferBackend(HEADS, H100_80G), composable=True
         ).run(reqs)
         assert comp.median_itl() < single.median_itl()
 

@@ -37,7 +37,7 @@ def build(reqs_spec):
 def run_engine(reqs, **cfg):
     base = dict(num_pool_pages=1 << 13, max_running=64)
     base.update(cfg)
-    be = FlashInferBackend(HEADS, H100_80G, composable=base.get("composable", False))
+    be = FlashInferBackend(HEADS, H100_80G)
     return ServingEngine(MODEL, be, H100_80G, EngineConfig(**base)).run(reqs)
 
 

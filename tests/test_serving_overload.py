@@ -399,3 +399,28 @@ class TestOverloadDisabled:
             for t in m.traces:
                 key = (req_list[t.req_id].rid, t.gen_index)
                 assert plain[key] == t.tokens
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("tenants", 0, "tenants"),
+    ("admit_rate", 0.0, "admit_rate"),
+    ("retry_factor", 0.5, "retry_factor"),
+    ("retry_jitter", -0.1, "retry_jitter"),
+    ("retry_budget", -1, "retry_budget"),
+    ("seed", -1, "seed"),
+    ("slo_ttft", 0.0, "slo_ttft"),
+    ("engage_after", 0, "engage_after"),
+    ("brownout_clamp", 0, "brownout_clamp"),
+])
+def test_overload_config_refuses_out_of_range_values(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        OverloadConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("fail_threshold", 0), ("cooldown", 0.0), ("probe_successes", 0),
+    ("pressure_threshold", 0.0),
+])
+def test_breaker_config_refuses_out_of_range_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        BreakerConfig(**{field: value})

@@ -320,3 +320,11 @@ class TestRadixCorruption:
         # The second request re-inserted the prefix; the third one hits it.
         assert metrics.prefix_stats["radix_hit_prompts"] == 1
         assert metrics.prefix_stats["radix_hit_tokens"] == 192
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_retries", -1), ("deadline", 0.0), ("step_budget", 0.0), ("anneal_after", 0),
+])
+def test_resilience_config_refuses_out_of_range_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        ResilienceConfig(**{field: value})

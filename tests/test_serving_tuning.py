@@ -3,6 +3,7 @@
 import pytest
 
 from repro.serving import RequestTrace, ServingMetrics, find_max_rate
+from repro.serving.tuning import P99_TTFT_LIMIT
 
 
 def fake_runner(knee: float):
@@ -21,19 +22,31 @@ def fake_runner(knee: float):
 
 class TestBisection:
     def test_converges_to_knee(self):
-        op = find_max_rate(fake_runner(knee=40.0), p99_ttft_limit=0.2, lo=1, hi=512)
+        assert P99_TTFT_LIMIT == 0.2
+        op = find_max_rate(fake_runner(knee=40.0), lo=1, hi=512)
         # Limit 0.2s is reached ~3.6 rate units past the knee.
         assert 40.0 <= op.rate <= 45.0
         assert op.p99_ttft <= 0.2
 
     def test_lo_already_violating(self):
-        op = find_max_rate(fake_runner(knee=0.5), p99_ttft_limit=0.05, lo=2, hi=100)
-        assert op.rate == 2
-        assert op.p99_ttft > 0.05  # caller sees the violation
+        op = find_max_rate(fake_runner(knee=0.5), lo=10, hi=100)
+        assert op.rate == 10
+        assert op.p99_ttft > 0.2  # caller sees the violation
 
     def test_hi_satisfies(self):
-        op = find_max_rate(fake_runner(knee=1e9), p99_ttft_limit=0.2, lo=1, hi=100)
+        op = find_max_rate(fake_runner(knee=1e9), lo=1, hi=100)
         assert op.rate == 100
+
+    def test_custom_constraint_replaces_the_default_limit(self):
+        # A tighter SLO than P99_TTFT_LIMIT stops the search nearer the knee.
+        default = find_max_rate(fake_runner(knee=40.0), lo=1, hi=512)
+        tight = find_max_rate(
+            fake_runner(knee=40.0), lo=1, hi=512,
+            constraint=lambda m: m.p99_ttft() <= 0.05,
+        )
+        assert tight.p99_ttft <= 0.05
+        # 0.05 s is reached 0.6 rate units past the knee, 0.2 s 3.6 units.
+        assert tight.rate <= 40.6 < default.rate
 
     def test_invalid_bounds(self):
         with pytest.raises(ValueError):
@@ -46,7 +59,7 @@ class TestBisection:
             calls.append(rate)
             return fake_runner(40.0)(rate)
 
-        find_max_rate(run, p99_ttft_limit=0.2, lo=1, hi=512, max_iters=8)
+        find_max_rate(run, lo=1, hi=512, max_iters=8)
         assert len(calls) <= 10  # lo + hi + max_iters
 
 
@@ -65,6 +78,6 @@ class TestOnRealEngine:
             eng = ServingEngine(model, be, H100_80G, EngineConfig(max_running=256))
             return eng.run(sharegpt_workload(20, rate, seed=0))
 
-        op = find_max_rate(run, p99_ttft_limit=0.05, lo=4, hi=200, max_iters=3)
+        op = find_max_rate(run, lo=4, hi=200, max_iters=3)
         assert op.rate >= 4
-        assert op.p99_ttft <= 0.05 or op.rate == 4
+        assert op.p99_ttft <= 0.2 or op.rate == 4

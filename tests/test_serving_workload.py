@@ -6,7 +6,6 @@ import pytest
 from repro.serving import (
     Request,
     constant_lengths,
-    mtbench_workload,
     poisson_arrivals,
     sharegpt_workload,
     uniform_lengths,
@@ -23,6 +22,16 @@ class TestRequest:
             Request(0.0, 10, 0)
         with pytest.raises(ValueError):
             Request(0.0, 10, 10, n=0)
+
+    @pytest.mark.parametrize("kw, message", [
+        (dict(prefix_len=11, prefix_group=0), "prefix_len must be in"),
+        (dict(prefix_len=4), "requires a prefix_group"),
+        (dict(deadline=0.0), "deadline"),
+        (dict(tenant=-1), "tenant"),
+    ])
+    def test_prefix_deadline_and_tenant_validation(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            Request(0.0, 10, 10, **kw)
 
 
 class TestArrivals:
@@ -69,12 +78,6 @@ class TestVariable:
         reqs = variable_workload(500, 1.0, seed=0)
         prompts = np.array([r.prompt_len for r in reqs])
         assert prompts.min() >= 512 and prompts.max() <= 2048
-
-
-class TestMTBench:
-    def test_lengths(self):
-        reqs = mtbench_workload(100, 1.0, seed=0)
-        assert all(40 <= r.prompt_len < 500 for r in reqs)
 
 
 class TestKernelDistributions:

@@ -11,6 +11,7 @@ from repro.sparse import (
     detect_shared_prefixes,
     kv_from_page_table,
 )
+from repro.sparse.composable import MIN_CLUSTER_SIZE
 
 
 class TestPrefixCluster:
@@ -107,7 +108,7 @@ class TestDecompose:
 class TestDetect:
     def test_detects_planted_clusters(self):
         mapping, _, clusters = make_shared_prefix_mapping(3, 4, 64, 32)
-        found = detect_shared_prefixes(mapping.kv, min_prefix_blocks=2)
+        found = detect_shared_prefixes(mapping.kv)
         assert len(found) == 3
         for got, want in zip(found, clusters):
             assert got.requests == want.requests
@@ -119,9 +120,31 @@ class TestDetect:
         )
         assert detect_shared_prefixes(kv) == []
 
+    def test_prefix_stops_at_the_first_differing_page(self):
+        # Three streams share pages 0-1; the first two also share page 2.
+        kv = kv_from_page_table(
+            [np.array([0, 1, 2, 3]), np.array([0, 1, 2, 4]), np.array([0, 1, 5, 6])],
+            [64, 64, 64], 16, 7,
+        )
+        (found,) = detect_shared_prefixes(kv)
+        assert found.requests == (0, 1, 2)
+        assert found.prefix_len == 32
+
+    def test_prefix_is_capped_by_the_shortest_member(self):
+        # Identical page lists, but one stream holds only 20 tokens: the
+        # prefix keeps whole pages of the shortest member (one 16-token page).
+        kv = kv_from_page_table(
+            [np.array([0, 1, 2]), np.array([0, 1])], [48, 20], 16, 3
+        )
+        (found,) = detect_shared_prefixes(kv)
+        assert found.prefix_len == 16
+
     def test_min_cluster_size(self):
+        # Two streams sharing a prefix are the smallest cluster.
+        assert MIN_CLUSTER_SIZE == 2
         mapping, _, _ = make_shared_prefix_mapping(1, 2, 64, 32)
-        assert detect_shared_prefixes(mapping.kv, min_cluster_size=3) == []
+        (found,) = detect_shared_prefixes(mapping.kv)
+        assert found.requests == (0, 1)
 
 
 class TestComposableFormat:

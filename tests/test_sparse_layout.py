@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sparse import AttentionMapping, BlockSparseKV, kv_from_page_table
-from repro.sparse.conversions import bsr_from_page_table, mapping_from_bsr
+from repro.sparse import AttentionMapping, BlockSparseKV, BSRMatrix, kv_from_page_table
+from repro.sparse.conversions import mapping_from_bsr
 
 
 class TestBlockSparseKV:
@@ -47,21 +47,6 @@ class TestBlockSparseKV:
     def test_block_indices_range(self):
         with pytest.raises(ValueError, match="pool"):
             BlockSparseKV(4, 2, np.array([0, 1]), np.array([5]), np.array([4]))
-
-    def test_from_slot_lists(self):
-        kv = BlockSparseKV.from_slot_lists(
-            [np.array([4, 5, 6, 7, 0, 1])], block_size=4, pool_blocks=2
-        )
-        assert np.array_equal(kv.group_blocks(0), [1, 0])
-        assert kv.kv_lens[0] == 6
-
-    def test_from_slot_lists_rejects_misaligned(self):
-        with pytest.raises(ValueError, match="aligned"):
-            BlockSparseKV.from_slot_lists([np.array([1, 2, 3, 4])], 4, 2)
-
-    def test_from_slot_lists_rejects_noncontiguous(self):
-        with pytest.raises(ValueError, match="contiguous"):
-            BlockSparseKV.from_slot_lists([np.array([0, 1, 3, 2])], 4, 1)
 
 
 class TestAttentionMapping:
@@ -144,18 +129,26 @@ class TestDropLeadingBlocks:
 
 class TestBSRBridge:
     def test_figure2_bsr_from_page_table(self):
-        # Paper Figure 2: B_r = queries per request, B_c = page size.
-        bsr = bsr_from_page_table(
-            [np.array([0, 2]), np.array([1])], [8, 3], 4, 3, queries_per_request=4
-        )
-        assert bsr.shape == (8, 12)
-        assert bsr.block_size == (4, 4)
-        mask = bsr.to_dense_mask()
-        assert mask[0:4, 0:4].all() and mask[0:4, 8:12].all()
-        assert mask[4:8, 4:7].all() and not mask[4:8, 7].any()
+        # Paper Figure 2: a page table is a BSR matrix with B_r = queries per
+        # request and B_c = page size; its rows gather the same slots.
+        kv = kv_from_page_table([np.array([0, 2]), np.array([1])], [8, 3], 4, 3)
+        bsr = BSRMatrix((8, 12), (4, 4), kv.indptr, kv.indices, kv.kv_lens)
+        gathered = mapping_from_bsr(bsr).kv
+        assert np.array_equal(gathered.slot_indices(0), [0, 1, 2, 3, 8, 9, 10, 11])
+        assert np.array_equal(gathered.slot_indices(1), [4, 5, 6])
+        for r in range(2):
+            assert np.array_equal(gathered.slot_indices(r), kv.slot_indices(r))
+
+    def test_mapping_from_bsr_keeps_block_rows_and_causality(self):
+        # Two block rows of 2 queries: each is one query group of B_r rows.
+        bsr = BSRMatrix((4, 8), (2, 4), np.array([0, 1, 3]), np.array([1, 0, 1]))
+        m = mapping_from_bsr(bsr, causal=True)
+        assert m.causal and m.label == "bsr" and m.block_row_size == 2
+        assert np.array_equal(m.qo_indptr, [0, 2, 4])
+        assert np.array_equal(m.kv.slot_indices(1), np.arange(8))
 
     def test_mapping_from_bsr(self):
-        bsr = bsr_from_page_table([np.array([0])], [4], 4, 1, queries_per_request=2)
+        bsr = BSRMatrix((2, 4), (2, 4), np.array([0, 1]), np.array([0]))
         m = mapping_from_bsr(bsr, causal=False)
         assert m.num_groups == 1
         assert m.total_qo == 2

@@ -71,10 +71,20 @@ class TestSelection:
     def test_sinks_and_recent_always_kept(self, rng):
         mapping, _, _, store = build([64], rng)
         q = rng.standard_normal((4, 16))
-        sel = select_pages(q, mapping.kv.group_blocks(0), store, page_budget=3,
-                           num_sink_pages=1, num_recent_pages=1)
+        sel = select_pages(q, mapping.kv.group_blocks(0), store, page_budget=3)
         assert 0 in sel and 7 in sel
         assert len(sel) == 3
+
+    def test_budget_below_sinks_and_recent_keeps_only_them(self, rng):
+        from repro.sparse.quest import NUM_RECENT_PAGES, NUM_SINK_PAGES
+
+        mapping, _, _, store = build([64], rng)
+        q = rng.standard_normal((4, 16))
+        pages = mapping.kv.group_blocks(0)
+        sel = select_pages(q, pages, store, page_budget=1)
+        # The sink and the most recent page are never traded for the budget.
+        assert len(sel) == NUM_SINK_PAGES + NUM_RECENT_PAGES == 2
+        assert np.array_equal(sel, [0, len(pages) - 1])
 
     def test_selects_hot_page(self, rng):
         """A page built to maximize q·k must be chosen."""

@@ -3,20 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.utils import check_2d, check_3d, check_positive, new_rng
+from repro.utils import check_positive, new_rng
 
 
 class TestValidation:
-    def test_check_2d(self):
-        assert check_2d(np.zeros((2, 3)), "x").shape == (2, 3)
-        with pytest.raises(ValueError, match="2-D"):
-            check_2d(np.zeros(3), "x")
-
-    def test_check_3d(self):
-        assert check_3d(np.zeros((2, 3, 4)), "kv").shape == (2, 3, 4)
-        with pytest.raises(ValueError, match="3-D"):
-            check_3d(np.zeros((2, 3)), "kv")
-
     def test_check_positive(self):
         assert check_positive(5, "n") == 5
         with pytest.raises(ValueError):
