@@ -7,8 +7,11 @@ Runs a ShareGPT-like workload through the serving engine with a
   https://ui.perfetto.dev — steps, per-component lanes (attention / GEMM /
   allreduce / LM head / overhead), per-kernel slices, and KV-pool counters;
 * a per-step CSV log;
-* the rolling-counter text summary (also folded into
-  ``ServingMetrics.summary()`` under ``obs_*`` keys).
+* a text summary read off the same events: step and token counts,
+  per-component time and exact step-latency percentiles.
+
+The tracer keeps only the events; the latency numbers of the run itself
+(TTFT, ITL, throughput) come from ``ServingMetrics.summary()``.
 
 Standalone API-wrapper calls are profiled with the same schema: pass a
 tracer to ``single_prefill_with_kv_cache`` / the batch wrappers and each
@@ -61,15 +64,11 @@ def main() -> None:
     print("\n— step log (CSV head) " + "—" * 42)
     print("\n".join(csv.splitlines()[:5]))
 
-    # 3. Per-step table + rolling summary.
+    # 3. Per-step table + the summary read off the events.
     print("\n— per-step view " + "—" * 48)
     print(format_step_events(tracer.events, max_rows=10))
     print()
     print(summary_table(tracer))
-
-    # The same counters ride along in the metrics summary.
-    obs_keys = {k: v for k, v in metrics.summary().items() if k.startswith("obs_")}
-    print(f"\nServingMetrics.summary() carries {len(obs_keys)} obs_* counters")
 
     # Standalone wrapper profiling with the same schema.
     single_tracer = StepTracer()

@@ -593,12 +593,15 @@ def _cmd_figures(args) -> int:
     return 0
 
 
-def _number(kind, low, strict=False):
-    """An argparse type: a ``kind`` value at least ``low`` (above it if ``strict``)."""
+def _number(kind, low, strict=False, below=None):
+    """An argparse type: a ``kind`` value at least ``low`` (above it if
+    ``strict``) and, with ``below``, under ``below``."""
     def parse(text):
         value = kind(text)
-        if not (value > low if strict else value >= low):  # nan fails both
-            raise argparse.ArgumentTypeError(f"must be {'>' if strict else '>='} {low}, got {text}")
+        above = value > low if strict else value >= low  # nan fails both
+        if not (above and (below is None or value < below)):
+            bound = f"{'>' if strict else '>='} {low}" + (f" and < {below}" if below else "")
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
         return value
     parse.__name__ = kind.__name__  # "invalid int value" for unparsable text
     return parse
@@ -648,14 +651,12 @@ def main(argv=None) -> int:
         "cluster path (default: nvlink)",
     )
     serve.add_argument(
-        "--router", default="round-robin",
-        help="routing policy for dp > 1, one of: "
-        f"{', '.join(ROUTING_POLICIES)} (default: round-robin)",
+        "--router", default="round-robin", choices=list(ROUTING_POLICIES),
+        help="routing policy for dp > 1 (default: round-robin)",
     )
     serve.add_argument(
-        "--policy", default="fcfs",
-        help="scheduling policy for the admitted prefill queue, one of: "
-        f"{', '.join(POLICIES)} "
+        "--policy", default="fcfs", choices=list(POLICIES),
+        help="scheduling policy for the admitted prefill queue "
         "(default: fcfs, token-exact with the classic engine)",
     )
     serve.add_argument(
@@ -685,16 +686,16 @@ def main(argv=None) -> int:
         help="seed for the chaos fault plan (default: 7)",
     )
     serve.add_argument(
-        "--deadline", type=float, default=None,
+        "--deadline", type=_number(float, 0, strict=True), default=None,
         help="per-request deadline in seconds after arrival; expired "
         "requests are shed (chaos/resilience runs only)",
     )
     serve.add_argument(
-        "--max-retries", type=int, default=3, dest="max_retries",
+        "--max-retries", type=_number(int, 0), default=3, dest="max_retries",
         help="recompute retries per stream before it is shed (default: 3)",
     )
     serve.add_argument(
-        "--checkpoint-every", type=int, default=0, dest="checkpoint_every",
+        "--checkpoint-every", type=_number(int, 0), default=0, dest="checkpoint_every",
         metavar="N",
         help="snapshot the full engine state every N executed steps "
         "(0 = off, the default: no journal writes, no snapshot copies)",
@@ -711,14 +712,14 @@ def main(argv=None) -> int:
         "killed run to completion",
     )
     serve.add_argument(
-        "--crash", type=int, default=0, metavar="N",
+        "--crash", type=_number(int, 0), default=0, metavar="N",
         help="kill/restore campaign: inject N scripted engine deaths "
         "(alternating step-boundary and mid-step), recover each from the "
         "latest snapshot + journal, and verify token-exactness against an "
         "uninterrupted baseline (composes with --chaos)",
     )
     serve.add_argument(
-        "--crash-rate", type=float, default=0.0, dest="crash_rate",
+        "--crash-rate", type=_number(float, 0, below=1), default=0.0, dest="crash_rate",
         metavar="P",
         help="additionally arm seeded-random engine death at probability P "
         "per step phase (requires --crash for the kill/restore harness)",
@@ -764,6 +765,11 @@ def main(argv=None) -> int:
     sub.add_parser("figures", help="how to regenerate the paper figures")
 
     args = parser.parse_args(argv)
+    if args.command == "serve":
+        for flag, value, needed in (("--trace-csv", args.trace_csv, "trace"),
+                                    ("--crash-rate", args.crash_rate, "crash")):
+            if value and not getattr(args, needed):
+                serve.error(f"{flag} requires --{needed}")
     return {
         "info": _cmd_info,
         "demo": _cmd_demo,

@@ -213,8 +213,6 @@ class HandoffSink:
 class DisaggReport:
     """Counters for one disaggregated run (``handoff_*`` summary keys)."""
 
-    prefill_replicas: Tuple[int, ...]
-    decode_replicas: Tuple[int, ...]
     requests: int = 0
     pages: int = 0
     wire_bytes: float = 0.0
@@ -225,8 +223,6 @@ class DisaggReport:
 
     def summary(self) -> Dict[str, float]:
         return {
-            "disagg_prefill_replicas": float(len(self.prefill_replicas)),
-            "disagg_decode_replicas": float(len(self.decode_replicas)),
             "handoff_requests": float(self.requests),
             "handoff_pages": float(self.pages),
             "handoff_bytes": float(self.wire_bytes),

@@ -60,7 +60,6 @@ from repro.kvcache.paged import PagedKVCache
 from repro.serving.checkpoint import (
     CheckpointConfig,
     CheckpointStore,
-    CrashReport,
     run_lives,
 )
 from repro.serving.metrics import expected_tokens
@@ -139,9 +138,6 @@ class ClusterMetrics:
     replica_requests: List[list]
     #: Routed replica per request, in cluster arrival order.
     assignments: List[int]
-    #: Per-replica :class:`~repro.serving.checkpoint.CrashReport` for
-    #: replicas that ran under a crash script (``None`` entries otherwise).
-    crash_reports: Optional[List[object]] = None
     #: :class:`~repro.cluster.failover.FailoverReport` when the run had
     #: failover configured; ``None`` otherwise (summaries unchanged).
     failover: Optional[object] = None
@@ -163,12 +159,10 @@ class ClusterMetrics:
     @property
     def total_time(self) -> float:
         """Cluster makespan: the slowest replica's completion time."""
-        return max((m.total_time for m in self.replicas), default=0.0)
+        return self.merged.total_time
 
     def throughput_tokens_per_s(self) -> float:
-        total = sum(m.total_output_tokens for m in self.replicas)
-        makespan = self.total_time
-        return total / makespan if makespan > 0 else 0.0
+        return self.merged.throughput_tokens_per_s()
 
     def token_divergence(
         self, expected: Dict[Tuple[int, int], list]
@@ -185,71 +179,38 @@ class ClusterMetrics:
         return divergent, compared
 
     def summary(self) -> Dict[str, float]:
-        """``cluster_*`` counters, per-replica lines, per-link utilization."""
-        makespan = self.total_time
+        """``cluster_*`` counters, per-replica lines, per-link traffic."""
+        merged = self.merged
+        makespan = merged.total_time
         out: Dict[str, float] = {
-            "cluster_tp": float(self.tp),
-            "cluster_dp": float(self.dp),
-            "cluster_world": float(self.tp * self.dp),
             "cluster_total_time": makespan,
-            "cluster_throughput_tok_s": self.throughput_tokens_per_s(),
-            "cluster_output_tokens": float(
-                sum(m.total_output_tokens for m in self.replicas)
-            ),
-            "cluster_requests": float(sum(len(m.traces) for m in self.replicas)),
-            "cluster_preemptions": float(sum(m.preemptions for m in self.replicas)),
-            "cluster_sheds": float(sum(m.sheds for m in self.replicas)),
-            "cluster_recover_resumed": float(
-                sum(m.recover_resumed for m in self.replicas)
-            ),
+            "cluster_throughput_tok_s": merged.throughput_tokens_per_s(),
+            "cluster_output_tokens": float(merged.total_output_tokens),
+            "cluster_preemptions": float(merged.preemptions),
         }
         # Cluster-wide latency percentiles over the merged traces — the
         # observable disagg (and any routing policy) actually moves.
-        merged = self.merged
         for q in (50, 95, 99):
             out[f"cluster_p{q}_ttft"] = merged.ttft_percentile(q)
             out[f"cluster_p{q}_itl"] = merged.itl_percentile(q)
         for i, m in enumerate(self.replicas):
             out[f"replica{i}_requests"] = float(len(m.traces))
-            out[f"replica{i}_output_tokens"] = float(m.total_output_tokens)
             out[f"replica{i}_total_time"] = m.total_time
             out[f"replica{i}_throughput_tok_s"] = m.throughput_tokens_per_s()
             # Replica utilization: busy fraction of the cluster makespan.
             out[f"replica{i}_utilization"] = (
                 m.total_time / makespan if makespan > 0 else 0.0
             )
-        radix_tokens = sum(m.radix_hit_tokens for m in self.replicas)
-        cascade_steps = sum(m.cascade_steps for m in self.replicas)
-        if radix_tokens or cascade_steps:
-            # Prefix-cache counters only when something hit, so cold-cache
-            # summaries stay byte-identical.
-            out["cluster_radix_hit_tokens"] = float(radix_tokens)
-            out["cluster_radix_hit_prompts"] = float(
-                sum(m.radix_hit_prompts for m in self.replicas)
-            )
-            out["cluster_cascade_steps"] = float(cascade_steps)
-            out["cluster_cascade_bytes_saved"] = float(
-                sum(m.cascade_bytes_saved for m in self.replicas)
-            )
-        if self.crash_reports is not None:
-            out["cluster_crashes"] = float(
-                sum(r.crashes for r in self.crash_reports if r is not None)
-            )
-            out["cluster_recoveries"] = float(
-                sum(r.recoveries for r in self.crash_reports if r is not None)
-            )
-        if self.failover is not None:
-            # Failover/migration counters, only on failover-enabled runs.
-            out.update(self.failover.summary())
-            for i, m in enumerate(self.replicas):
-                out[f"replica{i}_admission_pressure"] = float(m.admission_pressure)
-        if self.overload is not None:
-            # Front-door/breaker/brownout/SLO counters, only on overload runs.
-            out.update(self.overload.summary())
-        if self.disagg is not None:
-            # Role-pool and KV-handoff counters, only on disagg runs; the
-            # matching wire accounting is link_stats' link_handoff_*.
-            out.update(self.disagg.summary())
+        if merged.radix_hit_tokens or merged.cascade_steps:
+            # Prefix-cache counters only when something hit.
+            out["cluster_radix_hit_tokens"] = float(merged.radix_hit_tokens)
+            out["cluster_radix_hit_prompts"] = float(merged.radix_hit_prompts)
+            out["cluster_cascade_steps"] = float(merged.cascade_steps)
+            out["cluster_cascade_bytes_saved"] = float(merged.cascade_bytes_saved)
+        # Each feature's report adds its keys only on runs that enabled it.
+        for report in (self.failover, self.overload, self.disagg):
+            if report is not None:
+                out.update(report.summary())
         out.update(self.topology.link_stats(makespan=makespan))
         return out
 
@@ -669,9 +630,6 @@ class ClusterEngine:
                             f"replica {r}: drain requires ClusterConfig."
                             f"failover (a drain is a KV handoff)"
                         )
-        crash_reports: Optional[List[object]] = (
-            [None] * cfg.dp if failures and controller is None else None
-        )
         # Token work routed to each replica — the controller's load
         # signal for picking migration targets.  Disagg splits each
         # request's work across its prefill/decode pair.
@@ -702,14 +660,14 @@ class ClusterEngine:
             for i in stage:
                 replica_metrics[i] = self._run_replica(
                     i, per_replica, failures, controller, assigned_tokens,
-                    exclude, crash_reports,
+                    exclude,
                 )
         failover_report = controller.finish() if controller is not None else None
         cm = ClusterMetrics(
             tp=cfg.tp, dp=cfg.dp, router=self.router.name,
             topology=self.topology, replicas=replica_metrics,
             replica_requests=per_replica, assignments=assignments,
-            crash_reports=crash_reports, failover=failover_report,
+            failover=failover_report,
             overload=self._overload_report,
             disagg=self._disagg_report,
         )
@@ -730,7 +688,6 @@ class ClusterEngine:
         controller: Optional[FailoverController],
         assigned_tokens: List[float],
         exclude: frozenset,
-        crash_reports: Optional[List[object]],
     ):
         """Build replica ``i``'s engine and run it to completion.
 
@@ -806,14 +763,12 @@ class ClusterEngine:
             )
             return recovered, resume_at
 
-        metrics, crash_phases = run_lives(
+        metrics, _ = run_lives(
             make_engine, per_replica[i], store, script=script,
             on_crash=fail_over if controller is not None else None,
         )
         if rejoin is not None:
             controller.note_recovery(*rejoin)
-        if crash_reports is not None and script:
-            crash_reports[i] = CrashReport.from_lives(metrics, crash_phases)
         return metrics
 
     def _ship_handoffs(self, per_replica: List[list]) -> None:
@@ -832,9 +787,7 @@ class ClusterEngine:
         the divergence check.
         """
         prefill_ids, decode_ids = self.roles
-        report = DisaggReport(
-            prefill_replicas=prefill_ids, decode_replicas=decode_ids
-        )
+        report = DisaggReport()
         coordinator = DisaggCoordinator(
             self.topology, self.config.failover, self.fault_plan,
             prefix_caching=self._engine_config().prefix_cache,

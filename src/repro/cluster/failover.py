@@ -418,7 +418,6 @@ class FailoverReport:
     transitions: List[HealthTransition] = field(default_factory=list)
     migrations: List[MigrationReport] = field(default_factory=list)
     crashes: int = 0
-    drains: int = 0
     #: Failovers that fell back to in-place recovery (no healthy target,
     #: or migration retries exhausted).
     fallbacks: int = 0
@@ -432,14 +431,11 @@ class FailoverReport:
 
     def summary(self) -> Dict[str, float]:
         return {
-            "failover_crashes": float(self.crashes),
-            "failover_drains": float(self.drains),
             "failover_fallbacks": float(self.fallbacks),
             "failover_transitions": float(len(self.transitions)),
             "failover_detect_s": float(self.detect_seconds),
             "failover_recovery_s": float(self.recovery_seconds),
             "failover_inflight_migrated": float(self.inflight_migrated),
-            "failover_migrations": float(len(self.migrations)),
             "migration_pages": float(sum(m.pages for m in self.migrations)),
             "migration_bytes": float(sum(m.wire_bytes for m in self.migrations)),
             "migration_chunks": float(sum(m.chunks for m in self.migrations)),
@@ -501,7 +497,6 @@ class FailoverController:
         if mode == "drain":
             h.to("draining", t_fail, "planned drain: handing off KV")
             h.to("dead", t_fail, "drained")
-            self.report.drains += 1
         else:
             for t in heartbeats:
                 self.detector.heartbeat(replica, t)

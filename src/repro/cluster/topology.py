@@ -222,12 +222,10 @@ class Topology:
         """Per-link accounting for metrics summaries."""
         stats: Dict[str, float] = {
             "link_bytes": self.total_traffic_bytes,
-            "link_busy_s": self.total_busy_seconds,
             "link_degradations": float(len(self.degradations)),
         }
         for kind in sorted(self.traffic_bytes):
             stats[f"link_{kind}_bytes"] = self.traffic_bytes[kind]
-            stats[f"link_{kind}_busy_s"] = self.busy_seconds.get(kind, 0.0)
         if makespan is not None:
             stats["link_utilization"] = self.utilization(makespan)
         return stats

@@ -71,8 +71,6 @@ class DegradeController:
         self.degraded = False
         self._fault_strikes = 0
         self._clean_streak = 0
-        self.degrade_events = 0
-        self.anneal_events = 0
 
     def on_kernel_fault(self) -> bool:
         """Record one kernel fault; returns True if this trips degradation."""
@@ -80,7 +78,6 @@ class DegradeController:
         if not self.degraded and self._fault_strikes >= DEGRADE_AFTER:
             self.degraded = True
             self._clean_streak = 0
-            self.degrade_events += 1
             return True
         return False
 
@@ -89,7 +86,6 @@ class DegradeController:
         if not self.degraded:
             self.degraded = True
             self._clean_streak = 0
-            self.degrade_events += 1
             return True
         return False
 
@@ -101,7 +97,6 @@ class DegradeController:
                 self.degraded = False
                 self._fault_strikes = 0
                 self._clean_streak = 0
-                self.anneal_events += 1
                 return True
         else:
             self._fault_strikes = 0
@@ -113,16 +108,12 @@ class DegradeController:
             "degraded": self.degraded,
             "fault_strikes": self._fault_strikes,
             "clean_streak": self._clean_streak,
-            "degrade_events": self.degrade_events,
-            "anneal_events": self.anneal_events,
         }
 
     def import_state(self, state) -> None:
         self.degraded = bool(state["degraded"])
         self._fault_strikes = int(state["fault_strikes"])
         self._clean_streak = int(state["clean_streak"])
-        self.degrade_events = int(state["degrade_events"])
-        self.anneal_events = int(state["anneal_events"])
 
 
 class KVScrubber:

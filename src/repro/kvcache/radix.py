@@ -58,10 +58,6 @@ class RadixTree:
 
     # -- queries -----------------------------------------------------------
 
-    @property
-    def num_cached_pages(self) -> int:
-        return self._num_cached_pages
-
     def _walk(self, tokens: Tuple[int, ...]) -> Tuple[_Node, int, List[int]]:
         """Descend along ``tokens`` while whole cached pages match, touching
         the path for LRU; a node matched in part is split at the last

@@ -29,7 +29,7 @@ from repro.obs.export import (
     write_cluster_trace,
     write_csv,
 )
-from repro.obs.tracer import RollingHistogram, StepTracer
+from repro.obs.tracer import StepTracer
 
 __all__ = [
     "FAULT_ACTIONS",
@@ -38,7 +38,6 @@ __all__ = [
     "FaultEvent",
     "KernelRecord",
     "StepEvent",
-    "RollingHistogram",
     "StepTracer",
     "summary_table",
     "to_chrome_trace",

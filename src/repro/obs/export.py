@@ -15,7 +15,10 @@ from __future__ import annotations
 
 import io
 import json
+from collections import Counter
 from typing import Dict, List, Optional, Sequence
+
+import numpy as np
 
 from repro.obs.events import STEP_COMPONENTS, FaultEvent, StepEvent
 from repro.obs.tracer import StepTracer
@@ -219,42 +222,42 @@ def write_csv(path: str, events: Sequence[StepEvent]) -> None:
 
 
 def summary_table(tracer: StepTracer) -> str:
-    """Human-readable run summary: steps, tokens, component breakdown."""
+    """Human-readable run summary read off the tracer's events: steps,
+    tokens, component breakdown, kernels and exact step-latency percentiles."""
+    steps = [e for e in tracer.events if e.kind != "idle"]
+    busy = sum(e.duration for e in steps)
+    idle = sum(e.duration for e in tracer.events if e.kind == "idle")
+    kinds = ", ".join(f"{n} {k}" for k, n in sorted(Counter(e.kind for e in steps).items()))
     lines = ["— step trace summary " + "—" * 43]
-    kinds = ", ".join(
-        f"{n} {k}" for k, n in sorted(tracer.steps_by_kind.items()) if k != "idle"
-    )
-    lines.append(f"steps          : {tracer.num_steps} ({kinds or 'none'})")
+    lines.append(f"steps          : {len(steps)} ({kinds or 'none'})")
     lines.append(
-        f"tokens         : {tracer.total_prefill_tokens} prefill, "
-        f"{tracer.total_decode_tokens} decode"
+        f"tokens         : {sum(e.num_prefill_tokens for e in steps)} prefill, "
+        f"{sum(e.num_decode_tokens for e in steps)} decode"
     )
-    lines.append(
-        f"wall clock     : {tracer.busy_time * 1e3:.2f} ms busy, "
-        f"{tracer.idle_time * 1e3:.2f} ms idle"
-    )
-    if tracer.total_preemptions or tracer.total_prefix_hits:
+    lines.append(f"wall clock     : {busy * 1e3:.2f} ms busy, {idle * 1e3:.2f} ms idle")
+    preemptions = sum(e.preemptions for e in steps)
+    prefix_hits = sum(e.prefix_cache_hits for e in steps)
+    if preemptions or prefix_hits:
         lines.append(
-            f"scheduler      : {tracer.total_preemptions} preemptions, "
-            f"{tracer.total_prefix_hits} prefix-cache hits"
+            f"scheduler      : {preemptions} preemptions, {prefix_hits} prefix-cache hits"
         )
-    shares = tracer.component_shares()
     width = 30
     for comp in STEP_COMPONENTS:
-        secs = tracer.component_time.get(comp, 0.0)
-        frac = shares.get(comp, 0.0)
+        secs = sum(e.component(comp) for e in steps)
+        frac = secs / busy if busy > 0 else 0.0
         bar = "█" * int(round(frac * width))
         lines.append(
             f"  {comp:<9s} {secs * 1e3:9.2f} ms {frac:6.1%} |{bar:<{width}}|"
         )
-    if tracer.num_kernels:
+    kernels = [k for e in steps for k in e.kernels] + tracer.kernels
+    if kernels:
         lines.append(
-            f"kernels        : {tracer.num_kernels} simulated launches, "
-            f"{tracer.kernel_time * 1e3:.2f} ms attention-kernel time"
+            f"kernels        : {len(kernels)} simulated launches, "
+            f"{sum(k.makespan for k in kernels) * 1e3:.2f} ms attention-kernel time"
         )
-    if tracer.step_hist.total:
+    if steps:
+        p50, p99 = np.percentile([e.duration for e in steps], (50, 99))
         lines.append(
-            f"step latency   : p50 ≈ {tracer.step_hist.quantile(0.5) * 1e3:.3f} ms, "
-            f"p99 ≈ {tracer.step_hist.quantile(0.99) * 1e3:.3f} ms"
+            f"step latency   : p50 {p50 * 1e3:.3f} ms, p99 {p99 * 1e3:.3f} ms"
         )
     return "\n".join(lines)

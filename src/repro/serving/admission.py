@@ -14,7 +14,7 @@ streams all fold into it (previously three near-duplicate blocks).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from repro.kvcache.paged import TransientAllocFault
 from repro.serving.batching import PartialPrefill, RunState, Stream
@@ -31,12 +31,6 @@ class AdmissionController:
         #: Per-request transient-fault retries consumed before the prompt
         #: finished prefilling (streams carry their own counter after).
         self.prefill_retries: Dict[int, int] = {}
-        # Held-left integral of the saturation samples admit() records,
-        # for the time-weighted admission_pressure_mean metric.
-        self._pressure_t: Optional[float] = None
-        self._pressure_t0 = 0.0
-        self._pressure_sat = 0.0
-        self._pressure_integral = 0.0
 
     # -- admission ------------------------------------------------------------
 
@@ -53,19 +47,6 @@ class AdmissionController:
             st.waiting.popleft()
             if eng._journal is not None:
                 eng._journal.admit(idx, t)
-        # Peak saturation of the concurrency gate (admitted + running over
-        # max_running); >= 1.0 means arrivals are queueing at the door.
-        sat = (len(st.streams) + len(st.prefill_queue)) / cfg.max_running
-        if sat > st.metrics.admission_pressure:
-            st.metrics.admission_pressure = sat
-        if self._pressure_t is None:
-            self._pressure_t0 = self._pressure_t = t
-        else:
-            self._pressure_integral += self._pressure_sat * max(
-                t - self._pressure_t, 0.0
-            )
-            self._pressure_t = t
-        self._pressure_sat = sat
 
     def absorb_handoffs(self, t: float) -> None:
         """Turn admitted handed-off requests into live decode streams.
@@ -126,24 +107,6 @@ class AdmissionController:
                     trace.tokens = [imp.tok0]
                     eng._emit_token(idx, imp.gen, 0, imp.tok0, t)
                 st.streams.append(stream)
-
-    def pressure_mean(self, t_end: float) -> float:
-        """Time-weighted mean admission saturation over [first admit, t_end].
-
-        Each :meth:`admit` sample holds until the next one (held-left
-        integration), so sustained saturation and a single spike of the
-        same peak produce very different means — the distinction the
-        breaker/brownout layer keys off.
-        """
-        if self._pressure_t is None:
-            return 0.0
-        span = t_end - self._pressure_t0
-        if span <= 0:
-            return self._pressure_sat
-        total = self._pressure_integral + self._pressure_sat * max(
-            t_end - self._pressure_t, 0.0
-        )
-        return total / span
 
     def fits(self, tokens: int) -> bool:
         """Admission control: keep one page of decode headroom per live

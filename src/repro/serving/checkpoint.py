@@ -60,7 +60,7 @@ from repro.serving.metrics import ServingMetrics
 from repro.serving.workload import Request
 
 #: Bump when the snapshot schema changes; recovery refuses other versions.
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
 
 
 class CheckpointError(RuntimeError):

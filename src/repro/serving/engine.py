@@ -229,13 +229,10 @@ class ServingEngine:
             )
         #: Resolved scheduling policy (raises on an unknown name).
         self._policy: SchedulerPolicy = get_policy(self.config.policy)
-        #: Plan memo shared with the backend's wrappers; ``replay_factor``
-        #: mirrors plan-once/run-per-layer (§3.3.1): each plan lookup
-        #: stands for one plan plus ``num_layers - 1`` replayed launches.
+        #: Plan memo shared with the backend's wrappers: one lookup per
+        #: step stands for every layer's launch (§3.3.1).
         self.plan_cache: Optional[PlanCache] = (
-            PlanCache(replay_factor=model.num_layers)
-            if self.config.plan_cache
-            else None
+            PlanCache() if self.config.plan_cache else None
         )
         if self.plan_cache is not None:
             backend.set_plan_cache(self.plan_cache)
@@ -351,27 +348,6 @@ class ServingEngine:
                 state.prefill_queue.remove(idx)
                 admission.shed_request(requests[idx], idx, t, "brownout")
 
-    def _prefix_stats(self, metrics: ServingMetrics, state) -> Dict[str, float]:
-        """Radix-cache / cascade savings for the run summary.
-
-        FLOPs saved are the GEMM work of the prefill tokens the cache
-        skipped (model-level, tp-independent); HBM bytes saved come from
-        the cascade reading each shared-prefix page once per step.
-        """
-        m = self.model
-        return {
-            "radix_hit_tokens": float(metrics.radix_hit_tokens),
-            "radix_hit_prompts": float(metrics.radix_hit_prompts),
-            "prefill_flops_saved": float(
-                m.num_layers * m.layer_gemm_flops(metrics.radix_hit_tokens)
-            ),
-            "cascade_steps": float(metrics.cascade_steps),
-            "cascade_hbm_bytes_saved": float(metrics.cascade_bytes_saved),
-            "radix_cached_pages": float(
-                state.radix.num_cached_pages if state.radix is not None else 0
-            ),
-        }
-
     def _fault_stats(self, plan: Optional[FaultPlan], metrics: ServingMetrics) -> Dict[str, float]:
         c = self._fault_counters
         stats = {
@@ -383,16 +359,10 @@ class ServingEngine:
             "degraded_steps": float(c.get("degraded_steps", 0)),
             "checksum_failures": float(c.get("checksum_failures", 0)),
             "watchdog_flags": float(c.get("watchdog_flags", 0)),
-            "degrade_events": float(self._degrade.degrade_events),
-            "anneal_events": float(self._degrade.anneal_events),
         }
-        if plan is not None:
-            for site, n in plan.injected.items():
-                stats[f"injected_{site}"] = float(n)
-        if self._ckpt is not None or c.get("recover_events"):
+        if self._ckpt is not None:
             stats["ckpt_snapshots"] = float(c.get("ckpt_snapshots", 0))
             stats["ckpt_journal_records"] = float(c.get("ckpt_journal_records", 0))
-            stats["recover_events"] = float(c.get("recover_events", 0))
             stats["recover_replayed_tokens"] = float(
                 c.get("recover_replayed_tokens", 0)
             )
@@ -582,7 +552,6 @@ class ServingEngine:
         t = float(snap["t"])
         if at_time is not None:
             t = max(t, float(at_time))
-        self._count("recover_events")
         self._fault_event(
             "recover", "restored", t,
             detail=(
@@ -606,11 +575,8 @@ class ServingEngine:
         plan = self.fault_plan
         requests = state.requests
         cache = state.cache
-        pc = self.plan_cache
-        pc_before = None
-        if pc is not None:
-            pc.bind(cache.page_size, cfg.num_pool_pages)
-            pc_before = (pc.hits, pc.misses)
+        if self.plan_cache is not None:
+            self.plan_cache.bind(cache.page_size, cfg.num_pool_pages)
         former = BatchFormer(self, state, admission)
         executor = StepExecutor(self, state)
         post = Postprocessor(self, state, executor)
@@ -692,19 +658,8 @@ class ServingEngine:
             if self._ckpt is not None and step is not None:
                 self._ckpt.on_step_end(t)
         metrics.total_time = t
-        metrics.admission_pressure_mean = admission.pressure_mean(t)
         if self._journal is not None:
             self._journal.complete(t)
-        if pc is not None:
-            metrics.plan_cache_stats = pc.stats(since=pc_before)
-        if cfg.prefix_cache:
-            metrics.prefix_stats = self._prefix_stats(metrics, state)
-        if self._tracer is not None:
-            if pc is not None:
-                self._tracer.note_plan_cache(
-                    pc.hits - pc_before[0], pc.misses - pc_before[1]
-                )
-            metrics.step_stats = self._tracer.counters()
         if self._degrade is not None:
             metrics.fault_stats = self._fault_stats(plan, metrics)
             if plan is not None:

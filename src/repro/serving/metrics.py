@@ -88,10 +88,6 @@ class ServingMetrics:
     #: separate counter from :attr:`preemptions` so dashboards don't
     #: conflate capacity eviction with restart recovery.
     recover_resumed: int = 0
-    #: Rolling counters from the run's :class:`repro.obs.StepTracer`
-    #: (step counts by kind, per-component time totals, step-latency
-    #: percentiles); attached by the engine when tracing is enabled.
-    step_stats: Optional[Dict[str, float]] = None
     #: Streams shed by deadline/overload/retry-exhaustion (``outcome ==
     #: "shed"``); their partial tokens do not count toward throughput.
     shed_traces: List[RequestTrace] = field(default_factory=list)
@@ -99,10 +95,6 @@ class ServingMetrics:
     #: ``degraded_steps``, ``checksum_failures``, …); attached by the engine
     #: only on resilience runs so a plain run's summary is unchanged.
     fault_stats: Optional[Dict[str, float]] = None
-    #: Plan-cache accounting for the run (``plan_cache_hits``,
-    #: ``plan_cache_misses``, ``plan_cache_hit_rate``, ``plan_cache_entries``);
-    #: attached by the engine when its :class:`repro.serving.PlanCache` is on.
-    plan_cache_stats: Optional[Dict[str, float]] = None
     #: Prompt tokens served from the radix prefix cache instead of being
     #: recomputed at prefill (whole-page granularity).
     radix_hit_tokens: int = 0
@@ -114,18 +106,6 @@ class ServingMetrics:
     #: Estimated HBM bytes of shared-prefix K/V traffic the cascade avoided
     #: re-reading, summed over cascade steps.
     cascade_bytes_saved: float = 0.0
-    #: Prefix-cache roll-up (``radix_hit_tokens``, ``prefill_flops_saved``,
-    #: ``cascade_hbm_bytes_saved``, …); attached by the engine at end of run
-    #: when ``EngineConfig.prefix_cache`` is on.
-    prefix_stats: Optional[Dict[str, float]] = None
-    #: Peak admission saturation ((admitted + running) / max_running): a
-    #: report value (:meth:`summary`, and per replica on failover runs);
-    #: nothing priced or routed reads it.
-    admission_pressure: float = 0.0
-    #: Time-weighted mean admission saturation over the run — sustained
-    #: overload, where :attr:`admission_pressure` is a single spike.  A
-    #: report value only, like :attr:`admission_pressure`.
-    admission_pressure_mean: float = 0.0
 
     def add(self, trace: RequestTrace) -> None:
         self.traces.append(trace)
@@ -160,10 +140,6 @@ class ServingMetrics:
     def median_itl(self) -> float:
         itls = self.all_itls
         return float(np.median(itls)) if itls.size else float("nan")
-
-    def p99_itl(self) -> float:
-        itls = self.all_itls
-        return float(np.percentile(itls, 99)) if itls.size else float("nan")
 
     def ttft_percentile(self, q: float) -> float:
         """TTFT at percentile ``q`` (0–100) over completed traces."""
@@ -214,36 +190,13 @@ class ServingMetrics:
     def summary(self) -> Dict[str, float]:
         out = {
             "median_ttft": self.median_ttft(),
-            "p50_ttft": self.ttft_percentile(50),
-            "p95_ttft": self.ttft_percentile(95),
             "p99_ttft": self.p99_ttft(),
             "median_itl": self.median_itl(),
-            "p50_itl": self.itl_percentile(50),
-            "p95_itl": self.itl_percentile(95),
-            "p99_itl": self.p99_itl(),
             "throughput_tok_s": self.throughput_tokens_per_s(),
-            "num_requests": float(len(self.traces)),
-            "preemptions": float(self.preemptions),
             "recover_resumed": float(self.recover_resumed),
         }
-        if self.step_stats:
-            for key, value in self.step_stats.items():
-                out[f"obs_{key}"] = value
-        if self.plan_cache_stats is not None:
-            out.update(self.plan_cache_stats)
-        if self.prefix_stats is not None:
-            out.update(self.prefix_stats)
-        if self.admission_pressure:
-            out["admission_pressure"] = float(self.admission_pressure)
-        if self.admission_pressure_mean:
-            out["admission_pressure_mean"] = float(self.admission_pressure_mean)
         if self.fault_stats is not None:
             out.update(self.fault_stats)
-            # Per-request shed records: which stream was shed, and when.
-            for trace in self.shed_traces:
-                out[f"shed_req_{trace.req_id}_{trace.gen_index}"] = float(
-                    len(trace.token_times)
-                )
         return out
 
     @classmethod
@@ -254,9 +207,7 @@ class ServingMetrics:
         (replicas share one simulated clock, so the cluster finishes when
         its slowest replica does), making
         :meth:`throughput_tokens_per_s` the cluster throughput.  The
-        per-run stat dicts (``step_stats``/``fault_stats``/…) stay on the
-        individual replicas — aggregate views live in
-        ``repro.cluster.ClusterMetrics.summary``.
+        per-run ``fault_stats`` stay on the individual replicas.
         """
         merged = cls()
         for p in parts:
@@ -269,21 +220,14 @@ class ServingMetrics:
             merged.radix_hit_prompts += p.radix_hit_prompts
             merged.cascade_steps += p.cascade_steps
             merged.cascade_bytes_saved += p.cascade_bytes_saved
-            merged.admission_pressure = max(
-                merged.admission_pressure, p.admission_pressure
-            )
-            # Means don't sum across replicas; report the worst replica's.
-            merged.admission_pressure_mean = max(
-                merged.admission_pressure_mean, p.admission_pressure_mean
-            )
             merged.total_time = max(merged.total_time, p.total_time)
         return merged
 
     def export_state(self) -> dict:
         """Serializable snapshot for engine checkpointing.
 
-        ``step_stats``/``fault_stats``/``plan_cache_stats`` are attached by
-        the engine at end of run, so only the accumulating fields travel.
+        ``fault_stats`` is attached by the engine at end of run, so only the
+        accumulating fields travel.
         """
         return {
             "traces": [t.to_state() for t in self.traces],
@@ -296,8 +240,6 @@ class ServingMetrics:
             "radix_hit_prompts": self.radix_hit_prompts,
             "cascade_steps": self.cascade_steps,
             "cascade_bytes_saved": self.cascade_bytes_saved,
-            "admission_pressure": self.admission_pressure,
-            "admission_pressure_mean": self.admission_pressure_mean,
         }
 
     @classmethod
@@ -314,8 +256,6 @@ class ServingMetrics:
         m.radix_hit_prompts = int(state["radix_hit_prompts"])
         m.cascade_steps = int(state["cascade_steps"])
         m.cascade_bytes_saved = float(state["cascade_bytes_saved"])
-        m.admission_pressure = float(state["admission_pressure"])
-        m.admission_pressure_mean = float(state["admission_pressure_mean"])
         return m
 
 

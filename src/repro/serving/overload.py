@@ -204,9 +204,6 @@ class FrontDoor:
             tenant = self.tenant_of(r)
             if buckets[tenant].allow(t):
                 report.admitted += 1
-                report.tenant_admitted[tenant] = (
-                    report.tenant_admitted.get(tenant, 0) + 1
-                )
                 if attempt:
                     # Re-arrive at the retry time; rid (and therefore every
                     # token id) is unchanged.
@@ -366,7 +363,6 @@ class OverloadReport:
     retries: int = 0
     #: Requests that gave up at the door (attempts or budget exhausted).
     dropped: int = 0
-    tenant_admitted: Dict[int, int] = field(default_factory=dict)
     #: rid → original (pre-retry) arrival, for honest SLO attainment.
     origin: Dict[int, float] = field(default_factory=dict)
     #: Seeded dispatch timeouts fired, and those re-dispatched elsewhere.
@@ -410,7 +406,7 @@ class OverloadReport:
         )
 
     def summary(self) -> Dict[str, float]:
-        out = {
+        return {
             "overload_offered": float(self.offered),
             "overload_admitted": float(self.admitted),
             "overload_rejected": float(self.rejected),
@@ -429,9 +425,6 @@ class OverloadReport:
             "brownout_final_level": float(self.brownout_final_level),
             "slo_attainment": float(self.slo_attainment),
         }
-        for tenant, n in sorted(self.tenant_admitted.items()):
-            out[f"tenant{tenant}_admitted"] = float(n)
-        return out
 
 
 def slo_attainment(

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core import HeadConfig
+from repro.serving import PlanCache
 from repro.sparse import AttentionMapping, kv_from_page_table
 from repro.utils.dtypes import StorageDType, round_to_storage
 
@@ -97,6 +98,45 @@ def priced_kv_columns(mapping, items, kv_tile):
           - mapping.kv_pos_offset[group] - items[:, COL_KVSTART] + 1)
     chunk = items[:, COL_KVSTOP] - items[:, COL_KVSTART]
     return _causal_processed(lo, items[:, COL_QROWS], chunk, kv_tile)[1].astype(np.int64)
+
+
+class CountingPlanCache(PlanCache):
+    """Counts lookups and misses the way the benchmark's span probe does:
+    a lookup that returns ``None`` is a miss."""
+
+    def __init__(self, capacity: int = 1024):
+        super().__init__(capacity)
+        self.lookups = self.misses = 0
+
+    def get(self, key):
+        plan = super().get(key)
+        self.lookups += 1
+        self.misses += plan is None
+        return plan
+
+    @property
+    def hits(self) -> int:
+        return self.lookups - self.misses
+
+
+def cached_pages(tree) -> int:
+    """Pages a :class:`repro.kvcache.RadixTree` holds, counted over its
+    exported structure."""
+    def count(node):
+        return len(node["pages"]) + sum(count(c) for c in node["children"])
+    return count(tree.export_state()["root"])
+
+
+def crash_phases(fault_events) -> list:
+    """The phase of every engine crash a tracer saw, in order (read off the
+    ``crash:injected`` events' ``scripted kill, step N <phase>`` detail)."""
+    return [e.detail.rsplit(" ", 1)[1] for e in fault_events
+            if (e.site, e.action) == ("crash", "injected")]
+
+
+def restores(fault_events) -> int:
+    """How many times an engine resumed from a snapshot (``recover:restored``)."""
+    return sum((e.site, e.action) == ("recover", "restored") for e in fault_events)
 
 
 def fp16(x):

@@ -85,6 +85,28 @@ def test_serve_rejects_flags_it_cannot_honour(capsys):
         assert f"argument {flags[-2]}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, err", [
+    # Unknown names: the single-engine path used to traceback on --policy.
+    (["--policy", "nope"], "argument --policy: invalid choice"),
+    (["--router", "nope", "--dp", "2"], "argument --router: invalid choice"),
+    # Out of range: a traceback from a config check, or silently accepted.
+    (["--max-retries", "-1", "--chaos"], "argument --max-retries: must be >= 0"),
+    (["--deadline", "-1", "--chaos"], "argument --deadline: must be > 0"),
+    (["--crash-rate", "2", "--crash", "1"], "argument --crash-rate: must be >= 0 and < 1"),
+    (["--crash", "-2"], "argument --crash: must be >= 0"),
+    (["--checkpoint-every", "-3"], "argument --checkpoint-every: must be >= 0"),
+    # A flag whose help says "requires" another one.
+    (["--trace-csv", "out.csv"], "--trace-csv requires --trace"),
+    (["--crash-rate", "0.5"], "--crash-rate requires --crash"),
+], ids=["policy", "router", "max-retries", "deadline", "crash-rate-range", "crash",
+        "checkpoint-every", "trace-csv", "crash-rate-alone"])
+def test_serve_refuses_a_bad_flag_in_one_line(flags, err, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["serve", "--requests", "2", *flags])
+    assert exc.value.code == 2
+    assert err in capsys.readouterr().err.splitlines()[-1]
+
+
 def test_serve_recover_refuses_a_non_dividing_tp(capsys, tmp_path):
     # The engine would serve tp=3 with unsharded attention; the cold start
     # refuses it before opening the journal, in one stderr line.

@@ -3,6 +3,7 @@ and the checkpoint world-shape guard."""
 
 import pytest
 
+from conftest import crash_phases, restores
 from repro.cluster import (
     ClusterConfig,
     ClusterEngine,
@@ -84,19 +85,16 @@ def test_replica_crash_recovers_token_exact():
                       checkpoint_every=3),
         replica_failures={0: [ReplicaFailure(3, "crash", "boundary"),
                               ReplicaFailure(7, "crash", "mid-step")]},
+        trace=True,
     )
     reference = cluster.run_reference(requests)
     cm = cluster.run(requests)
-    assert cm.crash_reports is not None
-    report = cm.crash_reports[0]
-    assert report.crashes == 2
-    assert report.recoveries == 2
-    assert cm.crash_reports[1] is None
+    events = [tracer.fault_events for tracer in cluster.tracers]
+    assert crash_phases(events[0]) == ["boundary", "mid-step"]
+    assert restores(events[0]) == 2
+    assert crash_phases(events[1]) == [] and restores(events[1]) == 0
     divergent, compared = cm.token_divergence(expected_tokens(reference))
     assert (divergent, compared) == (0, 8)
-    s = cm.summary()
-    assert s["cluster_crashes"] == 2.0
-    assert s["cluster_recoveries"] == 2.0
 
 
 def test_snapshots_carry_the_world_shape():

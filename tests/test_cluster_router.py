@@ -223,10 +223,8 @@ def test_cluster_summary_shape():
         ClusterConfig(tp=2, dp=2, engine=EngineConfig(max_running=64)),
     ).run(sharegpt_workload(6, rate=60.0, seed=1))
     s = cm.summary()
-    assert s["cluster_world"] == 4.0
-    assert s["cluster_requests"] == 6.0
+    assert sum(s[f"replica{i}_requests"] for i in range(2)) == 6.0
     for i in range(2):
-        assert f"replica{i}_requests" in s
         assert 0.0 <= s[f"replica{i}_utilization"] <= 1.0
     assert s["link_bytes"] > 0.0
     merged = cm.merged

@@ -11,6 +11,7 @@ included.
 
 import pytest
 
+from conftest import crash_phases, restores
 from repro.cluster import (
     ClusterConfig,
     ClusterEngine,
@@ -90,10 +91,11 @@ def test_replica_order_within_a_stage_is_immaterial(shape, monkeypatch):
                 dp=4, roles="prefill=2,decode=2", engine=ENGINE,
                 failover=FailoverConfig() if shape == "disagg-failover" else None,
             ),
-            replica_failures={0: ReplicaFailure(6, "crash")},
+            replica_failures={0: ReplicaFailure(6, "crash")}, trace=True,
         )
 
-    forward = build().run(LOAD)
+    engine = build()
+    forward = engine.run(LOAD)
     stages = ClusterEngine._stages
     visited = []
 
@@ -110,9 +112,11 @@ def test_replica_order_within_a_stage_is_immaterial(shape, monkeypatch):
         m.total_time for m in forward.replicas
     ]
     if shape == "disagg-crash":
-        assert forward.crash_reports[0].crashes == 1
+        # Recovered in place, from its own snapshot.
+        assert forward.failover is None
+        assert restores(engine.tracers[0].fault_events) == 1
     if shape == "disagg-failover":
-        assert forward.failover.summary()["failover_migrations"] == 1.0
+        assert len(forward.failover.migrations) == 1
         assert backward.failover.summary() == forward.failover.summary()
 
 
@@ -128,6 +132,7 @@ def _dp1(script):
         replica_failures={
             0: [ReplicaFailure(step, "crash", phase) for step, phase in script]
         },
+        trace=True,
     )
 
 
@@ -142,8 +147,11 @@ def test_engine_and_cluster_replica_share_one_life_loop():
         ),
         assign_rids(requests), store, script=KILLS,
     ))
-    cm = _dp1(KILLS).run(requests)
-    cluster = cm.crash_reports[0]
+    engine = _dp1(KILLS)
+    cm = engine.run(requests)
+    cluster = CrashReport.from_lives(
+        cm.replicas[0], crash_phases(engine.tracers[0].fault_events)
+    )
     assert cluster.crash_phases == harness.crash_phases == ["boundary", "mid-step"]
     assert (cluster.crashes, cluster.recoveries) == (harness.crashes, harness.recoveries)
     assert [t.tokens for t in cluster.metrics.traces] == [

@@ -123,7 +123,7 @@ def test_traffic_accounting_and_link_stats():
     stats = topo.link_stats(makespan=1.2)
     assert stats["link_bytes"] == pytest.approx(1600.0)
     assert stats["link_all_reduce_bytes"] == pytest.approx(1500.0)
-    assert stats["link_p2p_busy_s"] == pytest.approx(0.1)
+    assert topo.busy_seconds["p2p"] == pytest.approx(0.1)
     assert stats["link_utilization"] == pytest.approx(0.5)
     assert topo.utilization(0.0) == 0.0
 

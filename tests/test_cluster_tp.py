@@ -81,11 +81,10 @@ def test_interconnect_pricing_and_charging():
     )
     ic.charge_step(num_tokens=64)
     # One step charges both all-reduces of every layer.
-    stats = topo.link_stats()
-    assert stats["link_all_reduce_busy_s"] == pytest.approx(
+    assert topo.busy_seconds["all_reduce"] == pytest.approx(
         MODEL.num_layers * per_layer
     )
-    assert stats["link_all_reduce_bytes"] > 0.0
+    assert topo.link_stats()["link_all_reduce_bytes"] > 0.0
     with pytest.raises(ValueError, match="exceeds topology world"):
         TPInterconnect(Topology.preset("nvlink", world=2), MODEL, 4)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import repro.cluster.failover as failover
+from conftest import crash_phases, restores
 from repro.cluster import (
     ClusterConfig,
     ClusterEngine,
@@ -33,7 +34,7 @@ def _page_ids():
 
 def _ship(kind, monkeypatch, **tamper):
     """Ship the same pages as ``kind``; returns what each ``p2p_send``
-    attempt was charged, the report, and the topology's link stats."""
+    attempt was charged, the report, and the topology."""
     pages, page_bytes = _page_ids()
     sends = []
 
@@ -54,12 +55,12 @@ def _ship(kind, monkeypatch, **tamper):
     )
     assert control == {"what": "descriptor", "n": 3}
     assert got == pages
-    return sends, report, topo.link_stats()
+    return sends, report, topo
 
 
 def test_migration_and_handoff_are_charged_identically(monkeypatch):
-    m_sends, m_report, m_stats = _ship("migration", monkeypatch)
-    h_sends, h_report, h_stats = _ship("handoff", monkeypatch)
+    m_sends, m_report, m_topo = _ship("migration", monkeypatch)
+    h_sends, h_report, h_topo = _ship("handoff", monkeypatch)
     assert {k for k, *_ in m_sends} == {"migration"}
     assert {k for k, *_ in h_sends} == {"handoff"}
     # Same attempts at the same times for the same bytes and seconds: the
@@ -70,9 +71,8 @@ def test_migration_and_handoff_are_charged_identically(monkeypatch):
     for field in ("pages", "wire_bytes", "chunks", "retries", "seconds", "t_end"):
         assert getattr(m_report, field) == getattr(h_report, field), field
     assert m_report.retries == 2 and m_report.pages == 9 and m_report.chunks == 4
-    assert m_stats["link_migration_bytes"] == h_stats["link_handoff_bytes"]
-    assert m_stats["link_migration_busy_s"] == h_stats["link_handoff_busy_s"]
-    assert "link_handoff_bytes" not in m_stats
+    assert m_topo.traffic_bytes == {"migration": h_topo.traffic_bytes["handoff"]}
+    assert m_topo.busy_seconds == {"migration": h_topo.busy_seconds["handoff"]}
 
 
 @pytest.mark.parametrize("kind", ["migration", "handoff"])
@@ -84,30 +84,28 @@ def test_tampered_chunk_is_refused_for_both_kinds(kind, tamper, monkeypatch):
         _ship(kind, monkeypatch, **tamper)
 
 
-def test_life_loop_recovers_in_place_and_fills_the_crash_report():
+def test_life_loop_recovers_in_place():
     requests = sharegpt_workload(4, rate=120.0, seed=6)
     cluster = ClusterEngine(
         LLAMA_3_1_8B, H100_80G,
         # No cadence configured: a scripted replica snapshots every 4
         # steps, an unscripted one not at all.
         ClusterConfig(dp=2, engine=EngineConfig(max_running=64)),
+        trace=True,
     )
     per_replica, _ = cluster.route(requests)
     failures = {0: [ReplicaFailure(3, "crash", "boundary"),
                     ReplicaFailure(7, "crash", "mid-step")]}
-    crash_reports = [None, None]
     metrics = cluster._run_replica(
         0, per_replica, failures, None, [0.0, 0.0], frozenset(failures),
-        crash_reports,
     )
-    report = crash_reports[0]
-    assert (report.crashes, report.recoveries) == (2, 2)
-    assert report.crash_phases == ["boundary", "mid-step"]
-    assert report.metrics is metrics
-    assert report.token_divergence == 0 and report.compared > 0
-    assert crash_reports[1] is None
-    # The same replica without a script runs one life and reports nothing.
-    plain = cluster._run_replica(
-        0, per_replica, {}, None, [0.0, 0.0], frozenset(), crash_reports=None
-    )
+    events = cluster.tracers[0].fault_events
+    assert crash_phases(events) == ["boundary", "mid-step"]
+    assert restores(events) == 2
+    stats = metrics.fault_stats
+    assert stats["recover_token_divergence"] == 0 and stats["recover_replayed_tokens"] > 0
+    assert stats["ckpt_snapshots"] > 0
+    # The same replica without a script runs one life and snapshots nothing.
+    plain = cluster._run_replica(0, per_replica, {}, None, [0.0, 0.0], frozenset())
+    assert "ckpt_snapshots" not in plain.fault_stats
     assert [t.tokens for t in plain.traces] == [t.tokens for t in metrics.traces]

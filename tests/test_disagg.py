@@ -5,6 +5,7 @@ prefix cache, failover and checkpointing."""
 import numpy as np
 import pytest
 
+from conftest import crash_phases
 from repro.cluster import (
     ClusterConfig,
     ClusterEngine,
@@ -141,8 +142,6 @@ def test_disagg_is_token_exact_with_nonzero_handoff_traffic():
     divergent, compared = cm.token_divergence(expected_tokens(reference))
     assert (divergent, compared) == (0, len(requests))
     s = cm.summary()
-    assert s["disagg_prefill_replicas"] == 1.0
-    assert s["disagg_decode_replicas"] == 1.0
     # Every request's KV crossed the wire as priced handoff traffic.
     assert s["handoff_requests"] == float(len(requests))
     assert s["handoff_pages"] > 0
@@ -168,8 +167,6 @@ def test_disagg_scales_to_wider_pools():
     divergent, compared = cm.token_divergence(expected_tokens(reference))
     assert (divergent, compared) == (0, len(requests))
     s = cm.summary()
-    assert s["disagg_prefill_replicas"] == 2.0
-    assert s["disagg_decode_replicas"] == 2.0
     # Both decode replicas took streams (least-loaded pairing spreads).
     assert s["replica2_requests"] > 0
     assert s["replica3_requests"] > 0
@@ -282,7 +279,7 @@ def test_prefill_replica_crash_harness_dedups_refired_handoffs():
     requests = _workload(n=8, seed=8)
     cluster = _cluster(
         checkpoint_every=3,
-        replica_failures={0: ReplicaFailure(3, "crash", "boundary")},
+        replica_failures={0: ReplicaFailure(3, "crash", "boundary")}, trace=True,
     )
     reference = cluster.run_reference(requests)
     cm = cluster.run(requests)
@@ -292,7 +289,7 @@ def test_prefill_replica_crash_harness_dedups_refired_handoffs():
     # Re-executed spawns after the restore dedup by (rid, gen): every
     # request still ships exactly once.
     assert s["handoff_requests"] == float(len(requests))
-    assert cm.crash_reports[0].crashes == 1
+    assert crash_phases(cluster.tracers[0].fault_events) == ["boundary"]
 
 
 def test_world_carries_role_only_when_set():
@@ -313,7 +310,7 @@ def test_world_carries_role_only_when_set():
 # -- percentile metrics (satellite 2) ------------------------------------------
 
 
-def test_serving_metrics_percentile_summary_keys():
+def test_serving_metrics_percentiles_are_numpy_percentiles():
     m = ServingMetrics(total_time=1.0)
     for i in range(20):
         m.add(RequestTrace(
@@ -321,14 +318,15 @@ def test_serving_metrics_percentile_summary_keys():
             token_times=[0.01 * (i + 1) + 0.002 * (j + 1) for j in range(5)],
             req_id=i,
         ))
-    s = m.summary()
     ttfts = np.asarray([t.ttft for t in m.traces])
     itls = np.concatenate([t.itls for t in m.traces])
     for q in (50, 95, 99):
-        assert s[f"p{q}_ttft"] == pytest.approx(np.percentile(ttfts, q))
-        assert s[f"p{q}_itl"] == pytest.approx(np.percentile(itls, q))
-    assert s["p50_ttft"] == pytest.approx(m.median_ttft())
-    assert s["p99_itl"] == pytest.approx(m.p99_itl())
+        assert m.ttft_percentile(q) == pytest.approx(np.percentile(ttfts, q))
+        assert m.itl_percentile(q) == pytest.approx(np.percentile(itls, q))
+    s = m.summary()
+    assert s["median_ttft"] == pytest.approx(m.ttft_percentile(50))
+    assert s["median_itl"] == pytest.approx(m.itl_percentile(50))
+    assert s["p99_ttft"] == pytest.approx(m.ttft_percentile(99))
 
 
 def test_workload_classes_recoverable_from_prompt_len():

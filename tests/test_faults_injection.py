@@ -239,7 +239,6 @@ class TestDegradeController:
         assert not dc.on_clean_step()
         assert dc.on_clean_step()  # second clean step anneals back
         assert not dc.degraded
-        assert (dc.degrade_events, dc.anneal_events) == (1, 1)
 
     def test_re_degrades_after_completed_anneal(self):
         """Annealing must fully reset the strike counter: a fresh burst of
@@ -260,13 +259,11 @@ class TestDegradeController:
         assert not dc.on_kernel_fault()
         assert dc.on_kernel_fault()  # full threshold needed once more
         assert dc.degraded
-        assert (dc.degrade_events, dc.anneal_events) == (2, 1)
 
     def test_force_degrade_is_idempotent_while_degraded(self):
         dc = self._controller()
         assert dc.force_degrade()
         assert not dc.force_degrade()
-        assert dc.degrade_events == 1
 
     def test_faulty_steps_do_not_advance_the_anneal_streak(self):
         """While degraded, only clean steps count toward annealing; a step

@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import benchmark_workloads
+from conftest import benchmark_workloads, cached_pages
 from reference_radix import TwoWalkRadixTree
 from repro.kvcache import PagedKVCache, RadixTree
 from repro.serving.batching import prompt_token_ids
@@ -106,7 +106,7 @@ class TestEviction:
         cache.free_seq(a)
         assert tree.evict_until(cache.num_pages) == 2
         assert cache.num_used_pages == 0
-        assert tree.num_cached_pages == 0
+        assert cached_pages(tree) == 0
 
     def test_evicts_lru_first(self):
         cache, tree = setup_cache()
@@ -143,7 +143,7 @@ class TestEviction:
         pages_a, pages_b = cache.seq_pages(a), cache.seq_pages(b)
         cache.free_seq(a)
         cache.free_seq(b)
-        assert tree.num_cached_pages == cache.num_used_pages == 4
+        assert cached_pages(tree) == cache.num_used_pages == 4
         # A page of one leaf: only that leaf goes.
         assert tree.drop_pages({pages_b[2]}) == 1
         assert tree.match_prefix(shared + [20, 21, 22, 23])[0] == 8
@@ -151,7 +151,7 @@ class TestEviction:
         # A page of the shared chunk: the chunk and the leaf under it go.
         assert tree.drop_pages({pages_a[1]}) == 3
         assert tree.match_prefix(shared + [10, 11, 12, 13]) == (0, [])
-        assert tree.num_cached_pages == cache.num_used_pages == 0
+        assert cached_pages(tree) == cache.num_used_pages == 0
 
 
 class TestAccounting:
@@ -159,9 +159,9 @@ class TestAccounting:
         cache, tree = setup_cache()
         a = fill_seq(cache, range(12))
         assert tree.insert(list(range(12)), cache.seq_pages(a)) == 3
-        assert tree.num_cached_pages == 3
+        assert cached_pages(tree) == 3
         assert tree.insert(list(range(12)), cache.seq_pages(a)) == 0  # no dupes
-        assert tree.num_cached_pages == 3
+        assert cached_pages(tree) == 3
 
 
 class TestFirstPageKeying:

@@ -11,7 +11,6 @@ from repro.obs import (
     STEP_COMPONENTS,
     STEP_KINDS,
     KernelRecord,
-    RollingHistogram,
     StepEvent,
     StepTracer,
     summary_table,
@@ -77,23 +76,27 @@ class TestEventCounts:
             reqs, chunked_prefill=True, prefill_chunk_size=256
         )
         assert tracer.num_steps == backend.calls
-        assert tracer.steps_by_kind.get("mixed", 0) > 0
-        assert tracer.total_prefill_tokens == sum(r.prompt_len for r in reqs)
+        assert any(e.kind == "mixed" for e in tracer.events)
+        assert sum(e.num_prefill_tokens for e in tracer.events) == sum(
+            r.prompt_len for r in reqs
+        )
 
     def test_preempting_run_records_resume_and_preemptions(self):
         reqs = [Request(i * 0.001, 640, 200) for i in range(8)]
         tracer, metrics, backend = run_traced(reqs, num_pool_pages=256)
         assert metrics.preemptions > 0
         assert tracer.num_steps == backend.calls
-        assert tracer.total_preemptions == metrics.preemptions
-        assert tracer.steps_by_kind.get("resume", 0) > 0
+        assert sum(e.preemptions for e in tracer.events) == metrics.preemptions
+        assert any(e.kind == "resume" for e in tracer.events)
 
     def test_token_accounting(self):
         reqs = [Request(0.0, 128, 10) for _ in range(4)]
         tracer, metrics, _ = run_traced(reqs)
-        assert tracer.total_prefill_tokens == 4 * 128
+        assert sum(e.num_prefill_tokens for e in tracer.events) == 4 * 128
         # Every output token beyond the prefill's first lands in a decode step.
-        assert tracer.total_decode_tokens == metrics.total_output_tokens - 4
+        assert sum(e.num_decode_tokens for e in tracer.events) == (
+            metrics.total_output_tokens - 4
+        )
 
 
 class TestReconciliation:
@@ -106,7 +109,8 @@ class TestReconciliation:
         component_sum = sum(
             sum(ev.breakdown.values()) for ev in tracer.events
         )
-        assert component_sum + tracer.idle_time == pytest.approx(
+        idle = sum(ev.duration for ev in tracer.events if ev.kind == "idle")
+        assert component_sum + idle == pytest.approx(
             metrics.total_time, rel=0.01
         )
         # Events tile [0, total_time] with no gaps or overlaps.
@@ -141,7 +145,6 @@ class TestZeroOverheadWhenDisabled:
         reqs = [Request(i * 0.002, 200, 10) for i in range(3)]
         metrics = make_engine().run(reqs)
         assert metrics.total_output_tokens == 30
-        assert metrics.step_stats is None
 
     def test_backend_reports_not_collected(self):
         backend = FlashInferBackend(HEADS, H100_80G)
@@ -206,10 +209,37 @@ class TestExporters:
             assert comp in header
         assert len(lines[1].split(",")) == len(header)
 
-    def test_summary_table_renders(self):
-        tracer, _, _ = self._traced()
-        text = summary_table(tracer)
-        assert "steps" in text and "attention" in text and "gemm" in text
+    def test_summary_table_reads_the_events(self):
+        """Every number of the table is a sum or an exact percentile over
+        the non-idle events; the idle gaps count only as idle time."""
+        reqs = sharegpt_workload(8, 20.0, seed=1)
+        tracer, metrics, _ = run_traced(reqs, chunked_prefill=True, prefill_chunk_size=256)
+        steps = [e for e in tracer.events if e.kind != "idle"]
+        idle = [e for e in tracer.events if e.kind == "idle"]
+        assert idle and len(steps) == tracer.num_steps
+        text = summary_table(tracer).splitlines()
+        kinds = sorted({e.kind for e in steps})
+        assert text[1] == f"steps          : {len(steps)} (" + ", ".join(
+            f"{sum(e.kind == k for e in steps)} {k}" for k in kinds) + ")"
+        assert text[2] == (
+            f"tokens         : {sum(e.num_prefill_tokens for e in steps)} prefill, "
+            f"{metrics.total_output_tokens - len(metrics.traces)} decode"
+        )
+        busy = sum(e.duration for e in steps)
+        assert text[3] == (
+            f"wall clock     : {busy * 1e3:.2f} ms busy, "
+            f"{sum(e.duration for e in idle) * 1e3:.2f} ms idle"
+        )
+        rows = {line.split()[0]: line for line in text if line.startswith("  ")}
+        for comp in STEP_COMPONENTS:
+            secs = sum(e.breakdown.get(comp, 0.0) for e in steps)
+            assert rows[comp].startswith(f"  {comp:<9s} {secs * 1e3:9.2f} ms {secs / busy:6.1%}")
+        durations = sorted(e.duration for e in steps)
+        p50 = np.median(durations)
+        p99 = np.percentile(durations, 99)
+        assert text[-1] == f"step latency   : p50 {p50 * 1e3:.3f} ms, p99 {p99 * 1e3:.3f} ms"
+        kernels = [k for e in steps for k in e.kernels]
+        assert text[-2].startswith(f"kernels        : {len(kernels)} simulated launches")
 
     def test_write_chrome_trace_file(self, tmp_path):
         from repro.obs import write_chrome_trace
@@ -220,65 +250,11 @@ class TestExporters:
         assert json.loads(path.read_text())["traceEvents"]
 
 
-class TestMetricsFolding:
-    def test_summary_carries_obs_counters(self):
+class TestTracingLeavesTheSummaryAlone:
+    def test_traced_and_untraced_summaries_are_equal(self):
         reqs = [Request(i * 0.002, 200, 20) for i in range(4)]
-        tracer, metrics, _ = run_traced(reqs)
-        s = metrics.summary()
-        assert s["obs_steps"] == tracer.num_steps
-        assert s["obs_time_attention"] == pytest.approx(
-            tracer.component_time["attention"]
-        )
-        assert s["obs_busy_time"] + s["obs_idle_time"] == pytest.approx(
-            metrics.total_time
-        )
-        assert "obs_step_p50" in s and "obs_step_p99" in s
-
-    def test_untraced_summary_unchanged(self):
-        reqs = [Request(0.0, 100, 5)]
-        metrics = make_engine().run(reqs)
-        assert not any(k.startswith("obs_") for k in metrics.summary())
-
-
-class TestRollingHistogram:
-    def test_quantiles_bracket_observations(self):
-        h = RollingHistogram()
-        rng = np.random.default_rng(0)
-        values = rng.uniform(1e-4, 1e-2, 500)
-        for v in values:
-            h.add(v)
-        assert h.total == 500
-        assert h.min <= h.quantile(0.5) <= h.max
-        assert h.quantile(0.99) >= h.quantile(0.5)
-        assert h.mean == pytest.approx(values.mean())
-
-    def test_ignores_nonpositive(self):
-        h = RollingHistogram()
-        h.add(0.0)
-        h.add(-1.0)
-        assert h.total == 0
-        assert np.isnan(h.quantile(0.5))
-
-    def test_bins_are_log_spaced_between_the_range_ends(self):
-        from repro.obs.tracer import BINS_PER_DECADE, HIST_HI, HIST_LO
-
-        h = RollingHistogram()
-        edges = h.bin_edges()
-        assert h.num_bins == len(edges) == 7 * BINS_PER_DECADE + 2
-        assert edges[0] == HIST_LO
-        assert edges[BINS_PER_DECADE] == pytest.approx(HIST_LO * 10)
-        assert edges[-2] == pytest.approx(HIST_HI)
-        assert edges[-1] == float("inf")
-
-    def test_out_of_range_values_land_in_the_edge_bins(self):
-        h = RollingHistogram()
-        h.add(1e-9)  # below the range
-        h.add(100.0)  # above it
-        assert h.counts[0] == 1 and h.counts[-1] == 1
-        assert sum(h.counts) == 2
-        # The overflow bin's edge is infinite: the quantile falls back to max.
-        assert h.quantile(1.0) == 100.0
-        assert h.quantile(0.5) == h.bin_edges()[0]
+        _, traced, _ = run_traced(reqs)
+        assert traced.summary() == make_engine().run(reqs).summary()
 
 
 class TestStandaloneKernelRecords:
@@ -288,7 +264,7 @@ class TestStandaloneKernelRecords:
 
         rep = SimReport(1e-5, 1e9, 1e6, 4, 2, [1e-5, 0.5e-5])
         tracer.record_kernel(KernelRecord.from_report("standalone", "single", rep))
-        assert tracer.num_kernels == 1
+        assert len(tracer.kernels) == 1
         assert tracer.kernels[0].balance == pytest.approx(0.75)
 
 

@@ -9,8 +9,6 @@ scan and the overload valve.
 
 from collections import deque
 
-import pytest
-
 from repro.core import HeadConfig
 from repro.faults import ResilienceConfig
 from repro.gpu import H100_80G
@@ -208,50 +206,6 @@ class TestShedPriorityInteraction:
         # Both priority-0 requests went (youngest first); priority-1 survive.
         assert shed_reasons(state) == [(2, "overload"), (0, "overload")]
         assert [reqs[i].priority for i in state.prefill_queue] == [1, 1]
-
-
-class TestAdmissionPressureMean:
-    """Satellite coverage: the time-weighted ``admission_pressure_mean``."""
-
-    def test_held_left_integration_distinguishes_spike_from_sustained(self):
-        reqs = [Request(0.0, 32, 4)]
-        adm, state = make_controller(reqs)
-        state.waiting.clear()
-        # Sustained half-saturation for 1 s, then a quarter for 2 s.
-        state.prefill_queue.extend(range(32))  # 32 / max_running=64
-        adm.admit(t=0.0)
-        state.prefill_queue.clear()
-        state.prefill_queue.extend(range(16))
-        adm.admit(t=1.0)
-        mean = adm.pressure_mean(t_end=3.0)
-        assert mean == pytest.approx((0.5 * 1.0 + 0.25 * 2.0) / 3.0)
-        # Peak tracks the max sample, not the mean.
-        assert state.metrics.admission_pressure == pytest.approx(0.5)
-        # A single instantaneous spike barely moves the mean.
-        state.prefill_queue.extend(range(16, 64))
-        adm.admit(t=3.0)
-        spiked = adm.pressure_mean(t_end=3.0001)
-        assert spiked < mean + 0.01
-        assert state.metrics.admission_pressure == pytest.approx(1.0)
-
-    def test_no_samples_means_zero(self):
-        adm, _ = make_controller([Request(0.0, 32, 4)])
-        assert adm.pressure_mean(t_end=5.0) == 0.0
-
-    def test_engine_run_reports_the_mean(self):
-        reqs = [Request(i * 0.001, 64, 8) for i in range(6)]
-        engine = ServingEngine(
-            MODEL, FlashInferBackend(HEADS, H100_80G), H100_80G,
-            EngineConfig(max_running=4),
-        )
-        metrics = engine.run(reqs)
-        assert 0.0 < metrics.admission_pressure_mean <= metrics.admission_pressure
-        assert metrics.summary()["admission_pressure_mean"] == pytest.approx(
-            metrics.admission_pressure_mean
-        )
-        # State round-trip carries the mean.
-        restored = ServingMetrics.from_state(metrics.export_state())
-        assert restored.admission_pressure_mean == metrics.admission_pressure_mean
 
 
 class TestEngineDeadlineShedding:

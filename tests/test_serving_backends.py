@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import make_paged_mapping, make_shared_prefix_mapping
+from conftest import CountingPlanCache, make_paged_mapping, make_shared_prefix_mapping
 from repro.core import HeadConfig
 from repro.gpu import A100_40G, H100_80G
 from repro.serving import FlashInferBackend, TritonBackend, TRTLLMBackend
@@ -126,10 +126,8 @@ class TestPerRunStateAttach:
         assert inj.consulted == 2 * first
 
     def test_plan_cache_reaches_composable_stack_on_first_step(self):
-        from repro.serving import PlanCache
-
         be = FlashInferBackend(HEADS, H100_80G)
-        cache = PlanCache()
+        cache = CountingPlanCache()
         be.set_plan_cache(cache)
         formats = self.cascade_formats()
         be.attention_time(formats, decode=True)

@@ -11,6 +11,7 @@ from repro.serving import (
     LLAMA_3_1_8B,
     Request,
     ServingEngine,
+    ServingMetrics,
 )
 
 MODEL = LLAMA_3_1_8B
@@ -73,7 +74,9 @@ class TestPreemption:
         assert len(m.traces) == 2
         assert m.total_output_tokens == 400
 
-    def test_preemptions_reported_in_summary(self):
+    def test_preemptions_are_counted_and_merged(self):
+        # The cluster summary's cluster_preemptions is the merged count.
         reqs = [Request(i * 0.001, 640, 120) for i in range(8)]
         m = engine(num_pool_pages=256).run(reqs)
-        assert m.summary()["preemptions"] == float(m.preemptions)
+        assert m.preemptions > 0
+        assert ServingMetrics.merge([m, m]).preemptions == 2 * m.preemptions

@@ -12,6 +12,7 @@ import sys
 import types
 from pathlib import Path
 
+from conftest import cached_pages
 from repro.core import HeadConfig
 from repro.faults import ResilienceConfig
 from repro.gpu import H100_80G
@@ -97,7 +98,7 @@ class TestEvictUntil:
         assert tree.evictable_pages() == 0
         freed = tree.evict_until(cache.num_free_pages + 1)
         assert freed == 0
-        assert tree.num_cached_pages == 0  # dropped from the tree anyway
+        assert cached_pages(tree) == 0  # dropped from the tree anyway
         assert cache.num_used_pages == 1  # but pinned by the live sequence
 
     def test_evictable_counts_only_tree_held_pages(self):
@@ -132,7 +133,7 @@ class TestSnapshotRoundtrip:
         tree.match_prefix([1, 2, 3, 4, 5, 6, 7, 8])  # LRU touch
         state = tree.export_state()
         rebuilt = RadixTree.from_state(cache, state)
-        assert rebuilt.num_cached_pages == tree.num_cached_pages
+        assert cached_pages(rebuilt) == cached_pages(tree)
         assert rebuilt.match_prefix([1, 2, 3, 4, 5, 6, 7, 8])[0] == 8
         assert rebuilt.match_prefix([1, 2, 3, 4, 50, 60, 70, 80])[0] == 8
         # No re-retain: refcounts unchanged, so evicting everything from
@@ -151,10 +152,6 @@ class TestEngineRadixCache:
         assert m.radix_hit_prompts == 5  # all but the first request
         # Each follower skips the page-aligned 4096-token prefix.
         assert m.radix_hit_tokens == 5 * 4096
-        stats = m.prefix_stats
-        assert stats is not None
-        assert stats["radix_hit_tokens"] == 5 * 4096
-        assert stats["prefill_flops_saved"] > 0
 
     def test_no_group_annotation_needed(self):
         """The tree discovers sharing from token ids alone: requests with
@@ -218,8 +215,7 @@ class TestEngineRadixCache:
     def test_off_by_default(self):
         assert EngineConfig().prefix_cache is False
         m = engine(prefix_cache=False).run(shared_requests(n=2))
-        assert m.radix_hit_tokens == 0
-        assert m.prefix_stats is None
+        assert m.radix_hit_tokens == 0 and m.radix_hit_prompts == 0
 
 
 class TestCrashRecovery:
@@ -427,11 +423,8 @@ class TestStepEvents:
         m = engine(chunked=True, composable=True, tracer=tracer).run(
             shared_requests(n=6, out=48, gap=0.02)
         )
-        counters = tracer.counters()
-        assert counters["radix_hit_tokens"] == float(m.radix_hit_tokens)
-        assert counters["cascade_steps"] > 0
-        assert any(e.radix_hit_tokens for e in tracer.events)
-        assert any(e.cascade_levels for e in tracer.events)
+        assert sum(e.radix_hit_tokens for e in tracer.events) == m.radix_hit_tokens > 0
+        assert sum(bool(e.cascade_levels) for e in tracer.events) == m.cascade_steps > 0
         # Conditional export: cold steps don't carry the keys.
         cold_dicts = [
             e.to_dict() for e in tracer.events if not e.radix_hit_tokens

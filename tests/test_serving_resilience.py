@@ -192,11 +192,12 @@ class TestAccounting:
 
     def test_no_fault_resilience_matches_plain_core_metrics(self):
         reqs = small_workload()
-        plain = engine().run(reqs).summary()
-        resil = engine(resilience=ResilienceConfig()).run(reqs).summary()
-        for key in ("median_ttft", "p99_ttft", "median_itl",
-                    "throughput_tok_s", "num_requests", "preemptions"):
-            assert resil[key] == plain[key], key
+        plain = engine().run(reqs)
+        resil = engine(resilience=ResilienceConfig()).run(reqs)
+        for key in ("median_ttft", "p99_ttft", "median_itl", "throughput_tok_s"):
+            assert resil.summary()[key] == plain.summary()[key], key
+        assert len(resil.traces) == len(plain.traces)
+        assert resil.preemptions == plain.preemptions
 
 
 class TestDeadlines:
@@ -218,11 +219,7 @@ class TestDeadlines:
         assert shed_a == {(t.req_id, t.gen_index) for t in b.shed_traces}
         assert all(t.outcome_reason == "deadline" for t in a.shed_traces)
         assert all(t.outcome == "shed" for t in a.shed_traces)
-        # Per-request shed records appear in the summary.
-        summary = a.summary()
-        for req_id, gen in shed_a:
-            assert f"shed_req_{req_id}_{gen}" in summary
-        assert summary["sheds"] == len(shed_a)
+        assert a.summary()["sheds"] == len(shed_a)
         # Unconstrained streams all completed.
         assert {(t.req_id, t.gen_index) for t in a.traces} == {
             (i, 0) for i in range(8) if i % 2 == 1
@@ -244,14 +241,17 @@ class TestDegradation:
     def test_consecutive_kernel_faults_degrade_then_anneal(self):
         # Three scheduled back-to-back kernel faults trip degradation
         # (DEGRADE_AFTER = 3); the run is long enough to anneal back.
+        from repro.obs import StepTracer
+
+        tracer = StepTracer()
         plan = FaultPlan(seed=0, schedules={"kernel": [5, 6, 7]})
         resil = ResilienceConfig(anneal_after=4)
-        m = engine(fault_plan=plan, resilience=resil).run(small_workload())
+        m = engine(fault_plan=plan, resilience=resil, tracer=tracer).run(small_workload())
         stats = m.fault_stats
         assert stats["kernel_faults"] == 3
-        assert stats["degrade_events"] == 1
         assert stats["degraded_steps"] >= 1
-        assert stats["anneal_events"] == 1
+        degrade = [e.action for e in tracer.fault_events if e.site == "degrade"]
+        assert degrade == ["degraded", "annealed"]
         # Degradation changed the backend, not the tokens.
         baseline = engine(resilience=ResilienceConfig()).run(small_workload())
         assert expected_tokens(m) == expected_tokens(baseline)
@@ -318,8 +318,8 @@ class TestRadixCorruption:
         evicted = [e for e in tracer.fault_events if e.action == "evicted"]
         assert [e.site for e in evicted] == ["corrupt"]
         # The second request re-inserted the prefix; the third one hits it.
-        assert metrics.prefix_stats["radix_hit_prompts"] == 1
-        assert metrics.prefix_stats["radix_hit_tokens"] == 192
+        assert metrics.radix_hit_prompts == 1
+        assert metrics.radix_hit_tokens == 192
 
 
 @pytest.mark.parametrize("field, value", [
