@@ -376,9 +376,10 @@ def plan_schedule(
         num_ctas``), whichever comes first — a split below break-even is
         kept only where it feeds a CTA that would otherwise sit idle.  A
         format of a composable stack prices that early stop against
-        ``min_kv_chunk = break_even_step(...)``
-        (``BatchAttentionWrapper._priced_release``).  0 is Algorithm 1 as
-        written.
+        ``min_kv_chunk = break_even_step(...)``, one of the candidates
+        ``BatchAttentionWrapper._choose`` picks among by one rule (floor
+        first, then price; cheaper, or equally cheap and earlier, wins).
+        0 is Algorithm 1 as written.
     """
     qo_lens = np.asarray(qo_lens, dtype=np.int64)
     kv_lens = np.asarray(kv_lens, dtype=np.int64)

@@ -282,34 +282,23 @@ class BatchAttentionWrapper:
         params: Optional[dict] = None,
         sm_scale: Optional[float] = None,
     ) -> SchedulePlan:
-        """Run the CPU scheduler and stage the plan into the workspace.
+        """Choose the plan (:meth:`_choose`) and stage it into the workspace.
 
-        Called once per generation step; not capturable by CUDAGraph (it is
-        host code), exactly as in Listing 1.  Two decisions come before
-        Algorithm 1: a variant with a ``look_back`` bound plans only the KV
-        pages some query row can see, and a batch whose unsplit tiles fit one
-        wave is planned unsplit when no split plan could be faster
-        (:meth:`_one_launch_wins`).  Both are inputs of the plan signature.
-        One comes after it: a format of a stack prices Step 3's early stop
-        below break-even (:meth:`_priced_release`), so the plan cache keys
-        on whether this wrapper is one.
+        Called once per generation step; host code, not capturable by
+        CUDAGraph, exactly as in Listing 1.  A variant with a ``look_back``
+        bound plans only the KV pages some query row can see.  The plan cache
+        keys on the scheduler inputs and on whether this wrapper is a format
+        of a stack, so a hit skips the whole choice.
         """
         bound = self.variant.bind_params(params)
         mapping = self._visible_kv(mapping, bound)
-        sched_args, sched_kwargs = self._schedule_inputs(
-            mapping, self.split_kv and not self._one_launch_wins(mapping)
-        )
-        stacked = self.stack_merges is not None
+        args, kwargs = self._schedule_inputs(mapping)
         cache = self.plan_cache
-        plan = None
-        if cache is not None:
-            key = (plan_signature(*sched_args, **sched_kwargs), stacked)
-            plan = cache.get(key)
+        key = cache is not None and (plan_signature(*args, **kwargs), self.stack_merges is not None)
+        plan = cache.get(key) if key else None
         if plan is None:
-            plan = plan_schedule(*sched_args, **sched_kwargs)
-            if stacked:
-                plan = self._priced_release(plan, mapping, sched_args, sched_kwargs)
-            if cache is not None:
+            plan = self._choose(mapping, args, kwargs)
+            if key:
                 cache.put(key, plan)
         self._ensure_sections(mapping.num_groups, mapping.total_qo)
         if plan.num_partial_slots > self._max_slots:
@@ -318,13 +307,11 @@ class BatchAttentionWrapper:
                 f"workspace was sized for {self._max_slots}; raise "
                 f"max_batch_size/max_total_qo (Appendix D.3)"
             )
-        item_capacity = self.workspace.section(self._section("work_items")).nbytes // (
-            ITEM_FIELDS * 8
-        )
-        if plan.num_work_items > item_capacity:
+        capacity = self.workspace.section(self._section("work_items")).nbytes // (ITEM_FIELDS * 8)
+        if plan.num_work_items > capacity:
             raise ValueError(
                 f"plan has {plan.num_work_items} work items but the workspace "
-                f"was sized for {item_capacity}; pass larger "
+                f"was sized for {capacity}; pass larger "
                 f"max_batch_size/max_total_qo upper bounds at wrapper "
                 f"construction (Appendix D.3)"
             )
@@ -348,7 +335,7 @@ class BatchAttentionWrapper:
         pages = np.clip(hidden, 0, mapping.kv.kv_lens) // mapping.kv.block_size
         return mapping.drop_leading_blocks(pages) if pages.any() else mapping
 
-    def _schedule_inputs(self, mapping: AttentionMapping, split_kv: bool) -> Tuple[tuple, dict]:
+    def _schedule_inputs(self, mapping: AttentionMapping) -> Tuple[tuple, dict]:
         """``(args, kwargs)`` of :func:`plan_schedule` for ``mapping``."""
         # The largest tile's fused rows price one more split.
         g_eff = self.heads.group_size if self.fuse_head_groups else 1
@@ -357,107 +344,83 @@ class BatchAttentionWrapper:
         return args, dict(
             num_kv_heads=self._sched_heads,
             chunk_granularity=self.kv_tile,
-            split_kv=split_kv,
+            split_kv=self.split_kv,
             causal=mapping.causal,
             q_pos_offset=mapping.q_pos_offset,
             kv_pos_offset=mapping.kv_pos_offset,
             break_even_kv=break_even_kv_len(rows, self.heads.head_dim, self.kv_dtype),
         )
 
-    def _one_launch_wins(self, mapping: AttentionMapping) -> bool:
-        """Whether the unsplit plan is no slower than any split plan can be.
+    def _choose(self, mapping: AttentionMapping, args: tuple, kwargs: dict) -> SchedulePlan:
+        """The plan of ``mapping``: the cheapest of, in order of preference,
+        the unsplit plan when its items fit one wave, Algorithm 1 with Step
+        3's break-even release (``kwargs``), and — for a format of a stack
+        whose release stopped below ``L*`` with a split — the plan at
+        :func:`break_even_step`.
 
-        Asked only when its items fit one wave, and answered against
-        :meth:`_split_floor`.  The unsplit attention launch is priced as
-        :meth:`_simulate_fast` would, one row per (group, query tile)
-        standing for its KV heads, whose costs are equal.  Before that, its
-        longest serial stream and its bytes are bounded from the lengths
-        alone, which settles nearly every batch that loses in a quarter of
-        the host time pricing takes.  Nothing is launched, so no fault is
-        consulted.
+        One rule picks among them.  Each candidate has a floor from the
+        lengths alone (:func:`simulate.unsplit_bounds`) and a price
+        (:meth:`_price`'s makespan; a stack's counts the contraction of the
+        plan's own states, and the unsplit plan's prices one row per (group,
+        query tile) for its KV heads, whose costs are equal).  A challenger
+        is priced only when its floor does not clear the incumbent's value —
+        its price once built, its floor before — and replaces it when
+        cheaper, or equally cheap and earlier in the order.  Algorithm 1's
+        plan is built only when the unsplit plan loses, so the unsplit plan
+        is held against Algorithm 1's floor: an attention launch moving the
+        unsplit bytes at peak (bounded from the lengths until they are
+        priced), then — except in a stack, whose one contraction runs anyway
+        — a contraction of one tile that hides up to its dispatch on a PDL
+        device (``PersistentKernelExecutor.follow``).  No fault is consulted.
         """
-        qo = mapping.qo_lens
-        q_tiles = -(-qo // self._sched_q_tile)
-        heads = self._sched_heads
+        spec, cost_model = self.executor.spec, self.executor.cost_model
+        dispatch, tile = spec.kernel_dispatch_overhead, cost_model.tile_latency
+        stacked = self.stack_merges is not None
+        heads, q_tiles = self._sched_heads, -(-mapping.qo_lens // self._sched_q_tile)
+
+        def bounds(max_chunk: float = np.inf) -> Tuple[float, float]:
+            return simulate.unsplit_bounds(
+                q_tiles, mapping, self.heads, self.kv_dtype, self._sched_q_tile,
+                self.fuse_head_groups, self.traits.uses_tensor_cores, self.sparse_gather,
+                cost_model, self._compute_share, self.compute_penalty, stacked, max_chunk,
+            )
+
+        def split_floor(unsplit_bytes: float) -> float:
+            attention = unsplit_bytes / spec.peak_bandwidth_bytes
+            if stacked:
+                return dispatch + attention
+            if spec.supports_pdl:
+                return dispatch + max(attention, dispatch) + tile
+            return 2 * dispatch + attention + tile
+
         items = int(q_tiles.sum()) * heads
-        if not 0 < items <= self.num_ctas:
-            return False
-        peak = self.executor.spec.peak_bandwidth_bytes
-        longest, mem_bound = self._bounds(q_tiles, mapping)
-        # The launch takes at least its longest stream and its dispatch.
-        least = longest + self.executor.spec.kernel_dispatch_overhead
-        if least > self._split_floor(heads * mem_bound / peak) + _PRICE_SLACK:
-            return False
-        tiles = whole_kv_tiles(qo, mapping.kv.kv_lens, self._sched_q_tile)
-        costs = self._item_costs(tiles, mapping, self._sched_q_tile)
-        serial, mem = np.zeros(self.num_ctas), np.zeros(self.num_ctas)
-        serial[:items] = np.repeat(costs.serial, heads)
-        mem[:items] = np.repeat(costs.mem, heads)
-        unsplit = self.executor.price_streams(serial, mem).makespan
-        return unsplit <= self._split_floor(mem.sum() / peak)
-
-    def _bounds(self, q_tiles: np.ndarray, mapping: AttentionMapping, max_chunk: float = np.inf):
-        """:func:`simulate.unsplit_bounds` of ``mapping`` on this launch."""
-        return simulate.unsplit_bounds(
-            q_tiles, mapping, self.heads, self.kv_dtype, self._sched_q_tile,
-            self.fuse_head_groups, self.traits.uses_tensor_cores, self.sparse_gather,
-            self.executor.cost_model, self._compute_share, self.compute_penalty,
-            self.stack_merges is not None, max_chunk,
-        )
-
-    def _priced_release(
-        self, plan: SchedulePlan, mapping: AttentionMapping, sched_args: tuple, sched_kwargs: dict
-    ) -> SchedulePlan:
-        """``plan``, or the plan at Step 3's :func:`break_even_step` when
-        that is cheaper for this format of a stack.
-
-        Step 3 stops raising ``L_kv`` below break-even once the items fit one
-        wave, taking the shorter split to feed an otherwise idle CTA.  In a
-        stack every tile writes an fp32 state the one contraction reads back,
-        and a bandwidth-bound launch gains nothing from more CTAs, so both
-        plans are priced as their attention launch, then the contraction of
-        the states they write (:meth:`_price`); the release's wins a tie.
-        As in :meth:`_one_launch_wins`, a bound from the lengths alone comes
-        first: the step plan costs at least its longest stream, a dispatch
-        and one contraction tile, and where that is dearer than the
-        release's price it is neither built nor priced.
-        """
-        break_even = sched_kwargs["break_even_kv"]
-        if not plan.num_partial_slots or plan.kv_chunk_size >= break_even:
+        if kwargs["split_kv"] and 0 < items <= self.num_ctas:
+            serial_bound, bytes_bound = bounds()
+            if serial_bound + dispatch <= split_floor(heads * bytes_bound) + _PRICE_SLACK:
+                tiles = whole_kv_tiles(mapping.qo_lens, mapping.kv.kv_lens, self._sched_q_tile)
+                costs = self._item_costs(tiles, mapping, self._sched_q_tile)
+                serial, mem = np.zeros(self.num_ctas), np.zeros(self.num_ctas)
+                serial[:items] = np.repeat(costs.serial, heads)
+                mem[:items] = np.repeat(costs.mem, heads)
+                if self.executor.price_streams(serial, mem).makespan <= split_floor(mem.sum()):
+                    return plan_schedule(*args, **dict(kwargs, split_kv=False))
+        plan = plan_schedule(*args, **kwargs)
+        break_even = kwargs["break_even_kv"]
+        if not stacked or not plan.num_partial_slots or plan.kv_chunk_size >= break_even:
             return plan
         g_eff = self.heads.group_size if self.fuse_head_groups else 1
 
         def price(p: SchedulePlan) -> float:
-            merges = simulate.stack_merge_entries([(p.items, mapping)], self._sched_heads, g_eff)
+            merges = simulate.stack_merge_entries([(p.items, mapping)], heads, g_eff)
             return self._price(p, mapping, merges, self.executor.price_streams).makespan
 
-        release = price(plan)
-        step = break_even_step(plan.kv_chunk_size, break_even, sched_kwargs["chunk_granularity"])
-        longest, _ = self._bounds(-(-mapping.qo_lens // self._sched_q_tile), mapping, step)
-        least = (
-            longest + self.executor.spec.kernel_dispatch_overhead
-            + self.executor.cost_model.tile_latency
-        )
-        if least > release + _PRICE_SLACK:
+        value = price(plan)
+        step = break_even_step(plan.kv_chunk_size, break_even, kwargs["chunk_granularity"])
+        # The step plan costs at least its longest stream, a dispatch and one contraction tile.
+        if bounds(step)[0] + dispatch + tile > value + _PRICE_SLACK:
             return plan
-        full = plan_schedule(*sched_args, **dict(sched_kwargs, min_kv_chunk=step))
-        return full if price(full) < release else plan
-
-    def _split_floor(self, bytes_time: float) -> float:
-        """The least a split plan moving ``bytes_time`` seconds of bytes at
-        peak bandwidth can cost: its attention launch, then a contraction
-        launch doing at least one tile, which hides up to its dispatch behind
-        the attention launch on a PDL device (``PersistentKernelExecutor.
-        follow``).  A format of a stack counts no contraction: the stack's
-        one contraction launch runs anyway (:attr:`stack_merges`)."""
-        spec = self.executor.spec
-        dispatch = spec.kernel_dispatch_overhead
-        if self.stack_merges is not None:
-            return dispatch + bytes_time
-        tile = self.executor.cost_model.tile_latency
-        if spec.supports_pdl:
-            return dispatch + max(bytes_time, dispatch) + tile
-        return 2 * dispatch + bytes_time + tile
+        full = plan_schedule(*args, **dict(kwargs, min_kv_chunk=step))
+        return full if price(full) < value else plan
 
     def _write_plan(self, plan: SchedulePlan) -> None:
         """Copy the plan tables into their fixed-offset sections."""
@@ -584,6 +547,17 @@ class BatchAttentionWrapper:
         total_q = _num_query_rows(q, compute, planned)
         out = lse = None
         if compute:
+            h = self.heads
+            # A K/V transform may read another width than head_dim (a latent cache).
+            k_tail, v_tail = ((h.num_kv_heads,) + (() if t else (h.head_dim,))
+                              for t in (self.variant.key_transform, self.variant.value_transform))
+            wants = (("q", q, planned, (h.num_qo_heads, h.head_dim)),
+                     ("k_pool", k_pool, 0, k_tail), ("v_pool", v_pool, 0, v_tail))
+            for name, x, rows, tail in wants:
+                shape = np.shape(x)
+                if len(shape) != 3 or shape[0] < rows or shape[1:1 + len(tail)] != tail:
+                    raise ValueError(f"{name} has shape {shape}, the plan needs {tail} per row"
+                                     + (f" and {rows} rows" if rows else ""))
             # Staged in float32 (the kernel computes in float64): what the
             # split-KV partials already are (App. D.3).
             out = np.zeros(
@@ -739,7 +713,7 @@ class ComposableAttentionWrapper:
                     acc_o, acc_lse = merge_states(acc_o, acc_lse, o_f, lse_f)
                 else:
                     acc_o = acc_o + o_f
-        first = self.wrappers[0] if self.wrappers else None
+        first = self.wrappers[0]
         if compute and first.kernel.output_transform is not None:
             _apply_output_transform(first.kernel, acc_o, np.arange(total_q), first._params)
         self.last_report = report

@@ -7,11 +7,11 @@ for every layer, so one CPU ``plan_schedule`` serves ``num_layers``
 kernel launches.  :class:`PlanCache` makes that replay explicit and — when
 the same batch shape recurs across steps — extends it across steps too.
 
-Correctness: a hit skips only the ``plan_schedule`` recomputation.  The
-cache key captures every ``plan_schedule`` input (exact per-group
-lengths, tile geometry, head count, split-KV and causal flags, position
-offsets), so a cached plan is *identical* — not merely similar — to the
-plan that would have been recomputed.
+Correctness: a hit skips choosing the plan (the wrapper's ``_choose``:
+``plan_schedule`` and the prices around it).  The key holds every
+``plan_schedule`` input and the stack flag; of what else the prices read,
+only the page size could vary on one executor, and :meth:`bind` pins it,
+so a cached plan is *identical* to the one that would be chosen again.
 """
 
 from __future__ import annotations

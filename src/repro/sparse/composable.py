@@ -12,7 +12,7 @@ format are merged with the ``⊕`` operator (§2.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -42,10 +42,15 @@ class ComposableFormat:
 
     The attention output for each packed query row is the ``⊕``-merge of the
     partial states produced by every format that covers that row.  The stack
-    must jointly cover each query's full KV set exactly once.
+    must jointly cover each query's full KV set exactly once, so a stack
+    holds at least one format.
     """
 
-    mappings: List[AttentionMapping] = field(default_factory=list)
+    mappings: List[AttentionMapping]
+
+    def __post_init__(self) -> None:
+        if not self.mappings:
+            raise ValueError("a composable format stacks at least one mapping")
 
     @classmethod
     def single(cls, mapping: AttentionMapping) -> "ComposableFormat":
@@ -53,7 +58,7 @@ class ComposableFormat:
 
     @property
     def total_qo(self) -> int:
-        return max((m.total_qo for m in self.mappings), default=0)
+        return max(m.total_qo for m in self.mappings)
 
     def __iter__(self):
         return iter(self.mappings)

@@ -347,7 +347,7 @@ class TestFunctorContract:
         w.plan(mapping)
         # The split plan, whatever the one-launch rule picks: its chunks are
         # what puts hidden KV and many query tiles under the mask.
-        args, kwargs = w._schedule_inputs(mapping, True)
+        args, kwargs = w._schedule_inputs(mapping)
         plan = plan_schedule(*args, **kwargs)
         w._write_plan(plan)
         w.run(rng.standard_normal((254, 4, 8)), rng.standard_normal((slots, 2, 8)),

@@ -10,9 +10,9 @@ from conftest import fp16, make_paged_mapping, make_shared_prefix_mapping
 from repro import BatchAttentionWrapper, ComposableAttentionWrapper, WorkspaceBuffer
 from repro.core import HeadConfig, VANILLA, plan_schedule, reference_attention, simulate
 from repro.core.scheduler import break_even_step, plan_signature, whole_kv_tiles
-from repro.core.wrapper import break_even_kv_len
+from repro.core.wrapper import _PRICE_SLACK, break_even_kv_len
 from repro.gpu import A100_40G, H100_80G
-from repro.sparse import decompose_shared_prefix
+from repro.sparse import ComposableFormat, decompose_shared_prefix
 from repro.utils.dtypes import StorageDType
 from test_costs_equivalence import _launches
 from test_scheduler_equivalence import assert_same_plan
@@ -45,14 +45,27 @@ def run_and_check(heads, kv_lens, qo_lens, rng, page_size=16, causal=True,
     return out, lse, report, w
 
 
-def exact_one_launch(w, mapping):
-    """The one-launch rule without the bound that screens it: the unsplit
-    attention launch priced in full against what any split plan must cost —
-    its attention launch moving at least the same bytes at peak, then a
+def split_floor(w, mapping):
+    """What any split plan of ``mapping`` costs at least: its attention
+    launch moving at least the unsplit plan's bytes at peak, then a
     contraction launch of at least one tile, whose dispatch runs during the
     attention launch on a PDL device.  A format of a stack writes fp32
     states from every tile (``_item_costs``) and its split adds no launch:
     the stack's one contraction runs anyway."""
+    tiles = whole_kv_tiles(mapping.qo_lens, mapping.kv.kv_lens, w._sched_q_tile)
+    mem = np.repeat(w._item_costs(tiles, mapping, w._sched_q_tile).mem, w._sched_heads)
+    spec = w.executor.spec
+    dispatch, attention = spec.kernel_dispatch_overhead, mem.sum() / spec.peak_bandwidth_bytes
+    if w.stack_merges is not None:
+        return dispatch + attention
+    if spec.supports_pdl:
+        return dispatch + max(attention, dispatch) + w.executor.cost_model.tile_latency
+    return 2 * dispatch + attention + w.executor.cost_model.tile_latency
+
+
+def exact_one_launch(w, mapping):
+    """The one-launch rule without the bound that screens it: the unsplit
+    attention launch priced in full against :func:`split_floor`."""
     tiles = whole_kv_tiles(mapping.qo_lens, mapping.kv.kv_lens, w._sched_q_tile)
     items = len(tiles) * w._sched_heads
     if not 0 < items <= w.num_ctas:
@@ -61,15 +74,7 @@ def exact_one_launch(w, mapping):
     serial, mem = np.zeros(w.num_ctas), np.zeros(w.num_ctas)
     serial[:items] = np.repeat(costs.serial, w._sched_heads)
     mem[:items] = np.repeat(costs.mem, w._sched_heads)
-    spec = w.executor.spec
-    dispatch, attention = spec.kernel_dispatch_overhead, mem.sum() / spec.peak_bandwidth_bytes
-    if w.stack_merges is not None:
-        floor = dispatch + attention
-    elif spec.supports_pdl:
-        floor = dispatch + max(attention, dispatch) + w.executor.cost_model.tile_latency
-    else:
-        floor = 2 * dispatch + attention + w.executor.cost_model.tile_latency
-    return w.executor.price_streams(serial, mem).makespan <= floor
+    return w.executor.price_streams(serial, mem).makespan <= split_floor(w, mapping)
 
 
 def stack_price(w, plan, mapping):
@@ -84,17 +89,69 @@ def stack_price(w, plan, mapping):
     return w._simulate_fast().makespan
 
 
-def release_candidates(w, mapping):
-    """The plans a format of a stack chooses between: Algorithm 1 with the
-    break-even release and, where that stopped below ``L*`` with a split,
-    the plan at the first KV-tile step at or past ``L*``."""
-    args, kwargs = w._schedule_inputs(mapping, w.split_kv and not w._one_launch_wins(mapping))
+def candidates(w, mapping):
+    """``(plan, floor, price)`` of each plan ``w._choose`` considers, in its
+    order of preference: the unsplit plan when its items fit one wave;
+    Algorithm 1 with the break-even release; and, for a format of a stack
+    whose release stopped below ``L*`` with a split, the plan at the first
+    KV-tile step at or past ``L*``.  Each is built with ``plan_schedule``
+    and priced by :func:`stack_price`.  Its floor is the one ``_choose``
+    holds it to: an unsplit plan's longest stream and a dispatch, a split
+    release's :func:`split_floor`, the step plan's longest stream under its
+    chunk cap, a dispatch and one contraction tile."""
+    args, kwargs = w._schedule_inputs(mapping)
+    dispatch = w.executor.spec.kernel_dispatch_overhead
+    q_tiles = -(-mapping.qo_lens // w._sched_q_tile)
+
+    def longest(max_chunk=np.inf):
+        return simulate.unsplit_bounds(
+            q_tiles, mapping, w.heads, w.kv_dtype, w._sched_q_tile, w.fuse_head_groups,
+            w.traits.uses_tensor_cores, w.sparse_gather, w.executor.cost_model,
+            w._compute_share, w.compute_penalty, w.stack_merges is not None, max_chunk,
+        )[0]
+
+    def candidate(plan, floor):
+        return plan, floor, stack_price(w, plan, mapping)
+
+    found = []
+    if 0 < int(q_tiles.sum()) * w._sched_heads <= w.num_ctas:
+        found.append(candidate(plan_schedule(*args, **dict(kwargs, split_kv=False)),
+                               longest() + dispatch))
     release = plan_schedule(*args, **kwargs)
+    if not release.num_partial_slots:
+        return found + [candidate(release, longest() + dispatch)]
+    found.append(candidate(release, split_floor(w, mapping)))
     l_star = kwargs["break_even_kv"]
-    if not release.num_partial_slots or release.kv_chunk_size >= l_star:
-        return [release]
-    step = break_even_step(release.kv_chunk_size, l_star, w.kv_tile)
-    return [release, plan_schedule(*args, **dict(kwargs, min_kv_chunk=step))]
+    if w.stack_merges is not None and release.kv_chunk_size < l_star:
+        step = break_even_step(release.kv_chunk_size, l_star, w.kv_tile)
+        found.append(candidate(plan_schedule(*args, **dict(kwargs, min_kv_chunk=step)),
+                               longest(step) + dispatch + w.executor.cost_model.tile_latency))
+    return found
+
+
+def check_choice(w, mapping, chosen):
+    """Assert that ``chosen`` is one of :func:`candidates` and return them.
+
+    The rule that picked it is held to three things: (i) each candidate's
+    floor is at most its price, so neither screen drops a candidate that
+    could win; (ii) once Algorithm 1's plan is built, candidates are held
+    against its price, so a chosen split plan prices no higher than any of
+    them whose floor does not clear that price; (iii) no rejected candidate
+    prices below the chosen one's floor.  Not asserted: that the chosen plan
+    prices no higher than an unsplit plan which lost to Algorithm 1's floor,
+    which it may (ROADMAP item 12(b))."""
+    args, kwargs = w._schedule_inputs(mapping)
+    found = candidates(w, mapping)
+    plans = [plan for plan, _, _ in found]
+    assert chosen in plans
+    _, floor, price = found[plans.index(chosen)]
+    assert all(f <= p + _PRICE_SLACK for _, f, p in found)
+    algorithm_1 = plans.index(plan_schedule(*args, **kwargs))
+    if plans.index(chosen) >= algorithm_1:
+        held = found[algorithm_1][2]
+        assert all(price <= p for _, f, p in found[algorithm_1:] if f <= held + _PRICE_SLACK)
+    assert all(p + _PRICE_SLACK >= floor for plan, _, p in found if plan != chosen)
+    return found
 
 
 @st.composite
@@ -223,6 +280,32 @@ class TestLifecycle:
         w.plan(mapping)
         with pytest.raises(ValueError, match="compute"):
             w.run(None, compute=True)
+
+    @pytest.mark.parametrize(
+        "q_shape, pool_shape",
+        [
+            ((5, 8, 16), (80, 2, 16)),
+            ((5, 4, 16), (80, 4, 16)),
+            ((5, 2, 16), (80, 2, 16)),
+            ((5, 4, 16), (80, 1, 16)),
+            ((5, 4, 8), (80, 2, 8)),
+            ((4, 4, 16), (80, 2, 16)),
+        ],
+        ids=["q_heads_over", "kv_heads_over", "q_heads_under", "short_pool", "head_dim",
+             "short_q"],
+    )
+    def test_mis_shaped_tensors_raise(self, q_shape, pool_shape):
+        """``q`` must hold the planned rows of ``(num_qo_heads, head_dim)``
+        and each pool slots of ``(num_kv_heads, head_dim)``; anything else
+        is refused before a kernel reads it."""
+        mapping, slots = make_paged_mapping([40, 24], [3, 2], 16)
+        assert (mapping.total_qo, slots) == (5, 80)
+        w = BatchAttentionWrapper(
+            VANILLA, HeadConfig(4, 2, 16), WorkspaceBuffer(1 << 24), avg_qo_len=2
+        )
+        w.plan(mapping)
+        with pytest.raises(ValueError, match="has shape"):
+            w.run(np.zeros(q_shape), np.zeros(pool_shape), np.zeros(pool_shape))
 
     def test_growth_beyond_first_plan_bounds_raises(self):
         heads = HeadConfig(2, 2, 8)
@@ -371,6 +454,10 @@ class TestComposableWrapper:
         with pytest.raises(ValueError, match="formats"):
             cw.plan(mapping)  # 1 format after 2
 
+    def test_an_empty_stack_is_refused(self):
+        with pytest.raises(ValueError, match="at least one"):
+            ComposableFormat([])
+
     def test_run_before_plan(self):
         cw = ComposableAttentionWrapper(
             VANILLA, HeadConfig(2, 2, 8), WorkspaceBuffer(1 << 20)
@@ -469,7 +556,7 @@ class TestBreakEvenSplit:
         _, _, report = w.run(None, compute=False)
         assert report.num_tiles == 96 and len(report.per_cta_time) == w.num_ctas
         assert self._algorithm_1(w, mapping).num_partial_slots > 0
-        args, kwargs = w._schedule_inputs(mapping, True)
+        args, kwargs = w._schedule_inputs(mapping)
         w._write_plan(plan_schedule(*args, **kwargs))
         assert report.makespan < w._simulate_fast().makespan
 
@@ -531,12 +618,11 @@ class TestBreakEvenSplit:
            st.sampled_from([StorageDType.FP16, StorageDType.FP8_E4M3]), st.booleans())
     @settings(max_examples=80, deadline=None, derandomize=True)
     def test_never_slower_than_algorithm_1(self, gpu, batch, kv_dtype, stacked):
-        """The chosen plan is priced no higher than Algorithm 1's with the
-        break-even release, and differs from it only by being unsplit or,
-        for a format of a stack, by the chunk size of Step 3's priced early
-        stop; the bound that screens the one-launch rule never changes its
-        answer.  On A100 the contraction pays its whole dispatch, on H100 it
-        may hide it."""
+        """The chosen plan is one of ``_choose``'s candidates, picked
+        soundly (:func:`check_choice`), and prices no higher than Algorithm
+        1's with the break-even release; the bound that screens the
+        one-launch rule never changes its answer.  On A100 the contraction
+        pays its whole dispatch, on H100 it may hide it."""
         qo, kv = batch
         w = BatchAttentionWrapper(
             VANILLA, self.HEADS, WorkspaceBuffer(1 << 27), gpu,
@@ -548,17 +634,15 @@ class TestBreakEvenSplit:
         mapping, _ = make_paged_mapping(kv, qo)
         chosen = w.plan(mapping)
         unsplit = exact_one_launch(w, mapping)
-        assert w._one_launch_wins(mapping) == unsplit
-        args, kwargs = w._schedule_inputs(mapping, True)
+        found = check_choice(w, mapping, chosen)
+        args, kwargs = w._schedule_inputs(mapping)
         algorithm_1 = plan_schedule(*args, **kwargs)
-        if chosen != algorithm_1:
-            if unsplit:
-                assert chosen.num_partial_slots == 0
-                assert chosen.kv_chunk_size == max(kv)
-            else:
-                assert stacked and chosen == release_candidates(w, mapping)[-1]
-                assert algorithm_1.kv_chunk_size < kwargs["break_even_kv"] <= chosen.kv_chunk_size
-
+        if unsplit:
+            assert chosen == found[0][0] and chosen.num_partial_slots == 0
+            assert chosen.kv_chunk_size == max(kv)
+        elif chosen != algorithm_1:
+            assert stacked and chosen == found[-1][0]
+            assert algorithm_1.kv_chunk_size < kwargs["break_even_kv"] <= chosen.kv_chunk_size
         assert stack_price(w, chosen, mapping) <= stack_price(w, algorithm_1, mapping)
 
     def test_cascade_prefix_splits_at_break_even(self):
@@ -575,7 +659,7 @@ class TestBreakEvenSplit:
         w, prefix = cw.wrappers[0], comp.mappings[0]
         assert (prefix.num_groups, int(prefix.qo_lens[0]), int(prefix.kv.kv_lens[0])) == (1, 12, 1008)
         plan = w._read_plan()
-        release, full = release_candidates(w, prefix)
+        *_, (release, _, _), (full, _, _) = candidates(w, prefix)
         assert_same_plan(release, self._algorithm_1(w, prefix))
         assert release.kv_chunk_size == 64 < break_even_kv_len(48, 128, StorageDType.FP16) == 97
         assert_same_plan(plan, full)
@@ -609,7 +693,7 @@ class TestBreakEvenSplit:
             stacked = cw.wrappers[0]
             signatures = [
                 plan_signature(*args, **kwargs)
-                for args, kwargs in (w._schedule_inputs(prefix, True) for w in (stacked, plain))
+                for args, kwargs in (w._schedule_inputs(prefix) for w in (stacked, plain))
             ]
             assert signatures[0] == signatures[1]
             assert len(executor.plan_cache) == 3  # the stack's two formats and the plain plan
@@ -629,8 +713,8 @@ class TestBreakEvenSplit:
         self, gpu, clusters, members, prefix_pages, suffix, queries, kv_dtype
     ):
         """Over decode and prefill prefix + suffix stacks, each format's plan
-        is one of its candidates and prices no higher than either, and the
-        stack's output stays within 1e-6 of the dense oracle."""
+        is one of its candidates, picked soundly (:func:`check_choice`), and
+        the stack's output stays within 1e-6 of the dense oracle."""
         from repro.utils.dtypes import round_to_storage
 
         heads = HeadConfig(8, 2, 32)
@@ -653,6 +737,4 @@ class TestBreakEvenSplit:
                                        atol=1e-6)
         for w in cw.wrappers:
             chosen, fmt = w._read_plan(), w._mapping
-            candidates = release_candidates(w, fmt)
-            assert any(chosen == c for c in candidates)
-            assert stack_price(w, chosen, fmt) <= min(stack_price(w, c, fmt) for c in candidates)
+            check_choice(w, fmt, chosen)

@@ -97,7 +97,7 @@ class TestTokenExactness:
         no fault site, so every kernel consultation is a launch ``run``
         priced, and a chaos run with one-launch plans in it stays
         token-exact."""
-        from repro.core import BatchAttentionWrapper
+        from repro.core import BatchAttentionWrapper, plan_schedule
         from repro.faults import FAULT_SITES
         from repro.gpu import PersistentKernelExecutor
 
@@ -109,7 +109,9 @@ class TestTokenExactness:
             drawn = [fault_plan.consultations(site) for site in FAULT_SITES]
             chosen = plan(self, mapping, *args, **kwargs)
             assert [fault_plan.consultations(site) for site in FAULT_SITES] == drawn
-            one_launch.append(chosen.num_partial_slots == 0 and self._one_launch_wins(self._mapping))
+            args, kwargs = self._schedule_inputs(self._mapping)
+            algorithm_1 = plan_schedule(*args, **kwargs)
+            one_launch.append(chosen.num_partial_slots == 0 < algorithm_1.num_partial_slots)
             return chosen
 
         def counted_run_streams(self, *args):
