@@ -253,11 +253,11 @@ def _serve_cluster(args, model, features) -> int:
     The flags build one workload, one :class:`ClusterConfig` and the
     engine's keyword arguments, so ``--tp/--dp``, ``--disagg``,
     ``--prefix-cache``, ``--overload`` and ``--fail-replica`` compose.  It
-    runs the single-GPU token oracle, the requested cluster, and one
-    *control arm* — the same trace with every requested feature off (or,
-    with no feature requested, at dp=1) — then prints each report section
-    whose keys :meth:`ClusterMetrics.summary` emitted.  Exit code 0 means
-    every stream of both arms matched the oracle.
+    runs the requested cluster and, when there is one, a *control arm* —
+    the same trace with every requested feature off (or, with no feature
+    requested, at dp=1) — then prints each report section whose keys
+    :meth:`ClusterMetrics.summary` emitted.  Exit code 0 means every
+    stream of both arms matched the workload's token oracle.
     """
     import dataclasses
 
@@ -339,17 +339,18 @@ def _serve_cluster(args, model, features) -> int:
         + "".join(f", {flag}" for flag in features) + ")"
     )
 
-    # The oracle has every feature off: caching, disaggregation, failover
-    # and admission control are timing-only (brownout clamps cut a stream
-    # to an exact prefix, which token_divergence accepts).
-    control = ClusterEngine(
-        model, H100_80G, plain if features else dataclasses.replace(plain, dp=1)
-    )
-    oracle = expected_tokens(control.run_reference(requests))
+    # Caching, disaggregation, failover and admission control are
+    # timing-only, so every arm must emit the workload's closed-form tokens
+    # (brownout clamps cut a stream to an exact prefix, which
+    # token_divergence accepts).
+    oracle = expected_tokens(requests)
     cm = cluster.run(requests)
     _print_arm("run", cm)
     divergent, compared = cm.token_divergence(oracle)
     if features or dp > 1:
+        control = ClusterEngine(
+            model, H100_80G, plain if features else dataclasses.replace(plain, dp=1)
+        )
         base = control.run(requests)
         _print_arm(f"control arm ({'features off' if features else 'dp=1'})", base)
         if overload is not None:
@@ -363,7 +364,7 @@ def _serve_cluster(args, model, features) -> int:
         compared += base_compared
     print(
         f"  token_divergence={divergent} "
-        f"({compared} streams compared vs single-GPU reference)"
+        f"({compared} streams compared vs the token oracle)"
     )
     if args.trace:
         from repro.obs import write_cluster_trace
@@ -380,14 +381,12 @@ def _serve_cluster(args, model, features) -> int:
 
 
 def _serve_chaos(args, model, requests) -> int:
-    """The ``serve --chaos`` pass: a no-fault resilience baseline, then a
-    seeded chaos run, and a token-exactness comparison between the two."""
+    """The ``serve --chaos`` pass: a seeded chaos run, checked stream by
+    stream against the workload's token oracle."""
     from repro.faults import ResilienceConfig, chaos_plan
     from repro.serving import expected_tokens
 
     resil = ResilienceConfig(deadline=args.deadline, max_retries=args.max_retries)
-    baseline = _single_engine(args, model, resilience=resil).run(requests)
-
     tracer = None
     if args.trace:
         from repro.obs import StepTracer
@@ -399,7 +398,7 @@ def _serve_chaos(args, model, requests) -> int:
     ).run(requests)
 
     s = chaos.summary()
-    divergent, compared = chaos.token_divergence(expected_tokens(baseline))
+    divergent, compared = chaos.token_divergence(expected_tokens(requests))
     print(f"\n  chaos (seed {args.chaos_seed}):")
     print(
         f"    faults_injected={int(s['faults_injected'])} "
@@ -422,26 +421,18 @@ def _serve_chaos(args, model, requests) -> int:
 
 
 def _serve_crash(args, model, requests) -> int:
-    """The ``serve --crash N`` pass: an uninterrupted baseline, then a
-    kill/restore campaign (scripted deaths, plus seeded-random ones under
-    ``--crash-rate``) recovered via snapshot + journal replay, and a
-    token-exactness comparison between the two."""
+    """The ``serve --crash N`` pass: a kill/restore campaign (scripted
+    deaths, plus seeded-random ones under ``--crash-rate``) recovered via
+    snapshot + journal replay, every surviving stream checked against the
+    workload's token oracle."""
     from repro.faults import ResilienceConfig, chaos_plan
     from repro.serving import (
-        CheckpointConfig, CheckpointStore, CrashReport, DirectoryStore,
-        expected_tokens, run_lives,
+        CheckpointConfig, CheckpointStore, DirectoryStore, expected_tokens,
+        run_lives,
     )
 
     resil = ResilienceConfig(deadline=args.deadline, max_retries=args.max_retries)
     every = args.checkpoint_every if args.checkpoint_every > 0 else 4
-
-    # Uninterrupted baseline: same workload, same fault seed (when --chaos),
-    # no deaths.  Every surviving stream must match it byte for byte.
-    baseline = _single_engine(
-        args, model, resilience=resil,
-        fault_plan=chaos_plan(args.chaos_seed) if args.chaos else None,
-    ).run(requests)
-
     store = DirectoryStore(args.journal) if args.journal else CheckpointStore()
     # One fault plan shared across process "lives" keeps the crash RNG
     # stream advanced past already-fired deaths (recovery rewinds every
@@ -472,16 +463,16 @@ def _serve_crash(args, model, requests) -> int:
         (3 + 4 * k, "mid-step" if k % 2 else "boundary") for k in range(args.crash)
     ]
     metrics, crash_phases = run_lives(factory, requests, store, script=script)
-    report = CrashReport.from_lives(metrics, crash_phases, expected_tokens(baseline))
+    divergent, compared = metrics.token_divergence(expected_tokens(requests))
 
-    s = report.metrics.summary()
+    s = metrics.summary()
+    crashes = len(crash_phases)
     phases = ", ".join(
-        f"{p}×{report.crash_phases.count(p)}"
-        for p in dict.fromkeys(report.crash_phases)
+        f"{p}×{crash_phases.count(p)}" for p in dict.fromkeys(crash_phases)
     )
     print(f"\n  kill/restore ({args.crash} scripted kills, "
           f"crash-rate {args.crash_rate}, snapshot every {every} steps):")
-    print(f"    crashes={report.crashes} ({phases}) recoveries={report.recoveries}")
+    print(f"    crashes={crashes} ({phases})")
     print(
         f"    snapshots={int(s['ckpt_snapshots'])} "
         f"journal_records={int(s['ckpt_journal_records'])} "
@@ -489,15 +480,15 @@ def _serve_crash(args, model, requests) -> int:
         f"resumed_streams={int(s['recover_resumed'])}"
     )
     print(
-        f"    token_divergence={report.token_divergence} "
-        f"({report.compared} streams compared vs uninterrupted baseline)"
+        f"    token_divergence={divergent} "
+        f"({compared} streams compared vs the token oracle)"
     )
     if args.journal:
         print(f"    journal + snapshots → {args.journal}")
     if tracer is not None:
         _write_trace(args, tracer, model, "recovery trace", table=False,
-                     crashes=report.crashes)
-    ok = report.token_divergence == 0 and report.crashes >= args.crash
+                     crashes=crashes)
+    ok = divergent == 0 and crashes >= args.crash
     return 0 if ok else 1
 
 
@@ -637,7 +628,7 @@ def main(argv=None) -> int:
         "--tp", type=_number(int, 1), default=1, metavar="N",
         help="tensor-parallel shards per replica (must divide the model's "
         "query heads); tp > 1 switches serve to the cluster path with a "
-        "token-exactness check against a single-GPU reference run",
+        "token-exactness check against the workload's token oracle",
     )
     serve.add_argument(
         "--dp", type=_number(int, 1), default=None, metavar="M",
@@ -672,7 +663,7 @@ def main(argv=None) -> int:
         "--prefix-cache", action="store_true", dest="prefix_cache",
         help="serve a shared-prefix workload cold and warm (radix prefix "
         "cache + cascade attention), verify token-exactness against the "
-        "single-GPU reference, and report the prefill FLOPs and HBM bytes "
+        "workload's token oracle, and report the prefill FLOPs and HBM bytes "
         "saved (composes with --tp/--dp/--router)",
     )
     serve.add_argument(
@@ -715,8 +706,8 @@ def main(argv=None) -> int:
         "--crash", type=_number(int, 0), default=0, metavar="N",
         help="kill/restore campaign: inject N scripted engine deaths "
         "(alternating step-boundary and mid-step), recover each from the "
-        "latest snapshot + journal, and verify token-exactness against an "
-        "uninterrupted baseline (composes with --chaos)",
+        "latest snapshot + journal, and verify token-exactness against the "
+        "workload's token oracle (composes with --chaos)",
     )
     serve.add_argument(
         "--crash-rate", type=_number(float, 0, below=1), default=0.0, dest="crash_rate",
@@ -729,8 +720,8 @@ def main(argv=None) -> int:
         help="overload drill: drive a bursty multi-tenant workload at a "
         "multiple of cluster capacity through the tenant-aware front door, "
         "circuit breakers, hedged prefill and the SLO-driven brownout "
-        "ladder (dp >= 2; accepted streams stay token-exact vs an "
-        "uncontended reference, and the run reports the SLO attainment "
+        "ladder (dp >= 2; accepted streams stay token-exact vs the "
+        "workload's token oracle, and the run reports the SLO attainment "
         "delta vs the same trace without the overload layer)",
     )
     serve.add_argument(
@@ -750,7 +741,7 @@ def main(argv=None) -> int:
         "prefill and decode replicas; finished prompts hand their live KV "
         "pages to a paired decode replica over priced handoff links "
         "(checksummed chunks, bounded retry), and the resumed streams are "
-        "verified token-exact against a single-GPU reference",
+        "verified token-exact against the workload's token oracle",
     )
     serve.add_argument(
         "--fail-replica", default=None, dest="fail_replica",

@@ -19,8 +19,8 @@ zero-compute context allocation — and resumes the stream.
 Token-exactness is by construction: token ids are a pure function of
 ``(rid, generation, position)``, the handoff carries the first token the
 prefill replica emitted, and the decode replica continues from position
-1 — so the disaggregated cluster reproduces the colocated single-GPU
-reference bit for bit (``token_divergence=0``), whatever the pools,
+1 — so the disaggregated cluster emits the workload's closed-form
+tokens bit for bit (``token_divergence=0``), whatever the pools,
 topology or link faults.  The win is interference isolation: long
 prompts never share a step with chatty decode streams, so decode-pool
 ITL stays flat while the prefill pool absorbs the TTFT work.

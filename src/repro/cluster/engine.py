@@ -13,7 +13,7 @@ requests get a cluster-global id (:func:`assign_rids`) before routing,
 token ids are a pure function of ``(rid, generation, position)``, so a
 replica serving any subset of the workload emits exactly the tokens the
 single-GPU run would (:meth:`ClusterMetrics.token_divergence` checks
-every stream against a reference run's tokens).
+every stream against :func:`expected_tokens` of the workload).
 
 Fault injection composes with the existing layers:
 :meth:`~repro.cluster.topology.Topology.degrade` windows on the shared
@@ -62,7 +62,7 @@ from repro.serving.checkpoint import (
     CheckpointStore,
     run_lives,
 )
-from repro.serving.metrics import expected_tokens
+from repro.serving.batching import expected_tokens
 
 __all__ = [
     "ClusterConfig",
@@ -78,8 +78,8 @@ def assign_rids(requests) -> list:
 
     The rid equals the request's index in the arrival-sorted list — the
     same index a single-GPU engine would use as its replica-local token
-    key, which is what makes the single-GPU run the token oracle for any
-    cluster shape.
+    key, which is what makes :func:`expected_tokens` of the workload the
+    token oracle for any cluster shape.
     """
     ordered = sorted(requests, key=lambda r: r.arrival)
     return [dataclasses.replace(r, rid=i) for i, r in enumerate(ordered)]
@@ -819,10 +819,11 @@ class ClusterEngine:
             }
 
     def run_reference(self, requests):
-        """The single-GPU token oracle: tp=1, dp=1, same rids, no topology.
+        """The single-GPU run: tp=1, dp=1, same rids, no topology.
 
-        Token ids depend only on ``(rid, gen, pos)``, so this run's tokens
-        are what every cluster shape must reproduce exactly.
+        The pinned predecessor of :func:`expected_tokens`: its tokens equal
+        the closed form key for key, and the end-to-end benchmark still
+        checks its cluster workloads against this run.
         """
         from repro.faults.recover import ResilienceConfig
         from repro.serving.engine import ServingEngine

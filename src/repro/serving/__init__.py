@@ -16,12 +16,11 @@ from repro.serving.backends import (
     TRTLLMBackend,
 )
 from repro.serving.admission import AdmissionController
-from repro.serving.batching import BatchFormer, RunState, StepPlan
+from repro.serving.batching import BatchFormer, RunState, StepPlan, expected_tokens
 from repro.serving.checkpoint import (
     CheckpointConfig,
     CheckpointStore,
     Checkpointer,
-    CrashReport,
     DirectoryStore,
     NoSnapshotError,
     RecoveredState,
@@ -33,7 +32,7 @@ from repro.serving.checkpoint import (
 )
 from repro.serving.engine import EngineConfig, ServingEngine
 from repro.serving.executor import Postprocessor, StepExecutor
-from repro.serving.metrics import RequestTrace, ServingMetrics, expected_tokens
+from repro.serving.metrics import RequestTrace, ServingMetrics
 from repro.serving.overload import (
     BROWNOUT_LADDER,
     BrownoutController,
@@ -87,7 +86,6 @@ __all__ = [
     "CheckpointConfig",
     "CheckpointStore",
     "Checkpointer",
-    "CrashReport",
     "DirectoryStore",
     "NoSnapshotError",
     "RecoveredState",

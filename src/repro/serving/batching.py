@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,6 +47,24 @@ def token_id(req_idx: int, gen_index: int, pos: int) -> int:
     """
     h = req_idx * 1000003 + gen_index * 8191 + pos * 2654435761
     return (h & 0x7FFFFFFF) % TOKEN_VOCAB
+
+
+def expected_tokens(requests: Sequence[Request]) -> Dict[Tuple[int, int], List[int]]:
+    """The token oracle of a workload: ``{(key, gen_index): tokens}`` for
+    every generation stream of every request.
+
+    ``key`` is the request's ``rid`` when it has one, else its index in
+    the list stably sorted by arrival — the order :func:`repro.cluster.
+    assign_rids` and :meth:`ServingEngine.run` use.  Any run that completes
+    a stream, on any cluster shape and under any recovered fault, must
+    emit exactly these tokens.
+    """
+    oracle = {}
+    for i, r in enumerate(sorted(requests, key=lambda r: r.arrival)):
+        key = i if r.rid is None else r.rid
+        for gen in range(r.n):
+            oracle[key, gen] = [token_id(key, gen, pos) for pos in range(r.output_len)]
+    return oracle
 
 
 def prompt_token_ids(

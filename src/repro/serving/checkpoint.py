@@ -27,7 +27,7 @@ memory.  This module adds the durability layer:
   is unavailable, in which case recovery *refuses* to resume.
 * :func:`run_lives` — the one kill/restore loop around an engine
   factory: run until an :class:`~repro.faults.EngineCrash` fires,
-  recover, resume, repeat; :meth:`CrashReport.from_lives` reports it.
+  recover, resume, repeat; it returns the metrics and each crash's phase.
   The cluster engine passes its failover branch in as the ``on_crash``
   hook.
 
@@ -480,42 +480,6 @@ class RecoveryManager:
 # -- kill/restore harness ------------------------------------------------------
 
 
-@dataclass
-class CrashReport:
-    """Outcome of one kill/restore campaign (:func:`run_lives`)."""
-
-    crashes: int
-    recoveries: int
-    crash_phases: List[str]
-    metrics: ServingMetrics
-    #: Streams whose final tokens differ from ``expected_tokens`` (when
-    #: supplied), else the journal-replay divergence count.
-    token_divergence: int
-    compared: int
-
-    @classmethod
-    def from_lives(
-        cls,
-        metrics: ServingMetrics,
-        crash_phases: List[str],
-        expected_tokens: Optional[Dict[Tuple[int, int], List[int]]] = None,
-    ) -> "CrashReport":
-        """Report what :func:`run_lives` returned; every crash it survived
-        was recovered from.  ``expected_tokens`` maps ``(req_id,
-        gen_index)`` to the tokens a finished stream must carry."""
-        if expected_tokens is not None:
-            divergence, compared = metrics.token_divergence(expected_tokens)
-        else:
-            stats = metrics.fault_stats or {}
-            compared = int(stats.get("recover_replayed_tokens", 0))
-            divergence = int(stats.get("recover_token_divergence", 0))
-        return cls(
-            crashes=len(crash_phases), recoveries=len(crash_phases),
-            crash_phases=crash_phases, metrics=metrics,
-            token_divergence=divergence, compared=compared,
-        )
-
-
 #: Crashes one :func:`run_lives` loop survives before it calls the run a
 #: kill/restore livelock.
 MAX_CRASHES = 25
@@ -576,7 +540,6 @@ __all__ = [
     "CheckpointError",
     "CheckpointStore",
     "Checkpointer",
-    "CrashReport",
     "DirectoryStore",
     "Journal",
     "NoSnapshotError",

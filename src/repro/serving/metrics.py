@@ -159,7 +159,8 @@ class ServingMetrics:
         rids: Optional[Sequence[Optional[int]]] = None,
     ) -> Tuple[int, int]:
         """Compare every completed stream against the token oracle
-        ``expected`` (:func:`expected_tokens` of a reference run).
+        ``expected`` (:func:`repro.serving.batching.expected_tokens` of
+        the workload).
 
         Returns ``(divergent, compared)``.  A stream is keyed by
         ``(req_id, gen_index)``, or by ``(rids[req_id], gen_index)`` when
@@ -258,14 +259,3 @@ class ServingMetrics:
         m.cascade_bytes_saved = float(state["cascade_bytes_saved"])
         return m
 
-
-def expected_tokens(reference: ServingMetrics) -> Dict[Tuple[int, int], List[int]]:
-    """The token oracle of a reference run: ``{(req_id, gen_index): tokens}``
-    over every completed stream that recorded its tokens.  A reference
-    run over :func:`repro.cluster.assign_rids` output keys by rid, since
-    its ``req_id`` is the index in the full arrival-sorted list."""
-    return {
-        (t.req_id, t.gen_index): t.tokens
-        for t in reference.traces
-        if t.tokens is not None and t.req_id >= 0
-    }

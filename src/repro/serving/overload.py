@@ -32,7 +32,7 @@ Four pieces compose into graceful saturation:
 * **Token exactness** — rid-keyed token ids make every re-arrival,
   re-dispatch and hedge token-exact by construction;
   :meth:`repro.cluster.ClusterMetrics.token_divergence` holds a
-  brownout-clamped stream to the exact prefix of its reference (a clamp
+  brownout-clamped stream to the exact prefix of its oracle tokens (a clamp
   shortens a stream, it never changes a token).
 
 Everything here is consulted only when

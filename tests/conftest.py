@@ -8,11 +8,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core import HeadConfig
 from repro.serving import PlanCache
 from repro.sparse import AttentionMapping, kv_from_page_table
 from repro.utils.dtypes import StorageDType, round_to_storage
+
+# Every property test draws a fixed, derandomised sample, so each tier-1
+# run sees the same examples; a decorator sets only ``max_examples``.
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

@@ -59,7 +59,7 @@ def test_serve_prints_every_line_ci_greps(name, capsys):
     rc = main(["serve", *flags])
     out = capsys.readouterr().out
     assert rc == 0, out
-    for pattern in ["token_divergence=0 ", *greps]:
+    for pattern in [r"token_divergence=0 \([1-9]", *greps]:
         assert re.search(pattern, out), f"{pattern!r} not in:\n{out}"
 
 
@@ -124,7 +124,7 @@ def test_serve_chaos_prints_what_ci_greps(capsys):
     out = capsys.readouterr().out
     assert rc == 0, out
     assert re.search(r"faults_injected=[1-9]", out)
-    assert re.search(r"token_divergence=0 ", out)
+    assert re.search(r"token_divergence=0 \([1-9]", out)
 
 
 def test_serve_crash_journal_then_recover(capsys, tmp_path):
@@ -135,7 +135,7 @@ def test_serve_crash_journal_then_recover(capsys, tmp_path):
                "--crash", "3", "--checkpoint-every", "4", "--journal", journal])
     out = capsys.readouterr().out
     assert rc == 0, out
-    for pattern in (r"crashes=[3-9]", r"mid-step", r"token_divergence=0 "):
+    for pattern in (r"crashes=[3-9]", r"mid-step", r"token_divergence=0 \([1-9]"):
         assert re.search(pattern, out), f"{pattern!r} not in:\n{out}"
     assert main(["serve", "--recover", "--journal", journal]) == 0
     assert "divergence=0" in capsys.readouterr().out

@@ -50,27 +50,33 @@ def _degraded(cfg, *windows):
     return engine
 
 
-def test_link_degradation_slows_the_cluster():
+LINK_CFG = ClusterConfig(tp=2, engine=EngineConfig(max_running=64))
+
+
+@pytest.fixture(scope="module")
+def link_runs():
+    """``(requests, healthy, degraded)``: one tp=2 trace, served on a healthy
+    interconnect and on one derated to 10% for the entire run window."""
     requests = sharegpt_workload(6, rate=60.0, seed=3)
-    cfg = ClusterConfig(tp=2, engine=EngineConfig(max_running=64))
-    healthy = ClusterEngine(MODEL, H100_80G, cfg).run(requests)
-    # Derate the interconnect to 10% for the entire run window.
-    degraded = _degraded(cfg, (0.0, 1e6, 0.1)).run(requests)
+    healthy = ClusterEngine(MODEL, H100_80G, LINK_CFG).run(requests)
+    degraded = _degraded(LINK_CFG, (0.0, 1e6, 0.1)).run(requests)
+    return requests, healthy, degraded
+
+
+def test_link_degradation_slows_the_cluster(link_runs):
+    _, healthy, degraded = link_runs
     assert degraded.total_time > healthy.total_time
     assert degraded.summary()["link_degradations"] == 1.0
 
 
-def test_link_degradation_window_only_slows_covered_steps():
-    requests = sharegpt_workload(6, rate=60.0, seed=3)
-    cfg = ClusterConfig(tp=2, engine=EngineConfig(max_running=64))
-    healthy = ClusterEngine(MODEL, H100_80G, cfg).run(requests)
+def test_link_degradation_window_only_slows_covered_steps(link_runs):
+    requests, healthy, degraded = link_runs
     # A window entirely after the run changes nothing.
     after = _degraded(
-        cfg, (healthy.total_time + 1.0, healthy.total_time + 2.0, 0.1)
+        LINK_CFG, (healthy.total_time + 1.0, healthy.total_time + 2.0, 0.1)
     ).run(requests)
     assert after.total_time == pytest.approx(healthy.total_time)
     # Degradation moves time only: tokens stay identical.
-    degraded = _degraded(cfg, (0.0, 1e6, 0.1)).run(requests)
     healthy_tokens = [t.tokens for m in healthy.replicas for t in m.traces]
     degraded_tokens = [t.tokens for m in degraded.replicas for t in m.traces]
     assert healthy_tokens == degraded_tokens
@@ -87,29 +93,34 @@ def test_replica_crash_recovers_token_exact():
                               ReplicaFailure(7, "crash", "mid-step")]},
         trace=True,
     )
-    reference = cluster.run_reference(requests)
     cm = cluster.run(requests)
     events = [tracer.fault_events for tracer in cluster.tracers]
     assert crash_phases(events[0]) == ["boundary", "mid-step"]
     assert restores(events[0]) == 2
     assert crash_phases(events[1]) == [] and restores(events[1]) == 0
-    divergent, compared = cm.token_divergence(expected_tokens(reference))
+    divergent, compared = cm.token_divergence(expected_tokens(requests))
     assert (divergent, compared) == (0, 8)
 
 
-def test_snapshots_carry_the_world_shape():
+@pytest.fixture(scope="module")
+def snapshot_store():
+    """The checkpoint store of one finished tp=1 engine run; the tests
+    below only read it."""
     store = CheckpointStore()
     _engine(store).run(sharegpt_workload(4, rate=50.0, seed=1))
+    return store
+
+
+def test_snapshots_carry_the_world_shape(snapshot_store):
+    store = snapshot_store
     sid = store.latest_snapshot_id()
     assert sid is not None
     snap = store.load_snapshot(sid)
     assert snap["world"] == {"tp": 1, "dp": 1, "replica": 0}
 
 
-def test_recovery_refuses_a_mismatched_cluster_shape():
-    store = CheckpointStore()
-    requests = sharegpt_workload(4, rate=50.0, seed=1)
-    _engine(store).run(requests)
+def test_recovery_refuses_a_mismatched_cluster_shape(snapshot_store):
+    store = snapshot_store
     with pytest.raises(WorldMismatchError, match="tp"):
         RecoveryManager(store, expected_world={"tp": 2}).recover()
     with pytest.raises(WorldMismatchError, match="dp"):
@@ -121,10 +132,8 @@ def test_recovery_refuses_a_mismatched_cluster_shape():
     assert recovered.snapshot["world"]["tp"] == 1
 
 
-def test_resume_refuses_a_mismatched_engine_shape():
-    store = CheckpointStore()
-    requests = sharegpt_workload(4, rate=50.0, seed=1)
-    _engine(store).run(requests)
+def test_resume_refuses_a_mismatched_engine_shape(snapshot_store):
+    store = snapshot_store
     recovered = RecoveryManager(store).recover()
     # Rebuilding the engine at tp=2 must refuse the tp=1 snapshot even
     # when the recovery manager was not told what shape to expect.

@@ -24,7 +24,6 @@ from repro.faults import ResilienceConfig
 from repro.serving import (
     CheckpointConfig,
     CheckpointStore,
-    CrashReport,
     EngineConfig,
     ServingEngine,
     mixed_disagg_workload,
@@ -139,28 +138,23 @@ def _dp1(script):
 def test_engine_and_cluster_replica_share_one_life_loop():
     requests = sharegpt_workload(4, rate=120.0, seed=6)
     store = CheckpointStore()
-    harness = CrashReport.from_lives(*run_lives(
+    harness, phases = run_lives(
         lambda: ServingEngine.from_config(
             ENGINE_CFG, resilience=ResilienceConfig(),
             # The cadence a scripted cluster replica defaults to.
             checkpoint=CheckpointConfig(every_steps=4), checkpoint_store=store,
         ),
         assign_rids(requests), store, script=KILLS,
-    ))
+    )
     engine = _dp1(KILLS)
     cm = engine.run(requests)
-    cluster = CrashReport.from_lives(
-        cm.replicas[0], crash_phases(engine.tracers[0].fault_events)
-    )
-    assert cluster.crash_phases == harness.crash_phases == ["boundary", "mid-step"]
-    assert (cluster.crashes, cluster.recoveries) == (harness.crashes, harness.recoveries)
-    assert [t.tokens for t in cluster.metrics.traces] == [
-        t.tokens for t in harness.metrics.traces
-    ]
-    assert cm.total_time == harness.metrics.total_time
-    assert (cluster.token_divergence, cluster.compared) == (
-        harness.token_divergence, harness.compared,
-    )
+    cluster = cm.replicas[0]
+    assert crash_phases(engine.tracers[0].fault_events) == phases == ["boundary", "mid-step"]
+    assert [t.tokens for t in cluster.traces] == [t.tokens for t in harness.traces]
+    assert cm.total_time == harness.total_time
+    # The journal replay checked the same tokens, with the same outcome.
+    replay = ("recover_token_divergence", "recover_replayed_tokens")
+    assert [cluster.fault_stats[k] for k in replay] == [harness.fault_stats[k] for k in replay]
 
 
 def test_cluster_replica_inherits_the_livelock_guard():

@@ -100,7 +100,7 @@ class TestEquivalence:
         ),
         st.booleans(),
     )
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     def test_random_batches(self, lens, causal):
         qo = [min(a, b) for a, b in lens]  # causal needs qo ≤ kv
         kv = [b for _, b in lens]
@@ -128,7 +128,7 @@ class TestUnsplitBounds:
         st.sampled_from([1, 16, 64]), st.booleans(), st.booleans(), st.booleans(),
         st.booleans(), st.sampled_from([64, 192, 320]),
     )
-    @settings(max_examples=120, deadline=None, derandomize=True)
+    @settings(max_examples=120)
     def test_bounds_hold(self, groups, heads, kv_dtype, page, causal, sparse, fuse, stacked,
                          chunk):
         from repro.core import simulate

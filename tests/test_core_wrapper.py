@@ -616,7 +616,7 @@ class TestBreakEvenSplit:
     @pytest.mark.parametrize("gpu", [A100_40G, H100_80G], ids=["A100", "H100"])
     @given(decode_and_prefill_batches(),
            st.sampled_from([StorageDType.FP16, StorageDType.FP8_E4M3]), st.booleans())
-    @settings(max_examples=80, deadline=None, derandomize=True)
+    @settings(max_examples=80)
     def test_never_slower_than_algorithm_1(self, gpu, batch, kv_dtype, stacked):
         """The chosen plan is one of ``_choose``'s candidates, picked
         soundly (:func:`check_choice`), and prices no higher than Algorithm
@@ -708,7 +708,7 @@ class TestBreakEvenSplit:
         queries=st.sampled_from([1, 1, 4, 16]),
         kv_dtype=st.sampled_from([StorageDType.FP16, StorageDType.FP8_E4M3]),
     )
-    @settings(max_examples=30, deadline=None, derandomize=True)
+    @settings(max_examples=30)
     def test_a_stack_never_chooses_the_dearer_release(
         self, gpu, clusters, members, prefix_pages, suffix, queries, kv_dtype
     ):

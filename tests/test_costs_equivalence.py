@@ -63,7 +63,7 @@ from repro.gpu.executor import PersistentKernelExecutor
 from repro.sparse import PrefixCluster, decompose_multi_level
 from repro.utils.dtypes import StorageDType
 
-FIXED = settings(max_examples=60, deadline=None, derandomize=True)
+FIXED = settings(max_examples=60)
 RTOL = 1e-12
 
 #: Ragged groups ``(qo_len, kv_len)``: empty groups, decode rows, prefill of
@@ -418,7 +418,7 @@ def shared_prefix_stacks(draw, query_lens=(1,)):
     return formats, heads, draw(st.sampled_from([A100_40G, H100_80G]))
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
+@settings(max_examples=30)
 @given(shared_prefix_stacks(query_lens=(1, 1, 3, 17)))
 def test_random_stacks_price_like_the_oracle(drawn):
     formats, heads, gpu = drawn
@@ -480,7 +480,7 @@ def _priced_format_by_format(stack):
     return total
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(shared_prefix_stacks())
 def test_one_contraction_never_costs_more_than_one_per_format(drawn):
     """Over random decode stacks, folding every format's states in one

@@ -22,7 +22,7 @@ class TestSchedulerDeterminism:
         st.lists(st.integers(1, 5000), min_size=1, max_size=12),
         st.integers(1, 4),
     )
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     def test_identical_plans_for_identical_lengths(self, kv, heads):
         a = plan_schedule([1] * len(kv), kv, 16, 32, num_kv_heads=heads)
         b = plan_schedule([1] * len(kv), kv, 16, 32, num_kv_heads=heads)

@@ -137,9 +137,8 @@ def test_cluster_validates_router_role_combinations():
 def test_disagg_is_token_exact_with_nonzero_handoff_traffic():
     requests = _workload()
     cluster = _cluster()
-    reference = cluster.run_reference(requests)
     cm = cluster.run(requests)
-    divergent, compared = cm.token_divergence(expected_tokens(reference))
+    divergent, compared = cm.token_divergence(expected_tokens(requests))
     assert (divergent, compared) == (0, len(requests))
     s = cm.summary()
     # Every request's KV crossed the wire as priced handoff traffic.
@@ -162,9 +161,8 @@ def test_disagg_is_token_exact_with_nonzero_handoff_traffic():
 def test_disagg_scales_to_wider_pools():
     requests = _workload(n=14, seed=9)
     cluster = _cluster(roles="prefill=2,decode=2", dp=4)
-    reference = cluster.run_reference(requests)
     cm = cluster.run(requests)
-    divergent, compared = cm.token_divergence(expected_tokens(reference))
+    divergent, compared = cm.token_divergence(expected_tokens(requests))
     assert (divergent, compared) == (0, len(requests))
     s = cm.summary()
     # Both decode replicas took streams (least-loaded pairing spreads).
@@ -178,9 +176,8 @@ def test_disagg_chunked_prefill_stays_token_exact():
     engine = EngineConfig(max_running=64, chunked_prefill=True,
                           composable=True, prefill_chunk_size=256)
     cluster = _cluster(engine=engine)
-    reference = cluster.run_reference(requests)
     cm = cluster.run(requests)
-    divergent, compared = cm.token_divergence(expected_tokens(reference))
+    divergent, compared = cm.token_divergence(expected_tokens(requests))
     assert (divergent, compared) == (0, len(requests))
 
 
@@ -207,9 +204,8 @@ def test_handoff_retries_link_faults_and_stays_exact():
     cluster = _cluster(
         fault_plan=FaultPlan(schedules={"link": [0, 1]}),
     )
-    reference = cluster.run_reference(requests)
     cm = cluster.run(requests)
-    divergent, compared = cm.token_divergence(expected_tokens(reference))
+    divergent, compared = cm.token_divergence(expected_tokens(requests))
     assert (divergent, compared) == (0, len(requests))
     s = cm.summary()
     # The first chunk's two faulted attempts retried with backoff; the
@@ -244,9 +240,8 @@ def test_prefix_cache_hits_skip_already_shipped_pages():
     engine = EngineConfig(max_running=64, chunked_prefill=True,
                           composable=True, prefix_cache=True)
     cluster = _cluster(engine=engine)
-    reference = cluster.run_reference(requests)
     cm = cluster.run(requests)
-    divergent, compared = cm.token_divergence(expected_tokens(reference))
+    divergent, compared = cm.token_divergence(expected_tokens(requests))
     assert divergent == 0 and compared == len(requests)
     s = cm.summary()
     # Later handoffs of an already-shipped prefix group ship only the
@@ -262,9 +257,8 @@ def test_prefill_replica_failover_keeps_handoffs_token_exact():
         failover=FailoverConfig(),
         replica_failures={0: ReplicaFailure(3, "crash")},
     )
-    reference = cluster.run_reference(requests)
     cm = cluster.run(requests)
-    divergent, compared = cm.token_divergence(expected_tokens(reference))
+    divergent, compared = cm.token_divergence(expected_tokens(requests))
     assert (divergent, compared) == (0, len(requests))
     s = cm.summary()
     assert s["handoff_requests"] == float(len(requests))
@@ -281,9 +275,8 @@ def test_prefill_replica_crash_harness_dedups_refired_handoffs():
         checkpoint_every=3,
         replica_failures={0: ReplicaFailure(3, "crash", "boundary")}, trace=True,
     )
-    reference = cluster.run_reference(requests)
     cm = cluster.run(requests)
-    divergent, compared = cm.token_divergence(expected_tokens(reference))
+    divergent, compared = cm.token_divergence(expected_tokens(requests))
     assert (divergent, compared) == (0, len(requests))
     s = cm.summary()
     # Re-executed spawns after the restore dedup by (rid, gen): every

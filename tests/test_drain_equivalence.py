@@ -38,7 +38,7 @@ from repro.serving import (
 )
 from repro.serving.executor import StepExecutor
 
-FIXED = settings(max_examples=100, deadline=None, derandomize=True)
+FIXED = settings(max_examples=100)
 
 SPECS = st.sampled_from([A100_40G, H100_80G])
 RESIDENT = st.sampled_from([1, 2, 3])

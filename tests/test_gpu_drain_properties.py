@@ -22,7 +22,7 @@ work = st.lists(
 
 class TestDrainInvariants:
     @given(work)
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_all_jobs_finish(self, jobs):
         exe = executor()
         serial = np.array([j[0] for j in jobs])
@@ -32,7 +32,7 @@ class TestDrainInvariants:
         assert np.all(finish >= 0)
 
     @given(work)
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_finish_not_before_either_stream(self, jobs):
         """A job can't finish before its serial time nor before its bytes
         could drain at full device bandwidth."""
@@ -44,7 +44,7 @@ class TestDrainInvariants:
         assert np.all(finish >= lower - 1e-12)
 
     @given(work)
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_bandwidth_conservation(self, jobs):
         """Total bytes drained can never exceed peak_bw × makespan."""
         exe = executor()
@@ -56,7 +56,7 @@ class TestDrainInvariants:
             assert mem.sum() <= A100_40G.peak_bandwidth_bytes * makespan * (1 + 1e-9)
 
     @given(work)
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_single_cta_cap(self, jobs):
         """No single job drains faster than the per-SM bandwidth cap."""
         exe = executor()
@@ -67,7 +67,7 @@ class TestDrainInvariants:
         assert np.all(finish >= mem / cap - 1e-12)
 
     @given(work, st.floats(1.1, 3.0))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_monotone_in_work(self, jobs, factor):
         """Scaling every job's work up never reduces the makespan."""
         exe = executor()

@@ -47,7 +47,7 @@ from repro.variants import (
     make_sliding_window,
 )
 
-FIXED = settings(max_examples=60, deadline=None, derandomize=True)
+FIXED = settings(max_examples=60)
 
 H_QO, H_KV, D, D_LATENT = 4, 2, 8, 6
 HEADS = HeadConfig(H_QO, H_KV, D)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from reference_paged import DensePagedKVCache
 from repro.kvcache import OutOfPagesError, PagedKVCache
 
-FIXED = settings(max_examples=200, deadline=None, derandomize=True)
+FIXED = settings(max_examples=200)
 
 NUM_PAGES, PAGE_SIZE = 8, 4
 OPS = ("new_seq", "extend", "fork_seq", "truncate", "free_seq",

@@ -252,7 +252,7 @@ def _replay(ops, as_input, tree_cls=RadixTree):
 
 
 class TestInputsAndOracle:
-    @settings(max_examples=150, deadline=None, derandomize=True)
+    @settings(max_examples=150)
     @given(st.lists(_op, min_size=1, max_size=24))
     def test_lists_arrays_and_the_old_walks_build_the_same_tree(self, ops):
         out_l, ref_l, tree_l = _replay(ops, list)

@@ -164,12 +164,13 @@ class TestZeroOverheadWhenDisabled:
 
 
 class TestExporters:
-    def _traced(self):
-        reqs = sharegpt_workload(6, 80.0, seed=1)
-        return run_traced(reqs)
+    @pytest.fixture(scope="class")
+    def tracer(self):
+        """One traced run, shared: the exporters only read its events."""
+        tracer, _, _ = run_traced(sharegpt_workload(6, 80.0, seed=1))
+        return tracer
 
-    def test_chrome_trace_roundtrips_json(self, tmp_path):
-        tracer, _, _ = self._traced()
+    def test_chrome_trace_roundtrips_json(self, tmp_path, tracer):
         trace = to_chrome_trace(tracer.events, metadata={"model": MODEL.name})
         parsed = json.loads(json.dumps(trace))
         assert parsed["metadata"]["model"] == MODEL.name
@@ -184,8 +185,7 @@ class TestExporters:
         for s in step_slices:
             assert {"prefill_tokens", "decode_tokens", "streams"} <= set(s["args"])
 
-    def test_component_slices_tile_step_interval(self):
-        tracer, _, _ = self._traced()
+    def test_component_slices_tile_step_interval(self, tracer):
         trace = to_chrome_trace(tracer.events)
         comp = [e for e in trace["traceEvents"]
                 if e["ph"] == "X" and e.get("cat") == "component"]
@@ -199,8 +199,7 @@ class TestExporters:
             total = sum(c["dur"] for c in slices)
             assert total == pytest.approx(ev.duration * 1e6, rel=1e-6)
 
-    def test_csv_export(self):
-        tracer, _, _ = self._traced()
+    def test_csv_export(self, tracer):
         csv = to_csv(tracer.events)
         lines = csv.strip().splitlines()
         assert len(lines) == len(tracer.events) + 1
@@ -241,10 +240,9 @@ class TestExporters:
         kernels = [k for e in steps for k in e.kernels]
         assert text[-2].startswith(f"kernels        : {len(kernels)} simulated launches")
 
-    def test_write_chrome_trace_file(self, tmp_path):
+    def test_write_chrome_trace_file(self, tmp_path, tracer):
         from repro.obs import write_chrome_trace
 
-        tracer, _, _ = self._traced()
         path = tmp_path / "trace.json"
         write_chrome_trace(str(path), tracer.events)
         assert json.loads(path.read_text())["traceEvents"]

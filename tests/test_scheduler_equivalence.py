@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import reference_scheduler as ref
 from repro.core import SchedulePlan, plan_schedule, plan_unbalanced
 
-FIXED = settings(max_examples=120, deadline=None, derandomize=True)
+FIXED = settings(max_examples=120)
 
 TABLES = ("work_items", "cta_indptr", "merge_meta", "merge_indptr", "merge_slots")
 

@@ -2,9 +2,9 @@
 
 The load-bearing property (ISSUE acceptance): a seeded workload interrupted
 by injected engine deaths — including mid-step — and recovered from the
-latest snapshot plus journal replay produces byte-identical tokens to an
-uninterrupted run, and recovery *refuses* to resume from a snapshot whose
-KV pages cannot be verified or rebuilt.
+latest snapshot plus journal replay emits exactly the workload's
+closed-form tokens (``expected_tokens``), and recovery *refuses* to resume
+from a snapshot whose KV pages cannot be verified or rebuilt.
 """
 
 import json
@@ -17,7 +17,6 @@ from repro.gpu import H100_80G
 from repro.serving import (
     CheckpointConfig,
     CheckpointStore,
-    CrashReport,
     DirectoryStore,
     EngineConfig,
     FlashInferBackend,
@@ -54,11 +53,6 @@ def workload(n=8):
     ]
 
 
-def kill_restore(factory, reqs, store, script, expected=None):
-    metrics, phases = run_lives(factory, reqs, store, script=script)
-    return CrashReport.from_lives(metrics, phases, expected)
-
-
 def stressful_plan(seed, crash_rate=0.0):
     return FaultPlan(
         seed=seed,
@@ -86,9 +80,7 @@ def crash_mid_run(store, reqs, script=((9, "boundary"),), fault_plan=None):
 class TestKillRestore:
     def test_scripted_kills_recover_token_exact(self):
         reqs = workload()
-        baseline = engine(resilience=ResilienceConfig()).run(reqs)
-        expected = expected_tokens(baseline)
-
+        oracle = expected_tokens(reqs)
         store = CheckpointStore()
 
         def factory():
@@ -98,13 +90,11 @@ class TestKillRestore:
                 resilience=ResilienceConfig(),
             )
 
-        report = kill_restore(factory, reqs, store, SCRIPT, expected)
-        assert report.crashes == len(SCRIPT)
-        assert report.recoveries == len(SCRIPT)
-        assert "mid-step" in report.crash_phases
-        assert report.compared == len(expected)
-        assert report.token_divergence == 0
-        s = report.metrics.summary()
+        metrics, phases = run_lives(factory, reqs, store, script=SCRIPT)
+        assert len(phases) == len(SCRIPT)
+        assert "mid-step" in phases
+        assert metrics.token_divergence(oracle) == (0, len(oracle))
+        s = metrics.summary()
         assert s["ckpt_snapshots"] > 0
         assert s["recover_replayed_tokens"] > 0
         assert s["recover_token_divergence"] == 0
@@ -113,13 +103,8 @@ class TestKillRestore:
     def test_kill_restore_composes_with_chaos(self):
         """Deaths on top of kernel faults, KV corruption, alloc failures
         and stragglers — every surviving stream still matches the
-        uninterrupted chaos run byte for byte."""
+        workload's token oracle byte for byte."""
         reqs = workload(10)
-        baseline = engine(
-            fault_plan=stressful_plan(7), resilience=ResilienceConfig()
-        ).run(reqs)
-        expected = expected_tokens(baseline)
-
         store = CheckpointStore()
         # One plan shared across lives keeps the crash stream advanced
         # past already-fired deaths; every other stream is rewound to the
@@ -133,17 +118,17 @@ class TestKillRestore:
                 fault_plan=shared,
             )
 
-        report = kill_restore(factory, reqs, store, SCRIPT, expected)
-        assert report.crashes >= len(SCRIPT)
-        assert report.token_divergence == 0
-        assert report.compared > 0
-        assert report.metrics.summary()["faults_injected"] > 0
+        metrics, phases = run_lives(factory, reqs, store, script=SCRIPT)
+        assert len(phases) >= len(SCRIPT)
+        divergent, compared = metrics.token_divergence(expected_tokens(reqs))
+        assert divergent == 0
+        assert compared > 0
+        assert metrics.summary()["faults_injected"] > 0
 
     def test_crash_before_first_periodic_snapshot_uses_genesis(self):
         """A death at step 1 lands before any periodic snapshot; recovery
         falls back to the genesis snapshot taken before step 0."""
         reqs = workload()
-        baseline = engine(resilience=ResilienceConfig()).run(reqs)
         store = CheckpointStore()
 
         def factory():
@@ -152,11 +137,9 @@ class TestKillRestore:
                 checkpoint_store=store,
             )
 
-        report = kill_restore(
-            factory, reqs, store, ((1, "boundary"),), expected_tokens(baseline)
-        )
-        assert report.crashes == 1
-        assert report.token_divergence == 0
+        metrics, phases = run_lives(factory, reqs, store, script=((1, "boundary"),))
+        assert len(phases) == 1
+        assert metrics.token_divergence(expected_tokens(reqs))[0] == 0
 
     def test_seeded_crash_without_checkpoint_kills_the_run(self):
         """The crash fault site is real death: with no checkpoint layer the
@@ -178,12 +161,12 @@ class TestKillRestore:
                     checkpoint_store=store,
                 )
 
-            return kill_restore(factory, reqs, store, SCRIPT)
+            return run_lives(factory, reqs, store, script=SCRIPT)
 
-        a, b = campaign(), campaign()
-        assert a.crash_phases == b.crash_phases
-        assert expected_tokens(a.metrics) == expected_tokens(b.metrics)
-        assert a.metrics.summary() == b.metrics.summary()
+        (a, a_phases), (b, b_phases) = campaign(), campaign()
+        assert a_phases == b_phases
+        assert [t.tokens for t in a.traces] == [t.tokens for t in b.traces]
+        assert a.summary() == b.summary()
 
 
 class TestColdStart:
@@ -192,7 +175,6 @@ class TestColdStart:
         journal directory fresh, recover and resume — the snapshot is
         self-contained, no request list need be re-supplied."""
         reqs = workload()
-        baseline = engine(resilience=ResilienceConfig()).run(reqs)
         crash_mid_run(DirectoryStore(tmp_path), reqs, ((9, "mid-step"),))
         assert (tmp_path / "journal.jsonl").exists()
         assert sorted(tmp_path.glob("snap-*.json"))
@@ -206,7 +188,8 @@ class TestColdStart:
             checkpoint=CheckpointConfig(every_steps=4), checkpoint_store=store
         )
         metrics = eng.resume(recovered)
-        assert expected_tokens(metrics) == expected_tokens(baseline)
+        oracle = expected_tokens(reqs)
+        assert metrics.token_divergence(oracle) == (0, len(oracle))
         stats = metrics.fault_stats
         assert stats["recover_token_divergence"] == 0
         assert stats["recover_replayed_tokens"] > 0
@@ -313,9 +296,8 @@ class TestVerificationRefusal:
     def test_recompute_path_heals_corrupt_snapshot_pages(self):
         """With checksums on, recovery accepts the corrupt snapshot and the
         engine's own scrub/recompute path rebuilds the page — the resumed
-        run still matches the uninterrupted baseline."""
+        run still matches the workload's token oracle."""
         reqs = workload()
-        baseline = engine(resilience=ResilienceConfig()).run(reqs)
         snap, page = self._with_corrupt_page(self._crashed_snapshot(reqs))
         store = CheckpointStore()
         store.put_snapshot(json.dumps(snap, sort_keys=True))
@@ -325,7 +307,8 @@ class TestVerificationRefusal:
             checkpoint=CheckpointConfig(every_steps=4), checkpoint_store=store
         )
         metrics = eng.resume(recovered)
-        assert expected_tokens(metrics) == expected_tokens(baseline)
+        oracle = expected_tokens(reqs)
+        assert metrics.token_divergence(oracle) == (0, len(oracle))
 
 
 class TestDisabledIsFree:
@@ -351,7 +334,7 @@ class TestDisabledIsFree:
             checkpoint=CheckpointConfig(every_steps=0),
         ).run(reqs)
         assert a.summary() == b.summary()
-        assert expected_tokens(a) == expected_tokens(b)
+        assert [t.tokens for t in a.traces] == [t.tokens for t in b.traces]
 
     def test_checkpointing_on_does_not_perturb_the_trajectory(self):
         """Snapshots observe the engine; they never advance its clock or
@@ -359,7 +342,7 @@ class TestDisabledIsFree:
         reqs = workload()
         a = engine(resilience=ResilienceConfig()).run(reqs)
         b = engine(checkpoint=CheckpointConfig(every_steps=2)).run(reqs)
-        assert expected_tokens(a) == expected_tokens(b)
+        assert [t.tokens for t in a.traces] == [t.tokens for t in b.traces]
         sa, sb = a.summary(), b.summary()
         for key in ("median_itl", "median_ttft", "p99_ttft", "throughput_tok_s"):
             assert sa[key] == sb[key]
@@ -432,9 +415,9 @@ class TestRecoveryMetrics:
                 checkpoint_store=store,
             )
 
-        report = kill_restore(factory, reqs, store, ((7, "boundary"),))
-        s = report.metrics.summary()
+        metrics, _ = run_lives(factory, reqs, store, script=((7, "boundary"),))
+        s = metrics.summary()
         assert s["recover_resumed"] > 0
-        assert s["recover_resumed"] == report.metrics.recover_resumed
+        assert s["recover_resumed"] == metrics.recover_resumed
         # Recovery resumed streams without charging a single preemption.
-        assert report.metrics.preemptions == clean.preemptions
+        assert metrics.preemptions == clean.preemptions

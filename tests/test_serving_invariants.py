@@ -43,7 +43,7 @@ def run_engine(reqs, **cfg):
 
 class TestEngineInvariants:
     @given(request_strategy, st.booleans(), st.booleans())
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     def test_completion_and_token_conservation(self, spec, chunked, composable):
         reqs = build(spec)
         m = run_engine(reqs, chunked_prefill=chunked, composable=composable)
@@ -52,7 +52,7 @@ class TestEngineInvariants:
         assert m.total_output_tokens == sum(r.n * r.output_len for r in reqs)
 
     @given(request_strategy, st.booleans())
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     def test_temporal_causality(self, spec, chunked):
         reqs = build(spec)
         m = run_engine(reqs, chunked_prefill=chunked)
@@ -62,7 +62,7 @@ class TestEngineInvariants:
             assert tr.ttft >= 0
 
     @given(request_strategy)
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     def test_chunked_matches_unchunked_token_counts(self, spec):
         reqs = build(spec)
         a = run_engine(reqs, chunked_prefill=False)
@@ -70,7 +70,7 @@ class TestEngineInvariants:
         assert a.total_output_tokens == b.total_output_tokens
 
     @given(request_strategy)
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     def test_deterministic_replay(self, spec):
         reqs = build(spec)
         a = run_engine(reqs).summary()

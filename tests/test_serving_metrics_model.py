@@ -3,14 +3,23 @@
 import numpy as np
 import pytest
 
+from repro.cluster import ClusterConfig, ClusterEngine
 from repro.gpu import A100_40G, H100_80G
 from repro.serving import (
     LLAMA_3_1_8B,
     LLAMA_3_1_70B,
     VICUNA_13B,
+    EngineConfig,
+    Request,
     RequestTrace,
+    ResilienceConfig,
+    ServingEngine,
     ServingMetrics,
+    bursty_workload,
     expected_tokens,
+    mixed_disagg_workload,
+    shared_prefix_workload,
+    sharegpt_workload,
 )
 
 
@@ -69,13 +78,29 @@ def test_token_divergence(tokens, reason, req_id, rids, expect):
     assert m.token_divergence(REFERENCE, rids) == expect
 
 
-def test_expected_tokens_keeps_identified_streams_with_tokens():
-    ref = ServingMetrics(traces=[
-        RequestTrace(0.0, 0.1, req_id=0, gen_index=1, tokens=[1, 2]),
-        RequestTrace(0.0, 0.1, req_id=1, tokens=None),
-        RequestTrace(0.0, 0.1, tokens=[3]),  # req_id -1: no identity
-    ])
-    assert expected_tokens(ref) == {(0, 1): [1, 2]}
+def _single_gpu_reference(reqs):
+    cluster = ClusterEngine.from_config(ClusterConfig(), model=LLAMA_3_1_8B, gpu=H100_80G)
+    return cluster.run_reference(reqs)
+
+
+def _single_engine(reqs):
+    return ServingEngine.from_config(EngineConfig(), resilience=ResilienceConfig()).run(reqs)
+
+
+@pytest.mark.parametrize("reqs, run", [
+    (sharegpt_workload(8, 50.0, seed=0), _single_gpu_reference),
+    (shared_prefix_workload(8, 40.0, seed=0), _single_gpu_reference),
+    (bursty_workload(8, 40.0, seed=0), _single_gpu_reference),
+    (mixed_disagg_workload(8, 40.0, seed=0), _single_gpu_reference),
+    ([Request(i * 0.01, 64, 5, n=4) for i in range(3)], _single_gpu_reference),
+    # No rid: keyed by arrival rank, a tie kept in list order.
+    ([Request(0.0, 32, 4), Request(0.0, 16, 3)], _single_engine),
+], ids=["sharegpt", "shared-prefix", "bursty", "mixed-disagg", "n=4", "no-rid-tie"])
+def test_expected_tokens_equals_the_single_gpu_run(reqs, run):
+    """The closed form is pinned to the run it replaced as the token
+    oracle: every stream, key for key."""
+    got = {(t.req_id, t.gen_index): t.tokens for t in run(reqs).traces}
+    assert expected_tokens(reqs) == got
 
 
 class TestModelConfigs:

@@ -114,14 +114,16 @@ class TestEngineOrdering:
 
     def test_shortest_first_reorders_but_stays_token_exact(self, shortest_first):
         resil = ResilienceConfig()
-        fcfs = make_engine("fcfs", resilience=resil).run(self._reqs())
-        sjf = make_engine("shortest-first", resilience=resil).run(self._reqs())
+        reqs = self._reqs()
+        fcfs = make_engine("fcfs", resilience=resil).run(reqs)
+        sjf = make_engine("shortest-first", resilience=resil).run(reqs)
         # FCFS serves the long prompt first; SJF flips the order.
         assert self._ttft(fcfs)[0] < self._ttft(fcfs)[1]
         assert self._ttft(sjf)[1] < self._ttft(sjf)[0]
         # Token ids are a pure function of (request, generation, position):
         # every stream decodes the same tokens under either order.
-        assert expected_tokens(sjf) == expected_tokens(fcfs)
+        for m in (fcfs, sjf):
+            assert m.token_divergence(expected_tokens(reqs)) == (0, 2)
 
     def test_priority_preempts_queue_order(self):
         reqs = [Request(0.0, 2048, 6), Request(0.0, 2048, 6, priority=10)]
@@ -130,7 +132,8 @@ class TestEngineOrdering:
         prio = make_engine("priority", resilience=resil).run(reqs)
         assert self._ttft(fcfs)[0] < self._ttft(fcfs)[1]
         assert self._ttft(prio)[1] < self._ttft(prio)[0]
-        assert expected_tokens(prio) == expected_tokens(fcfs)
+        for m in (fcfs, prio):
+            assert m.token_divergence(expected_tokens(reqs)) == (0, 2)
 
     def test_fcfs_default_matches_explicit(self):
         reqs = self._reqs()

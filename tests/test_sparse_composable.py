@@ -279,7 +279,7 @@ class TestDecomposeProperties:
         st.integers(1, 4),   # prefix pages
         st.integers(1, 5),   # suffix pages
     )
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     def test_partition_and_numerics(self, seed, n_clusters, csize, ppages, spages):
         from conftest import make_shared_prefix_mapping
         from repro import BatchAttentionWrapper, ComposableAttentionWrapper, WorkspaceBuffer

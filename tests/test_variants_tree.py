@@ -44,7 +44,7 @@ class TestTreeMask:
         assert not mask[2, 1] and not mask[3, 0]
 
     @given(st.lists(st.integers(0, 10**6), max_size=12), st.integers(0, 5))
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     def test_rows_are_ancestor_paths(self, draws, context_len):
         """Node ``i`` sees exactly the context, itself and its ancestors."""
         parents = [d % (i + 1) - 1 for i, d in enumerate(draws)]  # parent < i

@@ -18,7 +18,7 @@ from repro.utils.dtypes import StorageDType, round_to_storage
     st.booleans(),                             # decode vs prefill
     st.booleans(),                             # fuse head groups
 )
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_wrapper_matches_oracle_on_random_configs(
     seed, kv_lens, group, page_size, decode, fuse
 ):
