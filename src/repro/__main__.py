@@ -289,14 +289,15 @@ def _serve_cluster(args, model, features) -> int:
     overload = None
     if args.overload:
         dp = max(dp, 2)
+        tenants, burst = args.tenants or 4, args.burst or 3.0
         requests = bursty_workload(
-            args.requests, args.rate, seed=args.seed, tenants=args.tenants,
-            burst=args.burst, burst_len=0.25, burst_every=0.6,
+            args.requests, args.rate, seed=args.seed, tenants=tenants,
+            burst=burst, burst_len=0.25, burst_every=0.6,
         )
-        kind = f"bursty ({args.tenants} tenants, {args.burst:g}x bursts)"
+        kind = f"bursty ({tenants} tenants, {burst:g}x bursts)"
         engine.update(max_running=16, prefill_chunk_size=256)
         overload = OverloadConfig(
-            tenants=args.tenants, admit_rate=24.0, burst_capacity=8.0,
+            tenants=tenants, admit_rate=24.0, burst_capacity=8.0,
             max_client_retries=5, retry_budget=2.0, retry_base=0.08,
             seed=args.seed, slo_ttft=0.4, engage_after=25, anneal_after=60,
             brownout_clamp=32,
@@ -585,12 +586,12 @@ def _cmd_figures(args) -> int:
 
 
 def _number(kind, low, strict=False, below=None):
-    """An argparse type: a ``kind`` value at least ``low`` (above it if
-    ``strict``) and, with ``below``, under ``below``."""
+    """An argparse type: a finite ``kind`` value at least ``low`` (above
+    it if ``strict``) and, with ``below``, under ``below``."""
     def parse(text):
         value = kind(text)
-        above = value > low if strict else value >= low  # nan fails both
-        if not (above and (below is None or value < below)):
+        above = value > low if strict else value >= low
+        if not (np.isfinite(value) and above and (below is None or value < below)):
             bound = f"{'>' if strict else '>='} {low}" + (f" and < {below}" if below else "")
             raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
         return value
@@ -725,12 +726,12 @@ def main(argv=None) -> int:
         "delta vs the same trace without the overload layer)",
     )
     serve.add_argument(
-        "--tenants", type=int, default=4,
+        "--tenants", type=_number(int, 1), default=None,
         help="tenant count for --overload: per-tenant token buckets at the "
         "front door, each an equal share of the admission rate (default: 4)",
     )
     serve.add_argument(
-        "--burst", type=float, default=3.0,
+        "--burst", type=_number(float, 1), default=None,
         help="burst multiplier for --overload's arrival process: seeded "
         "Poisson bursts at this multiple of the diurnal base rate "
         "(default: 3.0)",
@@ -758,7 +759,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "serve":
         for flag, value, needed in (("--trace-csv", args.trace_csv, "trace"),
-                                    ("--crash-rate", args.crash_rate, "crash")):
+                                    ("--crash-rate", args.crash_rate, "crash"),
+                                    ("--tenants", args.tenants, "overload"),
+                                    ("--burst", args.burst, "overload")):
             if value and not getattr(args, needed):
                 serve.error(f"{flag} requires --{needed}")
     return {

@@ -13,7 +13,7 @@ faults surfaced while forming are routed to
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -88,75 +88,48 @@ def prompt_token_ids(
     return (h & 0x7FFFFFFF) % TOKEN_VOCAB
 
 
+@dataclass(eq=False)
 class Stream:
-    """One decode stream (a single generation of a request)."""
+    """One decode stream (a single generation of a request); its fields
+    are its snapshot form (it carries its trace: a live stream's trace is
+    not yet in metrics)."""
 
-    __slots__ = (
-        "req_idx", "seq_id", "remaining", "trace", "resume_len",
-        "gen_index", "retries", "deadline",
-    )
-
-    def __init__(self, req_idx: int, seq_id: int, remaining: int, trace: RequestTrace):
-        self.req_idx = req_idx
-        self.seq_id = seq_id  # -1 while preempted with all pages freed
-        self.remaining = remaining
-        self.trace = trace
-        self.resume_len = 0  # KV length to recompute after preemption
-        self.gen_index = 0
-        self.retries = 0  # recompute retries consumed (rollback/alloc)
-        self.deadline: Optional[float] = None  # absolute shed time
-
-    def to_state(self) -> dict:
-        """Serializable form for engine checkpointing (carries its trace:
-        a live stream's trace is not yet in metrics)."""
-        return {
-            "req_idx": self.req_idx,
-            "seq_id": self.seq_id,
-            "remaining": self.remaining,
-            "trace": self.trace.to_state(),
-            "resume_len": self.resume_len,
-            "gen_index": self.gen_index,
-            "retries": self.retries,
-            "deadline": self.deadline,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "Stream":
-        s = cls(
-            req_idx=int(state["req_idx"]),
-            seq_id=int(state["seq_id"]),
-            remaining=int(state["remaining"]),
-            trace=RequestTrace.from_state(state["trace"]),
-        )
-        s.resume_len = int(state["resume_len"])
-        s.gen_index = int(state["gen_index"])
-        s.retries = int(state["retries"])
-        s.deadline = state["deadline"]
-        return s
+    req_idx: int
+    seq_id: int  # -1 while preempted with all pages freed
+    remaining: int
+    trace: RequestTrace
+    resume_len: int = 0  # KV length to recompute after preemption
+    gen_index: int = 0
+    retries: int = 0  # recompute retries consumed (rollback/alloc)
+    deadline: Optional[float] = None  # absolute shed time
 
 
+@dataclass(eq=False)
 class PartialPrefill:
     """A prompt being prefilled chunk by chunk."""
 
-    __slots__ = ("req_idx", "seq_id", "filled")
+    req_idx: int
+    seq_id: int
+    filled: int = 0
 
-    def __init__(self, req_idx: int, seq_id: int):
-        self.req_idx = req_idx
-        self.seq_id = seq_id
-        self.filled = 0
 
-    def to_state(self) -> dict:
-        return {
-            "req_idx": self.req_idx,
-            "seq_id": self.seq_id,
-            "filled": self.filled,
-        }
+def _fields(obj) -> dict:
+    """A state dataclass's fields by name.  Its lists are not copied
+    (unlike ``dataclasses.asdict``, which deep-copies every token time):
+    the snapshot is serialized as soon as it is built."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
-    @classmethod
-    def from_state(cls, state: dict) -> "PartialPrefill":
-        pp = cls(int(state["req_idx"]), int(state["seq_id"]))
-        pp.filled = int(state["filled"])
-        return pp
+
+#: The :class:`ServingMetrics` fields that hold :class:`RequestTrace` lists.
+_TRACE_LISTS = ("traces", "shed_traces")
+
+
+def _stream_state(s: Stream) -> dict:
+    return {**_fields(s), "trace": _fields(s.trace)}
+
+
+def _stream(state: dict) -> Stream:
+    return Stream(**{**state, "trace": RequestTrace(**state["trace"])})
 
 
 @dataclass
@@ -182,41 +155,49 @@ class RunState:
         )
 
     def export_state(self) -> dict:
-        """Serializable snapshot of the queues and live streams.
+        """The snapshot's ``run_state`` and ``metrics`` sections: the state
+        dataclasses' fields, nested as they are held.
 
-        ``requests``, ``cache`` and ``metrics`` travel separately in the
-        engine snapshot (the cache has its own page-table serializer and
-        the request list is re-supplied on recovery).
+        ``requests`` and ``cache`` travel separately in the engine
+        snapshot (the cache has its own page-table serializer and the
+        request list is re-supplied on recovery).
         """
-        state = {
+        run_state = {
             "waiting": list(self.waiting),
             "prefill_queue": list(self.prefill_queue),
-            "streams": [s.to_state() for s in self.streams],
-            "prefilling": [pp.to_state() for pp in self.prefilling],
-            "preempted": [s.to_state() for s in self.preempted],
+            "streams": [_stream_state(s) for s in self.streams],
+            "prefilling": [_fields(pp) for pp in self.prefilling],
+            "preempted": [_stream_state(s) for s in self.preempted],
         }
         if self.radix is not None:
-            state["radix"] = self.radix.export_state()
-        return state
+            run_state["radix"] = self.radix.export_state()
+        metrics = _fields(self.metrics)
+        del metrics["fault_stats"]  # attached at the end of a run
+        for key in _TRACE_LISTS:
+            metrics[key] = [_fields(t) for t in metrics[key]]
+        return {"run_state": run_state, "metrics": metrics}
 
     @classmethod
     def from_state(
-        cls, state: dict, requests: Sequence[Request],
-        cache: PagedKVCache, metrics: ServingMetrics,
+        cls, snap: dict, requests: Sequence[Request], cache: PagedKVCache
     ) -> "RunState":
-        rs = cls(requests=requests, cache=cache, metrics=metrics)
-        rs.waiting = deque(int(i) for i in state["waiting"])
-        rs.prefill_queue = deque(int(i) for i in state["prefill_queue"])
-        rs.streams = [Stream.from_state(s) for s in state["streams"]]
-        rs.prefilling = deque(
-            PartialPrefill.from_state(pp) for pp in state["prefilling"]
+        """Rebuild the state :meth:`export_state` wrote into ``snap``."""
+        rs, metrics = snap["run_state"], dict(snap["metrics"])
+        for key in _TRACE_LISTS:
+            metrics[key] = [RequestTrace(**t) for t in metrics[key]]
+        state = cls(
+            requests=requests, cache=cache, metrics=ServingMetrics(**metrics),
+            waiting=deque(rs["waiting"]),
+            prefill_queue=deque(rs["prefill_queue"]),
+            streams=[_stream(s) for s in rs["streams"]],
+            prefilling=deque(PartialPrefill(**pp) for pp in rs["prefilling"]),
+            preempted=deque(_stream(s) for s in rs["preempted"]),
         )
-        rs.preempted = deque(Stream.from_state(s) for s in state["preempted"])
-        if state.get("radix") is not None:
+        if rs.get("radix") is not None:
             # The restored cache's refcounts already include the tree's
             # holds, so the rebuild takes no new page references.
-            rs.radix = RadixTree.from_state(cache, state["radix"])
-        return rs
+            state.radix = RadixTree.from_state(cache, rs["radix"])
+        return state
 
 
 @dataclass

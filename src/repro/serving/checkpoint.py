@@ -62,6 +62,9 @@ from repro.serving.workload import Request
 #: Bump when the snapshot schema changes; recovery refuses other versions.
 SNAPSHOT_VERSION = 4
 
+#: The engine's step counters (attribute ``_<name>``) a snapshot carries.
+STEP_COUNTERS = ("steps_done", "event_index", "step_prefix_hits", "step_radix_hit_tokens")
+
 
 class CheckpointError(RuntimeError):
     """Base class for checkpoint/recovery failures."""
@@ -243,14 +246,10 @@ def build_snapshot(engine, state, admission, t: float) -> dict:
         "version": SNAPSHOT_VERSION,
         "t": t,
         "world": dict(engine.world),
-        "steps_done": engine._steps_done,
-        "event_index": engine._event_index,
-        "step_prefix_hits": engine._step_prefix_hits,
-        "step_radix_hit_tokens": engine._step_radix_hit_tokens,
+        **{key: getattr(engine, f"_{key}") for key in STEP_COUNTERS},
         "requests": [dataclasses.asdict(r) for r in state.requests],
-        "run_state": state.export_state(),
+        **state.export_state(),
         "cache": state.cache.export_state(),
-        "metrics": state.metrics.export_state(),
         "fault_plan": plan.export_state() if plan is not None else None,
         "degrade": (
             engine._degrade.export_state() if engine._degrade is not None else None
@@ -311,7 +310,7 @@ class Checkpointer:
         self.store = store
         self.state = None
         self.admission = None
-        self._last_step = 0
+        self._last_step = engine._steps_done
 
     def on_step_end(self, t: float) -> None:
         """Cadence check, called once per executed engine step."""

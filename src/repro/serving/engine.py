@@ -61,6 +61,7 @@ from repro.faults.plan import FaultPlan
 from repro.faults.recover import DegradeController, KVScrubber, ResilienceConfig
 from repro.gpu.spec import GPUSpec
 from repro.kvcache.paged import OutOfPagesError, PagedKVCache
+from repro.kvcache.radix import RadixTree
 from repro.obs.events import FaultEvent
 from repro.obs.tracer import StepTracer
 from repro.serving.admission import AdmissionController
@@ -72,6 +73,7 @@ from repro.serving.checkpoint import (
     CheckpointStore,
     Journal,
     RecoveredState,
+    STEP_COUNTERS,
     check_world,
     snapshot_world,
 )
@@ -371,7 +373,7 @@ class ServingEngine:
             )
         return stats
 
-    # -- crash injection / checkpoint wiring ------------------------------------
+    # -- crash injection / run set-up -------------------------------------------
 
     def _maybe_crash(self, t: float, phase: str) -> None:
         """Consult the crash sources for this (step, phase); called only
@@ -393,24 +395,66 @@ class ServingEngine:
             )
             raise EngineCrash(t, self._steps_done, phase)
 
-    def _wire_checkpoint(self, state, admission, t: float, genesis: bool) -> None:
-        """Attach checkpointer + journal for this run (no-op when off)."""
-        self._journal = None
-        self._ckpt = None
-        if self.checkpoint is None:
-            return
-        if self.checkpoint_store is None:
-            self.checkpoint_store = CheckpointStore()
-        ckpt = Checkpointer(self, self.checkpoint, self.checkpoint_store)
-        ckpt.state = state
-        ckpt.admission = admission
-        ckpt._last_step = self._steps_done
-        self._ckpt = ckpt
-        self._journal = Journal(self, self.checkpoint_store)
-        if genesis:
-            # Step-0 snapshot: recovery always has a base, even for a
-            # crash before the first periodic snapshot lands.
-            ckpt.snapshot(t, reason="genesis")
+    def _start(
+        self, state: RunState, t: float, snap: Optional[dict] = None,
+        tracer: Optional[StepTracer] = None, replay=None,
+    ) -> AdmissionController:
+        """The per-run set-up :meth:`run` and :meth:`resume` share.  A fresh
+        run (``snap`` is ``None``) starts its counters, degrade controller
+        and fault plan from zero and takes the genesis snapshot; a resumed
+        run restores them from the snapshot ``snap``."""
+        resil = self.resilience
+        plan = self.fault_plan
+        self._tracer = tracer if tracer is not None else self.tracer
+        self.backend.collect_kernel_reports = (
+            self._tracer is not None and self._tracer.capture_kernels
+        )
+        for key in STEP_COUNTERS:
+            setattr(self, f"_{key}", int(snap[key]) if snap is not None else 0)
+        self._step_cascade_levels = 0
+        self._degrade = None
+        if resil is not None:
+            self._degrade = DegradeController(resil.anneal_after)
+            if snap is not None and snap["degrade"] is not None:
+                self._degrade.import_state(snap["degrade"])
+            self._fault_counters = {} if snap is None else {
+                k: int(v) for k, v in snap["fault_counters"].items()
+            }
+            self._taint = plan is not None and not resil.checksums
+            self._deadlines_active = resil.deadline is not None or any(
+                r.deadline is not None for r in state.requests
+            )
+            if plan is not None and snap is None:
+                plan.reset()
+            elif plan is not None and snap["fault_plan"] is not None:
+                plan.import_state(snap["fault_plan"], skip=("crash",))
+            self.backend.set_fault_injector(plan)
+            state.cache.fault_injector = plan
+        # A fault plan always comes with a resilience config (``__init__``).
+        self._crash_armed = self._crash_script is not None or (
+            plan is not None and plan.armed("crash")
+        )
+        self._cache = state.cache
+        admission = AdmissionController(self, state)
+        if snap is not None:
+            admission.prefill_retries = {
+                int(k): int(v) for k, v in snap["prefill_retries"].items()
+            }
+        self._replay = replay
+        if replay is not None:
+            replay.engine = self
+        self._journal = self._ckpt = None
+        if self.checkpoint is not None:
+            if self.checkpoint_store is None:
+                self.checkpoint_store = CheckpointStore()
+            self._ckpt = Checkpointer(self, self.checkpoint, self.checkpoint_store)
+            self._ckpt.state, self._ckpt.admission = state, admission
+            self._journal = Journal(self, self.checkpoint_store)
+            if snap is None:
+                # Step-0 snapshot: recovery always has a base, even for a
+                # crash before the first periodic snapshot lands.
+                self._ckpt.snapshot(t, reason="genesis")
+        return admission
 
     # -- main loop --------------------------------------------------------------
 
@@ -424,55 +468,18 @@ class ServingEngine:
         exactly as before — no event objects are allocated.
         """
         cfg = self.config
-        resil = self.resilience
-        plan = self.fault_plan
-        self._tracer = tracer if tracer is not None else self.tracer
-        self._event_index = 0
-        self._steps_done = 0
-        self._step_prefix_hits = 0
-        self._step_radix_hit_tokens = 0
-        self._step_cascade_levels = 0
-        self.backend.collect_kernel_reports = (
-            self._tracer is not None and self._tracer.capture_kernels
-        )
         requests = sorted(requests, key=lambda r: r.arrival)
-        resil_on = resil is not None
-        if resil_on:
-            self._degrade = DegradeController(resil.anneal_after)
-            self._fault_counters = {}
-            self._taint = plan is not None and not resil.checksums
-            self._deadlines_active = resil.deadline is not None or any(
-                r.deadline is not None for r in requests
-            )
-            if plan is not None:
-                plan.reset()
-            self.backend.set_fault_injector(plan)
-        else:
-            self._degrade = None
-        self._replay = None
-        self._crash_armed = self._crash_script is not None or (
-            resil_on and plan is not None and plan.armed("crash")
-        )
         cache = PagedKVCache(
             cfg.num_pool_pages, PAGE_SIZE, self.heads.num_kv_heads,
             self.heads.head_dim, materialize=False,
-            checksums=resil_on and resil.checksums,
+            checksums=self.resilience is not None and self.resilience.checksums,
         )
-        if resil_on:
-            cache.fault_injector = plan
-        self._cache = cache
-
-        # -- wire the pipeline for this run ----------------------------------
         state = RunState(
             requests=requests, cache=cache, metrics=ServingMetrics(),
             waiting=deque(range(len(requests))),
+            radix=RadixTree(cache) if cfg.prefix_cache else None,
         )
-        if cfg.prefix_cache:
-            from repro.kvcache.radix import RadixTree
-
-            state.radix = RadixTree(cache)
-        admission = AdmissionController(self, state)
-        self._wire_checkpoint(state, admission, t=0.0, genesis=True)
+        admission = self._start(state, 0.0, tracer=tracer)
         return self._serve(state, admission, t=0.0)
 
     def resume(
@@ -503,8 +510,6 @@ class ServingEngine:
                 "resilience feature (construct the engine with checkpoint= "
                 "or resilience=)"
             )
-        resil = self.resilience
-        plan = self.fault_plan
         snap = recovered.snapshot
         # Refuse a snapshot from a different cluster shape: its per-shard
         # KV page tables don't fit this head partitioning.
@@ -512,46 +517,13 @@ class ServingEngine:
             recovered.snapshot_id, snapshot_world(snap),
             {"role": None, **self.world},
         )
-        self._tracer = self.tracer
-        self.backend.collect_kernel_reports = (
-            self._tracer is not None and self._tracer.capture_kernels
-        )
-        self._event_index = int(snap["event_index"])
-        self._steps_done = int(snap["steps_done"])
-        self._step_prefix_hits = int(snap["step_prefix_hits"])
-        self._step_radix_hit_tokens = int(snap["step_radix_hit_tokens"])
-        self._step_cascade_levels = 0
-        requests = recovered.requests  # snapshot order is arrival-sorted
-        self._degrade = DegradeController(resil.anneal_after)
-        if snap["degrade"] is not None:
-            self._degrade.import_state(snap["degrade"])
-        self._fault_counters = {
-            k: int(v) for k, v in snap["fault_counters"].items()
-        }
-        self._taint = plan is not None and not resil.checksums
-        self._deadlines_active = resil.deadline is not None or any(
-            r.deadline is not None for r in requests
-        )
-        if plan is not None:
-            if snap["fault_plan"] is not None:
-                plan.import_state(snap["fault_plan"], skip=("crash",))
-            self.backend.set_fault_injector(plan)
-        self._crash_armed = self._crash_script is not None or (
-            plan is not None and plan.armed("crash")
-        )
-        cache = recovered.cache
-        cache.fault_injector = plan
-        self._cache = cache
-        metrics = ServingMetrics.from_state(snap["metrics"])
-        state = RunState.from_state(snap["run_state"], requests, cache, metrics)
-        metrics.recover_resumed += len(state.streams) + len(state.preempted)
-        admission = AdmissionController(self, state)
-        admission.prefill_retries = {
-            int(k): int(v) for k, v in snap["prefill_retries"].items()
-        }
+        # Snapshot order is arrival-sorted.
+        state = RunState.from_state(snap, recovered.requests, recovered.cache)
+        state.metrics.recover_resumed += len(state.streams) + len(state.preempted)
         t = float(snap["t"])
         if at_time is not None:
             t = max(t, float(at_time))
+        admission = self._start(state, t, snap=snap, replay=recovered.replay)
         self._fault_event(
             "recover", "restored", t,
             detail=(
@@ -559,10 +531,6 @@ class ServingEngine:
                 f"{len(recovered.corrupt_pages)} pages to recompute"
             ),
         )
-        self._replay = recovered.replay
-        if self._replay is not None:
-            self._replay.engine = self
-        self._wire_checkpoint(state, admission, t, genesis=False)
         if self._journal is not None:
             self._journal.recover(recovered.snapshot_id, t)
         return self._serve(state, admission, t)

@@ -18,7 +18,8 @@ import numpy as np
 
 @dataclass
 class RequestTrace:
-    """Completion record for one request (one generation stream)."""
+    """Completion record for one request (one generation stream); its
+    fields are its snapshot form."""
 
     arrival: float
     first_token_time: float
@@ -45,39 +46,11 @@ class RequestTrace:
         times = [self.first_token_time] + list(self.token_times)
         return np.diff(times)
 
-    def to_state(self) -> dict:
-        """Serializable form for engine checkpointing."""
-        return {
-            "arrival": self.arrival,
-            "first_token_time": self.first_token_time,
-            "token_times": list(self.token_times),
-            "req_id": self.req_id,
-            "gen_index": self.gen_index,
-            "outcome": self.outcome,
-            "outcome_reason": self.outcome_reason,
-            "tokens": list(self.tokens) if self.tokens is not None else None,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "RequestTrace":
-        return cls(
-            arrival=float(state["arrival"]),
-            first_token_time=float(state["first_token_time"]),
-            token_times=[float(x) for x in state["token_times"]],
-            req_id=int(state["req_id"]),
-            gen_index=int(state["gen_index"]),
-            outcome=state["outcome"],
-            outcome_reason=state["outcome_reason"],
-            tokens=(
-                [int(x) for x in state["tokens"]]
-                if state["tokens"] is not None else None
-            ),
-        )
-
 
 @dataclass
 class ServingMetrics:
-    """Aggregated metrics over a run."""
+    """Aggregated metrics over a run.  Its fields but ``fault_stats``
+    (attached at the end of a run) are a snapshot's ``metrics`` section."""
 
     traces: List[RequestTrace] = field(default_factory=list)
     total_time: float = 0.0
@@ -223,39 +196,3 @@ class ServingMetrics:
             merged.cascade_bytes_saved += p.cascade_bytes_saved
             merged.total_time = max(merged.total_time, p.total_time)
         return merged
-
-    def export_state(self) -> dict:
-        """Serializable snapshot for engine checkpointing.
-
-        ``fault_stats`` is attached by the engine at end of run, so only the
-        accumulating fields travel.
-        """
-        return {
-            "traces": [t.to_state() for t in self.traces],
-            "shed_traces": [t.to_state() for t in self.shed_traces],
-            "total_time": self.total_time,
-            "total_output_tokens": self.total_output_tokens,
-            "preemptions": self.preemptions,
-            "recover_resumed": self.recover_resumed,
-            "radix_hit_tokens": self.radix_hit_tokens,
-            "radix_hit_prompts": self.radix_hit_prompts,
-            "cascade_steps": self.cascade_steps,
-            "cascade_bytes_saved": self.cascade_bytes_saved,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "ServingMetrics":
-        m = cls(
-            traces=[RequestTrace.from_state(t) for t in state["traces"]],
-            total_time=float(state["total_time"]),
-            total_output_tokens=int(state["total_output_tokens"]),
-            preemptions=int(state["preemptions"]),
-            recover_resumed=int(state["recover_resumed"]),
-        )
-        m.shed_traces = [RequestTrace.from_state(t) for t in state["shed_traces"]]
-        m.radix_hit_tokens = int(state["radix_hit_tokens"])
-        m.radix_hit_prompts = int(state["radix_hit_prompts"])
-        m.cascade_steps = int(state["cascade_steps"])
-        m.cascade_bytes_saved = float(state["cascade_bytes_saved"])
-        return m
-

@@ -165,12 +165,12 @@ def bursty_workload(
     first ``premium_tenants`` tenants get ``priority=1`` (the tier the
     brownout shed rung protects).
     """
-    if rate <= 0:
-        raise ValueError("rate must be positive")
+    if not (0 < rate < np.inf):
+        raise ValueError("rate must be positive and finite")
     if tenants < 1 or not 0 <= premium_tenants <= tenants:
         raise ValueError("need tenants >= 1 and 0 <= premium_tenants <= tenants")
-    if burst < 1.0:
-        raise ValueError("need burst >= 1")
+    if not (1.0 <= burst < np.inf):
+        raise ValueError("need a finite burst >= 1")
     if burst_len <= 0 or burst_every <= 0:
         raise ValueError("burst_len and burst_every must be positive")
     rng = new_rng(seed)

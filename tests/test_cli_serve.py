@@ -98,8 +98,16 @@ def test_serve_rejects_flags_it_cannot_honour(capsys):
     # A flag whose help says "requires" another one.
     (["--trace-csv", "out.csv"], "--trace-csv requires --trace"),
     (["--crash-rate", "0.5"], "--crash-rate requires --crash"),
+    (["--tenants", "8"], "--tenants requires --overload"),
+    (["--burst", "5"], "--burst requires --overload"),
+    # Non-finite numbers: --burst nan/inf used to hang the workload generator.
+    (["--overload", "--burst", "nan"], "argument --burst: must be >= 1"),
+    (["--overload", "--burst", "inf"], "argument --burst: must be >= 1"),
+    (["--overload", "--tenants", "0"], "argument --tenants: must be >= 1"),
+    (["--rate", "inf"], "argument --rate: must be > 0"),
 ], ids=["policy", "router", "max-retries", "deadline", "crash-rate-range", "crash",
-        "checkpoint-every", "trace-csv", "crash-rate-alone"])
+        "checkpoint-every", "trace-csv", "crash-rate-alone", "tenants-alone",
+        "burst-alone", "burst-nan", "burst-inf", "tenants-zero", "rate-inf"])
 def test_serve_refuses_a_bad_flag_in_one_line(flags, err, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["serve", "--requests", "2", *flags])

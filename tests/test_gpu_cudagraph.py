@@ -1,11 +1,16 @@
 """Tests for CUDAGraph capture/replay semantics (paper §3.3.1, App. D.1)."""
 
+from collections import defaultdict
+
 import pytest
 
 from conftest import make_paged_mapping
 from repro import BatchAttentionWrapper, CudaGraph, WorkspaceBuffer
 from repro.core import HeadConfig, VANILLA
 from repro.gpu.cudagraph import GraphCaptureError
+from repro.serving import (
+    EngineConfig, ServingEngine, shared_prefix_workload, sharegpt_workload,
+)
 
 
 class TestBasics:
@@ -114,3 +119,30 @@ class TestWrapperIntegration:
         with g.capture():
             w.run(None, compute=False)
         assert g.num_launches == 1
+
+
+class TestAServingRunKeepsOneSignaturePerWrapper:
+    """§3.3.1 / App. D.1 over a whole run: the serving engine replans every
+    step, and a graph captured on any step must still replay on every later
+    one — so each wrapper that launches keeps one launch signature for the
+    run (``max_batch_size``-sized sections, one grid)."""
+
+    @pytest.mark.parametrize("features, workload, wrappers", [
+        (dict(chunked_prefill=True, composable=True, prefix_cache=True),
+         lambda: shared_prefix_workload(24, 40.0), 6),
+        ({}, lambda: sharegpt_workload(24, 60.0), 2),
+    ], ids=["chunked-composable-prefix-cache", "plain"])
+    def test_one_signature_per_wrapper(self, monkeypatch, features, workload, wrappers):
+        signatures = defaultdict(set)
+        add_launch = CudaGraph.add_launch.__func__
+
+        def recording(cls, fn, signature, name="kernel"):
+            signatures[fn.current_signature.__self__].add(signature)
+            return add_launch(cls, fn, signature, name)
+
+        monkeypatch.setattr(CudaGraph, "add_launch", classmethod(recording))
+        ServingEngine.from_config(EngineConfig(**features)).run(workload())
+        assert len(signatures) == wrappers
+        assert all(len(s) == 1 for s in signatures.values()), {
+            w.name: s for w, s in signatures.items() if len(s) > 1
+        }

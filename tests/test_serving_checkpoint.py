@@ -7,7 +7,10 @@ closed-form tokens (``expected_tokens``), and recovery *refuses* to resume
 from a snapshot whose KV pages cannot be verified or rebuilt.
 """
 
+import copy
+import dataclasses
 import json
+from collections import defaultdict
 
 import pytest
 
@@ -30,7 +33,9 @@ from repro.serving import (
     expected_tokens,
     run_lives,
 )
-from repro.serving.checkpoint import SNAPSHOT_VERSION, CheckpointError
+from repro.kvcache import PagedKVCache
+from repro.serving.batching import RunState
+from repro.serving.checkpoint import SNAPSHOT_VERSION, CheckpointError, Checkpointer
 
 MODEL = LLAMA_3_1_8B
 HEADS = HeadConfig(MODEL.num_qo_heads, MODEL.num_kv_heads, MODEL.head_dim)
@@ -421,3 +426,102 @@ class TestRecoveryMetrics:
         assert s["recover_resumed"] == metrics.recover_resumed
         # Recovery resumed streams without charging a single preemption.
         assert metrics.preemptions == clean.preemptions
+
+
+def key_sets(node, path: str, out: dict) -> dict:
+    """Every dict's keys in ``node`` by path (``[]`` for a list's elements)."""
+    if isinstance(node, dict):
+        out[path] |= node.keys()
+        for key, value in node.items():
+            key_sets(value, f"{path}.{key}".lstrip("."), out)
+    elif isinstance(node, list):
+        for value in node:
+            key_sets(value, f"{path}[]", out)
+    return out
+
+
+TRACE = {"arrival", "first_token_time", "token_times", "req_id", "gen_index",
+         "outcome", "outcome_reason", "tokens"}
+STREAM = {"req_idx", "seq_id", "remaining", "trace", "resume_len", "gen_index",
+          "retries", "deadline"}
+
+#: The snapshot schema of version 4, section by section.  The run-state
+#: records are the state dataclasses' fields, so a new field changes this
+#: set; bump :data:`SNAPSHOT_VERSION` (recovery refuses other versions)
+#: together with the pin.
+SCHEMA_V4 = {
+    "": {"version", "t", "world", "steps_done", "event_index", "step_prefix_hits",
+         "step_radix_hit_tokens", "requests", "run_state", "cache", "metrics",
+         "fault_plan", "degrade", "fault_counters", "prefill_retries"},
+    "world": {"tp", "dp", "replica"},
+    "requests[]": {"arrival", "prompt_len", "output_len", "n", "prefix_group",
+                   "prefix_len", "deadline", "priority", "tenant", "rid"},
+    "run_state": {"waiting", "prefill_queue", "streams", "prefilling", "preempted",
+                  "radix"},
+    "run_state.streams[]": STREAM,
+    "run_state.streams[].trace": TRACE,
+    "run_state.preempted[]": STREAM,
+    "run_state.preempted[].trace": TRACE,
+    "run_state.prefilling[]": {"req_idx", "seq_id", "filled"},
+    "run_state.radix": {"clock", "root"},
+    "cache": {"num_pages", "page_size", "num_kv_heads", "head_dim", "materialized",
+              "checksums", "fresh", "recycled", "refcount", "seqs", "next_seq_id",
+              "corrupt"},
+    "metrics": {"traces", "shed_traces", "total_time", "total_output_tokens",
+                "preemptions", "recover_resumed", "radix_hit_tokens",
+                "radix_hit_prompts", "cascade_steps", "cascade_bytes_saved"},
+    "metrics.traces[]": TRACE,
+    "metrics.shed_traces[]": TRACE,
+    "degrade": {"degraded", "fault_strikes", "clean_streak"},
+}
+
+
+class TestSnapshotSchema:
+    @pytest.fixture(scope="class")
+    def snapshots(self):
+        """Every snapshot of a short run whose state fills every section —
+        live streams, a partial prefill, preempted streams, a shed trace
+        and the radix tree — each with a copy of the live state taken."""
+        live = []
+        snapshot = Checkpointer.snapshot
+
+        def recording(ckpt, t, reason):
+            s = ckpt.state
+            live.append(copy.deepcopy((s.streams, s.prefilling, s.preempted, s.metrics)))
+            return snapshot(ckpt, t, reason)
+
+        reqs = [
+            Request(i * 0.001, 320, 24, prefix_group=0 if i < 2 else None,
+                    prefix_len=160 if i < 2 else 0, deadline=0.15 if i == 5 else None)
+            for i in range(6)
+        ]
+        store = CheckpointStore()
+        cfg = EngineConfig(max_running=64, num_pool_pages=64, chunked_prefill=True,
+                           prefill_chunk_size=256, prefix_cache=True)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Checkpointer, "snapshot", recording)
+            engine(config=cfg, checkpoint=CheckpointConfig(every_steps=1),
+                   checkpoint_store=store).run(reqs)
+        return [(store.load_snapshot(sid), state) for sid, state in zip(store._order, live)]
+
+    def test_a_json_round_trip_restores_the_live_state(self, snapshots):
+        def records(items):
+            return [dataclasses.asdict(x) for x in items]
+
+        full = 0
+        for snap, (streams, prefilling, preempted, metrics) in snapshots:
+            requests = [Request(**r) for r in snap["requests"]]
+            state = RunState.from_state(snap, requests, PagedKVCache.from_state(snap["cache"]))
+            assert records(state.streams) == records(streams)
+            assert records(state.prefilling) == records(prefilling)
+            assert records(state.preempted) == records(preempted)
+            assert state.metrics == metrics
+            full += bool(streams and prefilling and preempted)
+        assert full > 0
+
+    def test_the_key_set_is_pinned_to_the_version(self, snapshots):
+        keys = defaultdict(set)
+        for snap, _ in snapshots:
+            key_sets(snap, "", keys)
+        assert SNAPSHOT_VERSION == 4
+        assert {path: keys[path] for path in SCHEMA_V4} == SCHEMA_V4

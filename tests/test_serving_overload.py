@@ -262,6 +262,16 @@ class TestBurstyWorkload:
         bursty = bursty_workload(64, 30.0, seed=1, burst=4.0)
         assert bursty[-1].arrival < calm[-1].arrival
 
+    @pytest.mark.parametrize("kw", [
+        dict(rate=float("nan")), dict(rate=float("inf")),
+        dict(burst=float("nan")), dict(burst=float("inf")), dict(burst=0.5),
+    ], ids=["rate-nan", "rate-inf", "burst-nan", "burst-inf", "burst-below-1"])
+    def test_refuses_a_non_finite_rate_or_burst(self, kw):
+        # NaN used to yield NaN arrivals and inf to thin every candidate
+        # forever; both are refused before a single draw.
+        with pytest.raises(ValueError, match="rate|burst"):
+            bursty_workload(4, **{"rate": 60.0, **kw})
+
 
 class TestClusterOverloadScenario:
     """The acceptance scenario: 3x sustained burst at dp=2."""
