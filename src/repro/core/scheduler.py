@@ -245,6 +245,29 @@ def _break_even_chunk(
     return int(steps[fits.argmax()])
 
 
+def kv_chunk_len(
+    tiles: np.ndarray,
+    kv_lens: np.ndarray,
+    num_ctas: int,
+    chunk_granularity: int,
+    split_kv: bool,
+    break_even_kv: int,
+    min_kv_chunk: int = 64,
+) -> int:
+    """Step 3: the maximum KV chunk size ``L_kv`` of :func:`plan_schedule`,
+    from ``tiles[g]`` query tiles × KV heads of group ``g`` and the KV
+    lengths alone — total tile-KV work over the CTAs, then the break-even
+    release (:func:`_break_even_chunk`)."""
+    total_tile_kv = int(tiles @ kv_lens)
+    if not (split_kv and total_tile_kv > 0):
+        return max(int(kv_lens.max(initial=0)), 1)
+    l_kv = max(ceil_div(total_tile_kv, num_ctas), min_kv_chunk)
+    l_kv = ceil_div(l_kv, chunk_granularity) * chunk_granularity
+    if l_kv < break_even_kv:
+        l_kv = _break_even_chunk(tiles, kv_lens, l_kv, break_even_kv, chunk_granularity, num_ctas)
+    return l_kv
+
+
 def _tile_rows(
     qo_lens: np.ndarray, q_tile_size: int, num_kv_heads: int, mapping_idx: int
 ) -> np.ndarray:
@@ -260,18 +283,6 @@ def _tile_rows(
     q_start = tiles[:, COL_QTILE] * q_tile_size
     tiles[:, COL_QSTART] = q_start
     tiles[:, COL_QROWS] = np.minimum(q_tile_size, qo_lens[group] - q_start)
-    return tiles
-
-
-def whole_kv_tiles(qo_lens: Sequence[int], kv_lens: Sequence[int], q_tile_size: int) -> np.ndarray:
-    """The items of an unsplit plan for one KV head: one row per ``(group,
-    q_tile)``, over the group's whole KV, written through.  Every KV head
-    of a tile has the same footprint, so these price an unsplit launch."""
-    kv_lens = np.asarray(kv_lens, dtype=np.int64)
-    tiles = _tile_rows(np.asarray(qo_lens, dtype=np.int64), q_tile_size, 1, 0)
-    tiles[:, COL_KVSTART] = 0
-    tiles[:, COL_KVSTOP] = kv_lens[tiles[:, COL_GROUP]]
-    tiles[:, COL_SLOT] = -1
     return tiles
 
 
@@ -374,12 +385,10 @@ def plan_schedule(
         ``L_kv`` in ``chunk_granularity`` steps until it reaches this length
         (:func:`break_even_step`) or the items fit one wave (``items ≤
         num_ctas``), whichever comes first — a split below break-even is
-        kept only where it feeds a CTA that would otherwise sit idle.  A
-        format of a composable stack prices that early stop against
-        ``min_kv_chunk = break_even_step(...)``, one of the candidates
-        ``BatchAttentionWrapper._choose`` picks among by one rule (floor
-        first, then price; cheaper, or equally cheap and earlier, wins).
-        0 is Algorithm 1 as written.
+        kept only where it feeds a CTA that would otherwise sit idle.
+        ``BatchAttentionWrapper._choose`` prices that early stop against
+        ``min_kv_chunk = break_even_step(...)`` and the unsplit plan, and
+        takes the cheapest.  0 is Algorithm 1 as written.
     """
     qo_lens = np.asarray(qo_lens, dtype=np.int64)
     kv_lens = np.asarray(kv_lens, dtype=np.int64)
@@ -388,19 +397,11 @@ def plan_schedule(
     if q_tile_size <= 0 or num_ctas <= 0 or num_kv_heads <= 0:
         raise ValueError("q_tile_size, num_ctas and num_kv_heads must be positive")
 
-    # Step 3: maximum KV chunk size L_kv from total tile-KV work over CTAs.
     n_tiles = np.where(qo_lens > 0, -(-qo_lens // q_tile_size), 0)
-    total_tile_kv = int((n_tiles * kv_lens).sum()) * num_kv_heads
-    if split_kv and total_tile_kv > 0:
-        l_kv = max(ceil_div(total_tile_kv, num_ctas), min_kv_chunk)
-        l_kv = ceil_div(l_kv, chunk_granularity) * chunk_granularity
-        if l_kv < break_even_kv:
-            l_kv = _break_even_chunk(
-                n_tiles * num_kv_heads, kv_lens, l_kv, break_even_kv,
-                chunk_granularity, num_ctas,
-            )
-    else:
-        l_kv = max(int(kv_lens.max(initial=0)), 1)
+    l_kv = kv_chunk_len(
+        n_tiles * num_kv_heads, kv_lens, num_ctas, chunk_granularity, split_kv,
+        break_even_kv, min_kv_chunk,
+    )
 
     def longest_first(table: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         # Step 5 (stable: ties broken by creation order), weighing the KV

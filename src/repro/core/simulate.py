@@ -9,8 +9,9 @@ the contraction kernel's (``merge_cost_arrays``) are one per CTA, each a
 contiguous block of the launch's (query row, query head) pairs, however the
 pairs fall into merge entries; a composable stack of several formats runs
 one contraction launch for all of them (``stack_merge_entries``).
-``BatchAttentionWrapper.run`` prices a launch here whether or not it also
-computes numerics.  The per-object model this
+``BatchAttentionWrapper.plan`` prices the launches of the plan it chooses
+here, and ``run`` submits them whether or not it also computes numerics.
+The per-object model this
 replaced (one ``TileCost`` per work item and per block of pairs, priced
 through ``run_persistent``) is the oracle in ``tests/reference_costs.py``;
 ``tests/test_costs_equivalence.py`` pins this module to it.
@@ -200,23 +201,24 @@ def unsplit_bounds(
     compute_share: float,
     compute_penalty: float = 1.0,
     stacked: bool = False,
-    max_chunk: float = np.inf,
-) -> Tuple[float, float]:
+    max_chunks: Sequence[float] = (np.inf,),
+) -> Tuple[List[float], float]:
     """``(longest, total)`` of the unsplit plan for one KV head — group ``g``
     cut into ``q_tiles[g]`` query tiles, each over the group's whole KV
-    (``scheduler.whole_kv_tiles``) — from the lengths alone: a lower bound on
-    its longest serial stream and an upper bound on the sum of its mem
-    streams, as :func:`item_cost_arrays` prices them.  A tile computes over
-    at least the KV columns its last query row sees and loads at most all of
-    them, with the L2 reuse of its group (every tile's KV starts at the
-    group's first), and gathers with no more transaction waste than a run
-    of up to one block has, and writes what :func:`item_footprints` says a
-    ``stacked`` tile writes.  O(groups), no item table.
+    (``plan_schedule(..., split_kv=False)``) — from the lengths alone: a
+    lower bound on its longest serial stream and an upper bound on the sum
+    of its mem streams, as :func:`item_cost_arrays` prices them.  A tile
+    computes over at least the KV columns its last query row sees and loads
+    at most all of them, with the L2 reuse of its group (every tile's KV
+    starts at the group's first), and gathers with no more transaction
+    waste than a run of up to one block has, and writes what
+    :func:`item_footprints` says a ``stacked`` tile writes.  O(groups), no
+    item table.
 
-    With a finite ``max_chunk``, ``longest`` bounds instead the longest
-    serial stream of a plan whose KV chunks are at most that long: the first
-    chunk of the group whose last query row sees the most KV is one of its
-    items.  ``total`` stays the unsplit plan's."""
+    ``longest`` has one bound per entry of ``max_chunks``: with a finite
+    one, of the longest serial stream of a plan whose KV chunks are at most
+    that long — the first chunk of the group whose last query row sees the
+    most KV is one of its items.  ``total`` stays the unsplit plan's."""
     g_eff = heads.group_size if fuse_head_groups else 1
     d, itemsize = heads.head_dim, kv_dtype.itemsize
     qo, kv = mapping.qo_lens, mapping.kv.kv_lens
@@ -225,21 +227,21 @@ def unsplit_bounds(
         # One past the last KV column of the group's last query row.
         last = mapping.q_pos_offset + qo - mapping.kv_pos_offset
         seen = np.minimum(last, kv)
-    seen = min(max(float(seen.max(where=q_tiles > 0, initial=0)), 0.0), max_chunk)
+    seen = max(float(seen.max(where=q_tiles > 0, initial=0)), 0.0)
     if q_tiles.max(initial=0) > 1:  # later query tiles re-read the KV from L2
         reuse = np.maximum(q_tiles, 1)
         if mapping.causal:  # counted from the first row that sees the first KV column
             reuse = np.maximum(reuse - np.maximum(qo - last, 0) // q_tile_size, 1)
         kv_cols = float(q_tiles @ (kv / reuse))
-    longest = (
-        4.0 * d * (q_tile_size * g_eff) * seen * compute_penalty
-        / _compute_roof(cost_model, uses_tensor_cores, compute_share)
-        + cost_model.tile_latency
-    )
+    per_column = (4.0 * d * (q_tile_size * g_eff) * compute_penalty
+                  / _compute_roof(cost_model, uses_tensor_cores, compute_share))
+    columns = [min(seen, chunk) for chunk in max_chunks]
+    longest = [cols * per_column + cost_model.tile_latency for cols in columns]
     waste = 1.0
     if sparse_gather:
         block = mapping.kv.block_size
-        longest += 2.0 * -(-seen // block) * cost_model.gather_issue_overhead
+        longest = [t + 2.0 * -(-cols // block) * cost_model.gather_issue_overhead
+                   for t, cols in zip(longest, columns)]
         waste = _worst_gather_waste(block, d * itemsize)
     q_bytes = float(qo.sum()) * (g_eff * d * Q_ITEMSIZE)
     out_bytes = float(qo.sum()) * (g_eff * (d + 1) * PARTIAL_ITEMSIZE) if stacked else q_bytes
@@ -307,6 +309,36 @@ def merge_footprints(
     )
 
 
+def split_bytes(
+    qo_lens: np.ndarray,
+    kv_lens: np.ndarray,
+    kv_chunk: int,
+    head_dim: int,
+    row_pairs: int,
+    stacked: bool,
+    cost_model: KernelCostModel,
+) -> Tuple[float, float]:
+    """``(contraction, extra)`` effective bytes of a plan whose KV chunks are
+    ``kv_chunk`` long, from the lengths alone.  Each of the ``row_pairs``
+    (query row, query head) pairs of a query row of a split group — of every
+    group in a ``stacked`` format, whose every tile writes a state — has
+    ``⌈kv / kv_chunk⌉`` fp32 states.  ``contraction`` is the contraction
+    launch's: each such pair reads its states and writes its row
+    (:func:`merge_footprints`), the sum of :func:`merge_cost_arrays`' mem
+    streams for that plan.  ``extra`` is what the attention launch moves at
+    least beyond the unsplit plan's: the pair's query row is read and a
+    state written once per chunk, where the unsplit tile read it once and
+    wrote one state or, unstacked, its fp16 row."""
+    chunks = np.maximum(-(-kv_lens // kv_chunk), 1)
+    rows = qo_lens if stacked else np.where(chunks > 1, qo_lens, 0)
+    pairs, states = float(rows.sum()) * row_pairs, float(rows @ chunks) * row_pairs
+    _, read, written = merge_footprints(states, pairs, head_dim)
+    state = (head_dim + 1) * PARTIAL_ITEMSIZE
+    unsplit_out = state if stacked else head_dim * Q_ITEMSIZE
+    extra = (states - pairs) * (head_dim * Q_ITEMSIZE) + states * state - pairs * unsplit_out
+    return (read + written) / cost_model.mem_efficiency, extra / cost_model.mem_efficiency
+
+
 def merge_cost_arrays(
     n_slots_per_merge: np.ndarray,
     rows_eff: np.ndarray,
@@ -351,6 +383,22 @@ def merge_cost_arrays(
     traffic = bytes_read + bytes_written
     serial = flops / (cost_model.spec.sm_cuda_core_flops * compute_share) + cost_model.tile_latency
     return PlanCostArrays(serial, traffic / cost_model.mem_efficiency, flops, traffic)
+
+
+def format_merge_entries(
+    mapping: AttentionMapping, kv_chunk: int, row_pairs: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`stack_merge_entries` of one format whose plan cuts every
+    group's KV into ``kv_chunk``-long chunks, from the lengths alone: each of
+    the ``row_pairs`` (query row, query head) pairs of a group's query row
+    folds its ``⌈kv / kv_chunk⌉`` states.  One entry per group, the groups
+    in row order (a format's groups cover disjoint rows), which
+    :func:`merge_cost_arrays` prices exactly as the runs of equal counts.
+    O(groups)."""
+    order = np.argsort(mapping.q_row_starts, kind="stable")
+    qo, kv = mapping.qo_lens[order], mapping.kv.kv_lens[order]
+    covered = qo > 0
+    return np.maximum(-(-kv[covered] // kv_chunk), 1), qo[covered] * row_pairs
 
 
 def stack_merge_entries(

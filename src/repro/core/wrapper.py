@@ -2,11 +2,12 @@
 
 :class:`BatchAttentionWrapper` owns one attention *format*: at construction
 it JIT-compiles the variant kernel for fixed tile sizes and pins the
-persistent grid size; ``plan()`` runs the load-balanced scheduler on CPU and
-copies the plan arrays into fixed-offset workspace sections; ``run()``
-executes the persistent attention + contraction kernels, reading the plan
-*from the workspace* — so a CUDAGraph replay of ``run`` picks up fresh plan
-data without changing any launch argument.
+persistent grid size; ``plan()`` chooses the plan by price on CPU and copies
+the plan arrays into fixed-offset workspace sections; ``run()`` executes the
+persistent attention + contraction kernels, reading the plan *from the
+workspace*, and reports the price the plan was chosen with — so a CUDAGraph
+replay of ``run`` picks up fresh plan data without changing any launch
+argument.
 
 :class:`ComposableAttentionWrapper` stacks one wrapper per format
 (§3.1.2 / §3.4: "FlashInfer creates multiple attention wrappers, each with
@@ -37,9 +38,9 @@ from repro.core.scheduler import (
     MERGE_QROWS,
     SchedulePlan,
     break_even_step,
+    kv_chunk_len,
     plan_schedule,
     plan_signature,
-    whole_kv_tiles,
 )
 from repro.core.tiles import ctas_per_sm, select_kv_tile, select_q_tile
 from repro.core.variant import AttentionVariant
@@ -210,6 +211,9 @@ class BatchAttentionWrapper:
         if plan_cache is not None:
             self.plan_cache = plan_cache
         self.last_report: Optional[SimReport] = None
+        #: ``(streams, price)`` of each launch the staged plan was priced
+        #: with (:meth:`_choose`), or ``None`` (:meth:`_submit`).
+        self._launches: Optional[list] = None
         self.plan_count = 0
         #: ``None``, or this wrapper is a format of a composable stack of
         #: several (set by :meth:`ComposableAttentionWrapper.plan`): every
@@ -229,9 +233,9 @@ class BatchAttentionWrapper:
         """Optional duck-typed :class:`repro.serving.PlanCache`, held by the
         executor; when set, :meth:`plan` consults it before recomputing the
         CPU schedule.  The key is the signature of every scheduler input and
-        whether this wrapper is a format of a stack (which prices Step 3's
-        early stop), so a hit returns a plan identical to the one it
-        replaces (§3.3.1)."""
+        whether this wrapper is a format of a stack (whose prices count its
+        states' contraction), so a hit returns a plan identical to the one
+        it replaces (§3.3.1), which :meth:`run` re-prices."""
         return self.executor.plan_cache
 
     @plan_cache.setter
@@ -288,16 +292,16 @@ class BatchAttentionWrapper:
         CUDAGraph, exactly as in Listing 1.  A variant with a ``look_back``
         bound plans only the KV pages some query row can see.  The plan cache
         keys on the scheduler inputs and on whether this wrapper is a format
-        of a stack, so a hit skips the whole choice.
+        of a stack, so a hit skips the whole choice and ``run`` re-prices.
         """
         bound = self.variant.bind_params(params)
         mapping = self._visible_kv(mapping, bound)
         args, kwargs = self._schedule_inputs(mapping)
         cache = self.plan_cache
         key = cache is not None and (plan_signature(*args, **kwargs), self.stack_merges is not None)
-        plan = cache.get(key) if key else None
+        plan, launches = cache.get(key) if key else None, None  # a hit re-prices at run
         if plan is None:
-            plan = self._choose(mapping, args, kwargs)
+            plan, launches = self._choose(mapping, args, kwargs)
             if key:
                 cache.put(key, plan)
         self._ensure_sections(mapping.num_groups, mapping.total_qo)
@@ -316,6 +320,9 @@ class BatchAttentionWrapper:
                 f"construction (Appendix D.3)"
             )
         self._write_plan(plan)
+        if launches and self.stack_merges is not None:
+            launches = launches[:1]  # a format of a stack runs the stack's contraction
+        self._launches = launches
         self._mapping = mapping
         self._params = bound
         self._sm_scale = (
@@ -351,76 +358,114 @@ class BatchAttentionWrapper:
             break_even_kv=break_even_kv_len(rows, self.heads.head_dim, self.kv_dtype),
         )
 
-    def _choose(self, mapping: AttentionMapping, args: tuple, kwargs: dict) -> SchedulePlan:
-        """The plan of ``mapping``: the cheapest of, in order of preference,
-        the unsplit plan when its items fit one wave, Algorithm 1 with Step
-        3's break-even release (``kwargs``), and — for a format of a stack
-        whose release stopped below ``L*`` with a split — the plan at
-        :func:`break_even_step`.
-
-        One rule picks among them.  Each candidate has a floor from the
-        lengths alone (:func:`simulate.unsplit_bounds`) and a price
-        (:meth:`_price`'s makespan; a stack's counts the contraction of the
-        plan's own states, and the unsplit plan's prices one row per (group,
-        query tile) for its KV heads, whose costs are equal).  A challenger
-        is priced only when its floor does not clear the incumbent's value —
-        its price once built, its floor before — and replaces it when
-        cheaper, or equally cheap and earlier in the order.  Algorithm 1's
-        plan is built only when the unsplit plan loses, so the unsplit plan
-        is held against Algorithm 1's floor: an attention launch moving the
-        unsplit bytes at peak (bounded from the lengths until they are
-        priced), then — except in a stack, whose one contraction runs anyway
-        — a contraction of one tile that hides up to its dispatch on a PDL
-        device (``PersistentKernelExecutor.follow``).  No fault is consulted.
-        """
-        spec, cost_model = self.executor.spec, self.executor.cost_model
-        dispatch, tile = spec.kernel_dispatch_overhead, cost_model.tile_latency
+    def _candidates(self, mapping: AttentionMapping, kwargs: dict) -> Tuple[list, float]:
+        """``([(planner kwargs, longest, contraction, extra), ...], unsplit)``
+        of the plans :meth:`_choose` weighs, in order of preference: the
+        unsplit plan when its items fit one wave; Algorithm 1 with Step 3's
+        break-even release (``kwargs``), unless it splits nothing where the
+        unsplit plan is weighed; and, when that release stopped below ``L*``
+        with a split, the plan at :func:`break_even_step`, unless it splits
+        nothing.  From the lengths alone: ``longest`` bounds the plan's
+        longest serial stream below (:func:`simulate.unsplit_bounds` under its
+        KV chunk); ``contraction`` is its contraction launch's bytes, ``None``
+        where it runs none, and ``extra`` what its attention launch moves
+        beyond the unsplit plan's (:func:`simulate.split_bytes`); ``unsplit``
+        bounds the unsplit plan's bytes above.  A lone candidate is not
+        bounded."""
         stacked = self.stack_merges is not None
-        heads, q_tiles = self._sched_heads, -(-mapping.qo_lens // self._sched_q_tile)
+        qo, kv = mapping.qo_lens, mapping.kv.kv_lens
+        q_tiles = -(-qo // self._sched_q_tile)
+        longest_kv = int(kv.max(where=qo > 0, initial=0))
+        break_even, granularity = kwargs["break_even_kv"], kwargs["chunk_granularity"]
+        l_kv = kv_chunk_len(q_tiles * self._sched_heads, kv, self.num_ctas, granularity,
+                            kwargs["split_kv"], break_even)
+        one_wave = kwargs["split_kv"] and 0 < int(q_tiles.sum()) * self._sched_heads <= self.num_ctas
+        found = [(dict(kwargs, split_kv=False), longest_kv)] if one_wave else []
+        if l_kv < longest_kv or not one_wave:
+            found.append((kwargs, l_kv))
+        if l_kv < min(longest_kv, break_even):
+            step = break_even_step(l_kv, break_even, granularity)
+            if step < longest_kv:
+                found.append((dict(kwargs, min_kv_chunk=step), step))
+        if len(found) == 1:
+            return [(found[0][0], 0.0, None, 0.0)], 0.0
+        cost_model, bounded = self.executor.cost_model, []
+        longest, unsplit = simulate.unsplit_bounds(
+            q_tiles, mapping, self.heads, self.kv_dtype, self._sched_q_tile,
+            self.fuse_head_groups, self.traits.uses_tensor_cores, self.sparse_gather,
+            cost_model, self._compute_share, self.compute_penalty, stacked,
+            [chunk for _, chunk in found],
+        )
+        for (kw, chunk), stream in zip(found, longest):
+            contraction, extra = None, 0.0
+            if stacked or chunk < longest_kv:
+                contraction, extra = simulate.split_bytes(
+                    qo, kv, chunk, self.heads.head_dim, self.heads.num_qo_heads, stacked,
+                    cost_model,
+                )
+            bounded.append((kw, stream, contraction, extra))
+        return bounded, unsplit * self._sched_heads
 
-        def bounds(max_chunk: float = np.inf) -> Tuple[float, float]:
-            return simulate.unsplit_bounds(
-                q_tiles, mapping, self.heads, self.kv_dtype, self._sched_q_tile,
-                self.fuse_head_groups, self.traits.uses_tensor_cores, self.sparse_gather,
-                cost_model, self._compute_share, self.compute_penalty, stacked, max_chunk,
-            )
+    def _floor(self, longest: float, contraction: Optional[float], mem: float) -> float:
+        """What a plan costs at least whose attention launch has a serial
+        stream of ``longest`` and moves ``mem`` effective bytes, followed —
+        unless ``contraction`` is ``None`` — by a contraction launch of at
+        least one tile moving ``contraction`` bytes, which hides up to its
+        dispatch behind the attention launch on a PDL device
+        (``PersistentKernelExecutor.follow``).  No drain outruns the peak
+        bandwidth."""
+        spec = self.executor.spec
+        dispatch, peak = spec.kernel_dispatch_overhead, spec.peak_bandwidth_bytes
+        attention = max(longest, mem / peak)
+        if contraction is None:
+            return dispatch + attention
+        merge = max(self.executor.cost_model.tile_latency, contraction / peak)
+        if spec.supports_pdl:
+            return dispatch + max(attention, dispatch) + merge
+        return 2 * dispatch + attention + merge
 
-        def split_floor(unsplit_bytes: float) -> float:
-            attention = unsplit_bytes / spec.peak_bandwidth_bytes
-            if stacked:
-                return dispatch + attention
-            if spec.supports_pdl:
-                return dispatch + max(attention, dispatch) + tile
-            return 2 * dispatch + attention + tile
+    def _choose(
+        self, mapping: AttentionMapping, args: tuple, kwargs: dict
+    ) -> Tuple[SchedulePlan, list]:
+        """``(plan, launches)``: the cheapest of :meth:`_candidates`, and the
+        launches ``run`` submits for it as ``(streams, price)``.
 
-        items = int(q_tiles.sum()) * heads
-        if kwargs["split_kv"] and 0 < items <= self.num_ctas:
-            serial_bound, bytes_bound = bounds()
-            if serial_bound + dispatch <= split_floor(heads * bytes_bound) + _PRICE_SLACK:
-                tiles = whole_kv_tiles(mapping.qo_lens, mapping.kv.kv_lens, self._sched_q_tile)
-                costs = self._item_costs(tiles, mapping, self._sched_q_tile)
-                serial, mem = np.zeros(self.num_ctas), np.zeros(self.num_ctas)
-                serial[:items] = np.repeat(costs.serial, heads)
-                mem[:items] = np.repeat(costs.mem, heads)
-                if self.executor.price_streams(serial, mem).makespan <= split_floor(mem.sum()):
-                    return plan_schedule(*args, **dict(kwargs, split_kv=False))
-        plan = plan_schedule(*args, **kwargs)
-        break_even = kwargs["break_even_kv"]
-        if not stacked or not plan.num_partial_slots or plan.kv_chunk_size >= break_even:
-            return plan
-        g_eff = self.heads.group_size if self.fuse_head_groups else 1
+        A candidate's price is :meth:`_priced`'s.  One rule picks: candidates
+        are taken cheapest estimate first — the floor (:meth:`_floor`) over
+        the unsplit plan's bytes bounded from above — and each is priced only
+        when its floor does not clear the cheapest price so far.  A split
+        plan's attention launch moves at least its ``extra`` bytes and, once
+        the unsplit plan is priced, that plan's bytes besides.  The cheapest
+        wins, or the earliest of equally cheap ones.  No fault is consulted."""
+        found, unsplit = self._candidates(mapping, kwargs)
+        best, mem = None, 0.0
+        estimate = [self._floor(longest, contraction, unsplit + extra)
+                    for _, longest, contraction, extra in found]
+        for i in sorted(range(len(found)), key=estimate.__getitem__):
+            kw, longest, contraction, extra = found[i]
+            if best and self._floor(longest, contraction, mem + extra) > best[0] + _PRICE_SLACK:
+                continue
+            plan = plan_schedule(*args, **kw)
+            value, launches = self._priced(plan, mapping)
+            if not kw["split_kv"]:  # the unsplit plan: its attention bytes floor a split plan's
+                (_, unsplit_mem, *_), _ = launches[0]
+                mem = float(unsplit_mem.sum())
+            if best is None or (value, i) < best[:2]:
+                best = (value, i, plan, launches)
+        return best[2:]
 
-        def price(p: SchedulePlan) -> float:
-            merges = simulate.stack_merge_entries([(p.items, mapping)], heads, g_eff)
-            return self._price(p, mapping, merges, self.executor.price_streams).makespan
+    def _priced(self, plan: SchedulePlan, mapping: AttentionMapping) -> Tuple[float, list]:
+        """``plan``'s price for :meth:`_choose` and its launches as ``(streams,
+        price)``; a format of a stack contracts the plan's own states."""
+        launches = []
 
-        value = price(plan)
-        step = break_even_step(plan.kv_chunk_size, break_even, kwargs["chunk_granularity"])
-        # The step plan costs at least its longest stream, a dispatch and one contraction tile.
-        if bounds(step)[0] + dispatch + tile > value + _PRICE_SLACK:
-            return plan
-        full = plan_schedule(*args, **dict(kwargs, min_kv_chunk=step))
-        return full if price(full) < value else plan
+        def launch(*streams) -> SimReport:
+            launches.append((streams, self.executor.price_streams(*streams)))
+            return launches[-1][1]
+
+        merges = self._merges(plan) if self.stack_merges is None else simulate.format_merge_entries(
+            mapping, plan.kv_chunk_size, self.heads.num_qo_heads)
+        return self._price(plan, mapping, merges, launch).makespan, launches
 
     def _write_plan(self, plan: SchedulePlan) -> None:
         """Copy the plan tables into their fixed-offset sections."""
@@ -431,6 +476,7 @@ class BatchAttentionWrapper:
             ],
             dtype=np.int64,
         )
+        self._launches = None
         ws = self.workspace
         ws.write(self._section("counts"), counts)
         ws.write(self._section("work_items"), plan.items)
@@ -470,14 +516,13 @@ class BatchAttentionWrapper:
         over the CTAs in contiguous blocks (``core/simulate.merge_cost_arrays``).
         """
         plan = self._read_plan()
-        merges = self.stack_merges
-        if merges is None:
-            g_eff = self.heads.group_size if self.fuse_head_groups else 1
-            merges = (
-                plan.merge_indptr[1:] - plan.merge_indptr[:-1],
-                plan.merge_meta[:, MERGE_QROWS] * g_eff,
-            )
+        merges = self._merges(plan) if self.stack_merges is None else self.stack_merges
         return self._price(plan, self._mapping, merges, self.executor.run_streams)
+
+    def _merges(self, plan: SchedulePlan) -> Tuple[np.ndarray, np.ndarray]:
+        """Contraction entries ``(n_slots, rows_eff)`` of ``plan``'s own merges."""
+        g_eff = self.heads.group_size if self.fuse_head_groups else 1
+        return plan.merge_indptr[1:] - plan.merge_indptr[:-1], plan.merge_meta[:, MERGE_QROWS] * g_eff
 
     def _price(
         self,
@@ -487,21 +532,44 @@ class BatchAttentionWrapper:
         launch: Callable[..., SimReport],
     ) -> SimReport:
         """``plan``'s attention launch, then the contraction launch of
-        ``merges = (n_slots, rows_eff)`` where there are any, each drained by
-        ``launch`` (the executor's ``run_streams``, or ``price_streams``)."""
+        ``merges`` (:meth:`_contract`), each drained by ``launch`` (the
+        executor's ``run_streams``, or ``price_streams``)."""
         costs = self._item_costs(plan.items, mapping, plan.q_tile_size)
         report = simulate.simulate_queues(launch, costs, plan.cta_of_item, self.num_ctas)
+        return self._contract(report, merges, launch)
+
+    def _contract(
+        self, report: SimReport, merges: Tuple[np.ndarray, np.ndarray],
+        launch: Callable[..., SimReport],
+    ) -> SimReport:
+        """``report`` followed by the contraction launch of ``merges = (n_slots,
+        rows_eff)`` where there are any, drained by ``launch``."""
         n_slots, rows_eff = merges
-        if n_slots.size:
-            mcosts = simulate.merge_cost_arrays(
-                n_slots, rows_eff, self.heads.head_dim, self.executor.cost_model,
-                self._compute_share, self.num_ctas,
-            )
-            contraction = simulate.simulate_queues(
-                launch, mcosts, np.arange(mcosts.serial.size), self.num_ctas
-            )
-            report = report.then(self.executor.follow(report, contraction))
-        return report
+        if not n_slots.size:
+            return report
+        mcosts = simulate.merge_cost_arrays(
+            n_slots, rows_eff, self.heads.head_dim, self.executor.cost_model,
+            self._compute_share, self.num_ctas,
+        )
+        contraction = simulate.simulate_queues(
+            launch, mcosts, np.arange(mcosts.serial.size), self.num_ctas
+        )
+        return report.then(self.executor.follow(report, contraction))
+
+    def _submit(self) -> SimReport:
+        """The planned launches, submitted: those :meth:`_choose` priced with
+        their price, a stack's contraction priced now — or, after a plan-cache
+        hit or a plan written straight into the workspace, every launch
+        re-priced from the workspace (:meth:`_simulate_fast`)."""
+        if self._launches is None:
+            return self._simulate_fast()
+        executor, report = self.executor, None
+        for streams, priced in self._launches:  # the attention launch, then its contraction
+            launch = executor.run_streams(*streams, priced=priced)
+            report = launch if report is None else report.then(executor.follow(report, launch))
+        if self.stack_merges is None:
+            return report
+        return self._contract(report, self.stack_merges, executor.run_streams)
 
     def _item_costs(
         self, items: np.ndarray, mapping: AttentionMapping, q_tile_size: int
@@ -584,7 +652,7 @@ class BatchAttentionWrapper:
                     uses_tensor_cores=self.traits.uses_tensor_cores,
                     compute_penalty=self.compute_penalty,
                 )
-            report = self.last_report = self._simulate_fast()
+            report = self.last_report = self._submit()
             return report
 
         launch.current_signature = self._signature  # type: ignore[attr-defined]

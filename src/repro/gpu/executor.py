@@ -177,16 +177,16 @@ class PersistentKernelExecutor:
 
     # -- fault injection ------------------------------------------------------
 
-    def _consult_injector(self, serial: np.ndarray, mem: np.ndarray) -> None:
+    def _consult_injector(self, serial: np.ndarray, mem: np.ndarray) -> bool:
         """One consultation of the attached fault plan per simulated launch.
 
         May raise :class:`KernelFault` (a transient launch failure — no
         work was timed) or stretch one CTA's serial and memory streams in
-        place (a straggler CTA).
+        place (a straggler CTA), and then returns True.
         """
         inj = self.fault_injector
         if inj is None:
-            return
+            return False
         if inj.fire("kernel"):
             raise KernelFault(
                 f"injected transient kernel fault "
@@ -196,6 +196,8 @@ class PersistentKernelExecutor:
             i = inj.choose("straggler", serial.size)
             serial[i] *= inj.straggler_factor
             mem[i] *= inj.straggler_factor
+            return True
+        return False
 
     # -- tile → stream conversion -------------------------------------------
 
@@ -220,12 +222,23 @@ class PersistentKernelExecutor:
     def run_streams(
         self, serial: np.ndarray, mem: np.ndarray,
         total_flops: float, total_bytes: float, num_tiles: int,
+        priced: Optional[SimReport] = None,
     ) -> SimReport:
         """Fixed-grid persistent kernel from per-CTA streams: CTA ``i`` holds
         ``serial[i]`` seconds and ``mem[i]`` effective bytes (a straggler
-        fault stretches them in place); the totals are reported as given."""
+        fault stretches them in place); the totals are reported as given.
+
+        ``priced`` is what :meth:`price_streams` gave these streams when the
+        plan was chosen: it is the report unless a straggler stretches a
+        stream, which drains a copy of them again, so the caller's streams
+        stay as priced."""
         if self.fault_injector is not None:
-            self._consult_injector(serial, mem)
+            if priced is not None:
+                serial, mem = serial.copy(), mem.copy()
+            if self._consult_injector(serial, mem):
+                priced = None
+        if priced is not None:
+            return priced
         return self.price_streams(serial, mem, total_flops, total_bytes, num_tiles)
 
     def price_streams(

@@ -8,10 +8,10 @@ kernel launches.  :class:`PlanCache` makes that replay explicit and — when
 the same batch shape recurs across steps — extends it across steps too.
 
 Correctness: a hit skips choosing the plan (the wrapper's ``_choose``:
-``plan_schedule`` and the prices around it).  The key holds every
-``plan_schedule`` input and the stack flag; of what else the prices read,
-only the page size could vary on one executor, and :meth:`bind` pins it,
-so a cached plan is *identical* to the one that would be chosen again.
+``plan_schedule`` and the prices around it), so ``run`` re-prices it.  The
+key holds every ``plan_schedule`` input and the stack flag; of what else the
+prices read, only the page size could vary on one executor, and :meth:`bind`
+pins it, so a cached plan is *identical* to the one chosen again.
 """
 
 from __future__ import annotations

@@ -109,11 +109,11 @@ class TestEquivalence:
 
 
 class TestUnsplitBounds:
-    """``simulate.unsplit_bounds`` screens the one-launch rule from the lengths
-    alone: its serial bound never exceeds the longest stream the unsplit plan
-    is priced with, its byte bound never falls below their sum.  Capped at a
-    plan's KV chunk, the serial bound never exceeds that plan's longest
-    stream (the screen of a stacked format's priced release)."""
+    """``simulate.unsplit_bounds`` floors ``_choose``'s candidates from the
+    lengths alone: its serial bound never exceeds the longest stream the
+    unsplit plan is priced with, its byte bound never falls below their sum.
+    Capped at a plan's KV chunk, the serial bound never exceeds that plan's
+    longest stream (the floor of Algorithm 1's plan and of the release)."""
 
     @given(
         st.lists(
@@ -132,7 +132,7 @@ class TestUnsplitBounds:
     def test_bounds_hold(self, groups, heads, kv_dtype, page, causal, sparse, fuse, stacked,
                          chunk):
         from repro.core import simulate
-        from repro.core.scheduler import plan_schedule, whole_kv_tiles
+        from repro.core.scheduler import plan_schedule
         from repro.gpu import H100_80G
 
         qo, kv = [g[0] for g in groups], [g[1] for g in groups]
@@ -148,9 +148,11 @@ class TestUnsplitBounds:
         )
         if stacked:  # a format of a composable stack: every tile writes its fp32 state
             w.stack_merges = (np.zeros(0, np.int64), np.zeros(0, np.int64))
-        tiles = whole_kv_tiles(mapping.qo_lens, mapping.kv.kv_lens, w._sched_q_tile)
+        tiles = plan_schedule(  # the unsplit plan of one KV head
+            mapping.qo_lens, mapping.kv.kv_lens, w._sched_q_tile, w.num_ctas, split_kv=False
+        ).items
         costs = w._item_costs(tiles, mapping, w._sched_q_tile)
-        longest, total = simulate.unsplit_bounds(
+        (longest,), total = simulate.unsplit_bounds(
             -(-mapping.qo_lens // w._sched_q_tile), mapping, heads, kv_dtype, w._sched_q_tile,
             fuse, w.traits.uses_tensor_cores, sparse, w.executor.cost_model,
             w._compute_share, w.compute_penalty, stacked,
@@ -163,9 +165,9 @@ class TestUnsplitBounds:
             min_kv_chunk=chunk, chunk_granularity=w.kv_tile,
         )
         costs = w._item_costs(plan.items, mapping, w._sched_q_tile)
-        longest, _ = simulate.unsplit_bounds(
+        (longest,), _ = simulate.unsplit_bounds(
             -(-mapping.qo_lens // w._sched_q_tile), mapping, heads, kv_dtype, w._sched_q_tile,
             fuse, w.traits.uses_tensor_cores, sparse, w.executor.cost_model,
-            w._compute_share, w.compute_penalty, stacked, plan.kv_chunk_size,
+            w._compute_share, w.compute_penalty, stacked, (plan.kv_chunk_size,),
         )
         assert longest <= costs.serial.max(initial=0.0) * (1 + 1e-12) or not plan.items.size

@@ -345,7 +345,7 @@ class TestFunctorContract:
         w = BatchAttentionWrapper(variant, HeadConfig(4, 2, 8), WorkspaceBuffer(1 << 26),
                                   avg_qo_len=64)
         w.plan(mapping)
-        # The split plan, whatever the one-launch rule picks: its chunks are
+        # The split plan, whatever `_choose` picks: its chunks are
         # what puts hidden KV and many query tiles under the mask.
         args, kwargs = w._schedule_inputs(mapping)
         plan = plan_schedule(*args, **kwargs)

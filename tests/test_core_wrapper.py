@@ -9,7 +9,7 @@ import reference_scheduler
 from conftest import fp16, make_paged_mapping, make_shared_prefix_mapping
 from repro import BatchAttentionWrapper, ComposableAttentionWrapper, WorkspaceBuffer
 from repro.core import HeadConfig, VANILLA, plan_schedule, reference_attention, simulate
-from repro.core.scheduler import break_even_step, plan_signature, whole_kv_tiles
+from repro.core.scheduler import break_even_step, plan_signature
 from repro.core.wrapper import _PRICE_SLACK, break_even_kv_len
 from repro.gpu import A100_40G, H100_80G
 from repro.sparse import ComposableFormat, decompose_shared_prefix
@@ -45,38 +45,6 @@ def run_and_check(heads, kv_lens, qo_lens, rng, page_size=16, causal=True,
     return out, lse, report, w
 
 
-def split_floor(w, mapping):
-    """What any split plan of ``mapping`` costs at least: its attention
-    launch moving at least the unsplit plan's bytes at peak, then a
-    contraction launch of at least one tile, whose dispatch runs during the
-    attention launch on a PDL device.  A format of a stack writes fp32
-    states from every tile (``_item_costs``) and its split adds no launch:
-    the stack's one contraction runs anyway."""
-    tiles = whole_kv_tiles(mapping.qo_lens, mapping.kv.kv_lens, w._sched_q_tile)
-    mem = np.repeat(w._item_costs(tiles, mapping, w._sched_q_tile).mem, w._sched_heads)
-    spec = w.executor.spec
-    dispatch, attention = spec.kernel_dispatch_overhead, mem.sum() / spec.peak_bandwidth_bytes
-    if w.stack_merges is not None:
-        return dispatch + attention
-    if spec.supports_pdl:
-        return dispatch + max(attention, dispatch) + w.executor.cost_model.tile_latency
-    return 2 * dispatch + attention + w.executor.cost_model.tile_latency
-
-
-def exact_one_launch(w, mapping):
-    """The one-launch rule without the bound that screens it: the unsplit
-    attention launch priced in full against :func:`split_floor`."""
-    tiles = whole_kv_tiles(mapping.qo_lens, mapping.kv.kv_lens, w._sched_q_tile)
-    items = len(tiles) * w._sched_heads
-    if not 0 < items <= w.num_ctas:
-        return False
-    costs = w._item_costs(tiles, mapping, w._sched_q_tile)
-    serial, mem = np.zeros(w.num_ctas), np.zeros(w.num_ctas)
-    serial[:items] = np.repeat(costs.serial, w._sched_heads)
-    mem[:items] = np.repeat(costs.mem, w._sched_heads)
-    return w.executor.price_streams(serial, mem).makespan <= split_floor(w, mapping)
-
-
 def stack_price(w, plan, mapping):
     """``plan``'s makespan as ``w.run`` reports it; for a format of a stack,
     with the stack's one contraction over the states ``plan`` writes alone
@@ -90,67 +58,73 @@ def stack_price(w, plan, mapping):
 
 
 def candidates(w, mapping):
-    """``(plan, floor, price)`` of each plan ``w._choose`` considers, in its
+    """``(plan, floor, price)`` of each plan ``w._choose`` weighs, in its
     order of preference: the unsplit plan when its items fit one wave;
-    Algorithm 1 with the break-even release; and, for a format of a stack
-    whose release stopped below ``L*`` with a split, the plan at the first
-    KV-tile step at or past ``L*``.  Each is built with ``plan_schedule``
-    and priced by :func:`stack_price`.  Its floor is the one ``_choose``
-    holds it to: an unsplit plan's longest stream and a dispatch, a split
-    release's :func:`split_floor`, the step plan's longest stream under its
-    chunk cap, a dispatch and one contraction tile."""
+    Algorithm 1 with the break-even release, unless it splits nothing where
+    the unsplit plan is weighed; and, when that release stopped below ``L*``
+    with a split, the plan at the first KV-tile step at or past ``L*``,
+    unless it splits nothing.  Each is built with ``plan_schedule`` and
+    priced by :func:`stack_price`.  Its floor is ``w._floor`` of its longest
+    stream under its KV chunk (``simulate.unsplit_bounds``), of its
+    contraction's bytes where it runs one and of the bytes its attention
+    launch moves beyond the unsplit plan's (``simulate.split_bytes``: the
+    first asserted equal to what that launch moves, the second, where the
+    unsplit plan is weighed, with that plan's attention bytes at most what
+    a split plan's attention launch moves)."""
     args, kwargs = w._schedule_inputs(mapping)
-    dispatch = w.executor.spec.kernel_dispatch_overhead
+    stacked = w.stack_merges is not None
     q_tiles = -(-mapping.qo_lens // w._sched_q_tile)
-
-    def longest(max_chunk=np.inf):
-        return simulate.unsplit_bounds(
+    plans = []
+    if 0 < int(q_tiles.sum()) * w._sched_heads <= w.num_ctas:
+        plans.append(plan_schedule(*args, **dict(kwargs, split_kv=False)))
+    release = plan_schedule(*args, **kwargs)
+    if release.num_partial_slots or not plans:
+        plans.append(release)
+    l_star = kwargs["break_even_kv"]
+    if release.num_partial_slots and release.kv_chunk_size < l_star:
+        step = break_even_step(release.kv_chunk_size, l_star, w.kv_tile)
+        full = plan_schedule(*args, **dict(kwargs, min_kv_chunk=step))
+        if full.num_partial_slots:
+            plans.append(full)
+    found, unsplit_mem = [], 0.0
+    for plan in plans:
+        price = stack_price(w, plan, mapping)
+        assert w._priced(plan, mapping)[0] == price
+        attention_mem = w._item_costs(plan.items, mapping, plan.q_tile_size).mem.sum()
+        contraction, extra = simulate.split_bytes(
+            mapping.qo_lens, mapping.kv.kv_lens, plan.kv_chunk_size, w.heads.head_dim,
+            w.heads.num_qo_heads, stacked, w.executor.cost_model,
+        )
+        if stacked or plan.num_partial_slots:
+            merges = w.stack_merges if stacked else w._merges(plan)
+            mcosts = simulate.merge_cost_arrays(
+                *merges, w.heads.head_dim, w.executor.cost_model, w._compute_share, w.num_ctas
+            )
+            assert contraction == pytest.approx(mcosts.mem.sum(), rel=1e-12)
+        else:
+            contraction = None
+        assert attention_mem >= (unsplit_mem + extra) * (1 - 1e-12)
+        longest = simulate.unsplit_bounds(
             q_tiles, mapping, w.heads, w.kv_dtype, w._sched_q_tile, w.fuse_head_groups,
             w.traits.uses_tensor_cores, w.sparse_gather, w.executor.cost_model,
-            w._compute_share, w.compute_penalty, w.stack_merges is not None, max_chunk,
-        )[0]
-
-    def candidate(plan, floor):
-        return plan, floor, stack_price(w, plan, mapping)
-
-    found = []
-    if 0 < int(q_tiles.sum()) * w._sched_heads <= w.num_ctas:
-        found.append(candidate(plan_schedule(*args, **dict(kwargs, split_kv=False)),
-                               longest() + dispatch))
-    release = plan_schedule(*args, **kwargs)
-    if not release.num_partial_slots:
-        return found + [candidate(release, longest() + dispatch)]
-    found.append(candidate(release, split_floor(w, mapping)))
-    l_star = kwargs["break_even_kv"]
-    if w.stack_merges is not None and release.kv_chunk_size < l_star:
-        step = break_even_step(release.kv_chunk_size, l_star, w.kv_tile)
-        found.append(candidate(plan_schedule(*args, **dict(kwargs, min_kv_chunk=step)),
-                               longest(step) + dispatch + w.executor.cost_model.tile_latency))
+            w._compute_share, w.compute_penalty, stacked, (plan.kv_chunk_size,),
+        )[0][0]
+        found.append((plan, w._floor(longest, contraction, unsplit_mem + extra), price))
+        if plan is plans[0] and not plan.num_partial_slots:  # the unsplit plan
+            unsplit_mem = attention_mem
     return found
 
 
 def check_choice(w, mapping, chosen):
-    """Assert that ``chosen`` is one of :func:`candidates` and return them.
-
-    The rule that picked it is held to three things: (i) each candidate's
-    floor is at most its price, so neither screen drops a candidate that
-    could win; (ii) once Algorithm 1's plan is built, candidates are held
-    against its price, so a chosen split plan prices no higher than any of
-    them whose floor does not clear that price; (iii) no rejected candidate
-    prices below the chosen one's floor.  Not asserted: that the chosen plan
-    prices no higher than an unsplit plan which lost to Algorithm 1's floor,
-    which it may (ROADMAP item 12(b))."""
-    args, kwargs = w._schedule_inputs(mapping)
+    """Assert that ``chosen`` is the cheapest of :func:`candidates`, the
+    earliest of equally cheap ones, and that each candidate's floor is at
+    most its price, so no screen drops a candidate that could win; return
+    the candidates."""
     found = candidates(w, mapping)
-    plans = [plan for plan, _, _ in found]
+    plans, prices = [plan for plan, _, _ in found], [price for *_, price in found]
     assert chosen in plans
-    _, floor, price = found[plans.index(chosen)]
-    assert all(f <= p + _PRICE_SLACK for _, f, p in found)
-    algorithm_1 = plans.index(plan_schedule(*args, **kwargs))
-    if plans.index(chosen) >= algorithm_1:
-        held = found[algorithm_1][2]
-        assert all(price <= p for _, f, p in found[algorithm_1:] if f <= held + _PRICE_SLACK)
-    assert all(p + _PRICE_SLACK >= floor for plan, _, p in found if plan != chosen)
+    assert all(floor <= price + _PRICE_SLACK for _, floor, price in found)
+    assert plans.index(chosen) == prices.index(min(prices))
     return found
 
 
@@ -606,23 +580,52 @@ class TestBreakEvenSplit:
         assert report.num_tiles == plan.num_work_items
         assert len(report.per_cta_time) == w.num_ctas
 
-    def test_long_prefill_chunk_keeps_algorithm_1(self):
+    def test_long_prefill_chunk_runs_unsplit_below_algorithm_1s_price(self):
+        """A 1 024-token chunk over 4 096 KV is 32 query tiles × 8 KV heads:
+        256 items, one wave of 264 CTAs.  Algorithm 1 cuts each tile's KV in
+        two (4 032-token chunks, past ``L*``): 512 items and a contraction,
+        priced above the unsplit plan, which wins."""
         w = self._wrapper(1024.0)
         mapping, _ = make_paged_mapping([4096], [1024])
         plan = w.plan(mapping)
-        assert_same_plan(plan, self._algorithm_1(w, mapping))
-        assert plan.num_partial_slots > 0
+        args, kwargs = w._schedule_inputs(mapping)
+        algorithm_1 = plan_schedule(*args, **kwargs)
+        assert (algorithm_1.num_work_items, algorithm_1.kv_chunk_size) == (512, 4032)
+        assert (plan.num_work_items, plan.num_partial_slots) == (256, 0)
+        check_choice(w, mapping, plan)
+        assert stack_price(w, plan, mapping) < stack_price(w, algorithm_1, mapping)
+
+    @pytest.mark.parametrize("prompt, unsplit_us, split_us", [(76, 3.99, 4.81), (237, 7.99, 14.64)])
+    def test_a_lone_short_prompt_runs_unsplit(self, prompt, unsplit_us, split_us):
+        """A lone short prompt fits one wave unsplit.  Algorithm 1 cuts its
+        KV into 64-token chunks (``L*`` is 258 at 128 fused rows, so the
+        release stops where the items fit), whose fp32 states the
+        contraction reads back: the unsplit plan prices below it.  Most of
+        the ``chat_decode`` plans that leave Algorithm 1's split are such
+        prompts."""
+        w = self._wrapper(float(prompt))
+        mapping, _ = make_paged_mapping([prompt], [prompt])
+        plan = w.plan(mapping)
+        args, kwargs = w._schedule_inputs(mapping)
+        algorithm_1 = plan_schedule(*args, **kwargs)
+        assert kwargs["break_even_kv"] == 258
+        assert algorithm_1.kv_chunk_size == 64 and algorithm_1.num_partial_slots > 0
+        assert plan.num_partial_slots == 0 and plan.kv_chunk_size == prompt
+        _, _, report = w.run(None, compute=False)
+        assert report.makespan * 1e6 == pytest.approx(unsplit_us, abs=5e-3)
+        assert stack_price(w, algorithm_1, mapping) * 1e6 == pytest.approx(split_us, abs=5e-3)
 
     @pytest.mark.parametrize("gpu", [A100_40G, H100_80G], ids=["A100", "H100"])
     @given(decode_and_prefill_batches(),
            st.sampled_from([StorageDType.FP16, StorageDType.FP8_E4M3]), st.booleans())
     @settings(max_examples=80)
     def test_never_slower_than_algorithm_1(self, gpu, batch, kv_dtype, stacked):
-        """The chosen plan is one of ``_choose``'s candidates, picked
-        soundly (:func:`check_choice`), and prices no higher than Algorithm
-        1's with the break-even release; the bound that screens the
-        one-launch rule never changes its answer.  On A100 the contraction
-        pays its whole dispatch, on H100 it may hide it."""
+        """The chosen plan is the cheapest of ``_choose``'s candidates —
+        the unsplit plan, Algorithm 1's and the priced release, plain or in
+        a stack — and every floor is at most its candidate's price
+        (:func:`check_choice`); ``run`` reports the price it won with.  On
+        A100 the contraction pays its whole dispatch, on H100 it may hide
+        it."""
         qo, kv = batch
         w = BatchAttentionWrapper(
             VANILLA, self.HEADS, WorkspaceBuffer(1 << 27), gpu,
@@ -633,16 +636,11 @@ class TestBreakEvenSplit:
             w.stack_merges = (np.zeros(0, np.int64), np.zeros(0, np.int64))
         mapping, _ = make_paged_mapping(kv, qo)
         chosen = w.plan(mapping)
-        unsplit = exact_one_launch(w, mapping)
-        found = check_choice(w, mapping, chosen)
+        _, _, report = w.run(None, compute=False)
+        prices = [price for *_, price in check_choice(w, mapping, chosen)]
+        assert report.makespan == min(prices) or stacked  # a stack's run contracts no states here
         args, kwargs = w._schedule_inputs(mapping)
         algorithm_1 = plan_schedule(*args, **kwargs)
-        if unsplit:
-            assert chosen == found[0][0] and chosen.num_partial_slots == 0
-            assert chosen.kv_chunk_size == max(kv)
-        elif chosen != algorithm_1:
-            assert stacked and chosen == found[-1][0]
-            assert algorithm_1.kv_chunk_size < kwargs["break_even_kv"] <= chosen.kv_chunk_size
         assert stack_price(w, chosen, mapping) <= stack_price(w, algorithm_1, mapping)
 
     def test_cascade_prefix_splits_at_break_even(self):
@@ -670,13 +668,16 @@ class TestBreakEvenSplit:
     def test_plan_cache_keeps_stacked_and_plain_plans_apart(self):
         """A plain wrapper and a format of a stack with equal scheduler
         inputs share one executor's plan cache: each gets its own plan,
-        whichever plans first."""
+        whichever plans first.  Twelve 100-token decode suffixes behind a
+        shared prefix plan unsplit alone; in the stack, whose every tile
+        writes a state the one contraction reads, the 64-token split of
+        Algorithm 1 prices lower."""
         from repro.gpu.executor import PersistentKernelExecutor
         from repro.serving import PlanCache
 
-        mapping, _, clusters = make_shared_prefix_mapping(1, 12, 1008, 16)
+        mapping, _, clusters = make_shared_prefix_mapping(1, 12, 256, 100)
         comp = decompose_shared_prefix(mapping, clusters)
-        prefix = comp.mappings[0]
+        suffix = comp.mappings[-1]
         for stack_first in (True, False):
             executor = PersistentKernelExecutor(H100_80G)
             executor.plan_cache = PlanCache()
@@ -684,22 +685,23 @@ class TestBreakEvenSplit:
                 VANILLA, self.HEADS, WorkspaceBuffer(1 << 27), H100_80G, executor=executor
             )
             plain = BatchAttentionWrapper(
-                VANILLA, self.HEADS, WorkspaceBuffer(1 << 27), H100_80G, avg_qo_len=12.0,
+                VANILLA, self.HEADS, WorkspaceBuffer(1 << 27), H100_80G, avg_qo_len=1.0,
                 executor=executor,
             )
-            steps = [lambda: cw.plan(comp), lambda: plain.plan(prefix)]
+            steps = [lambda: cw.plan(comp), lambda: plain.plan(suffix)]
             for step in steps if stack_first else steps[::-1]:
                 step()
-            stacked = cw.wrappers[0]
+            stacked = cw.wrappers[-1]
             signatures = [
                 plan_signature(*args, **kwargs)
-                for args, kwargs in (w._schedule_inputs(prefix) for w in (stacked, plain))
+                for args, kwargs in (w._schedule_inputs(suffix) for w in (stacked, plain))
             ]
             assert signatures[0] == signatures[1]
             assert len(executor.plan_cache) == 3  # the stack's two formats and the plain plan
-            assert stacked._read_plan().kv_chunk_size == 128
-            assert_same_plan(plain._read_plan(), self._algorithm_1(plain, prefix))
-            assert plain._read_plan().kv_chunk_size == 64
+            args, kwargs = plain._schedule_inputs(suffix)
+            assert_same_plan(stacked._read_plan(), plan_schedule(*args, **kwargs))
+            assert stacked._read_plan().kv_chunk_size == 64
+            assert (plain._read_plan().num_work_items, plain._read_plan().num_partial_slots) == (96, 0)
 
     @pytest.mark.parametrize("gpu", [A100_40G, H100_80G], ids=["A100", "H100"])
     @given(
@@ -713,8 +715,10 @@ class TestBreakEvenSplit:
         self, gpu, clusters, members, prefix_pages, suffix, queries, kv_dtype
     ):
         """Over decode and prefill prefix + suffix stacks, each format's plan
-        is one of its candidates, picked soundly (:func:`check_choice`), and
-        the stack's output stays within 1e-6 of the dense oracle."""
+        is the cheapest of its candidates — the unsplit plan, Algorithm 1's
+        and the release step — each floored no higher than its price
+        (:func:`check_choice`), and the stack's output stays within 1e-6 of
+        the dense oracle."""
         from repro.utils.dtypes import round_to_storage
 
         heads = HeadConfig(8, 2, 32)

@@ -32,7 +32,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.wrapper as wrapper_module
-from conftest import benchmark_workloads, kv_from_page_table, make_paged_mapping
+from conftest import (
+    benchmark_workloads,
+    kv_from_page_table,
+    make_paged_mapping,
+    make_shared_prefix_mapping,
+)
 from reference_costs import (
     block_cost,
     contraction_cost,
@@ -52,7 +57,7 @@ from repro import (
     decompose_shared_prefix,
 )
 from repro.core import VANILLA, HeadConfig, MergeEntry
-from repro.core.scheduler import COL_GROUP, COL_KVHEAD, COL_QROWS, ITEM_FIELDS
+from repro.core.scheduler import COL_GROUP, COL_KVHEAD, COL_QROWS, ITEM_FIELDS, plan_schedule
 from repro.core.simulate import (
     merge_cost_arrays,
     merge_footprints,
@@ -82,8 +87,8 @@ def _launches(executor, price):
     """``price()``'s result and the report of every launch it submits."""
     seen, real = [], executor.run_streams
 
-    def spy(*args):
-        seen.append(real(*args))
+    def spy(*args, **kwargs):
+        seen.append(real(*args, **kwargs))
         return seen[-1]
 
     executor.run_streams = spy
@@ -98,8 +103,8 @@ def _stack_launches(price):
     executor (the formats of a stack may each own one)."""
     seen, real = [], PersistentKernelExecutor.run_streams
 
-    def spy(self, *args):
-        seen.append(real(self, *args))
+    def spy(self, *args, **kwargs):
+        seen.append(real(self, *args, **kwargs))
         return seen[-1]
 
     with mock.patch.object(PersistentKernelExecutor, "run_streams", spy):
@@ -348,18 +353,27 @@ def test_shared_prefix_contraction_is_spread_over_the_grid():
 
 def test_a_stack_is_its_attention_launches_and_one_contraction():
     """The shared-prefix call is three launches: each format's attention
-    launch, then the suffix format's contraction.  It reads each of the
-    12 × 32 (query row, query head) pairs' 8 prefix states and one or two
-    suffix states once, and writes the row once.  Launch for launch, bit
-    for bit, it is the oracle's."""
+    launch, then the suffix format's contraction.  The 16- to 71-token
+    suffixes run unsplit, one state per (query row, KV head), which prices
+    below Algorithm 1's 64-token split of the two longest.  The contraction
+    reads each of the 12 × 32 (query row, query head) pairs' 8 prefix states
+    and one suffix state once, and writes the row once.  Launch for launch,
+    bit for bit, it is the oracle's."""
     stack = _kernel_batch_call(CASCADE, 16)
     prefix, suffix = stack.wrappers
     assert [col.size for col in prefix.stack_merges] == [0, 0]
+    assert suffix._read_plan().num_partial_slots == 0
     own = np.bincount(suffix._read_plan().items[:, COL_GROUP], minlength=12) // 8
-    assert set(own.tolist()) == {1, 2}  # the two longest suffixes split
+    assert set(own.tolist()) == {1}
     states = np.repeat(8 + own, 32)
     n_slots, pairs = suffix.stack_merges
     assert (int(pairs.sum()), int((n_slots * pairs).sum())) == (384, states.sum())
+
+    args, kwargs = suffix._schedule_inputs(suffix._mapping)
+    split = plan_schedule(*args, **kwargs)
+    assert split.kv_chunk_size == 64 and split.num_partial_slots == 2 * 2 * 8
+    assert suffix._priced(suffix._read_plan(), suffix._mapping)[0] < suffix._priced(
+        split, suffix._mapping)[0]
 
     flops, bytes_read, bytes_written = merge_footprints(states, np.ones(384), 128)
     (_, report), launches = _stack_launches(lambda: stack.run(None, compute=False))
@@ -377,6 +391,75 @@ def test_a_stack_is_its_attention_launches_and_one_contraction():
     hidden = dispatch + launches[1].drain
     assert report.makespan == pytest.approx(sum(r.makespan for r in launches) - hidden, rel=RTOL)
     _assert_stack_matches(stack, bitwise=True)
+
+
+def _planned(case, plan_cache=None):
+    """A wrapper of each kind of plan ``run`` submits, planned on H100 with
+    32/8 heads, d=128: Algorithm 1's split of a ragged decode batch, the
+    unsplit plan of a lone 76-token prompt, the release step of twelve
+    decode queries over a 1 008-token prefix, and the stacked suffix format
+    of a cascade.  Returns ``(wrapper, plan again)``."""
+    heads = HeadConfig(32, 8, 128)
+    executor = PersistentKernelExecutor(H100_80G)
+    executor.plan_cache = plan_cache
+    if case == "stacked":
+        mapping, _, clusters = make_shared_prefix_mapping(1, 12, 256, 100)
+        stack = ComposableAttentionWrapper(
+            VANILLA, heads, WorkspaceBuffer(1 << 27), H100_80G, executor=executor
+        )
+        formats = decompose_shared_prefix(mapping, clusters)
+        stack.plan(formats)
+        return stack.wrappers[-1], lambda: stack.plan(formats)
+    kv, qo = {
+        "split": ([2002, 412, 270, 201, 160, 133, 114, 100, 89, 80, 73, 67], [1] * 12),
+        "unsplit": ([76], [76]),
+        "release": ([1008], [12]),
+    }[case]
+    mapping, _ = make_paged_mapping(kv, qo)
+    w = BatchAttentionWrapper(
+        VANILLA, heads, WorkspaceBuffer(1 << 27), H100_80G, avg_qo_len=float(qo[0]),
+        executor=executor,
+    )
+    w.plan(mapping)
+    return w, lambda: w.plan(mapping)
+
+
+@pytest.mark.parametrize("case", ["split", "unsplit", "release", "stacked"])
+def test_run_reports_the_price_its_plan_won_with(case):
+    """``run`` submits the streams ``_choose`` priced, one ``run_streams``
+    call per launch, and reports bit for bit what re-pricing the plan from
+    the workspace reports: with no fault plan, and with one whose straggler
+    fires on every launch (the same schedule replayed for both), which
+    leaves the kept streams as they were priced.  A plan-cache hit, which
+    re-prices, reports what the miss did."""
+    from repro.faults import FaultPlan
+    from repro.serving import PlanCache
+
+    w, _ = _planned(case)
+    plan = w._read_plan()
+    merges = w._merges(plan) if w.stack_merges is None else w.stack_merges
+    launches = 1 + bool(merges[0].size)
+    assert launches == (1 if case == "unsplit" else 2)
+    if case == "release":  # the plan at L*, past Algorithm 1's early stop
+        args, kwargs = w._schedule_inputs(w._mapping)
+        assert plan.kv_chunk_size == 128 > plan_schedule(*args, **kwargs).kv_chunk_size
+    (_, _, report), seen = _launches(w.executor, lambda: w.run(None, compute=False))
+    assert len(seen) == launches and w._launches is not None
+    assert report == w._simulate_fast()
+
+    # Seed 4 stretches a busy CTA in every case.
+    w.executor.fault_injector = faults = FaultPlan(4, schedules={"straggler": range(launches)})
+    _, _, stretched = w.run(None, compute=False)
+    faults.reset()
+    assert stretched == w._simulate_fast() and stretched.makespan > report.makespan
+    w.executor.fault_injector = None
+    assert w.run(None, compute=False)[2] == report
+
+    cached, replan = _planned(case, PlanCache())
+    miss = cached.run(None, compute=False)[2]
+    replan()
+    assert cached._launches is None  # a hit re-prices
+    assert cached.run(None, compute=False)[2] == miss == report
 
 
 @st.composite

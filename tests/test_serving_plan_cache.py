@@ -125,13 +125,13 @@ class TestWrapperDeterminism:
         assert chunks == (320, 576)
 
     def test_stack_format_and_dense_wrapper_do_not_collide(self):
-        """Whether a plan splits is decided before the lookup and is part of
-        the key.  Twelve 200-token suffixes of a cascade stack are one launch
-        for a dense wrapper, but the stack contracts anyway (one contraction
-        launch folds every format's states), so there a split costs no extra
-        launch."""
+        """Whether the plan is a format of a stack is part of the key.
+        Twelve 100-token suffixes of a cascade stack are one launch for a
+        dense wrapper, but the stack contracts anyway (one contraction launch
+        folds every format's states), and there Algorithm 1's 64-token split
+        prices lower."""
         pc = CountingPlanCache()
-        mapping, _, clusters = make_shared_prefix_mapping(1, 12, 256, 200)
+        mapping, _, clusters = make_shared_prefix_mapping(1, 12, 256, 100)
         stack = decompose_shared_prefix(mapping, clusters)
         suffix = stack.mappings[-1]
         dense = BatchAttentionWrapper(VANILLA, HEADS, WorkspaceBuffer(1 << 27), H100_80G,

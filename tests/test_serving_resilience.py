@@ -109,9 +109,9 @@ class TestTokenExactness:
             one_launch.append(chosen.num_partial_slots == 0 < algorithm_1.num_partial_slots)
             return chosen
 
-        def counted_run_streams(self, *args):
+        def counted_run_streams(self, *args, **kwargs):
             launches.append(self.fault_injector is fault_plan)
-            return run_streams(self, *args)
+            return run_streams(self, *args, **kwargs)
 
         monkeypatch.setattr(BatchAttentionWrapper, "plan", checked_plan)
         monkeypatch.setattr(PersistentKernelExecutor, "run_streams", counted_run_streams)
