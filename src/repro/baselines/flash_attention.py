@@ -153,8 +153,8 @@ class FlashAttentionBaseline:
         )
         costs = item_cost_arrays(
             plan.items, mapping, self.heads, kv_tile, KV_DTYPE, sched_q_tile,
+            tile_set=(sched_q_tile * self.heads.group_size,),  # the library's fixed tile
             fuse_head_groups=True,
-            uses_tensor_cores=sched_q_tile * self.heads.group_size >= 16,
             sparse_gather=sparse_gather,
             cost_model=self.executor.cost_model,
             compute_share=1.0,

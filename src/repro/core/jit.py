@@ -46,11 +46,6 @@ class KernelTraits:
                 "FA3 row tiles must be multiples of 64 (Hopper WGMMA, §3.2.3)"
             )
 
-    @property
-    def uses_tensor_cores(self) -> bool:
-        """Query tile size 1 uses the CUDA-core microkernel (§3.2.3)."""
-        return self.q_tile > 1
-
 
 #: A compiled tile kernel: (q, k, v, q_pos, kv_pos, q_head, kv_head, params,
 #: sm_scale, causal, kv_tile) -> (o, lse), with a leading head axis on

@@ -21,7 +21,7 @@ test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -145,7 +145,7 @@ def run_mapping(
     kv_dtype: StorageDType = StorageDType.FP16,
     fuse_head_groups: bool = True,
     sparse_gather: bool = True,
-    uses_tensor_cores: bool = True,
+    tile_set: Optional[Sequence[int]] = None,
     compute_penalty: float = 1.0,
 ) -> Tuple[List[List[TileCost]], List[TileCost]]:
     """Execute one mapping's plan: numerics into ``out``/``lse``.
@@ -156,7 +156,8 @@ def run_mapping(
     max_rows)``) and are contracted per the plan's merge entries.
 
     Returns ``(cta_cost_queues, merge_costs)``, the plan's footprint as
-    :class:`~repro.gpu.cost.TileCost` objects.  Nothing in the library reads
+    :class:`~repro.gpu.cost.TileCost` objects, each item on its own query
+    tile of ``tile_set`` (default: the plan's).  Nothing in the library reads
     it — the wrapper prices the launch itself — but the benchmark's
     ``core.kernels`` probe does; the return value goes when the probe is
     unpinned (ROADMAP item 1(b)).
@@ -233,8 +234,9 @@ def run_mapping(
         )
         write_heads(o, s, group, q_start, query_heads(meta[rows, MERGE_KVHEAD]))
     return plan_tile_costs(
-        plan, mapping, heads, kv_tile, kv_dtype, fuse_head_groups,
-        uses_tensor_cores, sparse_gather, compute_penalty,
+        plan, mapping, heads, kv_tile, kv_dtype,
+        (plan.q_tile_size * g_eff,) if tile_set is None else tile_set,
+        fuse_head_groups, sparse_gather, compute_penalty,
     )
 
 

@@ -86,11 +86,31 @@ class ItemFootprints:
     per :class:`~repro.gpu.cost.TileCost` field, one entry per item."""
 
     flops: np.ndarray  # useful FLOPs
-    padded: np.ndarray  # executed FLOPs, tile padding included
+    padded: np.ndarray  # executed FLOPs, padded to the item's own query tile
+    tile: np.ndarray  # that tile, in fused rows; 1 runs on CUDA cores
     bytes_read: np.ndarray  # KV (after L2 reuse) + query bytes
     out_bytes: np.ndarray  # final tile, or the partial state of a split one
     run_bytes: np.ndarray  # contiguous run of a sparse gather, where segments > 0
     segments: np.ndarray  # gather segments; 0 for dense loads and unseen chunks
+
+
+@functools.lru_cache(maxsize=64)
+def _tiles_by_rows(tile_set: Tuple[int, ...], g_eff: int) -> np.ndarray:
+    """``[r]``: :func:`item_tiles` of an item of ``r`` query rows, for every
+    ``r`` up to the launch's tile (read-only)."""
+    fused = np.arange(tile_set[-1] // g_eff + 1) * g_eff
+    table = np.asarray(tile_set)[np.minimum(np.searchsorted(tile_set, fused), len(tile_set) - 1)]
+    table.flags.writeable = False
+    return table
+
+
+def item_tiles(rows: np.ndarray, g_eff: int, tile_set: Sequence[int]) -> np.ndarray:
+    """The query tile each item of ``rows`` query rows runs on: of the
+    launch's compiled tiles ``tile_set`` (fused rows, ascending, the launch's
+    own last, which every item fits), the smallest that covers its ``rows ×
+    g_eff`` fused rows (§3.2.2, per work item as in the persistent kernel of
+    §3.3).  A fixed-tile launch passes its one tile."""
+    return _tiles_by_rows(tuple(tile_set), g_eff)[rows]
 
 
 def item_footprints(
@@ -100,6 +120,7 @@ def item_footprints(
     kv_tile: int,
     kv_dtype: StorageDType,
     q_tile_size: int,
+    tile_set: Sequence[int],
     fuse_head_groups: bool,
     sparse_gather: bool,
     compute_penalty: float = 1.0,
@@ -108,7 +129,9 @@ def item_footprints(
     """Roofline footprint of every work item.
 
     Models causal skipping (KV tiles entirely above the diagonal are never
-    loaded or computed), tile padding waste, GQA head-group fusion (KV
+    loaded or computed), padding to the item's own query tile
+    (:func:`item_tiles`; ``q_tile_size`` is the planner's tile, in query
+    rows, which counts a group's tiles), GQA head-group fusion (KV
     loaded once per KV head rather than once per query head), and the
     run length and segment count of sparse gathers.  A tile writes its
     final fp16 rows, or its fp32 state ``(O, LSE)`` when it is split or
@@ -133,7 +156,8 @@ def item_footprints(
         processed = chunk
 
     flops = useful_cols * (4.0 * d * g_eff)
-    padded = 4.0 * d * (q_tile_size * g_eff) * processed
+    tile = item_tiles(item_arr[:, COL_QROWS], g_eff, tile_set)
+    padded = 4.0 * d * tile * processed
     if compute_penalty != 1.0:
         padded = padded * compute_penalty
 
@@ -165,7 +189,7 @@ def item_footprints(
         segments = 2.0 * np.ceil(processed / bc)  # 0 where nothing is processed
     else:
         run_bytes = segments = np.zeros_like(q_bytes)
-    return ItemFootprints(flops, padded, kv_bytes + q_bytes, out_bytes, run_bytes, segments)
+    return ItemFootprints(flops, padded, tile, kv_bytes + q_bytes, out_bytes, run_bytes, segments)
 
 
 @functools.lru_cache(maxsize=64)
@@ -178,14 +202,12 @@ def _worst_gather_waste(block: int, token_bytes: int) -> float:
     )
 
 
-def _compute_roof(cost_model: KernelCostModel, uses_tensor_cores: bool, compute_share: float) -> float:
-    """FLOP/s one CTA's serial stream computes at."""
+def _roofs(cost_model: KernelCostModel, compute_share: float) -> Tuple[float, float]:
+    """FLOP/s one CTA's serial stream computes at on the tensor cores and on
+    the CUDA cores, where query tile 1 runs (§3.2.3)."""
     spec = cost_model.spec
-    return (
-        spec.sm_fp16_flops * cost_model.mma_efficiency
-        if uses_tensor_cores
-        else spec.sm_cuda_core_flops
-    ) * compute_share
+    return (spec.sm_fp16_flops * cost_model.mma_efficiency * compute_share,
+            spec.sm_cuda_core_flops * compute_share)
 
 
 def unsplit_bounds(
@@ -194,8 +216,8 @@ def unsplit_bounds(
     heads: HeadConfig,
     kv_dtype: StorageDType,
     q_tile_size: int,
+    tile_set: Sequence[int],
     fuse_head_groups: bool,
-    uses_tensor_cores: bool,
     sparse_gather: bool,
     cost_model: KernelCostModel,
     compute_share: float,
@@ -208,41 +230,54 @@ def unsplit_bounds(
     (``plan_schedule(..., split_kv=False)``) — from the lengths alone: a
     lower bound on its longest serial stream and an upper bound on the sum
     of its mem streams, as :func:`item_cost_arrays` prices them.  A tile
-    computes over at least the KV columns its last query row sees and loads
-    at most all of them, with the L2 reuse of its group (every tile's KV
-    starts at the group's first), and gathers with no more transaction
-    waste than a run of up to one block has, and writes what
+    computes over at least the KV columns its last query row sees, on its
+    own query tile (:func:`item_tiles`): the bound is the longer of two, the
+    last tile of the group whose last row sees the most, and the longest
+    tile on the launch's own — a full tile before a group's last, or a last
+    tile of more rows than the next smaller compiled tile holds.  A tile
+    loads at most all its group's KV, with the L2 reuse of its group (every
+    tile's KV starts at the group's first), and gathers with no more
+    transaction waste than a run of up to one block has, and writes what
     :func:`item_footprints` says a ``stacked`` tile writes.  O(groups), no
     item table.
 
     ``longest`` has one bound per entry of ``max_chunks``: with a finite
     one, of the longest serial stream of a plan whose KV chunks are at most
-    that long — the first chunk of the group whose last query row sees the
-    most KV is one of its items.  ``total`` stays the unsplit plan's."""
+    that long — the first chunk of each of those two tiles is one of its
+    items.  ``total`` stays the unsplit plan's."""
     g_eff = heads.group_size if fuse_head_groups else 1
     d, itemsize = heads.head_dim, kv_dtype.itemsize
     qo, kv = mapping.qo_lens, mapping.kv.kv_lens
-    seen, kv_cols = kv, float(q_tiles @ kv)
+    seen, kv_cols, full, tail = kv, float(q_tiles @ kv), 0, qo
     if mapping.causal:
         # One past the last KV column of the group's last query row.
         last = mapping.q_pos_offset + qo - mapping.kv_pos_offset
         seen = np.minimum(last, kv)
-    seen = max(float(seen.max(where=q_tiles > 0, initial=0)), 0.0)
     if q_tiles.max(initial=0) > 1:  # later query tiles re-read the KV from L2
         reuse = np.maximum(q_tiles, 1)
         if mapping.causal:  # counted from the first row that sees the first KV column
             reuse = np.maximum(reuse - np.maximum(qo - last, 0) // q_tile_size, 1)
         kv_cols = float(q_tiles @ (kv / reuse))
-    per_column = (4.0 * d * (q_tile_size * g_eff) * compute_penalty
-                  / _compute_roof(cost_model, uses_tensor_cores, compute_share))
-    columns = [min(seen, chunk) for chunk in max_chunks]
-    longest = [cols * per_column + cost_model.tile_latency for cols in columns]
-    waste = 1.0
-    if sparse_gather:
-        block = mapping.kv.block_size
-        longest = [t + 2.0 * -(-cols // block) * cost_model.gather_issue_overhead
-                   for t, cols in zip(longest, columns)]
-        waste = _worst_gather_waste(block, d * itemsize)
+        tail = qo - (q_tiles - 1) * q_tile_size  # rows of each group's last tile
+        # The last row of the full tile before a group's last one.
+        full = (np.minimum(last - tail, kv) if mapping.causal else kv).max(
+            where=q_tiles > 1, initial=0)
+    seen = np.where(q_tiles > 0, seen, -1)
+    smaller = tile_set[-2] // g_eff if len(tile_set) > 1 else -1
+    tensor, cuda = _roofs(cost_model, compute_share)
+    # Seconds per KV column on each tile.
+    per_column = {t: 4.0 * d * t * compute_penalty / (tensor if t > 1 else cuda) for t in tile_set}
+    streams = [(float(max(full, seen.max(where=tail > smaller, initial=0))),
+                per_column[tile_set[-1]])]
+    if seen.size:
+        g = int(seen.argmax())
+        rows = int(qo[g]) - (int(q_tiles[g]) - 1) * q_tile_size
+        streams.append((float(max(seen[g], 0)), per_column[int(item_tiles(rows, g_eff, tile_set))]))
+    block, gather = mapping.kv.block_size, 2.0 * cost_model.gather_issue_overhead
+    longest = [max(min(cols, chunk) * rate + sparse_gather * gather * -(-min(cols, chunk) // block)
+                   for cols, rate in streams) + cost_model.tile_latency
+               for chunk in max_chunks]
+    waste = _worst_gather_waste(block, d * itemsize) if sparse_gather else 1.0
     q_bytes = float(qo.sum()) * (g_eff * d * Q_ITEMSIZE)
     out_bytes = float(qo.sum()) * (g_eff * (d + 1) * PARTIAL_ITEMSIZE) if stacked else q_bytes
     kv_bytes = kv_cols * (2 * d * itemsize)
@@ -256,8 +291,8 @@ def item_cost_arrays(
     kv_tile: int,
     kv_dtype: StorageDType,
     q_tile_size: int,
+    tile_set: Sequence[int],
     fuse_head_groups: bool,
-    uses_tensor_cores: bool,
     sparse_gather: bool,
     cost_model: KernelCostModel,
     compute_share: float,
@@ -270,7 +305,7 @@ def item_cost_arrays(
         z = np.zeros(0)
         return PlanCostArrays(z, z, z, z)
     fp = item_footprints(
-        item_arr, mapping, heads, kv_tile, kv_dtype, q_tile_size,
+        item_arr, mapping, heads, kv_tile, kv_dtype, q_tile_size, tile_set,
         fuse_head_groups, sparse_gather, compute_penalty, stacked,
     )
     if sparse_gather:
@@ -279,8 +314,11 @@ def item_cost_arrays(
     else:
         eff_read = fp.bytes_read
 
+    tensor, cuda = _roofs(cost_model, compute_share)
+    # Items run on CUDA cores only where the launch compiles tile 1.
+    roof = np.where(fp.tile > 1, tensor, cuda) if tile_set[0] == 1 else tensor
     serial = (
-        fp.padded / _compute_roof(cost_model, uses_tensor_cores, compute_share)
+        fp.padded / roof
         + fp.segments * cost_model.gather_issue_overhead
         + cost_model.tile_latency
     )
@@ -440,8 +478,8 @@ def plan_tile_costs(
     heads: HeadConfig,
     kv_tile: int,
     kv_dtype: StorageDType,
+    tile_set: Sequence[int],
     fuse_head_groups: bool,
-    uses_tensor_cores: bool,
     sparse_gather: bool,
     compute_penalty: float = 1.0,
 ) -> Tuple[List[List[TileCost]], List[TileCost]]:
@@ -449,16 +487,14 @@ def plan_tile_costs(
     TileCost per merge)`` — the return value of ``run_mapping``, which only
     the benchmark's probe still reads."""
     fp = item_footprints(
-        plan.items, mapping, heads, kv_tile, kv_dtype, plan.q_tile_size,
+        plan.items, mapping, heads, kv_tile, kv_dtype, plan.q_tile_size, tile_set,
         fuse_head_groups, sparse_gather, compute_penalty,
     )
     columns = (
         fp.flops, fp.padded, fp.bytes_read, fp.out_bytes,
-        np.where(fp.segments > 0, fp.run_bytes, 0.0), fp.segments.astype(np.int64),
+        np.where(fp.segments > 0, fp.run_bytes, 0.0), fp.segments.astype(np.int64), fp.tile > 1,
     )
-    costs = [
-        TileCost(*row, uses_tensor_cores) for row in zip(*(c.tolist() for c in columns))
-    ]
+    costs = [TileCost(*row) for row in zip(*(c.tolist() for c in columns))]
     ptr = plan.cta_indptr.tolist()
     g_eff = heads.group_size if fuse_head_groups else 1
     rows = plan.merge_meta[:, MERGE_QROWS] * g_eff

@@ -33,9 +33,14 @@ _THREADS_PER_CTA = 128
 _BASE_REGS_PER_THREAD = 48
 
 
+def compiled_q_tiles(backend: str) -> tuple:
+    """The query tile sizes compiled for ``backend``."""
+    return FA3_Q_TILE_CANDIDATES if backend == "fa3" else Q_TILE_CANDIDATES
+
+
 def select_q_tile(avg_fused_qo_len: float, backend: str = "fa2") -> int:
     """Minimal compiled query tile size ≥ the average fused query length."""
-    candidates = FA3_Q_TILE_CANDIDATES if backend == "fa3" else Q_TILE_CANDIDATES
+    candidates = compiled_q_tiles(backend)
     for t in candidates:
         if t >= avg_fused_qo_len:
             return t

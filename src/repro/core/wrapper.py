@@ -42,7 +42,7 @@ from repro.core.scheduler import (
     plan_schedule,
     plan_signature,
 )
-from repro.core.tiles import ctas_per_sm, select_kv_tile, select_q_tile
+from repro.core.tiles import compiled_q_tiles, ctas_per_sm, select_kv_tile, select_q_tile
 from repro.core.variant import AttentionVariant
 from repro.gpu.cost import KernelCostModel
 from repro.gpu.cudagraph import CudaGraph
@@ -100,7 +100,9 @@ class BatchAttentionWrapper:
         Simulated target device; chooses the FA2/FA3 template (Hopper → FA3).
     avg_qo_len:
         Task-information hint: expected average query length per group
-        (1 for decode).  Fixes the compile-time query tile size.
+        (1 for decode).  Fixes the launch's compile-time query tile; each
+        work item runs on the smallest compiled tile up to it that covers
+        its rows (``core/simulate.item_tiles``), or on ``q_tile`` if given.
     kv_dtype:
         KV-cache storage precision (fp16 default; fp8 for Appendix F).
     fuse_head_groups:
@@ -156,13 +158,9 @@ class BatchAttentionWrapper:
 
         self.backend = backend or ("fa3" if gpu.supports_tma else "fa2")
         g_eff = heads.group_size if fuse_head_groups else 1
-        fused_len = avg_qo_len * g_eff
-        self.q_tile = q_tile if q_tile is not None else select_q_tile(fused_len, self.backend)
-        self.kv_tile = (
-            kv_tile
-            if kv_tile is not None
-            else select_kv_tile(self.q_tile, heads.head_dim, kv_dtype, gpu)
-        )
+        self.q_tile = select_q_tile(avg_qo_len * g_eff, self.backend) if q_tile is None else q_tile
+        self.kv_tile = (select_kv_tile(self.q_tile, heads.head_dim, kv_dtype, gpu)
+                        if kv_tile is None else kv_tile)
         # Sparse gathering on Hopper cannot use TMA and pays register
         # pressure: smaller KV tiles plus a compute penalty (Appendix B).
         self.compute_penalty = 1.0
@@ -200,6 +198,9 @@ class BatchAttentionWrapper:
         #: The head dimension the scheduler enumerates (fused GQA → KV heads).
         self._sched_heads = heads.num_kv_heads if fuse_head_groups else heads.num_qo_heads
         self._max_rows_eff = self._sched_q_tile * g_eff
+        #: The query tiles (fused rows) a work item may run on, the launch's last.
+        smaller = [t for t in compiled_q_tiles(self.backend) if g_eff <= t < self._max_rows_eff]
+        self._tile_set = tuple(smaller if q_tile is None else []) + (self._max_rows_eff,)
 
         self._max_batch_size = max_batch_size
         self._max_total_qo = max_total_qo
@@ -391,8 +392,8 @@ class BatchAttentionWrapper:
             return [(found[0][0], 0.0, None, 0.0)], 0.0
         cost_model, bounded = self.executor.cost_model, []
         longest, unsplit = simulate.unsplit_bounds(
-            q_tiles, mapping, self.heads, self.kv_dtype, self._sched_q_tile,
-            self.fuse_head_groups, self.traits.uses_tensor_cores, self.sparse_gather,
+            q_tiles, mapping, self.heads, self.kv_dtype, self._sched_q_tile, self._tile_set,
+            self.fuse_head_groups, self.sparse_gather,
             cost_model, self._compute_share, self.compute_penalty, stacked,
             [chunk for _, chunk in found],
         )
@@ -576,8 +577,8 @@ class BatchAttentionWrapper:
     ) -> simulate.PlanCostArrays:
         """The attention kernel's cost streams of ``items`` on this launch."""
         return simulate.item_cost_arrays(
-            items, mapping, self.heads, self.kv_tile, self.kv_dtype, q_tile_size,
-            self.fuse_head_groups, self.traits.uses_tensor_cores, self.sparse_gather,
+            items, mapping, self.heads, self.kv_tile, self.kv_dtype, q_tile_size, self._tile_set,
+            self.fuse_head_groups, self.sparse_gather,
             self.executor.cost_model, self._compute_share, self.compute_penalty,
             self.stack_merges is not None,
         )
@@ -611,10 +612,11 @@ class BatchAttentionWrapper:
         if self._mapping is None:
             raise RuntimeError("run() before plan()")
         mapping = self._mapping
-        planned = int((mapping.q_row_starts + mapping.qo_lens).max()) if mapping.num_groups else 0
-        total_q = _num_query_rows(q, compute, planned)
         out = lse = None
         if compute:
+            ends = mapping.q_row_starts + mapping.qo_lens
+            planned = int(ends.max()) if mapping.num_groups else 0
+            total_q = _num_query_rows(q, compute, planned)
             h = self.heads
             # A K/V transform may read another width than head_dim (a latent cache).
             k_tail, v_tail = ((h.num_kv_heads,) + (() if t else (h.head_dim,))
@@ -632,14 +634,13 @@ class BatchAttentionWrapper:
                 (total_q, self.heads.num_qo_heads, self.heads.head_dim), dtype=np.float32
             )
             lse = np.full((total_q, self.heads.num_qo_heads), -np.inf)
-
-        d = self.heads.head_dim
-        partial_o = self.workspace.view(self._section("partial_o"), np.float32)[
-            : self._max_slots * self._max_rows_eff * d
-        ].reshape(self._max_slots, self._max_rows_eff, d)
-        partial_lse = self.workspace.view(self._section("partial_lse"), np.float32)[
-            : self._max_slots * self._max_rows_eff
-        ].reshape(self._max_slots, self._max_rows_eff)
+            d = self.heads.head_dim
+            partial_o = self.workspace.view(self._section("partial_o"), np.float32)[
+                : self._max_slots * self._max_rows_eff * d
+            ].reshape(self._max_slots, self._max_rows_eff, d)
+            partial_lse = self.workspace.view(self._section("partial_lse"), np.float32)[
+                : self._max_slots * self._max_rows_eff
+            ].reshape(self._max_slots, self._max_rows_eff)
 
         def launch() -> SimReport:
             if compute:
@@ -649,7 +650,7 @@ class BatchAttentionWrapper:
                     partial_o, partial_lse, kv_dtype=self.kv_dtype,
                     fuse_head_groups=self.fuse_head_groups,
                     sparse_gather=self.sparse_gather,
-                    uses_tensor_cores=self.traits.uses_tensor_cores,
+                    tile_set=self._tile_set,
                     compute_penalty=self.compute_penalty,
                 )
             report = self.last_report = self._submit()
@@ -726,15 +727,13 @@ class ComposableAttentionWrapper:
                 avg = float(np.mean(m.qo_lens)) if m.num_groups else 1.0
                 if m.block_row_size:
                     avg = max(avg, float(m.block_row_size))
-                # Unique names: several composable stacks may share one
-                # workspace (e.g. decode and prefill configurations), and
-                # section names must not collide.
+                # Unique names: stacks may share one workspace (one per format
+                # count).  An ``avg_qo_len`` given at construction holds for all.
                 self.wrappers.append(
                     BatchAttentionWrapper(
                         self.variant, self.heads, self.workspace, self.gpu,
-                        avg_qo_len=avg,
                         name=f"fmt{i}_{m.label}_{next(_wrapper_counter)}",
-                        **self._kwargs,
+                        **{"avg_qo_len": avg, **self._kwargs},
                     )
                 )
         # Mark every format of a stack before planning it, so the one-launch

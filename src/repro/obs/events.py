@@ -41,7 +41,7 @@ STEP_KINDS: Tuple[str, ...] = ("prefill", "decode", "mixed", "resume", "idle")
 class KernelRecord:
     """One simulated kernel execution, attributed to its wrapper."""
 
-    name: str  #: wrapper/kernel label (e.g. ``fi_decode``, ``fmt0_prefix``)
+    name: str  #: wrapper/kernel label (e.g. ``fmt0_batch_3``, ``triton_fa2_decode``)
     phase: str  #: ``"prefill"`` / ``"decode"`` / ``"single"`` …
     makespan: float
     total_flops: float

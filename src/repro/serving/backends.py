@@ -28,7 +28,7 @@ from typing import Dict, List, Tuple
 from repro.baselines.flash_attention import FlashAttentionBaseline
 from repro.core.kernels import HeadConfig
 from repro.core.variant import VANILLA
-from repro.core.wrapper import BatchAttentionWrapper, ComposableAttentionWrapper
+from repro.core.wrapper import ComposableAttentionWrapper
 from repro.gpu.cost import KernelCostModel
 from repro.gpu.executor import PersistentKernelExecutor, SimReport
 from repro.gpu.spec import GPUSpec
@@ -70,9 +70,7 @@ class AttentionBackend:
         wrappers to consult in ``plan()``; a backend without wrappers
         ignores it."""
 
-    def attention_time(
-        self, formats: "ComposableFormat | AttentionMapping", decode: bool
-    ) -> float:
+    def attention_time(self, formats: "ComposableFormat | AttentionMapping") -> float:
         """Simulated seconds for one layer's attention under this backend."""
         raise NotImplementedError
 
@@ -123,9 +121,6 @@ class FlashInferBackend(AttentionBackend):
         #: The one simulated device every wrapper of this backend launches on: it carries
         #: the per-run state (fault injector, plan cache), so a wrapper built later sees it.
         self._executor = PersistentKernelExecutor(gpu)
-        self._wrapper_kwargs = dict(
-            executor=self._executor, max_batch_size=MAX_BATCH_SIZE, max_total_qo=MAX_TOTAL_QO
-        )
         self.characteristics = BackendCharacteristics(
             gemm_efficiency=0.85,
             allreduce_efficiency=1.0,
@@ -133,8 +128,8 @@ class FlashInferBackend(AttentionBackend):
             uses_cudagraph=True,
         )
         self._workspace = WorkspaceBuffer(WORKSPACE_BYTES)
-        self._wrappers: Dict[str, BatchAttentionWrapper] = {}
-        self._composable_wrappers: Dict[str, ComposableAttentionWrapper] = {}
+        #: One wrapper stack per format count (one CUDAGraph each, §3.4).
+        self._stacks: Dict[int, ComposableAttentionWrapper] = {}
 
     def set_fault_injector(self, injector) -> None:
         self._executor.fault_injector = injector
@@ -142,36 +137,18 @@ class FlashInferBackend(AttentionBackend):
     def set_plan_cache(self, cache) -> None:
         self._executor.plan_cache = cache
 
-    def _single_wrapper(self, decode: bool) -> BatchAttentionWrapper:
-        key = "decode" if decode else "prefill"
-        if key not in self._wrappers:
-            self._wrappers[key] = BatchAttentionWrapper(
-                VANILLA,
-                self.heads,
-                self._workspace,
-                self.gpu,
-                avg_qo_len=1.0 if decode else 512.0,
-                name=f"fi_{key}",
-                **self._wrapper_kwargs,
-            )
-        return self._wrappers[key]
-
-    def attention_time(self, formats, decode: bool) -> float:
+    def attention_time(self, formats) -> float:
         if isinstance(formats, AttentionMapping):
-            w = self._single_wrapper(decode)
-            w.plan(formats)
-            _, _, report = w.run(None, compute=False)
-            self._record_kernel(w.name, report)
-            return report.makespan
-        # Composable stack: a fresh wrapper set per distinct format count is
-        # cached under the phase key (separate CUDAGraphs per config, §3.4).
-        key = ("decode" if decode else "prefill") + f"_{len(formats)}"
-        cw = self._composable_wrappers.get(key)
+            formats = ComposableFormat.single(formats)
+        cw = self._stacks.get(len(formats))
         if cw is None:
-            cw = ComposableAttentionWrapper(
-                VANILLA, self.heads, self._workspace, self.gpu, **self._wrapper_kwargs
+            # Every format compiles the largest query tile; each work item
+            # runs on its own (``core/simulate.item_tiles``), so decode rows
+            # and prompt chunks share one launch.
+            cw = self._stacks[len(formats)] = ComposableAttentionWrapper(
+                VANILLA, self.heads, self._workspace, self.gpu, avg_qo_len=float(MAX_TOTAL_QO),
+                executor=self._executor, max_batch_size=MAX_BATCH_SIZE, max_total_qo=MAX_TOTAL_QO,
             )
-            self._composable_wrappers[key] = cw
         cw.plan(formats)
         _, report = cw.run(None, compute=False)
         if self.collect_kernel_reports:
@@ -213,8 +190,9 @@ class TritonBackend(AttentionBackend):
     def set_fault_injector(self, injector) -> None:
         self._fa.executor.fault_injector = injector
 
-    def attention_time(self, formats, decode: bool) -> float:
+    def attention_time(self, formats) -> float:
         mapping = self._flatten(formats)
+        decode = bool((mapping.qo_lens == 1).all())  # the library's decode kernel
         _, report = self._fa.run(mapping, decode=decode, sparse_gather=True)
         self._record_kernel("triton_fa2_decode" if decode else "triton_fa2_prefill", report)
         return report.makespan
@@ -250,10 +228,10 @@ class TRTLLMBackend(AttentionBackend):
     def set_plan_cache(self, cache) -> None:
         self._inner.set_plan_cache(cache)
 
-    def attention_time(self, formats, decode: bool) -> float:
+    def attention_time(self, formats) -> float:
         mapping = TritonBackend._flatten(formats)
         self._inner.collect_kernel_reports = self.collect_kernel_reports
-        makespan = self._inner.attention_time(mapping, decode)
+        makespan = self._inner.attention_time(mapping)
         for name, report in self._inner.pop_kernel_reports():
             self._record_kernel(f"trtllm_{name}", report)
         return makespan

@@ -217,8 +217,6 @@ class StepPlan:
     #: The dense :class:`AttentionMapping`, always present — the degraded
     #: fallback backend cannot run composable formats.
     mapping: AttentionMapping
-    #: Backend phase flag (decode-shaped attention kernels).
-    decode: bool
     #: Prompt tokens prefilled (or recomputed) this step.
     num_prefill_tokens: int
     #: Live decode streams advanced one token this step.
@@ -352,7 +350,7 @@ class BatchFormer:
             causal=True,
         )
         return StepPlan(
-            kind="prefill", formats=mapping, mapping=mapping, decode=False,
+            kind="prefill", formats=mapping, mapping=mapping,
             num_prefill_tokens=tokens, num_decode_tokens=0, seq_ids=seqs,
             preempt_before=st.metrics.preemptions,
             prefilled=list(zip(ok_batch, seqs)),
@@ -437,7 +435,7 @@ class BatchFormer:
         if cascade is not None:
             formats = cascade
         return StepPlan(
-            kind=kind, formats=formats, mapping=mapping, decode=not segments,
+            kind=kind, formats=formats, mapping=mapping,
             num_prefill_tokens=sum(chunk for _, chunk in segments),
             num_decode_tokens=len(streams), seq_ids=seq_ids,
             preempt_before=preempt_before, chunks=segments,
@@ -490,7 +488,7 @@ class BatchFormer:
             causal=True,
         )
         return StepPlan(
-            kind="resume", formats=mapping, mapping=mapping, decode=False,
+            kind="resume", formats=mapping, mapping=mapping,
             num_prefill_tokens=tokens, num_decode_tokens=0,
             seq_ids=[s.seq_id for s in ok],
             preempt_before=st.metrics.preemptions, resumed=ok,

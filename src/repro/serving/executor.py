@@ -54,7 +54,7 @@ class StepExecutor:
 
         Returns ``(t_start, t_end, attn_per_layer)``.
         """
-        attn = self._attention(plan.formats, plan.decode, t, fallback_mapping=plan.mapping)
+        attn = self._attention(plan, t)
         t_end = t + self._step_time(attn, plan.num_tokens, t)
         ic = self.engine.interconnect
         if ic is not None:
@@ -141,26 +141,25 @@ class StepExecutor:
         fb.collect_kernel_reports = eng.backend.collect_kernel_reports
         return fb
 
-    def _attention(
-        self, formats, decode: bool, t: float, fallback_mapping=None
-    ) -> float:
-        """One step's attention with retry / degradation around the backend.
+    def _attention(self, plan: StepPlan, t: float) -> float:
+        """One step's attention with retry / degradation around the backend;
+        the fallback prices the dense ``plan.mapping``.
 
         Plain runs take the first branch: a direct backend call."""
         eng = self.engine
         if eng._degrade is None:
-            return eng.backend.attention_time(formats, decode)
+            return eng.backend.attention_time(plan.formats)
         ctrl = eng._degrade
         self.fault_penalty = 0.0
         self.step_backend = eng.backend
         self.step_degraded = False
         # Stragglers stretch a CTA inside the executor without raising, so
         # the engine surfaces them by diffing the plan's fired counter.
-        plan = eng.fault_plan
-        stragglers_before = plan.injected["straggler"] if plan is not None else 0
+        fault_plan = eng.fault_plan
+        stragglers_before = fault_plan.injected["straggler"] if fault_plan is not None else 0
         if ctrl.degraded:
             fb = self._fallback()
-            attn = fb.attention_time(formats, decode)
+            attn = fb.attention_time(plan.mapping)
             self.step_backend = fb
             self.step_degraded = True
             eng._count("degraded_steps")
@@ -174,7 +173,7 @@ class StepExecutor:
         faults = 0
         while True:
             try:
-                attn = eng.backend.attention_time(formats, decode)
+                attn = eng.backend.attention_time(plan.formats)
                 break
             except KernelFault as exc:
                 faults += 1
@@ -194,8 +193,7 @@ class StepExecutor:
                 if ctrl.degraded:
                     # Final, guaranteed-clean attempt on the fallback.
                     fb = self._fallback()
-                    mapping = fallback_mapping if fallback_mapping is not None else formats
-                    attn = fb.attention_time(mapping, decode)
+                    attn = fb.attention_time(plan.mapping)
                     self.step_backend = fb
                     self.step_degraded = True
                     eng._count("degraded_steps")

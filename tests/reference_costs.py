@@ -5,7 +5,8 @@ launch, ``run_mapping`` built one ``TileCost`` per work item
 (``work_item_cost`` → ``kv_reuse_factor``) and per merge entry
 (``contraction_cost``), and ``BatchAttentionWrapper.run(compute=True)`` drained
 them through ``PersistentKernelExecutor.run_persistent``.  The first three
-functions below are that code, moved here verbatim.  The contraction launch
+functions below are that code, moved here verbatim; ``work_item_cost``
+has since charged each item its own query tile.  The contraction launch
 is dealt one (query row, query head) pair at a time: ``distribute_merges``
 cuts the pairs into contiguous per-CTA blocks and ``block_cost`` prices a
 block as one tile.  ``reference_tile_costs`` and ``reference_report`` are
@@ -58,8 +59,8 @@ def work_item_cost(
     kv_tile: int,
     kv_dtype: StorageDType,
     q_tile_size: int,
+    tile_set: Sequence[int],
     fuse_head_groups: bool,
-    uses_tensor_cores: bool,
     sparse_gather: bool,
     compute_penalty: float = 1.0,
     stacked: bool = False,
@@ -67,9 +68,11 @@ def work_item_cost(
     """Roofline footprint of one work item.
 
     Models causal skipping (KV tiles entirely above the diagonal are never
-    loaded or computed), tile padding waste, GQA head-group fusion (KV
-    loaded once per KV head rather than once per query head), and the
-    transaction efficiency of sparse gathers.  A split or ``stacked`` tile
+    loaded or computed), padding to the item's own query tile — the smallest
+    of the launch's compiled tiles ``tile_set`` (fused rows) that holds its
+    fused rows, else the largest; tile 1 runs on CUDA cores — GQA head-group
+    fusion (KV loaded once per KV head rather than once per query head), and
+    the transaction efficiency of sparse gathers.  A split or ``stacked`` tile
     writes its fp32 state, any other its final fp16 rows.
     """
     g_eff = heads.group_size if fuse_head_groups else 1
@@ -90,7 +93,8 @@ def work_item_cost(
         processed = chunk
 
     flops = 4.0 * d * useful_cols * g_eff
-    padded_rows = q_tile_size * g_eff
+    fits = [t for t in sorted(tile_set) if t >= item.q_rows * g_eff]
+    padded_rows = fits[0] if fits else max(tile_set)
     padded_flops = 4.0 * d * padded_rows * processed * compute_penalty
 
     # A KV chunk is re-read by every later query tile of its group; the
@@ -120,7 +124,7 @@ def work_item_cost(
         bytes_written=float(out_bytes),
         contiguous_run_bytes=run_bytes,
         n_gather_segments=segments,
-        uses_tensor_cores=uses_tensor_cores,
+        uses_tensor_cores=padded_rows > 1,
     )
 
 
@@ -182,9 +186,8 @@ def reference_tile_costs(
         [
             work_item_cost(
                 item, wrapper._mapping, heads, wrapper.kv_tile, wrapper.kv_dtype,
-                plan.q_tile_size, wrapper.fuse_head_groups,
-                wrapper.traits.uses_tensor_cores, wrapper.sparse_gather,
-                wrapper.compute_penalty, stacked,
+                plan.q_tile_size, list(wrapper._tile_set), wrapper.fuse_head_groups,
+                wrapper.sparse_gather, wrapper.compute_penalty, stacked,
             )
             for item in queue
         ]

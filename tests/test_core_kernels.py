@@ -65,9 +65,11 @@ def item_cost(kv_lens, qo_lens, item, heads=HeadConfig(8, 2, 32), **kwargs):
     mapping, _ = make_paged_mapping(kv_lens, qo_lens, 16)
     defaults = dict(
         kv_tile=64, kv_dtype=StorageDType.FP16, q_tile_size=16,
-        fuse_head_groups=True, uses_tensor_cores=True, sparse_gather=True,
+        fuse_head_groups=True, sparse_gather=True,
     )
     defaults.update(kwargs)
+    g_eff = heads.group_size if defaults["fuse_head_groups"] else 1
+    defaults.setdefault("tile_set", (defaults["q_tile_size"] * g_eff,))
     return work_item_cost(item, mapping, heads, **defaults)
 
 
@@ -78,8 +80,8 @@ class TestWorkItemCost:
         causal = item_cost([128], [128], item)
         mapping, _ = make_paged_mapping([128], [128], 16, causal=False)
         full = work_item_cost(
-            item, mapping, HeadConfig(8, 2, 32), 64, StorageDType.FP16, 16,
-            True, True, True,
+            item, mapping, HeadConfig(8, 2, 32), 64, StorageDType.FP16, 16, (64,),
+            True, True,
         )
         assert causal.flops < 0.6 * full.flops
 
@@ -157,8 +159,8 @@ class TestKVReuseFactor:
         item = WorkItem(0, 0, 0, 0, 64, 0, 64, 0, -1)
         heads = HeadConfig(4, 4, 32)
         mapping, _ = make_paged_mapping([256], [256], 16)
-        c = work_item_cost(item, mapping, heads, 64, StorageDType.FP16, 64,
-                           True, True, True)
+        c = work_item_cost(item, mapping, heads, 64, StorageDType.FP16, 64, (64,),
+                           True, True)
         # First chunk: reuse 4 → KV bytes quartered vs logical.
         logical_kv = 64 * 32 * 2 * 2
         q_bytes = 64 * 32 * 2

@@ -13,6 +13,7 @@ from conftest import make_paged_mapping
 from reference_costs import reference_report
 from repro import BatchAttentionWrapper, WorkspaceBuffer
 from repro.core import HeadConfig, VANILLA
+from repro.core.scheduler import COL_KVSTART, COL_KVSTOP, COL_QROWS
 from repro.utils.dtypes import StorageDType
 
 
@@ -108,6 +109,33 @@ class TestEquivalence:
         assert_reports_equal(slow, fast)
 
 
+def test_each_item_runs_on_its_own_tile_and_tile_1_on_cuda_cores():
+    """Each work item runs on the smallest compiled tile covering its fused
+    rows, up to the launch's; tile 1 is the CUDA-core microkernel (§3.2.3).
+    An MHA launch compiled at 128 rows runs its decode rows on tile 1 and a
+    40-row prompt on 64 rows."""
+    from repro.core import simulate
+
+    assert simulate.item_tiles(np.array([1, 2, 16, 17, 128]), 1, (1, 16, 32, 64, 128)).tolist() == [
+        1, 16, 16, 32, 128]
+    assert simulate.item_tiles(np.array([1, 4, 5, 32]), 4, (1, 16, 32, 64, 128)).tolist() == [
+        16, 16, 32, 128]
+    heads = HeadConfig(4, 4, 16)
+    mapping, _ = make_paged_mapping([300, 90, 40], [1, 1, 40])
+    w = BatchAttentionWrapper(VANILLA, heads, WorkspaceBuffer(1 << 24), avg_qo_len=512.0)
+    plan = w.plan(mapping)
+    queues, _ = simulate.plan_tile_costs(
+        plan, mapping, heads, w.kv_tile, w.kv_dtype, w._tile_set, True, w.sparse_gather,
+    )
+    costs = [c for queue in queues for c in queue]  # in item order
+    rows = plan.items[:, COL_QROWS].tolist()
+    chunks = (plan.items[:, COL_KVSTOP] - plan.items[:, COL_KVSTART]).tolist()
+    assert sorted(set(rows)) == [1, 40]
+    for r, chunk, cost in zip(rows, chunks, costs):  # every row sees its whole chunk
+        assert cost.uses_tensor_cores == (r > 1)
+        assert cost.padded_flops == 4 * 16 * (1 if r == 1 else 64) * chunk
+
+
 class TestUnsplitBounds:
     """``simulate.unsplit_bounds`` floors ``_choose``'s candidates from the
     lengths alone: its serial bound never exceeds the longest stream the
@@ -154,7 +182,7 @@ class TestUnsplitBounds:
         costs = w._item_costs(tiles, mapping, w._sched_q_tile)
         (longest,), total = simulate.unsplit_bounds(
             -(-mapping.qo_lens // w._sched_q_tile), mapping, heads, kv_dtype, w._sched_q_tile,
-            fuse, w.traits.uses_tensor_cores, sparse, w.executor.cost_model,
+            w._tile_set, fuse, sparse, w.executor.cost_model,
             w._compute_share, w.compute_penalty, stacked,
         )
         assert longest <= costs.serial.max(initial=0.0) * (1 + 1e-12) or not tiles.size
@@ -167,7 +195,7 @@ class TestUnsplitBounds:
         costs = w._item_costs(plan.items, mapping, w._sched_q_tile)
         (longest,), _ = simulate.unsplit_bounds(
             -(-mapping.qo_lens // w._sched_q_tile), mapping, heads, kv_dtype, w._sched_q_tile,
-            fuse, w.traits.uses_tensor_cores, sparse, w.executor.cost_model,
+            w._tile_set, fuse, sparse, w.executor.cost_model,
             w._compute_share, w.compute_penalty, stacked, (plan.kv_chunk_size,),
         )
         assert longest <= costs.serial.max(initial=0.0) * (1 + 1e-12) or not plan.items.size

@@ -157,10 +157,6 @@ class TestKernelTraits:
         with pytest.raises(ValueError, match="backend"):
             KernelTraits(head_dim=16, backend="fa9")
 
-    def test_cuda_core_microkernel_for_tile1(self):
-        assert not KernelTraits(head_dim=16, q_tile=1).uses_tensor_cores
-        assert KernelTraits(head_dim=16, q_tile=64).uses_tensor_cores
-
 
 class TestGeneratedKernelNumerics:
     def _run(self, variant, q, k, v, causal=True, kv_tile=7, sm_scale=0.25, params=None,

@@ -105,8 +105,8 @@ def candidates(w, mapping):
             contraction = None
         assert attention_mem >= (unsplit_mem + extra) * (1 - 1e-12)
         longest = simulate.unsplit_bounds(
-            q_tiles, mapping, w.heads, w.kv_dtype, w._sched_q_tile, w.fuse_head_groups,
-            w.traits.uses_tensor_cores, w.sparse_gather, w.executor.cost_model,
+            q_tiles, mapping, w.heads, w.kv_dtype, w._sched_q_tile, w._tile_set,
+            w.fuse_head_groups, w.sparse_gather, w.executor.cost_model,
             w._compute_share, w.compute_penalty, stacked, (plan.kv_chunk_size,),
         )[0][0]
         found.append((plan, w._floor(longest, contraction, unsplit_mem + extra), price))
@@ -595,7 +595,7 @@ class TestBreakEvenSplit:
         check_choice(w, mapping, plan)
         assert stack_price(w, plan, mapping) < stack_price(w, algorithm_1, mapping)
 
-    @pytest.mark.parametrize("prompt, unsplit_us, split_us", [(76, 3.99, 4.81), (237, 7.99, 14.64)])
+    @pytest.mark.parametrize("prompt, unsplit_us, split_us", [(76, 3.69, 4.81), (237, 7.99, 14.64)])
     def test_a_lone_short_prompt_runs_unsplit(self, prompt, unsplit_us, split_us):
         """A lone short prompt fits one wave unsplit.  Algorithm 1 cuts its
         KV into 64-token chunks (``L*`` is 258 at 128 fused rows, so the
@@ -742,3 +742,72 @@ class TestBreakEvenSplit:
         for w in cw.wrappers:
             chosen, fmt = w._read_plan(), w._mapping
             check_choice(w, fmt, chosen)
+
+
+@st.composite
+def mixed_steps(draw):
+    """``(qo_lens, kv_lens)`` of a mixed serving step: decode rows, then one
+    or two prompt chunks at the end of their KV."""
+    n = draw(st.integers(1, 40))
+    kv = [draw(st.integers(1, 3000)) for _ in range(n)]
+    chunks = [draw(st.integers(2, 512)) for _ in range(draw(st.integers(1, 2)))]
+    return [1] * n + chunks, kv + [c + draw(st.integers(0, 2000)) for c in chunks]
+
+
+class TestPerItemTiles:
+    """Each work item runs on the smallest compiled query tile that covers
+    its fused rows (``simulate.item_tiles``), up to the launch's — the tile
+    set a wrapper built with ``q_tile=`` has one entry."""
+
+    @staticmethod
+    def _wrapper(heads, gpu, **kwargs):
+        kwargs.setdefault("avg_qo_len", 65536.0)  # the largest tile, as a serving backend
+        return BatchAttentionWrapper(VANILLA, heads, WorkspaceBuffer(1 << 26), gpu, **kwargs)
+
+    @pytest.mark.parametrize("gpu", [A100_40G, H100_80G], ids=["A100", "H100"])
+    @pytest.mark.parametrize("group", [1, 4, 8])
+    @given(mixed_steps(), st.booleans())
+    @settings(max_examples=40)
+    def test_own_tiles_never_price_above_the_uniform_tile(self, gpu, group, step, decode_only):
+        """A plan prices at most what the same plan costs on the launch's
+        tile, exactly that on a wrapper whose tile is forced, and the choice
+        among candidates still holds (:func:`check_choice`).  On H100 a
+        decode-only batch prices bit for bit as on a wrapper compiled for
+        one query row (tile 64 or 1, KV tile 64 at 2 CTAs per SM either
+        way)."""
+        qo, kv = step
+        if decode_only:
+            qo, kv = [1] * len(qo), kv
+        heads = HeadConfig(8 * group, 8, 64)
+        mapping, _ = make_paged_mapping(kv, qo)
+        w = self._wrapper(heads, gpu)
+        plan = w.plan(mapping)
+        price = w.run(None, compute=False)[2].makespan
+        check_choice(w, mapping, plan)  # stages each candidate in turn
+        forced = self._wrapper(heads, gpu, q_tile=w.q_tile)
+        assert forced._tile_set == w._tile_set[-1:]
+        forced.plan(mapping)
+        uniform = stack_price(forced, plan, mapping)
+        assert price <= uniform
+        launch_tile = w._tile_set
+        try:
+            w._tile_set = launch_tile[-1:]
+            assert stack_price(w, plan, mapping) == uniform
+        finally:
+            w._tile_set = launch_tile
+        if decode_only and gpu is H100_80G:
+            one_row = self._wrapper(heads, gpu, avg_qo_len=1.0)
+            one_row.plan(mapping)
+            assert one_row.run(None, compute=False)[2].makespan == price
+
+    def test_the_tile_set_is_the_compiled_tiles_up_to_the_launch(self):
+        """Tiles below the GQA group never run an item: one query row fuses
+        ``g`` rows.  Tile 1 stays in a launch without fusion."""
+        heads = HeadConfig(32, 8, 128)
+        assert self._wrapper(heads, H100_80G)._tile_set == (64, 128)
+        assert self._wrapper(heads, A100_40G)._tile_set == (16, 32, 64, 128)
+        assert self._wrapper(heads, A100_40G, avg_qo_len=1.0)._tile_set == (16,)
+        assert self._wrapper(heads, A100_40G, q_tile=64)._tile_set == (64,)
+        assert self._wrapper(heads, H100_80G, fuse_head_groups=False)._tile_set == (1, 64, 128)
+        # Six fused rows per query: the launch's tile is 21 rows of 6.
+        assert self._wrapper(HeadConfig(48, 8, 128), A100_40G)._tile_set == (16, 32, 64, 126)

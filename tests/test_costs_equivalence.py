@@ -8,7 +8,8 @@ strategy every launch's ``makespan``, ``per_cta_time``, ``total_flops`` and
 ``total_bytes``, the same of the chained call, and every field of the
 ``TileCost`` lists ``run_mapping`` still returns agree within 1e-12 relative,
 on A100 and on H100, whose dependent launches overlap their dispatch
-(``reference_chain`` walks explicit start instants).  On the 18 plans of the
+(``reference_chain`` walks explicit start instants), on a fixed query tile
+and with each work item on its own.  On the 18 plans of the
 benchmark's ``kernel_batch`` workload at seed 0 every launch's ``makespan``
 and ``per_cta_time`` agree bit for bit.  (``total_bytes`` is a pairwise
 ``ndarray.sum`` there and a sequential Python sum in the reference: the last
@@ -166,7 +167,7 @@ def _assert_tile_costs_match(new, old):
     page_size=st.sampled_from([1, 4, 16]),
     kv_dtype=st.sampled_from([StorageDType.FP16, StorageDType.FP8_E4M3]),
     split_kv=st.booleans(),
-    q_tile=st.sampled_from([1, 16, 64, 128]),
+    q_tile=st.sampled_from([None, 1, 16, 64, 128]),
     kv_tile=st.sampled_from([16, 64]),
     gpu=st.sampled_from([A100_40G, H100_80G]),
 )
@@ -187,6 +188,7 @@ def test_plan_arrays_price_like_the_per_object_model(
         VANILLA, heads, WorkspaceBuffer(1 << 26), gpu, kv_dtype=kv_dtype,
         fuse_head_groups=fuse, sparse_gather=sparse_gather, split_kv=split_kv,
         q_tile=q_tile, kv_tile=kv_tile,
+        avg_qo_len=float(qo.max()),  # no q_tile: each item on its own tile up to this one
         backend="fa2" if q_tile == 16 else None,  # FA3 row tiles are 1 or 64k
     )
     plan = w.plan(mapping)

@@ -43,9 +43,9 @@ class CountingBackend(FlashInferBackend):
         super().__init__(*a, **kw)
         self.calls = 0
 
-    def attention_time(self, formats, decode):
+    def attention_time(self, formats):
         self.calls += 1
-        return super().attention_time(formats, decode)
+        return super().attention_time(formats)
 
 
 def run_traced(requests, **cfg_kwargs):

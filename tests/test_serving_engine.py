@@ -147,7 +147,7 @@ class TestBackends:
         m1, _ = make_paged_mapping([64], [1], 16)
         m2, _ = make_paged_mapping([64], [1], 16)
         with pytest.raises(ValueError, match="composable"):
-            be.attention_time(ComposableFormat([m1, m2]), decode=True)
+            be.attention_time(ComposableFormat([m1, m2]))
 
 
 class TestParallelGeneration:
