@@ -19,7 +19,6 @@ state any format wrote.
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
@@ -55,7 +54,6 @@ from repro.sparse.layout import AttentionMapping
 from repro.core.state import merge_states
 from repro.utils.dtypes import StorageDType
 
-_wrapper_counter = itertools.count()
 #: Seconds below any modelled launch time and far above the rounding of one:
 #: a plan is rejected on a bound only when the bound clears its price by this.
 _PRICE_SLACK = 1e-12
@@ -154,7 +152,7 @@ class BatchAttentionWrapper:
         self.fuse_head_groups = fuse_head_groups
         self.sparse_gather = sparse_gather
         self.split_kv = split_kv
-        self.name = name or f"attn{next(_wrapper_counter)}"
+        self.name = workspace.claim_name(name or workspace.free_name("attn"))
 
         self.backend = backend or ("fa3" if gpu.supports_tma else "fa2")
         g_eff = heads.group_size if fuse_head_groups else 1
@@ -727,12 +725,12 @@ class ComposableAttentionWrapper:
                 avg = float(np.mean(m.qo_lens)) if m.num_groups else 1.0
                 if m.block_row_size:
                     avg = max(avg, float(m.block_row_size))
-                # Unique names: stacks may share one workspace (one per format
-                # count).  An ``avg_qo_len`` given at construction holds for all.
+                # Stacks may share one workspace (one per format count).  An
+                # ``avg_qo_len`` given at construction holds for all.
                 self.wrappers.append(
                     BatchAttentionWrapper(
                         self.variant, self.heads, self.workspace, self.gpu,
-                        name=f"fmt{i}_{m.label}_{next(_wrapper_counter)}",
+                        name=self.workspace.free_name(f"fmt{i}_{m.label}_"),
                         **{"avg_qo_len": avg, **self._kwargs},
                     )
                 )

@@ -13,6 +13,7 @@ checks them for stability across replays.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -54,9 +55,23 @@ class WorkspaceBuffer:
         self.nbytes = int(nbytes)
         self.buffer = np.zeros(self.nbytes, dtype=np.uint8)
         self._sections: Dict[str, WorkspaceSection] = {}
+        self._names: set = set()
         self._cursor = 0
         self.buffer_id = WorkspaceBuffer._next_id
         WorkspaceBuffer._next_id += 1
+
+    def free_name(self, stem: str) -> str:
+        """The first ``{stem}0``, ``{stem}1``, ... no wrapper on this buffer holds."""
+        return next(n for n in (f"{stem}{k}" for k in itertools.count()) if n not in self._names)
+
+    def claim_name(self, name: str) -> str:
+        """Reserve ``name`` for one wrapper.  A wrapper's plan lives in the
+        sections its name prefixes, so a second wrapper of that name on this
+        buffer would plan over the first one's plan: a taken name raises."""
+        if name in self._names:
+            raise ValueError(f"wrapper name {name!r} is already taken on this workspace")
+        self._names.add(name)
+        return name
 
     def section(self, name: str) -> Optional[WorkspaceSection]:
         return self._sections.get(name)

@@ -195,7 +195,7 @@ SESSION_MAX_BATCH = 16
 class GenerationSession:
     """Batched paged-cache generation through the attention engine.
 
-    One prefill/decode wrapper pair serves every layer and every sequence;
+    One wrapper per layer variant serves every layer and every sequence;
     plans are made per step and reused across layers, exactly like the
     serving integration of paper §3.4.
     """
@@ -213,33 +213,19 @@ class GenerationSession:
             gpu=A100_40G, kv_dtype=StorageDType.FP32,
             max_batch_size=SESSION_MAX_BATCH, max_total_qo=SESSION_MAX_BATCH * 4096,
         )
-        # One (prefill, decode) wrapper pair per distinct layer variant:
-        # full-causal layers share a pair; sliding-window layers get their
-        # own JIT-specialized kernels (Gemma-2-style mixed models).
+        # One wrapper per distinct layer variant: full-causal layers share
+        # one; sliding-window layers get their own JIT-specialized kernel
+        # (Gemma-2-style mixed models).  Each work item runs on its own query
+        # tile, so decode rows and prompts share the wrapper.
         from repro.variants import make_sliding_window
 
-        def variant_for(layer: int):
-            window = c.layer_window(layer)
-            return (window, make_sliding_window(window)) if window else (None, VANILLA)
-
-        self._layer_wrappers = []
-        pair_cache = {}
-        uid = 0
-        for layer in range(c.num_layers):
-            key, variant = variant_for(layer)
-            if key not in pair_cache:
-                pair_cache[key] = (
-                    BatchAttentionWrapper(
-                        variant, c.heads, ws, avg_qo_len=128.0,
-                        name=f"model_prefill_{uid}", **common,
-                    ),
-                    BatchAttentionWrapper(
-                        variant, c.heads, ws, avg_qo_len=1.0,
-                        name=f"model_decode_{uid}", **common,
-                    ),
-                )
-                uid += 1
-            self._layer_wrappers.append(pair_cache[key])
+        windows = [c.layer_window(layer) for layer in range(c.num_layers)]
+        wrappers = {
+            w: BatchAttentionWrapper(make_sliding_window(w) if w else VANILLA, c.heads, ws,
+                                     avg_qo_len=128.0, **common)
+            for w in dict.fromkeys(windows)
+        }
+        self._layer_wrappers = [wrappers[w] for w in windows]
         self.seqs: List[List[int]] = []  # per-sequence cache seq ids by layer
         self.lengths: List[int] = []
 
@@ -262,8 +248,8 @@ class GenerationSession:
 
     # -- forward ------------------------------------------------------------------
 
-    def _attention(self, layer, q, decode, seq_ids, qo_lens):
-        wrapper = self._layer_wrappers[layer][1 if decode else 0]
+    def _attention(self, layer, q, seq_ids, qo_lens):
+        wrapper = self._layer_wrappers[layer]
         cache = self.cache[layer]
         layer_seqs = [self.seqs[s][layer] for s in seq_ids]
         mapping = AttentionMapping(
@@ -299,7 +285,6 @@ class GenerationSession:
             [self.lengths[s] + np.arange(l) for s, l in zip(seq_ids, qo_lens)]
         )
         h = m.weights["embed"][flat_tokens]
-        decode = max(qo_lens) == 1
 
         for layer in range(c.num_layers):
             p = f"l{layer}."
@@ -311,7 +296,7 @@ class GenerationSession:
                 self.cache[layer].append(self.seqs[s][layer], k[offset : offset + l],
                                          v[offset : offset + l])
                 offset += l
-            attn = self._attention(layer, q, decode, seq_ids, qo_lens)
+            attn = self._attention(layer, q, seq_ids, qo_lens)
             h = h + attn.reshape(h.shape[0], -1) @ m.weights[p + "wo"]
             h_norm = _rms_norm(h, m.weights[p + "mlp_norm"], c.rms_eps)
             h = h + m._mlp(layer, h_norm)

@@ -16,9 +16,29 @@ from repro.sparse import AttentionMapping, kv_from_page_table
 from repro.utils.dtypes import StorageDType, round_to_storage
 
 # Every property test draws a fixed, derandomised sample, so each tier-1
-# run sees the same examples; a decorator sets only ``max_examples``.
+# run sees the same examples; a decorator sets only its budget (:func:`sweep`).
 settings.register_profile("tier1", derandomize=True, deadline=None)
 settings.load_profile("tier1")
+
+
+def sweep(tier1: int, full: int):
+    """Run a sweep at ``tier1`` in tier-1 and at ``full`` under ``-m sweep``
+    (CI's ``sweeps`` job): two parametrisations of one test, the second
+    marked ``sweep``.  A ``@given`` test draws ``budget`` examples."""
+    budgets = pytest.mark.parametrize("budget", [
+        pytest.param(tier1, id="tier1"), pytest.param(full, id="sweep", marks=pytest.mark.sweep),
+    ], indirect=True)
+    return lambda test: budgets(pytest.mark.usefixtures("budget")(test))
+
+
+@pytest.fixture
+def budget(request):
+    test = getattr(request.function, "__func__", request.function)
+    if getattr(test, "is_hypothesis_test", False):
+        # Read when the test is called; hypothesis's pytest plugin sets it per item too.
+        test._hypothesis_internal_use_settings = settings(
+            test._hypothesis_internal_use_settings, max_examples=request.param)
+    return request.param
 
 
 @pytest.fixture

@@ -184,31 +184,44 @@ def test_routing_splits_workload_and_keeps_arrival_order():
     assert rids == list(range(9))
 
 
+@pytest.fixture(scope="module")
+def least_loaded_runs():
+    """An overloaded trace on one and on two least-loaded replicas."""
+    requests = sharegpt_workload(24, rate=200.0, seed=0)
+    return requests, {dp: ClusterEngine(MODEL, H100_80G, ClusterConfig(
+        dp=dp, router="least-loaded", engine=EngineConfig(max_running=256),
+    )).run(requests) for dp in (1, 2)}
+
+
+@pytest.fixture(scope="module")
+def round_robin_runs():
+    requests = sharegpt_workload(6, rate=60.0, seed=1)
+    return requests, {2: ClusterEngine(MODEL, H100_80G, ClusterConfig(
+        tp=2, dp=2, engine=EngineConfig(max_running=64),
+    )).run(requests)}
+
+
 @pytest.mark.parametrize("router", ["round-robin", "least-loaded",
                                     "power-of-two", "session-affinity"])
-def test_dp_cluster_token_exact_under_every_router(router):
-    requests = sharegpt_workload(8, rate=120.0, seed=9)
-    cluster = ClusterEngine(
-        MODEL, H100_80G,
-        ClusterConfig(dp=2, router=router, engine=EngineConfig(max_running=64)),
-    )
-    cm = cluster.run(requests)
-    divergent, compared = cm.token_divergence(expected_tokens(requests))
-    assert (divergent, compared) == (0, 8)
+def test_dp_cluster_token_exact_under_every_router(router, request):
+    # round-robin and least-loaded: the runs the summary test and the
+    # throughput gate read.
+    if router in ("round-robin", "least-loaded"):
+        requests, runs = request.getfixturevalue(f"{router.replace('-', '_')}_runs")
+    else:
+        requests = sharegpt_workload(8, rate=120.0, seed=9)
+        runs = {2: ClusterEngine(MODEL, H100_80G, ClusterConfig(
+            dp=2, router=router, engine=EngineConfig(max_running=64),
+        )).run(requests)}
+    for cm in runs.values():
+        assert cm.token_divergence(expected_tokens(requests)) == (0, len(requests))
 
 
-def test_dp2_least_loaded_beats_dp1_throughput():
+def test_dp2_least_loaded_beats_dp1_throughput(least_loaded_runs):
     # The CI acceptance gate: at an overloaded arrival rate, splitting the
     # workload across two replicas must strictly raise simulated
     # throughput over one replica.
-    requests = sharegpt_workload(24, rate=200.0, seed=0)
-    results = {}
-    for dp in (1, 2):
-        results[dp] = ClusterEngine(
-            MODEL, H100_80G,
-            ClusterConfig(dp=dp, router="least-loaded",
-                          engine=EngineConfig(max_running=256)),
-        ).run(requests)
+    _, results = least_loaded_runs
     assert (
         results[2].throughput_tokens_per_s()
         > results[1].throughput_tokens_per_s()
@@ -216,11 +229,8 @@ def test_dp2_least_loaded_beats_dp1_throughput():
     assert results[2].total_time < results[1].total_time
 
 
-def test_cluster_summary_shape():
-    cm = ClusterEngine(
-        MODEL, H100_80G,
-        ClusterConfig(tp=2, dp=2, engine=EngineConfig(max_running=64)),
-    ).run(sharegpt_workload(6, rate=60.0, seed=1))
+def test_cluster_summary_shape(round_robin_runs):
+    cm = round_robin_runs[1][2]
     s = cm.summary()
     assert sum(s[f"replica{i}_requests"] for i in range(2)) == 6.0
     for i in range(2):

@@ -52,9 +52,15 @@ def _streams(cm):
     ]
 
 
-def test_ttft_is_decided_inside_the_prefill_stage():
+@pytest.fixture(scope="module")
+def two_by_two():
+    """``(cluster, metrics)`` of LOAD at prefill=2,decode=2, read by two tests."""
     cluster = _disagg("prefill=2,decode=2")
-    cm = cluster.run(LOAD)
+    return cluster, cluster.run(LOAD)
+
+
+def test_ttft_is_decided_inside_the_prefill_stage(two_by_two):
+    cluster, cm = two_by_two
     prefill_ids, decode_ids = cluster.roles
     handoffs = {}
     for i in prefill_ids:
@@ -69,11 +75,11 @@ def test_ttft_is_decided_inside_the_prefill_stage():
     assert seen == len(handoffs) == len(LOAD)
 
 
-def test_prefill_stage_cannot_see_the_decode_pool():
-    ttfts = []
-    for roles in ("prefill=2,decode=1", "prefill=2,decode=2"):
-        cm = _disagg(roles).run(LOAD)
-        ttfts.append(sorted(tr.ttft for m in cm.replicas for tr in m.traces))
+def test_prefill_stage_cannot_see_the_decode_pool(two_by_two):
+    ttfts = [
+        sorted(tr.ttft for m in cm.replicas for tr in m.traces)
+        for cm in (_disagg("prefill=2,decode=1").run(LOAD), two_by_two[1])
+    ]
     assert len(ttfts[0]) == len(LOAD)
     assert ttfts[0] == ttfts[1]
 

@@ -106,17 +106,25 @@ def test_interconnect_prices_degradation_windows():
     assert ic.allreduce_per_layer(64, t=5.0) == pytest.approx(healthy)
 
 
+@pytest.fixture(scope="module")
+def tp_runs():
+    """``(requests, single-GPU reference, {tp: metrics})`` of one trace at tp = 1, 2, 4."""
+    requests = sharegpt_workload(8, rate=80.0, seed=5)
+    clusters = {
+        tp: ClusterEngine(MODEL, H100_80G,
+                          ClusterConfig(tp=tp, engine=EngineConfig(max_running=64)))
+        for tp in (1, 2, 4)
+    }
+    reference = clusters[2].run_reference(requests)
+    return requests, reference, {tp: c.run(requests) for tp, c in clusters.items()}
+
+
 @pytest.mark.parametrize("tp", [2, 4])
-def test_tp_token_exact_vs_single_gpu(tp):
-    requests = sharegpt_workload(10, rate=60.0, seed=11)
-    cluster = ClusterEngine(
-        MODEL, H100_80G,
-        ClusterConfig(tp=tp, engine=EngineConfig(max_running=64)),
-    )
-    reference = cluster.run_reference(requests)
-    cm = cluster.run(requests)
+def test_tp_token_exact_vs_single_gpu(tp, tp_runs):
+    requests, reference, runs = tp_runs
+    cm = runs[tp]
     divergent, compared = cm.token_divergence(expected_tokens(requests))
-    assert compared == 10
+    assert compared == 8
     assert divergent == 0
     # Sharding the GEMMs makes the run strictly faster despite paying for
     # the all-reduces on the wire.
@@ -125,15 +133,8 @@ def test_tp_token_exact_vs_single_gpu(tp):
     assert "link_all_reduce_bytes" in cm.summary()
 
 
-def test_tp_speedup_is_monotone_but_sublinear():
-    requests = sharegpt_workload(8, rate=80.0, seed=5)
-    makespans = {}
-    for tp in (1, 2, 4):
-        cm = ClusterEngine(
-            MODEL, H100_80G,
-            ClusterConfig(tp=tp, engine=EngineConfig(max_running=64)),
-        ).run(requests)
-        makespans[tp] = cm.total_time
+def test_tp_speedup_is_monotone_but_sublinear(tp_runs):
+    makespans = {tp: cm.total_time for tp, cm in tp_runs[2].items()}
     assert makespans[2] < makespans[1]
     assert makespans[4] < makespans[2]
     # All-reduce cost keeps the scaling sublinear.

@@ -1,9 +1,10 @@
 """Tests for the load-balanced scheduler (paper Algorithm 1)."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import sweep
 from repro.core import SchedulePlan, plan_schedule, plan_unbalanced
 from repro.core.scheduler import WorkItem
 
@@ -27,7 +28,7 @@ class TestCoverage:
         st.sampled_from([1, 4, 16, 64]),
         st.integers(1, 4),
     )
-    @settings(max_examples=120)
+    @sweep(30, 120)
     def test_kv_exactly_partitioned(self, lens, q_tile, heads):
         qo = [max(l[0], 1) for l in lens]
         kv = [l[1] for l in lens]
@@ -90,7 +91,7 @@ class TestSplitAndMerge:
         st.lists(st.integers(1, 8000), min_size=1, max_size=20),
         st.integers(1, 8),
     )
-    @settings(max_examples=100)
+    @sweep(25, 100)
     def test_partial_slots_bounded_by_2x_ctas(self, kv, heads):
         """The Appendix D.3 workspace bound: ≤ 2 · #CTA partial outputs."""
         num_ctas = 16

@@ -6,10 +6,10 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_paged_mapping
+from conftest import make_paged_mapping, sweep
 from reference_costs import reference_report
 from repro import BatchAttentionWrapper, WorkspaceBuffer
 from repro.core import HeadConfig, VANILLA
@@ -101,7 +101,7 @@ class TestEquivalence:
         ),
         st.booleans(),
     )
-    @settings(max_examples=25)
+    @sweep(6, 25)
     def test_random_batches(self, lens, causal):
         qo = [min(a, b) for a, b in lens]  # causal needs qo ≤ kv
         kv = [b for _, b in lens]
@@ -156,7 +156,7 @@ class TestUnsplitBounds:
         st.sampled_from([1, 16, 64]), st.booleans(), st.booleans(), st.booleans(),
         st.booleans(), st.sampled_from([64, 192, 320]),
     )
-    @settings(max_examples=120)
+    @sweep(30, 120)
     def test_bounds_hold(self, groups, heads, kv_dtype, page, causal, sparse, fuse, stacked,
                          chunk):
         from repro.core import simulate

@@ -4,9 +4,10 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import sweep
 from repro.core import AttentionState, merge_states, merge_states_sum
 
 
@@ -75,7 +76,7 @@ finite_states = st.integers(0, 2**32 - 1)
 
 class TestAlgebraicProperties:
     @given(finite_states)
-    @settings(max_examples=100)
+    @sweep(25, 100)
     def test_commutative(self, seed):
         rng = np.random.default_rng(seed)
         o_a, o_b = rng.standard_normal((2, 4))
@@ -85,7 +86,7 @@ class TestAlgebraicProperties:
         assert np.allclose(x[0], y[0]) and np.allclose(x[1], y[1])
 
     @given(finite_states)
-    @settings(max_examples=100)
+    @sweep(25, 100)
     def test_associative(self, seed):
         rng = np.random.default_rng(seed)
         os = rng.standard_normal((3, 4))
@@ -101,7 +102,7 @@ class TestAlgebraicProperties:
         assert np.allclose(left[1], right[1])
 
     @given(finite_states)
-    @settings(max_examples=50)
+    @sweep(12, 50)
     def test_fold_order_insensitive(self, seed):
         rng = np.random.default_rng(seed)
         states = [

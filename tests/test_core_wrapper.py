@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import reference_scheduler
-from conftest import fp16, make_paged_mapping, make_shared_prefix_mapping
+from conftest import fp16, make_paged_mapping, make_shared_prefix_mapping, sweep
 from repro import BatchAttentionWrapper, ComposableAttentionWrapper, WorkspaceBuffer
 from repro.core import HeadConfig, VANILLA, plan_schedule, reference_attention, simulate
 from repro.core.scheduler import break_even_step, plan_signature
@@ -618,7 +618,7 @@ class TestBreakEvenSplit:
     @pytest.mark.parametrize("gpu", [A100_40G, H100_80G], ids=["A100", "H100"])
     @given(decode_and_prefill_batches(),
            st.sampled_from([StorageDType.FP16, StorageDType.FP8_E4M3]), st.booleans())
-    @settings(max_examples=80)
+    @sweep(20, 80)
     def test_never_slower_than_algorithm_1(self, gpu, batch, kv_dtype, stacked):
         """The chosen plan is the cheapest of ``_choose``'s candidates —
         the unsplit plan, Algorithm 1's and the priced release, plain or in
@@ -710,7 +710,7 @@ class TestBreakEvenSplit:
         queries=st.sampled_from([1, 1, 4, 16]),
         kv_dtype=st.sampled_from([StorageDType.FP16, StorageDType.FP8_E4M3]),
     )
-    @settings(max_examples=30)
+    @sweep(8, 30)
     def test_a_stack_never_chooses_the_dearer_release(
         self, gpu, clusters, members, prefix_pages, suffix, queries, kv_dtype
     ):
@@ -767,7 +767,7 @@ class TestPerItemTiles:
     @pytest.mark.parametrize("gpu", [A100_40G, H100_80G], ids=["A100", "H100"])
     @pytest.mark.parametrize("group", [1, 4, 8])
     @given(mixed_steps(), st.booleans())
-    @settings(max_examples=40)
+    @sweep(10, 40)
     def test_own_tiles_never_price_above_the_uniform_tile(self, gpu, group, step, decode_only):
         """A plan prices at most what the same plan costs on the launch's
         tile, exactly that on a wrapper whose tile is forced, and the choice

@@ -29,11 +29,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import repro.core.wrapper as wrapper_module
 from conftest import (
+    sweep,
     benchmark_workloads,
     kv_from_page_table,
     make_paged_mapping,
@@ -69,7 +70,7 @@ from repro.gpu.executor import PersistentKernelExecutor
 from repro.sparse import PrefixCluster, decompose_multi_level
 from repro.utils.dtypes import StorageDType
 
-FIXED = settings(max_examples=60)
+FIXED = sweep(15, 60)
 RTOL = 1e-12
 
 #: Ragged groups ``(qo_len, kv_len)``: empty groups, decode rows, prefill of
@@ -503,7 +504,7 @@ def shared_prefix_stacks(draw, query_lens=(1,)):
     return formats, heads, draw(st.sampled_from([A100_40G, H100_80G]))
 
 
-@settings(max_examples=30)
+@sweep(8, 30)
 @given(shared_prefix_stacks(query_lens=(1, 1, 3, 17)))
 def test_random_stacks_price_like_the_oracle(drawn):
     formats, heads, gpu = drawn
@@ -565,7 +566,7 @@ def _priced_format_by_format(stack):
     return total
 
 
-@settings(max_examples=40)
+@sweep(10, 40)
 @given(shared_prefix_stacks())
 def test_one_contraction_never_costs_more_than_one_per_format(drawn):
     """Over random decode stacks, folding every format's states in one

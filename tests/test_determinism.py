@@ -7,10 +7,10 @@ how the work was split and merged.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_paged_mapping
+from conftest import make_paged_mapping, sweep
 from repro import BatchAttentionWrapper, WorkspaceBuffer
 from repro.core import HeadConfig, VANILLA, plan_schedule
 
@@ -22,7 +22,7 @@ class TestSchedulerDeterminism:
         st.lists(st.integers(1, 5000), min_size=1, max_size=12),
         st.integers(1, 4),
     )
-    @settings(max_examples=50)
+    @sweep(12, 50)
     def test_identical_plans_for_identical_lengths(self, kv, heads):
         a = plan_schedule([1] * len(kv), kv, 16, 32, num_kv_heads=heads)
         b = plan_schedule([1] * len(kv), kv, 16, 32, num_kv_heads=heads)

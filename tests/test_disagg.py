@@ -171,16 +171,6 @@ def test_disagg_scales_to_wider_pools():
     assert s["replica0_requests"] == s["replica1_requests"] == 0.0
 
 
-def test_disagg_chunked_prefill_stays_token_exact():
-    requests = _workload(n=8, seed=5)
-    engine = EngineConfig(max_running=64, chunked_prefill=True,
-                          composable=True, prefill_chunk_size=256)
-    cluster = _cluster(engine=engine)
-    cm = cluster.run(requests)
-    divergent, compared = cm.token_divergence(expected_tokens(requests))
-    assert (divergent, compared) == (0, len(requests))
-
-
 def test_disagg_without_roles_is_inert():
     requests = _workload(n=6, seed=2)
     cluster = ClusterEngine(
@@ -235,14 +225,23 @@ def test_handoff_refuses_checksum_tamper():
 # -- composition: prefix cache, failover, checkpoints --------------------------
 
 
-def test_prefix_cache_hits_skip_already_shipped_pages():
+@pytest.fixture(scope="module")
+def chunked_prefix_run():
+    """A chunked, composable, prefix-cached disagg run."""
     requests = shared_prefix_workload(12, 150.0, seed=6)
     engine = EngineConfig(max_running=64, chunked_prefill=True,
                           composable=True, prefix_cache=True)
-    cluster = _cluster(engine=engine)
-    cm = cluster.run(requests)
+    return requests, _cluster(engine=engine).run(requests)
+
+
+def test_disagg_chunked_prefill_stays_token_exact(chunked_prefix_run):
+    requests, cm = chunked_prefix_run
     divergent, compared = cm.token_divergence(expected_tokens(requests))
-    assert divergent == 0 and compared == len(requests)
+    assert (divergent, compared) == (0, len(requests))
+
+
+def test_prefix_cache_hits_skip_already_shipped_pages(chunked_prefix_run):
+    requests, cm = chunked_prefix_run
     s = cm.summary()
     # Later handoffs of an already-shipped prefix group ship only the
     # suffix pages: the radix tree on the decode side holds the rest.
@@ -331,21 +330,3 @@ def test_workload_classes_recoverable_from_prompt_len():
     assert min(r.prompt_len for r in long_) >= 2048
     with pytest.raises(ValueError, match="straddle"):
         mixed_disagg_workload(4, 10.0, chatty_prompt_hi=600)
-
-
-# -- CLI smoke (the disagg-smoke CI contract) ----------------------------------
-
-
-def test_cli_serve_disagg_prints_greppable_counters(capsys):
-    from repro.__main__ import main
-
-    rc = main([
-        "serve", "--disagg", "prefill=1,decode=1",
-        "--requests", "8", "--rate", "80", "--seed", "3",
-    ])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "token_divergence=0 " in out
-    assert "handoff_pages=" in out and "handoff_pages=0" not in out
-    assert "link_handoff_bytes=" in out
-    assert "p95_itl=" in out and "p95_ttft=" in out

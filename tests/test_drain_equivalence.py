@@ -18,9 +18,10 @@ Hypothesis runs derandomized, so tier-1 sees a fixed sample.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import sweep
 from reference_drain import reference_drain
 from repro.cluster import ClusterConfig, ClusterEngine, FailoverConfig, ReplicaFailure
 from repro.core import HeadConfig
@@ -38,7 +39,7 @@ from repro.serving import (
 )
 from repro.serving.executor import StepExecutor
 
-FIXED = settings(max_examples=100)
+FIXED = sweep(25, 100)
 
 SPECS = st.sampled_from([A100_40G, H100_80G])
 RESIDENT = st.sampled_from([1, 2, 3])

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import sweep
 from repro.gpu import A100_40G, PersistentKernelExecutor, TileCost
 from repro.gpu.executor import SINGLE_SM_BANDWIDTH_FRACTION
 
@@ -22,7 +23,7 @@ work = st.lists(
 
 class TestDrainInvariants:
     @given(work)
-    @settings(max_examples=100)
+    @sweep(25, 100)
     def test_all_jobs_finish(self, jobs):
         exe = executor()
         serial = np.array([j[0] for j in jobs])
@@ -32,7 +33,7 @@ class TestDrainInvariants:
         assert np.all(finish >= 0)
 
     @given(work)
-    @settings(max_examples=100)
+    @sweep(25, 100)
     def test_finish_not_before_either_stream(self, jobs):
         """A job can't finish before its serial time nor before its bytes
         could drain at full device bandwidth."""
@@ -44,7 +45,7 @@ class TestDrainInvariants:
         assert np.all(finish >= lower - 1e-12)
 
     @given(work)
-    @settings(max_examples=100)
+    @sweep(25, 100)
     def test_bandwidth_conservation(self, jobs):
         """Total bytes drained can never exceed peak_bw × makespan."""
         exe = executor()
@@ -56,7 +57,7 @@ class TestDrainInvariants:
             assert mem.sum() <= A100_40G.peak_bandwidth_bytes * makespan * (1 + 1e-9)
 
     @given(work)
-    @settings(max_examples=100)
+    @sweep(25, 100)
     def test_single_cta_cap(self, jobs):
         """No single job drains faster than the per-SM bandwidth cap."""
         exe = executor()
@@ -67,7 +68,7 @@ class TestDrainInvariants:
         assert np.all(finish >= mem / cap - 1e-12)
 
     @given(work, st.floats(1.1, 3.0))
-    @settings(max_examples=60)
+    @sweep(15, 60)
     def test_monotone_in_work(self, jobs, factor):
         """Scaling every job's work up never reduces the makespan."""
         exe = executor()

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.gpu import WorkspaceBuffer
+from conftest import SMALL_HEADS, make_paged_mapping
+from repro.core import VANILLA, BatchAttentionWrapper
+from repro.gpu import H100_80G, WorkspaceBuffer
+from repro.serving import FlashInferBackend
 
 
 class TestSections:
@@ -86,3 +89,25 @@ class TestDataPath:
         ws.write("b", np.full(8, 2.0))
         assert np.all(ws.read("a", np.float64, 8) == 1.0)
         assert np.all(ws.read("b", np.float64, 8) == 2.0)
+
+
+class TestWrapperNames:
+    """A wrapper's plan lives in the sections its name prefixes."""
+
+    def test_a_name_taken_on_the_workspace_is_refused(self):
+        ws = WorkspaceBuffer(1 << 24)
+        BatchAttentionWrapper(VANILLA, SMALL_HEADS, ws, name="w")
+        with pytest.raises(ValueError, match="'w' is already taken"):
+            BatchAttentionWrapper(VANILLA, SMALL_HEADS, ws, name="w")
+        BatchAttentionWrapper(VANILLA, SMALL_HEADS, WorkspaceBuffer(1 << 24), name="w")  # its own
+
+    def test_names_are_numbered_per_workspace(self):
+        ws = WorkspaceBuffer(1 << 24)
+        assert [BatchAttentionWrapper(VANILLA, SMALL_HEADS, ws).name for _ in "ab"] == [
+            "attn0", "attn1"]
+        mapping, _ = make_paged_mapping([40, 9], [1, 1])
+        for _ in "ab":  # two fresh backends name their kernels alike
+            backend = FlashInferBackend(SMALL_HEADS, H100_80G)
+            backend.collect_kernel_reports = True
+            backend.attention_time(mapping)
+            assert [name for name, _ in backend.pop_kernel_reports()] == ["fmt0_batch_0"]

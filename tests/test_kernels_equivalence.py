@@ -15,11 +15,11 @@ fixed sample.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import reference_kernels as ref
-from conftest import make_paged_mapping
+from conftest import make_paged_mapping, sweep
 from repro import BatchAttentionWrapper, WorkspaceBuffer
 from repro.core import (
     VANILLA,
@@ -47,7 +47,7 @@ from repro.variants import (
     make_sliding_window,
 )
 
-FIXED = settings(max_examples=60)
+FIXED = sweep(15, 60)
 
 H_QO, H_KV, D, D_LATENT = 4, 2, 8, 6
 HEADS = HeadConfig(H_QO, H_KV, D)
@@ -257,10 +257,11 @@ class TestRoundToStorageFP16Equivalence:
         assert np.array_equal(np.isnan(new), nan)
         assert np.array_equal(new.view(np.uint32)[~nan], old.view(np.uint32)[~nan])  # ±0 apart
 
-    def test_every_251st_float32_bit_pattern(self):
-        bits = np.arange(0, 2**32, 251, dtype=np.uint64).astype(np.uint32)
+    @sweep(1009, 251)
+    def test_float32_bit_patterns_at_a_prime_stride(self, budget):
+        bits = np.arange(0, 2**32, budget, dtype=np.uint64).astype(np.uint32)
         x = np.concatenate([bits.view(np.float32), np.float32([np.inf, -np.inf, 0.0, -0.0])])
-        assert x.size > 17_000_000 and np.isnan(x).any()
+        assert x.size > 2**32 // budget and np.isnan(x).any()
         self.assert_bitwise(x)
 
     def test_every_fp16_value_its_float32_neighbours_and_both_ties(self):

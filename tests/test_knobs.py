@@ -30,10 +30,8 @@ the report classes are records the benchmark reads.
 """
 
 import ast
-from pathlib import Path
 
-ROOT = Path(__file__).parents[1]
-PACKAGE = ROOT / "src" / "repro"
+from program_index import PACKAGE, modules, nodes, programs, tree
 
 #: The policy configs, by the module that defines each.
 CONFIGS = {
@@ -72,8 +70,8 @@ def config_fields() -> dict:
     """``{class name: [field, ...]}`` read from each class body."""
     fields = {}
     for name, module in CONFIGS.items():
-        tree = ast.parse((PACKAGE / module).read_text())
-        (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == name]
+        (cls,) = [n for n in tree(PACKAGE / module).body
+                  if isinstance(n, ast.ClassDef) and n.name == name]
         fields[name] = [
             n.target.id for n in cls.body
             if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)
@@ -91,28 +89,29 @@ def _callee(call: ast.Call) -> str:
     return _name(call.func)
 
 
-def _passed(path: Path) -> dict:
-    """``{callee: {keyword, ...}}`` for the config calls and replaces of a file."""
-    nodes = list(ast.walk(ast.parse(path.read_text())))
-    calls = [n for n in nodes if isinstance(n, ast.Call)]
-    # Keywords of the dicts each name is built from: ``name = dict(...)``
-    # and ``name.update(...)``.
+def _dict_keys(path) -> dict:
+    """Keywords of the dicts each name of a file is built from: ``name =
+    dict(...)`` and ``name.update(...)``."""
     dict_keys = {}
-    for node in nodes:
+    for node in nodes(path):
         if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
                 and _callee(node.value) == "dict"):
             for target in node.targets:
                 if isinstance(target, ast.Name):
                     dict_keys.setdefault(target.id, set()).update(
                         k.arg for k in node.value.keywords if k.arg)
-    for call in calls:
-        func = call.func
-        if (isinstance(func, ast.Attribute) and func.attr == "update"
-                and isinstance(func.value, ast.Name)):
-            dict_keys.setdefault(func.value.id, set()).update(
-                k.arg for k in call.keywords if k.arg)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "update" and isinstance(node.func.value, ast.Name)):
+            dict_keys.setdefault(node.func.value.id, set()).update(
+                k.arg for k in node.keywords if k.arg)
+    return dict_keys
+
+
+def _passed(path) -> dict:
+    """``{callee: {keyword, ...}}`` for the config calls and replaces of a file."""
+    dict_keys = _dict_keys(path)
     passed = {}
-    for call in calls:
+    for call in (n for n in nodes(path) if isinstance(n, ast.Call)):
         keys = passed.setdefault(_callee(call), set())
         for kw in call.keywords:
             if kw.arg:
@@ -124,11 +123,8 @@ def _passed(path: Path) -> dict:
 
 def unset_fields() -> list:
     """``(class, field)`` pairs that no program passes, in declaration order."""
-    programs = [p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py"]
-    programs += list((ROOT / "examples").rglob("*.py"))
-    programs += list((ROOT / "benchmarks").rglob("*.py"))
     set_by = {}
-    for path in programs:
+    for path in programs():
         for callee, keys in _passed(path).items():
             set_by.setdefault(callee, set()).update(keys)
     replaced = set_by.get("replace", set())
@@ -197,11 +193,9 @@ def public_callables() -> list:
     """``(module:qualname, bare name, [(param, position), ...])`` for the
     public functions, constructors and methods of ``src/repro``."""
     found = []
-    for mod in sorted(PACKAGE.rglob("*.py")):
-        if mod.name in ("__init__.py", "__main__.py"):
-            continue
+    for mod in modules():
         rel = mod.relative_to(PACKAGE).as_posix()
-        for node in ast.parse(mod.read_text()).body:
+        for node in tree(mod).body:
             if getattr(node, "name", "_").startswith("_"):
                 continue
             if isinstance(node, ast.FunctionDef):
@@ -224,7 +218,7 @@ def _decorated(fn, name: str) -> bool:
     return any(getattr(d, "id", "") == name for d in fn.decorator_list)
 
 
-def _call_sites(path: Path) -> list:
+def _call_sites(path) -> list:
     """``(callee, positions, keywords, forwarded from)`` per call of a file.
 
     ``positions`` is ``inf`` for a ``*`` argument and ``keywords`` is
@@ -234,19 +228,7 @@ def _call_sites(path: Path) -> list:
     (``Class.method`` for a class- or staticmethod, which a call
     ``Class.method(...)`` also reaches under that name).
     """
-    tree = ast.parse(path.read_text())
-    dict_keys = {}
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
-                and _callee(node.value) == "dict"):
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    dict_keys.setdefault(target.id, set()).update(
-                        k.arg for k in node.value.keywords if k.arg)
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "update" and isinstance(node.func.value, ast.Name)):
-            dict_keys.setdefault(node.func.value.id, set()).update(
-                k.arg for k in node.keywords if k.arg)
+    dict_keys = _dict_keys(path)
     sites = []
 
     def visit(node, cls, fn):
@@ -292,18 +274,15 @@ def _call_sites(path: Path) -> list:
         for child in ast.iter_child_nodes(node):
             visit(child, cls, fn)
 
-    visit(tree, None, None)
+    visit(tree(path), None, None)
     return sites
 
 
 def unset_params() -> list:
     """``module:callable(parameter)`` for every defaulted parameter of a
     public callable that no program passes."""
-    programs = [p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py"]
-    programs += list((ROOT / "examples").rglob("*.py"))
-    programs += list((ROOT / "benchmarks").rglob("*.py"))
     sites = {}
-    for path in programs:
+    for path in programs():
         for callee, positions, keywords, forwarded in _call_sites(path):
             sites.setdefault(callee, []).append((positions, keywords, forwarded))
 

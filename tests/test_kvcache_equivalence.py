@@ -11,13 +11,14 @@ middle.  Hypothesis runs derandomized, so tier-1 sees a fixed sample.
 
 import json
 
-from hypothesis import given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from conftest import sweep
 from reference_paged import DensePagedKVCache
 from repro.kvcache import OutOfPagesError, PagedKVCache
 
-FIXED = settings(max_examples=200)
+FIXED = sweep(50, 200)
 
 NUM_PAGES, PAGE_SIZE = 8, 4
 OPS = ("new_seq", "extend", "fork_seq", "truncate", "free_seq",
@@ -78,6 +79,9 @@ def outcome(cache, method, args):
     ),
     st.integers(0, 1 << 16),
 )
+# A corrupted page freed and allocated again, then the pool exhausted.
+@example([("new_seq", 0, 0), ("extend", 0, 4), ("corrupt_page", 0, 0), ("free_seq", 0, 0),
+          ("new_seq", 0, 0)] + [("extend", 0, 11)] * 3, 0)
 @FIXED
 def test_live_only_cache_matches_the_dense_reference(ops, round_trip_at):
     new = PagedKVCache(NUM_PAGES, PAGE_SIZE, 2, 8, materialize=False)

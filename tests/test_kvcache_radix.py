@@ -3,10 +3,10 @@
 import json
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import benchmark_workloads, cached_pages
+from conftest import benchmark_workloads, cached_pages, sweep
 from reference_radix import TwoWalkRadixTree
 from repro.kvcache import PagedKVCache, RadixTree
 from repro.serving.batching import prompt_token_ids
@@ -252,7 +252,7 @@ def _replay(ops, as_input, tree_cls=RadixTree):
 
 
 class TestInputsAndOracle:
-    @settings(max_examples=150)
+    @sweep(38, 150)
     @given(st.lists(_op, min_size=1, max_size=24))
     def test_lists_arrays_and_the_old_walks_build_the_same_tree(self, ops):
         out_l, ref_l, tree_l = _replay(ops, list)

@@ -16,10 +16,9 @@ does not count.
 import ast
 import re
 from collections import defaultdict
-from pathlib import Path
+from functools import lru_cache
 
-ROOT = Path(__file__).parents[1]
-PACKAGE = ROOT / "src" / "repro"
+from program_index import PACKAGE, ROOT, docstrings, modules, nodes, programs, tree
 
 #: Modules kept without a consumer, each with the ROADMAP item that decides it.
 EXEMPT = {
@@ -47,9 +46,9 @@ EXEMPT_NAMES = {
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
-def _public_names(tree: ast.Module) -> set:
+def _public_names(module: ast.Module) -> set:
     names = set()
-    for node in tree.body:
+    for node in module.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names.add(node.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -58,24 +57,10 @@ def _public_names(tree: ast.Module) -> set:
     return {n for n in names if not n.startswith("_") and n != "__all__"}
 
 
-def _docstrings(tree: ast.Module) -> set:
-    nodes = [tree] + [
-        n for n in ast.walk(tree)
-        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-    ]
-    return {
-        id(n.body[0].value) for n in nodes
-        if n.body and isinstance(n.body[0], ast.Expr)
-        and isinstance(n.body[0].value, ast.Constant)
-        and isinstance(n.body[0].value.value, str)
-    }
-
-
-def _references(path: Path) -> set:
-    tree = ast.parse(path.read_text(), filename=str(path))
-    docs = _docstrings(tree)
+def _references(path) -> set:
+    docs = docstrings(path)
     refs = set()
-    for node in ast.walk(tree):
+    for node in nodes(path):
         if isinstance(node, ast.Name):
             refs.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -88,31 +73,23 @@ def _references(path: Path) -> set:
     return refs
 
 
-def _modules() -> list:
-    return sorted(
-        p for p in PACKAGE.rglob("*.py") if p.name not in ("__init__.py", "__main__.py")
-    )
-
-
+@lru_cache(maxsize=None)
 def _referrers() -> dict:
     """``{name: files referencing it}`` over every program."""
-    programs = [p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py"]
-    programs += list((ROOT / "examples").rglob("*.py"))
-    programs += list((ROOT / "benchmarks").rglob("*.py"))
     referrers = defaultdict(set)
-    for path in programs:
+    for path in programs():
         for name in _references(path):
             referrers[name].add(path)
-    return referrers
+    return dict(referrers)
 
 
 def orphan_modules() -> list:
     """Library modules (relative to ``src/repro``) no program references."""
     referrers = _referrers()
     orphans = []
-    for mod in _modules():
-        names = _public_names(ast.parse(mod.read_text(), filename=str(mod)))
-        if not any(referrers[n] - {mod} for n in names):
+    for mod in modules():
+        names = _public_names(tree(mod))
+        if not any(referrers.get(n, set()) - {mod} for n in names):
             orphans.append(mod.relative_to(PACKAGE).as_posix())
     return orphans
 
@@ -124,10 +101,10 @@ def test_every_module_has_a_consumer():
     assert sorted(EXEMPT) == [m for m in orphans if m in EXEMPT]
 
 
-def _definitions(tree: ast.Module):
+def _definitions(module: ast.Module):
     """``(qualified name, bare name)`` of the public top-level functions and
     classes and the public methods of those classes."""
-    for node in tree.body:
+    for node in module.body:
         if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                 and not node.name.startswith("_")):
             yield node.name, node.name
@@ -143,10 +120,10 @@ def orphan_names() -> list:
     the :data:`SURFACES` packages."""
     referrers = _referrers()
     orphans = []
-    for mod in _modules():
+    for mod in modules():
         rel = mod.relative_to(PACKAGE).as_posix()
-        for qualname, bare in _definitions(ast.parse(mod.read_text(), filename=str(mod))):
-            if not referrers[bare]:
+        for qualname, bare in _definitions(tree(mod)):
+            if not referrers.get(bare):
                 orphans.append(f"{rel}:{qualname}")
     return orphans
 

@@ -29,9 +29,9 @@ it stays; an exemption that a program has since come to read fails.
 
 import ast
 import re
-from pathlib import Path
 from typing import Optional
 
+from program_index import PACKAGE, docstrings, nodes, programs
 from repro.cluster import ClusterConfig, ClusterEngine, FailoverConfig, ReplicaFailure
 from repro.faults import FaultPlan, ResilienceConfig, chaos_plan
 from repro.gpu import H100_80G
@@ -50,8 +50,6 @@ from repro.serving import (
     sharegpt_workload,
 )
 
-ROOT = Path(__file__).parents[1]
-PACKAGE = ROOT / "src" / "repro"
 MODEL = LLAMA_3_1_8B
 
 #: Families kept without a program reader, each with the reason it stays.
@@ -138,19 +136,6 @@ def reported_families() -> set:
     return {family(k) for k in keys}
 
 
-def _docstrings(tree: ast.Module) -> set:
-    nodes = [tree] + [
-        n for n in ast.walk(tree)
-        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-    ]
-    return {
-        id(n.body[0].value) for n in nodes
-        if n.body and isinstance(n.body[0], ast.Expr)
-        and isinstance(n.body[0].value, ast.Constant)
-        and isinstance(n.body[0].value.value, str)
-    }
-
-
 def _stem(node: ast.JoinedStr) -> str:
     return "".join(
         v.value if isinstance(v, ast.Constant) else "<i>" for v in node.values
@@ -163,12 +148,11 @@ def _const(node) -> Optional[str]:
     return None
 
 
-def _program_names(path: Path) -> set:
+def _program_names(path) -> set:
     """Families a program names: string constants and f-string stems."""
-    tree = ast.parse(path.read_text(), filename=str(path))
-    docs = _docstrings(tree)
+    docs = docstrings(path)
     names = set()
-    for node in ast.walk(tree):
+    for node in nodes(path):
         if isinstance(node, ast.JoinedStr):
             names.add(family(_stem(node)))
         elif _const(node) is not None and id(node) not in docs:
@@ -176,11 +160,10 @@ def _program_names(path: Path) -> set:
     return names
 
 
-def _library_reads(path: Path) -> set:
+def _library_reads(path) -> set:
     """Families a library module reads and does not emit itself."""
-    tree = ast.parse(path.read_text(), filename=str(path))
     reads, emits = set(), set()
-    for node in ast.walk(tree):
+    for node in nodes(path):
         if isinstance(node, ast.Subscript) and _const(node.slice) is not None:
             (emits if isinstance(node.ctx, ast.Store) else reads).add(family(node.slice.value))
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
@@ -194,10 +177,8 @@ def _library_reads(path: Path) -> set:
 
 
 def read_families() -> set:
-    programs = [PACKAGE / "__main__.py"]
-    programs += (ROOT / "examples").rglob("*.py")
-    programs += (ROOT / "benchmarks").rglob("*.py")
-    read = set().union(*(_program_names(p) for p in programs))
+    readers = [p for p in programs() if PACKAGE not in p.parents or p.name == "__main__.py"]
+    read = set().union(*(_program_names(p) for p in readers))
     for mod in PACKAGE.rglob("*.py"):
         if mod.name != "__main__.py":
             read |= _library_reads(mod)

@@ -5,18 +5,19 @@ structure-of-arrays, plus the flattening the wrapper used to do.  Every table
 the workspace receives, the scalar plan fields, ``load_balance`` and the
 object views must be identical — not close: the plan decides the simulated
 clock bit-for-bit.  Hypothesis runs derandomized, so tier-1 sees a fixed
-sample.
+sample of 30 examples per test, and ``-m sweep`` one of 120.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import reference_scheduler as ref
+from conftest import sweep
 from repro.core import SchedulePlan, plan_schedule, plan_unbalanced
 
-FIXED = settings(max_examples=120)
+FIXED = sweep(30, 120)
 
 TABLES = ("work_items", "cta_indptr", "merge_meta", "merge_indptr", "merge_slots")
 

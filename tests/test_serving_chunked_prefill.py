@@ -1,27 +1,13 @@
 """Tests for Sarathi-serve-style chunked prefill in the engine."""
 
-
-from repro.core import HeadConfig
-from repro.gpu import H100_80G
-from repro.serving import (
-    EngineConfig,
-    FlashInferBackend,
-    LLAMA_3_1_8B,
-    Request,
-    ServingEngine,
-)
-
-MODEL = LLAMA_3_1_8B
-HEADS = HeadConfig(MODEL.num_qo_heads, MODEL.num_kv_heads, MODEL.head_dim)
+from repro.serving import EngineConfig, Request, ServingEngine
 
 
 def engine(chunked, chunk_size=512, composable=False):
-    be = FlashInferBackend(HEADS, H100_80G)
-    cfg = EngineConfig(
+    return ServingEngine.from_config(EngineConfig(
         num_pool_pages=1 << 14, chunked_prefill=chunked,
         prefill_chunk_size=chunk_size, composable=composable,
-    )
-    return ServingEngine(MODEL, be, H100_80G, cfg)
+    ))
 
 
 class TestCorrectness:

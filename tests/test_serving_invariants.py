@@ -2,21 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.core import HeadConfig
-from repro.gpu import H100_80G
-from repro.serving import (
-    EngineConfig,
-    FlashInferBackend,
-    LLAMA_3_1_8B,
-    Request,
-    ServingEngine,
-)
-
-MODEL = LLAMA_3_1_8B
-HEADS = HeadConfig(MODEL.num_qo_heads, MODEL.num_kv_heads, MODEL.head_dim)
+from conftest import sweep
+from repro.serving import EngineConfig, Request, ServingEngine
 
 request_strategy = st.lists(
     st.tuples(
@@ -37,13 +27,13 @@ def build(reqs_spec):
 def run_engine(reqs, **cfg):
     base = dict(num_pool_pages=1 << 13, max_running=64)
     base.update(cfg)
-    be = FlashInferBackend(HEADS, H100_80G)
-    return ServingEngine(MODEL, be, H100_80G, EngineConfig(**base)).run(reqs)
+    return ServingEngine.from_config(EngineConfig(**base)).run(reqs)
 
 
 class TestEngineInvariants:
     @given(request_strategy, st.booleans(), st.booleans())
-    @settings(max_examples=25)
+    @example([(0.0, 600, 12, 3)] * 8, False, False)  # more work items than CTAs
+    @sweep(6, 25)
     def test_completion_and_token_conservation(self, spec, chunked, composable):
         reqs = build(spec)
         m = run_engine(reqs, chunked_prefill=chunked, composable=composable)
@@ -52,7 +42,7 @@ class TestEngineInvariants:
         assert m.total_output_tokens == sum(r.n * r.output_len for r in reqs)
 
     @given(request_strategy, st.booleans())
-    @settings(max_examples=25)
+    @sweep(6, 25)
     def test_temporal_causality(self, spec, chunked):
         reqs = build(spec)
         m = run_engine(reqs, chunked_prefill=chunked)
@@ -62,19 +52,13 @@ class TestEngineInvariants:
             assert tr.ttft >= 0
 
     @given(request_strategy)
-    @settings(max_examples=15)
-    def test_chunked_matches_unchunked_token_counts(self, spec):
+    @sweep(4, 15)
+    def test_deterministic_replay_and_chunked_token_counts(self, spec):
         reqs = build(spec)
-        a = run_engine(reqs, chunked_prefill=False)
-        b = run_engine(reqs, chunked_prefill=True, prefill_chunk_size=128)
-        assert a.total_output_tokens == b.total_output_tokens
-
-    @given(request_strategy)
-    @settings(max_examples=15)
-    def test_deterministic_replay(self, spec):
-        reqs = build(spec)
-        a = run_engine(reqs).summary()
-        b = run_engine(reqs).summary()
+        plain = run_engine(reqs)
+        chunked = run_engine(reqs, chunked_prefill=True, prefill_chunk_size=128)
+        assert plain.total_output_tokens == chunked.total_output_tokens
+        a, b = plain.summary(), run_engine(reqs).summary()
         for key in a:
             if np.isnan(a[key]):
                 assert np.isnan(b[key])

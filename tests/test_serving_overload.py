@@ -359,6 +359,12 @@ class TestClusterOverloadScenario:
         _, cm, _, _ = scenario
         assert cm.summary()["hedged_prefills"] > 0
 
+    def test_the_unprotected_run_reports_no_overload_keys(self, scenario):
+        s = scenario[2].summary()
+        assert not [k for k in s if k.startswith(("overload_", "breaker_",
+                                                  "brownout_", "hedge"))]
+        assert "slo_attainment" not in s
+
 
 class TestClampedStreamDivergence:
     """``ClusterMetrics.token_divergence`` holds a brownout-clamped stream
@@ -387,24 +393,16 @@ class TestClampedStreamDivergence:
         assert self.divergence([5, 6], "") == (1, 1)
 
 
-class TestOverloadDisabled:
-    def test_summary_has_no_overload_keys_and_run_matches(self):
-        requests = sharegpt_workload(8, rate=120.0, seed=6)
-        cfg = ClusterConfig(dp=2, engine=EngineConfig(max_running=64))
-        cm = ClusterEngine(MODEL, H100_80G, cfg).run(requests)
-        s = cm.summary()
-        assert not [k for k in s if k.startswith(("overload_", "breaker_",
-                                                  "brownout_", "hedge"))]
-        assert "slo_attainment" not in s
-        # And the overloaded config on the same trace admits everything
-        # it can token-exactly (rid-keyed tokens are arrival-independent).
-        ov_cfg = ClusterConfig(
-            dp=2, engine=EngineConfig(max_running=64),
-            overload=OverloadConfig(admit_rate=1000.0, burst_capacity=64.0),
-        )
-        ov = ClusterEngine(MODEL, H100_80G, ov_cfg).run(requests)
-        divergent, compared = ov.token_divergence(expected_tokens(requests))
-        assert divergent == 0 and compared > 0
+def test_an_open_door_admits_every_stream_token_exactly():
+    # Rid-keyed tokens are arrival-independent.
+    requests = sharegpt_workload(8, rate=120.0, seed=6)
+    cfg = ClusterConfig(
+        dp=2, engine=EngineConfig(max_running=64),
+        overload=OverloadConfig(admit_rate=1000.0, burst_capacity=64.0),
+    )
+    cm = ClusterEngine(MODEL, H100_80G, cfg).run(requests)
+    divergent, compared = cm.token_divergence(expected_tokens(requests))
+    assert divergent == 0 and compared > 0
 
 
 @pytest.mark.parametrize("field, value, message", [

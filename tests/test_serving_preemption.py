@@ -2,39 +2,35 @@
 
 import pytest
 
-from repro.core import HeadConfig
-from repro.gpu import H100_80G
 from repro.kvcache import OutOfPagesError
-from repro.serving import (
-    EngineConfig,
-    FlashInferBackend,
-    LLAMA_3_1_8B,
-    Request,
-    ServingEngine,
-    ServingMetrics,
-)
-
-MODEL = LLAMA_3_1_8B
-HEADS = HeadConfig(MODEL.num_qo_heads, MODEL.num_kv_heads, MODEL.head_dim)
+from repro.serving import EngineConfig, Request, ServingEngine, ServingMetrics
 
 
 def engine(num_pool_pages, chunked=False, max_running=64):
-    cfg = EngineConfig(
+    return ServingEngine.from_config(EngineConfig(
         num_pool_pages=num_pool_pages, max_running=max_running,
         chunked_prefill=chunked, prefill_chunk_size=512,
-    )
-    return ServingEngine(MODEL, FlashInferBackend(HEADS, H100_80G), H100_80G, cfg)
+    ))
 
 
 class TestPreemption:
-    def test_tight_pool_completes_with_preemptions(self):
+    @pytest.fixture(scope="class")
+    def tight_pool_run(self):
         # 8 requests of ~40 pages each decoding to ~53 pages; a 256-page
         # pool cannot hold all eight at once.
-        reqs = [Request(i * 0.001, 640, 200) for i in range(8)]
-        m = engine(num_pool_pages=256).run(reqs)
+        return engine(num_pool_pages=256).run([Request(i * 0.001, 640, 200) for i in range(8)])
+
+    def test_tight_pool_completes_with_preemptions(self, tight_pool_run):
+        m = tight_pool_run
         assert len(m.traces) == 8
         assert m.total_output_tokens == 8 * 200
         assert m.preemptions > 0
+
+    def test_preemptions_are_counted_and_merged(self, tight_pool_run):
+        # The cluster summary's cluster_preemptions is the merged count.
+        m = tight_pool_run
+        assert m.preemptions > 0
+        assert ServingMetrics.merge([m, m]).preemptions == 2 * m.preemptions
 
     def test_roomy_pool_never_preempts(self):
         reqs = [Request(i * 0.001, 640, 50) for i in range(4)]
@@ -73,10 +69,3 @@ class TestPreemption:
         m = engine(num_pool_pages=81).run(reqs)
         assert len(m.traces) == 2
         assert m.total_output_tokens == 400
-
-    def test_preemptions_are_counted_and_merged(self):
-        # The cluster summary's cluster_preemptions is the merged count.
-        reqs = [Request(i * 0.001, 640, 120) for i in range(8)]
-        m = engine(num_pool_pages=256).run(reqs)
-        assert m.preemptions > 0
-        assert ServingMetrics.merge([m, m]).preemptions == 2 * m.preemptions

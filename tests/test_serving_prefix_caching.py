@@ -2,26 +2,14 @@
 
 import pytest
 
-from repro.core import HeadConfig
-from repro.gpu import H100_80G
-from repro.serving import (
-    EngineConfig,
-    FlashInferBackend,
-    LLAMA_3_1_8B,
-    Request,
-    ServingEngine,
-)
-
-MODEL = LLAMA_3_1_8B
-HEADS = HeadConfig(MODEL.num_qo_heads, MODEL.num_kv_heads, MODEL.head_dim)
+from repro.serving import EngineConfig, Request, ServingEngine
 
 
 def engine(prefix_caching, chunked=False):
-    cfg = EngineConfig(
+    return ServingEngine.from_config(EngineConfig(
         num_pool_pages=1 << 14, prefix_cache=prefix_caching,
         chunked_prefill=chunked, prefill_chunk_size=2048,
-    )
-    return ServingEngine(MODEL, FlashInferBackend(HEADS, H100_80G), H100_80G, cfg)
+    ))
 
 
 class TestRequestValidation:
@@ -42,17 +30,21 @@ def shared_prefix_requests(n=6, prefix=4096, suffix=64, gap=0.4):
 
 
 class TestPrefixReuse:
-    def test_all_complete_with_caching(self):
-        m = engine(True).run(shared_prefix_requests())
-        assert len(m.traces) == 6
-        assert m.total_output_tokens == 24
+    @pytest.fixture(scope="class")
+    def runs(self):
+        """The shared-prefix trace with and without the prefix cache."""
+        reqs = shared_prefix_requests()
+        return engine(True).run(reqs), engine(False).run(reqs)
 
-    def test_later_requests_prefill_faster(self):
+    def test_all_complete_with_caching(self, runs):
+        cached, _ = runs
+        assert len(cached.traces) == 6
+        assert cached.total_output_tokens == 24
+
+    def test_later_requests_prefill_faster(self, runs):
         """After the first request caches the prefix, followers prefill only
         their suffix: much lower TTFT."""
-        reqs = shared_prefix_requests()
-        cached = engine(True).run(reqs)
-        plain = engine(False).run(reqs)
+        cached, plain = runs
         # First request pays full prefill either way.
         assert cached.traces[0].ttft == pytest.approx(plain.traces[0].ttft, rel=0.05)
         # Followers are dominated by the 64-token suffix, not the 4k prefix.

@@ -12,6 +12,8 @@ import sys
 import types
 from pathlib import Path
 
+import pytest
+
 from conftest import cached_pages
 from repro.core import HeadConfig
 from repro.faults import ResilienceConfig
@@ -361,43 +363,29 @@ class TestCacheAwareRouting:
         # must not scatter across every replica on every request.
         assert all(len(chosen) <= 2 for chosen in by_group.values())
 
-    def test_cluster_prefix_cache_token_exact(self):
+    @pytest.fixture(scope="class")
+    def routed_runs(self):
+        """Four prefix groups on four replicas, under each router."""
         from repro.cluster import ClusterConfig, ClusterEngine
 
-        reqs = shared_prefix_workload(16, rate=40.0, num_groups=2,
-                                      prefix_len=2048)
-        warm = ClusterEngine.from_config(
-            ClusterConfig(dp=2, router="cache-aware",
-                          engine=EngineConfig(prefix_cache=True,
-                                              composable=True,
-                                              chunked_prefill=True)),
+        reqs = shared_prefix_workload(24, rate=40.0, num_groups=4, prefix_len=2048)
+        return reqs, {router: ClusterEngine.from_config(
+            ClusterConfig(dp=4, router=router, engine=EngineConfig(prefix_cache=True)),
             model=MODEL, gpu=H100_80G,
-        )
-        cm = warm.run(reqs)
-        divergent, compared = cm.token_divergence(expected_tokens(reqs))
-        assert divergent == 0
-        assert compared == 16
-        s = cm.summary()
-        assert s["cluster_radix_hit_tokens"] > 0
+        ).run(reqs) for router in ("cache-aware", "round-robin")}
 
-    def test_cache_aware_beats_round_robin_on_hits(self):
+    def test_cluster_prefix_cache_token_exact(self, routed_runs):
+        reqs, runs = routed_runs
+        for cm in runs.values():
+            assert cm.token_divergence(expected_tokens(reqs)) == (0, 24)
+            assert cm.summary()["cluster_radix_hit_tokens"] > 0
+
+    def test_cache_aware_beats_round_robin_on_hits(self, routed_runs):
         """Cache-aware routing keeps each group on one replica, so the
         cluster serves more tokens from cache than group-oblivious
         round-robin scatter."""
-        from repro.cluster import ClusterConfig, ClusterEngine
-
-        reqs = shared_prefix_workload(24, rate=40.0, num_groups=4,
-                                      prefix_len=2048)
-
-        def hits(router):
-            cm = ClusterEngine.from_config(
-                ClusterConfig(dp=4, router=router,
-                              engine=EngineConfig(prefix_cache=True)),
-                model=MODEL, gpu=H100_80G,
-            ).run(reqs)
-            return sum(m.radix_hit_tokens for m in cm.replicas)
-
-        assert hits("cache-aware") > hits("round-robin")
+        hits = {k: sum(m.radix_hit_tokens for m in cm.replicas) for k, cm in routed_runs[1].items()}
+        assert hits["cache-aware"] > hits["round-robin"]
 
 
 class TestStepEvents:

@@ -7,25 +7,12 @@ degradation are deterministic functions of the seed.
 
 import pytest
 
-from repro.core import HeadConfig
 from repro.faults import FaultPlan, ResilienceConfig
-from repro.gpu import H100_80G
-from repro.serving import (
-    EngineConfig,
-    FlashInferBackend,
-    LLAMA_3_1_8B,
-    Request,
-    ServingEngine,
-    expected_tokens,
-)
-
-MODEL = LLAMA_3_1_8B
-HEADS = HeadConfig(MODEL.num_qo_heads, MODEL.num_kv_heads, MODEL.head_dim)
+from repro.serving import EngineConfig, Request, ServingEngine, expected_tokens
 
 
 def engine(cfg=None, fault_plan=None, resilience=None, tracer=None):
-    return ServingEngine(
-        MODEL, FlashInferBackend(HEADS, H100_80G), H100_80G,
+    return ServingEngine.from_config(
         cfg or EngineConfig(max_running=64),
         tracer=tracer, fault_plan=fault_plan, resilience=resilience,
     )

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import sweep
 from repro.sparse import BSRMatrix, mapping_from_bsr
 
 
@@ -25,7 +26,7 @@ class TestCSRBlocks:
     """``(1, 1)`` blocks: every row a block row, every column a block."""
 
     @given(st.lists(st.integers(0, 7), min_size=1, max_size=10), st.integers(0, 2**32 - 1))
-    @settings(max_examples=50)
+    @sweep(12, 50)
     def test_row_lengths_round_trip(self, lengths, seed):
         """Rows of any length (empty ones included) lower from a dense mask,
         and ``indptr`` is the prefix sum of the row lengths."""
@@ -162,7 +163,7 @@ class TestBSRDenseRoundTrip:
         st.integers(1, 4),  # block cols
         st.integers(0, 2**12 - 1),
     )
-    @settings(max_examples=150)
+    @sweep(38, 150)
     def test_random_block_structure_round_trip(self, br, bc, nbr, nbc, pattern):
         rows, cols = nbr * br, nbc * bc
         mask = np.zeros((rows, cols), dtype=bool)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_shared_prefix_mapping
+from conftest import make_shared_prefix_mapping, sweep
 from repro.sparse import (
     ComposableFormat,
     PrefixCluster,
@@ -269,7 +269,7 @@ class TestMultiLevel:
 class TestDecomposeProperties:
     """Property-based checks over random cluster structures."""
 
-    from hypothesis import given, settings
+    from hypothesis import given
     from hypothesis import strategies as st
 
     @given(
@@ -279,7 +279,7 @@ class TestDecomposeProperties:
         st.integers(1, 4),   # prefix pages
         st.integers(1, 5),   # suffix pages
     )
-    @settings(max_examples=30)
+    @sweep(8, 30)
     def test_partition_and_numerics(self, seed, n_clusters, csize, ppages, spages):
         from conftest import make_shared_prefix_mapping
         from repro import BatchAttentionWrapper, ComposableAttentionWrapper, WorkspaceBuffer

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import sweep
 from repro.sparse import AttentionMapping, BlockSparseKV, BSRMatrix, kv_from_page_table
 from repro.sparse.conversions import mapping_from_bsr
 
@@ -94,7 +95,7 @@ def drop_blocks_per_group(kv, blocks):
 class TestDropLeadingBlocks:
     @given(st.lists(st.tuples(st.integers(0, 70), st.integers(0, 8)), min_size=1, max_size=12),
            st.sampled_from([1, 4, 16]), st.data())
-    @settings(max_examples=80)
+    @sweep(20, 80)
     def test_equals_the_per_group_loop(self, groups, block, data):
         lens = [n for n, _ in groups]
         pages = [-(-n // block) for n in lens]

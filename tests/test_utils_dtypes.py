@@ -4,9 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import sweep
 from repro.utils.dtypes import (
     FP8_E4M3_MAX,
     StorageDType,
@@ -60,7 +61,7 @@ class TestQuantizeFP8:
         assert np.all(np.abs(q - x) <= np.abs(x) * 2.0**-4 + 1e-12)
 
     @given(st.floats(-448, 448, allow_nan=False))
-    @settings(max_examples=200)
+    @sweep(50, 200)
     def test_idempotent(self, v):
         q = quantize_fp8(np.array(v))
         assert quantize_fp8(q) == pytest.approx(float(q), rel=0, abs=0)
@@ -69,7 +70,7 @@ class TestQuantizeFP8:
         st.floats(-400, 400, allow_nan=False),
         st.floats(-400, 400, allow_nan=False),
     )
-    @settings(max_examples=200)
+    @sweep(50, 200)
     def test_monotone(self, a, b):
         qa = float(quantize_fp8(np.array(a)))
         qb = float(quantize_fp8(np.array(b)))

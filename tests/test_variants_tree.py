@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import fp16, make_paged_mapping
+from conftest import fp16, make_paged_mapping, sweep
 from repro import BatchAttentionWrapper, WorkspaceBuffer
 from repro.core import HeadConfig, VANILLA, reference_attention
 from repro.variants import make_tree_attention, tree_attention_mask
@@ -44,7 +44,7 @@ class TestTreeMask:
         assert not mask[2, 1] and not mask[3, 0]
 
     @given(st.lists(st.integers(0, 10**6), max_size=12), st.integers(0, 5))
-    @settings(max_examples=50)
+    @sweep(12, 50)
     def test_rows_are_ancestor_paths(self, draws, context_len):
         """Node ``i`` sees exactly the context, itself and its ancestors."""
         parents = [d % (i + 1) - 1 for i, d in enumerate(draws)]  # parent < i

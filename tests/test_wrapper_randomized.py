@@ -1,10 +1,10 @@
 """Randomized end-to-end sweep: wrapper vs dense oracle over many configs."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_paged_mapping
+from conftest import make_paged_mapping, sweep
 from repro import BatchAttentionWrapper, WorkspaceBuffer
 from repro.core import HeadConfig, VANILLA, reference_attention
 from repro.utils.dtypes import StorageDType, round_to_storage
@@ -18,7 +18,7 @@ from repro.utils.dtypes import StorageDType, round_to_storage
     st.booleans(),                             # decode vs prefill
     st.booleans(),                             # fuse head groups
 )
-@settings(max_examples=40)
+@sweep(10, 40)
 def test_wrapper_matches_oracle_on_random_configs(
     seed, kv_lens, group, page_size, decode, fuse
 ):
