@@ -62,23 +62,20 @@ def _cmd_demo(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    from repro.models import GenerationSession, TinyConfig, TinyTransformer
-    from repro.models.sampling import SamplingParams, sample_token
+    from repro.models import TinyConfig, TinyTransformer
+    from repro.models.sampling import SamplingParams
+    from repro.serving import EngineConfig, Request, ServingEngine
+    from repro.serving.engine import PAGE_SIZE
 
-    model = TinyTransformer(TinyConfig(), seed=args.seed)
-    sess = GenerationSession(model)
-    rng = np.random.default_rng(args.seed)
-    prompt = rng.integers(0, model.config.vocab_size, 6).tolist()
-    sid = sess.new_sequence()
-    logits = sess.step([sid], [prompt])
     params = SamplingParams(temperature=args.temperature, top_k=args.top_k)
-    tokens = [sample_token(logits[0], params, rng)]
-    for _ in range(args.tokens - 1):
-        logits = sess.step([sid], [[tokens[-1]]])
-        tokens.append(sample_token(logits[0], params, rng))
-    print(f"prompt : {prompt}")
-    print(f"output : {tokens}")
-    print(f"(temperature={args.temperature}, top_k={args.top_k}, paged attention engine)")
+    model = TinyTransformer(TinyConfig(), seed=args.seed, sampling=params)
+    request = Request(0.0, 6, args.tokens)
+    pages = -(-(request.prompt_len + args.tokens) // PAGE_SIZE)
+    engine = ServingEngine.from_config(EngineConfig(num_pool_pages=pages), model=model)
+    (trace,) = engine.run([request]).traces
+    print(f"prompt : {model.prompt(request, 0).tolist()}")
+    print(f"output : {trace.tokens}")
+    print(f"(temperature={args.temperature}, top_k={args.top_k}, served by the paged engine)")
     return 0
 
 
@@ -612,7 +609,7 @@ def main(argv=None) -> int:
     demo.add_argument("--seed", type=int, default=0)
 
     gen = sub.add_parser("generate", help="generate tokens with the tiny model")
-    gen.add_argument("--tokens", type=int, default=16)
+    gen.add_argument("--tokens", type=_number(int, 1), default=16)
     gen.add_argument("--temperature", type=float, default=0.8)
     gen.add_argument("--top-k", type=int, default=8, dest="top_k")
     gen.add_argument("--seed", type=int, default=0)

@@ -1,9 +1,8 @@
 """Numerically real models served through the attention engine."""
 
-from repro.models.transformer import GenerationSession, TinyConfig, TinyTransformer
+from repro.models.transformer import TinyConfig, TinyTransformer
 
 __all__ = [
-    "GenerationSession",
     "TinyConfig",
     "TinyTransformer",
 ]

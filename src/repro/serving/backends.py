@@ -35,6 +35,7 @@ from repro.gpu.spec import GPUSpec
 from repro.gpu.workspace import WorkspaceBuffer
 from repro.sparse.composable import ComposableFormat
 from repro.sparse.layout import AttentionMapping
+from repro.utils.dtypes import StorageDType
 
 
 @dataclass
@@ -128,8 +129,9 @@ class FlashInferBackend(AttentionBackend):
             uses_cudagraph=True,
         )
         self._workspace = WorkspaceBuffer(WORKSPACE_BYTES)
-        #: One wrapper stack per format count (one CUDAGraph each, §3.4).
-        self._stacks: Dict[int, ComposableAttentionWrapper] = {}
+        #: One wrapper stack per (variant, KV storage, format count): one
+        #: CUDAGraph each (§3.4).
+        self._stacks: Dict[tuple, ComposableAttentionWrapper] = {}
 
     def set_fault_injector(self, injector) -> None:
         self._executor.fault_injector = injector
@@ -137,19 +139,27 @@ class FlashInferBackend(AttentionBackend):
     def set_plan_cache(self, cache) -> None:
         self._executor.plan_cache = cache
 
-    def attention_time(self, formats) -> float:
+    def stack(self, variant, kv_dtype: StorageDType, formats) -> ComposableAttentionWrapper:
+        """The stack of ``(variant, kv_dtype, len(formats))``, planned for
+        ``formats``: one plan a step, run in every layer of the variant."""
         if isinstance(formats, AttentionMapping):
             formats = ComposableFormat.single(formats)
-        cw = self._stacks.get(len(formats))
+        key = (variant, kv_dtype, len(formats))
+        cw = self._stacks.get(key)
         if cw is None:
             # Every format compiles the largest query tile; each work item
             # runs on its own (``core/simulate.item_tiles``), so decode rows
             # and prompt chunks share one launch.
-            cw = self._stacks[len(formats)] = ComposableAttentionWrapper(
-                VANILLA, self.heads, self._workspace, self.gpu, avg_qo_len=float(MAX_TOTAL_QO),
+            cw = self._stacks[key] = ComposableAttentionWrapper(
+                variant, self.heads, self._workspace, self.gpu, avg_qo_len=float(MAX_TOTAL_QO),
                 executor=self._executor, max_batch_size=MAX_BATCH_SIZE, max_total_qo=MAX_TOTAL_QO,
+                kv_dtype=kv_dtype,
             )
         cw.plan(formats)
+        return cw
+
+    def attention_time(self, formats) -> float:
+        cw = self.stack(VANILLA, StorageDType.FP16, formats)
         _, report = cw.run(None, compute=False)
         if self.collect_kernel_reports:
             # Per-format visibility: one record per stacked wrapper, as it ran

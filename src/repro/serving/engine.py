@@ -39,6 +39,11 @@ baseline backend (see :class:`repro.faults.recover.KVScrubber` and the
 executor).  With neither argument set every fault-path guard is a single
 ``is None`` check and the step loop is unchanged.
 
+Numerics: handed a :class:`repro.models.TinyTransformer` instead of a
+:class:`~repro.serving.model.ModelConfig`, the engine emits the model's
+tokens, its stacks run with ``compute=True`` in every layer over a
+materialized KV cache.
+
 Durability (``checkpoint``/``checkpoint_store``): with a
 :class:`~repro.serving.checkpoint.CheckpointConfig` attached the engine
 takes periodic snapshots and write-ahead-journals every admission, token
@@ -65,7 +70,7 @@ from repro.kvcache.radix import RadixTree
 from repro.obs.events import FaultEvent
 from repro.obs.tracer import StepTracer
 from repro.serving.admission import AdmissionController
-from repro.serving.backends import AttentionBackend
+from repro.serving.backends import AttentionBackend, FlashInferBackend
 from repro.serving.batching import BatchFormer, RunState
 from repro.serving.checkpoint import (
     CheckpointConfig,
@@ -145,7 +150,11 @@ class ServingEngine:
         checkpoint_store: Optional[CheckpointStore] = None,
         interconnect=None,
     ):
-        self.model = model
+        #: The model whose weights compute every token (a ``TinyTransformer``,
+        #: its ``config`` pricing the steps), or ``None``: cost-only, where a
+        #: token is :func:`~repro.serving.batching.token_id`'s hash.
+        self.numerics = model if hasattr(model, "weights") else None
+        self.model = model if self.numerics is None else model.config
         self.backend = backend
         self.gpu = gpu
         self.config = config or EngineConfig()
@@ -178,6 +187,12 @@ class ServingEngine:
         if resilience is None and (fault_plan is not None or checkpoint is not None):
             resilience = ResilienceConfig()
         self.resilience = resilience
+        if self.numerics is not None and (
+            self.config.tensor_parallel > 1 or not isinstance(backend, FlashInferBackend)
+            or resilience is not None or interconnect is not None
+        ):
+            raise ValueError("a model that computes tokens runs on one GPU of a FlashInferBackend, "
+                             "with no fault plan, resilience, checkpointing or cluster")
         #: Optional per-step liveness callback ``heartbeat(t)``, installed
         #: by the cluster failover layer; fired after each executed step.
         #: ``None`` (the default) keeps the step loop untouched.
@@ -222,8 +237,9 @@ class ServingEngine:
         self._fault_counters: Dict[str, int] = {}
         self._taint = False
         self._deadlines_active = False
-        self._cache: Optional[PagedKVCache] = None
-        self.heads = plan_tp_sharding(model, self.config.tensor_parallel).shard_heads
+        #: The KV cache of the run in progress (or the last one).
+        self.cache: Optional[PagedKVCache] = None
+        self.heads = plan_tp_sharding(self.model, self.config.tensor_parallel).shard_heads
         if backend.heads != self.heads:
             raise ValueError(
                 f"backend heads {backend.heads} != engine shard heads {self.heads}; "
@@ -251,21 +267,22 @@ class ServingEngine:
     ) -> "ServingEngine":
         """The one construction path shared by the CLI, benchmarks and tests.
 
-        Builds the per-shard head config from ``config.tensor_parallel``
-        and a matching backend (``backend_factory(heads, gpu)``, default
+        ``model`` is a :class:`ModelConfig`, or a ``TinyTransformer`` whose
+        tokens the engine computes.  Builds the per-shard head config from
+        ``config.tensor_parallel`` and a matching backend
+        (``backend_factory(heads, gpu)``, default
         :class:`~repro.serving.backends.FlashInferBackend`).  Remaining
         keyword arguments (``tracer``, ``fault_plan``, ``checkpoint``,
         ``interconnect``, ...) pass through to the constructor.
         """
         from repro.gpu.spec import H100_80G
-        from repro.serving.backends import FlashInferBackend
         from repro.serving.model import LLAMA_3_1_8B
 
         cfg = config if config is not None else EngineConfig()
         model = model if model is not None else LLAMA_3_1_8B
         gpu = gpu if gpu is not None else H100_80G
         factory = backend_factory if backend_factory is not None else FlashInferBackend
-        heads = plan_tp_sharding(model, cfg.tensor_parallel).shard_heads
+        heads = plan_tp_sharding(getattr(model, "config", model), cfg.tensor_parallel).shard_heads
         return cls(model, factory(heads, gpu), gpu, cfg, **kwargs)
 
     # -- shared hooks (used by every pipeline layer) ----------------------------
@@ -434,7 +451,7 @@ class ServingEngine:
         self._crash_armed = self._crash_script is not None or (
             plan is not None and plan.armed("crash")
         )
-        self._cache = state.cache
+        self.cache = state.cache
         admission = AdmissionController(self, state)
         if snap is not None:
             admission.prefill_retries = {
@@ -469,9 +486,11 @@ class ServingEngine:
         """
         cfg = self.config
         requests = sorted(requests, key=lambda r: r.arrival)
+        # With numerics one pool carries every layer's KV on its head axis.
+        layers = 1 if self.numerics is None else self.model.num_layers
         cache = PagedKVCache(
-            cfg.num_pool_pages, PAGE_SIZE, self.heads.num_kv_heads,
-            self.heads.head_dim, materialize=False,
+            cfg.num_pool_pages, PAGE_SIZE, layers * self.heads.num_kv_heads,
+            self.heads.head_dim, materialize=self.numerics is not None,
             checksums=self.resilience is not None and self.resilience.checksums,
         )
         state = RunState(

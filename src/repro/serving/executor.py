@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
+import numpy as np
+
 from repro.faults.recover import DEGRADE_AFTER
 from repro.gpu.executor import KernelFault
 from repro.obs.events import KernelRecord, StepEvent
@@ -37,12 +39,23 @@ MAX_KERNEL_RETRIES = 3
 FAULT_LATENCY = 200e-6
 
 
+def _token_key(requests, idx: int) -> int:
+    """Token key for request ``idx``: its cluster-global ``rid`` when the
+    router assigned one, else the replica-local index (identical for
+    single-engine runs, so token streams are unchanged)."""
+    rid = requests[idx].rid
+    return idx if rid is None else rid
+
+
 class StepExecutor:
     """Price a formed step: attention (with retry/degrade) plus the rest."""
 
     def __init__(self, engine, state: RunState):
         self.engine = engine
         self.state = state
+        #: With numerics, the last step's last-row logits of each query
+        #: group, keyed by its stream or, for a prompt, its request index.
+        self.logits: dict = {}
         #: Host-observed extra latency from kernel retries this step.
         self.fault_penalty = 0.0
         #: Backend that actually priced the last step (for kernel reports).
@@ -54,7 +67,7 @@ class StepExecutor:
 
         Returns ``(t_start, t_end, attn_per_layer)``.
         """
-        attn = self._attention(plan, t)
+        attn = self._attention(plan, t) if self.engine.numerics is None else self._compute(plan)
         t_end = t + self._step_time(attn, plan.num_tokens, t)
         ic = self.engine.interconnect
         if ic is not None:
@@ -125,6 +138,63 @@ class StepExecutor:
             "lm_head": lm_head,
             "overhead": overhead + SCHEDULER_OVERHEAD + self.fault_penalty,
         }
+
+    # -- numerics ---------------------------------------------------------------
+
+    def _compute(self, plan: StepPlan) -> float:
+        """Run ``plan``'s rows through the model, keeping each query group's
+        last-row logits in :attr:`logits`; returns the attention time per
+        layer.  Each layer variant's stack is planned once for the step's
+        formats and run in every layer of that variant, over the cache
+        whose head axis holds every layer's KV."""
+        eng, st = self.engine, self.state
+        model, cache, mapping = eng.numerics, st.cache, plan.mapping
+        if plan.kind == "prefill":
+            sources = [idx for idx, _ in plan.prefilled]
+        elif plan.kind == "resume":
+            sources = plan.resumed
+        else:
+            sources = st.streams + [pp.req_idx for pp, _ in plan.chunks]
+        starts = mapping.qo_indptr
+        groups = np.repeat(np.arange(mapping.num_groups), mapping.qo_lens)
+        pos = mapping.q_pos_offset[groups] + np.arange(mapping.total_qo) - starts[groups]
+        # A row reads its position of its history: the prompt, then what its
+        # stream generated (a decode row its last token, a resumed stream's
+        # recompute everything before it).
+        tokens = np.concatenate([
+            self._history(src)[pos[starts[g]:starts[g + 1]]] for g, src in enumerate(sources)
+        ])
+        kv, page = mapping.kv, cache.page_size
+        slots = kv.indices[kv.indptr[groups] + pos // page] * page + pos % page
+        heads = eng.heads.num_kv_heads
+        # A prefix format's rows do not carry their streams' positions, so a
+        # variant that masks by position runs the dense mapping.
+        stacks = {
+            v: eng.backend.stack(v, model.kv_dtype, mapping if v.logits_mask else plan.formats)
+            for v in dict.fromkeys(model.layer_variants)
+        }
+        makespans = []
+
+        def attend(layer, q, k, v):
+            layer_heads = slice(layer * heads, (layer + 1) * heads)
+            k_pool, v_pool = cache.k_pool[:, layer_heads], cache.v_pool[:, layer_heads]
+            k_pool[slots], v_pool[slots] = k, v
+            out, report = stacks[model.layer_variants[layer]].run(q, k_pool, v_pool)
+            makespans.append(report.makespan)
+            return out
+
+        h = model.forward(tokens, pos, attend)
+        self.logits = dict(zip(sources, model.logits(h[starts[1:] - 1])))
+        return sum(makespans) / len(makespans)
+
+    def _history(self, source) -> np.ndarray:
+        """A prompt's tokens (``source`` a request index), or a stream's
+        prompt followed by the tokens it generated."""
+        stream = source if isinstance(source, Stream) else None
+        idx = source if stream is None else stream.req_idx
+        requests = self.state.requests
+        prompt = self.engine.numerics.prompt(requests[idx], _token_key(requests, idx))
+        return prompt if stream is None else np.append(prompt, stream.trace.tokens)
 
     # -- attention with retry / degradation ------------------------------------
 
@@ -260,7 +330,7 @@ class Postprocessor:
         """One decoded token per live stream; finish exhausted streams."""
         eng, st = self.engine, self.state
         finished: List[Stream] = []
-        record = eng._degrade is not None
+        record = eng._degrade is not None or eng.numerics is not None
         for s in st.streams:
             if skip_spawned and s.trace.first_token_time == t:
                 continue  # spawned this step; first decode token comes next
@@ -273,17 +343,20 @@ class Postprocessor:
         for s in finished:
             self._finish(s, t)
 
-    def _rid(self, idx: int) -> int:
-        """Token key for request ``idx``: its cluster-global ``rid`` when
-        the router assigned one, else the replica-local index (identical
-        for single-engine runs, so token streams are unchanged)."""
-        rid = self.state.requests[idx].rid
-        return idx if rid is None else rid
+    def _token(self, source, idx: int, gen: int, pos: int) -> int:
+        """Generation ``gen`` of request ``idx``'s token at ``pos``: the
+        model's from ``source``'s logits (:attr:`StepExecutor.logits`), or
+        the cost-only hash."""
+        key = _token_key(self.state.requests, idx)
+        model = self.engine.numerics
+        if model is None:
+            return token_id(key, gen, pos)
+        return model.next_token(self.executor.logits[source], key, gen, pos)
 
     def _record_token(self, s: Stream, t: float) -> None:
         eng = self.engine
         pos = len(s.trace.tokens)
-        tok = token_id(self._rid(s.req_idx), s.gen_index, pos)
+        tok = self._token(s, s.req_idx, s.gen_index, pos)
         if eng._taint and s.seq_id >= 0 and self.state.cache.seq_is_corrupt(s.seq_id):
             tok += TOKEN_VOCAB  # decoded from corrupted KV, undetected
         s.trace.tokens.append(tok)
@@ -308,7 +381,8 @@ class Postprocessor:
                 trace.outcome_reason = "brownout-clamp"
         if eng._degrade is not None:
             stream.deadline = eng._deadline_for(req)
-            tok0 = token_id(self._rid(idx), gen, 0)
+        if eng._degrade is not None or eng.numerics is not None:
+            tok0 = self._token(idx, idx, gen, 0)
             trace.tokens = [tok0]
             eng._emit_token(idx, gen, 0, tok0, t)
         if eng.handoff_sink is not None and stream.remaining > 0:

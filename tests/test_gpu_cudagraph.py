@@ -8,9 +8,11 @@ from conftest import make_paged_mapping
 from repro import BatchAttentionWrapper, CudaGraph, WorkspaceBuffer
 from repro.core import HeadConfig, VANILLA
 from repro.gpu.cudagraph import GraphCaptureError
+from repro.models import TinyTransformer
 from repro.serving import (
     EngineConfig, ServingEngine, shared_prefix_workload, sharegpt_workload,
 )
+from test_models_transformer import GEMMA_STYLE, WORKLOAD
 
 
 class TestBasics:
@@ -127,13 +129,17 @@ class TestAServingRunKeepsOneSignaturePerWrapper:
     one — so each wrapper that launches keeps one launch signature for the
     run (``max_batch_size``-sized sections, one grid)."""
 
-    @pytest.mark.parametrize("features, workload, wrappers", [
-        (dict(chunked_prefill=True, composable=True, prefix_cache=True),
+    @pytest.mark.parametrize("features, model, workload, wrappers", [
+        (dict(chunked_prefill=True, composable=True, prefix_cache=True), None,
          lambda: shared_prefix_workload(24, 40.0), 3),
-        (dict(chunked_prefill=True), lambda: sharegpt_workload(24, 60.0), 1),
-        ({}, lambda: sharegpt_workload(24, 60.0), 1),
-    ], ids=["chunked-composable-prefix-cache", "chunked", "plain"])
-    def test_one_signature_per_wrapper(self, monkeypatch, features, workload, wrappers):
+        (dict(chunked_prefill=True), None, lambda: sharegpt_workload(24, 60.0), 1),
+        ({}, None, lambda: sharegpt_workload(24, 60.0), 1),
+        # Numerics on: vanilla 1- and 2-format stacks, the windowed layers' dense one.
+        (dict(chunked_prefill=True, prefill_chunk_size=16, composable=True, prefix_cache=True,
+              num_pool_pages=64), lambda: TinyTransformer(GEMMA_STYLE, seed=3),
+         lambda: WORKLOAD, 4),
+    ], ids=["chunked-composable-prefix-cache", "chunked", "plain", "numerics-gemma-style"])
+    def test_one_signature_per_wrapper(self, monkeypatch, features, model, workload, wrappers):
         signatures = defaultdict(set)
         add_launch = CudaGraph.add_launch.__func__
 
@@ -142,7 +148,7 @@ class TestAServingRunKeepsOneSignaturePerWrapper:
             return add_launch(cls, fn, signature, name)
 
         monkeypatch.setattr(CudaGraph, "add_launch", classmethod(recording))
-        ServingEngine.from_config(EngineConfig(**features)).run(workload())
+        ServingEngine.from_config(EngineConfig(**features), model=model and model()).run(workload())
         assert len(signatures) == wrappers
         assert all(len(s) == 1 for s in signatures.values()), {
             w.name: s for w, s in signatures.items() if len(s) > 1

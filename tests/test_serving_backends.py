@@ -10,6 +10,10 @@ from repro.serving import FlashInferBackend, TritonBackend, TRTLLMBackend
 HEADS = HeadConfig(32, 8, 128)
 
 
+def stacks(be):  # the cost-only (vanilla, fp16) stacks by format count
+    return {n: cw for (_, _, n), cw in be._stacks.items()}
+
+
 class TestFlashInferBackend:
     def test_attention_time_monotone_in_kv(self):
         be = FlashInferBackend(HEADS, H100_80G)
@@ -24,9 +28,9 @@ class TestFlashInferBackend:
         d, _ = make_paged_mapping([256] * 4, [1] * 4, 16)
         p, _ = make_paged_mapping([256] * 4, [256] * 4, 16)
         be.attention_time(d)
-        (w,) = be._stacks[1].wrappers
+        (w,) = stacks(be)[1].wrappers
         be.attention_time(p)
-        assert list(be._stacks) == [1] and be._stacks[1].wrappers == [w]
+        assert list(stacks(be)) == [1] and stacks(be)[1].wrappers == [w]
         assert w.q_tile == 128 and w._tile_set == (64, 128)
 
     def test_composable_wrapper_cached_per_format_count(self):
@@ -35,10 +39,10 @@ class TestFlashInferBackend:
         be = FlashInferBackend(HEADS, H100_80G)
         m1, _ = make_paged_mapping([256] * 4, [1] * 4, 16)
         be.attention_time(ComposableFormat.single(m1))
-        cw = be._stacks[1]
+        cw = stacks(be)[1]
         m2, _ = make_paged_mapping([512] * 4, [1] * 4, 16)
         be.attention_time(m2)  # a dense step is a one-format stack
-        assert be._stacks[1] is cw
+        assert stacks(be)[1] is cw
 
     def test_each_format_count_gets_its_own_stack(self):
         """Listing 1's ``select_graph``: one wrapper stack (one CUDAGraph) per
@@ -51,9 +55,9 @@ class TestFlashInferBackend:
         one = ComposableFormat.single(mapping)
         for formats in (two, one, two):
             be.attention_time(formats)
-        stacks = be._stacks
-        assert sorted(stacks) == [1, 2]
-        assert [len(stacks[k].wrappers) for k in sorted(stacks)] == [1, 2]
+        by_count = stacks(be)
+        assert sorted(by_count) == [1, 2]
+        assert [len(by_count[k].wrappers) for k in sorted(by_count)] == [1, 2]
 
     def test_a_stack_prices_the_same_whatever_was_planned_before(self):
         """A stack's tiles do not depend on the first plan under its format
@@ -87,7 +91,7 @@ class TestFlashInferBackend:
         mapping, _, clusters = make_shared_prefix_mapping(2, 6, 1008, 40)
         makespan = be.attention_time(decompose_shared_prefix(mapping, clusters))
         records = be.pop_kernel_reports()
-        cw = be._stacks[2]
+        cw = stacks(be)[2]
         assert [name for name, _ in records] == [w.name for w in cw.wrappers]
         reports = [report for _, report in records]
         assert sum(r.makespan for r in reports) == makespan

@@ -136,8 +136,8 @@ class TestAccounting:
         e = engine(cfg, fault_plan=stressful_plan(7),
                    resilience=ResilienceConfig())
         e.run(small_workload())
-        assert e._cache.num_free_pages == cfg.num_pool_pages
-        assert e._cache.find_corrupted() == []
+        assert e.cache.num_free_pages == cfg.num_pool_pages
+        assert e.cache.find_corrupted() == []
 
     def test_every_injected_fault_has_a_matching_event(self):
         from repro.obs import StepTracer
