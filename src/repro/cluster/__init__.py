@@ -11,17 +11,16 @@ Layered exactly like a real serving stack:
   copy plus the topology-priced cost, charged per traffic kind.
 * :mod:`repro.cluster.router` — pluggable data-parallel routing
   policies (round-robin, least-loaded, power-of-two, session-affinity,
-  cache-aware), looked up by name like the scheduler policies.
+  cache-aware), looked up by name like the scheduler policies, and the
+  per-replica circuit breakers.
 * :mod:`repro.cluster.tp` — tensor-parallel head sharding and the
   per-layer all-reduce interconnect charged to the topology.
 * :mod:`repro.cluster.engine` — the :class:`ClusterEngine` running
   ``dp`` replicas stage by stage on a shared simulated time axis,
   token-exact against the single-GPU engine.
-* :mod:`repro.cluster.failover` — heartbeat failure detection, the
-  per-replica health state machine, the chunked checksummed KV transfer
-  (live migration over priced links), and token-exact takeover.
-* :mod:`repro.cluster.lifecycle` — the validated-edge state machine the
-  health states and the router's circuit breakers share.
+* :mod:`repro.cluster.failover` — heartbeat-timeout failure timing,
+  each failed replica's timestamped timeline, the chunked checksummed KV
+  transfer (live migration over priced links), and token-exact takeover.
 * :mod:`repro.cluster.disagg` — disaggregated prefill/decode serving:
   role pools, live KV handoff over priced ``kind="handoff"`` links, and
   token-exact decode-side stream resumption.
@@ -82,19 +81,13 @@ _LAZY = {
     "FailoverConfig": "failover",
     "FailoverController": "failover",
     "FailoverReport": "failover",
-    "FailureDetector": "failover",
-    "HEALTH_STATES": "failover",
-    "HealthTransition": "failover",
-    "IllegalTransitionError": "failover",
     "KVMigrator": "failover",
     "MigrationChecksumError": "failover",
     "MigrationError": "failover",
     "MigrationReport": "failover",
     "ReplicaFailure": "failover",
-    "ReplicaHealth": "failover",
     "DisaggCoordinator": "disagg",
     "DisaggReport": "disagg",
-    "HandoffImport": "disagg",
     "HandoffSink": "disagg",
     "KVHandoff": "disagg",
     "parse_roles": "disagg",

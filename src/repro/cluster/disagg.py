@@ -34,6 +34,7 @@ side already holds those pages.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -42,7 +43,6 @@ from repro.cluster.failover import FailoverConfig, KVMigrator
 __all__ = [
     "DisaggCoordinator",
     "DisaggReport",
-    "HandoffImport",
     "HandoffSink",
     "KVHandoff",
     "parse_roles",
@@ -116,7 +116,8 @@ def parse_roles(
 
 @dataclass
 class KVHandoff:
-    """One finished prefill leaving its replica for a decode replica."""
+    """One finished prefill leaving its replica for a decode replica —
+    the record the decode replica absorbs once it is shipped."""
 
     rid: int
     gen: int
@@ -125,6 +126,10 @@ class KVHandoff:
     #: Simulated time the prefill replica emitted the first token (the
     #: handoff leaves the wire no earlier than this).
     t_ready: float
+    #: When the last handoff chunk cleared the wire — the decode replica
+    #: cannot resume the stream before this.  :meth:`DisaggCoordinator.ship`
+    #: sets it; until then it is ``t_ready``.
+    t_available: float
     #: The original request arrival (TTFT stays measured from here).
     arrival: float
     #: First token id, emitted by the prefill replica at ``t_ready``.
@@ -142,25 +147,6 @@ class KVHandoff:
     #: Whole pages of the declared shared prefix at the head of
     #: ``pages`` — the slice a prefix-cache hit lets us skip.
     prefix_pages: int = 0
-
-
-@dataclass
-class HandoffImport:
-    """A shipped handoff, as the decode replica sees it."""
-
-    rid: int
-    gen: int
-    #: Original request arrival (carried through so TTFT/SLO accounting
-    #: never resets at the handoff boundary).
-    arrival: float
-    #: When the prefill replica emitted the first token.
-    first_token_time: float
-    #: When the last handoff chunk cleared the wire — the decode replica
-    #: cannot resume the stream before this.
-    t_available: float
-    tok0: int
-    context_len: int
-    remaining: int
 
 
 class HandoffSink:
@@ -200,7 +186,7 @@ class HandoffSink:
         self.handoffs[(rid, gen)] = KVHandoff(
             rid=rid, gen=gen, source=self.replica,
             target=self.decode_assignments[rid],
-            t_ready=t, arrival=req.arrival, tok0=tok0,
+            t_ready=t, t_available=t, arrival=req.arrival, tok0=tok0,
             context_len=cache.seq_len(seq_id),
             # Carries any brownout clamp the prefill replica applied.
             remaining=stream.remaining,
@@ -234,7 +220,7 @@ class DisaggReport:
 
 
 class DisaggCoordinator:
-    """Ship every recorded handoff and build the decode-side imports.
+    """Ship every recorded handoff to its decode replica.
 
     One instance per cluster run.  :meth:`ship` walks the handoffs in
     deterministic ``(t_ready, rid, gen)`` order and sends each through
@@ -263,13 +249,14 @@ class DisaggCoordinator:
         handoffs: Sequence[KVHandoff],
         report: DisaggReport,
         corrupt_handoffs: Sequence[int] = (),
-    ) -> Dict[int, List[HandoffImport]]:
+    ) -> Dict[int, List[KVHandoff]]:
         """Transfer ``handoffs`` in deterministic order; returns the
-        imports grouped by decode replica.  ``corrupt_handoffs`` is a
-        test hook tampering the named handoff indices in flight."""
+        shipped handoffs, ``t_available`` set, grouped by decode replica.
+        ``corrupt_handoffs`` is a test hook tampering the named handoff
+        indices in flight."""
         corrupt = frozenset(int(i) for i in corrupt_handoffs)
         ordered = sorted(handoffs, key=lambda h: (h.t_ready, h.rid, h.gen))
-        imports: Dict[int, List[HandoffImport]] = {}
+        shipped: Dict[int, List[KVHandoff]] = {}
         for hi, h in enumerate(ordered):
             pages = h.pages
             skipped = 0
@@ -305,12 +292,7 @@ class DisaggCoordinator:
             report.retries += sent.retries
             report.pages_skipped += skipped
             report.seconds += sent.seconds
-            imports.setdefault(h.target, []).append(
-                HandoffImport(
-                    rid=h.rid, gen=h.gen, arrival=h.arrival,
-                    first_token_time=h.t_ready, t_available=sent.t_end,
-                    tok0=h.tok0, context_len=h.context_len,
-                    remaining=h.remaining,
-                )
+            shipped.setdefault(h.target, []).append(
+                dataclasses.replace(h, t_available=sent.t_end)
             )
-        return imports
+        return shipped

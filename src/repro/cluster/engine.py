@@ -697,7 +697,7 @@ class ClusterEngine:
         or drain) ends a life and starts the next with ``resume`` from the
         latest checkpoint.  Configurations differ only in *how* that state
         is recovered: in place, or — with :attr:`ClusterConfig.failover` —
-        after heartbeat-timeout detection and live KV migration to a
+        after the heartbeat timeout and live KV migration to a
         healthy host outside ``exclude`` over priced links, so that the
         next life is the token-exact takeover.
         """
@@ -713,24 +713,27 @@ class ClusterEngine:
         if every > 0:
             ckpt = CheckpointConfig(every_steps=every)
             store = CheckpointStore()
-        heartbeats: List[float] = []
+        last_beat = 0.0
         rejoin = None
+
+        def beat(t):
+            nonlocal last_beat
+            last_beat = t
 
         def make_engine():
             engine = self._make_engine(i, tracer, ckpt, store)
             if controller is not None and script:
-                engine.heartbeat = heartbeats.append
+                engine.heartbeat = beat
             return engine
 
         def fail_over(crash, recovered):
-            # The heartbeat trail feeds the detector (back-dated, so
-            # detection timestamps are polling-independent); the snapshot
+            # The heartbeat timeout runs from the last beat; the snapshot
             # migrates to the least-loaded healthy host.  No healthy
             # target, or migration retries exhausted → the same recovery,
             # in place.
             nonlocal rejoin
             t_dead = controller.observe_failure(
-                i, heartbeats, crash.t,
+                i, last_beat, crash.t,
                 script[(crash.step_index, crash.phase)].mode,
             )
             host = i

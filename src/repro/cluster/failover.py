@@ -1,22 +1,25 @@
-"""Cluster failover: health detection, draining, and live KV migration.
+"""Cluster failover: failure timing, draining, and live KV migration.
 
-The cluster-level robustness layer on top of the PR-4 durability stack.
-Three pieces compose into replica failover:
+The cluster-level robustness layer on top of the checkpoint/journal
+durability stack (:mod:`repro.serving.checkpoint`).  Three pieces
+compose into replica failover:
 
-* **Health detection** — :class:`FailureDetector` runs a heartbeat
-  timeout per replica on the simulated clock.  Replica engines call a
-  per-step heartbeat hook; a replica that misses
-  :data:`SUSPECT_AFTER` consecutive heartbeat intervals is *suspected*
-  (the router stops sending it new work) and after :data:`DEAD_AFTER`
-  intervals it is declared *dead*.  Every replica walks the state
-  machine::
+* **Detection** — each executed engine step emits a heartbeat, and a
+  crashed replica stops emitting them.  Replicas run in causal
+  evaluation order, so the crash is already known when it is timed:
+  :meth:`FailoverController.observe_failure` stamps the heartbeat
+  timeout in closed form — *suspected* :data:`SUSPECT_AFTER` and *dead*
+  :data:`DEAD_AFTER` heartbeat intervals after the replica's last
+  heartbeat — while a planned drain goes *draining* → *dead* at the
+  failure time.  The takeover adds *recovering* → *rejoined*, so every
+  failed replica's timeline is one of::
 
-      healthy ──► suspected ──► dead ──► recovering ──► rejoined
-         │             │          ▲
-         └─► draining ─┴──────────┘        (planned scale-in path)
+      healthy ──► suspected ──► dead ──► recovering ──► rejoined   (crash)
+      healthy ──► draining ───► dead ──► recovering ──► rejoined   (drain)
 
-  with illegal transitions rejected (:class:`IllegalTransitionError`)
-  and every transition timestamped for the trace.
+  each edge a timestamped :class:`~repro.cluster.router.Transition` for
+  the trace.  Routing never reads these states; only the overload
+  layer's circuit breakers mask replicas.
 
 * **Live KV migration** — :class:`KVMigrator` ships a dead (or drained)
   replica's latest checkpoint snapshot to a healthy host over the
@@ -54,7 +57,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cluster.collectives import p2p_send
-from repro.cluster.lifecycle import IllegalTransitionError, Lifecycle, Transition
+from repro.cluster.router import Transition
 from repro.cluster.topology import Topology
 from repro.serving.checkpoint import SnapshotVerificationError
 
@@ -63,30 +66,17 @@ __all__ = [
     "FailoverConfig",
     "FailoverController",
     "FailoverReport",
-    "FailureDetector",
-    "HEALTH_STATES",
-    "HealthTransition",
-    "IllegalTransitionError",
     "KVMigrator",
     "MigrationChecksumError",
     "MigrationError",
     "MigrationReport",
     "ReplicaFailure",
-    "ReplicaHealth",
 ]
 
-#: Health states in lifecycle order.
-HEALTH_STATES: Tuple[str, ...] = (
-    "healthy", "suspected", "dead", "draining", "recovering", "rejoined",
-)
-
-#: One timestamped health-state edge for a replica.
-HealthTransition = Transition
-
-#: Synthetic backlog (seconds of work) the routing pass charges an
-#: unhealthy replica in the :class:`~repro.cluster.router.LoadTracker`,
-#: so load-sensitive policies steer around it even before the hard
-#: health mask applies.
+#: Synthetic backlog (seconds of work) the routing pass charges a replica
+#: whose circuit breaker is open, in the
+#: :class:`~repro.cluster.router.LoadTracker`, so load-sensitive policies
+#: steer around it as well as the breaker mask does.
 DEFAULT_UNHEALTHY_PRESSURE = 60.0
 
 
@@ -110,7 +100,7 @@ class ReplicaFailure:
     """One scripted replica failure for the cluster engine.
 
     ``mode="crash"`` kills the replica's engine at ``step`` (heartbeats
-    stop; the detector times it out).  ``mode="drain"`` stops the
+    stop; it times out).  ``mode="drain"`` stops the
     replica at ``step`` for planned scale-in: no detection delay, the
     replica drains and hands its KV off immediately.
     """
@@ -150,97 +140,13 @@ class FailoverConfig:
             raise ValueError("max_retries must be >= 0")
 
 
-class ReplicaHealth(Lifecycle):
-    """One replica's health state machine with a transition log."""
-
-    #: Anything else raises :class:`IllegalTransitionError` (e.g. dead →
-    #: healthy without passing through recovery).
-    edges = {
-        "healthy": frozenset({"suspected", "draining"}),
-        "suspected": frozenset({"healthy", "dead", "draining"}),
-        "draining": frozenset({"dead"}),
-        "dead": frozenset({"recovering"}),
-        "recovering": frozenset({"rejoined"}),
-        "rejoined": frozenset({"suspected", "draining"}),
-    }
-    initial = "healthy"
-    noun = "health"
-
-    def __init__(self, replica: int):
-        super().__init__(replica)
-        self.last_heartbeat = 0.0
-
-    def heartbeat(self, t: float) -> Optional[HealthTransition]:
-        """Record a heartbeat; a suspected replica flaps back to healthy."""
-        self.last_heartbeat = max(self.last_heartbeat, float(t))
-        if self.state == "suspected":
-            return self.to("healthy", t, "heartbeat resumed")
-        return None
-
-
 #: Nominal gap between replica heartbeats (each executed engine step emits
 #: one; steps are a few ms, so 5 ms spans ~1-2 steps).
 HEARTBEAT_INTERVAL = 0.005
-#: Missed intervals before a replica is *suspected* (routing stops).
+#: Missed intervals before a replica is *suspected*.
 SUSPECT_AFTER = 2
 #: Missed intervals before a replica is declared *dead* (migration starts).
 DEAD_AFTER = 4
-
-
-class FailureDetector:
-    """Heartbeat-timeout failure detection on the simulated clock.
-
-    Deterministic: a replica whose last heartbeat was at ``t_hb`` is
-    suspected at exactly ``t_hb + SUSPECT_AFTER * HEARTBEAT_INTERVAL``
-    and declared dead at ``t_hb + DEAD_AFTER * HEARTBEAT_INTERVAL`` —
-    :meth:`advance` back-dates the transitions to those deadlines no
-    matter when it is called, so detection timestamps do not depend on
-    polling cadence.
-    """
-
-    def __init__(self, num_replicas: int):
-        if num_replicas < 1:
-            raise ValueError("num_replicas must be >= 1")
-        self.replicas = [ReplicaHealth(i) for i in range(num_replicas)]
-
-    def heartbeat(self, replica: int, t: float) -> None:
-        self.replicas[replica].heartbeat(t)
-
-    def advance(
-        self, t: float, replicas: Optional[Sequence[int]] = None
-    ) -> List[HealthTransition]:
-        """Advance the detector clock to ``t``; returns new transitions.
-
-        ``replicas`` restricts the sweep to the monitored subset (the
-        cluster engine monitors only replicas with a failure in flight;
-        an idle replica with no heartbeats yet must not time out).
-        """
-        fired: List[HealthTransition] = []
-        idx = range(len(self.replicas)) if replicas is None else replicas
-        for i in idx:
-            h = self.replicas[i]
-            t_suspect = h.last_heartbeat + SUSPECT_AFTER * HEARTBEAT_INTERVAL
-            t_dead = h.last_heartbeat + DEAD_AFTER * HEARTBEAT_INTERVAL
-            if h.state in ("healthy", "rejoined") and t > t_suspect:
-                fired.append(h.to(
-                    "suspected", t_suspect,
-                    f"{SUSPECT_AFTER} heartbeat intervals missed",
-                ))
-            if h.state == "suspected" and t > t_dead:
-                fired.append(h.to(
-                    "dead", t_dead,
-                    f"{DEAD_AFTER} heartbeat intervals missed",
-                ))
-        return fired
-
-    def state(self, replica: int) -> str:
-        return self.replicas[replica].state
-
-    def transitions(self) -> List[HealthTransition]:
-        """All transitions across replicas, time-ordered (ties → replica id)."""
-        out = [tr for h in self.replicas for tr in h.transitions]
-        out.sort(key=lambda tr: (tr.t, tr.replica))
-        return out
 
 
 # -- live KV migration ---------------------------------------------------------
@@ -415,7 +321,9 @@ class KVMigrator:
 class FailoverReport:
     """Cluster-level failover accounting (``ClusterMetrics.failover``)."""
 
-    transitions: List[HealthTransition] = field(default_factory=list)
+    #: Every failed replica's timeline edges, time-ordered (ties →
+    #: replica id) once :meth:`FailoverController.finish` has run.
+    transitions: List[Transition] = field(default_factory=list)
     migrations: List[MigrationReport] = field(default_factory=list)
     crashes: int = 0
     #: Failovers that fell back to in-place recovery (no healthy target,
@@ -451,10 +359,11 @@ class FailoverController:
     """Drives detection → migration → takeover for one cluster run.
 
     Owned by :class:`~repro.cluster.engine.ClusterEngine`; stateless
-    toward replica engines (they only feed heartbeats), it timestamps
-    the health state machine, runs the :class:`KVMigrator`, emits fault
-    events to the per-replica tracers, and accumulates the
-    :class:`FailoverReport` surfaced in ``ClusterMetrics``.
+    toward replica engines (the cluster hands it a failed replica's last
+    heartbeat), it stamps each failed replica's timeline, runs the
+    :class:`KVMigrator`, emits fault events to the per-replica tracers,
+    and accumulates the :class:`FailoverReport` surfaced in
+    ``ClusterMetrics``.
     """
 
     def __init__(
@@ -467,7 +376,6 @@ class FailoverController:
     ):
         self.config = config
         self.num_replicas = num_replicas
-        self.detector = FailureDetector(num_replicas)
         self.migrator = KVMigrator(topology, config, fault_plan=fault_plan)
         self.tracers = tracers
         self.report = FailoverReport()
@@ -484,37 +392,40 @@ class FailoverController:
                 detail=detail,
             ))
 
-    def observe_failure(
-        self, replica: int, heartbeats: Sequence[float], t_fail: float, mode: str
-    ) -> float:
-        """Feed a failed replica's heartbeat trail to the detector and
-        return ``t_dead`` (when migration may begin).
+    def _stamp(self, replica: int, t: float, frm: str, to: str, detail: str) -> float:
+        self.report.transitions.append(Transition(float(t), replica, frm, to, detail))
+        return float(t)
 
-        Crashes pay the full heartbeat-timeout detection delay; drains
-        are planned, so the replica goes draining → dead at ``t_fail``.
+    def observe_failure(
+        self, replica: int, last_heartbeat: float, t_fail: float, mode: str
+    ) -> float:
+        """Stamp a failed replica's detection edges and return ``t_dead``
+        (when migration may begin).
+
+        A crash pays the full heartbeat timeout, counted from its last
+        heartbeat; a drain is planned, so the replica goes draining →
+        dead at ``t_fail``.
         """
-        h = self.detector.replicas[replica]
         if mode == "drain":
-            h.to("draining", t_fail, "planned drain: handing off KV")
-            h.to("dead", t_fail, "drained")
+            edges = [
+                (t_fail, "healthy", "draining", "planned drain: handing off KV"),
+                (t_fail, "draining", "dead", "drained"),
+            ]
         else:
-            for t in heartbeats:
-                self.detector.heartbeat(replica, t)
-            horizon = t_fail + (DEAD_AFTER + 1) * HEARTBEAT_INTERVAL
-            self.detector.advance(horizon, replicas=[replica])
-            if h.state != "dead":  # pragma: no cover - detector invariant
-                raise RuntimeError(
-                    f"replica {replica} not declared dead by {horizon}"
-                )
             self.report.crashes += 1
-        t_dead = h.transitions[-1].t
+            edges = [
+                (last_heartbeat + n * HEARTBEAT_INTERVAL, frm, to,
+                 f"{n} heartbeat intervals missed")
+                for n, frm, to in ((SUSPECT_AFTER, "healthy", "suspected"),
+                                   (DEAD_AFTER, "suspected", "dead"))
+            ]
+        for t, frm, to, detail in edges:
+            t_dead = self._stamp(replica, t, frm, to, detail)
+            self._emit(
+                replica, "failover", to, t_dead,
+                f"replica {replica}: {frm} -> {to} ({detail})",
+            )
         self.report.detect_seconds += t_dead - t_fail
-        for tr in h.transitions:
-            if tr.to in ("suspected", "dead", "draining"):
-                self._emit(
-                    replica, "failover", tr.to, tr.t,
-                    f"replica {replica}: {tr.frm} -> {tr.to} ({tr.detail})",
-                )
         return t_dead
 
     def pick_target(
@@ -555,12 +466,13 @@ class FailoverController:
         self, replica: int, host: int, t_fail: float, t_dead: float,
         resume_at: float, inflight: int,
     ) -> None:
-        """Record the recovering → rejoined tail of a failover."""
-        h = self.detector.replicas[replica]
+        """Stamp the recovering → rejoined tail of a failover."""
         where = "in place" if host == replica else f"on replica {host}"
-        h.to("recovering", t_dead, f"takeover {where}")
-        t_rejoin = max(resume_at, t_dead + REJOIN_DELAY)
-        h.to("rejoined", t_rejoin, "serving resumed")
+        self._stamp(replica, t_dead, "dead", "recovering", f"takeover {where}")
+        t_rejoin = self._stamp(
+            replica, max(resume_at, t_dead + REJOIN_DELAY),
+            "recovering", "rejoined", "serving resumed",
+        )
         self.report.recovery_seconds += resume_at - t_fail
         self.report.inflight_migrated += inflight
         self._emit(
@@ -570,7 +482,7 @@ class FailoverController:
         )
 
     def finish(self) -> FailoverReport:
-        self.report.transitions = self.detector.transitions()
+        self.report.transitions.sort(key=lambda tr: (tr.t, tr.replica))
         return self.report
 
 
@@ -586,6 +498,7 @@ def inflight_units(snapshot: dict) -> int:
 
 
 def clamp_arrival(req, t: float):
-    """Hold a request at the front door until ``t`` (all replicas
-    unhealthy): same rid, so its tokens are unchanged — only its timing."""
+    """Delay a request's arrival to ``t`` (a timeout re-dispatch, a
+    hedge, or a handoff that lands at ``t``): same rid, so its tokens
+    are unchanged — only its timing."""
     return dataclasses.replace(req, arrival=max(req.arrival, t))

@@ -36,8 +36,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
-from repro.cluster.lifecycle import IllegalTransitionError, Lifecycle, Transition
-
 __all__ = [
     "BREAKER_STATES",
     "BreakerConfig",
@@ -53,6 +51,7 @@ __all__ = [
     "RoundRobinPolicy",
     "RoutingPolicy",
     "SessionAffinityPolicy",
+    "Transition",
     "get_routing_policy",
 ]
 
@@ -74,7 +73,7 @@ class LoadTracker:
         self.outstanding = [0.0] * num_replicas
         self.assigned_requests = [0] * num_replicas
         #: Backpressure in seconds of synthetic backlog per replica (the
-        #: failover layer charges unhealthy/overloaded replicas here);
+        #: routing pass charges replicas whose breaker is open here);
         #: folded into :meth:`loads` as ``pressure × service_rate`` tokens.
         self.pressure = [0.0] * num_replicas
         self._t = 0.0
@@ -111,11 +110,11 @@ class RoutingPolicy:
     ``choose`` once per request in arrival order.  ``loads`` is the
     tracker's current outstanding-work estimate per replica.
 
-    The cluster calls :meth:`route`, which wraps ``choose`` with health
-    awareness: when a ``healthy`` mask is supplied and the chosen replica
-    is down, :meth:`rebind` picks a live one instead.  Policies that
-    maintain sticky mappings (session affinity) override ``rebind`` to
-    keep the rebinding deterministic per key.
+    The cluster calls :meth:`route`, which wraps ``choose`` with a
+    ``healthy`` mask (the overload layer's open circuit breakers): when
+    the chosen replica is masked out, :meth:`rebind` picks another.
+    Policies that maintain sticky mappings (session affinity) override
+    ``rebind`` to keep the rebinding deterministic per key.
     """
 
     #: Key in :data:`ROUTING_POLICIES`; subclasses override it.
@@ -137,9 +136,9 @@ class RoutingPolicy:
         """Health-aware choice: ``choose``, rebound off unhealthy replicas."""
         choice = self.choose(req, t, loads)
         if healthy is None or not any(healthy):
-            # No health info — or nothing is healthy, in which case the
-            # caller is responsible for holding the request (the cluster
-            # engine queues it until the first replica rejoins).
+            # No mask, or an all-false one: nothing to steer around, so
+            # the policy's choice stands (the cluster engine passes no
+            # mask when every breaker is open — it never drops work).
             return choice
         if 0 <= choice < self.num_replicas and healthy[choice]:
             return choice
@@ -385,10 +384,26 @@ def get_routing_policy(name: str) -> RoutingPolicy:
 #: Breaker states in lifecycle order.
 BREAKER_STATES: Tuple[str, ...] = ("closed", "open", "half-open")
 
-#: The breaker's edge record and illegal-edge error are the shared
-#: :mod:`repro.cluster.lifecycle` ones under their historical names.
+
+class IllegalBreakerTransition(ValueError):
+    """A breaker edge outside :attr:`CircuitBreaker.edges`."""
+
+
+@dataclass(frozen=True)
+class Transition:
+    """One timestamped state edge for a replica: a circuit breaker's, or
+    a failed replica's failover timeline
+    (:attr:`repro.cluster.failover.FailoverReport.transitions`)."""
+
+    t: float
+    replica: int
+    frm: str
+    to: str
+    detail: str = ""
+
+
+#: The breaker's edge record under its historical name.
 BreakerTransition = Transition
-IllegalBreakerTransition = IllegalTransitionError
 
 
 @dataclass
@@ -418,7 +433,7 @@ class BreakerConfig:
             raise ValueError("pressure_threshold must be positive")
 
 
-class CircuitBreaker(Lifecycle):
+class CircuitBreaker:
     """Per-replica closed → open → half-open breaker on the simulated clock.
 
     Strikes (:meth:`record_failure`: seeded dispatch timeouts, estimated
@@ -427,23 +442,36 @@ class CircuitBreaker(Lifecycle):
     ``cooldown`` seconds, then half-opens and admits probe dispatches; a
     failed probe re-opens it (re-arming the cooldown), while
     ``probe_successes`` consecutive clean probes close it again.  All
-    edges go through the validated, timestamped :meth:`Lifecycle.to`.
+    edges go through the validated, timestamped :meth:`to`.
     """
 
+    #: ``state -> states reachable from it``; anything else raises
+    #: :class:`IllegalBreakerTransition`.
     edges = {
         "closed": frozenset({"open"}),
         "open": frozenset({"half-open"}),
         "half-open": frozenset({"open", "closed"}),
     }
-    initial = "closed"
-    noun = "breaker"
 
     def __init__(self, replica: int, config: Optional[BreakerConfig] = None):
-        super().__init__(replica)
+        self.replica = int(replica)
+        self.state = "closed"
+        self.transitions: List[Transition] = []
         self.config = config if config is not None else BreakerConfig()
         self.strikes = 0
         self.probes_ok = 0
         self.opened_at: Optional[float] = None
+
+    def to(self, state: str, t: float, detail: str = "") -> Transition:
+        if state not in self.edges[self.state]:
+            raise IllegalBreakerTransition(
+                f"replica {self.replica}: illegal breaker transition "
+                f"{self.state} -> {state}"
+            )
+        tr = Transition(float(t), self.replica, self.state, state, detail)
+        self.state = state
+        self.transitions.append(tr)
+        return tr
 
     @property
     def counts(self) -> Counter:

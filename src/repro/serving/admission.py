@@ -96,7 +96,7 @@ class AdmissionController:
                 continue
             for sid, imp in zip(created, imps):
                 trace = RequestTrace(
-                    arrival=imp.arrival, first_token_time=imp.first_token_time,
+                    arrival=imp.arrival, first_token_time=imp.t_ready,
                     req_id=idx, gen_index=imp.gen,
                 )
                 stream = Stream(idx, sid, imp.remaining, trace)

@@ -209,7 +209,7 @@ class ServingEngine:
         #: replica's pool (``"prefill"`` / ``"decode"``) and rides into the
         #: checkpoint ``world``; ``handoff_sink`` intercepts decode-stream
         #: spawns on prefill replicas; ``_handoff_imports`` maps request
-        #: index → shipped :class:`~repro.cluster.disagg.HandoffImport`
+        #: index → the shipped :class:`~repro.cluster.disagg.KVHandoff`
         #: list a decode replica absorbs instead of prefilling.  All
         #: ``None`` by default — plain runs are untouched.
         self.role: Optional[str] = None

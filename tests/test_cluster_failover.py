@@ -1,5 +1,5 @@
-"""Cluster failover: health state machine, heartbeat detection, live KV
-migration over priced links, and token-exact takeover."""
+"""Cluster failover: the failed replica's heartbeat-timeout timeline, live
+KV migration over priced links, and token-exact takeover."""
 
 import numpy as np
 import pytest
@@ -8,15 +8,13 @@ from repro.cluster import (
     ClusterConfig,
     ClusterEngine,
     FailoverConfig,
-    FailureDetector,
-    IllegalTransitionError,
     KVMigrator,
     MigrationChecksumError,
     MigrationError,
     ReplicaFailure,
-    ReplicaHealth,
     expected_tokens,
 )
+from repro.cluster.failover import DEAD_AFTER, HEARTBEAT_INTERVAL, SUSPECT_AFTER
 from repro.cluster.topology import Topology
 from repro.faults import FaultPlan
 from repro.gpu import H100_80G
@@ -36,71 +34,6 @@ def _cluster(dp=2, failover=None, **kwargs):
     )
 
 
-# -- health state machine ------------------------------------------------------
-
-
-def test_health_state_machine_legal_path():
-    h = ReplicaHealth(0)
-    for state, t in [("suspected", 1.0), ("dead", 2.0),
-                     ("recovering", 3.0), ("rejoined", 4.0)]:
-        h.to(state, t)
-    assert h.state == "rejoined"
-    assert [tr.to for tr in h.transitions] == [
-        "suspected", "dead", "recovering", "rejoined",
-    ]
-    assert [tr.t for tr in h.transitions] == [1.0, 2.0, 3.0, 4.0]
-
-
-def test_health_state_machine_rejects_illegal_edges():
-    h = ReplicaHealth(0)
-    with pytest.raises(IllegalTransitionError, match="healthy -> dead"):
-        h.to("dead", 1.0)
-    h.to("suspected", 1.0)
-    h.to("dead", 2.0)
-    # Dead must pass through recovery before serving again.
-    with pytest.raises(IllegalTransitionError, match="dead -> healthy"):
-        h.to("healthy", 3.0)
-    with pytest.raises(IllegalTransitionError, match="unknown health state"):
-        h.to("zombie", 3.0)
-
-
-def test_detector_backdates_timeouts_deterministically():
-    # 5 ms heartbeats: suspected after 2 missed intervals, dead after 4.
-    det = FailureDetector(2)
-    det.heartbeat(0, 0.05)
-    det.heartbeat(1, 0.05)
-    # Poll far past both deadlines: the transitions are stamped at the
-    # exact deadlines, not the polling time.
-    fired = det.advance(10.0, replicas=[0])
-    assert [(tr.to, tr.t) for tr in fired] == [
-        ("suspected", pytest.approx(0.06)), ("dead", pytest.approx(0.07)),
-    ]
-    assert det.state(0) == "dead"
-    # Replica 1 was not in the monitored subset: still healthy.
-    assert det.state(1) == "healthy"
-
-
-def test_detector_without_a_subset_sweeps_every_replica():
-    det = FailureDetector(3)
-    det.heartbeat(0, 0.05)
-    det.heartbeat(1, 0.0)
-    det.heartbeat(2, 0.05)
-    fired = det.advance(0.055)  # only replica 1 is past its deadlines
-    assert [(tr.replica, tr.to) for tr in fired] == [(1, "suspected"), (1, "dead")]
-    assert [det.state(i) for i in range(3)] == ["healthy", "dead", "healthy"]
-
-
-def test_detector_heartbeat_flaps_suspected_back_to_healthy():
-    det = FailureDetector(1)
-    det.heartbeat(0, 0.01)
-    det.advance(0.025, replicas=[0])  # past suspect (0.02), before dead (0.03)
-    assert det.state(0) == "suspected"
-    det.heartbeat(0, 0.026)  # late heartbeat arrives
-    assert det.state(0) == "healthy"
-    trs = det.transitions()
-    assert [tr.to for tr in trs] == ["suspected", "healthy"]
-
-
 def test_failover_config_validation():
     with pytest.raises(ValueError, match="chunk_pages"):
         FailoverConfig(chunk_pages=0)
@@ -110,6 +43,8 @@ def test_failover_config_validation():
         ReplicaFailure(-1)
     with pytest.raises(ValueError, match="mode"):
         ReplicaFailure(3, "explode")
+    with pytest.raises(ValueError, match="phase"):
+        ReplicaFailure(3, "crash", "halfway")
 
 
 # -- live KV migration ---------------------------------------------------------
@@ -253,20 +188,51 @@ def test_migration_zero_live_page_sequence_ships_control_only():
 # -- end-to-end failover -------------------------------------------------------
 
 
-def _run_failover(mode, step=6, dp=2, **kwargs):
+def _run_failover(mode, dp=2, phase="boundary", step=6, **kwargs):
     requests = sharegpt_workload(16, rate=120.0, seed=7)
     cluster = _cluster(
-        dp=dp, failover=FailoverConfig(),
-        replica_failures={0: ReplicaFailure(step, mode)},
+        dp=dp, failover=FailoverConfig(), trace=True,
+        replica_failures={0: ReplicaFailure(step, mode, phase)},
         **kwargs,
     )
     cm = cluster.run(requests)
     divergent, compared = cm.token_divergence(expected_tokens(requests))
-    return cm, (divergent, compared)
+    return cm, (divergent, compared), cluster.tracers[0]
+
+
+def _assert_timeline(cm, tracer, mode):
+    """Replica 0's stamps are the heartbeat timeout in closed form: a
+    crash is suspected and declared dead SUSPECT_AFTER / DEAD_AFTER
+    intervals after its last heartbeat — the end of its last finalized
+    step, read off its own tracer, or t=0 before its first — and a drain
+    is draining -> dead at the failure.  The detection latency is
+    t_dead - t_fail."""
+    (crash,) = [f for f in tracer.fault_events if f.site == "crash"]
+    t_fail = crash.t
+    t_beat = max(
+        (e.t_end for e in tracer.events if e.kind != "idle" and e.t_end <= t_fail),
+        default=0.0,
+    )
+    if mode == "crash":
+        detect = [
+            ("healthy", "suspected", t_beat + SUSPECT_AFTER * HEARTBEAT_INTERVAL),
+            ("suspected", "dead", t_beat + DEAD_AFTER * HEARTBEAT_INTERVAL),
+        ]
+    else:
+        detect = [("healthy", "draining", t_fail), ("draining", "dead", t_fail)]
+    trs = cm.failover.transitions
+    t_dead = detect[-1][2]
+    assert [(tr.frm, tr.to, tr.t) for tr in trs] == detect + [
+        ("dead", "recovering", t_dead), ("recovering", "rejoined", trs[-1].t),
+    ]
+    assert trs[-1].t > t_dead
+    assert cm.summary()["failover_detect_s"] == t_dead - t_fail
+    assert [(f.action, f.t) for f in tracer.fault_events
+            if f.site == "failover"] == [(to, t) for _, to, t in detect]
 
 
 def test_crash_failover_migrates_and_stays_token_exact():
-    cm, divergence = _run_failover("crash")
+    cm, divergence, tracer = _run_failover("crash")
     assert divergence == (0, 16)
     s = cm.summary()
     assert cm.failover.crashes == 1
@@ -278,33 +244,48 @@ def test_crash_failover_migrates_and_stays_token_exact():
     # Detection paid the heartbeat timeout; recovery includes migration.
     assert s["failover_detect_s"] > 0
     assert s["failover_recovery_s"] >= s["failover_detect_s"]
-    # healthy → suspected → dead → recovering → rejoined.
-    assert [tr.to for tr in cm.failover.transitions] == [
-        "suspected", "dead", "recovering", "rejoined",
-    ]
+    _assert_timeline(cm, tracer, "crash")
+
+
+def test_mid_step_crash_times_out_from_the_last_finalized_step():
+    # The step the crash interrupts was priced but never finalized, so it
+    # sent no heartbeat: the timeout runs from the step before it.
+    cm, divergence, tracer = _run_failover("crash", phase="mid-step")
+    assert divergence == (0, 16)
+    _assert_timeline(cm, tracer, "crash")
+    assert cm.summary()["failover_detect_s"] < DEAD_AFTER * HEARTBEAT_INTERVAL
+
+
+@pytest.mark.parametrize("mode", ["crash", "drain"])
+@pytest.mark.parametrize("phase", ["boundary", "mid-step"])
+@pytest.mark.parametrize("step", [0, 3])
+def test_failover_timeline_is_closed_form_at_every_failure_point(step, phase, mode):
+    # dp=3 gives the takeover two healthy hosts to pick from; a failure in
+    # step 0 has no finalized step behind it and times out from t=0.
+    cm, divergence, tracer = _run_failover(mode, dp=3, phase=phase, step=step)
+    assert divergence == (0, 16)
+    _assert_timeline(cm, tracer, mode)
 
 
 def test_drain_skips_detection_and_hands_off_immediately():
-    cm, divergence = _run_failover("drain")
+    cm, divergence, tracer = _run_failover("drain")
     assert divergence == (0, 16)
     s = cm.summary()
     assert cm.failover.crashes == 0
     assert s["failover_detect_s"] == 0.0  # planned: no timeout to pay
     assert s["migration_pages"] > 0
-    assert [tr.to for tr in cm.failover.transitions] == [
-        "draining", "dead", "recovering", "rejoined",
-    ]
+    _assert_timeline(cm, tracer, "drain")
 
 
 def test_failover_dp1_falls_back_in_place():
-    cm, divergence = _run_failover("crash", dp=1)
+    cm, divergence, _ = _run_failover("crash", dp=1)
     assert divergence == (0, 16)
     assert cm.summary()["failover_fallbacks"] == 1.0
     assert cm.failover.migrations == []
 
 
 def test_failover_migration_faults_exhausted_falls_back_in_place():
-    cm, divergence = _run_failover(
+    cm, divergence, _ = _run_failover(
         "crash", fault_plan=FaultPlan(schedules={"link": range(64)}),
     )
     assert divergence == (0, 16)

@@ -165,24 +165,41 @@ class TestWindowPlansOnlyVisibleKV:
         with pytest.raises(ValueError, match="look_back"):
             AttentionVariant(name="unbound", look_back="window")
 
-    def test_cascade_whose_window_ends_in_the_suffix(self, rng):
-        """Every query's window starts past the shared prefix, so the prefix
-        format's groups keep no KV at all, and the stack still equals the
-        dense reference."""
+    def _cascade_against_dense(self, rng, window):
+        """Run a ``window``-token sliding window as a cascade over two
+        clusters of three members sharing a 256-token prefix (200-token
+        suffixes); every member must equal the dense reference."""
         mapping, slots, clusters = make_shared_prefix_mapping(2, 3, 256, 200)
         stack = decompose_shared_prefix(mapping, clusters)
         q = rng.standard_normal((mapping.total_qo, 4, 16))
         kp = rng.standard_normal((slots, 4, 16))
         vp = rng.standard_normal((slots, 4, 16))
-        cw = ComposableAttentionWrapper(make_sliding_window(128), HEADS, WorkspaceBuffer(1 << 27))
+        cw = ComposableAttentionWrapper(make_sliding_window(window), HEADS, WorkspaceBuffer(1 << 27))
         cw.plan(stack)
         out, _ = cw.run(q, kp, vp)
-        assert cw.wrappers[0]._mapping.kv.kv_lens.tolist() == [0, 0]
         for r in range(mapping.num_groups):
             at = mapping.kv.slot_indices(r)
             ref = dense_reference(q[r:r + 1], fp16(kp[at]), fp16(vp[at]),
-                                  mask_fn=lambda qp, kp_: (qp - kp_) < 128)
+                                  mask_fn=lambda qp, kp_: (qp - kp_) < window)
             np.testing.assert_allclose(out[r:r + 1], ref, atol=1e-6)
+        return cw
+
+    def test_cascade_whose_window_ends_in_the_suffix(self, rng):
+        """Every query's window starts past the shared prefix, so the prefix
+        format's groups keep no KV at all, and the stack still equals the
+        dense reference."""
+        cw = self._cascade_against_dense(rng, 128)
+        assert cw.wrappers[0]._mapping.kv.kv_lens.tolist() == [0, 0]
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "CHANGES.md FOUND (decompose_shared_prefix): a prefix format's group "
+        "carries only its first member's q_pos_offset, so members 1 and 2 "
+        "see the window at the wrong positions"))
+    def test_cascade_whose_window_reaches_into_the_prefix(self, rng):
+        """A 300-token window reaches back into the 256-token shared prefix,
+        so the prefix format's query positions decide which prefix keys
+        each member sees."""
+        self._cascade_against_dense(rng, 300)
 
 
 class TestSoftcap:
