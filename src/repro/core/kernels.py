@@ -197,7 +197,7 @@ def run_mapping(
         # Query tiles with GQA head-group fusion: (query, head) row-major.
         row0 = int(mapping.q_row_starts[group]) + q_start
         q_tile = regroup_heads(q[row0 : row0 + q_rows][:, head_ids.ravel()], g_eff)
-        q_pos = int(mapping.q_pos_offset[group]) + q_start + np.arange(q_rows)
+        q_pos = mapping.q_pos[mapping.qo_indptr[group] + q_start :][:q_rows]
         # Gather the KV chunk (scattered global → contiguous "shared" memory)
         # and round it through storage precision, once for all its heads and
         # all the query tiles that read it.

@@ -333,11 +333,13 @@ class BatchAttentionWrapper:
     def _visible_kv(self, mapping: AttentionMapping, params) -> AttentionMapping:
         """``mapping`` without the whole leading KV pages of each group that
         the variant's ``look_back`` bound hides from every query row of the
-        group (its first row sees the most: ``kv_pos > q_pos - bound``)."""
+        group (its lowest row sees the most: ``kv_pos > q_pos - bound``)."""
         if self.variant.look_back is None:
             return mapping
         bound = int(getattr(params, self.variant.look_back))
-        hidden = mapping.q_pos_offset - bound + 1 - mapping.kv_pos_offset
+        lowest = np.minimum.reduceat(  # an empty group's KV is read by no row
+            np.append(mapping.q_pos, np.iinfo(np.int64).max), mapping.qo_indptr[:-1])
+        hidden = lowest - bound + 1 - mapping.kv_pos_offset
         pages = np.clip(hidden, 0, mapping.kv.kv_lens) // mapping.kv.block_size
         return mapping.drop_leading_blocks(pages) if pages.any() else mapping
 

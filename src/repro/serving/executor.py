@@ -155,9 +155,8 @@ class StepExecutor:
             sources = plan.resumed
         else:
             sources = st.streams + [pp.req_idx for pp, _ in plan.chunks]
-        starts = mapping.qo_indptr
+        starts, pos = mapping.qo_indptr, mapping.q_pos
         groups = np.repeat(np.arange(mapping.num_groups), mapping.qo_lens)
-        pos = mapping.q_pos_offset[groups] + np.arange(mapping.total_qo) - starts[groups]
         # A row reads its position of its history: the prompt, then what its
         # stream generated (a decode row its last token, a resumed stream's
         # recompute everything before it).
@@ -167,12 +166,8 @@ class StepExecutor:
         kv, page = mapping.kv, cache.page_size
         slots = kv.indices[kv.indptr[groups] + pos // page] * page + pos % page
         heads = eng.heads.num_kv_heads
-        # A prefix format's rows do not carry their streams' positions, so a
-        # variant that masks by position runs the dense mapping.
-        stacks = {
-            v: eng.backend.stack(v, model.kv_dtype, mapping if v.logits_mask else plan.formats)
-            for v in dict.fromkeys(model.layer_variants)
-        }
+        stacks = {v: eng.backend.stack(v, model.kv_dtype, plan.formats)
+                  for v in dict.fromkeys(model.layer_variants)}
         makespans = []
 
         def attend(layer, q, k, v):

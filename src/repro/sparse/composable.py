@@ -131,53 +131,28 @@ def decompose_shared_prefix(
         return ComposableFormat.single(mapping)
 
     # -- prefix format: one group per cluster, spanning all its queries ----
-    p_qo = [0]
-    p_indptr = [0]
-    p_indices: List[int] = []
-    p_kv_lens: List[int] = []
-    p_kv_pos: List[int] = []
-    p_q_pos: List[int] = []
-    max_cluster_qo = 0
-    for cl, aligned in live_clusters:
-        r0, r_last = cl.requests[0], cl.requests[-1]
-        q_span = int(mapping.qo_indptr[r_last + 1] - mapping.qo_indptr[r0])
-        max_cluster_qo = max(max_cluster_qo, q_span)
-        p_qo.append(p_qo[-1] + q_span)
-        blocks = kv.group_blocks(r0)[: aligned // bc]
-        p_indices.extend(blocks.tolist())
-        p_indptr.append(p_indptr[-1] + blocks.size)
-        p_kv_lens.append(aligned)
-        p_kv_pos.append(int(mapping.kv_pos_offset[r0]))
-        # Queries all sit at positions >= prefix, so causal never masks the
-        # prefix; record the smallest member's query offset for variants that
-        # need positions (RoPE etc. use kv positions, which are exact).
-        p_q_pos.append(int(mapping.q_pos_offset[r0]))
-    # Prefix groups must be contiguous in the packed query space: verify.
-    covered = 0
-    for cl, _ in live_clusters:
-        if int(mapping.qo_indptr[cl.requests[0]]) < covered:
-            raise ValueError("clusters overlap in packed query space")
-        covered = int(mapping.qo_indptr[cl.requests[-1] + 1])
-
-    # The prefix mapping's query groups are sub-ranges of the packed query
-    # tensor; record each group's absolute start row.
-    p_q_starts = np.asarray(
-        [int(mapping.qo_indptr[cl.requests[0]]) for cl, _ in live_clusters], dtype=np.int64
-    )
+    # Its groups are sub-ranges [lo, hi) of the packed query rows, each row
+    # keeping its own request's position.
+    firsts = [cl.requests[0] for cl, _ in live_clusters]
+    lo = mapping.qo_indptr[firsts]
+    hi = mapping.qo_indptr[[cl.requests[-1] + 1 for cl, _ in live_clusters]]
+    if np.any(lo[1:] < hi[:-1]):
+        raise ValueError("clusters overlap in packed query space")
+    p_lens = np.asarray([a for _, a in live_clusters], dtype=np.int64)
     prefix_mapping = AttentionMapping(
-        qo_indptr=np.asarray(p_qo, dtype=np.int64),
+        qo_indptr=np.concatenate([[0], np.cumsum(hi - lo)]),
         kv=BlockSparseKV(
             bc,
             kv.pool_blocks,
-            np.asarray(p_indptr, dtype=np.int64),
-            np.asarray(p_indices, dtype=np.int64),
-            np.asarray(p_kv_lens, dtype=np.int64),
+            np.concatenate([[0], np.cumsum(p_lens // bc)]),
+            np.concatenate([kv.group_blocks(r)[: n // bc] for r, n in zip(firsts, p_lens)]),
+            p_lens,
         ),
-        causal=False,
-        q_pos_offset=np.asarray(p_q_pos, dtype=np.int64),
-        kv_pos_offset=np.asarray(p_kv_pos, dtype=np.int64),
-        block_row_size=max_cluster_qo,
-        q_row_starts=p_q_starts,
+        causal=False,  # every row sits past the prefix
+        q_pos=np.concatenate([mapping.q_pos[a:b] for a, b in zip(lo, hi)]),
+        kv_pos_offset=mapping.kv_pos_offset[firsts],
+        block_row_size=int((hi - lo).max()),
+        q_row_starts=lo,
         label="prefix",
     )
 

@@ -132,12 +132,17 @@ class AttentionMapping:
         KV gather structure with ``kv.num_groups == len(qo_indptr) - 1``.
     causal:
         Whether the causal mask applies within this mapping.
-    q_pos_offset / kv_pos_offset:
-        Absolute sequence position of group ``g``'s first query / first KV
-        slot.  Query ``i`` of group ``g`` has position ``q_pos_offset[g]+i``;
-        KV element ``j`` (in gather order) has ``kv_pos_offset[g]+j``.  Used
-        by causal and position-dependent variants (RoPE, ALiBi, windows)
-        so that a prefix/suffix split preserves absolute positions.
+    q_pos:
+        Absolute sequence position of each packed query row of this mapping
+        (``total_qo`` of them, in ``qo_indptr`` order).  Defaults to the
+        decode/prefill convention: a group's rows are the last ``qo_len``
+        positions of its KV.  A prefix format's group spans several
+        requests' rows, so its positions need not be consecutive.
+    kv_pos_offset:
+        Absolute sequence position of group ``g``'s first KV slot: KV
+        element ``j`` (in gather order) has ``kv_pos_offset[g]+j``.  With
+        ``q_pos`` it is what causal and position-dependent variants (RoPE,
+        ALiBi, windows) read, so a prefix/suffix split keeps every position.
     block_row_size:
         The ``B_r`` hint for this format — how many query rows the kernel
         should tile together.  Shared-prefix formats use a large ``B_r`` so
@@ -152,17 +157,23 @@ class AttentionMapping:
     qo_lens:
         Query rows per group, ``qo_indptr[1:] - qo_indptr[:-1]``; derived
         once at construction (``qo_indptr`` is not mutated afterwards).
+    q_pos_offset:
+        Each group's first-row position (an empty group's is arbitrary),
+        derived once at construction.  The planner's causal weights and the
+        causal pricing read it: they price causal formats only, whose rows
+        are consecutive positions.
     """
 
     qo_indptr: np.ndarray
     kv: BlockSparseKV
     causal: bool = False
-    q_pos_offset: Optional[np.ndarray] = None
+    q_pos: Optional[np.ndarray] = None
     kv_pos_offset: Optional[np.ndarray] = None
     block_row_size: Optional[int] = None
     q_row_starts: Optional[np.ndarray] = None
     label: str = "batch"
     qo_lens: np.ndarray = field(init=False, repr=False, compare=False)
+    q_pos_offset: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.qo_indptr = np.asarray(self.qo_indptr, dtype=np.int64)
@@ -176,14 +187,16 @@ class AttentionMapping:
             raise ValueError(
                 f"kv has {self.kv.num_groups} groups but qo_indptr defines {n}"
             )
-        if self.q_pos_offset is None:
-            # Default decode/prefill convention: the g-th group's queries are
-            # the *last* qo_len positions of its kv sequence.
-            self.q_pos_offset = self.kv.kv_lens - self.qo_lens
+        if self.q_pos is None:
+            first = self.kv.kv_lens - self.qo_lens
+            self.q_pos = (np.repeat(first - self.qo_indptr[:-1], self.qo_lens)
+                          + np.arange(self.total_qo))
         else:
-            self.q_pos_offset = np.asarray(self.q_pos_offset, dtype=np.int64)
-            if self.q_pos_offset.shape != (n,):
-                raise ValueError(f"q_pos_offset must have shape ({n},)")
+            self.q_pos = np.asarray(self.q_pos, dtype=np.int64)
+            if self.q_pos.shape != (self.total_qo,):
+                raise ValueError(f"q_pos must have shape ({self.total_qo},)")
+            first = np.append(self.q_pos, 0)[self.qo_indptr[:-1]]
+        self.q_pos_offset = first
         if self.kv_pos_offset is None:
             self.kv_pos_offset = np.zeros(n, dtype=np.int64)
         else:
@@ -217,7 +230,7 @@ class AttentionMapping:
             qo_indptr=self.qo_indptr,
             kv=self.kv.drop_leading_blocks(blocks),
             causal=self.causal,
-            q_pos_offset=self.q_pos_offset,
+            q_pos=self.q_pos,
             kv_pos_offset=self.kv_pos_offset + blocks * self.kv.block_size,
             block_row_size=self.block_row_size,
             q_row_starts=self.q_row_starts,

@@ -160,6 +160,6 @@ def quest_mapping(
         np.arange(batch + 1, dtype=np.int64),
         pruned,
         causal=False,
-        q_pos_offset=kv.kv_lens - 1,  # true absolute query positions
+        q_pos=kv.kv_lens - 1,  # true absolute query positions
         label="quest",
     )

@@ -61,11 +61,13 @@ def benchmark_workloads():
     return module
 
 
-def make_paged_mapping(kv_lens, qo_lens, page_size=16, causal=True):
+def make_paged_mapping(kv_lens, qo_lens, page_size=16, causal=True, q_pos_offset=None,
+                       kv_pos_offset=None):
     """Build a mapping over a freshly laid-out page pool.
 
-    Pages are allocated contiguously per request; returns
-    ``(mapping, total_slots)``.
+    Pages are allocated contiguously per request, and group ``g``'s rows
+    sit at consecutive positions from ``q_pos_offset[g]`` when it is given
+    (the trailing positions when not); returns ``(mapping, total_slots)``.
     """
     kv_lens = list(int(x) for x in kv_lens)
     qo_lens = list(int(x) for x in qo_lens)
@@ -77,14 +79,19 @@ def make_paged_mapping(kv_lens, qo_lens, page_size=16, causal=True):
         c += n
     kv = kv_from_page_table(pages, kv_lens, page_size, pool)
     qo_indptr = np.concatenate([[0], np.cumsum(qo_lens)]).astype(np.int64)
-    return AttentionMapping(qo_indptr, kv, causal=causal), pool * page_size
+    q_pos = None if q_pos_offset is None else (
+        np.repeat(np.asarray(q_pos_offset) - qo_indptr[:-1], qo_lens) + np.arange(qo_indptr[-1]))
+    mapping = AttentionMapping(qo_indptr, kv, causal=causal, q_pos=q_pos,
+                               kv_pos_offset=kv_pos_offset)
+    return mapping, pool * page_size
 
 
 def make_shared_prefix_mapping(
     n_clusters, cluster_size, prefix_len, suffix_len, qo_per_stream=1, page_size=16
 ):
-    """Clusters of requests sharing prefix pages; returns (mapping, slots,
-    clusters) where clusters are PrefixCluster-compatible tuples."""
+    """Clusters of requests sharing prefix pages (``suffix_len`` a length,
+    or one per member); returns (mapping, slots, clusters) where clusters
+    are PrefixCluster-compatible tuples."""
     from repro.sparse import PrefixCluster
 
     kv_lens, pages, c = [], [], 0
@@ -96,12 +103,12 @@ def make_shared_prefix_mapping(
         shared = np.arange(c, c + pp)
         c += pp
         members = []
-        for _ in range(cluster_size):
-            sp = -(-suffix_len // page_size)
+        for suffix in np.broadcast_to(suffix_len, cluster_size).tolist():
+            sp = -(-suffix // page_size)
             own = np.arange(c, c + sp)
             c += sp
             pages.append(np.concatenate([shared, own]))
-            kv_lens.append(prefix_len + suffix_len)
+            kv_lens.append(prefix_len + suffix)
             members.append(req)
             req += 1
         clusters.append(PrefixCluster(tuple(members), prefix_len))

@@ -265,7 +265,7 @@ def _item_rows(
     """
     g = heads.group_size
     abs_start = int(mapping.q_row_starts[item.group]) + item.q_start
-    q_pos = int(mapping.q_pos_offset[item.group]) + item.q_start + np.arange(item.q_rows)
+    q_pos = mapping.q_pos[mapping.qo_indptr[item.group] + item.q_start :][: item.q_rows]
     if fuse_head_groups:
         kv_head = item.kv_head
         head_ids = np.arange(kv_head * g, (kv_head + 1) * g)

@@ -2,8 +2,6 @@
 (``tests/reference_costs.py``) on named cases; the swept strategy and the
 ``TileCost`` fields are in ``tests/test_costs_equivalence.py``."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -23,8 +21,7 @@ def both_paths(heads, kv_lens, qo_lens, **kwargs):
     page_size = kwargs.pop("page_size", 16)
     causal = kwargs.pop("causal", True)
     offsets = {k: kwargs.pop(k) for k in ("q_pos_offset", "kv_pos_offset") if k in kwargs}
-    mapping, _ = make_paged_mapping(kv_lens, qo_lens, page_size, causal)
-    mapping = dataclasses.replace(mapping, **offsets)
+    mapping, _ = make_paged_mapping(kv_lens, qo_lens, page_size, causal, **offsets)
     ws = WorkspaceBuffer(1 << 28)
     w = BatchAttentionWrapper(
         VANILLA, heads, ws, avg_qo_len=float(np.mean(qo_lens)), **kwargs
@@ -164,12 +161,9 @@ class TestUnsplitBounds:
         from repro.gpu import H100_80G
 
         qo, kv = [g[0] for g in groups], [g[1] for g in groups]
-        mapping, _ = make_paged_mapping(kv, qo, page, causal)
-        mapping = dataclasses.replace(
-            mapping,
-            kv_pos_offset=np.array([g[2] for g in groups]),
-            q_pos_offset=np.array([g[2] + max(g[1] - g[0] - g[3], 0) for g in groups]),
-        )
+        mapping, _ = make_paged_mapping(
+            kv, qo, page, causal, kv_pos_offset=np.array([g[2] for g in groups]),
+            q_pos_offset=np.array([g[2] + max(g[1] - g[0] - g[3], 0) for g in groups]))
         w = BatchAttentionWrapper(
             VANILLA, heads, WorkspaceBuffer(1 << 20), H100_80G, avg_qo_len=float(max(qo)) or 1.0,
             kv_dtype=kv_dtype, sparse_gather=sparse, fuse_head_groups=fuse,

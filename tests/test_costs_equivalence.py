@@ -177,13 +177,11 @@ def test_plan_arrays_price_like_the_per_object_model(
     split_kv, q_tile, kv_tile, gpu,
 ):
     qo, kv = (np.array(col) for col in zip(*groups))
-    mapping, slots = make_paged_mapping(kv, qo, page_size, causal)
-    if offsets == "mid_kv":  # a chunked-prefill step: queries inside the KV
-        mapping = dataclasses.replace(mapping, q_pos_offset=np.maximum(kv - qo - 37, 0))
-    elif offsets == "after_prefix":  # a cascade suffix: KV starts past position 0
-        mapping = dataclasses.replace(
-            mapping, q_pos_offset=512 + kv - qo, kv_pos_offset=np.full(len(kv), 512)
-        )
+    q_pos_offset, kv_pos_offset = {
+        "mid_kv": (np.maximum(kv - qo - 37, 0), None),  # chunked prefill: queries inside the KV
+        "after_prefix": (512 + kv - qo, np.full(len(kv), 512)),  # a cascade suffix: KV past 0
+    }.get(offsets, (None, None))
+    mapping, slots = make_paged_mapping(kv, qo, page_size, causal, q_pos_offset, kv_pos_offset)
     heads = HeadConfig(*geometry)
     w = BatchAttentionWrapper(
         VANILLA, heads, WorkspaceBuffer(1 << 26), gpu, kv_dtype=kv_dtype,

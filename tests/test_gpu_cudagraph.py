@@ -134,10 +134,10 @@ class TestAServingRunKeepsOneSignaturePerWrapper:
          lambda: shared_prefix_workload(24, 40.0), 3),
         (dict(chunked_prefill=True), None, lambda: sharegpt_workload(24, 60.0), 1),
         ({}, None, lambda: sharegpt_workload(24, 60.0), 1),
-        # Numerics on: vanilla 1- and 2-format stacks, the windowed layers' dense one.
+        # Numerics on: the 1- and 2-format stacks of the vanilla and the windowed variant.
         (dict(chunked_prefill=True, prefill_chunk_size=16, composable=True, prefix_cache=True,
               num_pool_pages=64), lambda: TinyTransformer(GEMMA_STYLE, seed=3),
-         lambda: WORKLOAD, 4),
+         lambda: WORKLOAD, 6),
     ], ids=["chunked-composable-prefix-cache", "chunked", "plain", "numerics-gemma-style"])
     def test_one_signature_per_wrapper(self, monkeypatch, features, model, workload, wrappers):
         signatures = defaultdict(set)

@@ -25,10 +25,19 @@ class TestPrefixCluster:
 
 
 class TestDecompose:
-    def test_two_formats_produced(self):
-        mapping, _, clusters = make_shared_prefix_mapping(2, 3, 64, 32)
-        comp = decompose_shared_prefix(mapping, clusters)
-        assert [m.label for m in comp] == ["prefix", "suffix"]
+    def test_prefix_and_suffix_formats(self):
+        """One non-causal prefix group per cluster over KV from position 0,
+        its ``B_r`` the cluster's rows, and a causal suffix past the prefix;
+        both formats keep every row's own position (the clusters cover
+        every row, in order)."""
+        mapping, _, clusters = make_shared_prefix_mapping(2, 4, 64, 32, qo_per_stream=2)
+        prefix, suffix = decompose_shared_prefix(mapping, clusters).mappings
+        assert [prefix.label, suffix.label] == ["prefix", "suffix"]
+        assert (prefix.causal, suffix.causal) == (False, True)
+        assert prefix.block_row_size == 8  # 4 streams × 2 queries
+        assert np.all(prefix.kv_pos_offset == 0) and np.all(suffix.kv_pos_offset == 64)
+        assert np.array_equal(prefix.q_pos, mapping.q_pos)
+        assert np.array_equal(suffix.q_pos, mapping.q_pos)
 
     def test_exact_partition_of_kv(self):
         """Every query's KV set is covered exactly once across formats."""
@@ -50,37 +59,18 @@ class TestDecompose:
             assert pre | suf == full
             assert not (pre & suf)
 
-    def test_positions_preserved(self):
-        mapping, _, clusters = make_shared_prefix_mapping(1, 2, 64, 32)
-        comp = decompose_shared_prefix(mapping, clusters)
-        prefix, suffix = comp.mappings
-        assert prefix.kv_pos_offset[0] == 0
-        assert np.all(suffix.kv_pos_offset == 64)
-        # Decode queries still sit at their absolute last positions.
-        assert np.all(suffix.q_pos_offset == mapping.q_pos_offset)
-
-    def test_prefix_not_causal(self):
-        mapping, _, clusters = make_shared_prefix_mapping(1, 2, 64, 32)
-        comp = decompose_shared_prefix(mapping, clusters)
-        assert comp.mappings[0].causal is False
-        assert comp.mappings[1].causal is True
-
     def test_prefix_rounds_down_to_block(self):
         mapping, _, clusters = make_shared_prefix_mapping(1, 2, 64, 32)
         cl = PrefixCluster(clusters[0].requests, 70)  # not page aligned
         comp = decompose_shared_prefix(mapping, [cl])
         assert comp.mappings[0].kv.kv_lens[0] == 64
 
-    def test_single_request_cluster_ignored(self):
-        mapping, _, _ = make_shared_prefix_mapping(1, 2, 64, 32)
-        comp = decompose_shared_prefix(mapping, [PrefixCluster((0,), 64)])
+    @pytest.mark.parametrize("requests, prefix", [((0,), 64), ((0, 1), 8)],
+                             ids=["single-request", "under-one-block"])
+    def test_unqualified_cluster_is_ignored(self, requests, prefix):
+        mapping, _, _ = make_shared_prefix_mapping(1, 2, 64, 32, page_size=16)
+        comp = decompose_shared_prefix(mapping, [PrefixCluster(requests, prefix)])
         assert len(comp) == 1  # falls back to the single format
-
-    def test_short_prefix_ignored(self):
-        mapping, _, clusters = make_shared_prefix_mapping(1, 2, 64, 32, page_size=16)
-        cl = PrefixCluster(clusters[0].requests, 8)  # < one block
-        comp = decompose_shared_prefix(mapping, [cl])
-        assert len(comp) == 1
 
     def test_non_shared_prefix_rejected(self):
         # Two requests with entirely distinct pages.
@@ -98,11 +88,6 @@ class TestDecompose:
         b = PrefixCluster(clusters[0].requests[1:], 64)
         with pytest.raises(ValueError, match="two clusters"):
             decompose_shared_prefix(mapping, [a, b])
-
-    def test_block_row_size_hint(self):
-        mapping, _, clusters = make_shared_prefix_mapping(2, 4, 64, 32, qo_per_stream=2)
-        comp = decompose_shared_prefix(mapping, clusters)
-        assert comp.mappings[0].block_row_size == 8  # 4 streams × 2 queries
 
 
 class TestDetect:

@@ -55,14 +55,14 @@ class TestAttentionMapping:
         kv = kv_from_page_table([np.arange(2), np.arange(2, 4)], [8, 5], 4, 4)
         m = AttentionMapping(np.array([0, 1, 2]), kv, causal=True)
         # Decode convention: the single query sits at the last position.
-        assert np.array_equal(m.q_pos_offset, [7, 4])
+        assert np.array_equal(m.q_pos, [7, 4])
         assert np.array_equal(m.kv_pos_offset, [0, 0])
         assert np.array_equal(m.q_row_starts, [0, 1])
 
     def test_default_positions_prefill(self):
         kv = kv_from_page_table([np.arange(2)], [8], 4, 2)
         m = AttentionMapping(np.array([0, 8]), kv)
-        assert m.q_pos_offset[0] == 0
+        assert np.array_equal(m.q_pos, np.arange(8))
 
     def test_group_count_mismatch(self):
         kv = kv_from_page_table([np.arange(2)], [8], 4, 2)
@@ -71,8 +71,8 @@ class TestAttentionMapping:
 
     def test_explicit_offsets_validated(self):
         kv = kv_from_page_table([np.arange(2)], [8], 4, 2)
-        with pytest.raises(ValueError, match="q_pos_offset"):
-            AttentionMapping(np.array([0, 8]), kv, q_pos_offset=np.array([0, 1]))
+        with pytest.raises(ValueError, match="q_pos"):
+            AttentionMapping(np.array([0, 8]), kv, q_pos=np.array([0, 1]))
 
     def test_qo_lens(self):
         kv = kv_from_page_table([np.arange(1), np.arange(1, 2)], [4, 4], 4, 2)
@@ -115,7 +115,7 @@ class TestDropLeadingBlocks:
         trimmed = mapping.drop_leading_blocks(blocks, label="suffix")
         assert trimmed.label == "suffix"
         assert np.array_equal(trimmed.kv_pos_offset, np.asarray(blocks) * block)
-        assert np.array_equal(trimmed.q_pos_offset, mapping.q_pos_offset)
+        assert np.array_equal(trimmed.q_pos, mapping.q_pos)
         for g, n in enumerate(blocks):
             # Every slot left keeps its absolute position.
             assert np.array_equal(trimmed.kv.slot_indices(g), kv.slot_indices(g)[n * block:])

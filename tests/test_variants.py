@@ -8,7 +8,7 @@ from repro import BatchAttentionWrapper, ComposableAttentionWrapper, WorkspaceBu
 from repro.core import AttentionVariant, HeadConfig, ParamDecl, compose_variants
 from repro.baselines import unfused_rope_attention
 from repro.gpu import H100_80G
-from repro.sparse import decompose_shared_prefix
+from repro.sparse import PrefixCluster, decompose_multi_level
 from repro.variants import (
     alibi_slopes,
     apply_rope,
@@ -68,6 +68,10 @@ def dense_reference(q, k, v, transform=None, mask_fn=None, qx=None, kx=None,
         else:
             out[:, h] = np.where(keep, s, 0.0) @ v[:, h]
     return out
+
+
+def window(w):  # a w-token sliding window and its dense reference's keyword arguments
+    return make_sliding_window(w), dict(mask_fn=lambda qp, kp: (qp - kp) < w)
 
 
 class TestSlidingWindow:
@@ -165,41 +169,40 @@ class TestWindowPlansOnlyVisibleKV:
         with pytest.raises(ValueError, match="look_back"):
             AttentionVariant(name="unbound", look_back="window")
 
-    def _cascade_against_dense(self, rng, window):
-        """Run a ``window``-token sliding window as a cascade over two
-        clusters of three members sharing a 256-token prefix (200-token
-        suffixes); every member must equal the dense reference."""
-        mapping, slots, clusters = make_shared_prefix_mapping(2, 3, 256, 200)
-        stack = decompose_shared_prefix(mapping, clusters)
+    @pytest.mark.parametrize("variant, ref, qo_per_stream, suffixes, prefixes, kept", [
+        (*window(128), 1, 200, [256], [0, 0]),
+        (*window(300), 1, 200, [256], [112, 112]),
+        (make_fused_rope(), dict(qx=apply_rope, kx=apply_rope), 1, 200, [256], None),
+        (make_alibi(alibi_slopes(4)), dict(transform=lambda s, h, qp, kp: s + alibi_slopes(4)[h]
+                                           * (kp[None, :] - qp[:, None])), 1, 200, [256], None),
+        (*window(300), 3, [200, 150, 100], [256], [208, 208]),
+        (*window(300), 1, 200, [128, 256], [0, 0]),
+    ], ids=["window-128", "window-300", "rope", "alibi", "window-300-chunk-rows",
+            "window-300-two-levels"])
+    def test_cascade_against_dense(self, rng, variant, ref, qo_per_stream, suffixes, prefixes,
+                                   kept):
+        """A position-dependent variant run as a cascade over two clusters
+        of three members sharing a 256-token prefix, peeled in one level or
+        two, equals the dense reference: each row of a prefix format carries
+        its own position.  A window trims the pages hidden from a prefix
+        group's lowest row, the last member's when the suffixes shrink
+        (``kept``, the first format's KV: a 128-token window leaves none)."""
+        mapping, slots, clusters = make_shared_prefix_mapping(2, 3, 256, suffixes, qo_per_stream)
+        stack = decompose_multi_level(
+            mapping, [[PrefixCluster(c.requests, n) for c in clusters] for n in prefixes])
+        assert len(stack) == len(prefixes) + 1
         q = rng.standard_normal((mapping.total_qo, 4, 16))
         kp = rng.standard_normal((slots, 4, 16))
         vp = rng.standard_normal((slots, 4, 16))
-        cw = ComposableAttentionWrapper(make_sliding_window(window), HEADS, WorkspaceBuffer(1 << 27))
+        cw = ComposableAttentionWrapper(variant, HEADS, WorkspaceBuffer(1 << 27))
         cw.plan(stack)
         out, _ = cw.run(q, kp, vp)
         for r in range(mapping.num_groups):
-            at = mapping.kv.slot_indices(r)
-            ref = dense_reference(q[r:r + 1], fp16(kp[at]), fp16(vp[at]),
-                                  mask_fn=lambda qp, kp_: (qp - kp_) < window)
-            np.testing.assert_allclose(out[r:r + 1], ref, atol=1e-6)
-        return cw
-
-    def test_cascade_whose_window_ends_in_the_suffix(self, rng):
-        """Every query's window starts past the shared prefix, so the prefix
-        format's groups keep no KV at all, and the stack still equals the
-        dense reference."""
-        cw = self._cascade_against_dense(rng, 128)
-        assert cw.wrappers[0]._mapping.kv.kv_lens.tolist() == [0, 0]
-
-    @pytest.mark.xfail(strict=True, reason=(
-        "CHANGES.md FOUND (decompose_shared_prefix): a prefix format's group "
-        "carries only its first member's q_pos_offset, so members 1 and 2 "
-        "see the window at the wrong positions"))
-    def test_cascade_whose_window_reaches_into_the_prefix(self, rng):
-        """A 300-token window reaches back into the 256-token shared prefix,
-        so the prefix format's query positions decide which prefix keys
-        each member sees."""
-        self._cascade_against_dense(rng, 300)
+            at, rows = mapping.kv.slot_indices(r), slice(*mapping.qo_indptr[r:r + 2])
+            np.testing.assert_allclose(
+                out[rows], dense_reference(q[rows], fp16(kp[at]), fp16(vp[at]), **ref), atol=1e-6)
+        if kept is not None:
+            assert cw.wrappers[0]._mapping.kv.kv_lens.tolist() == kept
 
 
 class TestSoftcap:
@@ -314,10 +317,12 @@ class TestFusedRoPE:
         with pytest.raises(ValueError, match="even"):
             apply_rope(np.zeros((1, 5)), np.zeros(1))
 
-    def test_fused_matches_unfused_oracle(self, rng):
-        q, k, v, out = run_variant(FUSED_ROPE, rng)
+    @pytest.mark.parametrize("theta", [10000.0, 500.0], ids=["default-theta", "custom-theta"])
+    def test_fused_matches_unfused_oracle(self, rng, theta):
+        variant = FUSED_ROPE if theta == 10000.0 else make_fused_rope(theta=theta)
+        q, k, v, out = run_variant(variant, rng)
         ref = unfused_rope_attention(
-            q, k, v, np.arange(48), np.arange(48), causal=True
+            q, k, v, np.arange(48), np.arange(48), causal=True, rope_theta=theta
         )
         np.testing.assert_allclose(out, ref, atol=1e-8)
 
@@ -328,14 +333,6 @@ class TestFusedRoPE:
             q, k, v, np.array([2499]), np.arange(2500), causal=True
         )
         np.testing.assert_allclose(out, ref, atol=1e-5)
-
-    def test_custom_theta(self, rng):
-        variant = make_fused_rope(theta=500.0)
-        q, k, v, out = run_variant(variant, rng)
-        ref = unfused_rope_attention(
-            q, k, v, np.arange(48), np.arange(48), causal=True, rope_theta=500.0
-        )
-        np.testing.assert_allclose(out, ref, atol=1e-8)
 
 
 def _rope_inline(x, pos, theta):
