@@ -227,9 +227,10 @@ class BatchPrefillWithRaggedKVCacheWrapper(_WrapperBase):
     ) -> None:
         """Ragged layout: request ``i`` owns KV rows
         ``[kv_indptr[i], kv_indptr[i+1])`` of the packed K/V tensors."""
-        n_kv = np.diff(kv_indptr)
-        # Identity page table: "page" ``j`` is row ``j``, every page full.
-        self._plan(qo_indptr, kv_indptr, np.arange(n_kv.sum()), n_kv > 0, causal, params, sm_scale)
+        self._inner.plan(
+            AttentionMapping(qo_indptr, BlockSparseKV.ragged(kv_indptr), causal=causal),
+            params=params, sm_scale=sm_scale,
+        )
 
 
 # -- single-request helpers (flashinfer.single_* equivalents) -----------------

@@ -5,8 +5,8 @@ Layered exactly like a real serving stack:
 * :mod:`repro.cluster.topology` — interconnect presets (NVLink ring,
   PCIe host bridge) with per-link bandwidth/latency, ring-collective
   cost formulas, time-windowed degradation, and traffic accounting.
-  The single source of truth for link constants (``repro.distributed``
-  and ``repro.serving.model`` import theirs from here).
+  The single source of truth for link constants (``repro.serving.model``
+  imports its own from here; ``repro.distributed`` ships over a topology).
 * :mod:`repro.cluster.collectives` — simulated ``p2p_send``: a bitwise
   copy plus the topology-priced cost, charged per traffic kind.
 * :mod:`repro.cluster.router` — pluggable data-parallel routing
@@ -55,7 +55,6 @@ from repro.cluster.router import (
 )
 from repro.cluster.topology import (
     ALLREDUCE_LATENCY,
-    DEFAULT_LINK_BANDWIDTH,
     NVLINK_ALLREDUCE_BW,
     NVLINK_BUS,
     NVLINK_P2P,
@@ -95,7 +94,6 @@ _LAZY = {
 
 __all__ = [
     "ALLREDUCE_LATENCY",
-    "DEFAULT_LINK_BANDWIDTH",
     "NVLINK_ALLREDUCE_BW",
     "NVLINK_BUS",
     "NVLINK_P2P",

@@ -15,11 +15,11 @@ so an NVLink ring all-reduce costs ``2(g−1)/g · bytes/bw + 2(g−1)·lat``,
 the formula NCCL's ring protocol converges to for large messages.
 
 This module is also the single source of truth for link constants:
-:data:`DEFAULT_LINK_BANDWIDTH` (ring attention,
-:mod:`repro.distributed.ring`) and :data:`NVLINK_ALLREDUCE_BW` /
-:data:`ALLREDUCE_LATENCY` (the engine's flat tensor-parallel all-reduce
-model, :mod:`repro.serving.model`) are defined here and imported there —
-the values are unchanged, so every pre-cluster cost is bit-identical.
+ring attention (:mod:`repro.distributed.ring`) ships its K/V shards over
+a :class:`Topology` (the ``nvlink`` preset by default), and
+:data:`NVLINK_ALLREDUCE_BW` / :data:`ALLREDUCE_LATENCY` (the engine's flat
+tensor-parallel all-reduce model, :mod:`repro.serving.model`) are defined
+here and imported there.
 
 Fault injection: :meth:`Topology.degrade` installs a time-windowed
 bandwidth derating (a flapping NVLink, a PCIe retrain); every collective
@@ -34,7 +34,6 @@ from typing import Dict, List, Optional
 
 __all__ = [
     "ALLREDUCE_LATENCY",
-    "DEFAULT_LINK_BANDWIDTH",
     "Link",
     "LinkDegradation",
     "NVLINK_ALLREDUCE_BW",
@@ -56,8 +55,7 @@ class Link:
 
 
 #: NVLink-class neighbour link (ring attention shard transfers, ring
-#: collectives).  The value is the former ``distributed.ring``
-#: ``DEFAULT_LINK_BANDWIDTH`` literal, now defined once here.
+#: collectives): the ``nvlink`` preset's.
 NVLINK_P2P = Link("nvlink-p2p", bandwidth=200e9, latency=2e-6)
 
 #: NVLink all-reduce effective *bus* bandwidth and base latency — the
@@ -69,8 +67,7 @@ NVLINK_BUS = Link("nvlink-bus", bandwidth=300e9, latency=8e-6)
 #: shared root complex, so transfers serialize against each other.
 PCIE_HOST = Link("pcie-host", bandwidth=32e9, latency=5e-6)
 
-# Back-compat aliases re-exported by their original homes.
-DEFAULT_LINK_BANDWIDTH = NVLINK_P2P.bandwidth
+# Back-compat aliases re-exported by their original home.
 NVLINK_ALLREDUCE_BW = NVLINK_BUS.bandwidth
 ALLREDUCE_LATENCY = NVLINK_BUS.latency
 

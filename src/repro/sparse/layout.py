@@ -70,6 +70,14 @@ class BlockSparseKV:
         self.indices = indices
         self.kv_lens = kv_lens
 
+    @classmethod
+    def ragged(cls, kv_indptr) -> "BlockSparseKV":
+        """Contiguous (ragged) KV: group ``g`` owns rows ``[kv_indptr[g],
+        kv_indptr[g+1])`` of packed K/V tensors — the identity page table,
+        "page" ``j`` is row ``j`` and every page is full (``B_c = 1``)."""
+        indptr = np.asarray(kv_indptr, dtype=np.int64)
+        return cls(1, int(indptr[-1]), indptr, np.arange(indptr[-1]), np.diff(indptr))
+
     @property
     def num_groups(self) -> int:
         return self.indptr.size - 1

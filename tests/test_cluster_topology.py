@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cluster.topology import (
-    DEFAULT_LINK_BANDWIDTH,
     NVLINK_P2P,
     PCIE_HOST,
     TOPOLOGY_PRESETS,
@@ -129,12 +128,9 @@ def test_traffic_accounting_and_link_stats():
 
 
 def test_constant_unification_keeps_legacy_values():
-    # The former literals moved here unchanged, so every pre-cluster cost
-    # (ring attention, the flat all-reduce model) is bit-identical.
-    from repro.distributed.ring import DEFAULT_LINK_BANDWIDTH as ring_bw
+    # The flat all-reduce model's former literals moved here unchanged.
     from repro.serving.model import ALLREDUCE_LATENCY, NVLINK_ALLREDUCE_BW
 
-    assert ring_bw == DEFAULT_LINK_BANDWIDTH == 200e9
     assert NVLINK_ALLREDUCE_BW == 300e9
     assert ALLREDUCE_LATENCY == 8e-6
 

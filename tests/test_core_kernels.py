@@ -5,6 +5,7 @@ import pytest
 
 from conftest import make_paged_mapping, priced_kv_columns
 from reference_costs import kv_reuse_factor, work_item_cost
+from repro import VANILLA, AttentionMapping, BatchAttentionWrapper, BlockSparseKV, WorkspaceBuffer
 from repro.core import HeadConfig, reference_attention
 from repro.core.scheduler import WorkItem
 from repro.utils.dtypes import StorageDType
@@ -254,10 +255,11 @@ class TestNumericsTouchOnlyWhatTheLaunchIsPricedFor:
         assert np.isnan(out[rows]).all() and np.isfinite(out[14:]).all()
 
     def test_ring_shard_wholly_in_the_future_is_the_merge_identity(self, rng):
-        from repro.distributed import RingAttention
-
-        ring = RingAttention(2, self.HEADS)
-        q = rng.standard_normal((5, 4, 8))
+        # A one-group ragged mapping whose KV all lies after its last query row.
+        w = BatchAttentionWrapper(VANILLA, self.HEADS, WorkspaceBuffer(1 << 24), avg_qo_len=5,
+                                  sparse_gather=False)
+        w.plan(AttentionMapping([0, 5], BlockSparseKV.ragged([0, 40]), causal=True,
+                                q_pos=np.arange(10, 15), kv_pos_offset=[15]))
         future = np.full((40, 2, 8), np.nan)
-        o, lse, _ = ring._pair_partial(q, future, future, 10, 15, True, 0.3, None)
+        o, lse, _ = w.run(rng.standard_normal((5, 4, 8)), future, future)
         assert np.array_equal(o, np.zeros((5, 4, 8))) and np.isneginf(lse).all()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import fp16
+from repro.cluster import NVLINK_P2P, Link, Topology
 from repro.core import HeadConfig, reference_attention
 from repro.distributed import RingAttention
 
@@ -80,28 +81,29 @@ class TestCostModel:
         assert big.comm_time > small.comm_time
 
     def test_comm_time_is_shard_bytes_over_link_bandwidth(self, rng):
-        q, k, v = data(rng, n=96)
-        _, rep = RingAttention(4, HEADS, link_bandwidth=1e9).run(q, k, v)
+        q, k, v = data(rng, n=96)  # each hop is a p2p send over the topology's link model
+        topo = Topology("ring", 4, Link("test", 1e9, NVLINK_P2P.latency))
+        _, rep = RingAttention(4, HEADS, topo).run(q, k, v)
         # Three hops of a 24-token K and V shard; the last step sends nothing.
         shard = 24 * HEADS.num_kv_heads * HEADS.head_dim * 2 * 2  # fp16 K and V
-        assert rep.comm_time == pytest.approx(3 * shard / 1e9)
+        assert rep.comm_time == pytest.approx(3 * topo.p2p_time(shard))
+        assert topo.traffic_bytes == {"p2p": 3 * 4 * shard}  # every device sends each hop
 
     def test_slow_link_makes_comm_bound(self, rng):
         q, k, v = data(rng, n=96)
-        _, rep = RingAttention(4, HEADS, link_bandwidth=1e6).run(q, k, v)
-        assert rep.comm_bound
-        assert rep.makespan == pytest.approx(rep.comm_time)
+        slow = Topology("ring", 4, Link("slow", 1e6, NVLINK_P2P.latency))
+        _, rep = RingAttention(4, HEADS, slow).run(q, k, v)
+        assert rep.comm_bound and rep.makespan == pytest.approx(rep.comm_time)
 
     def test_single_device_no_comm(self, rng):
         q, k, v = data(rng, n=64)
         _, rep = RingAttention(1, HEADS).run(q, k, v)
-        assert rep.comm_time == 0.0
-        assert rep.steps == 1
+        assert (rep.comm_time, rep.steps) == (0.0, 1)
 
     def test_overlap_bound(self, rng):
         q, k, v = data(rng, n=96)
-        _, rep = RingAttention(4, HEADS).run(q, k, v)
-        assert rep.makespan == pytest.approx(max(rep.compute_time, rep.comm_time))
+        _, rep = RingAttention(4, HEADS).run(q, k, v)  # the default NVLink ring
+        assert rep.makespan == max(rep.compute_time, rep.comm_time) and not rep.comm_bound
 
 
 class TestValidation:

@@ -7,6 +7,7 @@ from conftest import fp16, make_paged_mapping
 from repro import BatchAttentionWrapper, WorkspaceBuffer
 from repro.core import HeadConfig, VANILLA, reference_attention
 from repro.sparse import PageSummaryStore, quest_mapping, select_pages
+from repro.variants import apply_rope, make_fused_rope
 
 HEADS = HeadConfig(4, 2, 16)
 PAGE = 8
@@ -153,6 +154,24 @@ class TestQuestMapping:
             _, _, rep = w.run(None, compute=False)
             reports[budget] = rep.total_bytes
         assert reports[8] < 0.25 * reports[64]
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "quest_mapping keeps kv_pos_offset at 0 over gappy pages, so a variant reading "
+        "kv_pos sees the pruned keys at gather-order positions; needs per-slot KV positions"))
+    def test_fused_rope_reads_the_true_positions_of_pruned_pages(self, rng):
+        mapping, k_pool, v_pool, store = build([128], rng)
+        k_pool[11 * PAGE : 13 * PAGE] *= 3.0  # pages 11 and 12 bound the highest scores
+        store.rebuild_from_pool(k_pool, mapping.kv.group_blocks(0), 128)
+        q = rng.standard_normal((1, 4, 16))
+        pruned = quest_mapping(mapping.kv, q, store, page_budget=4)
+        sl = pruned.kv.slot_indices(0)  # the pool is laid out in position order
+        assert np.array_equal(pruned.kv.group_blocks(0), [0, 11, 12, 15])
+        w = BatchAttentionWrapper(make_fused_rope(), HEADS, WorkspaceBuffer(1 << 26), avg_qo_len=1)
+        w.plan(pruned)
+        out, _, _ = w.run(q, k_pool, v_pool)
+        rope = lambda x, pos: np.stack([apply_rope(x[:, h], pos) for h in range(x.shape[1])], 1)
+        ref = reference_attention(rope(q, [127]), rope(fp16(k_pool[sl]), sl), fp16(v_pool[sl]))
+        np.testing.assert_allclose(out, ref, atol=1e-6)
 
     def test_batch_size_mismatch(self, rng):
         mapping, _, _, store = build([64], rng)
