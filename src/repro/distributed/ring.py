@@ -41,7 +41,7 @@ class RingReport:
 
     makespan: float
     compute_time: float  # sum over steps of the slowest device's launch
-    comm_time: float  # sum over steps of the shard hop time
+    comm_time: float  # sum over steps of the longest hop, or of every hop on a shared medium
     device_seconds: float  # total launch time across all devices
     steps: int
     skipped_pairs: int  # (device, shard) pairs skipped by causality
@@ -104,8 +104,8 @@ class RingAttention:
             compute_time += max(times, default=0.0)
             device_seconds += sum(times)
             if step < n_dev - 1:  # every device passes its shard on; the last step sends nothing
-                sent = [p2p_send(held[dev - 1], self.topology) for dev in range(n_dev)]
-                held = [shard for shard, _ in sent]
-                comm_time += max(cost for _, cost in sent)
+                held, hops = zip(*(p2p_send(held[dev - 1], self.topology) for dev in range(n_dev)))
+                # Concurrent on a point-to-point ring, serial on a shared medium.
+                comm_time = sum(hops if self.topology.shared_medium else [max(hops)], comm_time)
         return acc_o, RingReport(max(compute_time, comm_time),  # the slower resource dominates
                                  compute_time, comm_time, device_seconds, n_dev, skipped)

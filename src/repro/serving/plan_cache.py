@@ -1,17 +1,18 @@
 """Memoization of wrapper ``plan()`` results (FlashInfer's plan/run split).
 
-FlashInfer computes one load-balanced schedule per batch shape on the host
-and replays it across all layers of the step (§3.3.1, §3.4): the plan
-depends only on sequence lengths and scheduler geometry, both identical
-for every layer, so one CPU ``plan_schedule`` serves ``num_layers``
-kernel launches.  :class:`PlanCache` makes that replay explicit and — when
-the same batch shape recurs across steps — extends it across steps too.
-
-Correctness: a hit skips choosing the plan (the wrapper's ``_choose``:
-``plan_schedule`` and the prices around it), so ``run`` re-prices it.  The
+FlashInfer plans once per generation step into a fixed-size workspace
+(§3.3.1, App. D); :class:`PlanCache` replays a plan when a batch shape recurs
+across steps.  A hit skips choosing the plan (the wrapper's ``_choose``:
+``plan_schedule`` and the prices around it) and ``run`` re-prices it.  The
 key holds every ``plan_schedule`` input and the stack flag; of what else the
 prices read, only the page size could vary on one executor, and :meth:`bind`
 pins it, so a cached plan is *identical* to the one chosen again.
+
+Most shapes never recur (page tables keep growing), so a key's first miss
+stores only its fingerprint (``hash(key)``) and its second the plan: one plan
+per shape seen twice stays resident, one integer per shape seen once.  A hit
+needs the full key equal, so a fingerprint collision can only store a plan
+early, never return a wrong one.
 """
 
 from __future__ import annotations
@@ -21,20 +22,17 @@ from typing import Hashable, Optional, Tuple
 
 
 class PlanCache:
-    """Bounded LRU memo of :class:`repro.core.SchedulePlan` objects.
-
-    ``capacity`` is the most resident plans; the least-recently-used entry
-    is evicted.
-    """
+    """LRU memo of :class:`repro.core.SchedulePlan` objects; ``capacity``
+    bounds the resident plans and, apart, the fingerprints."""
 
     def __init__(self, capacity: int = 1024):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
-        #: KV-pool geometry the resident plans were computed under; plans
-        #: do not key on it (lengths are in tokens, not pages), so a
-        #: geometry change conservatively flushes the cache.
+        self._sighted: "OrderedDict[int, None]" = OrderedDict()
+        #: KV-pool geometry of the resident plans, which do not key on it
+        #: (lengths are in tokens): a change flushes the cache.
         self._scope: Optional[Tuple] = None
 
     def __len__(self) -> int:
@@ -48,8 +46,9 @@ class PlanCache:
         self._scope = scope
 
     def invalidate(self) -> None:
-        """Drop every resident plan."""
+        """Drop every resident plan and fingerprint."""
         self._entries.clear()
+        self._sighted.clear()
 
     def get(self, key: Hashable):
         """Return the cached plan for ``key`` (refreshing its recency), or
@@ -60,7 +59,13 @@ class PlanCache:
         return entry
 
     def put(self, key: Hashable, plan) -> None:
-        self._entries[key] = plan
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+        """Store ``plan`` if ``key`` was put before, else fingerprint it."""
+        table, fingerprint = self._entries, hash(key)
+        if fingerprint in self._sighted:
+            del self._sighted[fingerprint]
+        else:  # a first sighting: record the fingerprint only
+            table, key, plan = self._sighted, fingerprint, None
+        table[key] = plan
+        table.move_to_end(key)
+        while len(table) > self.capacity:
+            table.popitem(last=False)

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from conftest import make_paged_mapping, sweep
 from reference_costs import reference_report
-from repro import BatchAttentionWrapper, WorkspaceBuffer
+from repro import AttentionMapping, BatchAttentionWrapper, WorkspaceBuffer
 from repro.core import HeadConfig, VANILLA
 from repro.core.scheduler import COL_KVSTART, COL_KVSTOP, COL_QROWS
+from repro.sparse import BlockSparseKV
 from repro.utils.dtypes import StorageDType
 
 
@@ -193,3 +194,20 @@ class TestUnsplitBounds:
             w._compute_share, w.compute_penalty, stacked, (plan.kv_chunk_size,),
         )
         assert longest <= costs.serial.max(initial=0.0) * (1 + 1e-12) or not plan.items.size
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the causal pricing reads q_pos_offset, a group's first-row position, as if its rows "
+    "were consecutive (ROADMAP item 19): rows at 10 and 200 are priced as rows at 10 and 11"))
+def test_causal_flops_follow_every_rows_position():
+    """A causal row at position p sees p + 1 KV columns, wherever the
+    group's other rows sit: consecutive rows (the control) and rows far
+    apart over the same 256 KV tokens."""
+    heads = HeadConfig(4, 2, 16)
+    for q_pos in ([199, 200], [10, 200]):
+        mapping = AttentionMapping([0, 2], BlockSparseKV.ragged([0, 256]), True, q_pos=q_pos)
+        w = BatchAttentionWrapper(VANILLA, heads, WorkspaceBuffer(1 << 26), avg_qo_len=2.0)
+        w.plan(mapping)
+        _, _, report = w.run(None, compute=False)
+        columns = sum(p + 1 for p in q_pos)
+        assert report.total_flops == columns * 4 * heads.head_dim * heads.num_qo_heads

@@ -668,10 +668,10 @@ class TestBreakEvenSplit:
     def test_plan_cache_keeps_stacked_and_plain_plans_apart(self):
         """A plain wrapper and a format of a stack with equal scheduler
         inputs share one executor's plan cache: each gets its own plan,
-        whichever plans first.  Twelve 100-token decode suffixes behind a
-        shared prefix plan unsplit alone; in the stack, whose every tile
-        writes a state the one contraction reads, the 64-token split of
-        Algorithm 1 prices lower."""
+        whichever plans first (three times: a fingerprint, a stored plan, a
+        hit).  Twelve 100-token decode suffixes behind a shared prefix plan
+        unsplit alone; in the stack, whose every tile writes a state the one
+        contraction reads, the 64-token split of Algorithm 1 prices lower."""
         from repro.gpu.executor import PersistentKernelExecutor
         from repro.serving import PlanCache
 
@@ -690,7 +690,8 @@ class TestBreakEvenSplit:
             )
             steps = [lambda: cw.plan(comp), lambda: plain.plan(suffix)]
             for step in steps if stack_first else steps[::-1]:
-                step()
+                for _ in range(3):
+                    step()
             stacked = cw.wrappers[-1]
             signatures = [
                 plan_signature(*args, **kwargs)

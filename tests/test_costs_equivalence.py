@@ -458,6 +458,7 @@ def test_run_reports_the_price_its_plan_won_with(case):
 
     cached, replan = _planned(case, PlanCache())
     miss = cached.run(None, compute=False)[2]
+    replan()  # the second sighting stores the plan
     replan()
     assert cached._launches is None  # a hit re-prices
     assert cached.run(None, compute=False)[2] == miss == report

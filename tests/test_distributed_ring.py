@@ -89,6 +89,14 @@ class TestCostModel:
         assert rep.comm_time == pytest.approx(3 * topo.p2p_time(shard))
         assert topo.traffic_bytes == {"p2p": 3 * 4 * shard}  # every device sends each hop
 
+    def test_shared_medium_serializes_the_hops(self, rng):
+        q, k, v = data(rng, n=96)
+        topo = Topology.preset("pcie", 4)  # every hop crosses the one host bridge
+        _, rep = RingAttention(4, HEADS, topo).run(q, k, v)
+        shard = 24 * HEADS.num_kv_heads * HEADS.head_dim * 2 * 2
+        assert rep.comm_time == topo.busy_seconds["p2p"]
+        assert rep.comm_time == pytest.approx(3 * 4 * topo.p2p_time(shard))
+
     def test_slow_link_makes_comm_bound(self, rng):
         q, k, v = data(rng, n=96)
         slow = Topology("ring", 4, Link("slow", 1e6, NVLINK_P2P.latency))

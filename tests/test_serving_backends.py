@@ -149,8 +149,10 @@ class TestPerRunStateAttach:
         formats = self.cascade_formats()
         be.attention_time(formats)
         assert (cache.hits, cache.misses) == (0, len(formats))
+        be.attention_time(formats)  # the second sighting stores each plan
+        assert (cache.hits, cache.misses) == (0, 2 * len(formats))
         be.attention_time(formats)
-        assert (cache.hits, cache.misses) == (len(formats), len(formats))
+        assert (cache.hits, cache.misses) == (len(formats), 2 * len(formats))
 
     def test_detach_reaches_existing_wrappers(self):
         be = TRTLLMBackend(HEADS, H100_80G)

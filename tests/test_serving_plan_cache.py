@@ -34,22 +34,51 @@ def decode_heavy_requests(n=4, prompt=64, output=32):
     return [Request(i * 0.001, prompt, output) for i in range(n)]
 
 
+def recurring_requests():
+    """Six 256-token prompts of 4 output tokens, 1 s apart: each request
+    runs alone, so its 4 step shapes recur in every later one."""
+    return [Request(float(i), 256, 4) for i in range(6)]
+
+
+def store(pc, key, plan):
+    """Put ``key`` twice: its second sighting stores the plan."""
+    pc.put(key, plan)
+    pc.put(key, plan)
+
+
 class TestLookup:
     def test_miss_then_hit(self):
         pc = PlanCache(capacity=4)
         assert pc.get("a") is None
+        pc.put("a", "plan-a")  # a first sighting keeps only the fingerprint
+        assert pc.get("a") is None and len(pc) == 0
         pc.put("a", "plan-a")
-        assert pc.get("a") == "plan-a"
+        assert pc.get("a") == "plan-a" and len(pc) == 1
 
     def test_lru_eviction_and_recency_refresh(self):
         pc = PlanCache(capacity=2)
-        pc.put("a", 1)
-        pc.put("b", 2)
+        store(pc, "a", 1)
+        store(pc, "b", 2)
         pc.get("a")  # refresh: "b" is now least recently used
-        pc.put("c", 3)
+        store(pc, "c", 3)
         assert len(pc) == 2
         assert pc.get("b") is None
         assert pc.get("a") == 1 and pc.get("c") == 3
+
+    def test_fingerprints_share_the_capacity(self):
+        pc = PlanCache(capacity=2)
+        for key in "abc":
+            pc.put(key, key)  # "a"'s fingerprint is evicted
+        pc.put("a", "a")
+        pc.put("c", "c")
+        assert len(pc) == 1 and pc.get("a") is None and pc.get("c") == "c"
+
+    def test_fingerprint_collision_stores_early_never_wrong(self):
+        pc = PlanCache()
+        assert hash(-1) == hash(-2)
+        pc.put(-1, "plan-1")
+        pc.put(-2, "plan-2")  # stored on a first sighting
+        assert pc.get(-1) is None and pc.get(-2) == "plan-2"
 
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError, match="capacity"):
@@ -60,31 +89,39 @@ class TestInvalidation:
     def test_bind_same_geometry_keeps_entries(self):
         pc = PlanCache()
         pc.bind(16, 1024)
-        pc.put("a", 1)
+        store(pc, "a", 1)
+        pc.put("b", 2)
         pc.bind(16, 1024)
-        assert len(pc) == 1
+        pc.put("b", 2)  # its fingerprint survived
+        assert len(pc) == 2
 
     def test_bind_pool_size_change_flushes(self):
         pc = PlanCache()
         pc.bind(16, 1024)
-        pc.put("a", 1)
+        store(pc, "a", 1)
+        pc.put("b", 2)
         pc.bind(16, 2048)
+        pc.put("b", 2)  # its fingerprint went too
         assert len(pc) == 0
 
     def test_bind_page_size_change_flushes(self):
         pc = PlanCache()
         pc.bind(16, 1024)
-        pc.put("a", 1)
+        store(pc, "a", 1)
+        pc.put("b", 2)
         pc.bind(32, 1024)
+        pc.put("b", 2)  # its fingerprint went too
         assert len(pc) == 0
 
     def test_invalidate_drops_every_plan(self):
         pc = PlanCache()
-        pc.put("a", 1)
-        pc.put("b", 2)
+        store(pc, "a", 1)
+        store(pc, "b", 2)
+        pc.put("c", 3)
         pc.invalidate()
+        pc.put("c", 3)  # and every fingerprint
         assert len(pc) == 0
-        assert pc.get("a") is None and pc.get("b") is None
+        assert pc.get("a") is None and pc.get("b") is None and pc.get("c") is None
 
 
 class TestWrapperDeterminism:
@@ -99,9 +136,10 @@ class TestWrapperDeterminism:
         mapping, _ = make_paged_mapping([128, 300, 77], [1, 1, 1], 16)
         pc = CountingPlanCache()
         cached = self._wrapper(pc)
+        cached.plan(mapping)  # miss: computes, keeps the fingerprint
         cached.plan(mapping)  # miss: computes and stores
         hit_plan = cached.plan(mapping)  # hit: replayed from the cache
-        assert (pc.hits, pc.misses) == (1, 1)
+        assert (pc.hits, pc.misses) == (1, 2)
         fresh_plan = self._wrapper().plan(mapping)
         assert hit_plan == fresh_plan
 
@@ -169,28 +207,30 @@ class TestEngineIntegration:
 
     def test_every_miss_stores_one_plan(self):
         # Every step looks its shape up; each miss plans it once and stores
-        # it (the cross-step memo rarely hits: page tables keep growing).
-        m, pc = self._run(make_engine(), decode_heavy_requests())
-        assert len(m.traces) == 4
-        assert pc.lookups > 0 and pc.misses == len(pc)
+        # its fingerprint on the first sighting, its plan on the second.
+        m, pc = self._run(make_engine(), recurring_requests())
+        assert len(m.traces) == 6
+        assert pc.lookups > 0 and pc.misses == 2 * len(pc) + len(pc._sighted)
 
     def test_cache_never_changes_results(self):
-        reqs = decode_heavy_requests()
-        with_cache = make_engine(plan_cache=True).run(reqs).summary()
+        reqs = recurring_requests()
+        with_cache, pc = self._run(make_engine(plan_cache=True), reqs)
         without = make_engine(plan_cache=False).run(reqs).summary()
-        assert with_cache == without
+        assert pc.hits > 0
+        assert with_cache.summary() == without
+        assert len(pc) == 4  # exactly the shapes seen at least twice
 
     def test_second_run_finds_every_shape_resident(self):
         eng = make_engine()
         reqs = decode_heavy_requests()
-        _, first = self._run(eng, reqs)
-        eng.plan_cache = pc = CountingPlanCache()
-        eng.backend.set_plan_cache(pc)
-        # The same engine, bound to the same pool: a filled cache replays.
-        for key, plan in first._entries.items():
-            pc.put(key, plan)
+        _, pc = self._run(eng, reqs)
+        lookups = pc.lookups
+        # The same engine, bound to the same pool: a second run sights every
+        # shape again and stores it, and a third replays.
         eng.run(reqs)
-        assert pc.misses == 0 and pc.hits == first.lookups
+        pc.lookups = pc.misses = 0
+        eng.run(reqs)
+        assert pc.misses == 0 and pc.hits == lookups
 
     def test_chunked_prefill_with_cache(self):
         m, pc = self._run(
@@ -198,4 +238,4 @@ class TestEngineIntegration:
             decode_heavy_requests(prompt=400),
         )
         assert len(m.traces) == 4
-        assert pc.lookups > 0 and pc.misses == len(pc)
+        assert pc.lookups > 0 and pc.misses == 2 * len(pc) + len(pc._sighted)
