@@ -5,14 +5,18 @@
 for every head scheduled on it — the KV head is a grid dimension in
 FlashInfer (§3.2.3), here the batch axis of one JIT call: the chunk is
 gathered from the pool (the scattered-global-to-contiguous-shared move of
-§3.2.1) and rounded through storage precision once for all the query tiles
-that read it, the kernel produces the heads' partial attention states over the
-KV tiles the causal mask lets some row see, and each is written either to the
-final output (writethrough) or to its workspace partial slot; the contraction
-folds the heads of a split tile the same way.  The per-item path this
-replaced is kept as the oracle in ``tests/reference_kernels.py``.  The launch
-is priced elsewhere: :mod:`repro.core.simulate` charges every launch, computed
-or cost-only, from the plan arrays.
+§3.2.1) once for all the query tiles that read it, the kernel produces the
+heads' partial attention states over the KV tiles the causal mask lets some
+row see, and each is written either to the final output (writethrough) or to
+its workspace partial slot; the contraction folds the heads of a split tile
+the same way.  A pool held at its storage precision (a ``float16``
+:class:`~repro.kvcache.PagedKVCache`) is read as it is: the kernel widens
+each KV tile to float64 as it loads it (§4, App. F).  fp8 is emulated on the
+gathered chunk (widened to float32, then quantized), as is fp16 over a wider
+pool.  The per-item path this replaced is kept as the oracle in
+``tests/reference_kernels.py``.  The launch is priced elsewhere:
+:mod:`repro.core.simulate` charges every launch, computed or cost-only, from
+the plan arrays.
 
 ``reference_attention`` is the O(n²) dense safe-softmax oracle used by the
 test suite.
@@ -198,9 +202,9 @@ def run_mapping(
         row0 = int(mapping.q_row_starts[group]) + q_start
         q_tile = regroup_heads(q[row0 : row0 + q_rows][:, head_ids.ravel()], g_eff)
         q_pos = mapping.q_pos[mapping.qo_indptr[group] + q_start :][:q_rows]
-        # Gather the KV chunk (scattered global → contiguous "shared" memory)
-        # and round it through storage precision, once for all its heads and
-        # all the query tiles that read it.
+        # Gather the KV chunk (scattered global → contiguous "shared" memory),
+        # once for all its heads and all the query tiles that read it; only a
+        # chunk not yet at kv_dtype (fp8, or a pool wider than fp16) is rounded.
         wanted = (group, kv_start, kv_stop, kv_heads.tolist())
         if chunk != wanted:
             chunk = wanted

@@ -1,10 +1,11 @@
 """Paged KV cache: a vLLM-style page table over a fixed slot pool.
 
 The cache owns two pools ``(pool_slots, num_kv_heads, head_dim)`` for keys
-and values, carved into pages of ``page_size`` slots.  Sequences hold
-ordered page lists; pages are refcounted so that forked sequences (parallel
-generation) and radix-cached prefixes share physical pages.  Appending to a
-shared partial page triggers copy-on-write.
+and values, carved into pages of ``page_size`` slots and held at their
+storage precision: fp16 K/V live in ``float16``, rounded once when written.
+Sequences hold ordered page lists; pages are refcounted so that forked
+sequences (parallel generation) and radix-cached prefixes share physical
+pages.  Appending to a shared partial page triggers copy-on-write.
 
 The exported structure (:meth:`layout`) is the ``(kv_indptr, kv_indices,
 last_page_len)`` triple of the paper, wrapped as
@@ -18,6 +19,7 @@ from typing import Dict, Iterator, List, Sequence, Set, Tuple
 import numpy as np
 
 from repro.sparse.layout import BlockSparseKV
+from repro.utils.dtypes import StorageDType, quantize_fp8
 from repro.utils.validation import check_positive
 
 
@@ -64,6 +66,11 @@ class PagedKVCache:
         ``page_size=1`` gives the vector-sparse layout.
     num_kv_heads, head_dim:
         Shape of each slot's K and V entries.
+    dtype:
+        Storage precision of the pools, the wrappers' ``kv_dtype``.  The
+        pools are :attr:`StorageDType.container` arrays — ``float16`` for
+        fp16 and for e4m3, whose values :meth:`append` quantizes on write —
+        so a read gathers values that are already on the storage grid.
     checksums:
         Verify per-page integrity on :meth:`gather`/:meth:`layout`
         (raising :class:`KVCorruptionError` on mismatch).  The set of
@@ -89,6 +96,7 @@ class PagedKVCache:
         head_dim: int,
         materialize: bool = True,
         checksums: bool = False,
+        dtype: StorageDType = StorageDType.FP16,
     ):
         check_positive(num_pages, "num_pages")
         check_positive(page_size, "page_size")
@@ -99,10 +107,11 @@ class PagedKVCache:
         self.num_kv_heads = num_kv_heads
         self.head_dim = head_dim
         self.materialized = materialize
+        self.dtype = dtype
         total_slots = num_pages * page_size
         if materialize:
-            self.k_pool = np.zeros((total_slots, num_kv_heads, head_dim), dtype=np.float32)
-            self.v_pool = np.zeros((total_slots, num_kv_heads, head_dim), dtype=np.float32)
+            self.k_pool = np.zeros((total_slots, num_kv_heads, head_dim), dtype=dtype.container)
+            self.v_pool = np.zeros((total_slots, num_kv_heads, head_dim), dtype=dtype.container)
         else:
             # Structure-only mode for cost simulations: page-table accounting
             # without backing storage (append/gather are unavailable).
@@ -292,7 +301,11 @@ class PagedKVCache:
         """Append new K/V entries ``(n, num_kv_heads, head_dim)`` to a sequence.
 
         Allocates pages on demand; copy-on-write if the partial last page is
-        shared with another sequence.
+        shared with another sequence.  The entries are taken as float32 and
+        rounded once, to the pool's storage precision: the slice copy into a
+        ``float16`` pool is round-to-nearest-even (``|x| ≥ 65520`` becomes
+        ±inf silently, as in :func:`~repro.utils.dtypes.round_to_storage`),
+        and e4m3 is quantized before it.
         """
         k = np.asarray(k, dtype=np.float32)
         v = np.asarray(v, dtype=np.float32)
@@ -304,12 +317,15 @@ class PagedKVCache:
             )
         if not self.materialized:
             raise RuntimeError("append() requires a materialized cache")
+        if self.dtype is StorageDType.FP8_E4M3:
+            k, v = quantize_fp8(k), quantize_fp8(v)
         written = 0
-        for page, offset, take in self._grow(self._state(seq_id), k.shape[0]):
-            slot0 = page * self.page_size + offset
-            self.k_pool[slot0 : slot0 + take] = k[written : written + take]
-            self.v_pool[slot0 : slot0 + take] = v[written : written + take]
-            written += take
+        with np.errstate(over="ignore"):
+            for page, offset, take in self._grow(self._state(seq_id), k.shape[0]):
+                slot0 = page * self.page_size + offset
+                self.k_pool[slot0 : slot0 + take] = k[written : written + take]
+                self.v_pool[slot0 : slot0 + take] = v[written : written + take]
+                written += take
 
     def extend(self, seq_id: int, n_tokens: int) -> None:
         """Grow a sequence by ``n_tokens`` without writing K/V data.
@@ -432,8 +448,10 @@ class PagedKVCache:
         order, the live pages' refcounts, the pages whose checksum no
         longer matches (so corruption present at snapshot time survives
         the round-trip and is re-detected after restore) — plus every
-        sequence's page list and length, and the K/V pools when
-        materialized.  :meth:`from_state` rebuilds an identical cache.
+        sequence's page list and length, and the K/V pools with their
+        storage ``dtype`` when materialized (a cost-only cache holds no
+        values, and its state — priced by its JSON length when it migrates —
+        carries no dtype).  :meth:`from_state` rebuilds an identical cache.
         """
         state = {
             "num_pages": self.num_pages,
@@ -453,6 +471,7 @@ class PagedKVCache:
             },
         }
         if self.materialized:
+            state["dtype"] = self.dtype.value
             state["k_pool"] = self.k_pool.tolist()
             state["v_pool"] = self.v_pool.tolist()
         return state
@@ -464,13 +483,15 @@ class PagedKVCache:
         The state may come from disk, so a page table that contradicts
         itself is refused with :class:`ValueError`.
         """
+        materialized = bool(state["materialized"])
         cache = cls(
             num_pages=int(state["num_pages"]),
             page_size=int(state["page_size"]),
             num_kv_heads=int(state["num_kv_heads"]),
             head_dim=int(state["head_dim"]),
-            materialize=bool(state["materialized"]),
+            materialize=materialized,
             checksums=bool(state["checksums"]),
+            dtype=StorageDType(state["dtype"]) if materialized else StorageDType.FP16,
         )
         cache._fresh = int(state["fresh"])
         cache._recycled = [int(p) for p in state["recycled"]]
@@ -493,8 +514,8 @@ class PagedKVCache:
             if not live >= set(st.pages):
                 raise ValueError(f"sequence {sid} names a page that is not live")
         if cache.materialized:
-            cache.k_pool = np.asarray(state["k_pool"], dtype=np.float32)
-            cache.v_pool = np.asarray(state["v_pool"], dtype=np.float32)
+            cache.k_pool = np.asarray(state["k_pool"], dtype=cache.dtype.container)
+            cache.v_pool = np.asarray(state["v_pool"], dtype=cache.dtype.container)
         return cache
 
     # -- export to the attention engine -----------------------------------------

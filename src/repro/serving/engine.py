@@ -88,6 +88,7 @@ from repro.serving.model import ModelConfig
 from repro.serving.plan_cache import PlanCache
 from repro.serving.policy import SchedulerPolicy, get_policy
 from repro.serving.workload import Request
+from repro.utils.dtypes import StorageDType
 
 
 #: Tokens per KV page of the engine's pool.
@@ -249,9 +250,7 @@ class ServingEngine:
         self._policy: SchedulerPolicy = get_policy(self.config.policy)
         #: Plan memo shared with the backend's wrappers: one lookup per
         #: step stands for every layer's launch (§3.3.1).
-        self.plan_cache: Optional[PlanCache] = (
-            PlanCache() if self.config.plan_cache else None
-        )
+        self.plan_cache: Optional[PlanCache] = PlanCache() if self.config.plan_cache else None
         if self.plan_cache is not None:
             backend.set_plan_cache(self.plan_cache)
 
@@ -492,6 +491,7 @@ class ServingEngine:
             cfg.num_pool_pages, PAGE_SIZE, layers * self.heads.num_kv_heads,
             self.heads.head_dim, materialize=self.numerics is not None,
             checksums=self.resilience is not None and self.resilience.checksums,
+            dtype=StorageDType.FP16 if self.numerics is None else self.numerics.kv_dtype,
         )
         state = RunState(
             requests=requests, cache=cache, metrics=ServingMetrics(),

@@ -2,9 +2,11 @@
 
 FlashInfer computes in fp32 accumulators while storing Q/K/V in fp16 or fp8
 (e4m3) to cut memory traffic (paper Appendix F).  We mirror that split: all
-arithmetic here is float32/float64 NumPy, and *storage* precision is emulated
-by rounding values through the chosen format.  This exercises the
-mixed-precision code path and its accuracy behaviour without GPU tensor cores.
+arithmetic here is float32/float64 NumPy, and a paged KV pool holds its
+storage precision in a real container (:attr:`StorageDType.container`):
+fp16 values in ``float16``, rounded once when they are written.  fp8 has no
+NumPy container, so e4m3 is emulated: its grid is exact in ``float16``, and
+:func:`quantize_fp8` rounds a tensor (a gathered chunk, say) onto it.
 """
 
 from __future__ import annotations
@@ -32,6 +34,13 @@ class StorageDType(enum.Enum):
         """Bytes per element, used by the memory-traffic model."""
         return {"fp32": 4, "fp16": 2, "fp8_e4m3": 1}[self.value]
 
+    @property
+    def container(self) -> np.dtype:
+        """The NumPy dtype that holds values of this precision exactly:
+        ``float32`` for fp32, ``float16`` for fp16 and e4m3 (every e4m3
+        value, subnormals and ±448 included, is an fp16 value)."""
+        return np.dtype(np.float32 if self is StorageDType.FP32 else np.float16)
+
 
 def quantize_fp8(x: np.ndarray) -> np.ndarray:
     """Round ``x`` to the nearest fp8 e4m3 value (returned as float32).
@@ -43,12 +52,14 @@ def quantize_fp8(x: np.ndarray) -> np.ndarray:
     actual 8-bit container: the value grid is exact, the bytes are not.
 
     Every step — a power-of-two ulp, ``rint`` of an exactly scaled value —
-    is exact in the input's own float dtype, so float32 is not widened;
-    anything else is computed in float64 (rounding float64 to float32 first
-    would double-round near ties).
+    is exact in the input's own float dtype, so float32 is not widened and
+    float16 is widened to float32 (exactly); anything else is computed in
+    float64 (rounding float64 to float32 first would double-round near ties).
     """
     x = np.asarray(x)
-    if x.dtype != np.float32:
+    if x.dtype == np.float16:
+        x = x.astype(np.float32)
+    elif x.dtype != np.float32:
         x = x.astype(np.float64, copy=False)
     mag = np.abs(x, out=np.empty_like(x))
     np.minimum(mag, FP8_E4M3_MAX, out=mag)  # the maximum is on the grid
@@ -68,7 +79,9 @@ def dequantize_fp8(x: np.ndarray, scale: float = 1.0) -> np.ndarray:
 
 
 def round_to_storage(x: np.ndarray, dtype: StorageDType) -> np.ndarray:
-    """Round ``x`` through storage precision ``dtype``, returning float32.
+    """Round ``x`` through storage precision ``dtype``, returning float32 —
+    or ``x`` itself when it is float16 and ``dtype`` is fp16: a pool held in
+    its storage container is already on the grid, and its reads skip this.
 
     fp16 is IEEE round-to-nearest-even with ``|x| ≥ 65520 → ±inf``, silently
     (as e4m3 saturates silently).  NumPy's half conversion is scalar code, so
@@ -82,6 +95,8 @@ def round_to_storage(x: np.ndarray, dtype: StorageDType) -> np.ndarray:
     if dtype is StorageDType.FP32:
         return x.astype(np.float32)
     if dtype is StorageDType.FP16:
+        if x.dtype == np.float16:
+            return x
         with np.errstate(over="ignore"):
             if x.dtype != np.float32:
                 return x.astype(np.float16).astype(np.float32)

@@ -19,8 +19,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import reference_kernels as ref
-from conftest import make_paged_mapping, sweep
-from repro import BatchAttentionWrapper, WorkspaceBuffer
+from conftest import make_paged_mapping, make_shared_prefix_mapping, sweep
+from repro import (
+    BatchAttentionWrapper,
+    ComposableAttentionWrapper,
+    WorkspaceBuffer,
+    decompose_shared_prefix,
+    reference_attention,
+)
 from repro.core import (
     VANILLA,
     HeadConfig,
@@ -220,6 +226,65 @@ class TestRunMappingBitIdentical:
         assert new[0].dtype == np.float32
         assert np.array_equal(new[0], old[0].astype(np.float32), equal_nan=True)
         assert_identical(new[1:], old[1:])
+
+
+class TestFloat16PoolReadsAsItsValues:
+    """A pool held in float16 is read without a rounding pass: ``run_mapping``
+    over it must equal, bit for bit, a float32 pool holding the same values
+    (whose chunks every read rounds through ``kv_dtype``)."""
+
+    @staticmethod
+    def holding(p, container):
+        pools = {n: p[n].astype(np.float16).astype(container) for n in ("k_pool", "v_pool")}
+        return {**p, **pools}
+
+    def assert_reads_alike(self, p):
+        half = self.holding(p, np.float16)
+        assert half["k_pool"].dtype == np.float16
+        assert_identical(_run_new(half), _run_new(self.holding(p, np.float32)))
+
+    @pytest.mark.parametrize("groups, variant_name, causal", [
+        ([(1, 75), (1, 23), (1, 40), (1, 7)], "vanilla", False),
+        ([(14, 75), (9, 9), (3, 40)], "vanilla", True),
+        ([(1, 75), (14, 75), (3, 23)], "window_softcap_rope", True),
+    ], ids=["decode", "causal_prefill", "swa_softcap_rope"])
+    def test_named_cases(self, groups, variant_name, causal):
+        p = _problem(groups, variant_name, StorageDType.FP16, causal, True, 64, seed=11)
+        assert len(p["plan"].merge_meta)  # split chunks and the contraction ran too
+        self.assert_reads_alike(p)
+
+    @given(**PROBLEM)
+    @FIXED
+    def test_every_variant_and_kv_dtype(self, **example):
+        self.assert_reads_alike(_problem(**example))
+
+    def test_cascade_stack(self, rng):
+        mapping, slots, clusters = make_shared_prefix_mapping(2, 3, 32, [5, 9, 17], page_size=4)
+        formats = decompose_shared_prefix(mapping, clusters)
+        q = rng.standard_normal((int(mapping.qo_indptr[-1]), H_QO, D))
+        k16, v16 = (rng.standard_normal((slots, H_KV, D)).astype(np.float16) for _ in "kv")
+        outs = []
+        for k, v in ((k16, v16), (k16.astype(np.float32), v16.astype(np.float32))):
+            w = ComposableAttentionWrapper(VANILLA, HEADS, WorkspaceBuffer(1 << 26))
+            w.plan(formats)
+            outs.append(w.run(q, k, v)[0])
+        assert len(w.wrappers) > 1 and np.array_equal(*outs)
+
+    def test_fp8_matches_the_dense_reference_reading_the_same_pool(self, rng):
+        """fp8 stays emulated: the gathered fp16 chunk is widened and quantized."""
+        mapping, slots = make_paged_mapping([70, 9, 33], [1, 9, 1], page_size=4)
+        q = rng.standard_normal((11, H_QO, D))
+        kp, vp = ((3.0 * rng.standard_normal((slots, H_KV, D))).astype(np.float16) for _ in "kv")
+        w = BatchAttentionWrapper(VANILLA, HEADS, WorkspaceBuffer(1 << 24),
+                                  kv_dtype=StorageDType.FP8_E4M3, avg_qo_len=4)
+        w.plan(mapping)
+        out, _, _ = w.run(q, kp, vp)
+        for r in range(mapping.num_groups):
+            sl = mapping.kv.slot_indices(r)
+            k, v = (quantize_fp8(p[sl].astype(np.float32)).astype(np.float64) for p in (kp, vp))
+            rows = slice(int(mapping.qo_indptr[r]), int(mapping.qo_indptr[r + 1]))
+            ref = reference_attention(q[rows], k, v, causal=True)
+            np.testing.assert_allclose(out[rows], ref, atol=1e-5)
 
 
 class TestWrapperDefaultOutput:

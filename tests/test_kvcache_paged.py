@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.kvcache import OutOfPagesError, PagedKVCache
+from repro.utils.dtypes import StorageDType, quantize_fp8, round_to_storage
 
 
 def make_cache(num_pages=16, page_size=4, heads=2, dim=8):
@@ -17,6 +18,11 @@ def kv(n, heads=2, dim=8, seed=0):
     return rng.standard_normal((n, heads, dim)), rng.standard_normal((n, heads, dim))
 
 
+def stored(x):
+    """What a default (fp16) pool holds for ``x``: float32, rounded once to fp16."""
+    return np.asarray(x, dtype=np.float32).astype(np.float16)
+
+
 class TestAppendGather:
     def test_append_round_trip(self):
         c = make_cache()
@@ -24,7 +30,7 @@ class TestAppendGather:
         k, v = kv(10)
         c.append(s, k, v)
         gk, gv = c.gather(s)
-        assert np.allclose(gk, k) and np.allclose(gv, v)
+        assert np.array_equal(gk, stored(k)) and np.array_equal(gv, stored(v))
 
     def test_incremental_appends(self):
         c = make_cache()
@@ -33,7 +39,7 @@ class TestAppendGather:
         for i in range(11):
             c.append(s, k[i : i + 1], v[i : i + 1])
         gk, _ = c.gather(s)
-        assert np.allclose(gk, k)
+        assert np.array_equal(gk, stored(k))
         assert c.seq_len(s) == 11
         assert len(c.seq_pages(s)) == 3  # ceil(11/4)
 
@@ -73,6 +79,38 @@ class TestAppendGather:
             c.seq_len(99)
 
 
+class TestStoragePrecision:
+    def test_an_fp16_pool_holds_what_a_float32_pool_reads(self):
+        """Rounded once on write, bit for bit as every read used to round."""
+        rng = np.random.default_rng(0)
+        x = (rng.standard_normal(4096) * 2.0 ** rng.integers(-28, 18, 4096)).astype(np.float32)
+        c = make_cache(num_pages=64)
+        s = c.new_seq()
+        c.append(s, x.reshape(-1, 2, 8), -x.reshape(-1, 2, 8))
+        k, v = c.gather(s)
+        assert c.k_pool.dtype == np.float16 and np.isinf(k).any()  # fp16 overflow
+        want = round_to_storage(x, StorageDType.FP16)
+        assert np.array_equal(k.astype(np.float32).ravel().view(np.uint32), want.view(np.uint32))
+        assert np.array_equal(v.ravel(), -want)
+
+    def test_an_e4m3_pool_is_quantized_on_write(self):
+        c = PagedKVCache(16, 4, 2, 8, dtype=StorageDType.FP8_E4M3)
+        s = c.new_seq()
+        k, v = kv(10)
+        c.append(s, 100 * k, v)
+        gk, gv = c.gather(s)
+        assert gk.dtype == np.float16
+        assert np.array_equal(gk, quantize_fp8(np.float32(100 * k)))
+        assert np.array_equal(round_to_storage(gv, StorageDType.FP8_E4M3), gv)  # on the grid
+
+    def test_an_fp32_pool_round_trips(self):
+        c = PagedKVCache(16, 4, 2, 8, dtype=StorageDType.FP32)
+        s = c.new_seq()
+        k, v = kv(10)
+        c.append(s, k, v)
+        assert np.array_equal(c.gather(s)[0], np.float32(k))
+
+
 class TestForkCow:
     def test_fork_shares_full_pages(self):
         c = make_cache()
@@ -94,7 +132,7 @@ class TestForkCow:
         assert c.seq_pages(a)[0] == c.seq_pages(b)[0]
         assert c.seq_pages(a)[1] != c.seq_pages(b)[1]
         gk, _ = c.gather(b)
-        assert np.allclose(gk, k)
+        assert np.array_equal(gk, stored(k))
 
     def test_writes_after_fork_are_isolated(self):
         c = make_cache()
@@ -106,7 +144,7 @@ class TestForkCow:
         c.append(a, k2, v2)
         gk_b, _ = c.gather(b)
         assert gk_b.shape[0] == 6
-        assert np.allclose(gk_b, k)  # fork unaffected
+        assert np.array_equal(gk_b, stored(k))  # fork unaffected
 
     def test_cow_on_shared_partial_page(self):
         """Appending to a sequence whose partial last page is shared must
@@ -121,7 +159,7 @@ class TestForkCow:
         c.append(b, k2, v2)  # new page for b
         ga, _ = c.gather(a)
         gb, _ = c.gather(b)
-        assert np.allclose(ga, gb)
+        assert np.array_equal(ga, gb)
 
     def test_free_fork_keeps_parent(self):
         c = make_cache()
@@ -131,7 +169,7 @@ class TestForkCow:
         b = c.fork_seq(a)
         c.free_seq(b)
         gk, _ = c.gather(a)
-        assert np.allclose(gk, k)
+        assert np.array_equal(gk, stored(k))
         assert c.num_used_pages == 2
 
 
@@ -144,10 +182,10 @@ class TestSharedPrefix:
         pages = c.seq_pages(a)
         b = c.new_seq(shared_pages=pages, shared_len=8)
         gk, _ = c.gather(b)
-        assert np.allclose(gk, k)
+        assert np.array_equal(gk, stored(k))
         c.free_seq(a)
         gk2, _ = c.gather(b)  # pages kept alive by b's reference
-        assert np.allclose(gk2, k)
+        assert np.array_equal(gk2, stored(k))
 
     def test_shared_len_must_fill_pages(self):
         c = make_cache()
@@ -231,14 +269,14 @@ class TestCacheTruncation:
         fork = c.fork_seq(root)
         c.append(fork, *kv(3, seed=1))
         c.truncate(fork, 9)  # reject the fork's extension
-        assert np.allclose(c.gather(fork)[0], k)
+        assert np.array_equal(c.gather(fork)[0], stored(k))
         c.truncate(fork, 5)  # cut inside the second shared page
         c.append(fork, *kv(2, seed=2))  # must copy that page before writing
         k_new, v_new = kv(1, seed=3)
         c.append(root, k_new, v_new)
         gk, gv = c.gather(root)
-        assert np.allclose(gk, np.concatenate([k, k_new]))
-        assert np.allclose(gv, np.concatenate([v, v_new]))
+        assert np.array_equal(gk, stored(np.concatenate([k, k_new])))
+        assert np.array_equal(gv, stored(np.concatenate([v, v_new])))
         assert c.seq_pages(root)[0] == c.seq_pages(fork)[0]
         assert c.seq_pages(root)[1] != c.seq_pages(fork)[1]
 
@@ -259,7 +297,7 @@ class TestCacheTruncation:
         pages = c.seq_pages(s)
         c.truncate(s, 7)
         assert c.seq_pages(s) == pages
-        assert np.allclose(c.gather(s)[0], k)
+        assert np.array_equal(c.gather(s)[0], stored(k))
 
     def test_truncate_on_page_boundary_keeps_whole_pages(self):
         c = make_cache()
@@ -277,12 +315,12 @@ class TestCacheTruncation:
         c.append(s, k, v)
         c.truncate(s, 6)
         gk, gv = c.gather(s)
-        assert np.allclose(gk, k[:6]) and np.allclose(gv, v[:6])
+        assert np.array_equal(gk, stored(k[:6])) and np.array_equal(gv, stored(v[:6]))
         k2, v2 = kv(3, seed=5)
         c.append(s, k2, v2)  # overwrites the rolled-back slots
         gk, gv = c.gather(s)
-        assert np.allclose(gk, np.concatenate([k[:6], k2]))
-        assert np.allclose(gv, np.concatenate([v[:6], v2]))
+        assert np.array_equal(gk, stored(np.concatenate([k[:6], k2])))
+        assert np.array_equal(gv, stored(np.concatenate([v[:6], v2])))
 
     def test_truncated_pages_serve_other_sequences(self):
         c = make_cache(num_pages=3)
@@ -321,7 +359,7 @@ class TestLayoutExport:
         c.append(a, k, v)
         layout = c.layout([a])
         slots = layout.slot_indices(0)
-        assert np.allclose(c.k_pool[slots], k)
+        assert np.array_equal(c.k_pool[slots], stored(k))
 
 
 class TestStructureOnlyMode:
@@ -388,6 +426,28 @@ class TestLiveOnlyState:
             s = cache.new_seq()
             cache.extend(s, 20)
             assert cache.seq_pages(s) == [1, 0, 5, 4, 6]
+
+    @pytest.mark.parametrize("dtype", list(StorageDType))
+    def test_round_trip_keeps_the_pool_bit_for_bit(self, dtype):
+        c = PagedKVCache(8, 4, 2, 8, dtype=dtype)
+        s = c.new_seq()
+        c.append(s, *kv(13))
+        c.corrupt_page(c.seq_pages(s)[1])  # NaNs survive JSON too
+        restored = PagedKVCache.from_state(json.loads(json.dumps(c.export_state())))
+        assert restored.dtype is dtype
+        for old, new in ((c.k_pool, restored.k_pool), (c.v_pool, restored.v_pool)):
+            assert new.dtype == dtype.container and new.shape == old.shape
+            assert new.tobytes() == old.tobytes()
+
+    def test_a_cost_only_state_keeps_its_keys(self):
+        """No dtype key: the state migrates priced by its JSON length."""
+        c = PagedKVCache(8, 4, 2, 8, materialize=False, dtype=StorageDType.FP32)
+        c.extend(c.new_seq(), 5)
+        state = c.export_state()
+        assert list(state) == ["num_pages", "page_size", "num_kv_heads", "head_dim",
+                               "materialized", "checksums", "fresh", "recycled", "refcount",
+                               "corrupt", "next_seq_id", "seqs"]
+        assert PagedKVCache.from_state(state).export_state() == state
 
     @pytest.mark.parametrize("edit, match", [
         (lambda st: st["refcount"].update({"9": 1}), "fresh"),

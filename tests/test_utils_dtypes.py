@@ -149,6 +149,31 @@ class TestRoundToStorage:
             round_to_storage(np.ones(2), "fp4")  # type: ignore[arg-type]
 
 
+#: Every fp16 bit pattern: ±0, subnormals, normals, ±inf and the NaNs.
+ALL_FP16 = np.arange(2**16, dtype=np.uint16).view(np.float16)
+
+
+class TestFloat16Input:
+    """What a float16 pool's gathered chunks go through, pattern by pattern."""
+
+    def test_fp16_storage_returns_the_values_as_they_are(self):
+        assert round_to_storage(ALL_FP16, StorageDType.FP16) is ALL_FP16
+
+    def test_fp32_storage_widens_exactly(self):
+        r = round_to_storage(ALL_FP16, StorageDType.FP32)
+        assert r.dtype == np.float32
+        assert np.array_equal(r.astype(np.float16).view(np.uint16), ALL_FP16.view(np.uint16))
+
+    def test_fp8_takes_the_float32_path_bit_equal_to_float64(self):
+        with np.errstate(invalid="ignore"):  # the NaNs
+            got = quantize_fp8(ALL_FP16)
+            want = quantize_fp8(ALL_FP16.astype(np.float64))
+            stored = round_to_storage(ALL_FP16, StorageDType.FP8_E4M3)
+        assert got.dtype == want.dtype == stored.dtype == np.float32
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+        assert np.array_equal(stored.view(np.uint32), got.view(np.uint32))
+
+
 class TestItemsize:
     def test_itemsizes(self):
         assert StorageDType.FP32.itemsize == 4
