@@ -12,11 +12,12 @@ its workspace partial slot; the contraction folds the heads of a split tile
 the same way.  A pool held at its storage precision (a ``float16``
 :class:`~repro.kvcache.PagedKVCache`) is read as it is: the kernel widens
 each KV tile to float64 as it loads it (§4, App. F).  fp8 is emulated on the
-gathered chunk (widened to float32, then quantized), as is fp16 over a wider
-pool.  The per-item path this replaced is kept as the oracle in
-``tests/reference_kernels.py``.  The launch is priced elsewhere:
-:mod:`repro.core.simulate` charges every launch, computed or cost-only, from
-the plan arrays.
+gathered chunk: a ``float16`` chunk is quantized by one lookup per value in
+a table of every fp16 bit pattern's e4m3 value, a wider one by arithmetic;
+fp16 over a wider pool is rounded on the chunk too.  The per-item path this
+replaced is kept as the oracle in ``tests/reference_kernels.py``.  The
+launch is priced elsewhere: :mod:`repro.core.simulate` charges every launch,
+computed or cost-only, from the plan arrays.
 
 ``reference_attention`` is the O(n²) dense safe-softmax oracle used by the
 test suite.

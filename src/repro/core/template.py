@@ -18,6 +18,15 @@ weighted accumulation and states compose by addition.  Q/K/V transform
 functors keep their 2-D tile contract: when one is declared it is applied
 head by head, otherwise no per-head code is rendered at all.
 
+The running state stays resident and is updated in place, as the CUTLASS
+FA-2 kernel rescales its accumulator registers: ``d`` and ``acc`` are scaled
+and added to, the scaled logits and their exponentials reuse one array, and
+the finalize step divides ``acc`` where it lies.  These are the operations
+the expression form performed, in the same order, so every bit is the same;
+only arrays the kernel allocated itself are written — a functor's return
+value is read (the logits functor's as float64, like the Q/K/V
+transforms'), never written into.
+
 A KV tile that the mask hides from every row leaves the running state as it
 was (``p = 0``, ``rescale`` is 1, or 0 while ``d`` and ``acc`` are still
 zero; the sum form adds ``0 @ vt``), so a kernel with a ``logits_mask``
@@ -76,7 +85,8 @@ def {kernel_name}(q, k, v, q_pos, kv_pos, q_head, kv_head, params,
         vt = np.asarray(v[:, t0:t1], dtype=np.float64, order="C")
 {apply_key_transform}
 {apply_value_transform}
-        logits = (q @ kt.transpose(0, 2, 1)) * sm_scale
+        logits = q @ kt.transpose(0, 2, 1)
+        logits *= sm_scale
 {apply_logits_transform}
 {accumulate}
 {finalize}
@@ -86,24 +96,27 @@ SOFTMAX_ACCUMULATE = '''\
         logits = np.where(keep, logits, -np.inf)
         m_new = np.maximum(m, logits.max(axis=-1) if logits.size else -np.inf)
         m_safe = np.where(np.isneginf(m_new), 0.0, m_new)
-        p = np.exp(logits - m_safe[..., None])
+        logits -= m_safe[..., None]
+        p = np.exp(logits, out=logits)
         rescale = np.exp(np.where(np.isneginf(m), -np.inf, m - m_safe))
-        d = d * rescale + p.sum(axis=-1)
-        acc = acc * rescale[..., None] + p @ vt
+        d *= rescale
+        d += p.sum(axis=-1)
+        acc *= rescale[..., None]
+        acc += p @ vt
         m = m_new
 '''
 
 SOFTMAX_FINALIZE = '''\
     denom = np.where(d == 0.0, 1.0, d)
-    o = acc / denom[..., None]
+    acc /= denom[..., None]
     with np.errstate(divide="ignore"):
         lse = np.where(d == 0.0, -np.inf, m + np.log(denom))
-    return o, lse
+    return acc, lse
 '''
 
 SUM_ACCUMULATE = '''\
         weights = np.where(keep, logits, 0.0)
-        acc = acc + weights @ vt
+        acc += weights @ vt
 '''
 
 SUM_FINALIZE = '''\
@@ -133,8 +146,8 @@ _HELPER_TEMPLATES = {
     "logits_transform": (
         "def _logits_transform(logits, q_pos, kv_pos, q_head, kv_head, params):\n"
         "    return ({expr})\n",
-        "        logits = _logits_transform(logits, q_pos_col, kv_pos_row, "
-        "q_head_col, kv_head_col, params)",
+        "        logits = np.asarray(_logits_transform(logits, q_pos_col, kv_pos_row, "
+        "q_head_col, kv_head_col, params), dtype=np.float64)",
     ),
     "logits_mask": (
         "def _logits_mask(q_pos, kv_pos, q_head, kv_head, params):\n    return ({expr})\n",

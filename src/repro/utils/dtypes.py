@@ -6,12 +6,15 @@ arithmetic here is float32/float64 NumPy, and a paged KV pool holds its
 storage precision in a real container (:attr:`StorageDType.container`):
 fp16 values in ``float16``, rounded once when they are written.  fp8 has no
 NumPy container, so e4m3 is emulated: its grid is exact in ``float16``, and
-:func:`quantize_fp8` rounds a tensor (a gathered chunk, say) onto it.
+:func:`quantize_fp8` rounds a tensor onto it — a float16 one (a chunk gathered
+from a ``float16`` pool) by one lookup in a table of every fp16 bit pattern's
+e4m3 value, any other by arithmetic.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 
 import numpy as np
 
@@ -51,15 +54,22 @@ def quantize_fp8(x: np.ndarray) -> np.ndarray:
     compares equal to 0).  This emulates storing a tensor in fp8 without an
     actual 8-bit container: the value grid is exact, the bytes are not.
 
-    Every step — a power-of-two ulp, ``rint`` of an exactly scaled value —
-    is exact in the input's own float dtype, so float32 is not widened and
-    float16 is widened to float32 (exactly); anything else is computed in
-    float64 (rounding float64 to float32 first would double-round near ties).
+    float16 input is one lookup per value in a table of all 65 536 fp16 bit
+    patterns, built once, on first use, by the float32 arithmetic below on
+    every pattern widened (exactly) to float32 — so it gives that
+    arithmetic's bits by construction.  Any other input is computed: every
+    step — a power-of-two ulp, ``rint`` of an exactly scaled value — is
+    exact in the input's own float dtype, so float32 is not widened;
+    anything else is computed in float64 (rounding float64 to float32
+    first would double-round near ties).
     """
     x = np.asarray(x)
     if x.dtype == np.float16:
-        x = x.astype(np.float32)
-    elif x.dtype != np.float32:
+        # Every uint16 is an index of the table: "clip" never clips, it only
+        # skips the bounds check (and lets ``out`` keep a 0-d result an array).
+        out = np.empty(x.shape, np.float32)
+        return np.take(_fp8_of_every_fp16(), x.view(np.uint16), mode="clip", out=out)
+    if x.dtype != np.float32:
         x = x.astype(np.float64, copy=False)
     mag = np.abs(x, out=np.empty_like(x))
     np.minimum(mag, FP8_E4M3_MAX, out=mag)  # the maximum is on the grid
@@ -71,6 +81,16 @@ def quantize_fp8(x: np.ndarray) -> np.ndarray:
     np.rint(mag, out=mag)
     mag *= ulp
     return np.copysign(mag, x, out=mag).astype(np.float32, copy=False)
+
+
+@functools.cache
+def _fp8_of_every_fp16() -> np.ndarray:
+    """The e4m3 value (float32) of every fp16 bit pattern, by index; read-only."""
+    every = np.arange(2**16, dtype=np.uint16).view(np.float16).astype(np.float32)  # exact
+    with np.errstate(invalid="ignore"):  # the NaN patterns
+        table = quantize_fp8(every)
+    table.flags.writeable = False
+    return table
 
 
 def dequantize_fp8(x: np.ndarray, scale: float = 1.0) -> np.ndarray:

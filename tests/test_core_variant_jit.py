@@ -593,6 +593,47 @@ class TestComposeVariants:
         np.testing.assert_allclose(out, ref, atol=1e-8)
 
 
+class TestTheKernelWritesOnlyItsOwnArrays:
+    """The sweep updates its running state in place: nothing a functor
+    returns — its own input, a read-only view — nor any bound parameter or
+    operand is written."""
+
+    @pytest.mark.parametrize("expr", ["logits", "np.broadcast_to(logits, logits.shape)"])
+    def test_a_logits_functor_returning_its_input_or_a_read_only_view(self, rng, expr):
+        from conftest import fp16, make_paged_mapping
+        from repro import BatchAttentionWrapper, WorkspaceBuffer, reference_attention
+        from repro.core import HeadConfig
+
+        variant = AttentionVariant(name="identity_logits", logits_transform=expr)
+        heads = HeadConfig(4, 2, 16)
+        mapping, slots = make_paged_mapping([40, 12], [9, 1], 4)
+        q = rng.standard_normal((10, 4, 16))
+        kp, vp = rng.standard_normal((2, slots, 2, 16))
+        w = BatchAttentionWrapper(variant, heads, WorkspaceBuffer(1 << 24), avg_qo_len=5)
+        w.plan(mapping)
+        out, _, _ = w.run(q, kp, vp)
+        for rows, kv in ((slice(0, 9), slice(0, 40)), (slice(9, 10), slice(40, 52))):
+            want = reference_attention(q[rows], fp16(kp[kv]), fp16(vp[kv]), causal=True)
+            np.testing.assert_allclose(out[rows], want, atol=1e-6)
+
+    def test_bound_parameters_and_operands_are_unchanged_by_a_run(self):
+        """Every variant of the equivalence suite, over a float16 pool read
+        at fp8, with a split chunk."""
+        from repro.utils.dtypes import StorageDType
+        from test_kernels_equivalence import VARIANTS, _problem, _run_new
+
+        for name, (variant, _) in sorted(VARIANTS.items()):
+            p = _problem([(9, 40), (14, 75)], name, StorageDType.FP8_E4M3, True, True, 64, 0)
+            for pool in ("k_pool", "v_pool"):
+                p[pool] = p[pool].astype(np.float16)
+            arrays = {k: a for k, a in vars(variant.bind_params()).items()
+                      if isinstance(a, np.ndarray)}
+            arrays.update(q=p["q"], k_pool=p["k_pool"], v_pool=p["v_pool"])
+            before = {k: a.tobytes() for k, a in arrays.items()}
+            _run_new(p)
+            assert {k: a.tobytes() for k, a in arrays.items()} == before, name
+
+
 class TestJITThreadSafety:
     def test_concurrent_compilation_single_kernel(self):
         """Racing get_kernel calls must all return the same cached object."""

@@ -358,6 +358,19 @@ class TestQuantizeFP8Equivalence:
         assert new.dtype == old.dtype == np.float32
         assert np.array_equal(new, old)  # -0.0 == 0.0: only the zero's sign may differ
 
+    def test_every_fp16_bit_pattern(self):
+        """The float16 path is a table lookup: all 65 536 entries against the
+        oracle, NaNs by ``isnan``, ±inf at the saturation the oracle lacks."""
+        x = np.arange(2**16, dtype=np.uint16).view(np.float16)
+        with np.errstate(invalid="ignore"):  # the oracle's NaNs and infinities
+            new, old = quantize_fp8(x), ref.reference_quantize_fp8(x)
+        assert new.dtype == old.dtype == np.float32
+        finite, nan = np.isfinite(x), np.isnan(x)
+        assert finite.sum() == 63_488 and nan.sum() == 2046
+        assert np.array_equal(new[finite], old[finite])  # -0.0 == 0.0: a zero's sign may differ
+        assert np.array_equal(np.isnan(new), nan)
+        assert np.array_equal(new[np.isinf(x)], np.sign(x[np.isinf(x)]) * 448.0)
+
     def test_float64_near_ties_stay_float64_arithmetic(self):
         """Midpoints of the e4m3 grid ± one float64 ulp: rounding the input to
         float32 first would land every one of them on the tie."""

@@ -164,7 +164,7 @@ class TestFloat16Input:
         assert r.dtype == np.float32
         assert np.array_equal(r.astype(np.float16).view(np.uint16), ALL_FP16.view(np.uint16))
 
-    def test_fp8_takes_the_float32_path_bit_equal_to_float64(self):
+    def test_fp8_lookup_is_bit_equal_to_the_float64_arithmetic(self):
         with np.errstate(invalid="ignore"):  # the NaNs
             got = quantize_fp8(ALL_FP16)
             want = quantize_fp8(ALL_FP16.astype(np.float64))
@@ -172,6 +172,39 @@ class TestFloat16Input:
         assert got.dtype == want.dtype == stored.dtype == np.float32
         assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
         assert np.array_equal(stored.view(np.uint32), got.view(np.uint32))
+
+    def test_fp8_lookup_keeps_shape_for_views_and_scalars(self):
+        base = ALL_FP16[:4096].reshape(16, 16, 16)
+        for x in (base[:, ::3, 1:], base.T, base[2, 3, 4], np.float16(3.3), base[:0]):
+            got = quantize_fp8(x)
+            assert isinstance(got, np.ndarray) and got.dtype == np.float32
+            assert got.shape == np.shape(x)
+            want = quantize_fp8(np.asarray(x, dtype=np.float32))
+            assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+    def test_an_fp8_read_of_a_float16_pool_runs_no_arithmetic(self, monkeypatch, rng):
+        """Once the table is built, a decode batch at ``kv_dtype=FP8_E4M3``
+        over a ``float16`` pool quantizes by lookup alone: ``np.frexp``, the
+        arithmetic's first step, may not run."""
+        from conftest import make_paged_mapping
+        from repro import BatchAttentionWrapper, WorkspaceBuffer
+        from repro.core import VANILLA, HeadConfig
+
+        quantize_fp8(ALL_FP16[:1])  # builds the table
+
+        def no_arithmetic(*args, **kwargs):
+            raise AssertionError("an fp8 read of a float16 pool ran the arithmetic")
+
+        monkeypatch.setattr(np, "frexp", no_arithmetic)
+        mapping, slots = make_paged_mapping([40, 300, 7], [1, 1, 1], 16)
+        w = BatchAttentionWrapper(VANILLA, HeadConfig(4, 2, 16), WorkspaceBuffer(1 << 24),
+                                  kv_dtype=StorageDType.FP8_E4M3)
+        w.plan(mapping)
+        kp, vp = rng.standard_normal((2, slots, 2, 16)).astype(np.float16)
+        out, _, _ = w.run(rng.standard_normal((3, 4, 16)), kp, vp)
+        assert np.isfinite(out).all()
+        with pytest.raises(AssertionError, match="arithmetic"):
+            quantize_fp8(np.float32([1.0]))  # float32 input does run it
 
 
 class TestItemsize:
