@@ -19,6 +19,7 @@ state any format wrote.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
@@ -210,8 +211,8 @@ class BatchAttentionWrapper:
         if plan_cache is not None:
             self.plan_cache = plan_cache
         self.last_report: Optional[SimReport] = None
-        #: ``(streams, price)`` of each launch the staged plan was priced
-        #: with (:meth:`_choose`), or ``None`` (:meth:`_submit`).
+        #: ``(streams, price)`` of each launch of the staged plan (a stack's
+        #: contraction priced by the stack), or ``None`` (:meth:`_submit`).
         self._launches: Optional[list] = None
         self.plan_count = 0
         #: ``None``, or this wrapper is a format of a composable stack of
@@ -458,15 +459,19 @@ class BatchAttentionWrapper:
     def _priced(self, plan: SchedulePlan, mapping: AttentionMapping) -> Tuple[float, list]:
         """``plan``'s price for :meth:`_choose` and its launches as ``(streams,
         price)``; a format of a stack contracts the plan's own states."""
-        launches = []
+        launches: list = []
+        merges = self._merges(plan) if self.stack_merges is None else simulate.format_merge_entries(
+            mapping, plan.kv_chunk_size, self.heads.num_qo_heads)
+        return self._price(plan, mapping, merges, self._recorder(launches)).makespan, launches
+
+    def _recorder(self, launches: list) -> Callable[..., SimReport]:
+        """A ``launch`` that prices its streams and appends both to ``launches``."""
 
         def launch(*streams) -> SimReport:
             launches.append((streams, self.executor.price_streams(*streams)))
             return launches[-1][1]
 
-        merges = self._merges(plan) if self.stack_merges is None else simulate.format_merge_entries(
-            mapping, plan.kv_chunk_size, self.heads.num_qo_heads)
-        return self._price(plan, mapping, merges, launch).makespan, launches
+        return launch
 
     def _write_plan(self, plan: SchedulePlan) -> None:
         """Copy the plan tables into their fixed-offset sections."""
@@ -506,10 +511,11 @@ class BatchAttentionWrapper:
 
     # -- run -------------------------------------------------------------------
 
-    def _simulate_fast(self) -> SimReport:
+    def _simulate_fast(self, launch: Optional[Callable[..., SimReport]] = None) -> SimReport:
         """Price the planned launch — attention kernel, then contraction
-        kernel — from the serialized plan arrays, numerics or not.  Pinned to
-        the per-object model of ``tests/reference_costs.py``.
+        kernel — from the serialized plan arrays, numerics or not, each
+        drained by ``launch`` (default: the executor's ``run_streams``).
+        Pinned to the per-object model of ``tests/reference_costs.py``.
 
         Contraction entry ``i`` folds ``n_slots[i]`` states into each of its
         ``rows_eff[i]`` (query row, query head) pairs — the plan's merge
@@ -518,7 +524,7 @@ class BatchAttentionWrapper:
         """
         plan = self._read_plan()
         merges = self._merges(plan) if self.stack_merges is None else self.stack_merges
-        return self._price(plan, self._mapping, merges, self.executor.run_streams)
+        return self._price(plan, self._mapping, merges, launch or self.executor.run_streams)
 
     def _merges(self, plan: SchedulePlan) -> Tuple[np.ndarray, np.ndarray]:
         """Contraction entries ``(n_slots, rows_eff)`` of ``plan``'s own merges."""
@@ -557,20 +563,18 @@ class BatchAttentionWrapper:
         )
         return report.then(self.executor.follow(report, contraction))
 
-    def _submit(self) -> SimReport:
-        """The planned launches, submitted: those :meth:`_choose` priced with
-        their price, a stack's contraction priced now — or, after a plan-cache
-        hit or a plan written straight into the workspace, every launch
-        re-priced from the workspace (:meth:`_simulate_fast`)."""
+    def _submit(self, submit: bool = True) -> SimReport:
+        """The planned launches at the prices they were planned with, each
+        submitted unless ``submit`` is false — or, after a plan-cache hit or
+        a ``_write_plan`` by hand, priced from the workspace."""
+        executor = self.executor
         if self._launches is None:
-            return self._simulate_fast()
-        executor, report = self.executor, None
+            return self._simulate_fast(None if submit else executor.price_streams)
+        report = None
         for streams, priced in self._launches:  # the attention launch, then its contraction
-            launch = executor.run_streams(*streams, priced=priced)
+            launch = executor.run_streams(*streams, priced=priced) if submit else priced
             report = launch if report is None else report.then(executor.follow(report, launch))
-        if self.stack_merges is None:
-            return report
-        return self._contract(report, self.stack_merges, executor.run_streams)
+        return report
 
     def _item_costs(
         self, items: np.ndarray, mapping: AttentionMapping, q_tile_size: int
@@ -749,7 +753,24 @@ class ComposableAttentionWrapper:
                 [(p.items, w._mapping) for p, w in zip(plans, self.wrappers)],
                 last._sched_heads, last.heads.group_size if last.fuse_head_groups else 1,
             )
+            if last._launches:  # the stack's contraction, priced once: ``run`` submits it
+                last._contract(last._launches[0][1], last.stack_merges,
+                               last._recorder(last._launches))
         self._format = formats
+
+    def price(self) -> float:
+        """The makespan :meth:`run` reports for the planned stack when no
+        fault fires, read from the prices its launches were planned with:
+        nothing is launched or recorded."""
+        return self._in_order([w._submit(submit=False) for w in self.wrappers])[1].makespan
+
+    def _in_order(self, reports: List[SimReport]) -> Tuple[List[SimReport], SimReport]:
+        """``(each format's report as it runs in the stack, the stack's)``:
+        each format after the one before it."""
+        ran = reports[:1]
+        for w, rep in zip(self.wrappers[1:], reports[1:]):
+            ran.append(w.executor.follow(ran[-1], rep))
+        return ran, functools.reduce(SimReport.then, ran)
 
     def run(
         self,
@@ -765,16 +786,12 @@ class ComposableAttentionWrapper:
         h, d = self.heads.num_qo_heads, self.heads.head_dim
         acc_o = np.zeros((total_q, h, d)) if compute else None
         acc_lse = np.full((total_q, h), -np.inf) if compute else None
-        report: Optional[SimReport] = None
-        self.format_reports = []
+        reports = []
         for w in self.wrappers:
             o_f, lse_f, rep = w.run(
                 q, k_pool, v_pool, compute=compute, apply_output_transform=False
             )
-            if report is not None:
-                rep = w.executor.follow(report, rep)
-            self.format_reports.append(rep)
-            report = rep if report is None else report.then(rep)
+            reports.append(rep)
             if compute:
                 if self.variant.use_softmax:
                     acc_o, acc_lse = merge_states(acc_o, acc_lse, o_f, lse_f)
@@ -783,5 +800,5 @@ class ComposableAttentionWrapper:
         first = self.wrappers[0]
         if compute and first.kernel.output_transform is not None:
             _apply_output_transform(first.kernel, acc_o, np.arange(total_q), first._params)
-        self.last_report = report
-        return acc_o, report
+        self.format_reports, self.last_report = self._in_order(reports)
+        return acc_o, self.last_report

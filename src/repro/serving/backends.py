@@ -132,6 +132,9 @@ class FlashInferBackend(AttentionBackend):
         #: One wrapper stack per (variant, KV storage, format count): one
         #: CUDAGraph each (§3.4).
         self._stacks: Dict[tuple, ComposableAttentionWrapper] = {}
+        #: ``(formats, stack)`` :meth:`cheaper` left planned for the next
+        #: :meth:`attention_time`.
+        self._chosen: tuple = (None, None)
 
     def set_fault_injector(self, injector) -> None:
         self._executor.fault_injector = injector
@@ -158,8 +161,28 @@ class FlashInferBackend(AttentionBackend):
         cw.plan(formats)
         return cw
 
+    def cheaper(self, cascade: ComposableFormat, mapping: AttentionMapping):
+        """``cascade``, or the dense ``mapping`` it was cut from where that
+        prices lower as :meth:`attention_time` runs it (a tie keeps the
+        cascade), left planned for the next :meth:`attention_time`; the
+        loser launches nothing.  The dense plan is planned only when its
+        floor does not exceed the cascade's price: one dispatch, plus the KV
+        bytes of its one-row groups (each reads all it holds) at peak
+        bandwidth, which no drain beats."""
+        heads, gpu, fp16 = self.heads, self.gpu, StorageDType.FP16
+        self._chosen = (cascade, self.stack(VANILLA, fp16, cascade))
+        price = self._chosen[1].price()
+        column = 2 * heads.num_kv_heads * heads.head_dim * fp16.itemsize  # K and V
+        rows_kv = float(mapping.kv.kv_lens[mapping.qo_lens == 1].sum())
+        if gpu.kernel_dispatch_overhead + rows_kv * column / gpu.peak_bandwidth_bytes <= price:
+            dense = self.stack(VANILLA, fp16, mapping)
+            if dense.price() < price:
+                self._chosen = (mapping, dense)
+        return self._chosen[0]
+
     def attention_time(self, formats) -> float:
-        cw = self.stack(VANILLA, StorageDType.FP16, formats)
+        chosen, self._chosen = self._chosen, (None, None)
+        cw = chosen[1] if chosen[0] is formats else self.stack(VANILLA, StorageDType.FP16, formats)
         _, report = cw.run(None, compute=False)
         if self.collect_kernel_reports:
             # Per-format visibility: one record per stacked wrapper, as it ran

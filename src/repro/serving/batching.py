@@ -430,12 +430,9 @@ class BatchFormer:
         if segments:
             qo_indptr[len(streams) + 1:] += np.cumsum([chunk - 1 for _, chunk in segments])
         mapping = AttentionMapping(qo_indptr, cache.layout(seq_ids), causal=True)
-        formats: object = mapping
         cascade = self._compose_formats(mapping)
-        if cascade is not None:
-            formats = cascade
         return StepPlan(
-            kind=kind, formats=formats, mapping=mapping,
+            kind=kind, formats=mapping if cascade is None else cascade, mapping=mapping,
             num_prefill_tokens=sum(chunk for _, chunk in segments),
             num_decode_tokens=len(streams), seq_ids=seq_ids,
             preempt_before=preempt_before, chunks=segments,
@@ -568,7 +565,9 @@ class BatchFormer:
         Level 1 peels per-request fork groups (parallel generations of one
         prompt) that extend past the level-0 prefix.  Shared pages are then
         read once per step instead of once per request, with partial states
-        merged by ``⊕``.
+        merged by ``⊕``.  The cascade is a candidate: the step runs dense
+        where the backend prices the dense plan lower
+        (:meth:`~repro.serving.backends.FlashInferBackend.cheaper`).
         """
         eng, cfg, st = self.engine, self.engine.config, self.state
         if not (
@@ -604,27 +603,26 @@ class BatchFormer:
             comp = decompose_shared_prefix(mapping, fork)
             if len(comp) > 1:
                 formats = comp
-        if formats is not None:
-            self._note_cascade(formats)
-        eng._step_cascade_levels = len(formats) if formats is not None else 0
-        return formats
+        if formats is not None and eng.backend.cheaper(formats, mapping) is formats:
+            self._note_cascade(formats, mapping)
+            return formats
+        return None
 
-    def _note_cascade(self, formats) -> None:
-        """Account HBM traffic the cascade avoids: each prefix-level group
-        is read once per step instead of once per covered query row."""
-        eng, m = self.engine, self.state.metrics
-        model = eng.model
+    def _note_cascade(self, formats, mapping: AttentionMapping) -> None:
+        """Account a chosen cascade: its levels for the step's trace event,
+        and the HBM traffic it avoids — each prefix-level group is read once
+        per step instead of once per member request of ``mapping``, however
+        many query rows each member brings."""
+        eng, m, model = self.engine, self.state.metrics, self.engine.model
+        eng._step_cascade_levels = len(formats)
         saved_tokens = 0
         for fmt in formats.mappings[:-1]:  # prefix levels only
-            spans = np.diff(fmt.qo_indptr)
-            saved_tokens += int(np.sum((spans - 1) * fmt.kv.kv_lens))
-        if saved_tokens <= 0:
-            return
+            first, end = np.searchsorted(
+                mapping.qo_indptr, (fmt.q_row_starts, fmt.q_row_starts + fmt.qo_lens))
+            saved_tokens += int(np.sum((end - first - 1) * fmt.kv.kv_lens))
         bytes_per_token = model.num_kv_heads * model.head_dim * 2 * 2  # K+V, fp16
         m.cascade_steps += 1
-        m.cascade_bytes_saved += float(
-            saved_tokens * bytes_per_token * model.num_layers
-        )
+        m.cascade_bytes_saved += float(saved_tokens * bytes_per_token * model.num_layers)
 
     def _fork_clusters(self) -> List[PrefixCluster]:
         """Consecutive streams of the same request share its prompt pages."""

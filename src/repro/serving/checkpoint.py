@@ -46,7 +46,6 @@ persists them to disk with atomic writes (``serve --journal DIR`` /
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -56,6 +55,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.faults.inject import EngineCrash
 from repro.kvcache.paged import PagedKVCache
+from repro.serving.batching import _fields
 from repro.serving.metrics import ServingMetrics
 from repro.serving.workload import Request
 
@@ -247,7 +247,7 @@ def build_snapshot(engine, state, admission, t: float) -> dict:
         "t": t,
         "world": dict(engine.world),
         **{key: getattr(engine, f"_{key}") for key in STEP_COUNTERS},
-        "requests": [dataclasses.asdict(r) for r in state.requests],
+        "requests": [_fields(r) for r in state.requests],
         **state.export_state(),
         "cache": state.cache.export_state(),
         "fault_plan": plan.export_state() if plan is not None else None,

@@ -12,7 +12,7 @@ from repro.models import TinyTransformer
 from repro.serving import (
     EngineConfig, ServingEngine, shared_prefix_workload, sharegpt_workload,
 )
-from test_models_transformer import GEMMA_STYLE, WORKLOAD
+from test_models_transformer import GEMMA_STYLE, WIDE_FORK, WORKLOAD
 
 
 class TestBasics:
@@ -136,8 +136,8 @@ class TestAServingRunKeepsOneSignaturePerWrapper:
         ({}, None, lambda: sharegpt_workload(24, 60.0), 1),
         # Numerics on: the 1- and 2-format stacks of the vanilla and the windowed variant.
         (dict(chunked_prefill=True, prefill_chunk_size=16, composable=True, prefix_cache=True,
-              num_pool_pages=64), lambda: TinyTransformer(GEMMA_STYLE, seed=3),
-         lambda: WORKLOAD, 6),
+              num_pool_pages=256), lambda: TinyTransformer(GEMMA_STYLE, seed=3),
+         lambda: WORKLOAD + [WIDE_FORK], 6),
     ], ids=["chunked-composable-prefix-cache", "chunked", "plain", "numerics-gemma-style"])
     def test_one_signature_per_wrapper(self, monkeypatch, features, model, workload, wrappers):
         signatures = defaultdict(set)

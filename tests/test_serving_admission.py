@@ -7,7 +7,10 @@ work parked in the preempted deque must be sheddable by both the deadline
 scan and the overload valve.
 """
 
+import itertools
 from collections import deque
+
+import pytest
 
 from repro.core import HeadConfig
 from repro.faults import ResilienceConfig
@@ -222,3 +225,20 @@ class TestEngineDeadlineShedding:
         assert all(t.outcome_reason == "deadline"
                    for t in metrics.shed_traces)
         assert not metrics.traces
+
+
+@pytest.mark.xfail(strict=True, reason="a request wider than max_running is never admitted")
+def test_a_request_wider_than_max_running_is_refused(monkeypatch):
+    """``admit`` waits until ``n`` more streams fit under ``max_running``,
+    which they never do: the step loop spins with the request waiting.
+    Refusing it up front would flip this pin."""
+    calls, admit = itertools.count(), AdmissionController.admit
+
+    def counted(self, t):
+        if next(calls) > 1000:
+            raise RuntimeError("the step loop spins without admitting")
+        admit(self, t)
+
+    monkeypatch.setattr(AdmissionController, "admit", counted)
+    with pytest.raises(ValueError):
+        ServingEngine.from_config(EngineConfig(max_running=2)).run([Request(0.0, 64, 4, n=3)])

@@ -15,10 +15,11 @@ from pathlib import Path
 import pytest
 
 from conftest import cached_pages
-from repro.core import HeadConfig
+from repro.core import VANILLA, HeadConfig
 from repro.faults import ResilienceConfig
 from repro.gpu import H100_80G
 from repro.kvcache import PagedKVCache, RadixTree
+from repro.obs import StepTracer
 from repro.serving import (
     CheckpointConfig,
     CheckpointStore,
@@ -34,6 +35,8 @@ from repro.serving import (
 from repro.serving.batching import BatchFormer, RunState
 from repro.serving.engine import PAGE_SIZE
 from repro.serving.metrics import ServingMetrics
+from repro.sparse import detect_shared_prefixes
+from repro.utils import StorageDType
 
 MODEL = LLAMA_3_1_8B
 HEADS = HeadConfig(MODEL.num_qo_heads, MODEL.num_kv_heads, MODEL.head_dim)
@@ -299,8 +302,12 @@ class TestGoldenRun:
     again, hits and cascade steps unchanged, when every work item ran on its
     own query tile and a stack's tiles stopped depending on the first plan
     under its format count (run 0.7314 → 0.7309 s, four TTFTs −380…−528 µs;
-    resumed 0.7306 → 0.7309 s).  The resumed run now equals the plain one:
-    the wrappers it rebuilds after the restore price as the originals."""
+    resumed 0.7306 → 0.7309 s); and again, hits unchanged, when a cascade
+    became a priced candidate (108 → 105 cascade steps, three mixed steps
+    run dense; ten TTFTs −0.55…−3.8 ms, eleven +0.86…+6.8 ms as later
+    arrivals land in other steps; run 0.7309 → 0.7317 s).  The resumed run
+    equals the plain one: the wrappers it rebuilds after the restore price
+    as the originals."""
 
     CFG = EngineConfig(max_running=64, chunked_prefill=True, prefix_cache=True,
                        composable=True)
@@ -333,6 +340,64 @@ class TestGoldenRun:
         assert phases == ["mid-step"]
         assert metrics.token_divergence(expected_tokens(reqs)) == (0, 24)
         assert self._fields(metrics) == golden["resumed"] == golden["run"]
+
+
+class TestTheCascadeIsAPricedCandidate:
+    """A cascade step runs the cheaper of its cascade stack and its dense
+    plan, ties to the cascade, and counts what it saves once per member."""
+
+    @staticmethod
+    def _run(tracer=None):
+        config = EngineConfig(chunked_prefill=True, composable=True, prefix_cache=True)
+        return ServingEngine.from_config(config, tracer=tracer).run(shared_prefix_workload(12, 40.0))
+
+    def test_each_step_runs_the_cheaper_of_its_cascade_and_dense_plans(self, monkeypatch):
+        """Both priced in full, without the dense plan's floor; the run
+        reaches both branches, and the loser records no kernel."""
+        chosen, ran = [], []
+        cheaper, attention_time = FlashInferBackend.cheaper, FlashInferBackend.attention_time
+
+        def spy_cheaper(self, cascade, mapping):
+            prices = [self.stack(VANILLA, StorageDType.FP16, f).price() for f in (cascade, mapping)]
+            winner = cheaper(self, cascade, mapping)
+            chosen.append((len(ran), prices, winner is cascade))
+            return winner
+
+        def spy_time(self, formats):
+            ran.append(attention_time(self, formats))
+            return ran[-1]
+
+        monkeypatch.setattr(FlashInferBackend, "cheaper", spy_cheaper)
+        monkeypatch.setattr(FlashInferBackend, "attention_time", spy_time)
+        tracer = StepTracer(capture_kernels=True)
+        metrics = self._run(tracer)
+        for step, (cascade, dense), kept in chosen:
+            assert ran[step] == min(cascade, dense)
+            assert kept == (cascade <= dense)
+        assert 0 < metrics.cascade_steps == sum(kept for *_, kept in chosen) < len(chosen)
+        steps = [e for e in tracer.events if e.kind != "idle"]
+        assert all(len(e.kernels) == max(e.cascade_levels, 1) for e in steps)
+
+    def test_a_prefix_read_is_saved_once_per_member_request(self, monkeypatch):
+        """A member whose prefill chunk sits in the prefix group saves one
+        read of the prefix, not one per chunk row."""
+        steps = []
+        note = BatchFormer._note_cascade
+
+        def spy(self, formats, mapping):
+            before = self.state.metrics.cascade_bytes_saved
+            note(self, formats, mapping)
+            steps.append((self.state.metrics.cascade_bytes_saved - before, mapping))
+
+        monkeypatch.setattr(BatchFormer, "_note_cascade", spy)
+        self._run()
+        per_token = MODEL.num_kv_heads * MODEL.head_dim * 2 * 2 * MODEL.num_layers
+        chunked = 0
+        for saved, mapping in steps:
+            clusters = detect_shared_prefixes(mapping.kv)
+            assert saved == per_token * sum((len(cl.requests) - 1) * cl.prefix_len for cl in clusters)
+            chunked += any(mapping.qo_lens[list(cl.requests)].max() > 1 for cl in clusters)
+        assert chunked
 
 
 # -- the cluster path ---------------------------------------------------------
@@ -390,8 +455,6 @@ class TestCacheAwareRouting:
 
 class TestStepEvents:
     def test_trace_carries_radix_and_cascade_counters(self):
-        from repro.obs import StepTracer
-
         tracer = StepTracer()
         m = engine(chunked=True, composable=True, tracer=tracer).run(
             shared_requests(n=6, out=48, gap=0.02)
