@@ -212,7 +212,9 @@ def run_mapping(
             kv_slots = mapping.kv.slot_indices(group, kv_start, kv_stop)[:, None]
             k_chunk = round_to_storage(k_pool[kv_slots, kv_heads], kv_dtype)
             v_chunk = round_to_storage(v_pool[kv_slots, kv_heads], kv_dtype)
-            kv_pos = int(mapping.kv_pos_offset[group]) + np.arange(kv_start, kv_stop)
+            # A slot's position: its block's plus its offset in the block.
+            block, offset = np.divmod(np.arange(kv_start, kv_stop), mapping.kv.block_size)
+            kv_pos = mapping.block_pos[mapping.kv.indptr[group] + block] + offset
 
         o, s = kernel.fn(
             q_tile, k_chunk.transpose(1, 0, 2), v_chunk.transpose(1, 0, 2),

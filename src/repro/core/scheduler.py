@@ -347,8 +347,7 @@ def plan_schedule(
     chunk_granularity: int = 64,
     split_kv: bool = True,
     causal: bool = False,
-    q_pos_offset: Optional[Sequence[int]] = None,
-    kv_pos_offset: Optional[Sequence[int]] = None,
+    causal_kv_lens: Optional[Sequence[int]] = None,
     break_even_kv: int = 0,
 ) -> SchedulePlan:
     """Algorithm 1: balanced assignment of attention work to CTAs.
@@ -372,11 +371,12 @@ def plan_schedule(
         size) so no chunk is a sliver smaller than one inner tile.
     split_kv:
         Disable to emulate schedulers without KV splitting (ablations).
-    causal / q_pos_offset / kv_pos_offset:
+    causal / causal_kv_lens:
         When causal, each work item's cost weighs only the KV *visible* to
         its query tile (a prefill tile near the top of the triangle does a
-        fraction of the last tile's work).  Offsets default to the
-        decode/prefill convention (queries are the trailing positions).
+        fraction of the last tile's work; its last row sees the most): the
+        KV slots each query row sees, ``AttentionMapping.causal_kv_lens``,
+        default to the decode/prefill convention (trailing positions).
     break_even_kv:
         The KV length whose bytes equal what one more split costs: the
         partial state ``(O, LSE)`` of the largest tile, written in fp32 by
@@ -409,10 +409,12 @@ def plan_schedule(
         weights = table[:, COL_KVSTOP] - table[:, COL_KVSTART]
         if causal:
             group = table[:, COL_GROUP]
-            q_off = kv_lens - qo_lens if q_pos_offset is None else np.asarray(q_pos_offset)
-            kv_off = 0 if kv_pos_offset is None else np.asarray(kv_pos_offset)[group]
-            # One past the KV index the tile's last query row sees.
-            vis_end = q_off[group] + table[:, COL_QSTART] + table[:, COL_QROWS] - kv_off
+            end = table[:, COL_QSTART] + table[:, COL_QROWS]  # one past the tile's last row
+            if causal_kv_lens is None:  # trailing rows
+                vis_end = (kv_lens - qo_lens)[group] + end
+            else:  # the tile's last row sees the most
+                seen = np.asarray(causal_kv_lens)
+                vis_end = seen[(np.cumsum(qo_lens) - qo_lens)[group] + end - 1]
             weights = np.clip(vis_end - table[:, COL_KVSTART], 0, weights)
         order = np.argsort(-weights, kind="stable")
         return order, _assign_ctas(
@@ -438,8 +440,7 @@ def plan_signature(
     chunk_granularity: int = 64,
     split_kv: bool = True,
     causal: bool = False,
-    q_pos_offset: Optional[Sequence[int]] = None,
-    kv_pos_offset: Optional[Sequence[int]] = None,
+    causal_kv_lens: Optional[Sequence[int]] = None,
     break_even_kv: int = 0,
 ) -> Tuple:
     """Hashable key over every :func:`plan_schedule` input.
@@ -462,7 +463,7 @@ def plan_signature(
         _bytes(qo_lens), _bytes(kv_lens), int(q_tile_size), int(num_ctas),
         int(num_kv_heads), int(mapping_idx), float(alpha), float(beta),
         int(min_kv_chunk), int(chunk_granularity), bool(split_kv), bool(causal),
-        _bytes(q_pos_offset), _bytes(kv_pos_offset), int(break_even_kv),
+        _bytes(causal_kv_lens), int(break_even_kv),
     )
 
 

@@ -43,31 +43,16 @@ from repro.sparse.layout import AttentionMapping
 from repro.utils.dtypes import StorageDType
 
 
-def _causal_processed(
-    lo: np.ndarray, rows: np.ndarray, chunk: np.ndarray, kv_tile: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized causal accounting.
-
-    For each item, query row ``i`` sees ``clip(lo + i, 0, chunk)`` KV
-    columns (``lo = q_pos0 - kv_pos0 + 1``).  Returns ``(useful_cols,
-    processed_kv)`` where ``processed_kv`` rounds the largest row count up
-    to the KV tile (tiles fully above the diagonal are skipped).
-    """
-    r = rows.astype(np.float64)
-    lo = lo.astype(np.float64)
-    c = chunk.astype(np.float64)
-    # np.minimum/np.maximum rather than np.clip: the same values, a third of
-    # the call overhead on the short arrays of a plan.
-    a = np.minimum(np.maximum(-lo, 0.0), r)  # rows with zero visible columns
-    b = np.minimum(np.maximum(c - lo, 0.0), r)  # rows below the saturated region
-    mid = np.maximum(b - a, 0.0)
-    # Sum of (lo + i) for i in [a, b):
-    mid_sum = mid * lo + (a + b - 1.0) * mid / 2.0
-    useful = mid_sum + (r - b) * c
-    max_count = np.minimum(np.maximum(lo + r - 1.0, 0.0), c)
-    processed = np.minimum(c, np.ceil(max_count / kv_tile) * kv_tile)
-    processed[max_count <= 0] = 0.0
-    return useful, processed
+def _causal_rows(mapping: AttentionMapping) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(base, key, prefix)`` over a causal mapping's rows: ``key`` is each
+    row's ``causal_kv_lens`` plus its group's ``base``, which ascends over the
+    whole mapping, so one ``searchsorted`` of ``base[g] + column`` finds, for
+    every item at once, the first row of group ``g`` that sees past that KV
+    column; ``prefix`` is the running sum of the rows' lengths, from 0."""
+    lens, kv = mapping.causal_kv_lens, mapping.kv.kv_lens + 1
+    base, prefix = np.cumsum(kv) - kv, np.zeros(lens.size + 1, dtype=np.int64)
+    np.cumsum(lens, out=prefix[1:])
+    return base, lens + np.repeat(base, mapping.qo_lens), prefix
 
 
 @dataclass
@@ -147,10 +132,23 @@ def item_footprints(
     chunk = (item_arr[:, COL_KVSTOP] - item_arr[:, COL_KVSTART]).astype(np.float64)
 
     if mapping.causal:
-        q_pos0 = mapping.q_pos_offset[group] + item_arr[:, COL_QSTART]
-        kv_pos0 = mapping.kv_pos_offset[group] + item_arr[:, COL_KVSTART]
-        lo = (q_pos0 - kv_pos0 + 1).astype(np.float64)
-        useful_cols, processed = _causal_processed(lo, rows, chunk, kv_tile)
+        # Row r computes clip(causal_kv_lens[r] - start, 0, width) of an
+        # item's columns: as a group's rows ascend, the rows that see none
+        # lead and those that see all trail, so no row is expanded.
+        base, key, prefix = _causal_rows(mapping)
+        start = item_arr[:, COL_KVSTART]
+        width = item_arr[:, COL_KVSTOP] - start
+        first = mapping.qo_indptr[group]
+        a = first + item_arr[:, COL_QSTART]
+        b = a + item_arr[:, COL_QROWS]
+        sees = key.searchsorted(base[group] + start, side="right")  # first row to see `start`
+        i0 = np.minimum(np.maximum(sees, a), b)
+        i1 = np.minimum(np.maximum(key.searchsorted(base[group] + start + width), i0), b)
+        useful = prefix[i1] - prefix[i0] - start * (i1 - i0) + width * (b - i1)
+        # The last row sees the most; the tiles past what it sees are skipped.
+        last = np.minimum(np.maximum(mapping.causal_kv_lens[b - 1] - start, 0), width)
+        useful_cols = useful.astype(np.float64)
+        processed = np.minimum(width, -(-last // kv_tile) * kv_tile).astype(np.float64)
     else:
         useful_cols = rows * chunk
         processed = chunk
@@ -169,9 +167,8 @@ def item_footprints(
     lq = mapping.qo_lens[group].astype(np.float64)
     n_tiles = np.maximum(np.ceil(lq / q_tile_size), 1.0)
     if mapping.causal:
-        # The item's first KV position, as a row of its group's queries.
-        first_row = (item_arr[:, COL_QSTART] + 1) - lo
-        first_row = np.minimum(np.maximum(first_row, 0.0), np.maximum(lq - 1.0, 0.0))
+        # The group's first row that sees the item's first KV column.
+        first_row = np.minimum((sees - first).astype(np.float64), np.maximum(lq - 1.0, 0.0))
         reuse = np.maximum(n_tiles - np.floor(first_row / q_tile_size), 1.0)
     else:
         reuse = n_tiles
@@ -250,18 +247,19 @@ def unsplit_bounds(
     qo, kv = mapping.qo_lens, mapping.kv.kv_lens
     seen, kv_cols, full, tail = kv, float(q_tiles @ kv), 0, qo
     if mapping.causal:
-        # One past the last KV column of the group's last query row.
-        last = mapping.q_pos_offset + qo - mapping.kv_pos_offset
-        seen = np.minimum(last, kv)
+        row_kv = np.append(mapping.causal_kv_lens, 0)  # [-1] stands in for a row-less group's
+        seen = row_kv[mapping.qo_indptr[1:] - 1]  # the KV columns of each group's last row
     if q_tiles.max(initial=0) > 1:  # later query tiles re-read the KV from L2
         reuse = np.maximum(q_tiles, 1)
         if mapping.causal:  # counted from the first row that sees the first KV column
-            reuse = np.maximum(reuse - np.maximum(qo - last, 0) // q_tile_size, 1)
+            group = np.repeat(np.arange(qo.size), qo)
+            unseen = np.bincount(group[mapping.causal_kv_lens == 0], minlength=qo.size)
+            reuse = np.maximum(reuse - unseen // q_tile_size, 1)
         kv_cols = float(q_tiles @ (kv / reuse))
         tail = qo - (q_tiles - 1) * q_tile_size  # rows of each group's last tile
         # The last row of the full tile before a group's last one.
-        full = (np.minimum(last - tail, kv) if mapping.causal else kv).max(
-            where=q_tiles > 1, initial=0)
+        full = (row_kv[np.where(q_tiles > 1, mapping.qo_indptr[1:] - tail - 1, -1)]
+                if mapping.causal else kv).max(where=q_tiles > 1, initial=0)
     seen = np.where(q_tiles > 0, seen, -1)
     smaller = tile_set[-2] // g_eff if len(tile_set) > 1 else -1
     tensor, cuda = _roofs(cost_model, compute_share)

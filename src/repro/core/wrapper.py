@@ -27,11 +27,7 @@ import numpy as np
 # Looked up per call as module attributes, so the benchmark's span wrappers see them.
 from repro.core import simulate
 from repro.core.jit import CompiledKernel, KernelTraits, get_kernel
-from repro.core.kernels import (
-    PARTIAL_ITEMSIZE,
-    HeadConfig,
-    run_mapping,
-)
+from repro.core.kernels import PARTIAL_ITEMSIZE, HeadConfig, run_mapping
 from repro.core.scheduler import (
     ITEM_FIELDS,
     MERGE_FIELDS,
@@ -334,14 +330,18 @@ class BatchAttentionWrapper:
     def _visible_kv(self, mapping: AttentionMapping, params) -> AttentionMapping:
         """``mapping`` without the whole leading KV pages of each group that
         the variant's ``look_back`` bound hides from every query row of the
-        group (its lowest row sees the most: ``kv_pos > q_pos - bound``)."""
+        group (its lowest row sees the most: ``kv_pos > q_pos - bound``),
+        judged by each page's own position."""
         if self.variant.look_back is None:
             return mapping
         bound = int(getattr(params, self.variant.look_back))
+        kv, n = mapping.kv, mapping.num_groups
         lowest = np.minimum.reduceat(  # an empty group's KV is read by no row
             np.append(mapping.q_pos, np.iinfo(np.int64).max), mapping.qo_indptr[:-1])
-        hidden = lowest - bound + 1 - mapping.kv_pos_offset
-        pages = np.clip(hidden, 0, mapping.kv.kv_lens) // mapping.kv.block_size
+        group = np.repeat(np.arange(n), kv.indptr[1:] - kv.indptr[:-1])  # of each page
+        hidden = group[mapping.block_pos + kv.block_size <= (lowest - bound + 1)[group]]
+        # Positions ascend in a group, so the hidden pages lead; a partial last one stays.
+        pages = np.minimum(np.bincount(hidden, minlength=n), kv.kv_lens // kv.block_size)
         return mapping.drop_leading_blocks(pages) if pages.any() else mapping
 
     def _schedule_inputs(self, mapping: AttentionMapping) -> Tuple[tuple, dict]:
@@ -355,8 +355,7 @@ class BatchAttentionWrapper:
             chunk_granularity=self.kv_tile,
             split_kv=self.split_kv,
             causal=mapping.causal,
-            q_pos_offset=mapping.q_pos_offset,
-            kv_pos_offset=mapping.kv_pos_offset,
+            causal_kv_lens=mapping.causal_kv_lens,
             break_even_kv=break_even_kv_len(rows, self.heads.head_dim, self.kv_dtype),
         )
 

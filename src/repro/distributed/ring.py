@@ -95,7 +95,7 @@ class RingAttention:
                     skipped += 1
                     continue
                 pair = AttentionMapping([0, qs1 - qs0], BlockSparseKV.ragged([0, ks1 - ks0]),
-                                        causal, q_pos=q_pos[qs0:qs1], kv_pos_offset=[ks0])
+                                        causal, q_pos=q_pos[qs0:qs1], block_pos=np.arange(ks0, ks1))
                 wrapper.plan(pair)
                 o, lse, report = wrapper.run(q[qs0:qs1], held[dev][0], held[dev][1])
                 acc_o[qs0:qs1], acc_lse[qs0:qs1] = merge_states(

@@ -150,7 +150,8 @@ def decompose_shared_prefix(
         ),
         causal=False,  # every row sits past the prefix
         q_pos=np.concatenate([mapping.q_pos[a:b] for a, b in zip(lo, hi)]),
-        kv_pos_offset=mapping.kv_pos_offset[firsts],
+        block_pos=np.concatenate([
+            mapping.block_pos[mapping.kv.indptr[r]:][: n // bc] for r, n in zip(firsts, p_lens)]),
         block_row_size=int((hi - lo).max()),
         q_row_starts=lo,
         label="prefix",
@@ -177,8 +178,8 @@ def decompose_multi_level(
     """
     formats: List[AttentionMapping] = []
     current = mapping
-    peeled = np.zeros(mapping.num_groups, dtype=np.int64)
     for depth, clusters in enumerate(levels):
+        peeled = mapping.kv.kv_lens - current.kv.kv_lens
         rel_clusters = []
         for cl in clusters:
             peels = peeled[list(cl.requests)]
@@ -200,7 +201,6 @@ def decompose_multi_level(
         prefix_fmt, suffix_fmt = comp.mappings
         prefix_fmt.label = f"prefix_l{depth}"
         formats.append(prefix_fmt)
-        peeled += np.asarray(suffix_fmt.kv_pos_offset) - np.asarray(current.kv_pos_offset)
         current = suffix_fmt
     formats.append(current)
     return ComposableFormat(formats)

@@ -105,21 +105,6 @@ class BlockSparseKV:
         slots = (blocks[:, None] * bc + np.arange(bc)[None, :]).reshape(-1)
         return slots[start - b0 * bc : stop - b0 * bc]
 
-    def drop_leading_blocks(self, blocks: np.ndarray) -> "BlockSparseKV":
-        """The same gather without the first ``blocks[g]`` blocks of each
-        group ``g`` (at most all of them; no KV moves)."""
-        blocks = np.asarray(blocks, dtype=np.int64)
-        nblocks = self.indptr[1:] - self.indptr[:-1]
-        if blocks.shape != nblocks.shape or np.any((blocks < 0) | (blocks > nblocks)):
-            raise ValueError("blocks must give 0..len(group) leading blocks per group")
-        kept = np.arange(self.indices.size) >= np.repeat(self.indptr[:-1] + blocks, nblocks)
-        indptr = self.indptr.copy()
-        indptr[1:] -= blocks.cumsum()
-        return BlockSparseKV(
-            self.block_size, self.pool_blocks, indptr, self.indices[kept],
-            np.maximum(self.kv_lens - blocks * self.block_size, 0),
-        )
-
     def __repr__(self) -> str:
         return (
             f"BlockSparseKV(groups={self.num_groups}, block_size={self.block_size}, "
@@ -146,11 +131,13 @@ class AttentionMapping:
         decode/prefill convention: a group's rows are the last ``qo_len``
         positions of its KV.  A prefix format's group spans several
         requests' rows, so its positions need not be consecutive.
-    kv_pos_offset:
-        Absolute sequence position of group ``g``'s first KV slot: KV
-        element ``j`` (in gather order) has ``kv_pos_offset[g]+j``.  With
-        ``q_pos`` it is what causal and position-dependent variants (RoPE,
-        ALiBi, windows) read, so a prefix/suffix split keeps every position.
+    block_pos:
+        Absolute sequence position of each gathered KV block, in
+        ``kv.indices`` order (slot ``i`` of block ``b`` sits at
+        ``block_pos[b] + i``); ascending within a group.  Defaults to ``j ·
+        block_size`` for a group's ``j``-th block.  With ``q_pos`` it is what
+        causal and position-dependent variants (RoPE, ALiBi, windows) read,
+        so a prefix/suffix split or Quest's pruned pages keep every position.
     block_row_size:
         The ``B_r`` hint for this format — how many query rows the kernel
         should tile together.  Shared-prefix formats use a large ``B_r`` so
@@ -165,23 +152,24 @@ class AttentionMapping:
     qo_lens:
         Query rows per group, ``qo_indptr[1:] - qo_indptr[:-1]``; derived
         once at construction (``qo_indptr`` is not mutated afterwards).
-    q_pos_offset:
-        Each group's first-row position (an empty group's is arbitrary),
-        derived once at construction.  The planner's causal weights and the
-        causal pricing read it: they price causal formats only, whose rows
-        are consecutive positions.
+    causal_kv_lens:
+        A causal mapping's KV slots each query row sees (``None`` when not
+        causal), derived once from the row's position and its group's first
+        KV position; the planner and the causal pricing read it.  They rely
+        on a causal group's rows ascending and its blocks being consecutive
+        in position, which construction checks.
     """
 
     qo_indptr: np.ndarray
     kv: BlockSparseKV
     causal: bool = False
     q_pos: Optional[np.ndarray] = None
-    kv_pos_offset: Optional[np.ndarray] = None
+    block_pos: Optional[np.ndarray] = None
     block_row_size: Optional[int] = None
     q_row_starts: Optional[np.ndarray] = None
     label: str = "batch"
     qo_lens: np.ndarray = field(init=False, repr=False, compare=False)
-    q_pos_offset: np.ndarray = field(init=False, repr=False, compare=False)
+    causal_kv_lens: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.qo_indptr = np.asarray(self.qo_indptr, dtype=np.int64)
@@ -190,27 +178,38 @@ class AttentionMapping:
         self.qo_lens = self.qo_indptr[1:] - self.qo_indptr[:-1]
         if np.any(self.qo_lens < 0):
             raise ValueError("qo_indptr must be non-decreasing")
-        n = self.num_groups
-        if self.kv.num_groups != n:
-            raise ValueError(
-                f"kv has {self.kv.num_groups} groups but qo_indptr defines {n}"
-            )
-        if self.q_pos is None:
-            first = self.kv.kv_lens - self.qo_lens
-            self.q_pos = (np.repeat(first - self.qo_indptr[:-1], self.qo_lens)
-                          + np.arange(self.total_qo))
-        else:
+        n, kv = self.num_groups, self.kv
+        if kv.num_groups != n:
+            raise ValueError(f"kv has {kv.num_groups} groups but qo_indptr defines {n}")
+        given_q, given_kv = self.q_pos is not None, self.block_pos is not None
+        if given_q:
             self.q_pos = np.asarray(self.q_pos, dtype=np.int64)
             if self.q_pos.shape != (self.total_qo,):
                 raise ValueError(f"q_pos must have shape ({self.total_qo},)")
-            first = np.append(self.q_pos, 0)[self.qo_indptr[:-1]]
-        self.q_pos_offset = first
-        if self.kv_pos_offset is None:
-            self.kv_pos_offset = np.zeros(n, dtype=np.int64)
         else:
-            self.kv_pos_offset = np.asarray(self.kv_pos_offset, dtype=np.int64)
-            if self.kv_pos_offset.shape != (n,):
-                raise ValueError(f"kv_pos_offset must have shape ({n},)")
+            first = kv.kv_lens - self.qo_lens
+            self.q_pos = (np.repeat(first - self.qo_indptr[:-1], self.qo_lens)
+                          + np.arange(self.total_qo))
+        nblocks = kv.indptr[1:] - kv.indptr[:-1]
+        in_group = (np.arange(kv.indices.size) - np.repeat(kv.indptr[:-1], nblocks)) * kv.block_size
+        self.block_pos = np.asarray(self.block_pos, dtype=np.int64) if given_kv else in_group
+        if self.block_pos.shape != kv.indices.shape:
+            raise ValueError(f"block_pos must have shape ({kv.indices.size},)")
+        self.causal_kv_lens = None
+        if self.causal and not (given_q or given_kv):  # trailing rows over KV from 0
+            self.causal_kv_lens = np.maximum(self.q_pos + 1, 0)
+        elif self.causal:
+            first_kv = np.append(self.block_pos, 0)[kv.indptr[:-1]]
+            if given_q:  # a group's first row may sit below the last group's last
+                later = np.ones(self.total_qo + 1, dtype=bool)
+                later[self.qo_indptr] = False
+                if np.any((self.q_pos[1:] < self.q_pos[:-1]) & later[1:-1]):
+                    raise ValueError("a causal group's query rows must ascend in position")
+            if given_kv and np.any(self.block_pos != np.repeat(first_kv, nblocks) + in_group):
+                raise ValueError("a causal group's KV blocks must be consecutive in position")
+            self.causal_kv_lens = np.minimum(
+                np.maximum(self.q_pos - np.repeat(first_kv - 1, self.qo_lens), 0),
+                np.repeat(kv.kv_lens, self.qo_lens))
         if self.q_row_starts is None:
             self.q_row_starts = self.qo_indptr[:-1].copy()
         else:
@@ -229,20 +228,21 @@ class AttentionMapping:
     def drop_leading_blocks(
         self, blocks: np.ndarray, label: Optional[str] = None
     ) -> "AttentionMapping":
-        """This mapping without the first ``blocks[g]`` KV blocks of each
-        group ``g``: ``kv_pos_offset`` advances past them, so every KV slot
-        that remains keeps its absolute position (a shared prefix peeled
-        into its own format, or KV a sliding window hides)."""
-        blocks = np.asarray(blocks, dtype=np.int64)
+        """This mapping without the first ``blocks[g]`` (at most all) KV
+        blocks of each group ``g``; no KV moves, and every block left keeps
+        its position (a shared prefix peeled into its own format, or KV a
+        sliding window hides)."""
+        kv, blocks = self.kv, np.asarray(blocks, dtype=np.int64)
+        nblocks = kv.indptr[1:] - kv.indptr[:-1]
+        if blocks.shape != nblocks.shape or np.any((blocks < 0) | (blocks > nblocks)):
+            raise ValueError("blocks must give 0..len(group) leading blocks per group")
+        kept = np.arange(kv.indices.size) >= np.repeat(kv.indptr[:-1] + blocks, nblocks)
+        bc, indptr = kv.block_size, np.cumsum(np.append(0, nblocks - blocks))
+        left = BlockSparseKV(bc, kv.pool_blocks, indptr, kv.indices[kept],
+                             np.maximum(kv.kv_lens - blocks * bc, 0))
         return AttentionMapping(
-            qo_indptr=self.qo_indptr,
-            kv=self.kv.drop_leading_blocks(blocks),
-            causal=self.causal,
-            q_pos=self.q_pos,
-            kv_pos_offset=self.kv_pos_offset + blocks * self.kv.block_size,
-            block_row_size=self.block_row_size,
-            q_row_starts=self.q_row_starts,
-            label=self.label if label is None else label,
+            self.qo_indptr, left, self.causal, self.q_pos, self.block_pos[kept],
+            self.block_row_size, self.q_row_starts, self.label if label is None else label,
         )
 
     def __repr__(self) -> str:

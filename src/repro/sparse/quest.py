@@ -14,14 +14,15 @@ current queries into a pruned :class:`~repro.sparse.AttentionMapping`.
 Simplifications vs the original system (documented): pages are scored with
 query-head-summed bounds (one page set per request rather than per head),
 and attention sinks / the most recent pages are always kept.  Selected
-pages are gappy in position space, so the pruned mapping is non-causal —
-valid for decode, where the query is the newest position and every
-selected key lies in its past.
+pages are gappy in position space: each keeps its true position (the
+mapping's ``block_pos``), so RoPE, ALiBi and windows read the keys where
+they sit, and the pruned mapping is non-causal — valid for decode, where
+the query is the newest position and every selected key lies in its past.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -132,34 +133,22 @@ def quest_mapping(
     mapping keeps exact KV lengths for partial last pages and marks itself
     non-causal (every selected key precedes the query).
     """
-    bc = kv.block_size
-    batch = kv.num_groups
+    bc, batch = kv.block_size, kv.num_groups
     if q.shape[0] != batch:
         raise ValueError(f"q has {q.shape[0]} rows for {batch} requests")
-    indptr = [0]
-    indices: List[int] = []
-    kv_lens = np.zeros(batch, dtype=np.int64)
-    for r in range(batch):
-        pages = kv.group_blocks(r)
-        total = int(kv.kv_lens[r])
-        sel = select_pages(q[r], pages, store, page_budget)
-        chosen = pages[sel]
-        # Only the final (most recent) page may be partial.
-        last_valid = total - (len(pages) - 1) * bc
-        length = (len(chosen) - 1) * bc + (
-            last_valid if len(pages) - 1 in sel else bc
-        )
-        indices.extend(int(p) for p in chosen)
-        indptr.append(indptr[-1] + len(chosen))
-        kv_lens[r] = length
+    sel = [select_pages(q[r], kv.group_blocks(r), store, page_budget) for r in range(batch)]
+    counts = np.array([s.size for s in sel], dtype=np.int64)
+    picked = np.concatenate([np.empty(0, np.int64), *sel])  # each page's index in its request
+    # Only a request's final (most recent) page may be partial.
+    last = kv.indptr[1:] - kv.indptr[:-1] - 1
+    partial = np.array([last[r] in s for r, s in enumerate(sel)], dtype=bool)
     pruned = BlockSparseKV(
-        bc, kv.pool_blocks, np.asarray(indptr, dtype=np.int64),
-        np.asarray(indices, dtype=np.int64), kv_lens,
+        bc, kv.pool_blocks, np.append(0, np.cumsum(counts)),
+        kv.indices[np.repeat(kv.indptr[:-1], counts) + picked],
+        counts * bc - np.where(partial, (last + 1) * bc - kv.kv_lens, 0),
     )
     return AttentionMapping(
-        np.arange(batch + 1, dtype=np.int64),
-        pruned,
-        causal=False,
-        q_pos=kv.kv_lens - 1,  # true absolute query positions
+        np.arange(batch + 1), pruned, causal=False,
+        q_pos=kv.kv_lens - 1, block_pos=picked * bc,  # true positions: page j starts at j·bc
         label="quest",
     )

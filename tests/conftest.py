@@ -61,13 +61,24 @@ def benchmark_workloads():
     return module
 
 
-def make_paged_mapping(kv_lens, qo_lens, page_size=16, causal=True, q_pos_offset=None,
-                       kv_pos_offset=None):
+def runs(firsts, lens, step=1):
+    """Consecutive runs, one per group: ``lens[g]`` values from ``firsts[g]``
+    in steps of ``step`` (a group's rows from its first position, or its
+    pages' positions from its first KV position with ``step`` = page size)."""
+    lens = np.asarray(lens, dtype=np.int64)
+    starts = np.cumsum(lens) - lens
+    return np.repeat(np.asarray(firsts, dtype=np.int64), lens) + (
+        np.arange(lens.sum()) - np.repeat(starts, lens)) * step
+
+
+def make_paged_mapping(kv_lens, qo_lens, page_size=16, causal=True, q_pos=None,
+                       block_pos=None):
     """Build a mapping over a freshly laid-out page pool.
 
-    Pages are allocated contiguously per request, and group ``g``'s rows
-    sit at consecutive positions from ``q_pos_offset[g]`` when it is given
-    (the trailing positions when not); returns ``(mapping, total_slots)``.
+    Pages are allocated contiguously per request; ``q_pos`` (one per query
+    row) and ``block_pos`` (one per page, in gather order) are the
+    mapping's own fields, the trailing rows and pages from position 0 when
+    not given; returns ``(mapping, total_slots)``.
     """
     kv_lens = list(int(x) for x in kv_lens)
     qo_lens = list(int(x) for x in qo_lens)
@@ -79,10 +90,7 @@ def make_paged_mapping(kv_lens, qo_lens, page_size=16, causal=True, q_pos_offset
         c += n
     kv = kv_from_page_table(pages, kv_lens, page_size, pool)
     qo_indptr = np.concatenate([[0], np.cumsum(qo_lens)]).astype(np.int64)
-    q_pos = None if q_pos_offset is None else (
-        np.repeat(np.asarray(q_pos_offset) - qo_indptr[:-1], qo_lens) + np.arange(qo_indptr[-1]))
-    mapping = AttentionMapping(qo_indptr, kv, causal=causal, q_pos=q_pos,
-                               kv_pos_offset=kv_pos_offset)
+    mapping = AttentionMapping(qo_indptr, kv, causal=causal, q_pos=q_pos, block_pos=block_pos)
     return mapping, pool * page_size
 
 
@@ -122,15 +130,15 @@ def make_shared_prefix_mapping(
 def priced_kv_columns(mapping, items, kv_tile):
     """``processed`` of the cost model for every row of a plan's item table:
     the leading KV columns of the item's chunk a causal launch is priced for
-    (whole KV tiles up to the last one some row of the item can see)."""
+    (whole KV tiles up to the last one some row of the item can see — its
+    last row, whose ``causal_kv_lens`` is the largest)."""
     from repro.core.scheduler import COL_GROUP, COL_KVSTART, COL_KVSTOP, COL_QROWS, COL_QSTART
-    from repro.core.simulate import _causal_processed
 
-    group = items[:, COL_GROUP]
-    lo = (mapping.q_pos_offset[group] + items[:, COL_QSTART]
-          - mapping.kv_pos_offset[group] - items[:, COL_KVSTART] + 1)
+    last_row = (mapping.qo_indptr[items[:, COL_GROUP]] + items[:, COL_QSTART]
+                + items[:, COL_QROWS] - 1)
     chunk = items[:, COL_KVSTOP] - items[:, COL_KVSTART]
-    return _causal_processed(lo, items[:, COL_QROWS], chunk, kv_tile)[1].astype(np.int64)
+    seen = np.clip(mapping.causal_kv_lens[last_row] - items[:, COL_KVSTART], 0, chunk)
+    return np.minimum(-(-seen // kv_tile) * kv_tile, chunk)
 
 
 class CountingPlanCache(PlanCache):

@@ -6,7 +6,8 @@ launch, ``run_mapping`` built one ``TileCost`` per work item
 (``contraction_cost``), and ``BatchAttentionWrapper.run(compute=True)`` drained
 them through ``PersistentKernelExecutor.run_persistent``.  The first three
 functions below are that code, moved here verbatim; ``work_item_cost``
-has since charged each item its own query tile.  The contraction launch
+has since charged each item its own query tile, and both read each query
+row's and KV slot's own position (``positions``).  The contraction launch
 is dealt one (query row, query head) pair at a time: ``distribute_merges``
 cuts the pairs into contiguous per-CTA blocks and ``block_cost`` prices a
 block as one tile.  ``reference_tile_costs`` and ``reference_report`` are
@@ -23,8 +24,6 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.kernels import PARTIAL_ITEMSIZE, Q_ITEMSIZE, HeadConfig
 from repro.core.scheduler import MergeEntry, SchedulePlan, WorkItem
 from repro.gpu.cost import TileCost
@@ -34,21 +33,28 @@ from repro.sparse.layout import AttentionMapping
 from repro.utils.dtypes import StorageDType
 
 
+def positions(mapping: AttentionMapping, item: WorkItem) -> Tuple[List[int], int]:
+    """The absolute positions of the item's group's query rows, and of its
+    chunk's first KV slot (its block's position plus its offset in it)."""
+    rows = range(mapping.qo_indptr[item.group], mapping.qo_indptr[item.group + 1])
+    block, offset = divmod(item.kv_start, mapping.kv.block_size)
+    return [int(mapping.q_pos[r]) for r in rows], int(
+        mapping.block_pos[mapping.kv.indptr[item.group] + block]) + offset
+
+
 def kv_reuse_factor(item: WorkItem, mapping: AttentionMapping, q_tile_size: int) -> int:
     """Number of query tiles in the item's group that read its KV chunk.
 
-    Causal groups: tiles whose last query position reaches the chunk's
-    first KV position.  Non-causal groups: every tile.
+    Causal groups: the tiles from the one holding the first row that
+    reaches the chunk's first KV position (the last tile if none does).
+    Non-causal groups: every tile.
     """
     lq = int(mapping.qo_lens[item.group])
     n_tiles = ceil_div(lq, q_tile_size) if lq else 1
-    if not mapping.causal:
+    if not mapping.causal or item.kv_len == 0:  # an empty chunk reads nothing
         return max(n_tiles, 1)
-    first_row = (
-        int(mapping.kv_pos_offset[item.group]) + item.kv_start
-        - int(mapping.q_pos_offset[item.group])
-    )
-    first_row = min(max(first_row, 0), max(lq - 1, 0))
+    q_pos, start = positions(mapping, item)
+    first_row = next((r for r, p in enumerate(q_pos) if p >= start), max(lq - 1, 0))
     return max(n_tiles - first_row // q_tile_size, 1)
 
 
@@ -78,15 +84,14 @@ def work_item_cost(
     g_eff = heads.group_size if fuse_head_groups else 1
     d = heads.head_dim
     chunk = item.kv_len
-    q_pos0 = int(mapping.q_pos_offset[item.group]) + item.q_start
-    kv_pos0 = int(mapping.kv_pos_offset[item.group]) + item.kv_start
 
     if mapping.causal and chunk > 0:
-        counts = np.clip(
-            (q_pos0 + np.arange(item.q_rows)) - kv_pos0 + 1, 0, chunk
-        )
-        useful_cols = int(counts.sum())
-        max_count = int(counts.max())
+        # Each row sees the chunk's slots up to its own position.
+        q_pos, start = positions(mapping, item)
+        counts = [min(max(p - start + 1, 0), chunk)
+                  for p in q_pos[item.q_start:item.q_start + item.q_rows]]
+        useful_cols = sum(counts)
+        max_count = max(counts)
         processed = min(chunk, ceil_div(max_count, kv_tile) * kv_tile) if max_count else 0
     else:
         useful_cols = item.q_rows * chunk

@@ -295,7 +295,9 @@ def _execute_item(
     slots = mapping.kv.slot_indices(item.group, item.kv_start, item.kv_stop)
     k_chunk = round_to_storage(k_pool[slots, kv_head, :], kv_dtype)
     v_chunk = round_to_storage(v_pool[slots, kv_head, :], kv_dtype)
-    kv_pos = int(mapping.kv_pos_offset[item.group]) + np.arange(item.kv_start, item.kv_stop)
+    bc, first_block = mapping.kv.block_size, int(mapping.kv.indptr[item.group])
+    kv_pos = np.array([int(mapping.block_pos[first_block + j // bc]) + j % bc
+                       for j in range(item.kv_start, item.kv_stop)], dtype=np.int64)
 
     o_tile, lse_tile = kernel.fn(
         q_tile, k_chunk, v_chunk, q_pos_rows, kv_pos, q_head_rows, kv_head,

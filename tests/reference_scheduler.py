@@ -2,8 +2,9 @@
 
 ``plan_schedule`` and ``plan_unbalanced`` below are the implementations
 ``repro.core.scheduler`` shipped before the planner became array-shaped,
-moved here verbatim (only the plan class is renamed): one frozen
-``WorkItem`` per item, a Python sort, a heap over every item.
+moved here verbatim (only the plan class is renamed; a causal tile's weight
+has since read its last row's own KV length): one frozen ``WorkItem`` per
+item, a Python sort, a heap over every item.
 ``reference_tables`` is the matching flattening the wrapper used to do.
 ``tests/test_scheduler_equivalence.py`` requires the array planner to emit
 identical tables.
@@ -59,8 +60,7 @@ def plan_schedule(
     chunk_granularity: int = 64,
     split_kv: bool = True,
     causal: bool = False,
-    q_pos_offset: Optional[Sequence[int]] = None,
-    kv_pos_offset: Optional[Sequence[int]] = None,
+    causal_kv_lens: Optional[Sequence[int]] = None,
 ) -> ReferencePlan:
     """Algorithm 1: balanced assignment of attention work to CTAs.
 
@@ -83,11 +83,13 @@ def plan_schedule(
         size) so no chunk is a sliver smaller than one inner tile.
     split_kv:
         Disable to emulate schedulers without KV splitting (ablations).
-    causal / q_pos_offset / kv_pos_offset:
+    causal / causal_kv_lens:
         When causal, each work item's cost weighs only the KV *visible* to
         its query tile (a prefill tile near the top of the triangle does a
-        fraction of the last tile's work).  Offsets default to the
-        decode/prefill convention (queries are the trailing positions).
+        fraction of the last tile's work): ``causal_kv_lens`` gives, per
+        query row in group order, how many of its group's KV slots it sees.
+        It defaults to the decode/prefill convention (queries are the
+        trailing positions).
     """
     qo_lens = np.asarray(qo_lens, dtype=np.int64)
     kv_lens = np.asarray(kv_lens, dtype=np.int64)
@@ -105,21 +107,21 @@ def plan_schedule(
     else:
         l_kv = max(int(kv_lens.max(initial=0)), 1)
 
-    if q_pos_offset is None:
-        q_pos_offset = kv_lens - qo_lens
-    else:
-        q_pos_offset = np.asarray(q_pos_offset, dtype=np.int64)
-    if kv_pos_offset is None:
-        kv_pos_offset = np.zeros(qo_lens.size, dtype=np.int64)
-    else:
-        kv_pos_offset = np.asarray(kv_pos_offset, dtype=np.int64)
+    # Each group's rows, in order: how many KV slots each row sees.
+    row_kv: List[List[int]] = []
+    for g in range(qo_lens.size):
+        lq, lkv = int(qo_lens[g]), int(kv_lens[g])
+        if causal_kv_lens is None:  # row i sits at position lkv - lq + i
+            row_kv.append([min(max(lkv - lq + i + 1, 0), lkv) for i in range(lq)])
+        else:
+            first = sum(int(n) for n in qo_lens[:g])
+            row_kv.append([int(causal_kv_lens[first + i]) for i in range(lq)])
 
     def visible_kv(w: WorkItem) -> int:
         """KV positions the item actually computes over (causal-aware)."""
         if not causal:
             return w.kv_len
-        last_q_pos = int(q_pos_offset[w.group]) + w.q_start + w.q_rows - 1
-        vis_end = last_q_pos - int(kv_pos_offset[w.group]) + 1
+        vis_end = row_kv[w.group][w.q_start + w.q_rows - 1]  # the tile's last row
         return int(np.clip(vis_end - w.kv_start, 0, w.kv_len))
 
     # Step 4: enumerate work items, assigning partial slots to split tiles.

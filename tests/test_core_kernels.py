@@ -259,7 +259,7 @@ class TestNumericsTouchOnlyWhatTheLaunchIsPricedFor:
         w = BatchAttentionWrapper(VANILLA, self.HEADS, WorkspaceBuffer(1 << 24), avg_qo_len=5,
                                   sparse_gather=False)
         w.plan(AttentionMapping([0, 5], BlockSparseKV.ragged([0, 40]), causal=True,
-                                q_pos=np.arange(10, 15), kv_pos_offset=[15]))
+                                q_pos=np.arange(10, 15), block_pos=np.arange(15, 55)))
         future = np.full((40, 2, 8), np.nan)
         o, lse, _ = w.run(rng.standard_normal((5, 4, 8)), future, future)
         assert np.array_equal(o, np.zeros((5, 4, 8))) and np.isneginf(lse).all()

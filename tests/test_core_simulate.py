@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_paged_mapping, sweep
+from conftest import make_paged_mapping, runs, sweep
 from reference_costs import reference_report
 from repro import AttentionMapping, BatchAttentionWrapper, WorkspaceBuffer
-from repro.core import HeadConfig, VANILLA
-from repro.core.scheduler import COL_KVSTART, COL_KVSTOP, COL_QROWS
+from repro.core import HeadConfig, VANILLA, simulate
+from repro.core.scheduler import COL_KVSTART, COL_KVSTOP, COL_QROWS, plan_schedule
+from repro.gpu import H100_80G
 from repro.sparse import BlockSparseKV
 from repro.utils.dtypes import StorageDType
 
@@ -21,8 +22,8 @@ def both_paths(heads, kv_lens, qo_lens, **kwargs):
     arrays (fast, what ``run`` reports with or without numerics)."""
     page_size = kwargs.pop("page_size", 16)
     causal = kwargs.pop("causal", True)
-    offsets = {k: kwargs.pop(k) for k in ("q_pos_offset", "kv_pos_offset") if k in kwargs}
-    mapping, _ = make_paged_mapping(kv_lens, qo_lens, page_size, causal, **offsets)
+    positions = {k: kwargs.pop(k) for k in ("q_pos", "block_pos") if k in kwargs}
+    mapping, _ = make_paged_mapping(kv_lens, qo_lens, page_size, causal, **positions)
     ws = WorkspaceBuffer(1 << 28)
     w = BatchAttentionWrapper(
         VANILLA, heads, ws, avg_qo_len=float(np.mean(qo_lens)), **kwargs
@@ -40,56 +41,25 @@ def assert_reports_equal(slow, fast):
 
 
 class TestEquivalence:
-    def test_decode_batch(self):
-        slow, fast = both_paths(HeadConfig(8, 2, 32), [100, 900, 33], [1, 1, 1])
-        assert_reports_equal(slow, fast)
-
-    def test_prefill_causal(self):
-        slow, fast = both_paths(HeadConfig(4, 4, 16), [130, 64], [130, 64])
-        assert_reports_equal(slow, fast)
-
-    def test_causal_chunked_prefill_with_offsets(self):
-        """Mid-prompt chunks: queries sit inside the KV, not at its end, and
-        one group's KV starts past position 0 (a cascade suffix)."""
-        slow, fast = both_paths(
-            HeadConfig(4, 2, 16), [700, 200, 300], [130, 48, 64],
-            q_pos_offset=[100, 512 + 72, 0], kv_pos_offset=[0, 512, 0],
-        )
-        assert_reports_equal(slow, fast)
-
-    def test_non_causal(self):
-        slow, fast = both_paths(HeadConfig(4, 2, 16), [64, 80], [8, 8], causal=False)
-        assert_reports_equal(slow, fast)
-
-    def test_split_kv_with_merges(self):
-        slow, fast = both_paths(HeadConfig(4, 2, 16), [5000, 64], [1, 1])
-        assert_reports_equal(slow, fast)
-
-    def test_no_fusion(self):
-        slow, fast = both_paths(
-            HeadConfig(8, 2, 16), [200, 50], [1, 1], fuse_head_groups=False
-        )
-        assert_reports_equal(slow, fast)
-
-    def test_fp8(self):
-        slow, fast = both_paths(
-            HeadConfig(4, 2, 16), [128], [1], kv_dtype=StorageDType.FP8_E4M3
-        )
-        assert_reports_equal(slow, fast)
-
-    def test_dense_gather(self):
-        slow, fast = both_paths(HeadConfig(4, 2, 16), [256], [16], sparse_gather=False)
-        assert_reports_equal(slow, fast)
-
-    def test_vector_sparse(self):
-        slow, fast = both_paths(HeadConfig(4, 2, 16), [77], [1], page_size=1)
-        assert_reports_equal(slow, fast)
-
-    def test_fa3(self):
-        from repro.gpu import H100_80G
-
-        slow, fast = both_paths(HeadConfig(4, 2, 16), [300, 900], [32, 64], gpu=H100_80G)
-        assert_reports_equal(slow, fast)
+    @pytest.mark.parametrize("heads, kv_lens, qo_lens, kwargs", [
+        (HeadConfig(8, 2, 32), [100, 900, 33], [1, 1, 1], {}),
+        (HeadConfig(4, 4, 16), [130, 64], [130, 64], {}),
+        # Mid-prompt chunks: queries sit inside the KV, not at its end, and
+        # one group's KV starts past position 0 (a cascade suffix).
+        (HeadConfig(4, 2, 16), [700, 200, 300], [130, 48, 64], dict(
+            q_pos=runs([100, 512 + 72, 0], [130, 48, 64]),
+            block_pos=runs([0, 512, 0], [44, 13, 19], 16))),
+        (HeadConfig(4, 2, 16), [64, 80], [8, 8], dict(causal=False)),
+        (HeadConfig(4, 2, 16), [5000, 64], [1, 1], {}),
+        (HeadConfig(8, 2, 16), [200, 50], [1, 1], dict(fuse_head_groups=False)),
+        (HeadConfig(4, 2, 16), [128], [1], dict(kv_dtype=StorageDType.FP8_E4M3)),
+        (HeadConfig(4, 2, 16), [256], [16], dict(sparse_gather=False)),
+        (HeadConfig(4, 2, 16), [77], [1], dict(page_size=1)),
+        (HeadConfig(4, 2, 16), [300, 900], [32, 64], dict(gpu=H100_80G)),
+    ], ids=["decode_batch", "prefill_causal", "causal_chunked_prefill_with_offsets", "non_causal",
+            "split_kv_with_merges", "no_fusion", "fp8", "dense_gather", "vector_sparse", "fa3"])
+    def test_named_case(self, heads, kv_lens, qo_lens, kwargs):
+        assert_reports_equal(*both_paths(heads, kv_lens, qo_lens, **kwargs))
 
     @given(
         st.lists(
@@ -144,9 +114,9 @@ class TestUnsplitBounds:
     @given(
         st.lists(
             # (qo_len, kv_len, KV position of the group's first slot, how far
-            # the queries sit before the end of the KV)
+            # the queries sit before the end of the KV, positions between rows)
             st.tuples(st.integers(0, 300), st.integers(0, 3000), st.integers(0, 512),
-                      st.integers(0, 3000)),
+                      st.integers(0, 3000), st.sampled_from([1, 1, 2, 7])),
             min_size=1, max_size=12,
         ),
         st.sampled_from([HeadConfig(32, 8, 128), HeadConfig(4, 2, 16), HeadConfig(8, 8, 64)]),
@@ -157,14 +127,12 @@ class TestUnsplitBounds:
     @sweep(30, 120)
     def test_bounds_hold(self, groups, heads, kv_dtype, page, causal, sparse, fuse, stacked,
                          chunk):
-        from repro.core import simulate
-        from repro.core.scheduler import plan_schedule
-        from repro.gpu import H100_80G
-
         qo, kv = [g[0] for g in groups], [g[1] for g in groups]
         mapping, _ = make_paged_mapping(
-            kv, qo, page, causal, kv_pos_offset=np.array([g[2] for g in groups]),
-            q_pos_offset=np.array([g[2] + max(g[1] - g[0] - g[3], 0) for g in groups]))
+            kv, qo, page, causal,
+            q_pos=np.concatenate([g[2] + max(g[1] - g[0] - g[3], 0) + g[4] * np.arange(g[0])
+                                  for g in groups]),
+            block_pos=runs([g[2] for g in groups], [-(-n // page) for n in kv], page))
         w = BatchAttentionWrapper(
             VANILLA, heads, WorkspaceBuffer(1 << 20), H100_80G, avg_qo_len=float(max(qo)) or 1.0,
             kv_dtype=kv_dtype, sparse_gather=sparse, fuse_head_groups=fuse,
@@ -196,9 +164,6 @@ class TestUnsplitBounds:
         assert longest <= costs.serial.max(initial=0.0) * (1 + 1e-12) or not plan.items.size
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "the causal pricing reads q_pos_offset, a group's first-row position, as if its rows "
-    "were consecutive (ROADMAP item 19): rows at 10 and 200 are priced as rows at 10 and 11"))
 def test_causal_flops_follow_every_rows_position():
     """A causal row at position p sees p + 1 KV columns, wherever the
     group's other rows sit: consecutive rows (the control) and rows far

@@ -3,16 +3,36 @@
 import numpy as np
 import pytest
 
+import reference_kernels as ref
+from conftest import fp16, make_paged_mapping, priced_kv_columns
+from repro import BatchAttentionWrapper, WorkspaceBuffer, reference_attention
 from repro.core import (
     AttentionVariant,
+    HeadConfig,
     KernelTraits,
     ParamDecl,
     VANILLA,
     cache_info,
+    compose_variants,
     get_kernel,
+    plan_schedule,
+    run_mapping,
 )
 from repro.core.jit import clear_cache
+from repro.core.scheduler import (
+    COL_GROUP, COL_KVHEAD, COL_KVSTART, COL_KVSTOP, COL_QROWS, COL_QSTART,
+)
+from repro.core.state import merge_states
 from repro.core.template import render_kernel_source
+from repro.utils.dtypes import StorageDType
+from repro.variants import (
+    make_attention_sink,
+    make_flash_sigmoid,
+    make_logits_softcap,
+    make_sliding_window,
+    make_tree_attention,
+    tree_attention_mask,
+)
 
 
 class TestVariantValidation:
@@ -251,7 +271,6 @@ class TestGeneratedKernelNumerics:
     def test_fully_hidden_chunk_is_the_identity_state_whatever_it_holds(self, use_softmax):
         """``processed = 0``: nothing is swept, ``o = 0`` and ``lse = -inf``
         (0 for a sum variant) — the identity of the merge."""
-        from repro.core.state import merge_states
 
         variant = VANILLA if use_softmax else AttentionVariant(name="linear", use_softmax=False)
         nan = np.full((6, 4), np.nan)
@@ -277,10 +296,6 @@ class TestFunctorContract:
     """What a user-written functor is handed, whatever the kernel batches."""
 
     def test_transforms_see_one_2d_tile_and_logits_functors_broadcast(self, rng):
-        from conftest import make_paged_mapping
-        from repro import BatchAttentionWrapper, WorkspaceBuffer
-        from repro.core import HeadConfig
-
         seen = {"query": [], "key": [], "value": [], "logits": [], "mask": []}
 
         def record(kind, tile, *rest):
@@ -321,10 +336,6 @@ class TestFunctorContract:
         """One mask call per swept KV tile of a (query tile, KV chunk): their
         number is the cost model's ``Σ ⌈processed / kv_tile⌉`` and no call sees
         a tile that every row of the query tile is ahead of."""
-        from conftest import make_paged_mapping, priced_kv_columns
-        from repro import BatchAttentionWrapper, WorkspaceBuffer
-        from repro.core import HeadConfig, plan_schedule
-        from repro.core.scheduler import COL_KVHEAD, COL_QSTART
 
         seen = []
 
@@ -370,7 +381,6 @@ class TestHiddenTilesAreSkipped:
     @staticmethod
     def _counting(mask_variant):
         """``mask_variant`` with a key transform that reports each tile."""
-        from repro.core import compose_variants
 
         counter = AttentionVariant(
             name="counting",
@@ -384,12 +394,6 @@ class TestHiddenTilesAreSkipped:
         """Run the plan through ``run_mapping`` and through the oracle;
         ``visible(q_pos, kv_pos)`` is the dense mask the variant declares.
         Returns ``(plan, buffers, number of tiles with a visible column)``."""
-        import reference_kernels as ref
-        from conftest import make_paged_mapping
-        from repro.core import HeadConfig, plan_schedule, run_mapping
-        from repro.core.scheduler import (
-            COL_GROUP, COL_KVSTART, COL_KVSTOP, COL_QROWS, COL_QSTART,
-        )
 
         heads = HeadConfig(self.H_QO, self.H_KV, self.D)
         qo, kv = (list(col) for col in zip(*groups))
@@ -425,8 +429,8 @@ class TestHiddenTilesAreSkipped:
 
         with_a_visible_column = tiles_visited = 0
         for row in plan.items:
-            q_pos = (mapping.q_pos_offset[row[COL_GROUP]] + row[COL_QSTART]
-                     + np.arange(row[COL_QROWS]))[:, None]
+            first = mapping.qo_indptr[row[COL_GROUP]] + row[COL_QSTART]
+            q_pos = mapping.q_pos[first : first + row[COL_QROWS]][:, None]
             for t0 in range(row[COL_KVSTART], row[COL_KVSTOP], self.KV_TILE):
                 kv_pos = np.arange(t0, min(t0 + self.KV_TILE, row[COL_KVSTOP]))[None, :]
                 seen = visible(q_pos, kv_pos)
@@ -440,8 +444,6 @@ class TestHiddenTilesAreSkipped:
 
     @pytest.mark.parametrize("times_the_window", [4, 16])
     def test_sliding_window_over_a_multiple_of_the_window(self, times_the_window):
-        from repro.variants import make_sliding_window
-
         window = 8
         plan, (out, lse, _, _), seen, visited = self._run_both(
             make_sliding_window(window),
@@ -453,8 +455,6 @@ class TestHiddenTilesAreSkipped:
         assert np.isfinite(lse).all() and np.abs(out).min() > 0
 
     def test_attention_sinks_keep_the_first_and_the_last_tiles(self):
-        from repro.variants import make_attention_sink
-
         _, (out, lse, _, _), seen, visited = self._run_both(
             make_attention_sink(2, 6), [(1, 96), (3, 64)],
             lambda q_pos, kv_pos: (kv_pos < 2) | ((q_pos - kv_pos) < 6),
@@ -463,8 +463,6 @@ class TestHiddenTilesAreSkipped:
         assert np.isfinite(lse).all()
 
     def test_tree_mask_hides_the_other_branch(self):
-        from repro.variants import make_tree_attention, tree_attention_mask
-
         # Two chains of 12 draft tokens over a 16-token context: branch B
         # (nodes 12-23) sees the context and itself, never branch A's tiles.
         parents = [-1, *range(11), -1, *range(12, 23)]
@@ -500,8 +498,6 @@ class TestHiddenTilesAreSkipped:
         assert seen < visited / 2 and np.abs(out).min() > 0
 
     def test_the_test_is_rendered_only_with_a_mask_functor(self):
-        from repro.variants import make_logits_softcap, make_sliding_window
-
         traits = KernelTraits(head_dim=16)
         assert "keep.any()" in get_kernel(make_sliding_window(4), traits).source
         for unmasked in (VANILLA, make_logits_softcap(3.0)):
@@ -510,9 +506,6 @@ class TestHiddenTilesAreSkipped:
 
 class TestComposeVariants:
     def test_masks_and_together(self, rng):
-        from repro.core import compose_variants
-        from repro.variants import make_sliding_window
-
         a = make_sliding_window(8)
         b = AttentionVariant(name="even_only", logits_mask="(kv_pos % 2) == 0")
         c = compose_variants("win_even", a, b)
@@ -534,18 +527,12 @@ class TestComposeVariants:
         np.testing.assert_allclose(o[0], ref, atol=1e-10)
 
     def test_transform_plus_mask(self, rng):
-        from repro.core import compose_variants
-        from repro.variants import make_logits_softcap, make_sliding_window
-
         c = compose_variants("cap_win", make_logits_softcap(5.0), make_sliding_window(4))
         assert c.logits_transform is not None
         assert c.logits_mask is not None
         assert len(c.params) == 2
 
     def test_functor_collision_rejected(self):
-        from repro.core import compose_variants
-        from repro.variants import make_logits_softcap, make_flash_sigmoid
-
         with pytest.raises(ValueError, match="use_softmax"):
             compose_variants("x", make_logits_softcap(5.0), make_flash_sigmoid())
         a = AttentionVariant(name="a", logits_transform="logits * 2")
@@ -554,8 +541,6 @@ class TestComposeVariants:
             compose_variants("x", a, b)
 
     def test_param_collision_rejected(self):
-        from repro.core import compose_variants
-
         a = AttentionVariant(name="a", params=(ParamDecl("w", 1.0),))
         b = AttentionVariant(name="b", params=(ParamDecl("w", 2.0),))
         with pytest.raises(ValueError, match="collision"):
@@ -563,11 +548,6 @@ class TestComposeVariants:
 
     def test_gemma2_style_combo(self, rng):
         """Gemma-2 layers use soft-cap together with sliding windows."""
-        from repro.core import compose_variants
-        from repro.variants import make_logits_softcap, make_sliding_window
-        from conftest import fp16, make_paged_mapping
-        from repro import BatchAttentionWrapper, WorkspaceBuffer
-        from repro.core import HeadConfig
 
         c = compose_variants("gemma2", make_logits_softcap(30.0), make_sliding_window(16))
         heads = HeadConfig(4, 2, 16)
@@ -600,10 +580,6 @@ class TestTheKernelWritesOnlyItsOwnArrays:
 
     @pytest.mark.parametrize("expr", ["logits", "np.broadcast_to(logits, logits.shape)"])
     def test_a_logits_functor_returning_its_input_or_a_read_only_view(self, rng, expr):
-        from conftest import fp16, make_paged_mapping
-        from repro import BatchAttentionWrapper, WorkspaceBuffer, reference_attention
-        from repro.core import HeadConfig
-
         variant = AttentionVariant(name="identity_logits", logits_transform=expr)
         heads = HeadConfig(4, 2, 16)
         mapping, slots = make_paged_mapping([40, 12], [9, 1], 4)
@@ -619,7 +595,6 @@ class TestTheKernelWritesOnlyItsOwnArrays:
     def test_bound_parameters_and_operands_are_unchanged_by_a_run(self):
         """Every variant of the equivalence suite, over a float16 pool read
         at fp8, with a split chunk."""
-        from repro.utils.dtypes import StorageDType
         from test_kernels_equivalence import VARIANTS, _problem, _run_new
 
         for name, (variant, _) in sorted(VARIANTS.items()):

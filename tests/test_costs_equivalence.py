@@ -39,6 +39,7 @@ from conftest import (
     kv_from_page_table,
     make_paged_mapping,
     make_shared_prefix_mapping,
+    runs,
 )
 from reference_costs import (
     block_cost,
@@ -163,7 +164,8 @@ def _assert_tile_costs_match(new, old):
     geometry=st.sampled_from([(4, 2, 8), (8, 2, 16), (4, 4, 8), (8, 1, 16)]),
     fuse=st.booleans(),
     causal=st.booleans(),
-    offsets=st.sampled_from(["trailing", "mid_kv", "after_prefix"]),
+    positions=st.sampled_from(["trailing", "mid_kv", "after_prefix", "gappy_rows",
+                               "gappy_pages"]),
     sparse_gather=st.booleans(),
     page_size=st.sampled_from([1, 4, 16]),
     kv_dtype=st.sampled_from([StorageDType.FP16, StorageDType.FP8_E4M3]),
@@ -173,15 +175,26 @@ def _assert_tile_costs_match(new, old):
     gpu=st.sampled_from([A100_40G, H100_80G]),
 )
 def test_plan_arrays_price_like_the_per_object_model(
-    groups, geometry, fuse, causal, offsets, sparse_gather, page_size, kv_dtype,
+    groups, geometry, fuse, causal, positions, sparse_gather, page_size, kv_dtype,
     split_kv, q_tile, kv_tile, gpu,
 ):
     qo, kv = (np.array(col) for col in zip(*groups))
-    q_pos_offset, kv_pos_offset = {
-        "mid_kv": (np.maximum(kv - qo - 37, 0), None),  # chunked prefill: queries inside the KV
-        "after_prefix": (512 + kv - qo, np.full(len(kv), 512)),  # a cascade suffix: KV past 0
-    }.get(offsets, (None, None))
-    mapping, slots = make_paged_mapping(kv, qo, page_size, causal, q_pos_offset, kv_pos_offset)
+    pages = -(-kv // page_size)
+    rng = np.random.default_rng(int(qo @ kv))
+    q_pos, block_pos = {
+        # Chunked prefill: queries inside the KV.
+        "mid_kv": (runs(np.maximum(kv - qo - 37, 0), qo), None),
+        # A cascade suffix: KV past 0.
+        "after_prefix": (runs(512 + kv - qo, qo), runs(np.full(len(kv), 512), pages, page_size)),
+        # Rows that ascend with gaps, anywhere up to a little past the KV.
+        "gappy_rows": (np.concatenate([np.sort(rng.choice(n + q + 40, q, replace=False))
+                                       for q, n in zip(qo, kv)]), None),
+        # Pages far apart in position, as Quest prunes them (non-causal only).
+        "gappy_pages": (None, np.concatenate([np.cumsum(rng.integers(1, 9, n)) * page_size
+                                              for n in pages])),
+    }.get(positions, (None, None))
+    causal = causal and positions != "gappy_pages"
+    mapping, slots = make_paged_mapping(kv, qo, page_size, causal, q_pos, block_pos)
     heads = HeadConfig(*geometry)
     w = BatchAttentionWrapper(
         VANILLA, heads, WorkspaceBuffer(1 << 26), gpu, kv_dtype=kv_dtype,

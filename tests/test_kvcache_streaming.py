@@ -74,9 +74,9 @@ class TestMappingExport:
         m = c.mapping([0, 1], [1, 1])
         assert m.causal
         assert np.array_equal(m.kv.kv_lens, [6, 3])
-        # kv_pos are cache positions (offset 0), queries at the last position.
-        assert np.array_equal(m.kv_pos_offset, [0, 0])
-        assert np.array_equal(m.q_pos_offset, [5, 2])
+        # kv_pos are cache positions (from 0), queries at the last position.
+        assert np.array_equal(m.block_pos[m.kv.indptr[:-1]], [0, 0])
+        assert np.array_equal(m.q_pos, [5, 2])
 
     def test_gather_order_is_logical(self):
         c = StreamingKVCache(1, num_sinks=1, window=3, num_kv_heads=1, head_dim=4)

@@ -14,8 +14,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import reference_scheduler as ref
-from conftest import sweep
+from conftest import runs, sweep
+from repro import AttentionMapping
 from repro.core import SchedulePlan, plan_schedule, plan_unbalanced
+from repro.sparse import BlockSparseKV
 
 FIXED = sweep(30, 120)
 
@@ -58,19 +60,29 @@ class TestPlanSchedule:
         both([1] * len(kv), kv, q_tile, num_ctas, num_kv_heads=heads, causal=causal)
 
     @given(
-        # (qo_len, kv_len, q_pos_offset, kv_pos_offset); qo_len 0 = idle group
+        # (qo_len, kv_len, first row's position, first KV position, largest
+        # step between rows, seed of the steps); qo_len 0 = idle group
         st.lists(
-            st.tuples(st.integers(0, 700), st.integers(0, 5000),
-                      st.integers(0, 5000), st.integers(0, 300)),
+            st.tuples(st.integers(0, 700), st.integers(0, 5000), st.integers(0, 5000),
+                      st.integers(0, 300), st.sampled_from([1, 1, 3, 40]), st.integers(0, 99)),
             min_size=1, max_size=12,
         ),
         Q_TILES, NUM_CTAS, HEADS,
     )
     @FIXED
-    def test_causal_chunked_prefill_with_offsets(self, groups, q_tile, num_ctas, heads):
-        qo, kv, q_off, kv_off = (list(col) for col in zip(*groups))
-        both(qo, kv, q_tile, num_ctas, num_kv_heads=heads, causal=True,
-             q_pos_offset=q_off, kv_pos_offset=kv_off)
+    def test_causal_chunked_prefill_with_positions(self, groups, q_tile, num_ctas, heads):
+        """Rows anywhere in or past the KV, consecutive or ascending with
+        gaps, over KV that starts past position 0 (a cascade suffix)."""
+        qo, kv, _, kv_first, _, _ = (list(col) for col in zip(*groups))
+        q_pos = [first + np.cumsum(np.random.default_rng(seed).integers(1, step + 1, lq)) - 1
+                 for lq, _, first, _, step, seed in groups]
+        # Each row sees the KV slots up to its own position, counted by hand.
+        seen = [min(max(int(p) - kv_first[g] + 1, 0), kv[g])
+                for g in range(len(qo)) for p in q_pos[g]]
+        mapping = AttentionMapping(np.cumsum([0] + qo), BlockSparseKV.ragged(np.cumsum([0] + kv)),
+                                   True, np.concatenate(q_pos), runs(kv_first, kv))
+        assert mapping.causal_kv_lens.tolist() == seen
+        both(qo, kv, q_tile, num_ctas, num_kv_heads=heads, causal=True, causal_kv_lens=seen)
 
     @given(st.lists(st.tuples(st.integers(0, 300), st.integers(0, 3000)),
                     min_size=1, max_size=10),

@@ -227,11 +227,10 @@ class TestEngineDeadlineShedding:
         assert not metrics.traces
 
 
-@pytest.mark.xfail(strict=True, reason="a request wider than max_running is never admitted")
 def test_a_request_wider_than_max_running_is_refused(monkeypatch):
     """``admit`` waits until ``n`` more streams fit under ``max_running``,
-    which they never do: the step loop spins with the request waiting.
-    Refusing it up front would flip this pin."""
+    which they never would: the run refuses the request up front, naming
+    it, instead of spinning with it waiting."""
     calls, admit = itertools.count(), AdmissionController.admit
 
     def counted(self, t):
@@ -240,5 +239,6 @@ def test_a_request_wider_than_max_running_is_refused(monkeypatch):
         admit(self, t)
 
     monkeypatch.setattr(AdmissionController, "admit", counted)
-    with pytest.raises(ValueError):
-        ServingEngine.from_config(EngineConfig(max_running=2)).run([Request(0.0, 64, 4, n=3)])
+    with pytest.raises(ValueError, match=r"request 1: n=3 > max_running=2"):
+        ServingEngine.from_config(EngineConfig(max_running=2)).run(
+            [Request(0.0, 64, 4), Request(0.0, 64, 4, n=3)])

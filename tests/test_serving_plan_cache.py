@@ -8,9 +8,11 @@ from conftest import (
     make_paged_mapping,
     make_shared_prefix_mapping,
 )
+from repro import AttentionMapping
 from repro.core import VANILLA, BatchAttentionWrapper, ComposableAttentionWrapper, HeadConfig
+from repro.core.scheduler import plan_signature
 from repro.gpu import H100_80G, PersistentKernelExecutor, WorkspaceBuffer
-from repro.sparse import decompose_shared_prefix
+from repro.sparse import BlockSparseKV, decompose_shared_prefix
 from repro.serving import (
     EngineConfig,
     FlashInferBackend,
@@ -195,6 +197,22 @@ class TestWrapperDeterminism:
         p2 = w.plan(m2)
         assert pc.misses == 2 and pc.hits == 0
         assert p1 != p2
+
+    def test_row_positions_do_not_collide(self):
+        """Equal lengths, causal rows at 10, 11 and at 10, 200 (a first-row
+        view of positions reads both as 10): the key covers every row, so
+        the cache never hands one mapping the other's plan."""
+        near, far = (AttentionMapping([0, 2, 4], BlockSparseKV.ragged([0, 256, 512]), True,
+                                      [*rows, 100, 101]) for rows in ([10, 11], [10, 200]))
+        w = self._wrapper()
+        args, kwargs = zip(*(w._schedule_inputs(m) for m in (near, far)))
+        assert plan_signature(*args[0], **kwargs[0]) != plan_signature(*args[1], **kwargs[1])
+        fresh = {id(m): w.plan(m) for m in (near, far)}
+        assert fresh[id(near)] != fresh[id(far)]
+        w.plan_cache = pc = CountingPlanCache()
+        for m in (near, near, near, far, far, far, near):
+            assert w.plan(m) == fresh[id(m)]
+        assert (pc.hits, pc.misses) == (3, 4)
 
 
 class TestEngineIntegration:

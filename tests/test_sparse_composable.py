@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import make_shared_prefix_mapping, sweep
+from repro import BatchAttentionWrapper, ComposableAttentionWrapper, WorkspaceBuffer
+from repro.core import HeadConfig, VANILLA
 from repro.sparse import (
+    AttentionMapping,
     ComposableFormat,
     PrefixCluster,
+    decompose_multi_level,
     decompose_shared_prefix,
     detect_shared_prefixes,
     kv_from_page_table,
@@ -35,7 +39,8 @@ class TestDecompose:
         assert [prefix.label, suffix.label] == ["prefix", "suffix"]
         assert (prefix.causal, suffix.causal) == (False, True)
         assert prefix.block_row_size == 8  # 4 streams × 2 queries
-        assert np.all(prefix.kv_pos_offset == 0) and np.all(suffix.kv_pos_offset == 64)
+        assert np.array_equal(prefix.block_pos, np.tile([0, 16, 32, 48], 2))
+        assert np.array_equal(suffix.block_pos, np.tile([64, 80], 8))  # 2 pages per stream
         assert np.array_equal(prefix.q_pos, mapping.q_pos)
         assert np.array_equal(suffix.q_pos, mapping.q_pos)
 
@@ -76,7 +81,6 @@ class TestDecompose:
         # Two requests with entirely distinct pages.
         kv = kv_from_page_table([np.arange(4), np.arange(4, 8)], [64, 64], 16, 8)
         mapping_qo = np.array([0, 1, 2])
-        from repro.sparse import AttentionMapping
 
         mapping = AttentionMapping(mapping_qo, kv, causal=True)
         with pytest.raises(ValueError, match="share"):
@@ -144,7 +148,6 @@ class TestMultiLevel:
     def _two_level_setup(self):
         """8 requests: all share a 32-token system prompt; requests 0-3 and
         4-7 additionally share 32 more tokens each (fork prompts)."""
-        from repro.sparse import kv_from_page_table, AttentionMapping
 
         page = 16
         sys_pages = np.arange(0, 2)          # 32 tokens shared by everyone
@@ -166,22 +169,16 @@ class TestMultiLevel:
         return mapping, levels, c * page
 
     def test_three_formats_produced(self):
-        from repro.sparse import decompose_multi_level
-
         mapping, levels, _ = self._two_level_setup()
         comp = decompose_multi_level(mapping, levels)
         assert [m.label for m in comp] == ["prefix_l0", "prefix_l1", "suffix"]
         # Level 0: one group spanning all 8 queries; level 1: two groups.
         assert comp.mappings[0].num_groups == 1
         assert comp.mappings[1].num_groups == 2
-        assert np.all(comp.mappings[1].kv_pos_offset == 32)
-        assert np.all(comp.mappings[2].kv_pos_offset == 64)
+        assert np.all(comp.mappings[1].block_pos[comp.mappings[1].kv.indptr[:-1]] == 32)
+        assert np.all(comp.mappings[2].block_pos[comp.mappings[2].kv.indptr[:-1]] == 64)
 
     def test_numerics_match_single_format(self, rng):
-        from repro.sparse import decompose_multi_level
-        from repro import BatchAttentionWrapper, ComposableAttentionWrapper, WorkspaceBuffer
-        from repro.core import HeadConfig, VANILLA
-
         mapping, levels, slots = self._two_level_setup()
         comp = decompose_multi_level(mapping, levels)
         heads = HeadConfig(4, 2, 16)
@@ -199,10 +196,6 @@ class TestMultiLevel:
     def test_two_levels_beat_one_on_traffic(self, rng):
         """With a large shared system prompt, peeling it into its own
         level removes its duplicate reads across fork clusters."""
-        from repro.sparse import decompose_multi_level, decompose_shared_prefix, \
-            kv_from_page_table, AttentionMapping
-        from repro import ComposableAttentionWrapper, WorkspaceBuffer
-        from repro.core import HeadConfig, VANILLA
 
         page = 16
         sys_pages = np.arange(0, 64)  # 1024-token system prompt
@@ -234,16 +227,12 @@ class TestMultiLevel:
         assert traffic["two"] < traffic["one"]
 
     def test_inner_prefix_must_extend_outer(self):
-        from repro.sparse import decompose_multi_level
-
         mapping, levels, _ = self._two_level_setup()
         bad = [levels[0], [PrefixCluster(tuple(range(4)), 32)]]  # same as outer
         with pytest.raises(ValueError, match="extend"):
             decompose_multi_level(mapping, bad)
 
     def test_unequal_peeling_rejected(self):
-        from repro.sparse import decompose_multi_level
-
         mapping, levels, _ = self._two_level_setup()
         # Outer level only covers half the requests the inner one does.
         bad_outer = [PrefixCluster(tuple(range(2, 6)), 32)]
@@ -266,10 +255,6 @@ class TestDecomposeProperties:
     )
     @sweep(8, 30)
     def test_partition_and_numerics(self, seed, n_clusters, csize, ppages, spages):
-        from conftest import make_shared_prefix_mapping
-        from repro import BatchAttentionWrapper, ComposableAttentionWrapper, WorkspaceBuffer
-        from repro.core import HeadConfig, VANILLA
-
         page = 8
         mapping, slots, clusters = make_shared_prefix_mapping(
             n_clusters, csize, ppages * page, spages * page, page_size=page

@@ -6,27 +6,25 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import sweep
+from repro import BatchAttentionWrapper, WorkspaceBuffer
+from repro.core import HeadConfig, VANILLA
 from repro.sparse import AttentionMapping, BlockSparseKV, BSRMatrix, kv_from_page_table
 from repro.sparse.conversions import mapping_from_bsr
+from repro.utils.dtypes import StorageDType, round_to_storage
 
 
 class TestBlockSparseKV:
-    def test_slot_indices_full(self):
-        kv = kv_from_page_table([np.array([2, 0, 1])], [12], 4, 3)
-        assert np.array_equal(kv.slot_indices(0), [8, 9, 10, 11, 0, 1, 2, 3, 4, 5, 6, 7])
-
-    def test_slot_indices_partial_last_page(self):
-        kv = kv_from_page_table([np.array([0, 1])], [6], 4, 2)
-        assert np.array_equal(kv.slot_indices(0), [0, 1, 2, 3, 4, 5])
-
-    def test_slot_indices_chunk_range(self):
-        kv = kv_from_page_table([np.array([1, 0, 2])], [12], 4, 3)
-        # Chunk [3, 9): crosses the first→second page boundary.
-        assert np.array_equal(kv.slot_indices(0, 3, 9), [7, 0, 1, 2, 3, 8])
-
-    def test_chunk_beyond_length_clamps(self):
-        kv = kv_from_page_table([np.array([0])], [3], 4, 1)
-        assert np.array_equal(kv.slot_indices(0, 1, 100), [1, 2])
+    @pytest.mark.parametrize("pages, kv_len, chunk, slots", [
+        ([2, 0, 1], 12, (), [8, 9, 10, 11, 0, 1, 2, 3, 4, 5, 6, 7]),
+        ([0, 1], 6, (), [0, 1, 2, 3, 4, 5]),
+        ([1, 0, 2], 12, (3, 9), [7, 0, 1, 2, 3, 8]),  # crosses the first→second page boundary
+        ([0], 3, (1, 100), [1, 2]),
+        ([0], 4, (2, 2), []),
+    ], ids=["full", "partial-last-page", "chunk-range", "chunk-beyond-length-clamps",
+            "empty-chunk"])
+    def test_slot_indices(self, pages, kv_len, chunk, slots):
+        kv = kv_from_page_table([np.array(pages)], [kv_len], 4, 3)
+        assert np.array_equal(kv.slot_indices(0, *chunk), slots)
 
     def test_chunk_invalid_range(self):
         kv = kv_from_page_table([np.array([0])], [3], 4, 1)
@@ -56,7 +54,8 @@ class TestAttentionMapping:
         m = AttentionMapping(np.array([0, 1, 2]), kv, causal=True)
         # Decode convention: the single query sits at the last position.
         assert np.array_equal(m.q_pos, [7, 4])
-        assert np.array_equal(m.kv_pos_offset, [0, 0])
+        assert np.array_equal(m.block_pos, [0, 4, 0, 4])  # every group's KV from position 0
+        assert np.array_equal(m.causal_kv_lens, [8, 5])
         assert np.array_equal(m.q_row_starts, [0, 1])
 
     def test_default_positions_prefill(self):
@@ -69,10 +68,23 @@ class TestAttentionMapping:
         with pytest.raises(ValueError, match="groups"):
             AttentionMapping(np.array([0, 4, 8]), kv)
 
-    def test_explicit_offsets_validated(self):
+    @pytest.mark.parametrize("positions, match", [
+        (dict(q_pos=[0, 1]), "q_pos must have shape"),
+        (dict(block_pos=[0]), "block_pos must have shape"),
+        (dict(q_pos=[0, 1, 2, 3, 3, 2, 6, 7]), "rows must ascend"),
+        (dict(block_pos=[0, 8]), "blocks must be consecutive"),
+    ], ids=["q_pos-shape", "block_pos-shape", "rows-descend", "blocks-gappy"])
+    def test_explicit_positions_validated(self, positions, match):
+        """A causal group's rows ascend and its blocks are consecutive in
+        position; a non-causal one may hold any rows and gappy blocks."""
         kv = kv_from_page_table([np.arange(2)], [8], 4, 2)
-        with pytest.raises(ValueError, match="q_pos"):
-            AttentionMapping(np.array([0, 8]), kv, q_pos=np.array([0, 1]))
+        with pytest.raises(ValueError, match=match):
+            AttentionMapping(np.array([0, 8]), kv, causal=True, **positions)
+        if "shape" not in match:
+            assert AttentionMapping(np.array([0, 8]), kv, **positions).causal_kv_lens is None
+        # A group's rows may start below the previous group's.
+        m = AttentionMapping([0, 2, 4], BlockSparseKV.ragged([0, 9, 20]), True, [7, 8, 3, 4])
+        assert m.causal_kv_lens.tolist() == [8, 9, 4, 5]
 
     def test_qo_lens(self):
         kv = kv_from_page_table([np.arange(1), np.arange(1, 2)], [4, 4], 4, 2)
@@ -107,25 +119,26 @@ class TestDropLeadingBlocks:
         )
         blocks = [min(drop, p) for (_, drop), p in zip(groups, pages)]
         indptr = kv.indptr.copy()
-        got, want = kv.drop_leading_blocks(blocks), drop_blocks_per_group(kv, blocks)
+        mapping = AttentionMapping(np.arange(len(lens) + 1), kv, causal=True)
+        trimmed = mapping.drop_leading_blocks(blocks, label="suffix")
+        got, want = trimmed.kv, drop_blocks_per_group(kv, blocks)
         for name in ("indptr", "indices", "kv_lens"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
         assert np.array_equal(kv.indptr, indptr)  # the source is not touched
-        mapping = AttentionMapping(np.arange(len(lens) + 1), kv, causal=True)
-        trimmed = mapping.drop_leading_blocks(blocks, label="suffix")
         assert trimmed.label == "suffix"
-        assert np.array_equal(trimmed.kv_pos_offset, np.asarray(blocks) * block)
         assert np.array_equal(trimmed.q_pos, mapping.q_pos)
         for g, n in enumerate(blocks):
-            # Every slot left keeps its absolute position.
+            # Every block left keeps its absolute position.
             assert np.array_equal(trimmed.kv.slot_indices(g), kv.slot_indices(g)[n * block:])
+            assert np.array_equal(trimmed.block_pos[trimmed.kv.indptr[g]:trimmed.kv.indptr[g + 1]],
+                                  (n + np.arange(pages[g] - n)) * block)
 
     def test_more_blocks_than_a_group_has_is_rejected(self):
-        kv = kv_from_page_table([np.arange(2)], [8], 4, 2)
+        mapping = AttentionMapping([0, 1], kv_from_page_table([np.arange(2)], [8], 4, 2))
         with pytest.raises(ValueError, match="leading blocks"):
-            kv.drop_leading_blocks([3])
+            mapping.drop_leading_blocks([3])
         with pytest.raises(ValueError, match="leading blocks"):
-            kv.drop_leading_blocks([-1])
+            mapping.drop_leading_blocks([-1])
 
 
 class TestBSRBridge:
@@ -165,13 +178,7 @@ class TestStructuralSparseAttention:
         mask[:, 0] = True  # keep every row non-empty
         return mask
 
-    def test_bsr_structure_equals_dense_mask(self, rng=None):
-        import numpy as np
-        from repro import BatchAttentionWrapper, WorkspaceBuffer
-        from repro.core import HeadConfig, VANILLA
-        from repro.sparse import BSRMatrix, mapping_from_bsr
-        from repro.utils.dtypes import StorageDType, round_to_storage
-
+    def test_bsr_structure_equals_dense_mask(self):
         rng = np.random.default_rng(5)
         br, bc = 4, 8
         n_brows, n_bcols = 6, 8
@@ -201,11 +208,6 @@ class TestStructuralSparseAttention:
             np.testing.assert_allclose(out[:, h, :], ref, atol=1e-6)
 
     def test_structure_skips_zero_blocks_traffic(self):
-        import numpy as np
-        from repro import BatchAttentionWrapper, WorkspaceBuffer
-        from repro.core import HeadConfig, VANILLA
-        from repro.sparse import BSRMatrix, mapping_from_bsr
-
         rng = np.random.default_rng(6)
         br, bc, n_brows, n_bcols = 4, 16, 8, 32
         sparse_blocks = self._block_mask(n_brows, n_bcols, 0.25, rng)

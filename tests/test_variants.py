@@ -136,7 +136,7 @@ class TestWindowPlansOnlyVisibleKV:
     def test_the_bound_is_the_planned_value(self):
         w = self._planned(self._swa_softcap_rope(), 2048, params={"window": 256})
         assert w._mapping.kv.kv_lens.tolist() == [256]
-        assert w._mapping.kv_pos_offset.tolist() == [1792]
+        assert w._mapping.block_pos.tolist() == list(range(1792, 2048, 16))
         # Whole pages only: the page holding the window's first position stays.
         partial = self._planned(self._swa_softcap_rope(), 2050)
         assert partial._mapping.kv.kv_lens.tolist() == [514]
