@@ -214,7 +214,7 @@ def run_mapping(
             v_chunk = round_to_storage(v_pool[kv_slots, kv_heads], kv_dtype)
             # A slot's position: its block's plus its offset in the block.
             block, offset = np.divmod(np.arange(kv_start, kv_stop), mapping.kv.block_size)
-            kv_pos = mapping.block_pos[mapping.kv.indptr[group] + block] + offset
+            kv_pos = mapping._block_positions[mapping.kv.indptr[group] + block] + offset
 
         o, s = kernel.fn(
             q_tile, k_chunk.transpose(1, 0, 2), v_chunk.transpose(1, 0, 2),

@@ -43,18 +43,6 @@ from repro.sparse.layout import AttentionMapping
 from repro.utils.dtypes import StorageDType
 
 
-def _causal_rows(mapping: AttentionMapping) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(base, key, prefix)`` over a causal mapping's rows: ``key`` is each
-    row's ``causal_kv_lens`` plus its group's ``base``, which ascends over the
-    whole mapping, so one ``searchsorted`` of ``base[g] + column`` finds, for
-    every item at once, the first row of group ``g`` that sees past that KV
-    column; ``prefix`` is the running sum of the rows' lengths, from 0."""
-    lens, kv = mapping.causal_kv_lens, mapping.kv.kv_lens + 1
-    base, prefix = np.cumsum(kv) - kv, np.zeros(lens.size + 1, dtype=np.int64)
-    np.cumsum(lens, out=prefix[1:])
-    return base, lens + np.repeat(base, mapping.qo_lens), prefix
-
-
 @dataclass
 class PlanCostArrays:
     """Per-item cost streams plus aggregate accounting."""
@@ -129,29 +117,29 @@ def item_footprints(
     d, itemsize = heads.head_dim, kv_dtype.itemsize
     group = item_arr[:, COL_GROUP]
     rows = item_arr[:, COL_QROWS].astype(np.float64)
-    chunk = (item_arr[:, COL_KVSTOP] - item_arr[:, COL_KVSTART]).astype(np.float64)
 
     if mapping.causal:
         # Row r computes clip(causal_kv_lens[r] - start, 0, width) of an
         # item's columns: as a group's rows ascend, the rows that see none
         # lead and those that see all trail, so no row is expanded.
-        base, key, prefix = _causal_rows(mapping)
+        base, key, prefix = mapping._causal_rows
         start = item_arr[:, COL_KVSTART]
         width = item_arr[:, COL_KVSTOP] - start
         first = mapping.qo_indptr[group]
         a = first + item_arr[:, COL_QSTART]
         b = a + item_arr[:, COL_QROWS]
-        sees = key.searchsorted(base[group] + start, side="right")  # first row to see `start`
+        col = base[group] + start
+        sees = key.searchsorted(col, side="right")  # the first row to see `start`
         i0 = np.minimum(np.maximum(sees, a), b)
-        i1 = np.minimum(np.maximum(key.searchsorted(base[group] + start + width), i0), b)
+        i1 = np.minimum(np.maximum(key.searchsorted(col + width), i0), b)
         useful = prefix[i1] - prefix[i0] - start * (i1 - i0) + width * (b - i1)
         # The last row sees the most; the tiles past what it sees are skipped.
         last = np.minimum(np.maximum(mapping.causal_kv_lens[b - 1] - start, 0), width)
         useful_cols = useful.astype(np.float64)
         processed = np.minimum(width, -(-last // kv_tile) * kv_tile).astype(np.float64)
     else:
-        useful_cols = rows * chunk
-        processed = chunk
+        processed = (item_arr[:, COL_KVSTOP] - item_arr[:, COL_KVSTART]).astype(np.float64)
+        useful_cols = rows * processed
 
     flops = useful_cols * (4.0 * d * g_eff)
     tile = item_tiles(item_arr[:, COL_QROWS], g_eff, tile_set)
@@ -252,8 +240,8 @@ def unsplit_bounds(
     if q_tiles.max(initial=0) > 1:  # later query tiles re-read the KV from L2
         reuse = np.maximum(q_tiles, 1)
         if mapping.causal:  # counted from the first row that sees the first KV column
-            group = np.repeat(np.arange(qo.size), qo)
-            unseen = np.bincount(group[mapping.causal_kv_lens == 0], minlength=qo.size)
+            base, key, _ = mapping._causal_rows  # the rows that see none lead a group
+            unseen = key.searchsorted(base, side="right") - mapping.qo_indptr[:-1]
             reuse = np.maximum(reuse - unseen // q_tile_size, 1)
         kv_cols = float(q_tiles @ (kv / reuse))
         tail = qo - (q_tiles - 1) * q_tile_size  # rows of each group's last tile

@@ -27,7 +27,11 @@ import numpy as np
 # Looked up per call as module attributes, so the benchmark's span wrappers see them.
 from repro.core import simulate
 from repro.core.jit import CompiledKernel, KernelTraits, get_kernel
-from repro.core.kernels import PARTIAL_ITEMSIZE, HeadConfig, run_mapping
+from repro.core.kernels import (
+    PARTIAL_ITEMSIZE,
+    HeadConfig,
+    run_mapping,
+)
 from repro.core.scheduler import (
     ITEM_FIELDS,
     MERGE_FIELDS,
@@ -339,7 +343,7 @@ class BatchAttentionWrapper:
         lowest = np.minimum.reduceat(  # an empty group's KV is read by no row
             np.append(mapping.q_pos, np.iinfo(np.int64).max), mapping.qo_indptr[:-1])
         group = np.repeat(np.arange(n), kv.indptr[1:] - kv.indptr[:-1])  # of each page
-        hidden = group[mapping.block_pos + kv.block_size <= (lowest - bound + 1)[group]]
+        hidden = group[mapping._block_positions + kv.block_size <= (lowest - bound + 1)[group]]
         # Positions ascend in a group, so the hidden pages lead; a partial last one stays.
         pages = np.minimum(np.bincount(hidden, minlength=n), kv.kv_lens // kv.block_size)
         return mapping.drop_leading_blocks(pages) if pages.any() else mapping

@@ -420,11 +420,10 @@ class ServingEngine:
         and fault plan from zero and takes the genesis snapshot; a resumed
         run restores them from the snapshot ``snap``.  A request wider than
         ``max_running`` is refused: its streams could never all be admitted."""
-        limit = self.config.max_running
-        for i, r in enumerate(state.requests):
-            if r.n > limit:  # named as its tokens are keyed
-                raise ValueError(
-                    f"request {i if r.rid is None else r.rid}: n={r.n} > max_running={limit}")
+        for i, r in enumerate(state.requests):  # named as its tokens are keyed
+            if r.n > self.config.max_running:
+                raise ValueError(f"request {i if r.rid is None else r.rid}: n={r.n} > "
+                                 f"max_running={self.config.max_running}")
         resil = self.resilience
         plan = self.fault_plan
         self._tracer = tracer if tracer is not None else self.tracer
@@ -439,8 +438,9 @@ class ServingEngine:
             self._degrade = DegradeController(resil.anneal_after)
             if snap is not None and snap["degrade"] is not None:
                 self._degrade.import_state(snap["degrade"])
-            counters = {} if snap is None else snap["fault_counters"]
-            self._fault_counters = {k: int(v) for k, v in counters.items()}
+            self._fault_counters = {} if snap is None else {
+                k: int(v) for k, v in snap["fault_counters"].items()
+            }
             self._taint = plan is not None and not resil.checksums
             self._deadlines_active = resil.deadline is not None or any(
                 r.deadline is not None for r in state.requests
@@ -458,7 +458,9 @@ class ServingEngine:
         self.cache = state.cache
         admission = AdmissionController(self, state)
         if snap is not None:
-            admission.prefill_retries = {int(k): int(v) for k, v in snap["prefill_retries"].items()}
+            admission.prefill_retries = {
+                int(k): int(v) for k, v in snap["prefill_retries"].items()
+            }
         self._replay = replay
         if replay is not None:
             replay.engine = self
@@ -530,7 +532,8 @@ class ServingEngine:
             raise ValueError(
                 "resume() requires a resilience config; crash recovery is a "
                 "resilience feature (construct the engine with checkpoint= "
-                "or resilience=)")
+                "or resilience=)"
+            )
         snap = recovered.snapshot
         # Refuse a snapshot from a different cluster shape: its per-shard
         # KV page tables don't fit this head partitioning.
@@ -541,7 +544,9 @@ class ServingEngine:
         # Snapshot order is arrival-sorted.
         state = RunState.from_state(snap, recovered.requests, recovered.cache)
         state.metrics.recover_resumed += len(state.streams) + len(state.preempted)
-        t = float(snap["t"]) if at_time is None else max(float(snap["t"]), float(at_time))
+        t = float(snap["t"])
+        if at_time is not None:
+            t = max(t, float(at_time))
         admission = self._start(state, t, snap=snap, replay=recovered.replay)
         self._fault_event(
             "recover", "restored", t,

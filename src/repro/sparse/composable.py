@@ -150,8 +150,8 @@ def decompose_shared_prefix(
         ),
         causal=False,  # every row sits past the prefix
         q_pos=np.concatenate([mapping.q_pos[a:b] for a, b in zip(lo, hi)]),
-        block_pos=np.concatenate([
-            mapping.block_pos[mapping.kv.indptr[r]:][: n // bc] for r, n in zip(firsts, p_lens)]),
+        block_pos=np.concatenate([mapping._block_positions[mapping.kv.indptr[r]:][: n // bc]
+                                  for r, n in zip(firsts, p_lens)]),
         block_row_size=int((hi - lo).max()),
         q_row_starts=lo,
         label="prefix",

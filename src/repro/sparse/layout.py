@@ -15,7 +15,8 @@ for the unique suffixes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cached_property
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -112,6 +113,13 @@ class BlockSparseKV:
         )
 
 
+def _steps(pos: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """The step from each element of ``pos`` to the next of its group."""
+    inner = np.ones(pos.size + 1, dtype=bool)  # False where a group starts
+    inner[indptr] = False
+    return np.diff(pos)[inner[1:-1]]
+
+
 @dataclass
 class AttentionMapping:
     """One format of a (possibly composable) attention computation.
@@ -134,10 +142,11 @@ class AttentionMapping:
     block_pos:
         Absolute sequence position of each gathered KV block, in
         ``kv.indices`` order (slot ``i`` of block ``b`` sits at
-        ``block_pos[b] + i``); ascending within a group.  Defaults to ``j ·
-        block_size`` for a group's ``j``-th block.  With ``q_pos`` it is what
-        causal and position-dependent variants (RoPE, ALiBi, windows) read,
-        so a prefix/suffix split or Quest's pruned pages keep every position.
+        ``block_pos[b] + i``); ascending within a group.  ``None`` (the
+        default) is ``j · block_size`` for a group's ``j``-th block, built on
+        a first read.  With ``q_pos`` it is what causal and position-dependent
+        variants (RoPE, ALiBi, windows) read, so a prefix/suffix split or
+        Quest's pruned pages keep every position.
     block_row_size:
         The ``B_r`` hint for this format — how many query rows the kernel
         should tile together.  Shared-prefix formats use a large ``B_r`` so
@@ -155,7 +164,8 @@ class AttentionMapping:
     causal_kv_lens:
         A causal mapping's KV slots each query row sees (``None`` when not
         causal), derived once from the row's position and its group's first
-        KV position; the planner and the causal pricing read it.  They rely
+        KV position; the planner and the causal pricing read it (the pricing
+        through ``_causal_rows``, a row search built beside it).  They rely
         on a causal group's rows ascending and its blocks being consecutive
         in position, which construction checks.
     """
@@ -170,6 +180,7 @@ class AttentionMapping:
     label: str = "batch"
     qo_lens: np.ndarray = field(init=False, repr=False, compare=False)
     causal_kv_lens: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
+    _causal_rows: Optional[Tuple[np.ndarray, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.qo_indptr = np.asarray(self.qo_indptr, dtype=np.int64)
@@ -181,35 +192,36 @@ class AttentionMapping:
         n, kv = self.num_groups, self.kv
         if kv.num_groups != n:
             raise ValueError(f"kv has {kv.num_groups} groups but qo_indptr defines {n}")
-        given_q, given_kv = self.q_pos is not None, self.block_pos is not None
-        if given_q:
-            self.q_pos = np.asarray(self.q_pos, dtype=np.int64)
-            if self.q_pos.shape != (self.total_qo,):
-                raise ValueError(f"q_pos must have shape ({self.total_qo},)")
-        else:
+        if self.q_pos is None:
             first = kv.kv_lens - self.qo_lens
             self.q_pos = (np.repeat(first - self.qo_indptr[:-1], self.qo_lens)
                           + np.arange(self.total_qo))
-        nblocks = kv.indptr[1:] - kv.indptr[:-1]
-        in_group = (np.arange(kv.indices.size) - np.repeat(kv.indptr[:-1], nblocks)) * kv.block_size
-        self.block_pos = np.asarray(self.block_pos, dtype=np.int64) if given_kv else in_group
-        if self.block_pos.shape != kv.indices.shape:
-            raise ValueError(f"block_pos must have shape ({kv.indices.size},)")
-        self.causal_kv_lens = None
-        if self.causal and not (given_q or given_kv):  # trailing rows over KV from 0
-            self.causal_kv_lens = np.maximum(self.q_pos + 1, 0)
-        elif self.causal:
-            first_kv = np.append(self.block_pos, 0)[kv.indptr[:-1]]
-            if given_q:  # a group's first row may sit below the last group's last
-                later = np.ones(self.total_qo + 1, dtype=bool)
-                later[self.qo_indptr] = False
-                if np.any((self.q_pos[1:] < self.q_pos[:-1]) & later[1:-1]):
-                    raise ValueError("a causal group's query rows must ascend in position")
-            if given_kv and np.any(self.block_pos != np.repeat(first_kv, nblocks) + in_group):
+        else:
+            self.q_pos = np.asarray(self.q_pos, dtype=np.int64)
+            if self.q_pos.shape != (self.total_qo,):
+                raise ValueError(f"q_pos must have shape ({self.total_qo},)")
+            if self.causal and np.any(_steps(self.q_pos, self.qo_indptr) < 0):
+                raise ValueError("a causal group's query rows must ascend in position")
+        first_kv = 0  # the first KV position of each row's group
+        if self.block_pos is not None:
+            self.block_pos = np.asarray(self.block_pos, dtype=np.int64)
+            if self.block_pos.shape != kv.indices.shape:
+                raise ValueError(f"block_pos must have shape ({kv.indices.size},)")
+            if self.causal and np.any(_steps(self.block_pos, kv.indptr) != kv.block_size):
                 raise ValueError("a causal group's KV blocks must be consecutive in position")
-            self.causal_kv_lens = np.minimum(
-                np.maximum(self.q_pos - np.repeat(first_kv - 1, self.qo_lens), 0),
-                np.repeat(kv.kv_lens, self.qo_lens))
+            first_kv = np.repeat(np.append(self.block_pos, 0)[kv.indptr[:-1]], self.qo_lens)
+        self.causal_kv_lens = self._causal_rows = None
+        if self.causal:
+            lens = self.causal_kv_lens = np.minimum(np.maximum(self.q_pos - (first_kv - 1), 0),
+                                                    np.repeat(kv.kv_lens, self.qo_lens))
+            # The pricing's row search: ``key`` (each row's count plus its group's
+            # ``base``) ascends over the mapping, so one ``searchsorted`` of ``base[g] +
+            # column`` finds the first row of group ``g`` that sees past a KV column;
+            # ``prefix`` is the running sum of the counts, from 0.
+            span = kv.kv_lens + 1  # the counts a group's rows can have, 0..kv_len
+            base, prefix = np.cumsum(span) - span, np.zeros(lens.size + 1, dtype=np.int64)
+            np.cumsum(lens, out=prefix[1:])
+            self._causal_rows = (base, lens + np.repeat(base, self.qo_lens), prefix)
         if self.q_row_starts is None:
             self.q_row_starts = self.qo_indptr[:-1].copy()
         else:
@@ -224,6 +236,15 @@ class AttentionMapping:
     @property
     def total_qo(self) -> int:
         return int(self.qo_indptr[-1])
+
+    @cached_property
+    def _block_positions(self) -> np.ndarray:
+        """``block_pos``, or its default built on this first read."""
+        if self.block_pos is not None:
+            return self.block_pos
+        kv = self.kv
+        first = np.repeat(kv.indptr[:-1], np.diff(kv.indptr))  # each block's group's first
+        return (np.arange(kv.indices.size) - first) * kv.block_size
 
     def drop_leading_blocks(
         self, blocks: np.ndarray, label: Optional[str] = None
@@ -241,7 +262,7 @@ class AttentionMapping:
         left = BlockSparseKV(bc, kv.pool_blocks, indptr, kv.indices[kept],
                              np.maximum(kv.kv_lens - blocks * bc, 0))
         return AttentionMapping(
-            self.qo_indptr, left, self.causal, self.q_pos, self.block_pos[kept],
+            self.qo_indptr, left, self.causal, self.q_pos, self._block_positions[kept],
             self.block_row_size, self.q_row_starts, self.label if label is None else label,
         )
 

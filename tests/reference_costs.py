@@ -35,11 +35,13 @@ from repro.utils.dtypes import StorageDType
 
 def positions(mapping: AttentionMapping, item: WorkItem) -> Tuple[List[int], int]:
     """The absolute positions of the item's group's query rows, and of its
-    chunk's first KV slot (its block's position plus its offset in it)."""
+    chunk's first KV slot (its block's position, ``j · block_size`` for the
+    ``j``-th when ``block_pos`` is None, plus its offset in it)."""
     rows = range(mapping.qo_indptr[item.group], mapping.qo_indptr[item.group + 1])
-    block, offset = divmod(item.kv_start, mapping.kv.block_size)
-    return [int(mapping.q_pos[r]) for r in rows], int(
-        mapping.block_pos[mapping.kv.indptr[item.group] + block]) + offset
+    bc, first = mapping.kv.block_size, mapping.kv.indptr[item.group]
+    j, offset = divmod(item.kv_start, bc)
+    at = j * bc if mapping.block_pos is None else int(mapping.block_pos[first + j])
+    return [int(mapping.q_pos[r]) for r in rows], at + offset
 
 
 def kv_reuse_factor(item: WorkItem, mapping: AttentionMapping, q_tile_size: int) -> int:

@@ -295,8 +295,8 @@ def _execute_item(
     slots = mapping.kv.slot_indices(item.group, item.kv_start, item.kv_stop)
     k_chunk = round_to_storage(k_pool[slots, kv_head, :], kv_dtype)
     v_chunk = round_to_storage(v_pool[slots, kv_head, :], kv_dtype)
-    bc, first_block = mapping.kv.block_size, int(mapping.kv.indptr[item.group])
-    kv_pos = np.array([int(mapping.block_pos[first_block + j // bc]) + j % bc
+    bc, first, starts = mapping.kv.block_size, int(mapping.kv.indptr[item.group]), mapping.block_pos
+    kv_pos = np.array([(j // bc * bc if starts is None else int(starts[first + j // bc])) + j % bc
                        for j in range(item.kv_start, item.kv_stop)], dtype=np.int64)
 
     o_tile, lse_tile = kernel.fn(

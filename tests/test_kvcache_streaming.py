@@ -75,7 +75,7 @@ class TestMappingExport:
         assert m.causal
         assert np.array_equal(m.kv.kv_lens, [6, 3])
         # kv_pos are cache positions (from 0), queries at the last position.
-        assert np.array_equal(m.block_pos[m.kv.indptr[:-1]], [0, 0])
+        assert np.array_equal(m._block_positions[m.kv.indptr[:-1]], [0, 0])
         assert np.array_equal(m.q_pos, [5, 2])
 
     def test_gather_order_is_logical(self):

@@ -54,7 +54,7 @@ class TestAttentionMapping:
         m = AttentionMapping(np.array([0, 1, 2]), kv, causal=True)
         # Decode convention: the single query sits at the last position.
         assert np.array_equal(m.q_pos, [7, 4])
-        assert np.array_equal(m.block_pos, [0, 4, 0, 4])  # every group's KV from position 0
+        assert m.block_pos is None and np.array_equal(m._block_positions, [0, 4, 0, 4])  # KV from 0
         assert np.array_equal(m.causal_kv_lens, [8, 5])
         assert np.array_equal(m.q_row_starts, [0, 1])
 
