@@ -21,7 +21,6 @@ Public API highlights
 __version__ = "0.2.0"
 
 from repro.core import (
-    AttentionState,
     AttentionVariant,
     BatchAttentionWrapper,
     ComposableAttentionWrapper,
@@ -46,7 +45,6 @@ from repro.kvcache import PagedKVCache, RadixTree
 
 __all__ = [
     "__version__",
-    "AttentionState",
     "AttentionVariant",
     "BatchAttentionWrapper",
     "ComposableAttentionWrapper",

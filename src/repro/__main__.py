@@ -84,7 +84,7 @@ def _single_engine(args, model, backend_factory=None, **kwargs):
     :class:`ServingEngine` constructor: tracer, fault plan, checkpointing)."""
     from repro.serving import EngineConfig, ServingEngine
 
-    cfg = EngineConfig(max_running=256, policy=args.policy, tensor_parallel=args.tp)
+    cfg = EngineConfig(max_running=256, tensor_parallel=args.tp)
     return ServingEngine.from_config(cfg, model=model, backend_factory=backend_factory, **kwargs)
 
 
@@ -189,7 +189,7 @@ def _cmd_serve(args) -> int:
 _SERVE_SECTIONS = (
     ("latency", ("cluster_p50_ttft", "cluster_p95_ttft", "cluster_p99_ttft",
                  "cluster_p50_itl", "cluster_p95_itl", "cluster_p99_itl")),
-    ("links", ("link_bytes", "link_utilization", "link_degradations")),
+    ("links", ("link_bytes", "link_utilization")),
     ("handoff", ("handoff_requests", "handoff_pages", "handoff_bytes",
                  "handoff_chunks", "handoff_retries", "handoff_pages_skipped",
                  "link_handoff_bytes", "handoff_transfer_s")),
@@ -280,7 +280,7 @@ def _serve_cluster(args, model, features) -> int:
 
     # The workload is the one the leading feature is about; the engine
     # template takes every requested feature's settings.
-    engine = dict(max_running=256, policy=args.policy)
+    engine = dict(max_running=256)
     if args.overload or args.prefix_cache or args.disagg:
         engine.update(chunked_prefill=True, composable=True)
     overload = None
@@ -314,7 +314,7 @@ def _serve_cluster(args, model, features) -> int:
     # ``plain`` is the cluster with every feature off; ``cfg`` turns the
     # requested ones on.
     plain = ClusterConfig(
-        tp=args.tp, dp=dp, topology=args.topology, router=args.router,
+        tp=args.tp, dp=dp, router=args.router,
         engine=EngineConfig(**engine),
         checkpoint_every=args.checkpoint_every,
     )
@@ -333,7 +333,7 @@ def _serve_cluster(args, model, features) -> int:
     print(
         f"{len(requests)} {kind} requests at {args.rate} req/s, {model.name} "
         f"on a {args.tp * dp}-GPU H100 cluster (tp={args.tp}, dp={dp}, "
-        f"{args.topology} topology, {cluster.router.name} router"
+        f"{cluster.topology.name} topology, {cluster.router.name} router"
         + "".join(f", {flag}" for flag in features) + ")"
     )
 
@@ -370,7 +370,7 @@ def _serve_cluster(args, model, features) -> int:
         write_cluster_trace(
             args.trace, cluster.trace_processes(),
             metadata={"model": model.name, "tp": args.tp, "dp": dp,
-                      "topology": args.topology, "router": cluster.router.name,
+                      "topology": cluster.topology.name, "router": cluster.router.name,
                       "requests": args.requests, "rate": args.rate},
         )
         print(f"  cluster trace → {args.trace} "
@@ -615,8 +615,6 @@ def main(argv=None) -> int:
     gen.add_argument("--seed", type=int, default=0)
 
     from repro.cluster.router import ROUTING_POLICIES
-    from repro.cluster.topology import TOPOLOGY_PRESETS
-    from repro.serving.policy import POLICIES
 
     serve = sub.add_parser("serve", help="compare serving backends")
     serve.add_argument("--requests", type=_number(int, 1), default=40)
@@ -635,18 +633,8 @@ def main(argv=None) -> int:
         "control arm is a dp=1 run and the dp_speedup over it is reported",
     )
     serve.add_argument(
-        "--topology", default="nvlink", choices=sorted(TOPOLOGY_PRESETS),
-        help="interconnect preset used to price collectives on the "
-        "cluster path (default: nvlink)",
-    )
-    serve.add_argument(
         "--router", default="round-robin", choices=list(ROUTING_POLICIES),
         help="routing policy for dp > 1 (default: round-robin)",
-    )
-    serve.add_argument(
-        "--policy", default="fcfs", choices=list(POLICIES),
-        help="scheduling policy for the admitted prefill queue "
-        "(default: fcfs, token-exact with the classic engine)",
     )
     serve.add_argument(
         "--trace", metavar="OUT.json", default=None,

@@ -2,17 +2,16 @@
 
 Layered exactly like a real serving stack:
 
-* :mod:`repro.cluster.topology` — interconnect presets (NVLink ring,
-  PCIe host bridge) with per-link bandwidth/latency, ring-collective
-  cost formulas, time-windowed degradation, and traffic accounting.
+* :mod:`repro.cluster.topology` — the NVLink ring interconnect with
+  per-link bandwidth/latency, ring-collective cost formulas and traffic
+  accounting.
   The single source of truth for link constants (``repro.serving.model``
   imports its own from here; ``repro.distributed`` ships over a topology).
 * :mod:`repro.cluster.collectives` — simulated ``p2p_send``: a bitwise
   copy plus the topology-priced cost, charged per traffic kind.
-* :mod:`repro.cluster.router` — pluggable data-parallel routing
-  policies (round-robin, least-loaded, power-of-two, session-affinity,
-  cache-aware), looked up by name like the scheduler policies, and the
-  per-replica circuit breakers.
+* :mod:`repro.cluster.router` — data-parallel routing policies
+  (round-robin, least-loaded, cache-aware, disagg), looked up by name,
+  and the per-replica circuit breakers.
 * :mod:`repro.cluster.tp` — tensor-parallel head sharding and the
   per-layer all-reduce interconnect charged to the topology.
 * :mod:`repro.cluster.engine` — the :class:`ClusterEngine` running
@@ -47,10 +46,8 @@ from repro.cluster.router import (
     IllegalBreakerTransition,
     LeastLoadedPolicy,
     LoadTracker,
-    PowerOfTwoPolicy,
     RoundRobinPolicy,
     RoutingPolicy,
-    SessionAffinityPolicy,
     get_routing_policy,
 )
 from repro.cluster.topology import (
@@ -58,10 +55,7 @@ from repro.cluster.topology import (
     NVLINK_ALLREDUCE_BW,
     NVLINK_BUS,
     NVLINK_P2P,
-    PCIE_HOST,
-    TOPOLOGY_PRESETS,
     Link,
-    LinkDegradation,
     Topology,
 )
 
@@ -97,10 +91,7 @@ __all__ = [
     "NVLINK_ALLREDUCE_BW",
     "NVLINK_BUS",
     "NVLINK_P2P",
-    "PCIE_HOST",
-    "TOPOLOGY_PRESETS",
     "Link",
-    "LinkDegradation",
     "Topology",
     "p2p_send",
     "BREAKER_STATES",
@@ -112,8 +103,6 @@ __all__ = [
     "RoutingPolicy",
     "RoundRobinPolicy",
     "LeastLoadedPolicy",
-    "PowerOfTwoPolicy",
-    "SessionAffinityPolicy",
     "CacheAwarePolicy",
     "DisaggPolicy",
     "ROUTING_POLICIES",

@@ -25,7 +25,6 @@ __all__ = ["p2p_send"]
 def p2p_send(
     array: np.ndarray,
     topology: Optional[Topology] = None,
-    t: float = 0.0,
     kind: str = "p2p",
     wire_bytes: Optional[float] = None,
 ) -> Tuple[np.ndarray, float]:
@@ -43,6 +42,6 @@ def p2p_send(
     cost = 0.0
     if topology is not None:
         nbytes = float(a.nbytes) if wire_bytes is None else float(wire_bytes)
-        cost = topology.p2p_time(nbytes, t=t)
+        cost = topology.p2p_time(nbytes)
         topology.charge(kind, nbytes, cost)
     return received, cost

@@ -15,9 +15,7 @@ replica serving any subset of the workload emits exactly the tokens the
 single-GPU run would (:meth:`ClusterMetrics.token_divergence` checks
 every stream against :func:`expected_tokens` of the workload).
 
-Fault injection composes with the existing layers:
-:meth:`~repro.cluster.topology.Topology.degrade` windows on the shared
-topology slow the steps priced inside them, and ``replica_failures``
+Fault injection composes with the existing layers: ``replica_failures``
 script replica deaths (or drains); :meth:`ClusterEngine._run_replica`
 recovers them in place or through the :mod:`repro.cluster.failover`
 pipeline.  Either way
@@ -95,7 +93,8 @@ class ClusterConfig:
     tp: int = 1
     #: Data-parallel replicas behind the router.
     dp: int = 1
-    #: Interconnect preset (:data:`repro.cluster.topology.TOPOLOGY_PRESETS`).
+    #: Interconnect preset; ``nvlink`` is the only one
+    #: (:meth:`repro.cluster.topology.Topology.preset`).
     topology: str = "nvlink"
     #: Routing policy name (:func:`repro.cluster.router.get_routing_policy`).
     router: str = "round-robin"
@@ -358,22 +357,6 @@ class ClusterEngine:
             self.tracers = [StepTracer() for _ in range(cfg.dp)]
 
     # -- construction helpers --------------------------------------------------
-
-    @classmethod
-    def from_config(cls, config: Optional["ClusterConfig"] = None, *,
-                    model=None, gpu=None, **kwargs) -> "ClusterEngine":
-        """Build a cluster engine with the stock model/GPU defaults.
-
-        The cluster-shape counterpart of
-        :meth:`repro.serving.engine.ServingEngine.from_config` — one call
-        site for the CLI, benchmarks and tests, with the same defaults
-        (LLAMA_3_1_8B on an H100)."""
-        from repro.gpu.spec import H100_80G
-        from repro.serving.model import LLAMA_3_1_8B
-
-        model = model if model is not None else LLAMA_3_1_8B
-        gpu = gpu if gpu is not None else H100_80G
-        return cls(model, gpu, config, **kwargs)
 
     def _engine_config(self):
         from repro.serving.engine import EngineConfig

@@ -256,10 +256,7 @@ class KVMigrator:
                 faulted = (
                     plan is not None and plan.armed("link") and plan.fire("link")
                 )
-                got, cost = p2p_send(
-                    arr, self.topology, t=now + elapsed,
-                    kind=kind, wire_bytes=nbytes,
-                )
+                got, cost = p2p_send(arr, self.topology, kind=kind, wire_bytes=nbytes)
                 elapsed += cost
                 if not faulted:
                     break

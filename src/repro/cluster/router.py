@@ -1,8 +1,7 @@
 """Data-parallel request routing: pluggable policies + a load model.
 
 A :class:`RoutingPolicy` picks which replica serves each arriving
-request.  Policies are looked up by name in :data:`ROUTING_POLICIES`,
-the same way :mod:`repro.serving.policy` looks up scheduling policies.
+request.  Policies are looked up by name in :data:`ROUTING_POLICIES`.
 
 Routing is *timing-only*: token ids are a pure function of the request's
 cluster-global id (``Request.rid``), so any policy — however bad — is
@@ -15,10 +14,6 @@ It deliberately avoids peeking inside replica engines (they run
 arrival-clocked and are not steppable mid-run), mirroring what a real
 front-end router can actually observe — queue depths it assigned, not
 per-step engine internals.
-
-All randomness (power-of-two-choices probing) comes from a policy-owned
-generator re-seeded with 0 at the start of every run, keeping cluster
-runs reproducible end to end.
 
 :class:`CircuitBreaker` is the router-side overload guard: a per-replica
 closed → open → half-open state machine on the simulated clock, tripped
@@ -34,8 +29,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Type
 
-import numpy as np
-
 __all__ = [
     "BREAKER_STATES",
     "BreakerConfig",
@@ -46,11 +39,9 @@ __all__ = [
     "IllegalBreakerTransition",
     "LeastLoadedPolicy",
     "LoadTracker",
-    "PowerOfTwoPolicy",
     "ROUTING_POLICIES",
     "RoundRobinPolicy",
     "RoutingPolicy",
-    "SessionAffinityPolicy",
     "Transition",
     "get_routing_policy",
 ]
@@ -113,8 +104,6 @@ class RoutingPolicy:
     The cluster calls :meth:`route`, which wraps ``choose`` with a
     ``healthy`` mask (the overload layer's open circuit breakers): when
     the chosen replica is masked out, :meth:`rebind` picks another.
-    Policies that maintain sticky mappings (session affinity) override
-    ``rebind`` to keep the rebinding deterministic per key.
     """
 
     #: Key in :data:`ROUTING_POLICIES`; subclasses override it.
@@ -183,65 +172,6 @@ class LeastLoadedPolicy(RoutingPolicy):
         return int(min(range(self.num_replicas), key=lambda r: (loads[r], r)))
 
 
-class PowerOfTwoPolicy(RoutingPolicy):
-    """Power-of-two-choices: probe two random replicas, take the less
-    loaded — near-optimal balance at a fraction of least-loaded's probing
-    cost (Mitzenmacher's classic result)."""
-
-    name = "power-of-two"
-
-    def reset(self, num_replicas: int) -> None:
-        super().reset(num_replicas)
-        self._rng = np.random.default_rng(0)
-
-    def choose(self, req, t, loads) -> int:
-        if self.num_replicas == 1:
-            return 0
-        a, b = self._rng.choice(self.num_replicas, size=2, replace=False)
-        a, b = int(a), int(b)
-        return a if (loads[a], a) <= (loads[b], b) else b
-
-
-class SessionAffinityPolicy(RoutingPolicy):
-    """Hash the session key to a replica: requests sharing a
-    ``prefix_group`` (a common system prompt) land together, so each
-    replica's radix prefix cache sees every reuse of its groups.  Requests
-    without a group hash their own id — affinity degrades to a uniform
-    deterministic spread.
-
-    When the hashed replica is unhealthy, :meth:`rebind` probes successive
-    salted hashes of the *same key* until a healthy replica turns up —
-    so every request of a session rebinds to the same fallback replica
-    (affinity survives the failover), and the session snaps back to its
-    home replica once it rejoins."""
-
-    name = "session-affinity"
-
-    @staticmethod
-    def _hash(key: int) -> int:
-        # Knuth multiplicative hash: spreads small consecutive ids.
-        return (int(key) * 2654435761) & 0xFFFFFFFF
-
-    def _key(self, req) -> int:
-        key = req.prefix_group
-        if key is None:
-            key = req.rid if getattr(req, "rid", None) is not None else 0
-        return int(key)
-
-    def choose(self, req, t, loads) -> int:
-        return self._hash(self._key(req)) % self.num_replicas
-
-    def rebind(self, req, t, loads, healthy, choice) -> int:
-        # Deterministic probe sequence per session key: the first healthy
-        # replica among hash(key + i*salt) is the session's fallback home.
-        key = self._key(req)
-        for i in range(1, 4 * self.num_replicas + 1):
-            candidate = self._hash(key + i * 0x9E3779B9) % self.num_replicas
-            if healthy[candidate]:
-                return candidate
-        return super().rebind(req, t, loads, healthy, choice)
-
-
 class CacheAwarePolicy(RoutingPolicy):
     """Balance estimated radix-cache hits against load (SGLang-style
     cache-aware routing).
@@ -252,9 +182,9 @@ class CacheAwarePolicy(RoutingPolicy):
     hit of ``prefix_len`` tokens there.  Each replica is scored by the
     prompt tokens it would still have to prefill (prompt minus estimated
     hit) plus its outstanding work; the lowest total wins (ties → lowest
-    index).  Unlike :class:`SessionAffinityPolicy` this keeps spreading
-    load when one group dominates: once the hot group is cached on a
-    second replica, both score equal hits and the load term decides."""
+    index).  It keeps spreading load when one group dominates: once the
+    hot group is cached on a second replica, both score equal hits and
+    the load term decides."""
 
     name = "cache-aware"
 
@@ -289,7 +219,7 @@ class DisaggPolicy(RoutingPolicy):
     """Prefill→decode pairing for disaggregated role pools (DistServe).
 
     The cluster binds the role partition with :meth:`bind_roles`; from
-    then on :meth:`choose` is least-loaded *within the prefill pool* (the
+    then on :meth:`route` is least-loaded *within the prefill pool* (the
     prompt compute goes there) and :meth:`pair` picks the least-loaded
     decode replica the finished prefill will hand its KV pages to.  Both
     respect the routing health mask — failover marks and open overload
@@ -335,15 +265,7 @@ class DisaggPolicy(RoutingPolicy):
         )
         return int(min(candidates, key=lambda r: (loads[r], r)))
 
-    def choose(self, req, t, loads) -> int:
-        self._require_pools()
-        return self._best(self.prefill_pool, loads, None)
-
     def route(self, req, t, loads, healthy=None) -> int:
-        self._require_pools()
-        return self._best(self.prefill_pool, loads, healthy)
-
-    def rebind(self, req, t, loads, healthy, choice) -> int:
         self._require_pools()
         return self._best(self.prefill_pool, loads, healthy)
 
@@ -362,8 +284,7 @@ class DisaggPolicy(RoutingPolicy):
 #: Routing policy classes by name (alphabetical: the CLI help lists them).
 ROUTING_POLICIES: Dict[str, Type[RoutingPolicy]] = {
     cls.name: cls for cls in (
-        CacheAwarePolicy, DisaggPolicy, LeastLoadedPolicy, PowerOfTwoPolicy,
-        RoundRobinPolicy, SessionAffinityPolicy,
+        CacheAwarePolicy, DisaggPolicy, LeastLoadedPolicy, RoundRobinPolicy,
     )
 }
 

@@ -1,12 +1,10 @@
-"""Interconnect topologies: links, collective cost models, degradation.
+"""Interconnect topologies: links, collective cost models, accounting.
 
 One simulated GPU became many: this module models *how they are wired*.
 A :class:`Link` is a (bandwidth, latency) pair; a :class:`Topology` is a
-world of devices joined by one link class in a fixed shape — an NVLink
-ring (direct neighbour links, transfers in one ring step proceed in
-parallel) or a PCIe host bridge (every transfer crosses the shared root
-complex twice and serializes against every other transfer).  Collective
-costs use the standard ring algorithms:
+world of devices joined by one link class as an NVLink ring (direct
+neighbour links, transfers in one ring step proceed in parallel).
+Collective costs use the standard ring algorithms:
 
 * all-reduce:      ``2(g−1)`` rounds, each moving ``bytes/g`` per rank
 * p2p:             one transfer of ``bytes``
@@ -21,26 +19,21 @@ a :class:`Topology` (the ``nvlink`` preset by default), and
 tensor-parallel all-reduce model, :mod:`repro.serving.model`) are defined
 here and imported there.
 
-Fault injection: :meth:`Topology.degrade` installs a time-windowed
-bandwidth derating (a flapping NVLink, a PCIe retrain); every collective
-priced inside the window sees the reduced bandwidth.  All traffic is
-accounted per collective kind so a run can report per-link utilization.
+All traffic is accounted per collective kind so a run can report
+per-link utilization.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 __all__ = [
     "ALLREDUCE_LATENCY",
     "Link",
-    "LinkDegradation",
     "NVLINK_ALLREDUCE_BW",
     "NVLINK_BUS",
     "NVLINK_P2P",
-    "PCIE_HOST",
-    "TOPOLOGY_PRESETS",
     "Topology",
 ]
 
@@ -63,61 +56,22 @@ NVLINK_P2P = Link("nvlink-p2p", bandwidth=200e9, latency=2e-6)
 #: allreduce_time` uses (the former module literals, unchanged).
 NVLINK_BUS = Link("nvlink-bus", bandwidth=300e9, latency=8e-6)
 
-#: PCIe Gen4 x16 host bridge: every device-to-device transfer crosses the
-#: shared root complex, so transfers serialize against each other.
-PCIE_HOST = Link("pcie-host", bandwidth=32e9, latency=5e-6)
-
 # Back-compat aliases re-exported by their original home.
 NVLINK_ALLREDUCE_BW = NVLINK_BUS.bandwidth
 ALLREDUCE_LATENCY = NVLINK_BUS.latency
 
 
-@dataclass(frozen=True)
-class LinkDegradation:
-    """A time-windowed bandwidth derating (fault injection).
-
-    While ``t_start <= t < t_end`` the topology's link bandwidth is
-    multiplied by ``factor`` (overlapping windows compound).
-    """
-
-    t_start: float
-    t_end: float
-    factor: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.factor <= 1.0:
-            raise ValueError("degradation factor must be in (0, 1]")
-        if self.t_end <= self.t_start:
-            raise ValueError("degradation window must have t_end > t_start")
-
-    def active(self, t: float) -> bool:
-        return self.t_start <= t < self.t_end
-
-
 class Topology:
-    """A world of devices joined by one link class in a fixed shape.
+    """A world of devices joined by one link class as a ring: the
+    ``world`` neighbour links carry one transfer each per collective
+    round, in parallel."""
 
-    ``shared_medium=False`` (ring): the ``world`` neighbour links carry
-    one transfer each per collective round, in parallel.
-    ``shared_medium=True`` (host bridge): all devices hang off one root
-    complex; each round's per-rank transfers serialize on it and every
-    hop pays the bridge latency twice (up and down).
-    """
-
-    def __init__(
-        self,
-        name: str,
-        world: int,
-        link: Link,
-        shared_medium: bool = False,
-    ):
+    def __init__(self, name: str, world: int, link: Link):
         if world < 1:
             raise ValueError("world must be >= 1")
         self.name = name
         self.world = world
         self.link = link
-        self.shared_medium = shared_medium
-        self.degradations: List[LinkDegradation] = []
         #: Wire bytes actually moved, per collective kind.
         self.traffic_bytes: Dict[str, float] = {}
         #: Simulated seconds the interconnect spent busy, per kind.
@@ -125,43 +79,17 @@ class Topology:
 
     @classmethod
     def preset(cls, name: str, world: int) -> "Topology":
-        """Build a named preset topology (see :data:`TOPOLOGY_PRESETS`)."""
-        try:
-            return TOPOLOGY_PRESETS[name](world)
-        except KeyError:
-            raise ValueError(
-                f"unknown topology {name!r}; available: "
-                f"{', '.join(sorted(TOPOLOGY_PRESETS))}"
-            ) from None
-
-    # -- degradation (fault injection) ----------------------------------------
-
-    def degrade(self, t_start: float, t_end: float, factor: float) -> LinkDegradation:
-        """Install a bandwidth derating window; returns the record."""
-        deg = LinkDegradation(t_start, t_end, factor)
-        self.degradations.append(deg)
-        return deg
-
-    def bandwidth_factor(self, t: float) -> float:
-        """Compounded derating factor at simulated time ``t``."""
-        factor = 1.0
-        for deg in self.degradations:
-            if deg.active(t):
-                factor *= deg.factor
-        return factor
+        """The named preset: ``nvlink``, a ring of :data:`NVLINK_P2P` links."""
+        if name != "nvlink":
+            raise ValueError(f"unknown topology {name!r}; available: nvlink")
+        return cls("nvlink", world, NVLINK_P2P)
 
     # -- collective cost models ------------------------------------------------
 
-    def _hop_latency(self) -> float:
-        # A host-bridge hop traverses the root complex up and down.
-        return self.link.latency * (2.0 if self.shared_medium else 1.0)
-
-    def _round_time(self, chunk_bytes: float, group: int, efficiency: float, t: float) -> float:
-        """One collective round: each of ``group`` ranks moves ``chunk_bytes``
-        to its neighbour — concurrently on a ring, serially on a bridge."""
-        bw = self.link.bandwidth * efficiency * self.bandwidth_factor(t)
-        transfers = group if self.shared_medium else 1
-        return self._hop_latency() + transfers * chunk_bytes / bw
+    def _round_time(self, chunk_bytes: float, efficiency: float) -> float:
+        """One collective round: each rank moves ``chunk_bytes`` to its
+        neighbour, concurrently."""
+        return self.link.latency + chunk_bytes / (self.link.bandwidth * efficiency)
 
     def _group(self, group_size: Optional[int]) -> int:
         g = self.world if group_size is None else group_size
@@ -169,19 +97,18 @@ class Topology:
             raise ValueError(f"group_size {g} outside [1, world={self.world}]")
         return g
 
-    def p2p_time(self, nbytes: float, t: float = 0.0) -> float:
+    def p2p_time(self, nbytes: float) -> float:
         """One point-to-point transfer (a ring-attention shard hop)."""
-        return self._round_time(float(nbytes), 1, 1.0, t)
+        return self._round_time(float(nbytes), 1.0)
 
     def all_reduce_time(
-        self, nbytes: float, group_size: Optional[int] = None,
-        efficiency: float = 1.0, t: float = 0.0,
+        self, nbytes: float, group_size: Optional[int] = None, efficiency: float = 1.0,
     ) -> float:
         """Ring all-reduce of an ``nbytes`` payload across the group."""
         g = self._group(group_size)
         if g <= 1:
             return 0.0
-        return 2 * (g - 1) * self._round_time(nbytes / g, g, efficiency, t)
+        return 2 * (g - 1) * self._round_time(nbytes / g, efficiency)
 
     @staticmethod
     def all_reduce_wire_bytes(nbytes: float, group_size: int) -> float:
@@ -217,35 +144,9 @@ class Topology:
 
     def link_stats(self, makespan: Optional[float] = None) -> Dict[str, float]:
         """Per-link accounting for metrics summaries."""
-        stats: Dict[str, float] = {
-            "link_bytes": self.total_traffic_bytes,
-            "link_degradations": float(len(self.degradations)),
-        }
+        stats: Dict[str, float] = {"link_bytes": self.total_traffic_bytes}
         for kind in sorted(self.traffic_bytes):
             stats[f"link_{kind}_bytes"] = self.traffic_bytes[kind]
         if makespan is not None:
             stats["link_utilization"] = self.utilization(makespan)
         return stats
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Topology({self.name!r}, world={self.world}, link={self.link.name}, "
-            f"shared_medium={self.shared_medium})"
-        )
-
-
-def _nvlink(world: int) -> Topology:
-    """Fully-connected NVLink ring: neighbour transfers run in parallel."""
-    return Topology("nvlink", world, NVLINK_P2P, shared_medium=False)
-
-
-def _pcie(world: int) -> Topology:
-    """PCIe host bridge: all transfers serialize on the root complex."""
-    return Topology("pcie", world, PCIE_HOST, shared_medium=True)
-
-
-#: Named topology presets (``serve --topology`` accepts these keys).
-TOPOLOGY_PRESETS = {
-    "nvlink": _nvlink,
-    "pcie": _pcie,
-}

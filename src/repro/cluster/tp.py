@@ -16,8 +16,8 @@ What this module adds:
   shard: per-shard :class:`~repro.core.kernels.HeadConfig`, KV
   replication factor, per-shard KV bytes.
 * :class:`TPInterconnect` — prices the two per-layer all-reduces on a
-  cluster :class:`~repro.cluster.topology.Topology` (ring formula,
-  degradation-aware) instead of the flat NVLink-bus constants, and
+  cluster :class:`~repro.cluster.topology.Topology` (ring formula)
+  instead of the flat NVLink-bus constants, and
   charges the wire traffic to the topology's utilization counters.
   Timing-only: token ids never depend on it.  Engines take one through
   ``ServingEngine.from_config(..., interconnect=...)``.
@@ -81,8 +81,7 @@ class TPInterconnect:
 
     Attached to a :class:`~repro.serving.engine.ServingEngine` via its
     ``interconnect=`` argument: the executor calls
-    :meth:`allreduce_per_layer` inside step pricing (so degradation
-    windows at simulated time ``t`` slow the affected steps) and
+    :meth:`allreduce_per_layer` inside step pricing and
     :meth:`charge_step` once per executed step for traffic accounting.
     """
 
@@ -100,18 +99,14 @@ class TPInterconnect:
         """One all-reduce's payload: the layer activations."""
         return float(num_tokens * self.model.hidden_size * self.model.dtype_bytes)
 
-    def allreduce_per_layer(
-        self, num_tokens: int, efficiency: float = 1.0, t: float = 0.0
-    ) -> float:
+    def allreduce_per_layer(self, num_tokens: int, efficiency: float = 1.0) -> float:
         """Two ring all-reduces per layer (post-attention and post-MLP)."""
         if self.tp <= 1:
             return 0.0
         nbytes = self._payload_bytes(num_tokens)
-        return 2.0 * self.topology.all_reduce_time(nbytes, self.tp, efficiency, t)
+        return 2.0 * self.topology.all_reduce_time(nbytes, self.tp, efficiency)
 
-    def charge_step(
-        self, num_tokens: int, efficiency: float = 1.0, t: float = 0.0
-    ) -> None:
+    def charge_step(self, num_tokens: int, efficiency: float = 1.0) -> None:
         """Account one step's all-reduce traffic (2 per layer × layers)."""
         if self.tp <= 1:
             return
@@ -120,5 +115,5 @@ class TPInterconnect:
         self.topology.charge(
             "all_reduce",
             count * self.topology.all_reduce_wire_bytes(nbytes, self.tp),
-            count * self.topology.all_reduce_time(nbytes, self.tp, efficiency, t),
+            count * self.topology.all_reduce_time(nbytes, self.tp, efficiency),
         )

@@ -1,6 +1,6 @@
 """FlashInfer's core: attention states, JIT kernels, scheduler, wrappers."""
 
-from repro.core.state import AttentionState, merge_states, merge_states_sum
+from repro.core.state import merge_states, merge_states_sum
 from repro.core.variant import VANILLA, AttentionVariant, ParamDecl, compose_variants
 from repro.core.jit import CompiledKernel, KernelTraits, cache_info, clear_cache, get_kernel
 from repro.core.scheduler import (
@@ -17,7 +17,6 @@ from repro.core.kernels import HeadConfig, reference_attention, run_mapping
 from repro.core.wrapper import BatchAttentionWrapper, ComposableAttentionWrapper
 
 __all__ = [
-    "AttentionState",
     "merge_states",
     "merge_states_sum",
     "VANILLA",

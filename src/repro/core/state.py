@@ -12,8 +12,8 @@ a planned (deterministic) order.  FlashInfer adopts the attention state as
 the canonical output of every attention kernel and ``⊕`` as the standard
 reduction (the analog of ``+`` in GEMM split-K).
 
-States are stored head-major: ``o`` has shape ``(..., head_dim)`` and
-``lse`` the matching ``(...)`` batch shape.  An empty state (no keys seen)
+States are raw array pairs, head-major: ``o`` has shape ``(..., head_dim)``
+and ``lse`` the matching ``(...)`` batch shape.  An empty state (no keys seen)
 has ``lse = -inf`` and ``o = 0`` — the identity element of ``⊕``.
 
 For non-softmax variants (e.g. FlashSigmoid), outputs compose by plain
@@ -22,37 +22,9 @@ addition; see :func:`merge_states_sum`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-
-
-@dataclass
-class AttentionState:
-    """A (possibly batched) attention state ``(O, LSE)``.
-
-    ``o``: float array ``(..., head_dim)``; ``lse``: float array ``(...)``.
-    """
-
-    o: np.ndarray
-    lse: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.o = np.asarray(self.o, dtype=np.float64)
-        self.lse = np.asarray(self.lse, dtype=np.float64)
-        if self.o.shape[:-1] != self.lse.shape:
-            raise ValueError(
-                f"o batch shape {self.o.shape[:-1]} != lse shape {self.lse.shape}"
-            )
-
-    def merge(self, other: "AttentionState") -> "AttentionState":
-        """``self ⊕ other`` (associative, commutative, numerically safe)."""
-        o, lse = merge_states(self.o, self.lse, other.o, other.lse)
-        return AttentionState(o, lse)
-
-    def __matmul__(self, other: "AttentionState") -> "AttentionState":
-        return self.merge(other)
 
 
 def merge_states(

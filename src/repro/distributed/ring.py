@@ -105,7 +105,6 @@ class RingAttention:
             device_seconds += sum(times)
             if step < n_dev - 1:  # every device passes its shard on; the last step sends nothing
                 held, hops = zip(*(p2p_send(held[dev - 1], self.topology) for dev in range(n_dev)))
-                # Concurrent on a point-to-point ring, serial on a shared medium.
-                comm_time = sum(hops if self.topology.shared_medium else [max(hops)], comm_time)
+                comm_time += max(hops)  # the hops of one step run concurrently
         return acc_o, RingReport(max(compute_time, comm_time),  # the slower resource dominates
                                  compute_time, comm_time, device_seconds, n_dev, skipped)

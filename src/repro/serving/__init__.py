@@ -43,14 +43,7 @@ from repro.serving.overload import (
     slo_attainment,
 )
 from repro.serving.plan_cache import PlanCache
-from repro.serving.policy import (
-    FCFSPolicy,
-    PriorityPolicy,
-    SchedulerPolicy,
-    POLICIES,
-    SLAAwarePolicy,
-    get_policy,
-)
+from repro.serving.policy import FCFSPolicy
 from repro.serving.tuning import OperatingPoint, find_max_rate
 from repro.serving.model import (
     LLAMA_3_1_8B,
@@ -101,12 +94,7 @@ __all__ = [
     "StepExecutor",
     "Postprocessor",
     "PlanCache",
-    "SchedulerPolicy",
     "FCFSPolicy",
-    "PriorityPolicy",
-    "SLAAwarePolicy",
-    "POLICIES",
-    "get_policy",
     "RequestTrace",
     "ServingMetrics",
     "expected_tokens",

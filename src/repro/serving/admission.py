@@ -1,11 +1,10 @@
 """Admission control: queueing, capacity gates, deadlines and shedding.
 
 First layer of the engine pipeline.  Arrival-ordered requests are admitted
-FCFS under the ``max_running`` concurrency gate (the
-:class:`repro.serving.policy.SchedulerPolicy` may then reorder the
-admitted queue); page-capacity fits keep one page of decode headroom per
-live stream; and every way a unit of work leaves the system early —
-deadline expiry, overload, retry exhaustion — lives here.
+FCFS under the ``max_running`` concurrency gate; page-capacity fits keep
+one page of decode headroom per live stream; and every way a unit of work
+leaves the system early — deadline expiry, overload, retry exhaustion —
+lives here.
 
 :meth:`AdmissionController.requeue` is the single transient-allocation
 recovery path: queued prompts, partial prefill chunks and decode/resume
@@ -278,10 +277,9 @@ class AdmissionController:
 
         Youngest-first deliberately ignores ``Request.priority`` — arrival
         recency is the tiebreak even between same-age requests (the queue
-        *tail* goes first).  Priority still protects high-priority work
-        indirectly: :class:`repro.serving.policy.PriorityPolicy` keeps it at
-        the queue head, so under pressure low-priority requests pool at the
-        tail where this shed bites (covered by
+        *tail* goes first).  A queue ordered by priority keeps high-priority
+        work at its head, so under pressure low-priority requests pool at
+        the tail where this shed bites (covered by
         ``tests/test_serving_admission.py::TestShedPriorityInteraction``).
         Priority-*targeted* shedding is the brownout ladder's last rung
         (:class:`repro.serving.overload.BrownoutController`), not this path.

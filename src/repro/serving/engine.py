@@ -5,14 +5,13 @@ a pipeline of small layers that communicate through an explicit
 :class:`~repro.serving.batching.StepPlan` IR — mirroring the paper's own
 separation of *planning* from *execution* (§3.4)::
 
-    AdmissionController → SchedulerPolicy → BatchFormer → [PlanCache]
+    AdmissionController → FCFSPolicy → BatchFormer → [PlanCache]
         → StepExecutor → Postprocessor
 
 * :class:`~repro.serving.admission.AdmissionController` — queueing,
   capacity fits, deadlines, shedding, transient-alloc requeue.
-* :class:`~repro.serving.policy.SchedulerPolicy` — pluggable ordering of
-  the admitted prefill queue (``fcfs`` reproduces the classic engine
-  token-for-token; select via :attr:`EngineConfig.policy`).
+* :class:`~repro.serving.policy.FCFSPolicy` — the admitted prefill
+  queue's order (arrival order, the classic engine token-for-token).
 * :class:`~repro.serving.batching.BatchFormer` — turns admitted work into
   one :class:`~repro.serving.batching.StepPlan` per step (prefill chunks,
   decode set, resume set, page-table deltas).
@@ -86,7 +85,7 @@ from repro.serving.executor import Postprocessor, StepExecutor
 from repro.serving.metrics import ServingMetrics
 from repro.serving.model import ModelConfig
 from repro.serving.plan_cache import PlanCache
-from repro.serving.policy import SchedulerPolicy, get_policy
+from repro.serving.policy import FCFSPolicy
 from repro.serving.workload import Request
 from repro.utils.dtypes import StorageDType
 
@@ -119,10 +118,6 @@ class EngineConfig:
     #: shapes the prompt's token ids), and combines with ``composable`` to
     #: serve shared prefixes through the multi-level cascade (§3.1.2).
     prefix_cache: bool = False
-    #: Scheduling-policy name (see :mod:`repro.serving.policy`): ``fcfs``
-    #: (the default, token-exact with the classic engine), ``priority``,
-    #: ``sla-aware`` (:data:`repro.serving.policy.POLICIES`).
-    policy: str = "fcfs"
     #: Memoize wrapper ``plan()`` results across layers and steps (the
     #: plan/run split, §3.3.1/§3.4).  Never changes simulated results —
     #: a hit returns a plan identical to the one it replaces.
@@ -246,8 +241,8 @@ class ServingEngine:
                 f"backend heads {backend.heads} != engine shard heads {self.heads}; "
                 f"construct the backend with the per-shard head config"
             )
-        #: Resolved scheduling policy (raises on an unknown name).
-        self._policy: SchedulerPolicy = get_policy(self.config.policy)
+        #: The admitted prefill queue's order.
+        self._policy = FCFSPolicy()
         #: Plan memo shared with the backend's wrappers: one lookup per
         #: step stands for every layer's launch (§3.3.1).
         self.plan_cache: Optional[PlanCache] = PlanCache() if self.config.plan_cache else None
@@ -574,7 +569,6 @@ class ServingEngine:
         post = Postprocessor(self, state, executor)
         scrubber = KVScrubber(self, state, admission) if self._degrade is not None else None
         metrics = state.metrics
-        default_deadline = resil.deadline if resil is not None else None
 
         while state.has_work():
             if self._crash_armed:
@@ -582,9 +576,7 @@ class ServingEngine:
             admission.admit(t)
             if self._handoff_imports:
                 admission.absorb_handoffs(t)
-            self._policy.order(
-                state.prefill_queue, requests, t, default_deadline=default_deadline
-            )
+            self._policy.order(state.prefill_queue, requests, t)
             if self.brownout is not None:
                 self._brownout_step(state, admission, t)
             if self._degrade is not None:

@@ -68,25 +68,22 @@ class StepExecutor:
         Returns ``(t_start, t_end, attn_per_layer)``.
         """
         attn = self._attention(plan, t) if self.engine.numerics is None else self._compute(plan)
-        t_end = t + self._step_time(attn, plan.num_tokens, t)
+        t_end = t + self._step_time(attn, plan.num_tokens)
         ic = self.engine.interconnect
         if ic is not None:
             # Account this step's all-reduce traffic against the cluster
             # interconnect (pricing happened inside _step_time).
             ic.charge_step(
-                plan.num_tokens,
-                self.engine.backend.characteristics.allreduce_efficiency,
-                t,
+                plan.num_tokens, self.engine.backend.characteristics.allreduce_efficiency
             )
         return t, t_end, attn
 
     # -- step-time assembly ---------------------------------------------------
 
-    def _allreduce_per_layer(self, num_tokens: int, t: float) -> float:
+    def _allreduce_per_layer(self, num_tokens: int) -> float:
         """Per-layer tensor-parallel all-reduce time: the flat NVLink-bus
         model, or — under a cluster interconnect — the topology's ring
-        model priced at simulated time ``t`` (so link-degradation windows
-        slow the affected steps)."""
+        model."""
         eng = self.engine
         ch = eng.backend.characteristics
         ic = eng.interconnect
@@ -94,10 +91,10 @@ class StepExecutor:
             return eng.model.allreduce_time(
                 num_tokens, eng.config.tensor_parallel, ch.allreduce_efficiency
             )
-        return ic.allreduce_per_layer(num_tokens, ch.allreduce_efficiency, t)
+        return ic.allreduce_per_layer(num_tokens, ch.allreduce_efficiency)
 
     def _step_terms(
-        self, attn_per_layer: float, num_tokens: int, t: float
+        self, attn_per_layer: float, num_tokens: int
     ) -> Tuple[float, float, float, float, float]:
         """Per-layer attention, GEMM and all-reduce time, then the LM head
         and the backend's per-step overhead: the terms of one step."""
@@ -107,15 +104,13 @@ class StepExecutor:
         return (
             attn_per_layer,
             m.layer_nonattn_time(num_tokens, eng.gpu, ch.gemm_efficiency, cfg.tensor_parallel),
-            self._allreduce_per_layer(num_tokens, t),
+            self._allreduce_per_layer(num_tokens),
             m.lm_head_time(num_tokens, eng.gpu, ch.gemm_efficiency, cfg.tensor_parallel),
             eng.backend.step_overhead(m.num_layers, eng.gpu),
         )
 
-    def _step_time(self, attn_per_layer: float, num_tokens: int, t: float) -> float:
-        attn, gemm, allreduce, lm_head, overhead = self._step_terms(
-            attn_per_layer, num_tokens, t
-        )
+    def _step_time(self, attn_per_layer: float, num_tokens: int) -> float:
+        attn, gemm, allreduce, lm_head, overhead = self._step_terms(attn_per_layer, num_tokens)
         total = (
             self.engine.model.num_layers * (attn + gemm + allreduce)
             + lm_head + overhead + SCHEDULER_OVERHEAD
@@ -124,12 +119,10 @@ class StepExecutor:
             total += self.fault_penalty  # host-observed kernel retries
         return total
 
-    def _step_components(self, attn_per_layer: float, num_tokens: int, t: float) -> dict:
+    def _step_components(self, attn_per_layer: float, num_tokens: int) -> dict:
         """The terms of :meth:`_step_time` itemized for tracing; the values
         sum to the step duration (same terms, regrouped)."""
-        attn, gemm, allreduce, lm_head, overhead = self._step_terms(
-            attn_per_layer, num_tokens, t
-        )
+        attn, gemm, allreduce, lm_head, overhead = self._step_terms(attn_per_layer, num_tokens)
         layers = self.engine.model.num_layers
         return {
             "attention": layers * attn,
@@ -420,9 +413,7 @@ class Postprocessor:
             num_prefill_tokens=prefill_tokens,
             num_decode_tokens=decode_tokens,
             num_streams=num_streams,
-            breakdown=ex._step_components(
-                attn_per_layer, prefill_tokens + decode_tokens, t_start
-            ),
+            breakdown=ex._step_components(attn_per_layer, prefill_tokens + decode_tokens),
             kv_free_pages=cache.num_free_pages,
             kv_used_pages=cache.num_used_pages,
             preemptions=preemptions,

@@ -327,24 +327,6 @@ class BrownoutController:
     def shed_active(self) -> bool:
         return self.level >= 4
 
-    def export_state(self) -> dict:
-        """Serializable state (the DegradeController checkpoint contract)."""
-        return {
-            "level": self.level,
-            "peak_level": self.peak_level,
-            "hot": self._hot,
-            "cool": self._cool,
-            "engage_events": self.engage_events,
-            "anneal_events": self.anneal_events,
-        }
-
-    def import_state(self, state: dict) -> None:
-        self.level = int(state["level"])
-        self.peak_level = int(state["peak_level"])
-        self._hot = int(state["hot"])
-        self._cool = int(state["cool"])
-        self.engage_events = int(state["engage_events"])
-        self.anneal_events = int(state["anneal_events"])
 
 
 @dataclass

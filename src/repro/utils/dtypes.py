@@ -58,7 +58,7 @@ def quantize_fp8(x: np.ndarray) -> np.ndarray:
     patterns, built once, on first use, by the float32 arithmetic below on
     every pattern widened (exactly) to float32 — so it gives that
     arithmetic's bits by construction.  Any other input is computed: every
-    step — a power-of-two ulp, ``rint`` of an exactly scaled value — is
+    step — a ulp that is a power of two, ``rint`` of an exactly scaled value — is
     exact in the input's own float dtype, so float32 is not widened;
     anything else is computed in float64 (rounding float64 to float32
     first would double-round near ties).

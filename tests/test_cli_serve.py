@@ -92,9 +92,10 @@ def test_serve_rejects_flags_it_cannot_honour(capsys):
 
 
 @pytest.mark.parametrize("flags, err", [
-    # Unknown names: the single-engine path used to traceback on --policy.
-    (["--policy", "nope"], "argument --policy: invalid choice"),
+    # An unknown name, and the flags of deleted choices.
     (["--router", "nope", "--dp", "2"], "argument --router: invalid choice"),
+    (["--policy", "fcfs"], "unrecognized arguments: --policy"),
+    (["--topology", "nvlink"], "unrecognized arguments: --topology"),
     # Out of range: a traceback from a config check, or silently accepted.
     (["--max-retries", "-1", "--chaos"], "argument --max-retries: must be >= 0"),
     (["--deadline", "-1", "--chaos"], "argument --deadline: must be > 0"),
@@ -111,7 +112,7 @@ def test_serve_rejects_flags_it_cannot_honour(capsys):
     (["--overload", "--burst", "inf"], "argument --burst: must be >= 1"),
     (["--overload", "--tenants", "0"], "argument --tenants: must be >= 1"),
     (["--rate", "inf"], "argument --rate: must be > 0"),
-], ids=["policy", "router", "max-retries", "deadline", "crash-rate-range", "crash",
+], ids=["router", "policy", "topology", "max-retries", "deadline", "crash-rate-range", "crash",
         "checkpoint-every", "trace-csv", "crash-rate-alone", "tenants-alone",
         "burst-alone", "burst-nan", "burst-inf", "tenants-zero", "rate-inf"])
 def test_serve_refuses_a_bad_flag_in_one_line(flags, err, capsys):

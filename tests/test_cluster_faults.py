@@ -1,5 +1,5 @@
-"""Cluster fault injection: link degradation, replica crash recovery,
-and the checkpoint world-shape guard."""
+"""Cluster fault injection: replica crash recovery and the checkpoint
+world-shape guard."""
 
 import pytest
 
@@ -39,47 +39,6 @@ def _engine(store=None, tensor_parallel=1, every=2):
         checkpoint=CheckpointConfig(every_steps=every),
         checkpoint_store=store,
     )
-
-
-def _degraded(cfg, *windows):
-    """A cluster whose topology derates the link over each
-    ``(t_start, t_end, factor)`` window."""
-    engine = ClusterEngine(MODEL, H100_80G, cfg)
-    for t0, t1, factor in windows:
-        engine.topology.degrade(t0, t1, factor)
-    return engine
-
-
-LINK_CFG = ClusterConfig(tp=2, engine=EngineConfig(max_running=64))
-
-
-@pytest.fixture(scope="module")
-def link_runs():
-    """``(requests, healthy, degraded)``: one tp=2 trace, served on a healthy
-    interconnect and on one derated to 10% for the entire run window."""
-    requests = sharegpt_workload(6, rate=60.0, seed=3)
-    healthy = ClusterEngine(MODEL, H100_80G, LINK_CFG).run(requests)
-    degraded = _degraded(LINK_CFG, (0.0, 1e6, 0.1)).run(requests)
-    return requests, healthy, degraded
-
-
-def test_link_degradation_slows_the_cluster(link_runs):
-    _, healthy, degraded = link_runs
-    assert degraded.total_time > healthy.total_time
-    assert degraded.summary()["link_degradations"] == 1.0
-
-
-def test_link_degradation_window_only_slows_covered_steps(link_runs):
-    requests, healthy, degraded = link_runs
-    # A window entirely after the run changes nothing.
-    after = _degraded(
-        LINK_CFG, (healthy.total_time + 1.0, healthy.total_time + 2.0, 0.1)
-    ).run(requests)
-    assert after.total_time == pytest.approx(healthy.total_time)
-    # Degradation moves time only: tokens stay identical.
-    healthy_tokens = [t.tokens for m in healthy.replicas for t in m.traces]
-    degraded_tokens = [t.tokens for m in degraded.replicas for t in m.traces]
-    assert healthy_tokens == degraded_tokens
 
 
 def test_replica_crash_recovers_token_exact():

@@ -10,11 +10,9 @@ from repro.cluster import (
 from repro.cluster.router import (
     LeastLoadedPolicy,
     LoadTracker,
-    PowerOfTwoPolicy,
     ROUTING_POLICIES,
     RoundRobinPolicy,
     RoutingPolicy,
-    SessionAffinityPolicy,
     get_routing_policy,
 )
 from repro.gpu import H100_80G
@@ -60,64 +58,6 @@ def test_least_loaded_picks_minimum_with_deterministic_ties():
     assert p.choose(_req(), 0.0, [2.0, 2.0, 2.0]) == 0
 
 
-def test_power_of_two_is_seed_deterministic():
-    choices = []
-    for _ in range(2):
-        p = PowerOfTwoPolicy()
-        p.reset(4)
-        choices.append([p.choose(_req(), 0.0, [3.0, 1.0, 2.0, 0.5]) for _ in range(16)])
-    assert choices[0] == choices[1]
-    p = PowerOfTwoPolicy()
-    p.reset(1)
-    assert p.choose(_req(), 0.0, [1.0]) == 0
-
-
-def test_session_affinity_groups_land_together():
-    p = SessionAffinityPolicy()
-    p.reset(4)
-    same = {
-        p.choose(_req(prefix_group=7, prefix_len=16), 0.0, [0] * 4)
-        for _ in range(5)
-    }
-    assert len(same) == 1
-    # Ungrouped requests spread by rid, deterministically.
-    a = p.choose(_req(rid=1), 0.0, [0] * 4)
-    b = p.choose(_req(rid=1), 0.0, [0] * 4)
-    assert a == b
-
-
-def test_session_affinity_rebinds_off_unhealthy_replicas():
-    # Regression: the hashed home replica being down must not keep
-    # receiving the session's requests — rebind deterministically, to the
-    # same fallback for every request of the session, and snap back home
-    # once the replica rejoins.
-    p = SessionAffinityPolicy()
-    p.reset(4)
-    req = _req(prefix_group=7, prefix_len=16)
-    home = p.choose(req, 0.0, [0.0] * 4)
-    healthy = [True] * 4
-    healthy[home] = False
-    rebound = {p.route(req, 0.0, [0.0] * 4, healthy) for _ in range(5)}
-    assert len(rebound) == 1
-    fallback = rebound.pop()
-    assert fallback != home and healthy[fallback]
-    # Healthy home: route is just choose.
-    assert p.route(req, 0.0, [0.0] * 4, [True] * 4) == home
-    # Another session whose home is also down keeps its own fallback
-    # stream (the probe is salted by session key, not shared state).
-    other = next(
-        g for g in range(8, 64)
-        if p.choose(_req(prefix_group=g, prefix_len=16), 0.0, [0.0] * 4) == home
-    )
-    other_req = _req(prefix_group=other, prefix_len=16)
-    assert p.route(other_req, 0.0, [0.0] * 4, healthy) == p.route(
-        other_req, 0.0, [0.0] * 4, healthy
-    )
-    # Nothing healthy: route returns the raw choice — the cluster engine
-    # is responsible for holding the request at the front door.
-    assert p.route(req, 0.0, [0.0] * 4, [False] * 4) == home
-
-
 def test_base_rebind_picks_least_loaded_healthy():
     p = RoundRobinPolicy()
     p.reset(3)
@@ -143,8 +83,7 @@ def test_load_tracker_pressure_backpressures_loads():
 
 
 def test_policy_table():
-    assert tuple(ROUTING_POLICIES) == ("cache-aware", "disagg", "least-loaded",
-                                       "power-of-two", "round-robin", "session-affinity")
+    assert tuple(ROUTING_POLICIES) == ("cache-aware", "disagg", "least-loaded", "round-robin")
     assert isinstance(get_routing_policy("round-robin"), RoundRobinPolicy)
     with pytest.raises(ValueError, match="unknown routing policy.*round-robin"):
         get_routing_policy("nope")
@@ -201,18 +140,10 @@ def round_robin_runs():
     )).run(requests)}
 
 
-@pytest.mark.parametrize("router", ["round-robin", "least-loaded",
-                                    "power-of-two", "session-affinity"])
+@pytest.mark.parametrize("router", ["round-robin", "least-loaded"])
 def test_dp_cluster_token_exact_under_every_router(router, request):
-    # round-robin and least-loaded: the runs the summary test and the
-    # throughput gate read.
-    if router in ("round-robin", "least-loaded"):
-        requests, runs = request.getfixturevalue(f"{router.replace('-', '_')}_runs")
-    else:
-        requests = sharegpt_workload(8, rate=120.0, seed=9)
-        runs = {2: ClusterEngine(MODEL, H100_80G, ClusterConfig(
-            dp=2, router=router, engine=EngineConfig(max_running=64),
-        )).run(requests)}
+    # The runs the summary test and the throughput gate read.
+    requests, runs = request.getfixturevalue(f"{router.replace('-', '_')}_runs")
     for cm in runs.values():
         assert cm.token_divergence(expected_tokens(requests)) == (0, len(requests))
 

@@ -21,7 +21,9 @@ from repro.cluster import (
     parse_roles,
 )
 from repro.faults import ResilienceConfig
+from repro.gpu import H100_80G
 from repro.serving import (
+    LLAMA_3_1_8B,
     CheckpointConfig,
     CheckpointStore,
     EngineConfig,
@@ -37,7 +39,7 @@ LOAD = mixed_disagg_workload(24, 60.0, seed=0)
 
 def _disagg(roles):
     dp = sum(len(pool) for pool in parse_roles(roles))
-    return ClusterEngine.from_config(ClusterConfig(dp=dp, roles=roles, engine=ENGINE))
+    return ClusterEngine(LLAMA_3_1_8B, H100_80G, ClusterConfig(dp=dp, roles=roles, engine=ENGINE))
 
 
 def _streams(cm):
@@ -88,10 +90,11 @@ def test_prefill_stage_cannot_see_the_decode_pool(two_by_two):
 def test_replica_order_within_a_stage_is_immaterial(shape, monkeypatch):
     def build():
         if shape == "colocated":
-            return ClusterEngine.from_config(
-                ClusterConfig(dp=3, router="least-loaded", engine=ENGINE)
+            return ClusterEngine(
+                LLAMA_3_1_8B, H100_80G, ClusterConfig(dp=3, router="least-loaded", engine=ENGINE)
             )
-        return ClusterEngine.from_config(
+        return ClusterEngine(
+            LLAMA_3_1_8B, H100_80G,
             ClusterConfig(
                 dp=4, roles="prefill=2,decode=2", engine=ENGINE,
                 failover=FailoverConfig() if shape == "disagg-failover" else None,
@@ -132,8 +135,8 @@ ENGINE_CFG = EngineConfig(max_running=64)
 
 
 def _dp1(script):
-    return ClusterEngine.from_config(
-        ClusterConfig(dp=1, engine=ENGINE_CFG),
+    return ClusterEngine(
+        LLAMA_3_1_8B, H100_80G, ClusterConfig(dp=1, engine=ENGINE_CFG),
         replica_failures={
             0: [ReplicaFailure(step, "crash", phase) for step, phase in script]
         },

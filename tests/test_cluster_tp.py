@@ -97,15 +97,6 @@ def test_interconnect_trivial_group_is_free():
     assert topo.total_traffic_bytes == 0.0
 
 
-def test_interconnect_prices_degradation_windows():
-    topo = Topology.preset("nvlink", world=2)
-    ic = TPInterconnect(topo, MODEL, 2)
-    healthy = ic.allreduce_per_layer(64, t=0.0)
-    topo.degrade(1.0, 2.0, factor=0.2)
-    assert ic.allreduce_per_layer(64, t=1.5) > healthy
-    assert ic.allreduce_per_layer(64, t=5.0) == pytest.approx(healthy)
-
-
 @pytest.fixture(scope="module")
 def tp_runs():
     """``(requests, single-GPU reference, {tp: metrics})`` of one trace at tp = 1, 2, 4."""

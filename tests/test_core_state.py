@@ -8,12 +8,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import sweep
-from repro.core import AttentionState, merge_states, merge_states_sum
+from repro.core import merge_states, merge_states_sum
+
+#: Batch shapes of a state: one query, a row of queries, queries × heads.
+BATCHES = [(), (3,), (2, 3)]
 
 
 def empty_state(batch_shape, head_dim):
     """The state over no keys: zero output, ``-inf`` LSE (the ⊕ identity)."""
-    return AttentionState(np.zeros(batch_shape + (head_dim,)), np.full(batch_shape, -np.inf))
+    return np.zeros(batch_shape + (head_dim,)), np.full(batch_shape, -np.inf)
+
+
+def merge(a, b):
+    """``a ⊕ b`` of two ``(o, lse)`` pairs."""
+    return merge_states(*a, *b)
 
 
 def state_of(q, k, v):
@@ -37,21 +45,30 @@ class TestMergeCorrectness:
         assert np.allclose(o, o_ref)
         assert np.isclose(lse, lse_ref)
 
-    def test_identity_element(self, rng):
-        st_ = AttentionState(rng.standard_normal((3, 8)), rng.standard_normal(3))
-        ident = empty_state((3,), 8)
-        merged = st_.merge(ident)
-        assert np.allclose(merged.o, st_.o)
-        assert np.allclose(merged.lse, st_.lse)
-        merged2 = ident.merge(st_)
-        assert np.allclose(merged2.o, st_.o)
+    @pytest.mark.parametrize("batch", BATCHES)
+    def test_identity_element(self, batch, rng):
+        st_ = rng.standard_normal(batch + (8,)), rng.standard_normal(batch)
+        ident = empty_state(batch, 8)
+        o, lse = merge(st_, ident)
+        assert np.allclose(o, st_[0])
+        assert np.allclose(lse, st_[1])
+        o2, _ = merge(ident, st_)
+        assert np.allclose(o2, st_[0])
 
-    def test_both_empty(self):
-        a = empty_state((2,), 4)
-        m = a.merge(a)
-        assert np.all(np.isneginf(m.lse))
-        assert np.allclose(m.o, 0.0)
-        assert not np.any(np.isnan(m.o))
+    @pytest.mark.parametrize("batch", BATCHES)
+    def test_both_empty(self, batch):
+        a = empty_state(batch, 4)
+        o, lse = merge(a, a)
+        assert np.all(np.isneginf(lse))
+        assert np.allclose(o, 0.0)
+        assert not np.any(np.isnan(o))
+
+    @pytest.mark.parametrize("batch", BATCHES)
+    def test_equal_lse_averages_the_outputs(self, batch, rng):
+        a = rng.standard_normal(batch + (4,)), np.zeros(batch)
+        b = rng.standard_normal(batch + (4,)), np.zeros(batch)
+        o, _ = merge(a, b)
+        assert np.allclose(o, (a[0] + b[0]) / 2)
 
     def test_large_lse_no_overflow(self):
         o_a = np.ones((1, 4))
@@ -105,26 +122,11 @@ class TestAlgebraicProperties:
     @sweep(12, 50)
     def test_fold_order_insensitive(self, seed):
         rng = np.random.default_rng(seed)
-        states = [
-            AttentionState(rng.standard_normal((2, 4)), rng.uniform(-3, 3, 2))
-            for _ in range(4)
-        ]
-        a = reduce(AttentionState.merge, states)
-        b = reduce(AttentionState.merge, reversed(states))
-        assert np.allclose(a.o, b.o)
-        assert np.allclose(a.lse, b.lse)
-
-
-class TestValidation:
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="batch shape"):
-            AttentionState(np.zeros((2, 4)), np.zeros(3))
-
-    def test_matmul_operator(self, rng):
-        a = AttentionState(rng.standard_normal((1, 4)), np.zeros(1))
-        b = AttentionState(rng.standard_normal((1, 4)), np.zeros(1))
-        m = a @ b
-        assert np.allclose(m.o, (a.o + b.o) / 2)
+        states = [(rng.standard_normal((2, 4)), rng.uniform(-3, 3, 2)) for _ in range(4)]
+        a = reduce(merge, states)
+        b = reduce(merge, reversed(states))
+        assert np.allclose(a[0], b[0])
+        assert np.allclose(a[1], b[1])
 
 
 class TestSumComposition:

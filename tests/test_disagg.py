@@ -83,7 +83,6 @@ def test_disagg_policy_routes_prefill_and_pairs_decode():
     loads = [5.0, 1.0, 7.0, 2.0]
     # Prompt placement: least-loaded within the prefill pool only.
     assert p.route(None, 0.0, loads) == 1
-    assert p.choose(None, 0.0, loads) == 1
     # KV pairing: least-loaded within the decode pool only.
     assert p.pair(None, 0.0, loads) == 3
 

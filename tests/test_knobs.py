@@ -47,8 +47,7 @@ CONFIGS = {
 #: Fields no program sets, each with the tests that need its second value.
 EXEMPT = {
     ("EngineConfig", "max_prefill_tokens"):
-        "2048 in test_serving_engine / test_serving_policy: prefill batches "
-        "split by the token budget",
+        "2048 in test_serving_engine: prefill batches split by the token budget",
     ("EngineConfig", "plan_cache"):
         "False in test_serving_plan_cache: the uncached control arm; "
         "ROADMAP item 2(a) deletes the cache",

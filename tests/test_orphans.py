@@ -10,15 +10,24 @@ always reached: the guard may under-report, never block wrongly.
 References are read from the syntax tree — names, attributes, imported
 names and non-docstring string constants (the benchmark's span targets are
 ``"module:Class.method"`` strings) — so a mention in a comment or docstring
-does not count.
+does not count.  The reach guard, ``tests/reach.py``, holds the same for
+behaviour by running the programs; its list is checked here without them.
 """
 
 import ast
+import importlib
 import re
 from collections import defaultdict
-from functools import lru_cache
+from functools import lru_cache, reduce
+from pathlib import Path
 
+import pytest
+
+import reach
 from program_index import PACKAGE, ROOT, docstrings, modules, nodes, programs, tree
+from reach import SRC, UNREACHED, functions
+
+counted = lru_cache(maxsize=None)(functions)
 
 #: Modules kept without a consumer, each with the ROADMAP item that decides it.
 EXEMPT = {
@@ -148,3 +157,61 @@ def test_every_public_name_has_a_consumer():
     for name, label in EXEMPT_NAMES.items():
         if label.startswith("(c)"):
             assert name.rsplit(":", 1)[1].split(".")[-1] in oracle_refs, name
+
+
+def test_every_reach_exemption_names_a_function_and_an_item():
+    """Each entry of the reach guard's list is a counted function of
+    ``src/repro`` and names the ROADMAP item that gives it a program."""
+    names = set(functions().values())
+    assert [n for n in UNREACHED if n not in names] == []
+    assert [n for n, label in UNREACHED.items() if not re.search(r"\bitem \d+", label)] == []
+
+
+def _key(name):
+    """The ``path:first line`` the hook records when ``module:qualname`` runs."""
+    module, qualname = name.split(":")
+    *owners, attr = qualname.removesuffix(".setter").split(".")
+    fn = vars(reduce(getattr, owners, importlib.import_module(module)))[attr]
+    fn = fn.fset if qualname.endswith(".setter") else fn
+    for wrapped in ("fget", "func", "__func__", "__wrapped__"):
+        fn = getattr(fn, wrapped, fn)
+    code = fn.__code__
+    return f"{Path(code.co_filename).resolve().relative_to(SRC).as_posix()}:{code.co_firstlineno}"
+
+
+#: Interfaces, bodies that only raise ``NotImplementedError``: not counted.
+INTERFACES = ["repro.cluster.router:RoutingPolicy.choose",
+              "repro.serving.backends:AttentionBackend.attention_time"]
+
+
+@pytest.mark.parametrize("name", INTERFACES + [
+    "repro.core.state:merge_states", "repro.cluster:__dir__", "repro.variants.rope:_angle_table",
+    "repro.cluster.topology:Topology.p2p_time", "repro.cluster.topology:Topology.preset",
+    "repro.cluster.topology:Topology.all_reduce_wire_bytes",
+    "repro.cluster.topology:Topology.total_traffic_bytes", "repro.cluster:__getattr__",
+    "repro.core.wrapper:BatchAttentionWrapper.plan_cache.setter",
+    "repro.sparse.layout:AttentionMapping._block_positions",  # a cached_property
+    "repro.faults.inject:OutputGuard.__post_init__"])
+def test_reach_keys_a_function_by_the_first_line_its_code_reports(name):
+    assert counted().get(_key(name)) == (None if name in INTERFACES else name)
+
+
+@pytest.mark.parametrize("change, problems", [
+    ("none", []), ("no-records", ["no call records in {tmp}"]),
+    ("planted", ["reached only by tests, not listed: repro.core.state:merge_states"]),
+    ("listed-reached", ["listed but reached by a program: {listed}"]),
+    ("listed-gone", ["listed but no longer exists: repro.core.state:gone"])])
+def test_reach_check_fails_on_what_only_tests_reach_and_on_a_stale_entry(
+        change, problems, tmp_path, monkeypatch):
+    keys = {name: key for key, name in counted().items()}
+    reached = {key for name, key in keys.items() if name not in UNREACHED}
+    listed = min(UNREACHED)
+    if change == "planted":  # as if merge_states were new and only a test called it
+        reached.remove(keys["repro.core.state:merge_states"])
+    elif change == "listed-reached":
+        reached.add(keys[listed])
+    elif change == "listed-gone":
+        monkeypatch.setitem(reach.UNREACHED, "repro.core.state:gone", "item 23")
+    if change != "no-records":
+        (tmp_path / "run.reach").write_text("\n".join(reached))
+    assert reach.check(tmp_path) == [p.format(tmp=tmp_path, listed=listed) for p in problems]

@@ -174,8 +174,8 @@ class TestShedPriorityInteraction:
 
     ``shed_overload`` is youngest-first and deliberately priority-blind —
     the queue *tail* goes first even between same-age requests.  Priority
-    protects work only indirectly, by where :class:`PriorityPolicy` parks
-    it in the queue."""
+    protects work only indirectly, by where a priority order parks it in
+    the queue."""
 
     def test_same_age_shed_takes_the_queue_tail_not_the_low_priority(self):
         """Two requests with identical arrivals: the one at the queue tail
@@ -188,11 +188,10 @@ class TestShedPriorityInteraction:
         assert shed_reasons(state) == [(1, "overload")]
         assert list(state.prefill_queue) == [0]
 
-    def test_priority_policy_pools_low_priority_at_the_shed_tail(self):
-        """Composed with PriorityPolicy ordering, repeated overload sheds
-        consume the low-priority pool first: high priority outlives low."""
-        from repro.serving import get_policy
-
+    def test_priority_order_pools_low_priority_at_the_shed_tail(self):
+        """On a queue sorted by priority (stable, FCFS within a priority),
+        repeated overload sheds consume the low-priority pool first: high
+        priority outlives low."""
         reqs = [
             Request(0.0, 32, 4, priority=0),
             Request(0.1, 32, 4, priority=1),
@@ -201,8 +200,7 @@ class TestShedPriorityInteraction:
         ]
         adm, state = make_controller(reqs)
         state.waiting.clear()
-        state.prefill_queue.extend(range(4))
-        get_policy("priority").order(state.prefill_queue, reqs, now=0.4)
+        state.prefill_queue.extend(sorted(range(4), key=lambda i: -reqs[i].priority))
         assert list(state.prefill_queue) == [1, 3, 0, 2]
         adm.shed_overload(t=1.0)
         adm.shed_overload(t=1.1)

@@ -79,7 +79,7 @@ def test_token_divergence(tokens, reason, req_id, rids, expect):
 
 
 def _single_gpu_reference(reqs):
-    cluster = ClusterEngine.from_config(ClusterConfig(), model=LLAMA_3_1_8B, gpu=H100_80G)
+    cluster = ClusterEngine(LLAMA_3_1_8B, H100_80G, ClusterConfig())
     return cluster.run_reference(reqs)
 
 

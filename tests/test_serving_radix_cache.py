@@ -407,10 +407,9 @@ class TestCacheAwareRouting:
     def _route(self, requests, dp=2, router="cache-aware"):
         from repro.cluster import ClusterConfig, ClusterEngine
 
-        cluster = ClusterEngine.from_config(
-            ClusterConfig(dp=dp, router=router,
-                          engine=EngineConfig(prefix_cache=True)),
-            model=MODEL, gpu=H100_80G,
+        cluster = ClusterEngine(
+            MODEL, H100_80G,
+            ClusterConfig(dp=dp, router=router, engine=EngineConfig(prefix_cache=True)),
         )
         return cluster, cluster.route(requests)
 
@@ -434,9 +433,9 @@ class TestCacheAwareRouting:
         from repro.cluster import ClusterConfig, ClusterEngine
 
         reqs = shared_prefix_workload(24, rate=40.0, num_groups=4, prefix_len=2048)
-        return reqs, {router: ClusterEngine.from_config(
+        return reqs, {router: ClusterEngine(
+            MODEL, H100_80G,
             ClusterConfig(dp=4, router=router, engine=EngineConfig(prefix_cache=True)),
-            model=MODEL, gpu=H100_80G,
         ).run(reqs) for router in ("cache-aware", "round-robin")}
 
     def test_cluster_prefix_cache_token_exact(self, routed_runs):
