@@ -22,7 +22,6 @@ index arrays the workspace holds (:class:`SchedulePlan`), never as objects.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, fields
 from functools import cached_property
 from operator import attrgetter
@@ -193,30 +192,24 @@ def _assign_ctas(inc_q: np.ndarray, inc_kv: np.ndarray, num_ctas: int) -> np.nda
     """Steps 6-13: the CTA of each item under the min-cost priority queue,
     items given in rank order by their cost terms ``α·l_q`` and ``β·l_kv``.
 
-    While untouched CTAs remain at cost 0.0 the heap pops them in index
-    order, so the leading items go to CTAs ``0..`` directly — up to the first
-    item whose own cost is not positive (its CTA would be popped again).  Only
-    the tail runs through the heap, with the sum associated as
-    ``(cost + α·l_q) + β·l_kv`` so ties break as they always have.
+    Dealt in rounds: the next items go to the CTAs in ``(cost, index)``
+    order for as long as each of those CTAs costs less than every CTA the
+    round has already raised — exactly the pops of the queue, whose sums are
+    associated as ``(cost + α·l_q) + β·l_kv``.  The first round deals the
+    leading items to CTAs ``0..`` up to the first whose own cost is not
+    positive.
     """
     n = inc_q.size
-    head = min(n, num_ctas)
-    first = inc_q[:head] + inc_kv[:head]
-    nonpos = np.flatnonzero(~(first > 0))
-    if nonpos.size:
-        head = int(nonpos[0]) + 1
-    cta = np.empty(n, dtype=np.int64)
-    cta[:head] = np.arange(head)
-    if head < n:
-        heap = list(zip(first[:head].tolist(), range(head)))
-        heap += [(0.0, c) for c in range(head, num_ctas)]
-        heapq.heapify(heap)
-        tail = []
-        for a, b in zip(inc_q[head:].tolist(), inc_kv[head:].tolist()):
-            cost, c = heap[0]
-            heapq.heapreplace(heap, ((cost + a) + b, c))
-            tail.append(c)
-        cta[head:] = tail
+    cta, cost, i = np.empty(n, dtype=np.int64), np.zeros(num_ctas), 0
+    while i < n:
+        order = cost.argsort(kind="stable")[: n - i]
+        before = cost[order]
+        after = (before + inc_q[i : i + order.size]) + inc_kv[i : i + order.size]
+        ahead = before[1:] < np.minimum.accumulate(after[:-1])
+        m = order.size if ahead.all() else int(ahead.argmin()) + 1
+        cta[i : i + m] = order[:m]
+        cost[order[:m]] = after[:m]
+        i += m
     return cta
 
 
@@ -226,28 +219,9 @@ def break_even_step(l_kv: int, break_even_kv: int, granularity: int) -> int:
     return l_kv + granularity * ceil_div(break_even_kv - l_kv, granularity)
 
 
-def _break_even_chunk(
-    tiles: np.ndarray,
-    kv_lens: np.ndarray,
-    l_kv: int,
-    break_even_kv: int,
-    granularity: int,
-    num_ctas: int,
-) -> int:
-    """Step 3's release: ``l_kv`` raised by ``granularity`` steps to
-    :func:`break_even_step`, or to the first step whose items — ``tiles[g]``
-    tiles of group ``g``, each cut into its KV chunks — fit ``num_ctas``.
-    All candidate steps are counted in one pass."""
-    steps = np.arange(l_kv, break_even_step(l_kv, break_even_kv, granularity) + 1, granularity)
-    chunks = np.maximum(-(-kv_lens // steps[:, None]), 1)
-    fits = chunks @ tiles <= num_ctas
-    fits[-1] = True
-    return int(steps[fits.argmax()])
-
-
 def kv_chunk_len(
-    tiles: np.ndarray,
-    kv_lens: np.ndarray,
+    tile_kv: np.ndarray,
+    num_kv_heads: int,
     num_ctas: int,
     chunk_granularity: int,
     split_kv: bool,
@@ -255,17 +229,59 @@ def kv_chunk_len(
     min_kv_chunk: int = 64,
 ) -> int:
     """Step 3: the maximum KV chunk size ``L_kv`` of :func:`plan_schedule`,
-    from ``tiles[g]`` query tiles × KV heads of group ``g`` and the KV
-    lengths alone — total tile-KV work over the CTAs, then the break-even
-    release (:func:`_break_even_chunk`)."""
-    total_tile_kv = int(tiles @ kv_lens)
+    from the KV each query tile is planned over (:func:`query_tile_kv`) and
+    the KV heads alone — total tile-KV work over the CTAs — then the
+    break-even release: raised by ``chunk_granularity`` steps to
+    :func:`break_even_step`, or to the first step whose items, every tile's
+    KV cut into its chunks for each KV head, fit ``num_ctas`` (all steps
+    counted in one pass)."""
+    total_tile_kv = int(tile_kv.sum()) * num_kv_heads
     if not (split_kv and total_tile_kv > 0):
-        return max(int(kv_lens.max(initial=0)), 1)
+        return max(int(tile_kv.max(initial=0)), 1)
     l_kv = max(ceil_div(total_tile_kv, num_ctas), min_kv_chunk)
     l_kv = ceil_div(l_kv, chunk_granularity) * chunk_granularity
     if l_kv < break_even_kv:
-        l_kv = _break_even_chunk(tiles, kv_lens, l_kv, break_even_kv, chunk_granularity, num_ctas)
+        steps = np.arange(l_kv, break_even_step(l_kv, break_even_kv, chunk_granularity) + 1,
+                          chunk_granularity)
+        fits = np.maximum(-(-tile_kv // steps[:, None]), 1).sum(axis=1) * num_kv_heads <= num_ctas
+        fits[-1] = True
+        l_kv = int(steps[fits.argmax()])
     return l_kv
+
+
+def query_tile_kv(
+    qo_lens: np.ndarray,
+    kv_lens: np.ndarray,
+    q_tile_size: int,
+    row_kv_lens: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """The KV each query tile is planned over, in ``(group, tile)`` order: its
+    group's, or — given ``row_kv_lens``, what each row of a causal mapping
+    sees (``AttentionMapping.causal_kv_lens``) — its last row's, the most of
+    its rows' (a causal group's rows ascend).  One gather per tile."""
+    if qo_lens.max(initial=0) <= q_tile_size:
+        covered = qo_lens > 0
+        return kv_lens[covered] if row_kv_lens is None else row_kv_lens[
+            qo_lens.cumsum()[covered] - 1]
+    n_tiles = -(-qo_lens // q_tile_size)
+    if row_kv_lens is None:
+        return kv_lens.repeat(n_tiles)
+    first, last = n_tiles.cumsum() - n_tiles, qo_lens.cumsum() - 1  # a group's first tile, last row
+    # A tile ends q_tile_size rows past the one before it, the group's last at its last row.
+    tile_last = (last - qo_lens - (first - 1) * q_tile_size).repeat(n_tiles)
+    tile_last += np.arange(0, tile_last.size * q_tile_size, q_tile_size)
+    return row_kv_lens[np.minimum(tile_last, last.repeat(n_tiles), out=tile_last)]
+
+
+def query_tile_rows(qo_lens: np.ndarray, q_tile_size: int) -> np.ndarray:
+    """The query rows of every tile, in the order of :func:`query_tile_kv`."""
+    if qo_lens.max(initial=0) <= q_tile_size:
+        return qo_lens[qo_lens > 0]
+    n_tiles = -(-qo_lens // q_tile_size)
+    rows = np.full(int(n_tiles.sum()), q_tile_size, dtype=np.int64)
+    last, covered = n_tiles.cumsum() - 1, n_tiles > 0  # each group's last tile
+    rows[last[covered]] = (qo_lens - (n_tiles - 1) * q_tile_size)[covered]
+    return rows
 
 
 def _tile_rows(
@@ -288,7 +304,7 @@ def _tile_rows(
 
 def _build_plan(
     qo_lens: np.ndarray,
-    kv_lens: np.ndarray,
+    tile_kv: np.ndarray,
     q_tile_size: int,
     num_ctas: int,
     num_kv_heads: int,
@@ -296,7 +312,8 @@ def _build_plan(
     l_kv: int,
     assign: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
 ) -> SchedulePlan:
-    """Steps 4-13 over arrays, for KV chunks of at most ``l_kv``.
+    """Steps 4-13 over arrays, for KV chunks of at most ``l_kv`` that cut
+    each query tile's own KV ``tile_kv`` (:func:`query_tile_kv`).
 
     Items are enumerated ``group → q_tile → kv_head → chunk``; a split tile
     takes consecutive partial slots in that order, so ``merge_slots`` is an
@@ -304,12 +321,13 @@ def _build_plan(
     cta)``: the enumerated rows in rank order and the CTA of each rank.
     """
     tiles = _tile_rows(qo_lens, q_tile_size, num_kv_heads, mapping_idx)
-    group = tiles[:, COL_GROUP]
-    lkv = kv_lens[group]
+    lkv = np.repeat(tile_kv, num_kv_heads)
+    if lkv.size != len(tiles):
+        raise ValueError("tile_kv_lens must give one length per query tile")
     n_chunks = np.maximum(-(-lkv // l_kv), 1)
 
     # Expand each row into its KV chunks; only split tiles get partial slots.
-    row = np.repeat(np.arange(group.size), n_chunks)
+    row = np.repeat(np.arange(lkv.size), n_chunks)
     table = tiles[row]
     kv_start = (np.arange(row.size) - np.repeat(np.cumsum(n_chunks) - n_chunks, n_chunks)) * l_kv
     table[:, COL_KVSTART] = kv_start
@@ -346,8 +364,7 @@ def plan_schedule(
     min_kv_chunk: int = 64,
     chunk_granularity: int = 64,
     split_kv: bool = True,
-    causal: bool = False,
-    causal_kv_lens: Optional[Sequence[int]] = None,
+    tile_kv_lens: Optional[np.ndarray] = None,
     break_even_kv: int = 0,
 ) -> SchedulePlan:
     """Algorithm 1: balanced assignment of attention work to CTAs.
@@ -371,12 +388,13 @@ def plan_schedule(
         size) so no chunk is a sliver smaller than one inner tile.
     split_kv:
         Disable to emulate schedulers without KV splitting (ablations).
-    causal / causal_kv_lens:
-        When causal, each work item's cost weighs only the KV *visible* to
-        its query tile (a prefill tile near the top of the triangle does a
-        fraction of the last tile's work; its last row sees the most): the
-        KV slots each query row sees, ``AttentionMapping.causal_kv_lens``,
-        default to the decode/prefill convention (trailing positions).
+    tile_kv_lens:
+        The KV each query tile is planned over, ``[0, tile_kv_lens[t])``,
+        one entry per tile in ``(group, tile)`` order (:func:`query_tile_kv`):
+        under a causal mask, what the tile's last row sees — a prefill tile
+        near the top of the triangle has a fraction of the last tile's
+        work, and Steps 3-5 size, cut and weigh only that.  Default: every
+        tile's group's whole KV.
     break_even_kv:
         The KV length whose bytes equal what one more split costs: the
         partial state ``(O, LSE)`` of the largest tile, written in fp32 by
@@ -397,32 +415,23 @@ def plan_schedule(
     if q_tile_size <= 0 or num_ctas <= 0 or num_kv_heads <= 0:
         raise ValueError("q_tile_size, num_ctas and num_kv_heads must be positive")
 
-    n_tiles = np.where(qo_lens > 0, -(-qo_lens // q_tile_size), 0)
+    tile_kv = (query_tile_kv(qo_lens, kv_lens, q_tile_size) if tile_kv_lens is None
+               else np.asarray(tile_kv_lens, dtype=np.int64))
     l_kv = kv_chunk_len(
-        n_tiles * num_kv_heads, kv_lens, num_ctas, chunk_granularity, split_kv,
-        break_even_kv, min_kv_chunk,
+        tile_kv, num_kv_heads, num_ctas, chunk_granularity, split_kv, break_even_kv, min_kv_chunk,
     )
 
     def longest_first(table: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        # Step 5 (stable: ties broken by creation order), weighing the KV
-        # positions an item actually computes over.
+        # Step 5 (stable: ties broken by creation order): every chunk lies
+        # within what its tile's last row sees, so its length is its weight.
         weights = table[:, COL_KVSTOP] - table[:, COL_KVSTART]
-        if causal:
-            group = table[:, COL_GROUP]
-            end = table[:, COL_QSTART] + table[:, COL_QROWS]  # one past the tile's last row
-            if causal_kv_lens is None:  # trailing rows
-                vis_end = (kv_lens - qo_lens)[group] + end
-            else:  # the tile's last row sees the most
-                seen = np.asarray(causal_kv_lens)
-                vis_end = seen[(np.cumsum(qo_lens) - qo_lens)[group] + end - 1]
-            weights = np.clip(vis_end - table[:, COL_KVSTART], 0, weights)
         order = np.argsort(-weights, kind="stable")
         return order, _assign_ctas(
             alpha * table[order, COL_QROWS], beta * weights[order], num_ctas
         )
 
     return _build_plan(
-        qo_lens, kv_lens, q_tile_size, num_ctas, num_kv_heads, mapping_idx, l_kv,
+        qo_lens, tile_kv, q_tile_size, num_ctas, num_kv_heads, mapping_idx, l_kv,
         longest_first,
     )
 
@@ -439,8 +448,7 @@ def plan_signature(
     min_kv_chunk: int = 64,
     chunk_granularity: int = 64,
     split_kv: bool = True,
-    causal: bool = False,
-    causal_kv_lens: Optional[Sequence[int]] = None,
+    tile_kv_lens: Optional[np.ndarray] = None,
     break_even_kv: int = 0,
 ) -> Tuple:
     """Hashable key over every :func:`plan_schedule` input.
@@ -462,8 +470,8 @@ def plan_signature(
     return (
         _bytes(qo_lens), _bytes(kv_lens), int(q_tile_size), int(num_ctas),
         int(num_kv_heads), int(mapping_idx), float(alpha), float(beta),
-        int(min_kv_chunk), int(chunk_granularity), bool(split_kv), bool(causal),
-        _bytes(causal_kv_lens), int(break_even_kv),
+        int(min_kv_chunk), int(chunk_granularity), bool(split_kv),
+        _bytes(tile_kv_lens), int(break_even_kv),
     )
 
 
@@ -490,5 +498,6 @@ def plan_unbalanced(
         return rank, rank % num_ctas
 
     return _build_plan(
-        qo_lens, kv_lens, q_tile_size, num_ctas, num_kv_heads, 0, l_kv, round_robin,
+        qo_lens, query_tile_kv(qo_lens, kv_lens, q_tile_size), q_tile_size, num_ctas,
+        num_kv_heads, 0, l_kv, round_robin,
     )

@@ -36,6 +36,7 @@ from repro.core.scheduler import (
     COL_SLOT,
     MERGE_QROWS,
     SchedulePlan,
+    query_tile_rows,
 )
 from repro.gpu.cost import TRANSACTION_BYTES, KernelCostModel, TileCost
 from repro.gpu.executor import PersistentKernelExecutor, SimReport
@@ -196,7 +197,8 @@ def _roofs(cost_model: KernelCostModel, compute_share: float) -> Tuple[float, fl
 
 
 def unsplit_bounds(
-    q_tiles: np.ndarray,
+    tile_rows: np.ndarray,
+    tile_kv: np.ndarray,
     mapping: AttentionMapping,
     heads: HeadConfig,
     kv_dtype: StorageDType,
@@ -210,33 +212,27 @@ def unsplit_bounds(
     stacked: bool = False,
     max_chunks: Sequence[float] = (np.inf,),
 ) -> Tuple[List[float], float]:
-    """``(longest, total)`` of the unsplit plan for one KV head — group ``g``
-    cut into ``q_tiles[g]`` query tiles, each over the group's whole KV
-    (``plan_schedule(..., split_kv=False)``) — from the lengths alone: a
-    lower bound on its longest serial stream and an upper bound on the sum
-    of its mem streams, as :func:`item_cost_arrays` prices them.  A tile
-    computes over at least the KV columns its last query row sees, on its
-    own query tile (:func:`item_tiles`): the bound is the longer of two, the
-    last tile of the group whose last row sees the most, and the longest
-    tile on the launch's own — a full tile before a group's last, or a last
-    tile of more rows than the next smaller compiled tile holds.  A tile
-    loads at most all its group's KV, with the L2 reuse of its group (every
-    tile's KV starts at the group's first), and gathers with no more
-    transaction waste than a run of up to one block has, and writes what
-    :func:`item_footprints` says a ``stacked`` tile writes.  O(groups), no
-    item table.
+    """``(longest, total)`` of the unsplit plan for one KV head — each group
+    cut into query tiles of ``q_tile_size`` rows, tile ``t`` of
+    ``tile_rows[t]`` rows over the ``tile_kv[t]`` KV columns it is planned
+    over (``scheduler.query_tile_kv``) — from the lengths alone: its longest item,
+    each on its own query tile (:func:`item_tiles`), a lower bound on its
+    longest serial stream, and an upper bound on the sum of its mem streams,
+    as :func:`item_cost_arrays` prices them.  A tile loads at most all its
+    group's KV, with the L2 reuse of its group (every tile's KV starts at
+    the group's first), and gathers with no more transaction waste than a
+    run of up to one block has, and writes what :func:`item_footprints` says
+    a ``stacked`` tile writes.  O(tiles), no item table.
 
     ``longest`` has one bound per entry of ``max_chunks``: with a finite
     one, of the longest serial stream of a plan whose KV chunks are at most
-    that long — the first chunk of each of those two tiles is one of its
-    items.  ``total`` stays the unsplit plan's."""
+    that long — each tile's first chunk is one of its items.  ``total``
+    stays the unsplit plan's."""
     g_eff = heads.group_size if fuse_head_groups else 1
     d, itemsize = heads.head_dim, kv_dtype.itemsize
     qo, kv = mapping.qo_lens, mapping.kv.kv_lens
-    seen, kv_cols, full, tail = kv, float(q_tiles @ kv), 0, qo
-    if mapping.causal:
-        row_kv = np.append(mapping.causal_kv_lens, 0)  # [-1] stands in for a row-less group's
-        seen = row_kv[mapping.qo_indptr[1:] - 1]  # the KV columns of each group's last row
+    q_tiles = -(-qo // q_tile_size)
+    kv_cols = float(q_tiles @ kv)
     if q_tiles.max(initial=0) > 1:  # later query tiles re-read the KV from L2
         reuse = np.maximum(q_tiles, 1)
         if mapping.causal:  # counted from the first row that sees the first KV column
@@ -244,25 +240,13 @@ def unsplit_bounds(
             unseen = key.searchsorted(base, side="right") - mapping.qo_indptr[:-1]
             reuse = np.maximum(reuse - unseen // q_tile_size, 1)
         kv_cols = float(q_tiles @ (kv / reuse))
-        tail = qo - (q_tiles - 1) * q_tile_size  # rows of each group's last tile
-        # The last row of the full tile before a group's last one.
-        full = (row_kv[np.where(q_tiles > 1, mapping.qo_indptr[1:] - tail - 1, -1)]
-                if mapping.causal else kv).max(where=q_tiles > 1, initial=0)
-    seen = np.where(q_tiles > 0, seen, -1)
-    smaller = tile_set[-2] // g_eff if len(tile_set) > 1 else -1
     tensor, cuda = _roofs(cost_model, compute_share)
-    # Seconds per KV column on each tile.
-    per_column = {t: 4.0 * d * t * compute_penalty / (tensor if t > 1 else cuda) for t in tile_set}
-    streams = [(float(max(full, seen.max(where=tail > smaller, initial=0))),
-                per_column[tile_set[-1]])]
-    if seen.size:
-        g = int(seen.argmax())
-        rows = int(qo[g]) - (int(q_tiles[g]) - 1) * q_tile_size
-        streams.append((float(max(seen[g], 0)), per_column[int(item_tiles(rows, g_eff, tile_set))]))
+    tile = item_tiles(tile_rows, g_eff, tile_set)
+    per_column = 4.0 * d * tile * compute_penalty / np.where(tile > 1, tensor, cuda)  # seconds
     block, gather = mapping.kv.block_size, 2.0 * cost_model.gather_issue_overhead
-    longest = [max(min(cols, chunk) * rate + sparse_gather * gather * -(-min(cols, chunk) // block)
-                   for cols, rate in streams) + cost_model.tile_latency
-               for chunk in max_chunks]
+    longest = [float((np.minimum(tile_kv, chunk) * per_column + sparse_gather * gather
+                      * -(-np.minimum(tile_kv, chunk) // block)).max(initial=0.0))
+               + cost_model.tile_latency for chunk in max_chunks]
     waste = _worst_gather_waste(block, d * itemsize) if sparse_gather else 1.0
     q_bytes = float(qo.sum()) * (g_eff * d * Q_ITEMSIZE)
     out_bytes = float(qo.sum()) * (g_eff * (d + 1) * PARTIAL_ITEMSIZE) if stacked else q_bytes
@@ -334,8 +318,8 @@ def merge_footprints(
 
 
 def split_bytes(
-    qo_lens: np.ndarray,
-    kv_lens: np.ndarray,
+    tile_rows: np.ndarray,
+    tile_kv: np.ndarray,
     kv_chunk: int,
     head_dim: int,
     row_pairs: int,
@@ -344,17 +328,19 @@ def split_bytes(
 ) -> Tuple[float, float]:
     """``(contraction, extra)`` effective bytes of a plan whose KV chunks are
     ``kv_chunk`` long, from the lengths alone.  Each of the ``row_pairs``
-    (query row, query head) pairs of a query row of a split group — of every
-    group in a ``stacked`` format, whose every tile writes a state — has
-    ``⌈kv / kv_chunk⌉`` fp32 states.  ``contraction`` is the contraction
+    (query row, query head) pairs of each of the ``tile_rows[t]`` query rows
+    of a split tile — of every tile in a ``stacked`` format, whose every tile
+    writes a state — has ``⌈tile_kv[t] / kv_chunk⌉`` fp32 states, the KV
+    its tile is planned over cut into chunks (``scheduler.query_tile_kv``).
+    ``contraction`` is the contraction
     launch's: each such pair reads its states and writes its row
     (:func:`merge_footprints`), the sum of :func:`merge_cost_arrays`' mem
     streams for that plan.  ``extra`` is what the attention launch moves at
     least beyond the unsplit plan's: the pair's query row is read and a
     state written once per chunk, where the unsplit tile read it once and
     wrote one state or, unstacked, its fp16 row."""
-    chunks = np.maximum(-(-kv_lens // kv_chunk), 1)
-    rows = qo_lens if stacked else np.where(chunks > 1, qo_lens, 0)
+    chunks = np.maximum(-(-tile_kv // kv_chunk), 1)
+    rows = tile_rows if stacked else np.where(chunks > 1, tile_rows, 0)
     pairs, states = float(rows.sum()) * row_pairs, float(rows @ chunks) * row_pairs
     _, read, written = merge_footprints(states, pairs, head_dim)
     state = (head_dim + 1) * PARTIAL_ITEMSIZE
@@ -410,19 +396,21 @@ def merge_cost_arrays(
 
 
 def format_merge_entries(
-    mapping: AttentionMapping, kv_chunk: int, row_pairs: int
+    mapping: AttentionMapping, q_tile_size: int, tile_kv: np.ndarray, kv_chunk: int,
+    row_pairs: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`stack_merge_entries` of one format whose plan cuts every
-    group's KV into ``kv_chunk``-long chunks, from the lengths alone: each of
-    the ``row_pairs`` (query row, query head) pairs of a group's query row
-    folds its ``⌈kv / kv_chunk⌉`` states.  One entry per group, the groups
-    in row order (a format's groups cover disjoint rows), which
+    """:func:`stack_merge_entries` of one format whose plan cuts each query
+    tile's KV ``tile_kv`` (``scheduler.query_tile_kv``) into
+    ``kv_chunk``-long chunks, from the lengths alone: each of the
+    ``row_pairs`` (query row, query head) pairs of a tile's query row folds
+    its ``⌈v / kv_chunk⌉`` states (one at least).  One entry per tile, the
+    groups in row order (a format's groups cover disjoint rows), which
     :func:`merge_cost_arrays` prices exactly as the runs of equal counts.
-    O(groups)."""
-    order = np.argsort(mapping.q_row_starts, kind="stable")
-    qo, kv = mapping.qo_lens[order], mapping.kv.kv_lens[order]
-    covered = qo > 0
-    return np.maximum(-(-kv[covered] // kv_chunk), 1), qo[covered] * row_pairs
+    O(tiles)."""
+    n_tiles = -(-mapping.qo_lens // q_tile_size)
+    order = np.argsort(np.repeat(mapping.q_row_starts, n_tiles), kind="stable")
+    rows = query_tile_rows(mapping.qo_lens, q_tile_size)[order]
+    return np.maximum(-(-tile_kv[order] // kv_chunk), 1), rows * row_pairs
 
 
 def stack_merge_entries(

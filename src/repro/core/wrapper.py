@@ -41,6 +41,8 @@ from repro.core.scheduler import (
     kv_chunk_len,
     plan_schedule,
     plan_signature,
+    query_tile_kv,
+    query_tile_rows,
 )
 from repro.core.tiles import compiled_q_tiles, ctas_per_sm, select_kv_tile, select_q_tile
 from repro.core.variant import AttentionVariant
@@ -352,14 +354,13 @@ class BatchAttentionWrapper:
         """``(args, kwargs)`` of :func:`plan_schedule` for ``mapping``."""
         # The largest tile's fused rows price one more split.
         g_eff = self.heads.group_size if self.fuse_head_groups else 1
-        rows = min(self._sched_q_tile, int(mapping.qo_lens.max(initial=0))) * g_eff
-        args = (mapping.qo_lens, mapping.kv.kv_lens, self._sched_q_tile, self.num_ctas)
-        return args, dict(
+        qo, kv, q_tile = mapping.qo_lens, mapping.kv.kv_lens, self._sched_q_tile
+        rows = min(q_tile, int(qo.max(initial=0))) * g_eff
+        return (qo, kv, q_tile, self.num_ctas), dict(
             num_kv_heads=self._sched_heads,
             chunk_granularity=self.kv_tile,
             split_kv=self.split_kv,
-            causal=mapping.causal,
-            causal_kv_lens=mapping.causal_kv_lens,
+            tile_kv_lens=query_tile_kv(qo, kv, q_tile, mapping.causal_kv_lens),
             break_even_kv=break_even_kv_len(rows, self.heads.head_dim, self.kv_dtype),
         )
 
@@ -377,14 +378,12 @@ class BatchAttentionWrapper:
         beyond the unsplit plan's (:func:`simulate.split_bytes`); ``unsplit``
         bounds the unsplit plan's bytes above.  A lone candidate is not
         bounded."""
-        stacked = self.stack_merges is not None
-        qo, kv = mapping.qo_lens, mapping.kv.kv_lens
-        q_tiles = -(-qo // self._sched_q_tile)
-        longest_kv = int(kv.max(where=qo > 0, initial=0))
+        stacked, tile_kv = self.stack_merges is not None, kwargs["tile_kv_lens"]
+        longest_kv = int(tile_kv.max(initial=0))
         break_even, granularity = kwargs["break_even_kv"], kwargs["chunk_granularity"]
-        l_kv = kv_chunk_len(q_tiles * self._sched_heads, kv, self.num_ctas, granularity,
+        l_kv = kv_chunk_len(tile_kv, self._sched_heads, self.num_ctas, granularity,
                             kwargs["split_kv"], break_even)
-        one_wave = kwargs["split_kv"] and 0 < int(q_tiles.sum()) * self._sched_heads <= self.num_ctas
+        one_wave = kwargs["split_kv"] and 0 < tile_kv.size * self._sched_heads <= self.num_ctas
         found = [(dict(kwargs, split_kv=False), longest_kv)] if one_wave else []
         if l_kv < longest_kv or not one_wave:
             found.append((kwargs, l_kv))
@@ -395,18 +394,18 @@ class BatchAttentionWrapper:
         if len(found) == 1:
             return [(found[0][0], 0.0, None, 0.0)], 0.0
         cost_model, bounded = self.executor.cost_model, []
+        tile_rows = query_tile_rows(mapping.qo_lens, self._sched_q_tile)
         longest, unsplit = simulate.unsplit_bounds(
-            q_tiles, mapping, self.heads, self.kv_dtype, self._sched_q_tile, self._tile_set,
-            self.fuse_head_groups, self.sparse_gather,
-            cost_model, self._compute_share, self.compute_penalty, stacked,
-            [chunk for _, chunk in found],
+            tile_rows, tile_kv, mapping, self.heads, self.kv_dtype, self._sched_q_tile,
+            self._tile_set, self.fuse_head_groups, self.sparse_gather, cost_model,
+            self._compute_share, self.compute_penalty, stacked, [chunk for _, chunk in found],
         )
         for (kw, chunk), stream in zip(found, longest):
             contraction, extra = None, 0.0
             if stacked or chunk < longest_kv:
                 contraction, extra = simulate.split_bytes(
-                    qo, kv, chunk, self.heads.head_dim, self.heads.num_qo_heads, stacked,
-                    cost_model,
+                    tile_rows, tile_kv, chunk, self.heads.head_dim, self.heads.num_qo_heads,
+                    stacked, cost_model,
                 )
             bounded.append((kw, stream, contraction, extra))
         return bounded, unsplit * self._sched_heads
@@ -451,7 +450,7 @@ class BatchAttentionWrapper:
             if best and self._floor(longest, contraction, mem + extra) > best[0] + _PRICE_SLACK:
                 continue
             plan = plan_schedule(*args, **kw)
-            value, launches = self._priced(plan, mapping)
+            value, launches = self._priced(plan, mapping, kw["tile_kv_lens"])
             if not kw["split_kv"]:  # the unsplit plan: its attention bytes floor a split plan's
                 (_, unsplit_mem, *_), _ = launches[0]
                 mem = float(unsplit_mem.sum())
@@ -459,12 +458,13 @@ class BatchAttentionWrapper:
                 best = (value, i, plan, launches)
         return best[2:]
 
-    def _priced(self, plan: SchedulePlan, mapping: AttentionMapping) -> Tuple[float, list]:
+    def _priced(self, plan: SchedulePlan, mapping: AttentionMapping, tile_kv) -> Tuple[float, list]:
         """``plan``'s price for :meth:`_choose` and its launches as ``(streams,
-        price)``; a format of a stack contracts the plan's own states."""
+        price)``; a format of a stack contracts the plan's own states, its
+        query tiles over ``tile_kv``."""
         launches: list = []
         merges = self._merges(plan) if self.stack_merges is None else simulate.format_merge_entries(
-            mapping, plan.kv_chunk_size, self.heads.num_qo_heads)
+            mapping, plan.q_tile_size, tile_kv, plan.kv_chunk_size, self.heads.num_qo_heads)
         return self._price(plan, mapping, merges, self._recorder(launches)).makespan, launches
 
     def _recorder(self, launches: list) -> Callable[..., SimReport]:

@@ -209,19 +209,21 @@ class AttentionMapping:
                 raise ValueError(f"block_pos must have shape ({kv.indices.size},)")
             if self.causal and np.any(_steps(self.block_pos, kv.indptr) != kv.block_size):
                 raise ValueError("a causal group's KV blocks must be consecutive in position")
-            first_kv = np.repeat(np.append(self.block_pos, 0)[kv.indptr[:-1]], self.qo_lens)
+            first_kv = np.append(self.block_pos, 0)[kv.indptr[:-1]].repeat(self.qo_lens)
         self.causal_kv_lens = self._causal_rows = None
         if self.causal:
-            lens = self.causal_kv_lens = np.minimum(np.maximum(self.q_pos - (first_kv - 1), 0),
-                                                    np.repeat(kv.kv_lens, self.qo_lens))
-            # The pricing's row search: ``key`` (each row's count plus its group's
-            # ``base``) ascends over the mapping, so one ``searchsorted`` of ``base[g] +
+            # The pricing's row search: ``key``, each row's count plus its group's
+            # ``base``, ascends over the mapping, so one ``searchsorted`` of ``base[g] +
             # column`` finds the first row of group ``g`` that sees past a KV column;
-            # ``prefix`` is the running sum of the counts, from 0.
+            # ``prefix`` is the running sum of the counts (``key - base``), from 0.
             span = kv.kv_lens + 1  # the counts a group's rows can have, 0..kv_len
-            base, prefix = np.cumsum(span) - span, np.zeros(lens.size + 1, dtype=np.int64)
-            np.cumsum(lens, out=prefix[1:])
-            self._causal_rows = (base, lens + np.repeat(base, self.qo_lens), prefix)
+            base, key = span.cumsum() - span, self.q_pos - (first_kv - 1)
+            row_base, prefix = base.repeat(self.qo_lens), np.zeros(key.size + 1, dtype=np.int64)
+            np.minimum(np.maximum(key, 0, out=key), kv.kv_lens.repeat(self.qo_lens), out=key)
+            key += row_base
+            lens = self.causal_kv_lens = np.subtract(key, row_base, out=row_base)
+            lens.cumsum(out=prefix[1:])
+            self._causal_rows = (base, key, prefix)
         if self.q_row_starts is None:
             self.q_row_starts = self.qo_indptr[:-1].copy()
         else:

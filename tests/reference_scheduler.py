@@ -3,7 +3,9 @@
 ``plan_schedule`` and ``plan_unbalanced`` below are the implementations
 ``repro.core.scheduler`` shipped before the planner became array-shaped,
 moved here verbatim (only the plan class is renamed; a causal tile's weight
-has since read its last row's own KV length): one frozen ``WorkItem`` per
+has since read its last row's own KV length, and a causal tile is planned
+over ``[0, what its last row sees)`` alone — Step 3's total, its chunks and
+an unsplit plan's chunk size count only that): one frozen ``WorkItem`` per
 item, a Python sort, a heap over every item.
 ``reference_tables`` is the matching flattening the wrapper used to do.
 ``tests/test_scheduler_equivalence.py`` requires the array planner to emit
@@ -84,12 +86,12 @@ def plan_schedule(
     split_kv:
         Disable to emulate schedulers without KV splitting (ablations).
     causal / causal_kv_lens:
-        When causal, each work item's cost weighs only the KV *visible* to
-        its query tile (a prefill tile near the top of the triangle does a
-        fraction of the last tile's work): ``causal_kv_lens`` gives, per
-        query row in group order, how many of its group's KV slots it sees.
-        It defaults to the decode/prefill convention (queries are the
-        trailing positions).
+        When causal, each query tile is planned over the KV its last row
+        sees (a prefill tile near the top of the triangle does a fraction of
+        the last tile's work): ``causal_kv_lens`` gives, per query row in
+        group order, how many of its group's KV slots it sees.  It defaults
+        to the decode/prefill convention (queries are the trailing
+        positions).
     """
     qo_lens = np.asarray(qo_lens, dtype=np.int64)
     kv_lens = np.asarray(kv_lens, dtype=np.int64)
@@ -97,15 +99,6 @@ def plan_schedule(
         raise ValueError("qo_lens and kv_lens must align")
     if q_tile_size <= 0 or num_ctas <= 0 or num_kv_heads <= 0:
         raise ValueError("q_tile_size, num_ctas and num_kv_heads must be positive")
-
-    # Step 3: maximum KV chunk size L_kv from total tile-KV work over CTAs.
-    n_tiles_per_group = np.where(qo_lens > 0, -(-qo_lens // q_tile_size), 0)
-    total_tile_kv = int((n_tiles_per_group * kv_lens).sum()) * num_kv_heads
-    if split_kv and total_tile_kv > 0:
-        l_kv = max(ceil_div(total_tile_kv, num_ctas), min_kv_chunk)
-        l_kv = ceil_div(l_kv, chunk_granularity) * chunk_granularity
-    else:
-        l_kv = max(int(kv_lens.max(initial=0)), 1)
 
     # Each group's rows, in order: how many KV slots each row sees.
     row_kv: List[List[int]] = []
@@ -116,6 +109,27 @@ def plan_schedule(
         else:
             first = sum(int(n) for n in qo_lens[:g])
             row_kv.append([int(causal_kv_lens[first + i]) for i in range(lq)])
+
+    def tile_kv(g: int, q_start: int, q_rows: int) -> int:
+        """The KV a query tile is planned over: its last row's, if causal."""
+        return row_kv[g][q_start + q_rows - 1] if causal else int(kv_lens[g])
+
+    # Every query tile (group, q_start, q_rows) with its KV.
+    tiles: List[Tuple[int, int, int, int]] = []
+    for g in range(qo_lens.size):
+        lq = int(qo_lens[g])
+        for t in range(ceil_div(lq, q_tile_size)):
+            q_start = t * q_tile_size
+            q_rows = min(q_tile_size, lq - q_start)
+            tiles.append((g, q_start, q_rows, tile_kv(g, q_start, q_rows)))
+
+    # Step 3: maximum KV chunk size L_kv from total tile-KV work over CTAs.
+    total_tile_kv = sum(v for *_, v in tiles) * num_kv_heads
+    if split_kv and total_tile_kv > 0:
+        l_kv = max(ceil_div(total_tile_kv, num_ctas), min_kv_chunk)
+        l_kv = ceil_div(l_kv, chunk_granularity) * chunk_granularity
+    else:
+        l_kv = max([v for *_, v in tiles] + [1])
 
     def visible_kv(w: WorkItem) -> int:
         """KV positions the item actually computes over (causal-aware)."""
@@ -128,35 +142,21 @@ def plan_schedule(
     items: List[WorkItem] = []
     merges: List[MergeEntry] = []
     next_slot = 0
-    for g in range(qo_lens.size):
-        lq, lkv = int(qo_lens[g]), int(kv_lens[g])
-        if lq == 0:
-            continue
-        n_tiles = ceil_div(lq, q_tile_size)
+    for g, q_start, q_rows, lkv in tiles:
+        t = q_start // q_tile_size
         n_chunks = max(ceil_div(lkv, l_kv), 1)
-        for t in range(n_tiles):
-            q_start = t * q_tile_size
-            q_rows = min(q_tile_size, lq - q_start)
-            for h in range(num_kv_heads):
-                if n_chunks == 1 or lkv == 0:
-                    items.append(
-                        WorkItem(mapping_idx, g, t, q_start, q_rows, 0, lkv, h, -1)
-                    )
-                    continue
-                slots = []
-                for c in range(n_chunks):
-                    k0 = c * l_kv
-                    k1 = min(k0 + l_kv, lkv)
-                    items.append(
-                        WorkItem(
-                            mapping_idx, g, t, q_start, q_rows, k0, k1, h, next_slot
-                        )
-                    )
-                    slots.append(next_slot)
-                    next_slot += 1
-                merges.append(
-                    MergeEntry(mapping_idx, g, q_start, q_rows, h, tuple(slots))
-                )
+        for h in range(num_kv_heads):
+            if n_chunks == 1 or lkv == 0:
+                items.append(WorkItem(mapping_idx, g, t, q_start, q_rows, 0, lkv, h, -1))
+                continue
+            slots = []
+            for c in range(n_chunks):
+                k0 = c * l_kv
+                k1 = min(k0 + l_kv, lkv)
+                items.append(WorkItem(mapping_idx, g, t, q_start, q_rows, k0, k1, h, next_slot))
+                slots.append(next_slot)
+                next_slot += 1
+            merges.append(MergeEntry(mapping_idx, g, q_start, q_rows, h, tuple(slots)))
 
     # Step 5: longest-first order (stable: ties broken by creation order).
     weights = [visible_kv(w) for w in items]

@@ -11,7 +11,9 @@ from conftest import make_paged_mapping, runs, sweep
 from reference_costs import reference_report
 from repro import AttentionMapping, BatchAttentionWrapper, WorkspaceBuffer
 from repro.core import HeadConfig, VANILLA, simulate
-from repro.core.scheduler import COL_KVSTART, COL_KVSTOP, COL_QROWS, plan_schedule
+from repro.core.scheduler import (
+    COL_KVSTART, COL_KVSTOP, COL_QROWS, plan_schedule, query_tile_rows,
+)
 from repro.gpu import H100_80G
 from repro.sparse import BlockSparseKV
 from repro.utils.dtypes import StorageDType
@@ -106,8 +108,9 @@ def test_each_item_runs_on_its_own_tile_and_tile_1_on_cuda_cores():
 
 class TestUnsplitBounds:
     """``simulate.unsplit_bounds`` floors ``_choose``'s candidates from the
-    lengths alone: its serial bound never exceeds the longest stream the
-    unsplit plan is priced with, its byte bound never falls below their sum.
+    lengths alone: its serial bound is the longest item the unsplit plan is
+    priced with (so never more than its longest stream), its byte bound
+    never falls below their sum.
     Capped at a plan's KV chunk, the serial bound never exceeds that plan's
     longest stream (the floor of Algorithm 1's plan and of the release)."""
 
@@ -139,28 +142,29 @@ class TestUnsplitBounds:
         )
         if stacked:  # a format of a composable stack: every tile writes its fp32 state
             w.stack_merges = (np.zeros(0, np.int64), np.zeros(0, np.int64))
+        args, kwargs = w._schedule_inputs(mapping)
+        tile_kv = kwargs["tile_kv_lens"]
+
+        def bounds(*max_chunks):
+            return simulate.unsplit_bounds(
+                query_tile_rows(mapping.qo_lens, w._sched_q_tile), tile_kv, mapping,
+                heads, kv_dtype, w._sched_q_tile, w._tile_set, fuse, sparse,
+                w.executor.cost_model, w._compute_share, w.compute_penalty, stacked, *max_chunks,
+            )
+
         tiles = plan_schedule(  # the unsplit plan of one KV head
-            mapping.qo_lens, mapping.kv.kv_lens, w._sched_q_tile, w.num_ctas, split_kv=False
-        ).items
+            *args[:4], split_kv=False, tile_kv_lens=tile_kv).items
         costs = w._item_costs(tiles, mapping, w._sched_q_tile)
-        (longest,), total = simulate.unsplit_bounds(
-            -(-mapping.qo_lens // w._sched_q_tile), mapping, heads, kv_dtype, w._sched_q_tile,
-            w._tile_set, fuse, sparse, w.executor.cost_model,
-            w._compute_share, w.compute_penalty, stacked,
-        )
-        assert longest <= costs.serial.max(initial=0.0) * (1 + 1e-12) or not tiles.size
+        (longest,), total = bounds()
+        # Its longest item, exactly: each tile sees all of the KV it is planned over.
+        latency = w.executor.cost_model.tile_latency
+        assert longest == pytest.approx(costs.serial.max(initial=latency), rel=1e-12)
         assert total >= costs.mem.sum() * (1 - 1e-12)
 
-        plan = plan_schedule(
-            mapping.qo_lens, mapping.kv.kv_lens, w._sched_q_tile, w.num_ctas,
-            min_kv_chunk=chunk, chunk_granularity=w.kv_tile,
-        )
+        plan = plan_schedule(*args[:4], min_kv_chunk=chunk, chunk_granularity=w.kv_tile,
+                             tile_kv_lens=tile_kv)
         costs = w._item_costs(plan.items, mapping, w._sched_q_tile)
-        (longest,), _ = simulate.unsplit_bounds(
-            -(-mapping.qo_lens // w._sched_q_tile), mapping, heads, kv_dtype, w._sched_q_tile,
-            w._tile_set, fuse, sparse, w.executor.cost_model,
-            w._compute_share, w.compute_penalty, stacked, (plan.kv_chunk_size,),
-        )
+        (longest,), _ = bounds((plan.kv_chunk_size,))
         assert longest <= costs.serial.max(initial=0.0) * (1 + 1e-12) or not plan.items.size
 
 

@@ -20,7 +20,7 @@ from repro.core import (
 )
 from repro.core.jit import clear_cache
 from repro.core.scheduler import (
-    COL_GROUP, COL_KVHEAD, COL_KVSTART, COL_KVSTOP, COL_QROWS, COL_QSTART,
+    COL_GROUP, COL_KVHEAD, COL_KVSTART, COL_KVSTOP, COL_QROWS, COL_QSTART, query_tile_kv,
 )
 from repro.core.state import merge_states
 from repro.core.template import render_kernel_source
@@ -352,10 +352,11 @@ class TestFunctorContract:
         w = BatchAttentionWrapper(variant, HeadConfig(4, 2, 8), WorkspaceBuffer(1 << 26),
                                   avg_qo_len=64)
         w.plan(mapping)
-        # The split plan, whatever `_choose` picks: its chunks are
-        # what puts hidden KV and many query tiles under the mask.
+        # The split plan over each group's whole KV, as a hand-built plan may
+        # cut it (the planner cuts a causal tile at what its last row sees):
+        # its chunks are what puts hidden KV and many query tiles under the mask.
         args, kwargs = w._schedule_inputs(mapping)
-        plan = plan_schedule(*args, **kwargs)
+        plan = plan_schedule(*args, **dict(kwargs, tile_kv_lens=None))
         w._write_plan(plan)
         w.run(rng.standard_normal((254, 4, 8)), rng.standard_normal((slots, 2, 8)),
               rng.standard_normal((slots, 2, 8)))
@@ -400,7 +401,9 @@ class TestHiddenTilesAreSkipped:
         mapping, slots = make_paged_mapping(kv, qo, page_size=4, causal=causal)
         plan = plan_schedule(
             qo, kv, self.Q_TILE, num_ctas, num_kv_heads=self.H_KV, min_kv_chunk=8,
-            chunk_granularity=self.KV_TILE, causal=causal,
+            chunk_granularity=self.KV_TILE,
+            tile_kv_lens=query_tile_kv(mapping.qo_lens, mapping.kv.kv_lens, self.Q_TILE,
+                                       mapping.causal_kv_lens),
         )
         rng = np.random.default_rng(5)
         q = rng.standard_normal((sum(qo), self.H_QO, self.D))

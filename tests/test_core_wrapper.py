@@ -2,18 +2,22 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import reference_scheduler
-from conftest import fp16, make_paged_mapping, make_shared_prefix_mapping, sweep
+from conftest import fp16, make_paged_mapping, make_shared_prefix_mapping, runs, sweep
 from repro import BatchAttentionWrapper, ComposableAttentionWrapper, WorkspaceBuffer
 from repro.core import HeadConfig, VANILLA, plan_schedule, reference_attention, simulate
-from repro.core.scheduler import break_even_step, plan_signature
+from repro.core.scheduler import (
+    COL_GROUP, COL_KVSTART, COL_KVSTOP, COL_QROWS, COL_QSTART, break_even_step, plan_signature,
+    query_tile_rows,
+)
 from repro.core.wrapper import _PRICE_SLACK, break_even_kv_len
 from repro.gpu import A100_40G, H100_80G
 from repro.sparse import ComposableFormat, decompose_shared_prefix
 from repro.utils.dtypes import StorageDType
+from repro.variants import make_sliding_window
 from test_costs_equivalence import _launches
 from test_scheduler_equivalence import assert_same_plan
 
@@ -89,11 +93,12 @@ def candidates(w, mapping):
     found, unsplit_mem = [], 0.0
     for plan in plans:
         price = stack_price(w, plan, mapping)
-        assert w._priced(plan, mapping)[0] == price
+        assert w._priced(plan, mapping, kwargs["tile_kv_lens"])[0] == price
         attention_mem = w._item_costs(plan.items, mapping, plan.q_tile_size).mem.sum()
-        contraction, extra = simulate.split_bytes(
-            mapping.qo_lens, mapping.kv.kv_lens, plan.kv_chunk_size, w.heads.head_dim,
-            w.heads.num_qo_heads, stacked, w.executor.cost_model,
+        contraction, extra = simulate.split_bytes(  # the KV each query tile sees
+            query_tile_rows(mapping.qo_lens, w._sched_q_tile), kwargs["tile_kv_lens"],
+            plan.kv_chunk_size, w.heads.head_dim, w.heads.num_qo_heads, stacked,
+            w.executor.cost_model,
         )
         if stacked or plan.num_partial_slots:
             merges = w.stack_merges if stacked else w._merges(plan)
@@ -105,7 +110,8 @@ def candidates(w, mapping):
             contraction = None
         assert attention_mem >= (unsplit_mem + extra) * (1 - 1e-12)
         longest = simulate.unsplit_bounds(
-            q_tiles, mapping, w.heads, w.kv_dtype, w._sched_q_tile, w._tile_set,
+            query_tile_rows(mapping.qo_lens, w._sched_q_tile), kwargs["tile_kv_lens"],
+            mapping, w.heads, w.kv_dtype, w._sched_q_tile, w._tile_set,
             w.fuse_head_groups, w.sparse_gather, w.executor.cost_model,
             w._compute_share, w.compute_penalty, stacked, (plan.kv_chunk_size,),
         )[0][0]
@@ -580,22 +586,30 @@ class TestBreakEvenSplit:
         assert report.num_tiles == plan.num_work_items
         assert len(report.per_cta_time) == w.num_ctas
 
-    def test_long_prefill_chunk_runs_unsplit_below_algorithm_1s_price(self):
+    def test_long_prefill_chunk_splits_the_tiles_that_see_past_l_kv(self):
         """A 1 024-token chunk over 4 096 KV is 32 query tiles × 8 KV heads:
-        256 items, one wave of 264 CTAs.  Algorithm 1 cuts each tile's KV in
-        two (4 032-token chunks, past ``L*``): 512 items and a contraction,
-        priced above the unsplit plan, which wins."""
+        256 items, one wave of 264 CTAs, whose longest tile sees 4 096 KV
+        columns and the shortest 3 104.  Algorithm 1 sizes its chunks from
+        the KV the tiles see (3 520 tokens, past ``L*``) and cuts only the
+        18 tiles that see more in two: 400 items and a contraction, priced
+        at 98.06 µs against the unsplit plan's 103.88 µs, so it wins.  (Cut
+        over each tile's whole KV, all 32 tiles split at 4 032 tokens: 512
+        items, priced above the unsplit plan, which won.)"""
         w = self._wrapper(1024.0)
         mapping, _ = make_paged_mapping([4096], [1024])
         plan = w.plan(mapping)
         args, kwargs = w._schedule_inputs(mapping)
         algorithm_1 = plan_schedule(*args, **kwargs)
-        assert (algorithm_1.num_work_items, algorithm_1.kv_chunk_size) == (512, 4032)
-        assert (plan.num_work_items, plan.num_partial_slots) == (256, 0)
-        check_choice(w, mapping, plan)
-        assert stack_price(w, plan, mapping) < stack_price(w, algorithm_1, mapping)
+        assert (algorithm_1.num_work_items, algorithm_1.kv_chunk_size) == (400, 3520)
+        assert plan == algorithm_1 and plan.num_partial_slots == 288
+        found = check_choice(w, mapping, plan)
+        unsplit = plan_schedule(*args, **dict(kwargs, split_kv=False))
+        assert [p.num_partial_slots for p, *_ in found] == [0, 288]
+        assert stack_price(w, plan, mapping) < stack_price(w, unsplit, mapping)
 
-    @pytest.mark.parametrize("prompt, unsplit_us, split_us", [(76, 3.69, 4.81), (237, 7.99, 14.64)])
+    # Each planned over the KV its tiles see: 237 tokens unsplit 7.99 -> 7.67 µs (no tile
+    # pays the hidden tail of its last KV tile), split 4.81 -> 4.30 and 14.64 -> 9.08 µs.
+    @pytest.mark.parametrize("prompt, unsplit_us, split_us", [(76, 3.69, 4.30), (237, 7.67, 9.08)])
     def test_a_lone_short_prompt_runs_unsplit(self, prompt, unsplit_us, split_us):
         """A lone short prompt fits one wave unsplit.  Algorithm 1 cuts its
         KV into 64-token chunks (``L*`` is 258 at 128 fused rows, so the
@@ -812,3 +826,68 @@ class TestPerItemTiles:
         assert self._wrapper(heads, H100_80G, fuse_head_groups=False)._tile_set == (1, 64, 128)
         # Six fused rows per query: the launch's tile is 21 rows of 6.
         assert self._wrapper(HeadConfig(48, 8, 128), A100_40G)._tile_set == (16, 32, 64, 126)
+
+
+class TestCausalTilesPlanWhatTheySee:
+    """A causal query tile is planned over ``[0, v)``, ``v`` what its last row
+    sees: Algorithm 1's ``L_kv`` is the visible tile-KV over the CTAs, so a
+    split tile of ``v > L_kv`` has ``⌈v / L_kv⌉ < 2v / L_kv`` chunks and the
+    partial slots stay within App. D.3's ``2·#CTA``; no item lies past what
+    its tile sees; and a tile that sees nothing still writes the empty
+    state, as the dense reference computes it."""
+
+    HEADS = HeadConfig(4, 2, 8)
+
+    @given(
+        st.lists(
+            # (qo_len, kv_len, KV position of the group's first slot, the first
+            # row's position from it — before it, a row sees nothing — and the
+            # positions between rows)
+            st.tuples(st.sampled_from([0, 1, 1, 3, 17, 40, 96]), st.integers(0, 400),
+                      st.integers(100, 300), st.integers(-100, 400), st.sampled_from([1, 1, 2, 7])),
+            min_size=1, max_size=6,
+        ),
+        st.sampled_from([1, 4, 16]), st.sampled_from([1, 2, 8, 108]),
+        st.sampled_from([None, 1, 24, 130]), st.integers(0, 99),
+    )
+    @example([(96, 400, 100, 0, 1), (40, 300, 200, -30, 1), (1, 390, 100, 389, 1)], 4, 1, None, 0)
+    @example([(96, 200, 100, -60, 1), (17, 400, 300, 350, 7)], 16, 8, 24, 1)
+    @sweep(15, 60)
+    def test_slots_visibility_and_empty_tiles(self, groups, page, sm_limit, window, seed):
+        qo, kv, firsts = ([g[i] for g in groups] for i in range(3))
+        q_pos = np.concatenate([g[2] + g[3] + g[4] * np.arange(g[0]) for g in groups])
+        mapping, slots = make_paged_mapping(
+            kv, qo, page, q_pos=q_pos, block_pos=runs(firsts, [-(-n // page) for n in kv], page))
+        variant = VANILLA if window is None else make_sliding_window(window)
+        w = BatchAttentionWrapper(variant, self.HEADS, WorkspaceBuffer(1 << 24),
+                                  avg_qo_len=float(max(qo)) or 1.0, sm_limit=sm_limit)
+        chosen = w.plan(mapping)  # the workspace holds 2·#CTA partial slots
+        args, kwargs = w._schedule_inputs(w._mapping)
+        tightest = dict(kwargs, break_even_kv=0, min_kv_chunk=1, chunk_granularity=1)
+        for plan in (chosen, plan_schedule(*args, **tightest)):  # and L_kv = ⌈Σ v / #CTA⌉
+            assert plan.num_partial_slots <= 2 * w.num_ctas
+            it = plan.items
+            last_row = (w._mapping.qo_indptr[it[:, COL_GROUP]] + it[:, COL_QSTART]
+                        + it[:, COL_QROWS] - 1)
+            seen = w._mapping.causal_kv_lens[last_row]
+            assert (it[:, COL_KVSTOP] <= seen).all()
+            assert ((it[:, COL_KVSTART] < it[:, COL_KVSTOP]) | (seen == 0)).all()
+
+        rng = np.random.default_rng(seed)
+        q = rng.standard_normal((mapping.total_qo, 4, 8))
+        k, v = rng.standard_normal((2, slots, 2, 8))
+        out, lse, _ = w.run(q, k, v)
+        for g, (a, b) in enumerate(zip(mapping.qo_indptr[:-1], mapping.qo_indptr[1:])):
+            if a == b:
+                continue
+            kv_slots = mapping.kv.slot_indices(g)
+            qp, kp = q_pos[a:b, None], firsts[g] + np.arange(kv[g])[None, :]
+            keep = (qp >= kp) & (True if window is None else (qp - kp) < window)
+            for h in range(4):
+                s = np.where(keep, q[a:b, h] @ fp16(k[kv_slots, h // 2]).T / np.sqrt(8), -np.inf)
+                m = np.where(keep.any(axis=1), s.max(axis=1, initial=-np.inf), 0.0)[:, None]
+                p = np.exp(s - m)
+                ref = p @ fp16(v[kv_slots, h // 2]) / np.maximum(p.sum(axis=1), 1e-300)[:, None]
+                np.testing.assert_allclose(out[a:b, h], ref, atol=1e-6)
+            blind = ~keep.any(axis=1)  # rows that see nothing: the empty state
+            assert (out[a:b][blind] == 0).all() and np.isneginf(lse[a:b][blind]).all()

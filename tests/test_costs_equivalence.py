@@ -386,8 +386,9 @@ def test_a_stack_is_its_attention_launches_and_one_contraction():
     args, kwargs = suffix._schedule_inputs(suffix._mapping)
     split = plan_schedule(*args, **kwargs)
     assert split.kv_chunk_size == 64 and split.num_partial_slots == 2 * 2 * 8
-    assert suffix._priced(suffix._read_plan(), suffix._mapping)[0] < suffix._priced(
-        split, suffix._mapping)[0]
+    tile_kv = kwargs["tile_kv_lens"]
+    assert suffix._priced(suffix._read_plan(), suffix._mapping, tile_kv)[0] < suffix._priced(
+        split, suffix._mapping, tile_kv)[0]
 
     flops, bytes_read, bytes_written = merge_footprints(states, np.ones(384), 128)
     (_, report), launches = _stack_launches(lambda: stack.run(None, compute=False))

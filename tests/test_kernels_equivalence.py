@@ -39,6 +39,7 @@ from repro.core import (
     plan_schedule,
     run_mapping,
 )
+from repro.core.scheduler import query_tile_kv
 from repro.utils.dtypes import StorageDType, quantize_fp8, round_to_storage
 from repro.variants import (
     alibi_slopes,
@@ -107,8 +108,9 @@ def _problem(groups, variant_name, kv_dtype, causal, fuse, num_ctas, seed):
     # Many CTAs and an 8-token minimum chunk: long KVs split and merge.
     plan = plan_schedule(
         qo, kv, sched_q_tile, num_ctas,
-        num_kv_heads=H_KV if fuse else H_QO, min_kv_chunk=8,
-        chunk_granularity=KV_TILE, causal=causal,
+        num_kv_heads=H_KV if fuse else H_QO, min_kv_chunk=8, chunk_granularity=KV_TILE,
+        tile_kv_lens=query_tile_kv(mapping.qo_lens, mapping.kv.kv_lens, sched_q_tile,
+                                   mapping.causal_kv_lens),
     )
     rng = np.random.default_rng(seed)
     return dict(

@@ -17,6 +17,7 @@ import reference_scheduler as ref
 from conftest import runs, sweep
 from repro import AttentionMapping
 from repro.core import SchedulePlan, plan_schedule, plan_unbalanced
+from repro.core.scheduler import query_tile_kv
 from repro.sparse import BlockSparseKV
 
 FIXED = sweep(30, 120)
@@ -41,8 +42,20 @@ def assert_same_plan(new: SchedulePlan, old: ref.ReferencePlan) -> None:
     assert new.merges == old.merges
 
 
+def planner_kwargs(qo, kv, q_tile, causal=False, causal_kv_lens=None, **kw):
+    """The array planner's keywords for the oracle's: a causal plan's query
+    tiles see what their last rows see (``causal_kv_lens``, or the rows
+    trailing their KV)."""
+    if causal:
+        rows = causal_kv_lens if causal_kv_lens is not None else [
+            min(max(k - q + i + 1, 0), k) for q, k in zip(qo, kv) for i in range(q)]
+        kw["tile_kv_lens"] = query_tile_kv(np.asarray(qo, dtype=np.int64), np.asarray(kv),
+                                           q_tile, np.asarray(rows, dtype=np.int64))
+    return kw
+
+
 def both(qo, kv, q_tile, num_ctas, **kw):
-    new = plan_schedule(qo, kv, q_tile, num_ctas, **kw)
+    new = plan_schedule(qo, kv, q_tile, num_ctas, **planner_kwargs(qo, kv, q_tile, **kw))
     assert_same_plan(new, ref.plan_schedule(qo, kv, q_tile, num_ctas, **kw))
     return new
 
@@ -132,6 +145,11 @@ class TestPlanSchedule:
     def test_empty_kv(self):
         both([4, 1], [0, 0], 16, 4, num_kv_heads=3, causal=True)
 
+    @pytest.mark.parametrize("tile_kv", [[40, 90], [40, 90, 90, 7]])
+    def test_one_length_per_query_tile(self, tile_kv):
+        with pytest.raises(ValueError, match="one length per query tile"):
+            plan_schedule([20, 1], [90, 7], 16, 4, tile_kv_lens=np.array(tile_kv))
+
 
 class TestBreakEvenRelease:
     """``break_even_kv`` raises Algorithm 1's ``L_kv``; everything else about
@@ -139,7 +157,8 @@ class TestBreakEvenRelease:
 
     def test_zero_is_algorithm_1(self):
         qo, kv = [64, 100, 128, 150, 170, 192], [64, 100, 128, 150, 170, 192]
-        new = plan_schedule(qo, kv, 32, 264, num_kv_heads=8, causal=True, break_even_kv=0)
+        new = plan_schedule(qo, kv, 32, 264, num_kv_heads=8, break_even_kv=0,
+                            **planner_kwargs(qo, kv, 32, causal=True))
         assert_same_plan(new, ref.plan_schedule(qo, kv, 32, 264, num_kv_heads=8, causal=True))
 
     @given(
@@ -154,7 +173,8 @@ class TestBreakEvenRelease:
         qo, kv = (list(col) for col in zip(*groups))
         kw = dict(num_kv_heads=heads, chunk_granularity=granularity, causal=causal)
         alg1 = ref.plan_schedule(qo, kv, q_tile, num_ctas, **kw)
-        new = plan_schedule(qo, kv, q_tile, num_ctas, break_even_kv=break_even, **kw)
+        new = plan_schedule(qo, kv, q_tile, num_ctas, break_even_kv=break_even,
+                            **planner_kwargs(qo, kv, q_tile, **kw))
         chunk = new.kv_chunk_size
         # Algorithm 1 at the raised chunk, table for table.
         assert_same_plan(new, ref.plan_schedule(qo, kv, q_tile, num_ctas,
@@ -174,11 +194,14 @@ class TestBreakEvenRelease:
 
     def test_the_rule_moves_a_short_prefill(self):
         """The property above is not vacuous: a short prefill on a full grid
-        is released at one wave, below break-even."""
+        is released at one wave, below break-even (at 192, with no split,
+        while its chunks spanned KV no tile sees; its five tiles past 128
+        visible KV columns, on each of 8 heads, now fill the wave in two)."""
         qo = kv = [64, 100, 128, 150, 170, 192]
-        plan = plan_schedule(qo, kv, 32, 264, num_kv_heads=8, causal=True, break_even_kv=258)
+        plan = plan_schedule(qo, kv, 32, 264, num_kv_heads=8, break_even_kv=258,
+                             **planner_kwargs(qo, kv, 32, causal=True))
         assert ref.plan_schedule(qo, kv, 32, 264, num_kv_heads=8, causal=True).num_partial_slots
-        assert (plan.kv_chunk_size, plan.num_partial_slots, plan.num_work_items) == (192, 0, 216)
+        assert (plan.kv_chunk_size, plan.num_partial_slots, plan.num_work_items) == (128, 80, 256)
 
 
 class TestPlanUnbalanced:
@@ -197,8 +220,8 @@ class TestPlanUnbalanced:
 class TestFromQueues:
     @pytest.mark.parametrize("kw", [dict(), dict(split_kv=False), dict(causal=True)])
     def test_round_trips_the_views(self, kw):
-        plan = plan_schedule([1, 40, 0, 1], [5000, 700, 10, 64], 16, 6,
-                             num_kv_heads=2, **kw)
+        qo, kv = [1, 40, 0, 1], [5000, 700, 10, 64]
+        plan = plan_schedule(qo, kv, 16, 6, num_kv_heads=2, **planner_kwargs(qo, kv, 16, **kw))
         again = SchedulePlan.from_queues(
             plan.cta_queues, plan.merges, plan.num_partial_slots,
             plan.q_tile_size, plan.kv_chunk_size,

@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro.core import plan_schedule
-from repro.core.scheduler import DEFAULT_ALPHA, DEFAULT_BETA
+from repro.core.scheduler import DEFAULT_ALPHA, DEFAULT_BETA, query_tile_kv
 
 
 class TestHyperparameters:
@@ -39,9 +39,10 @@ class TestHyperparameters:
 class TestCausalWeighting:
     def test_causal_flag_balances_prefill_tiles(self):
         """A single long causal prefill: early tiles are cheap, late tiles
-        expensive; causal-aware weights spread the late tiles."""
-        qo = [4096]
-        kv = [4096]
+        expensive; planning each tile over what it sees spreads the late
+        tiles."""
+        qo = np.array([4096])
+        kv = np.array([4096])
 
         def max_visible(plan):
             worst = 0
@@ -53,9 +54,9 @@ class TestCausalWeighting:
                 worst = max(worst, vis)
             return worst
 
-        aware = plan_schedule(qo, kv, 128, num_ctas=8, causal=True,
-                              causal_kv_lens=np.arange(1, 4097))
-        naive = plan_schedule(qo, kv, 128, num_ctas=8, causal=False)
+        aware = plan_schedule(qo, kv, 128, num_ctas=8,
+                              tile_kv_lens=query_tile_kv(qo, kv, 128, np.arange(1, 4097)))
+        naive = plan_schedule(qo, kv, 128, num_ctas=8)
         assert max_visible(aware) <= max_visible(naive)
 
 

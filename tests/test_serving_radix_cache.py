@@ -305,7 +305,12 @@ class TestGoldenRun:
     resumed 0.7306 → 0.7309 s); and again, hits unchanged, when a cascade
     became a priced candidate (108 → 105 cascade steps, three mixed steps
     run dense; ten TTFTs −0.55…−3.8 ms, eleven +0.86…+6.8 ms as later
-    arrivals land in other steps; run 0.7309 → 0.7317 s).  The resumed run
+    arrivals land in other steps; run 0.7309 → 0.7317 s); and again, hits
+    unchanged, when each causal query tile was planned over the KV its last
+    row sees (105 → 104 cascade steps; 21 TTFTs −0.24…−0.65 ms, one
+    +4.5 ms, and requests 13 and 14 trade places, 242.6 → 490.5 and
+    491.0 → 247.2 ms;
+    run 0.7317 → 0.7312 s).  The resumed run
     equals the plain one: the wrappers it rebuilds after the restore price
     as the originals."""
 
