@@ -158,6 +158,7 @@ class FlashAttentionBaseline:
             sparse_gather=sparse_gather,
             cost_model=self.executor.cost_model,
             compute_share=1.0,
+            backend=self.version,
         )
         report = simulate_grid(self.executor, costs)
         if num_splits > 1:

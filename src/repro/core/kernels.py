@@ -243,7 +243,7 @@ def run_mapping(
     return plan_tile_costs(
         plan, mapping, heads, kv_tile, kv_dtype,
         (plan.q_tile_size * g_eff,) if tile_set is None else tile_set,
-        fuse_head_groups, sparse_gather, compute_penalty,
+        fuse_head_groups, sparse_gather, compute_penalty, kernel.traits.backend,
     )
 
 

@@ -288,17 +288,19 @@ def _tile_rows(
     qo_lens: np.ndarray, q_tile_size: int, num_kv_heads: int, mapping_idx: int
 ) -> np.ndarray:
     """One item-table row per ``(group, q_tile, kv_head)``, in that order,
-    with the query columns filled; the KV and slot columns are left unset."""
-    per_group = np.where(qo_lens > 0, -(-qo_lens // q_tile_size), 0) * num_kv_heads
-    group = np.repeat(np.arange(qo_lens.size), per_group)
-    within = np.arange(group.size) - np.repeat(np.cumsum(per_group) - per_group, per_group)
-    tiles = np.empty((group.size, ITEM_FIELDS), dtype=np.int64)
-    tiles[:, COL_MAPPING] = mapping_idx
-    tiles[:, COL_GROUP] = group
-    tiles[:, COL_QTILE], tiles[:, COL_KVHEAD] = np.divmod(within, num_kv_heads)
-    q_start = tiles[:, COL_QTILE] * q_tile_size
-    tiles[:, COL_QSTART] = q_start
-    tiles[:, COL_QROWS] = np.minimum(q_tile_size, qo_lens[group] - q_start)
+    with the query columns filled; the KV and slot columns are left unset.
+    Built per query tile, then repeated for its KV heads."""
+    n_tiles = -(-qo_lens // q_tile_size)
+    group = np.repeat(np.arange(qo_lens.size), n_tiles)
+    q_tile = np.arange(group.size) - np.repeat(n_tiles.cumsum() - n_tiles, n_tiles)
+    per_tile = np.empty((group.size, ITEM_FIELDS), dtype=np.int64)
+    per_tile[:, COL_MAPPING] = mapping_idx
+    per_tile[:, COL_GROUP] = group
+    per_tile[:, COL_QTILE] = q_tile
+    per_tile[:, COL_QSTART] = q_start = q_tile * q_tile_size
+    per_tile[:, COL_QROWS] = np.minimum(q_tile_size, qo_lens[group] - q_start)
+    tiles = per_tile.repeat(num_kv_heads, axis=0)
+    tiles.reshape(group.size, num_kv_heads, ITEM_FIELDS)[:, :, COL_KVHEAD] = np.arange(num_kv_heads)
     return tiles
 
 
@@ -325,16 +327,19 @@ def _build_plan(
     if lkv.size != len(tiles):
         raise ValueError("tile_kv_lens must give one length per query tile")
     n_chunks = np.maximum(-(-lkv // l_kv), 1)
-
-    # Expand each row into its KV chunks; only split tiles get partial slots.
-    row = np.repeat(np.arange(lkv.size), n_chunks)
-    table = tiles[row]
-    kv_start = (np.arange(row.size) - np.repeat(np.cumsum(n_chunks) - n_chunks, n_chunks)) * l_kv
-    table[:, COL_KVSTART] = kv_start
-    table[:, COL_KVSTOP] = np.minimum(kv_start + l_kv, lkv[row])
     split_tile = n_chunks > 1
-    split = split_tile[row]
-    table[:, COL_SLOT] = np.where(split, np.cumsum(split) - 1, -1)
+    if split_tile.any():
+        # Expand each row into its KV chunks; only split tiles get partial slots.
+        row = np.repeat(np.arange(lkv.size), n_chunks)
+        table = tiles[row]
+        kv_start = (np.arange(row.size) - np.repeat(np.cumsum(n_chunks) - n_chunks, n_chunks)) * l_kv
+        table[:, COL_KVSTART] = kv_start
+        table[:, COL_KVSTOP] = np.minimum(kv_start + l_kv, lkv[row])
+        split = split_tile[row]
+        table[:, COL_SLOT] = np.where(split, np.cumsum(split) - 1, -1)
+    else:  # every row is one chunk, written through
+        table = tiles
+        table[:, COL_KVSTART], table[:, COL_KVSTOP], table[:, COL_SLOT] = 0, lkv, -1
     merge_indptr = _indptr(n_chunks[split_tile])
     n_slots = int(merge_indptr[-1])
 

@@ -38,7 +38,8 @@ from repro.core.scheduler import (
     SchedulePlan,
     query_tile_rows,
 )
-from repro.gpu.cost import TRANSACTION_BYTES, KernelCostModel, TileCost
+from repro.core.tiles import small_fa3_tile
+from repro.gpu.cost import FA3_SMALL_TILE_MMA, TRANSACTION_BYTES, KernelCostModel, TileCost
 from repro.gpu.executor import PersistentKernelExecutor, SimReport
 from repro.sparse.layout import AttentionMapping
 from repro.utils.dtypes import StorageDType
@@ -60,7 +61,7 @@ class ItemFootprints:
     per :class:`~repro.gpu.cost.TileCost` field, one entry per item."""
 
     flops: np.ndarray  # useful FLOPs
-    padded: np.ndarray  # executed FLOPs, padded to the item's own query tile
+    padded: np.ndarray  # executed FLOPs, padded to the item's own query tile, at full MMA rate
     tile: np.ndarray  # that tile, in fused rows; 1 runs on CUDA cores
     bytes_read: np.ndarray  # KV (after L2 reuse) + query bytes
     out_bytes: np.ndarray  # final tile, or the partial state of a split one
@@ -74,6 +75,8 @@ def _tiles_by_rows(tile_set: Tuple[int, ...], g_eff: int) -> np.ndarray:
     ``r`` up to the launch's tile (read-only)."""
     fused = np.arange(tile_set[-1] // g_eff + 1) * g_eff
     table = np.asarray(tile_set)[np.minimum(np.searchsorted(tile_set, fused), len(tile_set) - 1)]
+    if tile_set[0] == 1:
+        table[1:2] = 1  # one query row's fused heads, on the CUDA cores
     table.flags.writeable = False
     return table
 
@@ -83,7 +86,8 @@ def item_tiles(rows: np.ndarray, g_eff: int, tile_set: Sequence[int]) -> np.ndar
     launch's compiled tiles ``tile_set`` (fused rows, ascending, the launch's
     own last, which every item fits), the smallest that covers its ``rows ×
     g_eff`` fused rows (§3.2.2, per work item as in the persistent kernel of
-    §3.3).  A fixed-tile launch passes its one tile."""
+    §3.3) — tile 1, where the set holds it, for every one-row item
+    (``core/tiles.item_tile_set``).  A fixed-tile launch passes its one tile."""
     return _tiles_by_rows(tuple(tile_set), g_eff)[rows]
 
 
@@ -99,13 +103,16 @@ def item_footprints(
     sparse_gather: bool,
     compute_penalty: float = 1.0,
     stacked: bool = False,
+    backend: str = "fa2",
 ) -> ItemFootprints:
     """Roofline footprint of every work item.
 
     Models causal skipping (KV tiles entirely above the diagonal are never
     loaded or computed), padding to the item's own query tile
     (:func:`item_tiles`; ``q_tile_size`` is the planner's tile, in query
-    rows, which counts a group's tiles), GQA head-group fusion (KV
+    rows, which counts a group's tiles; tile 1 computes its ``g_eff``
+    fused rows unpadded), stretched where ``backend``'s tile computes below
+    the model's MMA efficiency (:func:`_column_flops`), GQA head-group fusion (KV
     loaded once per KV head rather than once per query head), and the
     run length and segment count of sparse gathers.  A tile writes its
     final fp16 rows, or its fp32 state ``(O, LSE)`` when it is split or
@@ -144,9 +151,8 @@ def item_footprints(
 
     flops = useful_cols * (4.0 * d * g_eff)
     tile = item_tiles(item_arr[:, COL_QROWS], g_eff, tile_set)
-    padded = 4.0 * d * tile * processed
-    if compute_penalty != 1.0:
-        padded = padded * compute_penalty
+    padded = _column_flops(tuple(tile_set), g_eff, backend, d, compute_penalty)[
+        item_arr[:, COL_QROWS]] * processed
 
     # A KV chunk is re-read by every later query tile of its group (causal:
     # the tiles whose last query position reaches the chunk's first KV
@@ -188,6 +194,33 @@ def _worst_gather_waste(block: int, token_bytes: int) -> float:
     )
 
 
+@functools.lru_cache(maxsize=64)
+def _column_flops(tile_set: Tuple[int, ...], g_eff: int, backend: str, head_dim: int,
+                  compute_penalty: float) -> np.ndarray:
+    """``[r]``: the tensor-core FLOPs at full rate that one KV column of an
+    item of ``r`` query rows costs on its own tile (:func:`item_tiles`) — its
+    padded rows (tile 1: the ``g_eff`` fused rows, unpadded) times the
+    launch's ``compute_penalty``, over ``FA3_SMALL_TILE_MMA`` on an FA3 tile
+    below 128 rows (``core/tiles.small_fa3_tile``), whose MMAs run at that
+    share of the model's efficiency (read-only)."""
+    tile = _tiles_by_rows(tile_set, g_eff)
+    flops = 4.0 * head_dim * np.maximum(tile, g_eff) * compute_penalty
+    flops = np.where(small_fa3_tile(tile, backend), flops / FA3_SMALL_TILE_MMA, flops)
+    flops.flags.writeable = False
+    return flops
+
+
+@functools.lru_cache(maxsize=64)
+def _column_seconds(tile_set: Tuple[int, ...], g_eff: int, backend: str, head_dim: int,
+                    compute_penalty: float, tensor: float, cuda: float) -> np.ndarray:
+    """``[r]``: the serial seconds of one KV column of an item of ``r`` query
+    rows at the roofs ``tensor`` and ``cuda`` (:func:`_column_flops`; read-only)."""
+    roof = np.where(_tiles_by_rows(tile_set, g_eff) > 1, tensor, cuda)
+    seconds = _column_flops(tile_set, g_eff, backend, head_dim, compute_penalty) / roof
+    seconds.flags.writeable = False
+    return seconds
+
+
 def _roofs(cost_model: KernelCostModel, compute_share: float) -> Tuple[float, float]:
     """FLOP/s one CTA's serial stream computes at on the tensor cores and on
     the CUDA cores, where query tile 1 runs (§3.2.3)."""
@@ -211,23 +244,26 @@ def unsplit_bounds(
     compute_penalty: float = 1.0,
     stacked: bool = False,
     max_chunks: Sequence[float] = (np.inf,),
-) -> Tuple[List[float], float]:
-    """``(longest, total)`` of the unsplit plan for one KV head — each group
+    backend: str = "fa2",
+) -> Tuple[List[float], List[float], float]:
+    """``(longest, volume, total)`` of the unsplit plan for one KV head — each group
     cut into query tiles of ``q_tile_size`` rows, tile ``t`` of
     ``tile_rows[t]`` rows over the ``tile_kv[t]`` KV columns it is planned
     over (``scheduler.query_tile_kv``) — from the lengths alone: its longest item,
-    each on its own query tile (:func:`item_tiles`), a lower bound on its
-    longest serial stream, and an upper bound on the sum of its mem streams,
-    as :func:`item_cost_arrays` prices them.  A tile loads at most all its
+    each on its own query tile (:func:`item_tiles`) of ``backend``'s kernel, a lower bound on its
+    longest serial stream, the sum of its serial streams, and an upper bound
+    on the sum of its mem streams, as :func:`item_cost_arrays` prices them.  A tile loads at most all its
     group's KV, with the L2 reuse of its group (every tile's KV starts at
     the group's first), and gathers with no more transaction waste than a
     run of up to one block has, and writes what :func:`item_footprints` says
     a ``stacked`` tile writes.  O(tiles), no item table.
 
-    ``longest`` has one bound per entry of ``max_chunks``: with a finite
-    one, of the longest serial stream of a plan whose KV chunks are at most
-    that long — each tile's first chunk is one of its items.  ``total``
-    stays the unsplit plan's."""
+    ``longest`` and ``volume`` have one entry per entry of ``max_chunks``:
+    with a finite one, of the plan whose KV chunks are at most that long —
+    each tile's first chunk is one of its items, and its ``⌈v / chunk⌉``
+    chunks each pay a tile latency and together compute all ``v`` columns
+    its tile is planned over, so no CTA's stream is below ``volume / #CTA``
+    per KV head.  ``total`` stays the unsplit plan's."""
     g_eff = heads.group_size if fuse_head_groups else 1
     d, itemsize = heads.head_dim, kv_dtype.itemsize
     qo, kv = mapping.qo_lens, mapping.kv.kv_lens
@@ -240,18 +276,30 @@ def unsplit_bounds(
             unseen = key.searchsorted(base, side="right") - mapping.qo_indptr[:-1]
             reuse = np.maximum(reuse - unseen // q_tile_size, 1)
         kv_cols = float(q_tiles @ (kv / reuse))
-    tensor, cuda = _roofs(cost_model, compute_share)
-    tile = item_tiles(tile_rows, g_eff, tile_set)
-    per_column = 4.0 * d * tile * compute_penalty / np.where(tile > 1, tensor, cuda)  # seconds
+    per_column = _column_seconds(tuple(tile_set), g_eff, backend, d, compute_penalty,
+                                 *_roofs(cost_model, compute_share))[tile_rows]
     block, gather = mapping.kv.block_size, 2.0 * cost_model.gather_issue_overhead
-    longest = [float((np.minimum(tile_kv, chunk) * per_column + sparse_gather * gather
-                      * -(-np.minimum(tile_kv, chunk) // block)).max(initial=0.0))
-               + cost_model.tile_latency for chunk in max_chunks]
+    # In integers, an infinite chunk one past the longest tile: a float floor
+    # division costs several times an integer one.
+    top = int(tile_kv.max(initial=0)) + 1
+    chunks = [min(max(c, 1), top) for c in max_chunks]
+    cut = np.minimum(tile_kv, np.array(chunks)[:, None])  # one row per entry of max_chunks
+    streams = cut * per_column
+    if sparse_gather:
+        streams += gather * ((cut + (block - 1)) // block)
+    latency = cost_model.tile_latency
+    longest = (streams.max(axis=1, initial=0.0) + latency).tolist()
+    # The chunks of a tile cut all it is planned over, whatever their length:
+    # Σ v columns in at least ⌈Σ v / chunk⌉ items, one per tile at least,
+    # gathering at least ⌈Σ v / block⌉ blocks.
+    total_kv = int(tile_kv.sum())
+    work = float(tile_kv @ per_column) + sparse_gather * gather * -(-total_kv // block)
+    volume = [work + latency * max(tile_kv.size, -(-total_kv // c)) for c in chunks]
     waste = _worst_gather_waste(block, d * itemsize) if sparse_gather else 1.0
     q_bytes = float(qo.sum()) * (g_eff * d * Q_ITEMSIZE)
     out_bytes = float(qo.sum()) * (g_eff * (d + 1) * PARTIAL_ITEMSIZE) if stacked else q_bytes
     kv_bytes = kv_cols * (2 * d * itemsize)
-    return longest, ((kv_bytes + q_bytes) * waste + out_bytes) / cost_model.mem_efficiency
+    return longest, volume, ((kv_bytes + q_bytes) * waste + out_bytes) / cost_model.mem_efficiency
 
 
 def item_cost_arrays(
@@ -268,6 +316,7 @@ def item_cost_arrays(
     compute_share: float,
     compute_penalty: float = 1.0,
     stacked: bool = False,
+    backend: str = "fa2",
 ) -> PlanCostArrays:
     """:func:`item_footprints` followed by the executor's stream conversion
     (transaction-quantized gathers, the compute roof, per-tile latencies)."""
@@ -276,7 +325,7 @@ def item_cost_arrays(
         return PlanCostArrays(z, z, z, z)
     fp = item_footprints(
         item_arr, mapping, heads, kv_tile, kv_dtype, q_tile_size, tile_set,
-        fuse_head_groups, sparse_gather, compute_penalty, stacked,
+        fuse_head_groups, sparse_gather, compute_penalty, stacked, backend,
     )
     if sparse_gather:
         waste = np.ceil(fp.run_bytes / TRANSACTION_BYTES) * TRANSACTION_BYTES / fp.run_bytes
@@ -285,10 +334,8 @@ def item_cost_arrays(
         eff_read = fp.bytes_read
 
     tensor, cuda = _roofs(cost_model, compute_share)
-    # Items run on CUDA cores only where the launch compiles tile 1.
-    roof = np.where(fp.tile > 1, tensor, cuda) if tile_set[0] == 1 else tensor
     serial = (
-        fp.padded / roof
+        fp.padded / np.where(fp.tile > 1, tensor, cuda)
         + fp.segments * cost_model.gather_issue_overhead
         + cost_model.tile_latency
     )
@@ -305,15 +352,16 @@ def merge_footprints(
     states: np.ndarray, rows: np.ndarray, head_dim: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(flops, bytes_read, bytes_written)`` of contracting ``states``
-    partial-state rows (``head_dim + 1`` floats each) into ``rows`` final
-    rows — a merge entry of ``n`` slots over ``r`` rows is ``(n·r, r)``.
+    partial-state rows (``head_dim + 1`` fp32 values each) into ``rows``
+    final rows, written at the output's fp16 as an unsplit tile writes them
+    — a merge entry of ``n`` slots over ``r`` rows is ``(n·r, r)``.
     Contraction is bandwidth-bound (a handful of FLOPs per element), so
     ``flops`` counts the exp/log/FMA work only loosely.  Every value is an
     integer, so sums of footprints are exact in any order."""
     return (
         states * (4.0 * head_dim),
         states * float((head_dim + 1) * PARTIAL_ITEMSIZE),
-        rows * float(head_dim * PARTIAL_ITEMSIZE),
+        rows * float(head_dim * Q_ITEMSIZE),
     )
 
 
@@ -456,13 +504,14 @@ def plan_tile_costs(
     fuse_head_groups: bool,
     sparse_gather: bool,
     compute_penalty: float = 1.0,
+    backend: str = "fa2",
 ) -> Tuple[List[List[TileCost]], List[TileCost]]:
     """The footprint columns as objects: ``(per-CTA TileCost queues, one
     TileCost per merge)`` — the return value of ``run_mapping``, which only
     the benchmark's probe still reads."""
     fp = item_footprints(
         plan.items, mapping, heads, kv_tile, kv_dtype, plan.q_tile_size, tile_set,
-        fuse_head_groups, sparse_gather, compute_penalty,
+        fuse_head_groups, sparse_gather, compute_penalty, backend=backend,
     )
     columns = (
         fp.flops, fp.padded, fp.bytes_read, fp.out_bytes,

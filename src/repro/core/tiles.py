@@ -12,13 +12,15 @@ plan time:
 
 Query tile size 1 selects the CUDA-core microkernel (tensor-core ``mma``
 needs at least 16 rows, §3.2.3); FA3 tensor-core tiles must be multiples of
-64 (Hopper WGMMA).
+64 (Hopper WGMMA), and one below 128 rows computes at
+``FA3_SMALL_TILE_MMA`` of the 128-row tile's MMA efficiency.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.gpu.cost import FA3_SMALL_TILE_MMA
 from repro.gpu.spec import GPUSpec
 from repro.utils.dtypes import StorageDType
 
@@ -45,6 +47,37 @@ def select_q_tile(avg_fused_qo_len: float, backend: str = "fa2") -> int:
         if t >= avg_fused_qo_len:
             return t
     return candidates[-1]
+
+
+def small_fa3_tile(tile, backend: str):
+    """Whether query tile ``tile`` (fused rows; an int or an array) is an FA3
+    tensor tile below 128 rows, which computes at ``FA3_SMALL_TILE_MMA`` of
+    the model's MMA efficiency."""
+    return (backend == "fa3") & (tile > 1) & (tile < FA3_Q_TILE_CANDIDATES[-1])
+
+
+def item_tile_set(
+    backend: str, g_eff: int, launch_rows: int, spec: GPUSpec, mma_efficiency: float
+) -> tuple:
+    """The query tiles (fused rows, ascending, the launch's ``launch_rows``
+    last) a launch runs its work items on (``core/simulate.item_tiles``):
+    every compiled tensor tile from the smallest that covers one query row's
+    ``g_eff`` fused rows up to the launch's, and first tile 1 — the
+    CUDA-core decode kernel, charged a one-row item's ``g_eff`` rows
+    unpadded — where the CUDA cores compute those rows faster than the
+    smallest tensor tile computes its padded ones.  FlashInfer's decode
+    wrapper and sglang's ``decode_use_tensor_cores`` choose by group size
+    the same way: on H100 a Llama-3.1-8B group of 4 runs on the CUDA cores,
+    on A100 tile 16 wins from a group of 2 (App. A)."""
+    if launch_rows <= 1:
+        return (1,)
+    tensor = [t for t in compiled_q_tiles(backend) if max(g_eff, 2) <= t < launch_rows]
+    smallest = (tensor or [launch_rows])[0]
+    mma = spec.sm_fp16_flops * mma_efficiency
+    if small_fa3_tile(smallest, backend):
+        mma *= FA3_SMALL_TILE_MMA
+    cuda = g_eff * mma < smallest * spec.sm_cuda_core_flops
+    return (1,) * cuda + tuple(tensor) + (launch_rows,)
 
 
 def smem_bytes(q_tile: int, kv_tile: int, head_dim: int, kv_dtype: StorageDType) -> int:

@@ -44,7 +44,7 @@ from repro.core.scheduler import (
     query_tile_kv,
     query_tile_rows,
 )
-from repro.core.tiles import compiled_q_tiles, ctas_per_sm, select_kv_tile, select_q_tile
+from repro.core.tiles import ctas_per_sm, item_tile_set, select_kv_tile, select_q_tile
 from repro.core.variant import AttentionVariant
 from repro.gpu.cost import KernelCostModel
 from repro.gpu.cudagraph import CudaGraph
@@ -103,7 +103,8 @@ class BatchAttentionWrapper:
         Task-information hint: expected average query length per group
         (1 for decode).  Fixes the launch's compile-time query tile; each
         work item runs on the smallest compiled tile up to it that covers
-        its rows (``core/simulate.item_tiles``), or on ``q_tile`` if given.
+        its rows (``core/simulate.item_tiles``), or on ``q_tile`` if given,
+        and ``plan`` weighs Algorithm 1 at each smaller tensor tile too.
     kv_dtype:
         KV-cache storage precision (fp16 default; fp8 for Appendix F).
     fuse_head_groups:
@@ -199,9 +200,6 @@ class BatchAttentionWrapper:
         #: The head dimension the scheduler enumerates (fused GQA → KV heads).
         self._sched_heads = heads.num_kv_heads if fuse_head_groups else heads.num_qo_heads
         self._max_rows_eff = self._sched_q_tile * g_eff
-        #: The query tiles (fused rows) a work item may run on, the launch's last.
-        smaller = [t for t in compiled_q_tiles(self.backend) if g_eff <= t < self._max_rows_eff]
-        self._tile_set = tuple(smaller if q_tile is None else []) + (self._max_rows_eff,)
 
         self._max_batch_size = max_batch_size
         self._max_total_qo = max_total_qo
@@ -210,6 +208,13 @@ class BatchAttentionWrapper:
         self._params = variant.bind_params({}) if not variant.params else None
         self._sm_scale: float = 1.0 / float(np.sqrt(heads.head_dim))
         self.executor = executor or PersistentKernelExecutor(gpu, cost_model)
+        #: The query tiles (fused rows) a work item may run on, the launch's last.
+        self._tile_set = (self._max_rows_eff,) if q_tile is not None else item_tile_set(
+            self.backend, g_eff, self._max_rows_eff, gpu, self.executor.cost_model.mma_efficiency)
+        #: The query tiles (rows) ``plan`` may plan at: the launch's, then each
+        #: smaller tensor tile of the set, largest first (:meth:`_tile_inputs`).
+        self._plan_tiles = (self._sched_q_tile,) + tuple(
+            t // g_eff for t in self._tile_set[-2::-1] if t > 1)
         if plan_cache is not None:
             self.plan_cache = plan_cache
         self.last_report: Optional[SimReport] = None
@@ -256,19 +261,21 @@ class BatchAttentionWrapper:
             self._max_batch_size = batch_size
         if self._max_total_qo is None:
             self._max_total_qo = total_qo
-        max_tiles = (
-            self._max_batch_size + ceil_div(self._max_total_qo, self._sched_q_tile)
+        max_tiles = (  # the most tiles: at the smallest tile a plan may have
+            self._max_batch_size + ceil_div(self._max_total_qo, min(self._plan_tiles))
         ) * self._sched_heads
         # Split-KV produces at most 2·#CTA partial outputs (Appendix D.3).
         max_slots = 2 * self.num_ctas
         max_items = max_tiles + max_slots
         ws = self.workspace
+        # The small tables every plan writes first, then the prefix of the
+        # item table it fills: a plan touches one run of pages.
         ws.allocate_section(self._section("counts"), 8 * 8)
-        ws.allocate_section(self._section("work_items"), max_items * ITEM_FIELDS * 8)
         ws.allocate_section(self._section("cta_indptr"), (self.num_ctas + 1) * 8)
         ws.allocate_section(self._section("merge_meta"), max_slots * MERGE_FIELDS * 8)
         ws.allocate_section(self._section("merge_indptr"), (max_slots + 1) * 8)
         ws.allocate_section(self._section("merge_slots"), max_slots * 8)
+        ws.allocate_section(self._section("work_items"), max_items * ITEM_FIELDS * 8)
         d = self.heads.head_dim
         ws.allocate_section(
             self._section("partial_o"),
@@ -298,12 +305,14 @@ class BatchAttentionWrapper:
         """
         bound = self.variant.bind_params(params)
         mapping = self._visible_kv(mapping, bound)
-        args, kwargs = self._schedule_inputs(mapping)
+        inputs = self._tile_inputs(mapping)
+        (args, kwargs), *finer = inputs
         cache = self.plan_cache
-        key = cache is not None and (plan_signature(*args, **kwargs), self.stack_merges is not None)
+        key = cache is not None and (plan_signature(*args, **kwargs), self.stack_merges is not None,
+                                     *(kw["tile_kv_lens"].tobytes() for _, kw in finer))
         plan, launches = cache.get(key) if key else None, None  # a hit re-prices at run
         if plan is None:
-            plan, launches = self._choose(mapping, args, kwargs)
+            plan, launches = self._choose(mapping, inputs)
             if key:
                 cache.put(key, plan)
         self._ensure_sections(mapping.num_groups, mapping.total_qo)
@@ -350,11 +359,20 @@ class BatchAttentionWrapper:
         pages = np.minimum(np.bincount(hidden, minlength=n), kv.kv_lens // kv.block_size)
         return mapping.drop_leading_blocks(pages) if pages.any() else mapping
 
-    def _schedule_inputs(self, mapping: AttentionMapping) -> Tuple[tuple, dict]:
-        """``(args, kwargs)`` of :func:`plan_schedule` for ``mapping``."""
+    def _tile_inputs(self, mapping: AttentionMapping) -> List[Tuple[tuple, dict]]:
+        """:meth:`_schedule_inputs` at each query tile :meth:`_choose` weighs:
+        the launch's, then each smaller one of ``_plan_tiles`` under which
+        some group has more query tiles."""
+        longest = int(mapping.qo_lens.max(initial=0))
+        return [self._schedule_inputs(mapping, t) for t in self._plan_tiles
+                if t == self._sched_q_tile or t < longest]
+
+    def _schedule_inputs(self, mapping: AttentionMapping, q_tile: int = 0) -> Tuple[tuple, dict]:
+        """``(args, kwargs)`` of :func:`plan_schedule` for ``mapping`` at query
+        tiles of ``q_tile`` rows (default: the launch's)."""
         # The largest tile's fused rows price one more split.
         g_eff = self.heads.group_size if self.fuse_head_groups else 1
-        qo, kv, q_tile = mapping.qo_lens, mapping.kv.kv_lens, self._sched_q_tile
+        qo, kv, q_tile = mapping.qo_lens, mapping.kv.kv_lens, q_tile or self._sched_q_tile
         rows = min(q_tile, int(qo.max(initial=0))) * g_eff
         return (qo, kv, q_tile, self.num_ctas), dict(
             num_kv_heads=self._sched_heads,
@@ -364,55 +382,69 @@ class BatchAttentionWrapper:
             break_even_kv=break_even_kv_len(rows, self.heads.head_dim, self.kv_dtype),
         )
 
-    def _candidates(self, mapping: AttentionMapping, kwargs: dict) -> Tuple[list, float]:
-        """``([(planner kwargs, longest, contraction, extra), ...], unsplit)``
-        of the plans :meth:`_choose` weighs, in order of preference: the
-        unsplit plan when its items fit one wave; Algorithm 1 with Step 3's
-        break-even release (``kwargs``), unless it splits nothing where the
-        unsplit plan is weighed; and, when that release stopped below ``L*``
-        with a split, the plan at :func:`break_even_step`, unless it splits
-        nothing.  From the lengths alone: ``longest`` bounds the plan's
-        longest serial stream below (:func:`simulate.unsplit_bounds` under its
-        KV chunk); ``contraction`` is its contraction launch's bytes, ``None``
-        where it runs none, and ``extra`` what its attention launch moves
-        beyond the unsplit plan's (:func:`simulate.split_bytes`); ``unsplit``
-        bounds the unsplit plan's bytes above.  A lone candidate is not
-        bounded."""
-        stacked, tile_kv = self.stack_merges is not None, kwargs["tile_kv_lens"]
-        longest_kv = int(tile_kv.max(initial=0))
-        break_even, granularity = kwargs["break_even_kv"], kwargs["chunk_granularity"]
-        l_kv = kv_chunk_len(tile_kv, self._sched_heads, self.num_ctas, granularity,
-                            kwargs["split_kv"], break_even)
-        one_wave = kwargs["split_kv"] and 0 < tile_kv.size * self._sched_heads <= self.num_ctas
-        found = [(dict(kwargs, split_kv=False), longest_kv)] if one_wave else []
-        if l_kv < longest_kv or not one_wave:
-            found.append((kwargs, l_kv))
-        if l_kv < min(longest_kv, break_even):
-            step = break_even_step(l_kv, break_even, granularity)
-            if step < longest_kv:
-                found.append((dict(kwargs, min_kv_chunk=step), step))
-        if len(found) == 1:
-            return [(found[0][0], 0.0, None, 0.0)], 0.0
-        cost_model, bounded = self.executor.cost_model, []
-        tile_rows = query_tile_rows(mapping.qo_lens, self._sched_q_tile)
-        longest, unsplit = simulate.unsplit_bounds(
-            tile_rows, tile_kv, mapping, self.heads, self.kv_dtype, self._sched_q_tile,
-            self._tile_set, self.fuse_head_groups, self.sparse_gather, cost_model,
-            self._compute_share, self.compute_penalty, stacked, [chunk for _, chunk in found],
-        )
-        for (kw, chunk), stream in zip(found, longest):
-            contraction, extra = None, 0.0
-            if stacked or chunk < longest_kv:
-                contraction, extra = simulate.split_bytes(
-                    tile_rows, tile_kv, chunk, self.heads.head_dim, self.heads.num_qo_heads,
-                    stacked, cost_model,
-                )
-            bounded.append((kw, stream, contraction, extra))
-        return bounded, unsplit * self._sched_heads
+    def _candidates(self, mapping: AttentionMapping, inputs: list) -> Tuple[list, list]:
+        """``([(tile, planner kwargs, longest, volume, contraction, extra),
+        ...], unsplit)`` of the plans :meth:`_choose` weighs, in order of
+        preference, at each query tile of ``inputs`` (:meth:`_tile_inputs`,
+        ``tile`` its index there) in turn: the unsplit plan when its items
+        fit one wave; Algorithm 1 with Step 3's break-even release, unless it
+        splits nothing where the unsplit plan is weighed; and, when that
+        release stopped below ``L*`` with a split, the plan at
+        :func:`break_even_step`, unless it splits nothing.  From the lengths
+        alone: ``longest`` bounds the plan's longest serial stream below, and
+        ``volume`` its streams' sum over the grid (:func:`simulate.unsplit_bounds`
+        under its KV chunk); ``contraction``
+        is its contraction launch's bytes, ``None`` where it runs none, and
+        ``extra`` what its attention launch moves beyond the unsplit plan's
+        at its tile (:func:`simulate.split_bytes`); ``unsplit[tile]`` bounds
+        that unsplit plan's bytes above.  The smallest tile's candidate, where
+        it is the only one there, is not bounded: it is priced first."""
+        stacked, found, longest = self.stack_merges is not None, [], []
+        for tile, (_, kwargs) in enumerate(inputs):
+            tile_kv, split_kv = kwargs["tile_kv_lens"], kwargs["split_kv"]
+            longest_kv = int(tile_kv.max(initial=0))
+            longest.append(longest_kv)
+            break_even, granularity = kwargs["break_even_kv"], kwargs["chunk_granularity"]
+            l_kv = kv_chunk_len(tile_kv, self._sched_heads, self.num_ctas, granularity,
+                                split_kv, break_even)
+            one_wave = split_kv and 0 < tile_kv.size * self._sched_heads <= self.num_ctas
+            if one_wave:
+                found.append((tile, dict(kwargs, split_kv=False), longest_kv))
+            if l_kv < longest_kv or not one_wave:
+                found.append((tile, kwargs, l_kv))
+            if l_kv < min(longest_kv, break_even):
+                step = break_even_step(l_kv, break_even, granularity)
+                if step < longest_kv:
+                    found.append((tile, dict(kwargs, min_kv_chunk=step), step))
+        cost_model, bounded, unsplit = self.executor.cost_model, [], [0.0] * len(inputs)
+        for tile, (args, kwargs) in enumerate(inputs):
+            q_tile, tile_kv = args[2], kwargs["tile_kv_lens"]
+            chunks = [(kw, chunk) for t, kw, chunk in found if t == tile]
+            if tile == len(inputs) - 1 and len(chunks) == 1:
+                bounded.append((tile, chunks[0][0], 0.0, 0.0, None, 0.0))
+                continue
+            tile_rows = query_tile_rows(mapping.qo_lens, q_tile)
+            streams, volume, total = simulate.unsplit_bounds(
+                tile_rows, tile_kv, mapping, self.heads, self.kv_dtype, q_tile, self._tile_set,
+                self.fuse_head_groups, self.sparse_gather, cost_model, self._compute_share,
+                self.compute_penalty, stacked, [chunk for _, chunk in chunks], self.backend,
+            )
+            unsplit[tile] = total * self._sched_heads
+            for (kw, chunk), stream, work in zip(chunks, streams, volume):
+                contraction, extra = None, 0.0
+                if stacked or chunk < longest[tile]:
+                    contraction, extra = simulate.split_bytes(
+                        tile_rows, tile_kv, chunk, self.heads.head_dim, self.heads.num_qo_heads,
+                        stacked, cost_model,
+                    )
+                bounded.append((tile, kw, stream, work * self._sched_heads, contraction, extra))
+        return bounded, unsplit
 
-    def _floor(self, longest: float, contraction: Optional[float], mem: float) -> float:
+    def _floor(self, longest: float, volume: float, contraction: Optional[float],
+               mem: float) -> float:
         """What a plan costs at least whose attention launch has a serial
-        stream of ``longest`` and moves ``mem`` effective bytes, followed —
+        stream of ``longest``, serial streams summing to ``volume`` over the
+        grid and moves ``mem`` effective bytes, followed —
         unless ``contraction`` is ``None`` — by a contraction launch of at
         least one tile moving ``contraction`` bytes, which hides up to its
         dispatch behind the attention launch on a PDL device
@@ -420,7 +452,7 @@ class BatchAttentionWrapper:
         bandwidth."""
         spec = self.executor.spec
         dispatch, peak = spec.kernel_dispatch_overhead, spec.peak_bandwidth_bytes
-        attention = max(longest, mem / peak)
+        attention = max(longest, volume / self.num_ctas, mem / peak)
         if contraction is None:
             return dispatch + attention
         merge = max(self.executor.cost_model.tile_latency, contraction / peak)
@@ -428,32 +460,33 @@ class BatchAttentionWrapper:
             return dispatch + max(attention, dispatch) + merge
         return 2 * dispatch + attention + merge
 
-    def _choose(
-        self, mapping: AttentionMapping, args: tuple, kwargs: dict
-    ) -> Tuple[SchedulePlan, list]:
-        """``(plan, launches)``: the cheapest of :meth:`_candidates`, and the
-        launches ``run`` submits for it as ``(streams, price)``.
+    def _choose(self, mapping: AttentionMapping, inputs: list) -> Tuple[SchedulePlan, list]:
+        """``(plan, launches)``: the cheapest of :meth:`_candidates` at the
+        query tiles of ``inputs``, and the launches ``run`` submits for it as
+        ``(streams, price)``.
 
         A candidate's price is :meth:`_priced`'s.  One rule picks: candidates
         are taken cheapest estimate first — the floor (:meth:`_floor`) over
         the unsplit plan's bytes bounded from above — and each is priced only
         when its floor does not clear the cheapest price so far.  A split
         plan's attention launch moves at least its ``extra`` bytes and, once
-        the unsplit plan is priced, that plan's bytes besides.  The cheapest
-        wins, or the earliest of equally cheap ones.  No fault is consulted."""
-        found, unsplit = self._candidates(mapping, kwargs)
-        best, mem = None, 0.0
-        estimate = [self._floor(longest, contraction, unsplit + extra)
-                    for _, longest, contraction, extra in found]
+        the unsplit plan at its tile is priced, that plan's bytes besides.
+        The cheapest wins, or the earliest of equally cheap ones.  No fault
+        is consulted."""
+        found, unsplit = self._candidates(mapping, inputs)
+        best, mem = None, [0.0] * len(inputs)
+        estimate = [self._floor(longest, volume, contraction, unsplit[tile] + extra)
+                    for tile, _, longest, volume, contraction, extra in found]
         for i in sorted(range(len(found)), key=estimate.__getitem__):
-            kw, longest, contraction, extra = found[i]
-            if best and self._floor(longest, contraction, mem + extra) > best[0] + _PRICE_SLACK:
+            tile, kw, longest, volume, contraction, extra = found[i]
+            if best and self._floor(longest, volume, contraction, mem[tile] + extra) > (
+                    best[0] + _PRICE_SLACK):
                 continue
-            plan = plan_schedule(*args, **kw)
+            plan = plan_schedule(*inputs[tile][0], **kw)
             value, launches = self._priced(plan, mapping, kw["tile_kv_lens"])
             if not kw["split_kv"]:  # the unsplit plan: its attention bytes floor a split plan's
                 (_, unsplit_mem, *_), _ = launches[0]
-                mem = float(unsplit_mem.sum())
+                mem[tile] = float(unsplit_mem.sum())
             if best is None or (value, i) < best[:2]:
                 best = (value, i, plan, launches)
         return best[2:]
@@ -587,7 +620,7 @@ class BatchAttentionWrapper:
             items, mapping, self.heads, self.kv_tile, self.kv_dtype, q_tile_size, self._tile_set,
             self.fuse_head_groups, self.sparse_gather,
             self.executor.cost_model, self._compute_share, self.compute_penalty,
-            self.stack_merges is not None,
+            self.stack_merges is not None, self.backend,
         )
 
     def _signature(self) -> Tuple:

@@ -27,6 +27,14 @@ from repro.gpu.spec import GPUSpec
 #: Memory transaction granularity (bytes): LDGSTS is issued at 128B width.
 TRANSACTION_BYTES = 128
 
+#: MMA efficiency of an FA3 (Hopper) tensor tile below 128 query rows, as a
+#: share of the 128-row tile's.  A 64-row CTA has one consumer warpgroup, so
+#: it loses the inter-warpgroup ping-pong — one warpgroup's softmax under the
+#: other's GEMMs — that FlashAttention-3 (Shah et al. 2024, arXiv 2407.08608,
+#: §3.1) credits with about a tenth of its head-dim-128 forward throughput.
+#: FA2 tiles keep equal efficiency.
+FA3_SMALL_TILE_MMA = 0.9
+
 
 @dataclass
 class TileCost:

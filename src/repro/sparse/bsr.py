@@ -120,11 +120,6 @@ class BSRMatrix:
     def nnz_blocks(self) -> int:
         return int(self.indices.size)
 
-    def block_row_rows(self, i: int) -> Tuple[int, int]:
-        """Element row range ``[start, stop)`` covered by block row ``i``."""
-        br = self.block_size[0]
-        return i * br, min((i + 1) * br, self.shape[0])
-
     @classmethod
     def from_dense_mask(
         cls, mask: np.ndarray, block_size: Tuple[int, int]

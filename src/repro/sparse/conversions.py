@@ -52,24 +52,21 @@ def mapping_from_bsr(bsr: BSRMatrix, causal: bool = False) -> AttentionMapping:
 
     Each BSR block row becomes one query group gathering its blocks'
     slots — the path used for custom block-sparse attention masks
-    (tree attention, Quest-style importance masks).
+    (tree attention, Quest-style importance masks).  Positions are the
+    matrix's: row ``r`` sits at ``r`` and block column ``j`` starts at
+    ``j · B_c``, so a position-dependent variant sees the skipped blocks
+    as gaps (a causal group's blocks must be consecutive, as
+    :class:`AttentionMapping` requires).
     """
-    n = bsr.n_block_rows
-    qo_indptr = np.zeros(n + 1, dtype=np.int64)
-    for i in range(n):
-        r0, r1 = bsr.block_row_rows(i)
-        qo_indptr[i + 1] = qo_indptr[i] + (r1 - r0)
-    kv = BlockSparseKV(
-        bsr.block_size[1],
-        bsr.n_block_cols,
-        bsr.indptr,
-        bsr.indices,
-        bsr.row_kv_lens,
-    )
+    br, bc = bsr.block_size
+    qo_indptr = np.minimum(np.arange(bsr.n_block_rows + 1, dtype=np.int64) * br, bsr.shape[0])
+    kv = BlockSparseKV(bc, bsr.n_block_cols, bsr.indptr, bsr.indices, bsr.row_kv_lens)
     return AttentionMapping(
         qo_indptr,
         kv,
         causal=causal,
-        block_row_size=bsr.block_size[0],
+        block_row_size=br,
         label="bsr",
+        q_pos=np.arange(bsr.shape[0], dtype=np.int64),
+        block_pos=bsr.indices * bc,
     )

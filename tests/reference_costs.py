@@ -26,7 +26,7 @@ from typing import List, Sequence, Tuple
 
 from repro.core.kernels import PARTIAL_ITEMSIZE, Q_ITEMSIZE, HeadConfig
 from repro.core.scheduler import MergeEntry, SchedulePlan, WorkItem
-from repro.gpu.cost import TileCost
+from repro.gpu.cost import FA3_SMALL_TILE_MMA, TileCost
 from repro.gpu.executor import SimReport
 from repro.sparse.bsr import ceil_div
 from repro.sparse.layout import AttentionMapping
@@ -72,16 +72,21 @@ def work_item_cost(
     sparse_gather: bool,
     compute_penalty: float = 1.0,
     stacked: bool = False,
+    backend: str = "fa2",
 ) -> TileCost:
     """Roofline footprint of one work item.
 
     Models causal skipping (KV tiles entirely above the diagonal are never
-    loaded or computed), padding to the item's own query tile — the smallest
-    of the launch's compiled tiles ``tile_set`` (fused rows) that holds its
-    fused rows, else the largest; tile 1 runs on CUDA cores — GQA head-group
-    fusion (KV loaded once per KV head rather than once per query head), and
-    the transaction efficiency of sparse gathers.  A split or ``stacked`` tile
-    writes its fp32 state, any other its final fp16 rows.
+    loaded or computed), padding to the item's own query tile — tile 1, on
+    the CUDA cores, for a one-row item where ``tile_set`` (the launch's
+    compiled tiles, fused rows) holds it, charged the row's ``g_eff`` fused
+    heads; else the smallest tile that holds its fused rows, else the
+    largest — an FA3 tensor tile below 128 rows computing at
+    ``FA3_SMALL_TILE_MMA`` of the MMA efficiency (its FLOPs stretched by
+    it), GQA head-group fusion (KV loaded once per KV head rather than once
+    per query head), and the transaction efficiency of sparse gathers.  A
+    split or ``stacked`` tile writes its fp32 state, any other its final
+    fp16 rows.
     """
     g_eff = heads.group_size if fuse_head_groups else 1
     d = heads.head_dim
@@ -101,8 +106,11 @@ def work_item_cost(
 
     flops = 4.0 * d * useful_cols * g_eff
     fits = [t for t in sorted(tile_set) if t >= item.q_rows * g_eff]
-    padded_rows = fits[0] if fits else max(tile_set)
-    padded_flops = 4.0 * d * padded_rows * processed * compute_penalty
+    tile = 1 if item.q_rows == 1 and 1 in tile_set else fits[0] if fits else max(tile_set)
+    column_flops = 4.0 * d * max(tile, g_eff) * compute_penalty
+    if backend == "fa3" and 1 < tile < 128:
+        column_flops /= FA3_SMALL_TILE_MMA
+    padded_flops = column_flops * processed
 
     # A KV chunk is re-read by every later query tile of its group; the
     # re-reads hit L2 (the working set is a few MB), so only 1/reuse of the
@@ -131,8 +139,23 @@ def work_item_cost(
         bytes_written=float(out_bytes),
         contiguous_run_bytes=run_bytes,
         n_gather_segments=segments,
-        uses_tensor_cores=padded_rows > 1,
+        uses_tensor_cores=tile > 1,
     )
+
+
+def one_row_on_cuda_cores(executor, backend: str, g_eff: int, head_dim: int) -> bool:
+    """Whether one query row's ``g_eff`` fused heads compute a KV column
+    faster on the CUDA-core kernel, charged ``g_eff`` rows unpadded, than on
+    the smallest compiled tensor tile that holds them — each a one-column
+    ``TileCost`` priced by ``executor`` as one tile of a full grid."""
+    tensor_tiles = (64, 128) if backend == "fa3" else (16, 32, 64, 128)
+    tile = next((t for t in tensor_tiles if t >= g_eff), tensor_tiles[-1])
+    flops = 4.0 * head_dim * tile
+    if backend == "fa3" and tile < 128:
+        flops /= FA3_SMALL_TILE_MMA
+    cuda = TileCost(4.0 * head_dim * g_eff, uses_tensor_cores=False)
+    mma = TileCost(flops, uses_tensor_cores=True)
+    return executor._streams(cuda, 1.0)[0] < executor._streams(mma, 1.0)[0]
 
 
 def contraction_cost(
@@ -141,7 +164,7 @@ def contraction_cost(
     """Memory footprint of contracting one merge entry.
 
     Reads every slot's ``rows × (head_dim + 1)`` partial state, writes one
-    final tile.  Contraction is bandwidth-bound (a handful of FLOPs per
+    final tile at the output's fp16.  Contraction is bandwidth-bound (a handful of FLOPs per
     element), so ``flops`` counts the exp/log/FMA work only loosely.
     """
     n = len(entry.slots)
@@ -150,7 +173,7 @@ def contraction_cost(
         flops=4.0 * n * rows * head_dim,
         padded_flops=4.0 * n * rows * head_dim,
         bytes_read=float(n * state_bytes),
-        bytes_written=float(rows * head_dim * partial_itemsize),
+        bytes_written=float(rows * head_dim * Q_ITEMSIZE),
         uses_tensor_cores=False,
     )
 
@@ -194,7 +217,7 @@ def reference_tile_costs(
             work_item_cost(
                 item, wrapper._mapping, heads, wrapper.kv_tile, wrapper.kv_dtype,
                 plan.q_tile_size, list(wrapper._tile_set), wrapper.fuse_head_groups,
-                wrapper.sparse_gather, wrapper.compute_penalty, stacked,
+                wrapper.sparse_gather, wrapper.compute_penalty, stacked, wrapper.backend,
             )
             for item in queue
         ]

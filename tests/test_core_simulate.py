@@ -14,7 +14,8 @@ from repro.core import HeadConfig, VANILLA, simulate
 from repro.core.scheduler import (
     COL_KVSTART, COL_KVSTOP, COL_QROWS, plan_schedule, query_tile_rows,
 )
-from repro.gpu import H100_80G
+from repro.gpu import A100_40G, H100_80G
+from repro.gpu.cost import FA3_SMALL_TILE_MMA
 from repro.sparse import BlockSparseKV
 from repro.utils.dtypes import StorageDType
 
@@ -81,38 +82,51 @@ class TestEquivalence:
 
 def test_each_item_runs_on_its_own_tile_and_tile_1_on_cuda_cores():
     """Each work item runs on the smallest compiled tile covering its fused
-    rows, up to the launch's; tile 1 is the CUDA-core microkernel (§3.2.3).
-    An MHA launch compiled at 128 rows runs its decode rows on tile 1 and a
-    40-row prompt on 64 rows."""
-    from repro.core import simulate
-
+    rows, up to the launch's; tile 1 is the CUDA-core microkernel (§3.2.3),
+    which, where the set holds it, runs every one-row item, charged its
+    ``g`` fused heads unpadded.  An MHA launch compiled at 128 rows runs its
+    decode rows on tile 1 and a 40-row prompt on the smallest tiles that
+    cover its items; a GQA group of 4 on H100 runs its decode rows on tile 1
+    too, and a 16-row prompt on 64 rows at ``FA3_SMALL_TILE_MMA`` of the
+    MMA efficiency."""
     assert simulate.item_tiles(np.array([1, 2, 16, 17, 128]), 1, (1, 16, 32, 64, 128)).tolist() == [
         1, 16, 16, 32, 128]
-    assert simulate.item_tiles(np.array([1, 4, 5, 32]), 4, (1, 16, 32, 64, 128)).tolist() == [
+    assert simulate.item_tiles(np.array([1, 4, 5, 32]), 4, (16, 32, 64, 128)).tolist() == [
         16, 16, 32, 128]
-    heads = HeadConfig(4, 4, 16)
-    mapping, _ = make_paged_mapping([300, 90, 40], [1, 1, 40])
-    w = BatchAttentionWrapper(VANILLA, heads, WorkspaceBuffer(1 << 24), avg_qo_len=512.0)
-    plan = w.plan(mapping)
-    queues, _ = simulate.plan_tile_costs(
-        plan, mapping, heads, w.kv_tile, w.kv_dtype, w._tile_set, True, w.sparse_gather,
-    )
-    costs = [c for queue in queues for c in queue]  # in item order
-    rows = plan.items[:, COL_QROWS].tolist()
-    chunks = (plan.items[:, COL_KVSTOP] - plan.items[:, COL_KVSTART]).tolist()
-    assert sorted(set(rows)) == [1, 40]
-    for r, chunk, cost in zip(rows, chunks, costs):  # every row sees its whole chunk
-        assert cost.uses_tensor_cores == (r > 1)
-        assert cost.padded_flops == 4 * 16 * (1 if r == 1 else 64) * chunk
+    assert simulate.item_tiles(np.array([1, 2, 16, 32]), 4, (1, 64, 128)).tolist() == [
+        1, 64, 64, 128]
+    for heads, gpu, prompt, stretch in (
+        (HeadConfig(4, 4, 16), A100_40G, 40, 1.0),
+        (HeadConfig(8, 2, 16), H100_80G, 16, FA3_SMALL_TILE_MMA),
+    ):
+        g = heads.group_size
+        mapping, _ = make_paged_mapping([300, 90, prompt], [1, 1, prompt])
+        w = BatchAttentionWrapper(VANILLA, heads, WorkspaceBuffer(1 << 24), gpu, avg_qo_len=512.0)
+        assert w._tile_set[0] == 1
+        plan = w.plan(mapping)
+        queues, _ = simulate.plan_tile_costs(
+            plan, mapping, heads, w.kv_tile, w.kv_dtype, w._tile_set, True, w.sparse_gather,
+            w.compute_penalty, w.backend,
+        )
+        costs = [c for queue in queues for c in queue]  # in item order
+        rows = plan.items[:, COL_QROWS].tolist()
+        chunks = (plan.items[:, COL_KVSTOP] - plan.items[:, COL_KVSTART]).tolist()
+        assert rows.count(1) == 2 * heads.num_kv_heads and max(rows) * g <= 64
+        for r, chunk, cost in zip(rows, chunks, costs):  # every row sees its whole chunk
+            assert cost.uses_tensor_cores == (r > 1)
+            tile = g if r == 1 else min(t for t in w._tile_set if t >= r * g)
+            padded = 4.0 * 16 * tile * chunk * w.compute_penalty
+            assert cost.padded_flops == pytest.approx(padded if r == 1 else padded / stretch)
 
 
 class TestUnsplitBounds:
     """``simulate.unsplit_bounds`` floors ``_choose``'s candidates from the
     lengths alone: its serial bound is the longest item the unsplit plan is
     priced with (so never more than its longest stream), its byte bound
-    never falls below their sum.
+    never falls below their sum, and its volume bounds their serial sum.
     Capped at a plan's KV chunk, the serial bound never exceeds that plan's
-    longest stream (the floor of Algorithm 1's plan and of the release)."""
+    longest stream and the volume its serial sum (the floor of Algorithm
+    1's plan and of the release) — at every tile the wrapper plans at."""
 
     @given(
         st.lists(
@@ -142,30 +156,36 @@ class TestUnsplitBounds:
         )
         if stacked:  # a format of a composable stack: every tile writes its fp32 state
             w.stack_merges = (np.zeros(0, np.int64), np.zeros(0, np.int64))
-        args, kwargs = w._schedule_inputs(mapping)
-        tile_kv = kwargs["tile_kv_lens"]
+        for q_tile in w._plan_tiles:  # the launch's tile and each smaller one
+            args, kwargs = w._schedule_inputs(mapping, q_tile)
+            tile_kv = kwargs["tile_kv_lens"]
 
-        def bounds(*max_chunks):
-            return simulate.unsplit_bounds(
-                query_tile_rows(mapping.qo_lens, w._sched_q_tile), tile_kv, mapping,
-                heads, kv_dtype, w._sched_q_tile, w._tile_set, fuse, sparse,
-                w.executor.cost_model, w._compute_share, w.compute_penalty, stacked, *max_chunks,
-            )
+            def bounds(*max_chunks):
+                return simulate.unsplit_bounds(
+                    query_tile_rows(mapping.qo_lens, q_tile), tile_kv, mapping, heads, kv_dtype,
+                    q_tile, w._tile_set, fuse, sparse, w.executor.cost_model, w._compute_share,
+                    w.compute_penalty, stacked, *max_chunks, backend=w.backend,
+                )
 
-        tiles = plan_schedule(  # the unsplit plan of one KV head
-            *args[:4], split_kv=False, tile_kv_lens=tile_kv).items
-        costs = w._item_costs(tiles, mapping, w._sched_q_tile)
-        (longest,), total = bounds()
-        # Its longest item, exactly: each tile sees all of the KV it is planned over.
-        latency = w.executor.cost_model.tile_latency
-        assert longest == pytest.approx(costs.serial.max(initial=latency), rel=1e-12)
-        assert total >= costs.mem.sum() * (1 - 1e-12)
+            tiles = plan_schedule(  # the unsplit plan of one KV head
+                *args[:4], split_kv=False, tile_kv_lens=tile_kv).items
+            costs = w._item_costs(tiles, mapping, q_tile)
+            (longest,), (volume,), total = bounds()
+            # Its longest item, exactly: each tile sees all of the KV it is
+            # planned over; and its streams' sum, exactly but for a sparse
+            # gather's segments, which it counts over the tiles' sum.
+            latency = w.executor.cost_model.tile_latency
+            assert longest == pytest.approx(costs.serial.max(initial=latency), rel=1e-12)
+            assert volume <= costs.serial.sum() * (1 + 1e-12)
+            assert volume == pytest.approx(costs.serial.sum(), rel=1e-12) or sparse
+            assert total >= costs.mem.sum() * (1 - 1e-12)
 
-        plan = plan_schedule(*args[:4], min_kv_chunk=chunk, chunk_granularity=w.kv_tile,
-                             tile_kv_lens=tile_kv)
-        costs = w._item_costs(plan.items, mapping, w._sched_q_tile)
-        (longest,), _ = bounds((plan.kv_chunk_size,))
-        assert longest <= costs.serial.max(initial=0.0) * (1 + 1e-12) or not plan.items.size
+            plan = plan_schedule(*args[:4], min_kv_chunk=chunk, chunk_granularity=w.kv_tile,
+                                 tile_kv_lens=tile_kv)
+            costs = w._item_costs(plan.items, mapping, q_tile)
+            (longest,), (volume,), _ = bounds((plan.kv_chunk_size,))
+            assert longest <= costs.serial.max(initial=0.0) * (1 + 1e-12) or not plan.items.size
+            assert volume <= costs.serial.sum() * (1 + 1e-12)
 
 
 def test_causal_flops_follow_every_rows_position():

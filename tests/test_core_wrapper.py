@@ -63,61 +63,67 @@ def stack_price(w, plan, mapping):
 
 def candidates(w, mapping):
     """``(plan, floor, price)`` of each plan ``w._choose`` weighs, in its
-    order of preference: the unsplit plan when its items fit one wave;
-    Algorithm 1 with the break-even release, unless it splits nothing where
-    the unsplit plan is weighed; and, when that release stopped below ``L*``
-    with a split, the plan at the first KV-tile step at or past ``L*``,
-    unless it splits nothing.  Each is built with ``plan_schedule`` and
-    priced by :func:`stack_price`.  Its floor is ``w._floor`` of its longest
-    stream under its KV chunk (``simulate.unsplit_bounds``), of its
-    contraction's bytes where it runs one and of the bytes its attention
-    launch moves beyond the unsplit plan's (``simulate.split_bytes``: the
+    order of preference, at each query tile it plans at (the launch's, then
+    each smaller tensor tile under which some group has more query tiles) in
+    turn: the unsplit plan when its items fit one wave; Algorithm 1 with the
+    break-even release, unless it splits nothing where the unsplit plan is
+    weighed; and, when that release stopped below ``L*`` with a split, the
+    plan at the first KV-tile step at or past ``L*``, unless it splits
+    nothing.  Each is built with ``plan_schedule`` and priced by
+    :func:`stack_price`.  Its floor is ``w._floor`` of its longest stream
+    and its streams' sum under its KV chunk (``simulate.unsplit_bounds``), of its contraction's
+    bytes where it runs one and of the bytes its attention launch moves
+    beyond the unsplit plan's at its tile (``simulate.split_bytes``: the
     first asserted equal to what that launch moves, the second, where the
     unsplit plan is weighed, with that plan's attention bytes at most what
     a split plan's attention launch moves)."""
-    args, kwargs = w._schedule_inputs(mapping)
-    stacked = w.stack_merges is not None
-    q_tiles = -(-mapping.qo_lens // w._sched_q_tile)
-    plans = []
-    if 0 < int(q_tiles.sum()) * w._sched_heads <= w.num_ctas:
-        plans.append(plan_schedule(*args, **dict(kwargs, split_kv=False)))
-    release = plan_schedule(*args, **kwargs)
-    if release.num_partial_slots or not plans:
-        plans.append(release)
-    l_star = kwargs["break_even_kv"]
-    if release.num_partial_slots and release.kv_chunk_size < l_star:
-        step = break_even_step(release.kv_chunk_size, l_star, w.kv_tile)
-        full = plan_schedule(*args, **dict(kwargs, min_kv_chunk=step))
-        if full.num_partial_slots:
-            plans.append(full)
-    found, unsplit_mem = [], 0.0
-    for plan in plans:
-        price = stack_price(w, plan, mapping)
-        assert w._priced(plan, mapping, kwargs["tile_kv_lens"])[0] == price
-        attention_mem = w._item_costs(plan.items, mapping, plan.q_tile_size).mem.sum()
-        contraction, extra = simulate.split_bytes(  # the KV each query tile sees
-            query_tile_rows(mapping.qo_lens, w._sched_q_tile), kwargs["tile_kv_lens"],
-            plan.kv_chunk_size, w.heads.head_dim, w.heads.num_qo_heads, stacked,
-            w.executor.cost_model,
-        )
-        if stacked or plan.num_partial_slots:
-            merges = w.stack_merges if stacked else w._merges(plan)
-            mcosts = simulate.merge_cost_arrays(
-                *merges, w.heads.head_dim, w.executor.cost_model, w._compute_share, w.num_ctas
+    stacked, found = w.stack_merges is not None, []
+    longest_group = int(mapping.qo_lens.max(initial=0))
+    tiles = [t for t in w._plan_tiles if t == w._sched_q_tile or t < longest_group]
+    for q_tile in tiles:
+        args, kwargs = w._schedule_inputs(mapping, q_tile)
+        assert args[2] == q_tile
+        tile_rows = query_tile_rows(mapping.qo_lens, q_tile)
+        plans = []
+        if 0 < tile_rows.size * w._sched_heads <= w.num_ctas:
+            plans.append(plan_schedule(*args, **dict(kwargs, split_kv=False)))
+        release = plan_schedule(*args, **kwargs)
+        if release.num_partial_slots or not plans:
+            plans.append(release)
+        l_star = kwargs["break_even_kv"]
+        if release.num_partial_slots and release.kv_chunk_size < l_star:
+            step = break_even_step(release.kv_chunk_size, l_star, w.kv_tile)
+            full = plan_schedule(*args, **dict(kwargs, min_kv_chunk=step))
+            if full.num_partial_slots:
+                plans.append(full)
+        unsplit_mem = 0.0
+        for plan in plans:
+            assert plan.q_tile_size == q_tile
+            price = stack_price(w, plan, mapping)
+            assert w._priced(plan, mapping, kwargs["tile_kv_lens"])[0] == price
+            attention_mem = w._item_costs(plan.items, mapping, plan.q_tile_size).mem.sum()
+            contraction, extra = simulate.split_bytes(  # the KV each query tile sees
+                tile_rows, kwargs["tile_kv_lens"], plan.kv_chunk_size, w.heads.head_dim,
+                w.heads.num_qo_heads, stacked, w.executor.cost_model,
             )
-            assert contraction == pytest.approx(mcosts.mem.sum(), rel=1e-12)
-        else:
-            contraction = None
-        assert attention_mem >= (unsplit_mem + extra) * (1 - 1e-12)
-        longest = simulate.unsplit_bounds(
-            query_tile_rows(mapping.qo_lens, w._sched_q_tile), kwargs["tile_kv_lens"],
-            mapping, w.heads, w.kv_dtype, w._sched_q_tile, w._tile_set,
-            w.fuse_head_groups, w.sparse_gather, w.executor.cost_model,
-            w._compute_share, w.compute_penalty, stacked, (plan.kv_chunk_size,),
-        )[0][0]
-        found.append((plan, w._floor(longest, contraction, unsplit_mem + extra), price))
-        if plan is plans[0] and not plan.num_partial_slots:  # the unsplit plan
-            unsplit_mem = attention_mem
+            if stacked or plan.num_partial_slots:
+                merges = w.stack_merges if stacked else w._merges(plan)
+                mcosts = simulate.merge_cost_arrays(
+                    *merges, w.heads.head_dim, w.executor.cost_model, w._compute_share, w.num_ctas
+                )
+                assert contraction == pytest.approx(mcosts.mem.sum(), rel=1e-12)
+            else:
+                contraction = None
+            assert attention_mem >= (unsplit_mem + extra) * (1 - 1e-12)
+            (longest,), (volume,), _ = simulate.unsplit_bounds(
+                tile_rows, kwargs["tile_kv_lens"], mapping, w.heads, w.kv_dtype, q_tile,
+                w._tile_set, w.fuse_head_groups, w.sparse_gather, w.executor.cost_model,
+                w._compute_share, w.compute_penalty, stacked, (plan.kv_chunk_size,), w.backend,
+            )
+            floor = w._floor(longest, volume * w._sched_heads, contraction, unsplit_mem + extra)
+            found.append((plan, floor, price))
+            if plan is plans[0] and not plan.num_partial_slots:  # the unsplit plan
+                unsplit_mem = attention_mem
     return found
 
 
@@ -576,12 +582,16 @@ class TestBreakEvenSplit:
         assert w.executor.fault_injector.consultations("kernel") == 2
 
     def test_short_prefill_is_one_launch(self, rng):
+        """Six prompts of 64-192 tokens run unsplit on 64-row tiles: 416
+        items priced at 6.01 µs, against 6.87 µs for the 216 items of the
+        launch's 128-row tiles and 9.04 µs for Algorithm 1's split there."""
         lens = [64, 100, 128, 150, 170, 192]
         _, _, report, w = run_and_check(self.HEADS, lens, lens, rng, gpu=H100_80G)
         plan = w._read_plan()
         assert w._sched_q_tile * self.HEADS.group_size == 128
         assert self._algorithm_1(w, w._mapping).num_partial_slots > 0
-        assert plan.num_partial_slots == 0 and plan.num_work_items <= w.num_ctas
+        assert plan.q_tile_size * self.HEADS.group_size == 64
+        assert (plan.num_partial_slots, plan.num_work_items) == (0, 416)
         # One launch: no contraction report was combined into it.
         assert report.num_tiles == plan.num_work_items
         assert len(report.per_cta_time) == w.num_ctas
@@ -592,9 +602,10 @@ class TestBreakEvenSplit:
         columns and the shortest 3 104.  Algorithm 1 sizes its chunks from
         the KV the tiles see (3 520 tokens, past ``L*``) and cuts only the
         18 tiles that see more in two: 400 items and a contraction, priced
-        at 98.06 µs against the unsplit plan's 103.88 µs, so it wins.  (Cut
+        at 96.65 µs against the unsplit plan's 103.88 µs, so it wins.  (Cut
         over each tile's whole KV, all 32 tiles split at 4 032 tokens: 512
-        items, priced above the unsplit plan, which won.)"""
+        items, priced above the unsplit plan, which won.)  On 64-row tiles
+        Algorithm 1's 512 items split nothing, priced at 101.83 µs."""
         w = self._wrapper(1024.0)
         mapping, _ = make_paged_mapping([4096], [1024])
         plan = w.plan(mapping)
@@ -604,18 +615,24 @@ class TestBreakEvenSplit:
         assert plan == algorithm_1 and plan.num_partial_slots == 288
         found = check_choice(w, mapping, plan)
         unsplit = plan_schedule(*args, **dict(kwargs, split_kv=False))
-        assert [p.num_partial_slots for p, *_ in found] == [0, 288]
+        assert [(p.q_tile_size, p.num_partial_slots) for p, *_ in found] == [
+            (32, 0), (32, 288), (16, 0)]
         assert stack_price(w, plan, mapping) < stack_price(w, unsplit, mapping)
 
-    # Each planned over the KV its tiles see: 237 tokens unsplit 7.99 -> 7.67 µs (no tile
-    # pays the hidden tail of its last KV tile), split 4.81 -> 4.30 and 14.64 -> 9.08 µs.
-    @pytest.mark.parametrize("prompt, unsplit_us, split_us", [(76, 3.69, 4.30), (237, 7.67, 9.08)])
-    def test_a_lone_short_prompt_runs_unsplit(self, prompt, unsplit_us, split_us):
+    # On the launch's 128-row tiles, unsplit: 3.69 and 7.67 µs.  Algorithm 1's split there:
+    # 4.30 and 8.66 µs (9.08 while the contraction wrote fp32 rows).
+    @pytest.mark.parametrize("prompt, chunk, chosen_us, split_us",
+                             [(76, 76, 3.15, 4.30), (237, 128, 5.29, 8.66)])
+    def test_a_lone_short_prompt_runs_unsplit(self, prompt, chunk, chosen_us, split_us):
         """A lone short prompt fits one wave unsplit.  Algorithm 1 cuts its
         KV into 64-token chunks (``L*`` is 258 at 128 fused rows, so the
         release stops where the items fit), whose fp32 states the
-        contraction reads back: the unsplit plan prices below it.  Most of
-        the ``chat_decode`` plans that leave Algorithm 1's split are such
+        contraction reads back: the unsplit plan prices below it.  On
+        64-row tiles, at ``FA3_SMALL_TILE_MMA`` of the MMA efficiency, the
+        prompt has twice the query tiles and prices lower still: unsplit at
+        76 tokens, and at 237 tokens split at ``L*`` (97 at 64 fused rows,
+        raised to 128), 5.29 µs against 5.39 µs unsplit.  Most of the
+        ``chat_decode`` plans that leave Algorithm 1's split are such
         prompts."""
         w = self._wrapper(float(prompt))
         mapping, _ = make_paged_mapping([prompt], [prompt])
@@ -624,9 +641,10 @@ class TestBreakEvenSplit:
         algorithm_1 = plan_schedule(*args, **kwargs)
         assert kwargs["break_even_kv"] == 258
         assert algorithm_1.kv_chunk_size == 64 and algorithm_1.num_partial_slots > 0
-        assert plan.num_partial_slots == 0 and plan.kv_chunk_size == prompt
+        assert plan.q_tile_size * self.HEADS.group_size == 64 and plan.kv_chunk_size == chunk
+        assert bool(plan.num_partial_slots) == (chunk < prompt)
         _, _, report = w.run(None, compute=False)
-        assert report.makespan * 1e6 == pytest.approx(unsplit_us, abs=5e-3)
+        assert report.makespan * 1e6 == pytest.approx(chosen_us, abs=5e-3)
         assert stack_price(w, algorithm_1, mapping) * 1e6 == pytest.approx(split_us, abs=5e-3)
 
     @pytest.mark.parametrize("gpu", [A100_40G, H100_80G], ids=["A100", "H100"])
@@ -683,13 +701,13 @@ class TestBreakEvenSplit:
         """A plain wrapper and a format of a stack with equal scheduler
         inputs share one executor's plan cache: each gets its own plan,
         whichever plans first (three times: a fingerprint, a stored plan, a
-        hit).  Twelve 100-token decode suffixes behind a shared prefix plan
+        hit).  Eight 200-token decode suffixes behind a shared prefix plan
         unsplit alone; in the stack, whose every tile writes a state the one
         contraction reads, the 64-token split of Algorithm 1 prices lower."""
         from repro.gpu.executor import PersistentKernelExecutor
         from repro.serving import PlanCache
 
-        mapping, _, clusters = make_shared_prefix_mapping(1, 12, 256, 100)
+        mapping, _, clusters = make_shared_prefix_mapping(1, 8, 256, 200)
         comp = decompose_shared_prefix(mapping, clusters)
         suffix = comp.mappings[-1]
         for stack_first in (True, False):
@@ -716,7 +734,7 @@ class TestBreakEvenSplit:
             args, kwargs = plain._schedule_inputs(suffix)
             assert_same_plan(stacked._read_plan(), plan_schedule(*args, **kwargs))
             assert stacked._read_plan().kv_chunk_size == 64
-            assert (plain._read_plan().num_work_items, plain._read_plan().num_partial_slots) == (96, 0)
+            assert (plain._read_plan().num_work_items, plain._read_plan().num_partial_slots) == (64, 0)
 
     @pytest.mark.parametrize("gpu", [A100_40G, H100_80G], ids=["A100", "H100"])
     @given(
@@ -799,7 +817,9 @@ class TestPerItemTiles:
         plan = w.plan(mapping)
         price = w.run(None, compute=False)[2].makespan
         check_choice(w, mapping, plan)  # stages each candidate in turn
-        forced = self._wrapper(heads, gpu, q_tile=w.q_tile)
+        # Sized for the items of a plan at the smallest tile ``w`` plans at.
+        forced = self._wrapper(heads, gpu, q_tile=w.q_tile,
+                               max_total_qo=w._max_total_qo * w._sched_q_tile)
         assert forced._tile_set == w._tile_set[-1:]
         forced.plan(mapping)
         uniform = stack_price(forced, plan, mapping)
@@ -816,16 +836,94 @@ class TestPerItemTiles:
             assert one_row.run(None, compute=False)[2].makespan == price
 
     def test_the_tile_set_is_the_compiled_tiles_up_to_the_launch(self):
-        """Tiles below the GQA group never run an item: one query row fuses
-        ``g`` rows.  Tile 1 stays in a launch without fusion."""
+        """Tensor tiles below the GQA group never run an item: one query row
+        fuses ``g`` rows.  Tile 1 runs a one-row item where the CUDA cores
+        compute its ``g`` rows faster than the smallest tensor tile: on H100
+        for a group of 4 (8.1 against 11.7 ns per KV column at the 0.75 MMA
+        efficiency, 13.0 at 64 rows' share of it) but not of 8, on A100 for
+        no group of 2 or more, and in a launch without fusion."""
         heads = HeadConfig(32, 8, 128)
-        assert self._wrapper(heads, H100_80G)._tile_set == (64, 128)
+        assert self._wrapper(heads, H100_80G)._tile_set == (1, 64, 128)
+        assert self._wrapper(heads, H100_80G)._plan_tiles == (32, 16)
+        assert self._wrapper(heads, H100_80G, avg_qo_len=1.0)._tile_set == (1, 64)
+        assert self._wrapper(HeadConfig(64, 8, 128), H100_80G)._tile_set == (64, 128)
+        assert self._wrapper(HeadConfig(16, 8, 128), A100_40G)._tile_set == (16, 32, 64, 128)
         assert self._wrapper(heads, A100_40G)._tile_set == (16, 32, 64, 128)
         assert self._wrapper(heads, A100_40G, avg_qo_len=1.0)._tile_set == (16,)
+        assert self._wrapper(heads, A100_40G)._plan_tiles == (32, 16, 8, 4)
         assert self._wrapper(heads, A100_40G, q_tile=64)._tile_set == (64,)
+        assert self._wrapper(heads, A100_40G, q_tile=64)._plan_tiles == (16,)
         assert self._wrapper(heads, H100_80G, fuse_head_groups=False)._tile_set == (1, 64, 128)
         # Six fused rows per query: the launch's tile is 21 rows of 6.
         assert self._wrapper(HeadConfig(48, 8, 128), A100_40G)._tile_set == (16, 32, 64, 126)
+
+
+class TestSmallerTilesArePricedCandidates:
+    """Algorithm 1 is planned at each compiled query tile below the launch's
+    under which some group has more query tiles, each at its own MMA
+    efficiency, and the cheapest plan wins (:func:`check_choice` holds every
+    candidate's floor to its price).  GQA groups of 4: on H100 the launch's
+    128 fused rows and 64, on A100 also 32 and 16."""
+
+    HEADS = HeadConfig(8, 2, 16)
+
+    @given(
+        st.lists(
+            # (qo_len, kv_len, KV position of the group's first slot)
+            st.tuples(st.sampled_from([1, 1, 1, 3, 17, 40, 96]), st.integers(1, 600),
+                      st.integers(0, 300)),
+            min_size=1, max_size=6,
+        ),
+        st.booleans(), st.sampled_from([A100_40G, H100_80G]), st.sampled_from([1, 16]),
+        st.sampled_from([None, 1, 8]), st.integers(0, 99),
+    )
+    @example([(96, 500, 0), (1, 300, 0)], True, H100_80G, 16, None, 0)
+    @example([(96, 200, 0)] * 3, False, H100_80G, 16, 1, 0)  # its 16-row items fill the workspace
+    @sweep(10, 40)
+    def test_the_cheapest_tile_wins_and_computes_exactly(self, groups, causal, gpu, page,
+                                                         sm_limit, seed):
+        qo, kv, firsts = ([g[i] for g in groups] for i in range(3))
+        qo = [min(q, k) for q, k in zip(qo, kv)]  # the rows at the end of their KV
+        q_pos = runs([f + k - q for q, k, f in zip(qo, kv, firsts)], qo)
+        mapping, slots = make_paged_mapping(
+            kv, qo, page, causal, q_pos=q_pos,
+            block_pos=runs(firsts, [-(-n // page) for n in kv], page))
+        w = BatchAttentionWrapper(VANILLA, self.HEADS, WorkspaceBuffer(1 << 25), gpu,
+                                  avg_qo_len=65536.0,  # the largest tile, as a serving backend
+                                  sm_limit=sm_limit)
+        chosen = w.plan(mapping)
+        inputs = w._tile_inputs(mapping)
+        assert [args[2] for args, _ in inputs] == [
+            t for t in w._plan_tiles if t == w._sched_q_tile or t < max(qo)]
+        launch_only, _ = w._choose(mapping, inputs[:1])
+        price = w.run(None, compute=False)[2].makespan
+        assert price <= stack_price(w, launch_only, mapping) + _PRICE_SLACK
+        capacity = w.workspace.section(w._section("work_items")).nbytes // (9 * 8)
+        for plan, _, _ in check_choice(w, mapping, chosen):
+            assert plan.num_partial_slots <= 2 * w.num_ctas
+            assert plan.num_work_items <= capacity
+        for args, kwargs in inputs:  # and L_kv = ⌈Σ v / #CTA⌉ at each tile
+            tightest = dict(kwargs, break_even_kv=0, min_kv_chunk=1, chunk_granularity=1)
+            assert plan_schedule(*args, **tightest).num_partial_slots <= 2 * w.num_ctas
+
+        rng = np.random.default_rng(seed)
+        q = rng.standard_normal((mapping.total_qo, 8, 16))
+        k, v = rng.standard_normal((2, slots, 2, 16))
+        for args, kwargs in inputs[1:]:  # each smaller tile's plan, staged by hand
+            w._write_plan(plan_schedule(*args, **kwargs))
+            out, lse, _ = w.run(q, k, v)
+            for g, (a, b) in enumerate(zip(mapping.qo_indptr[:-1], mapping.qo_indptr[1:])):
+                kv_slots = mapping.kv.slot_indices(g)
+                qp, kp = q_pos[a:b, None], firsts[g] + np.arange(kv[g])[None, :]
+                keep = (qp >= kp) | (not causal)
+                for h in range(8):
+                    s = np.where(keep, q[a:b, h] @ fp16(k[kv_slots, h // 4]).T / 4.0, -np.inf)
+                    m = s.max(axis=1, keepdims=True)
+                    p = np.exp(s - m)
+                    ref = p @ fp16(v[kv_slots, h // 4]) / p.sum(axis=1, keepdims=True)
+                    np.testing.assert_allclose(out[a:b, h], ref, atol=1e-6)
+                    np.testing.assert_allclose(
+                        lse[a:b, h], m[:, 0] + np.log(p.sum(axis=1)), atol=1e-6)
 
 
 class TestCausalTilesPlanWhatTheySee:

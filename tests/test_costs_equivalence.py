@@ -45,9 +45,11 @@ from reference_costs import (
     block_cost,
     contraction_cost,
     distribute_merges,
+    one_row_on_cuda_cores,
     reference_report,
     reference_stack_report,
     reference_tile_costs,
+    work_item_cost,
 )
 from repro import (
     A100_40G,
@@ -59,7 +61,8 @@ from repro import (
     WorkspaceBuffer,
     decompose_shared_prefix,
 )
-from repro.core import VANILLA, HeadConfig, MergeEntry
+from repro.core import VANILLA, HeadConfig, MergeEntry, WorkItem
+from repro.gpu.cost import FA3_SMALL_TILE_MMA
 from repro.core.scheduler import COL_GROUP, COL_KVHEAD, COL_QROWS, ITEM_FIELDS, plan_schedule
 from repro.core.simulate import (
     merge_cost_arrays,
@@ -476,6 +479,39 @@ def test_run_reports_the_price_its_plan_won_with(case):
     replan()
     assert cached._launches is None  # a hit re-prices
     assert cached.run(None, compute=False)[2] == miss == report
+
+
+@pytest.mark.parametrize("gpu", [A100_40G, H100_80G], ids=["A100", "H100"])
+@pytest.mark.parametrize("group", [1, 2, 4, 6, 8, 16])
+def test_one_row_runs_on_the_cuda_cores_where_the_oracle_finds_them_faster(gpu, group):
+    """Tile 1 heads a launch's tile set exactly where the per-object model
+    prices a one-row KV column on the CUDA cores below the smallest tensor
+    tile: on H100 up to a group of 6, on A100 only without fusion (App. A)."""
+    heads = HeadConfig(8 * group, 8, 128)
+    w = BatchAttentionWrapper(VANILLA, heads, WorkspaceBuffer(1 << 20), gpu, avg_qo_len=65536.0)
+    cuda = one_row_on_cuda_cores(w.executor, w.backend, group, heads.head_dim)
+    assert (w._tile_set[0] == 1) == cuda
+    assert cuda == (group == 1 or (gpu is H100_80G and group <= 6))
+
+
+@pytest.mark.parametrize("rows, stretched", [(1, False), (16, True), (17, False)])
+def test_an_fa3_tile_below_128_rows_runs_at_its_share_of_the_mma_efficiency(rows, stretched):
+    """One work item of a GQA group of 4 on H100: its FLOPs, as the oracle
+    charges them, are those of the FA2 template on the same tile over
+    ``FA3_SMALL_TILE_MMA`` on the 64-row tile, and equal on tile 1 (the CUDA
+    cores) and on the 128-row tile."""
+    assert FA3_SMALL_TILE_MMA == 0.9
+    mapping, _ = make_paged_mapping([256], [rows], 16, causal=False)
+    heads = HeadConfig(32, 8, 128)
+    w = BatchAttentionWrapper(VANILLA, heads, WorkspaceBuffer(1 << 22), H100_80G,
+                              avg_qo_len=65536.0, sparse_gather=False)
+    item = WorkItem(0, 0, 0, 0, rows, 0, 256, 0, -1)
+    cost = {backend: work_item_cost(item, mapping, heads, w.kv_tile, w.kv_dtype, 32,
+                                    w._tile_set, True, False, 1.0, False, backend)
+            for backend in ("fa2", "fa3")}
+    ratio = cost["fa3"].padded_flops / cost["fa2"].padded_flops
+    assert ratio == pytest.approx(1 / FA3_SMALL_TILE_MMA if stretched else 1.0, rel=1e-15)
+    assert cost["fa3"].uses_tensor_cores == (rows > 1)
 
 
 @st.composite

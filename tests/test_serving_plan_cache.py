@@ -1,5 +1,6 @@
 """Tests for the plan cache: lookup, invalidation, determinism."""
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -10,7 +11,7 @@ from conftest import (
 )
 from repro import AttentionMapping
 from repro.core import VANILLA, BatchAttentionWrapper, ComposableAttentionWrapper, HeadConfig
-from repro.core.scheduler import plan_signature
+from repro.core.scheduler import COL_KVSTOP, plan_signature
 from repro.gpu import H100_80G, PersistentKernelExecutor, WorkspaceBuffer
 from repro.sparse import BlockSparseKV, decompose_shared_prefix
 from repro.serving import (
@@ -145,10 +146,28 @@ class TestWrapperDeterminism:
         fresh_plan = self._wrapper().plan(mapping)
         assert hit_plan == fresh_plan
 
+    def test_a_smaller_tile_plan_keys_on_what_its_tiles_see(self):
+        """Two causal mappings of 32 rows over 116 KV tokens whose last row
+        sits at position 115, so the launch's 32-row tile sees the same:
+        rows at the end of the KV, or rows 0–15 and then 100–115.  Both
+        plan at 16-row tiles, whose first tile sees 100 or 16 tokens; the
+        key holds every weighed tile's lengths, so neither reuses the
+        other's plan, which would cut that tile's KV short."""
+        pc = CountingPlanCache()
+        w = BatchAttentionWrapper(VANILLA, HeadConfig(8, 2, 16), WorkspaceBuffer(1 << 24),
+                                  H100_80G, avg_qo_len=65536.0, plan_cache=pc)
+        gappy, at_end = (make_paged_mapping([116], [32], 16, q_pos=q_pos)[0] for q_pos in (
+            np.r_[0:16, 100:116], np.arange(84, 116)))
+        for mapping, stops in ((gappy, [16, 116]), (gappy, [16, 116]), (at_end, [100, 116])):
+            plan = w.plan(mapping)  # the gappy plan is stored on its second miss
+            assert plan.q_tile_size == 16 and sorted(set(plan.items[:, COL_KVSTOP])) == stops
+        assert (pc.hits, pc.misses) == (0, 3)
+
     def test_kv_storage_precision_does_not_collide(self):
         """A backend's wrappers share one cache through their executor.  At
         128 fused rows an fp8 split breaks even at twice the KV tokens of an
-        fp16 one (516 vs 258), so the same lengths plan two chunk sizes."""
+        fp16 one (516 vs 258), so the same lengths plan two chunk sizes (no
+        group is longer than a 128-row tile, so none is planned smaller)."""
         executor = PersistentKernelExecutor(H100_80G)
         executor.plan_cache = pc = CountingPlanCache()
         fp16, fp8 = (
@@ -159,19 +178,19 @@ class TestWrapperDeterminism:
         # Everything else of the plan key is equal: only the break-even differs.
         assert (fp16._sched_q_tile, fp16.num_ctas, fp16.kv_tile) == (
             fp8._sched_q_tile, fp8.num_ctas, fp8.kv_tile) == (32, 264, 64)
-        mapping, _ = make_paged_mapping([100] * 30 + [1000] * 4, [32] * 34, 16)
+        mapping, _ = make_paged_mapping([100] * 10 + [1000] * 4, [16] * 14, 16)
         chunks = (fp16.plan(mapping).kv_chunk_size, fp8.plan(mapping).kv_chunk_size)
         assert (pc.hits, pc.misses) == (0, 2)
-        assert chunks == (320, 576)
+        assert chunks == (192, 256)
 
     def test_stack_format_and_dense_wrapper_do_not_collide(self):
         """Whether the plan is a format of a stack is part of the key.
-        Twelve 100-token suffixes of a cascade stack are one launch for a
+        Eight 200-token suffixes of a cascade stack are one launch for a
         dense wrapper, but the stack contracts anyway (one contraction launch
         folds every format's states), and there Algorithm 1's 64-token split
         prices lower."""
         pc = CountingPlanCache()
-        mapping, _, clusters = make_shared_prefix_mapping(1, 12, 256, 100)
+        mapping, _, clusters = make_shared_prefix_mapping(1, 8, 256, 200)
         stack = decompose_shared_prefix(mapping, clusters)
         suffix = stack.mappings[-1]
         dense = BatchAttentionWrapper(VANILLA, HEADS, WorkspaceBuffer(1 << 27), H100_80G,

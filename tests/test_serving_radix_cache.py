@@ -310,7 +310,11 @@ class TestGoldenRun:
     row sees (105 → 104 cascade steps; 21 TTFTs −0.24…−0.65 ms, one
     +4.5 ms, and requests 13 and 14 trade places, 242.6 → 490.5 and
     491.0 → 247.2 ms;
-    run 0.7317 → 0.7312 s).  The resumed run
+    run 0.7317 → 0.7312 s); and again, hits and cascade steps unchanged,
+    when each plan was priced at 64-row tiles too, one-row items ran on the
+    CUDA cores and the contraction wrote fp16 rows (20 TTFTs −0.53…−4.7
+    ms, four +0.47…+2.9 ms, and requests 13 and 14 trade places back,
+    −245.3 and +243.7 ms; run 0.731239 → 0.731226 s).  The resumed run
     equals the plain one: the wrappers it rebuilds after the restore price
     as the originals."""
 

@@ -11,6 +11,7 @@ from repro.core import HeadConfig, VANILLA
 from repro.sparse import AttentionMapping, BlockSparseKV, BSRMatrix, kv_from_page_table
 from repro.sparse.conversions import mapping_from_bsr
 from repro.utils.dtypes import StorageDType, round_to_storage
+from repro.variants import alibi_slopes, apply_rope, make_alibi, make_fused_rope
 
 
 class TestBlockSparseKV:
@@ -205,6 +206,37 @@ class TestStructuralSparseAttention:
             m = s.max(axis=1, keepdims=True)
             p = np.exp(s - m)
             ref = (p / p.sum(axis=1, keepdims=True)) @ vr[:, h]
+            np.testing.assert_allclose(out[:, h, :], ref, atol=1e-6)
+
+    @pytest.mark.parametrize("variant", ["alibi", "rope"])
+    def test_positions_are_the_matrix_s(self, variant):
+        """A position-dependent variant over a BSR mapping whose rows skip
+        blocks equals the dense masked reference: row ``r`` sits at ``r``
+        and a block column ``j`` starts at ``j · B_c``, skipped or not."""
+        rng = np.random.default_rng(7)
+        br, bc, n_brows, n_bcols, d = 4, 8, 5, 6, 16
+        blocks = self._block_mask(n_brows, n_bcols, 0.5, rng)
+        dense_mask = np.kron(blocks, np.ones((br, bc), dtype=bool))
+        assert (~blocks[:, 1:-1]).any()  # some row skips an inner block
+        slopes = alibi_slopes(2)
+        kernel, qx, kx, bias = {
+            "alibi": (make_alibi(slopes), None, None, slopes),
+            "rope": (make_fused_rope(), apply_rope, apply_rope, np.zeros(2)),
+        }[variant]
+        q = rng.standard_normal((n_brows * br, 2, d))
+        kp, vp = rng.standard_normal((2, n_bcols * bc, 2, d))
+        w = BatchAttentionWrapper(kernel, HeadConfig(2, 2, d), WorkspaceBuffer(1 << 26),
+                                  avg_qo_len=br)
+        w.plan(mapping_from_bsr(BSRMatrix.from_dense_mask(dense_mask, (br, bc))))
+        out, _, _ = w.run(q, kp, vp)
+        qp, kvp = np.arange(n_brows * br), np.arange(n_bcols * bc)
+        k, v = (round_to_storage(x, StorageDType.FP16).astype(np.float64) for x in (kp, vp))
+        for h in range(2):
+            qh = q[:, h] if qx is None else qx(q[:, h], qp)
+            kh = k[:, h] if kx is None else kx(k[:, h], kvp)
+            s = (qh @ kh.T) / np.sqrt(d) + bias[h] * (kvp[None, :] - qp[:, None])
+            p = np.exp(np.where(dense_mask, s, -np.inf) - s.max(axis=1, keepdims=True))
+            ref = (p / p.sum(axis=1, keepdims=True)) @ v[:, h]
             np.testing.assert_allclose(out[:, h, :], ref, atol=1e-6)
 
     def test_structure_skips_zero_blocks_traffic(self):
